@@ -29,7 +29,7 @@ pub use scenario::{Scenario, ScenarioError, Verdict, SCENARIO_SCHEMA};
 pub use stability::{lock_in, StabilityReport};
 pub use sweep::{
     set_jobs, sweep_map, AdversaryFamily, CellCursor, CellReport, Fingerprint, SweepConfig,
-    SweepPlan, SweepReport,
+    SweepPlan, SweepReport, SweepScratch,
 };
 pub use table::{fmt_count, Table};
 

@@ -28,7 +28,16 @@
 //! interleaving, and all statistics are reduced sequentially from that
 //! ordered vector, so serial and parallel sweeps produce the same bytes.
 //!
-//! The executor is also exposed raw as [`sweep_map`] — an input-ordered
+//! # One executor
+//!
+//! Every run of every sweep executes through one private function,
+//! `SweepPlan::run_chunk`: up to 64 consecutive seeds of one cell, in a
+//! [`SweepScratch`]. It alone decides between the lock-step batch engine
+//! and the scalar one. [`SweepPlan::run`] fans chunk units over the
+//! pool; a [`CellCursor`] advances one cell a chunk at a time for
+//! callers that schedule for themselves (the `sg-serve` daemon).
+//!
+//! The pool is also exposed raw as [`sweep_map`] — an input-ordered
 //! parallel map — for sweep-shaped work that does not fit the seeded
 //! grid (the experiment harness's measurement cells, the exhaustive
 //! model-checking enumerations in `tests/exhaustive_*.rs`).
@@ -44,7 +53,7 @@ use sg_adversary::{
     TraceError, VectorFamily,
 };
 use sg_core::AlgorithmSpec;
-use sg_sim::{Adversary, NoFaults, Outcome, ProcessId, RunArena, RunConfig, Value};
+use sg_sim::{Adversary, MruPool, NoFaults, Outcome, ProcessId, RunArena, RunConfig, Value};
 
 use crate::montecarlo::{early_stop_rate, sample_of, Sample, Summary};
 
@@ -132,9 +141,10 @@ impl SweepConfig {
     /// The instance-pool key this cell's runs execute under — derived
     /// exactly as `sg_core::execute_into` derives it, including the
     /// authentication adjustment for specs that require it. Long-lived
-    /// arena owners (the `sg-serve` daemon's workers) use this to
-    /// quarantine exactly one cell's pooled instances after a panic
-    /// instead of discarding the whole warm arena.
+    /// [`SweepScratch`] owners (the `sg-serve` daemon's workers) use this
+    /// to quarantine exactly one cell's pooled instances after a panic
+    /// ([`SweepScratch::evict_instances`]) instead of discarding the
+    /// whole warm scratch.
     pub fn pool_key(&self) -> sg_sim::PoolKey {
         let mut config = self.run_config();
         if self.spec.needs_authentication() {
@@ -200,6 +210,9 @@ pub(crate) enum FamilyWire {
     Trace(Arc<AdversaryTrace>),
 }
 
+/// A family's shared factory closure.
+type Factory = Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>;
+
 /// A named, seed-keyed adversary factory: `seed ↦ strategy instance`.
 ///
 /// Cloning is cheap (the factory is shared), which is what lets the
@@ -207,7 +220,7 @@ pub(crate) enum FamilyWire {
 #[derive(Clone)]
 pub struct AdversaryFamily {
     name: String,
-    make: Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>,
+    make: Factory,
     /// Wire form for serialization; `None` for closure-built families.
     wire: Option<FamilyWire>,
 }
@@ -424,149 +437,71 @@ impl std::fmt::Debug for AdversaryFamily {
     }
 }
 
-/// One pooled strategy instance, keyed by the family factory that built
-/// it. The entry holds a clone of the factory `Arc`, so the pointer used
-/// for the lookup cannot be recycled by a different family while the
-/// entry is alive (no ABA hazard) — pointer equality therefore proves
-/// "built by exactly this factory", which is the precondition
-/// [`sg_sim::Adversary::reseed`] needs.
-struct PooledAdversary {
-    make: Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>,
-    adversary: Box<dyn Adversary>,
-}
+/// Pool key of a family's strategy instances: factory identity. The key
+/// holds a clone of the factory `Arc`, so the pointer used for the lookup
+/// cannot be recycled by a different family while an entry is alive (no
+/// ABA hazard) — pointer equality therefore proves "built by exactly this
+/// factory", which is the precondition [`sg_sim::Adversary::reseed`]
+/// needs.
+struct FactoryKey(Factory);
 
-/// How many families each worker thread keeps warm. Grids rarely cross
-/// more than a handful of adversary families per worker.
-const ADVERSARY_POOL_CAP: usize = 8;
-
-thread_local! {
-    /// Per-thread MRU cache of strategy instances, recycled across runs
-    /// (and, on long-lived workers like the `sg-serve` pool, across
-    /// cells, jobs, and requests) through [`sg_sim::Adversary::reseed`].
-    static ADVERSARY_POOL: RefCell<Vec<PooledAdversary>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `body` with a strategy instance for `family` at `seed`. When
-/// instance pooling is on (the same `sg_sim::set_instance_pooling`
-/// escape hatch that governs protocol instances), the instance is
-/// recycled through this thread's adversary pool via
-/// [`sg_sim::Adversary::reseed`]; strategies that decline the reseed (the
-/// default) are rebuilt by the family factory, so pooling is never wrong,
-/// only absent. This removes the per-run strategy `Box` from the sweep
-/// hot path; `tests/early_stopping.rs` pins pooled/fresh bit-identity.
-fn with_family_adversary<R>(
-    family: &AdversaryFamily,
-    seed: u64,
-    body: impl FnOnce(&mut dyn Adversary) -> R,
-) -> R {
-    if !sg_sim::instance_pooling_enabled() {
-        let mut adversary = family.instantiate(seed);
-        return body(adversary.as_mut());
+impl PartialEq for FactoryKey {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
-    ADVERSARY_POOL.with(|pool| {
-        let hit = {
-            let mut pool = pool.borrow_mut();
-            pool.iter()
-                .position(|e| Arc::ptr_eq(&e.make, &family.make))
-                .map(|idx| pool.remove(idx))
-        };
-        let mut entry = match hit {
-            Some(mut e) => {
-                if !e.adversary.reseed(seed) {
-                    e.adversary = family.instantiate(seed);
-                }
-                e
-            }
-            None => PooledAdversary {
-                make: Arc::clone(&family.make),
-                adversary: family.instantiate(seed),
-            },
-        };
-        let out = body(entry.adversary.as_mut());
-        let mut pool = pool.borrow_mut();
-        pool.insert(0, entry);
-        pool.truncate(ADVERSARY_POOL_CAP);
-        out
-    })
 }
 
-/// One pooled *lane group* of strategy instances for the lock-step batch
-/// executor — the batch-width sibling of [`PooledAdversary`], with the
-/// same factory-pointer keying and the same reseed-or-rebuild contract
-/// applied lane by lane.
-struct PooledBatchAdversaries {
-    make: Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>,
-    adversaries: Vec<Box<dyn Adversary>>,
+/// Everything one thread needs to execute sweep chunks, recycled across
+/// chunks, cells, plans — and, on the `sg-serve` daemon's long-lived
+/// workers, across jobs and requests. [`SweepPlan::run`]'s pool threads
+/// keep one in a thread-local; a caller driving [`CellCursor`]s owns one
+/// and passes it to every [`CellCursor::advance`].
+///
+/// All three pools are bypassed (neither read nor written) under
+/// `sg_sim::set_instance_pooling(false)`, the same escape hatch that
+/// governs protocol instances, and every pooled value is re-initialized
+/// on checkout (`reseed`-or-rebuild for strategies, a full `reset` for
+/// kernels), so pooling is never wrong, only absent: pooled and fresh
+/// execution are bit-identical (`tests/early_stopping.rs`,
+/// `tests/instance_pool.rs`). A default scratch is cold: every buffer
+/// grows on first use.
+#[derive(Default)]
+pub struct SweepScratch {
+    /// Scalar-engine buffers and the keyed protocol-instance pool.
+    arena: RunArena,
+    /// Every scalar run streams its result here and is reduced to a
+    /// [`Sample`] in place, so the executor allocates no per-run result
+    /// vectors.
+    outcome: Outcome,
+    /// Lock-step engine buffers.
+    batch: sg_sim::BatchArena,
+    /// One strategy instance per family, for scalar runs. Grids rarely
+    /// cross more than a handful of families per worker.
+    adversaries: MruPool<FactoryKey, Box<dyn Adversary>, 8>,
+    /// One lane group (up to 64 instances) per family, for lock-step
+    /// chunks — hence the tighter cap.
+    lane_groups: MruPool<FactoryKey, Vec<Box<dyn Adversary>>, 4>,
+    /// Lock-step kernels by the exact `(spec, config)` they were built
+    /// for. The mixed-width gear kernels carry their per-lane protocol
+    /// instances along, which is where recycling pays.
+    kernels: MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, 4>,
 }
 
-/// How many families each worker thread keeps a warm lane group for.
-/// Lane groups are up to 64 instances each, so the cap is tighter than
-/// [`ADVERSARY_POOL_CAP`].
-const BATCH_ADVERSARY_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Per-thread MRU cache of lane groups for the batch executor.
-    static BATCH_ADVERSARY_POOL: RefCell<Vec<PooledBatchAdversaries>> =
-        const { RefCell::new(Vec::new()) };
-
-    /// Per-thread scratch for [`sg_sim::run_batch`].
-    static BATCH_SCRATCH: RefCell<sg_sim::BatchArena> = RefCell::new(sg_sim::BatchArena::new());
-}
-
-/// One pooled lock-step kernel, keyed by the exact `(spec, config)` pair
-/// it was built for. Kernels are reset per batch by the driver
-/// ([`sg_sim::run_batch_with`] calls [`sg_sim::BatchKernel::reset`]), so
-/// recycling one across chunks changes allocation behaviour only — the
-/// mixed-width gear kernels additionally recycle their per-lane protocol
-/// instances through `Protocol::reset`, which is where the win lives.
-struct PooledBatchKernel {
-    spec: AlgorithmSpec,
-    config: RunConfig,
-    kernel: Box<dyn sg_sim::BatchKernel + Send>,
-}
-
-/// How many `(spec, config)` kernels each worker thread keeps warm.
-const BATCH_KERNEL_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Per-thread MRU cache of lock-step kernels, recycled across chunks
-    /// of the same cell (and across cells of the same shape).
-    static BATCH_KERNEL_POOL: RefCell<Vec<PooledBatchKernel>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `body` with a lock-step kernel for `(spec, config)`, pooled per
-/// thread when instance pooling is on; `None` when the spec/config pair
-/// has no batch kernel (the caller falls back to the scalar executor).
-fn with_batch_kernel<R>(
-    spec: AlgorithmSpec,
-    config: RunConfig,
-    body: impl FnOnce(&mut dyn sg_sim::BatchKernel) -> R,
-) -> Option<R> {
-    if !sg_sim::instance_pooling_enabled() {
-        let mut kernel = sg_core::batch_kernel(&spec, &config)?;
-        return Some(body(kernel.as_mut()));
+impl SweepScratch {
+    /// Drops the pooled protocol instances for `key`
+    /// ([`SweepConfig::pool_key`]), leaving every other key warm — the
+    /// recovery step for an owner that caught a panic out of
+    /// [`CellCursor::advance`]. Everything the panicking chunk had
+    /// checked out was dropped by the unwind and every buffer is
+    /// overwritten at the start of each run, so the scratch stays usable.
+    pub fn evict_instances(&mut self, key: sg_sim::PoolKey) {
+        self.arena.evict_instances(key);
     }
-    BATCH_KERNEL_POOL.with(|pool| {
-        let hit = {
-            let mut pool = pool.borrow_mut();
-            pool.iter()
-                .position(|e| e.spec == spec && e.config == config)
-                .map(|idx| pool.remove(idx))
-        };
-        let mut entry = match hit {
-            Some(e) => e,
-            None => PooledBatchKernel {
-                spec,
-                config,
-                kernel: sg_core::batch_kernel(&spec, &config)?,
-            },
-        };
-        let out = body(entry.kernel.as_mut());
-        let mut pool = pool.borrow_mut();
-        pool.insert(0, entry);
-        pool.truncate(BATCH_KERNEL_POOL_CAP);
-        Some(out)
-    })
+}
+
+thread_local! {
+    /// The scratch of a [`SweepPlan::run`] pool thread.
+    static SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 
 /// The vector (single-[`sg_sim::BatchAdversary::lies`]-call) form of a
@@ -628,49 +563,6 @@ fn vector_family(
         )),
         _ => None,
     }
-}
-
-/// Runs `body` with one strategy instance per seed in `seeds` — the
-/// batch executor's counterpart of [`with_family_adversary`]. Pooled
-/// instances are reseeded lane by lane (rebuilt where the strategy
-/// declines), so pooled and fresh lane groups behave identically.
-fn with_batch_adversaries<R>(
-    family: &AdversaryFamily,
-    seeds: &[u64],
-    body: impl FnOnce(&mut [Box<dyn Adversary>]) -> R,
-) -> R {
-    if !sg_sim::instance_pooling_enabled() {
-        let mut adversaries: Vec<_> = seeds.iter().map(|&s| family.instantiate(s)).collect();
-        return body(&mut adversaries);
-    }
-    BATCH_ADVERSARY_POOL.with(|pool| {
-        let hit = {
-            let mut pool = pool.borrow_mut();
-            pool.iter()
-                .position(|e| Arc::ptr_eq(&e.make, &family.make))
-                .map(|idx| pool.remove(idx))
-        };
-        let mut entry = hit.unwrap_or_else(|| PooledBatchAdversaries {
-            make: Arc::clone(&family.make),
-            adversaries: Vec::new(),
-        });
-        entry.adversaries.truncate(seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
-            match entry.adversaries.get_mut(lane) {
-                Some(adversary) => {
-                    if !adversary.reseed(seed) {
-                        *adversary = family.instantiate(seed);
-                    }
-                }
-                None => entry.adversaries.push(family.instantiate(seed)),
-            }
-        }
-        let out = body(&mut entry.adversaries);
-        let mut pool = pool.borrow_mut();
-        pool.insert(0, entry);
-        pool.truncate(BATCH_ADVERSARY_POOL_CAP);
-        out
-    })
 }
 
 /// A sweep grid: `configs × adversaries × seeds_per_cell` executions.
@@ -751,23 +643,18 @@ impl SweepPlan {
     /// passes the full range), returning one report per entry in `cells`
     /// order. This is what makes the journal-warm path bit-identical to
     /// a cold run: a miss set of any shape still executes with the cold
-    /// path's exact unit chunking.
+    /// path's exact chunking.
     pub(crate) fn run_cells_with_jobs(&self, cells: &[usize], jobs: usize) -> Vec<CellReport> {
         if cells.is_empty() {
             return Vec::new();
         }
         let shared = Arc::new(self.clone());
-        // With batching on, a unit is a lock-step group of up to 64
-        // consecutive seeds of one cell; with `--no-batch` it degenerates
-        // to one seed per unit, restoring the scalar executor's exact
-        // scheduling shape. Either way results are flattened back into
-        // `(ci, ai, si)` order, so the report bytes cannot depend on the
-        // toggle (pinned by `tests/batch_identity.rs`).
-        let chunk = if sg_sim::batch_runs_enabled() {
-            sg_sim::MAX_BATCH_RUNS as u64
-        } else {
-            1
-        };
+        // A unit is one chunk: up to 64 consecutive seeds of one cell.
+        // Results are flattened back into `(ci, ai, si)` order, so the
+        // report bytes depend on neither the worker interleaving nor how
+        // `run_chunk` executed each unit (pinned by
+        // `tests/batch_identity.rs`).
+        let chunk = sg_sim::MAX_BATCH_RUNS as u64;
         let units: Vec<(usize, usize, u64, u64)> = cells
             .iter()
             .flat_map(|&cell| {
@@ -779,7 +666,11 @@ impl SweepPlan {
             })
             .collect();
         let samples: Vec<Sample> = sweep_map_with_jobs(units, jobs, move |(ci, ai, si0, len)| {
-            shared.run_chunk(ci, ai, si0, len)
+            let mut samples = Vec::with_capacity(len as usize);
+            SCRATCH.with(|scratch| {
+                shared.run_chunk(&mut scratch.borrow_mut(), ci, ai, si0, len, &mut samples);
+            });
+            samples
         })
         .into_iter()
         .flatten()
@@ -812,8 +703,8 @@ impl SweepPlan {
         (cell / self.adversaries.len(), cell % self.adversaries.len())
     }
 
-    /// A resumable sequential executor for cell `cell` — the unit the
-    /// `sg-serve` scheduler interleaves jobs at. See [`CellCursor`].
+    /// A resumable executor for cell `cell` — the unit the `sg-serve`
+    /// scheduler interleaves jobs at. See [`CellCursor`].
     ///
     /// # Panics
     ///
@@ -830,8 +721,8 @@ impl SweepPlan {
     }
 
     /// Assembles the [`CellReport`] of cell `(ci, ai)` from its run-order
-    /// samples — shared by the batch path and [`CellCursor::finish`], so
-    /// both produce identical bytes.
+    /// samples — shared by [`SweepPlan::run`] and [`CellCursor::finish`],
+    /// so both produce identical bytes.
     fn cell_report(&self, ci: usize, ai: usize, samples: Vec<Sample>) -> CellReport {
         let config = &self.configs[ci];
         let summaries = crate::montecarlo::summarize(&samples);
@@ -847,28 +738,39 @@ impl SweepPlan {
         }
     }
 
-    /// One executor unit: runs `si0 .. si0 + len` of cell `(ci, ai)`.
+    /// The one way a run executes: appends the samples of runs
+    /// `si0 .. si0 + len` (`len ≤ 64`) of cell `(ci, ai)` to `out`, in
+    /// seed order.
     ///
-    /// When batching is on and the cell has a lock-step kernel (the king
-    /// and phase families on eligible configurations), the whole group
-    /// executes in
-    /// one [`sg_sim::run_batch`] call; everything else — other specs,
-    /// edge-faulting adversaries, `--no-batch` — falls back to the scalar
-    /// executor run by run. Both paths emit identical samples.
-    fn run_chunk(&self, ci: usize, ai: usize, si0: u64, len: u64) -> Vec<Sample> {
-        if len > 1 && sg_sim::batch_runs_enabled() {
-            if let Some(samples) = self.run_chunk_lockstep(ci, ai, si0, len) {
-                return samples;
-            }
+    /// When the cell has a lock-step kernel (the king, phase and
+    /// gear-shifting families on eligible configurations) the whole
+    /// chunk executes in one [`sg_sim::run_batch`] call; everything else
+    /// — other specs, edge-faulting adversaries, `--no-batch`, a 1-seed
+    /// tail — runs seed by seed on the scalar engine. Both emit
+    /// identical samples.
+    fn run_chunk(
+        &self,
+        scratch: &mut SweepScratch,
+        ci: usize,
+        ai: usize,
+        si0: u64,
+        len: u64,
+        out: &mut Vec<Sample>,
+    ) {
+        let lockstep = len > 1
+            && sg_sim::batch_runs_enabled()
+            && self.run_chunk_lockstep(scratch, ci, ai, si0, len, out);
+        if !lockstep {
+            out.extend((0..len).map(|k| self.run_scalar(scratch, ci, ai, si0 + k)));
         }
-        (0..len).map(|k| self.run_one(ci, ai, si0 + k)).collect()
     }
 
-    /// The lock-step fast path: all `len` seeds of the group execute
-    /// simultaneously, one bit lane per run. Returns `None` when the cell
-    /// is not batch-eligible (no kernel for the spec, or the adversary
-    /// family corrupts edges), in which case no lane has gone past its
-    /// `corrupt` call and the scalar path re-runs the group from scratch.
+    /// The lock-step fast path: all `len` seeds of the chunk execute
+    /// simultaneously, one bit lane per run. Returns `false`, with `out`
+    /// untouched, when the cell is not batch-eligible (no kernel for the
+    /// spec, or the adversary family corrupts edges), in which case no
+    /// lane has gone past its `corrupt` call and the scalar path re-runs
+    /// the chunk from scratch.
     ///
     /// Fault injection takes the vector path ([`BatchFamily`], one
     /// `lies` call per round) when the family's wire shape has one and
@@ -876,126 +778,142 @@ impl SweepPlan {
     /// lane bridges to its scalar adversary in the scalar engine's exact
     /// call order. Lanes a mixed-width kernel declines mid-run (a
     /// `dynamic-king` gear vote that diverges from its scalar poll)
-    /// come back marked `deferred` and re-run on the scalar executor,
+    /// come back marked `deferred` and re-run on the scalar engine,
     /// spliced into the chunk's samples at their seed position.
-    fn run_chunk_lockstep(&self, ci: usize, ai: usize, si0: u64, len: u64) -> Option<Vec<Sample>> {
-        let config = &self.configs[ci];
-        let run_config = config.run_config();
-        let family = &self.adversaries[ai];
-        let seeds: Vec<u64> = (0..len).map(|k| self.seed_for(ci, ai, si0 + k)).collect();
-        with_batch_kernel(config.spec, run_config, |kernel| {
-            BATCH_SCRATCH.with(|scratch| {
-                let arena = &mut scratch.borrow_mut();
-                let ok =
-                    with_batch_adversaries(family, &seeds, |adversaries| {
-                        match vector_family(family, &seeds) {
-                            Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
-                                let mut batch = BatchFamily::new(vector, selection, adversaries);
-                                sg_sim::run_batch_with(arena, &run_config, kernel, &mut batch)
-                            }
-                            _ => sg_sim::run_batch(arena, &run_config, kernel, adversaries),
-                        }
-                    });
-                if !ok {
-                    return None;
-                }
-                let mut samples = Vec::with_capacity(len as usize);
-                for (lane, (result, seed)) in arena.results().iter().zip(&seeds).enumerate() {
-                    if result.deferred {
-                        samples.push(self.run_one(ci, ai, si0 + lane as u64));
-                        continue;
-                    }
-                    assert!(
-                        result.agreement,
-                        "{} violated agreement under {} at seed {seed}",
-                        config.spec.name(),
-                        family.name,
-                    );
-                    samples.push(Sample {
-                        lock_in: result.lock_in as u64,
-                        discoveries: result.discoveries,
-                        total_bits: result.total_bits,
-                        max_local_ops: result.max_local_ops,
-                        rounds: result.rounds_used as u64,
-                        early_stopped: result.early_stopped,
-                    });
-                }
-                Some(samples)
-            })
-        })?
-    }
-
-    /// One execution: cell `(ci, ai)`, run `si`, on this thread's
-    /// scratch arena.
-    fn run_one(&self, ci: usize, ai: usize, si: u64) -> Sample {
-        SWEEP_ARENA.with(|arena| self.run_one_in(&mut arena.borrow_mut(), ci, ai, si))
-    }
-
-    /// [`SweepPlan::run_one`] with a caller-held arena — the executor
-    /// behind [`CellCursor`]; bit-identical to the batch path. The run's
-    /// [`Outcome`] streams into this thread's reusable buffer
-    /// ([`sg_core::execute_into`]), so the executor performs no per-run
-    /// result allocations: only the extracted [`Sample`] survives.
-    fn run_one_in(&self, arena: &mut RunArena, ci: usize, ai: usize, si: u64) -> Sample {
-        SWEEP_OUTCOME.with(|out| self.run_one_into(arena, &mut out.borrow_mut(), ci, ai, si))
-    }
-
-    /// The executor core: runs in `arena`, streams the result into
-    /// `out`, and reduces it to a [`Sample`].
-    fn run_one_into(
+    fn run_chunk_lockstep(
         &self,
-        arena: &mut RunArena,
-        out: &mut Outcome,
+        scratch: &mut SweepScratch,
         ci: usize,
         ai: usize,
-        si: u64,
-    ) -> Sample {
+        si0: u64,
+        len: u64,
+        out: &mut Vec<Sample>,
+    ) -> bool {
         let config = &self.configs[ci];
-        let family = &self.adversaries[ai];
-        let seed = self.seed_for(ci, ai, si);
         let run_config = config.run_config();
-        with_family_adversary(family, seed, |adversary| {
-            sg_core::execute_into(arena, config.spec, &run_config, adversary, out)
-                .unwrap_or_else(|e| panic!("{}: {e}", config.spec.name()));
+        let family = &self.adversaries[ai];
+        let pooled = sg_sim::instance_pooling_enabled();
+
+        let kernel_key = (config.spec, run_config);
+        let warm_kernel = pooled.then(|| scratch.kernels.take(&kernel_key)).flatten();
+        let Some(mut kernel) =
+            warm_kernel.or_else(|| sg_core::batch_kernel(&config.spec, &run_config))
+        else {
+            return false;
+        };
+
+        // One strategy instance per lane, reseeded in place (rebuilt
+        // where the strategy declines), so pooled and fresh lane groups
+        // behave identically.
+        let seeds: Vec<u64> = (0..len).map(|k| self.seed_for(ci, ai, si0 + k)).collect();
+        let family_key = FactoryKey(Arc::clone(&family.make));
+        let mut lanes = pooled
+            .then(|| scratch.lane_groups.take(&family_key))
+            .flatten()
+            .unwrap_or_default();
+        lanes.truncate(seeds.len());
+        for (lane, &seed) in seeds.iter().enumerate() {
+            if lane == lanes.len() {
+                lanes.push(family.instantiate(seed));
+            } else if !lanes[lane].reseed(seed) {
+                lanes[lane] = family.instantiate(seed);
+            }
+        }
+
+        let ran = match vector_family(family, &seeds) {
+            Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
+                let mut batch = BatchFamily::new(vector, selection, &mut lanes);
+                sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch)
+            }
+            _ => sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes),
+        };
+        if pooled {
+            scratch.kernels.put(kernel_key, kernel);
+            scratch.lane_groups.put(family_key, lanes);
+        }
+        if !ran {
+            return false;
+        }
+
+        for (lane, seed) in seeds.iter().enumerate() {
+            let result = scratch.batch.results()[lane];
+            if result.deferred {
+                out.push(self.run_scalar(scratch, ci, ai, si0 + lane as u64));
+                continue;
+            }
             assert!(
-                out.agreement(),
+                result.agreement,
                 "{} violated agreement under {} at seed {seed}",
                 config.spec.name(),
                 family.name,
             );
-            sample_of(out)
-        })
+            out.push(Sample {
+                lock_in: result.lock_in as u64,
+                discoveries: result.discoveries,
+                total_bits: result.total_bits,
+                max_local_ops: result.max_local_ops,
+                rounds: result.rounds_used as u64,
+                early_stopped: result.early_stopped,
+            });
+        }
+        true
     }
-}
 
-thread_local! {
-    /// Per-thread scratch arena for the batch executor (the cursor path
-    /// holds its own long-lived arena instead).
-    static SWEEP_ARENA: RefCell<RunArena> = RefCell::new(RunArena::new());
-
-    /// Per-thread reusable [`Outcome`] buffer: every run's result is
-    /// streamed into it and reduced to a [`Sample`] in place, retiring
-    /// the last per-run result vectors (decisions, metrics, trace) from
-    /// the sweep hot path.
-    static SWEEP_OUTCOME: RefCell<Outcome> = RefCell::new(Outcome::buffer());
+    /// The scalar fallback: run `si` of cell `(ci, ai)` through
+    /// [`sg_core::execute_into`] on the scratch's arena and outcome
+    /// buffer, with the family's strategy instance recycled through
+    /// [`sg_sim::Adversary::reseed`] (rebuilt by the factory where the
+    /// strategy declines — the default).
+    fn run_scalar(&self, scratch: &mut SweepScratch, ci: usize, ai: usize, si: u64) -> Sample {
+        let config = &self.configs[ci];
+        let family = &self.adversaries[ai];
+        let seed = self.seed_for(ci, ai, si);
+        let pooled = sg_sim::instance_pooling_enabled();
+        let family_key = FactoryKey(Arc::clone(&family.make));
+        let mut adversary = pooled
+            .then(|| scratch.adversaries.take(&family_key))
+            .flatten()
+            .and_then(|mut warm| warm.reseed(seed).then_some(warm))
+            .unwrap_or_else(|| family.instantiate(seed));
+        let out = &mut scratch.outcome;
+        sg_core::execute_into(
+            &mut scratch.arena,
+            config.spec,
+            &config.run_config(),
+            adversary.as_mut(),
+            out,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", config.spec.name()));
+        assert!(
+            out.agreement(),
+            "{} violated agreement under {} at seed {seed}",
+            config.spec.name(),
+            family.name,
+        );
+        if pooled {
+            scratch.adversaries.put(family_key, adversary);
+        }
+        sample_of(out)
+    }
 }
 
 /// A resumable, preemptible executor for one `(config, adversary)` cell.
 ///
-/// The batch path ([`SweepPlan::run`]) fans every run of every cell onto
-/// a rayon pool and joins; a long-lived service cannot afford that shape
-/// — it needs to *interleave* cells of concurrent jobs on a fixed worker
-/// pool and abandon a cell mid-flight when its job is cancelled. A
-/// cursor is that unit of scheduling: created per cell, advanced in
-/// batches of whatever quantum the scheduler likes (checking its cancel
-/// flag in between), and [`CellCursor::finish`]ed into a [`CellReport`]
-/// that is bit-identical to the corresponding cell of [`SweepPlan::run`]
-/// (seeding is coordinate-pure, and the pooled executor is pinned
-/// pooled-vs-fresh identical by `tests/instance_pool.rs`).
+/// [`SweepPlan::run`] fans every chunk of every cell onto a rayon pool
+/// and joins; a long-lived service cannot afford that shape — it needs
+/// to *interleave* cells of concurrent jobs on a fixed worker pool and
+/// abandon a cell mid-flight when its job is cancelled. A cursor is that
+/// unit of scheduling: created per cell, [advanced](CellCursor::advance)
+/// one chunk (≤ 64 runs) at a time through the same `run_chunk` the pool
+/// threads execute — the scheduler checks its cancel flag and deadline in
+/// between — and [`CellCursor::finish`]ed into a [`CellReport`] that is
+/// bit-identical to the corresponding cell of [`SweepPlan::run`]
+/// (`tests/batch_identity.rs`).
 ///
-/// Runs execute in the caller's [`RunArena`], so a worker that holds one
-/// arena for its whole life performs no steady-state allocations and
-/// keeps protocol instances warm across cells — and across jobs.
+/// Chunks execute in the caller's [`SweepScratch`], so a worker that
+/// holds one for its whole life performs no steady-state allocations and
+/// keeps instances, strategies and kernels warm across cells — and
+/// across jobs.
 #[derive(Debug)]
 pub struct CellCursor<'p> {
     plan: &'p SweepPlan,
@@ -1021,16 +939,18 @@ impl CellCursor<'_> {
         self.next_si == self.plan.seeds_per_cell
     }
 
-    /// Executes up to `max_runs` further runs in `arena`, returning how
-    /// many actually ran (0 when already done).
-    pub fn run_batch_in(&mut self, arena: &mut RunArena, max_runs: u64) -> u64 {
-        let todo = self.remaining().min(max_runs);
-        for _ in 0..todo {
-            let sample = self.plan.run_one_in(arena, self.ci, self.ai, self.next_si);
-            self.samples.push(sample);
-            self.next_si += 1;
+    /// Executes the cell's next chunk — up to
+    /// [`sg_sim::MAX_BATCH_RUNS`] runs — in `scratch`, returning how many
+    /// runs it held (0 when already done).
+    pub fn advance(&mut self, scratch: &mut SweepScratch) -> u64 {
+        let len = self.remaining().min(sg_sim::MAX_BATCH_RUNS as u64);
+        if len > 0 {
+            let samples = &mut self.samples;
+            self.plan
+                .run_chunk(scratch, self.ci, self.ai, self.next_si, len, samples);
+            self.next_si += len;
         }
-        todo
+        len
     }
 
     /// Assembles the finished cell's report.
@@ -1271,20 +1191,35 @@ mod tests {
 
     #[test]
     fn cell_cursors_reproduce_the_batch_report() {
-        let plan = small_plan();
+        // A lock-step kernel cell and a scalar tree cell, 65 seeds each:
+        // every cursor crosses the 64-run chunk boundary into a 1-seed
+        // tail.
+        let plan = SweepPlan::new(
+            vec![
+                SweepConfig::traced(AlgorithmSpec::OptimalKing, 10, 3),
+                SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+            ],
+            vec![
+                AdversaryFamily::random_liar(FaultSelection::with_source()),
+                AdversaryFamily::no_faults(),
+            ],
+            65,
+        );
         let batch = plan.run_with_jobs(2);
-        let mut arena = RunArena::new();
+        let mut scratch = SweepScratch::default();
         for cell in 0..plan.cell_count() {
-            // Odd batch sizes force resume points that never align with
-            // the cell boundary.
             let mut cursor = plan.cell_cursor(cell);
-            while !cursor.is_done() {
-                cursor.run_batch_in(&mut arena, 2);
-            }
-            assert_eq!(cursor.run_batch_in(&mut arena, 5), 0);
+            assert_eq!(cursor.advance(&mut scratch), 64);
+            assert_eq!(cursor.remaining(), 1);
+            assert_eq!(cursor.advance(&mut scratch), 1);
+            assert!(cursor.is_done());
+            assert_eq!(cursor.advance(&mut scratch), 0);
             assert_eq!(cursor.finish(), batch.cells[cell]);
         }
-        assert!(arena.pooled_instance_sets() > 0, "arena pools stayed cold");
+        assert!(
+            scratch.arena.pooled_instance_sets() > 0 && !scratch.kernels.is_empty(),
+            "scratch pools stayed cold"
+        );
     }
 
     #[test]

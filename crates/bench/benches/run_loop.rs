@@ -1,9 +1,10 @@
 //! Single-run hot-loop throughput, isolating the two layers of the
 //! instance-pooled, bit-packed run loop:
 //!
-//! * `instances/*` — fresh-instance (`run_in`) vs pooled-instance
-//!   (`run_pooled_in`) executions of the benchmark sweep's cell, so the
-//!   cost of boxing `n` protocol instances per run is visible on its own;
+//! * `instances/*` — fresh-instance (`run_into` without a pool key) vs
+//!   pooled-instance (with one) executions of the benchmark sweep's
+//!   cell, so the cost of boxing `n` protocol instances per run is
+//!   visible on its own;
 //! * `payload/*` — packed-ballot deliveries vs the per-payload fallback
 //!   (`set_packed_broadcast`), so the popcount-tally layer is measured
 //!   separately from pooling;
@@ -29,8 +30,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sg_adversary::{BatchFamily, Crash, FaultSelection, RandomLiar, VectorFamily};
 use sg_core::{king_batch_kernel, AlgorithmSpec};
 use sg_sim::{
-    run_batch, run_batch_with, run_in, run_pooled_in, set_early_stopping, set_packed_broadcast,
-    Adversary, BatchArena, RunArena, RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
+    run_batch, run_batch_with, run_into, set_early_stopping, set_packed_broadcast, Adversary,
+    BatchArena, Outcome, RunArena, RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -50,12 +51,20 @@ fn bench_instance_pool(c: &mut Criterion) {
     let factory = spec.factory(&config);
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
     group.sample_size(20);
+    let mut out = Outcome::buffer();
 
     let mut arena = RunArena::new();
     group.bench_function("instances/fresh", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            run_in(&mut arena, &config, &mut adversary, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                None,
+                &factory,
+                &mut out,
+            )
         });
     });
 
@@ -63,7 +72,14 @@ fn bench_instance_pool(c: &mut Criterion) {
     group.bench_function("instances/pooled", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            run_pooled_in(&mut arena, &config, &mut adversary, key, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                Some(key),
+                &factory,
+                &mut out,
+            )
         });
     });
     group.finish();
@@ -75,6 +91,7 @@ fn bench_packed_payloads(c: &mut Criterion) {
     let factory = spec.factory(&config);
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
     group.sample_size(20);
+    let mut out = Outcome::buffer();
 
     // Both variants run pooled, so the packed-ballot layer is isolated.
     let mut arena = RunArena::new();
@@ -82,7 +99,14 @@ fn bench_packed_payloads(c: &mut Criterion) {
     group.bench_function("payload/vec-fallback", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            run_pooled_in(&mut arena, &config, &mut adversary, key, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                Some(key),
+                &factory,
+                &mut out,
+            )
         });
     });
     set_packed_broadcast(true);
@@ -91,7 +115,14 @@ fn bench_packed_payloads(c: &mut Criterion) {
     group.bench_function("payload/bit-packed", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            run_pooled_in(&mut arena, &config, &mut adversary, key, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                Some(key),
+                &factory,
+                &mut out,
+            )
         });
     });
     group.finish();
@@ -109,13 +140,21 @@ fn bench_early_stopping(c: &mut Criterion) {
     let factory = spec.factory(&config);
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
     group.sample_size(20);
+    let mut out = Outcome::buffer();
 
     let mut arena = RunArena::new();
     set_early_stopping(false);
     group.bench_function("rounds/fixed-length-f0", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source().limit(0), SEED);
-            run_pooled_in(&mut arena, &config, &mut adversary, key, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                Some(key),
+                &factory,
+                &mut out,
+            )
         });
     });
     set_early_stopping(true);
@@ -124,14 +163,21 @@ fn bench_early_stopping(c: &mut Criterion) {
     group.bench_function("rounds/early-stop-f0", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source().limit(0), SEED);
-            run_pooled_in(&mut arena, &config, &mut adversary, key, &factory)
+            run_into(
+                &mut arena,
+                &config,
+                &mut adversary,
+                Some(key),
+                &factory,
+                &mut out,
+            )
         });
     });
     group.finish();
 }
 
 /// The lock-step batch layer in isolation: the same 64 seeds of the
-/// benchmark cell executed scalar (one `run_pooled_in` per seed) vs
+/// benchmark cell executed scalar (one pooled `run_into` per seed) vs
 /// lock-step (one `run_batch` call, one bit lane per run). Both
 /// variants perform the identical per-run adversary calls — that
 /// irreducible scalar work is what keeps the ratio below 64× — and
@@ -142,13 +188,21 @@ fn bench_batch_runs(c: &mut Criterion) {
     let factory = spec.factory(&config);
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
     group.sample_size(20);
+    let mut out = Outcome::buffer();
 
     let mut arena = RunArena::new();
     group.bench_function("batch/scalar-64", |b| {
         b.iter(|| {
             for seed in 0..MAX_BATCH_RUNS as u64 {
                 let mut adversary = RandomLiar::new(FaultSelection::without_source(), seed);
-                run_pooled_in(&mut arena, &config, &mut adversary, key, &factory);
+                run_into(
+                    &mut arena,
+                    &config,
+                    &mut adversary,
+                    Some(key),
+                    &factory,
+                    &mut out,
+                );
             }
         });
     });

@@ -78,6 +78,6 @@ pub use optimal_king::{KingCore, OptimalKing, PhaseStep};
 pub use params::{isqrt, t_a, t_b, t_c, Params};
 pub use phase_batch::{batch_kernel, PhaseBatchKernel};
 pub use plan::{render_plan, RoundAction};
-pub use runner::{execute, execute_in, execute_into};
+pub use runner::{execute, execute_into};
 pub use schedule::{choose_b, BChoice, HybridSchedule};
 pub use spec::{AlgorithmSpec, SpecError};

@@ -31,11 +31,7 @@ pub fn execute(
     config: &RunConfig,
     adversary: &mut dyn Adversary,
 ) -> Result<Outcome, SpecError> {
-    spec.validate(config.n, config.t)?;
-    let mut config = *config;
-    if spec.needs_authentication() {
-        config = config.with_authentication();
-    }
+    let config = checked_config(spec, config)?;
     // Keyed by spec + configuration shape, so sweeps recycle protocol
     // instances across runs instead of boxing `n` fresh ones per run;
     // `sg_sim::set_instance_pooling(false)` restores fresh instances.
@@ -48,42 +44,25 @@ pub fn execute(
     ))
 }
 
-/// [`execute`] with caller-owned buffers: arena *and* keyed instance pool
-/// live in `arena`, so a long-lived worker (the `sg-serve` daemon's pool,
-/// the sweep engine's cell cursors) that loops over executions performs
-/// no steady-state allocations and keeps its protocol instances warm
-/// across runs — and across *requests*. Bit-identical to [`execute`]
-/// (`tests/instance_pool.rs` pins pooled/fresh identity).
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] if the algorithm cannot run at `(n, t)`.
-pub fn execute_in(
-    arena: &mut RunArena,
-    spec: AlgorithmSpec,
-    config: &RunConfig,
-    adversary: &mut dyn Adversary,
-) -> Result<Outcome, SpecError> {
+/// Validates `(n, t)` for `spec` and returns the configuration its runs
+/// execute under (authenticated where the spec needs signatures).
+fn checked_config(spec: AlgorithmSpec, config: &RunConfig) -> Result<RunConfig, SpecError> {
     spec.validate(config.n, config.t)?;
-    let mut config = *config;
-    if spec.needs_authentication() {
-        config = config.with_authentication();
-    }
-    let key = spec.pool_key(&config);
-    Ok(sg_sim::run_pooled_in(
-        arena,
-        &config,
-        adversary,
-        key,
-        spec.factory(&config),
-    ))
+    Ok(if spec.needs_authentication() {
+        config.with_authentication()
+    } else {
+        *config
+    })
 }
 
-/// [`execute_in`] streaming the result into a caller-held
-/// [`Outcome`] buffer (see [`sg_sim::Outcome::buffer`]): arena, instance
-/// pool *and* result storage all live with the caller, so a worker
-/// looping over executions performs no per-run result allocations — the
-/// sweep executor's steady-state path. Bit-identical to [`execute_in`].
+/// [`execute`] with every buffer caller-held (see [`sg_sim::run_into`]):
+/// arena, keyed instance pool *and* result storage (an
+/// [`sg_sim::Outcome::buffer`]) all live with the caller, so a long-lived
+/// worker looping over executions performs no steady-state allocations
+/// and keeps its protocol instances warm across runs — and, in the
+/// `sg-serve` daemon, across *requests*. This is the sweep executor's
+/// scalar path; bit-identical to [`execute`] (`tests/instance_pool.rs`
+/// pins pooled/fresh identity).
 ///
 /// # Errors
 ///
@@ -95,13 +74,10 @@ pub fn execute_into(
     adversary: &mut dyn Adversary,
     out: &mut Outcome,
 ) -> Result<(), SpecError> {
-    spec.validate(config.n, config.t)?;
-    let mut config = *config;
-    if spec.needs_authentication() {
-        config = config.with_authentication();
-    }
+    let config = checked_config(spec, config)?;
     let key = spec.pool_key(&config);
-    sg_sim::run_pooled_into(arena, &config, adversary, key, spec.factory(&config), out);
+    let mk = spec.factory(&config);
+    sg_sim::run_into(arena, &config, adversary, Some(key), mk, out);
     Ok(())
 }
 

@@ -370,7 +370,8 @@ impl Client {
     }
 
     /// [`Client::submit`] with an optional `deadline_ms` completion
-    /// budget, enforced server-side at the cancellation quantum.
+    /// budget, enforced server-side between chunks (≤ 64 runs), where
+    /// cancellation is checked too.
     ///
     /// # Errors
     ///

@@ -12,21 +12,21 @@
 //! What makes this a service rather than a loop around the batch path:
 //!
 //! * **Warm pools across requests.** Each worker thread owns one
-//!   [`sg_sim::RunArena`] for its entire life, so protocol instances and
-//!   execution buffers recycled by PR 2's pooled executor stay warm from
-//!   one request to the next.
+//!   [`sg_analysis::SweepScratch`] for its entire life, so the protocol
+//!   instances, strategies, lock-step kernels and execution buffers the
+//!   sweep executor recycles stay warm from one request to the next.
 //! * **Fair interleaving.** Jobs are scheduled round-robin at cell
 //!   granularity; two concurrent grids make progress together, and each
 //!   still yields exactly its solo results (coordinate-pure seeding).
 //! * **Cancellation.** A `cancel` line stops a running grid within one
-//!   scheduling quantum, mid-cell included.
+//!   chunk (≤ 64 runs), mid-cell included.
 //! * **Fault isolation.** Malformed frames get structured `error`
 //!   answers; a worker panic fails one job, not the daemon (and costs
-//!   only the panicked cell's pooled instances, not the arena).
+//!   only the panicked cell's pooled instances, not the scratch).
 //! * **Admission control.** Bounded job and run backlogs: a saturated
 //!   daemon answers `rejected` with a deterministic `retry_after_ms`
 //!   instead of queueing without limit, deadlines (`deadline_ms`) stop
-//!   overdue jobs at the cancellation quantum, slow readers are shed
+//!   overdue jobs at the same chunk boundary, slow readers are shed
 //!   from a bounded per-connection write queue, and `drain` (or
 //!   SIGTERM) finishes accepted work before saying `bye` — see
 //!   [`server`]'s "Overload behavior" notes and [`load`] for the

@@ -52,8 +52,6 @@ pub struct LoadOptions {
     pub seeds_per_cell: u64,
     /// Daemon worker threads.
     pub workers: usize,
-    /// Daemon scheduling quantum (runs between cancel/deadline checks).
-    pub quantum: u64,
     /// Daemon-wide active-job cap (0 = unlimited).
     pub max_jobs: usize,
     /// Daemon-wide queued-runs cap (0 = unlimited).
@@ -75,7 +73,6 @@ impl Default for LoadOptions {
             jobs_per_connection: 4,
             seeds_per_cell: 48,
             workers: 2,
-            quantum: 64,
             max_jobs: 6,
             max_queued_runs: 0,
             deadline_ms: None,
@@ -329,7 +326,6 @@ pub fn run_load(options: &LoadOptions) -> LoadReport {
         &Bind::Tcp("127.0.0.1:0".to_string()),
         ServeOptions {
             workers: options.workers,
-            quantum: options.quantum,
             max_jobs: options.max_jobs,
             max_queued_runs: options.max_queued_runs,
             ..ServeOptions::default()

@@ -10,18 +10,18 @@
 //!                   ▼
 //!                scheduler: round-robin queue of active jobs
 //!                   ▲
-//! worker pool ──────┘  N threads, each owning ONE RunArena for life
+//! worker pool ──────┘  N threads, each owning ONE SweepScratch for life
 //! ```
 //!
 //! Work is scheduled at **cell granularity**: a worker pops the front
 //! job, claims its next unclaimed cell, requeues the job at the back (so
 //! concurrent jobs interleave fairly), and executes the cell through the
-//! sweep engine's [`sg_analysis::CellCursor`] in its own long-lived
-//! [`RunArena`] —
-//! the same arena across cells, jobs, *and requests*, which is what
-//! keeps protocol-instance pools warm daemon-wide. Cancellation is
-//! checked between cursor batches ([`ServeOptions::quantum`] runs), so a
-//! cancel lands within a few milliseconds even mid-cell.
+//! sweep engine's [`sg_analysis::CellCursor`] — the same 64-seed chunk
+//! executor `SweepPlan::run` fans onto its pool threads — in its own
+//! long-lived [`SweepScratch`]: the same scratch across cells, jobs, *and
+//! requests*, which is what keeps protocol instances, strategies and
+//! lock-step kernels warm daemon-wide. Cancellation is checked between
+//! chunks, so a cancel lands within one chunk (≤ 64 runs) even mid-cell.
 //!
 //! # Determinism
 //!
@@ -39,11 +39,11 @@
 //! Admission control is enforced on the connection thread, before a job
 //! ever reaches the worker pool: a submit that would exceed
 //! [`ServeOptions::max_jobs`], [`ServeOptions::max_queued_runs`], or
-//! the per-connection cap answers `rejected` (code `saturated`) within
-//! one scheduling quantum of arriving, with a deterministic
+//! the per-connection cap answers `rejected` (code `saturated`) without
+//! waiting on any worker, with a deterministic
 //! `retry_after_ms` hint scaled to the backlog. Deadlines ride the same
-//! per-quantum check as cancellation, so an expired job stops within
-//! one quantum. A reader that stalls while its daemon streams — the
+//! between-chunks check as cancellation, so an expired job stops within
+//! one chunk (≤ 64 runs). A reader that stalls while its daemon streams — the
 //! slow-loris client — is shed the moment its bounded write queue
 //! fills: its jobs are cancelled and its socket closed, while every
 //! other connection and the worker pool continue untouched. Draining
@@ -65,9 +65,8 @@ use std::time::{Duration, Instant};
 
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use sg_analysis::{engine_epoch, CellReport, Fingerprint, SweepPlan};
+use sg_analysis::{engine_epoch, CellReport, Fingerprint, SweepPlan, SweepScratch};
 use sg_journal::{CellKey, Journal};
-use sg_sim::RunArena;
 
 use crate::wire::{ErrorCode, Frame, RejectCode, Request};
 
@@ -98,9 +97,6 @@ impl Bind {
 pub struct ServeOptions {
     /// Worker threads (0 = one per hardware thread).
     pub workers: usize,
-    /// Runs executed between cancellation/deadline checks inside one
-    /// cell.
-    pub quantum: u64,
     /// Jobs admitted but not yet terminal, daemon-wide (0 = unlimited).
     /// The next submit past the cap answers `rejected`/`saturated`.
     pub max_jobs: usize,
@@ -135,7 +131,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 0,
-            quantum: 64,
             max_jobs: 64,
             max_queued_runs: 50_000_000,
             max_jobs_per_conn: 16,
@@ -243,7 +238,7 @@ impl Job {
 
     /// Whether the job's deadline (if any) has passed. Checked at the
     /// same points as the cancellation flag, so expiry lands within one
-    /// scheduling quantum too.
+    /// chunk (≤ 64 runs) too.
     fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
@@ -723,15 +718,15 @@ pub fn serve(bind: &Bind, options: ServeOptions) -> io::Result<ServerHandle> {
 enum CellRun {
     /// Ran to completion.
     Done(Box<CellReport>),
-    /// Stopped at a quantum boundary by the cancellation flag.
+    /// Stopped at a chunk boundary by the cancellation flag.
     Aborted,
-    /// Stopped at a quantum boundary by the job's deadline.
+    /// Stopped at a chunk boundary by the job's deadline.
     Expired,
 }
 
-/// One worker: a long-lived arena and an endless claim-execute loop.
+/// One worker: a long-lived scratch and an endless claim-execute loop.
 fn worker_loop(shared: &Shared) {
-    let mut arena = RunArena::new();
+    let mut scratch = SweepScratch::default();
     while let Some(job) = shared.next() {
         // Claim the job's next cell; requeue the job first so siblings
         // can claim its other cells (and other jobs stay interleaved).
@@ -744,7 +739,7 @@ fn worker_loop(shared: &Shared) {
                 None
             } else if job.expired() {
                 // Deadline noticed before any run of this claim: abort
-                // the whole job here, the cheapest of the quantum checks.
+                // the whole job here, the cheapest of the deadline checks.
                 job.cancel.store(true, Ordering::Relaxed);
                 core.cancelled = true;
                 core.deadline_hit = true;
@@ -766,7 +761,6 @@ fn worker_loop(shared: &Shared) {
             shared.enqueue(Arc::clone(&job));
         }
 
-        let quantum = shared.options.quantum.max(1);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut cursor = job.plan.cell_cursor(index);
             while !cursor.is_done() {
@@ -776,7 +770,7 @@ fn worker_loop(shared: &Shared) {
                 if job.expired() {
                     return CellRun::Expired;
                 }
-                cursor.run_batch_in(&mut arena, quantum);
+                cursor.advance(&mut scratch);
             }
             CellRun::Done(Box::new(cursor.finish()))
         }));
@@ -837,13 +831,13 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             Err(panic) => {
-                // The unwind already dropped the executing key's pooled
-                // instances (they were checked out of the arena); every
-                // other buffer is overwritten at the start of each run.
-                // Quarantine just that key — rebuilding the whole arena
+                // The unwind already dropped everything the chunk had
+                // checked out of the scratch's pools; every other buffer
+                // is overwritten at the start of each run. Quarantine
+                // just the executing key — rebuilding the whole scratch
                 // here would throw away every sibling key's warmth.
                 let (ci, _) = job.plan.cell_coords(index);
-                arena.evict_instances(job.plan.configs[ci].pool_key());
+                scratch.evict_instances(job.plan.configs[ci].pool_key());
                 let detail = panic
                     .downcast_ref::<String>()
                     .cloned()

@@ -63,8 +63,8 @@
 //! (see `Client::submit_with_retry`).
 //!
 //! A `submit` may carry `deadline_ms`, a wall-clock budget measured from
-//! acceptance. The deadline is enforced at the same per-quantum check as
-//! cancellation, so an expired job stops within one scheduling quantum
+//! acceptance. The deadline is enforced at the same between-chunks check
+//! as cancellation, so an expired job stops within one chunk (≤ 64 runs)
 //! and its stream ends with `{"frame":"error","code":"deadline-exceeded"}`.
 //! Cells already streamed before the deadline remain valid — they are
 //! bit-identical to the batch path's cells for the same grid positions.
@@ -170,7 +170,8 @@ pub enum Request {
         /// The grid to execute.
         plan: SweepPlan,
         /// Wall-clock completion budget in milliseconds, measured from
-        /// acceptance; enforced at the per-quantum cancellation check.
+        /// acceptance; enforced at the cancellation check between
+        /// chunks (≤ 64 runs).
         deadline_ms: Option<u64>,
     },
     /// Cancel a job submitted on this connection.

@@ -27,7 +27,6 @@ fn start(workers: usize) -> (sg_serve::ServerHandle, String) {
         &Bind::Tcp("127.0.0.1:0".to_string()),
         ServeOptions {
             workers,
-            quantum: 4,
             ..ServeOptions::default()
         },
     )

@@ -18,7 +18,6 @@ use sg_serve::{
 fn start() -> (sg_serve::ServerHandle, String) {
     start_with(ServeOptions {
         workers: 1,
-        quantum: 2,
         ..ServeOptions::default()
     })
 }
@@ -138,22 +137,8 @@ fn cancellation_mid_grid_stops_the_cell_stream() {
 
     // Many cells, enough seeds each that the single worker is still
     // mid-grid when the cancel lands right after the first cell frame.
-    let plan = SweepPlan::new(
-        vec![
-            SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseKing, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseQueen, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
-        ],
-        vec![
-            AdversaryFamily::random_liar(FaultSelection::without_source()),
-            AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2),
-            AdversaryFamily::no_faults(),
-        ],
-        400,
-    );
-    let job = client.submit(&plan).expect("submit");
-    assert_eq!(job.cells, 12);
+    let job = client.submit(&slow_plan()).expect("submit");
+    assert_eq!(job.cells, 9);
 
     // Wait for the first streamed cell, then cancel.
     let first = client.next_frame().expect("first cell");
@@ -164,7 +149,7 @@ fn cancellation_mid_grid_stops_the_cell_stream() {
     client.cancel(job.job).expect("cancel");
 
     // The stream must end with a cancelled frame after at most a few
-    // more in-flight cells — nowhere near all 12.
+    // more in-flight cells — nowhere near all 9.
     let mut extra_cells = 0usize;
     loop {
         match client.next_frame().expect("frame") {
@@ -203,20 +188,8 @@ fn shutdown_closes_streaming_clients_instead_of_stranding_them() {
     let (handle, addr) = start();
     let mut streaming = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
 
-    // A big grid keeps the single worker busy well past the shutdown.
-    let big = SweepPlan::new(
-        vec![
-            SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseKing, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseQueen, 9, 2),
-        ],
-        vec![
-            AdversaryFamily::random_liar(FaultSelection::without_source()),
-            AdversaryFamily::no_faults(),
-        ],
-        500,
-    );
-    let job = streaming.submit(&big).expect("submit");
+    // A slow grid keeps the single worker busy well past the shutdown.
+    let job = streaming.submit(&slow_plan()).expect("submit");
 
     // Another client shuts the daemon down while the first is
     // mid-stream: the first must see its connection close (an error
@@ -235,7 +208,7 @@ fn shutdown_closes_streaming_clients_instead_of_stranding_them() {
         .expect("streaming client still blocked 30s after daemon shutdown");
     assert!(
         drain.join().expect("drain thread").is_err(),
-        "a shut-down daemon cannot have completed the big grid"
+        "a shut-down daemon cannot have completed the slow grid"
     );
     handle.shutdown();
 }
@@ -257,14 +230,18 @@ fn shutdown_op_stops_the_daemon() {
 }
 
 /// A grid slow enough that a single worker is still mid-stream when the
-/// test reacts to its first frames.
+/// test reacts to its first frames — by construction, not by engine
+/// speed: every spec is a tree machine with no lock-step kernel, so each
+/// of the 3600 runs is a scalar execution gathering a whole EIG tree
+/// (tens to hundreds of microseconds optimized, about a millisecond
+/// unoptimized) whatever the king kernels do. The cheap Exponential
+/// cells come first so the stream starts promptly.
 fn slow_plan() -> SweepPlan {
     SweepPlan::new(
         vec![
-            SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseKing, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseQueen, 9, 2),
+            SweepConfig::traced(AlgorithmSpec::Exponential, 7, 2),
             SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+            SweepConfig::traced(AlgorithmSpec::AlgorithmB { b: 2 }, 13, 3),
         ],
         vec![
             AdversaryFamily::random_liar(FaultSelection::without_source()),
@@ -305,7 +282,6 @@ fn saturated_daemon_rejects_promptly_with_a_retry_hint() {
     // slot frees up.
     let (handle, addr) = start_with(ServeOptions {
         workers: 1,
-        quantum: 2,
         max_jobs: 1,
         ..ServeOptions::default()
     });
@@ -350,13 +326,12 @@ fn saturated_daemon_rejects_promptly_with_a_retry_hint() {
 fn queued_runs_cap_bounds_the_backlog() {
     let (handle, addr) = start_with(ServeOptions {
         workers: 1,
-        quantum: 2,
         max_queued_runs: 100,
         ..ServeOptions::default()
     });
     let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
 
-    // slow_plan() is 12 cells × 400 seeds = 4800 runs ≫ 100: too much
+    // slow_plan() is 9 cells × 400 seeds = 3600 runs ≫ 100: too much
     // backlog even for an idle daemon.
     match client.submit(&slow_plan()) {
         Err(ServeError::Rejected { code, .. }) => assert_eq!(code, RejectCode::Saturated),
@@ -372,7 +347,6 @@ fn queued_runs_cap_bounds_the_backlog() {
 fn per_connection_inflight_cap_is_enforced() {
     let (handle, addr) = start_with(ServeOptions {
         workers: 1,
-        quantum: 2,
         max_jobs_per_conn: 1,
         ..ServeOptions::default()
     });
@@ -399,28 +373,12 @@ fn per_connection_inflight_cap_is_enforced() {
 
 #[test]
 fn deadline_exceeded_mid_grid_leaves_streamed_cells_valid() {
-    let (handle, addr) = start_with(ServeOptions {
-        workers: 1,
-        quantum: 2,
-        ..ServeOptions::default()
-    });
+    let (handle, addr) = start();
     let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
-    // 24 000 runs: far more than any machine clears in 60 ms, so the
-    // deadline always lands mid-grid.
-    let plan = SweepPlan::new(
-        vec![
-            SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseKing, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::PhaseQueen, 9, 2),
-            SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
-        ],
-        vec![
-            AdversaryFamily::random_liar(FaultSelection::without_source()),
-            AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2),
-            AdversaryFamily::no_faults(),
-        ],
-        2_000,
-    );
+    // 3600 scalar tree-machine runs — about half a second of optimized
+    // work, seconds unoptimized — against a 60 ms budget: the deadline
+    // always lands mid-grid.
+    let plan = slow_plan();
     let batch = plan.run_with_jobs(1);
 
     let job = client
@@ -433,7 +391,7 @@ fn deadline_exceeded_mid_grid_leaves_streamed_cells_valid() {
         Err(ServeError::Server { code, detail }) => {
             assert_eq!(code, ErrorCode::DeadlineExceeded, "detail: {detail}");
         }
-        Ok(_) => panic!("a 60 ms deadline cannot cover a 24 000-run grid"),
+        Ok(_) => panic!("a 60 ms deadline cannot cover the slow grid"),
         other => panic!("expected deadline-exceeded, got {other:?}"),
     }
     assert!(
@@ -454,11 +412,7 @@ fn deadline_exceeded_mid_grid_leaves_streamed_cells_valid() {
 
 #[test]
 fn drain_finishes_running_jobs_and_rejects_new_submits() {
-    let (handle, addr) = start_with(ServeOptions {
-        workers: 1,
-        quantum: 8,
-        ..ServeOptions::default()
-    });
+    let (handle, addr) = start();
     let mut running = Client::connect(&addr, Duration::from_secs(5)).expect("connect running");
     let mut admin = Client::connect(&addr, Duration::from_secs(5)).expect("connect admin");
 
@@ -592,7 +546,6 @@ fn slow_loris_reader_is_shed_without_stalling_the_daemon() {
     // not kill other jobs.
     let (handle, addr) = start_with(ServeOptions {
         workers: 1,
-        quantum: 64,
         write_queue: 1,
         // The product knob under test: a bounded kernel send buffer, so
         // a stalled reader jams the writer after tens of KB instead of

@@ -66,14 +66,15 @@ use crate::adversary::{Adversary, AdversaryView};
 use crate::id::{ProcessId, ProcessSet};
 use crate::metrics::{Metrics, RoundStats};
 use crate::payload::Payload;
+use crate::pool::MruPool;
 use crate::protocol::{GearAction, Inbox, PackedBallots, ProcCtx, Protocol, RoundStatus};
 use crate::sig::SigRegistry;
 use crate::trace::Trace;
 use crate::value::{Value, ValueDomain};
 
-/// Whether [`run_pooled`]/[`run_pooled_in`] recycle protocol instances
-/// (`true` by default). The CLI's `--no-instance-pool` escape hatch
-/// clears it; CI runs the benchmark sweep both ways and cross-checks the
+/// Whether keyed runs ([`run_pooled`], [`run_into`]) recycle protocol
+/// instances (`true` by default). The CLI's `--no-instance-pool` escape
+/// hatch clears it; CI runs the benchmark sweep both ways and cross-checks the
 /// report fingerprints.
 static INSTANCE_POOLING: AtomicBool = AtomicBool::new(true);
 
@@ -254,11 +255,16 @@ pub struct Outcome {
     pub adversary: Arc<str>,
 }
 
+impl Default for Outcome {
+    fn default() -> Self {
+        Outcome::buffer()
+    }
+}
+
 impl Outcome {
-    /// An empty, reusable outcome buffer for the `*_into` entry points
-    /// ([`run_into`], [`run_pooled_into`]): every field is overwritten by
-    /// the next run, and the vectors inside (decisions, per-round
-    /// metrics, local-ops, trace) keep their capacity across runs — the
+    /// An empty, reusable outcome buffer for [`run_into`]: every field is
+    /// overwritten by the next run, and the vectors inside (decisions,
+    /// per-round metrics, local-ops, trace) keep their capacity across runs — the
     /// streaming path that retires the engine's last per-run result
     /// allocations.
     pub fn buffer() -> Self {
@@ -353,13 +359,6 @@ impl Outcome {
     }
 }
 
-/// One pooled set of protocol instances, keyed by the configuration
-/// shape that produced them.
-struct PooledInstances {
-    key: PoolKey,
-    protocols: Vec<Box<dyn Protocol>>,
-}
-
 /// How many keyed instance sets an arena retains. Sweeps interleave at
 /// most a handful of `(spec, n, t)` cells per worker; a tiny MRU cache
 /// keeps them all warm without hoarding memory.
@@ -388,8 +387,9 @@ pub struct RunArena {
     /// Indices of the run's faulty processors, for the packed-ballot
     /// per-recipient fix-ups.
     faulty_idx: Vec<usize>,
-    /// MRU cache of pooled instance sets, most recently used first.
-    instances: Vec<PooledInstances>,
+    /// Pooled protocol-instance sets, keyed by the configuration shape
+    /// that produced them.
+    instances: MruPool<PoolKey, Vec<Box<dyn Protocol>>, INSTANCE_CACHE_CAP>,
 }
 
 impl RunArena {
@@ -430,33 +430,17 @@ impl RunArena {
         self.faulty_idx.clear();
     }
 
-    /// Removes and returns the pooled instance set for `key`, if any
-    /// (the caller returns it with [`RunArena::put_instances`]).
-    fn take_instances(&mut self, key: PoolKey) -> Vec<Box<dyn Protocol>> {
-        match self.instances.iter().position(|set| set.key == key) {
-            Some(idx) => self.instances.remove(idx).protocols,
-            None => Vec::new(),
-        }
-    }
-
-    /// Stores `protocols` under `key`, most-recently-used first, evicting
-    /// the stalest set beyond [`INSTANCE_CACHE_CAP`].
-    fn put_instances(&mut self, key: PoolKey, protocols: Vec<Box<dyn Protocol>>) {
-        self.instances.insert(0, PooledInstances { key, protocols });
-        self.instances.truncate(INSTANCE_CACHE_CAP);
-    }
-
     /// Drops the pooled instance set for `key`, if present, leaving every
     /// other key's warmth intact.
     ///
     /// This is the targeted recovery path for a panic that unwound
-    /// through a run: the executing key's instances were already removed
-    /// by the take/put cycle (and dropped by the unwind), and every
+    /// through a run: the executing key's instances were already taken
+    /// out of the pool (and dropped by the unwind), and every
     /// other buffer is fully overwritten at the start of each run, so
     /// quarantining the one key is enough — the arena itself stays
     /// usable and *warm* for unrelated work.
     pub fn evict_instances(&mut self, key: PoolKey) {
-        self.instances.retain(|set| set.key != key);
+        drop(self.instances.take(&key));
     }
 }
 
@@ -506,7 +490,7 @@ where
     F: Fn(ProcessId) -> Box<dyn Protocol>,
 {
     let mut out = Outcome::buffer();
-    with_pooled_arena(|arena| run_with(arena, config, adversary, None, mk, &mut out));
+    with_pooled_arena(|arena| run_into(arena, config, adversary, None, mk, &mut out));
     out
 }
 
@@ -527,83 +511,20 @@ where
     F: Fn(ProcessId) -> Box<dyn Protocol>,
 {
     let mut out = Outcome::buffer();
-    with_pooled_arena(|arena| run_with(arena, config, adversary, Some(key), mk, &mut out));
+    with_pooled_arena(|arena| run_into(arena, config, adversary, Some(key), mk, &mut out));
     out
 }
 
-/// Like [`run`], but with caller-supplied buffers — the allocation-free
-/// path for callers that loop over many executions and want to hold one
-/// arena across all of them. Instances are built fresh every run.
-pub fn run_in<F>(
-    arena: &mut RunArena,
-    config: &RunConfig,
-    adversary: &mut dyn Adversary,
-    mk: F,
-) -> Outcome
-where
-    F: Fn(ProcessId) -> Box<dyn Protocol>,
-{
-    let mut out = Outcome::buffer();
-    run_with(arena, config, adversary, None, mk, &mut out);
-    out
-}
-
-/// [`run_in`] streaming the result into a caller-held [`Outcome`] buffer
-/// (see [`Outcome::buffer`]): every field is overwritten, and the result
-/// vectors reuse the buffer's capacity, so a caller looping over runs
-/// performs no per-run result allocations. Bit-identical to [`run_in`].
+/// The engine core, with every buffer caller-held: execution scratch and
+/// the keyed instance pool live in `arena`, and the result streams into
+/// `out` (see [`Outcome::buffer`]) — every field is overwritten and the
+/// result vectors reuse the buffer's capacity. A caller looping over runs
+/// with one arena and one buffer performs no steady-state allocations for
+/// buffers, instances (given a `key`; `None` builds them fresh every run,
+/// as [`run`] does) or results. [`run`] and [`run_pooled`] are this
+/// function over a thread-local arena and a fresh buffer, so all three
+/// are bit-identical (`tests/instance_pool.rs` pins the reuse path).
 pub fn run_into<F>(
-    arena: &mut RunArena,
-    config: &RunConfig,
-    adversary: &mut dyn Adversary,
-    mk: F,
-    out: &mut Outcome,
-) where
-    F: Fn(ProcessId) -> Box<dyn Protocol>,
-{
-    run_with(arena, config, adversary, None, mk, out);
-}
-
-/// [`run_pooled`] with caller-supplied buffers: arena *and* instance pool
-/// live in `arena`, so a caller looping over runs of one spec performs no
-/// steady-state allocations for buffers or instances.
-pub fn run_pooled_in<F>(
-    arena: &mut RunArena,
-    config: &RunConfig,
-    adversary: &mut dyn Adversary,
-    key: PoolKey,
-    mk: F,
-) -> Outcome
-where
-    F: Fn(ProcessId) -> Box<dyn Protocol>,
-{
-    let mut out = Outcome::buffer();
-    run_with(arena, config, adversary, Some(key), mk, &mut out);
-    out
-}
-
-/// [`run_pooled_in`] streaming into a caller-held [`Outcome`] buffer:
-/// arena, instance pool *and* result storage all live with the caller, so
-/// a long-lived worker looping over runs of one spec performs no
-/// steady-state allocations at all — buffers, instances, or results.
-/// Bit-identical to [`run_pooled_in`] (`tests/instance_pool.rs` pins the
-/// reuse path).
-pub fn run_pooled_into<F>(
-    arena: &mut RunArena,
-    config: &RunConfig,
-    adversary: &mut dyn Adversary,
-    key: PoolKey,
-    mk: F,
-    out: &mut Outcome,
-) where
-    F: Fn(ProcessId) -> Box<dyn Protocol>,
-{
-    run_with(arena, config, adversary, Some(key), mk, out);
-}
-
-/// The engine core behind every `run*` entry point, writing the result
-/// into `out` (whose vectors are reused in place).
-fn run_with<F>(
     arena: &mut RunArena,
     config: &RunConfig,
     adversary: &mut dyn Adversary,
@@ -627,10 +548,9 @@ fn run_with<F>(
     // given and pooling is on, rebuilt by the factory otherwise (or when
     // an instance refuses its reset).
     let key = key.filter(|_| instance_pooling_enabled());
-    let mut protocols = match key {
-        Some(key) => arena.take_instances(key),
-        None => Vec::new(),
-    };
+    let mut protocols = key
+        .and_then(|key| arena.instances.take(&key))
+        .unwrap_or_default();
     if protocols.len() == n {
         for (i, p) in protocols.iter_mut().enumerate() {
             if !p.reset(ProcessId(i), config) {
@@ -949,7 +869,7 @@ fn run_with<F>(
 
     // Return the instances to the pool for the next run of this spec.
     if let Some(key) = key {
-        arena.put_instances(key, protocols);
+        arena.instances.put(key, protocols);
     }
 
     out.faulty = faulty;
@@ -1249,20 +1169,16 @@ mod tests {
         let mut buf = Outcome::buffer();
         // Two runs through the same buffer: the second overwrites every
         // field of the first.
-        run_into(
-            &mut arena,
-            &config,
-            &mut NoFaults,
-            toy_factory(&config),
-            &mut buf,
-        );
-        run_into(
-            &mut arena,
-            &config,
-            &mut NoFaults,
-            toy_factory(&config),
-            &mut buf,
-        );
+        for _ in 0..2 {
+            run_into(
+                &mut arena,
+                &config,
+                &mut NoFaults,
+                None,
+                toy_factory(&config),
+                &mut buf,
+            );
+        }
         assert_eq!(buf.decisions, fresh.decisions);
         assert_eq!(buf.faulty, fresh.faulty);
         assert_eq!(buf.metrics, fresh.metrics);

@@ -59,6 +59,7 @@ pub mod engine;
 mod id;
 mod metrics;
 mod payload;
+mod pool;
 mod protocol;
 pub mod sig;
 pub mod trace;
@@ -71,13 +72,14 @@ pub use batch::{
     BatchRunResult, LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
 };
 pub use engine::{
-    early_stopping_enabled, instance_pooling_enabled, packed_broadcast_enabled, run, run_in,
-    run_into, run_pooled, run_pooled_in, run_pooled_into, set_early_stopping, set_instance_pooling,
-    set_packed_broadcast, Outcome, PoolKey, RunArena, RunConfig,
+    early_stopping_enabled, instance_pooling_enabled, packed_broadcast_enabled, run, run_into,
+    run_pooled, set_early_stopping, set_instance_pooling, set_packed_broadcast, Outcome, PoolKey,
+    RunArena, RunConfig,
 };
 pub use id::{ProcessId, ProcessSet};
 pub use metrics::{Metrics, RoundStats};
 pub use payload::{Payload, SmallWords};
+pub use pool::MruPool;
 pub use protocol::{GearAction, Inbox, PackedBallots, ProcCtx, Protocol, RoundStatus};
 pub use trace::{Trace, TraceEntry, TraceEvent};
 pub use value::{Value, ValueDomain};

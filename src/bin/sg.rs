@@ -104,7 +104,7 @@ fn usage() -> ! {
          [--value <v>] [--seed <s>] [--source-faulty] [--out <path>]\n  \
          sg replay <scenario.json>.. [--quiet]\n  \
          sg serve [--port <p> | --addr <host:port> | --socket <path>]\n           \
-         [--workers <N>] [--quantum <runs>] [--max-jobs <N>]\n           \
+         [--workers <N>] [--max-jobs <N>]\n           \
          [--max-queued-runs <N>] [--conn-jobs <N>] [--write-queue <N>]\n           \
          [--send-buffer <bytes>] [--journal <dir>]\n  \
          sg submit [--addr <host:port> | --socket <path>] [--timeout <secs>]\n           \
@@ -962,7 +962,6 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     let defaults = ServeOptions::default();
     let options = ServeOptions {
         workers: parse_usize(flags, "workers").unwrap_or(0),
-        quantum: parse_usize(flags, "quantum").unwrap_or(64) as u64,
         max_jobs: parse_usize(flags, "max-jobs").unwrap_or(defaults.max_jobs),
         max_queued_runs: parse_usize(flags, "max-queued-runs")
             .map_or(defaults.max_queued_runs, |n| n as u64),
@@ -1217,7 +1216,6 @@ fn cmd_hammer(flags: &HashMap<String, String>) {
             .unwrap_or(defaults.jobs_per_connection),
         seeds_per_cell: parse_usize(flags, "seeds").map_or(defaults.seeds_per_cell, |s| s as u64),
         workers: parse_usize(flags, "workers").unwrap_or(defaults.workers),
-        quantum: parse_usize(flags, "quantum").map_or(defaults.quantum, |q| q as u64),
         max_jobs: parse_usize(flags, "max-jobs").unwrap_or(defaults.max_jobs),
         max_queued_runs: parse_usize(flags, "max-queued-runs")
             .map_or(defaults.max_queued_runs, |n| n as u64),

@@ -10,7 +10,10 @@
 //! named adversary suite at `f ∈ {0, 1, t}` and assert the full
 //! [`SweepReport`] — every sample of every cell, and the pinned
 //! fingerprint derived from it — matches between `set_batch_runs(true)`
-//! and `set_batch_runs(false)`. Families without a batch kernel exercise
+//! and `set_batch_runs(false)` — and a third witness, the same plan
+//! driven cell by cell through `SweepPlan::cell_cursor` /
+//! `CellCursor::advance` (how the `sg-serve` daemon executes it), must
+//! equal both. Families without a batch kernel exercise
 //! the chunk-scheduling layer (grouped units must flatten back to seed
 //! order); `optimal-king` cells exercise the kernel itself, including
 //! early-stop retirement splitting the active mask mid-batch; the
@@ -27,7 +30,9 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use shifting_gears::adversary::FaultSelection;
-use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
+use shifting_gears::analysis::{
+    AdversaryFamily, SweepConfig, SweepPlan, SweepReport, SweepScratch,
+};
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::sim::{set_batch_adversaries, set_batch_runs, set_early_stopping};
 
@@ -47,6 +52,25 @@ fn batched_and_scalar(plan: &SweepPlan, jobs: usize) -> (SweepReport, SweepRepor
     let scalar = plan.run_with_jobs(jobs);
     set_batch_runs(true);
     (batched, scalar)
+}
+
+/// Runs `plan` the way a daemon worker does: cell by cell, each through
+/// a cursor advanced one ≤ 64-seed chunk at a time, all in one scratch.
+fn via_cursors(plan: &SweepPlan) -> SweepReport {
+    let mut scratch = SweepScratch::default();
+    let cells = (0..plan.cell_count())
+        .map(|cell| {
+            let mut cursor = plan.cell_cursor(cell);
+            while !cursor.is_done() {
+                cursor.advance(&mut scratch);
+            }
+            cursor.finish()
+        })
+        .collect();
+    SweepReport {
+        total_runs: plan.total_runs(),
+        cells,
+    }
 }
 
 /// The eleven protocol families of the sweep surface. Every resilience
@@ -93,7 +117,10 @@ proptest! {
     /// `phase-queen`) get 65 seeds so one chunk fills completely and a
     /// second, partial chunk crosses the 64-lane boundary; the
     /// scalar-fallback families get fewer (their identity is
-    /// scheduling-only, and the tree machines are costly per run).
+    /// scheduling-only, and the tree machines are costly per run). The
+    /// cursor leg takes all four routes through the chunk executor: the
+    /// kernel, deferred `dynamic-king` lanes, scalar-only tree specs, and
+    /// the `partition` edge-fault bailout.
     #[test]
     fn batch_and_scalar_reports_are_bit_identical(
         spec_idx in 0usize..11,
@@ -122,7 +149,9 @@ proptest! {
             seeds,
         );
         let (batched, scalar) = batched_and_scalar(&plan, 1);
+        let cursors = via_cursors(&plan);
         prop_assert_eq!(&batched, &scalar);
+        prop_assert_eq!(&cursors, &batched);
         prop_assert_eq!(batched.fingerprint(), scalar.fingerprint());
     }
 
@@ -287,6 +316,7 @@ fn gear_kernels_match_scalar_across_chunks_and_jobs() {
         set_batch_runs(true);
         let parallel = plan.run_with_jobs(8);
         assert_eq!(parallel, scalar, "{spec:?} parallel batch != scalar");
+        assert_eq!(via_cursors(&plan), scalar, "{spec:?} cursors != scalar");
     }
 }
 
@@ -316,6 +346,7 @@ fn dynamic_king_lane_divergence_splits_the_batch() {
     );
     let (batched, scalar) = batched_and_scalar(&plan, 1);
     assert_eq!(batched, scalar);
+    assert_eq!(via_cursors(&plan), scalar);
 
     let distinct: std::collections::BTreeSet<u64> =
         batched.cells[0].samples.iter().map(|s| s.rounds).collect();
@@ -326,8 +357,11 @@ fn dynamic_king_lane_divergence_splits_the_batch() {
 }
 
 /// Worker count and batching compose: a mixed grid (kernel cell +
-/// fallback cell, two adversaries) produces one report for all four
-/// combinations of `--jobs {1, 8}` × batch on/off.
+/// fallback cell; a vector-path family, a bridged one, and an
+/// edge-faulting one that bails the kernel out to the scalar engine)
+/// produces one report for all four combinations of `--jobs {1, 8}` ×
+/// batch on/off — and for the cursor path, whose 70 seeds per cell cross
+/// the 64-run chunk boundary.
 #[test]
 fn jobs_and_batching_commute_on_a_mixed_grid() {
     let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -339,6 +373,7 @@ fn jobs_and_batching_commute_on_a_mixed_grid() {
         vec![
             AdversaryFamily::random_liar(FaultSelection::with_source()),
             AdversaryFamily::crash(FaultSelection::without_source().limit(3), 2),
+            AdversaryFamily::partition(FaultSelection::with_source().limit(1), 1, 2, 3),
         ],
         70,
     );
@@ -352,4 +387,5 @@ fn jobs_and_batching_commute_on_a_mixed_grid() {
     assert_eq!(batched_1, batched_8);
     assert_eq!(batched_1, scalar_1);
     assert_eq!(batched_1, scalar_8);
+    assert_eq!(batched_1, via_cursors(&plan));
 }

@@ -272,7 +272,6 @@ fn usage_documents_every_public_flag() {
         "--addr",
         "--socket",
         "--workers",
-        "--quantum",
         "--max-jobs",
         "--max-queued-runs",
         "--conn-jobs",

@@ -27,9 +27,24 @@ use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
 };
 use shifting_gears::sim::{
-    run_in, run_pooled_in, set_packed_broadcast, Adversary, Outcome, PoolKey, ProcessId, Protocol,
-    RunArena, RunConfig, Value, ValueDomain,
+    run_into, set_packed_broadcast, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena,
+    RunConfig, Value, ValueDomain,
 };
+
+/// One `run_into` execution in `arena`, returned in a fresh buffer.
+/// `key: None` builds every instance fresh; `Some` recycles through the
+/// arena's instance pool.
+fn run_in(
+    arena: &mut RunArena,
+    config: &RunConfig,
+    adversary: &mut dyn Adversary,
+    key: Option<PoolKey>,
+    mk: impl Fn(ProcessId) -> Box<dyn Protocol>,
+) -> Outcome {
+    let mut out = Outcome::buffer();
+    run_into(arena, config, adversary, key, mk, &mut out);
+    out
+}
 
 /// Outcome equality over every observable field.
 fn assert_same_outcome(label: &str, fresh: &Outcome, pooled: &Outcome) {
@@ -51,7 +66,13 @@ fn check_pool_identity(
     factory: &dyn Fn(ProcessId) -> Box<dyn Protocol>,
 ) {
     let mut fresh_arena = RunArena::new();
-    let fresh = run_in(&mut fresh_arena, config, mk_adversary().as_mut(), factory);
+    let fresh = run_in(
+        &mut fresh_arena,
+        config,
+        mk_adversary().as_mut(),
+        None,
+        factory,
+    );
 
     let calls = AtomicUsize::new(0);
     let counting = |me: ProcessId| {
@@ -59,13 +80,25 @@ fn check_pool_identity(
         factory(me)
     };
     let mut arena = RunArena::new();
-    let cold = run_pooled_in(&mut arena, config, mk_adversary().as_mut(), key, counting);
+    let cold = run_in(
+        &mut arena,
+        config,
+        mk_adversary().as_mut(),
+        Some(key),
+        counting,
+    );
     assert_eq!(
         calls.swap(0, Ordering::SeqCst),
         config.n,
         "{label}: cold pooled run builds every instance"
     );
-    let warm = run_pooled_in(&mut arena, config, mk_adversary().as_mut(), key, counting);
+    let warm = run_in(
+        &mut arena,
+        config,
+        mk_adversary().as_mut(),
+        Some(key),
+        counting,
+    );
     assert_eq!(
         calls.load(Ordering::SeqCst),
         0,
@@ -76,7 +109,13 @@ fn check_pool_identity(
     // with the packed masks disabled (per-payload fallback tallies) and
     // expect the same bytes.
     set_packed_broadcast(false);
-    let unpacked = run_pooled_in(&mut arena, config, mk_adversary().as_mut(), key, counting);
+    let unpacked = run_in(
+        &mut arena,
+        config,
+        mk_adversary().as_mut(),
+        Some(key),
+        counting,
+    );
     set_packed_broadcast(true);
 
     assert_same_outcome(label, &fresh, &cold);
@@ -236,8 +275,20 @@ fn evicting_one_pool_key_leaves_sibling_keys_warm() {
     let adv = || Box::new(shifting_gears::sim::NoFaults) as Box<dyn Adversary>;
 
     // Warm both keys.
-    run_pooled_in(&mut arena, &config_a, adv().as_mut(), key_a, counting_a);
-    run_pooled_in(&mut arena, &config_b, adv().as_mut(), key_b, counting_b);
+    run_in(
+        &mut arena,
+        &config_a,
+        adv().as_mut(),
+        Some(key_a),
+        counting_a,
+    );
+    run_in(
+        &mut arena,
+        &config_b,
+        adv().as_mut(),
+        Some(key_b),
+        counting_b,
+    );
     assert_eq!(calls_a.swap(0, Ordering::SeqCst), config_a.n);
     assert_eq!(calls_b.swap(0, Ordering::SeqCst), config_b.n);
     assert_eq!(arena.pooled_instance_sets(), 2);
@@ -246,8 +297,20 @@ fn evicting_one_pool_key_leaves_sibling_keys_warm() {
     // A-cell), then run both again.
     arena.evict_instances(key_a);
     assert_eq!(arena.pooled_instance_sets(), 1);
-    let rerun_a = run_pooled_in(&mut arena, &config_a, adv().as_mut(), key_a, counting_a);
-    let rerun_b = run_pooled_in(&mut arena, &config_b, adv().as_mut(), key_b, counting_b);
+    let rerun_a = run_in(
+        &mut arena,
+        &config_a,
+        adv().as_mut(),
+        Some(key_a),
+        counting_a,
+    );
+    let rerun_b = run_in(
+        &mut arena,
+        &config_b,
+        adv().as_mut(),
+        Some(key_b),
+        counting_b,
+    );
 
     assert_eq!(
         calls_a.load(Ordering::SeqCst),
@@ -262,8 +325,20 @@ fn evicting_one_pool_key_leaves_sibling_keys_warm() {
 
     // And the outcomes are still the fresh-run outcomes, bit for bit.
     let mut fresh_arena = RunArena::new();
-    let fresh_a = run_in(&mut fresh_arena, &config_a, adv().as_mut(), &factory_a);
-    let fresh_b = run_in(&mut fresh_arena, &config_b, adv().as_mut(), &factory_b);
+    let fresh_a = run_in(
+        &mut fresh_arena,
+        &config_a,
+        adv().as_mut(),
+        None,
+        &factory_a,
+    );
+    let fresh_b = run_in(
+        &mut fresh_arena,
+        &config_b,
+        adv().as_mut(),
+        None,
+        &factory_b,
+    );
     assert_same_outcome("evicted key", &fresh_a, &rerun_a);
     assert_same_outcome("surviving key", &fresh_b, &rerun_b);
 }
@@ -282,28 +357,28 @@ fn disabling_the_pool_rebuilds_instances_without_changing_outcomes() {
     let factory = spec.factory(&config);
     let mut arena = RunArena::new();
 
-    let pooled_a = run_pooled_in(
+    let pooled_a = run_in(
         &mut arena,
         &config,
         &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        key,
+        Some(key),
         &factory,
     );
-    let pooled_b = run_pooled_in(
+    let pooled_b = run_in(
         &mut arena,
         &config,
         &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        key,
+        Some(key),
         &factory,
     );
 
     shifting_gears::sim::set_instance_pooling(false);
     let calls = AtomicUsize::new(0);
-    let unpooled = run_pooled_in(
+    let unpooled = run_in(
         &mut arena,
         &config,
         &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        key,
+        Some(key),
         |me| {
             calls.fetch_add(1, Ordering::SeqCst);
             factory(me)

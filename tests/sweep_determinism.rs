@@ -12,7 +12,7 @@
 use shifting_gears::adversary::{FaultSelection, RandomLiar};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::{execute, AlgorithmSpec};
-use shifting_gears::sim::{run_in, NoFaults, RunArena, RunConfig, Value};
+use shifting_gears::sim::{run_into, NoFaults, Outcome, RunArena, RunConfig, Value};
 
 fn grid() -> SweepPlan {
     SweepPlan::new(
@@ -109,6 +109,7 @@ fn one_arena_reused_across_heterogeneous_runs_matches_fresh_runs() {
         (AlgorithmSpec::Hybrid { b: 3 }, 10, 3, true),
     ];
     let mut arena = RunArena::new();
+    let mut reused = Outcome::buffer();
     for (spec, n, t, trace) in cases {
         let mut config = RunConfig::new(n, t).with_source_value(Value(1));
         if trace {
@@ -117,9 +118,11 @@ fn one_arena_reused_across_heterogeneous_runs_matches_fresh_runs() {
         // Reference run through the pooled path.
         let mut adversary = RandomLiar::new(FaultSelection::with_source(), 42);
         let fresh = execute(spec, &config, &mut adversary).unwrap();
-        // Same run through the shared, explicitly reused arena.
+        // Same run through the shared, explicitly reused arena and
+        // result buffer.
         let mut adversary = RandomLiar::new(FaultSelection::with_source(), 42);
-        let reused = run_in(&mut arena, &config, &mut adversary, spec.factory(&config));
+        let mk = spec.factory(&config);
+        run_into(&mut arena, &config, &mut adversary, None, mk, &mut reused);
         assert_eq!(fresh.decisions, reused.decisions);
         assert_eq!(fresh.faulty, reused.faulty);
         assert_eq!(fresh.metrics, reused.metrics);
