@@ -11,7 +11,7 @@ use std::sync::Arc;
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value};
 
 use crate::selection::FaultSelection;
-use crate::util::{call_rng, flip, map_shadow, random_value, repeated, shadow_or_missing};
+use crate::util::{call_rng, flip, map_shadow, random_payload, repeated, shadow_or_missing};
 
 /// Faulty processors behave perfectly honestly until `crash_round`, then
 /// go permanently silent — the classic crash-failure pattern, which
@@ -168,11 +168,7 @@ impl Adversary for RandomLiar {
             return Payload::Missing;
         }
         let mut rng = call_rng(self.seed, view.round, sender, recipient);
-        if len == 1 {
-            // The king-family case: one random value, no vector.
-            return Payload::single(random_value(&mut rng, view));
-        }
-        Payload::Values((0..len).map(|_| random_value(&mut rng, view)).collect())
+        random_payload(&mut rng, view, len)
     }
 }
 
@@ -386,10 +382,7 @@ impl Adversary for ChainRevealer {
             return Payload::Missing;
         }
         let mut rng = call_rng(self.seed, view.round, sender, recipient);
-        if len == 1 {
-            return Payload::single(random_value(&mut rng, view));
-        }
-        Payload::Values((0..len).map(|_| random_value(&mut rng, view)).collect())
+        random_payload(&mut rng, view, len)
     }
 }
 

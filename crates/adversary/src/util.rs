@@ -15,8 +15,26 @@ pub fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId
 }
 
 /// A uniformly random in-domain value.
-pub fn random_value(rng: &mut StdRng, view: &AdversaryView<'_>) -> Value {
+fn random_value(rng: &mut StdRng, view: &AdversaryView<'_>) -> Value {
     Value(rng.gen_range(0..view.domain.size()))
+}
+
+/// `len ≥ 1` uniformly random in-domain values, one [`random_value`] draw
+/// per slot in slot order whatever the representation: a
+/// [`Payload::single`] for the one-value broadcasts of the king-family
+/// protocols, bit-packed in binary domains (a 1320-slot tree-level lie is
+/// 168 bytes instead of 2.6 kB, once per faulty sender per recipient per
+/// round), a value vector otherwise.
+pub fn random_payload(rng: &mut StdRng, view: &AdversaryView<'_>, len: usize) -> Payload {
+    if len == 1 {
+        return Payload::single(random_value(rng, view));
+    }
+    let draws = (0..len).map(|_| random_value(rng, view));
+    if view.domain.size() == 2 {
+        Payload::packed(draws)
+    } else {
+        Payload::Values(draws.collect())
+    }
 }
 
 /// The sender's honest shadow payload, or [`Payload::Missing`] if it

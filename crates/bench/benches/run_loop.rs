@@ -17,7 +17,11 @@
 //! * `batch-adversary/*` — the same 64-lane batch driven by a
 //!   vectorized `BatchFamily` vs the per-lane `ScalarBridge`, so the
 //!   fault-materialization layer (one mask computation per batch vs 64
-//!   per-edge adversary walks per round) is measured on its own.
+//!   per-edge adversary walks per round) is measured on its own;
+//! * `eigtree/*` — the tree machine's primitives on the shapes the
+//!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
+//!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
+//!   layer can be iterated on without the full benchmark.
 //!
 //! The `instances/*` and `payload/*` variants execute identical work —
 //! `tests/instance_pool.rs` pins down that their outcomes are
@@ -29,9 +33,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sg_adversary::{BatchFamily, Crash, FaultSelection, RandomLiar, VectorFamily};
 use sg_core::{king_batch_kernel, AlgorithmSpec};
+use sg_eigtree::{
+    convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
+};
 use sg_sim::{
     run_batch, run_batch_with, run_into, set_early_stopping, set_packed_broadcast, Adversary,
-    BatchArena, Outcome, RunArena, RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
+    BatchArena, Outcome, ProcessId, RunArena, RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -297,12 +304,72 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     group.finish();
 }
 
+/// A seeded minority of wrong values (one slot in eight), so conversion
+/// and discovery see dissent without any node losing its majority — the
+/// input of the benchmark's `eigtree.*` probes.
+fn minority_lie(salt: usize, slot: usize, sender: ProcessId) -> Value {
+    let h = (SEED ^ (salt as u64) << 40 ^ (slot as u64) << 8 ^ sender.index() as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    Value(u16::from(h >> 61 != 0))
+}
+
+fn gather(levels: usize) -> IgTree {
+    let mut tree = IgTree::new(13, ProcessId(0));
+    tree.set_root(Value(1));
+    for _ in 0..levels {
+        tree.append_level(|parent, sender| minority_lie(0, parent, sender));
+    }
+    tree
+}
+
+fn bench_eigtree(c: &mut Criterion) {
+    const T: usize = 4;
+    let mut group = c.benchmark_group("eigtree");
+    group.sample_size(20);
+    group.bench_function("n13/append", |b| b.iter(|| gather(4)));
+
+    let tree = gather(4);
+    let mut known = FaultList::new(13);
+    known.insert(ProcessId(5), 2);
+    for (name, snapshot) in [("empty-list", FaultList::new(13)), ("one-listed", known)] {
+        group.bench_function(format!("n13/discover_ig/{name}"), |b| {
+            b.iter(|| discover_ig(&tree, T, &snapshot));
+        });
+    }
+    for conversion in [Conversion::Resolve, Conversion::ResolvePrime { t: T }] {
+        group.bench_function(format!("n13/convert/{}", conversion.name()), |b| {
+            b.iter(|| convert(&tree, conversion));
+        });
+    }
+    let converted = convert(&tree, Conversion::ResolvePrime { t: T });
+    group.bench_function("n13/discover_during_conversion", |b| {
+        b.iter(|| discover_during_conversion(&tree, &converted, T, &FaultList::new(13)));
+    });
+
+    // One Algorithm C round: store, discover, reorder, convert.
+    let mut rep = RepTree::new(32, ProcessId(0));
+    rep.set_root(Value(1));
+    rep.store_intermediates(|q| minority_lie(1, 0, q));
+    let snapshot = FaultList::new(32);
+    group.bench_function("n32/rep_gather_cycle", |b| {
+        b.iter(|| {
+            rep.store_leaves(|w, r| minority_lie(2, w, r));
+            let report = rep.discover_intermediates(T, &snapshot);
+            rep.reorder();
+            rep.convert_to_intermediates();
+            report
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_instance_pool,
     bench_packed_payloads,
     bench_early_stopping,
     bench_batch_runs,
-    bench_batch_adversaries
+    bench_batch_adversaries,
+    bench_eigtree
 );
 criterion_main!(benches);

@@ -19,11 +19,47 @@
 
 use sg_eigtree::{convert, discover_during_conversion, discover_ig, FaultList, IgTree, RepTree};
 use sg_sim::{
-    Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RunConfig, TraceEvent, Value,
+    Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RunConfig, SmallWords, TraceEvent,
+    Value, ValueDomain,
 };
 
 use crate::params::Params;
 use crate::plan::RoundAction;
+
+/// What one sender contributes to a gather round, resolved once per round
+/// so the per-slot read is a single match: the §3 rules for "what did `q`
+/// say about slot `i`" with the sender-level questions (is it me, is it in
+/// `L_p`, what did it send) already answered.
+enum Claim<'a> {
+    /// The receiver itself relays its own stored level truthfully.
+    Own(&'a [Value]),
+    /// A masked fault, an absent message, or one that is not a value
+    /// vector: every slot reads as the default.
+    Defaults,
+    /// A bit-packed binary vector of `len` slots.
+    Bits { words: &'a [u64], len: usize },
+    /// A plain value vector, not yet checked against the domain.
+    Values(&'a [Value]),
+}
+
+impl Claim<'_> {
+    /// The sanitized value claimed for slot `idx`; slots the message does
+    /// not cover read as the default.
+    #[inline]
+    fn at(&self, idx: usize, domain: ValueDomain) -> Value {
+        match *self {
+            Claim::Own(level) => level[idx],
+            Claim::Defaults => Value::DEFAULT,
+            Claim::Bits { words, len } if idx < len => {
+                Value((words[idx / 64] >> (idx % 64) & 1) as u16)
+            }
+            Claim::Bits { .. } => Value::DEFAULT,
+            Claim::Values(vals) => vals
+                .get(idx)
+                .map_or(Value::DEFAULT, |&v| domain.sanitize(v)),
+        }
+    }
+}
 
 /// One processor's instance of a plan-driven agreement protocol.
 ///
@@ -154,6 +190,33 @@ impl GearedProtocol {
         }
     }
 
+    /// Every sender's [`Claim`] for this round, indexed by processor;
+    /// `own` is what this processor would have sent itself.
+    fn claims<'a>(&self, inbox: &'a Inbox, own: &'a [Value]) -> Vec<Claim<'a>> {
+        (0..self.params.n)
+            .map(ProcessId)
+            .map(|q| {
+                if q == self.me {
+                    Claim::Own(own)
+                } else if self.faults.contains(q) {
+                    Claim::Defaults
+                } else {
+                    match inbox.from(q) {
+                        Payload::Values(vals) => Claim::Values(vals),
+                        Payload::Bits { words, len } => Claim::Bits {
+                            words: match words {
+                                SmallWords::Inline(w) => w,
+                                SmallWords::Heap(w) => w,
+                            },
+                            len: *len as usize,
+                        },
+                        Payload::Signed(_) | Payload::Missing => Claim::Defaults,
+                    }
+                }
+            })
+            .collect()
+    }
+
     /// Records newly discovered processors: updates `L`, emits trace
     /// events, returns them as a set (empty if none).
     fn admit_discoveries(
@@ -202,7 +265,6 @@ impl Protocol for GearedProtocol {
     fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
         let t = self.params.t;
         let domain = self.params.domain;
-        let me = self.me;
         match self.action(ctx.round) {
             RoundAction::Initial => {
                 // The source stores its own value; everyone else stores
@@ -226,24 +288,11 @@ impl Protocol for GearedProtocol {
                 // 1. Store the new level, masking known faults as we go.
                 let deepest = self.tree.deepest_level();
                 let own_level: Vec<Value> = self.tree.level(deepest).to_vec();
-                {
-                    let faults = &self.faults;
-                    let ops = self.tree.append_level(|parent, sender| {
-                        if sender == me {
-                            own_level[parent]
-                        } else if faults.contains(sender) {
-                            Value::DEFAULT
-                        } else {
-                            domain.sanitize(
-                                inbox
-                                    .from(sender)
-                                    .value_at(parent)
-                                    .unwrap_or(Value::DEFAULT),
-                            )
-                        }
-                    });
-                    ctx.charge(ops);
-                }
+                let claims = self.claims(inbox, &own_level);
+                let ops = self
+                    .tree
+                    .append_level(|parent, sender| claims[sender.index()].at(parent, domain));
+                ctx.charge(ops);
 
                 self.note_peak();
 
@@ -283,20 +332,12 @@ impl Protocol for GearedProtocol {
             }
 
             RoundAction::RepFirstGather => {
-                let own_root = self.rep.root();
-                {
-                    let faults = &self.faults;
-                    let ops = self.rep.store_intermediates(|q| {
-                        if q == me {
-                            own_root
-                        } else if faults.contains(q) {
-                            Value::DEFAULT
-                        } else {
-                            domain.sanitize(inbox.from(q).value_at(0).unwrap_or(Value::DEFAULT))
-                        }
-                    });
-                    ctx.charge(ops);
-                }
+                let own_root = [self.rep.root()];
+                let claims = self.claims(inbox, &own_root);
+                let ops = self
+                    .rep
+                    .store_intermediates(|q| claims[q.index()].at(0, domain));
+                ctx.charge(ops);
                 if self.modified {
                     let report = self.rep.discover_root(t, &self.faults);
                     ctx.charge(report.ops);
@@ -312,19 +353,11 @@ impl Protocol for GearedProtocol {
 
             RoundAction::RepGather => {
                 let own: Vec<Value> = self.rep.intermediates().to_vec();
-                {
-                    let faults = &self.faults;
-                    let ops = self.rep.store_leaves(|w, r| {
-                        if r == me {
-                            own[w]
-                        } else if faults.contains(r) {
-                            Value::DEFAULT
-                        } else {
-                            domain.sanitize(inbox.from(r).value_at(w).unwrap_or(Value::DEFAULT))
-                        }
-                    });
-                    ctx.charge(ops);
-                }
+                let claims = self.claims(inbox, &own);
+                let ops = self
+                    .rep
+                    .store_leaves(|w, r| claims[r.index()].at(w, domain));
+                ctx.charge(ops);
                 self.note_peak();
                 if self.modified {
                     let report = self.rep.discover_intermediates(t, &self.faults);

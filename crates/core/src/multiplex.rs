@@ -90,23 +90,27 @@ impl Multiplex {
     /// not a well-formed frame sequence — the receiver then treats every
     /// instance's message from this sender as missing.
     fn split(&self, payload: &Payload) -> Option<Vec<Payload>> {
-        let Payload::Values(vals) = payload else {
+        // Read through the accessors: a Byzantine frame may arrive
+        // bit-packed, and must split exactly as its value-vector twin.
+        if !matches!(payload, Payload::Values(_) | Payload::Bits { .. }) {
             return None;
-        };
+        }
+        let total = payload.num_values();
+        let at = |i: usize| payload.value_at(i).map(|v| v.raw() as usize);
         let mut segments = Vec::with_capacity(self.subs.len());
         let mut pos = 0usize;
         for _ in 0..self.subs.len() {
-            let lo = vals.get(pos)?.raw() as usize;
-            let hi = vals.get(pos + 1)?.raw() as usize;
-            let len = lo + (hi << 16);
+            let len = at(pos)? + (at(pos + 1)? << 16);
             pos += 2;
-            if pos + len > vals.len() {
+            if pos + len > total {
                 return None;
             }
-            segments.push(Payload::Values(vals[pos..pos + len].to_vec()));
+            segments.push(Payload::values(
+                (pos..pos + len).filter_map(|i| payload.value_at(i)),
+            ));
             pos += len;
         }
-        (pos == vals.len()).then_some(segments)
+        (pos == total).then_some(segments)
     }
 }
 
@@ -297,6 +301,24 @@ mod tests {
             .split(&Payload::values([Value(0), Value(0), Value(9)]))
             .is_none());
         assert!(mx.split(&Payload::Missing).is_none());
+    }
+
+    #[test]
+    fn bit_packed_frames_split_like_their_vector_twins() {
+        let mx = Multiplex::new(
+            "test".to_string(),
+            vec![stub(vec![], false, Value(0))],
+            Box::new(plurality),
+        );
+        // One frame of length 1 (lo = 1, hi = 0) carrying a 1; then the
+        // same with a trailing slot, which no longer frames.
+        for frame in [vec![1, 0, 1], vec![1, 0, 1, 0]] {
+            let values: Vec<Value> = frame.into_iter().map(Value).collect();
+            assert_eq!(
+                mx.split(&Payload::packed(values.clone())),
+                mx.split(&Payload::Values(values)),
+            );
+        }
     }
 
     #[test]

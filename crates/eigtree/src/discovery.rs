@@ -18,10 +18,10 @@
 //! discovery runs on the resulting tree, then the newly discovered
 //! processors' current-round messages are masked.
 
-use sg_sim::ProcessId;
+use sg_sim::{ProcessId, ProcessSet};
 
 use crate::fault_list::FaultList;
-use crate::resolve::{strict_majority, Converted};
+use crate::resolve::{majority_with_count, Converted};
 use crate::tree::IgTree;
 
 /// The outcome of running a discovery rule over a tree.
@@ -37,24 +37,61 @@ pub struct DiscoveryReport {
 /// Evaluates the two discovery conditions for one internal node.
 ///
 /// `children` are the node's child values (stored or converted),
-/// `labels[j]` the processor labelling child `j`. Returns `true` if the
-/// node's processor must be discovered.
+/// `labels[j]` the processor labelling child `j`, `budget` the tolerated
+/// dissent `t − |L_p|`. Returns `true` if the node's processor must be
+/// discovered.
 fn node_violates<T: Eq + Copy>(
     children: &[T],
-    labels: &[ProcessId],
-    t: usize,
+    labels: &[u8],
+    budget: usize,
     snapshot: &FaultList,
 ) -> bool {
-    match strict_majority(children) {
-        None => true,
-        Some(m) => {
-            let budget = t.saturating_sub(snapshot.len());
-            let dissent = children
-                .iter()
-                .zip(labels)
-                .filter(|(v, q)| **v != m && !snapshot.contains(**q))
-                .count();
-            dissent > budget
+    let Some((m, support)) = majority_with_count(children) else {
+        return true;
+    };
+    // The dissenters outside `L_p` are among the `len − support` children
+    // that differ from `m`; only when those alone could exceed the budget
+    // does it matter who they are.
+    if children.len() - support <= budget {
+        return false;
+    }
+    let dissent = children
+        .iter()
+        .zip(labels)
+        .filter(|(v, &q)| **v != m && !snapshot.contains(ProcessId(q as usize)))
+        .count();
+    dissent > budget
+}
+
+/// One level's worth of the rule: node `i` of the parent level blames
+/// `blamed[i]` over its children `children[i·w..(i+1)·w]`, whose senders
+/// are `child_labels[i·w..(i+1)·w]`. A flat pass over three parallel
+/// slices; `flagged` carries discoveries across calls so a processor is
+/// reported once.
+fn discover_level<T: Eq + Copy>(
+    blamed: &[u8],
+    children: &[T],
+    child_labels: &[u8],
+    t: usize,
+    snapshot: &FaultList,
+    flagged: &mut ProcessSet,
+    report: &mut DiscoveryReport,
+) {
+    debug_assert_eq!(children.len(), child_labels.len());
+    report.ops += children.len() as u64;
+    let width = children.len() / blamed.len();
+    let budget = t.saturating_sub(snapshot.len());
+    let nodes = children
+        .chunks_exact(width)
+        .zip(child_labels.chunks_exact(width));
+    for (&r, (children, labels)) in blamed.iter().zip(nodes) {
+        let r = ProcessId(r as usize);
+        if snapshot.contains(r) || flagged.contains(r) {
+            continue;
+        }
+        if node_violates(children, labels, budget, snapshot) {
+            flagged.insert(r);
+            report.discovered.push(r);
         }
     }
 }
@@ -73,29 +110,16 @@ fn node_violates<T: Eq + Copy>(
 pub fn discover_ig(tree: &IgTree, t: usize, snapshot: &FaultList) -> DiscoveryReport {
     let deepest = tree.deepest_level();
     assert!(deepest >= 1, "discovery needs a stored child level");
-    let shape = *tree.shape();
-    let parent_level = deepest - 1;
-    let fresh = tree.level(deepest);
-    let width = shape.children_per_node(parent_level);
-
     let mut report = DiscoveryReport::default();
-    let mut flagged = sg_sim::ProcessSet::new(shape.n());
-    shape.visit_level(parent_level, &mut |i, path, labels| {
-        let r = if parent_level == 0 {
-            shape.source()
-        } else {
-            *path.last().expect("non-root path")
-        };
-        report.ops += width as u64;
-        if snapshot.contains(r) || flagged.contains(r) {
-            return;
-        }
-        let children = &fresh[i * width..(i + 1) * width];
-        if node_violates(children, labels, t, snapshot) {
-            flagged.insert(r);
-            report.discovered.push(r);
-        }
-    });
+    discover_level(
+        tree.labels(deepest - 1),
+        tree.level(deepest),
+        tree.labels(deepest),
+        t,
+        snapshot,
+        &mut ProcessSet::new(tree.shape().n()),
+        &mut report,
+    );
     report.discovered.sort_unstable();
     report
 }
@@ -119,29 +143,18 @@ pub fn discover_during_conversion(
         tree.deepest_level() + 1,
         "converted tree must match the gathered tree"
     );
-    let shape = *tree.shape();
-    let deepest = tree.deepest_level();
     let mut report = DiscoveryReport::default();
-    let mut flagged = sg_sim::ProcessSet::new(shape.n());
-    for k in 0..deepest {
-        let width = shape.children_per_node(k);
-        let child_level = converted.level(k + 1);
-        shape.visit_level(k, &mut |i, path, labels| {
-            let r = if k == 0 {
-                shape.source()
-            } else {
-                *path.last().expect("non-root path")
-            };
-            report.ops += width as u64;
-            if snapshot.contains(r) || flagged.contains(r) {
-                return;
-            }
-            let children = &child_level[i * width..(i + 1) * width];
-            if node_violates(children, labels, t, snapshot) {
-                flagged.insert(r);
-                report.discovered.push(r);
-            }
-        });
+    let mut flagged = ProcessSet::new(tree.shape().n());
+    for k in 0..tree.deepest_level() {
+        discover_level(
+            tree.labels(k),
+            converted.level(k + 1),
+            tree.labels(k + 1),
+            t,
+            snapshot,
+            &mut flagged,
+            &mut report,
+        );
     }
     report.discovered.sort_unstable();
     report

@@ -3,9 +3,10 @@
 //! The data structures of the Shifting Gears paper (Bar-Noy, Dolev, Dwork
 //! & Strong, Inf. & Comp. 97, 1992):
 //!
-//! * [`Shape`] / [`IgTree`] — the Information Gathering Tree *without
-//!   repetitions* of §3 (Fig. 1), stored as flat per-level value vectors
-//!   in a canonical order shared by every correct processor;
+//! * [`Shape`] / [`LabelTable`] / [`IgTree`] — the Information Gathering
+//!   Tree *without repetitions* of §3 (Fig. 1), stored as flat per-level
+//!   value vectors in a canonical order shared by every correct processor,
+//!   with the order itself held once per process as a table of labels;
 //! * [`RepTree`] — the three-level tree *with repetitions* of Algorithm C
 //!   (§4.3), including leaf reordering;
 //! * [`convert`] with [`Conversion::Resolve`] (recursive majority voting,
@@ -50,5 +51,5 @@ pub use fault_list::FaultList;
 pub use render::{render_tree, tree_to_dot};
 pub use rep_tree::RepTree;
 pub use resolve::{convert, convert_node, strict_majority, Conversion, Converted, Res};
-pub use shape::Shape;
+pub use shape::{LabelTable, Shape};
 pub use tree::IgTree;

@@ -39,10 +39,13 @@ pub struct RepTree {
     n: usize,
     source: ProcessId,
     root: Value,
-    intermediates: Option<Vec<Value>>,
-    /// `leaves[w][r]` = the value `r` claims for intermediate vertex `sw`
-    /// (before reordering).
-    leaves: Option<Vec<Vec<Value>>>,
+    /// `tree(sq)` indexed by `q`; empty until round 2 stores it.
+    intermediates: Vec<Value>,
+    /// The `n×n` leaf matrix, row-major: entry `w·n + r` is the value `r`
+    /// claims for intermediate vertex `sw` (before reordering). Empty when
+    /// no leaf level is stored; the buffer itself is kept across rounds
+    /// and runs.
+    leaves: Vec<Value>,
 }
 
 impl RepTree {
@@ -58,8 +61,8 @@ impl RepTree {
             n,
             source,
             root: Value::DEFAULT,
-            intermediates: None,
-            leaves: None,
+            intermediates: Vec::new(),
+            leaves: Vec::new(),
         }
     }
 
@@ -69,7 +72,8 @@ impl RepTree {
     }
 
     /// Restores the tree to its just-constructed state for `n` processors
-    /// and `source` (used by pooled protocol instances).
+    /// and `source` (used by pooled protocol instances), keeping the
+    /// intermediate and leaf buffers for the next run.
     ///
     /// # Panics
     ///
@@ -79,17 +83,15 @@ impl RepTree {
         assert!(source.index() < n, "source out of range");
         self.n = n;
         self.source = source;
-        self.root = Value::DEFAULT;
-        self.intermediates = None;
-        self.leaves = None;
+        self.set_root(Value::DEFAULT);
     }
 
     /// Stores the root (`tree(s)`), clearing deeper levels — also the
     /// entry point when the hybrid shifts into Algorithm C's round 1.
     pub fn set_root(&mut self, v: Value) {
         self.root = v;
-        self.intermediates = None;
-        self.leaves = None;
+        self.intermediates.clear();
+        self.leaves.clear();
     }
 
     /// The root value.
@@ -99,7 +101,7 @@ impl RepTree {
 
     /// Whether the intermediate level exists yet (after round 2).
     pub fn has_intermediates(&self) -> bool {
-        self.intermediates.is_some()
+        !self.intermediates.is_empty()
     }
 
     /// The intermediate vertex values `tree(sq)`, indexed by `q`.
@@ -108,7 +110,8 @@ impl RepTree {
     ///
     /// Panics before round 2 has stored them.
     pub fn intermediates(&self) -> &[Value] {
-        self.intermediates.as_deref().expect("intermediates stored")
+        assert!(self.has_intermediates(), "intermediates stored");
+        &self.intermediates
     }
 
     /// Round 2: stores `tree(sq)` for every `q` from the round's
@@ -117,9 +120,10 @@ impl RepTree {
     where
         F: FnMut(ProcessId) -> Value,
     {
-        let vals: Vec<Value> = (0..self.n).map(|q| value_for(ProcessId(q))).collect();
-        self.intermediates = Some(vals);
-        self.leaves = None;
+        self.intermediates.clear();
+        self.intermediates
+            .extend((0..self.n).map(|q| value_for(ProcessId(q))));
+        self.leaves.clear();
         self.n as u64
     }
 
@@ -136,28 +140,31 @@ impl RepTree {
     where
         F: FnMut(usize, ProcessId) -> Value,
     {
-        assert!(self.intermediates.is_some(), "round 2 must precede leaves");
+        assert!(self.has_intermediates(), "round 2 must precede leaves");
         let n = self.n;
-        let mut leaves = Vec::with_capacity(n);
+        self.leaves.clear();
         for w in 0..n {
-            leaves.push((0..n).map(|r| value_for(w, ProcessId(r))).collect());
+            self.leaves
+                .extend((0..n).map(|r| value_for(w, ProcessId(r))));
         }
-        self.leaves = Some(leaves);
         (n * n) as u64
     }
 
     /// Whether a leaf level is currently stored.
     pub fn has_leaves(&self) -> bool {
-        self.leaves.is_some()
+        !self.leaves.is_empty()
     }
 
-    /// The leaf matrix (`[w][r]`), for tests and diagnostics.
+    /// Row `w` of the leaf matrix (entry `r` is what `r` claims for `sw`
+    /// before reordering, what `w` claims for `sr` after), for tests and
+    /// diagnostics.
     ///
     /// # Panics
     ///
     /// Panics if no leaves are stored.
-    pub fn leaves(&self) -> &[Vec<Value>] {
-        self.leaves.as_deref().expect("leaves stored")
+    pub fn leaf_row(&self, w: usize) -> &[Value] {
+        assert!(self.has_leaves(), "leaves stored");
+        &self.leaves[w * self.n..(w + 1) * self.n]
     }
 
     /// The Fault Discovery Rule applied to the root's fresh children — the
@@ -181,9 +188,9 @@ impl RepTree {
     ///
     /// Panics if no leaves are stored.
     pub fn discover_intermediates(&self, t: usize, snapshot: &FaultList) -> DiscoveryReport {
-        let leaves = self.leaves.as_ref().expect("leaves stored");
+        assert!(self.has_leaves(), "leaves stored");
         let mut report = DiscoveryReport::default();
-        for (w, row) in leaves.iter().enumerate() {
+        for (w, row) in self.leaves.chunks_exact(self.n).enumerate() {
             report.ops += self.n as u64;
             let wid = ProcessId(w);
             if snapshot.contains(wid) {
@@ -199,11 +206,11 @@ impl RepTree {
     /// Masks the round-2 messages of newly discovered processors: their
     /// intermediate entries become the default value.
     pub fn mask_intermediates(&mut self, newly: &ProcessSet) -> u64 {
-        let Some(vals) = self.intermediates.as_mut() else {
+        if !self.has_intermediates() {
             return 0;
-        };
+        }
         for q in newly.iter() {
-            vals[q.index()] = Value::DEFAULT;
+            self.intermediates[q.index()] = Value::DEFAULT;
         }
         newly.len() as u64
     }
@@ -211,11 +218,8 @@ impl RepTree {
     /// Masks the current round's messages of newly discovered processors:
     /// every leaf received from them becomes the default value.
     pub fn mask_leaves(&mut self, newly: &ProcessSet) -> u64 {
-        let Some(leaves) = self.leaves.as_mut() else {
-            return 0;
-        };
         let mut ops = 0u64;
-        for row in leaves.iter_mut() {
+        for row in self.leaves.chunks_exact_mut(self.n) {
             for r in newly.iter() {
                 row[r.index()] = Value::DEFAULT;
                 ops += 1;
@@ -231,13 +235,11 @@ impl RepTree {
     ///
     /// Panics if no leaves are stored.
     pub fn reorder(&mut self) -> u64 {
-        let leaves = self.leaves.as_mut().expect("leaves stored");
+        assert!(self.has_leaves(), "leaves stored");
         let n = self.n;
         for p in 0..n {
             for q in (p + 1)..n {
-                let tmp = leaves[p][q];
-                leaves[p][q] = leaves[q][p];
-                leaves[q][p] = tmp;
+                self.leaves.swap(p * n + q, q * n + p);
             }
         }
         (n * n / 2) as u64
@@ -250,16 +252,15 @@ impl RepTree {
     ///
     /// Panics if no leaves are stored.
     pub fn convert_to_intermediates(&mut self) -> u64 {
-        let leaves = self.leaves.take().expect("leaves stored");
-        let mut ops = 0u64;
-        let vals: Vec<Value> = leaves
-            .iter()
-            .map(|row| {
-                ops += row.len() as u64;
-                strict_majority(row).unwrap_or(Value::DEFAULT)
-            })
-            .collect();
-        self.intermediates = Some(vals);
+        assert!(self.has_leaves(), "leaves stored");
+        self.intermediates.clear();
+        self.intermediates.extend(
+            self.leaves
+                .chunks_exact(self.n)
+                .map(|row| strict_majority(row).unwrap_or(Value::DEFAULT)),
+        );
+        let ops = self.leaves.len() as u64;
+        self.leaves.clear();
         ops
     }
 
@@ -267,22 +268,16 @@ impl RepTree {
     /// strict majority, default on none), or the root itself before
     /// round 2.
     pub fn preferred(&self) -> Value {
-        match &self.intermediates {
-            Some(vals) => strict_majority(vals).unwrap_or(Value::DEFAULT),
-            None => self.root,
+        if self.has_intermediates() {
+            strict_majority(&self.intermediates).unwrap_or(Value::DEFAULT)
+        } else {
+            self.root
         }
     }
 
     /// Live node count for space accounting.
     pub fn node_count(&self) -> u64 {
-        let mut count = 1u64;
-        if self.intermediates.is_some() {
-            count += self.n as u64;
-        }
-        if self.leaves.is_some() {
-            count += (self.n * self.n) as u64;
-        }
-        count
+        (1 + self.intermediates.len() + self.leaves.len()) as u64
     }
 }
 
@@ -335,7 +330,7 @@ mod tests {
         t.reorder();
         for w in 0..4 {
             for r in 0..4 {
-                assert_eq!(t.leaves()[w][r], Value((r * 4 + w) as u16));
+                assert_eq!(t.leaf_row(w)[r], Value((r * 4 + w) as u16));
             }
         }
     }
@@ -406,8 +401,8 @@ mod tests {
         let newly = ProcessSet::from_members(4, [ProcessId(2)]);
         t.mask_leaves(&newly);
         for w in 0..4 {
-            assert_eq!(t.leaves()[w][2], Value::DEFAULT);
-            assert_eq!(t.leaves()[w][1], Value(1));
+            assert_eq!(t.leaf_row(w)[2], Value::DEFAULT);
+            assert_eq!(t.leaf_row(w)[1], Value(1));
         }
         let mut t2 = tree();
         t2.store_intermediates(|_| Value(1));

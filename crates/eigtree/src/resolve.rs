@@ -111,7 +111,7 @@ impl Converted {
 }
 
 /// The strict majority element of `items`, if one exists
-/// (count > len/2). Boyer–Moore with verification: O(len), no allocation.
+/// (count > len/2). O(len), no allocation.
 ///
 /// # Examples
 ///
@@ -123,21 +123,44 @@ impl Converted {
 /// assert_eq!(strict_majority::<u8>(&[]), None);
 /// ```
 pub fn strict_majority<T: Eq + Copy>(items: &[T]) -> Option<T> {
-    let mut candidate: Option<T> = None;
+    majority_with_count(items).map(|(c, _)| c)
+}
+
+/// [`strict_majority`] together with the winner's occurrence count, which
+/// the discovery rules need to bound the dissent without a second look.
+pub(crate) fn majority_with_count<T: Eq + Copy>(items: &[T]) -> Option<(T, usize)> {
+    let occurrences = |c: T| items.iter().filter(|&&x| x == c).count();
+    // With mostly-correct senders the first child usually *is* the
+    // majority, and a node rarely holds more than two distinct values:
+    // two branch-free counts settle nearly every node.
+    let first = *items.first()?;
+    let lead = occurrences(first);
+    if 2 * lead > items.len() {
+        return Some((first, lead));
+    }
+    let second = *items.iter().find(|&&x| x != first)?;
+    let runner = occurrences(second);
+    if 2 * runner > items.len() {
+        return Some((second, runner));
+    }
+    if lead + runner == items.len() {
+        return None;
+    }
+    // Three or more distinct values: Boyer–Moore, then verify.
+    let mut candidate = first;
     let mut count = 0usize;
     for &x in items {
-        match candidate {
-            Some(c) if c == x => count += 1,
-            _ if count == 0 => {
-                candidate = Some(x);
-                count = 1;
-            }
-            _ => count -= 1,
+        if count == 0 {
+            candidate = x;
+            count = 1;
+        } else if x == candidate {
+            count += 1;
+        } else {
+            count -= 1;
         }
     }
-    let c = candidate?;
-    let occurrences = items.iter().filter(|&&x| x == c).count();
-    (2 * occurrences > items.len()).then_some(c)
+    let support = occurrences(candidate);
+    (2 * support > items.len()).then_some((candidate, support))
 }
 
 /// Applies a conversion function to every node of `tree`, bottom-up.
@@ -157,15 +180,12 @@ pub fn convert(tree: &IgTree, conversion: Conversion) -> Converted {
     built.push(tree.level(deepest).iter().map(|&v| Res::Val(v)).collect());
     let mut ops = 0u64;
     for k in (0..deepest).rev() {
-        let width = shape.children_per_node(k);
         let child_level = built.last().expect("previous level built");
-        let size = shape.level_size(k);
-        let mut level = Vec::with_capacity(size);
-        for i in 0..size {
-            let children = &child_level[i * width..(i + 1) * width];
-            ops += width as u64;
-            level.push(convert_node(children, conversion));
-        }
+        ops += child_level.len() as u64;
+        let level = child_level
+            .chunks_exact(shape.children_per_node(k))
+            .map(|children| convert_node(children, conversion))
+            .collect();
         built.push(level);
     }
     built.reverse();
@@ -186,20 +206,20 @@ pub fn convert_node(children: &[Res], conversion: Conversion) -> Res {
 /// `resolve'`'s node rule: the unique `v ∈ V` with at least `t+1`
 /// occurrences among `children`, else `⊥`.
 fn unique_supported(children: &[Res], t: usize) -> Res {
-    // Count distinct values; |V| is a small constant, so a linear pair
-    // list beats a hash map here.
-    let mut counts: Vec<(Value, usize)> = Vec::new();
-    for r in children {
-        if let Res::Val(v) = r {
-            match counts.iter_mut().find(|(u, _)| u == v) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((*v, 1)),
-            }
-        }
-    }
+    // Each distinct value is counted once, at its first occurrence. |V| is
+    // a small constant, so the rescans stay linear in practice — and need
+    // no scratch storage.
     let mut winner: Option<Value> = None;
-    for (v, c) in counts {
-        if c > t {
+    for (j, &r) in children.iter().enumerate() {
+        let Res::Val(v) = r else { continue };
+        if children[..j].contains(&r) {
+            continue;
+        }
+        let count = 1 + children[j + 1..].iter().filter(|&&c| c == r).count();
+        if j == 0 && count > t && children.len() - count <= t {
+            return r; // too few other children for a rival
+        }
+        if count > t {
             if winner.is_some() {
                 return Res::Bottom; // not unique
             }
@@ -299,6 +319,10 @@ mod tests {
         assert_eq!(strict_majority(&[1, 1]), Some(1));
         assert_eq!(strict_majority(&[1, 2]), None);
         assert_eq!(strict_majority(&[2, 1, 2, 1, 2]), Some(2));
+        // Three distinct values: the majority is neither of the first two.
+        assert_eq!(strict_majority(&[1, 3, 2, 2, 2]), Some(2));
+        assert_eq!(strict_majority(&[1, 3, 2, 2]), None);
+        assert_eq!(strict_majority(&[1, 2, 3]), None);
     }
 
     #[test]

@@ -13,6 +13,20 @@
 //! makes the children of the node at level `k`, index `i` exactly the
 //! contiguous block `[i·w, (i+1)·w)` of level `k+1`, where
 //! `w = n−1−k` is the per-node child count at level `k`.
+//!
+//! **Two views of the same order.** [`Shape`] is pure arithmetic: sizes,
+//! parent/children index ranges, and the per-node decoders
+//! [`Shape::path`] / [`Shape::index_of`] (O(k·n) each — for rendering,
+//! diagnostics and as the independent oracle the tests hold the table
+//! to). [`LabelTable`] is the bulk view the hot loops read: for every
+//! level, the *last label* of every node, laid out in canonical order, so
+//! "the processor a node blames" is `level(k)[i]` and "the senders of a
+//! node's children" is `level(k+1)[i·w .. (i+1)·w]` — one byte load each.
+//! The table is the crate's only enumeration of the tree; it is built once
+//! per `(n, source)` per process and shared by every tree of that shape.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use sg_sim::ProcessId;
 
@@ -34,7 +48,7 @@ use sg_sim::ProcessId;
 /// assert_eq!(shape.level_size(2), 4 * 3);
 /// assert_eq!(shape.children_per_node(1), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Shape {
     n: usize,
     source: ProcessId,
@@ -105,7 +119,7 @@ impl Shape {
 
     /// Decodes the label path (names after `s`) of node `i` at level `k`.
     ///
-    /// O(k·n); prefer [`Shape::visit_level`] for bulk enumeration.
+    /// O(k·n); bulk passes read the [`LabelTable`] instead.
     pub fn path(&self, k: usize, i: usize) -> Vec<ProcessId> {
         // Collect the slot of each ancestor bottom-up, then decode
         // top-down against the running set of used names.
@@ -167,50 +181,6 @@ impl Shape {
         }
     }
 
-    /// Visits every node of level `k` in canonical order.
-    ///
-    /// The callback receives `(index, path, child_labels)` where
-    /// `child_labels` are the labels of the node's children in canonical
-    /// order. Enumeration is a depth-first walk, so the whole level costs
-    /// O(level_size · n) instead of O(level_size · k · n) repeated decoding.
-    pub fn visit_level<F>(&self, k: usize, f: &mut F)
-    where
-        F: FnMut(usize, &[ProcessId], &[ProcessId]),
-    {
-        let mut used = vec![false; self.n];
-        used[self.source.index()] = true;
-        let mut path = Vec::with_capacity(k);
-        let mut next_index = 0usize;
-        self.visit_rec(k, &mut used, &mut path, &mut next_index, f);
-    }
-
-    fn visit_rec<F>(
-        &self,
-        k: usize,
-        used: &mut Vec<bool>,
-        path: &mut Vec<ProcessId>,
-        next_index: &mut usize,
-        f: &mut F,
-    ) where
-        F: FnMut(usize, &[ProcessId], &[ProcessId]),
-    {
-        if path.len() == k {
-            let labels: Vec<ProcessId> = (0..self.n).filter(|&i| !used[i]).map(ProcessId).collect();
-            f(*next_index, path, &labels);
-            *next_index += 1;
-            return;
-        }
-        for i in 0..self.n {
-            if !used[i] {
-                used[i] = true;
-                path.push(ProcessId(i));
-                self.visit_rec(k, used, path, next_index, f);
-                path.pop();
-                used[i] = false;
-            }
-        }
-    }
-
     fn nth_unused(&self, used: &[bool], rank: usize) -> ProcessId {
         let mut seen = 0usize;
         for (i, &u) in used.iter().enumerate() {
@@ -222,6 +192,89 @@ impl Shape {
             }
         }
         panic!("rank {rank} out of range");
+    }
+}
+
+/// The last label of every node of the tree, level by level, in canonical
+/// order — the shape as data.
+///
+/// One table exists per `(n, source)` per process ([`LabelTable::shared`]);
+/// its levels are built on first use and never change, so any number of
+/// trees on any number of threads read the same bytes.
+///
+/// # Examples
+///
+/// ```
+/// use sg_eigtree::{LabelTable, Shape};
+/// use sg_sim::ProcessId;
+///
+/// let table = LabelTable::shared(Shape::new(4, ProcessId(0)));
+/// assert_eq!(table.level(0), &[0]);          // the root is the source
+/// assert_eq!(table.level(1), &[1, 2, 3]);
+/// // Children of s·P1 are P2, P3; of s·P2: P1, P3; of s·P3: P1, P2.
+/// assert_eq!(table.level(2), &[2, 3, 1, 3, 1, 2]);
+/// ```
+#[derive(Debug)]
+pub struct LabelTable {
+    shape: Shape,
+    /// Slot `k` holds level `k` once some tree has needed it.
+    levels: Vec<OnceLock<Box<[u8]>>>,
+}
+
+/// Every table handed out so far. Entries are never removed: a table is
+/// at most half the size of one tree of its shape and depth.
+static TABLES: Mutex<BTreeMap<Shape, Arc<LabelTable>>> = Mutex::new(BTreeMap::new());
+
+impl LabelTable {
+    /// The process-wide table for `shape`.
+    pub fn shared(shape: Shape) -> Arc<LabelTable> {
+        let mut tables = TABLES
+            .lock()
+            .expect("no code path panics while holding the table registry");
+        Arc::clone(tables.entry(shape).or_insert_with(|| {
+            Arc::new(LabelTable {
+                shape,
+                levels: (0..shape.n).map(|_| OnceLock::new()).collect(),
+            })
+        }))
+    }
+
+    /// The last label (a processor index) of every node of level `k`, in
+    /// canonical order; level 0 is the source alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ n` (no such level), or if `n > 256` (labels are
+    /// stored as bytes; a no-repetition tree that wide is out of reach
+    /// anyway).
+    pub fn level(&self, k: usize) -> &[u8] {
+        self.levels[k].get_or_init(|| self.build_level(k))
+    }
+
+    /// Depth-first walk over the ascending-id label paths of length `k`,
+    /// emitting each path's last label — the definition of canonical
+    /// order, executed once per level per process.
+    fn build_level(&self, k: usize) -> Box<[u8]> {
+        fn walk(used: &mut [bool], remaining: usize, last: u8, out: &mut Vec<u8>) {
+            if remaining == 0 {
+                out.push(last);
+                return;
+            }
+            for q in 0..used.len() {
+                if !used[q] {
+                    used[q] = true;
+                    walk(used, remaining - 1, q as u8, out);
+                    used[q] = false;
+                }
+            }
+        }
+        let Shape { n, source } = self.shape;
+        assert!(n <= 256, "label tables store processor indices as bytes");
+        let mut used = vec![false; n];
+        used[source.index()] = true;
+        let mut out = Vec::with_capacity(self.shape.level_size(k));
+        walk(&mut used, k, source.index() as u8, &mut out);
+        out.into_boxed_slice()
     }
 }
 
@@ -296,18 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn visit_level_matches_decode() {
+    fn label_table_matches_decode() {
         let s = shape();
+        let table = LabelTable::shared(s);
         for k in 0..=3 {
-            let mut count = 0;
-            s.visit_level(k, &mut |i, path, labels| {
-                assert_eq!(i, count);
-                assert_eq!(s.path(k, i), path);
-                assert_eq!(s.child_labels(path), labels);
-                count += 1;
-            });
-            assert_eq!(count, s.level_size(k));
+            let labels = table.level(k);
+            assert_eq!(labels.len(), s.level_size(k));
+            for (i, &label) in labels.iter().enumerate() {
+                assert_eq!(ProcessId(label as usize), s.node_processor(k, i));
+            }
         }
+        assert!(Arc::ptr_eq(&table, &LabelTable::shared(s)));
     }
 
     #[test]

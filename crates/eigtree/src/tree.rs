@@ -3,12 +3,14 @@
 //! `tree_p(s·q⋯r)` holds "the value that r says q says … the source said".
 //! Levels are stored as flat value vectors in the canonical order defined
 //! by [`crate::Shape`], so appending a level from a round's messages is a
-//! single linear pass and a round-`h` broadcast is just a copy of the
-//! deepest level.
+//! single linear pass over the shared [`LabelTable`] and a round-`h`
+//! broadcast is just a copy of the deepest level.
+
+use std::sync::Arc;
 
 use sg_sim::{ProcessId, ProcessSet, Value};
 
-use crate::shape::Shape;
+use crate::shape::{LabelTable, Shape};
 
 /// One processor's information-gathering tree.
 ///
@@ -28,18 +30,32 @@ use crate::shape::Shape;
 /// assert_eq!(tree.deepest_level(), 1);
 /// assert_eq!(tree.level(1), &[Value(1), Value(1), Value(1)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct IgTree {
     shape: Shape,
+    /// The process-wide label table of `shape`.
+    labels: Arc<LabelTable>,
     levels: Vec<Vec<Value>>,
 }
+
+/// Trees are equal when they have the same shape and store the same
+/// values; the label table is a function of the shape.
+impl PartialEq for IgTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.levels == other.levels
+    }
+}
+
+impl Eq for IgTree {}
 
 impl IgTree {
     /// An empty tree (no levels stored yet) for `n` processors and the
     /// given source.
     pub fn new(n: usize, source: ProcessId) -> Self {
+        let shape = Shape::new(n, source);
         IgTree {
-            shape: Shape::new(n, source),
+            shape,
+            labels: LabelTable::shared(shape),
             levels: Vec::new(),
         }
     }
@@ -49,15 +65,30 @@ impl IgTree {
         &self.shape
     }
 
+    /// The last labels of level `k` in canonical order (see
+    /// [`LabelTable::level`]).
+    pub(crate) fn labels(&self, k: usize) -> &[u8] {
+        self.labels.level(k)
+    }
+
     /// Restores the tree to its just-constructed (empty) state for `n`
-    /// processors and `source`, retaining the level storage so pooled
-    /// protocol instances do not re-allocate it.
+    /// processors and `source`.
+    ///
+    /// The level storage is dropped, not retained: each run allocates its
+    /// handful of levels at exact capacity, which measured no slower than
+    /// recycling them and keeps a pooled instance from pinning its deepest
+    /// level between runs. What a pooled instance does keep is its handle
+    /// on the shared label table while the shape is unchanged.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`IgTree::new`].
     pub fn reset(&mut self, n: usize, source: ProcessId) {
-        self.shape = Shape::new(n, source);
+        let shape = Shape::new(n, source);
+        if shape != self.shape {
+            self.shape = shape;
+            self.labels = LabelTable::shared(shape);
+        }
         self.levels.clear();
     }
 
@@ -114,22 +145,27 @@ impl IgTree {
     ///
     /// # Panics
     ///
-    /// Panics if no root has been stored yet.
+    /// Panics if no root has been stored yet, or if the deepest level is
+    /// already `n−1` (every name is used up; there is no further level).
     pub fn append_level<F>(&mut self, mut value_for: F) -> u64
     where
         F: FnMut(usize, ProcessId) -> Value,
     {
         let k = self.deepest_level();
-        let new_size = self.shape.level_size(k + 1);
-        let mut level = Vec::with_capacity(new_size);
-        self.shape.visit_level(k, &mut |parent_idx, _path, labels| {
-            for &sender in labels {
-                level.push(value_for(parent_idx, sender));
+        assert!(k + 1 < self.shape.n(), "level {k} is the tree's last");
+        let senders = self.labels.level(k + 1);
+        let mut level = vec![Value::DEFAULT; senders.len()];
+        let width = self.shape.children_per_node(k);
+        let blocks = level
+            .chunks_exact_mut(width)
+            .zip(senders.chunks_exact(width));
+        for (parent_idx, (slots, block)) in blocks.enumerate() {
+            for (slot, &sender) in slots.iter_mut().zip(block) {
+                *slot = value_for(parent_idx, ProcessId(sender as usize));
             }
-        });
-        debug_assert_eq!(level.len(), new_size);
+        }
         self.levels.push(level);
-        new_size as u64
+        senders.len() as u64
     }
 
     /// Zeroes every entry of level `k` whose node's *last* label is in
@@ -142,19 +178,13 @@ impl IgTree {
         if senders.is_empty() || k == 0 {
             return 0;
         }
-        let shape = self.shape;
         let level = &mut self.levels[k];
-        let mut ops = 0u64;
-        shape.visit_level(k - 1, &mut |parent_idx, _path, labels| {
-            let base = shape.children_range(k - 1, parent_idx).start;
-            for (offset, &label) in labels.iter().enumerate() {
-                ops += 1;
-                if senders.contains(label) {
-                    level[base + offset] = Value::DEFAULT;
-                }
+        for (value, &label) in level.iter_mut().zip(self.labels.level(k)) {
+            if senders.contains(ProcessId(label as usize)) {
+                *value = Value::DEFAULT;
             }
-        });
-        ops
+        }
+        level.len() as u64
     }
 
     /// The value stored at the node with the given label path, if within

@@ -47,10 +47,11 @@ fn correctness_lemma_on_exponential_tree() {
     let shape = *net.protocols[3].tree().shape();
     let deepest = net.protocols[3].tree().deepest_level();
     for level in 1..=deepest {
-        shape.visit_level(level, &mut |idx, path, _labels| {
+        for idx in 0..shape.level_size(level) {
+            let path = &shape.path(level, idx);
             let q = *path.last().expect("non-root");
             if net.faulty.contains(q) {
-                return;
+                continue;
             }
             assert!(
                 is_common(&converted, level, idx),
@@ -68,7 +69,7 @@ fn correctness_lemma_on_exponential_tree() {
                 Res::Val(q_value),
                 "converted value at {path:?} differs from tree_q(parent)"
             );
-        });
+        }
     }
 }
 
@@ -97,7 +98,8 @@ fn frontier_lemma_on_exponential_tree() {
     let deepest = net.protocols[1].tree().deepest_level();
 
     // Every leaf-path must pass through a common node.
-    shape.visit_level(deepest, &mut |leaf_idx, path, _labels| {
+    for leaf_idx in 0..shape.level_size(deepest) {
+        let path = &shape.path(deepest, leaf_idx);
         let mut has_common = is_common(&converted, deepest, leaf_idx);
         // Walk ancestors.
         let mut idx = leaf_idx;
@@ -106,7 +108,7 @@ fn frontier_lemma_on_exponential_tree() {
             has_common |= is_common(&converted, level, idx);
         }
         assert!(has_common, "path {path:?} has no common node");
-    });
+    }
 
     // And the root is common (the lemma's conclusion).
     assert!(is_common(&converted, 0, 0), "s not common");
@@ -251,13 +253,14 @@ fn hidden_fault_lemma_on_stealthy_faults() {
         let l_p = proto.fault_list();
         let deepest = tree.deepest_level();
         for level in 1..deepest {
-            shape.visit_level(level, &mut |idx, path, labels| {
+            for idx in 0..shape.level_size(level) {
+                let path = &shape.path(level, idx);
                 // Node αr with every processor in the path faulty and r
                 // not discovered by p.
                 let all_faulty = path.iter().all(|q| faulty.contains(*q));
                 let r = *path.last().expect("non-root");
                 if !all_faulty || l_p.contains(r) {
-                    return;
+                    continue;
                 }
                 let child_vals: Vec<Value> = shape
                     .children_range(level, idx)
@@ -265,9 +268,10 @@ fn hidden_fault_lemma_on_stealthy_faults() {
                     .collect();
                 let majority = shifting_gears::eigtree::strict_majority(&child_vals)
                     .expect("Hidden Fault Lemma: majority must exist");
+                let labels = shape.child_labels(path);
                 let correct_support = child_vals
                     .iter()
-                    .zip(labels)
+                    .zip(&labels)
                     .filter(|(v, q)| **v == majority && !faulty.contains(**q))
                     .count();
                 assert!(
@@ -275,7 +279,7 @@ fn hidden_fault_lemma_on_stealthy_faults() {
                     "support {correct_support} < n-2t+|L| at {path:?} for {p}"
                 );
                 checked += 1;
-            });
+            }
         }
     }
     assert!(checked > 0, "lemma never exercised");
@@ -329,10 +333,11 @@ fn remark_2_correct_nodes_never_resolve_to_bottom() {
     let shape = *net.protocols[1].tree().shape();
     let deepest = net.protocols[1].tree().deepest_level();
     for level in 1..=deepest {
-        shape.visit_level(level, &mut |idx, path, _labels| {
+        for idx in 0..shape.level_size(level) {
+            let path = &shape.path(level, idx);
             let q = *path.last().expect("non-root");
             if net.faulty.contains(q) {
-                return;
+                continue;
             }
             for (p, c) in &converted {
                 assert_ne!(
@@ -341,7 +346,7 @@ fn remark_2_correct_nodes_never_resolve_to_bottom() {
                     "{p} resolved correct node {path:?} to ⊥"
                 );
             }
-        });
+        }
     }
 }
 
@@ -382,10 +387,11 @@ fn corollary_2_divergent_nodes_imply_mutual_discovery() {
     let deepest = net.protocols[0].tree().deepest_level();
     let mut exercised = 0usize;
     for level in 1..=deepest {
-        shape.visit_level(level, &mut |idx, path, _labels| {
+        for idx in 0..shape.level_size(level) {
+            let path = &shape.path(level, idx);
             let all_faulty = path.iter().all(|q| faulty.contains(*q));
             if !all_faulty {
-                return;
+                continue;
             }
             let r = *path.last().expect("non-root");
             for (pi, (p, cp)) in converted.iter().enumerate() {
@@ -403,7 +409,7 @@ fn corollary_2_divergent_nodes_imply_mutual_discovery() {
                     }
                 }
             }
-        });
+        }
     }
     // The adversary is blatant enough that divergence (or ⊥) occurs; if
     // every all-faulty node happened to be common, nothing was checked —

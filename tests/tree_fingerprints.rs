@@ -14,10 +14,13 @@ use shifting_gears::adversary::FaultSelection;
 use shifting_gears::analysis::{AdversaryFamily, Fingerprint, SweepConfig, SweepPlan};
 use shifting_gears::core::AlgorithmSpec;
 
+/// A cell's fingerprint and its Σ `max_local_ops`.
+type Pin = (u64, u64);
+
 /// `(spec, n)` of the benchmark's `tree-paper` workload, each at its
-/// maximum resilience, with the per-cell pins: the cell fingerprint and
-/// Σ `max_local_ops` under random-liar, then under chain-revealer(2,2).
-const PINS: [(AlgorithmSpec, usize, [(u64, u64); 2]); 7] = [
+/// maximum resilience, with the cell pins under random-liar, then under
+/// chain-revealer(2,2).
+const PINS: [(AlgorithmSpec, usize, [Pin; 2]); 7] = [
     (
         AlgorithmSpec::Exponential,
         10,
@@ -74,7 +77,7 @@ const PINS: [(AlgorithmSpec, usize, [(u64, u64); 2]); 7] = [
 ];
 
 /// Fingerprint and Σ `max_local_ops` of the whole 14-cell report.
-const REPORT_PIN: (u64, u64) = (0xb5a5_db96_0b77_5eb3, 746232);
+const REPORT_PIN: Pin = (0xb5a5_db96_0b77_5eb3, 746232);
 
 fn plan() -> SweepPlan {
     let honest_source = FaultSelection::without_source;
