@@ -1,29 +1,50 @@
 //! Vectorized fault injection for the lock-step batch engine.
 //!
-//! [`BatchFamily`] implements [`sg_sim::BatchAdversary`] for the six
+//! [`BatchFamily`] implements [`sg_sim::BatchAdversary`] for the seven
 //! binary-domain named families whose payload rules depend only on
 //! constructor parameters and the current round's broadcast view —
-//! never on per-call mutable state:
+//! never on per-call mutable state. Every rule has the same two halves:
+//! a member relays its honest *shadow* until its turn comes, then tells
+//! its family's story, one recipient row at a time.
 //!
-//! | family | vector rule |
-//! |---|---|
-//! | `silent` | nothing, ever |
-//! | `crash(r)` | shadow until round `r`, then nothing |
-//! | `omission(p,ph)` | shadow, minus the periodic edge drops |
-//! | `equivocate(split,s)` | shadow until `s`, then `0` below / `1` above the split |
-//! | `adaptive(schedule)` | shadow until a member's turn, then the flipped story |
-//! | `random-liar` | a fresh [`call_rng`] draw per (lane, edge) |
+//! | family | turn | story from then on |
+//! |---|---|---|
+//! | `silent` | at once | nothing |
+//! | `crash(r)` | round `r` | nothing |
+//! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops |
+//! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split |
+//! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value |
+//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) |
+//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) |
 //!
-//! All six choose their fault set through a seed-free
+//! (`rank` is the member's position in the fault set, ascending id.)
+//!
+//! All seven choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call covers every lane
 //! ([`BatchAdversary::corrupt_lanes`] materializes it into the lane
-//! masks without consulting the scalar lanes at all), and all six
+//! masks without consulting the scalar lanes at all), and all seven
 //! classify payloads into lane masks in one [`BatchAdversary::lies`]
 //! call per round — skipping per-lane view assembly and payload
-//! interning entirely. The per-lane draws of `random-liar` are the one
-//! irreducibly scalar part (each lane has its own seed), but the RNG is
-//! stateless per (round, sender, recipient) call, so the vector path's
-//! call order is free.
+//! interning entirely.
+//!
+//! # The first-draw kernel
+//!
+//! A scalar random lie of one value is `StdRng::seed_from_u64(seed ^
+//! edge).gen_range(0..size)`: a fresh generator per (round, sender,
+//! recipient), of which only the first output is ever read. The shim's
+//! generator is xoshiro256** seeded by four SplitMix64 words, and its
+//! first output is a function of `s[1]` alone — so the draw is the
+//! output scrambler over the *second* SplitMix64 word of `seed ^ edge`,
+//! then the range reduction: [`edge_draw`], three multiplies and no
+//! state. The vector path evaluates it for every lane of an edge in one
+//! branch-free loop (each lane has its own seed, the edge key is hoisted)
+//! that assembles the `one`/`zero` lane words and masks them once. The
+//! scalar strategies call the same function for one-value payloads, so
+//! the scalar engine, the bridge and this path read one definition. The
+//! committed fingerprints have always depended on the shim's stream;
+//! this only makes the dependence explicit, and the shim's
+//! `stream_is_pinned` plus `util`'s `first_draw_matches_the_generator`
+//! hold both ends.
 //!
 //! The wrapped scalar lanes stay reachable through
 //! [`BatchAdversary::lane`]: mixed-width kernels (king-shift,
@@ -36,13 +57,13 @@ use sg_sim::batch::{BatchAdversary, LaneView};
 use sg_sim::{Adversary, ProcessId, ProcessSet};
 
 use crate::selection::FaultSelection;
-use crate::util::call_rng;
-use rand::Rng;
+use crate::util::{edge_draw, edge_mix};
 
 /// Which vector-capable family a [`BatchFamily`] plays, with the same
-/// parameters as the scalar constructor it mirrors.
-#[derive(Clone, Debug)]
-pub enum VectorFamily {
+/// parameters as the scalar constructor it mirrors (borrowed: a family
+/// is rebuilt per 64-run chunk and owns nothing).
+#[derive(Clone, Copy, Debug)]
+pub enum VectorFamily<'a> {
     /// [`crate::Silent`]: never sends.
     Silent,
     /// [`crate::Crash`]: honest shadow until `crash_round`, then silent.
@@ -54,7 +75,19 @@ pub enum VectorFamily {
     /// per lane (lane order).
     RandomLiar {
         /// Per-lane RNG seeds, matching the wrapped scalar lanes.
-        seeds: Vec<u64>,
+        seeds: &'a [u64],
+    },
+    /// [`crate::ChainRevealer`]: the rank-`k` member is honest until
+    /// round `reveal_start + k·stride`, then lies like
+    /// [`VectorFamily::RandomLiar`].
+    ChainRevealer {
+        /// Per-lane RNG seeds, matching the wrapped scalar lanes.
+        seeds: &'a [u64],
+        /// Round (1-based) the rank-0 member reveals itself.
+        reveal_start: usize,
+        /// Rounds between reveals (clamped to ≥ 1, like the scalar
+        /// constructor).
+        stride: usize,
     },
     /// [`crate::Omission`]: periodic per-(round, edge) drops.
     Omission {
@@ -74,8 +107,28 @@ pub enum VectorFamily {
     /// [`crate::Adaptive`]: the rank-`k` member turns at `schedule[k]`.
     Adaptive {
         /// Activation rounds by fault-set rank (ascending id order).
-        schedule: Vec<usize>,
+        schedule: &'a [usize],
     },
+}
+
+impl VectorFamily<'_> {
+    /// The round from which the rank-`rank` member tells its story
+    /// instead of relaying its shadow; `None` if it never turns.
+    fn turn(&self, rank: usize) -> Option<usize> {
+        match *self {
+            VectorFamily::Silent
+            | VectorFamily::Omission { .. }
+            | VectorFamily::RandomLiar { .. } => Some(0),
+            VectorFamily::Crash { crash_round } => Some(crash_round),
+            VectorFamily::Equivocate { start, .. } => Some(start),
+            VectorFamily::Adaptive { schedule } => schedule.get(rank).copied(),
+            VectorFamily::ChainRevealer {
+                reveal_start,
+                stride,
+                ..
+            } => Some(reveal_start + rank * stride),
+        }
+    }
 }
 
 /// A batch-aware adversary for one of the [`VectorFamily`] strategies,
@@ -83,19 +136,21 @@ pub enum VectorFamily {
 /// parameters, same per-lane seeds) for the scalar-bridge duties that
 /// remain: mixed-width kernels' prefix rounds.
 pub struct BatchFamily<'a> {
-    family: VectorFamily,
-    selection: FaultSelection,
+    family: VectorFamily<'a>,
+    selection: &'a FaultSelection,
     lanes: &'a mut [Box<dyn Adversary>],
-    /// The lane-shared fault set, set by `corrupt_lanes`.
-    shared: Option<ProcessSet>,
 }
 
 impl<'a> BatchFamily<'a> {
     /// Wraps `lanes` (one scalar adversary per run, already seeded) with
     /// the vector rules of `family` over `selection`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seeded family does not carry one seed per lane.
     pub fn new(
-        family: VectorFamily,
-        selection: FaultSelection,
+        family: VectorFamily<'a>,
+        selection: &'a FaultSelection,
         lanes: &'a mut [Box<dyn Adversary>],
     ) -> Self {
         let family = match family {
@@ -103,24 +158,42 @@ impl<'a> BatchFamily<'a> {
                 period: period.max(1),
                 phase,
             },
+            VectorFamily::ChainRevealer {
+                seeds,
+                reveal_start,
+                stride,
+            } => VectorFamily::ChainRevealer {
+                seeds,
+                reveal_start,
+                stride: stride.max(1),
+            },
             other => other,
         };
-        if let VectorFamily::RandomLiar { seeds } = &family {
+        if let VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } =
+            family
+        {
             assert_eq!(seeds.len(), lanes.len(), "one seed per lane");
         }
         BatchFamily {
             family,
             selection,
             lanes,
-            shared: None,
         }
     }
 
     /// Copies a faulty sender's honest-shadow classification to every
     /// recipient, for the lanes in `mask` — the vector form of
     /// `shadow_or_missing` (lanes outside `present` stay missing, `⊥`
-    /// shadows land in neither mask).
-    fn shadow(view: &LaneView<'_>, f: usize, mask: u64, net_one: &mut [u64], net_zero: &mut [u64]) {
+    /// shadows land in neither mask) — skipping the recipients `dropped`
+    /// names.
+    fn shadow(
+        view: &LaneView<'_>,
+        f: usize,
+        mask: u64,
+        dropped: impl Fn(usize) -> bool,
+        net_one: &mut [u64],
+        net_zero: &mut [u64],
+    ) {
         let n = view.n;
         let one = view.one[f] & view.present[f] & mask;
         let zero = view.zero[f] & view.present[f] & mask;
@@ -128,7 +201,7 @@ impl<'a> BatchFamily<'a> {
             return;
         }
         for r in 0..n {
-            if r == f {
+            if r == f || dropped(r) {
                 continue;
             }
             net_one[f * n + r] |= one;
@@ -136,22 +209,56 @@ impl<'a> BatchFamily<'a> {
         }
     }
 
-    /// Sends the constant value `v` from `f` to `r` in the lanes of
+    /// Sends `story(r)` from `f` to every recipient `r` in the lanes of
     /// `mask`, classified like the scalar `Payload::value_at(0)` match.
-    #[inline]
     fn constant(
         view: &LaneView<'_>,
         f: usize,
-        r: usize,
-        v: u16,
         mask: u64,
+        story: impl Fn(usize) -> u16,
         net_one: &mut [u64],
         net_zero: &mut [u64],
     ) {
-        match v {
-            1 => net_one[f * view.n + r] |= mask,
-            0 => net_zero[f * view.n + r] |= mask,
-            _ => {}
+        let n = view.n;
+        for r in 0..n {
+            if r == f {
+                continue;
+            }
+            match story(r) {
+                1 => net_one[f * n + r] |= mask,
+                0 => net_zero[f * n + r] |= mask,
+                _ => {}
+            }
+        }
+    }
+
+    /// Sends every lane's own [`edge_draw`] from `f` to every recipient,
+    /// for the lanes in `mask`. All lanes of an edge are drawn — the
+    /// loop has no branch to mispredict and the draw is a handful of
+    /// multiplies — and the assembled words are masked once.
+    fn random(
+        view: &LaneView<'_>,
+        f: usize,
+        mask: u64,
+        seeds: &[u64],
+        net_one: &mut [u64],
+        net_zero: &mut [u64],
+    ) {
+        let n = view.n;
+        let size = view.domain.size();
+        for r in 0..n {
+            if r == f {
+                continue;
+            }
+            let edge = edge_mix(view.round, ProcessId(f), ProcessId(r));
+            let (mut one, mut zero) = (0u64, 0u64);
+            for (lane, &seed) in seeds.iter().enumerate() {
+                let v = edge_draw(seed, edge, size);
+                one |= u64::from(v == 1) << lane;
+                zero |= u64::from(v == 0) << lane;
+            }
+            net_one[f * n + r] |= one & mask;
+            net_zero[f * n + r] |= zero & mask;
         }
     }
 }
@@ -179,10 +286,12 @@ impl BatchAdversary for BatchFamily<'_> {
         for p in set.iter() {
             faulty[p.index()] |= all;
         }
-        for _ in 0..lanes {
-            fault_sets.push(set.clone());
+        // Sets the caller kept from its last batch are overwritten in
+        // place: no allocation per lane in the steady state.
+        for kept in fault_sets.iter_mut() {
+            kept.clone_from(&set);
         }
-        self.shared = Some(set);
+        fault_sets.resize(lanes, set);
         true
     }
 
@@ -191,114 +300,46 @@ impl BatchAdversary for BatchFamily<'_> {
     }
 
     fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
-        let set = self
-            .shared
-            .as_ref()
-            .expect("corrupt_lanes before the first round");
-        if set.is_empty() {
-            return;
-        }
-        let n = view.n;
-        match &self.family {
-            VectorFamily::Silent => {}
-            VectorFamily::Crash { crash_round } => {
-                if view.round < *crash_round {
-                    for f in set.iter() {
-                        Self::shadow(view, f.index(), view.active, net_one, net_zero);
-                    }
-                }
+        // Lane-uniform by construction (`corrupt_lanes`).
+        let set = &view.fault_sets[0];
+        for (rank, f) in set.iter().enumerate() {
+            let f = f.index();
+            if self.family.turn(rank).is_none_or(|turn| view.round < turn) {
+                Self::shadow(view, f, view.active, |_| false, net_one, net_zero);
+                continue;
             }
-            VectorFamily::Omission { period, phase } => {
-                for f in set.iter() {
-                    let f = f.index();
-                    let one = view.one[f] & view.present[f] & view.active;
-                    let zero = view.zero[f] & view.present[f] & view.active;
-                    if one == 0 && zero == 0 {
-                        continue;
-                    }
-                    for r in 0..n {
-                        if r == f || (view.round + f + r + phase).is_multiple_of(*period) {
-                            continue;
-                        }
-                        net_one[f * n + r] |= one;
-                        net_zero[f * n + r] |= zero;
-                    }
-                }
+            // A story replaces the shadow at its length (single values
+            // on the narrow path), so it exists in the lanes in which
+            // the shadow does — except that a turned adaptive source
+            // lies unconditionally in round 1.
+            let unconditional = matches!(self.family, VectorFamily::Adaptive { .. })
+                && view.round == 1
+                && f == view.source.index();
+            let mask = if unconditional {
+                view.active
+            } else {
+                view.present[f] & view.active
+            };
+            if mask == 0 {
+                continue;
             }
-            VectorFamily::Equivocate { split, start } => {
-                for f in set.iter() {
-                    let f = f.index();
-                    if view.round < *start {
-                        Self::shadow(view, f, view.active, net_one, net_zero);
-                        continue;
-                    }
-                    // The split stories replace the shadow at its length
-                    // (single values on the narrow path), for lanes in
-                    // which the shadow exists at all.
-                    let mask = view.present[f] & view.active;
-                    if mask == 0 {
-                        continue;
-                    }
-                    for r in 0..n {
-                        if r == f {
-                            continue;
-                        }
-                        let story = if r < *split { 0 } else { 1 };
-                        Self::constant(view, f, r, story, mask, net_one, net_zero);
-                    }
+            match self.family {
+                VectorFamily::Silent | VectorFamily::Crash { .. } => {}
+                VectorFamily::Omission { period, phase } => {
+                    let dropped = |r: usize| (view.round + f + r + phase).is_multiple_of(period);
+                    Self::shadow(view, f, mask, dropped, net_one, net_zero);
                 }
-            }
-            VectorFamily::Adaptive { schedule } => {
-                let lie = ((u32::from(view.source_value.raw()) + 1) % u32::from(view.domain.size()))
-                    as u16;
-                for (rank, f) in set.iter().enumerate() {
-                    let f = f.index();
-                    let turned = schedule.get(rank).is_some_and(|&turn| view.round >= turn);
-                    if !turned {
-                        Self::shadow(view, f, view.active, net_one, net_zero);
-                        continue;
-                    }
-                    // A turned source lies unconditionally in round 1
-                    // (no shadow required); elsewhere the lie replaces
-                    // an existing shadow.
-                    let mask = if view.round == 1 && f == view.source.index() {
-                        view.active
-                    } else {
-                        view.present[f] & view.active
-                    };
-                    if mask == 0 {
-                        continue;
-                    }
-                    for r in 0..n {
-                        if r != f {
-                            Self::constant(view, f, r, lie, mask, net_one, net_zero);
-                        }
-                    }
+                VectorFamily::Equivocate { split, .. } => {
+                    Self::constant(view, f, mask, |r| u16::from(r >= split), net_one, net_zero);
                 }
-            }
-            VectorFamily::RandomLiar { seeds } => {
-                // Per-lane draws are unavoidable (each lane has its own
-                // seed), but the per-call RNG is stateless, so the only
-                // contract is (seed, round, sender, recipient) — the
-                // same mix the scalar path feeds `call_rng`.
-                for f in set.iter() {
-                    let mask = view.present[f.index()] & view.active;
-                    if mask == 0 {
-                        continue;
-                    }
-                    for r in 0..n {
-                        if r == f.index() {
-                            continue;
-                        }
-                        let mut w = mask;
-                        while w != 0 {
-                            let lane = w.trailing_zeros() as usize;
-                            w &= w - 1;
-                            let mut rng = call_rng(seeds[lane], view.round, f, ProcessId(r));
-                            let v: u16 = rng.gen_range(0..view.domain.size());
-                            Self::constant(view, f.index(), r, v, 1u64 << lane, net_one, net_zero);
-                        }
-                    }
+                VectorFamily::Adaptive { .. } => {
+                    let flipped =
+                        (u32::from(view.source_value.raw()) + 1) % u32::from(view.domain.size());
+                    let lie = flipped as u16;
+                    Self::constant(view, f, mask, |_| lie, net_one, net_zero);
+                }
+                VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } => {
+                    Self::random(view, f, mask, seeds, net_one, net_zero);
                 }
             }
         }

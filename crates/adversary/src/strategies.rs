@@ -11,7 +11,7 @@ use std::sync::Arc;
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value};
 
 use crate::selection::FaultSelection;
-use crate::util::{call_rng, flip, map_shadow, random_payload, repeated, shadow_or_missing};
+use crate::util::{flip, map_shadow, random_payload, repeated, shadow_or_missing};
 
 /// Faulty processors behave perfectly honestly until `crash_round`, then
 /// go permanently silent — the classic crash-failure pattern, which
@@ -167,8 +167,7 @@ impl Adversary for RandomLiar {
         if len == 0 {
             return Payload::Missing;
         }
-        let mut rng = call_rng(self.seed, view.round, sender, recipient);
-        random_payload(&mut rng, view, len)
+        random_payload(self.seed, sender, recipient, view, len)
     }
 }
 
@@ -381,8 +380,7 @@ impl Adversary for ChainRevealer {
         if len == 0 {
             return Payload::Missing;
         }
-        let mut rng = call_rng(self.seed, view.round, sender, recipient);
-        random_payload(&mut rng, view, len)
+        random_payload(self.seed, sender, recipient, view, len)
     }
 }
 

@@ -4,33 +4,66 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sg_sim::{AdversaryView, Payload, ProcessId, Value};
 
-/// A deterministic RNG for one (round, sender, recipient) decision,
-/// independent of call order.
-pub fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId) -> StdRng {
-    let mix = seed
-        ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// The stream key of one (round, sender, recipient) decision, XORed
+/// into a strategy's seed: every edge of every round draws from its own
+/// stream, so lies do not depend on call order.
+#[inline]
+pub fn edge_mix(round: usize, sender: ProcessId, recipient: ProcessId) -> u64 {
+    (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (sender.index() as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ (recipient.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(mix)
+        ^ (recipient.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
 }
 
-/// A uniformly random in-domain value.
-fn random_value(rng: &mut StdRng, view: &AdversaryView<'_>) -> Value {
-    Value(rng.gen_range(0..view.domain.size()))
+/// The RNG of one edge decision, for lies longer than one value.
+fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ edge_mix(round, sender, recipient))
 }
 
-/// `len ≥ 1` uniformly random in-domain values, one [`random_value`] draw
-/// per slot in slot order whatever the representation: a
-/// [`Payload::single`] for the one-value broadcasts of the king-family
-/// protocols, bit-packed in binary domains (a 1320-slot tree-level lie is
-/// 168 bytes instead of 2.6 kB, once per faulty sender per recipient per
-/// round), a value vector otherwise.
-pub fn random_payload(rng: &mut StdRng, view: &AdversaryView<'_>, len: usize) -> Payload {
+/// The one-value lie of stream `seed ^ edge` ([`edge_mix`]) in a domain
+/// of `size` values: the value `StdRng::seed_from_u64(seed ^ edge)
+/// .gen_range(0..size)` returns, computed without building the generator.
+///
+/// `seed_from_u64` fills xoshiro256**'s state with four consecutive
+/// SplitMix64 words and the generator's first output reads only `s[1]`,
+/// so the first draw is the output scrambler over the *second*
+/// SplitMix64 word (state advanced by 2γ), reduced to the range by the
+/// same multiply-shift `gen_range` uses. Three multiplies and a widening
+/// one, no state, no call through a trait object — the form the 64-lane
+/// batch path evaluates per (lane, edge). Every single-value random lie
+/// (scalar strategies, bridge, vector path) is this function, and
+/// `first_draw_matches_the_generator` pins it to the generator.
+#[inline]
+pub fn edge_draw(seed: u64, edge: u64, size: u16) -> u16 {
+    let mut z = (seed ^ edge).wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(2));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let first = z.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    ((u128::from(first) * u128::from(size)) >> 64) as u16
+}
+
+/// `len ≥ 1` uniformly random in-domain values from `sender` to
+/// `recipient`, keyed by `seed` and the edge alone. The one-value
+/// broadcasts of the king-family protocols are a [`Payload::single`] of
+/// [`edge_draw`]; longer (tree-level) lies take one generator draw per
+/// slot in slot order whatever the representation — bit-packed in binary
+/// domains (a 1320-slot lie is 168 bytes instead of 2.6 kB, once per
+/// faulty sender per recipient per round), a value vector otherwise.
+pub fn random_payload(
+    seed: u64,
+    sender: ProcessId,
+    recipient: ProcessId,
+    view: &AdversaryView<'_>,
+    len: usize,
+) -> Payload {
+    let size = view.domain.size();
     if len == 1 {
-        return Payload::single(random_value(rng, view));
+        let edge = edge_mix(view.round, sender, recipient);
+        return Payload::single(Value(edge_draw(seed, edge, size)));
     }
-    let draws = (0..len).map(|_| random_value(rng, view));
-    if view.domain.size() == 2 {
+    let mut rng = call_rng(seed, view.round, sender, recipient);
+    let draws = (0..len).map(|_| Value(rng.gen_range(0..size)));
+    if size == 2 {
         Payload::packed(draws)
     } else {
         Payload::Values(draws.collect())
@@ -93,5 +126,24 @@ mod tests {
         let (x, y, z): (u64, u64, u64) = (a.gen(), b.gen(), c.gen());
         assert_eq!(x, y);
         assert_ne!(x, z);
+    }
+
+    #[test]
+    fn first_draw_matches_the_generator() {
+        let mut pick = StdRng::seed_from_u64(0xD1CE);
+        for _ in 0..10_000 {
+            let seed: u64 = pick.gen();
+            let round = pick.gen_range(1usize..40);
+            let sender = ProcessId(pick.gen_range(0usize..64));
+            let recipient = ProcessId(pick.gen_range(0usize..64));
+            let size = pick.gen_range(2u16..7);
+            let expected: u16 = call_rng(seed, round, sender, recipient).gen_range(0..size);
+            let edge = edge_mix(round, sender, recipient);
+            assert_eq!(
+                edge_draw(seed, edge, size),
+                expected,
+                "seed {seed:#x} round {round} {sender:?}->{recipient:?} size {size}"
+            );
+        }
     }
 }

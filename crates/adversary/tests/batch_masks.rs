@@ -1,0 +1,362 @@
+//! Mask-level differential test of the vector adversary path.
+//!
+//! Report fingerprints cannot see a wrong lie where it matters most:
+//! under a correct source a king run's metric sample does not depend on
+//! *what* the liars say (`random-liar` and `chain-revealer` sweeps of
+//! `optimal-king` print one fingerprint). So this test compares the
+//! lies themselves: for every vector family, over hand-built lane views,
+//! [`BatchFamily::lies`] must equal — word for word in `net_one` /
+//! `net_zero` — the masks obtained by asking each lane's scalar
+//! [`Adversary::payload`] in the scalar bridge's order and classifying
+//! `value_at(0)`, exactly as `sg_sim::run_batch_with` does without the
+//! vector path.
+
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sg_adversary::{
+    Adaptive, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, Omission, RandomLiar,
+    Silent, VectorFamily,
+};
+use sg_sim::batch::{BatchAdversary, LaneView};
+use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value, ValueDomain};
+
+const N: usize = 10;
+const T: usize = 3;
+const ROUNDS: usize = 6;
+
+/// One family under test: its vector form over the lane seeds, and the
+/// scalar strategy of one lane.
+struct Case {
+    name: &'static str,
+    vector: for<'a> fn(&'a [u64]) -> VectorFamily<'a>,
+    scalar: fn(&FaultSelection, u64) -> Box<dyn Adversary>,
+}
+
+/// The adaptive schedule: shorter than the fault set at `T = 3`, so the
+/// last member never turns.
+static SCHEDULE: [usize; 2] = [1, 3];
+
+fn cases() -> Vec<Case> {
+    vec![
+        Case {
+            name: "silent",
+            vector: |_| VectorFamily::Silent,
+            scalar: |sel, _| Box::new(Silent::new(sel.clone())),
+        },
+        Case {
+            name: "crash",
+            vector: |_| VectorFamily::Crash { crash_round: 3 },
+            scalar: |sel, _| Box::new(Crash::new(sel.clone(), 3)),
+        },
+        Case {
+            name: "omission",
+            vector: |_| VectorFamily::Omission {
+                period: 3,
+                phase: 1,
+            },
+            scalar: |sel, _| Box::new(Omission::new(sel.clone(), 3, 1)),
+        },
+        Case {
+            name: "equivocate",
+            vector: |_| VectorFamily::Equivocate { split: 4, start: 2 },
+            scalar: |sel, _| Box::new(Equivocate::new(sel.clone(), 4, 2)),
+        },
+        Case {
+            name: "adaptive",
+            vector: |_| VectorFamily::Adaptive {
+                schedule: &SCHEDULE,
+            },
+            scalar: |sel, _| Box::new(Adaptive::new(sel.clone(), SCHEDULE.to_vec())),
+        },
+        Case {
+            name: "random-liar",
+            vector: |seeds| VectorFamily::RandomLiar { seeds },
+            scalar: |sel, seed| Box::new(RandomLiar::new(sel.clone(), seed)),
+        },
+        Case {
+            name: "chain-revealer",
+            vector: |seeds| VectorFamily::ChainRevealer {
+                seeds,
+                reveal_start: 2,
+                stride: 2,
+            },
+            scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 2, 2, seed)),
+        },
+        Case {
+            // Stride 0 is clamped to 1 by both constructors.
+            name: "chain-revealer(stride 0)",
+            vector: |seeds| VectorFamily::ChainRevealer {
+                seeds,
+                reveal_start: 1,
+                stride: 0,
+            },
+            scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 1, 0, seed)),
+        },
+    ]
+}
+
+/// One round's broadcast classification: per slot, the lanes that send,
+/// and among those the lanes that send `1` / `0` (the rest send `⊥`).
+struct Broadcast {
+    present: Vec<u64>,
+    one: Vec<u64>,
+    zero: Vec<u64>,
+}
+
+impl Broadcast {
+    /// Random masks with holes (absent lanes) and `⊥` lanes; roughly
+    /// one slot in five is entirely silent, one in five entirely `⊥`.
+    fn random(rng: &mut StdRng, all: u64) -> Self {
+        let mut b = Broadcast {
+            present: vec![0; N],
+            one: vec![0; N],
+            zero: vec![0; N],
+        };
+        for j in 0..N {
+            let shape = rng.gen_range(0u16..5);
+            let present = match shape {
+                0 => 0,
+                1 => all,
+                _ => rng.gen::<u64>() & all,
+            };
+            let valued = if shape == 1 {
+                0
+            } else {
+                present & (rng.gen::<u64>() | rng.gen::<u64>())
+            };
+            let one = valued & rng.gen::<u64>();
+            b.present[j] = present;
+            b.one[j] = one;
+            b.zero[j] = valued & !one;
+        }
+        b
+    }
+}
+
+/// The scalar bridge of `sg_sim::run_batch_with`, restated: per active
+/// lane, split the broadcast into honest and shadow tables by the lane's
+/// fault set, then call `payload` for faulty senders ascending ×
+/// recipients ascending (self skipped) and classify the first value.
+#[allow(clippy::too_many_arguments)]
+fn bridge(
+    lanes: &mut [Box<dyn Adversary>],
+    fault_sets: &[ProcessSet],
+    round: usize,
+    source: ProcessId,
+    domain: ValueDomain,
+    broadcast: &Broadcast,
+    active: u64,
+    net_one: &mut [u64],
+    net_zero: &mut [u64],
+) {
+    let wire = [
+        Payload::single(Value(1)).into_shared(),
+        Payload::single(Value(0)).into_shared(),
+        Payload::single(Value(u16::MAX)).into_shared(),
+    ];
+    for (lane, adversary) in lanes.iter_mut().enumerate() {
+        let bit = 1u64 << lane;
+        if active & bit == 0 {
+            continue;
+        }
+        let faulty = &fault_sets[lane];
+        let mut honest: Vec<Option<Arc<Payload>>> = vec![None; N];
+        let mut shadow: Vec<Option<Arc<Payload>>> = vec![None; N];
+        for j in 0..N {
+            let payload = if broadcast.present[j] & bit == 0 {
+                None
+            } else if broadcast.one[j] & bit != 0 {
+                Some(wire[0].clone())
+            } else if broadcast.zero[j] & bit != 0 {
+                Some(wire[1].clone())
+            } else {
+                Some(wire[2].clone())
+            };
+            if faulty.contains(ProcessId(j)) {
+                shadow[j] = payload;
+            } else {
+                honest[j] = payload;
+            }
+        }
+        let view = AdversaryView {
+            round,
+            total_rounds: ROUNDS,
+            n: N,
+            t: T,
+            source,
+            source_value: Value(1),
+            domain,
+            faulty,
+            honest_broadcast: &honest,
+            shadow_broadcast: &shadow,
+            sigs: None,
+        };
+        for f in faulty.iter() {
+            for r in 0..N {
+                if r == f.index() {
+                    continue;
+                }
+                match adversary.payload(f, ProcessId(r), &view).value_at(0) {
+                    Some(Value(1)) => net_one[f.index() * N + r] |= bit,
+                    Some(Value(0)) => net_zero[f.index() * N + r] |= bit,
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn vector_lies_equal_the_scalar_bridge_word_for_word() {
+    let selections = [
+        FaultSelection::without_source(),
+        FaultSelection::with_source(),
+        FaultSelection::with_source().limit(2),
+        FaultSelection::without_source().limit(1),
+        FaultSelection::explicit([ProcessId(2), ProcessId(7), ProcessId(9)]),
+    ];
+    let source = ProcessId(0);
+    let mut rng = StdRng::seed_from_u64(0xBA7C);
+    let mut compared = 0usize;
+    for case in cases() {
+        for selection in &selections {
+            for domain_size in [2u16, 3] {
+                for lane_count in [1usize, 5, 64] {
+                    let domain = ValueDomain::new(domain_size);
+                    let all = if lane_count == 64 {
+                        !0
+                    } else {
+                        (1u64 << lane_count) - 1
+                    };
+                    // Non-consecutive seeds: no lane's stream is a
+                    // neighbour's plus one.
+                    let seeds: Vec<u64> = (0..lane_count).map(|_| rng.gen()).collect();
+                    let mut lanes: Vec<Box<dyn Adversary>> = seeds
+                        .iter()
+                        .map(|&seed| (case.scalar)(selection, seed))
+                        .collect();
+                    let mut oracle: Vec<Box<dyn Adversary>> = seeds
+                        .iter()
+                        .map(|&seed| (case.scalar)(selection, seed))
+                        .collect();
+                    let vector = (case.vector)(&seeds);
+                    let mut batch = BatchFamily::new(vector, selection, &mut lanes);
+
+                    let mut faulty = vec![0u64; N];
+                    // Stale sets from a previous batch must be overwritten.
+                    let mut fault_sets = vec![ProcessSet::new(N); lane_count / 2];
+                    assert!(batch.corrupt_lanes(N, T, source, &mut faulty, &mut fault_sets));
+                    assert_eq!(fault_sets.len(), lane_count);
+                    for (lane, scalar) in oracle.iter_mut().enumerate() {
+                        assert_eq!(fault_sets[lane], scalar.corrupt(N, T, source));
+                    }
+
+                    for round in 1..=ROUNDS {
+                        let broadcast = Broadcast::random(&mut rng, all);
+                        let active = match round % 3 {
+                            0 => all,
+                            _ => rng.gen::<u64>() & all,
+                        };
+                        let view = LaneView {
+                            round,
+                            total_rounds: ROUNDS,
+                            n: N,
+                            t: T,
+                            source,
+                            source_value: Value(1),
+                            domain,
+                            present: &broadcast.present,
+                            one: &broadcast.one,
+                            zero: &broadcast.zero,
+                            faulty: &faulty,
+                            fault_sets: &fault_sets,
+                            active,
+                        };
+                        let mut got_one = vec![0u64; N * N];
+                        let mut got_zero = vec![0u64; N * N];
+                        batch.lies(&view, &mut got_one, &mut got_zero);
+
+                        let mut want_one = vec![0u64; N * N];
+                        let mut want_zero = vec![0u64; N * N];
+                        bridge(
+                            &mut oracle,
+                            &fault_sets,
+                            round,
+                            source,
+                            domain,
+                            &broadcast,
+                            active,
+                            &mut want_one,
+                            &mut want_zero,
+                        );
+                        let context = format!(
+                            "{} over {selection:?}, |V|={domain_size}, {lane_count} lanes, round {round}",
+                            case.name
+                        );
+                        assert_eq!(got_one, want_one, "net_one: {context}");
+                        assert_eq!(got_zero, want_zero, "net_zero: {context}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 8 * 5 * 2 * 3 * ROUNDS);
+}
+
+/// The test above is only as strong as its inputs: a draw that never
+/// produced a `1` (or a view with no live faulty lane) would pass
+/// anything. Random lies over a fully present, fully active view must
+/// put a healthy share of lanes in each mask.
+#[test]
+fn random_lies_populate_both_masks() {
+    let seeds: Vec<u64> = (0..64u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let selection = FaultSelection::without_source();
+    let mut lanes: Vec<Box<dyn Adversary>> = seeds
+        .iter()
+        .map(|&seed| Box::new(RandomLiar::new(selection.clone(), seed)) as Box<dyn Adversary>)
+        .collect();
+    let mut batch = BatchFamily::new(
+        VectorFamily::RandomLiar { seeds: &seeds },
+        &selection,
+        &mut lanes,
+    );
+    let mut faulty = vec![0u64; N];
+    let mut fault_sets = Vec::new();
+    assert!(batch.corrupt_lanes(N, T, ProcessId(0), &mut faulty, &mut fault_sets));
+    let full = vec![!0u64; N];
+    let none = vec![0u64; N];
+    let view = LaneView {
+        round: 2,
+        total_rounds: ROUNDS,
+        n: N,
+        t: T,
+        source: ProcessId(0),
+        source_value: Value(1),
+        domain: ValueDomain::binary(),
+        present: &full,
+        one: &full,
+        zero: &none,
+        faulty: &faulty,
+        fault_sets: &fault_sets,
+        active: !0,
+    };
+    let mut one = vec![0u64; N * N];
+    let mut zero = vec![0u64; N * N];
+    batch.lies(&view, &mut one, &mut zero);
+    for f in fault_sets[0].iter() {
+        for r in (0..N).filter(|&r| r != f.index()) {
+            let (o, z) = (one[f.index() * N + r], zero[f.index() * N + r]);
+            assert_eq!(o ^ z, !0, "binary draws are 0 or 1 in every lane");
+            assert!(
+                (16..=48).contains(&o.count_ones()),
+                "edge {f:?}->{r}: {} ones of 64",
+                o.count_ones()
+            );
+        }
+    }
+}

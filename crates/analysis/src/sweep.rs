@@ -506,63 +506,65 @@ thread_local! {
 
 /// The vector (single-[`sg_sim::BatchAdversary::lies`]-call) form of a
 /// family's wire shape, where the batch adversary layer covers it:
-/// the six named families whose fault selection is lane-uniform and
-/// whose per-edge behaviour is a pure function of `(round, edge, seed)`.
-/// `None` routes the chunk through the per-lane scalar bridge — the
-/// vector path is absent, never wrong. Families with per-edge faults
-/// (`partition`) or call-order contracts (`tape`, traces) stay scalar by
-/// construction.
-fn vector_family(
-    family: &AdversaryFamily,
-    seeds: &[u64],
-) -> Option<(VectorFamily, FaultSelection)> {
-    match family.wire()? {
-        FamilyWire::RandomLiar(selection) => Some((
-            VectorFamily::RandomLiar {
-                seeds: seeds.to_vec(),
+/// the seven named families whose fault selection is lane-uniform and
+/// whose per-edge behaviour is a pure function of `(round, edge, seed)`
+/// — `seeds` being the chunk's, in lane order. `None` routes the chunk
+/// through the per-lane scalar bridge — the vector path is absent, never
+/// wrong. Families with per-edge faults (`partition`) or call-order
+/// contracts (`tape`, traces) stay scalar by construction.
+fn vector_family<'a>(
+    family: &'a AdversaryFamily,
+    seeds: &'a [u64],
+) -> Option<(VectorFamily<'a>, &'a FaultSelection)> {
+    Some(match family.wire()? {
+        FamilyWire::RandomLiar(selection) => (VectorFamily::RandomLiar { seeds }, selection),
+        FamilyWire::ChainRevealer {
+            selection,
+            start,
+            block,
+        } => (
+            VectorFamily::ChainRevealer {
+                seeds,
+                reveal_start: *start,
+                stride: *block,
             },
-            selection.clone(),
-        )),
-        FamilyWire::Crash { selection, round } => Some((
+            selection,
+        ),
+        FamilyWire::Crash { selection, round } => (
             VectorFamily::Crash {
                 crash_round: *round,
             },
-            selection.clone(),
-        )),
-        FamilyWire::Silent(selection) => Some((VectorFamily::Silent, selection.clone())),
+            selection,
+        ),
+        FamilyWire::Silent(selection) => (VectorFamily::Silent, selection),
         FamilyWire::Omission {
             selection,
             period,
             phase,
-        } => Some((
+        } => (
             VectorFamily::Omission {
                 period: *period,
                 phase: *phase,
             },
-            selection.clone(),
-        )),
+            selection,
+        ),
         FamilyWire::Equivocate {
             selection,
             split,
             start,
-        } => Some((
+        } => (
             VectorFamily::Equivocate {
                 split: *split,
                 start: *start,
             },
-            selection.clone(),
-        )),
+            selection,
+        ),
         FamilyWire::Adaptive {
             selection,
             schedule,
-        } => Some((
-            VectorFamily::Adaptive {
-                schedule: schedule.clone(),
-            },
-            selection.clone(),
-        )),
-        _ => None,
-    }
+        } => (VectorFamily::Adaptive { schedule }, selection),
+        _ => return None,
+    })
 }
 
 /// A sweep grid: `configs × adversaries × seeds_per_cell` executions.
@@ -805,7 +807,9 @@ impl SweepPlan {
         // One strategy instance per lane, reseeded in place (rebuilt
         // where the strategy declines), so pooled and fresh lane groups
         // behave identically.
-        let seeds: Vec<u64> = (0..len).map(|k| self.seed_for(ci, ai, si0 + k)).collect();
+        let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
+            std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
+        let seeds = &seeds[..len as usize];
         let family_key = FactoryKey(Arc::clone(&family.make));
         let mut lanes = pooled
             .then(|| scratch.lane_groups.take(&family_key))
@@ -820,7 +824,7 @@ impl SweepPlan {
             }
         }
 
-        let ran = match vector_family(family, &seeds) {
+        let ran = match vector_family(family, seeds) {
             Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
                 let mut batch = BatchFamily::new(vector, selection, &mut lanes);
                 sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch)

@@ -17,7 +17,11 @@
 //! * `batch-adversary/*` — the same 64-lane batch driven by a
 //!   vectorized `BatchFamily` vs the per-lane `ScalarBridge`, so the
 //!   fault-materialization layer (one mask computation per batch vs 64
-//!   per-edge adversary walks per round) is measured on its own;
+//!   per-edge adversary walks per round) is measured on its own; its
+//!   `draw/*` pair isolates one faulty sender's random row (64 lanes ×
+//!   30 recipients) drawn by building a generator per (lane, edge) and
+//!   calling it through `dyn RngCore` vs by `edge_draw`, the first-draw
+//!   kernel both paths now share;
 //! * `eigtree/*` — the tree machine's primitives on the shapes the
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
@@ -30,8 +34,13 @@
 //! decisions, pinned by `tests/early_stopping.rs`), and its ratio is the
 //! expedite speedup itself.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sg_adversary::{BatchFamily, Crash, FaultSelection, RandomLiar, VectorFamily};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{RngCore, SampleUniform, SeedableRng};
+use sg_adversary::{
+    edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, FaultSelection, RandomLiar,
+    VectorFamily,
+};
 use sg_core::{king_batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
@@ -240,12 +249,12 @@ fn bench_batch_runs(c: &mut Criterion) {
 /// `ScalarBridge` (every round walks every lane's faulty edges through
 /// the scalar `Adversary` trait) and once with the vectorized
 /// `BatchFamily` (one selection and one mask computation cover all 64
-/// lanes). Two families bracket the effect: `crash` is deterministic, so
-/// the vector path is pure mask algebra and the ratio is the full
-/// materialization cost; `random-liar` must reproduce the scalar path's
-/// per-edge RNG draws for bit-identity, so its ratio shows the
-/// irreducible RNG floor. `tests/batch_identity.rs` pins both paths
-/// bit-identical.
+/// lanes). `crash` is deterministic, so the vector path is pure mask
+/// algebra and the ratio is the full materialization cost;
+/// `random-liar` and `chain-revealer` draw per (lane, edge) on both
+/// paths, through the same `edge_draw`, so their ratio is what the
+/// bridge spends around the draws (view tables, virtual calls, payload
+/// objects). `tests/batch_identity.rs` pins the paths bit-identical.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
@@ -256,9 +265,12 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     let crash_lanes = |_: &u64| Box::new(Crash::new(selection.clone(), 2)) as Box<dyn Adversary>;
     let liar_lanes =
         |seed: &u64| Box::new(RandomLiar::new(selection.clone(), *seed)) as Box<dyn Adversary>;
+    let chain_lanes = |seed: &u64| {
+        Box::new(ChainRevealer::new(selection.clone(), 2, 2, *seed)) as Box<dyn Adversary>
+    };
 
     type LaneMaker<'a> = &'a dyn Fn(&u64) -> Box<dyn Adversary>;
-    let cases: [(&str, VectorFamily, LaneMaker); 2] = [
+    let cases: [(&str, VectorFamily, LaneMaker); 3] = [
         (
             "crash",
             VectorFamily::Crash { crash_round: 2 },
@@ -266,10 +278,17 @@ fn bench_batch_adversaries(c: &mut Criterion) {
         ),
         (
             "random-liar",
-            VectorFamily::RandomLiar {
-                seeds: seeds.clone(),
-            },
+            VectorFamily::RandomLiar { seeds: &seeds },
             &liar_lanes,
+        ),
+        (
+            "chain-revealer",
+            VectorFamily::ChainRevealer {
+                seeds: &seeds,
+                reveal_start: 2,
+                stride: 2,
+            },
+            &chain_lanes,
         ),
     ];
     let mut batch_arena = BatchArena::new();
@@ -291,7 +310,7 @@ fn bench_batch_adversaries(c: &mut Criterion) {
             b.iter(|| {
                 let mut kernel = king_batch_kernel(&spec, &config).expect("eligible cell");
                 let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
-                let mut batch = BatchFamily::new(vector.clone(), selection.clone(), &mut lanes);
+                let mut batch = BatchFamily::new(vector, &selection, &mut lanes);
                 assert!(run_batch_with(
                     &mut batch_arena,
                     &config,
@@ -301,6 +320,39 @@ fn bench_batch_adversaries(c: &mut Criterion) {
             });
         });
     }
+
+    // One faulty sender's random row at n = 31: 64 lanes × 30 recipients
+    // of binary draws, counted so the work cannot be optimized away.
+    let sender = ProcessId(1);
+    let recipients = || (0..31).filter(|&r| r != 1).map(ProcessId);
+    group.bench_function("batch-adversary/draw/generator-per-edge", |b| {
+        b.iter(|| {
+            let mut ones = 0u32;
+            for r in recipients() {
+                let edge = edge_mix(3, sender, r);
+                for &seed in black_box(&seeds) {
+                    // Through `dyn`, as the shim's `gen_range` drew before
+                    // it went generic: the full state must be built.
+                    let mut rng = StdRng::seed_from_u64(seed ^ edge);
+                    let rng: &mut dyn RngCore = black_box(&mut rng);
+                    ones += u32::from(u16::sample_half_open(0, 2, rng));
+                }
+            }
+            ones
+        });
+    });
+    group.bench_function("batch-adversary/draw/first-draw-kernel", |b| {
+        b.iter(|| {
+            let mut ones = 0u32;
+            for r in recipients() {
+                let edge = edge_mix(3, sender, r);
+                for &seed in black_box(&seeds) {
+                    ones += u32::from(edge_draw(seed, edge, 2));
+                }
+            }
+            ones
+        });
+    });
     group.finish();
 }
 

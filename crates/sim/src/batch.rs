@@ -279,8 +279,11 @@ pub trait BatchAdversary {
     fn lanes(&self) -> usize;
 
     /// Materializes every lane's fault set: sets bit `lane` of
-    /// `faulty[p]` for each corrupted processor `p` and pushes one
-    /// [`ProcessSet`] per lane (lane order) onto `fault_sets`.
+    /// `faulty[p]` for each corrupted processor `p` and leaves exactly
+    /// one [`ProcessSet`] per lane (lane order) in `fault_sets`. The
+    /// vector arrives holding at most that many stale sets from the
+    /// caller's previous batch, for implementors to overwrite in place
+    /// ([`Clone::clone_from`]) instead of allocating one per lane.
     ///
     /// Returns `false` — **without consuming any lane** — when a lane
     /// reports per-edge faults, which the word-per-slot layout cannot
@@ -349,7 +352,10 @@ impl BatchAdversary for ScalarBridge<'_> {
             for p in set.iter() {
                 faulty[p.index()] |= 1u64 << lane;
             }
-            fault_sets.push(set);
+            match fault_sets.get_mut(lane) {
+                Some(kept) => *kept = set,
+                None => fault_sets.push(set),
+            }
         }
         true
     }
@@ -581,7 +587,8 @@ impl BatchArena {
             buf.clear();
             buf.resize(n * n, 0);
         }
-        self.fault_sets.clear();
+        // Kept, not cleared: `corrupt_lanes` overwrites them in place.
+        self.fault_sets.truncate(lanes);
         self.view_honest.clear();
         self.view_honest.resize(n, None);
         self.view_shadow.clear();

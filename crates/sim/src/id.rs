@@ -73,10 +73,26 @@ impl From<usize> for ProcessId {
 /// assert_eq!(s.len(), 1);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![ProcessId(2)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ProcessSet {
     bits: Vec<bool>,
     count: usize,
+}
+
+impl Clone for ProcessSet {
+    fn clone(&self) -> Self {
+        ProcessSet {
+            bits: self.bits.clone(),
+            count: self.count,
+        }
+    }
+
+    /// Reuses `self`'s buffer (the batch engine overwrites one kept set
+    /// per lane per chunk; the derived `clone_from` would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+        self.count = source.count;
+    }
 }
 
 impl ProcessSet {

@@ -23,7 +23,7 @@
 //!
 //! The same contract covers the batch *adversary* layer
 //! (`sg_sim::set_batch_adversaries`): the vectorized fault-injection
-//! path for the six named families must be unobservable next to the
+//! path for the seven named families must be unobservable next to the
 //! per-lane scalar bridge.
 
 use std::sync::Mutex;
@@ -154,19 +154,26 @@ proptest! {
         prop_assert_eq!(&cursors, &batched);
         prop_assert_eq!(batched.fingerprint(), scalar.fingerprint());
     }
+}
+
+proptest! {
+    // 128 (spec, family, selection) combinations, each a few ms.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The batch *adversary* layer is as unobservable as the batch
     /// executor: for the kernel-backed specs (the king-tail gear hybrids
     /// and the phase family) under every vector-eligible named family at
-    /// `f ∈ {0, 1, t}`, the vectorized fault-injection path
-    /// (`set_batch_adversaries(true)`, one `lies` call per round), the
-    /// per-lane scalar bridge (`false`), and the fully scalar engine
+    /// `f ∈ {0, 1, t}` and with the source among the faulty (what makes
+    /// a king sample depend on the lies told), the vectorized
+    /// fault-injection path (`set_batch_adversaries(true)`, one `lies`
+    /// call per round) — through `SweepPlan::run` and through cursors —
+    /// the per-lane scalar bridge (`false`), and the fully scalar engine
     /// (`set_batch_runs(false)`) all produce one report.
     #[test]
     fn batch_adversaries_are_bit_identical_too(
         spec_idx in 0usize..4,
-        adv_idx in 0usize..6,
-        f in 0usize..3,
+        adv_idx in 0usize..8,
+        sel_idx in 0usize..4,
     ) {
         let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let spec = [
@@ -175,7 +182,10 @@ proptest! {
             AlgorithmSpec::PhaseKing,
             AlgorithmSpec::OptimalKing,
         ][spec_idx];
-        let sel = FaultSelection::without_source().limit([0, 1, 2][f]);
+        let sel = match sel_idx {
+            3 => FaultSelection::with_source(),
+            f => FaultSelection::without_source().limit(f),
+        };
         let family = [
             AdversaryFamily::random_liar(sel.clone()),
             AdversaryFamily::crash(sel.clone(), 2),
@@ -183,6 +193,8 @@ proptest! {
             AdversaryFamily::omission(sel.clone(), 2, 0),
             AdversaryFamily::equivocate(sel.clone(), 3, 1),
             AdversaryFamily::adaptive(sel.clone(), vec![2, 4]),
+            AdversaryFamily::chain_revealer(sel.clone(), 2, 2),
+            AdversaryFamily::chain_revealer(sel.clone(), 1, 1),
         ][adv_idx].clone();
         let seeds = match spec {
             AlgorithmSpec::OptimalKing | AlgorithmSpec::PhaseKing => 65,
@@ -196,6 +208,7 @@ proptest! {
         set_batch_runs(true);
         set_batch_adversaries(true);
         let vectorized = plan.run_with_jobs(1);
+        let cursors = via_cursors(&plan);
         set_batch_adversaries(false);
         let bridged = plan.run_with_jobs(1);
         set_batch_adversaries(true);
@@ -204,6 +217,7 @@ proptest! {
         set_batch_runs(true);
         prop_assert_eq!(&vectorized, &bridged);
         prop_assert_eq!(&vectorized, &scalar);
+        prop_assert_eq!(&vectorized, &cursors);
         prop_assert_eq!(vectorized.fingerprint(), scalar.fingerprint());
     }
 }
@@ -321,7 +335,7 @@ fn gear_kernels_match_scalar_across_chunks_and_jobs() {
 }
 
 /// Lane divergence inside one `dynamic-king` batch: at `(10, 3)` under
-/// seed-dependent random liars, different lanes accumulate different
+/// seed-dependent random lies, different lanes accumulate different
 /// fault evidence, so at a checkpoint some lanes' correct processors
 /// vote to shift unanimously (the kernel commits the gear shift in
 /// lock-step) while others split or decline — deferred lanes retire to
@@ -330,8 +344,7 @@ fn gear_kernels_match_scalar_across_chunks_and_jobs() {
 /// be bit-identical to the all-scalar run; the round histogram must
 /// actually spread, or the cell silently degrades to the uniform case
 /// the property test already covers.
-#[test]
-fn dynamic_king_lane_divergence_splits_the_batch() {
+fn assert_dynamic_king_batch_splits(family: AdversaryFamily) {
     let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = SweepPlan::new(
         vec![SweepConfig::traced(
@@ -339,9 +352,7 @@ fn dynamic_king_lane_divergence_splits_the_batch() {
             10,
             3,
         )],
-        vec![AdversaryFamily::random_liar(
-            FaultSelection::without_source().limit(2),
-        )],
+        vec![family],
         64,
     );
     let (batched, scalar) = batched_and_scalar(&plan, 1);
@@ -354,6 +365,24 @@ fn dynamic_king_lane_divergence_splits_the_batch() {
         distinct.len() >= 2,
         "cell retired uniformly (rounds {distinct:?}); pick a livelier cell"
     );
+}
+
+#[test]
+fn dynamic_king_lane_divergence_splits_the_batch() {
+    assert_dynamic_king_batch_splits(AdversaryFamily::random_liar(
+        FaultSelection::without_source().limit(2),
+    ));
+}
+
+/// The same split under staged reveals: the lies start per rank, so the
+/// vector path's turn rule decides which lanes see evidence when.
+#[test]
+fn dynamic_king_chain_revealer_splits_the_batch() {
+    assert_dynamic_king_batch_splits(AdversaryFamily::chain_revealer(
+        FaultSelection::without_source().limit(2),
+        2,
+        2,
+    ));
 }
 
 /// Worker count and batching compose: a mixed grid (kernel cell +
