@@ -9,10 +9,13 @@
 //!   wire form (the same [`crate::wire`] encodings `sg-serve/1` and the
 //!   scenario format speak, so the address is stable across processes
 //!   and machines);
-//! * [`engine_epoch`] fingerprints the execution environment: the four
-//!   engine fast-path toggles and [`ENGINE_VERSION_TAG`]. Flip any
-//!   toggle — or land an engine change that bumps the tag — and every
-//!   lookup misses, which is the entire invalidation story.
+//! * [`SweepPlan::epoch`] fingerprints the engine the plan asks for:
+//!   [`ENGINE_VERSION_TAG`] and the plan's early-stopping flag, the one
+//!   option that changes results. Ask for the other mode — or land an
+//!   engine change that bumps the tag — and every lookup misses, which
+//!   is the entire invalidation story. The epoch is a function of the
+//!   plan, never of the process: a client and a daemon derive the same
+//!   one from the same submit frame.
 //!
 //! [`SweepPlan::run_with_journal`] is then the incremental executor:
 //! partition the grid into hits and misses, compute only the misses
@@ -32,37 +35,21 @@ use sg_journal::{CellKey, EngineEpoch, Journal};
 
 use crate::sweep::{CellReport, Fingerprint, SweepPlan, SweepReport};
 
-/// Compiled-in engine version tag, mixed into every [`engine_epoch`].
+/// Compiled-in engine version tag, mixed into every [`epoch_for`].
 ///
 /// Bump this whenever an engine or protocol change may alter sweep
 /// bytes (new kernel, changed tally rule, different accounting): the
 /// epoch moves, every journal entry written before the change misses,
 /// and `sg journal compact` reclaims the dead epoch.
-pub const ENGINE_VERSION_TAG: &str = "sg-engine/9";
+pub const ENGINE_VERSION_TAG: &str = "sg-engine/10";
 
-/// The engine epoch of this process right now: [`epoch_for`] over the
-/// live toggle set and [`ENGINE_VERSION_TAG`].
-pub fn engine_epoch() -> EngineEpoch {
-    epoch_for(
-        ENGINE_VERSION_TAG,
-        [
-            sg_sim::early_stopping_enabled(),
-            sg_sim::instance_pooling_enabled(),
-            sg_sim::batch_runs_enabled(),
-            sg_sim::packed_broadcast_enabled(),
-        ],
-    )
-}
-
-/// Fingerprints an engine configuration: `tag` plus the toggle set
-/// (early-stop, instance-pool, batch, packed-broadcast, in that order).
-/// Public so invalidation tests can enumerate neighbouring epochs.
-pub fn epoch_for(tag: &str, toggles: [bool; 4]) -> EngineEpoch {
+/// Fingerprints an engine identity: `tag` plus whether runs may stop
+/// early. Public so invalidation tests can enumerate neighbouring
+/// epochs and `sg journal stat` can name this build's two.
+pub fn epoch_for(tag: &str, early_stopping: bool) -> EngineEpoch {
     let mut fp = Fingerprint::new();
     fp.mix_bytes(tag.as_bytes());
-    for toggle in toggles {
-        fp.mix_u64(u64::from(toggle));
-    }
+    fp.mix_u64(u64::from(early_stopping));
     EngineEpoch(fp.value())
 }
 
@@ -83,6 +70,12 @@ pub struct JournalSweep {
 }
 
 impl SweepPlan {
+    /// The journal epoch this plan's cells are stored under: this
+    /// build's [`ENGINE_VERSION_TAG`] and the plan's early-stopping flag.
+    pub fn epoch(&self) -> EngineEpoch {
+        epoch_for(ENGINE_VERSION_TAG, self.early_stopping)
+    }
+
     /// The content address of flat cell `cell`, or `None` when the
     /// cell's adversary family was built from closures and has no wire
     /// form — such cells are simply always computed.
@@ -92,7 +85,7 @@ impl SweepPlan {
     /// source value, trace flag) and adversary family, plus the cell's
     /// first seed and the samples-per-cell count — everything that
     /// determines the cell's bytes besides the engine itself, which
-    /// [`engine_epoch`] covers.
+    /// [`SweepPlan::epoch`] covers.
     ///
     /// # Panics
     ///
@@ -149,9 +142,9 @@ impl SweepPlan {
     }
 
     /// Executes the plan against `journal`: cells already stored under
-    /// the current [`engine_epoch`] are streamed back, only the rest are
-    /// computed (with `jobs` workers, through the cold path's exact
-    /// chunked executor) and appended.
+    /// the plan's [epoch](SweepPlan::epoch) are streamed back, only the
+    /// rest are computed (with `jobs` workers, through the cold path's
+    /// exact chunked executor) and appended.
     ///
     /// # Panics
     ///
@@ -162,7 +155,7 @@ impl SweepPlan {
             !self.configs.is_empty() && !self.adversaries.is_empty() && self.seeds_per_cell > 0,
             "empty sweep plan"
         );
-        let epoch = engine_epoch();
+        let epoch = self.epoch();
         let count = self.cell_count();
         let keys: Vec<Option<CellKey>> = (0..count).map(|c| self.cell_key(c)).collect();
         let mut slots: Vec<Option<CellReport>> = Vec::new();
@@ -259,13 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn epoch_moves_with_every_toggle_and_the_tag() {
-        let base = epoch_for(ENGINE_VERSION_TAG, [true; 4]);
-        assert_ne!(base, epoch_for("sg-engine/next", [true; 4]));
-        for flip in 0..4 {
-            let mut toggles = [true; 4];
-            toggles[flip] = false;
-            assert_ne!(base, epoch_for(ENGINE_VERSION_TAG, toggles));
-        }
+    fn epoch_moves_with_the_mode_and_the_tag() {
+        let base = plan(5).epoch();
+        assert_eq!(base, epoch_for(ENGINE_VERSION_TAG, true));
+        assert_eq!(
+            base,
+            plan(9).with_base_seed(3).epoch(),
+            "coordinates are not epoch"
+        );
+        assert_ne!(base, plan(5).fixed_length().epoch());
+        assert_ne!(base, epoch_for("sg-engine/next", true));
+        assert_eq!(
+            plan(5).cell_key(0),
+            plan(5).fixed_length().cell_key(0),
+            "the mode lives in the epoch, not the key"
+        );
     }
 }

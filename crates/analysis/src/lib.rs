@@ -23,7 +23,7 @@ pub mod table;
 pub mod wire;
 
 pub use experiments::{all_experiments, measure, plan_figures, Measured, Scale};
-pub use journal::{engine_epoch, epoch_for, JournalSweep, ENGINE_VERSION_TAG};
+pub use journal::{epoch_for, JournalSweep, ENGINE_VERSION_TAG};
 pub use montecarlo::{early_stop_rate, random_liar_sweep, sample_of, summarize, Sample, Summary};
 pub use scenario::{Scenario, ScenarioError, Verdict, SCENARIO_SCHEMA};
 pub use stability::{lock_in, StabilityReport};

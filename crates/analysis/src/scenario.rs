@@ -20,7 +20,7 @@ use serde::json::{JsonError, Value as Json};
 use serde::{FromJson, ToJson};
 use sg_adversary::{AdversaryTrace, RecordingAdversary, ReplayAdversary, TraceError};
 use sg_core::SpecError;
-use sg_sim::{Adversary, Outcome, RunConfig, Value};
+use sg_sim::{Adversary, Outcome, Value};
 
 use crate::montecarlo::{sample_of, Sample};
 use crate::SweepConfig;
@@ -173,15 +173,6 @@ impl From<SpecError> for ScenarioError {
     }
 }
 
-fn run_config(config: &SweepConfig) -> RunConfig {
-    let rc = RunConfig::new(config.n, config.t).with_source_value(config.source_value);
-    if config.trace {
-        rc.with_trace()
-    } else {
-        rc
-    }
-}
-
 /// Executes `config` against `adversary`, recording the run into a
 /// [`Scenario`].
 ///
@@ -199,7 +190,7 @@ pub fn record(
     adversary: Box<dyn Adversary>,
 ) -> Result<(Scenario, Outcome), ScenarioError> {
     let mut recorder = RecordingAdversary::new(adversary);
-    let outcome = sg_core::execute(config.spec, &run_config(config), &mut recorder)?;
+    let outcome = sg_core::execute(config.spec, &config.run_config(), &mut recorder)?;
     let trace = recorder.finish()?;
     let scenario = Scenario {
         config: *config,
@@ -224,7 +215,7 @@ pub fn replay(scenario: &Scenario) -> Result<Verdict, ScenarioError> {
     let mut replayer = ReplayAdversary::new(Arc::new(scenario.trace.clone()))?;
     let outcome = sg_core::execute(
         scenario.config.spec,
-        &run_config(&scenario.config),
+        &scenario.config.run_config(),
         &mut replayer,
     )?;
     replayer.verify()?;

@@ -129,7 +129,8 @@ impl SweepConfig {
         }
     }
 
-    fn run_config(&self) -> RunConfig {
+    /// The engine configuration of one (early-stopping) run of this cell.
+    pub(crate) fn run_config(&self) -> RunConfig {
         let config = RunConfig::new(self.n, self.t).with_source_value(self.source_value);
         if self.trace {
             config.with_trace()
@@ -457,14 +458,11 @@ impl PartialEq for FactoryKey {
 /// keep one in a thread-local; a caller driving [`CellCursor`]s owns one
 /// and passes it to every [`CellCursor::advance`].
 ///
-/// All three pools are bypassed (neither read nor written) under
-/// `sg_sim::set_instance_pooling(false)`, the same escape hatch that
-/// governs protocol instances, and every pooled value is re-initialized
-/// on checkout (`reseed`-or-rebuild for strategies, a full `reset` for
-/// kernels), so pooling is never wrong, only absent: pooled and fresh
-/// execution are bit-identical (`tests/early_stopping.rs`,
-/// `tests/instance_pool.rs`). A default scratch is cold: every buffer
-/// grows on first use.
+/// Every pooled value is re-initialized on checkout (`reseed`-or-rebuild
+/// for strategies, a full `reset` for kernels), so pooling is never
+/// wrong, only absent: `tests/engine_identity.rs` holds pooled execution
+/// to the fresh-everything `sg_sim::reference`. A default scratch is
+/// cold: every buffer grows on first use.
 #[derive(Default)]
 pub struct SweepScratch {
     /// Scalar-engine buffers and the keyed protocol-instance pool.
@@ -578,6 +576,11 @@ pub struct SweepPlan {
     pub seeds_per_cell: u64,
     /// Base of the per-cell seed streams (see the module docs).
     pub base_seed: u64,
+    /// Whether the plan's runs may stop early (`true` by default) — part
+    /// of *which executions the plan asks for*, like the seeds: it
+    /// travels on the wire and selects the journal epoch
+    /// ([`SweepPlan::epoch`]).
+    pub early_stopping: bool,
 }
 
 impl SweepPlan {
@@ -592,6 +595,7 @@ impl SweepPlan {
             adversaries,
             seeds_per_cell,
             base_seed: 0,
+            early_stopping: true,
         }
     }
 
@@ -599,6 +603,20 @@ impl SweepPlan {
     pub fn with_base_seed(mut self, base_seed: u64) -> Self {
         self.base_seed = base_seed;
         self
+    }
+
+    /// Asks for full static schedules: every run executes under
+    /// [`RunConfig::fixed_length`].
+    pub fn fixed_length(mut self) -> Self {
+        self.early_stopping = false;
+        self
+    }
+
+    /// The engine configuration of cell row `ci`'s runs.
+    fn run_config(&self, ci: usize) -> RunConfig {
+        let mut config = self.configs[ci].run_config();
+        config.early_stopping = self.early_stopping;
+        config
     }
 
     /// The adversary seed of run `si` in cell `(ci, ai)` — the module
@@ -655,7 +673,7 @@ impl SweepPlan {
         // Results are flattened back into `(ci, ai, si)` order, so the
         // report bytes depend on neither the worker interleaving nor how
         // `run_chunk` executed each unit (pinned by
-        // `tests/batch_identity.rs`).
+        // `tests/engine_identity.rs`).
         let chunk = sg_sim::MAX_BATCH_RUNS as u64;
         let units: Vec<(usize, usize, u64, u64)> = cells
             .iter()
@@ -747,9 +765,8 @@ impl SweepPlan {
     /// When the cell has a lock-step kernel (the king, phase and
     /// gear-shifting families on eligible configurations) the whole
     /// chunk executes in one [`sg_sim::run_batch`] call; everything else
-    /// — other specs, edge-faulting adversaries, `--no-batch`, a 1-seed
-    /// tail — runs seed by seed on the scalar engine. Both emit
-    /// identical samples.
+    /// — other specs, edge-faulting adversaries, a 1-seed tail — runs
+    /// seed by seed on the scalar engine. Both emit identical samples.
     fn run_chunk(
         &self,
         scratch: &mut SweepScratch,
@@ -759,9 +776,7 @@ impl SweepPlan {
         len: u64,
         out: &mut Vec<Sample>,
     ) {
-        let lockstep = len > 1
-            && sg_sim::batch_runs_enabled()
-            && self.run_chunk_lockstep(scratch, ci, ai, si0, len, out);
+        let lockstep = len > 1 && self.run_chunk_lockstep(scratch, ci, ai, si0, len, out);
         if !lockstep {
             out.extend((0..len).map(|k| self.run_scalar(scratch, ci, ai, si0 + k)));
         }
@@ -775,13 +790,13 @@ impl SweepPlan {
     /// the chunk from scratch.
     ///
     /// Fault injection takes the vector path ([`BatchFamily`], one
-    /// `lies` call per round) when the family's wire shape has one and
-    /// the `--no-batch-adversary` escape hatch is off; otherwise every
-    /// lane bridges to its scalar adversary in the scalar engine's exact
-    /// call order. Lanes a mixed-width kernel declines mid-run (a
-    /// `dynamic-king` gear vote that diverges from its scalar poll)
-    /// come back marked `deferred` and re-run on the scalar engine,
-    /// spliced into the chunk's samples at their seed position.
+    /// `lies` call per round) when the family's wire shape has one;
+    /// otherwise every lane bridges to its scalar adversary in the
+    /// scalar engine's exact call order. Lanes a mixed-width kernel
+    /// declines mid-run (a `dynamic-king` gear vote that diverges from
+    /// its scalar poll) come back marked `deferred` and re-run on the
+    /// scalar engine, spliced into the chunk's samples at their seed
+    /// position.
     fn run_chunk_lockstep(
         &self,
         scratch: &mut SweepScratch,
@@ -792,29 +807,25 @@ impl SweepPlan {
         out: &mut Vec<Sample>,
     ) -> bool {
         let config = &self.configs[ci];
-        let run_config = config.run_config();
+        let run_config = self.run_config(ci);
         let family = &self.adversaries[ai];
-        let pooled = sg_sim::instance_pooling_enabled();
 
         let kernel_key = (config.spec, run_config);
-        let warm_kernel = pooled.then(|| scratch.kernels.take(&kernel_key)).flatten();
-        let Some(mut kernel) =
-            warm_kernel.or_else(|| sg_core::batch_kernel(&config.spec, &run_config))
+        let Some(mut kernel) = scratch
+            .kernels
+            .take(&kernel_key)
+            .or_else(|| sg_core::batch_kernel(&config.spec, &run_config))
         else {
             return false;
         };
 
         // One strategy instance per lane, reseeded in place (rebuilt
-        // where the strategy declines), so pooled and fresh lane groups
-        // behave identically.
+        // where the strategy declines).
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
         let family_key = FactoryKey(Arc::clone(&family.make));
-        let mut lanes = pooled
-            .then(|| scratch.lane_groups.take(&family_key))
-            .flatten()
-            .unwrap_or_default();
+        let mut lanes = scratch.lane_groups.take(&family_key).unwrap_or_default();
         lanes.truncate(seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
             if lane == lanes.len() {
@@ -825,16 +836,14 @@ impl SweepPlan {
         }
 
         let ran = match vector_family(family, seeds) {
-            Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
+            Some((vector, selection)) => {
                 let mut batch = BatchFamily::new(vector, selection, &mut lanes);
                 sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch)
             }
-            _ => sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes),
+            None => sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes),
         };
-        if pooled {
-            scratch.kernels.put(kernel_key, kernel);
-            scratch.lane_groups.put(family_key, lanes);
-        }
+        scratch.kernels.put(kernel_key, kernel);
+        scratch.lane_groups.put(family_key, lanes);
         if !ran {
             return false;
         }
@@ -872,18 +881,17 @@ impl SweepPlan {
         let config = &self.configs[ci];
         let family = &self.adversaries[ai];
         let seed = self.seed_for(ci, ai, si);
-        let pooled = sg_sim::instance_pooling_enabled();
         let family_key = FactoryKey(Arc::clone(&family.make));
-        let mut adversary = pooled
-            .then(|| scratch.adversaries.take(&family_key))
-            .flatten()
+        let mut adversary = scratch
+            .adversaries
+            .take(&family_key)
             .and_then(|mut warm| warm.reseed(seed).then_some(warm))
             .unwrap_or_else(|| family.instantiate(seed));
         let out = &mut scratch.outcome;
         sg_core::execute_into(
             &mut scratch.arena,
             config.spec,
-            &config.run_config(),
+            &self.run_config(ci),
             adversary.as_mut(),
             out,
         )
@@ -894,9 +902,7 @@ impl SweepPlan {
             config.spec.name(),
             family.name,
         );
-        if pooled {
-            scratch.adversaries.put(family_key, adversary);
-        }
+        scratch.adversaries.put(family_key, adversary);
         sample_of(out)
     }
 }
@@ -912,7 +918,7 @@ impl SweepPlan {
 /// threads execute — the scheduler checks its cancel flag and deadline in
 /// between — and [`CellCursor::finish`]ed into a [`CellReport`] that is
 /// bit-identical to the corresponding cell of [`SweepPlan::run`]
-/// (`tests/batch_identity.rs`).
+/// (`tests/engine_identity.rs`).
 ///
 /// Chunks execute in the caller's [`SweepScratch`], so a worker that
 /// holds one for its whole life performs no steady-state allocations and
@@ -1066,8 +1072,8 @@ impl Fingerprint {
     /// Folds one sample — deliberately the four original quantities
     /// only, in field order. The `rounds`/`early_stopped` fields added
     /// with the early-stopping engine are *not* mixed, so fixed-length
-    /// (`sg_sim::set_early_stopping(false)`) sweeps keep their
-    /// historical fingerprints (`BENCH_sweep_fixed.json`); early-stopped
+    /// ([`SweepPlan::fixed_length`]) sweeps keep their historical
+    /// fingerprint (`40c18433ac711905`); early-stopped
     /// runs still perturb the hash through `total_bits`, which shrinks
     /// with every saved round.
     pub fn mix_sample(&mut self, s: &Sample) {

@@ -325,8 +325,12 @@ impl FromJson for AdversaryFamily {
 }
 
 impl ToJson for SweepPlan {
+    /// `{configs, adversaries, seeds_per_cell, base_seed}`, plus
+    /// `"early_stopping": false` for a [`SweepPlan::fixed_length`] plan
+    /// only — absent means `true`, so every default plan encodes exactly
+    /// as it did before the key existed.
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             (
                 "configs".to_string(),
                 Json::Arr(self.configs.iter().map(ToJson::to_json).collect()),
@@ -340,7 +344,11 @@ impl ToJson for SweepPlan {
                 Json::from(self.seeds_per_cell),
             ),
             ("base_seed".to_string(), Json::from(self.base_seed)),
-        ])
+        ];
+        if !self.early_stopping {
+            fields.push(("early_stopping".to_string(), Json::Bool(false)));
+        }
+        Json::Obj(fields)
     }
 }
 
@@ -360,11 +368,18 @@ impl FromJson for SweepPlan {
             .iter()
             .map(AdversaryFamily::from_json)
             .collect::<Result<Vec<_>, _>>()?;
+        let early_stopping = match v.get("early_stopping") {
+            None => true,
+            Some(flag) => flag
+                .as_bool()
+                .ok_or_else(|| bad("'early_stopping' must be a boolean"))?,
+        };
         Ok(SweepPlan {
             configs,
             adversaries,
             seeds_per_cell: field_u64(v, "seeds_per_cell")?,
             base_seed: field_u64(v, "base_seed")?,
+            early_stopping,
         })
     }
 }
@@ -585,6 +600,34 @@ mod tests {
         // Families compare by behaviour: the decoded plan must produce
         // the exact report of the original.
         assert_eq!(decoded.run_with_jobs(1), original.run_with_jobs(1));
+    }
+
+    #[test]
+    fn early_stopping_key_is_written_only_when_false() {
+        let early = plan();
+        assert!(early.early_stopping);
+        let text = early.to_json().to_string();
+        assert!(!text.contains("early_stopping"), "{text}");
+        assert!(
+            text.ends_with(",\"base_seed\":18446744073709551608}"),
+            "{text}"
+        );
+
+        let fixed = plan().fixed_length();
+        let text = fixed.to_json().to_string();
+        assert!(text.ends_with(",\"early_stopping\":false}"), "{text}");
+        let decoded = SweepPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert!(!decoded.early_stopping);
+        assert_eq!(decoded.run_with_jobs(1), fixed.run_with_jobs(1));
+
+        let explicit = text.replace("false}", "true}");
+        assert!(
+            SweepPlan::from_json(&Json::parse(&explicit).unwrap())
+                .unwrap()
+                .early_stopping
+        );
+        let wrong = text.replace("false}", "0}");
+        assert!(SweepPlan::from_json(&Json::parse(&wrong).unwrap()).is_err());
     }
 
     #[test]

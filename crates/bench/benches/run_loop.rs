@@ -5,12 +5,13 @@
 //!   pooled-instance (with one) executions of the benchmark sweep's
 //!   cell, so the cost of boxing `n` protocol instances per run is
 //!   visible on its own;
-//! * `payload/*` — packed-ballot deliveries vs the per-payload fallback
-//!   (`set_packed_broadcast`), so the popcount-tally layer is measured
-//!   separately from pooling;
-//! * `rounds/*` — the `f_actual = 0` cell run status-driven
-//!   (`set_early_stopping`, the default) vs fixed-length, so the
-//!   expedite win of the early-stopping run loop is measured on its own;
+//! * `engine/*` — the production engine (pooled instances, arena, packed
+//!   ballots) vs `sg_sim::reference` (fresh everything, per-payload
+//!   tallies) on an optimal-king n = 31 run, so what the fast paths buy
+//!   together is measured against the oracle they are held to;
+//! * `rounds/*` — the `f_actual = 0` cell run status-driven (the
+//!   default) vs `RunConfig::fixed_length`, so the expedite win of the
+//!   early-stopping run loop is measured on its own;
 //! * `batch/*` — 64 seeds of the cell run one by one through the scalar
 //!   loop vs lock-step through `run_batch` (one bit lane per run), so
 //!   the cross-run data-parallel layer is measured on its own;
@@ -27,9 +28,10 @@
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
 //!   layer can be iterated on without the full benchmark.
 //!
-//! The `instances/*` and `payload/*` variants execute identical work —
-//! `tests/instance_pool.rs` pins down that their outcomes are
-//! bit-identical — so those ratios are pure hot-loop overhead; the
+//! The `instances/*` and `engine/*` variants execute identical work —
+//! `tests/instance_pool.rs` and `tests/engine_identity.rs` pin down that
+//! their outcomes are bit-identical — so those ratios are pure hot-loop
+//! overhead; the
 //! `rounds/*` pair executes *fewer rounds* by design (identical
 //! decisions, pinned by `tests/early_stopping.rs`), and its ratio is the
 //! expedite speedup itself.
@@ -46,8 +48,8 @@ use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
 use sg_sim::{
-    run_batch, run_batch_with, run_into, set_early_stopping, set_packed_broadcast, Adversary,
-    BatchArena, Outcome, ProcessId, RunArena, RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
+    run_batch, run_batch_with, run_into, Adversary, BatchArena, Outcome, ProcessId, RunArena,
+    RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -101,18 +103,23 @@ fn bench_instance_pool(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_payloads(c: &mut Criterion) {
-    let (spec, config) = bench_config();
+/// Every scalar fast path at once against the oracle: one optimal-king
+/// run at n = 31 (the largest king size the benchmark sweeps below the
+/// 64-sender ballot word) on the production engine and on
+/// `sg_sim::reference`.
+fn bench_engine_vs_reference(c: &mut Criterion) {
+    let spec = AlgorithmSpec::OptimalKing;
+    let config = RunConfig::new(31, 10)
+        .with_source_value(Value(1))
+        .with_trace();
     let key = spec.pool_key(&config);
     let factory = spec.factory(&config);
-    let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
+    let mut group = c.benchmark_group("run_loop_optimal_king_n31_t10");
     group.sample_size(20);
-    let mut out = Outcome::buffer();
 
-    // Both variants run pooled, so the packed-ballot layer is isolated.
     let mut arena = RunArena::new();
-    set_packed_broadcast(false);
-    group.bench_function("payload/vec-fallback", |b| {
+    let mut out = Outcome::buffer();
+    group.bench_function("engine/production", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
             run_into(
@@ -125,20 +132,11 @@ fn bench_packed_payloads(c: &mut Criterion) {
             )
         });
     });
-    set_packed_broadcast(true);
 
-    let mut arena = RunArena::new();
-    group.bench_function("payload/bit-packed", |b| {
+    group.bench_function("engine/reference", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            run_into(
-                &mut arena,
-                &config,
-                &mut adversary,
-                Some(key),
-                &factory,
-                &mut out,
-            )
+            black_box(sg_sim::reference::run(&config, &mut adversary, &factory))
         });
     });
     group.finish();
@@ -159,13 +157,13 @@ fn bench_early_stopping(c: &mut Criterion) {
     let mut out = Outcome::buffer();
 
     let mut arena = RunArena::new();
-    set_early_stopping(false);
+    let fixed = config.fixed_length();
     group.bench_function("rounds/fixed-length-f0", |b| {
         b.iter(|| {
             let mut adversary = RandomLiar::new(FaultSelection::without_source().limit(0), SEED);
             run_into(
                 &mut arena,
-                &config,
+                &fixed,
                 &mut adversary,
                 Some(key),
                 &factory,
@@ -173,7 +171,6 @@ fn bench_early_stopping(c: &mut Criterion) {
             )
         });
     });
-    set_early_stopping(true);
 
     let mut arena = RunArena::new();
     group.bench_function("rounds/early-stop-f0", |b| {
@@ -197,7 +194,7 @@ fn bench_early_stopping(c: &mut Criterion) {
 /// lock-step (one `run_batch` call, one bit lane per run). Both
 /// variants perform the identical per-run adversary calls — that
 /// irreducible scalar work is what keeps the ratio below 64× — and
-/// `tests/batch_identity.rs` pins their samples bit-identical.
+/// `tests/engine_identity.rs` pins their samples bit-identical.
 fn bench_batch_runs(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let key = spec.pool_key(&config);
@@ -254,7 +251,7 @@ fn bench_batch_runs(c: &mut Criterion) {
 /// `random-liar` and `chain-revealer` draw per (lane, edge) on both
 /// paths, through the same `edge_draw`, so their ratio is what the
 /// bridge spends around the draws (view tables, virtual calls, payload
-/// objects). `tests/batch_identity.rs` pins the paths bit-identical.
+/// objects). `tests/engine_identity.rs` pins the paths bit-identical.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
@@ -418,7 +415,7 @@ fn bench_eigtree(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_instance_pool,
-    bench_packed_payloads,
+    bench_engine_vs_reference,
     bench_early_stopping,
     bench_batch_runs,
     bench_batch_adversaries,

@@ -6,19 +6,10 @@
 //! repro --markdown         # emit GitHub-flavoured markdown (EXPERIMENTS.md)
 //! repro --csv              # emit CSV (one block per experiment)
 //! repro --jobs 8           # size the sweep engine's worker pool
-//! repro --no-instance-pool # rebuild protocol instances every run (the
-//!                          # escape hatch CI cross-checks fingerprints with)
-//! repro --no-early-stop    # run every execution for its full static
-//!                          # schedule (fixed-length mode; its sweep must
-//!                          # reproduce BENCH_sweep_fixed.json's
-//!                          # fingerprint)
-//! repro --no-batch         # disable the lock-step batch executor (64
-//!                          # runs per instruction) — the scalar path
-//!                          # must reproduce the same fingerprints
-//! repro --no-batch-adversary
-//!                          # keep the batch executor but drive each
-//!                          # fault lane through the scalar adversary
-//!                          # bridge instead of the vectorized families
+//! repro --exp sweep --no-early-stop
+//!                          # the benchmark sweep as a fixed-length plan
+//!                          # (full static schedules); must reproduce
+//!                          # BENCH_sweep_fixed.json's fingerprint
 //! repro --exp t3           # one experiment: p1|t1|t2|t3|t4|tradeoff|dominance|
 //!                          #   detect|stability|early-stopping|king|compose|
 //!                          #   rounds-vs-f|plans|sweep
@@ -44,6 +35,8 @@
 //!                          # and exits non-zero on any fingerprint
 //!                          # mismatch
 //! ```
+//!
+//! Unrecognised arguments exit 2 with the usage line.
 
 use std::env;
 use std::time::Instant;
@@ -278,19 +271,26 @@ fn experiment_serve_load(scale: Scale, jobs: usize, chaos: bool) {
 /// The benchmark sweep behind `--exp sweep` and `BENCH_sweep.json`: the
 /// phase-king n=16, t=5 Monte-Carlo grid under seeded random liars,
 /// executed in-process or through the service path (`--via-server`).
-fn experiment_sweep(scale: Scale, jobs: usize, transport: Transport, expect: Option<u64>) {
+fn experiment_sweep(
+    scale: Scale,
+    jobs: usize,
+    transport: Transport,
+    early_stopping: bool,
+    expect: Option<u64>,
+) {
     let (n, t) = (16, 5);
     let seeds: u64 = match scale {
         Scale::Quick => 100,
         Scale::Full => 1_000,
     };
-    let plan = SweepPlan::new(
+    let mut plan = SweepPlan::new(
         vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, n, t)],
         vec![AdversaryFamily::random_liar(
             FaultSelection::without_source(),
         )],
         seeds,
     );
+    plan.early_stopping = early_stopping;
     let started = Instant::now();
     let report = match transport {
         Transport::Batch => plan.run_with_jobs(jobs),
@@ -348,9 +348,6 @@ fn experiment_sweep(scale: Scale, jobs: usize, transport: Transport, expect: Opt
         warm_runs_per_sec / runs_per_sec.max(1e-9),
     );
 
-    let instance_pool = sg_sim::instance_pooling_enabled();
-    let early_stopping = sg_sim::early_stopping_enabled();
-    let batch_runs = sg_sim::batch_runs_enabled();
     let allocs_per_run = allocs_per_run_json(&plan);
     // The expedite trajectory: the grid is a single cell, whose report
     // already carries the rounds summary and early-stop rate.
@@ -368,8 +365,8 @@ fn experiment_sweep(scale: Scale, jobs: usize, transport: Transport, expect: Opt
         "{{\n  \"schema\": \"sg-bench-sweep/6\",\n  \"experiment\": \"phase-king-montecarlo\",\n  \
          \"spec\": \"optimal-king\",\n  \"n\": {n},\n  \"t\": {t},\n  \
          \"adversary\": \"random-liar\",\n  \"runs\": {},\n  \"jobs\": {jobs},\n  \
-         \"instance_pool\": {instance_pool},\n  \"early_stopping\": {early_stopping},\n  \
-         \"batch_runs\": {batch_runs},\n  \
+         \"instance_pool\": true,\n  \"early_stopping\": {early_stopping},\n  \
+         \"batch_runs\": true,\n  \
          \"transport\": \"{}\",\n  \
          \"wall_ms\": {:.3},\n  \"runs_per_sec\": {:.3},\n  \"peak_rss_kb\": {},\n  \
          \"allocs_per_run\": {allocs_per_run},\n  \
@@ -399,62 +396,60 @@ fn experiment_sweep(scale: Scale, jobs: usize, transport: Transport, expect: Opt
     }
 }
 
+/// The argument summary printed with every usage error.
+const USAGE: &str =
+    "usage: repro [--quick] [--markdown | --csv] [--jobs <N>] [--exp <id>]\n       \
+                     [--no-early-stop] [--via-server] [--expect-fingerprint <hex>] [--chaos]";
+
+fn usage_error(detail: &str) -> ! {
+    eprintln!("{detail}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let csv = args.iter().any(|a| a == "--csv");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    let jobs: usize = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--jobs expects a number");
-                std::process::exit(2);
-            };
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--jobs expects a number, got '{v}'");
-                std::process::exit(2);
-            })
+    let (mut quick, mut markdown, mut csv, mut chaos) = (false, false, false, false);
+    let mut early_stopping = true;
+    let mut transport = Transport::Batch;
+    let mut jobs = 0usize;
+    let mut expect: Option<u64> = None;
+    let mut which: Option<String> = None;
+    let mut args = env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} expects a value")))
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--markdown" => markdown = true,
+            "--csv" => csv = true,
+            "--chaos" => chaos = true,
+            "--no-early-stop" => early_stopping = false,
+            "--via-server" => transport = Transport::Server,
+            "--jobs" => {
+                let v = value();
+                jobs = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--jobs expects a number, got '{v}'"))
+                });
+            }
+            "--expect-fingerprint" => {
+                let v = value();
+                expect = Some(sg_analysis::Fingerprint::parse_hex(&v).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--expect-fingerprint expects a 16-digit hex fingerprint, got '{v}'"
+                    ))
+                }));
+            }
+            "--exp" => which = Some(value()),
+            other => usage_error(&format!("unrecognised argument '{other}'")),
         }
-        None => 0,
-    };
-    if args.iter().any(|a| a == "--no-instance-pool") {
-        sg_sim::set_instance_pooling(false);
     }
-    if args.iter().any(|a| a == "--no-early-stop") {
-        sg_sim::set_early_stopping(false);
+    if !early_stopping && which.as_deref() != Some("sweep") {
+        usage_error("--no-early-stop applies to --exp sweep");
     }
-    if args.iter().any(|a| a == "--no-batch") {
-        sg_sim::set_batch_runs(false);
-    }
-    if args.iter().any(|a| a == "--no-batch-adversary") {
-        sg_sim::set_batch_adversaries(false);
-    }
-    let transport = if args.iter().any(|a| a == "--via-server") {
-        Transport::Server
-    } else {
-        Transport::Batch
-    };
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let expect: Option<u64> = args
-        .iter()
-        .position(|a| a == "--expect-fingerprint")
-        .map(|i| {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--expect-fingerprint expects a 16-digit hex fingerprint");
-                std::process::exit(2);
-            };
-            sg_analysis::Fingerprint::parse_hex(v).unwrap_or_else(|| {
-                eprintln!("--expect-fingerprint expects a 16-digit hex fingerprint, got '{v}'");
-                std::process::exit(2);
-            })
-        });
+    let scale = if quick { Scale::Quick } else { Scale::Full };
     sg_analysis::set_jobs(jobs);
     let effective_jobs = sg_analysis::sweep::jobs();
-    let which: Option<String> = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1).cloned());
 
     let print = |table: Table| {
         if csv {
@@ -491,7 +486,7 @@ fn main() {
             }
             print(table);
         }
-        "sweep" => experiment_sweep(scale, effective_jobs, transport, expect),
+        "sweep" => experiment_sweep(scale, effective_jobs, transport, early_stopping, expect),
         "serve-load" => experiment_serve_load(scale, jobs, chaos),
         "plans" => {
             if markdown {

@@ -173,9 +173,9 @@ impl Protocol for DolevStrong {
     /// the same round — and once they all are, no correct processor ever
     /// relays again, so (absent withheld faulty-only signature chains,
     /// which no strategy in the library banks) no acceptable chain can
-    /// arrive later and every decision is final. The fixed-length escape
-    /// hatch (`sg_sim::set_early_stopping(false)`) remains for
-    /// adversarial studies outside that envelope.
+    /// arrive later and every decision is final. Fixed-length runs
+    /// (`RunConfig::fixed_length`) remain for adversarial studies
+    /// outside that envelope.
     fn round_status(&self, _ctx: &ProcCtx) -> RoundStatus {
         if self.input.is_some() || self.quiet {
             RoundStatus::ReadyToDecide

@@ -13,9 +13,8 @@
 //! static, its messages are single binary values, and its tallies are
 //! pure threshold tests — exactly the shape lane words express. Every
 //! other family (including `dynamic-king`, whose gear shifts re-plan the
-//! schedule mid-run) takes the scalar fallback, per the
-//! `set_packed_broadcast` precedent of keeping one always-correct scalar
-//! path beside each packed fast path.
+//! schedule mid-run) runs on the scalar engine: the spec selects the
+//! path, and `sg_sim::reference` holds both to one answer.
 
 use sg_sim::batch::{BatchKernel, BatchNet, LaneCounts};
 use sg_sim::RunConfig;

@@ -394,8 +394,8 @@ impl KingCore {
 /// assert_eq!(outcome.decision(), Some(Value(1)));
 /// assert_eq!(outcome.scheduled_rounds, 13); // 1 + 3·(t+1)
 /// // Fault-free runs lock in the very first propose step and stop there
-/// // (the expedite win; `sg_sim::set_early_stopping(false)` restores the
-/// // full fixed-length schedule).
+/// // (the expedite win; `RunConfig::fixed_length` asks for the full
+/// // schedule instead).
 /// assert_eq!(outcome.rounds_used, 3);
 /// assert!(outcome.early_stopped);
 /// # Ok::<(), sg_core::SpecError>(())

@@ -33,8 +33,7 @@ pub fn execute(
 ) -> Result<Outcome, SpecError> {
     let config = checked_config(spec, config)?;
     // Keyed by spec + configuration shape, so sweeps recycle protocol
-    // instances across runs instead of boxing `n` fresh ones per run;
-    // `sg_sim::set_instance_pooling(false)` restores fresh instances.
+    // instances across runs instead of boxing `n` fresh ones per run.
     let key = spec.pool_key(&config);
     Ok(sg_sim::run_pooled(
         &config,

@@ -14,10 +14,10 @@
 //!   (spec, `n`, `t`, family encoding, first seed, samples per cell).
 //!   The journal itself never interprets it; key derivation lives with
 //!   the wire codecs in `sg_analysis`.
-//! * [`EngineEpoch`] fingerprints the *execution environment*: the
-//!   engine fast-path toggle set and a compiled-in engine version tag.
-//!   Any engine change moves the epoch, so stale entries are simply
-//!   never looked up again (and [`Journal::compact`] drops them).
+//! * [`EngineEpoch`] fingerprints the *engine asked for*: a compiled-in
+//!   engine version tag and the plan's early-stopping flag. Any engine
+//!   change moves the epoch, so stale entries are simply never looked
+//!   up again (and [`Journal::compact`] drops them).
 //!
 //! # "Absent, never wrong"
 //!
@@ -62,8 +62,8 @@ pub const SCHEMA: &str = "sg-journal/1";
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CellKey(pub u64);
 
-/// Fingerprint of the engine configuration a cell was computed under
-/// (fast-path toggles + compiled-in version tag). Entries are only ever
+/// Fingerprint of the engine a cell was computed under (compiled-in
+/// version tag + the plan's early-stopping flag). Entries are only ever
 /// served back under the exact epoch that produced them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EngineEpoch(pub u64);

@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use sg_analysis::{engine_epoch, CellReport, Fingerprint, SweepPlan, SweepScratch};
+use sg_analysis::{CellReport, Fingerprint, SweepPlan, SweepScratch};
 use sg_journal::{CellKey, Journal};
 
 use crate::wire::{ErrorCode, Frame, RejectCode, Request};
@@ -120,7 +120,7 @@ pub struct ServeOptions {
     pub send_buffer: usize,
     /// Result-journal directory (`sg serve --journal`). When set, every
     /// submit is first resolved against the journal: cells already
-    /// stored under the current engine epoch are streamed back instantly
+    /// stored under the plan's epoch are streamed back instantly
     /// (in grid order, through the same reorder buffer as computed
     /// cells) and only the delta is scheduled; computed cells are
     /// appended write-through. `None` (the default) disables caching.
@@ -783,7 +783,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(journal) = &shared.journal {
                     if let Some(&Some(key)) = job.journal_keys.get(index) {
                         let mut journal = journal.lock().expect("journal");
-                        if let Err(e) = journal.append(key, engine_epoch(), &cell.to_json()) {
+                        if let Err(e) = journal.append(key, job.plan.epoch(), &cell.to_json()) {
                             eprintln!("sg-serve: journal append failed: {e}");
                         }
                     }
@@ -1180,7 +1180,7 @@ fn connection_events(
                 let mut hits: Vec<Option<Box<CellReport>>> = Vec::new();
                 if let Some(journal) = &shared.journal {
                     let journal = journal.lock().expect("journal");
-                    let epoch = engine_epoch();
+                    let epoch = plan.epoch();
                     for cell in 0..cells {
                         journal_keys.push(plan.cell_key(cell));
                         hits.push(match plan.cached_cell(&journal, epoch, cell) {

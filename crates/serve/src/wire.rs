@@ -22,6 +22,8 @@
 //! ```
 //!
 //! `proto` is optional everywhere; when present it must be `sg-serve/1`.
+//! A plan may carry `"early_stopping":false` to ask for fixed-length
+//! runs; the mode belongs to the job, so one daemon serves both.
 //!
 //! # Frames
 //!

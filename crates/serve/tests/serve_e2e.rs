@@ -99,6 +99,84 @@ fn two_interleaved_jobs_each_match_their_solo_runs() {
     handle.shutdown();
 }
 
+/// Early stopping is a field of the job, not a mode of the daemon: one
+/// two-worker daemon runs the canary cell (`optimal-king n=16 t=5` under
+/// random liars, 1000 seeds) fixed-length and early-stopping *at the same
+/// time* and returns each mode's pinned fingerprint. Journals follow the
+/// plan's epoch on both sides of the wire: the daemon's never serves one
+/// mode's cell to the other, and a client writing its streamed cells
+/// through warm-hits only the mode it submitted.
+#[test]
+fn one_daemon_serves_a_fixed_and_an_early_job_at_once() {
+    let early = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+        vec![AdversaryFamily::random_liar(
+            FaultSelection::without_source(),
+        )],
+        1000,
+    );
+    let fixed = early.clone().fixed_length();
+    let pinned = [
+        (&early, 0xd5c0_db8c_0396_4e75),
+        (&fixed, 0x40c1_8433_ac71_1905),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("sg-serve-modes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = serve(
+        &Bind::Tcp("127.0.0.1:0".to_string()),
+        ServeOptions {
+            workers: 2,
+            journal: Some(dir.join("daemon")),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind daemon");
+    let addr = handle.tcp_addr().expect("tcp addr").to_string();
+
+    // Both jobs are accepted before either is collected, and each client
+    // appends what it is streamed under its plan's epoch — what `sg submit
+    // --journal` does.
+    let mut clients = [connect(&addr), connect(&addr)];
+    let jobs = [
+        clients[0].submit(&early).expect("submit early"),
+        clients[1].submit(&fixed).expect("submit fixed"),
+    ];
+    for (i, (plan, fingerprint)) in pinned.into_iter().enumerate() {
+        let mut journal = sg_journal::Journal::open(dir.join(format!("client-{i}"))).unwrap();
+        let streamed = clients[i]
+            .collect(jobs[i], |cell, report| {
+                let key = plan.cell_key(cell).expect("named family");
+                journal
+                    .append(key, plan.epoch(), &serde::ToJson::to_json(report))
+                    .unwrap();
+            })
+            .expect("collect");
+        assert_eq!(streamed.fingerprint, fingerprint, "job {i}");
+        assert_eq!(
+            streamed.cached_cells, 0,
+            "job {i}: the other mode's cell is not a hit"
+        );
+
+        let other = pinned[1 - i].0;
+        assert_eq!(other.run_with_journal(&mut journal, 1).hits, 0, "job {i}");
+        let own = plan.run_with_journal(&mut journal, 1);
+        assert_eq!(
+            (own.hits, own.report.fingerprint()),
+            (1, fingerprint),
+            "job {i}"
+        );
+    }
+
+    // The daemon's own journal now holds the cell once per epoch.
+    for (plan, fingerprint) in pinned {
+        let again = clients[0].submit_and_collect(plan).expect("resubmit");
+        assert_eq!((again.cached_cells, again.fingerprint), (1, fingerprint));
+    }
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn one_connection_can_run_jobs_back_to_back() {
     let (handle, addr) = start(2);

@@ -17,8 +17,7 @@
 //!   [`BatchAdversary`];
 //! * the *protocol semantics* live behind the [`BatchKernel`] trait,
 //!   implemented in `sg-core` for the king and phase families (everything
-//!   else takes the scalar fallback, per the `set_packed_broadcast`
-//!   pattern).
+//!   else runs on the scalar engine: the input selects the path).
 //!
 //! # The adversary side
 //!
@@ -51,50 +50,13 @@
 //! value, `{0, 1}` only), and retired runs are frozen by the active mask
 //! rather than removed, so late rounds cannot disturb them.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::adversary::{Adversary, AdversaryView};
-use crate::engine::{early_stopping_enabled, RunConfig};
+use crate::engine::RunConfig;
 use crate::id::{ProcessId, ProcessSet};
 use crate::payload::Payload;
 use crate::value::{Value, ValueDomain};
-
-/// Whether sweep executors batch seeds of a cell into lock-step groups
-/// (`true` by default). The CLI's `--no-batch` escape hatch clears it;
-/// CI runs the benchmark sweep both ways and cross-checks the report
-/// fingerprints.
-static BATCH_RUNS: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables lock-step run batching (default on). The toggle
-/// is read once per batch, so a group of runs is always entirely batched
-/// or entirely scalar.
-pub fn set_batch_runs(enabled: bool) {
-    BATCH_RUNS.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether lock-step run batching is active.
-pub fn batch_runs_enabled() -> bool {
-    BATCH_RUNS.load(Ordering::SeqCst)
-}
-
-/// Whether batch executors may use the vectorized adversary path
-/// ([`BatchAdversary::lies`]) for families that opt in (`true` by
-/// default). The CLI's `--no-batch-adversary` escape hatch clears it,
-/// forcing the per-lane [`ScalarBridge`] even for vector-capable
-/// families; CI cross-checks the report fingerprints both ways.
-static BATCH_ADVERSARIES: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the vectorized adversary path (default on). Like
-/// [`set_batch_runs`], executors read it once per batch.
-pub fn set_batch_adversaries(enabled: bool) {
-    BATCH_ADVERSARIES.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the vectorized adversary path is active.
-pub fn batch_adversaries_enabled() -> bool {
-    BATCH_ADVERSARIES.load(Ordering::SeqCst)
-}
 
 /// Maximum runs per lock-step batch: one bit lane per run in a `u64`.
 pub const MAX_BATCH_RUNS: usize = 64;
@@ -678,7 +640,7 @@ pub fn run_batch_with(
 
     let total_rounds = kernel.total_rounds();
     kernel.reset(lanes);
-    let early = early_stopping_enabled();
+    let early = config.early_stopping;
     let (p_one, p_zero, p_bot) = wire_payloads();
     let lane_mask = |lane: usize| 1u64 << lane;
     let all_lanes: u64 = if lanes == MAX_BATCH_RUNS {
@@ -1005,24 +967,6 @@ mod tests {
         let c = LaneCounts::default();
         assert_eq!(c.ge(0), !0);
         assert_eq!(c.ge(1), 0);
-    }
-
-    #[test]
-    fn batch_toggle_round_trips() {
-        assert!(batch_runs_enabled());
-        set_batch_runs(false);
-        assert!(!batch_runs_enabled());
-        set_batch_runs(true);
-        assert!(batch_runs_enabled());
-    }
-
-    #[test]
-    fn batch_adversary_toggle_round_trips() {
-        assert!(batch_adversaries_enabled());
-        set_batch_adversaries(false);
-        assert!(!batch_adversaries_enabled());
-        set_batch_adversaries(true);
-        assert!(batch_adversaries_enabled());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! 6. consults every correct processor's [`Protocol::round_status`] and
 //!    terminates the run early once all of them are ready to decide —
 //!    the paper's *expedite* dividend, measurable as
-//!    [`Outcome::rounds_used`]` < `[`Outcome::scheduled_rounds`].
-//!    [`set_early_stopping`]`(false)` restores fixed-length execution
-//!    (bit-identical to the pre-early-stopping engine);
+//!    [`Outcome::rounds_used`]` < `[`Outcome::scheduled_rounds`]. Whether
+//!    a run may stop early is part of *which execution was asked for*:
+//!    [`RunConfig::fixed_length`] clears [`RunConfig::early_stopping`]
+//!    and the run executes its full static schedule;
 //! 7. consults every correct processor's [`Protocol::next_action`] — the
 //!    dynamic-schedule dispatch. The run loop is no longer a fixed
 //!    `for round in 1..=total_rounds()`: protocols choose their next
@@ -30,7 +31,7 @@
 //!    pre-dynamic engine; `total_rounds()` stays a hard ceiling the
 //!    engine never exceeds. Dynamic dispatch is part of the protocol's
 //!    schedule, not an observation optimization, so it stays active
-//!    under [`set_early_stopping`]`(false)`.
+//!    in [`RunConfig::fixed_length`] runs.
 //!
 //! # Allocation discipline
 //!
@@ -53,11 +54,11 @@
 //! thresholds with `count_ones()` word operations instead of touching
 //! `n` reference-counted payloads. The view is derived from the inbox
 //! contents after every slot is filled, so the packed and unpacked read
-//! paths are bit-identical by construction; [`set_packed_broadcast`]
-//! turns it off for A/B benchmarking.
+//! paths are bit-identical by construction. The input selects the path
+//! (`n > 64` or a wider domain reads payloads); [`crate::reference`],
+//! which never attaches a view, holds it to that.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -71,58 +72,6 @@ use crate::protocol::{GearAction, Inbox, PackedBallots, ProcCtx, Protocol, Round
 use crate::sig::SigRegistry;
 use crate::trace::Trace;
 use crate::value::{Value, ValueDomain};
-
-/// Whether keyed runs ([`run_pooled`], [`run_into`]) recycle protocol
-/// instances (`true` by default). The CLI's `--no-instance-pool` escape
-/// hatch clears it; CI runs the benchmark sweep both ways and cross-checks the
-/// report fingerprints.
-static INSTANCE_POOLING: AtomicBool = AtomicBool::new(true);
-
-/// Whether the engine attaches [`PackedBallots`] views to delivered
-/// inboxes (`true` by default). Off, receivers take their per-payload
-/// fallback paths — the knob the criterion benches use to measure the
-/// bit-packed layer in isolation.
-static PACKED_BROADCAST: AtomicBool = AtomicBool::new(true);
-
-/// Whether the engine terminates a run early once every correct
-/// processor reports [`RoundStatus::ReadyToDecide`] (`true` by default).
-/// Off, every run executes its full static `total_rounds` schedule —
-/// the fixed-length behaviour all pre-early-stopping fingerprints were
-/// recorded under; CI cross-checks that mode against the committed
-/// `BENCH_sweep_fixed.json` reference.
-static EARLY_STOPPING: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables protocol-instance pooling (default on).
-pub fn set_instance_pooling(enabled: bool) {
-    INSTANCE_POOLING.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether protocol-instance pooling is active.
-pub fn instance_pooling_enabled() -> bool {
-    INSTANCE_POOLING.load(Ordering::SeqCst)
-}
-
-/// Enables or disables the bit-packed broadcast view (default on).
-pub fn set_packed_broadcast(enabled: bool) {
-    PACKED_BROADCAST.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the bit-packed broadcast view is active.
-pub fn packed_broadcast_enabled() -> bool {
-    PACKED_BROADCAST.load(Ordering::SeqCst)
-}
-
-/// Enables or disables status-driven early stopping (default on). The
-/// toggle is read once at the start of each run, so a run is always
-/// entirely early-stopping or entirely fixed-length.
-pub fn set_early_stopping(enabled: bool) {
-    EARLY_STOPPING.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether status-driven early stopping is active.
-pub fn early_stopping_enabled() -> bool {
-    EARLY_STOPPING.load(Ordering::SeqCst)
-}
 
 /// Identifies one protocol family + configuration *shape* for instance
 /// pooling: two runs may share pooled instances only if their keys are
@@ -175,11 +124,16 @@ pub struct RunConfig {
     pub trace: bool,
     /// Whether to attach a signature registry (authenticated baselines).
     pub authenticated: bool,
+    /// Whether the run may end once every correct processor reports
+    /// [`RoundStatus::ReadyToDecide`] (`true` by default). Off, it
+    /// executes its full static schedule — the fixed-length behaviour
+    /// the `40c18433ac711905` reference fingerprint was recorded under.
+    pub early_stopping: bool,
 }
 
 impl RunConfig {
     /// A standard configuration: source `P0`, source value 1, binary
-    /// domain, no tracing.
+    /// domain, no tracing, early stopping.
     ///
     /// # Panics
     ///
@@ -194,6 +148,7 @@ impl RunConfig {
             domain: ValueDomain::binary(),
             trace: false,
             authenticated: false,
+            early_stopping: true,
         }
     }
 
@@ -218,6 +173,12 @@ impl RunConfig {
     /// Attaches a signature registry for authenticated baselines.
     pub fn with_authentication(mut self) -> Self {
         self.authenticated = true;
+        self
+    }
+
+    /// Runs the full static schedule: no status-driven early stop.
+    pub fn fixed_length(mut self) -> Self {
+        self.early_stopping = false;
         self
     }
 }
@@ -499,8 +460,7 @@ where
 /// [`Protocol::reset`] instead of rebuilt, and `mk` is only consulted for
 /// instances that miss (or refuse the reset). `key` must uniquely
 /// identify the protocol family and configuration shape — see
-/// [`PoolKey`]. With [`set_instance_pooling`]`(false)` this degrades to
-/// [`run`] exactly.
+/// [`PoolKey`].
 pub fn run_pooled<F>(
     config: &RunConfig,
     adversary: &mut dyn Adversary,
@@ -523,7 +483,8 @@ where
 /// buffers, instances (given a `key`; `None` builds them fresh every run,
 /// as [`run`] does) or results. [`run`] and [`run_pooled`] are this
 /// function over a thread-local arena and a fresh buffer, so all three
-/// are bit-identical (`tests/instance_pool.rs` pins the reuse path).
+/// are bit-identical (`tests/instance_pool.rs` pins the reuse path, and
+/// `tests/engine_identity.rs` holds it to [`crate::reference`]).
 pub fn run_into<F>(
     arena: &mut RunArena,
     config: &RunConfig,
@@ -545,9 +506,8 @@ pub fn run_into<F>(
         .then(|| Arc::new(Mutex::new(SigRegistry::new())));
 
     // Protocol instances: recycled through the keyed pool when a key is
-    // given and pooling is on, rebuilt by the factory otherwise (or when
-    // an instance refuses its reset).
-    let key = key.filter(|_| instance_pooling_enabled());
+    // given, rebuilt by the factory otherwise (or when an instance
+    // refuses its reset).
     let mut protocols = key
         .and_then(|key| arena.instances.take(&key))
         .unwrap_or_default();
@@ -592,15 +552,12 @@ pub fn run_into<F>(
     let bits_per_value = config.domain.bits_per_value();
     // The bit-packed fast path applies to binary-domain runs that fit
     // one mask word; see the module docs.
-    let pack = packed_broadcast_enabled() && n <= 64 && config.domain.size() == 2;
+    let pack = n <= 64 && config.domain.size() == 2;
+    let early = config.early_stopping;
 
-    // Early stopping is latched once per run, so a run is entirely
-    // status-driven or entirely fixed-length.
-    let early = early_stopping_enabled();
-
-    // Per-edge faults (partitions, honest-link omission) are latched the
-    // same way: the default `false` keeps delivery on the shared-inbox
-    // fast path with no per-round cost.
+    // Per-edge faults (partitions, honest-link omission) are latched
+    // once per run: the default `false` keeps delivery on the
+    // shared-inbox fast path with no per-round cost.
     let edge_faults = adversary.has_edge_faults();
 
     let RunArena {
@@ -884,6 +841,25 @@ mod tests {
     use super::*;
     use crate::adversary::NoFaults;
 
+    /// Runs fault-free on this engine *and* on [`crate::reference`],
+    /// asserts the two outcomes are equal field by field, and returns
+    /// one: every behaviour pinned below is pinned for both.
+    fn run_both<F>(config: &RunConfig, mk: F) -> Outcome
+    where
+        F: Fn(ProcessId) -> Box<dyn Protocol>,
+    {
+        let outcome = run(config, &mut NoFaults, &mk);
+        let oracle = crate::reference::run(config, &mut NoFaults, &mk);
+        assert_eq!(outcome.decisions, oracle.decisions);
+        assert_eq!(outcome.faulty, oracle.faulty);
+        assert_eq!(outcome.metrics, oracle.metrics);
+        assert_eq!(outcome.trace, oracle.trace);
+        assert_eq!(outcome.rounds_used, oracle.rounds_used);
+        assert_eq!(outcome.scheduled_rounds, oracle.scheduled_rounds);
+        assert_eq!(outcome.early_stopped, oracle.early_stopped);
+        outcome
+    }
+
     /// A toy 1-round protocol: the source broadcasts its value; everyone
     /// else decides the received value (no fault tolerance).
     struct Toy {
@@ -931,7 +907,7 @@ mod tests {
     #[test]
     fn fault_free_toy_run_agrees() {
         let config = RunConfig::new(4, 0).with_source_value(Value(1));
-        let outcome = run(&config, &mut NoFaults, toy_factory(&config));
+        let outcome = run_both(&config, toy_factory(&config));
         outcome.assert_correct();
         assert_eq!(outcome.decision(), Some(Value(1)));
         assert_eq!(outcome.rounds_used, 1);
@@ -940,7 +916,7 @@ mod tests {
     #[test]
     fn traffic_accounting_counts_broadcast_fanout() {
         let config = RunConfig::new(5, 0);
-        let outcome = run(&config, &mut NoFaults, toy_factory(&config));
+        let outcome = run_both(&config, toy_factory(&config));
         // Only the source sends: 1 value to each of 4 peers, 1 bit each.
         let r1 = &outcome.metrics.per_round[0];
         assert_eq!(r1.honest_messages, 4);
@@ -952,16 +928,10 @@ mod tests {
     #[test]
     fn local_ops_recorded_per_processor() {
         let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, toy_factory(&config));
+        let outcome = run_both(&config, toy_factory(&config));
         // Each processor charged 1 in outgoing + 1 in deliver.
         assert_eq!(outcome.metrics.local_ops, vec![2, 2, 2]);
     }
-
-    /// Serializes the early-stopping tests: one of them flips the
-    /// process-global toggle, so running them on parallel test threads
-    /// would race the flag mid-run (the same convention as
-    /// `tests/instance_pool.rs`).
-    static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// A silent protocol that runs `rounds` rounds and reports ready from
     /// the end of round `ready_after` on.
@@ -994,16 +964,18 @@ mod tests {
         }
     }
 
+    fn lazy(rounds: usize, ready_after: usize) -> impl Fn(ProcessId) -> Box<dyn Protocol> {
+        move |_| {
+            Box::new(Lazy {
+                rounds,
+                ready_after,
+            })
+        }
+    }
+
     #[test]
     fn engine_stops_when_all_correct_processors_are_ready() {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            Box::new(Lazy {
-                rounds: 7,
-                ready_after: 3,
-            })
-        });
+        let outcome = run_both(&RunConfig::new(3, 0), lazy(7, 3));
         assert_eq!(outcome.rounds_used, 3);
         assert_eq!(outcome.scheduled_rounds, 7);
         assert!(outcome.early_stopped);
@@ -1013,31 +985,15 @@ mod tests {
 
     #[test]
     fn reaching_the_last_round_is_not_early() {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            Box::new(Lazy {
-                rounds: 4,
-                ready_after: 4,
-            })
-        });
+        let outcome = run_both(&RunConfig::new(3, 0), lazy(4, 4));
         assert_eq!(outcome.rounds_used, 4);
         assert!(!outcome.early_stopped);
         assert_eq!(outcome.rounds_saved(), 0);
     }
 
     #[test]
-    fn escape_hatch_restores_fixed_length_runs() {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let config = RunConfig::new(3, 0);
-        set_early_stopping(false);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            Box::new(Lazy {
-                rounds: 7,
-                ready_after: 2,
-            })
-        });
-        set_early_stopping(true);
+    fn fixed_length_runs_ignore_round_status() {
+        let outcome = run_both(&RunConfig::new(3, 0).fixed_length(), lazy(7, 2));
         assert_eq!(outcome.rounds_used, 7);
         assert!(!outcome.early_stopped);
         assert_eq!(outcome.metrics.rounds(), 7);
@@ -1096,8 +1052,7 @@ mod tests {
 
     #[test]
     fn unanimous_shift_proposal_truncates_the_schedule() {
-        let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, |_| {
+        let outcome = run_both(&RunConfig::new(3, 0), |_| {
             Box::new(Gearish {
                 slow_rounds: 12,
                 propose_at: 3,
@@ -1113,16 +1068,13 @@ mod tests {
 
     #[test]
     fn divergent_proposals_do_not_commit_a_shift() {
-        let config = RunConfig::new(3, 0);
-        let propose = std::cell::Cell::new(0usize);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            // One processor proposes at round 3, the others at round 5:
-            // no unanimous round exists before 5, so the shift lands
-            // there and the run ends at round 7.
-            propose.set(propose.get() + 1);
+        // One processor proposes at round 3, the others at round 5: no
+        // unanimous round exists before 5, so the shift lands there and
+        // the run ends at round 7.
+        let outcome = run_both(&RunConfig::new(3, 0), |me| {
             Box::new(Gearish {
                 slow_rounds: 12,
-                propose_at: if propose.get() == 1 { 3 } else { 5 },
+                propose_at: if me == ProcessId(0) { 3 } else { 5 },
                 shifted_at: 0,
             })
         });
@@ -1134,13 +1086,7 @@ mod tests {
     fn zero_round_schedules_execute_no_rounds() {
         // The old `for round in 1..=0` ran nothing; the dynamic loop's
         // entry guard must preserve that for external implementations.
-        let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            Box::new(Lazy {
-                rounds: 0,
-                ready_after: 0,
-            })
-        });
+        let outcome = run_both(&RunConfig::new(3, 0), lazy(0, 0));
         assert_eq!(outcome.rounds_used, 0);
         assert_eq!(outcome.scheduled_rounds, 0);
         assert!(!outcome.early_stopped);
@@ -1150,13 +1096,7 @@ mod tests {
 
     #[test]
     fn default_next_action_replays_the_static_schedule() {
-        let config = RunConfig::new(3, 0);
-        let outcome = run(&config, &mut NoFaults, |_| {
-            Box::new(Lazy {
-                rounds: 4,
-                ready_after: usize::MAX,
-            })
-        });
+        let outcome = run_both(&RunConfig::new(3, 0), lazy(4, usize::MAX));
         assert_eq!(outcome.rounds_used, 4);
         assert!(!outcome.early_stopped);
     }
@@ -1164,7 +1104,7 @@ mod tests {
     #[test]
     fn outcome_buffer_reuse_is_bit_identical() {
         let config = RunConfig::new(4, 0).with_source_value(Value(1));
-        let fresh = run(&config, &mut NoFaults, toy_factory(&config));
+        let fresh = run_both(&config, toy_factory(&config));
         let mut arena = RunArena::new();
         let mut buf = Outcome::buffer();
         // Two runs through the same buffer: the second overwrites every

@@ -17,6 +17,8 @@
 //!   adversary interface;
 //! * [`engine::run`] — the lockstep round engine, producing an
 //!   [`Outcome`] with exact message/bit/op/space [`Metrics`];
+//! * [`reference::run`] — the same model spelled out naively, the oracle
+//!   every fast path is differentially tested against;
 //! * [`sig`] — a simulated unforgeable-signature oracle for the
 //!   authenticated Dolev–Strong baseline.
 //!
@@ -61,21 +63,17 @@ mod metrics;
 mod payload;
 mod pool;
 mod protocol;
+pub mod reference;
 pub mod sig;
 pub mod trace;
 mod value;
 
 pub use adversary::{Adversary, AdversaryView, NoFaults};
 pub use batch::{
-    batch_adversaries_enabled, batch_runs_enabled, run_batch, run_batch_with,
-    set_batch_adversaries, set_batch_runs, BatchAdversary, BatchArena, BatchKernel, BatchNet,
-    BatchRunResult, LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
+    run_batch, run_batch_with, BatchAdversary, BatchArena, BatchKernel, BatchNet, BatchRunResult,
+    LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
 };
-pub use engine::{
-    early_stopping_enabled, instance_pooling_enabled, packed_broadcast_enabled, run, run_into,
-    run_pooled, set_early_stopping, set_instance_pooling, set_packed_broadcast, Outcome, PoolKey,
-    RunArena, RunConfig,
-};
+pub use engine::{run, run_into, run_pooled, Outcome, PoolKey, RunArena, RunConfig};
 pub use id::{ProcessId, ProcessSet};
 pub use metrics::{Metrics, RoundStats};
 pub use payload::{Payload, SmallWords};

@@ -100,8 +100,8 @@ fn main() {
 
     // The quiescent and lock-detecting families actually cash the
     // head-room in: the engine stops them as soon as every correct
-    // processor is ready (sg_sim::set_early_stopping(false) restores
-    // fixed-length schedules).
+    // processor is ready (RunConfig::fixed_length asks for the full
+    // schedule instead).
     harvested(AlgorithmSpec::DolevStrong, 7, 4);
     harvested(AlgorithmSpec::OptimalKing, 16, 5);
 

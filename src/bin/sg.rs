@@ -25,24 +25,24 @@
 //! ```
 //!
 //! Every subcommand accepts `--jobs N` to size the sweep engine's worker
-//! pool (default: all hardware threads), `--no-early-stop` to run
-//! every execution for its full static schedule (by default the engine
-//! terminates a run once every correct processor is ready to decide —
-//! the paper's expedite behaviour), `--no-instance-pool` to rebuild
-//! protocol and adversary instances every run (the fingerprint
-//! cross-check escape hatch CI drives), and `--no-batch` to disable the
-//! lock-step batch executor — the sweep engine's 64-runs-per-instruction
-//! fast path — in favour of the scalar run loop (another fingerprint
-//! cross-check escape hatch). Note `--no-early-stop` does not
-//! freeze *dynamic* specs (`dynamic-king`): their gear shifts are part
-//! of the schedule itself, not an engine observation. `serve` runs the long-lived sweep
-//! daemon (wire protocol `sg-serve/1`, see `sg_serve::wire`); `submit`
-//! sends the same grid `sweep` runs locally and must produce a
-//! bit-identical fingerprint — CI's serve-e2e job holds the two paths to
-//! that contract. The sweep grids take `--f <k>` to cap the *actual*
-//! fault count below `t` (the rounds-vs-f workloads) and speak the full
-//! wire vocabulary of adversary families — including the link/schedule
-//! families (`partition`, `omission`, `equivocate`, `adaptive`) and
+//! pool (default: all hardware threads); the executing ones (`run`,
+//! `compose`, `gauntlet`, `stability`, `sweep`, `submit`) accept
+//! `--no-early-stop` to run every execution for its full static schedule
+//! (by default the engine terminates a run once every correct processor
+//! is ready to decide — the paper's expedite behaviour). That is the
+//! one engine option, and it is part of the run asked for: a `submit`
+//! carries it in its plan, so one daemon serves both modes. Note
+//! `--no-early-stop` does not freeze *dynamic* specs (`dynamic-king`):
+//! their gear shifts are part of the schedule itself, not an engine
+//! observation. Unrecognised flags exit 2 with the usage text. `serve`
+//! runs the long-lived sweep daemon (wire protocol `sg-serve/1`, see
+//! `sg_serve::wire`); `submit` sends the same grid `sweep` runs locally
+//! and must produce a bit-identical fingerprint — CI's serve-e2e job
+//! holds the two paths to that contract. The sweep grids take `--f <k>`
+//! to cap the *actual* fault count below `t` (the rounds-vs-f
+//! workloads) and speak the full wire vocabulary of adversary families —
+//! including the link/schedule families (`partition`, `omission`,
+//! `equivocate`, `adaptive`) and
 //! `trace` (replaying a recorded `sg-trace/1`/`sg-scenario/1` file via
 //! `--trace-file`). `record` captures one run as an `sg-scenario/1`
 //! JSON artifact; `replay` re-executes such artifacts and fails on any
@@ -51,13 +51,14 @@
 //!
 //! `--journal <dir>` plugs the content-addressed result journal
 //! (`sg-journal/1`, see `sg_journal`) into all three execution paths:
-//! `sweep` runs incrementally (cells already stored under the current
+//! `sweep` runs incrementally (cells already stored under the plan's
 //! engine epoch are read back, only the delta is computed and
 //! appended), `serve` streams cached cells instantly and schedules only
 //! the delta, and `submit` writes streamed cells through to a local
-//! journal. Warm or cold, the report is bit-identical — a journal can
-//! only save work, never change answers — and `sg journal
-//! stat|compact` inspects or rewrites the store.
+//! journal under the same epoch the daemon derives from the plan. Warm
+//! or cold, the report is bit-identical — a journal can only save work,
+//! never change answers — and `sg journal stat|compact` inspects or
+//! rewrites the store.
 //!
 //! The daemon runs under admission control (`--max-jobs`,
 //! `--max-queued-runs`, per-connection `--conn-jobs`, slow-reader
@@ -77,7 +78,7 @@ use shifting_gears::adversary::{
     EquivocatingSource, FaultSelection, Omission, Partition, RandomLiar, Silent, StaggeredSplit,
     Stealth, TwoFaced,
 };
-use shifting_gears::analysis::{lock_in, scenario, Scenario};
+use shifting_gears::analysis::{lock_in, scenario, Scenario, ENGINE_VERSION_TAG};
 use shifting_gears::core::schedule::{algorithm_a_rounds_exact, algorithm_b_rounds_exact};
 use shifting_gears::core::{
     execute, render_plan, t_a, t_b, t_c, AlgorithmSpec, HybridSchedule, ShiftPlanBuilder,
@@ -119,36 +120,91 @@ fn usage() -> ! {
          [--chaos gentle|hostile] [--seed <s>]\n  \
          sg bounds --n <n>\n  \
          sg list\n\
-         global: --jobs <N> sizes the sweep worker pool; --no-early-stop runs\n        \
-         full fixed-length schedules; --no-instance-pool rebuilds protocol and\n        \
-         adversary instances every run; --no-batch disables the lock-step\n        \
-         batch executor (64 runs per instruction) in favour of the scalar path;\n        \
-         --no-batch-adversary keeps the batch executor but drives each fault\n        \
-         lane through the scalar adversary bridge"
+         global: --jobs <N> sizes the sweep worker pool; --no-early-stop (run,\n        \
+         compose, gauntlet, stability, sweep, submit) runs full fixed-length\n        \
+         schedules; unrecognised flags exit 2"
     );
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// The flags `cmd` accepts besides the global `--jobs`, as
+/// space-separated `(valued, switches)` name lists; `None` for an unknown
+/// subcommand.
+fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
+    const GRID: &str = "alg n t b seeds adversary f base-seed split from to period phase start \
+                        schedule trace-file expect-fingerprint journal";
+    const ENDPOINT: &str = "addr socket port";
+    const ADMISSION: &str = "workers max-jobs max-queued-runs";
+    let spec = "alg n t b seed";
+    Some(match cmd {
+        "run" => (
+            format!("{spec} adversary value"),
+            "source-faulty trace no-early-stop",
+        ),
+        "plan" => (spec.to_string(), ""),
+        "compose" => ("n t spec seed adversary".to_string(), "run no-early-stop"),
+        "gauntlet" | "stability" => (spec.to_string(), "no-early-stop"),
+        "sweep" => (GRID.to_string(), "source-faulty no-early-stop"),
+        "record" => (format!("{spec} adversary value out"), "source-faulty"),
+        "serve" => (
+            format!("{ENDPOINT} {ADMISSION} conn-jobs write-queue send-buffer journal"),
+            "",
+        ),
+        "submit" => (
+            format!("{GRID} {ENDPOINT} timeout deadline-ms retry-attempts"),
+            "source-faulty no-early-stop shutdown",
+        ),
+        "ping" => (format!("{ENDPOINT} timeout timeout-ms attempts"), ""),
+        "hammer" => (
+            format!(
+                "{ADMISSION} connections jobs-per-conn seeds deadline-ms retry-attempts chaos seed"
+            ),
+            "",
+        ),
+        "bounds" => ("n".to_string(), ""),
+        "list" => (String::new(), ""),
+        _ => return None,
+    })
+}
+
+/// Splits `args` into valued flags and switches, rejecting anything
+/// `cmd` does not accept: a stale flag must fail loudly, not silently
+/// run the default path.
+fn parse_flags(cmd: &str, args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+    let Some((valued, switches)) = accepted_flags(cmd) else {
+        usage()
+    };
+    let listed = |names: &str, name: &str| names.split_whitespace().any(|known| known == name);
     let mut flags = HashMap::new();
     let mut toggles = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                toggles.push(name.to_string());
-                i += 1;
-            }
+        let Some(name) = args[i].strip_prefix("--") else {
+            eprintln!("unexpected argument '{}'", args[i]);
+            usage();
+        };
+        if listed(switches, name) {
+            toggles.push(name.to_string());
+            i += 1;
+        } else if name == "jobs" || listed(&valued, name) {
+            let Some(value) = args.get(i + 1) else {
+                eprintln!("--{name} expects a value");
+                usage();
+            };
+            flags.insert(name.to_string(), value.clone());
+            i += 2;
         } else {
-            eprintln!("unexpected argument '{a}'");
+            eprintln!("unknown flag '--{name}' for `sg {cmd}`");
             usage();
         }
     }
     (flags, toggles)
+}
+
+/// `--no-early-stop`: the run executes its full static schedule.
+fn run_mode(mut config: RunConfig, toggles: &[String]) -> RunConfig {
+    config.early_stopping = !toggles.iter().any(|t| t == "no-early-stop");
+    config
 }
 
 fn parse_usize(flags: &HashMap<String, String>, key: &str) -> Option<usize> {
@@ -316,7 +372,10 @@ fn cmd_run(flags: &HashMap<String, String>, toggles: &[String]) {
         .map(String::as_str)
         .unwrap_or("chain-revealer");
 
-    let mut config = RunConfig::new(n, t).with_source_value(Value(value));
+    let mut config = run_mode(
+        RunConfig::new(n, t).with_source_value(Value(value)),
+        toggles,
+    );
     if trace {
         config = config.with_trace();
     }
@@ -456,7 +515,7 @@ fn cmd_compose(flags: &HashMap<String, String>, toggles: &[String]) {
             .get("adversary")
             .map(String::as_str)
             .unwrap_or("chain-revealer");
-        let config = RunConfig::new(n, t).with_source_value(Value(1));
+        let config = run_mode(RunConfig::new(n, t).with_source_value(Value(1)), toggles);
         let mut adv = adversary(adv_name, false, seed);
         let outcome = composition.execute(&config, adv.as_mut());
         println!(
@@ -472,7 +531,7 @@ fn cmd_compose(flags: &HashMap<String, String>, toggles: &[String]) {
     }
 }
 
-fn cmd_gauntlet(flags: &HashMap<String, String>) {
+fn cmd_gauntlet(flags: &HashMap<String, String>, toggles: &[String]) {
     let alg = flags
         .get("alg")
         .map(String::as_str)
@@ -489,7 +548,7 @@ fn cmd_gauntlet(flags: &HashMap<String, String>) {
     let mut failures = 0usize;
     for mut adv in standard_suite(seed) {
         for value in [Value(0), Value(1)] {
-            let config = RunConfig::new(n, t).with_source_value(value);
+            let config = run_mode(RunConfig::new(n, t).with_source_value(value), toggles);
             match execute(spec, &config, adv.as_mut()) {
                 Ok(outcome) => {
                     let ok = outcome.agreement() && outcome.validity().unwrap_or(true);
@@ -518,7 +577,7 @@ fn cmd_gauntlet(flags: &HashMap<String, String>) {
     println!("all executions reached agreement with validity");
 }
 
-fn cmd_stability(flags: &HashMap<String, String>) {
+fn cmd_stability(flags: &HashMap<String, String>, toggles: &[String]) {
     let alg = flags
         .get("alg")
         .map(String::as_str)
@@ -534,7 +593,7 @@ fn cmd_stability(flags: &HashMap<String, String>) {
     );
     println!("  f   rounds  lock-in  head-room");
     for f in 0..=t {
-        let config = RunConfig::new(n, t)
+        let config = run_mode(RunConfig::new(n, t), toggles)
             .with_source_value(Value(1))
             .with_trace();
         let _ = seed;
@@ -566,7 +625,7 @@ fn cmd_stability(flags: &HashMap<String, String>) {
 
 /// Builds the single-cell sweep grid described by the shared
 /// `sweep`/`submit` flags (`--alg --n [--t] [--b] [--seeds]
-/// [--adversary] [--base-seed] [--source-faulty]`).
+/// [--adversary] [--base-seed] [--source-faulty] [--no-early-stop]`).
 fn sweep_plan_from_flags(
     flags: &HashMap<String, String>,
     toggles: &[String],
@@ -654,8 +713,10 @@ fn sweep_plan_from_flags(
         }
     };
     let base_seed = parse_usize(flags, "base-seed").unwrap_or(0) as u64;
-    SweepPlan::new(vec![SweepConfig::traced(spec, n, t)], vec![family], seeds)
-        .with_base_seed(base_seed)
+    let mut plan = SweepPlan::new(vec![SweepConfig::traced(spec, n, t)], vec![family], seeds)
+        .with_base_seed(base_seed);
+    plan.early_stopping = !toggles.iter().any(|t| t == "no-early-stop");
+    plan
 }
 
 /// Parses `--schedule r,r,..` — one activation round per corrupted rank
@@ -766,7 +827,7 @@ fn cmd_sweep(flags: &HashMap<String, String>, toggles: &[String]) {
     if let Some((hits, computed)) = cached {
         println!(
             "journal: {hits} cell(s) cached, {computed} computed (epoch {})",
-            shifting_gears::analysis::engine_epoch()
+            plan.epoch()
         );
     }
     println!("report fingerprint: {}", report.fingerprint_hex());
@@ -998,17 +1059,6 @@ const EXIT_DEADLINE: i32 = 5;
 fn cmd_submit(flags: &HashMap<String, String>, toggles: &[String]) {
     use shifting_gears::serve::{ErrorCode, RejectCode, RetryPolicy, ServeError};
 
-    // The early-stopping mode is engine-global, not part of the wire
-    // plan: an external daemon runs grids in *its* mode regardless of
-    // this client's flag. Reject rather than silently return wrong-mode
-    // data; start the daemon with `sg serve --no-early-stop` instead.
-    if toggles.iter().any(|t| t == "no-early-stop") {
-        eprintln!(
-            "--no-early-stop does not travel over sg-serve/1: the daemon's own mode \
-             governs its runs. Launch the daemon with `sg serve --no-early-stop` instead."
-        );
-        exit(2);
-    }
     let mut client = connect_client(flags);
     if toggles.iter().any(|t| t == "shutdown") {
         match client.shutdown_server() {
@@ -1056,13 +1106,11 @@ fn cmd_submit(flags: &HashMap<String, String>, toggles: &[String]) {
         handle.job, handle.cells, handle.total_runs
     );
     // `--journal` makes the client write-through: every streamed cell is
-    // appended to a local journal under this process's engine epoch, so
-    // a later `sg sweep --journal` (or a journal-backed daemon fed the
-    // same directory) starts warm. Sound because the only toggle that
-    // changes sweep bytes (`--no-early-stop`) is rejected above — the
-    // other engine toggles are identity-preserving by contract.
+    // appended to a local journal under the plan's epoch — the one the
+    // daemon computed it under — so a later `sg sweep --journal` (or a
+    // journal-backed daemon fed the same directory) starts warm.
     let mut journal = flags.get("journal").map(|path| open_journal(path));
-    let epoch = shifting_gears::analysis::engine_epoch();
+    let epoch = plan.epoch();
     let streamed = match client.collect(handle, |index, cell| {
         print!("{}", cell.render_line());
         if let Some(journal) = journal.as_mut() {
@@ -1133,9 +1181,11 @@ fn cmd_journal(args: &[String]) {
             println!("  superseded    : {}", stats.superseded);
             println!("  corrupt lines : {}", stats.corrupt_lines);
             println!("  bytes on disk : {}", stats.bytes);
+            let epoch = |early| shifting_gears::analysis::epoch_for(ENGINE_VERSION_TAG, early);
             println!(
-                "  this process  : epoch {}",
-                shifting_gears::analysis::engine_epoch()
+                "  this build    : epoch {} (early stopping), {} (fixed length)",
+                epoch(true),
+                epoch(false)
             );
         }
         "compact" => match journal.compact() {
@@ -1249,28 +1299,16 @@ fn main() {
         cmd_journal(&args[1..]);
         return;
     }
-    let (flags, toggles) = parse_flags(&args[1..]);
+    let (flags, toggles) = parse_flags(cmd, &args[1..]);
     if let Some(jobs) = parse_usize(&flags, "jobs") {
         shifting_gears::analysis::set_jobs(jobs);
-    }
-    if toggles.iter().any(|t| t == "no-early-stop") {
-        shifting_gears::sim::set_early_stopping(false);
-    }
-    if toggles.iter().any(|t| t == "no-instance-pool") {
-        shifting_gears::sim::set_instance_pooling(false);
-    }
-    if toggles.iter().any(|t| t == "no-batch") {
-        shifting_gears::sim::set_batch_runs(false);
-    }
-    if toggles.iter().any(|t| t == "no-batch-adversary") {
-        shifting_gears::sim::set_batch_adversaries(false);
     }
     match cmd.as_str() {
         "run" => cmd_run(&flags, &toggles),
         "plan" => cmd_plan(&flags),
         "compose" => cmd_compose(&flags, &toggles),
-        "gauntlet" => cmd_gauntlet(&flags),
-        "stability" => cmd_stability(&flags),
+        "gauntlet" => cmd_gauntlet(&flags, &toggles),
+        "stability" => cmd_stability(&flags, &toggles),
         "sweep" => cmd_sweep(&flags, &toggles),
         "record" => cmd_record(&flags, &toggles),
         "serve" => cmd_serve(&flags),
@@ -1279,6 +1317,6 @@ fn main() {
         "hammer" => cmd_hammer(&flags),
         "bounds" => cmd_bounds(parse_usize(&flags, "n").unwrap_or_else(|| usage())),
         "list" => cmd_list(),
-        _ => usage(),
+        _ => unreachable!("parse_flags rejects unknown subcommands"),
     }
 }

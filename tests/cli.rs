@@ -2,16 +2,22 @@
 
 use std::process::Command;
 
-fn sg(args: &[&str]) -> (bool, String, String) {
+/// Runs `sg` and returns its exit code, stdout and stderr.
+fn sg_code(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sg"))
         .args(args)
         .output()
         .expect("spawn sg");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).to_string(),
         String::from_utf8_lossy(&out.stderr).to_string(),
     )
+}
+
+fn sg(args: &[&str]) -> (bool, String, String) {
+    let (code, stdout, stderr) = sg_code(args);
+    (code == Some(0), stdout, stderr)
 }
 
 #[test]
@@ -286,47 +292,161 @@ fn usage_documents_every_public_flag() {
         "--connections",
         "--jobs-per-conn",
         "--chaos",
-        // global engine toggles
+        // global: the worker pool, and the one engine option
         "--jobs",
         "--no-early-stop",
-        "--no-instance-pool",
-        "--no-batch",
     ] {
         assert!(stderr.contains(flag), "usage text is missing {flag}");
     }
 }
 
-/// The `--no-batch` escape hatch must reproduce the batched sweep's
-/// fingerprint bit for bit — the CLI surface of the contract
-/// `tests/batch_identity.rs` pins at the library layer.
+/// A flag `sg` does not know must fail loudly — usage text, exit 2 —
+/// never fall through to the default path: a script still passing one of
+/// the deleted engine escape hatches would otherwise "pass" a cross-check
+/// it no longer performs. Flags are checked per subcommand, so one that
+/// exists elsewhere is as unknown as one that exists nowhere.
 #[test]
-fn sweep_no_batch_reproduces_the_fingerprint() {
-    let grid = [
-        "sweep",
+fn unrecognised_flags_exit_2_with_usage() {
+    let sweep = ["sweep", "--alg", "optimal-king", "--n", "7", "--seeds", "5"];
+    let (ok, stdout, stderr) = sg(&sweep);
+    assert!(ok, "{stdout}{stderr}");
+    for stale in [
+        "--no-batch",
+        "--no-batch-adversary",
+        "--no-instance-pool",
+        "--trace",
+    ] {
+        let mut args = sweep.to_vec();
+        args.push(stale);
+        let (code, stdout, stderr) = sg_code(&args);
+        assert_eq!(code, Some(2), "{stale}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{stale}'")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(stdout.is_empty(), "{stale} must not run the sweep");
+    }
+    // The daemon has no mode of its own any more: the flag belongs to the
+    // job, so `serve` rejects it too.
+    let (ok, _, stderr) = sg(&["serve", "--no-early-stop"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown flag '--no-early-stop' for `sg serve`"),
+        "{stderr}"
+    );
+    // A valued flag at the end of the line is missing its value.
+    let (ok, _, stderr) = sg(&["bounds", "--n"]);
+    assert!(!ok);
+    assert!(stderr.contains("--n expects a value"), "{stderr}");
+}
+
+/// The daemon-side subcommands, one known-good invocation each, against
+/// one daemon: `serve`, `ping`, `submit` in both modes *concurrently* —
+/// `--no-early-stop` travels in the plan, so the canary cell returns its
+/// fixed-length fingerprint from the same process that returns the
+/// early-stopping one — each writing through to a client journal that
+/// `sweep --journal` then hits only in its own mode; `journal stat`,
+/// `hammer`, and `submit --shutdown`.
+#[test]
+fn one_daemon_serves_both_modes_from_the_cli() {
+    let dir = std::env::temp_dir().join(format!("sg-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let socket = path("sg.sock");
+
+    /// Reaps the daemon even when an assertion below unwinds.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_sg"))
+            .args(["serve", "--socket", &socket, "--workers", "2"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn daemon"),
+    );
+    let (ok, stdout, stderr) = sg(&[
+        "ping",
+        "--socket",
+        &socket,
+        "--attempts",
+        "40",
+        "--timeout-ms",
+        "500",
+    ]);
+    assert!(ok, "daemon never came up: {stdout}{stderr}");
+
+    let canary = [
         "--alg",
         "optimal-king",
         "--n",
-        "7",
+        "16",
+        "--t",
+        "5",
         "--seeds",
-        "70",
-        "--adversary",
-        "random-liar",
-        "--jobs",
-        "1",
+        "1000",
     ];
-    let (ok, batched, stderr) = sg(&grid);
-    assert!(ok, "{batched}{stderr}");
-    let mut no_batch = grid.to_vec();
-    no_batch.push("--no-batch");
-    let (ok, scalar, stderr) = sg(&no_batch);
-    assert!(ok, "{scalar}{stderr}");
-    let fingerprint_of = |out: &str| {
-        out.lines()
-            .find(|l| l.contains("report fingerprint:"))
-            .map(str::to_string)
-            .expect("fingerprint line")
+    let submit = |mode: &[&str], fingerprint: &str, journal: &str| {
+        let mut args = vec!["submit", "--socket", &socket];
+        args.extend(canary);
+        args.extend(mode);
+        args.extend(["--expect-fingerprint", fingerprint, "--journal", journal]);
+        sg(&args)
     };
-    assert_eq!(fingerprint_of(&batched), fingerprint_of(&scalar));
+    let (early_journal, fixed_journal) = (path("early"), path("fixed"));
+    let (early, fixed) = std::thread::scope(|scope| {
+        let early = scope.spawn(|| submit(&[], "d5c0db8c03964e75", &early_journal));
+        let fixed =
+            scope.spawn(|| submit(&["--no-early-stop"], "40c18433ac711905", &fixed_journal));
+        (early.join().unwrap(), fixed.join().unwrap())
+    });
+    assert!(early.0, "early submit: {}{}", early.1, early.2);
+    assert!(fixed.0, "fixed submit: {}{}", fixed.1, fixed.2);
+
+    // Each client journal holds its cell under its own mode's epoch only.
+    for (journal, own, other) in [
+        (&early_journal, &[][..], &["--no-early-stop"][..]),
+        (&fixed_journal, &["--no-early-stop"][..], &[][..]),
+    ] {
+        for (mode, expect) in [
+            (own, "journal: 1 cell(s) cached, 0 computed"),
+            (other, "journal: 0 cell(s) cached, 1 computed"),
+        ] {
+            let mut args = vec!["sweep", "--journal", journal.as_str()];
+            args.extend(canary);
+            args.extend(mode);
+            let (ok, stdout, stderr) = sg(&args);
+            assert!(ok, "{stdout}{stderr}");
+            assert!(stdout.contains(expect), "{mode:?} on {journal}: {stdout}");
+        }
+    }
+    let (ok, stdout, _) = sg(&["journal", "stat", &early_journal]);
+    assert!(ok && stdout.contains("engine epochs : 2"), "{stdout}");
+
+    let (ok, stdout, stderr) = sg(&[
+        "hammer",
+        "--connections",
+        "1",
+        "--jobs-per-conn",
+        "1",
+        "--seeds",
+        "4",
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("\"fingerprint_mismatches\": 0"), "{stdout}");
+
+    let (ok, stdout, stderr) = sg(&["submit", "--socket", &socket, "--shutdown"]);
+    assert!(ok, "{stdout}{stderr}");
+    let status = daemon.0.wait().expect("daemon exits after shutdown");
+    assert!(status.success(), "daemon exit: {status}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,18 +1,18 @@
 //! Early stopping is an *optimization*, never a semantic change: for
 //! every protocol family × adversary (including the actual-fault-budget
 //! scenarios with `f_actual < t`), the early-stopped run must decide the
-//! same values as the same-seed run with early stopping disabled —
+//! same values as the same-seed fixed-length run —
 //! agreement and validity preserved — while never overrunning the static
 //! schedule. Fault-free (`f = 0`) runs of the early-stopping families
 //! must *strictly* undercut their schedules: that saving is the paper's
 //! expedite thesis made measurable.
 //!
 //! Also pinned here: the sweep engine's adversary pool
-//! (`Adversary::reseed`) is unobservable — pooled-warm, pooled-cold and
-//! fresh (`set_instance_pooling(false)`) sweeps produce bit-identical
-//! reports.
+//! (`Adversary::reseed`) is unobservable — pooled-warm and pooled-cold
+//! sweeps produce the report the reference engine builds from a fresh
+//! strategy instance per seed.
 
-use std::sync::Mutex;
+mod oracle;
 
 use proptest::prelude::*;
 use shifting_gears::adversary::{
@@ -20,13 +20,7 @@ use shifting_gears::adversary::{
 };
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::{execute, AlgorithmSpec};
-use shifting_gears::sim::{
-    set_early_stopping, set_instance_pooling, Adversary, NoFaults, Outcome, RunConfig, Value,
-};
-
-/// Serializes the tests in this file: they drive the process-global
-/// `set_early_stopping` / `set_instance_pooling` toggles.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
+use shifting_gears::sim::{Adversary, NoFaults, Outcome, RunConfig, Value};
 
 /// One strategy instance; `f` caps the actual fault count (`None` = the
 /// full budget `t`).
@@ -52,7 +46,7 @@ fn adversary(idx: usize, seed: u64, f: Option<usize>) -> Box<dyn Adversary> {
 }
 
 /// Runs `spec` twice with the same adversary construction — early
-/// stopping on, then off — and returns both outcomes.
+/// stopping, then fixed-length — and returns both outcomes.
 fn run_pair(
     spec: AlgorithmSpec,
     n: usize,
@@ -64,10 +58,8 @@ fn run_pair(
         .with_trace();
     let expedited = execute(spec, &config, mk_adversary().as_mut())
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-    set_early_stopping(false);
-    let fixed = execute(spec, &config, mk_adversary().as_mut())
+    let fixed = execute(spec, &config.fixed_length(), mk_adversary().as_mut())
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-    set_early_stopping(true);
     (expedited, fixed)
 }
 
@@ -130,7 +122,6 @@ proptest! {
         adv_idx in 0usize..6,
         f_sel in 0usize..3,
     ) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cases = [
             (AlgorithmSpec::PhaseKing, 9, 2),
             (AlgorithmSpec::PhaseQueen, 9, 2),
@@ -159,7 +150,6 @@ proptest! {
 /// the king family one propose step after the source round.
 #[test]
 fn fault_free_runs_strictly_undercut_their_schedules() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cases = [
         (AlgorithmSpec::DolevStrong, 5, 3, 2),         // t+1 = 4 → 2
         (AlgorithmSpec::OptimalKing, 16, 5, 3),        // 3t+4 = 19 → 3
@@ -193,7 +183,6 @@ fn fault_free_runs_strictly_undercut_their_schedules() {
 /// schedules in the same grid.
 #[test]
 fn fault_budget_sweep_records_the_expedite_win() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = SweepPlan::new(
         vec![
             SweepConfig::traced(AlgorithmSpec::DolevStrong, 5, 3),
@@ -235,12 +224,11 @@ fn fault_budget_sweep_records_the_expedite_win() {
     }
 }
 
-/// The adversary pool is unobservable: a warm pooled sweep, a second
-/// (reseed-recycled) pooled sweep and a fresh sweep with pooling
-/// disabled all produce bit-identical reports.
+/// The adversary pool is unobservable: a first sweep, a second
+/// (reseed-recycled) one and the reference engine's report — a fresh
+/// strategy instance per seed — are bit-identical.
 #[test]
 fn adversary_reseed_pooling_is_bit_identical() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = SweepPlan::new(
         vec![
             SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
@@ -260,29 +248,28 @@ fn adversary_reseed_pooling_is_bit_identical() {
     let cold = plan.run_with_jobs(1);
     let warm = plan.run_with_jobs(1);
     assert_eq!(cold, warm, "reseed-recycled sweep diverged");
-
-    set_instance_pooling(false);
-    let fresh = plan.run_with_jobs(1);
-    set_instance_pooling(true);
-    assert_eq!(cold, fresh, "pooled and fresh sweeps diverged");
+    assert_eq!(
+        cold,
+        oracle::via_reference(&plan),
+        "pooled and fresh sweeps diverged"
+    );
 }
 
-/// `rounds_used` equality at the schedule: with early stopping disabled
-/// every run reports exactly its schedule, for every family × adversary.
+/// `rounds_used` equality at the schedule: a fixed-length run reports
+/// exactly its schedule, for every family × adversary.
 #[test]
 fn fixed_length_mode_reports_full_schedules() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_early_stopping(false);
     for (spec, n, t) in [
         (AlgorithmSpec::OptimalKing, 7, 2),
         (AlgorithmSpec::DolevStrong, 5, 3),
     ] {
         for adv_idx in 0..6 {
-            let config = RunConfig::new(n, t).with_source_value(Value(1));
+            let config = RunConfig::new(n, t)
+                .with_source_value(Value(1))
+                .fixed_length();
             let outcome = execute(spec, &config, adversary(adv_idx, 7, None).as_mut()).unwrap();
             assert_eq!(outcome.rounds_used, spec.rounds(n, t), "{}", spec.name());
             assert!(!outcome.early_stopped);
         }
     }
-    set_early_stopping(true);
 }

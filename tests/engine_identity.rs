@@ -1,0 +1,251 @@
+//! Every fast path, held to one oracle.
+//!
+//! The engine selects its paths from its *input*: it always pools, packs
+//! ballots when `n ≤ 64 && |V| = 2`, runs a chunk lock-step when the spec
+//! has a kernel and the chunk more than one seed, injects faults at word
+//! width when the family has a vector shape — and falls back (per-payload
+//! tallies, the scalar loop, the per-lane bridge, factory rebuilds) when
+//! it does not. No flag selects any of it, so nothing can be cross-checked
+//! by flipping one. Instead every execution route is compared, on full
+//! `SweepReport` equality, with a report built seed by seed on
+//! `sg_sim::reference` (see `tests/oracle/mod.rs`): `SweepPlan::run`, the
+//! daemon's cursor walk, and the same plan behind closure families (which
+//! forces the bridge) must all say exactly what the naive engine says,
+//! early-stopping and fixed-length alike.
+//!
+//! The property test covers the grid; the named cases below are the cells
+//! CI's perf-smoke, `lie_smoke`, dynamic-gear, tree-family and
+//! "submit == sweep --no-batch" loops used to drive through `sg` with one
+//! escape hatch per invocation.
+
+mod oracle;
+
+use oracle::assert_engines_agree;
+use proptest::prelude::*;
+use shifting_gears::adversary::FaultSelection;
+use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
+use shifting_gears::core::AlgorithmSpec;
+
+/// The eleven protocol families of the sweep surface. Every resilience
+/// bound accepts `(n, t) = (10, 2)` except the hybrid's, which pins
+/// `t = t_A(10) = 3` (the property test adjusts).
+fn spec(idx: usize) -> AlgorithmSpec {
+    match idx {
+        0 => AlgorithmSpec::PlainExponential,
+        1 => AlgorithmSpec::Exponential,
+        2 => AlgorithmSpec::AlgorithmA { b: 3 },
+        3 => AlgorithmSpec::AlgorithmB { b: 3 },
+        4 => AlgorithmSpec::AlgorithmC,
+        5 => AlgorithmSpec::Hybrid { b: 3 },
+        6 => AlgorithmSpec::PhaseKing,
+        7 => AlgorithmSpec::OptimalKing,
+        8 => AlgorithmSpec::PhaseQueen,
+        9 => AlgorithmSpec::KingShift { b: 3 },
+        _ => AlgorithmSpec::DynamicKing { b: 3 },
+    }
+}
+
+/// The named adversary suite, parameterized by a fault selection — the
+/// same families `sg sweep --adversary` exposes, at the CLI's default
+/// shape parameters. Seven have a vector shape, `partition` corrupts
+/// edges (the kernel bails out to the scalar engine), `no-faults` has
+/// nothing to inject.
+fn family(idx: usize, sel: FaultSelection) -> AdversaryFamily {
+    match idx {
+        0 => AdversaryFamily::no_faults(),
+        1 => AdversaryFamily::random_liar(sel),
+        2 => AdversaryFamily::chain_revealer(sel, 2, 2),
+        3 => AdversaryFamily::crash(sel, 2),
+        4 => AdversaryFamily::silent(sel),
+        5 => AdversaryFamily::partition(sel, 1, 2, 3),
+        6 => AdversaryFamily::omission(sel, 2, 0),
+        7 => AdversaryFamily::equivocate(sel, 3, 1),
+        _ => AdversaryFamily::adaptive(sel, vec![2, 4]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The grid: family × adversary × fault budget × mode. Budgets are
+    /// `f ∈ {0, 1, t}` sparing the source, plus the full budget with the
+    /// source among the faulty — what makes a king sample depend on the
+    /// lies told. Cells with a uniform lock-step kernel get 65 seeds, so
+    /// one chunk fills completely and a 1-seed tail crosses the 64-lane
+    /// boundary onto the scalar loop; the tree machines get fewer (their
+    /// identity is scheduling and pooling only, and they are costly per
+    /// run). Between them the cells take every route through the chunk
+    /// executor: the kernels, deferred `dynamic-king` lanes, scalar-only
+    /// tree specs, the vector and bridged fault paths, and the
+    /// `partition` edge-fault bailout.
+    #[test]
+    fn production_cursor_and_reference_agree_on_the_grid(
+        spec_idx in 0usize..11,
+        adv_idx in 0usize..9,
+        budget in 0usize..4,
+        fixed in any::<bool>(),
+    ) {
+        let spec = spec(spec_idx);
+        let t = match spec {
+            AlgorithmSpec::Hybrid { .. } => 3,
+            _ => 2,
+        };
+        let sel = match budget {
+            3 => FaultSelection::with_source(),
+            f => FaultSelection::without_source().limit([0, 1, t][f]),
+        };
+        let seeds = match spec {
+            AlgorithmSpec::OptimalKing
+            | AlgorithmSpec::PhaseKing
+            | AlgorithmSpec::PhaseQueen => 65,
+            AlgorithmSpec::PlainExponential | AlgorithmSpec::Exponential => 4,
+            _ => 8,
+        };
+        let mut plan = SweepPlan::new(
+            vec![SweepConfig::traced(spec, 10, t)],
+            vec![family(adv_idx, sel)],
+            seeds,
+        );
+        plan.early_stopping = !fixed;
+        assert_engines_agree(&plan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The corner of the grid where a sample depends on *what the liars
+    /// say*, sampled densely: the kernel-backed specs under every
+    /// vector-eligible family at `f ∈ {0, 1, t}` and with the source among
+    /// the faulty. Under a correct source a king run locks on the first
+    /// propose step whatever the lies are, so a wrong lane mask or a
+    /// mis-drawn lie is invisible there; a source that lies from round 1
+    /// splits the correct processors, and every later tally — word-wide
+    /// in the kernel, per payload in the reference — has to agree.
+    #[test]
+    fn lies_that_matter_reach_every_kernel(
+        spec_idx in 0usize..5,
+        adv_idx in 0usize..8,
+        budget in 0usize..4,
+        fixed in any::<bool>(),
+    ) {
+        let spec = [
+            AlgorithmSpec::KingShift { b: 3 },
+            AlgorithmSpec::DynamicKing { b: 3 },
+            AlgorithmSpec::PhaseKing,
+            AlgorithmSpec::PhaseQueen,
+            AlgorithmSpec::OptimalKing,
+        ][spec_idx];
+        let sel = match budget {
+            3 => FaultSelection::with_source(),
+            f => FaultSelection::without_source().limit(f),
+        };
+        // The seven vector-shaped families of `family`, and a second,
+        // denser chain-revealer.
+        let family = match adv_idx {
+            7 => AdversaryFamily::chain_revealer(sel, 1, 1),
+            i => family([1, 2, 3, 4, 6, 7, 8][i], sel),
+        };
+        let seeds = match spec {
+            AlgorithmSpec::KingShift { .. } | AlgorithmSpec::DynamicKing { .. } => 8,
+            _ => 65,
+        };
+        let mut plan = SweepPlan::new(vec![SweepConfig::traced(spec, 10, 2)], vec![family], seeds);
+        plan.early_stopping = !fixed;
+        assert_engines_agree(&plan);
+    }
+}
+
+/// One named cell at its spec's maximum resilience: every route agrees
+/// with the reference.
+fn check_cell(spec: AlgorithmSpec, n: usize, family: AdversaryFamily, seeds: u64, fixed: bool) {
+    let config = SweepConfig::traced(spec, n, spec.max_resilience(n));
+    let mut plan = SweepPlan::new(vec![config], vec![family], seeds);
+    plan.early_stopping = !fixed;
+    assert_engines_agree(&plan);
+}
+
+fn staged_lies_from_a_faulty_source() -> AdversaryFamily {
+    AdversaryFamily::chain_revealer(FaultSelection::with_source(), 2, 2)
+}
+
+fn random_liars() -> AdversaryFamily {
+    AdversaryFamily::random_liar(FaultSelection::without_source())
+}
+
+// The deleted CI loops ran the gear and tree cells early-stopping only;
+// so do the cases below (their fixed-length mode is in the grid above, at
+// n = 10 — in a debug build a tree prefix at n = 16 costs ~10 ms a run).
+// The pure king cells, a few µs a run, take both modes.
+
+/// CI's `lie_smoke`, king half: with a faulty source under staged random
+/// lies the sample depends on what the liars say — the vector path's
+/// turn rule and the first-draw kernel against per-edge scalar draws.
+#[test]
+fn optimal_king_n31_under_a_lying_source() {
+    for fixed in [false, true] {
+        let lies = staged_lies_from_a_faulty_source();
+        check_cell(AlgorithmSpec::OptimalKing, 31, lies, 200, fixed);
+    }
+}
+
+/// CI's `lie_smoke`, gear half: the same lies through the mixed-width
+/// kernel's scalar prefix and bit-lane tail.
+#[test]
+fn dynamic_king_n16_under_a_lying_source() {
+    let lies = staged_lies_from_a_faulty_source();
+    check_cell(AlgorithmSpec::DynamicKing { b: 3 }, 16, lies, 200, false);
+}
+
+/// CI's dynamic-gear smoke: runtime gear shifts (and the static plan
+/// beside them) are exactly as deterministic as the static specs. One
+/// full chunk and an 8-lane one; the 200-seed depth is the cell above.
+#[test]
+fn gear_shifting_kings_n16() {
+    check_cell(
+        AlgorithmSpec::DynamicKing { b: 3 },
+        16,
+        random_liars(),
+        72,
+        false,
+    );
+    check_cell(
+        AlgorithmSpec::KingShift { b: 3 },
+        16,
+        random_liars(),
+        72,
+        false,
+    );
+}
+
+/// CI's tree-family smoke: the tree machine reads one process-wide label
+/// table per `(n, source)`; a pooled instance must not differ from a
+/// fresh one (`tests/tree_fingerprints.rs` pins that a second worker
+/// thread's trees do not differ from the first's).
+#[test]
+fn tree_family_n16_and_n13() {
+    check_cell(
+        AlgorithmSpec::Hybrid { b: 3 },
+        16,
+        random_liars(),
+        16,
+        false,
+    );
+    check_cell(
+        AlgorithmSpec::AlgorithmA { b: 3 },
+        13,
+        random_liars(),
+        16,
+        false,
+    );
+}
+
+/// CI's "submit == sweep --no-batch" cell: 130 seeds are two full
+/// lock-step chunks and a 2-seed tail, which is how the daemon's cursor
+/// walks it.
+#[test]
+fn the_130_seed_serve_cell() {
+    for fixed in [false, true] {
+        check_cell(AlgorithmSpec::OptimalKing, 16, random_liars(), 130, fixed);
+    }
+}

@@ -17,18 +17,12 @@
 //!   `1 + (f+1)·b + 3·(f+2)` — independent of `t` — while the static
 //!   plan's tree prefix always runs to its worst-case end.
 
-use std::sync::Mutex;
-
 use proptest::prelude::*;
 use shifting_gears::adversary::{ChainRevealer, Crash, FaultSelection, RandomLiar, Silent};
 use shifting_gears::core::{
     dynamic_king_blocks, execute, AlgorithmSpec, ShiftComposition, ShiftPlanBuilder,
 };
-use shifting_gears::sim::{set_early_stopping, Adversary, NoFaults, RunConfig, Value};
-
-/// Serializes the tests that drive the process-global early-stopping
-/// toggle (the same convention as `tests/early_stopping.rs`).
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
+use shifting_gears::sim::{Adversary, NoFaults, RunConfig, Value};
 
 /// The equivalent static gear plan of `DynamicKing { b }` at `(n, t)`:
 /// the same A-block prefix compiled as a fixed composition with the same
@@ -65,7 +59,6 @@ proptest! {
         adv_idx in 0usize..4,
         f_sel in 0usize..3,
     ) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (n, t) in [(5usize, 3usize), (8, 5)] {
             let f = [0, 1, t][f_sel].min(t);
             let config = RunConfig::new(n, t).with_source_value(Value(1));
@@ -99,7 +92,6 @@ proptest! {
         adv_idx in 0usize..2,
         f_sel in 0usize..3,
     ) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let b = 3usize;
         for (n, t) in [(10usize, 3usize), (16, 5)] {
             let f = [0, 1, t][f_sel].min(t);
@@ -142,7 +134,6 @@ proptest! {
 /// first quiet block and locks at round 6.
 #[test]
 fn dynamic_beats_static_at_low_f() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, t, b) = (16, 5, 3);
     let config = RunConfig::new(n, t).with_source_value(Value(1));
     let static_comp = static_equivalent(n, t, b);
@@ -182,16 +173,15 @@ fn dynamic_beats_static_at_low_f() {
 }
 
 /// Dynamic dispatch is part of the schedule, not an engine observation:
-/// with early stopping disabled the shift still commits (the tail is
-/// entered early) but the tail then runs its full fixed length.
+/// in a fixed-length run the shift still commits (the tail is entered
+/// early) but the tail then runs its full fixed length.
 #[test]
 fn gear_shifts_survive_early_stopping_off() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, t, b) = (16, 5, 3);
-    let config = RunConfig::new(n, t).with_source_value(Value(1));
-    set_early_stopping(false);
+    let config = RunConfig::new(n, t)
+        .with_source_value(Value(1))
+        .fixed_length();
     let outcome = execute(AlgorithmSpec::DynamicKing { b }, &config, &mut NoFaults).unwrap();
-    set_early_stopping(true);
     outcome.assert_correct();
     // Shift at the first block boundary (round 1 + b), then the full
     // 3·(t+1)-round tail.
@@ -206,7 +196,6 @@ fn gear_shifts_survive_early_stopping_off() {
 /// precompiled plan instead of guessing.
 #[test]
 fn detection_forcing_adversaries_delay_the_shift() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, t, b) = (16, 5, 3);
     let config = RunConfig::new(n, t).with_source_value(Value(1));
     let mut revealer = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 7);

@@ -4,22 +4,18 @@
 //! The engine's instance pool recycles protocol instances across runs via
 //! `Protocol::reset` instead of consulting the factory. The contract is
 //! that pooling is *unobservable* in the output: every `Outcome` field —
-//! decisions, fault sets, metrics, traces, round counts — matches a
-//! fresh-instance execution exactly, for every protocol family and under
-//! every adversary. The property test below drives all nine resettable
-//! families (Phase King, Phase Queen, Optimal King, King-Shift, the
-//! plan-driven tree machine, Dolev–Strong, interactive consistency,
-//! multivalued broadcast, and shift compositions) through a cold pooled
-//! run and a warm (reset) pooled run, and additionally asserts the warm
-//! run never touched the factory.
+//! decisions, fault sets, metrics, traces, round counts — matches the
+//! reference engine's fresh-everything execution exactly, for every
+//! protocol family and under every adversary. The property test below
+//! drives all nine resettable families (Phase King, Phase Queen, Optimal
+//! King, King-Shift, the plan-driven tree machine, Dolev–Strong,
+//! interactive consistency, multivalued broadcast, and shift
+//! compositions) through a cold pooled run and a warm (reset) pooled run,
+//! and additionally asserts the warm run never touched the factory. The
+//! reference reads every payload where the engine reads packed ballots,
+//! so the same comparison pins the bit-packed view too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Serializes the tests in this file: both drive process-global engine
-/// toggles (`set_instance_pooling`, `set_packed_broadcast`), so running
-/// them concurrently would race the flags mid-run.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
 
 use proptest::prelude::*;
 use shifting_gears::adversary::{ChainRevealer, FaultSelection, RandomLiar, TwoFaced};
@@ -27,8 +23,8 @@ use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
 };
 use shifting_gears::sim::{
-    run_into, set_packed_broadcast, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena,
-    RunConfig, Value, ValueDomain,
+    reference, run_into, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena, RunConfig,
+    Value, ValueDomain,
 };
 
 /// One `run_into` execution in `arena`, returned in a fresh buffer.
@@ -53,10 +49,11 @@ fn assert_same_outcome(label: &str, fresh: &Outcome, pooled: &Outcome) {
     assert_eq!(fresh.metrics, pooled.metrics, "{label}: metrics");
     assert_eq!(fresh.trace, pooled.trace, "{label}: trace");
     assert_eq!(fresh.rounds_used, pooled.rounds_used, "{label}: rounds");
+    assert_eq!(fresh.early_stopped, pooled.early_stopped, "{label}: early");
 }
 
-/// One comparison: a fresh-instance run vs a cold pooled run vs a warm
-/// (instance-reset) pooled run of the same configuration, with the
+/// One comparison: the reference engine's run vs a cold pooled run vs a
+/// warm (instance-reset) pooled run of the same configuration, with the
 /// factory-call count of the warm run pinned to zero.
 fn check_pool_identity(
     label: &str,
@@ -65,14 +62,7 @@ fn check_pool_identity(
     mk_adversary: &dyn Fn() -> Box<dyn Adversary>,
     factory: &dyn Fn(ProcessId) -> Box<dyn Protocol>,
 ) {
-    let mut fresh_arena = RunArena::new();
-    let fresh = run_in(
-        &mut fresh_arena,
-        config,
-        mk_adversary().as_mut(),
-        None,
-        factory,
-    );
+    let fresh = reference::run(config, mk_adversary().as_mut(), factory);
 
     let calls = AtomicUsize::new(0);
     let counting = |me: ProcessId| {
@@ -105,22 +95,8 @@ fn check_pool_identity(
         "{label}: warm pooled run must reset, not rebuild"
     );
 
-    // The bit-packed broadcast view must be unobservable too: re-run
-    // with the packed masks disabled (per-payload fallback tallies) and
-    // expect the same bytes.
-    set_packed_broadcast(false);
-    let unpacked = run_in(
-        &mut arena,
-        config,
-        mk_adversary().as_mut(),
-        Some(key),
-        counting,
-    );
-    set_packed_broadcast(true);
-
     assert_same_outcome(label, &fresh, &cold);
     assert_same_outcome(label, &fresh, &warm);
-    assert_same_outcome(label, &fresh, &unpacked);
 }
 
 /// The adversary sample: stateless, seeded-random, and staged-reveal
@@ -166,7 +142,6 @@ proptest! {
     /// outcomes and the warm run never consults the factory.
     #[test]
     fn pooled_reset_runs_match_fresh_runs(seed in 0u64..1_000, adv_idx in 0usize..4) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The six spec-built families.
         check_spec(AlgorithmSpec::PhaseKing, 9, 2, adv_idx, seed);
         check_spec(AlgorithmSpec::PhaseQueen, 9, 2, adv_idx, seed);
@@ -247,7 +222,6 @@ proptest! {
 /// warmth.)
 #[test]
 fn evicting_one_pool_key_leaves_sibling_keys_warm() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config_a = RunConfig::new(7, 2)
         .with_source_value(Value(1))
         .with_trace();
@@ -324,73 +298,40 @@ fn evicting_one_pool_key_leaves_sibling_keys_warm() {
     );
 
     // And the outcomes are still the fresh-run outcomes, bit for bit.
-    let mut fresh_arena = RunArena::new();
-    let fresh_a = run_in(
-        &mut fresh_arena,
-        &config_a,
-        adv().as_mut(),
-        None,
-        &factory_a,
-    );
-    let fresh_b = run_in(
-        &mut fresh_arena,
-        &config_b,
-        adv().as_mut(),
-        None,
-        &factory_b,
-    );
+    let fresh_a = reference::run(&config_a, adv().as_mut(), &factory_a);
+    let fresh_b = reference::run(&config_b, adv().as_mut(), &factory_b);
     assert_same_outcome("evicted key", &fresh_a, &rerun_a);
     assert_same_outcome("surviving key", &fresh_b, &rerun_b);
 }
 
-/// Pooling responds to the global escape hatch: with
-/// `set_instance_pooling(false)` every run rebuilds its instances, and
-/// outcomes still match pooled runs exactly (the CI perf-smoke invariant).
+/// The pool is selected by input: a run given no [`PoolKey`] rebuilds
+/// every instance through the factory — in an arena whose pool is warm
+/// for that very spec — and outcomes still match pooled runs exactly.
 #[test]
 fn disabling_the_pool_rebuilds_instances_without_changing_outcomes() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = RunConfig::new(7, 2)
         .with_source_value(Value(1))
         .with_trace();
     let spec = AlgorithmSpec::OptimalKing;
     let key = spec.pool_key(&config);
     let factory = spec.factory(&config);
+    let liar = || RandomLiar::new(FaultSelection::with_source(), 11);
     let mut arena = RunArena::new();
 
-    let pooled_a = run_in(
-        &mut arena,
-        &config,
-        &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        Some(key),
-        &factory,
-    );
-    let pooled_b = run_in(
-        &mut arena,
-        &config,
-        &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        Some(key),
-        &factory,
-    );
+    let pooled_a = run_in(&mut arena, &config, &mut liar(), Some(key), &factory);
+    let pooled_b = run_in(&mut arena, &config, &mut liar(), Some(key), &factory);
 
-    shifting_gears::sim::set_instance_pooling(false);
     let calls = AtomicUsize::new(0);
-    let unpooled = run_in(
-        &mut arena,
-        &config,
-        &mut RandomLiar::new(FaultSelection::with_source(), 11),
-        Some(key),
-        |me| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            factory(me)
-        },
-    );
-    shifting_gears::sim::set_instance_pooling(true);
+    let unpooled = run_in(&mut arena, &config, &mut liar(), None, |me| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        factory(me)
+    });
 
     assert_eq!(
         calls.load(Ordering::SeqCst),
         config.n,
-        "disabled pool must rebuild every instance"
+        "a keyless run must rebuild every instance"
     );
-    assert_same_outcome("escape hatch", &pooled_a, &pooled_b);
-    assert_same_outcome("escape hatch", &pooled_a, &unpooled);
+    assert_same_outcome("keyless", &pooled_a, &pooled_b);
+    assert_same_outcome("keyless", &pooled_a, &unpooled);
 }

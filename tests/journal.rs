@@ -1,29 +1,18 @@
 //! The result journal is *unobservable* in sweep output: a warm
-//! journal-backed run must be bit-identical to a cold one, across every
-//! engine mode and both execution paths (local `run_with_journal`, the
+//! journal-backed run must be bit-identical to a cold one, in both
+//! engine modes and on both execution paths (local `run_with_journal`, the
 //! `sg-serve/1` daemon), and any damage to the store must degrade to
 //! recomputation — "absent, never wrong" — with a structured warning,
 //! never a panic or a wrong cell.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 use shifting_gears::adversary::FaultSelection;
-use shifting_gears::analysis::{
-    engine_epoch, AdversaryFamily, SweepConfig, SweepPlan, SweepReport,
-};
+use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::journal::Journal;
-use shifting_gears::sim::{
-    set_batch_runs, set_early_stopping, set_instance_pooling, set_packed_broadcast,
-};
-
-/// Serializes the tests in this file: several drive the process-global
-/// engine toggles, which the journal's epoch (and the sweep engine)
-/// read mid-run.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sg-journal-it-{}-{tag}", std::process::id()));
@@ -47,39 +36,20 @@ fn grid(seeds: u64) -> SweepPlan {
     )
 }
 
-/// Restores the engine defaults (all fast paths on) when dropped, so a
-/// failing assertion cannot leak a disabled toggle into later tests.
-struct ToggleGuard;
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        set_early_stopping(true);
-        set_instance_pooling(true);
-        set_batch_runs(true);
-        set_packed_broadcast(true);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Warm vs cold bit-identity across the engine-mode matrix:
-    /// pooled/fresh instances × batch/scalar × 1/8 workers. The first
-    /// journal pass computes everything (and must already match the
-    /// journal-free report); the second pass answers every cell from
+    /// (a) Warm vs cold bit-identity in both modes at 1/8 workers. The
+    /// first journal pass computes everything (and must already match
+    /// the journal-free report); the second pass answers every cell from
     /// the store and must still match, byte for byte.
     #[test]
     fn warm_and_cold_reports_are_bit_identical(
-        pooled in any::<bool>(),
-        batch in any::<bool>(),
+        fixed in any::<bool>(),
         eight_jobs in any::<bool>(),
     ) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = ToggleGuard;
-        set_instance_pooling(pooled);
-        set_batch_runs(batch);
         let jobs = if eight_jobs { 8 } else { 1 };
-        let plan = grid(10);
+        let plan = if fixed { grid(10).fixed_length() } else { grid(10) };
         let cold = plan.run_with_jobs(jobs);
 
         let dir = tmpdir("warm-cold");
@@ -109,7 +79,6 @@ proptest! {
         line_sel in 0usize..4,
         damage in 0usize..3,
     ) {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let plan = grid(6);
         let cold = plan.run_with_jobs(1);
         let dir = tmpdir("damage");
@@ -162,47 +131,39 @@ proptest! {
     }
 }
 
-/// (b) Every engine toggle moves the live epoch, and a moved epoch
-/// yields *zero* hits: entries written under the fast-path default are
-/// invisible to a differently-configured engine, so a mode flip can
-/// never replay wrong-mode bytes.
+/// (b) The one engine toggle left — the plan's early-stopping flag —
+/// moves the epoch, and a moved epoch yields *zero* hits: entries written
+/// by the early-stopping plan are invisible to its fixed-length twin
+/// (same cell keys, different epoch), so neither mode can ever replay the
+/// other's bytes.
 #[test]
 fn flipping_any_engine_toggle_yields_zero_hits() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = ToggleGuard;
-    let base = engine_epoch();
-    type Setter = fn(bool);
-    let setters: [(&str, Setter); 4] = [
-        ("early-stop", set_early_stopping),
-        ("instance-pool", set_instance_pooling),
-        ("batch", set_batch_runs),
-        ("packed-broadcast", set_packed_broadcast),
-    ];
-    for (name, set) in setters {
-        set(false);
-        assert_ne!(engine_epoch(), base, "{name} must move the epoch");
-        set(true);
-    }
-    assert_eq!(engine_epoch(), base, "restored toggles restore the epoch");
-
-    // And end to end: a journal populated in the default mode answers
-    // nothing once a toggle flips — the cells are recomputed (in the
-    // new mode) rather than replayed from the wrong epoch.
     let plan = grid(6);
+    let flipped = grid(6).fixed_length();
+    assert_ne!(
+        plan.epoch(),
+        flipped.epoch(),
+        "the mode must move the epoch"
+    );
+    assert_eq!(plan.epoch(), grid(9).epoch(), "the grid must not");
+    assert_eq!(plan.cell_key(0), flipped.cell_key(0));
+
     let dir = tmpdir("epoch-miss");
     let mut journal = Journal::open(&dir).unwrap();
     plan.run_with_journal(&mut journal, 1);
-    set_instance_pooling(false);
-    let flipped = plan.run_with_journal(&mut journal, 1);
-    assert_eq!(flipped.hits, 0, "moved epoch must miss every cell");
-    assert_eq!(flipped.computed, plan.cell_count());
-    set_instance_pooling(true);
-    let restored = plan.run_with_journal(&mut journal, 1);
-    assert_eq!(
-        restored.hits,
-        plan.cell_count(),
-        "both epochs now coexist in the store"
-    );
+    let fixed = flipped.run_with_journal(&mut journal, 1);
+    assert_eq!(fixed.hits, 0, "moved epoch must miss every cell");
+    assert_eq!(fixed.computed, plan.cell_count());
+    assert_eq!(fixed.report, flipped.run_with_jobs(1));
+    for mode in [&plan, &flipped] {
+        let again = mode.run_with_journal(&mut journal, 1);
+        assert_eq!(
+            again.hits,
+            plan.cell_count(),
+            "both epochs now coexist in the store"
+        );
+        assert_eq!(again.report, mode.run_with_jobs(1));
+    }
     drop(journal);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -215,7 +176,6 @@ fn flipping_any_engine_toggle_yields_zero_hits() {
 fn daemon_serves_overlap_from_cache_and_computes_the_delta() {
     use shifting_gears::serve::{serve, Bind, Client, ServeOptions};
 
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmpdir("daemon");
     let options = ServeOptions {
         workers: 2,
@@ -272,7 +232,6 @@ fn daemon_serves_overlap_from_cache_and_computes_the_delta() {
 /// the pinned fingerprint.
 #[test]
 fn journal_round_trips_across_reopen() {
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = grid(8);
     let cold: SweepReport = plan.run_with_jobs(1);
     let dir = tmpdir("reopen");

@@ -8,6 +8,12 @@
 //! collected in grid order. The engine's contract is that [`RunArena`]
 //! recycling (the thread-local pool behind `engine::run`) never leaks
 //! state between consecutive runs.
+//!
+//! The two fingerprints every PR since PR 2 has had to reproduce are
+//! pinned here as constants, on the production engine and on
+//! `sg_sim::reference` alike.
+
+mod oracle;
 
 use shifting_gears::adversary::{FaultSelection, RandomLiar};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
@@ -26,6 +32,36 @@ fn grid() -> SweepPlan {
         ],
         5,
     )
+}
+
+/// The canary cell — `optimal-king n=16 t=5` under random liars sparing
+/// the source, 1000 seeds from base 0 — fingerprints to this.
+const CANARY_EARLY: u64 = 0xd5c0_db8c_0396_4e75;
+
+/// The same cell as a fixed-length plan: the pre-early-stopping engine's
+/// output, unmoved since.
+const CANARY_FIXED: u64 = 0x40c1_8433_ac71_1905;
+
+#[test]
+fn canary_fingerprints_are_pinned_on_both_engines() {
+    let canary = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+        vec![AdversaryFamily::random_liar(
+            FaultSelection::without_source(),
+        )],
+        1000,
+    );
+    for (plan, pinned) in [
+        (canary.clone(), CANARY_EARLY),
+        (canary.fixed_length(), CANARY_FIXED),
+    ] {
+        assert_eq!(plan.run().fingerprint(), pinned, "SweepPlan::run");
+        assert_eq!(
+            oracle::via_reference(&plan).fingerprint(),
+            pinned,
+            "sg_sim::reference"
+        );
+    }
 }
 
 /// The tentpole guarantee: `--jobs 1` and `--jobs 8` produce the same

@@ -8,24 +8,23 @@
 //!    `sg-scenario/1` JSON parses back to an equal scenario; replaying it
 //!    reproduces the recorded verdict — including the fingerprint-relevant
 //!    metric sample — exactly.
-//! 2. **Replay is execution-mode independent.** The same trace replays
-//!    identically under pooled and fresh protocol instances.
+//! 2. **Replay is engine independent.** The same trace replays
+//!    identically on the production engine (pooled instances, packed
+//!    ballots) and on `sg_sim::reference`, which also pins the
+//!    reference engine to the trace format's call-order contract.
 //! 3. **Damaged artifacts fail structurally.** Truncated JSON and
 //!    mutated traces produce `Err`, never a panic.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use shifting_gears::adversary::standard_suite;
+use shifting_gears::adversary::{standard_suite, ReplayAdversary};
 use shifting_gears::analysis::scenario::{record, replay};
-use shifting_gears::analysis::{Scenario, SweepConfig};
+use shifting_gears::analysis::{Scenario, SweepConfig, Verdict};
 use shifting_gears::core::AlgorithmSpec;
-use shifting_gears::sim::set_instance_pooling;
-
-/// Serializes tests that flip the process-wide pooling toggle.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
+use shifting_gears::sim::{reference, RunConfig};
 
 /// The cells the round-trip property samples: one king protocol, one
 /// exponential, both unauthenticated (signed payloads have no trace
@@ -38,7 +37,7 @@ fn cells() -> [SweepConfig; 3] {
     ]
 }
 
-/// One full record → serialize → parse → replay check, pooled and fresh.
+/// One full record → serialize → parse → replay check, on both engines.
 fn check_roundtrip(family_index: usize, seed: u64, cell_index: usize) -> Result<(), TestCaseError> {
     let mut suite = standard_suite(seed);
     let adversary = suite.swap_remove(family_index % suite.len());
@@ -58,19 +57,19 @@ fn check_roundtrip(family_index: usize, seed: u64, cell_index: usize) -> Result<
         .expect("serialized scenario parses back");
     prop_assert_eq!(&parsed, &scenario);
 
-    // Replay is bit-exact under pooled instances…
+    // Replay is bit-exact on the production engine…
     let pooled = replay(&parsed).expect("pooled replay runs");
     prop_assert_eq!(pooled, scenario.verdict);
 
-    // …and under fresh ones.
-    let fresh = {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_instance_pooling(false);
-        let verdict = replay(&parsed);
-        set_instance_pooling(true);
-        verdict.expect("fresh replay runs")
-    };
-    prop_assert_eq!(fresh, scenario.verdict);
+    // …and on the reference engine, which must issue the recorded calls
+    // in the recorded order.
+    let mut replayer = ReplayAdversary::new(Arc::new(parsed.trace.clone())).expect("valid trace");
+    let run_config = RunConfig::new(config.n, config.t)
+        .with_source_value(config.source_value)
+        .with_trace();
+    let fresh = reference::run(&run_config, &mut replayer, config.spec.factory(&run_config));
+    replayer.verify().expect("reference replay stays in sync");
+    prop_assert_eq!(Verdict::of(&fresh), scenario.verdict);
     Ok(())
 }
 
