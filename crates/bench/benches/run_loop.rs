@@ -14,7 +14,10 @@
 //!   early-stopping run loop is measured on its own;
 //! * `batch/*` — 64 seeds of the cell run one by one through the scalar
 //!   loop vs lock-step through `run_batch` (one bit lane per run), so
-//!   the cross-run data-parallel layer is measured on its own;
+//!   the cross-run data-parallel layer is measured on its own; and
+//!   `batch/full-schedule-n64/*`, a 64-lane × 64-slot batch held to its
+//!   full schedule by the benchmark's matched equivocation, so the
+//!   per-round cost of the lock-step driver and kernel tallies is too;
 //! * `batch-adversary/*` — the same 64-lane batch driven by a
 //!   vectorized `BatchFamily` vs the per-lane `ScalarBridge`, so the
 //!   fault-materialization layer (one mask computation per batch vs 64
@@ -40,10 +43,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngCore, SampleUniform, SeedableRng};
 use sg_adversary::{
-    edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, FaultSelection, RandomLiar,
+    edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar,
     VectorFamily,
 };
-use sg_core::{king_batch_kernel, AlgorithmSpec};
+use sg_core::{batch_kernel, king_batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
@@ -238,6 +241,42 @@ fn bench_batch_runs(c: &mut Criterion) {
             ));
         });
     });
+    group.finish();
+
+    // The round loop itself: 64 lanes × 64 slots at maximum resilience
+    // under the benchmark's matched equivocation (a faulty source splits
+    // the correct processors to the last phase) — 66 and 33 rounds of
+    // mask-only lies, warm kernel and arena. Time / (64 × rounds) is
+    // the per-run-round cost of `king-fullround`'s largest cells.
+    let mut group = c.benchmark_group("run_loop_n64_matched_equivocation");
+    group.sample_size(20);
+    let selection = FaultSelection::with_source();
+    for spec in [AlgorithmSpec::OptimalKing, AlgorithmSpec::PhaseKing] {
+        let config = RunConfig::new(64, spec.max_resilience(64))
+            .with_source_value(Value(1))
+            .with_trace();
+        let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
+        let mut lanes: Vec<Box<dyn Adversary>> = (0..MAX_BATCH_RUNS)
+            .map(|_| Box::new(Equivocate::new(selection.clone(), 43, 1)) as Box<dyn Adversary>)
+            .collect();
+        let family = VectorFamily::Equivocate {
+            split: 43,
+            start: 1,
+        };
+        group.bench_function(format!("batch/full-schedule-n64/{}", spec.name()), |b| {
+            b.iter(|| {
+                let mut batch = BatchFamily::new(family, &selection, &mut lanes);
+                assert!(run_batch_with(
+                    &mut batch_arena,
+                    &config,
+                    kernel.as_mut(),
+                    &mut batch
+                ));
+            });
+        });
+        let full = kernel.total_rounds() - 1;
+        assert!(batch_arena.results().iter().all(|r| r.rounds_used >= full));
+    }
     group.finish();
 }
 

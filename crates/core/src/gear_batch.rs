@@ -42,6 +42,7 @@ use sg_sim::{
 };
 
 use crate::gearbox::{DynamicKing, GearBox};
+use crate::king_batch::{exchange_rule, propose_rule};
 use crate::king_shift::KingShift;
 use crate::params::Params;
 use crate::plan::RoundAction;
@@ -520,18 +521,16 @@ impl BatchKernel for GearBatchKernel {
                                 net.one(j, s) & !self.masked[s * n + j]
                             });
                         }
-                        let zeros_win = !ones.ge(t + 1); // n − ones ≥ n − t
-                        let ones_win = ones.ge(n - t) & !zeros_win;
-                        Self::commit(&mut self.prop_some, s, zeros_win | ones_win, m);
-                        Self::commit(&mut self.prop_one, s, ones_win, m);
+                        let (prop_some, prop_one) = exchange_rule(&ones, n, t);
+                        Self::commit(&mut self.prop_some, s, prop_some, m);
+                        Self::commit(&mut self.prop_one, s, prop_one, m);
                     }
                     self.add_tail_ops(m, n as u64);
                 }
                 1 => {
-                    // Propose plurality: masked senders count as ⊥
-                    // (their one/zero classifications are filtered out
-                    // entirely), ties go to 0, lock at n − t, adopt
-                    // above t.
+                    // Propose tally: masked senders count as ⊥ (their
+                    // one/zero classifications are filtered out
+                    // entirely).
                     for s in 0..n {
                         let own_one = self.prop_some[s] & self.prop_one[s];
                         let own_zero = self.prop_some[s] & !self.prop_one[s];
@@ -547,10 +546,8 @@ impl BatchKernel for GearBatchKernel {
                                 c0.add(net.zero(j, s) & unmasked);
                             }
                         }
-                        let top_one = c1.gt(&c0);
-                        let lock = (top_one & c1.ge(n - t)) | (!top_one & c0.ge(n - t));
-                        let adopt = (top_one & c1.ge(t + 1)) | (!top_one & c0.ge(t + 1));
-                        Self::commit(&mut self.current, s, adopt & top_one, m);
+                        let (current, lock) = propose_rule(&c1, &c0, n, t);
+                        Self::commit(&mut self.current, s, current, m);
                         Self::commit(&mut self.locked, s, lock, m);
                         Self::commit(&mut self.ready_mask, s, lock, m);
                     }

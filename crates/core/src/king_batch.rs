@@ -22,6 +22,28 @@ use sg_sim::RunConfig;
 use crate::optimal_king::PhaseStep;
 use crate::spec::AlgorithmSpec;
 
+/// The exchange rule, per lane, from a processor's count of ones over
+/// all `n` slots: it proposes 0 when zeros reach `n − t` (zeros are `n −
+/// ones`, absent and garbled values defaulting to 0; tested first, as in
+/// the scalar tally), 1 when ones do, and `⊥` otherwise. Returns the
+/// `(prop_some, prop_one)` lane masks.
+pub(crate) fn exchange_rule(ones: &LaneCounts, n: usize, t: usize) -> (u64, u64) {
+    let zeros_win = !ones.ge(t + 1); // n − ones ≥ n − t
+    let ones_win = ones.ge(n - t) & !zeros_win;
+    (zeros_win | ones_win, ones_win)
+}
+
+/// The propose rule, per lane, from a processor's counts of `Some(1)` and
+/// `Some(0)` proposals: plurality over non-`⊥` proposals with the smaller
+/// value winning ties, lock at `n − t`, adopt above `t`, default 0
+/// otherwise. Returns the `(current, lock)` lane masks.
+pub(crate) fn propose_rule(c1: &LaneCounts, c0: &LaneCounts, n: usize, t: usize) -> (u64, u64) {
+    let top_one = c1.gt(c0);
+    let lock = (top_one & c1.ge(n - t)) | (!top_one & c0.ge(n - t));
+    let adopt = (top_one & c1.ge(t + 1)) | (!top_one & c0.ge(t + 1));
+    (adopt & top_one, lock)
+}
+
 /// Bit-sliced lane state for one batch of `OptimalKing` runs.
 ///
 /// Per slot `i`, bit `r` of `current[i]` is run `r`'s preferred value,
@@ -155,46 +177,20 @@ impl BatchKernel for KingBatchKernel {
                 }
             }
             Some((_, PhaseStep::Exchange)) => {
-                // Count ones over all n slots (own current substituted for
-                // the cleared self slot); zeros are n − ones because
-                // absent/garbled values default to 0. The zero threshold
-                // is tested first, as in the scalar tally.
+                // Ones over all n slots, own current in the self slot.
                 for i in 0..n {
-                    let mut ones = LaneCounts::default();
-                    for j in 0..n {
-                        ones.add(if j == i {
-                            self.current[i]
-                        } else {
-                            net.one(j, i)
-                        });
-                    }
-                    let zeros_win = !ones.ge(t + 1); // n − ones ≥ n − t
-                    let ones_win = ones.ge(n - t) & !zeros_win;
-                    Self::commit(&mut self.prop_some, i, zeros_win | ones_win, active);
-                    Self::commit(&mut self.prop_one, i, ones_win, active);
+                    let ones = net.tally_one(i, self.current[i]);
+                    let (prop_some, prop_one) = exchange_rule(&ones, n, t);
+                    Self::commit(&mut self.prop_some, i, prop_some, active);
+                    Self::commit(&mut self.prop_one, i, prop_one, active);
                 }
             }
             Some((_, PhaseStep::Propose)) => {
-                // Plurality over non-⊥ proposals, smaller value winning
-                // ties; lock at n − t, adopt above t, default otherwise.
                 for i in 0..n {
-                    let own_one = self.prop_some[i] & self.prop_one[i];
-                    let own_zero = self.prop_some[i] & !self.prop_one[i];
-                    let mut c1 = LaneCounts::default();
-                    let mut c0 = LaneCounts::default();
-                    for j in 0..n {
-                        if j == i {
-                            c1.add(own_one);
-                            c0.add(own_zero);
-                        } else {
-                            c1.add(net.one(j, i));
-                            c0.add(net.zero(j, i));
-                        }
-                    }
-                    let top_one = c1.gt(&c0);
-                    let lock = (top_one & c1.ge(n - t)) | (!top_one & c0.ge(n - t));
-                    let adopt = (top_one & c1.ge(t + 1)) | (!top_one & c0.ge(t + 1));
-                    Self::commit(&mut self.current, i, adopt & top_one, active);
+                    let c1 = net.tally_one(i, self.prop_some[i] & self.prop_one[i]);
+                    let c0 = net.tally_zero(i, self.prop_some[i] & !self.prop_one[i]);
+                    let (current, lock) = propose_rule(&c1, &c0, n, t);
+                    Self::commit(&mut self.current, i, current, active);
                     Self::commit(&mut self.locked, i, lock, active);
                     Self::commit(&mut self.ready, i, lock, active);
                 }

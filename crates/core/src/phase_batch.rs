@@ -176,14 +176,7 @@ impl BatchKernel for PhaseBatchKernel {
                 // for the cleared self slot); zeros are n − ones because
                 // absent/garbled values sanitize to 0.
                 for i in 0..n {
-                    let mut ones = LaneCounts::default();
-                    for j in 0..n {
-                        ones.add(if j == i {
-                            self.current[i]
-                        } else {
-                            net.one(j, i)
-                        });
-                    }
+                    let ones = net.tally_one(i, self.current[i]);
                     self.ones[i].commit(&ones, active);
                 }
             }

@@ -49,6 +49,32 @@
 //! tallies reproduce [`crate::PackedBallots`] classification exactly (first
 //! value, `{0, 1}` only), and retired runs are frozen by the active mask
 //! rather than removed, so late rounds cannot disturb them.
+//!
+//! # The delivered network
+//!
+//! A correct processor *broadcasts*: every recipient hears the same
+//! value. So of the `n × n` deliveries of a round only the rows of faulty
+//! senders can differ per recipient, and [`BatchNet`] stores exactly
+//! that: one **honest word** per slot (`one[j] & present[j] &
+//! !faulty[j]` — what slot `j` sends to everyone, in the lanes in which
+//! it is correct) plus per-recipient **liar rows** for the slots that are
+//! faulty in some lane of the batch. Nothing dense is ever built; a liar
+//! row is cleared and rewritten by the adversary each round, and the
+//! rows of every other slot are never touched.
+//!
+//! The tallies follow the same split. `Σ_j honest[j]` does not depend on
+//! the recipient, so it is summed once per round (the *common* tally)
+//! and [`BatchNet::tally_one`] / [`BatchNet::tally_zero`] give recipient
+//! `i` its full count as common + `own & faulty[i]` + the liar rows'
+//! column `i` — `t + 1` counter adds instead of `n`. This is sound
+//! because the common tally already holds `i`'s own vote wherever `i` is
+//! correct: a kernel's `own` word is what it classified for slot `i` in
+//! [`BatchKernel::outgoing`], so `own & !faulty[i] == honest[i]` (the
+//! self-slot identity, debug-asserted on every tally), and `own &
+//! faulty[i]` supplies the lanes in which `i` is a faulty shadow that
+//! still counts itself. A liar row holds bits only in the lanes in which
+//! its sender is faulty — where its honest word is clear — so no lane
+//! counts a sender twice.
 
 use std::sync::Arc;
 
@@ -65,9 +91,21 @@ pub const MAX_BATCH_RUNS: usize = 64;
 /// any sender count at `n ≤ 64`.
 const COUNT_PLANES: usize = 7;
 
+/// Bit planes for the per-lane count of honest sends: 13 planes count up
+/// to 8191, above the 64 slots × 67 rounds of the longest narrow
+/// schedule ([`run_batch_with`] asserts the width).
+const SEND_PLANES: usize = 13;
+
 /// A per-lane counter in bit-plane form: plane `p` holds bit `p` of each
 /// lane's count. Adding a lane mask is a ripple-carry increment of every
-/// set lane at once; comparisons walk the planes MSB-first.
+/// set lane at once; comparisons walk the planes MSB-first. Kernels use
+/// the 7-plane [`LaneCounts`].
+#[derive(Clone, Copy, Debug)]
+pub struct BitPlanes<const P: usize> {
+    planes: [u64; P],
+}
+
+/// The tally counter: one count per lane, up to 127.
 ///
 /// # Examples
 ///
@@ -81,12 +119,15 @@ const COUNT_PLANES: usize = 7;
 /// assert_eq!(c.ge(1), 0b1011);
 /// assert_eq!(c.ge(0), !0);
 /// ```
-#[derive(Clone, Copy, Default, Debug)]
-pub struct LaneCounts {
-    planes: [u64; COUNT_PLANES],
+pub type LaneCounts = BitPlanes<COUNT_PLANES>;
+
+impl<const P: usize> Default for BitPlanes<P> {
+    fn default() -> Self {
+        BitPlanes { planes: [0; P] }
+    }
 }
 
-impl LaneCounts {
+impl<const P: usize> BitPlanes<P> {
     /// Adds 1 to every lane set in `mask`.
     pub fn add(&mut self, mask: u64) {
         let mut carry = mask;
@@ -103,10 +144,10 @@ impl LaneCounts {
 
     /// Lanes whose count is `>= c`.
     pub fn ge(&self, c: usize) -> u64 {
-        debug_assert!(c < (1 << COUNT_PLANES));
+        debug_assert!(c < (1 << P));
         let mut gt = 0u64;
         let mut eq = !0u64;
-        for p in (0..COUNT_PLANES).rev() {
+        for p in (0..P).rev() {
             if (c >> p) & 1 == 1 {
                 eq &= self.planes[p];
             } else {
@@ -117,10 +158,10 @@ impl LaneCounts {
     }
 
     /// Lanes where `self > other`.
-    pub fn gt(&self, other: &LaneCounts) -> u64 {
+    pub fn gt(&self, other: &Self) -> u64 {
         let mut gt = 0u64;
         let mut eq = !0u64;
-        for p in (0..COUNT_PLANES).rev() {
+        for p in (0..P).rev() {
             gt |= eq & self.planes[p] & !other.planes[p];
             eq &= !(self.planes[p] ^ other.planes[p]);
         }
@@ -130,13 +171,13 @@ impl LaneCounts {
     /// Adopts `new`'s counts in lanes set in `active`, freezing the rest
     /// — the [`BatchKernel`] state-commit rule lifted to counters, for
     /// kernels that carry a tally across rounds.
-    pub fn commit(&mut self, new: &LaneCounts, active: u64) {
+    pub fn commit(&mut self, new: &Self, active: u64) {
         for (old, new) in self.planes.iter_mut().zip(new.planes.iter()) {
             *old = (new & active) | (*old & !active);
         }
     }
 
-    /// The count in one lane (test/debug helper).
+    /// The count in one lane.
     pub fn lane(&self, lane: usize) -> usize {
         let mut c = 0usize;
         for (p, plane) in self.planes.iter().enumerate() {
@@ -146,36 +187,141 @@ impl LaneCounts {
     }
 }
 
-/// The delivered network of one round, classified for binary tallies:
-/// `one[j * n + i]` is the lane mask of runs in which the *first value*
-/// of the payload delivered from sender `j` to recipient `i` is
-/// `Value(1)`, and `zero[…]` likewise for `Value(0)`. Lanes set in
-/// neither received `⊥`, an out-of-domain value, or nothing — exactly
-/// the three-way classification [`PackedBallots`](crate::PackedBallots)
+/// The delivered network of one round, classified for binary tallies
+/// (see the module docs, "The delivered network"). [`BatchNet::one`]`(j,
+/// i)` is the lane mask of runs in which the *first value* of the payload
+/// delivered from sender `j` to recipient `i` is `Value(1)`, and
+/// [`BatchNet::zero`] likewise for `Value(0)`. Lanes set in neither
+/// received `⊥`, an out-of-domain value, or nothing — exactly the
+/// three-way classification [`PackedBallots`](crate::PackedBallots)
 /// records and the per-payload fallback reproduces.
 ///
-/// Self slots (`i == j`) are always clear, mirroring the scalar engine's
-/// `clear(me)`; kernels substitute their own local state.
+/// Self slots (`i == j`) always read clear, mirroring the scalar
+/// engine's `clear(me)`; kernels substitute their own local state, which
+/// is the `own` argument of the tallies.
 pub struct BatchNet<'a> {
     /// System size.
-    pub n: usize,
-    /// Lane masks of delivered first-value-one, sender-major.
-    pub one: &'a [u64],
-    /// Lane masks of delivered first-value-zero, sender-major.
-    pub zero: &'a [u64],
+    n: usize,
+    /// `honest_one[j]`: lanes in which slot `j` is correct and broadcasts
+    /// first value `1` — delivered to every recipient alike.
+    honest_one: &'a [u64],
+    /// Likewise for first value `0`.
+    honest_zero: &'a [u64],
+    /// `faulty[j]`: lanes in which slot `j` is faulty.
+    faulty: &'a [u64],
+    /// The slots with `faulty[j] != 0`, ascending — the only senders whose
+    /// deliveries can differ per recipient.
+    liars: &'a [usize],
+    /// Per-recipient deliveries of the liars, sender-major with stride
+    /// `n`: `rows_one[f * n + i]` holds the lanes (all within `faulty[f]`)
+    /// in which `f` tells `i` first value `1`. Rows of slots outside
+    /// `liars` are stale and never read.
+    rows_one: &'a [u64],
+    /// Likewise for first value `0`.
+    rows_zero: &'a [u64],
+    /// `Σ_j honest_one[j]`: what every recipient counts before the liars.
+    common_one: LaneCounts,
+    /// `Σ_j honest_zero[j]`.
+    common_zero: LaneCounts,
+    /// The lanes this round delivers to (tallies are meaningful, and the
+    /// self-slot identity asserted, only there).
+    active: u64,
 }
 
-impl BatchNet<'_> {
+impl<'a> BatchNet<'a> {
+    /// Assembles the round's network (one honest word per slot, so `n`
+    /// of them) and sums the common tallies — the one pass over all `n`
+    /// senders a round pays.
+    fn new(
+        honest_one: &'a [u64],
+        honest_zero: &'a [u64],
+        faulty: &'a [u64],
+        liars: &'a [usize],
+        rows_one: &'a [u64],
+        rows_zero: &'a [u64],
+        active: u64,
+    ) -> Self {
+        let mut common_one = LaneCounts::default();
+        let mut common_zero = LaneCounts::default();
+        for (&one, &zero) in honest_one.iter().zip(honest_zero) {
+            common_one.add(one);
+            common_zero.add(zero);
+        }
+        BatchNet {
+            n: honest_one.len(),
+            honest_one,
+            honest_zero,
+            faulty,
+            liars,
+            rows_one,
+            rows_zero,
+            common_one,
+            common_zero,
+            active,
+        }
+    }
+
     /// Lane mask of runs delivering first value `1` from `j` to `i`.
     #[inline]
     pub fn one(&self, j: usize, i: usize) -> u64 {
-        self.one[j * self.n + i]
+        self.delivered(self.honest_one, self.rows_one, j, i)
     }
 
     /// Lane mask of runs delivering first value `0` from `j` to `i`.
     #[inline]
     pub fn zero(&self, j: usize, i: usize) -> u64 {
-        self.zero[j * self.n + i]
+        self.delivered(self.honest_zero, self.rows_zero, j, i)
+    }
+
+    #[inline]
+    fn delivered(&self, honest: &[u64], rows: &[u64], j: usize, i: usize) -> u64 {
+        if i == j {
+            0
+        } else if self.faulty[j] == 0 {
+            honest[j]
+        } else {
+            honest[j] | rows[j * self.n + i]
+        }
+    }
+
+    /// Per-lane count of first-value-`1` deliveries to recipient `i`,
+    /// with `own` — slot `i`'s own broadcast word this round — standing
+    /// in the self slot: `Σ_{j ≠ i} one(j, i) + own`, in `|liars| + 1`
+    /// counter adds.
+    #[inline]
+    pub fn tally_one(&self, i: usize, own: u64) -> LaneCounts {
+        self.tally(&self.common_one, self.honest_one, self.rows_one, i, own)
+    }
+
+    /// Per-lane count of first-value-`0` deliveries to recipient `i`; see
+    /// [`BatchNet::tally_one`].
+    #[inline]
+    pub fn tally_zero(&self, i: usize, own: u64) -> LaneCounts {
+        self.tally(&self.common_zero, self.honest_zero, self.rows_zero, i, own)
+    }
+
+    #[inline]
+    fn tally(
+        &self,
+        common: &LaneCounts,
+        honest: &[u64],
+        rows: &[u64],
+        i: usize,
+        own: u64,
+    ) -> LaneCounts {
+        debug_assert_eq!(
+            own & !self.faulty[i] & self.active,
+            honest[i] & self.active,
+            "self-slot identity: `own` must be slot {i}'s classified broadcast"
+        );
+        let mut count = *common;
+        count.add(own & self.faulty[i]);
+        for &f in self.liars {
+            if f != i {
+                count.add(rows[f * self.n + i]);
+            }
+        }
+        count
     }
 }
 
@@ -270,8 +416,12 @@ pub trait BatchAdversary {
     /// Vector fault injection: classify every faulty slot's payload to
     /// every recipient directly into the delivered-network lane masks
     /// (`net_one[f * n + r]` / `net_zero[…]`), for lanes in
-    /// `view.active` only. Lanes set in neither mask deliver `⊥` or
-    /// nothing — the same three-way classification as [`BatchNet`].
+    /// `view.active` only — and, within row `f`, only lanes of
+    /// `view.faulty[f]`: in every other lane slot `f` is correct and its
+    /// broadcast is delivered as sent. The rows of faulty slots arrive
+    /// cleared; all others are stale and ignored. Lanes set in neither
+    /// mask deliver `⊥` or nothing — the same three-way classification
+    /// as [`BatchNet`].
     ///
     /// Only consulted when [`BatchAdversary::vectorized`] is `true`; the
     /// default is a no-op.
@@ -458,14 +608,78 @@ pub trait BatchKernel {
     }
 }
 
-/// One recorded preferred-value snapshot: the round, each slot's
-/// preferred-value lane mask at that point, and which lanes actually
-/// emitted a preference event this round (retired lanes and lanes on a
-/// different sub-schedule must not see it).
-struct Snapshot {
-    round: usize,
+/// The recorded preferred-value snapshots of a batch, flat: snapshot `s`
+/// is its round, which lanes actually emitted a preference event in it
+/// (retired lanes and lanes on a different sub-schedule must not see
+/// it), and each slot's preferred-value lane mask at that point.
+#[derive(Default)]
+struct Snapshots {
+    round: Vec<usize>,
+    lanes: Vec<u64>,
+    /// `current[s * n + i]`: slot `i`'s preferred-value mask at snapshot `s`.
     current: Vec<u64>,
-    lanes: u64,
+    /// `bad[s]`: lanes in which some correct slot's preference at `s`
+    /// differs from its decision; filled by [`Snapshots::mark_bad`].
+    bad: Vec<u64>,
+    /// Lanes with at least one correct slot; likewise.
+    some_correct: u64,
+}
+
+impl Snapshots {
+    fn clear(&mut self) {
+        self.round.clear();
+        self.lanes.clear();
+        self.current.clear();
+        self.bad.clear();
+    }
+
+    fn push(&mut self, round: usize, lanes: u64, current: impl Iterator<Item = u64>) {
+        self.round.push(round);
+        self.lanes.push(lanes);
+        self.current.extend(current);
+    }
+
+    /// Reduces every snapshot to one word against the final `decisions`
+    /// (stride `n = decisions.len()`), over correct slots only.
+    fn mark_bad(&mut self, decisions: &[u64], faulty: &[u64]) {
+        let n = decisions.len();
+        self.bad.clear();
+        self.bad.extend(self.current.chunks_exact(n).map(|current| {
+            (0..n).fold(0, |bad, i| bad | ((current[i] ^ decisions[i]) & !faulty[i]))
+        }));
+        self.some_correct = faulty.iter().fold(0, |some, f| some | !f);
+    }
+
+    /// The lock-in round of the lane `bit`: the first round of the
+    /// longest suffix of its snapshots in which *every* correct slot
+    /// already prefers its decision (`rounds_used` if the last one does
+    /// not) — which is the maximum, over correct slots, of each slot's
+    /// own agreeing-suffix start, the stability analysis' per-processor
+    /// scan. 0 for a lane that emitted no snapshot or has no correct slot
+    /// to lock in.
+    fn lock_in(&self, bit: u64, rounds_used: usize) -> usize {
+        if self.some_correct & bit == 0 {
+            return 0;
+        }
+        let mut any = false;
+        let mut candidate: Option<usize> = None;
+        for s in 0..self.round.len() {
+            if self.lanes[s] & bit == 0 {
+                continue;
+            }
+            any = true;
+            if self.bad[s] & bit != 0 {
+                candidate = None;
+            } else if candidate.is_none() {
+                candidate = Some(self.round[s]);
+            }
+        }
+        if any {
+            candidate.unwrap_or(rounds_used)
+        } else {
+            0
+        }
+    }
 }
 
 /// Per-run results of a lock-step batch, in lane order. Field semantics
@@ -504,19 +718,26 @@ pub struct BatchArena {
     present: Vec<u64>,
     one: Vec<u64>,
     zero: Vec<u64>,
-    // Delivered network, sender-major `n × n` lane masks.
-    net_one: Vec<u64>,
-    net_zero: Vec<u64>,
-    // Faulty lane mask per slot, and per-lane fault sets.
+    // The delivered network (see `BatchNet`): honest words per slot, and
+    // sender-major `n × n` storage of which only liar rows are used.
+    honest_one: Vec<u64>,
+    honest_zero: Vec<u64>,
+    rows_one: Vec<u64>,
+    rows_zero: Vec<u64>,
+    // Faulty lane mask per slot, the slots faulty in some lane, and
+    // per-lane fault sets.
     faulty: Vec<u64>,
+    liars: Vec<usize>,
     fault_sets: Vec<ProcessSet>,
     // Adversary-view scratch, refilled per lane per round.
     view_honest: Vec<Option<Arc<Payload>>>,
     view_shadow: Vec<Option<Arc<Payload>>>,
-    // Preferred-value snapshots for the lock-in walk.
-    snapshots: Vec<Snapshot>,
-    // Per-lane accounting.
-    total_bits: Vec<u64>,
+    // Preferred-value snapshots and final decisions for the lock-in walk.
+    snapshots: Snapshots,
+    decisions: Vec<u64>,
+    // Per-lane accounting: honest sends as one wide counter, the rest
+    // per lane.
+    sends: BitPlanes<SEND_PLANES>,
     ops: Vec<u64>,
     rounds_used: Vec<usize>,
     early_stopped: Vec<bool>,
@@ -540,15 +761,18 @@ impl BatchArena {
             &mut self.present,
             &mut self.one,
             &mut self.zero,
+            &mut self.honest_one,
+            &mut self.honest_zero,
             &mut self.faulty,
         ] {
             buf.clear();
             buf.resize(n, 0);
         }
-        for buf in [&mut self.net_one, &mut self.net_zero] {
-            buf.clear();
-            buf.resize(n * n, 0);
-        }
+        // Sized, not cleared: liar rows are cleared round by round and
+        // no other row is read.
+        self.rows_one.resize(n * n, 0);
+        self.rows_zero.resize(n * n, 0);
+        self.liars.clear();
         // Kept, not cleared: `corrupt_lanes` overwrites them in place.
         self.fault_sets.truncate(lanes);
         self.view_honest.clear();
@@ -556,10 +780,10 @@ impl BatchArena {
         self.view_shadow.clear();
         self.view_shadow.resize(n, None);
         self.snapshots.clear();
-        for buf in [&mut self.total_bits, &mut self.ops] {
-            buf.clear();
-            buf.resize(lanes, 0);
-        }
+        self.decisions.clear();
+        self.sends = BitPlanes::default();
+        self.ops.clear();
+        self.ops.resize(lanes, 0);
         self.rounds_used.clear();
         self.rounds_used.resize(lanes, 0);
         self.early_stopped.clear();
@@ -637,11 +861,17 @@ pub fn run_batch_with(
         return false;
     }
     debug_assert_eq!(arena.fault_sets.len(), lanes, "one fault set per lane");
+    arena.liars.extend((0..n).filter(|&j| arena.faulty[j] != 0));
 
     let total_rounds = kernel.total_rounds();
+    assert!(
+        n * total_rounds < 1 << SEND_PLANES,
+        "the send counter holds n × total_rounds"
+    );
     kernel.reset(lanes);
     let early = config.early_stopping;
-    let (p_one, p_zero, p_bot) = wire_payloads();
+    // Only the bridge builds payload objects (interning ⊥ costs a `Vec`).
+    let wire = (!adversary.vectorized()).then(wire_payloads);
     let lane_mask = |lane: usize| 1u64 << lane;
     let all_lanes: u64 = if lanes == MAX_BATCH_RUNS {
         !0
@@ -680,17 +910,14 @@ pub fn run_batch_with(
             }
             kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
 
-            // Accounting: honest bits on the wire (every narrow-path
-            // payload is one value of one bit, fanned out to n − 1
-            // recipients) and the uniform per-slot local-op charge.
+            // Accounting: honest sends (every narrow-path payload is one
+            // value of one bit, fanned out to n − 1 recipients at
+            // finalize) and the uniform per-slot local-op charge.
             let charge = kernel.charge(round);
             for j in 0..n {
-                let mut w = arena.present[j] & !arena.faulty[j] & narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    arena.total_bits[lane] += (n as u64) - 1;
-                }
+                arena
+                    .sends
+                    .add(arena.present[j] & !arena.faulty[j] & narrow);
             }
             if charge != 0 {
                 let mut w = narrow;
@@ -701,8 +928,9 @@ pub fn run_batch_with(
                 }
             }
 
-            for buf in [&mut arena.net_one, &mut arena.net_zero] {
-                buf.iter_mut().for_each(|w| *w = 0);
+            for &f in &arena.liars {
+                arena.rows_one[f * n..(f + 1) * n].fill(0);
+                arena.rows_zero[f * n..(f + 1) * n].fill(0);
             }
             if adversary.vectorized() {
                 // The vector path: one call classifies every faulty
@@ -722,7 +950,7 @@ pub fn run_batch_with(
                     fault_sets: &arena.fault_sets,
                     active: narrow,
                 };
-                adversary.lies(&view, &mut arena.net_one, &mut arena.net_zero);
+                adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
             } else {
                 // The rushing adversary bridge: per active lane,
                 // materialize the view (interned payloads, honest and
@@ -730,6 +958,7 @@ pub fn run_batch_with(
                 // collect every faulty sender's payloads in the scalar
                 // call order — faulty senders ascending, recipients
                 // ascending, self skipped.
+                let (p_one, p_zero, p_bot) = wire.as_ref().expect("built for the bridge");
                 let mut w = narrow;
                 while w != 0 {
                     let lane = w.trailing_zeros() as usize;
@@ -777,8 +1006,8 @@ pub fn run_batch_with(
                             }
                             let payload = scalar.payload(f, ProcessId(r), &view);
                             match payload.value_at(0) {
-                                Some(Value(1)) => arena.net_one[f.index() * n + r] |= bit,
-                                Some(Value(0)) => arena.net_zero[f.index() * n + r] |= bit,
+                                Some(Value(1)) => arena.rows_one[f.index() * n + r] |= bit,
+                                Some(Value(0)) => arena.rows_zero[f.index() * n + r] |= bit,
                                 _ => {}
                             }
                         }
@@ -786,41 +1015,31 @@ pub fn run_batch_with(
                 }
             }
 
-            // Merge honest broadcasts into the delivered network: in
-            // lanes where a slot is correct its classified outgoing
-            // reaches every recipient unchanged; faulty lanes already
-            // carry the adversary's per-recipient rows.
+            // Where a slot is correct its classified outgoing reaches
+            // every recipient unchanged: one word per slot, beside the
+            // adversary's per-recipient liar rows.
             for j in 0..n {
-                let honest_one = arena.one[j] & arena.present[j] & !arena.faulty[j];
-                let honest_zero = arena.zero[j] & arena.present[j] & !arena.faulty[j];
-                for i in 0..n {
-                    if i == j {
-                        arena.net_one[j * n + i] = 0;
-                        arena.net_zero[j * n + i] = 0;
-                    } else {
-                        arena.net_one[j * n + i] |= honest_one;
-                        arena.net_zero[j * n + i] |= honest_zero;
-                    }
-                }
+                let sent = arena.present[j] & !arena.faulty[j];
+                arena.honest_one[j] = arena.one[j] & sent;
+                arena.honest_zero[j] = arena.zero[j] & sent;
             }
-
-            let net = BatchNet {
-                n,
-                one: &arena.net_one,
-                zero: &arena.net_zero,
-            };
+            let net = BatchNet::new(
+                &arena.honest_one,
+                &arena.honest_zero,
+                &arena.faulty,
+                &arena.liars,
+                &arena.rows_one,
+                &arena.rows_zero,
+                narrow,
+            );
             kernel.deliver(round, &net, narrow);
         }
 
         if config.trace {
             let snap_lanes = kernel.snapshot_lanes(round) & active;
             if snap_lanes != 0 {
-                let current: Vec<u64> = (0..n).map(|i| kernel.current_one(i)).collect();
-                arena.snapshots.push(Snapshot {
-                    round,
-                    current,
-                    lanes: snap_lanes,
-                });
+                let current = (0..n).map(|i| kernel.current_one(i));
+                arena.snapshots.push(round, snap_lanes, current);
             }
         }
 
@@ -869,11 +1088,19 @@ pub fn run_batch_with(
         }
     }
 
-    // Finalize per lane: decisions, agreement, and the lock-in walk over
-    // the recorded snapshots — the same per-processor candidate scan the
-    // stability analysis performs on a scalar trace. Deferred lanes are
-    // only marked; their seeds re-run on the scalar engine.
-    let decisions: Vec<u64> = (0..n).map(|i| kernel.decision_one(i)).collect();
+    // Finalize at word width, then read out per lane: agreement is "no
+    // two correct slots decide differently", and the lock-in walk sees
+    // one word per snapshot. Deferred lanes are only marked; their seeds
+    // re-run on the scalar engine.
+    arena
+        .decisions
+        .extend((0..n).map(|i| kernel.decision_one(i)));
+    let (mut decides_one, mut decides_zero) = (0u64, 0u64);
+    for i in 0..n {
+        decides_one |= arena.decisions[i] & !arena.faulty[i];
+        decides_zero |= !arena.decisions[i] & !arena.faulty[i];
+    }
+    arena.snapshots.mark_bad(&arena.decisions, &arena.faulty);
     for lane in 0..lanes {
         let bit = lane_mask(lane);
         if deferred & bit != 0 {
@@ -883,44 +1110,13 @@ pub fn run_batch_with(
             };
             continue;
         }
-        let faulty = &arena.fault_sets[lane];
-        let mut agreement = true;
-        let mut seen: Option<bool> = None;
-        let mut lock_in = 0usize;
-        for i in 0..n {
-            if faulty.contains(ProcessId(i)) {
-                continue;
-            }
-            let d = decisions[i] & bit != 0;
-            match seen {
-                None => seen = Some(d),
-                Some(prev) => agreement &= prev == d,
-            }
-            if config.trace {
-                let mut candidate: Option<usize> = None;
-                let mut any = false;
-                for snap in &arena.snapshots {
-                    if snap.lanes & bit == 0 {
-                        continue;
-                    }
-                    any = true;
-                    if (snap.current[i] & bit != 0) != d {
-                        candidate = None;
-                    } else if candidate.is_none() {
-                        candidate = Some(snap.round);
-                    }
-                }
-                if any {
-                    lock_in = lock_in.max(candidate.unwrap_or(arena.rounds_used[lane]));
-                }
-            }
-        }
         arena.results[lane] = BatchRunResult {
-            agreement,
+            agreement: decides_one & decides_zero & bit == 0,
             rounds_used: arena.rounds_used[lane],
             early_stopped: arena.early_stopped[lane],
-            lock_in,
-            total_bits: arena.total_bits[lane] + kernel.lane_bits(lane),
+            // No snapshots without tracing, so 0 then.
+            lock_in: arena.snapshots.lock_in(bit, arena.rounds_used[lane]),
+            total_bits: arena.sends.lane(lane) as u64 * (n as u64 - 1) + kernel.lane_bits(lane),
             max_local_ops: arena.ops[lane] + kernel.lane_ops(lane),
             discoveries: if config.trace {
                 kernel.lane_discoveries(lane)
@@ -967,6 +1163,220 @@ mod tests {
         let c = LaneCounts::default();
         assert_eq!(c.ge(0), !0);
         assert_eq!(c.ge(1), 0);
+    }
+
+    /// SplitMix64: the tests' only source of randomness.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+
+        /// A word with about one bit in `2^thinning` set.
+        fn sparse(&mut self, thinning: usize) -> u64 {
+            (0..thinning).fold(!0, |w, _| w & self.next())
+        }
+    }
+
+    #[test]
+    fn tallies_equal_the_dense_per_sender_sum() {
+        let mut rng = Mix(17);
+        for _ in 0..200 {
+            let n = 2 + rng.below(63);
+            // Up to n/3 liars: some faulty in every lane (the vector
+            // path), some in a few lanes only (per-lane fault sets).
+            let mut faulty = vec![0u64; n];
+            for _ in 0..rng.below(n / 3 + 1) {
+                faulty[rng.below(n)] = match rng.below(3) {
+                    0 => !0,
+                    1 => rng.next(),
+                    _ => rng.sparse(3),
+                };
+            }
+            let liars: Vec<usize> = (0..n).filter(|&j| faulty[j] != 0).collect();
+            // Every slot's own classification, fault-blind as a kernel's
+            // `outgoing` is: absent lanes, and present lanes reading ⊥.
+            let present: Vec<u64> = (0..n).map(|_| rng.next() | rng.next()).collect();
+            let one: Vec<u64> = (0..n).map(|j| rng.next() & present[j]).collect();
+            let zero: Vec<u64> = (0..n).map(|j| rng.next() & present[j] & !one[j]).collect();
+            let honest_one: Vec<u64> = (0..n).map(|j| one[j] & !faulty[j]).collect();
+            let honest_zero: Vec<u64> = (0..n).map(|j| zero[j] & !faulty[j]).collect();
+            // The dense network as the driver used to merge it.
+            let mut dense_one = vec![0u64; n * n];
+            let mut dense_zero = vec![0u64; n * n];
+            for j in 0..n {
+                for i in (0..n).filter(|&i| i != j) {
+                    let lie_one = rng.next() & faulty[j];
+                    let lie_zero = rng.next() & faulty[j] & !lie_one;
+                    dense_one[j * n + i] = honest_one[j] | lie_one;
+                    dense_zero[j * n + i] = honest_zero[j] | lie_zero;
+                }
+            }
+            // The sparse rows: the lies alone, with garbage wherever the
+            // contract says nobody looks (self slots, non-liar rows).
+            let mut rows_one = vec![0u64; n * n];
+            let mut rows_zero = vec![0u64; n * n];
+            for j in 0..n {
+                for i in 0..n {
+                    let at = j * n + i;
+                    if i == j || faulty[j] == 0 {
+                        rows_one[at] = rng.next();
+                        rows_zero[at] = rng.next();
+                    } else {
+                        rows_one[at] = dense_one[at] & faulty[j];
+                        rows_zero[at] = dense_zero[at] & faulty[j];
+                    }
+                }
+            }
+            let net = BatchNet::new(
+                &honest_one,
+                &honest_zero,
+                &faulty,
+                &liars,
+                &rows_one,
+                &rows_zero,
+                !0,
+            );
+            for i in 0..n {
+                let got_one = net.tally_one(i, one[i]);
+                let got_zero = net.tally_zero(i, zero[i]);
+                for lane in 0..MAX_BATCH_RUNS {
+                    let count = |dense: &[u64], own: u64| {
+                        (0..n)
+                            .filter(|&j| {
+                                (if j == i { own } else { dense[j * n + i] }) >> lane & 1 == 1
+                            })
+                            .count()
+                    };
+                    assert_eq!(got_one.lane(lane), count(&dense_one, one[i]), "n={n} i={i}");
+                    assert_eq!(
+                        got_zero.lane(lane),
+                        count(&dense_zero, zero[i]),
+                        "n={n} i={i}"
+                    );
+                }
+                for j in 0..n {
+                    assert_eq!(net.one(j, i), dense_one[j * n + i], "n={n} {j}->{i}");
+                    assert_eq!(net.zero(j, i), dense_zero[j * n + i], "n={n} {j}->{i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn send_counter_equals_the_per_lane_loop() {
+        let mut rng = Mix(29);
+        let mut sends = BitPlanes::<SEND_PLANES>::default();
+        let mut per_lane = [0u64; MAX_BATCH_RUNS];
+        // 64 slots × 67 rounds, the longest narrow schedule; lane 0 sends
+        // every time and so reaches the counter's full width.
+        for k in 0..64 * 67 {
+            let mask = match k % 3 {
+                0 => !0,
+                1 => rng.next(),
+                _ => rng.sparse(2),
+            } | 1;
+            sends.add(mask);
+            let mut w = mask;
+            while w != 0 {
+                per_lane[w.trailing_zeros() as usize] += 1;
+                w &= w - 1;
+            }
+        }
+        assert_eq!(per_lane[0], 64 * 67);
+        for lane in 0..MAX_BATCH_RUNS {
+            assert_eq!(sends.lane(lane) as u64, per_lane[lane], "lane {lane}");
+        }
+    }
+
+    /// The lock-in round as the stability analysis defines it, slot by
+    /// slot: each correct processor's candidate is the first round of
+    /// the suffix of its own preference events that already shows its
+    /// decision, and the system locks in when the last one does.
+    fn lock_in_per_slot(
+        snaps: &Snapshots,
+        decisions: &[u64],
+        faulty: &[u64],
+        bit: u64,
+        rounds_used: usize,
+    ) -> usize {
+        let n = decisions.len();
+        let mut lock_in = 0;
+        for i in (0..n).filter(|&i| faulty[i] & bit == 0) {
+            let d = decisions[i] & bit != 0;
+            let mut candidate = None;
+            let mut any = false;
+            for s in 0..snaps.round.len() {
+                if snaps.lanes[s] & bit == 0 {
+                    continue;
+                }
+                any = true;
+                if (snaps.current[s * n + i] & bit != 0) != d {
+                    candidate = None;
+                } else if candidate.is_none() {
+                    candidate = Some(snaps.round[s]);
+                }
+            }
+            if any {
+                lock_in = lock_in.max(candidate.unwrap_or(rounds_used));
+            }
+        }
+        lock_in
+    }
+
+    #[test]
+    fn word_width_lock_in_walk_equals_the_per_slot_walk() {
+        let mut rng = Mix(43);
+        let mut snaps = Snapshots::default();
+        let (mut settled, mut unsettled, mut silent) = (0, 0, 0);
+        for _ in 0..200 {
+            let n = 1 + rng.below(24);
+            let decisions: Vec<u64> = (0..n).map(|_| rng.next()).collect();
+            let mut faulty: Vec<u64> = (0..n).map(|_| rng.sparse(2)).collect();
+            // Lane 5 has no correct slot; lane 6 never snapshots.
+            faulty.iter_mut().for_each(|f| *f |= 1 << 5);
+            snaps.clear();
+            let mut round = 0;
+            let mut live = !(1u64 << 6);
+            for s in 0..rng.below(12) {
+                round += 1 + rng.below(3);
+                // Lanes retire for good; the rest emit on their own
+                // sub-schedules (`snapshot_lanes`).
+                live &= !rng.sparse(4);
+                let lanes = live & (rng.next() | rng.next());
+                // Preferences drift towards the decisions.
+                let noise = 1 + s / 2;
+                let current: Vec<u64> = decisions.iter().map(|d| d ^ rng.sparse(noise)).collect();
+                snaps.push(round, lanes, current.into_iter());
+            }
+            snaps.mark_bad(&decisions, &faulty);
+            for lane in 0..MAX_BATCH_RUNS {
+                let bit = 1u64 << lane;
+                let rounds_used = round + rng.below(2);
+                let got = snaps.lock_in(bit, rounds_used);
+                let want = lock_in_per_slot(&snaps, &decisions, &faulty, bit, rounds_used);
+                assert_eq!(got, want, "n={n} lane={lane}");
+                match got {
+                    0 => silent += 1,
+                    r if r == rounds_used => unsettled += 1,
+                    _ => settled += 1,
+                }
+                if lane == 5 || lane == 6 {
+                    assert_eq!(got, 0);
+                }
+            }
+        }
+        // The cases are not all one kind.
+        assert!(settled > 1000 && unsettled > 1000 && silent > 400);
     }
 
     #[test]

@@ -22,9 +22,10 @@ mod oracle;
 
 use oracle::assert_engines_agree;
 use proptest::prelude::*;
-use shifting_gears::adversary::FaultSelection;
+use shifting_gears::adversary::{Equivocate, FaultSelection, Omission, RandomLiar};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::AlgorithmSpec;
+use shifting_gears::sim::ProcessId;
 
 /// The eleven protocol families of the sweep surface. Every resilience
 /// bound accepts `(n, t) = (10, 2)` except the hybrid's, which pins
@@ -247,5 +248,76 @@ fn tree_family_n16_and_n13() {
 fn the_130_seed_serve_cell() {
     for fixed in [false, true] {
         check_cell(AlgorithmSpec::OptimalKing, 16, random_liars(), 130, fixed);
+    }
+}
+
+/// The benchmark's `king-fullround` cells at the lane and slot limit: 64
+/// lanes × 64 slots, where a tally can reach the counter's last plane.
+/// Under the matched equivocation a faulty source keeps the correct
+/// processors split, so the schedules run to their end (66 / 33 / 33
+/// rounds) on liar rows that differ per recipient; under random lies
+/// every lane hears its own.
+fn check_n64(spec: AlgorithmSpec) {
+    for fixed in [false, true] {
+        let matched = AdversaryFamily::equivocate(FaultSelection::with_source(), 43, 1);
+        check_cell(spec, 64, matched, 65, fixed);
+        let liars = AdversaryFamily::random_liar(FaultSelection::with_source());
+        check_cell(spec, 64, liars, 65, fixed);
+    }
+}
+
+#[test]
+fn optimal_king_n64_full_schedules() {
+    check_n64(AlgorithmSpec::OptimalKing);
+}
+
+#[test]
+fn phase_king_n64_full_schedules() {
+    check_n64(AlgorithmSpec::PhaseKing);
+}
+
+#[test]
+fn phase_queen_n64_full_schedules() {
+    check_n64(AlgorithmSpec::PhaseQueen);
+}
+
+/// A family whose **fault set depends on the seed**: a window of
+/// consecutive ids that starts at `seed mod n` (wrapping, so some windows
+/// take in the source) and grows by one, up to `t` and back to none,
+/// every `n` seeds — telling random lies, the
+/// two-audience story, or — so that what a faulty *shadow* computed is
+/// heard by someone — relaying its shadow minus every third edge. Only a
+/// closure can say this, so the lanes are bridged — and a slot is faulty
+/// in some lanes of a chunk and correct in others, the one situation in
+/// which a lock-step recipient must add its own vote for just the lanes
+/// where it is a shadow, and a liar's row holds only some lanes.
+fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
+    AdversaryFamily::new(format!("rotating-{story}"), move |seed| {
+        let start = (seed % n as u64) as usize;
+        let size = (seed / n as u64 % (t as u64 + 1)) as usize;
+        let window = FaultSelection::explicit((0..size).map(|k| ProcessId((start + k) % n)));
+        match story {
+            "random-liar" => Box::new(RandomLiar::new(window, seed)),
+            "equivocate" => Box::new(Equivocate::new(window, 2 * n / 3, 1)),
+            _ => Box::new(Omission::new(window, 3, 0)),
+        }
+    })
+}
+
+#[test]
+fn fault_sets_that_differ_lane_by_lane() {
+    let cells = [
+        (AlgorithmSpec::OptimalKing, 16, 65),
+        (AlgorithmSpec::PhaseKing, 16, 65),
+        (AlgorithmSpec::PhaseQueen, 16, 65),
+        (AlgorithmSpec::KingShift { b: 3 }, 13, 24),
+    ];
+    for (spec, n, seeds) in cells {
+        for story in ["random-liar", "equivocate", "omission"] {
+            for fixed in [false, true] {
+                let family = rotating_faults(n, spec.max_resilience(n), story);
+                check_cell(spec, n, family, seeds, fixed);
+            }
+        }
     }
 }
