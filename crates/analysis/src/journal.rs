@@ -30,7 +30,7 @@
 //! wire form — each demotes the cell to a miss with a structured
 //! warning. The journal can only ever save work, not change answers.
 
-use serde::{FromJson, ToJson};
+use serde::ToJson;
 use sg_journal::{CellKey, EngineEpoch, Journal};
 
 use crate::sweep::{CellReport, Fingerprint, SweepPlan, SweepReport};
@@ -108,7 +108,8 @@ impl SweepPlan {
     }
 
     /// Looks flat cell `cell` up in `journal` under `epoch` and
-    /// validates the payload. `Ok(Some)` is a usable hit, `Ok(None)` a
+    /// validates the payload — here, at use: the journal hands back the
+    /// stored text having checked only its line's header. `Ok(Some)` is a usable hit, `Ok(None)` a
     /// plain miss (including keyless closure families), and `Err` a
     /// *demoted* miss — a stored entry that decoded badly or described a
     /// different cell, with the structured warning explaining why. The
@@ -124,13 +125,24 @@ impl SweepPlan {
         epoch: EngineEpoch,
         cell: usize,
     ) -> Result<Option<CellReport>, String> {
-        let Some(key) = self.cell_key(cell) else {
+        match self.cell_key(cell) {
+            Some(key) => self.cached_at(journal, epoch, cell, key),
+            None => Ok(None),
+        }
+    }
+
+    /// [`SweepPlan::cached_cell`] for a cell whose key is already known.
+    fn cached_at(
+        &self,
+        journal: &Journal,
+        epoch: EngineEpoch,
+        cell: usize,
+        key: CellKey,
+    ) -> Result<Option<CellReport>, String> {
+        let Some(text) = journal.get(key, epoch) else {
             return Ok(None);
         };
-        let Some(doc) = journal.get(key, epoch) else {
-            return Ok(None);
-        };
-        match CellReport::from_json(doc) {
+        match CellReport::decode_text(text) {
             Ok(cached) if self.cell_shape_matches(cell, &cached) => Ok(Some(cached)),
             Ok(_) => Err(format!(
                 "journal: entry {key} decodes to a different cell shape — recomputing"
@@ -161,17 +173,21 @@ impl SweepPlan {
         let mut slots: Vec<Option<CellReport>> = Vec::new();
         slots.resize_with(count, || None);
         let mut warnings = Vec::new();
-        for cell in 0..count {
-            match self.cached_cell(journal, epoch, cell) {
+        for (cell, key) in keys.iter().enumerate() {
+            let Some(key) = *key else { continue };
+            match self.cached_at(journal, epoch, cell, key) {
                 Ok(hit) => slots[cell] = hit,
                 Err(warning) => warnings.push(warning),
             }
         }
         let misses: Vec<usize> = (0..count).filter(|&c| slots[c].is_none()).collect();
         let computed = self.run_cells_with_jobs(&misses, jobs);
+        let mut text = String::new();
         for (&cell, report) in misses.iter().zip(computed) {
             if let Some(key) = keys[cell] {
-                if let Err(e) = journal.append(key, epoch, &report.to_json()) {
+                text.clear();
+                report.write_text(&mut text);
+                if let Err(e) = journal.append_text(key, epoch, &text) {
                     warnings.push(format!("journal: append of entry {key} failed ({e})"));
                 }
             }

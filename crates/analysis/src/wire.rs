@@ -543,6 +543,282 @@ impl FromJson for CellReport {
     }
 }
 
+// ------------------------------------------------------ the text codec
+//
+// `CellReport`'s `ToJson` / `FromJson` above define the cell's wire
+// form. A journal line and a cell frame carry that form by the hundred,
+// and building a tree per cell only to print or read it costs several
+// times the printing and reading. The two functions below are the same
+// codec without the tree, for the one shape the writer emits; they are
+// selected by the input, never by a setting, and every input they do not
+// recognise takes the tree codec unchanged.
+
+impl CellReport {
+    /// Appends the cell's canonical wire text to `out`: byte for byte
+    /// what `self.to_json().to_string()` returns.
+    pub fn write_text(&self, out: &mut String) {
+        use serde::json::{write_f64, write_str};
+        // Writing to a `String` cannot fail.
+        out.push_str("{\"spec_name\":");
+        let _ = write_str(out, &self.spec_name);
+        out.push_str(",\"n\":");
+        push_u64(out, self.n as u64);
+        out.push_str(",\"t\":");
+        push_u64(out, self.t as u64);
+        out.push_str(",\"adversary\":");
+        let _ = write_str(out, &self.adversary);
+        out.push_str(",\"first_seed\":");
+        push_u64(out, self.first_seed);
+        out.push_str(",\"early_stop_rate\":");
+        let _ = write_f64(out, self.early_stop_rate);
+        out.push_str(",\"samples\":[");
+        for (i, s) in self.samples.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            for count in [
+                s.lock_in,
+                s.discoveries,
+                s.total_bits,
+                s.max_local_ops,
+                s.rounds,
+            ] {
+                push_u64(out, count);
+                out.push(',');
+            }
+            out.push_str(if s.early_stopped { "true]" } else { "false]" });
+        }
+        out.push_str("],\"summaries\":[");
+        for (i, s) in self.summaries.iter().enumerate() {
+            out.push_str(if i == 0 {
+                "{\"samples\":"
+            } else {
+                ",{\"samples\":"
+            });
+            push_u64(out, s.samples as u64);
+            out.push_str(",\"min\":");
+            push_u64(out, s.min);
+            out.push_str(",\"max\":");
+            push_u64(out, s.max);
+            out.push_str(",\"mean\":");
+            let _ = write_f64(out, s.mean);
+            out.push_str(",\"stddev\":");
+            let _ = write_f64(out, s.stddev);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+
+    /// Reads exactly the form [`CellReport::write_text`] emits — keys in
+    /// that order, 6-element samples, 5 summaries, names of unescaped
+    /// printable ASCII, integers without sign or leading zeros, floats
+    /// as `digits.digits`, nothing before or after — and declines
+    /// (`None`) anything else, however valid as JSON. A `Some` is the
+    /// cell `Json::parse` + `from_json` decode from the same text.
+    pub fn from_text(text: &str) -> Option<CellReport> {
+        let mut scan = Scanner { text, at: 0 };
+        scan.lit("{\"spec_name\":")?;
+        let spec_name = scan.name()?.to_string();
+        scan.lit(",\"n\":")?;
+        let n = usize::try_from(scan.uint()?).ok()?;
+        scan.lit(",\"t\":")?;
+        let t = usize::try_from(scan.uint()?).ok()?;
+        scan.lit(",\"adversary\":")?;
+        let adversary = scan.name()?.to_string();
+        scan.lit(",\"first_seed\":")?;
+        let first_seed = scan.uint()?;
+        scan.lit(",\"early_stop_rate\":")?;
+        let early_stop_rate = scan.float()?;
+        scan.lit(",\"samples\":[")?;
+        let mut samples = Vec::new();
+        if !scan.eat(b']') {
+            loop {
+                scan.byte(b'[')?;
+                let mut counts = [0u64; 5];
+                for count in &mut counts {
+                    *count = scan.uint()?;
+                    scan.byte(b',')?;
+                }
+                let [lock_in, discoveries, total_bits, max_local_ops, rounds] = counts;
+                let early_stopped = if scan.eat(b't') {
+                    scan.lit("rue]")?;
+                    true
+                } else {
+                    scan.lit("false]")?;
+                    false
+                };
+                samples.push(Sample {
+                    lock_in,
+                    discoveries,
+                    total_bits,
+                    max_local_ops,
+                    rounds,
+                    early_stopped,
+                });
+                if scan.eat(b']') {
+                    break;
+                }
+                scan.byte(b',')?;
+            }
+        }
+        scan.lit(",\"summaries\":[")?;
+        let mut summaries = [Summary {
+            samples: 0,
+            min: 0,
+            max: 0,
+            mean: 0.0,
+            stddev: 0.0,
+        }; 5];
+        for (i, summary) in summaries.iter_mut().enumerate() {
+            scan.lit(if i == 0 {
+                "{\"samples\":"
+            } else {
+                ",{\"samples\":"
+            })?;
+            summary.samples = usize::try_from(scan.uint()?).ok()?;
+            scan.lit(",\"min\":")?;
+            summary.min = scan.uint()?;
+            scan.lit(",\"max\":")?;
+            summary.max = scan.uint()?;
+            scan.lit(",\"mean\":")?;
+            summary.mean = scan.float()?;
+            scan.lit(",\"stddev\":")?;
+            summary.stddev = scan.float()?;
+            scan.byte(b'}')?;
+        }
+        scan.lit("]}")?;
+        (scan.at == text.len()).then_some(CellReport {
+            spec_name,
+            n,
+            t,
+            adversary,
+            first_seed,
+            early_stop_rate,
+            samples,
+            summaries,
+        })
+    }
+
+    /// Decodes a cell's wire text: [`CellReport::from_text`] when the
+    /// text is in the canonical form, `Json::parse` + `from_json` for
+    /// everything else (legacy 4-element samples, 4 summaries, reordered
+    /// keys, whitespace, escapes).
+    ///
+    /// # Errors
+    ///
+    /// The tree codec's [`JsonError`], when neither reads the text.
+    pub fn decode_text(text: &str) -> Result<CellReport, JsonError> {
+        match CellReport::from_text(text) {
+            Some(cell) => Ok(cell),
+            None => CellReport::from_json(&Json::parse(text)?),
+        }
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// The value of `digits` if it is an integer as the wire writers print
+/// one — decimal digits only, no sign, no leading zero, within `u64` —
+/// and `None` otherwise.
+pub fn canonical_u64(digits: &str) -> Option<u64> {
+    let mut scan = Scanner {
+        text: digits,
+        at: 0,
+    };
+    let value = scan.uint()?;
+    (scan.at == digits.len()).then_some(value)
+}
+
+/// Cursor of [`CellReport::from_text`]: every method consumes one token
+/// in its canonical spelling or declines.
+struct Scanner<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn lit(&mut self, expected: &str) -> Option<()> {
+        let matches = self.text.as_bytes()[self.at..].starts_with(expected.as_bytes());
+        matches.then(|| self.at += expected.len())
+    }
+
+    fn byte(&mut self, expected: u8) -> Option<()> {
+        self.eat(expected).then_some(())
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let matches = self.text.as_bytes().get(self.at) == Some(&byte);
+        if matches {
+            self.at += 1;
+        }
+        matches
+    }
+
+    /// The maximal run of ASCII digits at the cursor, possibly empty.
+    fn digit_run(&mut self) -> &'a str {
+        let start = self.at;
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
+            self.at += 1;
+        }
+        &self.text[start..self.at]
+    }
+
+    /// A digit run spelled as an integer: not empty, no leading zero.
+    fn whole(&mut self) -> Option<&'a str> {
+        let run = self.digit_run();
+        (run.len() == 1 || (run.len() > 1 && !run.starts_with('0'))).then_some(run)
+    }
+
+    fn uint(&mut self) -> Option<u64> {
+        self.whole()?.bytes().try_fold(0u64, |value, digit| {
+            value.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
+        })
+    }
+
+    /// `digits.digits`, the only shape the float writer prints for a
+    /// finite non-negative value; read by the parser the tree codec uses.
+    fn float(&mut self) -> Option<f64> {
+        let start = self.at;
+        self.whole()?;
+        self.byte(b'.')?;
+        if self.digit_run().is_empty() {
+            return None;
+        }
+        self.text[start..self.at].parse().ok()
+    }
+
+    /// A quoted string of printable ASCII with nothing escaped.
+    fn name(&mut self) -> Option<&'a str> {
+        self.byte(b'"')?;
+        let start = self.at;
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.at) {
+            match b {
+                b'"' => {
+                    self.at += 1;
+                    return Some(&self.text[start..self.at - 1]);
+                }
+                b'\\' => return None,
+                0x20..=0x7E => self.at += 1,
+                _ => return None,
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,6 +1009,235 @@ mod tests {
             let text = cell.to_json().to_string();
             let back = CellReport::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(&back, cell, "through {text}");
+        }
+    }
+
+    /// The tree codec, as text in and text out: the definition the
+    /// text codec is held to.
+    fn tree_encode(cell: &CellReport) -> String {
+        cell.to_json().to_string()
+    }
+
+    fn tree_decode(text: &str) -> Result<CellReport, JsonError> {
+        CellReport::from_json(&Json::parse(text)?)
+    }
+
+    fn text_encode(cell: &CellReport) -> String {
+        let mut out = String::from("kept:");
+        cell.write_text(&mut out);
+        out.split_off("kept:".len())
+    }
+
+    /// Real cells from the eleven protocol families of the sweep surface
+    /// (composition names carry punctuation: `hybrid(b=3)`), three
+    /// adversary families each.
+    fn real_cells() -> Vec<CellReport> {
+        let sel = FaultSelection::with_source;
+        let configs = [
+            AlgorithmSpec::PlainExponential,
+            AlgorithmSpec::Exponential,
+            AlgorithmSpec::AlgorithmA { b: 3 },
+            AlgorithmSpec::AlgorithmB { b: 3 },
+            AlgorithmSpec::AlgorithmC,
+            AlgorithmSpec::Hybrid { b: 3 },
+            AlgorithmSpec::PhaseKing,
+            AlgorithmSpec::OptimalKing,
+            AlgorithmSpec::PhaseQueen,
+            AlgorithmSpec::KingShift { b: 3 },
+            AlgorithmSpec::DynamicKing { b: 3 },
+        ]
+        .iter()
+        .map(|&spec| {
+            let t = if matches!(spec, AlgorithmSpec::Hybrid { .. }) {
+                3
+            } else {
+                2
+            };
+            SweepConfig::traced(spec, 10, t)
+        })
+        .collect();
+        let families = vec![
+            AdversaryFamily::no_faults(),
+            AdversaryFamily::random_liar(sel()),
+            AdversaryFamily::chain_revealer(sel().limit(1), 2, 2),
+        ];
+        SweepPlan::new(configs, families, 3)
+            .with_base_seed(u64::MAX - 40)
+            .run_with_jobs(2)
+            .cells
+    }
+
+    /// A 64-sample king cell — the shape a journal line and a cell frame
+    /// carry by the hundred.
+    fn king_cell() -> CellReport {
+        SweepPlan::new(
+            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+            vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
+            64,
+        )
+        .run_with_jobs(1)
+        .cells
+        .swap_remove(0)
+    }
+
+    #[test]
+    fn the_text_writer_emits_the_tree_writers_bytes() {
+        let mut cells = real_cells();
+        assert_eq!(cells.len(), 33);
+        cells.push(king_cell());
+        for cell in &cells {
+            let text = text_encode(cell);
+            assert_eq!(text, tree_encode(cell));
+            assert_eq!(CellReport::from_text(&text).as_ref(), Some(cell));
+            assert_eq!(CellReport::decode_text(&text).as_ref(), Ok(cell));
+        }
+
+        // What real cells do not reach: no samples, the largest
+        // integers, integer-valued and tiny floats, names the writer has
+        // to escape, a rate JSON cannot carry.
+        let flat = Summary {
+            samples: usize::MAX,
+            min: u64::MAX,
+            max: 0,
+            mean: 3.0,
+            stddev: 1e-7,
+        };
+        let odd = CellReport {
+            spec_name: "a\"b\\c\n\u{1}é".to_string(),
+            n: 0,
+            t: usize::MAX,
+            adversary: String::new(),
+            first_seed: u64::MAX,
+            early_stop_rate: 1.0,
+            samples: Vec::new(),
+            summaries: [flat; 5],
+        };
+        let text = text_encode(&odd);
+        assert_eq!(text, tree_encode(&odd));
+        assert!(
+            text.contains("\"mean\":3.0,\"stddev\":0.0000001}"),
+            "{text}"
+        );
+        assert_eq!(CellReport::from_text(&text), None, "escaped name");
+        assert_eq!(CellReport::decode_text(&text), Ok(odd.clone()));
+
+        let plain = CellReport {
+            spec_name: "hybrid(b=3)".to_string(),
+            ..odd.clone()
+        };
+        assert_eq!(CellReport::from_text(&text_encode(&plain)), Some(plain));
+
+        for rate in [f64::NAN, f64::INFINITY] {
+            let cell = CellReport {
+                early_stop_rate: rate,
+                ..king_cell()
+            };
+            let text = text_encode(&cell);
+            assert_eq!(text, tree_encode(&cell));
+            assert!(text.contains("\"early_stop_rate\":null,"));
+            assert_eq!(CellReport::from_text(&text), None);
+            assert!(
+                CellReport::decode_text(&text).is_err(),
+                "null is not a rate"
+            );
+        }
+    }
+
+    #[test]
+    fn a_text_decode_is_the_tree_decode_under_every_byte_flip() {
+        let cell = king_cell();
+        let text = tree_encode(&cell);
+        let (mut mutants, mut accepted) = (0, 0);
+        for at in 0..text.len() {
+            for mask in [0x01u8, 0x02, 0x10] {
+                let mut bytes = text.clone().into_bytes();
+                bytes[at] ^= mask;
+                let mutant = String::from_utf8(bytes).expect("ASCII stays ASCII");
+                mutants += 1;
+                if let Some(read) = CellReport::from_text(&mutant) {
+                    accepted += 1;
+                    assert_eq!(tree_decode(&mutant), Ok(read), "byte {at} ^ {mask:#x}");
+                }
+            }
+        }
+        assert_eq!(mutants, 3 * text.len());
+        // Most flipped digits are still digits: the implication above
+        // was not vacuous.
+        assert!(accepted > mutants / 10, "{accepted} of {mutants}");
+    }
+
+    #[test]
+    fn the_text_reader_declines_what_only_the_tree_reads() {
+        let cell = king_cell();
+        let text = tree_encode(&cell);
+        let first = cell.samples[0];
+        let legacy = format!(
+            "[{},{},{},{}]",
+            first.lock_in, first.discoveries, first.total_bits, first.max_local_ops
+        );
+        let sample = first.to_json().to_string();
+        let rounds_summary =
+            text[text.rfind(",{\"samples\":").unwrap()..text.len() - 2].to_string();
+        let declined: Vec<(&str, String)> = vec![
+            (
+                "legacy 4-element sample",
+                text.replacen(&sample, &legacy, 1),
+            ),
+            (
+                "legacy 4 summaries, no rate",
+                text.replacen(&rounds_summary, "", 1)
+                    .replacen("\"early_stop_rate\":1.0,", "", 1),
+            ),
+            (
+                "reordered keys",
+                text.replacen("\"n\":16,\"t\":5,", "\"t\":5,\"n\":16,", 1),
+            ),
+            (
+                "escaped name",
+                text.replacen("random-liar", "random\\u002dliar", 1),
+            ),
+            ("exponent float", text.replacen(":1.0,", ":1e0,", 1)),
+            ("leading zero", text.replacen("\"n\":16,", "\"n\":016,", 1)),
+            ("integer for a float", text.replacen(":1.0,", ":1,", 1)),
+            ("bare fraction", text.replacen(":1.0,", ":1.,", 1)),
+            ("whitespace inside", text.replacen(",\"t\"", ", \"t\"", 1)),
+            ("trailing byte", format!("{text} ")),
+            ("leading byte", format!(" {text}")),
+        ];
+        for (what, variant) in &declined {
+            assert_ne!(variant, &text, "{what}: the edit did not apply");
+            assert_eq!(CellReport::from_text(variant), None, "{what}");
+            assert!(
+                CellReport::decode_text(variant).is_ok(),
+                "{what}: {variant}"
+            );
+        }
+        // All but the two legacy forms decode to the very same cell.
+        for (what, variant) in &declined[2..] {
+            assert_eq!(
+                CellReport::decode_text(variant).as_ref(),
+                Ok(&cell),
+                "{what}"
+            );
+        }
+        // Neither codec reads these.
+        for broken in [
+            text.replacen("\"n\":16,", "\"n\":-16,", 1),
+            text.replacen(
+                "\"first_seed\":0,",
+                "\"first_seed\":18446744073709551616,",
+                1,
+            ),
+            text[..text.len() - 1].to_string(),
+            format!("{text}}}"),
+        ] {
+            assert_ne!(broken, text);
+            assert_eq!(CellReport::from_text(&broken), None);
+            assert!(CellReport::decode_text(&broken).is_err(), "{broken}");
+        }
+        assert_eq!(canonical_u64("18446744073709551615"), Some(u64::MAX));
+        for not_canonical in ["", "00", "+1", "-1", "1 ", "1.0", "18446744073709551616"] {
+            assert_eq!(canonical_u64(not_canonical), None, "{not_canonical:?}");
         }
     }
 

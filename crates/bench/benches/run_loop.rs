@@ -29,7 +29,13 @@
 //! * `eigtree/*` — the tree machine's primitives on the shapes the
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
-//!   layer can be iterated on without the full benchmark.
+//!   layer can be iterated on without the full benchmark;
+//! * `journal/*` and `codec/*` — the benchmark's `journal-incremental`
+//!   job taken apart: opening a 288-entry store, answering 36 cells
+//!   from it, one append; and one 64-sample cell through the tree codec
+//!   (`to_json().to_string()`, `Json::parse` + `from_json`) vs the text
+//!   codec (`write_text`, `from_text`) that journal lines and cell
+//!   frames use when the input is canonical.
 //!
 //! The `instances/*` and `engine/*` variants execute identical work —
 //! `tests/instance_pool.rs` and `tests/engine_identity.rs` pin down that
@@ -42,14 +48,18 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngCore, SampleUniform, SeedableRng};
+use serde::json::Value as Json;
+use serde::{FromJson, ToJson};
 use sg_adversary::{
     edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar,
     VectorFamily,
 };
+use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan};
 use sg_core::{batch_kernel, king_batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
+use sg_journal::{CellKey, EngineEpoch, Journal};
 use sg_sim::{
     run_batch, run_batch_with, run_into, Adversary, BatchArena, Outcome, ProcessId, RunArena,
     RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
@@ -451,6 +461,104 @@ fn bench_eigtree(c: &mut Criterion) {
     group.finish();
 }
 
+/// The benchmark's `king-expedite` grid: 36 cells × 64 seeds.
+fn expedite_grid(base_seed: u64) -> SweepPlan {
+    let honest_source = FaultSelection::without_source;
+    let configs = [
+        AlgorithmSpec::OptimalKing,
+        AlgorithmSpec::PhaseKing,
+        AlgorithmSpec::PhaseQueen,
+    ]
+    .iter()
+    .flat_map(|&spec| [7, 16, 31].map(|n| SweepConfig::traced(spec, n, spec.max_resilience(n))))
+    .collect();
+    SweepPlan::new(
+        configs,
+        vec![
+            AdversaryFamily::random_liar(honest_source()),
+            AdversaryFamily::crash(honest_source(), 2),
+            AdversaryFamily::silent(honest_source()),
+            AdversaryFamily::chain_revealer(honest_source(), 2, 2),
+        ],
+        64,
+    )
+    .with_base_seed(base_seed)
+}
+
+fn bench_journal(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("sg-bench-journal-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let grids: Vec<SweepPlan> = (0..8).map(|k| expedite_grid(SEED + 1000 * k)).collect();
+    {
+        let mut journal = Journal::open(&dir).expect("scratch journal");
+        for grid in &grids {
+            grid.run_with_journal(&mut journal, 1);
+        }
+    }
+    let mut group = c.benchmark_group("journal");
+    group.sample_size(20);
+    group.bench_function("open-288-entries", |b| {
+        b.iter(|| Journal::open(&dir).expect("reopen").len());
+    });
+    let mut journal = Journal::open(&dir).expect("reopen");
+    let epoch = grids[3].epoch();
+    group.bench_function("warm-36-hits", |b| {
+        b.iter(|| {
+            (0..grids[3].cell_count())
+                .filter(|&cell| matches!(grids[3].cached_cell(&journal, epoch, cell), Ok(Some(_))))
+                .count()
+        });
+    });
+    let cell = grids[0].run_with_jobs(1).cells.swap_remove(0).to_json();
+    let mut key = 0;
+    group.bench_function("append", |b| {
+        b.iter(|| {
+            key += 1;
+            journal.append(CellKey(key), EngineEpoch(0), &cell)
+        });
+    });
+    group.finish();
+    drop(journal);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn bench_cell_codec(c: &mut Criterion) {
+    // The cell of the benchmark's `analysis.*_us_per_cell` probes.
+    let cell = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 31, 10)],
+        vec![AdversaryFamily::random_liar(
+            FaultSelection::without_source(),
+        )],
+        64,
+    )
+    .with_base_seed(SEED)
+    .run_with_jobs(1)
+    .cells
+    .swap_remove(0);
+    let text = cell.to_json().to_string();
+    let mut group = c.benchmark_group("codec");
+    group.bench_function("cell-tree-encode", |b| {
+        b.iter(|| cell.to_json().to_string());
+    });
+    let mut out = String::new();
+    group.bench_function("cell-text-encode", |b| {
+        b.iter(|| {
+            out.clear();
+            cell.write_text(&mut out);
+            out.len()
+        });
+    });
+    assert_eq!(out, text);
+    group.bench_function("cell-tree-decode", |b| {
+        b.iter(|| CellReport::from_json(&Json::parse(black_box(&text)).expect("json")));
+    });
+    group.bench_function("cell-text-decode", |b| {
+        b.iter(|| CellReport::from_text(black_box(&text)));
+    });
+    assert_eq!(CellReport::from_text(&text), Some(cell));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_instance_pool,
@@ -458,6 +566,8 @@ criterion_group!(
     bench_early_stopping,
     bench_batch_runs,
     bench_batch_adversaries,
-    bench_eigtree
+    bench_eigtree,
+    bench_journal,
+    bench_cell_codec
 );
 criterion_main!(benches);

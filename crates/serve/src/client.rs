@@ -307,6 +307,9 @@ impl Client {
             if text.is_empty() {
                 continue;
             }
+            if let Some(frame) = Frame::cell_from_text(text) {
+                return Ok(frame);
+            }
             let doc = Json::parse(text)
                 .map_err(|e| ServeError::Protocol(format!("unparseable frame: {e}")))?;
             return Frame::from_json(&doc)

@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::json::Value as Json;
-use serde::{FromJson, ToJson};
+use serde::FromJson;
 use sg_analysis::{CellReport, Fingerprint, SweepPlan, SweepScratch};
 use sg_journal::{CellKey, Journal};
 
@@ -782,8 +782,10 @@ fn worker_loop(shared: &Shared) {
                 // next submit a recompute ("absent, never wrong").
                 if let Some(journal) = &shared.journal {
                     if let Some(&Some(key)) = job.journal_keys.get(index) {
+                        let mut text = String::new();
+                        cell.write_text(&mut text);
                         let mut journal = journal.lock().expect("journal");
-                        if let Err(e) = journal.append(key, job.plan.epoch(), &cell.to_json()) {
+                        if let Err(e) = journal.append_text(key, job.plan.epoch(), &text) {
                             eprintln!("sg-serve: journal append failed: {e}");
                         }
                     }
@@ -961,7 +963,8 @@ struct FrameSink {
 
 impl FrameSink {
     fn send(&self, frame: &Frame) -> Result<(), ConnExit> {
-        let mut line = frame.to_json().to_string();
+        let mut line = String::new();
+        frame.write_text(&mut line);
         line.push('\n');
         let mut waited_ms = 0u64;
         loop {

@@ -79,6 +79,7 @@
 
 use serde::json::{JsonError, Value as Json};
 use serde::{FromJson, ToJson};
+use sg_analysis::wire::canonical_u64;
 use sg_analysis::{CellReport, SweepPlan};
 
 /// The protocol identifier carried in `proto` fields.
@@ -422,6 +423,47 @@ impl ToJson for Frame {
             Frame::Bye => fields.push(("frame".to_string(), Json::from("bye"))),
         }
         Json::Obj(fields)
+    }
+}
+
+impl Frame {
+    /// Appends the frame's wire line (no newline) to `out`: byte for
+    /// byte `self.to_json().to_string()`. Cell frames — all but a
+    /// handful of a job's frames — are written through
+    /// [`CellReport::write_text`] without building the tree.
+    pub fn write_text(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // Writing to a `String` cannot fail.
+        match self {
+            Frame::Cell { job, index, cell } => {
+                let _ = write!(
+                    out,
+                    "{{\"frame\":\"cell\",\"job\":{job},\"index\":{index},\"cell\":"
+                );
+                cell.write_text(out);
+                out.push('}');
+            }
+            other => {
+                let _ = write!(out, "{}", other.to_json());
+            }
+        }
+    }
+
+    /// Reads a cell frame spelled exactly as [`Frame::write_text`]
+    /// spells one, through [`CellReport::from_text`]. `None` for every
+    /// other frame kind and every other spelling — the caller then takes
+    /// `Json::parse` + `from_json`, which accept any JSON. A `Some` is
+    /// the frame those two decode from the same line.
+    pub fn cell_from_text(line: &str) -> Option<Frame> {
+        let rest = line.strip_prefix("{\"frame\":\"cell\",\"job\":")?;
+        let (job, rest) = rest.split_once(",\"index\":")?;
+        let (index, rest) = rest.split_once(",\"cell\":")?;
+        let cell = rest.strip_suffix('}')?;
+        Some(Frame::Cell {
+            job: canonical_u64(job)?,
+            index: usize::try_from(canonical_u64(index)?).ok()?,
+            cell: Box::new(CellReport::from_text(cell)?),
+        })
     }
 }
 

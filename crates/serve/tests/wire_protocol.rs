@@ -685,3 +685,105 @@ fn dynamic_king_grids_round_trip_through_the_daemon() {
     assert!(streamed.report.cells[0].summaries[4].mean < schedule);
     handle.shutdown();
 }
+
+#[test]
+fn frames_leave_the_daemon_in_the_tree_writers_bytes() {
+    // The daemon writes cell frames without building a tree; what
+    // reaches the socket must still be, byte for byte, the tree
+    // writer's line — and the reader's strict scan must read its own
+    // writer back to the frame the tree decodes.
+    use serde::ToJson;
+
+    let (handle, addr) = start();
+    let mut raw = Raw::connect(&addr);
+    raw.send_line(
+        &Request::Submit {
+            plan: quick_plan(),
+            deadline_ms: None,
+        }
+        .to_json()
+        .to_string(),
+    );
+    let mut cells = 0;
+    loop {
+        let mut line = String::new();
+        raw.reader.read_line(&mut line).expect("read");
+        let line = line.strip_suffix('\n').expect("one frame per line");
+        let frame = Frame::from_json(&Json::parse(line).expect("frame json")).expect("frame");
+        assert_eq!(frame.to_json().to_string(), line);
+        let mut rewritten = String::new();
+        frame.write_text(&mut rewritten);
+        assert_eq!(rewritten, line);
+        match frame {
+            Frame::Cell { .. } => {
+                cells += 1;
+                assert_eq!(Frame::cell_from_text(line), Some(frame));
+            }
+            Frame::Summary { .. } => break,
+            other => assert_eq!(Frame::cell_from_text(line), None, "{other:?}"),
+        }
+    }
+    assert_eq!(cells, quick_plan().cell_count());
+    handle.shutdown();
+}
+
+#[test]
+fn hand_written_cell_frames_still_collect() {
+    // The strict scan is an accelerator selected by the input: a peer
+    // that spells its cell frames any other valid way — spaces,
+    // reordered keys, the legacy 4-element samples and 4 summaries — is
+    // read through the tree codec, within the same job as canonical
+    // frames.
+    use sg_analysis::{CellReport, Fingerprint};
+    use std::net::TcpListener;
+
+    let canonical = tiny_plan().run_with_jobs(1).cells.swap_remove(0);
+    let legacy_cell = "{ \"summaries\": [\
+        {\"samples\":2,\"min\":1,\"max\":1,\"mean\":1.0,\"stddev\":0.0},\
+        {\"samples\":2,\"min\":0,\"max\":0,\"mean\":0,\"stddev\":0.0},\
+        {\"samples\":2,\"min\":60,\"max\":60,\"mean\":6e1,\"stddev\":0.0},\
+        {\"samples\":2,\"min\":30,\"max\":30,\"mean\":30.0,\"stddev\":0.0}],\
+        \"samples\": [[1,0,60,30], [1, 0, 60, 30]], \"first_seed\": 0,\
+        \"adversary\": \"no\\u002dfaults\", \"t\": 2, \"n\": 07, \"spec_name\": \"optimal-king\" }";
+    let legacy = CellReport::from_json(&Json::parse(legacy_cell).unwrap()).unwrap();
+    assert_eq!(CellReport::from_text(legacy_cell), None);
+    let mut fingerprint = Fingerprint::new();
+    fingerprint.mix_cell(&legacy);
+    fingerprint.mix_cell(&canonical);
+
+    let mut second = String::new();
+    Frame::Cell {
+        job: 9,
+        index: 1,
+        cell: Box::new(canonical.clone()),
+    }
+    .write_text(&mut second);
+    let script = [
+        "{\"frame\":\"accepted\",\"job\":9,\"cells\":2,\"total_runs\":5}".to_string(),
+        format!("{{ \"cell\": {legacy_cell}, \"index\": 0, \"job\": 9, \"frame\": \"cell\" }}"),
+        second,
+        format!(
+            "{{\"frame\":\"summary\",\"job\":9,\"cells\":2,\"total_runs\":5,\
+             \"report_fingerprint\":\"{}\",\"wall_ms\":0.5}}",
+            fingerprint.hex()
+        ),
+    ];
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut submit = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut submit)
+            .expect("submit");
+        for line in script {
+            writeln!(stream, "{line}").expect("write");
+        }
+    });
+    let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+    let streamed = client.submit_and_collect(&tiny_plan()).expect("collect");
+    assert_eq!(streamed.report.cells, vec![legacy, canonical]);
+    assert_eq!(streamed.fingerprint, fingerprint.value());
+    peer.join().expect("scripted peer");
+}

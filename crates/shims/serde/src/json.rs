@@ -208,22 +208,8 @@ impl fmt::Display for Value {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Num(x) => {
-                if x.is_finite() {
-                    // Guarantee a float-shaped literal so it parses back
-                    // as Num, not Int.
-                    let s = format!("{x}");
-                    if s.contains('.') || s.contains('e') || s.contains('E') {
-                        f.write_str(&s)
-                    } else {
-                        write!(f, "{s}.0")
-                    }
-                } else {
-                    // JSON has no NaN/Inf; null is the conventional spill.
-                    f.write_str("null")
-                }
-            }
-            Value::Str(s) => write_escaped(f, s),
+            Value::Num(x) => write_f64(f, *x),
+            Value::Str(s) => write_str(f, s),
             Value::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -240,7 +226,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
@@ -249,23 +235,52 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
-        }
+/// Writes `x` as [`Value::Num`] prints it — the one float writer, shared
+/// with codecs that emit JSON text without building a tree. Finite
+/// values are Rust's shortest-round-trip `Display` (which never uses an
+/// exponent) with `.0` appended to integer-valued ones, so the literal
+/// parses back as `Num`, not `Int`; JSON has no NaN/Inf, so those spill
+/// to `null`.
+///
+/// # Errors
+///
+/// Propagates the sink's error.
+pub fn write_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        return out.write_str("null");
     }
-    f.write_str("\"")
+    write!(out, "{x}")?;
+    if x.fract() == 0.0 {
+        out.write_str(".0")?;
+    }
+    Ok(())
 }
 
-use fmt::Write as _;
+/// Writes `s` as [`Value::Str`] prints it: quoted, with `"`, `\\` and
+/// control characters escaped.
+///
+/// # Errors
+///
+/// Propagates the sink's error.
+pub fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        for c in s.chars() {
+            match c {
+                '"' => out.write_str("\\\"")?,
+                '\\' => out.write_str("\\\\")?,
+                '\n' => out.write_str("\\n")?,
+                '\r' => out.write_str("\\r")?,
+                '\t' => out.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+                c => out.write_char(c)?,
+            }
+        }
+    } else {
+        out.write_str(s)?;
+    }
+    out.write_str("\"")
+}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -529,6 +544,53 @@ mod tests {
         assert_eq!(Value::Num(3.0).to_string(), "3.0");
         let big = u64::MAX;
         assert_eq!(Value::from(big).to_string(), big.to_string());
+    }
+
+    #[test]
+    fn float_writer_matches_the_textual_rule() {
+        // The rule `write_f64` replaced: print, then append ".0" unless
+        // the text already looks like a float.
+        let textual = |x: f64| {
+            let s = format!("{x}");
+            if s.contains(['.', 'e', 'E']) {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            3.0,
+            0.1,
+            1e21,
+            1e-7,
+            1e300,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            9007199254740993.0,
+            0.30000000000000004,
+        ];
+        for _ in 0..20_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cases.push(f64::from_bits(state));
+            cases.push((state >> 40) as f64 / 64.0);
+        }
+        for x in cases {
+            let mut out = String::new();
+            write_f64(&mut out, x).unwrap();
+            if x.is_finite() {
+                assert_eq!(out, textual(x), "{x:?}");
+                assert_eq!(Value::parse(&out).unwrap(), Value::Num(x));
+            } else {
+                assert_eq!(out, "null");
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,17 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The store's segment files, in load order.
+fn segments(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut segments: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "ndjson"))
+        .collect();
+    segments.sort();
+    segments
+}
+
 /// A small mixed grid: one cell with a lock-step batch kernel, one
 /// scalar-fallback cell, two adversary families — 4 cells.
 fn grid(seeds: u64) -> SweepPlan {
@@ -69,15 +80,23 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
     /// (c) Damaged storage degrades to a miss, never to a wrong answer:
-    /// whatever line of the segment is truncated, bit-flipped, or
+    /// whatever line of the segment is truncated, bit-flipped anywhere
+    /// (header, key, epoch or body; a low bit or the high bit, which
+    /// leaves the file invalid UTF-8), merged with its successor, or
     /// replaced with garbage, the next journal-backed run still produces
     /// the cold report — recomputing the damaged cells — and surfaces a
-    /// structured warning instead of panicking.
+    /// structured warning instead of panicking or failing the open.
     #[test]
     fn damaged_segments_demote_to_recomputation(
         line_sel in 0usize..4,
-        damage in 0usize..3,
+        damage in 0usize..6,
+        position in any::<u32>(),
     ) {
         let plan = grid(6);
         let cold = plan.run_with_jobs(1);
@@ -86,46 +105,56 @@ proptest! {
             let mut journal = Journal::open(&dir).unwrap();
             plan.run_with_journal(&mut journal, 1);
         }
-        let segment = fs::read_dir(&dir)
+        let segment = segments(&dir).remove(0);
+        let bytes = fs::read(&segment).unwrap();
+        let mut lines: Vec<Vec<u8>> = bytes
+            .strip_suffix(b"\n")
             .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "ndjson"))
-            .unwrap();
-        let text = fs::read_to_string(&segment).unwrap();
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let target = line_sel % lines.len();
+            .split(|&b| b == b'\n')
+            .map(<[u8]>::to_vec)
+            .collect();
+        let mut target = line_sel % lines.len();
+        let at = position as usize % lines[target].len();
         match damage {
             // Crash mid-append: the line stops partway through.
-            0 => {
-                let half = lines[target].len() / 2;
-                lines[target].truncate(half);
-            }
-            // One flipped bit inside the payload.
-            1 => {
-                let mut bytes = lines[target].clone().into_bytes();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                lines[target] = String::from_utf8_lossy(&bytes).into_owned();
+            0 => lines[target].truncate(at),
+            // One flipped bit, anywhere in the line.
+            1 => lines[target][at] ^= 0x40,
+            2 => lines[target][at] ^= 0x80,
+            3 => lines[target][at] ^= 1 << (position >> 29),
+            // The newline is lost: the line and its successor merge.
+            4 => {
+                target %= lines.len() - 1;
+                let next = lines.remove(target + 1);
+                lines[target].extend_from_slice(&next);
             }
             // The line is not even JSON.
-            _ => lines[target] = "not json at all".to_string(),
+            _ => lines[target] = b"not json at all".to_vec(),
         }
-        fs::write(&segment, lines.join("\n") + "\n").unwrap();
+        let mut damaged = lines.join(&b'\n');
+        damaged.push(b'\n');
+        prop_assume!(damaged != bytes);
+        fs::write(&segment, damaged).unwrap();
 
-        let mut journal = Journal::open(&dir).unwrap();
+        let mut journal = Journal::open(&dir).expect("damage never fails the open");
         let warm = plan.run_with_journal(&mut journal, 1);
         prop_assert_eq!(&warm.report, &cold, "damage must never change bytes");
-        prop_assert!(
-            warm.computed >= 1,
-            "at least the damaged cell is recomputed"
-        );
         prop_assert_eq!(warm.hits + warm.computed, plan.cell_count());
-        // The damage surfaced somewhere structured: either the loader
-        // flagged the broken line, or the lookup flagged the payload.
-        prop_assert!(
-            !journal.warnings().is_empty() || !warm.warnings.is_empty(),
-            "damage of kind {damage} to line {target} was silent"
-        );
+        // A flipped digit can leave a line that still parses; then the
+        // shape check or nothing at all notices, and either is fine as
+        // long as the bytes above held. Every other damage recomputes.
+        if damage != 3 {
+            prop_assert!(
+                warm.computed >= 1,
+                "at least the damaged cell is recomputed"
+            );
+            // The damage surfaced somewhere structured: either the loader
+            // flagged the broken line, or the lookup flagged the payload.
+            prop_assert!(
+                !journal.warnings().is_empty() || !warm.warnings.is_empty(),
+                "damage of kind {damage} to line {target} was silent"
+            );
+        }
         drop(journal);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -244,6 +273,115 @@ fn journal_round_trips_across_reopen() {
     assert_eq!(warm.hits, plan.cell_count());
     assert_eq!(warm.report, cold);
     assert_eq!(warm.report.fingerprint(), cold.fingerprint());
+    drop(journal);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One segment may mix what three generations of writers left: the
+/// canonical line, a line with its fields in another order, and a cell
+/// body from before the rounds summary and the early-stop rate existed.
+/// The index reads the first by its header and the other two through the
+/// JSON parser; the lookup decodes the first two bodies by the text
+/// codec and the third by the tree codec; all three are hits.
+#[test]
+fn one_segment_answers_canonical_reordered_and_legacy_lines() {
+    use serde::json::Value as Json;
+
+    let plan = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 10, 3)],
+        vec![
+            AdversaryFamily::random_liar(FaultSelection::without_source().limit(2)),
+            AdversaryFamily::crash(FaultSelection::without_source().limit(2), 2),
+            AdversaryFamily::silent(FaultSelection::without_source().limit(2)),
+        ],
+        6,
+    );
+    let cold = plan.run_with_jobs(1);
+    let dir = tmpdir("mixed");
+    {
+        let mut journal = Journal::open(&dir).unwrap();
+        plan.run_with_journal(&mut journal, 1);
+    }
+    let segment = segments(&dir).remove(0);
+    let text = fs::read_to_string(&segment).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert_eq!(lines.len(), 3);
+
+    // Line 2: the same fact, fields reversed.
+    let Json::Obj(mut fields) = Json::parse(&lines[1]).unwrap() else {
+        panic!("a fact is an object")
+    };
+    fields.reverse();
+    lines[1] = Json::Obj(fields).to_string();
+    assert!(lines[1].starts_with("{\"cell\":"));
+
+    // Line 3: canonical header, legacy body — no `early_stop_rate`, four
+    // summaries (the decoder recomputes both from the samples).
+    let rate = lines[2].find("\"early_stop_rate\":").unwrap();
+    let samples = lines[2].find("\"samples\":[").unwrap();
+    lines[2].replace_range(rate..samples, "");
+    let fifth = lines[2].rfind(",{\"samples\":").unwrap();
+    let end = lines[2].len() - "]}}".len();
+    lines[2].replace_range(fifth..end, "");
+    assert!(Json::parse(&lines[2]).is_ok(), "{}", lines[2]);
+    fs::write(&segment, lines.join("\n") + "\n").unwrap();
+
+    let mut journal = Journal::open(&dir).unwrap();
+    assert!(journal.warnings().is_empty(), "{:?}", journal.warnings());
+    let warm = plan.run_with_journal(&mut journal, 1);
+    assert_eq!((warm.hits, warm.computed), (3, 0));
+    assert!(warm.warnings.is_empty(), "{:?}", warm.warnings);
+    assert_eq!(warm.report, cold);
+    drop(journal);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The index checks a line's header at open and its body at use, so a
+/// newest line with an intact header and a damaged body shadows the
+/// older intact duplicate: the cell is a demoted miss with a warning,
+/// the recomputed report is still the cold one, the recomputation is
+/// appended as the new newest line, and compaction keeps that one.
+#[test]
+fn a_damaged_newest_duplicate_is_recomputed_not_served() {
+    let plan = grid(6);
+    let cold = plan.run_with_jobs(1);
+    let dir = tmpdir("shadow");
+    {
+        let mut journal = Journal::open(&dir).unwrap();
+        plan.run_with_journal(&mut journal, 1);
+    }
+    let first = fs::read_to_string(segments(&dir).remove(0)).unwrap();
+    let line = first.lines().next().unwrap();
+    let damaged = line.replacen("\"samples\":[[", "\"samples\":[{", 1);
+    assert_ne!(damaged, line);
+    fs::write(dir.join("segment-000001.ndjson"), damaged + "\n").unwrap();
+
+    let mut journal = Journal::open(&dir).unwrap();
+    assert!(
+        journal.warnings().is_empty(),
+        "open reads headers only: {:?}",
+        journal.warnings()
+    );
+    assert_eq!(journal.stat().unwrap().corrupt_lines, 1);
+    let warm = plan.run_with_journal(&mut journal, 1);
+    assert_eq!((warm.hits, warm.computed), (plan.cell_count() - 1, 1));
+    assert_eq!(warm.warnings.len(), 1, "{:?}", warm.warnings);
+    assert!(warm.warnings[0].contains("payload undecodable"));
+    assert_eq!(warm.report, cold);
+
+    // The recomputation is now the newest line for that address.
+    let again = plan.run_with_journal(&mut journal, 1);
+    assert_eq!((again.hits, again.computed), (plan.cell_count(), 0));
+    let report = journal.compact().unwrap();
+    assert_eq!(report.entries_kept, plan.cell_count());
+    assert_eq!(report.segments_removed, 3);
+    drop(journal);
+
+    let mut journal = Journal::open(&dir).unwrap();
+    assert_eq!(journal.stat().unwrap().corrupt_lines, 0);
+    let compacted = plan.run_with_journal(&mut journal, 1);
+    assert_eq!((compacted.hits, compacted.computed), (plan.cell_count(), 0));
+    assert_eq!(compacted.report, cold);
     drop(journal);
     fs::remove_dir_all(&dir).unwrap();
 }
