@@ -934,11 +934,6 @@ pub struct CellCursor<'p> {
 }
 
 impl CellCursor<'_> {
-    /// Grid coordinates `(ci, ai)` of the cell this cursor executes.
-    pub fn coords(&self) -> (usize, usize) {
-        (self.ci, self.ai)
-    }
-
     /// Runs not yet executed.
     pub fn remaining(&self) -> u64 {
         self.plan.seeds_per_cell - self.next_si
@@ -1036,9 +1031,9 @@ pub struct SweepReport {
 /// Order-sensitive FNV-1a fingerprint over sweep samples.
 ///
 /// This is the determinism contract's currency: the batch path
-/// ([`SweepReport::fingerprint`]), the `repro --exp sweep` trajectory
-/// file, and the `sg-serve` daemon's summary frame all reduce their
-/// samples through this builder *in grid order*, so a fingerprint match
+/// ([`SweepReport::fingerprint`]), the journal's warm reports and the
+/// `sg-serve` daemon's summary frame all reduce their samples through
+/// this builder *in grid order*, so a fingerprint match
 /// means bit-identical samples whatever path produced them. Mixing is
 /// incremental — a streaming consumer can fold cells in as they arrive,
 /// as long as it folds them in grid order.

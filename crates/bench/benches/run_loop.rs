@@ -68,7 +68,8 @@ use sg_sim::{
 const SEED: u64 = 7;
 
 fn bench_config() -> (AlgorithmSpec, RunConfig) {
-    // The BENCH_sweep.json cell: optimal-king n=16 t=5 under random liars.
+    // The canary cell (tests/sweep_determinism.rs): optimal-king n=16
+    // t=5 under random liars.
     let spec = AlgorithmSpec::OptimalKing;
     let config = RunConfig::new(16, 5)
         .with_source_value(Value(1))

@@ -1,6 +1,7 @@
 //! Sweep-engine throughput: serial vs. parallel execution of the same
-//! seeded Monte-Carlo grid (the `BENCH_sweep.json` workload, in
-//! miniature), plus the raw `sweep_map` executor.
+//! seeded Monte-Carlo grid (the canary cell of
+//! `tests/sweep_determinism.rs`, in miniature), plus the raw `sweep_map`
+//! executor.
 //!
 //! On a multi-core host the `jobs_hw` rows should approach
 //! `jobs_1 / cores`; on a single-core host they bound the engine's

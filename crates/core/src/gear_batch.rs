@@ -44,7 +44,8 @@ use sg_sim::{
 use crate::gearbox::{DynamicKing, GearBox};
 use crate::king_batch::{exchange_rule, propose_rule};
 use crate::king_shift::KingShift;
-use crate::params::Params;
+use crate::params::{phase_leader, Params};
+use crate::phase_batch::{batch_eligible, lane_commit};
 use crate::plan::RoundAction;
 use crate::spec::AlgorithmSpec;
 
@@ -133,23 +134,7 @@ impl GearBatchKernel {
     /// The king of 0-based `phase`: the `phase`-th processor id, skipping
     /// the source — identical to [`KingCore::king`](crate::KingCore::king).
     fn king(&self, phase: usize) -> usize {
-        let mut remaining = phase;
-        for idx in 0..self.n {
-            if idx != self.source {
-                if remaining == 0 {
-                    return idx;
-                }
-                remaining -= 1;
-            }
-        }
-        unreachable!("phase bound checked by the schedule")
-    }
-
-    /// Commits `value` into `state[slot]` for lanes in `active` only,
-    /// freezing retired runs.
-    #[inline]
-    fn commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
-        state[slot] = (value & active) | (state[slot] & !active);
+        phase_leader(self.n, self.source, phase)
     }
 
     fn build_instances(&mut self) {
@@ -522,8 +507,8 @@ impl BatchKernel for GearBatchKernel {
                             });
                         }
                         let (prop_some, prop_one) = exchange_rule(&ones, n, t);
-                        Self::commit(&mut self.prop_some, s, prop_some, m);
-                        Self::commit(&mut self.prop_one, s, prop_one, m);
+                        lane_commit(&mut self.prop_some, s, prop_some, m);
+                        lane_commit(&mut self.prop_one, s, prop_one, m);
                     }
                     self.add_tail_ops(m, n as u64);
                 }
@@ -547,9 +532,9 @@ impl BatchKernel for GearBatchKernel {
                             }
                         }
                         let (current, lock) = propose_rule(&c1, &c0, n, t);
-                        Self::commit(&mut self.current, s, current, m);
-                        Self::commit(&mut self.locked, s, lock, m);
-                        Self::commit(&mut self.ready_mask, s, lock, m);
+                        lane_commit(&mut self.current, s, current, m);
+                        lane_commit(&mut self.locked, s, lock, m);
+                        lane_commit(&mut self.ready_mask, s, lock, m);
                     }
                     self.add_tail_ops(m, n as u64);
                 }
@@ -565,11 +550,11 @@ impl BatchKernel for GearBatchKernel {
                             net.one(k, s) & !self.masked[s * n + k]
                         };
                         let v = (self.locked[s] & self.current[s]) | (!self.locked[s] & read);
-                        Self::commit(&mut self.current, s, v, m);
+                        lane_commit(&mut self.current, s, v, m);
                     }
                     for s in 0..n {
-                        Self::commit(&mut self.prop_some, s, 0, m);
-                        Self::commit(&mut self.locked, s, 0, m);
+                        lane_commit(&mut self.prop_some, s, 0, m);
+                        lane_commit(&mut self.locked, s, 0, m);
                     }
                     self.add_tail_ops(m, 1);
                 }
@@ -640,12 +625,7 @@ pub fn gear_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<Gea
         AlgorithmSpec::DynamicKing { b } => (*b, true),
         _ => return None,
     };
-    if config.authenticated
-        || config.domain.size() != 2
-        || config.source_value.raw() > 1
-        || config.n > sg_sim::MAX_BATCH_RUNS
-        || spec.validate(config.n, config.t).is_err()
-    {
+    if !batch_eligible(spec, config) {
         return None;
     }
     let params = Params::from_config(config);

@@ -9,17 +9,22 @@
 //! only supplies the protocol semantics, mirroring how the scalar
 //! [`KingCore`](crate::KingCore) sits behind the engine's round loop.
 //!
-//! Only [`AlgorithmSpec::OptimalKing`] has a kernel: its schedule is
-//! static, its messages are single binary values, and its tallies are
-//! pure threshold tests — exactly the shape lane words express. Every
-//! other family (including `dynamic-king`, whose gear shifts re-plan the
-//! schedule mid-run) runs on the scalar engine: the spec selects the
-//! path, and `sg_sim::reference` holds both to one answer.
+//! This kernel serves [`AlgorithmSpec::OptimalKing`] only: a static
+//! schedule, single binary values on the wire, pure threshold tallies —
+//! exactly the shape lane words express. `phase-king` / `phase-queen`
+//! have [`PhaseBatchKernel`](crate::PhaseBatchKernel), and the
+//! gear-shifting `king-shift` / `dynamic-king` pair runs its king tail
+//! through the same `exchange_rule` / `propose_rule` in
+//! [`GearBatchKernel`](crate::GearBatchKernel); [`crate::batch_kernel`]
+//! picks by spec, every other family runs on the scalar engine, and
+//! `sg_sim::reference` holds all of them to one answer.
 
 use sg_sim::batch::{BatchKernel, BatchNet, LaneCounts};
 use sg_sim::RunConfig;
 
 use crate::optimal_king::PhaseStep;
+use crate::params::phase_leader;
+use crate::phase_batch::{batch_eligible, lane_commit};
 use crate::spec::AlgorithmSpec;
 
 /// The exchange rule, per lane, from a processor's count of ones over
@@ -78,23 +83,7 @@ impl KingBatchKernel {
     /// The king of 0-based `phase`: the `phase`-th processor id, skipping
     /// the source — identical to [`KingCore::king`](crate::KingCore::king).
     fn king(&self, phase: usize) -> usize {
-        let mut remaining = phase;
-        for idx in 0..self.n {
-            if idx != self.source {
-                if remaining == 0 {
-                    return idx;
-                }
-                remaining -= 1;
-            }
-        }
-        unreachable!("phase bound checked by the schedule")
-    }
-
-    /// Commits `value` into `state[slot]` for lanes in `active` only,
-    /// freezing retired runs.
-    #[inline]
-    fn commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
-        state[slot] = (value & active) | (state[slot] & !active);
+        phase_leader(self.n, self.source, phase)
     }
 }
 
@@ -173,7 +162,7 @@ impl BatchKernel for KingBatchKernel {
                     } else {
                         net.one(self.source, i)
                     };
-                    Self::commit(&mut self.current, i, v, active);
+                    lane_commit(&mut self.current, i, v, active);
                 }
             }
             Some((_, PhaseStep::Exchange)) => {
@@ -181,8 +170,8 @@ impl BatchKernel for KingBatchKernel {
                 for i in 0..n {
                     let ones = net.tally_one(i, self.current[i]);
                     let (prop_some, prop_one) = exchange_rule(&ones, n, t);
-                    Self::commit(&mut self.prop_some, i, prop_some, active);
-                    Self::commit(&mut self.prop_one, i, prop_one, active);
+                    lane_commit(&mut self.prop_some, i, prop_some, active);
+                    lane_commit(&mut self.prop_one, i, prop_one, active);
                 }
             }
             Some((_, PhaseStep::Propose)) => {
@@ -190,9 +179,9 @@ impl BatchKernel for KingBatchKernel {
                     let c1 = net.tally_one(i, self.prop_some[i] & self.prop_one[i]);
                     let c0 = net.tally_zero(i, self.prop_some[i] & !self.prop_one[i]);
                     let (current, lock) = propose_rule(&c1, &c0, n, t);
-                    Self::commit(&mut self.current, i, current, active);
-                    Self::commit(&mut self.locked, i, lock, active);
-                    Self::commit(&mut self.ready, i, lock, active);
+                    lane_commit(&mut self.current, i, current, active);
+                    lane_commit(&mut self.locked, i, lock, active);
+                    lane_commit(&mut self.ready, i, lock, active);
                 }
             }
             Some((phase, PhaseStep::King)) => {
@@ -207,11 +196,11 @@ impl BatchKernel for KingBatchKernel {
                         net.one(k, i)
                     };
                     let v = (self.locked[i] & self.current[i]) | (!self.locked[i] & read);
-                    Self::commit(&mut self.current, i, v, active);
+                    lane_commit(&mut self.current, i, v, active);
                 }
                 for i in 0..n {
-                    Self::commit(&mut self.prop_some, i, 0, active);
-                    Self::commit(&mut self.locked, i, 0, active);
+                    lane_commit(&mut self.prop_some, i, 0, active);
+                    lane_commit(&mut self.locked, i, 0, active);
                 }
             }
         }
@@ -241,13 +230,7 @@ impl BatchKernel for KingBatchKernel {
 /// value and at most 64 processors; everything else signals the caller
 /// to take the scalar path.
 pub fn king_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<KingBatchKernel> {
-    if !matches!(spec, AlgorithmSpec::OptimalKing)
-        || config.authenticated
-        || config.domain.size() != 2
-        || config.source_value.raw() > 1
-        || config.n > sg_sim::MAX_BATCH_RUNS
-        || spec.validate(config.n, config.t).is_err()
-    {
+    if !matches!(spec, AlgorithmSpec::OptimalKing) || !batch_eligible(spec, config) {
         return None;
     }
     Some(KingBatchKernel {

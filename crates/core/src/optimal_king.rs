@@ -47,7 +47,7 @@ use sg_sim::{
     RunConfig, TraceEvent, Value,
 };
 
-use crate::params::Params;
+use crate::params::{phase_leader, Params};
 
 /// The out-of-domain sentinel used on the wire for a `⊥` proposal.
 ///
@@ -210,16 +210,11 @@ impl KingCore {
             "phase {phase} exceeds the {} available kings",
             self.params.n - 1
         );
-        let mut remaining = phase;
-        for idx in 0..self.params.n {
-            if ProcessId(idx) != self.params.source {
-                if remaining == 0 {
-                    return ProcessId(idx);
-                }
-                remaining -= 1;
-            }
-        }
-        unreachable!("phase bound checked above")
+        ProcessId(phase_leader(
+            self.params.n,
+            self.params.source.index(),
+            phase,
+        ))
     }
 
     /// The payload to broadcast for `step` of `phase` (`None` = silent).

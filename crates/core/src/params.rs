@@ -29,6 +29,15 @@ impl Params {
     }
 }
 
+/// The leader (king or queen) of 0-based `phase` in every phase-leader
+/// family, scalar and lock-step alike: the `phase`-th processor id,
+/// skipping the source so its round-1 influence is not doubled.
+pub(crate) fn phase_leader(n: usize, source: usize, phase: usize) -> usize {
+    let leader = phase + usize::from(phase >= source);
+    debug_assert!(leader < n, "phase {phase} exceeds the {} leaders", n - 1);
+    leader
+}
+
 /// Algorithm A's (and the Exponential Algorithm's and the hybrid's)
 /// resilience: `t_A = ⌊(n−1)/3⌋` (paper §4).
 pub fn t_a(n: usize) -> usize {
@@ -82,6 +91,19 @@ pub fn isqrt(x: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The closed form is the skip-the-source enumeration, wherever the
+    /// source sits.
+    #[test]
+    fn phase_leader_enumerates_the_non_source_ids_in_order() {
+        for n in 2..=9 {
+            for source in 0..n {
+                let expected: Vec<usize> = (0..n).filter(|&id| id != source).collect();
+                let leaders: Vec<usize> = (0..n - 1).map(|k| phase_leader(n, source, k)).collect();
+                assert_eq!(leaders, expected, "n={n} source={source}");
+            }
+        }
+    }
 
     #[test]
     fn linear_resiliences() {

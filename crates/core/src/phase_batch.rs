@@ -22,7 +22,27 @@
 use sg_sim::batch::{BatchKernel, BatchNet, LaneCounts};
 use sg_sim::RunConfig;
 
+use crate::params::phase_leader;
 use crate::spec::AlgorithmSpec;
+
+/// Whether `spec` under `config` has the shape lane words express — the
+/// precondition every lock-step kernel shares: a valid unauthenticated
+/// binary-domain configuration with a binary source value and at most
+/// 64 processors.
+pub(crate) fn batch_eligible(spec: &AlgorithmSpec, config: &RunConfig) -> bool {
+    !config.authenticated
+        && config.domain.size() == 2
+        && config.source_value.raw() <= 1
+        && config.n <= sg_sim::MAX_BATCH_RUNS
+        && spec.validate(config.n, config.t).is_ok()
+}
+
+/// Commits `value` into `state[slot]` for lanes in `active` only,
+/// freezing retired runs.
+#[inline]
+pub(crate) fn lane_commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
+    state[slot] = (value & active) | (state[slot] & !active);
+}
 
 /// Which leader rule the kernel applies in phase rounds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,16 +83,7 @@ impl PhaseBatchKernel {
     /// The leader of 0-based `phase`: the `phase`-th processor id,
     /// skipping the source — identical to the scalar `king`/`queen`.
     fn leader(&self, phase: usize) -> usize {
-        let mut remaining = phase;
-        for idx in 0..self.n {
-            if idx != self.source {
-                if remaining == 0 {
-                    return idx;
-                }
-                remaining -= 1;
-            }
-        }
-        unreachable!("phase bound checked by the schedule")
+        phase_leader(self.n, self.source, phase)
     }
 
     fn role(&self, round: usize) -> Role {
@@ -91,13 +102,6 @@ impl PhaseBatchKernel {
     /// broadcasts under both rules.
     fn tally_majority(&self, slot: usize) -> u64 {
         self.ones[slot].ge(self.n / 2 + 1)
-    }
-
-    /// Commits `value` into `state[slot]` for lanes in `active` only,
-    /// freezing retired runs.
-    #[inline]
-    fn commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
-        state[slot] = (value & active) | (state[slot] & !active);
     }
 }
 
@@ -168,7 +172,7 @@ impl BatchKernel for PhaseBatchKernel {
                     } else {
                         net.one(self.source, i)
                     };
-                    Self::commit(&mut self.current, i, v, active);
+                    lane_commit(&mut self.current, i, v, active);
                 }
             }
             Role::Exchange => {
@@ -209,8 +213,8 @@ impl BatchKernel for PhaseBatchKernel {
                     };
                     let stable = keep_one | keep_zero;
                     let v = (stable & maj) | (!stable & read);
-                    Self::commit(&mut self.current, i, v, active);
-                    Self::commit(&mut self.ready, i, stable, active);
+                    lane_commit(&mut self.current, i, v, active);
+                    lane_commit(&mut self.ready, i, stable, active);
                 }
             }
         }
@@ -250,12 +254,7 @@ pub fn batch_kernel(
     spec: &AlgorithmSpec,
     config: &RunConfig,
 ) -> Option<Box<dyn BatchKernel + Send>> {
-    if config.authenticated
-        || config.domain.size() != 2
-        || config.source_value.raw() > 1
-        || config.n > sg_sim::MAX_BATCH_RUNS
-        || spec.validate(config.n, config.t).is_err()
-    {
+    if !batch_eligible(spec, config) {
         return None;
     }
     let rule = match spec {

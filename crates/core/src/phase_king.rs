@@ -16,7 +16,7 @@ use sg_sim::{
     Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus, RunConfig, TraceEvent, Value,
 };
 
-use crate::params::Params;
+use crate::params::{phase_leader, Params};
 
 /// One processor's Phase King instance.
 ///
@@ -68,17 +68,11 @@ impl PhaseKing {
     /// The king of phase `k` (0-based): the `k`-th processor id, skipping
     /// the source so the source's round-1 influence is not doubled.
     fn king(&self, phase: usize) -> ProcessId {
-        let mut idx = 0usize;
-        let mut remaining = phase;
-        loop {
-            if ProcessId(idx) != self.params.source {
-                if remaining == 0 {
-                    return ProcessId(idx);
-                }
-                remaining -= 1;
-            }
-            idx += 1;
-        }
+        ProcessId(phase_leader(
+            self.params.n,
+            self.params.source.index(),
+            phase,
+        ))
     }
 
     /// Decomposes a round number into its role within the protocol.

@@ -16,7 +16,7 @@ use sg_sim::{
     Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus, RunConfig, TraceEvent, Value,
 };
 
-use crate::params::Params;
+use crate::params::{phase_leader, Params};
 
 /// One processor's Phase Queen instance (binary domain).
 pub struct PhaseQueen {
@@ -67,17 +67,11 @@ impl PhaseQueen {
     /// The queen of phase `k` (0-based): the `k`-th processor id skipping
     /// the source.
     fn queen(&self, phase: usize) -> ProcessId {
-        let mut idx = 0usize;
-        let mut remaining = phase;
-        loop {
-            if ProcessId(idx) != self.params.source {
-                if remaining == 0 {
-                    return ProcessId(idx);
-                }
-                remaining -= 1;
-            }
-            idx += 1;
-        }
+        ProcessId(phase_leader(
+            self.params.n,
+            self.params.source.index(),
+            phase,
+        ))
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! See `docs/WIRE.md` at the repository root for the consolidated
 //! catalogue of every schema the repo speaks (`sg-serve/1`,
-//! `sg-trace/1`, `sg-scenario/1`, `sg-bench-sweep/6`,
-//! `sg-serve-load/1`, `sg-journal/1`) and their compatibility notes.
+//! `sg-trace/1`, `sg-scenario/1`, `sg-serve-load/1`, `sg-journal/1`)
+//! and their compatibility notes.
 //!
 //! One connection carries a sequence of client→server [`Request`] lines
 //! and server→client [`Frame`] lines, each a single compact JSON object

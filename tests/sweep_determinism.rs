@@ -56,6 +56,13 @@ fn canary_fingerprints_are_pinned_on_both_engines() {
         (canary.fixed_length(), CANARY_FIXED),
     ] {
         assert_eq!(plan.run().fingerprint(), pinned, "SweepPlan::run");
+        for jobs in [1, 8] {
+            assert_eq!(
+                plan.run_with_jobs(jobs).fingerprint(),
+                pinned,
+                "--jobs {jobs}"
+            );
+        }
         assert_eq!(
             oracle::via_reference(&plan).fingerprint(),
             pinned,

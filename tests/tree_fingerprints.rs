@@ -1,9 +1,8 @@
 //! Committed fingerprints of the tree family — the paper's own
 //! algorithms and its gear shifts on the scalar engine.
 //!
-//! The two fingerprints pinned elsewhere (`tests/sweep_determinism.rs`,
-//! `BENCH_sweep*.json`) are both `optimal-king`; nothing pinned the tree
-//! machine. These values were captured on the commit *before* the
+//! The two fingerprints pinned elsewhere (`tests/sweep_determinism.rs`)
+//! are both `optimal-king`; nothing pinned the tree machine. These values were captured on the commit *before* the
 //! table-driven rewrite of `sg-eigtree`'s hot loops and must survive any
 //! change to how the tree is enumerated, stored, or delivered: every
 //! decision, every discovery, every bit on the wire and every charged

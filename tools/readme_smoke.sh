@@ -12,9 +12,6 @@ cd "$(dirname "$0")/.."
 cleanup() {
     rm -f scenario.json
     rm -rf /tmp/sg-journal-demo
-    # The sweep commands overwrite the committed trajectory artifacts;
-    # restore them so a local run leaves the tree clean.
-    git checkout -- BENCH_sweep.json BENCH_sweep_fixed.json 2>/dev/null || true
 }
 trap cleanup EXIT
 
