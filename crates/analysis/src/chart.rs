@@ -156,7 +156,8 @@ mod tests {
     fn message_profile_shows_gear_shift() {
         use sg_core::{execute, AlgorithmSpec};
         use sg_sim::{NoFaults, RunConfig};
-        let config = RunConfig::new(16, 5);
+        // The whole schedule: fault-free, the echo rule stops at r02.
+        let config = RunConfig::new(16, 5).fixed_length();
         let outcome = execute(AlgorithmSpec::Hybrid { b: 3 }, &config, &mut NoFaults).unwrap();
         let chart = message_profile(&outcome, 30);
         // One bar per round, labelled r01..r12.

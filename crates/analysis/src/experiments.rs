@@ -50,14 +50,19 @@ pub struct Measured {
 }
 
 /// Runs one execution of `spec` under a chain-revealing stress adversary
-/// and returns exact measurements.
+/// and returns exact measurements — of the *full schedule*
+/// ([`RunConfig::fixed_length`]), which is what the paper's propositions
+/// and theorems bound; the stress adversary spares the source, so with
+/// early stopping every tree family would end at round 2.
 ///
 /// # Panics
 ///
 /// Panics if the execution violates agreement or validity — experiments
 /// double as correctness checks.
 pub fn measure(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Measured {
-    let config = RunConfig::new(n, t).with_source_value(Value(1));
+    let config = RunConfig::new(n, t)
+        .with_source_value(Value(1))
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
     let outcome = sg_core::execute(spec, &config, &mut adversary)
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
@@ -430,9 +435,12 @@ pub fn experiment_detect(scale: Scale) -> Table {
         Scale::Full => (16, 3),
     };
     let t = t_a(n);
+    // The full schedule: the source is correct, so the echo rule would
+    // end the run at round 2, before the first reveal.
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
-        .with_trace();
+        .with_trace()
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, b, 31);
     let outcome = sg_core::execute(AlgorithmSpec::AlgorithmA { b }, &config, &mut adversary)
         .expect("valid spec");
@@ -512,7 +520,8 @@ pub fn experiment_stability(scale: Scale) -> Table {
     let results = measure_cells(cells, move |&f| {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
-            .with_trace();
+            .with_trace()
+            .fixed_length();
         let mut equivocator;
         let mut fault_free = sg_sim::NoFaults;
         let adversary: &mut dyn sg_sim::Adversary = if f == 0 {
@@ -555,15 +564,18 @@ pub fn experiment_stability(scale: Scale) -> Table {
 }
 
 /// EXP-ES — early-deciding head-room vs. actual fault count (the
-/// Dolev–Reischuk–Strong early-stopping lens on the hybrid).
+/// Dolev–Reischuk–Strong early-stopping lens on the hybrid), and what the
+/// tree machine's echo rule harvests of it.
 ///
-/// The schedules are fixed, but the decision value *locks in* early when
-/// few faults occur: every block either yields a persistent value or
+/// On the fixed schedule the decision value *locks in* early when few
+/// faults occur: every block either yields a persistent value or
 /// detects-and-masks faults. This sweep varies the number of actually
-/// corrupted processors `f` from `0` to `t` under the chain-revealing
-/// stress adversary and reports the system-wide lock-in round — the round
-/// from which no correct processor's preferred value changes again — and
-/// the head-room an early-stopping variant would harvest.
+/// corrupted processors `f` from `0` to `t` under a coordinated
+/// adversary and reports the system-wide lock-in round — the round from
+/// which no correct processor's preferred value changes again — the
+/// head-room to the end of the schedule, and the round at which the same
+/// execution ends with early stopping on ([`sg_core::GearedProtocol`]'s echo
+/// rule: the first block start at which the echoes already agree).
 pub fn experiment_early_stopping(scale: Scale) -> Table {
     let (n, b) = match scale {
         Scale::Quick => (10, 3),
@@ -579,19 +591,22 @@ pub fn experiment_early_stopping(scale: Scale) -> Table {
              activating per block) corrupting exactly f processors (f = 0 is \
              fault-free). 'Lock-in' is \
              the first round after which no correct processor's preferred value \
-             changes; 'head-room' is the fixed schedule length minus lock-in — \
-             the rounds an early-stopping rule (Dolev–Reischuk–Strong 1986, the \
-             lineage of Algorithm C) could save. Fault-free runs lock in at \
-             round 1 (persistence); attacked runs lock in at the first block \
-             boundary, where the shift's conversion restores unanimity — the \
-             detect-or-persist structure that makes DRS-style early stopping \
-             possible."
+             changes on the fixed schedule; 'head-room' is the schedule length \
+             minus lock-in — the rounds an early-stopping rule \
+             (Dolev–Reischuk–Strong 1986, the lineage of Algorithm C) could \
+             save. Fault-free runs lock in at round 1 (persistence); attacked \
+             runs lock in at the first block boundary, where the shift's \
+             conversion restores unanimity — the detect-or-persist structure \
+             that makes DRS-style early stopping possible. 'Stopped at' is \
+             where the echo rule ends the same execution: one round after the \
+             lock-in, at the next block's first echo."
         ),
         vec![
             "actual faults f",
             "rounds (schedule)",
             "lock-in round",
             "head-room",
+            "stopped at (echo rule)",
         ],
     );
     let cells: Vec<usize> = (0..=t).collect();
@@ -599,29 +614,36 @@ pub fn experiment_early_stopping(scale: Scale) -> Table {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
             .with_trace();
-        let mut none = sg_sim::NoFaults;
-        let mut split;
-        let adversary: &mut dyn sg_sim::Adversary = if f == 0 {
-            &mut none
-        } else {
-            split = sg_adversary::StaggeredSplit::new(FaultSelection::with_source().limit(f), 2, b);
-            &mut split
+        let run = |config: &RunConfig| {
+            let mut none = sg_sim::NoFaults;
+            let mut split;
+            let adversary: &mut dyn sg_sim::Adversary = if f == 0 {
+                &mut none
+            } else {
+                split =
+                    sg_adversary::StaggeredSplit::new(FaultSelection::with_source().limit(f), 2, b);
+                &mut split
+            };
+            let outcome = sg_core::execute(spec, config, adversary).expect("valid");
+            outcome.assert_correct();
+            outcome
         };
-        let outcome = sg_core::execute(spec, &config, adversary).expect("valid");
-        outcome.assert_correct();
-        let report = crate::stability::lock_in(&outcome);
+        let fixed = run(&config.fixed_length());
+        let report = crate::stability::lock_in(&fixed);
         (
-            outcome.rounds_used,
+            fixed.rounds_used,
             report.system_lock_in().unwrap_or(0),
             report.headroom().unwrap_or(0),
+            run(&config).rounds_used,
         )
     });
-    for (f, (rounds, lock, headroom)) in results {
+    for (f, (rounds, lock, headroom, stopped)) in results {
         table.push_row(vec![
             f.to_string(),
             rounds.to_string(),
             lock.to_string(),
             headroom.to_string(),
+            stopped.to_string(),
         ]);
     }
     table
@@ -794,14 +816,16 @@ pub fn plan_figures() -> String {
     out
 }
 
-/// The rounds-vs-f table: measured `rounds_used` under the crash/silent
-/// scenario families at every actual fault count `f ∈ 0..=t`, comparing
-/// the static gear plan (`compose[A(b)×k→King]`) against its dynamic
-/// counterparts — the same composition with runtime checkpoints
-/// ([`sg_core::ShiftPlanBuilder::dynamic`]) and the `dynamic-king` spec —
-/// with Dolev–Strong's `min(f+2, t+1)` early-stopping staircase
-/// alongside. The scenario adversaries are deterministic (crashes ignore
-/// their seed), so each cell is one execution.
+/// The rounds-vs-f table: measured `rounds_used` under the crash, silent
+/// and chain-revealer scenario families at every actual fault count
+/// `f ≤ t`, with the source correct and with the source among the
+/// faulty, comparing the static gear plan (`compose[A(b)×k→King]`)
+/// against its dynamic counterparts — the same composition with runtime
+/// checkpoints ([`sg_core::ShiftPlanBuilder::dynamic`]) and the
+/// `dynamic-king` spec — with Dolev–Strong's `min(f+2, t+1)`
+/// early-stopping staircase alongside. The scenario adversaries are
+/// deterministic (crashes ignore their seed), so each cell is one
+/// execution.
 pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
     let (n, b) = match scale {
         Scale::Quick => (10, 3),
@@ -826,18 +850,27 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             "n = {n}, t = {t}, b = {b}: the crash (silent from round 2), \
              silent (never speak) and chain-revealer (staged lies that force \
              tree discoveries) families corrupting exactly f processors — \
-             the actual-fault-budget knob of the expedite question. \
-             'dolev-strong' is the authenticated baseline whose quiescence \
-             rule pins the min(f+2, t+1) lemma; \
-             'compose[A(b)x{blocks}->King]' is the static gear plan (its tree \
-             prefix never stops early); 'dynamic' is the same composition \
-             with runtime checkpoints, and 'dynamic-king' the spec-level \
-             dynamic hybrid — both shift into the king tail as soon as a \
-             block under-delivers fault detections, so quiet adversaries \
-             (crash/silent, and any f << t) surrender the worst-case prefix \
-             immediately, while detection-forcing ones hold it longer."
+             the actual-fault-budget knob of the expedite question — with \
+             the source spared ('correct') and with the source the first of \
+             the f ('faulty'). 'dolev-strong' is the authenticated baseline \
+             whose quiescence rule pins the min(f+2, t+1) lemma; \
+             'compose[A(b)x{blocks}->King]' is the static gear plan; \
+             'dynamic' is the same composition with runtime checkpoints, and \
+             'dynamic-king' the spec-level dynamic hybrid, which shift into \
+             the king tail as soon as a block under-delivers fault \
+             detections. What decides the rounds is not f but whether the \
+             source lies: a correct source ends every plan at round 2 — the \
+             tree prefix's echo rule, before any gear is touched — at every \
+             f; a source that merely crashes or stays silent leaves every \
+             correct processor with one root and stops there too; only a \
+             source that tells different processors different things \
+             (chain-revealer) buys the adversary a block: the static plan \
+             then stops at the next block's first echo, and the dynamic \
+             ones there too or — when they shifted at the boundary instead \
+             — at their tail's first lock, one round later."
         ),
         vec![
+            "source",
             "family",
             "f",
             "min(f+2,t+1)",
@@ -847,24 +880,19 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             "dynamic-king",
         ],
     );
-    let cells: Vec<(usize, usize)> = (0..3usize)
-        .flat_map(|family| (0..=t).map(move |f| (family, f)))
+    let cells: Vec<(bool, usize, usize)> = [false, true]
+        .into_iter()
+        .flat_map(|source_faulty| {
+            (0..3usize).flat_map(move |family| {
+                (usize::from(source_faulty)..=t).map(move |f| (source_faulty, family, f))
+            })
+        })
         .collect();
-    let results = measure_cells(cells, move |&(family, f)| {
+    let results = measure_cells(cells, move |&(source_faulty, family, f)| {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
             .with_trace();
-        let adversary = || -> Box<dyn sg_sim::Adversary> {
-            let sel = FaultSelection::without_source().limit(f);
-            match family {
-                0 => Box::new(sg_adversary::Crash::new(sel, 2)),
-                1 => Box::new(sg_adversary::Silent::new(sel)),
-                // The detection-forcing contrast: staged reveals keep
-                // blocks delivering discoveries, so the dynamic plans
-                // hold their prefix longer as f grows.
-                _ => Box::new(ChainRevealer::new(sel, 2, 2, 7)),
-            }
-        };
+        let adversary = || scenario_family(family, source_faulty, f);
         let run = |spec: AlgorithmSpec| {
             let outcome = sg_core::execute(spec, &config, adversary().as_mut()).expect("valid");
             outcome.assert_correct();
@@ -882,10 +910,10 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             run(AlgorithmSpec::DynamicKing { b }),
         )
     });
-    for ((family, f), (ds, stat, dynamic, dyn_king)) in results {
-        let family = ["crash", "silent", "chain-revealer"][family];
+    for ((source_faulty, family, f), (ds, stat, dynamic, dyn_king)) in results {
         table.push_row(vec![
-            family.to_string(),
+            source_label(source_faulty).to_string(),
+            SCENARIO_FAMILIES[family].to_string(),
             f.to_string(),
             (f + 2).min(t + 1).to_string(),
             ds.to_string(),
@@ -893,6 +921,124 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             dynamic.to_string(),
             dyn_king.to_string(),
         ]);
+    }
+    table
+}
+
+/// The scenario families of the rounds-vs-f tables, in column order.
+const SCENARIO_FAMILIES: [&str; 3] = ["crash", "silent", "chain-revealer"];
+
+fn source_label(source_faulty: bool) -> &'static str {
+    if source_faulty {
+        "faulty"
+    } else {
+        "correct"
+    }
+}
+
+/// One [`SCENARIO_FAMILIES`] strategy corrupting exactly `f` processors,
+/// the source first among them when `source_faulty`.
+fn scenario_family(family: usize, source_faulty: bool, f: usize) -> Box<dyn sg_sim::Adversary> {
+    let sel = if source_faulty {
+        FaultSelection::with_source()
+    } else {
+        FaultSelection::without_source()
+    }
+    .limit(f);
+    match family {
+        0 => Box::new(sg_adversary::Crash::new(sel, 2)),
+        1 => Box::new(sg_adversary::Silent::new(sel)),
+        // The detection-forcing contrast: staged reveals (from round 1
+        // when the source is theirs to lie with).
+        _ => Box::new(ChainRevealer::new(
+            sel,
+            if source_faulty { 1 } else { 2 },
+            2,
+            7,
+        )),
+    }
+}
+
+/// The benchmark's `tree-paper` cells — the paper's own algorithms and
+/// its gear shifts, `(spec, n)` at `b = 3`, each run at
+/// [`AlgorithmSpec::max_resilience`] — shared by the rounds-vs-f table,
+/// the tree-family tests and `benches/run_loop.rs`.
+pub const TREE_PAPER_CELLS: [(AlgorithmSpec, usize); 7] = [
+    (AlgorithmSpec::Exponential, 10),
+    (AlgorithmSpec::AlgorithmA { b: 3 }, 13),
+    (AlgorithmSpec::AlgorithmB { b: 3 }, 17),
+    (AlgorithmSpec::AlgorithmC, 32),
+    (AlgorithmSpec::Hybrid { b: 3 }, 16),
+    (AlgorithmSpec::KingShift { b: 3 }, 13),
+    (AlgorithmSpec::DynamicKing { b: 3 }, 13),
+];
+
+/// The tree family's rows of the rounds-vs-f artifact: the seven
+/// `tree-paper` specs, each at its benchmark size and maximum
+/// resilience, at `f ∈ {0, 1, ⌈t/2⌉, t}` actual faults with the source
+/// correct and with the source faulty, under the three scenario
+/// families — `rounds_used` with early stopping on, beside the schedule.
+pub fn experiment_rounds_vs_f_trees(_scale: Scale) -> Table {
+    let mut table = Table::new(
+        "EXP-RF-TREE — rounds used by the tree family vs. actual fault count (the echo rule)",
+        "The seven tree-paper specs (b = 3), each at its benchmark size and \
+         maximum resilience, with exactly f processors corrupted — \
+         f ∈ {0, 1, ⌈t/2⌉, t}, the source spared ('correct') or the first \
+         of the f ('faulty') — under the crash, silent and chain-revealer \
+         families. The tree machine stops at the first block start at which \
+         all but t of a processor's echoes repeat its own root. A correct \
+         source therefore ends every spec at round 2 whatever f is; so does \
+         a source that crashes or stays silent (everyone holds the same \
+         root). Only a source that splits the processors (chain-revealer) \
+         costs rounds: the blocked specs (A, B, the hybrid, dynamic-king's \
+         prefix) stop at their second block's first echo, round 1 + b + 1; \
+         king-shift, whose one A block hands over to the king tail, at the \
+         tail's first lock one round later; and the single-block specs \
+         (Exponential, C) have no second block start and run their schedule."
+            .to_string(),
+        vec![
+            "algorithm",
+            "n",
+            "t",
+            "schedule",
+            "source",
+            "f",
+            "crash",
+            "silent",
+            "chain-revealer",
+        ],
+    );
+    let mut cells: Vec<(AlgorithmSpec, usize, bool, usize)> = Vec::new();
+    for (spec, n) in TREE_PAPER_CELLS {
+        let t = spec.max_resilience(n);
+        for source_faulty in [false, true] {
+            let mut budgets = vec![0, 1, t.div_ceil(2), t];
+            budgets.retain(|&f| f >= usize::from(source_faulty));
+            budgets.dedup();
+            cells.extend(budgets.into_iter().map(|f| (spec, n, source_faulty, f)));
+        }
+    }
+    let results = measure_cells(cells, move |&(spec, n, source_faulty, f)| {
+        let config = RunConfig::new(n, spec.max_resilience(n)).with_source_value(Value(1));
+        [0, 1, 2].map(|family| {
+            let mut adversary = scenario_family(family, source_faulty, f);
+            let outcome = sg_core::execute(spec, &config, adversary.as_mut()).expect("valid");
+            outcome.assert_correct();
+            outcome.rounds_used
+        })
+    });
+    for ((spec, n, source_faulty, f), rounds) in results {
+        let t = spec.max_resilience(n);
+        let mut row = vec![
+            spec.name(),
+            n.to_string(),
+            t.to_string(),
+            spec.rounds(n, t).to_string(),
+            source_label(source_faulty).to_string(),
+            f.to_string(),
+        ];
+        row.extend(rounds.iter().map(usize::to_string));
+        table.push_row(row);
     }
     table
 }
@@ -913,6 +1059,7 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
         experiment_king(scale),
         experiment_compositions(scale),
         experiment_rounds_vs_f(scale),
+        experiment_rounds_vs_f_trees(scale),
     ]
 }
 

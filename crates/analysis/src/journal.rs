@@ -41,7 +41,7 @@ use crate::sweep::{CellReport, Fingerprint, SweepPlan, SweepReport};
 /// bytes (new kernel, changed tally rule, different accounting): the
 /// epoch moves, every journal entry written before the change misses,
 /// and `sg journal compact` reclaims the dead epoch.
-pub const ENGINE_VERSION_TAG: &str = "sg-engine/10";
+pub const ENGINE_VERSION_TAG: &str = "sg-engine/11";
 
 /// Fingerprints an engine identity: `tag` plus whether runs may stop
 /// early. Public so invalidation tests can enumerate neighbouring
@@ -278,6 +278,13 @@ mod tests {
         );
         assert_ne!(base, plan(5).fixed_length().epoch());
         assert_ne!(base, epoch_for("sg-engine/next", true));
+        // The tag the echo rule retired: tree and gear cells changed bytes
+        // in the early-stopping epoch, so a /10 store must miss.
+        assert_ne!(base, epoch_for("sg-engine/10", true));
+        assert_ne!(
+            plan(5).fixed_length().epoch(),
+            epoch_for("sg-engine/10", false)
+        );
         assert_eq!(
             plan(5).cell_key(0),
             plan(5).fixed_length().cell_key(0),

@@ -207,17 +207,23 @@ pub fn record(
 /// divergence from the recorded call sequence surfaces as
 /// [`ScenarioError::Trace`].
 ///
+/// The recorded verdict picks the engine mode: a run recorded as
+/// [`Verdict::early_stopped`] replays with early stopping, and a run
+/// that used its whole schedule replays
+/// [`fixed_length`](sg_sim::RunConfig::fixed_length) — the same
+/// execution bit for bit, whichever mode recorded it, and one that a
+/// stop rule added after the recording (the tree machine's echo rule)
+/// cannot cut short of its trace.
+///
 /// # Errors
 ///
 /// Returns [`ScenarioError::Trace`] for a malformed trace or a replay
 /// desync, [`ScenarioError::Spec`] if the cell cannot run.
 pub fn replay(scenario: &Scenario) -> Result<Verdict, ScenarioError> {
     let mut replayer = ReplayAdversary::new(Arc::new(scenario.trace.clone()))?;
-    let outcome = sg_core::execute(
-        scenario.config.spec,
-        &scenario.config.run_config(),
-        &mut replayer,
-    )?;
+    let mut run_config = scenario.config.run_config();
+    run_config.early_stopping = scenario.verdict.early_stopped;
+    let outcome = sg_core::execute(scenario.config.spec, &run_config, &mut replayer)?;
     replayer.verify()?;
     Ok(Verdict::of(&outcome))
 }

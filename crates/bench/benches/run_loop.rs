@@ -30,6 +30,12 @@
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
 //!   layer can be iterated on without the full benchmark;
+//! * `run_loop_tree_paper/*` — the seven `tree-paper` specs, one run
+//!   each under a chain-revealer sparing the source: `fixed-length/*`
+//!   keeps the per-round cost of append / discover / convert visible
+//!   end to end (the benchmark's `tree-paper` workload, which runs early,
+//!   ends every run at round 2 and no longer exercises it), and one
+//!   `early-stop/hybrid` beside it is what that workload now pays;
 //! * `journal/*` and `codec/*` — the benchmark's `journal-incremental`
 //!   job taken apart: opening a 288-entry store, answering 36 cells
 //!   from it, one append; and one 64-sample cell through the tree codec
@@ -54,7 +60,7 @@ use sg_adversary::{
     edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar,
     VectorFamily,
 };
-use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan};
+use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use sg_core::{batch_kernel, king_batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
@@ -200,6 +206,47 @@ fn bench_early_stopping(c: &mut Criterion) {
             )
         });
     });
+    group.finish();
+}
+
+/// The tree machine end to end, per spec, on the full schedule — where
+/// gathering, discovery and block conversions are the whole cost — plus
+/// the hybrid with early stopping on, which the echo rule ends at round 2
+/// (`sg_core::GearedProtocol`).
+fn bench_tree_paper(c: &mut Criterion) {
+    let mut group = c.benchmark_group("run_loop_tree_paper");
+    group.sample_size(10);
+    let mut out = Outcome::buffer();
+    let mut arena = RunArena::new();
+    let mut bench = |label: String, spec: AlgorithmSpec, config: RunConfig| {
+        let key = spec.pool_key(&config);
+        let factory = spec.factory(&config);
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut adversary =
+                    ChainRevealer::new(FaultSelection::without_source(), 2, 2, SEED);
+                run_into(
+                    &mut arena,
+                    &config,
+                    &mut adversary,
+                    Some(key),
+                    &factory,
+                    &mut out,
+                )
+            });
+        });
+    };
+    for (spec, n) in TREE_PAPER_CELLS {
+        let config = RunConfig::new(n, spec.max_resilience(n)).with_source_value(Value(1));
+        bench(
+            format!("fixed-length/{}", spec.name()),
+            spec,
+            config.fixed_length(),
+        );
+        if matches!(spec, AlgorithmSpec::Hybrid { .. }) {
+            bench("early-stop/hybrid".to_string(), spec, config);
+        }
+    }
     group.finish();
 }
 
@@ -565,6 +612,7 @@ criterion_group!(
     bench_instance_pool,
     bench_engine_vs_reference,
     bench_early_stopping,
+    bench_tree_paper,
     bench_batch_runs,
     bench_batch_adversaries,
     bench_eigtree,

@@ -9,9 +9,10 @@
 //! repro --exp t3           # one experiment: p1|t1|t2|t3|t4|tradeoff|dominance|
 //!                          #   detect|stability|early-stopping|king|compose|
 //!                          #   rounds-vs-f|plans|serve-load
-//! repro --exp rounds-vs-f  # the static-vs-dynamic gear table across the
-//!                          # actual-fault budget; writes the committed
-//!                          # BENCH_rounds_vs_f.md artifact
+//! repro --exp rounds-vs-f  # the static-vs-dynamic gear table and the tree
+//!                          # family's rows across the actual-fault
+//!                          # budget, source correct and faulty; writes
+//!                          # the committed BENCH_rounds_vs_f.md artifact
 //! repro --exp serve-load [--chaos]
 //!                          # the serving-path load benchmark: concurrent
 //!                          # connections (half through a fault-injecting
@@ -31,8 +32,9 @@ use std::env;
 
 use sg_analysis::experiments::{
     experiment_compositions, experiment_detect, experiment_dominance, experiment_early_stopping,
-    experiment_king, experiment_p1, experiment_rounds_vs_f, experiment_stability, experiment_t1,
-    experiment_t2, experiment_t3, experiment_t4, experiment_tradeoff, plan_figures, Scale,
+    experiment_king, experiment_p1, experiment_rounds_vs_f, experiment_rounds_vs_f_trees,
+    experiment_stability, experiment_t1, experiment_t2, experiment_t3, experiment_t4,
+    experiment_tradeoff, plan_figures, Scale,
 };
 use sg_analysis::Table;
 
@@ -158,13 +160,17 @@ fn main() {
         "compose" => print(experiment_compositions(scale)),
         "rounds-vs-f" => {
             // The committed rounds-vs-f artifact: static vs dynamic gear
-            // plans across the actual-fault budget.
-            let table = experiment_rounds_vs_f(scale);
-            match std::fs::write("BENCH_rounds_vs_f.md", table.to_markdown()) {
+            // plans, then the tree family, across the actual-fault budget.
+            let tables = [
+                experiment_rounds_vs_f(scale),
+                experiment_rounds_vs_f_trees(scale),
+            ];
+            let markdown = tables.each_ref().map(Table::to_markdown).join("\n");
+            match std::fs::write("BENCH_rounds_vs_f.md", markdown) {
                 Ok(()) => println!("wrote BENCH_rounds_vs_f.md"),
                 Err(e) => eprintln!("cannot write BENCH_rounds_vs_f.md: {e}"),
             }
-            print(table);
+            tables.into_iter().for_each(print);
         }
         "serve-load" => experiment_serve_load(scale, jobs, chaos),
         "plans" => {

@@ -18,15 +18,20 @@ use sg_adversary::{ChainRevealer, FaultSelection};
 use sg_core::AlgorithmSpec;
 use sg_sim::{Outcome, RunConfig, Value};
 
-/// Runs one execution of `spec` under the standard stress adversary —
-/// the workload every wall-clock benchmark times.
+/// Runs one execution of `spec` under the standard stress adversary, on
+/// its full schedule ([`RunConfig::fixed_length`]: the adversary spares
+/// the source, so with early stopping every tree family would end at
+/// round 2 and there would be no gather, discovery or conversion left to
+/// time) — the workload every wall-clock benchmark times.
 ///
 /// # Panics
 ///
 /// Panics if the parameters are invalid for `spec` or the execution
 /// violates agreement/validity.
 pub fn stress_run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
-    let config = RunConfig::new(n, t).with_source_value(Value(1));
+    let config = RunConfig::new(n, t)
+        .with_source_value(Value(1))
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
     let outcome = sg_core::execute(spec, &config, &mut adversary)
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));

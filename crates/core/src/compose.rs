@@ -820,10 +820,11 @@ impl Protocol for ComposedProtocol {
     }
 
     /// Forwards the active sub-plan's status through the gear box: the
-    /// tree-machine prefix is fixed-length ([`RoundStatus::Continue`] —
-    /// conversions need the whole gathered structure), and a running
-    /// king tail reports [`KingCore::is_ready`]. The source is always
-    /// ready; compositions without a king tail never stop early.
+    /// tree-machine prefix reports its echo rule at every block's first
+    /// gather (see [`GearedProtocol`]) until a king tail is seeded, and a
+    /// running tail reports [`KingCore::is_ready`]. The source is always
+    /// ready; compositions without a king tail stop on the echo rule
+    /// alone.
     fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
         self.gear.round_status(ctx)
     }

@@ -23,6 +23,14 @@
 //!   zero/⊥/default in the tail tallies, via a per-(recipient, sender)
 //!   lane mask.
 //!
+//! A lane can also end *inside* its wide prefix: when every correct slot
+//! of an unseeded lane reports the tree machine's echo rule satisfied
+//! (see [`crate::GearedProtocol`] — with a correct source that is round 2), the
+//! kernel retires the lane at that round itself — decisions, ready bits
+//! and prefix accounting become lane-word bits, and the driver's
+//! early-stop scan ends it with exactly the scalar engine's sample. No
+//! second execution, no deferral.
+//!
 //! Lanes seed their tails at different rounds — `king-shift`
 //! statically, `dynamic-king` whenever a lane's checkpoint vote commits
 //! — so tail lanes are grouped into *cohorts* by seed round, each cohort
@@ -38,7 +46,8 @@ use std::sync::Arc;
 
 use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneCounts, WideRound};
 use sg_sim::{
-    AdversaryView, GearAction, Inbox, Payload, ProcCtx, ProcessId, Protocol, RunConfig, Value,
+    AdversaryView, GearAction, Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus,
+    RunConfig, Value,
 };
 
 use crate::gearbox::{DynamicKing, GearBox};
@@ -153,16 +162,32 @@ impl GearBatchKernel {
         }
     }
 
+    /// Takes `lane` off the wide path, banking its prefix accounting for
+    /// finalize: max local ops over all slots, discoveries over correct
+    /// slots (honest bits accrue in `bits_acc` round by round).
+    fn leave_prefix(&mut self, lane: usize, fault_set: &sg_sim::ProcessSet) {
+        let base = lane * self.n;
+        let mut max_ops = 0u64;
+        let mut disc = 0u64;
+        for i in 0..self.n {
+            max_ops = max_ops.max(self.ctxs[base + i].ops());
+            if !fault_set.contains(ProcessId(i)) {
+                let prefix = self.instances[base + i].gear().prefix();
+                disc += prefix.fault_list().len() as u64;
+            }
+        }
+        self.ops_prefix[lane] = max_ops;
+        self.disc[lane] = disc;
+        self.prefix_lanes &= !(1u64 << lane);
+    }
+
     /// Moves `lane` from the wide prefix to the narrow tail: the seeded
     /// king cores' values and fault masks become lane-word bits, and the
-    /// prefix's accounting (max local ops over all slots, honest bits,
-    /// discoveries over correct slots) is banked for finalize.
+    /// lane joins the cohort seeded at `round`.
     fn seed_lane(&mut self, lane: usize, round: usize, fault_set: &sg_sim::ProcessSet) {
         let n = self.n;
         let bit = 1u64 << lane;
         let base = lane * n;
-        let mut max_ops = 0u64;
-        let mut disc = 0u64;
         for i in 0..n {
             let gear = self.instances[base + i].gear();
             debug_assert!(gear.seeded(), "seed_lane on an unseeded gear box");
@@ -173,18 +198,43 @@ impl GearBatchKernel {
             for p in core.masked().iter() {
                 self.masked[i * n + p.index()] |= bit;
             }
-            max_ops = max_ops.max(self.ctxs[base + i].ops());
-            if !fault_set.contains(ProcessId(i)) {
-                disc += gear.prefix().fault_list().len() as u64;
-            }
         }
-        self.ops_prefix[lane] = max_ops;
-        self.disc[lane] = disc;
-        self.prefix_lanes &= !bit;
+        self.leave_prefix(lane, fault_set);
         match self.cohorts.iter_mut().find(|c| c.0 == round) {
             Some(c) => c.1 |= bit,
             None => self.cohorts.push((round, bit)),
         }
+    }
+
+    /// Whether every correct slot of an unseeded `lane` is ready to
+    /// decide — the scalar engine's early-stop conjunction over the
+    /// prefix's echo rule (see [`crate::GearedProtocol`]).
+    fn prefix_ready(&self, lane: usize, fault_set: &sg_sim::ProcessSet) -> bool {
+        let base = lane * self.n;
+        (0..self.n).all(|i| {
+            fault_set.contains(ProcessId(i))
+                || self.instances[base + i]
+                    .proto()
+                    .round_status(&self.ctxs[base + i])
+                    == RoundStatus::ReadyToDecide
+        })
+    }
+
+    /// Retires a lane that [`GearBatchKernel::prefix_ready`] in its wide
+    /// prefix: every slot's decision (the unseeded gear box decides its
+    /// prefix root) and ready bit become lane-word bits, so the driver's
+    /// early-stop scan ends the lane this round with the scalar sample.
+    /// The lane joins no cohort — nothing touches it again.
+    fn retire_lane(&mut self, lane: usize, fault_set: &sg_sim::ProcessSet) {
+        let bit = 1u64 << lane;
+        let base = lane * self.n;
+        for i in 0..self.n {
+            if self.instances[base + i].gear().prefix().preferred() == Value(1) {
+                self.current[i] |= bit;
+            }
+            self.ready_mask[i] |= bit;
+        }
+        self.leave_prefix(lane, fault_set);
     }
 
     /// Adds `per`-slot tail ops to every lane in `mask` (tail charges
@@ -384,13 +434,21 @@ impl BatchKernel for GearBatchKernel {
                     .deliver(&self.inbox, &mut self.ctxs[base + i]);
             }
 
-            // 4. Gear transitions. A static boundary seeds inside
-            // `deliver` (every slot, deterministically); a dynamic
-            // checkpoint replays the scalar engine's dispatch — commit
-            // on a unanimous correct-processor shift vote, defer the
-            // lane to the scalar engine when votes diverge.
+            // 4. Gear transitions, in the scalar engine's order. A static
+            // boundary seeds inside `deliver` (every slot,
+            // deterministically); an unseeded lane whose correct slots
+            // are all ready stops here (status before gear dispatch,
+            // under the driver's own `early && round < total` gate); a
+            // dynamic checkpoint replays the scalar dispatch — commit on
+            // a unanimous correct-processor shift vote, defer the lane
+            // to the scalar engine when votes diverge.
             if self.instances[base].gear().seeded() {
                 self.seed_lane(lane, round, fault_set);
+            } else if config.early_stopping
+                && round < self.total
+                && self.prefix_ready(lane, fault_set)
+            {
+                self.retire_lane(lane, fault_set);
             } else if self.dynamic && self.checkpoint_rounds.contains(&round) {
                 let mut all_shift = true;
                 let mut any_shift = false;
@@ -563,9 +621,9 @@ impl BatchKernel for GearBatchKernel {
     }
 
     fn ready(&self, slot: usize) -> u64 {
-        // Set only by seeded lanes' propose locks; prefix lanes are
-        // never ready (their conversion needs the whole gathered tree).
-        // The driver exempts the source itself.
+        // Set by seeded lanes' propose locks, and for every slot of a
+        // lane retired in its prefix (`retire_lane`). The driver exempts
+        // the source itself.
         self.ready_mask[slot]
     }
 

@@ -315,12 +315,17 @@ impl GearBox {
         self.geared.space_nodes()
     }
 
-    /// Forwards the active segment's status: the tree prefix is
-    /// fixed-length ([`RoundStatus::Continue`] — conversions need the
-    /// whole gathered structure), a running king tail reports
-    /// [`KingCore::is_ready`], and the source is always ready.
-    pub fn round_status(&self, _ctx: &ProcCtx) -> RoundStatus {
-        let king_ready = self.seeded && self.king.as_ref().is_some_and(KingCore::is_ready);
+    /// Forwards the active segment's status: the tree prefix's echo rule
+    /// (see [`GearedProtocol`]) while the tail is unseeded — a stop there
+    /// decides [`GearedProtocol::preferred`], which is what
+    /// [`GearBox::decide`] falls back to — and [`KingCore::is_ready`] once
+    /// the tail runs. The prefix's verdict is never forwarded into a
+    /// seeded tail: its root is no longer what the box decides.
+    pub fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
+        if !self.seeded {
+            return self.geared.round_status(ctx);
+        }
+        let king_ready = self.king.as_ref().is_some_and(KingCore::is_ready);
         if self.input.is_some() || king_ready {
             RoundStatus::ReadyToDecide
         } else {
@@ -441,9 +446,14 @@ pub fn dynamic_king_blocks(t: usize, b: usize) -> usize {
 /// let outcome = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config, &mut NoFaults)?;
 /// assert_eq!(outcome.decision(), Some(Value(1)));
 /// assert_eq!(outcome.scheduled_rounds, 31); // 1 + 4·b + 3·(t+1) worst case
-/// // Fault-free, the first block under-delivers detections, the shift
-/// // commits at its boundary, and the tail locks one propose step later.
-/// assert_eq!(outcome.rounds_used, 6); // 1 + b + exchange + propose
+/// // With a correct source the first echo already agrees and the run
+/// // stops at round 2 (the tree machine's echo rule). The gear shift
+/// // itself is schedule, not early stopping: fixed-length and
+/// // fault-free, the first block under-delivers detections, the shift
+/// // commits at its boundary, and the full tail follows.
+/// assert_eq!(outcome.rounds_used, 2);
+/// let full = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config.fixed_length(), &mut NoFaults)?;
+/// assert_eq!(full.rounds_used, 22); // 1 + b + 3·(t+1)
 /// # Ok::<(), sg_core::SpecError>(())
 /// ```
 pub struct DynamicKing {

@@ -8,19 +8,16 @@
 //! algorithm in the paper (and the hybrid that shifts across all three) is
 //! an instance of this one machine with a different plan.
 //!
-//! The tree machine deliberately keeps the default
-//! [`sg_sim::RoundStatus::Continue`] status: its decisions are functions
-//! of the *complete* gathered structure (resolve/`resolve'` over full
-//! levels), so no per-processor state short of the final conversion
-//! proves the decision final — early stopping belongs to the quiescent
-//! families (Dolev–Strong) and the lock-detecting king tails, which is
-//! exactly where the paper's expedite argument places it. The lock-in
+//! The machine stops early on the *echo rule*: at a block's first gather
+//! a processor is ready once all but `t` of the echoes it stored repeat
+//! its own root. The rule, its four-line soundness argument and the
+//! tests it leans on are on [`GearedProtocol`]; the lock-in
 //! *measurement* for tree runs lives in `sg_analysis::stability`.
 
 use sg_eigtree::{convert, discover_during_conversion, discover_ig, FaultList, IgTree, RepTree};
 use sg_sim::{
-    Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RunConfig, SmallWords, TraceEvent,
-    Value, ValueDomain,
+    Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RoundStatus, RunConfig, SmallWords,
+    TraceEvent, Value, ValueDomain,
 };
 
 use crate::params::Params;
@@ -61,11 +58,51 @@ impl Claim<'_> {
     }
 }
 
+/// The echo rule's threshold (see [`GearedProtocol`]): all but at most `t`
+/// of a block's first-gather `echoes` equal the `root` they echo.
+fn echo_quorum(echoes: &[Value], root: Value, t: usize) -> bool {
+    echoes.iter().filter(|&&v| v == root).count() + t >= echoes.len()
+}
+
 /// One processor's instance of a plan-driven agreement protocol.
 ///
 /// Construct through [`crate::AlgorithmSpec::build`] (or the factory on
 /// [`crate::AlgorithmSpec`]) rather than directly; the spec validates
 /// parameters and picks the right plan.
+///
+/// # Early stopping: the echo rule
+///
+/// The first gather round of every block is a round of *echoes*: each
+/// non-source processor relays the root it entered the block with (in the
+/// with-repetitions tree the source echoes too). At that round — the one
+/// whose delivery makes `tree.deepest_level() == 1`, and
+/// [`RoundAction::RepFirstGather`] for Algorithm C — a processor reports
+/// [`RoundStatus::ReadyToDecide`] iff at least `n − 1 − t` of the `n − 1`
+/// stored level-1 echoes (`n − t` of the `n` intermediates) equal its own
+/// root. The source is always ready, and `decide` is unchanged: it
+/// returns the root it always returned.
+///
+/// This is sound under the hook contract — a status only has to be final
+/// *given that every other correct processor is ready in the same round*
+/// (docs/ARCHITECTURE.md, "Early stopping"). Let the source be faulty and
+/// `f′ ≤ t − 1` of the other names be faulty too. Two ready processors
+/// with different roots would each need at least `n − 1 − t − f′` correct
+/// echoers of their own root, two disjoint sets drawn from the
+/// `n − 1 − f′` correct non-source names: `n ≤ 1 + 2t + f′ ≤ 3t`,
+/// impossible at `n ≥ 3t + 1`. (With a correct source every correct root
+/// already is the source's value.) So when all correct processors are
+/// ready they entered the block with one common root, and the
+/// Persistence Lemma (`tests/lemma_checks.rs`:
+/// `persistence_lemma_across_shifts`,
+/// `persistence_analogue_in_algorithm_c`) carries that value through
+/// every later block, shift and king tail: the fixed-length run decides
+/// it too. `tests/echo_rule.rs` checks exactly that, exhaustively.
+///
+/// The verdict is recomputed at each block's first gather and simply
+/// stays latched in between. That is deliberate, not an oversight: were
+/// every correct processor latched, the run would already have ended at
+/// the round that latched them, so clearing the flag mid-block (or at a
+/// conversion) changes no execution. Only [`Protocol::reset`] clears it.
 pub struct GearedProtocol {
     params: Params,
     me: ProcessId,
@@ -84,6 +121,9 @@ pub struct GearedProtocol {
     /// bound reflects the gathered tree even though block conversions
     /// shrink it before the engine samples.
     peak_nodes: u64,
+    /// The echo rule's verdict at the current block's first gather (see
+    /// the type docs); cleared only by `reset`.
+    echo_quorum: bool,
 }
 
 impl GearedProtocol {
@@ -123,6 +163,7 @@ impl GearedProtocol {
             modified,
             plan,
             peak_nodes: 0,
+            echo_quorum: false,
         }
     }
 
@@ -308,7 +349,13 @@ impl Protocol for GearedProtocol {
                     }
                 }
 
-                // 3. Block boundary: convert and shrink (the shift).
+                // 3. The echo rule, at a block's first gather (before a
+                // one-round block's conversion shrinks the echoes away).
+                if self.tree.deepest_level() == 1 {
+                    self.echo_quorum = echo_quorum(self.tree.level(1), self.tree.root(), t);
+                }
+
+                // 4. Block boundary: convert and shrink (the shift).
                 if let Some(spec) = conv {
                     let converted = convert(&self.tree, spec.conversion);
                     ctx.charge(converted.ops());
@@ -346,6 +393,7 @@ impl Protocol for GearedProtocol {
                         ctx.charge(self.rep.mask_intermediates(&newly));
                     }
                 }
+                self.echo_quorum = echo_quorum(self.rep.intermediates(), self.rep.root(), t);
                 ctx.emit(TraceEvent::Preferred {
                     value: self.rep.preferred(),
                 });
@@ -396,6 +444,14 @@ impl Protocol for GearedProtocol {
             .max(self.tree.node_count() + self.rep.node_count())
     }
 
+    fn round_status(&self, _ctx: &ProcCtx) -> RoundStatus {
+        if self.input.is_some() || self.echo_quorum {
+            RoundStatus::ReadyToDecide
+        } else {
+            RoundStatus::Continue
+        }
+    }
+
     fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
         // The plan (and hence `t` and the block structure) is keyed by
         // the instance pool; everything else re-derives from `config`.
@@ -407,6 +463,7 @@ impl Protocol for GearedProtocol {
         self.rep.reset(params.n, params.source);
         self.faults.reset(params.n);
         self.peak_nodes = 0;
+        self.echo_quorum = false;
         true
     }
 }

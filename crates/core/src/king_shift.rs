@@ -63,9 +63,12 @@ pub fn king_shift_rounds(t: usize, b: usize) -> usize {
 /// let outcome = execute(AlgorithmSpec::KingShift { b: 3 }, &config, &mut NoFaults)?;
 /// assert_eq!(outcome.decision(), Some(Value(1)));
 /// assert_eq!(outcome.scheduled_rounds, 16); // 1 + b + 3·(t+1)
-/// // Fault-free runs shift out of the A block, lock in the first king
-/// // phase's propose step and stop there — the king tail's expedite win.
-/// assert_eq!(outcome.rounds_used, 6); // 1 + b + exchange + propose
+/// // With a correct source the A block's first echo already agrees and
+/// // the run stops there, before the tail is seeded (the tree machine's
+/// // echo rule); on the full schedule the tail runs all its phases.
+/// assert_eq!(outcome.rounds_used, 2);
+/// let full = execute(AlgorithmSpec::KingShift { b: 3 }, &config.fixed_length(), &mut NoFaults)?;
+/// assert_eq!((full.rounds_used, full.decision()), (16, Some(Value(1))));
 /// # Ok::<(), sg_core::SpecError>(())
 /// ```
 pub struct KingShift {
@@ -167,10 +170,10 @@ impl Protocol for KingShift {
     }
 
     /// Forwards the active sub-plan's status through the gear box: the A
-    /// prefix is a fixed-length tree block ([`RoundStatus::Continue`]
-    /// throughout — its conversion needs the whole gathered tree), and
-    /// the king tail reports [`KingCore::is_ready`]. The source is
-    /// always ready.
+    /// block reports the tree machine's echo rule at its first gather
+    /// (see [`GearedProtocol`] — a correct source ends the run there,
+    /// before the tail is ever seeded), and the king tail reports
+    /// [`KingCore::is_ready`]. The source is always ready.
     fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
         self.gear.round_status(ctx)
     }

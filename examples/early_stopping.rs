@@ -1,12 +1,15 @@
 //! Decision lock-in and the early-stopping head-room (DRS 1986 lineage).
 //!
 //! The paper's Algorithm C adapts Dolev, Reischuk & Strong's *Early
-//! Stopping in Byzantine Agreement*. The schedules in this crate are
-//! fixed-length, but the detect-or-persist structure means the decision
-//! value usually locks in long before the schedule ends. This example
-//! traces executions of the hybrid and Algorithm C under increasing fault
-//! loads and prints when each correct processor's decision locked in —
-//! the head-room a DRS-style early-stopping rule would harvest.
+//! Stopping in Byzantine Agreement*. On a full (fixed-length) schedule
+//! the detect-or-persist structure means the decision value usually
+//! locks in long before the schedule ends. This example traces
+//! fixed-length executions of the hybrid and Algorithm C under
+//! increasing fault loads and prints when each correct processor's
+//! decision locked in — the head-room an early-stopping rule can
+//! harvest — and then runs the same cells with early stopping on, where
+//! every family cashes it in: Dolev–Strong by quiescence, the kings by
+//! their lock, the tree machine by its echo rule.
 //!
 //! ```text
 //! cargo run --example early_stopping
@@ -27,7 +30,8 @@ fn sweep(spec: AlgorithmSpec, n: usize, t: usize) {
     for f in 0..=t {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
-            .with_trace();
+            .with_trace()
+            .fixed_length();
         let mut none = NoFaults;
         let mut split;
         let adversary: &mut dyn Adversary = if f == 0 {
@@ -98,17 +102,20 @@ fn main() {
     // split-brain source — Proposition 4's detect-or-persist step.
     sweep(AlgorithmSpec::AlgorithmC, 32, 4);
 
-    // The quiescent and lock-detecting families actually cash the
-    // head-room in: the engine stops them as soon as every correct
-    // processor is ready (RunConfig::fixed_length asks for the full
-    // schedule instead).
+    // With early stopping on (the default; RunConfig::fixed_length asks
+    // for the full schedule instead) the engine stops a run as soon as
+    // every correct processor is ready: the blocked tree specs one round
+    // after their lock-in, at the next block's first echo (Algorithm C
+    // has one block start, round 2, so a source that splits it costs the
+    // whole schedule), the others by quiescence or their lock.
+    harvested(AlgorithmSpec::Hybrid { b: 3 }, 16, 5);
+    harvested(AlgorithmSpec::AlgorithmC, 32, 4);
     harvested(AlgorithmSpec::DolevStrong, 7, 4);
     harvested(AlgorithmSpec::OptimalKing, 16, 5);
 
     println!(
         "The gap between lock-in and schedule length is the early-stopping\n\
          opportunity Dolev–Reischuk–Strong (1986) formalize as min(f+2, t+1);\n\
-         the tree machines measure it, the king and Dolev–Strong families\n\
-         harvest it via the engine's status-driven round loop."
+         every family harvests it via the engine's status-driven round loop."
     );
 }

@@ -28,9 +28,12 @@ fn main() {
 
     // One fault starts equivocating every b rounds.
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, b, 0xFEED);
+    // The whole schedule: the source is correct, so with early stopping
+    // the run would end at round 2, at the first echo, before any shift.
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
-        .with_trace();
+        .with_trace()
+        .fixed_length();
     let outcome = execute(spec, &config, &mut adversary).expect("valid parameters");
 
     let witness = (0..n)

@@ -35,7 +35,18 @@ fn main() {
         schedule.c_rounds,
         schedule.total_rounds()
     );
-    println!("rounds executed  : {}", outcome.rounds_used);
+    // The source is correct, so every correct processor's first echo
+    // already agrees and the run stops there (`RunConfig::fixed_length`
+    // runs the whole A→B→C schedule instead).
+    println!(
+        "rounds executed  : {}{}",
+        outcome.rounds_used,
+        if outcome.early_stopped {
+            " (stopped early: the echoes already agree)"
+        } else {
+            ""
+        }
+    );
     println!(
         "largest message  : {} values ({} bits)",
         outcome.metrics.max_message_values(),

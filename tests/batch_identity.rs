@@ -8,8 +8,10 @@
 //! different rounds, the post-loop finalization of a fixed-length batch,
 //! the phase kernels' keep-your-value rules, the mixed-width gear kernels
 //! across a chunk boundary and worker counts, `dynamic-king` lanes
-//! deferred to the scalar engine mid-batch, a grid mixing kernel, tree,
-//! vector, bridged and edge-faulting cells — first asserts the cell
+//! deferred to the scalar engine mid-batch, one gear batch whose lanes
+//! stop at the prefix's first echo, seed their tails and defer side by
+//! side, a grid mixing kernel, tree, vector, bridged and edge-faulting
+//! cells — first asserts the cell
 //! really takes it (the round histogram spreads, the schedule fills), and
 //! then holds `SweepPlan::run`, the cursor walk and the bridged plan to
 //! the reference report (`tests/oracle/mod.rs`).
@@ -18,8 +20,11 @@ mod oracle;
 
 use oracle::assert_engines_agree;
 use shifting_gears::adversary::FaultSelection;
+use shifting_gears::adversary::RandomLiar;
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
-use shifting_gears::core::AlgorithmSpec;
+use shifting_gears::core::{gear_batch_kernel, AlgorithmSpec};
+use shifting_gears::sim::batch::{run_batch, BatchArena};
+use shifting_gears::sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig};
 
 /// Fails unless the cell's runs ended at two or more different rounds —
 /// otherwise a divergence case silently degrades to the uniform one.
@@ -119,7 +124,9 @@ fn gear_kernels_match_scalar_across_chunks_and_jobs() {
 }
 
 /// Lane divergence inside one `dynamic-king` batch: at `(10, 3)` under
-/// seed-dependent random lies, different lanes accumulate different
+/// seed-dependent random lies led by the source (a correct source would
+/// end every lane at the first echo, round 2), different lanes
+/// accumulate different
 /// fault evidence, so at a checkpoint some lanes' correct processors
 /// vote to shift unanimously (the kernel commits the gear shift in
 /// lock-step) while others split or decline — deferred lanes retire to
@@ -144,7 +151,7 @@ fn assert_dynamic_king_batch_splits(family: AdversaryFamily) {
 #[test]
 fn dynamic_king_lane_divergence_splits_the_batch() {
     assert_dynamic_king_batch_splits(AdversaryFamily::random_liar(
-        FaultSelection::without_source().limit(2),
+        FaultSelection::with_source().limit(2),
     ));
 }
 
@@ -153,10 +160,121 @@ fn dynamic_king_lane_divergence_splits_the_batch() {
 #[test]
 fn dynamic_king_chain_revealer_splits_the_batch() {
     assert_dynamic_king_batch_splits(AdversaryFamily::chain_revealer(
-        FaultSelection::without_source().limit(2),
-        2,
+        FaultSelection::with_source().limit(2),
+        1,
         2,
     ));
+}
+
+/// How the lanes of one gear batch left it: `(stopped at the prefix's
+/// first echo, ran a seeded king tail, deferred to the scalar engine)`.
+/// Drives the kernel directly with the strategies the plan's only cell
+/// would instantiate, since a report cannot tell a deferred lane from a
+/// batched one — that is the point of it.
+fn lane_fates(plan: &SweepPlan, prefix_rounds: usize) -> (usize, usize, usize) {
+    let cell = &plan.configs[0];
+    let mut config = RunConfig::new(cell.n, cell.t)
+        .with_source_value(cell.source_value)
+        .with_trace();
+    config.early_stopping = plan.early_stopping;
+    let mut kernel = gear_batch_kernel(&cell.spec, &config).expect("a gear spec");
+    let mut adversaries: Vec<Box<dyn Adversary>> = (0..plan.seeds_per_cell)
+        .map(|si| plan.adversaries[0].instantiate(plan.seed_for(0, 0, si)))
+        .collect();
+    let mut arena = BatchArena::new();
+    assert!(run_batch(
+        &mut arena,
+        &config,
+        &mut kernel,
+        &mut adversaries
+    ));
+    let results = arena.results();
+    let count = |f: &dyn Fn(&shifting_gears::sim::batch::BatchRunResult) -> bool| {
+        results.iter().filter(|r| f(r)).count()
+    };
+    (
+        count(&|r| !r.deferred && r.early_stopped && r.rounds_used == 2),
+        count(&|r| !r.deferred && r.rounds_used > prefix_rounds),
+        count(&|r| r.deferred),
+    )
+}
+
+/// Two random liars, led by the source in two seeds out of three.
+struct SourceInSomeLanes(RandomLiar);
+
+impl SourceInSomeLanes {
+    const NAME: &'static str = "random-liar(source in 2 of 3 seeds)";
+
+    fn new(seed: u64) -> Self {
+        let sel = if seed.is_multiple_of(3) {
+            FaultSelection::without_source()
+        } else {
+            FaultSelection::with_source()
+        };
+        SourceInSomeLanes(RandomLiar::new(sel.limit(2), seed))
+    }
+}
+
+impl Adversary for SourceInSomeLanes {
+    fn name(&self) -> String {
+        Self::NAME.to_string()
+    }
+
+    fn reseed(&mut self, seed: u64) -> bool {
+        // The seed picks the selection, so a recycled instance is rebuilt.
+        *self = Self::new(seed);
+        true
+    }
+
+    fn corrupt(&mut self, n: usize, t: usize, source: ProcessId) -> ProcessSet {
+        self.0.corrupt(n, t, source)
+    }
+
+    fn payload(
+        &mut self,
+        sender: ProcessId,
+        recipient: ProcessId,
+        view: &AdversaryView<'_>,
+    ) -> Payload {
+        self.0.payload(sender, recipient, view)
+    }
+}
+
+/// One 64-lane gear batch, three fates. A closure family (no wire shape,
+/// so the bridge drives every lane) corrupts the source in some seeds
+/// only: lanes with a correct source stop in the wide prefix at the
+/// first echo — retired by the kernel itself, with the scalar engine's
+/// sample — while lanes under a lying source run on, seed their king
+/// tails at different rounds and, for `dynamic-king`, split their shift
+/// votes and defer. With early stopping off nothing stops in the prefix.
+/// Both modes, against `sg_sim::reference`.
+#[test]
+fn one_gear_batch_holds_retiring_seeding_and_deferring_lanes() {
+    let source_in_some_lanes = AdversaryFamily::new(SourceInSomeLanes::NAME.to_string(), |seed| {
+        Box::new(SourceInSomeLanes::new(seed))
+    });
+    let b = 3;
+    for (spec, dynamic) in [
+        (AlgorithmSpec::KingShift { b }, false),
+        (AlgorithmSpec::DynamicKing { b }, true),
+    ] {
+        let early = SweepPlan::new(
+            vec![SweepConfig::traced(spec, 10, 3)],
+            vec![source_in_some_lanes.clone()],
+            64,
+        );
+        let (stopped, tailed, deferred) = lane_fates(&early, 1 + b);
+        assert!(stopped > 0, "{spec:?}: no lane stopped at the first echo");
+        assert!(tailed > 0, "{spec:?}: no lane reached its king tail");
+        assert_eq!(deferred > 0, dynamic, "{spec:?}: {deferred} deferred lanes");
+        assert_rounds_spread(&assert_engines_agree(&early));
+
+        let fixed = early.fixed_length();
+        let (stopped, tailed, deferred) = lane_fates(&fixed, 1 + b);
+        assert_eq!(stopped, 0, "{spec:?}: a fixed-length lane stopped early");
+        assert_eq!(tailed + deferred, 64, "{spec:?}");
+        assert_engines_agree(&fixed);
+    }
 }
 
 /// Worker count and batching compose: a mixed grid (kernel cell +

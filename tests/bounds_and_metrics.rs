@@ -1,5 +1,8 @@
 //! Quantitative integration tests: measured rounds, message sizes, local
-//! space and determinism against the paper's stated bounds.
+//! space and determinism against the paper's stated bounds. The bounds
+//! are statements about *full* schedules, so the runs here are
+//! fixed-length: with a correct source the echo rule (`sg_core::GearedProtocol`)
+//! would end every one of them at round 2.
 
 use shifting_gears::adversary::{ChainRevealer, FaultSelection, RandomLiar};
 use shifting_gears::analysis::bounds::{
@@ -10,7 +13,9 @@ use shifting_gears::core::{execute, t_a, t_b, t_c, AlgorithmSpec, HybridSchedule
 use shifting_gears::sim::{Outcome, RunConfig, Value};
 
 fn run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
-    let config = RunConfig::new(n, t).with_source_value(Value(1));
+    let config = RunConfig::new(n, t)
+        .with_source_value(Value(1))
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
     let outcome = execute(spec, &config, &mut adversary).expect("valid parameters");
     outcome.assert_correct();
@@ -127,7 +132,9 @@ fn honest_traffic_is_adversary_independent() {
 fn over_threshold_runs_do_not_panic() {
     // With more than t faults no guarantee applies, but the system must
     // still run to completion (decisions may disagree).
-    let config = RunConfig::new(7, 2).with_source_value(Value(1));
+    let config = RunConfig::new(7, 2)
+        .with_source_value(Value(1))
+        .fixed_length();
     let mut adversary = RandomLiar::new(
         shifting_gears::adversary::FaultSelection::explicit([
             shifting_gears::sim::ProcessId(1),

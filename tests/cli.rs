@@ -51,6 +51,9 @@ fn run_with_trace_shows_discoveries() {
         "--adversary",
         "chain-revealer",
         "--trace",
+        // The full schedule: with the source correct the echo rule ends
+        // the run at round 2, before anything is discovered or shifted.
+        "--no-early-stop",
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("discovered"));

@@ -5,7 +5,9 @@
 //! agreement and validity preserved — while never overrunning the static
 //! schedule. Fault-free (`f = 0`) runs of the early-stopping families
 //! must *strictly* undercut their schedules: that saving is the paper's
-//! expedite thesis made measurable.
+//! expedite thesis made measurable. Since the echo rule
+//! (`sg_core::GearedProtocol`) the tree machine is one of those families: a
+//! correct source ends every tree spec at round 2.
 //!
 //! Also pinned here: the sweep engine's adversary pool
 //! (`Adversary::reseed`) is unobservable — pooled-warm and pooled-cold
@@ -18,7 +20,7 @@ use proptest::prelude::*;
 use shifting_gears::adversary::{
     ChainRevealer, Crash, FaultSelection, RandomLiar, Silent, TwoFaced,
 };
-use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
+use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{Adversary, NoFaults, Outcome, RunConfig, Value};
 
@@ -84,8 +86,15 @@ fn check_equivalence(
     assert_eq!(expedited.validity(), fixed.validity(), "{label}: validity");
 
     assert_eq!(fixed.scheduled_rounds, spec.rounds(n, t), "{label}");
-    assert_eq!(fixed.rounds_used, fixed.scheduled_rounds, "{label}");
-    assert!(!fixed.early_stopped, "{label}");
+    if matches!(spec, AlgorithmSpec::DynamicKing { .. }) {
+        // A committed gear shift is part of the schedule: it shortens
+        // the fixed-length run too.
+        assert!(fixed.rounds_used <= fixed.scheduled_rounds, "{label}");
+        assert!(expedited.rounds_used <= fixed.rounds_used, "{label}");
+    } else {
+        assert_eq!(fixed.rounds_used, fixed.scheduled_rounds, "{label}");
+        assert!(!fixed.early_stopped, "{label}");
+    }
     assert_eq!(
         expedited.scheduled_rounds, fixed.scheduled_rounds,
         "{label}"
@@ -112,10 +121,12 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every early-stopping family plus a tree baseline, the adversary
-    /// sample (including crash/silent), and actual fault budgets
+    /// Every early-stopping family — the seven `tree-paper` specs at
+    /// their benchmark sizes among them — the adversary sample
+    /// (including crash/silent), and actual fault budgets
     /// `f ∈ {0, 1, t}`: expedited and fixed-length runs decide
-    /// identically.
+    /// identically, and a correct source stops every tree spec at the
+    /// first echo.
     #[test]
     fn early_stopped_runs_decide_like_fixed_runs(
         seed in 0u64..1_000,
@@ -126,19 +137,21 @@ proptest! {
             (AlgorithmSpec::PhaseKing, 9, 2),
             (AlgorithmSpec::PhaseQueen, 9, 2),
             (AlgorithmSpec::OptimalKing, 7, 2),
-            (AlgorithmSpec::KingShift { b: 3 }, 10, 3),
             (AlgorithmSpec::DolevStrong, 5, 3),
-            // Tree baseline: no status hook, must never stop early.
-            (AlgorithmSpec::Exponential, 7, 2),
         ];
-        for (spec, n, t) in cases {
+        let tree_paper = TREE_PAPER_CELLS.map(|(spec, n)| (spec, n, spec.max_resilience(n)));
+        for (i, (spec, n, t)) in cases.into_iter().chain(tree_paper).enumerate() {
             let f = [Some(0), Some(1), None][f_sel].map(|f| f.min(t));
             let mk = || adversary(adv_idx, seed, f);
             let (expedited, fixed) = run_pair(spec, n, t, &mk);
             let label = format!("{} adv={adv_idx} f={f:?} seed={seed}", spec.name());
             check_equivalence(&label, spec, n, t, &expedited, &fixed);
-            if matches!(spec, AlgorithmSpec::Exponential) {
-                prop_assert!(!expedited.early_stopped, "{label}: tree machine stopped early");
+            let source_correct = !expedited.faulty.contains(expedited.config.source);
+            if i >= cases.len() && source_correct {
+                prop_assert_eq!(
+                    expedited.rounds_used, 2,
+                    "{}: a correct source stops every tree spec at round 2", label
+                );
             }
         }
     }
@@ -147,15 +160,23 @@ proptest! {
 /// The expedite thesis, concretely: with zero actual faults the
 /// early-stopping families finish strictly below their schedules —
 /// Dolev–Strong by the quiescence rule (`min(f+2, t+1)` with `f = 0`),
-/// the king family one propose step after the source round.
+/// the king family one propose step after the source round, the tree
+/// family (gear hybrids included: their prefix stops them before any
+/// tail is seeded) at the first echo.
 #[test]
 fn fault_free_runs_strictly_undercut_their_schedules() {
     let cases = [
-        (AlgorithmSpec::DolevStrong, 5, 3, 2),         // t+1 = 4 → 2
-        (AlgorithmSpec::OptimalKing, 16, 5, 3),        // 3t+4 = 19 → 3
-        (AlgorithmSpec::PhaseKing, 16, 3, 3),          // 2t+3 = 9 → 3
-        (AlgorithmSpec::PhaseQueen, 16, 3, 3),         // 2t+3 = 9 → 3
-        (AlgorithmSpec::KingShift { b: 3 }, 16, 5, 6), // 1+b+3(t+1) = 22 → 6
+        (AlgorithmSpec::DolevStrong, 5, 3, 2),           // t+1 = 4 → 2
+        (AlgorithmSpec::OptimalKing, 16, 5, 3),          // 3t+4 = 19 → 3
+        (AlgorithmSpec::PhaseKing, 16, 3, 3),            // 2t+3 = 9 → 3
+        (AlgorithmSpec::PhaseQueen, 16, 3, 3),           // 2t+3 = 9 → 3
+        (AlgorithmSpec::KingShift { b: 3 }, 16, 5, 2),   // 1+b+3(t+1) = 22 → 2
+        (AlgorithmSpec::DynamicKing { b: 3 }, 16, 5, 2), // 1+4b+3(t+1) = 31 → 2
+        (AlgorithmSpec::Exponential, 10, 3, 2),          // t+1 = 4 → 2
+        (AlgorithmSpec::AlgorithmA { b: 3 }, 16, 5, 2),  // 13 → 2
+        (AlgorithmSpec::AlgorithmB { b: 3 }, 17, 4, 2),  // 6 → 2
+        (AlgorithmSpec::AlgorithmC, 32, 4, 2),           // t+1 = 5 → 2
+        (AlgorithmSpec::Hybrid { b: 3 }, 16, 5, 2),      // 12 → 2
     ];
     for (spec, n, t, expect) in cases {
         let config = RunConfig::new(n, t).with_source_value(Value(1));
@@ -178,9 +199,8 @@ fn fault_free_runs_strictly_undercut_their_schedules() {
 }
 
 /// The acceptance workload: an `f_actual = 0` sweep shows `mean_rounds`
-/// strictly below the schedule for Dolev–Strong and the king family,
-/// with a 100% early-stop rate, while the tree families hold their full
-/// schedules in the same grid.
+/// strictly below the schedule for Dolev–Strong, the king family and
+/// the tree family alike, with a 100% early-stop rate.
 #[test]
 fn fault_budget_sweep_records_the_expedite_win() {
     let plan = SweepPlan::new(
@@ -205,22 +225,20 @@ fn fault_budget_sweep_records_the_expedite_win() {
             "optimal-king" => AlgorithmSpec::OptimalKing.rounds(cell.n, cell.t),
             _ => AlgorithmSpec::Exponential.rounds(cell.n, cell.t),
         } as u64;
+        assert!(
+            rounds.mean < schedule as f64,
+            "{}: mean rounds {} not below schedule {schedule}",
+            cell.spec_name,
+            rounds.mean
+        );
+        assert!((cell.early_stop_rate - 1.0).abs() < f64::EPSILON);
         if cell.spec_name == "exponential" {
-            assert_eq!(rounds.max, schedule, "trees run their full schedule");
-            assert!((cell.early_stop_rate - 0.0).abs() < f64::EPSILON);
-        } else {
-            assert!(
-                rounds.mean < schedule as f64,
-                "{}: mean rounds {} not below schedule {schedule}",
-                cell.spec_name,
-                rounds.mean
-            );
-            assert!((cell.early_stop_rate - 1.0).abs() < f64::EPSILON);
-            // The rendered row carries the new columns.
-            let line = cell.render_line();
-            assert!(line.contains("rounds"), "{line}");
-            assert!(line.contains("early-stop 100%"), "{line}");
+            assert_eq!(rounds.max, 2, "a correct source: one echo");
         }
+        // The rendered row carries the new columns.
+        let line = cell.render_line();
+        assert!(line.contains("rounds"), "{line}");
+        assert!(line.contains("early-stop 100%"), "{line}");
     }
 }
 

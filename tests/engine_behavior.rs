@@ -45,7 +45,11 @@ impl Adversary for ViewInspector {
 
 #[test]
 fn adversary_sees_rushed_broadcasts_and_shadows() {
-    let config = RunConfig::new(7, 2).with_source_value(Value(1));
+    // Fixed-length: the shadow only relays, so the echo rule would end
+    // the run at round 2, before the six-value gather.
+    let config = RunConfig::new(7, 2)
+        .with_source_value(Value(1))
+        .fixed_length();
     let mut adversary = ViewInspector {
         saw_source_broadcast: false,
         shadow_lens: Vec::new(),
@@ -126,7 +130,10 @@ fn validity_is_vacuous_with_faulty_source() {
 
 #[test]
 fn peak_tree_nodes_reflects_deepest_gather() {
-    let config = RunConfig::new(7, 2).with_source_value(Value(1));
+    // Fixed-length: fault-free, the echo rule stops before level 2.
+    let config = RunConfig::new(7, 2)
+        .with_source_value(Value(1))
+        .fixed_length();
     let outcome = run(
         &config,
         &mut shifting_gears::sim::NoFaults,

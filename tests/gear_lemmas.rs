@@ -14,11 +14,25 @@
 //!   workloads: every prefix block an omission-style adversary delays
 //!   costs it a detection it does not have, and every king phase it
 //!   spoils burns a faulty king, so `rounds_used` is bounded by
-//!   `1 + (f+1)·b + 3·(f+2)` — independent of `t` — while the static
-//!   plan's tree prefix always runs to its worst-case end.
+//!   `1 + (f+1)·b + 3·(f+2)` — independent of `t`. The tree family has
+//!   its own row since the echo rule (`sg_core::GearedProtocol`): a correct
+//!   source ends every tree spec at round 2 whatever `f` and `t` are,
+//!   and under a lying source a block that does not end in agreement
+//!   globally detects a fault the adversary then no longer has, so the
+//!   blocked specs stop at the first echo after at most `f + 1` blocks —
+//!   inside the same bound.
+//!
+//! With the echo rule the *static* plans expedite too, so the
+//! dynamic-vs-static comparisons below are made where the two plans
+//! still differ: under a lying source, and on the schedule itself
+//! (fixed-length runs, in which a committed gear shift still truncates
+//! the prefix).
 
 use proptest::prelude::*;
-use shifting_gears::adversary::{ChainRevealer, Crash, FaultSelection, RandomLiar, Silent};
+use shifting_gears::adversary::{
+    ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar, Silent,
+};
+use shifting_gears::analysis::TREE_PAPER_CELLS;
 use shifting_gears::core::{
     dynamic_king_blocks, execute, AlgorithmSpec, ShiftComposition, ShiftPlanBuilder,
 };
@@ -44,6 +58,30 @@ fn scenario(idx: usize, seed: u64, f: usize) -> Box<dyn Adversary> {
         2 => Box::new(RandomLiar::new(sel, seed)),
         _ => Box::new(ChainRevealer::new(sel, 2, 2, seed)),
     }
+}
+
+/// A lying source plus `f − 1` further liars: the source tells the two
+/// halves of the system different values in round 1 (`idx` 0, and every
+/// fault keeps the two stories up afterwards) or lies at random.
+fn lying_source(idx: usize, seed: u64, n: usize, f: usize) -> Box<dyn Adversary> {
+    let sel = FaultSelection::with_source().limit(f);
+    match idx {
+        0 => Box::new(Equivocate::new(sel, n / 2, 1)),
+        _ => Box::new(RandomLiar::new(sel, seed)),
+    }
+}
+
+/// Whether a `tree-paper` spec is *blocked* at its benchmark size: more
+/// than one block start, so the echo rule gets more than one chance.
+/// Algorithm B at that size, Exponential and Algorithm C are not.
+fn is_blocked(spec: AlgorithmSpec) -> bool {
+    matches!(
+        spec,
+        AlgorithmSpec::AlgorithmA { .. }
+            | AlgorithmSpec::Hybrid { .. }
+            | AlgorithmSpec::KingShift { .. }
+            | AlgorithmSpec::DynamicKing { .. }
+    )
 }
 
 proptest! {
@@ -125,39 +163,94 @@ proptest! {
             );
         }
     }
+
+    /// The tree family's row of the `O(f)` expedite claim. Correct
+    /// source, any scenario family, any `f`: every tree spec ends at
+    /// round 2. Lying source with `f` actual faults: the blocked specs
+    /// end within `1 + (f+1)·b + 3·(f+2)` — independent of `t`.
+    #[test]
+    fn tree_family_expedite_is_linear_in_f(
+        seed in 0u64..1_000,
+        adv_idx in 0usize..4,
+        f_sel in 0usize..3,
+    ) {
+        let b = 3usize; // the block parameter of TREE_PAPER_CELLS
+        for (spec, n) in TREE_PAPER_CELLS {
+            let t = spec.max_resilience(n);
+            let config = RunConfig::new(n, t).with_source_value(Value(1));
+
+            let f = [0, 1, t][f_sel];
+            let outcome = execute(spec, &config, scenario(adv_idx, seed, f).as_mut())
+                .expect("valid parameters");
+            outcome.assert_correct();
+            prop_assert_eq!(
+                outcome.rounds_used, 2,
+                "{}: a correct source must stop it at the first echo (f = {})",
+                spec.name(), f
+            );
+
+            if !is_blocked(spec) {
+                continue;
+            }
+            let f = [1, 2, t][f_sel];
+            let outcome = execute(spec, &config, lying_source(adv_idx % 2, seed, n, f).as_mut())
+                .expect("valid parameters");
+            outcome.assert_correct();
+            prop_assert!(outcome.faulty.contains(config.source) && outcome.faulty.len() == f);
+            prop_assert!(
+                outcome.rounds_used <= (1 + (f + 1) * b + 3 * (f + 2)).min(outcome.scheduled_rounds),
+                "{} used {} rounds at f = {f}, b = {b}: not O(f)",
+                spec.name(),
+                outcome.rounds_used,
+            );
+        }
+    }
 }
 
 /// At `f ≪ t` the dynamic composition *strictly* beats the equivalent
-/// static [`ShiftComposition`] — the acceptance-criterion comparison,
-/// pinned at the benchmark parameters: the static plan's tree prefix
-/// holds every run to round 15 while the dynamic plan shifts at the
-/// first quiet block and locks at round 6.
+/// static [`ShiftComposition`] on the schedule — the acceptance-criterion
+/// comparison, pinned at the benchmark parameters under a lying source
+/// (with a correct one both plans end at round 2 and there is nothing to
+/// compare). Fixed-length, the static plan runs its whole four-block
+/// prefix and tail, 31 rounds, while the dynamic plan shifts at the
+/// first quiet block boundary. With early stopping the echo rule gives
+/// the static plan the same expedite: it stops at the second block's
+/// first echo, round `1 + b + 1`, and the dynamic plan — which may have
+/// shifted one round earlier and then needs exchange + propose to lock —
+/// lands on that round or the next.
 #[test]
 fn dynamic_beats_static_at_low_f() {
     let (n, t, b) = (16, 5, 3);
-    let config = RunConfig::new(n, t).with_source_value(Value(1));
+    let early = RunConfig::new(n, t).with_source_value(Value(1));
+    let fixed = early.fixed_length();
     let static_comp = static_equivalent(n, t, b);
-    for f in [0usize, 1] {
-        let run_static = |f: usize| {
-            let outcome = static_comp.execute(&config, scenario(0, 7, f).as_mut());
+    for f in [1usize, 2] {
+        let run_static = |config: &RunConfig| {
+            let outcome = static_comp.execute(config, lying_source(0, 7, n, f).as_mut());
             outcome.assert_correct();
             outcome.rounds_used
         };
-        let dynamic = execute(
-            AlgorithmSpec::DynamicKing { b },
-            &config,
-            scenario(0, 7, f).as_mut(),
-        )
-        .unwrap();
-        dynamic.assert_correct();
-        assert!(
-            dynamic.rounds_used < run_static(f),
-            "f = {f}: dynamic {} not below static {}",
-            dynamic.rounds_used,
-            run_static(f)
-        );
-        assert_eq!(dynamic.rounds_used, 1 + b + 2, "f = {f}: shift + lock");
-        assert!(dynamic.early_stopped);
+        let run_dynamic = |config: &RunConfig| {
+            let outcome = execute(
+                AlgorithmSpec::DynamicKing { b },
+                config,
+                lying_source(0, 7, n, f).as_mut(),
+            )
+            .unwrap();
+            outcome.assert_correct();
+            assert!(outcome.early_stopped);
+            outcome.rounds_used
+        };
+
+        // The schedule contest: the split source is discovered in block
+        // one (a full ledger entry, no shift), block two is quiet, the
+        // shift commits at its boundary and the full tail follows.
+        assert_eq!(run_static(&fixed), 1 + 4 * b + 3 * (t + 1), "f = {f}");
+        assert_eq!(run_dynamic(&fixed), 1 + 2 * b + 3 * (t + 1), "f = {f}");
+
+        // With early stopping both end at the second block's first echo.
+        assert_eq!(run_static(&early), 1 + b + 1, "f = {f}: static echo");
+        assert_eq!(run_dynamic(&early), 1 + b + 1, "f = {f}: dynamic echo");
     }
     // The dynamic composition built through the ShiftPlanBuilder makes
     // the same runtime decisions as the spec-level protocol.
@@ -167,9 +260,18 @@ fn dynamic_beats_static_at_low_f() {
         .dynamic()
         .build()
         .expect("dynamic composition validates");
-    let outcome = dynamic_comp.execute(&config, &mut NoFaults);
-    outcome.assert_correct();
-    assert_eq!(outcome.rounds_used, 1 + b + 2);
+    for config in [&early, &fixed] {
+        let built = dynamic_comp.execute(config, lying_source(0, 7, n, 1).as_mut());
+        built.assert_correct();
+        let spec_level = execute(
+            AlgorithmSpec::DynamicKing { b },
+            config,
+            lying_source(0, 7, n, 1).as_mut(),
+        )
+        .unwrap();
+        assert_eq!(built.rounds_used, spec_level.rounds_used);
+        assert_eq!(built.decisions, spec_level.decisions);
+    }
 }
 
 /// Dynamic dispatch is part of the schedule, not an engine observation:
@@ -191,21 +293,33 @@ fn gear_shifts_survive_early_stopping_off() {
 }
 
 /// The never-shift path: a detection-forcing adversary at full budget
-/// holds the dynamic plan in its prefix, and the run lands on the static
-/// schedule shape (prefix + tail) — dynamic dispatch degrades to the
-/// precompiled plan instead of guessing.
+/// (a lying source and staged reveals, one chain member per stride)
+/// holds the dynamic plan in its prefix past the first checkpoint —
+/// dynamic dispatch degrades towards the precompiled plan instead of
+/// guessing. That is a statement about the schedule, so it is read off
+/// the fixed-length run; with early stopping the same execution ends at
+/// the second block's first echo whatever the gear box would have done.
 #[test]
 fn detection_forcing_adversaries_delay_the_shift() {
     let (n, t, b) = (16, 5, 3);
     let config = RunConfig::new(n, t).with_source_value(Value(1));
-    let mut revealer = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 7);
-    let dynamic = execute(AlgorithmSpec::DynamicKing { b }, &config, &mut revealer).unwrap();
+    let revealer = || ChainRevealer::new(FaultSelection::with_source(), 1, 2, 7);
+    let dynamic = execute(
+        AlgorithmSpec::DynamicKing { b },
+        &config.fixed_length(),
+        &mut revealer(),
+    )
+    .unwrap();
     dynamic.assert_correct();
-    let first_checkpoint_end = 1 + b + 2;
+    let first_checkpoint_end = 1 + b + 3 * (t + 1);
     assert!(
         dynamic.rounds_used > first_checkpoint_end,
         "staged reveals should delay the shift past the first checkpoint \
          (used {} rounds)",
         dynamic.rounds_used
     );
+    let expedited = execute(AlgorithmSpec::DynamicKing { b }, &config, &mut revealer()).unwrap();
+    expedited.assert_correct();
+    assert_eq!(expedited.rounds_used, 1 + b + 1);
+    assert_eq!(expedited.decisions, dynamic.decisions);
 }

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use shifting_gears::adversary::{ChainRevealer, FaultSelection, RandomLiar, TwoFaced};
+use shifting_gears::adversary::{ChainRevealer, Equivocate, FaultSelection, RandomLiar, TwoFaced};
 use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
 };
@@ -334,4 +334,44 @@ fn disabling_the_pool_rebuilds_instances_without_changing_outcomes() {
     );
     assert_same_outcome("keyless", &pooled_a, &pooled_b);
     assert_same_outcome("keyless", &pooled_a, &unpooled);
+}
+
+/// The tree machine's echo verdict is run state, not instance state: an
+/// arena warmed by a run that every processor left *ready* (fault-free,
+/// stopped at the first echo) must hand the next run instances that are
+/// not — here a source that splits its relays three against three, which
+/// no correct processor may stop on. A verdict that survived
+/// `Protocol::reset` would end that run at round 1, before anyone has
+/// echoed anything.
+#[test]
+fn an_echo_verdict_does_not_survive_reset() {
+    let config = RunConfig::new(7, 2).with_source_value(Value(1));
+    let split_source = || Equivocate::new(FaultSelection::with_source().limit(1), 4, 1);
+    for spec in [
+        AlgorithmSpec::Exponential,
+        AlgorithmSpec::AlgorithmA { b: 3 },
+        AlgorithmSpec::KingShift { b: 3 },
+    ] {
+        let key = spec.pool_key(&config);
+        let factory = spec.factory(&config);
+        let mut arena = RunArena::new();
+        let warmup = run_in(
+            &mut arena,
+            &config,
+            &mut shifting_gears::sim::NoFaults,
+            Some(key),
+            &factory,
+        );
+        assert_eq!(warmup.rounds_used, 2, "{}: warm-up stops", spec.name());
+
+        let calls = AtomicUsize::new(0);
+        let warm = run_in(&mut arena, &config, &mut split_source(), Some(key), |me| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            factory(me)
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "{}: reset", spec.name());
+        assert!(warm.rounds_used > 2, "{}: stopped on a split", spec.name());
+        let fresh = reference::run(&config, &mut split_source(), &factory);
+        assert_same_outcome(&spec.name(), &fresh, &warm);
+    }
 }

@@ -10,7 +10,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use shifting_gears::adversary::FaultSelection;
-use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
+use shifting_gears::analysis::{
+    epoch_for, AdversaryFamily, SweepConfig, SweepPlan, SweepReport, ENGINE_VERSION_TAG,
+};
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::journal::Journal;
 
@@ -193,6 +195,56 @@ fn flipping_any_engine_toggle_yields_zero_hits() {
         );
         assert_eq!(again.report, mode.run_with_jobs(1));
     }
+    drop(journal);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// (b), across builds: the echo rule changed what an early-stopping tree
+/// or gear cell *is* (a correct source now ends it at round 2), and the
+/// tag moved `sg-engine/10` → `/11` with it. A store written by a `/10`
+/// build holds the old full-schedule cells under the same keys; this
+/// build must not see them — 0 hits, every cell recomputed, and the
+/// report the current engine's, not the stale bytes.
+#[test]
+fn a_store_written_before_the_echo_rule_answers_zero_hits() {
+    assert_eq!(ENGINE_VERSION_TAG, "sg-engine/11");
+    let plan = SweepPlan::new(
+        vec![
+            SweepConfig::traced(AlgorithmSpec::Exponential, 10, 3),
+            SweepConfig::traced(AlgorithmSpec::KingShift { b: 3 }, 10, 3),
+        ],
+        vec![AdversaryFamily::random_liar(
+            FaultSelection::without_source(),
+        )],
+        6,
+    );
+    // What a /10 build stored for these keys in its early-stopping
+    // epoch: trees ran their whole schedule whatever the mode was.
+    let stale = plan.clone().fixed_length().run_with_jobs(1);
+    let current = plan.run_with_jobs(1);
+    assert_ne!(stale, current, "the cells must have changed bytes");
+
+    let dir = tmpdir("pre-echo-store");
+    let mut journal = Journal::open(&dir).unwrap();
+    let old_epoch = epoch_for("sg-engine/10", true);
+    assert_ne!(old_epoch, plan.epoch());
+    for (cell, report) in stale.cells.iter().enumerate() {
+        let mut text = String::new();
+        report.write_text(&mut text);
+        let key = plan.cell_key(cell).expect("wire-shaped family");
+        journal.append_text(key, old_epoch, &text).unwrap();
+    }
+    drop(journal);
+
+    let mut journal = Journal::open(&dir).unwrap();
+    assert_eq!(journal.len(), plan.cell_count());
+    let first = plan.run_with_journal(&mut journal, 1);
+    assert_eq!(first.hits, 0, "a /10 store must be invisible to /11");
+    assert_eq!(first.computed, plan.cell_count());
+    assert_eq!(first.report, current);
+    let again = plan.run_with_journal(&mut journal, 1);
+    assert_eq!(again.hits, plan.cell_count());
+    assert_eq!(again.report, current);
     drop(journal);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,10 @@
 //! Trace-based tests of the shifting machinery itself: shifts fire
 //! exactly at block boundaries, the hybrid's conversions follow Fig. 3's
 //! A→B→C order, and preferred values survive shifts (Strong Persistence).
+//!
+//! Every run here is fixed-length: these are pins on what a *full*
+//! schedule does, and all of them keep the source correct — the case the
+//! echo rule (`sg_core::GearedProtocol`) ends at round 2, before any shift.
 
 use shifting_gears::adversary::{ChainRevealer, DoubleTalk, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec, HybridSchedule, RoundAction};
@@ -30,7 +34,8 @@ fn algorithm_b_shifts_exactly_at_block_ends() {
     let (n, t, b) = (13, 3, 2);
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
-        .with_trace();
+        .with_trace()
+        .fixed_length();
     let mut adversary = DoubleTalk::new(FaultSelection::without_source());
     let outcome = execute(AlgorithmSpec::AlgorithmB { b }, &config, &mut adversary).unwrap();
     outcome.assert_correct();
@@ -51,7 +56,8 @@ fn hybrid_conversion_sequence_follows_figure_3() {
     let schedule = HybridSchedule::compute(n, b);
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
-        .with_trace();
+        .with_trace()
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 3, 5);
     let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, &mut adversary).unwrap();
     outcome.assert_correct();
@@ -106,7 +112,8 @@ fn preferred_value_survives_every_shift_when_source_correct() {
     let (n, t, b) = (13, 4, 3);
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
-        .with_trace();
+        .with_trace()
+        .fixed_length();
     let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 13);
     let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, &mut adversary).unwrap();
     outcome.assert_correct();
@@ -139,7 +146,8 @@ fn masked_faults_stop_influencing_preferred_values() {
     let run_with_late_noise = |late_value: u16| {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
-            .with_trace();
+            .with_trace()
+            .fixed_length();
         struct LateNoise {
             late_value: u16,
         }

@@ -1,88 +1,94 @@
 //! Committed fingerprints of the tree family — the paper's own
-//! algorithms and its gear shifts on the scalar engine.
+//! algorithms and its gear shifts on the scalar engine — in both engine
+//! modes.
 //!
 //! The two fingerprints pinned elsewhere (`tests/sweep_determinism.rs`)
-//! are both `optimal-king`; nothing pinned the tree machine. These values were captured on the commit *before* the
-//! table-driven rewrite of `sg-eigtree`'s hot loops and must survive any
-//! change to how the tree is enumerated, stored, or delivered: every
+//! are both `optimal-king`; nothing else pins the tree machine. Every
 //! decision, every discovery, every bit on the wire and every charged
 //! `ops` unit of the seven `tree-paper` configurations under both
-//! `tree-paper` adversaries.
+//! `tree-paper` adversaries is held here.
+//!
+//! **Fixed-length table.** The ten pure-tree cell pins (Exponential, A,
+//! B, C, the hybrid) were captured on the commit *before* the
+//! table-driven rewrite of `sg-eigtree`'s hot loops, when the tree
+//! machine had no status hook and so ran its full schedule in either
+//! mode. They are byte-identical to that capture and now run
+//! `.fixed_length()`: that they still hold is the proof the echo rule
+//! (`sg_core::GearedProtocol`) moved nothing on the fixed path. The four gear
+//! cells (`king-shift`, `dynamic-king`) and [`FIXED_REPORT`] were
+//! re-pinned with the echo rule: their old values were early-mode values
+//! (the king tails stopped at their lock), and in early mode those runs
+//! now end at round 2, so the fixed table pins their *full* schedules
+//! instead — values the parent commit reproduces under `fixed_length()`.
+//!
+//! **Early table.** The same 14 cells with early stopping on. The source
+//! is correct in every one, so every run ends at the first echo: round 2,
+//! and the ops are those of two rounds.
 
 use shifting_gears::adversary::FaultSelection;
-use shifting_gears::analysis::{AdversaryFamily, Fingerprint, SweepConfig, SweepPlan};
-use shifting_gears::core::AlgorithmSpec;
+use shifting_gears::analysis::{
+    AdversaryFamily, Fingerprint, SweepConfig, SweepPlan, SweepReport, TREE_PAPER_CELLS,
+};
 
 /// A cell's fingerprint and its Σ `max_local_ops`.
 type Pin = (u64, u64);
 
-/// `(spec, n)` of the benchmark's `tree-paper` workload, each at its
-/// maximum resilience, with the cell pins under random-liar, then under
+/// Fixed-length cell pins, [`TREE_PAPER_CELLS`] order, under random-liar then under
 /// chain-revealer(2,2).
-const PINS: [(AlgorithmSpec, usize, [Pin; 2]); 7] = [
-    (
-        AlgorithmSpec::Exponential,
-        10,
-        [(0xb516_3617_58a5_df8f, 9328), (0x0baa_aeb3_11cc_3a85, 7096)],
-    ),
-    (
-        AlgorithmSpec::AlgorithmA { b: 3 },
-        13,
-        [
-            (0x716d_6944_80d6_c315, 76084),
-            (0x8896_0a36_10f2_ade5, 80704),
-        ],
-    ),
-    (
-        AlgorithmSpec::AlgorithmB { b: 3 },
-        17,
-        [
-            (0xb310_e856_89f9_cb81, 57508),
-            (0x628e_0616_e4f1_0d19, 51508),
-        ],
-    ),
-    (
-        AlgorithmSpec::AlgorithmC,
-        32,
-        [
-            (0x61da_f940_9031_f81d, 43780),
-            (0xb718_9063_a379_e6cd, 43524),
-        ],
-    ),
-    (
-        AlgorithmSpec::Hybrid { b: 3 },
-        16,
-        [
-            (0xc3a3_7994_3b52_7a95, 101996),
-            (0xa69d_b9f1_cb0b_f8e5, 108780),
-        ],
-    ),
-    (
-        AlgorithmSpec::KingShift { b: 3 },
-        13,
-        [
-            (0x5c17_fdb3_109e_355d, 29340),
-            (0x598c_b366_1568_8a24, 25248),
-        ],
-    ),
-    (
-        AlgorithmSpec::DynamicKing { b: 3 },
-        13,
-        [
-            (0x5c17_fdb3_109e_355d, 29340),
-            (0xb4fd_12c1_7ece_1b00, 81996),
-        ],
-    ),
+const FIXED: [[Pin; 2]; 7] = [
+    [(0xb516_3617_58a5_df8f, 9328), (0x0baa_aeb3_11cc_3a85, 7096)],
+    [
+        (0x716d_6944_80d6_c315, 76084),
+        (0x8896_0a36_10f2_ade5, 80704),
+    ],
+    [
+        (0xb310_e856_89f9_cb81, 57508),
+        (0x628e_0616_e4f1_0d19, 51508),
+    ],
+    [
+        (0x61da_f940_9031_f81d, 43780),
+        (0xb718_9063_a379_e6cd, 43524),
+    ],
+    [
+        (0xc3a3_7994_3b52_7a95, 101996),
+        (0xa69d_b9f1_cb0b_f8e5, 108780),
+    ],
+    [
+        (0x184e_9fd0_3ca5_b2e5, 29776),
+        (0x964f_6d86_bbd2_b400, 25684),
+    ],
+    [
+        (0x184e_9fd0_3ca5_b2e5, 29776),
+        (0x1f17_62c8_43c0_d657, 82432),
+    ],
 ];
 
-/// Fingerprint and Σ `max_local_ops` of the whole 14-cell report.
-const REPORT_PIN: Pin = (0xb5a5_db96_0b77_5eb3, 746232);
+/// Fingerprint and Σ `max_local_ops` of the whole fixed-length report.
+const FIXED_REPORT: Pin = (0x8139_f7e6_e3d1_c858, 747976);
+
+/// Early-mode cell pins, same layout: every run stops at round 2, before
+/// a lie can leave a mark on any fingerprinted field — so a cell's two
+/// families pin alike, and so do the three specs that open with an
+/// Algorithm A block at `n = 13`.
+const EARLY: [[Pin; 2]; 7] = [
+    [(0xf407_ccac_927a_c8a5, 76); 2],
+    [(0x9476_f826_7153_8325, 100); 2],
+    [(0x6586_3c6c_7211_5325, 132); 2],
+    [(0x2fca_dd60_cb1e_2ebd, 260); 2],
+    [(0x0db6_275b_4ece_05a5, 124); 2],
+    [(0x9476_f826_7153_8325, 100); 2],
+    [(0x9476_f826_7153_8325, 100); 2],
+];
+
+/// Fingerprint and Σ `max_local_ops` of the whole early-mode report.
+const EARLY_REPORT: Pin = (0x2a32_c4df_2345_45d5, 1784);
 
 fn plan() -> SweepPlan {
     let honest_source = FaultSelection::without_source;
     SweepPlan::new(
-        PINS.iter()
-            .map(|&(spec, n, _)| SweepConfig::traced(spec, n, spec.max_resilience(n)))
+        TREE_PAPER_CELLS
+            .iter()
+            .map(|&(spec, n)| SweepConfig::traced(spec, n, spec.max_resilience(n)))
             .collect(),
         vec![
             AdversaryFamily::random_liar(honest_source()),
@@ -93,20 +99,19 @@ fn plan() -> SweepPlan {
     .with_base_seed(1987)
 }
 
-#[test]
-fn tree_family_fingerprints_are_pinned() {
-    let report = plan().run_with_jobs(1);
+/// Holds `report` to a pin table. Every drifted cell is reported at
+/// once, in the form the table takes; cells arrive config-major,
+/// adversary-minor.
+fn assert_pinned(mode: &str, report: &SweepReport, cells: &[[Pin; 2]; 7], whole: Pin) {
     assert_eq!(report.cells.len(), 14);
     let mut total_ops = 0u64;
-    // Every drifted cell is reported at once, in the form the pin table
-    // takes. Cells arrive config-major, adversary-minor.
     let mut drift = Vec::new();
     for (i, cell) in report.cells.iter().enumerate() {
         let mut fp = Fingerprint::new();
         fp.mix_cell(cell);
         let ops: u64 = cell.samples.iter().map(|s| s.max_local_ops).sum();
         total_ops += ops;
-        if (fp.value(), ops) != PINS[i / 2].2[i % 2] {
+        if (fp.value(), ops) != cells[i / 2][i % 2] {
             drift.push(format!(
                 "{} n={} {}: ({:#018x}, {ops})",
                 cell.spec_name,
@@ -116,7 +121,7 @@ fn tree_family_fingerprints_are_pinned() {
             ));
         }
     }
-    if (report.fingerprint(), total_ops) != REPORT_PIN {
+    if (report.fingerprint(), total_ops) != whole {
         drift.push(format!(
             "whole report: ({:#018x}, {total_ops})",
             report.fingerprint()
@@ -124,14 +129,49 @@ fn tree_family_fingerprints_are_pinned() {
     }
     assert!(
         drift.is_empty(),
-        "tree family drifted:\n{}",
+        "tree family drifted ({mode}):\n{}",
         drift.join("\n")
     );
+}
+
+#[test]
+fn tree_family_fingerprints_are_pinned() {
+    let fixed = plan().fixed_length().run_with_jobs(1);
+    // Only a committed gear shift (part of `dynamic-king`'s schedule,
+    // not an engine observation) may end a fixed-length run early.
+    assert!(fixed
+        .cells
+        .iter()
+        .filter(|c| !c.spec_name.starts_with("dynamic-king"))
+        .all(|c| c.samples.iter().all(|s| !s.early_stopped)));
+    assert_pinned("fixed-length", &fixed, &FIXED, FIXED_REPORT);
+}
+
+/// A correct source ends every tree-family run at the first echo.
+#[test]
+fn early_stopped_tree_family_fingerprints_are_pinned() {
+    let early = plan().run_with_jobs(1);
+    for cell in &early.cells {
+        assert!(
+            cell.samples
+                .iter()
+                .all(|s| s.rounds == 2 && s.early_stopped),
+            "{} n={} {}: a run outlived the first echo",
+            cell.spec_name,
+            cell.n,
+            cell.adversary
+        );
+    }
+    assert_pinned("early stopping", &early, &EARLY, EARLY_REPORT);
 }
 
 /// The shared label table must not make a second thread's trees differ
 /// from the first's.
 #[test]
 fn tree_family_fingerprint_is_jobs_invariant() {
-    assert_eq!(plan().run_with_jobs(2).fingerprint(), REPORT_PIN.0);
+    assert_eq!(
+        plan().fixed_length().run_with_jobs(2).fingerprint(),
+        FIXED_REPORT.0
+    );
+    assert_eq!(plan().run_with_jobs(2).fingerprint(), EARLY_REPORT.0);
 }
