@@ -9,7 +9,7 @@
 //! streams [`CellReport`]s over newline-delimited JSON; this module
 //! defines how those types look on the wire, via the serde shim's
 //! [`ToJson`]/[`FromJson`] traits. The encodings are documented field by
-//! field in ROADMAP.md's "Sweep service" convention; the invariant that
+//! field in `docs/WIRE.md` (the `sg-serve/1` section); the invariant that
 //! matters is **round-trip exactness**: `decode(encode(x)) == x` for
 //! every encodable value, including `u64` seeds (carried as JSON
 //! integers, never through `f64`) and summary statistics (floats written

@@ -8,11 +8,12 @@
 //! * The Algorithm A *tree prefix* exchanges multi-value tree levels, so
 //!   it cannot be one bit per lane. The kernel runs it **wide**: one real
 //!   per-lane, per-slot protocol instance ([`KingShift`] /
-//!   [`DynamicKing`]), driven round by round through
-//!   [`BatchKernel::wide_round`] with the exact outgoing → adversary →
-//!   deliver choreography of the scalar engine (same
-//!   [`AdversaryView`]s, same call order — the `sg-trace/1` contract
-//!   holds verbatim).
+//!   [`DynamicKing`]), and each [`BatchKernel::wide_round`] *is* the
+//!   scalar engine's round — [`RoundNet::round`], the function
+//!   `sg_sim::run_into` loops over — called once per wide lane with that
+//!   lane's instances, fault set and scalar adversary. The kernel keeps
+//!   no tables or inbox of its own, so the `sg-trace/1` call order and
+//!   the engine's per-fault costs hold here by construction.
 //! * The king *tail* is single-bit broadcasts and threshold tallies —
 //!   exactly [`KingBatchKernel`](crate::KingBatchKernel)'s shape — so
 //!   once a lane's gear box seeds its tail, the lane moves to the
@@ -42,12 +43,9 @@
 //! re-run by the caller on the scalar engine — the batch path stays a
 //! fast path, never a semantic change.
 
-use std::sync::Arc;
-
 use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneCounts, WideRound};
 use sg_sim::{
-    AdversaryView, GearAction, Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus,
-    RunConfig, Value,
+    GearAction, ProcCtx, ProcessId, Protocol, RoundNet, RoundStatus, RunConfig, RunFrame, Value,
 };
 
 use crate::gearbox::{DynamicKing, GearBox};
@@ -78,8 +76,10 @@ impl GearInstance {
             GearInstance::Dynamic(p) => p,
         }
     }
+}
 
-    fn proto_mut(&mut self) -> &mut dyn Protocol {
+impl AsMut<dyn Protocol> for GearInstance {
+    fn as_mut(&mut self) -> &mut (dyn Protocol + 'static) {
         match self {
             GearInstance::Shift(p) => p,
             GearInstance::Dynamic(p) => p,
@@ -132,11 +132,8 @@ pub struct GearBatchKernel {
     ops_prefix: Vec<u64>,
     ops_tail: Vec<u64>,
     disc: Vec<u64>,
-    // Per-lane view/delivery scratch for the wide prefix.
-    honest: Vec<Option<Arc<Payload>>>,
-    shadow: Vec<Option<Arc<Payload>>>,
-    rows: Vec<Arc<Payload>>,
-    inbox: Inbox,
+    /// The engine's round, run once per wide lane per prefix round.
+    net: RoundNet,
 }
 
 impl GearBatchKernel {
@@ -261,7 +258,7 @@ impl BatchKernel for GearBatchKernel {
             self.instances
                 .iter_mut()
                 .enumerate()
-                .any(|(idx, inst)| !inst.proto_mut().reset(ProcessId(idx % n), &self.config))
+                .any(|(idx, inst)| !inst.as_mut().reset(ProcessId(idx % n), &self.config))
         } else {
             true
         };
@@ -296,13 +293,7 @@ impl BatchKernel for GearBatchKernel {
         self.prefix_lanes = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
         self.cohorts.clear();
         self.last_wide = 0;
-        self.honest.clear();
-        self.honest.resize(n, None);
-        self.shadow.clear();
-        self.shadow.resize(n, None);
-        self.rows.clear();
-        self.rows.resize(n * n, Payload::shared_missing());
-        self.inbox = Inbox::empty(n);
+        self.net.begin(n);
     }
 
     fn charge(&self, _round: usize) -> u64 {
@@ -351,8 +342,6 @@ impl BatchKernel for GearBatchKernel {
             return WideRound::default();
         }
         let n = self.n;
-        let bits_per_value = config.domain.bits_per_value();
-        let missing = Payload::shared_missing();
         let mut deferred = 0u64;
         let mut w = wide;
         while w != 0 {
@@ -362,79 +351,27 @@ impl BatchKernel for GearBatchKernel {
             let base = lane * n;
             let fault_set = &fault_sets[lane];
 
-            // 1. Outgoing, split into honest/shadow tables by this
-            // lane's fault set; honest wire bits accounted as the scalar
-            // RoundStats would.
-            for i in 0..n {
-                self.ctxs[base + i].round = round;
-                let payload = self.instances[base + i]
-                    .proto_mut()
-                    .outgoing(&mut self.ctxs[base + i])
-                    .map(Payload::into_shared);
-                if fault_set.contains(ProcessId(i)) {
-                    self.shadow[i] = payload;
-                    self.honest[i] = None;
-                } else {
-                    if let Some(p) = &payload {
-                        self.bits_acc[lane] += p.bits(bits_per_value) * (n as u64 - 1);
-                    }
-                    self.honest[i] = payload;
-                    self.shadow[i] = None;
-                }
-            }
+            // The scalar engine's round over this lane's slots, shadows
+            // included; honest wire bits accrue as its `RoundStats`
+            // counts them. Edge faults never reach a batch (the driver
+            // bails out before the first round).
+            let frame = RunFrame {
+                config,
+                total_rounds: self.total,
+                faulty: fault_set,
+                sigs: None,
+                edge_faults: false,
+            };
+            let stats = self.net.round(
+                &frame,
+                round,
+                adversary.lane(lane),
+                &mut self.instances[base..base + n],
+                &mut self.ctxs[base..base + n],
+            );
+            self.bits_acc[lane] += stats.honest_bits;
 
-            // 2. The rushing adversary's rows, in the scalar call order:
-            // faulty senders ascending, recipients ascending, self
-            // skipped.
-            if !fault_set.is_empty() {
-                for slot in self.rows.iter_mut() {
-                    *slot = missing.clone();
-                }
-                let view = AdversaryView {
-                    round,
-                    total_rounds: self.total,
-                    n,
-                    t: config.t,
-                    source: config.source,
-                    source_value: config.source_value,
-                    domain: config.domain,
-                    faulty: fault_set,
-                    honest_broadcast: &self.honest,
-                    shadow_broadcast: &self.shadow,
-                    sigs: None,
-                };
-                let scalar = adversary.lane(lane);
-                for f in fault_set.iter() {
-                    for r in 0..n {
-                        if r == f.index() {
-                            continue;
-                        }
-                        self.rows[f.index() * n + r] =
-                            scalar.payload(f, ProcessId(r), &view).into_shared();
-                    }
-                }
-            }
-
-            // 3. Delivery to every slot, shadows included (the scalar
-            // engine keeps shadow instances live for the adversary's
-            // honest-shadow views).
-            for i in 0..n {
-                for j in 0..n {
-                    let p = if j == i {
-                        missing.clone()
-                    } else if fault_set.contains(ProcessId(j)) {
-                        self.rows[j * n + i].clone()
-                    } else {
-                        self.honest[j].clone().unwrap_or_else(|| missing.clone())
-                    };
-                    self.inbox.set_shared(ProcessId(j), p);
-                }
-                self.instances[base + i]
-                    .proto_mut()
-                    .deliver(&self.inbox, &mut self.ctxs[base + i]);
-            }
-
-            // 4. Gear transitions, in the scalar engine's order. A static
+            // Gear transitions, in the scalar engine's order. A static
             // boundary seeds inside `deliver` (every slot,
             // deterministically); an unseeded lane whose correct slots
             // are all ready stops here (status before gear dispatch,
@@ -467,7 +404,7 @@ impl BatchKernel for GearBatchKernel {
                 if all_shift {
                     for i in 0..n {
                         self.instances[base + i]
-                            .proto_mut()
+                            .as_mut()
                             .shift_gear(&mut self.ctxs[base + i]);
                     }
                     self.seed_lane(lane, round, fault_set);
@@ -751,10 +688,7 @@ pub fn gear_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<Gea
         ops_prefix: Vec::new(),
         ops_tail: Vec::new(),
         disc: Vec::new(),
-        honest: Vec::new(),
-        shadow: Vec::new(),
-        rows: Vec::new(),
-        inbox: Inbox::empty(config.n),
+        net: RoundNet::default(),
     })
 }
 

@@ -58,6 +58,19 @@ impl Claim<'_> {
     }
 }
 
+/// Empties a claims table and hands its allocation on under another
+/// lifetime, so an instance can keep between rounds the table a gather
+/// round borrows from its inbox: collecting an emptied `Vec`'s iterator
+/// into a `Vec` of the same layout reuses the allocation
+/// (`crates/core/tests/alloc_free.rs` holds the toolchain to that).
+fn recycle<'a>(mut claims: Vec<Claim<'_>>) -> Vec<Claim<'a>> {
+    claims.clear();
+    claims
+        .into_iter()
+        .map(|_| -> Claim<'a> { unreachable!("the table was cleared") })
+        .collect()
+}
+
 /// The echo rule's threshold (see [`GearedProtocol`]): all but at most `t`
 /// of a block's first-gather `echoes` equal the `root` they echo.
 fn echo_quorum(echoes: &[Value], root: Value, t: usize) -> bool {
@@ -124,6 +137,10 @@ pub struct GearedProtocol {
     /// The echo rule's verdict at the current block's first gather (see
     /// the type docs); cleared only by `reset`.
     echo_quorum: bool,
+    /// Gather-round scratch, so a warm instance gathers without allocating:
+    /// the level relayed to itself and the (empty between rounds) claims.
+    own: Vec<Value>,
+    claims: Vec<Claim<'static>>,
 }
 
 impl GearedProtocol {
@@ -164,6 +181,8 @@ impl GearedProtocol {
             plan,
             peak_nodes: 0,
             echo_quorum: false,
+            own: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -231,45 +250,49 @@ impl GearedProtocol {
         }
     }
 
-    /// Every sender's [`Claim`] for this round, indexed by processor;
-    /// `own` is what this processor would have sent itself.
-    fn claims<'a>(&self, inbox: &'a Inbox, own: &'a [Value]) -> Vec<Claim<'a>> {
-        (0..self.params.n)
-            .map(ProcessId)
-            .map(|q| {
-                if q == self.me {
-                    Claim::Own(own)
-                } else if self.faults.contains(q) {
-                    Claim::Defaults
-                } else {
-                    match inbox.from(q) {
-                        Payload::Values(vals) => Claim::Values(vals),
-                        Payload::Bits { words, len } => Claim::Bits {
-                            words: match words {
-                                SmallWords::Inline(w) => w,
-                                SmallWords::Heap(w) => w,
-                            },
-                            len: *len as usize,
+    /// Every sender's [`Claim`] for this round, indexed by processor, in
+    /// the kept table (handed back through [`recycle`]); `own` is what this
+    /// processor would have sent itself.
+    fn claims<'a>(&mut self, inbox: &'a Inbox, own: &'a [Value]) -> Vec<Claim<'a>> {
+        // Empty, and `Claim` is covariant: the kept `'static` table
+        // shortens to this round's lifetime as is.
+        let mut claims: Vec<Claim<'a>> = std::mem::take(&mut self.claims);
+        claims.extend((0..self.params.n).map(ProcessId).map(|q| {
+            if q == self.me {
+                Claim::Own(own)
+            } else if self.faults.contains(q) {
+                Claim::Defaults
+            } else {
+                match inbox.from(q) {
+                    Payload::Values(vals) => Claim::Values(vals),
+                    Payload::Bits { words, len } => Claim::Bits {
+                        words: match words {
+                            SmallWords::Inline(w) => w,
+                            SmallWords::Heap(w) => w,
                         },
-                        Payload::Signed(_) | Payload::Missing => Claim::Defaults,
-                    }
+                        len: *len as usize,
+                    },
+                    Payload::Signed(_) | Payload::Missing => Claim::Defaults,
                 }
-            })
-            .collect()
+            }
+        }));
+        claims
     }
 
     /// Records newly discovered processors: updates `L`, emits trace
-    /// events, returns them as a set (empty if none).
+    /// events, returns them as a set (`None`, and no allocation, if none).
     fn admit_discoveries(
         &mut self,
         discovered: &[ProcessId],
         during_conversion: bool,
         ctx: &mut ProcCtx,
-    ) -> ProcessSet {
-        let mut newly = ProcessSet::new(self.params.n);
+    ) -> Option<ProcessSet> {
+        let mut newly: Option<ProcessSet> = None;
         for &r in discovered {
             if self.faults.insert(r, ctx.round) {
-                newly.insert(r);
+                newly
+                    .get_or_insert_with(|| ProcessSet::new(self.params.n))
+                    .insert(r);
                 ctx.emit(TraceEvent::Discovered {
                     suspect: r,
                     during_conversion,
@@ -328,12 +351,16 @@ impl Protocol for GearedProtocol {
             RoundAction::Gather { convert: conv } => {
                 // 1. Store the new level, masking known faults as we go.
                 let deepest = self.tree.deepest_level();
-                let own_level: Vec<Value> = self.tree.level(deepest).to_vec();
-                let claims = self.claims(inbox, &own_level);
+                let mut own = std::mem::take(&mut self.own);
+                own.clear();
+                own.extend_from_slice(self.tree.level(deepest));
+                let claims = self.claims(inbox, &own);
                 let ops = self
                     .tree
                     .append_level(|parent, sender| claims[sender.index()].at(parent, domain));
                 ctx.charge(ops);
+                self.claims = recycle(claims);
+                self.own = own;
 
                 self.note_peak();
 
@@ -342,8 +369,7 @@ impl Protocol for GearedProtocol {
                 if self.modified {
                     let report = discover_ig(&self.tree, t, &self.faults);
                     ctx.charge(report.ops);
-                    let newly = self.admit_discoveries(&report.discovered, false, ctx);
-                    if !newly.is_empty() {
+                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
                         let k = self.tree.deepest_level();
                         ctx.charge(self.tree.mask_level(k, &newly));
                     }
@@ -385,11 +411,11 @@ impl Protocol for GearedProtocol {
                     .rep
                     .store_intermediates(|q| claims[q.index()].at(0, domain));
                 ctx.charge(ops);
+                self.claims = recycle(claims);
                 if self.modified {
                     let report = self.rep.discover_root(t, &self.faults);
                     ctx.charge(report.ops);
-                    let newly = self.admit_discoveries(&report.discovered, false, ctx);
-                    if !newly.is_empty() {
+                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
                         ctx.charge(self.rep.mask_intermediates(&newly));
                     }
                 }
@@ -400,18 +426,21 @@ impl Protocol for GearedProtocol {
             }
 
             RoundAction::RepGather => {
-                let own: Vec<Value> = self.rep.intermediates().to_vec();
+                let mut own = std::mem::take(&mut self.own);
+                own.clear();
+                own.extend_from_slice(self.rep.intermediates());
                 let claims = self.claims(inbox, &own);
                 let ops = self
                     .rep
                     .store_leaves(|w, r| claims[r.index()].at(w, domain));
                 ctx.charge(ops);
+                self.claims = recycle(claims);
+                self.own = own;
                 self.note_peak();
                 if self.modified {
                     let report = self.rep.discover_intermediates(t, &self.faults);
                     ctx.charge(report.ops);
-                    let newly = self.admit_discoveries(&report.discovered, false, ctx);
-                    if !newly.is_empty() {
+                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
                         ctx.charge(self.rep.mask_leaves(&newly));
                     }
                 }

@@ -18,7 +18,7 @@
 //! discovery runs on the resulting tree, then the newly discovered
 //! processors' current-round messages are masked.
 
-use sg_sim::{ProcessId, ProcessSet};
+use sg_sim::ProcessId;
 
 use crate::fault_list::FaultList;
 use crate::resolve::{majority_with_count, Converted};
@@ -66,15 +66,15 @@ fn node_violates<T: Eq + Copy>(
 /// One level's worth of the rule: node `i` of the parent level blames
 /// `blamed[i]` over its children `children[i·w..(i+1)·w]`, whose senders
 /// are `child_labels[i·w..(i+1)·w]`. A flat pass over three parallel
-/// slices; `flagged` carries discoveries across calls so a processor is
-/// reported once.
+/// slices; `report` carries discoveries across calls so a processor is
+/// reported once (the list holds at most `n` names and is usually empty,
+/// so nothing is allocated until somebody is blamed).
 fn discover_level<T: Eq + Copy>(
     blamed: &[u8],
     children: &[T],
     child_labels: &[u8],
     t: usize,
     snapshot: &FaultList,
-    flagged: &mut ProcessSet,
     report: &mut DiscoveryReport,
 ) {
     debug_assert_eq!(children.len(), child_labels.len());
@@ -86,11 +86,10 @@ fn discover_level<T: Eq + Copy>(
         .zip(child_labels.chunks_exact(width));
     for (&r, (children, labels)) in blamed.iter().zip(nodes) {
         let r = ProcessId(r as usize);
-        if snapshot.contains(r) || flagged.contains(r) {
+        if snapshot.contains(r) || report.discovered.contains(&r) {
             continue;
         }
         if node_violates(children, labels, budget, snapshot) {
-            flagged.insert(r);
             report.discovered.push(r);
         }
     }
@@ -117,7 +116,6 @@ pub fn discover_ig(tree: &IgTree, t: usize, snapshot: &FaultList) -> DiscoveryRe
         tree.labels(deepest),
         t,
         snapshot,
-        &mut ProcessSet::new(tree.shape().n()),
         &mut report,
     );
     report.discovered.sort_unstable();
@@ -144,7 +142,6 @@ pub fn discover_during_conversion(
         "converted tree must match the gathered tree"
     );
     let mut report = DiscoveryReport::default();
-    let mut flagged = ProcessSet::new(tree.shape().n());
     for k in 0..tree.deepest_level() {
         discover_level(
             tree.labels(k),
@@ -152,7 +149,6 @@ pub fn discover_during_conversion(
             tree.labels(k + 1),
             t,
             snapshot,
-            &mut flagged,
             &mut report,
         );
     }

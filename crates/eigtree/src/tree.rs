@@ -35,14 +35,23 @@ pub struct IgTree {
     shape: Shape,
     /// The process-wide label table of `shape`.
     labels: Arc<LabelTable>,
+    /// Level buffers: the first `depth` are the stored levels, the rest
+    /// are kept (at most [`RECYCLE_CAP`] values each) for the levels
+    /// stored next.
     levels: Vec<Vec<Value>>,
+    depth: usize,
 }
+
+/// The largest level buffer (in values) a tree keeps for reuse: 512
+/// bytes, room for the root and the `n − 1` echoes — all an early-stopped
+/// run stores — at any `n ≤ 257`. Deeper levels are dropped as before.
+const RECYCLE_CAP: usize = 256;
 
 /// Trees are equal when they have the same shape and store the same
 /// values; the label table is a function of the shape.
 impl PartialEq for IgTree {
     fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.levels == other.levels
+        self.shape == other.shape && self.stored() == other.stored()
     }
 }
 
@@ -57,7 +66,13 @@ impl IgTree {
             shape,
             labels: LabelTable::shared(shape),
             levels: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// The stored levels, root first.
+    fn stored(&self) -> &[Vec<Value>] {
+        &self.levels[..self.depth]
     }
 
     /// The tree's shape arithmetic.
@@ -74,11 +89,13 @@ impl IgTree {
     /// Restores the tree to its just-constructed (empty) state for `n`
     /// processors and `source`.
     ///
-    /// The level storage is dropped, not retained: each run allocates its
-    /// handful of levels at exact capacity, which measured no slower than
-    /// recycling them and keeps a pooled instance from pinning its deepest
-    /// level between runs. What a pooled instance does keep is its handle
-    /// on the shared label table while the shape is unchanged.
+    /// Level buffers of at most `RECYCLE_CAP` values are kept for the next
+    /// run: a run the echo rule ends at round 2 stores only the root and
+    /// `n − 1` echoes, and allocating those two was a measurable share of
+    /// it. Larger levels are dropped — on a full schedule allocating them
+    /// at exact capacity measured no slower than recycling, and a pooled
+    /// instance must not pin its deepest level between runs. The handle on
+    /// the shared label table is kept while the shape is unchanged.
     ///
     /// # Panics
     ///
@@ -89,14 +106,38 @@ impl IgTree {
             self.shape = shape;
             self.labels = LabelTable::shared(shape);
         }
-        self.levels.clear();
+        self.clear_levels();
+    }
+
+    /// Empties the tree, keeping its small level buffers where they are
+    /// (the next root reuses the old root's) and dropping the rest.
+    fn clear_levels(&mut self) {
+        self.levels.retain(|level| level.capacity() <= RECYCLE_CAP);
+        self.depth = 0;
+    }
+
+    /// Stores a new deepest level of `len` default values (over the two
+    /// fields, so a caller can hold the label table beside it).
+    fn push_level<'a>(
+        levels: &'a mut Vec<Vec<Value>>,
+        depth: &mut usize,
+        len: usize,
+    ) -> &'a mut [Value] {
+        if *depth == levels.len() {
+            levels.push(Vec::new());
+        }
+        let level = &mut levels[*depth];
+        *depth += 1;
+        level.clear();
+        level.resize(len, Value::DEFAULT);
+        level
     }
 
     /// Stores the root value (`tree(s)`, the preferred value); resets the
     /// tree to a single level.
     pub fn set_root(&mut self, v: Value) {
-        self.levels.clear();
-        self.levels.push(vec![v]);
+        self.clear_levels();
+        Self::push_level(&mut self.levels, &mut self.depth, 1)[0] = v;
     }
 
     /// The root value (`tree(s)`).
@@ -105,7 +146,7 @@ impl IgTree {
     ///
     /// Panics if no root has been stored yet.
     pub fn root(&self) -> Value {
-        self.levels[0][0]
+        self.stored()[0][0]
     }
 
     /// The deepest stored level number (0 = only the root).
@@ -114,23 +155,23 @@ impl IgTree {
     ///
     /// Panics if the tree is empty.
     pub fn deepest_level(&self) -> usize {
-        assert!(!self.levels.is_empty(), "tree has no levels");
-        self.levels.len() - 1
+        assert!(self.depth > 0, "tree has no levels");
+        self.depth - 1
     }
 
     /// Whether any level has been stored.
     pub fn is_initialized(&self) -> bool {
-        !self.levels.is_empty()
+        self.depth > 0
     }
 
     /// The values of level `k` in canonical order.
     pub fn level(&self, k: usize) -> &[Value] {
-        &self.levels[k]
+        &self.stored()[k]
     }
 
     /// Total stored nodes across all levels.
     pub fn node_count(&self) -> u64 {
-        self.levels.iter().map(|l| l.len() as u64).sum()
+        self.stored().iter().map(|l| l.len() as u64).sum()
     }
 
     /// Appends the next level from a round's messages.
@@ -153,10 +194,9 @@ impl IgTree {
     {
         let k = self.deepest_level();
         assert!(k + 1 < self.shape.n(), "level {k} is the tree's last");
-        let senders = self.labels.level(k + 1);
-        let mut level = vec![Value::DEFAULT; senders.len()];
         let width = self.shape.children_per_node(k);
-        let blocks = level
+        let senders = self.labels.level(k + 1);
+        let blocks = Self::push_level(&mut self.levels, &mut self.depth, senders.len())
             .chunks_exact_mut(width)
             .zip(senders.chunks_exact(width));
         for (parent_idx, (slots, block)) in blocks.enumerate() {
@@ -164,7 +204,6 @@ impl IgTree {
                 *slot = value_for(parent_idx, ProcessId(sender as usize));
             }
         }
-        self.levels.push(level);
         senders.len() as u64
     }
 
@@ -178,6 +217,7 @@ impl IgTree {
         if senders.is_empty() || k == 0 {
             return 0;
         }
+        assert!(k < self.depth, "level {k} is not stored");
         let level = &mut self.levels[k];
         for (value, &label) in level.iter_mut().zip(self.labels.level(k)) {
             if senders.contains(ProcessId(label as usize)) {
@@ -190,11 +230,8 @@ impl IgTree {
     /// The value stored at the node with the given label path, if within
     /// the stored levels and structurally valid.
     pub fn value_at(&self, path: &[ProcessId]) -> Option<Value> {
-        if path.len() >= self.levels.len() {
-            return None;
-        }
-        let idx = self.shape.index_of(path)?;
-        Some(self.levels[path.len()][idx])
+        let level = self.stored().get(path.len())?;
+        Some(level[self.shape.index_of(path)?])
     }
 
     /// Collapses the tree to a single root holding `v` — the data-shrink

@@ -104,8 +104,8 @@ fn tree_passes_allocate_per_level_not_per_node() {
     };
     // One level vector per append (plus the outer vector's growth).
     assert!(appends.iter().all(|&a| a <= 2), "{appends:?}");
-    // The flagged set.
-    assert_eq!((*discover, *during), (1, 1));
+    // Nobody is blamed, so nothing is recorded.
+    assert_eq!((*discover, *during), (0, 0));
     assert_eq!(*mask, 0);
     // One vector per converted level plus the outer one.
     assert_eq!(

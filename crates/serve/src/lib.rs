@@ -42,7 +42,7 @@
 //! ```
 //!
 //! The wire protocol is specified in [`wire`] and summarized in
-//! ROADMAP.md's conventions.
+//! `docs/WIRE.md`.
 
 #![warn(missing_docs)]
 

@@ -231,11 +231,13 @@ fn shutdown_op_stops_the_daemon() {
 
 /// A grid slow enough that a single worker is still mid-stream when the
 /// test reacts to its first frames — by construction, not by engine
-/// speed: every spec is a tree machine with no lock-step kernel, so each
-/// of the 3600 runs is a scalar execution gathering a whole EIG tree
-/// (tens to hundreds of microseconds optimized, about a millisecond
-/// unoptimized) whatever the king kernels do. The cheap Exponential
-/// cells come first so the stream starts promptly.
+/// speed: every spec is a tree machine with no lock-step kernel and the
+/// plan is fixed-length (under the echo rule these correct-source runs
+/// would all stop at round 2, a few microseconds each), so each of the
+/// 3600 runs is a scalar execution gathering a whole EIG tree (tens to
+/// hundreds of microseconds optimized, about a millisecond unoptimized)
+/// whatever the king kernels do. The cheap Exponential cells come first
+/// so the stream starts promptly.
 fn slow_plan() -> SweepPlan {
     SweepPlan::new(
         vec![
@@ -250,6 +252,7 @@ fn slow_plan() -> SweepPlan {
         ],
         400,
     )
+    .fixed_length()
 }
 
 fn tiny_plan() -> SweepPlan {

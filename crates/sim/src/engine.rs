@@ -36,12 +36,15 @@
 //! # Allocation discipline
 //!
 //! Large sweeps execute millions of rounds, so the round loop is
-//! allocation-lean: all per-round buffers (broadcast tables, the faulty
-//! payload matrix, the delivery inbox, the per-processor contexts) live
-//! in a [`RunArena`] that is recycled across rounds *and* across runs
-//! through a thread-local pool, and protocol *instances* are recycled
-//! through the arena's keyed [instance pool](PoolKey) via
-//! [`Protocol::reset`] — the factory is only consulted on a pool miss.
+//! allocation-lean: all per-round buffers (the [`RoundNet`] — broadcast
+//! tables, the faulty senders' payload rows, the delivery inbox — and the
+//! per-processor contexts) live in a [`RunArena`] that is recycled across
+//! rounds *and* across runs through a thread-local pool, and protocol
+//! *instances* are recycled through the arena's keyed
+//! [instance pool](PoolKey) via [`Protocol::reset`] — the factory is only
+//! consulted on a pool miss. Set-up and per-round bookkeeping are
+//! `O(t·n)`: a run touches the rows of its faulty senders and nothing
+//! else of the `n × n` payload matrix.
 //! Combined with [`Payload::into_shared`]'s interning of missing,
 //! single-bit and `⊥`-sentinel payloads, a steady-state binary-domain
 //! king round allocates nothing on the engine side.
@@ -320,6 +323,234 @@ impl Outcome {
     }
 }
 
+/// What stays fixed over the rounds of one execution — the part of an
+/// [`AdversaryView`] that is not the round's traffic.
+pub struct RunFrame<'a> {
+    /// The run's configuration.
+    pub config: &'a RunConfig,
+    /// The protocol's schedule ceiling (`Protocol::total_rounds`).
+    pub total_rounds: usize,
+    /// The corrupted set the adversary chose for this run.
+    pub faulty: &'a ProcessSet,
+    /// Signature registry handle (authenticated baselines only).
+    pub sigs: Option<Arc<Mutex<SigRegistry>>>,
+    /// [`Adversary::has_edge_faults`], latched once per run.
+    pub edge_faults: bool,
+}
+
+/// One lock-step round of `n` [`Protocol`] instances against one
+/// [`Adversary`] — steps 1–4 of the [module docs](self) — with the
+/// buffers it needs. [`run_into`] calls [`RoundNet::round`] once per
+/// round and `sg-core`'s gear kernel once per wide lane per round;
+/// [`crate::reference`] is the only other implementation.
+///
+/// Every cost is per *fault*, never per *pair*: only the rows of the
+/// run's faulty senders are written or read (each rewritten whole every
+/// round), and [`RoundNet::begin`] touches `O(n)` slots plus whatever the
+/// previous run's faulty rows still hold.
+#[derive(Default)]
+pub struct RoundNet {
+    honest: Vec<Option<Arc<Payload>>>,
+    shadow: Vec<Option<Arc<Payload>>>,
+    /// `rows[sender][recipient]`, filled for faulty senders only.
+    rows: Vec<Vec<Arc<Payload>>>,
+    inbox: Option<Inbox>,
+    /// The round's faulty processors, for the per-recipient fix-ups.
+    faulty_idx: Vec<usize>,
+}
+
+impl RoundNet {
+    /// Sizes the tables for `n` processors and drops every payload
+    /// retained from earlier rounds, so none outlives its run.
+    pub fn begin(&mut self, n: usize) {
+        self.honest.clear();
+        self.honest.resize(n, None);
+        self.shadow.clear();
+        self.shadow.resize(n, None);
+        self.rows.resize_with(n, Vec::new);
+        for row in &mut self.rows {
+            row.clear();
+        }
+        match &mut self.inbox {
+            Some(inbox) if inbox.n() == n => {
+                for j in 0..n {
+                    inbox.set_shared(ProcessId(j), Payload::shared_missing());
+                }
+            }
+            slot => *slot = Some(Inbox::empty(n)),
+        }
+    }
+
+    /// Executes round `round` for the `n` slots `protocols[i]` /
+    /// `ctxs[i]` and returns its honest-traffic accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`RoundNet::begin`] was not called for this `n`.
+    pub fn round<P: AsMut<dyn Protocol>>(
+        &mut self,
+        run: &RunFrame<'_>,
+        round: usize,
+        adversary: &mut dyn Adversary,
+        protocols: &mut [P],
+        ctxs: &mut [ProcCtx],
+    ) -> RoundStats {
+        let (config, faulty, edge_faults) = (run.config, run.faulty, run.edge_faults);
+        let n = config.n;
+        let RoundNet {
+            honest,
+            shadow,
+            rows,
+            inbox,
+            faulty_idx,
+        } = self;
+        let inbox = inbox.as_mut().expect("begin installed an inbox");
+        assert_eq!(inbox.n(), n, "begin sized the tables for another n");
+        faulty_idx.clear();
+        faulty_idx.extend(faulty.iter().map(ProcessId::index));
+        // Binary-domain runs that fit one mask word get packed ballots.
+        let pack = n <= 64 && config.domain.size() == 2;
+
+        // 1. Honest broadcasts and shadow broadcasts (shared, not cloned
+        // per recipient: EIG payloads are large). Both tables are fully
+        // overwritten every round, so reuse leaks nothing.
+        for i in 0..n {
+            ctxs[i].round = round;
+            let out = protocols[i]
+                .as_mut()
+                .outgoing(&mut ctxs[i])
+                .map(Payload::into_shared);
+            if faulty.contains(ProcessId(i)) {
+                shadow[i] = out;
+                honest[i] = None;
+            } else {
+                honest[i] = out;
+                shadow[i] = None;
+            }
+        }
+
+        // 2. Traffic accounting for honest senders (broadcast = n−1 messages).
+        let bits_per_value = config.domain.bits_per_value();
+        let mut stats = RoundStats {
+            round,
+            ..RoundStats::default()
+        };
+        for payload in honest.iter().flatten() {
+            let values = payload.num_values() as u64;
+            let bits = payload.bits(bits_per_value);
+            let fanout = (n - 1) as u64;
+            stats.honest_messages += fanout;
+            stats.honest_values += values * fanout;
+            stats.honest_bits += bits * fanout;
+            stats.max_message_values = stats.max_message_values.max(values);
+            stats.max_message_bits = stats.max_message_bits.max(bits);
+        }
+
+        // 3. Adversary chooses faulty payloads, seeing all honest traffic.
+        let view = AdversaryView {
+            round,
+            total_rounds: run.total_rounds,
+            n,
+            t: config.t,
+            source: config.source,
+            source_value: config.source_value,
+            domain: config.domain,
+            faulty,
+            honest_broadcast: &honest[..],
+            shadow_broadcast: &shadow[..],
+            sigs: run.sigs.clone(),
+        };
+        // Faulty payload matrix, `rows[sender][recipient]`: each faulty
+        // row is rewritten whole every round (the self slot with the
+        // interned missing payload) — senders ascending, recipients
+        // ascending, the `sg-trace/1` call order. No other row is read.
+        for &f in faulty_idx.iter() {
+            let row = &mut rows[f];
+            row.clear();
+            row.extend((0..n).map(|r| {
+                if r == f {
+                    Payload::shared_missing()
+                } else {
+                    adversary
+                        .payload(ProcessId(f), ProcessId(r), &view)
+                        .into_shared()
+                }
+            }));
+        }
+
+        // Base ballot masks over the honest table, shared by every
+        // recipient; faulty senders differ per recipient and are fixed
+        // up below.
+        let ballot = |p: &Payload| p.value_at(0).filter(|v| v.raw() <= 1);
+        let mut base = PackedBallots::default();
+        if pack && !edge_faults {
+            for (j, payload) in honest.iter().enumerate() {
+                if let Some(v) = payload.as_deref().and_then(ballot) {
+                    base.record(ProcessId(j), v);
+                }
+            }
+        }
+
+        // 4. Deliver complete inboxes to every processor (incl. shadows),
+        // reusing one inbox. Honest slots are identical for every
+        // recipient, so the inbox is filled completely only for the
+        // first recipient; each later recipient updates just the slots
+        // that differ — the previous recipient's self slot, its own self
+        // slot, and the per-recipient faulty rows (a row's self slot is
+        // the missing payload). Per-edge faults make honest slots
+        // recipient-dependent: then every inbox is filled completely and
+        // its ballot masks are read off its actual contents.
+        for i in 0..n {
+            let me = ProcessId(i);
+            if i == 0 || edge_faults {
+                for j in 0..n {
+                    let q = ProcessId(j);
+                    let payload = if i == j {
+                        Payload::shared_missing()
+                    } else if faulty.contains(q) {
+                        rows[j][i].clone()
+                    } else if edge_faults && adversary.edge_cut(q, me, &view) {
+                        Payload::shared_missing()
+                    } else {
+                        honest[j].clone().unwrap_or_else(Payload::shared_missing)
+                    };
+                    inbox.set_shared(q, payload);
+                }
+            } else {
+                let prev = ProcessId(i - 1);
+                if !faulty.contains(prev) {
+                    let sent = honest[i - 1].clone();
+                    inbox.set_shared(prev, sent.unwrap_or_else(Payload::shared_missing));
+                }
+                inbox.set_shared(me, Payload::shared_missing());
+                for &j in faulty_idx.iter() {
+                    inbox.set_shared(ProcessId(j), rows[j][i].clone());
+                }
+            }
+            if pack {
+                let mut ballots = base;
+                if edge_faults {
+                    for j in (0..n).map(ProcessId) {
+                        if let Some(v) = ballot(inbox.from(j)) {
+                            ballots.record(j, v);
+                        }
+                    }
+                } else {
+                    for &j in faulty_idx.iter() {
+                        if let Some(v) = ballot(&rows[j][i]) {
+                            ballots.record(ProcessId(j), v);
+                        }
+                    }
+                }
+                ballots.clear(me);
+                inbox.set_ballots(Some(ballots));
+            }
+            protocols[i].as_mut().deliver(inbox, &mut ctxs[i]);
+        }
+        stats
+    }
+}
+
 /// How many keyed instance sets an arena retains. Sweeps interleave at
 /// most a handful of `(spec, n, t)` cells per worker; a tiny MRU cache
 /// keeps them all warm without hoarding memory.
@@ -331,23 +562,18 @@ const INSTANCE_CACHE_CAP: usize = 4;
 ///
 /// One arena serves one execution at a time; [`run`] recycles arenas
 /// through a thread-local pool so back-to-back runs (the sweep engine's
-/// steady state) reuse the same heap blocks. All buffers are fully
-/// overwritten at the start of each use, so no state flows between
-/// consecutive runs — `tests/sweep_determinism.rs` and
-/// `tests/instance_pool.rs` pin this down.
+/// steady state) reuse the same heap blocks. A run overwrites whatever
+/// it goes on to read, so no state flows between consecutive runs —
+/// `tests/sweep_determinism.rs`, `tests/instance_pool.rs` and
+/// `tests/engine_identity.rs` (one arena, changing fault sets and sizes)
+/// pin this down.
 #[derive(Default)]
 pub struct RunArena {
-    honest: Vec<Option<Arc<Payload>>>,
-    shadow: Vec<Option<Arc<Payload>>>,
-    /// `rows[sender][recipient]`, used only for faulty senders.
-    rows: Vec<Vec<Arc<Payload>>>,
-    inbox: Option<Inbox>,
+    /// The round's tables and delivery inbox (see [`RoundNet`]).
+    net: RoundNet,
     /// Per-processor contexts, re-initialized every run (trace buffers
     /// keep their capacity).
     ctxs: Vec<ProcCtx>,
-    /// Indices of the run's faulty processors, for the packed-ballot
-    /// per-recipient fix-ups.
-    faulty_idx: Vec<usize>,
     /// Pooled protocol-instance sets, keyed by the configuration shape
     /// that produced them.
     instances: MruPool<PoolKey, Vec<Box<dyn Protocol>>, INSTANCE_CACHE_CAP>,
@@ -365,30 +591,6 @@ impl RunArena {
     /// across requests — use this to report warm-pool state.
     pub fn pooled_instance_sets(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Sizes every buffer for an `n`-processor run and clears payloads
-    /// retained from any previous run (dropping stale `Arc`s).
-    fn reset(&mut self, n: usize) {
-        self.honest.clear();
-        self.honest.resize(n, None);
-        self.shadow.clear();
-        self.shadow.resize(n, None);
-        self.rows.resize_with(n, Vec::new);
-        for row in &mut self.rows {
-            row.clear();
-            row.resize_with(n, Payload::shared_missing);
-        }
-        match &mut self.inbox {
-            Some(inbox) if inbox.n() == n => {
-                for j in 0..n {
-                    inbox.set_shared(ProcessId(j), Payload::shared_missing());
-                }
-                inbox.set_ballots(None);
-            }
-            slot => *slot = Some(Inbox::empty(n)),
-        }
-        self.faulty_idx.clear();
     }
 
     /// Drops the pooled instance set for `key`, if present, leaving every
@@ -496,10 +698,9 @@ pub fn run_into<F>(
     F: Fn(ProcessId) -> Box<dyn Protocol>,
 {
     let n = config.n;
-    arena.reset(n);
+    arena.net.begin(n);
     let faulty = adversary.corrupt(n, config.t, config.source);
     assert_eq!(faulty.universe(), n, "fault set universe must match n");
-    arena.faulty_idx.extend(faulty.iter().map(ProcessId::index));
 
     let sigs = config
         .authenticated
@@ -549,27 +750,16 @@ pub fn run_into<F>(
     out.metrics.reset_for(n);
     out.metrics.per_round.reserve_exact(total_rounds);
     let metrics = &mut out.metrics;
-    let bits_per_value = config.domain.bits_per_value();
-    // The bit-packed fast path applies to binary-domain runs that fit
-    // one mask word; see the module docs.
-    let pack = n <= 64 && config.domain.size() == 2;
     let early = config.early_stopping;
 
-    // Per-edge faults (partitions, honest-link omission) are latched
-    // once per run: the default `false` keeps delivery on the
-    // shared-inbox fast path with no per-round cost.
-    let edge_faults = adversary.has_edge_faults();
-
-    let RunArena {
-        honest,
-        shadow,
-        rows,
-        inbox,
-        ctxs,
-        faulty_idx,
-        ..
-    } = &mut *arena;
-    let inbox = inbox.as_mut().expect("arena reset installed an inbox");
+    let RunArena { net, ctxs, .. } = &mut *arena;
+    let frame = RunFrame {
+        config,
+        total_rounds,
+        faulty: &faulty,
+        sigs,
+        edge_faults: adversary.has_edge_faults(),
+    };
 
     // The dynamic run loop: rounds are issued one at a time, the schedule
     // decided by the processors' `next_action` votes after each round —
@@ -583,170 +773,10 @@ pub fn run_into<F>(
             break round;
         }
         round += 1;
-        for ctx in ctxs.iter_mut() {
-            ctx.round = round;
-        }
 
-        // 1. Honest broadcasts and shadow broadcasts (shared, not cloned
-        // per recipient: EIG payloads are large). Both tables are fully
-        // overwritten every round, so arena reuse leaks nothing.
-        for i in 0..n {
-            let p = ProcessId(i);
-            let out = protocols[i]
-                .outgoing(&mut ctxs[i])
-                .map(Payload::into_shared);
-            if faulty.contains(p) {
-                shadow[i] = out;
-                honest[i] = None;
-            } else {
-                honest[i] = out;
-                shadow[i] = None;
-            }
-        }
-
-        // 2. Traffic accounting for honest senders (broadcast = n−1 messages).
-        let mut stats = RoundStats {
-            round,
-            ..RoundStats::default()
-        };
-        for payload in honest.iter().flatten() {
-            let values = payload.num_values() as u64;
-            let bits = payload.bits(bits_per_value);
-            let fanout = (n - 1) as u64;
-            stats.honest_messages += fanout;
-            stats.honest_values += values * fanout;
-            stats.honest_bits += bits * fanout;
-            stats.max_message_values = stats.max_message_values.max(values);
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-        }
+        // 1–4. Outgoing, accounting, the adversary's rows, delivery.
+        let stats = net.round(&frame, round, adversary, &mut protocols, ctxs);
         metrics.per_round.push(stats);
-
-        // 3. Adversary chooses faulty payloads, seeing all honest traffic.
-        let view = AdversaryView {
-            round,
-            total_rounds,
-            n,
-            t: config.t,
-            source: config.source,
-            source_value: config.source_value,
-            domain: config.domain,
-            faulty: &faulty,
-            honest_broadcast: &honest[..],
-            shadow_broadcast: &shadow[..],
-            sigs: sigs.clone(),
-        };
-        // Faulty payload matrix, `rows[sender][recipient]`: every slot of
-        // each faulty row is overwritten every round (the self slot with
-        // the interned missing payload), so row reuse leaks nothing.
-        // Honest rows are never read.
-        for f in faulty.iter() {
-            for r in 0..n {
-                rows[f.index()][r] = if r == f.index() {
-                    Payload::shared_missing()
-                } else {
-                    adversary.payload(f, ProcessId(r), &view).into_shared()
-                };
-            }
-        }
-
-        // Base ballot masks over the honest table, shared by every
-        // recipient; faulty senders differ per recipient and are fixed
-        // up below.
-        let mut base = PackedBallots::default();
-        if pack && !edge_faults {
-            for (j, payload) in honest.iter().enumerate() {
-                if let Some(v) = payload.as_ref().and_then(|p| p.value_at(0)) {
-                    if v.raw() <= 1 {
-                        base.record(ProcessId(j), v);
-                    }
-                }
-            }
-        }
-
-        // 4. Deliver complete inboxes to every processor (incl. shadows),
-        // reusing one inbox. Honest slots are identical for every
-        // recipient, so the inbox is filled completely only for the
-        // first recipient; each later recipient updates just the slots
-        // that differ — the previous recipient's self slot, its own self
-        // slot, and the per-recipient faulty rows.
-        for i in 0..n {
-            if edge_faults {
-                // Per-edge faults make honest slots recipient-dependent,
-                // so every inbox is filled completely and the ballot
-                // masks are recomputed from its actual contents (no
-                // shared base, no delta updates).
-                let mut ballots = PackedBallots::default();
-                for j in 0..n {
-                    let q = ProcessId(j);
-                    let payload = if i == j {
-                        Payload::shared_missing()
-                    } else if faulty.contains(q) {
-                        rows[j][i].clone()
-                    } else if adversary.edge_cut(q, ProcessId(i), &view) {
-                        Payload::shared_missing()
-                    } else {
-                        honest[j].clone().unwrap_or_else(Payload::shared_missing)
-                    };
-                    if pack && j != i {
-                        if let Some(v) = payload.value_at(0) {
-                            if v.raw() <= 1 {
-                                ballots.record(q, v);
-                            }
-                        }
-                    }
-                    inbox.set_shared(q, payload);
-                }
-                if pack {
-                    inbox.set_ballots(Some(ballots));
-                }
-                protocols[i].deliver(inbox, &mut ctxs[i]);
-                continue;
-            }
-            if i == 0 {
-                for j in 0..n {
-                    let q = ProcessId(j);
-                    let payload = if i == j {
-                        Payload::shared_missing()
-                    } else if faulty.contains(q) {
-                        rows[j][i].clone()
-                    } else {
-                        honest[j].clone().unwrap_or_else(Payload::shared_missing)
-                    };
-                    inbox.set_shared(q, payload);
-                }
-            } else {
-                let prev = ProcessId(i - 1);
-                if !faulty.contains(prev) {
-                    inbox.set_shared(
-                        prev,
-                        honest[i - 1]
-                            .clone()
-                            .unwrap_or_else(Payload::shared_missing),
-                    );
-                }
-                inbox.set_shared(ProcessId(i), Payload::shared_missing());
-                for &j in faulty_idx.iter() {
-                    if j != i {
-                        inbox.set_shared(ProcessId(j), rows[j][i].clone());
-                    }
-                }
-            }
-            if pack {
-                let mut ballots = base;
-                for &j in faulty_idx.iter() {
-                    if i != j {
-                        if let Some(v) = rows[j][i].value_at(0) {
-                            if v.raw() <= 1 {
-                                ballots.record(ProcessId(j), v);
-                            }
-                        }
-                    }
-                }
-                ballots.clear(ProcessId(i));
-                inbox.set_ballots(Some(ballots));
-            }
-            protocols[i].deliver(inbox, &mut ctxs[i]);
-        }
 
         // 5. Peak-space sampling (honest processors only).
         for i in 0..n {

@@ -73,7 +73,9 @@ pub use batch::{
     run_batch, run_batch_with, BatchAdversary, BatchArena, BatchKernel, BatchNet, BatchRunResult,
     LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
 };
-pub use engine::{run, run_into, run_pooled, Outcome, PoolKey, RunArena, RunConfig};
+pub use engine::{
+    run, run_into, run_pooled, Outcome, PoolKey, RoundNet, RunArena, RunConfig, RunFrame,
+};
 pub use id::{ProcessId, ProcessSet};
 pub use metrics::{Metrics, RoundStats};
 pub use payload::{Payload, SmallWords};

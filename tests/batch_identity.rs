@@ -277,6 +277,43 @@ fn one_gear_batch_holds_retiring_seeding_and_deferring_lanes() {
     }
 }
 
+/// Adjacent wide lanes with different fault sets. The gear kernel runs
+/// every lane's prefix round through one shared set of round tables
+/// (`sg_sim::RoundNet`), which rewrites only the rows of the lane's own
+/// faulty senders: lane `k` leaves rows behind that lane `k + 1` must not
+/// read. So the seed picks the set — three low ids, three high ids, the
+/// source and two high ids, nobody — and neighbouring lanes never share
+/// one; random lies differ per (seed, sender, recipient), so a row read
+/// from the wrong lane cannot pass for the right one. Fixed-length too,
+/// where every lane stays wide for the whole prefix.
+#[test]
+fn adjacent_wide_lanes_keep_their_own_fault_rows() {
+    let n = 13;
+    let fault_set = |seed: u64| -> Vec<usize> {
+        match seed % 4 {
+            0 => vec![1, 2, 3],
+            1 => vec![10, 11, 12],
+            2 => vec![0, 11, 12],
+            _ => vec![],
+        }
+    };
+    assert!((0..16).all(|seed| fault_set(seed) != fault_set(seed + 1)));
+    let per_lane_faults =
+        AdversaryFamily::new("random-liar(set by seed)".to_string(), move |seed| {
+            let members = fault_set(seed).into_iter().map(ProcessId);
+            Box::new(RandomLiar::new(FaultSelection::explicit(members), seed))
+        });
+    for spec in [
+        AlgorithmSpec::KingShift { b: 3 },
+        AlgorithmSpec::DynamicKing { b: 3 },
+    ] {
+        let config = SweepConfig::traced(spec, n, spec.max_resilience(n));
+        let early = SweepPlan::new(vec![config], vec![per_lane_faults.clone()], 16);
+        assert_rounds_spread(&assert_engines_agree(&early));
+        assert_engines_agree(&early.fixed_length());
+    }
+}
+
 /// Worker count and batching compose: a mixed grid (kernel cell +
 /// tree cell; a vector-path family, and an edge-faulting one that bails
 /// the kernel out to the scalar engine; the oracle adds the bridged leg)

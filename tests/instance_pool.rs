@@ -375,3 +375,47 @@ fn an_echo_verdict_does_not_survive_reset() {
         assert_same_outcome(&spec.name(), &fresh, &warm);
     }
 }
+
+/// One arena, consecutive runs whose fault sets and sizes change: `t`
+/// faults, then none, then a disjoint set, then one holding the source,
+/// with `n` going 10 → 32 → 10. The arena sets up only what a run's own
+/// fault set will read, so this is the bug class that can introduce: a
+/// payload row, inbox slot or fault index left by an earlier run and read
+/// by a later one. Random lies differ per (seed, sender, recipient), so a
+/// stale one cannot pass for a fresh one; every run is held to the
+/// reference engine, which keeps nothing.
+#[test]
+fn one_arena_survives_changing_fault_sets_and_sizes() {
+    let ids = |members: &[usize]| FaultSelection::explicit(members.iter().map(|&i| ProcessId(i)));
+    let steps = [
+        (10, FaultSelection::without_source()),
+        (10, FaultSelection::without_source().limit(0)),
+        (10, ids(&[7, 8, 9])),
+        (10, FaultSelection::with_source()),
+        (32, ids(&[5, 30, 31])),
+        (32, FaultSelection::without_source().limit(0)),
+        (10, ids(&[4, 5, 6])),
+    ];
+    for spec in [
+        AlgorithmSpec::KingShift { b: 3 },
+        AlgorithmSpec::OptimalKing,
+    ] {
+        for fixed in [false, true] {
+            let mut arena = RunArena::new();
+            let mut out = Outcome::buffer();
+            for (step, (n, selection)) in steps.iter().enumerate() {
+                let mut config = RunConfig::new(*n, 3)
+                    .with_source_value(Value(1))
+                    .with_trace();
+                config.early_stopping = !fixed;
+                let liar = || RandomLiar::new(selection.clone(), 40 + step as u64);
+                let factory = spec.factory(&config);
+                let key = Some(spec.pool_key(&config));
+                run_into(&mut arena, &config, &mut liar(), key, &factory, &mut out);
+                let fresh = reference::run(&config, &mut liar(), &factory);
+                let label = format!("{} fixed={fixed} step {step}", spec.name());
+                assert_same_outcome(&label, &fresh, &out);
+            }
+        }
+    }
+}
