@@ -65,7 +65,7 @@ use sg_adversary::{
     VectorFamily,
 };
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
-use sg_core::{batch_kernel, gear_batch_kernel, king_batch_kernel, AlgorithmSpec};
+use sg_core::{batch_kernel, gear_batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
@@ -308,7 +308,7 @@ fn bench_batch_runs(c: &mut Criterion) {
     let mut batch_arena = BatchArena::new();
     group.bench_function("batch/lock-step-64", |b| {
         b.iter(|| {
-            let mut kernel = king_batch_kernel(&spec, &config).expect("eligible cell");
+            let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
             let mut adversaries: Vec<Box<dyn Adversary>> = (0..MAX_BATCH_RUNS as u64)
                 .map(|seed| {
                     Box::new(RandomLiar::new(FaultSelection::without_source(), seed))
@@ -318,7 +318,7 @@ fn bench_batch_runs(c: &mut Criterion) {
             assert!(run_batch(
                 &mut batch_arena,
                 &config,
-                &mut kernel,
+                kernel.as_mut(),
                 &mut adversaries
             ));
         });
@@ -413,26 +413,26 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     for (name, vector, make_lane) in cases {
         group.bench_function(format!("batch-adversary/{name}-bridge"), |b| {
             b.iter(|| {
-                let mut kernel = king_batch_kernel(&spec, &config).expect("eligible cell");
+                let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
                 let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
                 let mut bridge = ScalarBridge(&mut lanes);
                 assert!(run_batch_with(
                     &mut batch_arena,
                     &config,
-                    &mut kernel,
+                    kernel.as_mut(),
                     &mut bridge
                 ));
             });
         });
         group.bench_function(format!("batch-adversary/{name}-vector"), |b| {
             b.iter(|| {
-                let mut kernel = king_batch_kernel(&spec, &config).expect("eligible cell");
+                let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
                 let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
                 let mut batch = BatchFamily::new(vector, &selection, &mut lanes);
                 assert!(run_batch_with(
                     &mut batch_arena,
                     &config,
-                    &mut kernel,
+                    kernel.as_mut(),
                     &mut batch
                 ));
             });

@@ -59,10 +59,7 @@
 use std::fmt;
 
 use sg_eigtree::Conversion;
-use sg_sim::{
-    GearAction, Inbox, Payload, PoolKey, ProcCtx, ProcessId, Protocol, RoundStatus, RunConfig,
-    Value,
-};
+use sg_sim::{PoolKey, ProcessId, Protocol, RunConfig, Value};
 
 use crate::gearbox::{Checkpoint, GearBox, GearPlan};
 use crate::geared::GearedProtocol;
@@ -293,28 +290,31 @@ impl ShiftComposition {
         format!("{kind}[{}]", parts.join("->"))
     }
 
-    /// Builds the protocol instance for processor `me`.
+    /// Builds the protocol instance for processor `me`: a [`GearBox`]
+    /// driving the tree machine through the A/B/C segments plus an
+    /// optional king tail, with the fault list carried across the final
+    /// shift as masks (the paper's auxiliary-structure rule). A dynamic
+    /// composition's box also votes to shift into the escape tail at its
+    /// interior block boundaries (see [`crate::gearbox`]).
     ///
     /// `input` must be `Some` exactly when `me` is the source.
-    pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> ComposedProtocol {
+    pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> GearBox {
         let geared = GearedProtocol::new(params, me, input, self.name(), true, self.plan.clone());
         // The king core exists when the static plan ends in a king tail
         // or the composition is dynamic (the tail is the escape target).
         let king = (self.king_tail || self.dynamic).then(|| KingCore::new(params, me));
-        ComposedProtocol {
-            gear: GearBox::new(
-                input,
-                geared,
-                king,
-                GearPlan {
-                    static_tail: self.king_tail,
-                    phases: self.t + 1,
-                    tail_label: "composition -> phase-king",
-                    checkpoints: self.checkpoints.clone(),
-                    t: self.t,
-                },
-            ),
-        }
+        GearBox::new(
+            input,
+            geared,
+            king,
+            GearPlan {
+                static_tail: self.king_tail,
+                phases: self.t + 1,
+                tail_label: "composition -> phase-king",
+                checkpoints: self.checkpoints.clone(),
+                t: self.t,
+            },
+        )
     }
 
     /// The instance-pool key for this composition under `config`: the
@@ -774,75 +774,6 @@ fn push_block(plan: &mut Vec<RoundAction>, b: usize, convert: ConvertSpec) {
     plan.push(RoundAction::Gather {
         convert: Some(convert),
     });
-}
-
-/// A running instance of a [`ShiftComposition`]: a [`GearBox`] driving
-/// the tree machine through the A/B/C segments plus an optional king
-/// tail, with the fault list carried across the final shift as masks
-/// (the paper's auxiliary-structure rule). Dynamic compositions
-/// additionally vote to shift into the escape tail at their interior
-/// block boundaries (see [`crate::gearbox`]).
-pub struct ComposedProtocol {
-    gear: GearBox,
-}
-
-impl ComposedProtocol {
-    /// The tree-machine prefix (inspection hook).
-    pub fn prefix(&self) -> &GearedProtocol {
-        self.gear.prefix()
-    }
-
-    /// The underlying gear box (inspection hook).
-    pub fn gear(&self) -> &GearBox {
-        &self.gear
-    }
-}
-
-impl Protocol for ComposedProtocol {
-    fn total_rounds(&self) -> usize {
-        self.gear.worst_case_rounds()
-    }
-
-    fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
-        self.gear.outgoing(ctx)
-    }
-
-    fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
-        self.gear.deliver(inbox, ctx)
-    }
-
-    fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
-        self.gear.decide(ctx)
-    }
-
-    fn space_nodes(&self) -> u64 {
-        self.gear.space_nodes()
-    }
-
-    /// Forwards the active sub-plan's status through the gear box: the
-    /// tree-machine prefix reports its echo rule at every block's first
-    /// gather (see [`GearedProtocol`]) until a king tail is seeded, and a
-    /// running tail reports [`KingCore::is_ready`]. The source is always
-    /// ready; compositions without a king tail stop on the echo rule
-    /// alone.
-    fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
-        self.gear.round_status(ctx)
-    }
-
-    fn next_action(&self, ctx: &ProcCtx) -> GearAction {
-        self.gear.next_action(ctx)
-    }
-
-    fn shift_gear(&mut self, ctx: &mut ProcCtx) {
-        self.gear.shift_gear(ctx)
-    }
-
-    fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
-        // The compiled plan, checkpoints and phase count are fixed by
-        // the pool key (segment sequence + dynamic flag + t); the gear
-        // box resets the prefix machine and king core in place.
-        self.gear.reset(id, config)
-    }
 }
 
 #[cfg(test)]

@@ -7,22 +7,22 @@
 //!
 //! * The Algorithm A *tree prefix* exchanges multi-value tree levels, so
 //!   it cannot be one bit per lane. The kernel runs it **wide**: one real
-//!   per-lane, per-slot protocol instance ([`KingShift`] /
-//!   [`DynamicKing`]), and each [`BatchKernel::wide_round`] *is* the
+//!   per-lane, per-slot [`GearBox`] ([`KingShift::build`] /
+//!   [`DynamicKing::build`]), and each [`BatchKernel::wide_round`] *is* the
 //!   scalar engine's round — [`RoundNet::round`], the function
 //!   `sg_sim::run_into` loops over — called once per wide lane with that
 //!   lane's instances, fault set and scalar adversary. The kernel keeps
 //!   no tables or inbox of its own, so the `sg-trace/1` call order and
 //!   the engine's per-fault costs hold here by construction.
 //! * The king *tail* is single-bit broadcasts and threshold tallies —
-//!   exactly [`KingBatchKernel`](crate::KingBatchKernel)'s shape — so
-//!   once a lane's gear box seeds its tail, the lane moves to the
-//!   **narrow** bitwise path: its slot state becomes lane-mask words and
-//!   every subsequent round costs full-width bitwise ops. The one
-//!   addition over the `optimal-king` kernel is the carried fault masks:
-//!   senders a processor globally detected during its A block read as
-//!   zero/⊥/default in the tail tallies, via a per-(recipient, sender)
-//!   lane mask.
+//!   the three-round row of the king kernel ([`PhaseKernel`]) — so once
+//!   a lane's gear box seeds its tail, the lane moves to the **narrow**
+//!   bitwise path: its slot state becomes that kernel's lane words and
+//!   every subsequent round is one of its phase steps. The one addition
+//!   over `optimal-king` is the carried fault masks: senders a processor
+//!   globally detected during its A block read as zero/⊥/default in the
+//!   tail tallies, via a per-(recipient, sender) lane mask handed to
+//!   every step.
 //!
 //! A lane can also end *inside* its wide prefix: when every correct slot
 //! of an unseeded lane reports the tree machine's echo rule satisfied
@@ -35,71 +35,37 @@
 //! Lanes seed their tails at different rounds — `king-shift`
 //! statically, `dynamic-king` whenever a lane's checkpoint vote commits
 //! — so tail lanes are grouped into *cohorts* by seed round, each cohort
-//! stepping through its own `exchange → propose → king` schedule. The
-//! dynamic gear-commit rule is per lane: a lane whose correct
-//! processors **unanimously** vote shift at a checkpoint commits in
-//! batch (the scalar engine's `all_shift` dispatch, verbatim); a lane
-//! whose votes *diverge* retires through [`WideRound::deferred`] and is
-//! re-run by the caller on the scalar engine — the batch path stays a
-//! fast path, never a semantic change.
+//! stepping the king kernel through its own `exchange → propose → king`
+//! schedule over the cohort's lane mask. The dynamic gear-commit rule is
+//! per lane: a lane whose correct processors **unanimously** vote shift
+//! at a checkpoint commits in batch (the scalar engine's `all_shift`
+//! dispatch, verbatim); a lane whose votes *diverge* retires through
+//! [`WideRound::deferred`] and is re-run by the caller on the scalar
+//! engine — the batch path stays a fast path, never a semantic change.
 
-use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneCounts, WideRound};
+use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, WideRound};
 use sg_sim::{
     GearAction, ProcCtx, ProcessId, Protocol, RoundNet, RoundStatus, RunConfig, RunFrame, Value,
 };
 
 use crate::gearbox::{DynamicKing, GearBox};
-use crate::king_batch::{exchange_rule, propose_rule};
 use crate::king_shift::KingShift;
-use crate::params::{phase_leader, Params};
-use crate::phase_batch::{batch_eligible, lane_commit};
+use crate::optimal_king::{KingRow, PhaseStep};
+use crate::params::Params;
+use crate::phase_batch::{batch_eligible, PhaseKernel};
 use crate::plan::RoundAction;
 use crate::spec::AlgorithmSpec;
 
-/// One lane-slot's scalar machine for the wide prefix.
-enum GearInstance {
-    Shift(KingShift),
-    Dynamic(DynamicKing),
-}
-
-impl GearInstance {
-    fn gear(&self) -> &GearBox {
-        match self {
-            GearInstance::Shift(p) => p.gear(),
-            GearInstance::Dynamic(p) => p.gear(),
-        }
-    }
-
-    fn proto(&self) -> &dyn Protocol {
-        match self {
-            GearInstance::Shift(p) => p,
-            GearInstance::Dynamic(p) => p,
-        }
-    }
-}
-
-impl AsMut<dyn Protocol> for GearInstance {
-    fn as_mut(&mut self) -> &mut (dyn Protocol + 'static) {
-        match self {
-            GearInstance::Shift(p) => p,
-            GearInstance::Dynamic(p) => p,
-        }
-    }
-}
-
 /// Mixed-width lane state for one batch of `king-shift` or
-/// `dynamic-king` runs: scalar prefix instances per (lane, slot) while a
-/// lane's A block runs, [`KingBatchKernel`](crate::KingBatchKernel)-style
-/// lane words plus carried fault masks once its king tail is seeded.
+/// `dynamic-king` runs: a scalar [`GearBox`] per (lane, slot) while a
+/// lane's A block runs, the king kernel's lane words plus carried fault
+/// masks once its king tail is seeded.
 pub struct GearBatchKernel {
     config: RunConfig,
     params: Params,
     b: usize,
     dynamic: bool,
     n: usize,
-    t: usize,
-    source: usize,
-    input_one: u64,
     total: usize,
     phases: usize,
     /// Rounds at which the prefix's block conversions land (the scalar
@@ -109,7 +75,7 @@ pub struct GearBatchKernel {
     checkpoint_rounds: Vec<usize>,
     lanes: usize,
     /// Flat `[lane * n + slot]` scalar machines and contexts.
-    instances: Vec<GearInstance>,
+    instances: Vec<GearBox>,
     ctxs: Vec<ProcCtx>,
     /// Lanes still running their wide prefix.
     prefix_lanes: u64,
@@ -117,12 +83,10 @@ pub struct GearBatchKernel {
     cohorts: Vec<(usize, u64)>,
     /// The prefix lanes handled by the most recent `wide_round`.
     last_wide: u64,
-    // Tail lane words, one per slot (see `KingBatchKernel`).
-    current: Vec<u64>,
-    prop_some: Vec<u64>,
-    prop_one: Vec<u64>,
-    locked: Vec<u64>,
-    ready_mask: Vec<u64>,
+    /// The tail lane words, and the phase steps that move them. Its
+    /// `current` and `ready` also hold the decisions and ready bits of
+    /// lanes retired in their prefix.
+    king: PhaseKernel,
     /// `masked[i * n + j]`: lanes in which recipient `i` carries sender
     /// `j` on its fault mask from the A block.
     masked: Vec<u64>,
@@ -137,26 +101,28 @@ pub struct GearBatchKernel {
 }
 
 impl GearBatchKernel {
-    /// The king of 0-based `phase`: the `phase`-th processor id, skipping
-    /// the source — identical to [`KingCore::king`](crate::KingCore::king).
-    fn king(&self, phase: usize) -> usize {
-        phase_leader(self.n, self.source, phase)
-    }
-
     fn build_instances(&mut self) {
         self.instances.clear();
         self.instances.reserve(self.lanes * self.n);
+        let build = if self.dynamic {
+            DynamicKing::build
+        } else {
+            KingShift::build
+        };
         for _ in 0..self.lanes {
             for i in 0..self.n {
                 let me = ProcessId(i);
-                let input = (i == self.source).then_some(self.config.source_value);
-                self.instances.push(if self.dynamic {
-                    GearInstance::Dynamic(DynamicKing::new(self.params, me, input, self.b))
-                } else {
-                    GearInstance::Shift(KingShift::new(self.params, me, input, self.b))
-                });
+                let input = (me == self.config.source).then_some(self.config.source_value);
+                self.instances.push(build(self.params, me, input, self.b));
             }
         }
+    }
+
+    /// The tail step a cohort seeded at round `start` runs in `round`:
+    /// none before its first or after its last.
+    fn tail_step(&self, start: usize, round: usize) -> Option<(usize, PhaseStep)> {
+        let i = round.checked_sub(start + 1)?;
+        (i < 3 * self.phases).then(|| KingRow::ThreeRound.locate(i))
     }
 
     /// Takes `lane` off the wide path, banking its prefix accounting for
@@ -169,7 +135,7 @@ impl GearBatchKernel {
         for i in 0..self.n {
             max_ops = max_ops.max(self.ctxs[base + i].ops());
             if !fault_set.contains(ProcessId(i)) {
-                let prefix = self.instances[base + i].gear().prefix();
+                let prefix = self.instances[base + i].prefix();
                 disc += prefix.fault_list().len() as u64;
             }
         }
@@ -186,11 +152,11 @@ impl GearBatchKernel {
         let bit = 1u64 << lane;
         let base = lane * n;
         for i in 0..n {
-            let gear = self.instances[base + i].gear();
+            let gear = &self.instances[base + i];
             debug_assert!(gear.seeded(), "seed_lane on an unseeded gear box");
             let core = gear.core().expect("gear tail always has a king core");
             if core.current() == Value(1) {
-                self.current[i] |= bit;
+                self.king.current[i] |= bit;
             }
             for p in core.masked().iter() {
                 self.masked[i * n + p.index()] |= bit;
@@ -210,9 +176,7 @@ impl GearBatchKernel {
         let base = lane * self.n;
         (0..self.n).all(|i| {
             fault_set.contains(ProcessId(i))
-                || self.instances[base + i]
-                    .proto()
-                    .round_status(&self.ctxs[base + i])
+                || self.instances[base + i].round_status(&self.ctxs[base + i])
                     == RoundStatus::ReadyToDecide
         })
     }
@@ -226,10 +190,10 @@ impl GearBatchKernel {
         let bit = 1u64 << lane;
         let base = lane * self.n;
         for i in 0..self.n {
-            if self.instances[base + i].gear().prefix().preferred() == Value(1) {
-                self.current[i] |= bit;
+            if self.instances[base + i].prefix().preferred() == Value(1) {
+                self.king.current[i] |= bit;
             }
-            self.ready_mask[i] |= bit;
+            self.king.ready[i] |= bit;
         }
         self.leave_prefix(lane, fault_set);
     }
@@ -258,7 +222,7 @@ impl BatchKernel for GearBatchKernel {
             self.instances
                 .iter_mut()
                 .enumerate()
-                .any(|(idx, inst)| !inst.as_mut().reset(ProcessId(idx % n), &self.config))
+                .any(|(idx, inst)| !inst.reset(ProcessId(idx % n), &self.config))
         } else {
             true
         };
@@ -269,16 +233,7 @@ impl BatchKernel for GearBatchKernel {
         self.ctxs.clear();
         self.ctxs
             .extend((0..lanes * n).map(|idx| ProcCtx::new(ProcessId(idx % n))));
-        for buf in [
-            &mut self.current,
-            &mut self.prop_some,
-            &mut self.prop_one,
-            &mut self.locked,
-            &mut self.ready_mask,
-        ] {
-            buf.clear();
-            buf.resize(n, 0);
-        }
+        self.king.reset(lanes);
         self.masked.clear();
         self.masked.resize(n * n, 0);
         for buf in [
@@ -317,11 +272,8 @@ impl BatchKernel for GearBatchKernel {
             lanes |= self.last_wide;
         }
         for &(start, mask) in &self.cohorts {
-            if round > start {
-                let i = round - start - 1;
-                if i < 3 * self.phases && i % 3 == 2 {
-                    lanes |= mask;
-                }
+            if matches!(self.tail_step(start, round), Some((_, PhaseStep::King))) {
+                lanes |= mask;
             }
         }
         lanes
@@ -379,7 +331,7 @@ impl BatchKernel for GearBatchKernel {
             // dynamic checkpoint replays the scalar dispatch — commit on
             // a unanimous correct-processor shift vote, defer the lane
             // to the scalar engine when votes diverge.
-            if self.instances[base].gear().seeded() {
+            if self.instances[base].seeded() {
                 self.seed_lane(lane, round, fault_set);
             } else if config.early_stopping
                 && round < self.total
@@ -393,19 +345,14 @@ impl BatchKernel for GearBatchKernel {
                     if fault_set.contains(ProcessId(i)) {
                         continue;
                     }
-                    match self.instances[base + i]
-                        .proto()
-                        .next_action(&self.ctxs[base + i])
-                    {
+                    match self.instances[base + i].next_action(&self.ctxs[base + i]) {
                         GearAction::ShiftGear => any_shift = true,
                         _ => all_shift = false,
                     }
                 }
                 if all_shift {
                     for i in 0..n {
-                        self.instances[base + i]
-                            .as_mut()
-                            .shift_gear(&mut self.ctxs[base + i]);
+                        self.instances[base + i].shift_gear(&mut self.ctxs[base + i]);
                     }
                     self.seed_lane(lane, round, fault_set);
                 } else if any_shift {
@@ -432,128 +379,28 @@ impl BatchKernel for GearBatchKernel {
     }
 
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
-        let n = self.n;
-        for ci in 0..self.cohorts.len() {
-            let (start, mask) = self.cohorts[ci];
-            if round <= start {
-                continue;
-            }
-            let i = round - start - 1;
-            if i >= 3 * self.phases {
-                continue; // fully retired cohort
-            }
-            match i % 3 {
-                // Exchange: every slot broadcasts its current value.
-                0 => {
-                    for j in 0..n {
-                        present[j] |= mask;
-                        one[j] |= self.current[j] & mask;
-                        zero[j] |= !self.current[j] & mask;
-                    }
-                }
-                // Propose: `Some(1)` / `Some(0)` / `⊥`, present in all
-                // three cases (⊥ rides the BOT sentinel on the wire).
-                1 => {
-                    for j in 0..n {
-                        present[j] |= mask;
-                        one[j] |= self.prop_some[j] & self.prop_one[j] & mask;
-                        zero[j] |= self.prop_some[j] & !self.prop_one[j] & mask;
-                    }
-                }
-                // King: only the phase king speaks.
-                _ => {
-                    let k = self.king(i / 3);
-                    present[k] |= mask;
-                    one[k] |= self.current[k] & mask;
-                    zero[k] |= !self.current[k] & mask;
-                }
+        for &(start, mask) in &self.cohorts {
+            if let Some((phase, step)) = self.tail_step(start, round) {
+                self.king
+                    .outgoing_step(phase, step, mask, present, one, zero);
             }
         }
     }
 
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
-        let (n, t) = (self.n, self.t);
         for ci in 0..self.cohorts.len() {
-            let (start, cmask) = self.cohorts[ci];
-            if round <= start {
+            let (start, mask) = self.cohorts[ci];
+            let lanes = mask & active;
+            let Some((phase, step)) = self.tail_step(start, round).filter(|_| lanes != 0) else {
                 continue;
-            }
-            let i = round - start - 1;
-            if i >= 3 * self.phases {
-                continue;
-            }
-            let m = cmask & active;
-            if m == 0 {
-                continue;
-            }
-            match i % 3 {
-                0 => {
-                    // Exchange tally with the carried fault masks: a
-                    // masked sender reads as the default 0, i.e. it
-                    // simply never contributes to the ones count — the
-                    // scalar `KingCore`'s masked-ballot clearing.
-                    for s in 0..n {
-                        let mut ones = LaneCounts::default();
-                        for j in 0..n {
-                            ones.add(if j == s {
-                                self.current[s]
-                            } else {
-                                net.one(j, s) & !self.masked[s * n + j]
-                            });
-                        }
-                        let (prop_some, prop_one) = exchange_rule(&ones, n, t);
-                        lane_commit(&mut self.prop_some, s, prop_some, m);
-                        lane_commit(&mut self.prop_one, s, prop_one, m);
-                    }
-                    self.add_tail_ops(m, n as u64);
-                }
-                1 => {
-                    // Propose tally: masked senders count as ⊥ (their
-                    // one/zero classifications are filtered out
-                    // entirely).
-                    for s in 0..n {
-                        let own_one = self.prop_some[s] & self.prop_one[s];
-                        let own_zero = self.prop_some[s] & !self.prop_one[s];
-                        let mut c1 = LaneCounts::default();
-                        let mut c0 = LaneCounts::default();
-                        for j in 0..n {
-                            if j == s {
-                                c1.add(own_one);
-                                c0.add(own_zero);
-                            } else {
-                                let unmasked = !self.masked[s * n + j];
-                                c1.add(net.one(j, s) & unmasked);
-                                c0.add(net.zero(j, s) & unmasked);
-                            }
-                        }
-                        let (current, lock) = propose_rule(&c1, &c0, n, t);
-                        lane_commit(&mut self.current, s, current, m);
-                        lane_commit(&mut self.locked, s, lock, m);
-                        lane_commit(&mut self.ready_mask, s, lock, m);
-                    }
-                    self.add_tail_ops(m, n as u64);
-                }
-                _ => {
-                    // King: unlocked slots adopt the king's value; a
-                    // masked king reads as the default 0. In-place is
-                    // safe: the king's own current never changes.
-                    let k = self.king(i / 3);
-                    for s in 0..n {
-                        let read = if s == k {
-                            self.current[k]
-                        } else {
-                            net.one(k, s) & !self.masked[s * n + k]
-                        };
-                        let v = (self.locked[s] & self.current[s]) | (!self.locked[s] & read);
-                        lane_commit(&mut self.current, s, v, m);
-                    }
-                    for s in 0..n {
-                        lane_commit(&mut self.prop_some, s, 0, m);
-                        lane_commit(&mut self.locked, s, 0, m);
-                    }
-                    self.add_tail_ops(m, 1);
-                }
-            }
+            };
+            // The king kernel's step with the carried fault masks: a
+            // masked sender reads as the default 0 in the exchange, as ⊥
+            // in the propose round, and a masked king as the default —
+            // the scalar `KingCore`'s masked-ballot clearing.
+            self.king
+                .deliver_step(phase, step, &net.for_lanes(lanes), lanes, &self.masked);
+            self.add_tail_ops(lanes, self.king.step_charge(step));
         }
     }
 
@@ -561,24 +408,19 @@ impl BatchKernel for GearBatchKernel {
         // Set by seeded lanes' propose locks, and for every slot of a
         // lane retired in its prefix (`retire_lane`). The driver exempts
         // the source itself.
-        self.ready_mask[slot]
+        self.king.ready[slot]
     }
 
     fn current_one(&self, slot: usize) -> u64 {
         // Tail lanes report their lane words; prefix lanes report the
         // per-instance tree preference (only consulted on snapshot
         // rounds, so the scalar walk stays off the hot path).
-        let mut v = self.current[slot];
+        let mut v = self.king.current[slot];
         let mut w = self.prefix_lanes;
         while w != 0 {
             let lane = w.trailing_zeros() as usize;
             w &= w - 1;
-            if self.instances[lane * self.n + slot]
-                .gear()
-                .prefix()
-                .preferred()
-                == Value(1)
-            {
+            if self.instances[lane * self.n + slot].prefix().preferred() == Value(1) {
                 v |= 1u64 << lane;
             }
         }
@@ -586,11 +428,7 @@ impl BatchKernel for GearBatchKernel {
     }
 
     fn decision_one(&self, slot: usize) -> u64 {
-        if slot == self.source {
-            self.input_one
-        } else {
-            self.current[slot]
-        }
+        self.king.decision_one(slot)
     }
 
     fn lane_bits(&self, lane: usize) -> u64 {
@@ -627,23 +465,13 @@ pub fn gear_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<Gea
     // A probe instance pins the schedule: total rounds, conversion
     // rounds (block boundaries) and checkpoint rounds all come from the
     // same construction the scalar path runs.
-    let probe = if dynamic {
-        GearInstance::Dynamic(DynamicKing::new(
-            params,
-            config.source,
-            Some(config.source_value),
-            b,
-        ))
+    let build = if dynamic {
+        DynamicKing::build
     } else {
-        GearInstance::Shift(KingShift::new(
-            params,
-            config.source,
-            Some(config.source_value),
-            b,
-        ))
+        KingShift::build
     };
-    let gear = probe.gear();
-    let total = probe.proto().total_rounds();
+    let gear = build(params, config.source, Some(config.source_value), b);
+    let total = gear.total_rounds();
     let phases = config.t + 1;
     let conversion_rounds: Vec<usize> = gear
         .prefix()
@@ -661,13 +489,6 @@ pub fn gear_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<Gea
         b,
         dynamic,
         n: config.n,
-        t: config.t,
-        source: config.source.index(),
-        input_one: if config.source_value.raw() == 1 {
-            !0
-        } else {
-            0
-        },
         total,
         phases,
         conversion_rounds,
@@ -678,11 +499,7 @@ pub fn gear_batch_kernel(spec: &AlgorithmSpec, config: &RunConfig) -> Option<Gea
         prefix_lanes: 0,
         cohorts: Vec::new(),
         last_wide: 0,
-        current: Vec::new(),
-        prop_some: Vec::new(),
-        prop_one: Vec::new(),
-        locked: Vec::new(),
-        ready_mask: Vec::new(),
+        king: PhaseKernel::new(config, KingRow::ThreeRound),
         masked: Vec::new(),
         bits_acc: Vec::new(),
         ops_prefix: Vec::new(),
@@ -735,5 +552,40 @@ mod tests {
         // non-final one.
         assert_eq!(dk.conversion_rounds, vec![4, 7, 10, 13]);
         assert_eq!(dk.checkpoint_rounds, vec![4, 7, 10]);
+    }
+
+    /// Lanes that shift at a checkpoint and lanes that run the whole
+    /// prefix seed their tails four rounds apart at `b = 4`, so one
+    /// round holds a cohort in its exchange step and a cohort in its
+    /// propose step: each gets the king kernel's step over its own lanes
+    /// (the late cohort with its carried masks), and every lane ends like
+    /// its scalar run.
+    #[test]
+    fn cohorts_at_different_phase_steps_share_a_round() {
+        use sg_adversary::{FaultSelection, RandomLiar};
+        use sg_sim::{run_batch, Adversary, BatchArena, NoFaults};
+
+        let spec = AlgorithmSpec::DynamicKing { b: 4 };
+        let config = config(16, 5).fixed_length();
+        // Three random liars, the source among them, fill the first
+        // block's detection ledger: no shift vote at its checkpoint.
+        let lane = |i: usize| -> Box<dyn Adversary> {
+            if i.is_multiple_of(2) {
+                Box::new(NoFaults)
+            } else {
+                let liars = [0, 5, 6].map(ProcessId);
+                Box::new(RandomLiar::new(FaultSelection::explicit(liars), i as u64))
+            }
+        };
+        let mut kernel = gear_batch_kernel(&spec, &config).unwrap();
+        let mut lanes: Vec<Box<dyn Adversary>> = (0..6).map(lane).collect();
+        let mut arena = BatchArena::new();
+        assert!(run_batch(&mut arena, &config, &mut kernel, &mut lanes));
+        assert_eq!(kernel.cohorts, vec![(5, 0b010101), (9, 0b101010)]);
+        for (i, result) in arena.results().iter().enumerate() {
+            let scalar = crate::execute(spec, &config, lane(i).as_mut()).unwrap();
+            assert!(!result.deferred && result.agreement && scalar.agreement());
+            assert_eq!(result.rounds_used, scalar.rounds_used, "lane {i}");
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! The gear box: one scheduler for every tree-prefix → king-tail
 //! composition, static or dynamic.
 //!
-//! Before this module, [`crate::compose::ComposedProtocol`],
-//! [`crate::KingShift`] and the plan-driven [`GearedProtocol`] each
-//! carried their own copy of the same round dispatch: drive the tree
-//! machine through a prefix plan, seed a [`KingCore`] at the boundary,
-//! then map the remaining rounds onto three-round king phases.
-//! [`GearBox`] is that dispatch, written once — the wrappers delegate to
-//! it — and it is where the paper's headline becomes *runtime* behaviour:
-//! the box can pick its next segment **while the execution runs**, from
-//! accumulated fault evidence, instead of replaying a worst-case plan.
+//! Every composition of a tree prefix with a king tail is one round
+//! dispatch: drive the tree machine through a prefix plan, seed a
+//! [`KingCore`] at the boundary, then hand the remaining rounds to its
+//! three-round phases. [`GearBox`] is that dispatch and the one
+//! [`Protocol`] behind [`crate::KingShift`], [`DynamicKing`] and every
+//! [`crate::ShiftComposition`] — those only assemble its plan — and it is
+//! where the paper's headline becomes *runtime* behaviour: the box can
+//! pick its next segment **while the execution runs**, from accumulated
+//! fault evidence, instead of replaying a worst-case plan.
 //!
 //! # Dynamic gear shifting
 //!
@@ -24,7 +24,7 @@
 //! votes likewise — every fault is already masked. The engine commits
 //! the shift only when **every correct processor** votes it in the same
 //! round (the same omniscient conjunction as status-driven early
-//! stopping), then calls [`GearBox::shift_gear`] on every instance so
+//! stopping), then calls [`Protocol::shift_gear`] on every instance so
 //! the schedule stays common.
 //!
 //! Why this is sound at any checkpoint, in the paper's own terms:
@@ -87,10 +87,11 @@ pub struct GearPlan {
     pub t: usize,
 }
 
-/// The unified tree-prefix → king-tail round dispatcher behind
-/// [`crate::KingShift`], [`crate::compose::ComposedProtocol`] and
-/// [`DynamicKing`]. See the module docs for the dynamic-shifting rules;
-/// with no checkpoints the box replays its static plan exactly.
+/// The unified tree-prefix → king-tail round dispatcher, built by
+/// [`crate::KingShift::build`], [`DynamicKing::build`] and
+/// [`crate::ShiftComposition::build`]. See the module docs for the
+/// dynamic-shifting rules; with no checkpoints the box replays its static
+/// plan exactly.
 pub struct GearBox {
     input: Option<Value>,
     geared: GearedProtocol,
@@ -220,11 +221,16 @@ impl GearBox {
         )
     }
 
-    /// Maps a post-prefix engine round to (phase, step).
-    fn locate(&self, round: usize) -> (usize, PhaseStep) {
+    /// The king core and its (phase, step) for the post-prefix engine
+    /// round `round`.
+    fn tail(&mut self, round: usize) -> (&mut KingCore, usize, PhaseStep) {
         debug_assert!(round > self.prefix_rounds);
-        let i = round - self.prefix_rounds - 1;
-        (i / 3, PhaseStep::from_index(i % 3))
+        let king = self
+            .king
+            .as_mut()
+            .expect("tail rounds only exist with a king core");
+        let (phase, step) = king.row().locate(round - self.prefix_rounds - 1);
+        (king, phase, step)
     }
 
     /// The prefix → tail boundary: seed the king core from the converted
@@ -246,23 +252,26 @@ impl GearBox {
             preferred,
         });
     }
+}
+
+impl Protocol for GearBox {
+    fn total_rounds(&self) -> usize {
+        self.worst_case_rounds()
+    }
 
     /// The box's payload for the round in `ctx.round`.
-    pub fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
+    fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
         if ctx.round <= self.prefix_rounds {
             self.geared.outgoing(ctx)
         } else {
-            let (phase, step) = self.locate(ctx.round);
-            self.king
-                .as_mut()
-                .expect("tail rounds only exist with a king core")
-                .outgoing(phase, step)
+            let (king, phase, step) = self.tail(ctx.round);
+            king.outgoing(phase, step)
         }
     }
 
     /// Consumes one round's inbox, evaluating the dynamic shift vote at
     /// checkpoints and seeding the tail at the static boundary.
-    pub fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
+    fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
         self.vote_shift = false;
         if ctx.round <= self.prefix_rounds {
             self.geared.deliver(inbox, ctx);
@@ -282,17 +291,14 @@ impl GearBox {
                 }
             }
         } else {
-            let (phase, step) = self.locate(ctx.round);
-            self.king
-                .as_mut()
-                .expect("tail rounds only exist with a king core")
-                .deliver(phase, step, inbox, ctx);
+            let (king, phase, step) = self.tail(ctx.round);
+            king.deliver(phase, step, inbox, ctx);
         }
     }
 
     /// The decision: the source's own input; otherwise the tail's final
     /// value when the tail ran, or the prefix's converted root.
-    pub fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
+    fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
         let value = match self.input {
             Some(v) => v,
             None => {
@@ -311,17 +317,17 @@ impl GearBox {
     }
 
     /// Live principal-structure nodes (the prefix tree dominates).
-    pub fn space_nodes(&self) -> u64 {
+    fn space_nodes(&self) -> u64 {
         self.geared.space_nodes()
     }
 
     /// Forwards the active segment's status: the tree prefix's echo rule
     /// (see [`GearedProtocol`]) while the tail is unseeded — a stop there
     /// decides [`GearedProtocol::preferred`], which is what
-    /// [`GearBox::decide`] falls back to — and [`KingCore::is_ready`] once
+    /// `decide` falls back to — and [`KingCore::is_ready`] once
     /// the tail runs. The prefix's verdict is never forwarded into a
     /// seeded tail: its root is no longer what the box decides.
-    pub fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
+    fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
         if !self.seeded {
             return self.geared.round_status(ctx);
         }
@@ -336,7 +342,7 @@ impl GearBox {
     /// The schedule vote (see [`sg_sim::Protocol::next_action`]):
     /// `Finished` past the current schedule's end, `ShiftGear` when the
     /// checkpoint just delivered voted to shift, `Round` otherwise.
-    pub fn next_action(&self, ctx: &ProcCtx) -> GearAction {
+    fn next_action(&self, ctx: &ProcCtx) -> GearAction {
         if ctx.round >= self.end_round() {
             GearAction::Finished
         } else if self.vote_shift {
@@ -350,7 +356,7 @@ impl GearBox {
     /// the current round and seeds the king tail. Called on every
     /// instance — including honest shadows whose own vote may have
     /// differed — so the post-shift schedule is common.
-    pub fn shift_gear(&mut self, ctx: &mut ProcCtx) {
+    fn shift_gear(&mut self, ctx: &mut ProcCtx) {
         if self.seeded || self.shifted {
             return;
         }
@@ -364,7 +370,7 @@ impl GearBox {
     /// freshly-constructed state for processor `id` under `config` — the
     /// instance-pool path. The plan shape, checkpoints and phase count
     /// are fixed by the pool key.
-    pub fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
+    fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
         let params = Params::from_config(config);
         if !self.geared.reset(id, config) {
             return false;
@@ -379,6 +385,14 @@ impl GearBox {
         self.vote_shift = false;
         self.ledger_baseline = 0;
         true
+    }
+}
+
+/// A gear box is its own `dyn Protocol`: what lets the engine's round
+/// ([`sg_sim::RoundNet::round`]) run over a slice of them.
+impl AsMut<dyn Protocol> for GearBox {
+    fn as_mut(&mut self) -> &mut (dyn Protocol + 'static) {
+        self
     }
 }
 
@@ -456,21 +470,18 @@ pub fn dynamic_king_blocks(t: usize, b: usize) -> usize {
 /// assert_eq!(full.rounds_used, 22); // 1 + b + 3·(t+1)
 /// # Ok::<(), sg_core::SpecError>(())
 /// ```
-pub struct DynamicKing {
-    gear: GearBox,
-    b: usize,
-}
+pub struct DynamicKing;
 
 impl DynamicKing {
-    /// Builds an instance for processor `me` with block parameter `b`
-    /// (clamped to `t` like every block algorithm).
+    /// Builds processor `me`'s gear box with block parameter `b` (clamped
+    /// to `t` like every block algorithm).
     ///
     /// `input` must be `Some` exactly when `me` is the source.
     ///
     /// # Panics
     ///
     /// Panics if the input/source relationship is violated or `b < 3`.
-    pub fn new(params: Params, me: ProcessId, input: Option<Value>, b: usize) -> Self {
+    pub fn build(params: Params, me: ProcessId, input: Option<Value>, b: usize) -> GearBox {
         assert!(b >= 3, "Algorithm A blocks require b >= 3, got {b}");
         let t = params.t;
         let b_eff = b.min(t).max(1);
@@ -502,69 +513,18 @@ impl DynamicKing {
             true,
             plan,
         );
-        DynamicKing {
-            gear: GearBox::new(
-                input,
-                geared,
-                Some(KingCore::new(params, me)),
-                GearPlan {
-                    static_tail: true,
-                    phases: t + 1,
-                    tail_label: "dynamic resolve' -> phase-king",
-                    checkpoints,
-                    t,
-                },
-            ),
-            b,
-        }
-    }
-
-    /// The block parameter the instance was built with.
-    pub fn b(&self) -> usize {
-        self.b
-    }
-
-    /// The underlying gear box (inspection hook for tests).
-    pub fn gear(&self) -> &GearBox {
-        &self.gear
-    }
-}
-
-impl Protocol for DynamicKing {
-    fn total_rounds(&self) -> usize {
-        self.gear.worst_case_rounds()
-    }
-
-    fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
-        self.gear.outgoing(ctx)
-    }
-
-    fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
-        self.gear.deliver(inbox, ctx)
-    }
-
-    fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
-        self.gear.decide(ctx)
-    }
-
-    fn space_nodes(&self) -> u64 {
-        self.gear.space_nodes()
-    }
-
-    fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
-        self.gear.round_status(ctx)
-    }
-
-    fn next_action(&self, ctx: &ProcCtx) -> GearAction {
-        self.gear.next_action(ctx)
-    }
-
-    fn shift_gear(&mut self, ctx: &mut ProcCtx) {
-        self.gear.shift_gear(ctx)
-    }
-
-    fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
-        self.gear.reset(id, config)
+        GearBox::new(
+            input,
+            geared,
+            Some(KingCore::new(params, me)),
+            GearPlan {
+                static_tail: true,
+                phases: t + 1,
+                tail_label: "dynamic resolve' -> phase-king",
+                checkpoints,
+                t,
+            },
+        )
     }
 }
 
@@ -598,12 +558,12 @@ mod tests {
 
     #[test]
     fn checkpoints_sit_at_interior_block_boundaries() {
-        let p = DynamicKing::new(params(16, 5), ProcessId(1), None, 3);
-        let rounds: Vec<usize> = p.gear().checkpoints().iter().map(|c| c.round).collect();
+        let p = DynamicKing::build(params(16, 5), ProcessId(1), None, 3);
+        let rounds: Vec<usize> = p.checkpoints().iter().map(|c| c.round).collect();
         assert_eq!(rounds, vec![4, 7, 10]);
-        assert!(p.gear().checkpoints().iter().all(|c| c.capacity == 1));
+        assert!(p.checkpoints().iter().all(|c| c.capacity == 1));
         assert_eq!(p.total_rounds(), 31);
-        assert_eq!(p.gear().prefix_rounds(), 13);
+        assert_eq!(p.prefix_rounds(), 13);
     }
 
     #[test]

@@ -32,9 +32,7 @@
 //! message blow-up for rounds while keeping full `⌊(n−1)/3⌋` resilience
 //! and keeping the A block's large-message phase to a single block.
 
-use sg_sim::{
-    GearAction, Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus, RunConfig, Value,
-};
+use sg_sim::{ProcessId, Value};
 
 use sg_eigtree::Conversion;
 
@@ -51,7 +49,7 @@ pub fn king_shift_rounds(t: usize, b: usize) -> usize {
     1 + b.min(t) + 3 * (t + 1)
 }
 
-/// One processor's instance of the A→King hybrid.
+/// The A→King hybrid: one statically planned shift, run by a [`GearBox`].
 ///
 /// Build through [`crate::AlgorithmSpec::KingShift`]:
 ///
@@ -71,12 +69,10 @@ pub fn king_shift_rounds(t: usize, b: usize) -> usize {
 /// assert_eq!((full.rounds_used, full.decision()), (16, Some(Value(1))));
 /// # Ok::<(), sg_core::SpecError>(())
 /// ```
-pub struct KingShift {
-    gear: GearBox,
-}
+pub struct KingShift;
 
 impl KingShift {
-    /// Builds an instance for processor `me` with block parameter `b`.
+    /// Builds processor `me`'s gear box with block parameter `b`.
     ///
     /// `input` must be `Some` exactly when `me` is the source.
     ///
@@ -85,7 +81,7 @@ impl KingShift {
     /// Panics if the input/source relationship is violated or `b < 3`
     /// (Algorithm A blocks need at least three gather rounds to make
     /// progress, §4.2).
-    pub fn new(params: Params, me: ProcessId, input: Option<Value>, b: usize) -> Self {
+    pub fn build(params: Params, me: ProcessId, input: Option<Value>, b: usize) -> GearBox {
         assert!(b >= 3, "Algorithm A blocks require b >= 3, got {b}");
         let t = params.t;
         let gather_rounds = b.min(t);
@@ -108,98 +104,25 @@ impl KingShift {
         );
         // One statically planned shift, no dynamic checkpoints: the
         // gear box replays the fixed A-block → king-tail schedule.
-        KingShift {
-            gear: GearBox::new(
-                input,
-                geared,
-                Some(KingCore::new(params, me)),
-                GearPlan {
-                    static_tail: true,
-                    phases: t + 1,
-                    tail_label: "resolve' -> phase-king",
-                    checkpoints: Vec::new(),
-                    t,
-                },
-            ),
-        }
-    }
-
-    /// The gear box running the shift (inspection hook for tests and
-    /// the batch kernel's per-lane instances).
-    pub fn gear(&self) -> &GearBox {
-        &self.gear
-    }
-
-    /// The A-prefix machine (inspection hook for tests).
-    pub fn prefix(&self) -> &GearedProtocol {
-        self.gear.prefix()
-    }
-
-    /// The king-phase core (inspection hook for tests).
-    pub fn core(&self) -> &KingCore {
-        self.gear.core().expect("king shift always has a tail core")
-    }
-
-    /// Number of rounds in the A prefix, including round 1.
-    pub fn prefix_rounds(&self) -> usize {
-        self.gear.prefix_rounds()
-    }
-}
-
-impl Protocol for KingShift {
-    fn total_rounds(&self) -> usize {
-        self.gear.worst_case_rounds()
-    }
-
-    fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
-        self.gear.outgoing(ctx)
-    }
-
-    fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
-        self.gear.deliver(inbox, ctx)
-    }
-
-    fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
-        // The source decided its own value in round 1 (§3); everyone else
-        // decides the king core's final value.
-        self.gear.decide(ctx)
-    }
-
-    fn space_nodes(&self) -> u64 {
-        self.gear.space_nodes()
-    }
-
-    /// Forwards the active sub-plan's status through the gear box: the A
-    /// block reports the tree machine's echo rule at its first gather
-    /// (see [`GearedProtocol`] — a correct source ends the run there,
-    /// before the tail is ever seeded), and the king tail reports
-    /// [`KingCore::is_ready`]. The source is always ready.
-    fn round_status(&self, ctx: &ProcCtx) -> RoundStatus {
-        self.gear.round_status(ctx)
-    }
-
-    fn next_action(&self, ctx: &ProcCtx) -> GearAction {
-        self.gear.next_action(ctx)
-    }
-
-    fn shift_gear(&mut self, ctx: &mut ProcCtx) {
-        // No checkpoints today, so never called — forwarded anyway so a
-        // future dynamic GearPlan cannot silently lose its shifts.
-        self.gear.shift_gear(ctx)
-    }
-
-    fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
-        // The A-block plan and phase count depend only on (t, b), which
-        // the pool key fixes; the gear box resets the prefix machine and
-        // king core in place.
-        self.gear.reset(id, config)
+        GearBox::new(
+            input,
+            geared,
+            Some(KingCore::new(params, me)),
+            GearPlan {
+                static_tail: true,
+                phases: t + 1,
+                tail_label: "resolve' -> phase-king",
+                checkpoints: Vec::new(),
+                t,
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_sim::ValueDomain;
+    use sg_sim::{Inbox, Payload, ProcCtx, Protocol, ValueDomain};
 
     fn params(n: usize, t: usize) -> Params {
         Params {
@@ -212,14 +135,14 @@ mod tests {
 
     #[test]
     fn round_budget_is_prefix_plus_king_phases() {
-        let p = KingShift::new(params(16, 5), ProcessId(1), None, 3);
+        let p = KingShift::build(params(16, 5), ProcessId(1), None, 3);
         assert_eq!(p.total_rounds(), 1 + 3 + 3 * 6);
         assert_eq!(p.total_rounds(), king_shift_rounds(5, 3));
     }
 
     #[test]
     fn block_parameter_is_clamped_to_t() {
-        let p = KingShift::new(params(4, 1), ProcessId(1), None, 3);
+        let p = KingShift::build(params(4, 1), ProcessId(1), None, 3);
         // t = 1: the A block is a single gather round.
         assert_eq!(p.prefix_rounds(), 2);
         assert_eq!(p.total_rounds(), king_shift_rounds(1, 3));
@@ -228,12 +151,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "b >= 3")]
     fn small_block_parameter_rejected() {
-        let _ = KingShift::new(params(16, 5), ProcessId(1), None, 2);
+        let _ = KingShift::build(params(16, 5), ProcessId(1), None, 2);
     }
 
     #[test]
     fn prefix_rounds_delegate_to_geared() {
-        let mut p = KingShift::new(params(4, 1), ProcessId(1), None, 3);
+        let mut p = KingShift::build(params(4, 1), ProcessId(1), None, 3);
         let mut ctx = ProcCtx::new(ProcessId(1));
         ctx.round = 1;
         assert_eq!(p.outgoing(&mut ctx), None);
@@ -245,7 +168,7 @@ mod tests {
 
     #[test]
     fn shift_seeds_core_with_converted_preferred() {
-        let mut p = KingShift::new(params(4, 1), ProcessId(1), None, 3);
+        let mut p = KingShift::build(params(4, 1), ProcessId(1), None, 3);
         let mut ctx = ProcCtx::new(ProcessId(1));
         ctx.round = 1;
         let mut inbox = Inbox::empty(4);
@@ -259,7 +182,7 @@ mod tests {
             inbox.set(ProcessId(i), Payload::values([Value(1)]));
         }
         p.deliver(&inbox, &mut ctx);
-        assert!(p.gear.seeded());
-        assert_eq!(p.core().current(), Value(1));
+        assert!(p.seeded());
+        assert_eq!(p.core().unwrap().current(), Value(1));
     }
 }

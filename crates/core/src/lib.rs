@@ -15,8 +15,13 @@
 //!   Dolev–Reischuk–Strong adaptation on trees with repetitions;
 //! * the **Hybrid** (§4.4, Fig. 3, Main Theorem) — starts in A, shifts
 //!   into B, then into C;
-//! * two baselines for context: **Phase King** (constant-size messages)
-//!   and authenticated **Dolev–Strong** with simulated signatures.
+//! * the **king family** the paper's §5 names as shifting's successors
+//!   (Berman, Garay & Perry: constant-size messages, a leader per phase)
+//!   — one phase machine, [`KingCore`], behind `optimal-king`,
+//!   `phase-king` and `phase-queen`, and the tail of the two gear shifts
+//!   into it (`king-shift`, `dynamic-king`);
+//! * one baseline for context: authenticated **Dolev–Strong** with
+//!   simulated signatures.
 //!
 //! All tree algorithms are instances of one plan-driven machine,
 //! [`GearedProtocol`], because the paper's shift operator only converts
@@ -49,7 +54,6 @@ pub mod gear_batch;
 pub mod gearbox;
 mod geared;
 pub mod interactive;
-pub mod king_batch;
 pub mod king_shift;
 pub mod multiplex;
 pub mod multivalued;
@@ -57,7 +61,6 @@ pub mod optimal_king;
 mod params;
 pub mod phase_batch;
 pub mod phase_king;
-pub mod phase_queen;
 pub mod plan;
 mod runner;
 pub mod schedule;
@@ -70,13 +73,13 @@ pub use gearbox::{
 };
 pub use geared::GearedProtocol;
 pub use interactive::{interactive_consistency, run_consensus};
-pub use king_batch::{king_batch_kernel, KingBatchKernel};
 pub use king_shift::KingShift;
 pub use multiplex::{plurality, Multiplex};
 pub use multivalued::{multivalued_broadcast, run_multivalued};
-pub use optimal_king::{KingCore, OptimalKing, PhaseStep};
+pub use optimal_king::{KingCore, KingRow, PhaseStep};
 pub use params::{isqrt, t_a, t_b, t_c, Params};
-pub use phase_batch::{batch_kernel, PhaseBatchKernel};
+pub use phase_batch::batch_kernel;
+pub use phase_king::PhaseKing;
 pub use plan::{render_plan, RoundAction};
 pub use runner::{execute, execute_into};
 pub use schedule::{choose_b, BChoice, HybridSchedule};

@@ -1,25 +1,33 @@
-//! Optimally resilient Phase King (three rounds per phase, `n > 3t`).
+//! The king family's phase machine (Berman, Garay & Perry).
 //!
-//! The paper's §5 surveys the successor literature — Berman, Garay &
-//! Perry's king-based protocols with constant-size messages — as the
-//! natural follow-on to shifting. [`PhaseKing`](crate::phase_king::PhaseKing)
-//! is the classic two-round-per-phase variant, which needs `n > 4t`. This
-//! module provides the *optimally resilient* member of that family: three
-//! rounds per phase (exchange, proposal exchange, king tie-break) achieve
-//! `n > 3t` — the same resilience as Algorithm A and the hybrid — still
-//! with O(1)-value messages.
+//! The paper's §5 names the king protocols — constant-size messages, a
+//! leader tie-break per phase — as the natural successors to shifting.
+//! The family is one rule, stated once here and run by [`KingCore`]: per
+//! phase, an all-to-all exchange of current values, a threshold that lets
+//! a processor *lock* the value it saw a super-majority for, and a round
+//! in which the phase's leader (the *king*) speaks and every unlocked
+//! processor adopts what it says. [`KingRow`] is the rule table:
 //!
-//! # Per-phase structure
+//! | row | resilience | rounds of a phase | a value is strong at | lock |
+//! |---|---|---|---|---|
+//! | [`KingRow::ThreeRound`] | `n > 3t` | exchange → propose → king | `n − t`: it is *proposed* | `n − t` equal proposals (adopt at `t + 1`) |
+//! | [`KingRow::TwoRound`] | `n > 4t` | exchange → king | `⌊n/2⌋ + t + 1` | at once, in the exchange |
 //!
-//! Each processor holds a current value `v`. A phase runs three rounds:
+//! The two-round phase is the three-round phase without its propose
+//! round: the exchange tally adopts the plurality and locks it when it is
+//! strong, after which "the king broadcasts its value, unlocked
+//! processors adopt it" is the same step in both rows.
 //!
-//! 1. **Exchange** — broadcast `v`. If some value `w` appears at least
-//!    `n − t` times among the `n` received values (own included), propose
-//!    `w`; otherwise propose `⊥`. Two correct processors can never propose
-//!    different non-`⊥` values: each proposal is backed by at least
-//!    `n − 2t` *correct* holders, and `2(n − 2t) > n − t` when `n > 3t`,
-//!    so the backing sets intersect in a correct processor.
-//! 2. **Proposal exchange** — broadcast the proposal (`⊥` encoded as an
+//! # The three-round phase
+//!
+//! 1. **Exchange** — broadcast the current value `v`. If some value `w`
+//!    appears at least `n − t` times among the `n` received values (own
+//!    included), propose `w`; otherwise propose `⊥`. Two correct
+//!    processors can never propose different non-`⊥` values: each
+//!    proposal is backed by at least `n − 2t` *correct* holders, and
+//!    `2(n − 2t) > n − t` when `n > 3t`, so the backing sets intersect in
+//!    a correct processor.
+//! 2. **Propose** — broadcast the proposal (`⊥` encoded as an
 //!    out-of-domain value; receivers treat any out-of-domain content as
 //!    `⊥`). Let `top` be the most frequent non-`⊥` proposal received and
 //!    `c` its count. If `c ≥ n − t`, adopt `top` and *lock* (the king is
@@ -36,16 +44,30 @@
 //! distinct kings, at least one king is correct, so agreement always
 //! holds; validity follows from persistence seeded by the source round.
 //!
-//! The phase machinery is exposed as [`KingCore`] so that the
-//! shift-into-king hybrid ([`crate::king_shift`]) can drive the same
-//! phases from a converted information-gathering tree instead of a source
-//! broadcast — the paper's §6 open question about shifting into foreign
-//! algorithms, answered affirmatively for this family.
+//! # The two-round phase
+//!
+//! The exchange tally's plurality `w` becomes the current value, locked
+//! when its count exceeds `n/2 + t`: then more than `n/2` *correct*
+//! processors hold `w`, so no other value can be locked by anyone, a
+//! correct king's own plurality is `w`, and at `n > 4t` unanimity persists
+//! through every later phase. What the king broadcasts is therefore its
+//! tally plurality, not the value it entered the phase with — a stale
+//! value would let a locked processor and the king's followers part ways.
+//!
+//! On a binary domain this row is both `phase-king` and `phase-queen`:
+//! Berman & Garay's queen keeps bit `b` on `2·count(b) > n + 2t`, which is
+//! `count(b) ≥ ⌊n/2⌋ + t + 1`, and the queen too broadcasts her tally
+//! majority (enforced by: `tests/king_fingerprints.rs`).
+//!
+//! The machine is exposed as [`KingCore`] so that the gear box
+//! ([`crate::gearbox`]) can drive the same phases from a converted
+//! information-gathering tree instead of a source broadcast — the paper's
+//! §6 open question about shifting into foreign algorithms, answered
+//! affirmatively for this family. [`crate::PhaseKing`] is the broadcast
+//! protocol around it; `crate::phase_batch` is the same rule over lane
+//! words.
 
-use sg_sim::{
-    Inbox, PackedBallots, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RoundStatus,
-    RunConfig, TraceEvent, Value,
-};
+use sg_sim::{Inbox, PackedBallots, Payload, ProcCtx, ProcessId, ProcessSet, TraceEvent, Value};
 
 use crate::params::{phase_leader, Params};
 
@@ -59,70 +81,106 @@ pub const BOT_WIRE: Value = Value(u16::MAX);
 /// Which round of a phase a [`KingCore`] is executing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PhaseStep {
-    /// Round 1 of the phase: broadcast the current value.
+    /// Broadcast the current value.
     Exchange,
-    /// Round 2: broadcast the `n − t`-supported proposal (or `⊥`).
+    /// Broadcast the `n − t`-supported proposal (or `⊥`); three-round
+    /// phases only.
     Propose,
-    /// Round 3: the king broadcasts its value; unlocked processors adopt.
+    /// The king broadcasts its value; unlocked processors adopt.
     King,
 }
 
-impl PhaseStep {
-    /// The step for 0-based round-within-phase `i ∈ {0, 1, 2}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > 2`.
-    pub fn from_index(i: usize) -> Self {
-        match i {
-            0 => PhaseStep::Exchange,
-            1 => PhaseStep::Propose,
-            2 => PhaseStep::King,
-            _ => panic!("phase steps are 0, 1, 2; got {i}"),
+/// One row of the king family's rule table (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum KingRow {
+    /// `n > 3t`: exchange → propose → king, thresholds `n − t` / `t + 1`
+    /// (`optimal-king`, and every king tail of a gear shift).
+    ThreeRound,
+    /// `n > 4t`: exchange → king, threshold `⌊n/2⌋ + t + 1`
+    /// (`phase-king`, `phase-queen`).
+    TwoRound,
+}
+
+impl KingRow {
+    /// The rounds of one phase, in order.
+    pub fn steps(self) -> &'static [PhaseStep] {
+        match self {
+            KingRow::ThreeRound => &[PhaseStep::Exchange, PhaseStep::Propose, PhaseStep::King],
+            KingRow::TwoRound => &[PhaseStep::Exchange, PhaseStep::King],
+        }
+    }
+
+    /// The exchange count — always more than `n/2` — at which a value is
+    /// *strong*: proposed by the three-round row, locked by the two-round
+    /// row.
+    pub fn strong_at(self, n: usize, t: usize) -> usize {
+        match self {
+            KingRow::ThreeRound => n - t,
+            KingRow::TwoRound => n / 2 + t + 1,
+        }
+    }
+
+    /// The (phase, step) of round `i`, 0-based, of a run of phases.
+    pub fn locate(self, i: usize) -> (usize, PhaseStep) {
+        // Per row, so that each divisor is a constant: every kernel hook
+        // asks this every round.
+        match self {
+            KingRow::ThreeRound => (i / 3, self.steps()[i % 3]),
+            KingRow::TwoRound => (i / 2, self.steps()[i % 2]),
         }
     }
 }
 
-/// The state machine of one processor's three-round king phases.
+/// The state machine of one processor's king phases.
 ///
 /// Drive it with ([`KingCore::outgoing`], [`KingCore::deliver`]) once per
-/// engine round, passing the phase number and [`PhaseStep`]. The embedding
-/// protocol decides how the initial value is seeded (source broadcast in
-/// [`OptimalKing`], converted tree root in the shift-into-king hybrid) and
-/// how rounds map to phases.
+/// engine round, passing the phase number and [`PhaseStep`]
+/// ([`KingRow::locate`] maps a round to them). The embedding protocol
+/// decides how the initial value is seeded (source broadcast in
+/// [`crate::PhaseKing`], converted tree root in the gear box) and where
+/// the phases start.
 pub struct KingCore {
     params: Params,
     me: ProcessId,
+    row: KingRow,
     current: Value,
     /// This processor's proposal from the exchange step (`None` = `⊥`).
     proposal: Option<Value>,
     locked: bool,
-    /// Whether the latest propose step locked. Unlike `locked` (which
-    /// the king step consumes and clears), this flag survives to the end
-    /// of the phase: it is the early-stopping signal. If *every* correct
-    /// processor locked in the same propose step they locked on the same
-    /// value (correct non-`⊥` proposals agree), so correct unanimity
-    /// holds and persists through every later phase — the decision is
-    /// final and the engine may stop right at that propose round.
+    /// Whether the latest phase locked. Unlike `locked` (which the king
+    /// step consumes and clears), this flag survives to the end of the
+    /// phase: it is the early-stopping signal. If *every* correct
+    /// processor locked in the same phase they locked on the same value
+    /// (correct non-`⊥` proposals agree; two values cannot each have more
+    /// than `n/2` correct holders), so correct unanimity holds and
+    /// persists through every later phase — the decision is final and the
+    /// engine may stop. Published at the propose round of a three-round
+    /// phase and at the king round of a two-round phase.
     ready: bool,
     /// Processors whose messages are masked to `⊥`/default — the paper's
     /// auxiliary fault list carried across a shift (empty unless the
     /// embedding protocol seeds it).
     masked: ProcessSet,
-    /// Completed phases whose propose step did not lock — the tail-side
-    /// fault-evidence stream (a failed phase means the adversary kept
-    /// correct processors from a super-majority, or the phase king was
-    /// faulty), surfaced for gear-shifting policies via
-    /// [`KingCore::failed_phases`].
+    /// Completed phases that did not lock — the tail-side fault-evidence
+    /// stream (a failed phase means the adversary kept correct processors
+    /// from a super-majority, or the phase king was faulty), surfaced for
+    /// gear-shifting policies via [`KingCore::failed_phases`].
     failed_phases: usize,
 }
 
 impl KingCore {
-    /// A core for processor `me` starting from the default value.
+    /// A three-round core for processor `me` starting from the default
+    /// value.
     pub fn new(params: Params, me: ProcessId) -> Self {
+        KingCore::with_row(params, me, KingRow::ThreeRound)
+    }
+
+    /// A core running `row`'s phases.
+    pub fn with_row(params: Params, me: ProcessId, row: KingRow) -> Self {
         KingCore {
             params,
             me,
+            row,
             current: Value::DEFAULT,
             proposal: None,
             locked: false,
@@ -133,8 +191,8 @@ impl KingCore {
     }
 
     /// Restores the core to its just-constructed state for processor
-    /// `me`, reusing the masked-set storage when `n` is unchanged (the
-    /// instance-pool path).
+    /// `me` (the row stays), reusing the masked-set storage when `n` is
+    /// unchanged (the instance-pool path).
     pub fn reset(&mut self, params: Params, me: ProcessId) {
         self.params = params;
         self.me = me;
@@ -148,6 +206,11 @@ impl KingCore {
         } else {
             self.masked = ProcessSet::new(params.n);
         }
+    }
+
+    /// The rule row this core runs.
+    pub fn row(&self) -> KingRow {
+        self.row
     }
 
     /// Sets the current value (seeding at a shift boundary or after the
@@ -166,20 +229,20 @@ impl KingCore {
         self.locked
     }
 
-    /// The early-stopping signal: whether the latest propose step
-    /// locked. Embedding protocols forward this from
+    /// The early-stopping signal: whether the latest phase locked.
+    /// Embedding protocols forward this from
     /// [`sg_sim::Protocol::round_status`]; the engine's all-correct
     /// conjunction makes it sound (see the `ready` field).
     pub fn is_ready(&self) -> bool {
         self.ready
     }
 
-    /// Completed phases whose propose step failed to lock at this
-    /// processor — the king tail's accumulated fault evidence, the
-    /// counterpart of the tree prefix's detection ledger for
-    /// gear-shifting policies (`sg_core::gearbox`). Fault-free phases
-    /// lock immediately, so a nonzero count certifies adversary
-    /// interference (a blocked super-majority or a faulty king).
+    /// Completed phases that failed to lock at this processor — the king
+    /// tail's accumulated fault evidence, the counterpart of the tree
+    /// prefix's detection ledger for gear-shifting policies
+    /// (`sg_core::gearbox`). Fault-free phases lock immediately, so a
+    /// nonzero count certifies adversary interference (a blocked
+    /// super-majority or a faulty king).
     pub fn failed_phases(&self) -> usize {
         self.failed_phases
     }
@@ -259,101 +322,90 @@ impl KingCore {
         Some(ballots)
     }
 
+    /// Tallies one round's single-value broadcasts over all `n` slots,
+    /// `own` standing in the self slot: the plurality value (the smaller
+    /// one on a tie) and its count. A slot that cannot be read counts as
+    /// `unreadable` — the default value in an exchange (the paper's
+    /// convention for absent and garbled messages), `None` in a propose
+    /// round, where it is `⊥` and counts for no value.
+    fn tally(
+        &self,
+        inbox: &Inbox,
+        own: Option<Value>,
+        unreadable: Option<Value>,
+        ctx: &mut ProcCtx,
+    ) -> (Value, usize) {
+        let n = self.params.n;
+        if let Some(mut ballots) = self.masked_ballots(inbox) {
+            // Binary popcount fast path: with a default, everything that
+            // is not a readable 1 lands on it, so zeros = n − ones.
+            if let Some(v) = own {
+                ballots.record(self.me, v);
+            }
+            ctx.charge(n as u64);
+            let ones = ballots.ones.count_ones() as usize;
+            let zeros = match unreadable {
+                Some(_) => n - ones,
+                None => ballots.zeros.count_ones() as usize,
+            };
+            return if ones > zeros {
+                (Value(1), ones)
+            } else {
+                (Value(0), zeros)
+            };
+        }
+        let mut counts = vec![0usize; self.params.domain.size() as usize];
+        for i in 0..n {
+            let sent = if ProcessId(i) == self.me {
+                own
+            } else {
+                self.read(inbox, ProcessId(i))
+            };
+            if let Some(v) = sent.or(unreadable) {
+                counts[v.raw() as usize] += 1;
+            }
+            ctx.charge(1);
+        }
+        let (top, &c) = counts
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+            .expect("domain has at least two values");
+        (Value(top as u16), c)
+    }
+
     /// Consumes one round's inbox for `step` of `phase`.
     pub fn deliver(&mut self, phase: usize, step: PhaseStep, inbox: &Inbox, ctx: &mut ProcCtx) {
-        let n = self.params.n;
-        let t = self.params.t;
+        let (n, t) = (self.params.n, self.params.t);
         match step {
             PhaseStep::Exchange => {
-                // Count every processor's value; absent/garbled messages
-                // count as the default value per the paper's convention.
-                if let Some(mut ballots) = self.masked_ballots(inbox) {
-                    // Binary popcount fast path: ones via `count_ones`;
-                    // everything else (zeros, ⊥, masked, garbled) lands
-                    // on the default, so zeros = n − ones.
-                    ballots.record(self.me, self.current);
-                    ctx.charge(n as u64);
-                    let ones = ballots.ones.count_ones() as usize;
-                    self.proposal = if n - ones >= n - t {
-                        Some(Value(0))
-                    } else if ones >= n - t {
-                        Some(Value(1))
-                    } else {
-                        None
-                    };
-                } else {
-                    let mut counts = vec![0usize; self.params.domain.size() as usize];
-                    for i in 0..n {
-                        let v = if ProcessId(i) == self.me {
-                            self.current
-                        } else {
-                            self.read(inbox, ProcessId(i)).unwrap_or(Value::DEFAULT)
-                        };
-                        counts[v.raw() as usize] += 1;
-                        ctx.charge(1);
+                let (top, c) = self.tally(inbox, Some(self.current), Some(Value::DEFAULT), ctx);
+                let strong = c >= self.row.strong_at(n, t);
+                match self.row {
+                    KingRow::ThreeRound => self.proposal = strong.then_some(top),
+                    KingRow::TwoRound => {
+                        self.current = top;
+                        self.locked = strong;
                     }
-                    self.proposal = counts
-                        .iter()
-                        .position(|&c| c >= n - t)
-                        .map(|i| Value(i as u16));
                 }
             }
             PhaseStep::Propose => {
-                // Count non-⊥ proposals; anything unreadable is ⊥ and
-                // counts for no value. Plurality with the smaller value
-                // winning ties.
-                let (top, c) = if let Some(mut ballots) = self.masked_ballots(inbox) {
-                    if let Some(p) = self.proposal {
-                        ballots.record(self.me, p);
-                    }
-                    ctx.charge(n as u64);
-                    let count_1 = ballots.ones.count_ones() as usize;
-                    let count_0 = ballots.zeros.count_ones() as usize;
-                    if count_1 > count_0 {
-                        (Value(1), count_1)
-                    } else {
-                        (Value(0), count_0)
-                    }
-                } else {
-                    let mut counts = vec![0usize; self.params.domain.size() as usize];
-                    for i in 0..n {
-                        let prop = if ProcessId(i) == self.me {
-                            self.proposal
-                        } else {
-                            self.read(inbox, ProcessId(i))
-                        };
-                        if let Some(v) = prop {
-                            counts[v.raw() as usize] += 1;
-                        }
-                        ctx.charge(1);
-                    }
-                    let (top_raw, &c) = counts
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                        .expect("domain has at least two values");
-                    (Value(top_raw as u16), c)
-                };
-                if c >= n - t {
-                    self.current = top;
-                    self.locked = true;
-                } else if c > t {
-                    self.current = top;
-                    self.locked = false;
-                } else {
-                    self.current = Value::DEFAULT;
-                    self.locked = false;
-                }
+                let (top, c) = self.tally(inbox, self.proposal, None, ctx);
+                self.locked = c >= n - t;
+                self.current = if c > t { top } else { Value::DEFAULT };
                 self.ready = self.locked;
             }
             PhaseStep::King => {
+                if self.row == KingRow::TwoRound {
+                    // The lock was taken at the exchange tally; it is
+                    // published here, a round later (ROADMAP item 1(a)).
+                    self.ready = self.locked;
+                }
                 if !self.locked {
                     let king = self.king(phase);
-                    self.current = if king == self.me {
-                        self.current
-                    } else {
-                        self.read(inbox, king).unwrap_or(Value::DEFAULT)
-                    };
+                    if king != self.me {
+                        self.current = self.read(inbox, king).unwrap_or(Value::DEFAULT);
+                    }
                 }
                 if !self.ready {
                     self.failed_phases += 1;
@@ -370,131 +422,15 @@ impl KingCore {
     }
 }
 
-/// One processor's instance of the optimally resilient Phase King
-/// Byzantine-agreement protocol.
-///
-/// Rounds: `1` (source broadcast) followed by `t + 1` phases of three
-/// rounds each, for `3t + 4` rounds total. Resilience `n > 3t`
-/// (`t ≤ ⌊(n−1)/3⌋`) with messages of O(1) values — the optimal-resilience
-/// counterpart of [`crate::phase_king::PhaseKing`].
-///
-/// Build through [`crate::AlgorithmSpec::OptimalKing`]:
-///
-/// ```
-/// use sg_core::{execute, AlgorithmSpec};
-/// use sg_sim::{NoFaults, RunConfig, Value};
-///
-/// let config = RunConfig::new(10, 3).with_source_value(Value(1));
-/// let outcome = execute(AlgorithmSpec::OptimalKing, &config, &mut NoFaults)?;
-/// assert_eq!(outcome.decision(), Some(Value(1)));
-/// assert_eq!(outcome.scheduled_rounds, 13); // 1 + 3·(t+1)
-/// // Fault-free runs lock in the very first propose step and stop there
-/// // (the expedite win; `RunConfig::fixed_length` asks for the full
-/// // schedule instead).
-/// assert_eq!(outcome.rounds_used, 3);
-/// assert!(outcome.early_stopped);
-/// # Ok::<(), sg_core::SpecError>(())
-/// ```
-pub struct OptimalKing {
-    params: Params,
-    input: Option<Value>,
-    core: KingCore,
-}
-
-impl OptimalKing {
-    /// Builds an instance for processor `me`. `input` must be `Some`
-    /// exactly when `me` is the source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input/source relationship is violated.
-    pub fn new(params: Params, me: ProcessId, input: Option<Value>) -> Self {
-        assert_eq!(
-            input.is_some(),
-            me == params.source,
-            "exactly the source carries an input"
-        );
-        OptimalKing {
-            params,
-            input,
-            core: KingCore::new(params, me),
-        }
-    }
-
-    /// Maps an engine round to (phase, step); round 1 is the source round.
-    fn locate(&self, round: usize) -> Option<(usize, PhaseStep)> {
-        if round == 1 {
-            return None;
-        }
-        let i = round - 2;
-        Some((i / 3, PhaseStep::from_index(i % 3)))
-    }
-}
-
-impl Protocol for OptimalKing {
-    fn total_rounds(&self) -> usize {
-        1 + 3 * (self.params.t + 1)
-    }
-
-    fn outgoing(&mut self, ctx: &mut ProcCtx) -> Option<Payload> {
-        match self.locate(ctx.round) {
-            None => self.input.map(Payload::single),
-            Some((phase, step)) => self.core.outgoing(phase, step),
-        }
-    }
-
-    fn deliver(&mut self, inbox: &Inbox, ctx: &mut ProcCtx) {
-        match self.locate(ctx.round) {
-            None => {
-                let v = match self.input {
-                    Some(v) => v,
-                    None => self.params.domain.sanitize(
-                        inbox
-                            .from(self.params.source)
-                            .value_at(0)
-                            .unwrap_or(Value::DEFAULT),
-                    ),
-                };
-                self.core.set_current(v);
-                ctx.charge(1);
-                ctx.emit(TraceEvent::Preferred { value: v });
-            }
-            Some((phase, step)) => self.core.deliver(phase, step, inbox, ctx),
-        }
-    }
-
-    fn decide(&mut self, ctx: &mut ProcCtx) -> Value {
-        let value = match self.input {
-            Some(v) => v,
-            None => self.core.current(),
-        };
-        ctx.emit(TraceEvent::Decided { value });
-        value
-    }
-
-    /// Ready once the latest propose step locked ([`KingCore::is_ready`]);
-    /// the source is always ready — it decides its own input.
-    fn round_status(&self, _ctx: &ProcCtx) -> RoundStatus {
-        if self.input.is_some() || self.core.is_ready() {
-            RoundStatus::ReadyToDecide
-        } else {
-            RoundStatus::Continue
-        }
-    }
-
-    fn reset(&mut self, id: ProcessId, config: &RunConfig) -> bool {
-        let params = Params::from_config(config);
-        self.params = params;
-        self.input = (id == config.source).then_some(config.source_value);
-        self.core.reset(params, id);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_sim::ValueDomain;
+    use crate::phase_king::PhaseKing;
+    use sg_sim::{Protocol, ValueDomain};
+
+    fn three_round(n: usize, t: usize, me: usize) -> PhaseKing {
+        PhaseKing::new(params(n, t), ProcessId(me), None, KingRow::ThreeRound)
+    }
 
     fn params(n: usize, t: usize) -> Params {
         Params {
@@ -656,29 +592,28 @@ mod tests {
 
     #[test]
     fn total_rounds_is_3t_plus_4() {
-        let p = OptimalKing::new(params(7, 2), ProcessId(1), None);
-        assert_eq!(p.total_rounds(), 10);
+        assert_eq!(three_round(7, 2, 1).total_rounds(), 10);
     }
 
     #[test]
     fn source_round_seeds_core() {
-        let mut p = OptimalKing::new(params(4, 1), ProcessId(2), None);
+        let mut p = three_round(4, 1, 2);
         let mut ctx = ProcCtx::new(ProcessId(2));
         ctx.round = 1;
         let mut inbox = Inbox::empty(4);
         inbox.set(ProcessId(0), Payload::values([Value(1)]));
         p.deliver(&inbox, &mut ctx);
-        assert_eq!(p.core.current(), Value(1));
+        assert_eq!(p.core().current(), Value(1));
     }
 
     #[test]
     fn only_king_speaks_in_king_round() {
-        let mut p = OptimalKing::new(params(4, 1), ProcessId(2), None);
+        let mut p = three_round(4, 1, 2);
         let mut ctx = ProcCtx::new(ProcessId(2));
         // Round 4 is phase 0's king step; the phase-0 king is P1.
         ctx.round = 4;
         assert_eq!(p.outgoing(&mut ctx), None);
-        let mut k = OptimalKing::new(params(4, 1), ProcessId(1), None);
+        let mut k = three_round(4, 1, 1);
         let mut ctx = ProcCtx::new(ProcessId(1));
         ctx.round = 4;
         assert!(k.outgoing(&mut ctx).is_some());

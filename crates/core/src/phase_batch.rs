@@ -1,27 +1,28 @@
-//! Lock-step batch tallies for the phase family.
+//! The king family over lane words: one lock-step kernel.
 //!
-//! [`PhaseBatchKernel`] re-expresses [`PhaseKing`](crate::phase_king::PhaseKing) and
-//! [`PhaseQueen`](crate::phase_queen::PhaseQueen) over lane words, the same way
-//! [`KingBatchKernel`](crate::KingBatchKernel) does for `optimal-king`:
-//! both protocols run `t + 1` two-round phases after the source round,
-//! broadcast the *majority bit* of the exchange tally from the phase
-//! leader, and differ only in the rule that decides when a processor may
-//! ignore that leader. The exchange tallies become [`LaneCounts`]
-//! bit-plane counters, and the two rules become threshold masks:
+//! [`PhaseKernel`] re-expresses [`KingCore`](crate::KingCore)'s phases —
+//! both rows of the [`KingRow`] rule table — over lane words: each
+//! processor-slot's preferred value, proposal, and lock bit become one
+//! `u64` spanning up to 64 runs, and the threshold tests become
+//! bit-plane comparisons ([`LaneCounts`]) evaluated for every run at
+//! once. The engine-side driver lives in [`sg_sim::batch`]; this module
+//! only supplies the protocol semantics, mirroring how the scalar
+//! [`KingCore`](crate::KingCore) sits behind the engine's round loop.
 //!
-//! * **King** (plurality with super-majority proof): keep the tally
-//!   majority when its count exceeds `n/2 + t`, else adopt the king's
-//!   broadcast.
-//! * **Queen** (pure threshold): keep bit `b` when `2·count(b) > n + 2t`,
-//!   else adopt the queen's broadcast.
-//!
-//! Both conditions convert to exact `ge` tests on the ones-counter (the
-//! derivations are inline below); as in the scalar protocols, crossing
-//! the super-threshold also marks the run ready for early stopping.
+//! The kernel serves `optimal-king` (three-round row) and `phase-king` /
+//! `phase-queen` (two-round row; one protocol on a binary domain, see
+//! [`crate::optimal_king`]) as a [`BatchKernel`] of its own, and the king
+//! tails of `king-shift` / `dynamic-king` through
+//! [`GearBatchKernel`](crate::GearBatchKernel), whose cohorts call its
+//! per-step `outgoing_step` / `deliver_step`
+//! over a lane mask with the fault masks carried out of the tree prefix.
+//! [`batch_kernel`] picks by spec, every other family runs on the scalar
+//! engine, and `sg_sim::reference` holds all of them to one answer.
 
 use sg_sim::batch::{BatchKernel, BatchNet, LaneCounts};
 use sg_sim::RunConfig;
 
+use crate::optimal_king::{KingRow, PhaseStep};
 use crate::params::phase_leader;
 use crate::spec::AlgorithmSpec;
 
@@ -40,133 +41,293 @@ pub(crate) fn batch_eligible(spec: &AlgorithmSpec, config: &RunConfig) -> bool {
 /// Commits `value` into `state[slot]` for lanes in `active` only,
 /// freezing retired runs.
 #[inline]
-pub(crate) fn lane_commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
+fn lane_commit(state: &mut [u64], slot: usize, value: u64, active: u64) {
     state[slot] = (value & active) | (state[slot] & !active);
 }
 
-/// Which leader rule the kernel applies in phase rounds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PhaseRule {
-    /// Phase King: plurality kept on `count > n/2 + t`.
-    King,
-    /// Phase Queen: bit kept on `2·count > n + 2t`.
-    Queen,
+/// The exchange rule, per lane, from a processor's count of ones over
+/// all `n` slots (zeros are `n − ones`, absent and garbled values
+/// defaulting to 0): the lanes in which some value is *strong* — held by
+/// at least `strong_at > n/2` slots — and the lanes in which that value
+/// is 1. Returns the `(strong, strong_one)` lane masks.
+fn exchange_rule(ones: &LaneCounts, n: usize, strong_at: usize) -> (u64, u64) {
+    let strong_one = ones.ge(strong_at);
+    let strong_zero = !ones.ge(n - strong_at + 1); // n − ones ≥ strong_at
+    (strong_zero | strong_one, strong_one)
 }
 
-/// The role of an engine round in the shared phase-family schedule.
-enum Role {
-    /// Round 1: only the source speaks.
-    Source,
-    /// Even rounds: everyone broadcasts its current value.
-    Exchange,
-    /// Odd rounds ≥ 3: the phase leader broadcasts its tally majority.
-    Leader(usize),
+/// The propose rule, per lane, from a processor's counts of `Some(1)` and
+/// `Some(0)` proposals: plurality over non-`⊥` proposals with the smaller
+/// value winning ties, lock at `n − t`, adopt above `t`, default 0
+/// otherwise. Returns the `(current, lock)` lane masks.
+fn propose_rule(c1: &LaneCounts, c0: &LaneCounts, n: usize, t: usize) -> (u64, u64) {
+    let top_one = c1.gt(c0);
+    let lock = (top_one & c1.ge(n - t)) | (!top_one & c0.ge(n - t));
+    let adopt = (top_one & c1.ge(t + 1)) | (!top_one & c0.ge(t + 1));
+    (adopt & top_one, lock)
 }
 
-/// Bit-sliced lane state for one batch of phase-king or phase-queen
-/// runs: per slot, the current preferred value as a lane mask, the ones
-/// counter of the last exchange, and the stability (ready) mask.
-pub struct PhaseBatchKernel {
+/// Recipient `i`'s per-lane count of first-value-`1` (`one`) or
+/// first-value-`0` deliveries, `own` standing in the self slot and the
+/// senders in `masked_row` (recipient `i`'s carried fault masks, one lane
+/// word per sender) read as `⊥`. A recipient that masks nobody — every
+/// recipient of a pure king run, whose row is empty — takes the network's
+/// sparse tally, which is why this wrapper must vanish into its caller;
+/// a masking one sums its senders densely.
+#[inline(always)]
+fn tally(net: &BatchNet<'_>, one: bool, i: usize, own: u64, masked_row: &[u64]) -> LaneCounts {
+    if masked_row.iter().any(|&m| m != 0) {
+        masked_tally(net, one, i, own, masked_row)
+    } else if one {
+        net.tally_one(i, own)
+    } else {
+        net.tally_zero(i, own)
+    }
+}
+
+/// The dense tally of a masking recipient: see [`tally`].
+#[inline(never)]
+fn masked_tally(
+    net: &BatchNet<'_>,
+    one: bool,
+    i: usize,
+    own: u64,
+    masked_row: &[u64],
+) -> LaneCounts {
+    let mut count = LaneCounts::default();
+    for (j, &m) in masked_row.iter().enumerate() {
+        count.add(if j == i {
+            own
+        } else if one {
+            net.one(j, i) & !m
+        } else {
+            net.zero(j, i) & !m
+        });
+    }
+    count
+}
+
+/// Bit-sliced lane state for one batch of king-family runs.
+///
+/// Per slot `i`, bit `r` of `current[i]` is run `r`'s preferred value,
+/// `prop_some`/`prop_one` encode the three-way proposal (`Some(1)`,
+/// `Some(0)`, `None`), and `locked`/`ready` carry the phase's lock — the
+/// exact fields of the scalar [`KingCore`](crate::KingCore), one word per
+/// run instead of one scalar.
+pub struct PhaseKernel {
     n: usize,
     t: usize,
     source: usize,
-    rule: PhaseRule,
-    /// Lane mask of the source's input being `Value(1)` (uniform across
-    /// the batch, like every configuration field).
+    row: KingRow,
+    /// Lane mask of the source's input being `Value(1)` (uniform: every
+    /// lane of a batch shares one configuration).
     input_one: u64,
-    current: Vec<u64>,
-    ones: Vec<LaneCounts>,
-    ready: Vec<u64>,
+    pub(crate) current: Vec<u64>,
+    prop_some: Vec<u64>,
+    prop_one: Vec<u64>,
+    locked: Vec<u64>,
+    pub(crate) ready: Vec<u64>,
 }
 
-impl PhaseBatchKernel {
-    /// The leader of 0-based `phase`: the `phase`-th processor id,
-    /// skipping the source — identical to the scalar `king`/`queen`.
-    fn leader(&self, phase: usize) -> usize {
-        phase_leader(self.n, self.source, phase)
-    }
-
-    fn role(&self, round: usize) -> Role {
-        if round == 1 {
-            Role::Source
-        } else if round.is_multiple_of(2) {
-            Role::Exchange
-        } else {
-            Role::Leader((round - 3) / 2)
+impl PhaseKernel {
+    pub(crate) fn new(config: &RunConfig, row: KingRow) -> Self {
+        PhaseKernel {
+            n: config.n,
+            t: config.t,
+            source: config.source.index(),
+            row,
+            input_one: if config.source_value.raw() == 1 {
+                !0
+            } else {
+                0
+            },
+            current: Vec::new(),
+            prop_some: Vec::new(),
+            prop_one: Vec::new(),
+            locked: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
-    /// Lanes in which `slot`'s exchange tally has a ones-majority — the
-    /// value the scalar plurality picks (`ones > n − ones  ⇔
-    /// ones ≥ ⌊n/2⌋ + 1`), and exactly the majority bit a leader
-    /// broadcasts under both rules.
-    fn tally_majority(&self, slot: usize) -> u64 {
-        self.ones[slot].ge(self.n / 2 + 1)
+    /// Maps an engine round to (phase, step); round 1 is the source round.
+    fn locate(&self, round: usize) -> Option<(usize, PhaseStep)> {
+        (round > 1).then(|| self.row.locate(round - 2))
+    }
+
+    /// The per-slot local-op charge of one `step`, as the scalar core
+    /// charges it: `n` for a tally, 1 for the king round.
+    pub(crate) fn step_charge(&self, step: PhaseStep) -> u64 {
+        match step {
+            PhaseStep::Exchange | PhaseStep::Propose => self.n as u64,
+            PhaseStep::King => 1,
+        }
+    }
+
+    /// Classifies every slot's broadcast for `step` of `phase` into the
+    /// lanes of `lanes`, leaving every other lane as it was.
+    pub(crate) fn outgoing_step(
+        &self,
+        phase: usize,
+        step: PhaseStep,
+        lanes: u64,
+        present: &mut [u64],
+        one: &mut [u64],
+        zero: &mut [u64],
+    ) {
+        let n = self.n;
+        let (present, one, zero) = (&mut present[..n], &mut one[..n], &mut zero[..n]);
+        match step {
+            PhaseStep::Exchange => {
+                let current = &self.current[..n];
+                for j in 0..n {
+                    present[j] |= lanes;
+                    one[j] |= current[j] & lanes;
+                    zero[j] |= !current[j] & lanes;
+                }
+            }
+            PhaseStep::Propose => {
+                let (some, value) = (&self.prop_some[..n], &self.prop_one[..n]);
+                for j in 0..n {
+                    present[j] |= lanes;
+                    one[j] |= some[j] & value[j] & lanes;
+                    zero[j] |= some[j] & !value[j] & lanes;
+                }
+            }
+            PhaseStep::King => {
+                let k = phase_leader(n, self.source, phase);
+                present[k] |= lanes;
+                one[k] |= self.current[k] & lanes;
+                zero[k] |= !self.current[k] & lanes;
+            }
+        }
+    }
+
+    /// Applies `step` of `phase` to the lanes of `lanes`, which `net` must
+    /// deliver to ([`BatchNet::for_lanes`] when they are not all of its
+    /// lanes). `masked` is the carried fault-mask table of a gear tail —
+    /// `masked[i * n + j]`: lanes in which recipient `i` reads sender `j`
+    /// as `⊥`/default — and empty for a pure king run.
+    pub(crate) fn deliver_step(
+        &mut self,
+        phase: usize,
+        step: PhaseStep,
+        net: &BatchNet<'_>,
+        lanes: u64,
+        masked: &[u64],
+    ) {
+        let (n, t) = (self.n, self.t);
+        let masked_row = |i: usize| masked.get(i * n..(i + 1) * n).unwrap_or(&[]);
+        match step {
+            PhaseStep::Exchange => {
+                // Ones over all n slots, own current in the self slot. A
+                // strong value is proposed by the three-round row; the
+                // two-round row adopts the plurality and locks it when it
+                // is strong.
+                let strong_at = self.row.strong_at(n, t);
+                for i in 0..n {
+                    let ones = tally(net, true, i, self.current[i], masked_row(i));
+                    let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
+                    match self.row {
+                        KingRow::ThreeRound => {
+                            lane_commit(&mut self.prop_some, i, strong, lanes);
+                            lane_commit(&mut self.prop_one, i, strong_one, lanes);
+                        }
+                        KingRow::TwoRound => {
+                            // The plurality (ones > n − ones), strong or
+                            // not: an unlocked king still broadcasts it.
+                            let top_one = ones.ge(n / 2 + 1);
+                            lane_commit(&mut self.locked, i, strong, lanes);
+                            lane_commit(&mut self.current, i, top_one, lanes);
+                        }
+                    }
+                }
+            }
+            PhaseStep::Propose => {
+                for i in 0..n {
+                    let own_one = self.prop_some[i] & self.prop_one[i];
+                    let own_zero = self.prop_some[i] & !self.prop_one[i];
+                    let c1 = tally(net, true, i, own_one, masked_row(i));
+                    let c0 = tally(net, false, i, own_zero, masked_row(i));
+                    let (current, lock) = propose_rule(&c1, &c0, n, t);
+                    lane_commit(&mut self.current, i, current, lanes);
+                    lane_commit(&mut self.locked, i, lock, lanes);
+                    lane_commit(&mut self.ready, i, lock, lanes);
+                }
+            }
+            PhaseStep::King => {
+                // Unlocked processors adopt the king's value (the king its
+                // own; a masked king reads as the default 0); the phase's
+                // proposal and lock are then cleared. In-place is safe:
+                // the king's own current never changes. The two-round row
+                // publishes the lock it took at the exchange tally here.
+                let k = phase_leader(n, self.source, phase);
+                for i in 0..n {
+                    let read = if i == k {
+                        self.current[k]
+                    } else {
+                        net.one(k, i) & !masked_row(i).get(k).unwrap_or(&0)
+                    };
+                    let v = (self.locked[i] & self.current[i]) | (!self.locked[i] & read);
+                    lane_commit(&mut self.current, i, v, lanes);
+                    if self.row == KingRow::TwoRound {
+                        lane_commit(&mut self.ready, i, self.locked[i], lanes);
+                    }
+                    lane_commit(&mut self.prop_some, i, 0, lanes);
+                    lane_commit(&mut self.locked, i, 0, lanes);
+                }
+            }
+        }
     }
 }
 
-impl BatchKernel for PhaseBatchKernel {
+impl BatchKernel for PhaseKernel {
     fn total_rounds(&self) -> usize {
-        1 + 2 * (self.t + 1)
+        1 + self.row.steps().len() * (self.t + 1)
     }
 
     fn reset(&mut self, _lanes: usize) {
-        for buf in [&mut self.current, &mut self.ready] {
+        for buf in [
+            &mut self.current,
+            &mut self.prop_some,
+            &mut self.prop_one,
+            &mut self.locked,
+            &mut self.ready,
+        ] {
             buf.clear();
             buf.resize(self.n, 0);
         }
-        self.ones.clear();
-        self.ones.resize_with(self.n, LaneCounts::default);
     }
 
     fn charge(&self, round: usize) -> u64 {
-        match self.role(round) {
-            Role::Source | Role::Leader(_) => 1,
-            Role::Exchange => self.n as u64,
-        }
+        self.locate(round)
+            .map_or(1, |(_, step)| self.step_charge(step))
     }
 
     fn snapshot_round(&self, round: usize) -> bool {
         // `Preferred` trace events land after the source round and after
-        // every leader round, in both scalar protocols.
-        matches!(self.role(round), Role::Source | Role::Leader(_))
+        // every king round.
+        matches!(self.locate(round), None | Some((_, PhaseStep::King)))
     }
 
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
-        match self.role(round) {
-            Role::Source => {
+        match self.locate(round) {
+            None => {
+                // Only the source speaks in round 1, with its input.
                 present[self.source] = !0;
                 one[self.source] = self.input_one;
                 zero[self.source] = !self.input_one;
             }
-            Role::Exchange => {
-                for j in 0..self.n {
-                    present[j] = !0;
-                    one[j] = self.current[j];
-                    zero[j] = !self.current[j];
-                }
-            }
-            Role::Leader(phase) => {
-                // Both rules broadcast the tally majority, *not* the
-                // leader's current value (a stale value breaks the
-                // consistency argument — see the scalar protocols).
-                let leader = self.leader(phase);
-                let maj = self.tally_majority(leader);
-                present[leader] = !0;
-                one[leader] = maj;
-                zero[leader] = !maj;
-            }
+            Some((phase, step)) => self.outgoing_step(phase, step, !0, present, one, zero),
         }
     }
 
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
-        let (n, t) = (self.n, self.t);
-        match self.role(round) {
-            Role::Source => {
-                // Everyone adopts the (sanitized) source value; anything
-                // unreadable defaults to 0, so the delivered `one` mask
+        match self.locate(round) {
+            None => {
+                // Everyone adopts the (sanitized) source value; unreadable
+                // deliveries land on the default, i.e. the `one` lane mask
                 // is exactly the adopted value.
-                for i in 0..n {
+                for i in 0..self.n {
                     let v = if i == self.source {
                         self.input_one
                     } else {
@@ -175,58 +336,12 @@ impl BatchKernel for PhaseBatchKernel {
                     lane_commit(&mut self.current, i, v, active);
                 }
             }
-            Role::Exchange => {
-                // Count ones over all n slots (own current substituted
-                // for the cleared self slot); zeros are n − ones because
-                // absent/garbled values sanitize to 0.
-                for i in 0..n {
-                    let ones = net.tally_one(i, self.current[i]);
-                    self.ones[i].commit(&ones, active);
-                }
-            }
-            Role::Leader(phase) => {
-                let leader = self.leader(phase);
-                let leader_maj = self.tally_majority(leader);
-                for i in 0..n {
-                    let read = if i == leader {
-                        leader_maj
-                    } else {
-                        net.one(leader, i)
-                    };
-                    let maj = self.tally_majority(i);
-                    let (keep_one, keep_zero) = match self.rule {
-                        // King: `count(maj) > n/2 + t`. For `maj = 1`,
-                        // `ones ≥ n/2 + t + 1` (which forces the majority,
-                        // so no `maj` conjunct is needed); for `maj = 0`,
-                        // `n − ones > n/2 + t  ⇔  ones < n − n/2 − t`.
-                        PhaseRule::King => (
-                            self.ones[i].ge(n / 2 + t + 1),
-                            !self.ones[i].ge(n - n / 2 - t),
-                        ),
-                        // Queen: `2·count > n + 2t  ⇔  count ≥ k + 1` with
-                        // `k = ⌊(n + 2t)/2⌋`; for zeros, `n − ones ≥ k + 1
-                        // ⇔  ones < n − k`.
-                        PhaseRule::Queen => {
-                            let k = (n + 2 * t) / 2;
-                            (self.ones[i].ge(k + 1), !self.ones[i].ge(n - k))
-                        }
-                    };
-                    let stable = keep_one | keep_zero;
-                    let v = (stable & maj) | (!stable & read);
-                    lane_commit(&mut self.current, i, v, active);
-                    lane_commit(&mut self.ready, i, stable, active);
-                }
-            }
+            Some((phase, step)) => self.deliver_step(phase, step, net, active, &[]),
         }
     }
 
     fn ready(&self, slot: usize) -> u64 {
-        if slot == self.source {
-            // The source decides its own input and is always ready.
-            !0
-        } else {
-            self.ready[slot]
-        }
+        self.ready[slot]
     }
 
     fn current_one(&self, slot: usize) -> u64 {
@@ -242,14 +357,13 @@ impl BatchKernel for PhaseBatchKernel {
     }
 }
 
-/// The batch kernel for `spec` under `config`, if any family provides
-/// one: `optimal-king` ([`crate::king_batch_kernel`]), `phase-king`,
-/// `phase-queen`, or the gear-shifting `king-shift` / `dynamic-king`
-/// pair ([`crate::gear_batch_kernel`], a mixed-width kernel running the
-/// tree prefix wide and the king tail narrow), each on a valid
-/// binary-domain, unauthenticated configuration with a binary source
-/// value and at most 64 processors. Everything else signals the caller
-/// to take the scalar path.
+/// The batch kernel for `spec` under `config`, if its family has one: the
+/// king kernel for `optimal-king`, `phase-king` and `phase-queen`
+/// ([`PhaseKernel`]), the mixed-width gear kernel for `king-shift` and
+/// `dynamic-king` ([`crate::gear_batch_kernel`]: tree prefix wide, king
+/// tail narrow) — each on a valid binary-domain, unauthenticated
+/// configuration with a binary source value and at most 64 processors.
+/// Everything else signals the caller to take the scalar path.
 pub fn batch_kernel(
     spec: &AlgorithmSpec,
     config: &RunConfig,
@@ -257,33 +371,11 @@ pub fn batch_kernel(
     if !batch_eligible(spec, config) {
         return None;
     }
-    let rule = match spec {
-        AlgorithmSpec::OptimalKing => {
-            return crate::king_batch_kernel(spec, config)
-                .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>);
-        }
-        AlgorithmSpec::KingShift { .. } | AlgorithmSpec::DynamicKing { .. } => {
-            return crate::gear_batch_kernel(spec, config)
-                .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>);
-        }
-        AlgorithmSpec::PhaseKing => PhaseRule::King,
-        AlgorithmSpec::PhaseQueen => PhaseRule::Queen,
-        _ => return None,
-    };
-    Some(Box::new(PhaseBatchKernel {
-        n: config.n,
-        t: config.t,
-        source: config.source.index(),
-        rule,
-        input_one: if config.source_value.raw() == 1 {
-            !0
-        } else {
-            0
-        },
-        current: Vec::new(),
-        ones: Vec::new(),
-        ready: Vec::new(),
-    }))
+    match spec.king_row() {
+        Some(row) => Some(Box::new(PhaseKernel::new(config, row))),
+        None => crate::gear_batch_kernel(spec, config)
+            .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>),
+    }
 }
 
 #[cfg(test)]
@@ -307,26 +399,44 @@ mod tests {
 
     #[test]
     fn invalid_or_oversized_configs_are_refused() {
-        // n ≤ 4t violates the phase-family resilience bound.
+        // n ≤ 4t (n ≤ 3t) violates the two-round (three-round) row's
+        // resilience bound.
         assert!(batch_kernel(&AlgorithmSpec::PhaseKing, &config(12, 3)).is_none());
         assert!(batch_kernel(&AlgorithmSpec::PhaseQueen, &config(12, 3)).is_none());
+        assert!(batch_kernel(&AlgorithmSpec::OptimalKing, &config(9, 3)).is_none());
         // More processors than lanes in a word.
         assert!(batch_kernel(&AlgorithmSpec::PhaseKing, &config(100, 3)).is_none());
+        assert!(batch_kernel(&AlgorithmSpec::OptimalKing, &config(100, 3)).is_none());
         // Wide-domain source values have no single-bit lane form.
-        let wide = config(16, 3).with_source_value(Value(7));
-        assert!(batch_kernel(&AlgorithmSpec::PhaseKing, &wide).is_none());
+        for (spec, t) in [
+            (AlgorithmSpec::PhaseKing, 3),
+            (AlgorithmSpec::OptimalKing, 5),
+        ] {
+            let wide = config(16, t).with_source_value(Value(7));
+            assert!(batch_kernel(&spec, &wide).is_none());
+        }
     }
 
     #[test]
     fn leaders_skip_the_source_and_schedule_matches_scalar() {
         let kernel = batch_kernel(&AlgorithmSpec::PhaseKing, &config(9, 2))
             .expect("valid phase-king config");
-        // 1 source round + 2·(t+1) phase rounds, like the scalar pair.
+        // 1 source round + 2·(t+1) phase rounds, like the scalar protocol.
         assert_eq!(kernel.total_rounds(), 7);
         assert!(kernel.snapshot_round(1));
         assert!(!kernel.snapshot_round(2));
         assert!(kernel.snapshot_round(3));
         assert_eq!(kernel.charge(2), 9);
         assert_eq!(kernel.charge(3), 1);
+        // 1 + 3·(t+1) on the three-round row; the king round is the third.
+        let mut kernel = batch_kernel(&AlgorithmSpec::OptimalKing, &config(7, 2))
+            .expect("valid optimal-king config");
+        assert_eq!(kernel.total_rounds(), 10);
+        assert_eq!((kernel.charge(3), kernel.charge(4)), (7, 1));
+        // The source is 0, so phase 0's king is slot 1: it alone speaks.
+        kernel.reset(1);
+        let (mut present, mut one, mut zero) = ([0u64; 7], [0u64; 7], [0u64; 7]);
+        kernel.outgoing(4, &mut present, &mut one, &mut zero);
+        assert_eq!(present, [0, !0, 0, 0, 0, 0, 0]);
     }
 }

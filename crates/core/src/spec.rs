@@ -2,10 +2,11 @@
 //!
 //! [`AlgorithmSpec`] names every agreement protocol this reproduction
 //! provides — the paper's five (plain/modified Exponential, Algorithms A,
-//! B, C, and the Hybrid) plus two baselines from the surrounding
-//! literature (Phase King and authenticated Dolev–Strong) — validates
-//! parameters against each algorithm's resilience, and builds per-process
-//! protocol instances for the engine.
+//! B, C, and the Hybrid), the king family the paper's §5 points to (one
+//! phase machine under three names, and two gear shifts into it) and
+//! authenticated Dolev–Strong — validates parameters against each
+//! algorithm's resilience, and builds per-process protocol instances for
+//! the engine.
 
 use std::fmt;
 
@@ -15,10 +16,9 @@ use crate::dolev_strong::DolevStrong;
 use crate::gearbox::{dynamic_king_rounds, DynamicKing};
 use crate::geared::GearedProtocol;
 use crate::king_shift::{king_shift_rounds, KingShift};
-use crate::optimal_king::OptimalKing;
+use crate::optimal_king::KingRow;
 use crate::params::{t_a, t_b, t_c, Params};
 use crate::phase_king::PhaseKing;
-use crate::phase_queen::PhaseQueen;
 use crate::plan::{
     algorithm_a_plan, algorithm_b_plan, algorithm_c_plan, exponential_plan, hybrid_plan,
     RoundAction,
@@ -86,8 +86,12 @@ pub enum AlgorithmSpec {
         /// Gather rounds per A block (clamped to `t`); `3 ≤ b`.
         b: usize,
     },
-    /// Phase Queen (Berman & Garay) baseline: like Phase King but with a
-    /// pure threshold rule; binary domain, resilience `⌊(n−1)/4⌋`.
+    /// Phase Queen (Berman & Garay): Phase King stated as a pure
+    /// threshold rule on bits — keep `b` on `2·count(b) > n + 2t`. On the
+    /// binary domain, the only one it accepts, that is Phase King's rule
+    /// exactly, so this spec builds the same two-round phase machine
+    /// (`sg_core::optimal_king`; `tests/king_fingerprints.rs` holds the
+    /// two names to equal fingerprints). Resilience `⌊(n−1)/4⌋`.
     PhaseQueen,
     /// Authenticated Dolev–Strong (1983) baseline with simulated
     /// signatures: `t+1` rounds, resilience up to `n−2`.
@@ -194,6 +198,16 @@ impl AlgorithmSpec {
             | AlgorithmSpec::PhaseQueen => t_b(n),
             AlgorithmSpec::AlgorithmC => t_c(n),
             AlgorithmSpec::DolevStrong => n.saturating_sub(2),
+        }
+    }
+
+    /// The king family's rule row, for the three specs that are one phase
+    /// machine behind a source round.
+    pub(crate) fn king_row(&self) -> Option<KingRow> {
+        match self {
+            AlgorithmSpec::OptimalKing => Some(KingRow::ThreeRound),
+            AlgorithmSpec::PhaseKing | AlgorithmSpec::PhaseQueen => Some(KingRow::TwoRound),
+            _ => None,
         }
     }
 
@@ -309,16 +323,22 @@ impl AlgorithmSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters fail [`AlgorithmSpec::validate`].
+    /// Panics if the parameters fail [`AlgorithmSpec::validate`], or if
+    /// [`AlgorithmSpec::PhaseQueen`] is given a non-binary domain (lift
+    /// with [`crate::multivalued`] instead).
     pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> Box<dyn Protocol> {
         self.validate(params.n, params.t)
             .unwrap_or_else(|e| panic!("invalid algorithm parameters: {e}"));
+        if let Some(row) = self.king_row() {
+            assert!(
+                *self != AlgorithmSpec::PhaseQueen || params.domain.size() == 2,
+                "Phase Queen is binary; lift with the multivalued reduction"
+            );
+            return Box::new(PhaseKing::new(params, me, input, row));
+        }
         match self {
-            AlgorithmSpec::PhaseKing => Box::new(PhaseKing::new(params, me, input)),
-            AlgorithmSpec::OptimalKing => Box::new(OptimalKing::new(params, me, input)),
-            AlgorithmSpec::KingShift { b } => Box::new(KingShift::new(params, me, input, *b)),
-            AlgorithmSpec::DynamicKing { b } => Box::new(DynamicKing::new(params, me, input, *b)),
-            AlgorithmSpec::PhaseQueen => Box::new(PhaseQueen::new(params, me, input)),
+            AlgorithmSpec::KingShift { b } => Box::new(KingShift::build(params, me, input, *b)),
+            AlgorithmSpec::DynamicKing { b } => Box::new(DynamicKing::build(params, me, input, *b)),
             AlgorithmSpec::DolevStrong => Box::new(DolevStrong::new(params, me, input)),
             _ => {
                 let plan = self
@@ -428,6 +448,18 @@ mod tests {
             AlgorithmSpec::Hybrid { b: 6 }.validate(16, 5),
             Err(SpecError::BadBlockParameter { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "binary")]
+    fn phase_queen_rejects_a_non_binary_domain() {
+        let params = Params {
+            n: 9,
+            t: 2,
+            source: ProcessId(0),
+            domain: sg_sim::ValueDomain::new(3),
+        };
+        let _ = AlgorithmSpec::PhaseQueen.build(params, ProcessId(1), None);
     }
 
     #[test]

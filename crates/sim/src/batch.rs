@@ -199,6 +199,7 @@ impl<const P: usize> BitPlanes<P> {
 /// Self slots (`i == j`) always read clear, mirroring the scalar
 /// engine's `clear(me)`; kernels substitute their own local state, which
 /// is the `own` argument of the tallies.
+#[derive(Clone, Copy)]
 pub struct BatchNet<'a> {
     /// System size.
     n: usize,
@@ -258,6 +259,17 @@ impl<'a> BatchNet<'a> {
             common_one,
             common_zero,
             active,
+        }
+    }
+
+    /// The same network, asked about `lanes` only: what a kernel takes
+    /// when the slots it tallies broadcast something else in the round's
+    /// other lanes (a gear kernel's cohorts at different phase steps), so
+    /// that the self-slot identity is asserted where it is meant.
+    pub fn for_lanes(&self, lanes: u64) -> BatchNet<'a> {
+        BatchNet {
+            active: self.active & lanes,
+            ..*self
         }
     }
 

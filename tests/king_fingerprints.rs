@@ -15,7 +15,8 @@
 //! scalar protocol, so one pin holds both representations.
 //!
 //! The pins were captured on the commit *before* the six phase loops
-//! were collapsed into two (`sg_core::king`, `sg_core::king_batch`).
+//! were collapsed into two (`sg_core::optimal_king`'s `KingCore`,
+//! `sg_core::phase_batch`'s `PhaseKernel`) and have not moved since.
 //!
 //! **`phase-queen` ≡ `phase-king` on a binary domain.** Both keep their
 //! value on `ones ≥ ⌊n/2⌋ + t + 1 ∨ ones < n − ⌊n/2⌋ − t`, both leaders
