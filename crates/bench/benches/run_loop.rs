@@ -45,7 +45,13 @@
 //!   from it, one append; and one 64-sample cell through the tree codec
 //!   (`to_json().to_string()`, `Json::parse` + `from_json`) vs the text
 //!   codec (`write_text`, `from_text`) that journal lines and cell
-//!   frames use when the input is canonical.
+//!   frames use when the input is canonical;
+//! * `serve/*` — the benchmark's `serve-stream` workload taken apart
+//!   the same way: a 1-worker daemon on a unix socket, `ping-rtt` on it
+//!   idle, then — with a second closed-loop client keeping it busy —
+//!   `accept` (submit written → `accepted` read, the benchmark's
+//!   `serve.accept_us`) and `job-36x64` (submit → verified summary of
+//!   the `king-expedite` grid, against `journal/*`'s in-process cells).
 //!
 //! The `instances/*` and `engine/*` variants execute identical work —
 //! `tests/instance_pool.rs` and `tests/engine_identity.rs` pin down that
@@ -631,6 +637,69 @@ fn bench_cell_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `serve-stream` set-up: one worker, a unix socket, two clients.
+#[cfg(unix)]
+fn bench_serve(c: &mut Criterion) {
+    use sg_serve::{serve, Bind, Client, ServeOptions};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let socket = std::env::temp_dir().join(format!("sg-bench-serve-{}.sock", std::process::id()));
+    let options = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    let daemon = serve(&Bind::Unix(socket.clone()), options).expect("bind daemon");
+    let addr = format!("unix:{}", socket.display());
+    let connect = || Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+    let grids: Vec<SweepPlan> = (0..4).map(|k| expedite_grid(SEED + 1000 * k)).collect();
+
+    let mut group = c.benchmark_group("serve");
+    let mut client = connect();
+    group.bench_function("ping-rtt", |b| b.iter(|| client.ping().expect("pong")));
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut neighbour = connect();
+            for grid in grids.iter().cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                neighbour.submit_and_collect(grid).expect("neighbour job");
+            }
+        });
+        let mut grid = grids.iter().cycle();
+        group.bench_function("accept", |b| {
+            b.iter_custom(|iters| {
+                let mut accepting = Duration::ZERO;
+                for _ in 0..iters {
+                    let submitted = Instant::now();
+                    let job = client.submit(grid.next().unwrap()).expect("submit");
+                    accepting += submitted.elapsed();
+                    client.collect(job, |_, _| {}).expect("collect");
+                }
+                accepting
+            });
+        });
+        group.bench_function("job-36x64", |b| {
+            b.iter(|| {
+                client
+                    .submit_and_collect(grid.next().unwrap())
+                    .expect("job")
+                    .fingerprint
+            });
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
+    group.finish();
+    daemon.shutdown();
+    std::fs::remove_file(&socket).ok();
+}
+
+#[cfg(not(unix))]
+fn bench_serve(_: &mut Criterion) {}
+
 criterion_group!(
     benches,
     bench_instance_pool,
@@ -641,6 +710,7 @@ criterion_group!(
     bench_batch_adversaries,
     bench_eigtree,
     bench_journal,
-    bench_cell_codec
+    bench_cell_codec,
+    bench_serve
 );
 criterion_main!(benches);

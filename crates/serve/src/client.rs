@@ -193,10 +193,27 @@ pub struct StreamedReport {
     pub cached_cells: usize,
 }
 
+/// Writes `request` as one line in **one** `write`: on an unbuffered
+/// socket every separate write is its own syscall and its own wake-up of
+/// the daemon's reader, so the line is formatted into `line` first.
+fn write_request(
+    writer: &mut (impl Write + ?Sized),
+    line: &mut String,
+    request: &Request,
+) -> io::Result<()> {
+    use std::fmt::Write as _;
+    line.clear();
+    // Writing to a `String` cannot fail.
+    let _ = writeln!(line, "{}", request.to_json());
+    writer.write_all(line.as_bytes())
+}
+
 /// One connection to a daemon.
 pub struct Client {
     lines: BufReader<Box<dyn io::Read + Send>>,
     stream: ClientStream,
+    /// The line being sent or received, reused across calls.
+    line: String,
     /// Job-scoped frames that arrived while a request was waiting for
     /// its own answer (a still-streaming job's cells can interleave
     /// with a later submit's `accepted`/`rejected`); [`Client::collect`]
@@ -256,20 +273,18 @@ impl Client {
     fn connect_once(addr: &str) -> io::Result<Client> {
         #[cfg(unix)]
         if let Some(path) = addr.strip_prefix("unix:") {
-            let stream = UnixStream::connect(path)?;
-            let stream = ClientStream::Unix(stream);
-            return Ok(Client {
-                lines: BufReader::new(stream.reader()?),
-                stream,
-                pending: VecDeque::new(),
-            });
+            return Self::over(ClientStream::Unix(UnixStream::connect(path)?));
         }
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let stream = ClientStream::Tcp(stream);
+        Self::over(ClientStream::Tcp(stream))
+    }
+
+    fn over(stream: ClientStream) -> io::Result<Client> {
         Ok(Client {
             lines: BufReader::new(stream.reader()?),
             stream,
+            line: String::new(),
             pending: VecDeque::new(),
         })
     }
@@ -280,9 +295,7 @@ impl Client {
     ///
     /// Returns [`ServeError::Io`] if the connection is gone.
     pub fn send(&mut self, request: &Request) -> Result<(), ServeError> {
-        let writer = self.stream.writer();
-        writeln!(writer, "{}", request.to_json())?;
-        writer.flush()?;
+        write_request(self.stream.writer(), &mut self.line, request)?;
         Ok(())
     }
 
@@ -293,10 +306,10 @@ impl Client {
     /// Returns [`ServeError::Io`] on EOF and [`ServeError::Protocol`] on
     /// an unparseable line.
     pub fn next_frame(&mut self) -> Result<Frame, ServeError> {
-        let mut line = String::new();
+        let line = &mut self.line;
         loop {
             line.clear();
-            let n = self.lines.read_line(&mut line)?;
+            let n = self.lines.read_line(line)?;
             if n == 0 {
                 return Err(ServeError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -595,5 +608,76 @@ impl Client {
     pub fn submit_and_collect(&mut self, plan: &SweepPlan) -> Result<StreamedReport, ServeError> {
         let handle = self.submit(plan)?;
         self.collect(handle, |_, _| {})
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sg_adversary::FaultSelection;
+    use sg_analysis::{AdversaryFamily, SweepConfig};
+    use sg_core::AlgorithmSpec;
+
+    /// Stands in for the socket: takes whatever it is handed and counts
+    /// the hand-overs, each of which would be a `write(2)` — and a
+    /// wake-up of the daemon's reader — on the real thing.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_reaches_the_socket_in_one_write() {
+        // A 36-cell grid, nine configs × four families: the submit line's
+        // JSON tree has hundreds of `Display` fragments.
+        let honest = FaultSelection::without_source;
+        let plan = SweepPlan::new(
+            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5); 9],
+            vec![
+                AdversaryFamily::random_liar(honest()),
+                AdversaryFamily::crash(honest(), 2),
+                AdversaryFamily::silent(honest()),
+                AdversaryFamily::chain_revealer(honest(), 2, 2),
+            ],
+            64,
+        );
+        assert_eq!(plan.cell_count(), 36);
+
+        let mut line = String::new();
+        for request in [
+            Request::Submit {
+                plan,
+                deadline_ms: Some(250),
+            },
+            Request::Ping,
+            Request::Cancel { job: 7 },
+        ] {
+            let mut socket = CountingWriter::default();
+            write_request(&mut socket, &mut line, &request).expect("write");
+            assert_eq!(
+                socket.writes,
+                1,
+                "{} bytes reached the socket in {} writes",
+                socket.bytes.len(),
+                socket.writes
+            );
+            assert_eq!(
+                socket.bytes,
+                format!("{}\n", request.to_json()).into_bytes()
+            );
+        }
     }
 }

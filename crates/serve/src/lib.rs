@@ -15,9 +15,10 @@
 //!   [`sg_analysis::SweepScratch`] for its entire life, so the protocol
 //!   instances, strategies, lock-step kernels and execution buffers the
 //!   sweep executor recycles stay warm from one request to the next.
-//! * **Fair interleaving.** Jobs are scheduled round-robin at cell
-//!   granularity; two concurrent grids make progress together, and each
-//!   still yields exactly its solo results (coordinate-pure seeding).
+//! * **Fair interleaving.** Jobs are scheduled round-robin, a worker
+//!   turn (a quarter of a millisecond of cells, or one longer cell) at a
+//!   time; two concurrent grids make progress together, and each still
+//!   yields exactly its solo results (coordinate-pure seeding).
 //! * **Cancellation.** A `cancel` line stops a running grid within one
 //!   chunk (≤ 64 runs), mid-cell included.
 //! * **Fault isolation.** Malformed frames get structured `error`
@@ -27,7 +28,7 @@
 //!   daemon answers `rejected` with a deterministic `retry_after_ms`
 //!   instead of queueing without limit, deadlines (`deadline_ms`) stop
 //!   overdue jobs at the same chunk boundary, slow readers are shed
-//!   from a bounded per-connection write queue, and `drain` (or
+//!   by a send timeout behind a capped send buffer, and `drain` (or
 //!   SIGTERM) finishes accepted work before saying `bye` — see
 //!   [`server`]'s "Overload behavior" notes and [`load`] for the
 //!   harness that proves it.

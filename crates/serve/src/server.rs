@@ -4,24 +4,33 @@
 //! # Architecture
 //!
 //! ```text
-//! accept loop ──► connection thread (one per client)
-//!                   │  reader thread: NDJSON lines → requests
-//!                   │  writer: frames, cells reordered into grid order
+//! accept loop ──► two threads per client
+//!                   │  reader: NDJSON lines → requests ─┐
+//!                   │  event thread ◄───────────────────┘ ◄── worker turns
+//!                   │    owns the socket's write half: answers every
+//!                   │    queued event (cells reordered into grid order)
+//!                   │    into one buffer, one write, then blocks
 //!                   ▼
 //!                scheduler: round-robin queue of active jobs
 //!                   ▲
 //! worker pool ──────┘  N threads, each owning ONE SweepScratch for life
 //! ```
 //!
-//! Work is scheduled at **cell granularity**: a worker pops the front
-//! job, claims its next unclaimed cell, requeues the job at the back (so
-//! concurrent jobs interleave fairly), and executes the cell through the
-//! sweep engine's [`sg_analysis::CellCursor`] — the same 64-seed chunk
-//! executor `SweepPlan::run` fans onto its pool threads — in its own
-//! long-lived [`SweepScratch`]: the same scratch across cells, jobs, *and
-//! requests*, which is what keeps protocol instances, strategies and
-//! lock-step kernels warm daemon-wide. Cancellation is checked between
-//! chunks, so a cancel lands within one chunk (≤ 64 runs) even mid-cell.
+//! Cells are the unit of work, **turns** the unit of scheduling: a worker
+//! pops the front job, claims its next unclaimed cell, requeues the job
+//! at the back (so siblings and concurrent jobs interleave fairly), and
+//! executes the cell through the sweep engine's
+//! [`sg_analysis::CellCursor`] — the same 64-seed chunk executor
+//! `SweepPlan::run` fans onto its pool threads — in its own long-lived
+//! [`SweepScratch`]: the same scratch across cells, jobs, *and requests*,
+//! which is what keeps protocol instances, strategies and lock-step
+//! kernels warm daemon-wide. It then keeps claiming from the same job
+//! until its turn (`TURN`) is spent or the job's cells run out, and
+//! reports the turn's cells to the owning connection as one event — so a
+//! grid of 15 µs cells costs one wake-up per turn, not one per cell, while
+//! a cell longer than a turn still ships the moment it finishes.
+//! Cancellation is checked between chunks, so a cancel lands within one
+//! chunk (≤ 64 runs) even mid-cell.
 //!
 //! # Determinism
 //!
@@ -43,15 +52,18 @@
 //! waiting on any worker, with a deterministic
 //! `retry_after_ms` hint scaled to the backlog. Deadlines ride the same
 //! between-chunks check as cancellation, so an expired job stops within
-//! one chunk (≤ 64 runs). A reader that stalls while its daemon streams — the
-//! slow-loris client — is shed the moment its bounded write queue
-//! fills: its jobs are cancelled and its socket closed, while every
-//! other connection and the worker pool continue untouched. Draining
+//! one chunk (≤ 64 runs). A reader that stalls while its daemon streams —
+//! the slow-loris client — is shed once a write to it makes no progress
+//! for `SHED_GRACE_MS` (a send timeout on the accepted socket, behind a
+//! send buffer capped at [`ServeOptions::send_buffer`]): its jobs are
+//! cancelled and its socket closed, while every other connection and the
+//! worker pool continue untouched — only that connection's own event
+//! thread ever blocks on its socket. Draining
 //! (the `drain` op or `sg serve`'s SIGTERM handler) finishes accepted
 //! jobs, rejects new submits with code `draining`, and says `bye`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -106,17 +118,14 @@ pub struct ServeOptions {
     pub max_queued_runs: u64,
     /// Active jobs allowed per connection (0 = unlimited).
     pub max_jobs_per_conn: usize,
-    /// Per-connection write-queue capacity, in frames. A client whose
-    /// reader stalls until the queue fills is shed — its jobs cancelled
-    /// and its socket closed — so one slow reader can never wedge the
-    /// daemon or other connections.
-    pub write_queue: usize,
     /// Kernel send-buffer cap per accepted connection, in bytes (0 = OS
     /// default). Left alone, Linux auto-grows `SO_SNDBUF` into the
     /// megabytes on loopback, so a stalled reader hides behind kernel
-    /// buffering and the `write_queue` shed never fires; capping it
-    /// makes "bounded per-connection write buffer" mean what it says:
-    /// `write_queue` frames plus this many kernel bytes, total.
+    /// buffering long before a write to it blocks; capping it bounds what
+    /// the daemon buffers for a client that has stopped reading — a
+    /// reader whose buffer stays full for `SHED_GRACE_MS` is shed, its
+    /// jobs cancelled and its socket closed, so one slow reader can
+    /// never wedge the daemon or other connections.
     pub send_buffer: usize,
     /// Result-journal directory (`sg serve --journal`). When set, every
     /// submit is first resolved against the journal: cells already
@@ -134,7 +143,6 @@ impl Default for ServeOptions {
             max_jobs: 64,
             max_queued_runs: 50_000_000,
             max_jobs_per_conn: 16,
-            write_queue: 256,
             send_buffer: 256 * 1024,
             journal: None,
         }
@@ -151,11 +159,10 @@ fn retry_hint_ms(queued_runs: u64) -> u64 {
 /// What a worker reports back to the owning connection, always sent
 /// under the job-core lock so terminal events are unique and ordered.
 enum JobEvent {
-    /// A completed cell (grid index attached); `last` marks the job's
-    /// final cell.
-    Cell {
-        index: usize,
-        cell: Box<CellReport>,
+    /// The cells one worker turn completed (grid indices attached);
+    /// `last` marks the turn that finished the job.
+    Cells {
+        cells: Vec<(usize, Box<CellReport>)>,
         last: bool,
     },
     /// Terminal: the job was cancelled and no further frames will come.
@@ -182,7 +189,7 @@ enum ConnEvent {
 struct JobCore {
     /// Next unclaimed flat cell index.
     next_cell: usize,
-    /// Cells currently executing on workers.
+    /// Workers currently in a turn on this job.
     outstanding: usize,
     /// Cells fully executed and reported.
     done: usize,
@@ -192,7 +199,7 @@ struct JobCore {
     /// Set by whichever worker first notices the deadline passed, so
     /// the terminal frame reports `deadline-exceeded`, not `cancelled`.
     deadline_hit: bool,
-    /// Whether a terminal event (`last` cell, `Cancelled`,
+    /// Whether a terminal event (`last` turn, `Cancelled`,
     /// `DeadlineExceeded`, `Failed`) has been emitted — exactly one
     /// ever is.
     terminal_sent: bool,
@@ -269,15 +276,51 @@ impl Job {
     }
 
     /// Marks the job cancelled; emits the terminal event immediately if
-    /// no worker is mid-cell (otherwise the last such worker does).
+    /// no worker is mid-turn (otherwise the last such worker does).
     fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
         let mut core = self.core.lock().expect("job core");
+        self.abort(&mut core);
+        self.close_if_idle(&mut core);
+    }
+
+    /// Stops further claims and aborts runs at their next chunk boundary.
+    fn abort(&self, core: &mut JobCore) {
+        self.cancel.store(true, Ordering::Relaxed);
         core.cancelled = true;
-        if core.outstanding == 0 && !core.terminal_sent {
-            let event = Job::aborted_event(&core);
-            self.finish(&mut core, event);
+    }
+
+    /// [`Job::abort`] on behalf of the deadline, so the terminal frame
+    /// says `deadline-exceeded`.
+    fn expire(&self, core: &mut JobCore) {
+        self.abort(core);
+        core.deadline_hit = true;
+    }
+
+    /// Emits an aborted job's terminal event once no worker is left in it.
+    fn close_if_idle(&self, core: &mut JobCore) {
+        if core.cancelled && core.outstanding == 0 && !core.terminal_sent {
+            let event = Job::aborted_event(core);
+            self.finish(core, event);
         }
+    }
+
+    /// Claims the next unclaimed cell for the calling worker; `None` when
+    /// the job is aborted, out of cells, or found past its deadline here
+    /// — before any run of the claim, the cheapest of the deadline checks.
+    fn claim(&self, core: &mut JobCore) -> Option<usize> {
+        // Journal hits were streamed at accept time; claims hop over
+        // them so workers only ever see the delta.
+        core.next_cell = self.next_unclaimed(core.next_cell);
+        if core.cancelled || core.next_cell >= self.cell_count() {
+            return None;
+        }
+        if self.expired() {
+            self.expire(core);
+            return None;
+        }
+        let index = core.next_cell;
+        core.next_cell = self.next_unclaimed(index + 1);
+        Some(index)
     }
 }
 
@@ -478,11 +521,10 @@ enum Listener {
 }
 
 /// Caps the kernel send buffer of an accepted socket. The kernel
-/// otherwise auto-grows `SO_SNDBUF` well past the configured write
-/// queue, letting megabytes of frames pile up for a reader that has
-/// stopped reading — the user-space queue never fills and the shed
-/// path never fires. Failure is ignored: the cap is a bound, not a
-/// correctness requirement.
+/// otherwise auto-grows `SO_SNDBUF` into the megabytes, letting that
+/// many frames pile up for a reader that has stopped reading before a
+/// write to it ever blocks and the shed timeout starts. Failure is
+/// ignored: the cap is a bound, not a correctness requirement.
 #[cfg(target_os = "linux")]
 fn cap_send_buffer(fd: i32, bytes: usize) {
     const SOL_SOCKET: i32 = 1;
@@ -499,13 +541,17 @@ fn cap_send_buffer(fd: i32, bytes: usize) {
 fn cap_send_buffer(_fd: i32, _bytes: usize) {}
 
 impl Listener {
+    /// Accepts one connection, with the slow-reader bounds in place: a
+    /// send timeout of [`SHED_GRACE_MS`] behind a capped send buffer.
     fn accept(&self, send_buffer: usize) -> io::Result<Box<dyn Conn>> {
         #[cfg(not(unix))]
         let _ = send_buffer;
+        let grace = Some(Duration::from_millis(SHED_GRACE_MS));
         match self {
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
                 stream.set_nodelay(true).ok();
+                stream.set_write_timeout(grace)?;
                 #[cfg(unix)]
                 if send_buffer > 0 {
                     cap_send_buffer(std::os::fd::AsRawFd::as_raw_fd(&stream), send_buffer);
@@ -515,6 +561,7 @@ impl Listener {
             #[cfg(unix)]
             Listener::Unix(l) => {
                 let (stream, _) = l.accept()?;
+                stream.set_write_timeout(grace)?;
                 if send_buffer > 0 {
                     cap_send_buffer(std::os::fd::AsRawFd::as_raw_fd(&stream), send_buffer);
                 }
@@ -724,43 +771,49 @@ enum CellRun {
     Expired,
 }
 
+/// How long a worker stays on one job before it reports and takes the
+/// queue's next: a turn, not a cell, is what the owning connection is
+/// woken for. Each report costs a wake chain — worker → event thread →
+/// socket → client — measured at ~30 µs of mostly system time, twice the
+/// ~15 µs a 64-seed king cell takes to compute; at 250 µs a turn the
+/// chain is ≤ 12 % of the work it reports, and a finished cell waits at
+/// most that long to ship. Checked between cells, so a cell longer than
+/// a turn is a turn of its own.
+const TURN: Duration = Duration::from_micros(250);
+
 /// One worker: a long-lived scratch and an endless claim-execute loop.
 fn worker_loop(shared: &Shared) {
     let mut scratch = SweepScratch::default();
     while let Some(job) = shared.next() {
-        // Claim the job's next cell; requeue the job first so siblings
-        // can claim its other cells (and other jobs stay interleaved).
-        let claimed = {
-            let mut core = job.core.lock().expect("job core");
-            // Journal hits were streamed at accept time; claims hop
-            // over them so workers only ever see the delta.
-            core.next_cell = job.next_unclaimed(core.next_cell);
-            if core.cancelled || core.next_cell >= job.cell_count() {
-                None
-            } else if job.expired() {
-                // Deadline noticed before any run of this claim: abort
-                // the whole job here, the cheapest of the deadline checks.
-                job.cancel.store(true, Ordering::Relaxed);
-                core.cancelled = true;
-                core.deadline_hit = true;
-                if core.outstanding == 0 && !core.terminal_sent {
-                    job.finish(&mut core, JobEvent::DeadlineExceeded);
-                }
-                None
-            } else {
-                let index = core.next_cell;
-                core.next_cell = job.next_unclaimed(index + 1);
-                core.outstanding += 1;
-                Some((index, core.next_cell < job.cell_count()))
-            }
-        };
-        let Some((index, more)) = claimed else {
-            continue;
-        };
-        if more {
-            shared.enqueue(Arc::clone(&job));
-        }
+        worker_turn(shared, &job, &mut scratch);
+    }
+}
 
+/// One turn on `job`: claims and executes cells until [`TURN`] is spent,
+/// the cells run out, or the job aborts, then reports everything the
+/// turn finished in one event under the job-core lock.
+fn worker_turn(shared: &Shared, job: &Arc<Job>, scratch: &mut SweepScratch) {
+    let (mut index, more) = {
+        let mut core = job.core.lock().expect("job core");
+        let Some(index) = job.claim(&mut core) else {
+            // A deadline noticed by the claim, with no worker left in
+            // the job to report it.
+            job.close_if_idle(&mut core);
+            return;
+        };
+        core.outstanding += 1;
+        (index, core.next_cell < job.cell_count())
+    };
+    // Requeue before executing, so siblings can claim the job's other
+    // cells (and other jobs stay interleaved, turn by turn).
+    if more {
+        shared.enqueue(Arc::clone(job));
+    }
+
+    let started = Instant::now();
+    let mut finished = Vec::new();
+    let mut failure = None;
+    loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut cursor = job.plan.cell_cursor(index);
             while !cursor.is_done() {
@@ -770,16 +823,16 @@ fn worker_loop(shared: &Shared) {
                 if job.expired() {
                     return CellRun::Expired;
                 }
-                cursor.advance(&mut scratch);
+                cursor.advance(scratch);
             }
             CellRun::Done(Box::new(cursor.finish()))
         }));
-
         match outcome {
             Ok(CellRun::Done(cell)) => {
-                // Write-through before the bookkeeping lock: the cell is
-                // final either way, and a failed append only costs the
-                // next submit a recompute ("absent, never wrong").
+                // Write-through per cell, before the bookkeeping lock:
+                // the cell is final either way, and a failed append only
+                // costs the next submit a recompute ("absent, never
+                // wrong").
                 if let Some(journal) = &shared.journal {
                     if let Some(&Some(key)) = job.journal_keys.get(index) {
                         let mut text = String::new();
@@ -790,47 +843,20 @@ fn worker_loop(shared: &Shared) {
                         }
                     }
                 }
-                let mut core = job.core.lock().expect("job core");
-                core.outstanding -= 1;
-                core.done += 1;
-                if core.cancelled {
-                    // Completed after cancel/expiry: drop the cell, and
-                    // close the job if we were the last worker on it.
-                    if core.outstanding == 0 && !core.terminal_sent {
-                        let event = Job::aborted_event(&core);
-                        job.finish(&mut core, event);
-                    }
-                } else {
-                    let last = core.done == job.cell_count();
-                    if last {
-                        core.terminal_sent = true;
-                    }
-                    let _ = job
-                        .events
-                        .send(ConnEvent::Job(job.id, JobEvent::Cell { index, cell, last }));
-                    // Release only after the final cell event is in the
-                    // connection's queue: a drain finishing here sends
-                    // `Stopping` down that same queue, and the summary
-                    // must beat the `bye`.
-                    if last {
-                        if let Some(shared) = job.shared.upgrade() {
-                            shared.release(job.plan.total_runs());
-                        }
-                    }
+                finished.push((index, cell));
+                if started.elapsed() >= TURN {
+                    break;
+                }
+                let next = job.claim(&mut job.core.lock().expect("job core"));
+                match next {
+                    Some(next) => index = next,
+                    None => break,
                 }
             }
-            Ok(aborted @ (CellRun::Aborted | CellRun::Expired)) => {
-                let mut core = job.core.lock().expect("job core");
-                if matches!(aborted, CellRun::Expired) {
-                    job.cancel.store(true, Ordering::Relaxed);
-                    core.cancelled = true;
-                    core.deadline_hit = true;
-                }
-                core.outstanding -= 1;
-                if core.outstanding == 0 && !core.terminal_sent {
-                    let event = Job::aborted_event(&core);
-                    job.finish(&mut core, event);
-                }
+            Ok(CellRun::Aborted) => break,
+            Ok(CellRun::Expired) => {
+                job.expire(&mut job.core.lock().expect("job core"));
+                break;
             }
             Err(panic) => {
                 // The unwind already dropped everything the chunk had
@@ -840,20 +866,51 @@ fn worker_loop(shared: &Shared) {
                 // here would throw away every sibling key's warmth.
                 let (ci, _) = job.plan.cell_coords(index);
                 scratch.evict_instances(job.plan.configs[ci].pool_key());
-                let detail = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "worker panic".to_string());
-                job.cancel.store(true, Ordering::Relaxed);
-                let mut core = job.core.lock().expect("job core");
-                core.cancelled = true;
-                core.outstanding -= 1;
-                if !core.terminal_sent {
-                    job.finish(&mut core, JobEvent::Failed { detail });
-                }
+                failure = Some(
+                    panic
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "worker panic".to_string()),
+                );
+                break;
             }
         }
+    }
+
+    // The turn's one report. Cells the turn finished ship even when it
+    // ended in an abort or a panic — they are final, and the terminal
+    // frame's `cells_streamed` counts what the client really received —
+    // but never after the job's terminal event.
+    let mut core = job.core.lock().expect("job core");
+    core.outstanding -= 1;
+    core.done += finished.len();
+    if failure.is_some() {
+        job.abort(&mut core);
+    }
+    if core.terminal_sent {
+        return;
+    }
+    if !core.cancelled && core.done == job.cell_count() {
+        let last = JobEvent::Cells {
+            cells: finished,
+            last: true,
+        };
+        job.finish(&mut core, last);
+        return;
+    }
+    if !finished.is_empty() {
+        let turn = JobEvent::Cells {
+            cells: finished,
+            last: false,
+        };
+        let _ = job.events.send(ConnEvent::Job(job.id, turn));
+    }
+    match failure {
+        // Only this worker knows the detail: it reports at once, and
+        // siblings still mid-turn find the terminal already sent.
+        Some(detail) => job.finish(&mut core, JobEvent::Failed { detail }),
+        None => job.close_if_idle(&mut core),
     }
 }
 
@@ -878,7 +935,7 @@ struct StreamState {
 impl StreamState {
     /// Emits every consecutively-ready pending cell, in grid order,
     /// folding each into the running fingerprint.
-    fn emit_ready(&mut self, id: u64, sink: &FrameSink) -> Result<(), ConnExit> {
+    fn emit_ready(&mut self, id: u64, sink: &mut FrameSink) -> Result<(), ConnExit> {
         while let Some(cell) = self.pending.remove(&self.next_emit) {
             self.fingerprint.mix_cell(&cell);
             let index = self.next_emit;
@@ -924,83 +981,71 @@ fn validate_plan(plan: &SweepPlan) -> Result<(), String> {
     Ok(())
 }
 
-/// How a connection's event loop ended, deciding the teardown order.
+/// How a connection's event loop ended.
 #[derive(PartialEq, Eq)]
 enum ConnExit {
-    /// Client left, daemon stopping, or a write failed: let the writer
-    /// drain its queue before closing the socket.
+    /// Client left, daemon stopping, or a write failed: flush what is
+    /// buffered and close the socket.
     Clean,
-    /// Slow-loris shed: the write queue filled because the client
-    /// stopped reading. Close the socket first — the writer may be
-    /// blocked inside the OS send buffer and must be forced out.
+    /// Slow-loris shed: a write made no progress for [`SHED_GRACE_MS`]
+    /// because the client stopped reading. Close the socket with
+    /// whatever is still buffered — the stalled client was not reading
+    /// those frames anyway.
     Shed,
     /// This connection received the `shutdown` op: tear down like
     /// `Clean`, then stop the daemon. Deferring `begin_stop` until
-    /// after the writer has drained and the socket has closed
-    /// gracefully guarantees the `bye` frame reaches the client —
-    /// stopping first lets the process exit (and the OS reset the
-    /// socket) while the `bye` is still queued.
+    /// after the `bye` is written and the socket has closed gracefully
+    /// guarantees the frame reaches the client — stopping first lets
+    /// the process exit (and the OS reset the socket) while the `bye`
+    /// is still buffered.
     Stop,
 }
 
-/// How long a full write queue gets to drain before the connection is
-/// shed. A healthy reader empties kernel buffers in milliseconds, so a
-/// queue that stays full this long means the client has genuinely
-/// stopped reading (and the OS send buffer behind it — several MB on
-/// loopback — is full too).
+/// How long a write to a client may make no progress before the
+/// connection is shed — the send timeout of every accepted socket. A
+/// healthy reader empties kernel buffers in milliseconds, so a send
+/// buffer ([`ServeOptions::send_buffer`]) that stays full this long
+/// means the client has genuinely stopped reading. (A write the kernel
+/// took part of before stalling returns short after one period and
+/// times out on the next, so the shed comes within two.)
 const SHED_GRACE_MS: u64 = 500;
-const SHED_POLL_MS: u64 = 10;
 
-/// Hands frames to the connection's writer thread with *bounded*
-/// patience: a momentarily-full queue (the writer is mid-write) is
-/// retried for [`SHED_GRACE_MS`]; one that never drains means the
-/// client has stalled while the daemon streams — grounds for shedding
-/// it. Blocking is per-connection either way: this sink is only ever
-/// used by the connection's own event thread.
+/// Buffered frame bytes past which [`FrameSink::send`] writes without
+/// waiting for the event queue to empty, so a burst — a fully cached
+/// grid answers every cell in one event — is streamed, not held.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// The connection's write half, owned by its event thread: frames are
+/// encoded into one reused buffer and leave in one write per wake-up.
+/// Only this thread ever blocks on the socket, and for at most
+/// [`SHED_GRACE_MS`] without progress.
 struct FrameSink {
-    tx: mpsc::SyncSender<String>,
+    conn: Box<dyn Conn>,
+    buf: String,
 }
 
 impl FrameSink {
-    fn send(&self, frame: &Frame) -> Result<(), ConnExit> {
-        let mut line = String::new();
-        frame.write_text(&mut line);
-        line.push('\n');
-        let mut waited_ms = 0u64;
-        loop {
-            match self.tx.try_send(line) {
-                Ok(()) => return Ok(()),
-                Err(mpsc::TrySendError::Disconnected(_)) => return Err(ConnExit::Clean),
-                Err(mpsc::TrySendError::Full(back)) => {
-                    if waited_ms >= SHED_GRACE_MS {
-                        return Err(ConnExit::Shed);
-                    }
-                    std::thread::sleep(Duration::from_millis(SHED_POLL_MS));
-                    waited_ms += SHED_POLL_MS;
-                    line = back;
-                }
-            }
+    fn send(&mut self, frame: &Frame) -> Result<(), ConnExit> {
+        frame.write_text(&mut self.buf);
+        self.buf.push('\n');
+        if self.buf.len() >= FLUSH_BYTES {
+            self.flush()?;
         }
+        Ok(())
     }
-}
 
-/// Writer half: drains queued frame lines onto the socket, batching
-/// whatever is ready before each flush. Exits on the first write error
-/// (dropping the receiver, which surfaces to the sink as disconnect).
-fn write_lines(rx: &Receiver<String>, conn: Box<dyn Conn>) {
-    let mut writer = BufWriter::new(conn);
-    while let Ok(line) = rx.recv() {
-        if writer.write_all(line.as_bytes()).is_err() {
-            return;
+    /// Writes the buffered frames. A timed-out write means the client
+    /// has stalled while the daemon streams — grounds for shedding it.
+    fn flush(&mut self) -> Result<(), ConnExit> {
+        if self.buf.is_empty() {
+            return Ok(());
         }
-        while let Ok(next) = rx.try_recv() {
-            if writer.write_all(next.as_bytes()).is_err() {
-                return;
-            }
-        }
-        if writer.flush().is_err() {
-            return;
-        }
+        let written = self.conn.write_all(self.buf.as_bytes());
+        self.buf.clear();
+        written.map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ConnExit::Shed,
+            _ => ConnExit::Clean,
+        })
     }
 }
 
@@ -1009,7 +1054,6 @@ fn handle_connection(conn: Box<dyn Conn>, shared: &Arc<Shared>) {
     let Ok(read_half) = conn.try_clone_conn() else {
         return;
     };
-    let closer = conn.try_clone_conn().ok();
     let (tx, rx) = mpsc::channel::<ConnEvent>();
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     shared
@@ -1022,38 +1066,24 @@ fn handle_connection(conn: Box<dyn Conn>, shared: &Arc<Shared>) {
         .name("sg-serve-read".to_string())
         .spawn(move || read_requests(read_half, &reader_tx))
         .expect("spawn connection reader");
-    let (line_tx, line_rx) = mpsc::sync_channel::<String>(shared.options.write_queue.max(1));
-    let writer = std::thread::Builder::new()
-        .name("sg-serve-write".to_string())
-        .spawn(move || write_lines(&line_rx, conn))
-        .expect("spawn connection writer");
 
-    let sink = FrameSink { tx: line_tx };
-    let exit = connection_loop(&rx, &tx, &sink, shared);
+    let mut sink = FrameSink {
+        conn,
+        buf: String::new(),
+    };
+    let exit = connection_loop(&rx, &tx, &mut sink, shared);
     shared.conns.lock().expect("conn registry").remove(&conn_id);
-    // Dropping the sink lets the writer drain and exit; shutting the
-    // socket down for real sends the client EOF (a dropped clone alone
-    // would not, other threads still hold clones) and unblocks our
-    // reader. On a shed the order flips: the writer may be wedged in a
-    // full OS send buffer, so the socket dies first to force it out —
-    // the stalled client was not reading those frames anyway.
-    drop(sink);
-    match exit {
-        ConnExit::Clean | ConnExit::Stop => {
-            let _ = writer.join();
-            if let Some(closer) = &closer {
-                closer.shutdown_conn();
-            }
-        }
-        ConnExit::Shed => {
-            if let Some(closer) = &closer {
-                closer.shutdown_conn();
-            }
-            let _ = writer.join();
-        }
+    if exit == ConnExit::Shed {
+        eprintln!("sg-serve: shed connection {conn_id}: no read for {SHED_GRACE_MS} ms");
+    } else {
+        let _ = sink.flush();
     }
-    if matches!(exit, ConnExit::Stop) {
-        // The `bye` is flushed and the socket closed gracefully — now
+    // Shutting the socket down for real sends the client EOF (dropping
+    // our handle alone would not, the reader still holds a clone) and
+    // unblocks that reader.
+    sink.conn.shutdown_conn();
+    if exit == ConnExit::Stop {
+        // The `bye` is written and the socket closed gracefully — now
         // it is safe to let the daemon (and the process) wind down.
         shared.begin_stop();
     }
@@ -1101,7 +1131,7 @@ fn read_requests(conn: Box<dyn Conn>, tx: &Sender<ConnEvent>) {
 fn connection_loop(
     rx: &Receiver<ConnEvent>,
     tx: &Sender<ConnEvent>,
-    sink: &FrameSink,
+    sink: &mut FrameSink,
     shared: &Arc<Shared>,
 ) -> ConnExit {
     let mut streams: HashMap<u64, StreamState> = HashMap::new();
@@ -1116,11 +1146,11 @@ fn connection_loop(
 }
 
 /// The fallible inner loop of [`connection_loop`]; a dead or stalled
-/// writer propagates out as [`ConnExit`] and the caller cleans up.
+/// socket propagates out as [`ConnExit`] and the caller cleans up.
 fn connection_events(
     rx: &Receiver<ConnEvent>,
     tx: &Sender<ConnEvent>,
-    sink: &FrameSink,
+    sink: &mut FrameSink,
     shared: &Arc<Shared>,
     streams: &mut HashMap<u64, StreamState>,
 ) -> Result<(), ConnExit> {
@@ -1129,7 +1159,20 @@ fn connection_events(
     if shared.stop.load(Ordering::SeqCst) {
         return Ok(());
     }
-    while let Ok(event) = rx.recv() {
+    loop {
+        // Block only with nothing left to say: every event already
+        // queued is answered into the sink's buffer first, and the lot
+        // leaves in one write.
+        let event = match rx.try_recv() {
+            Ok(event) => event,
+            Err(_) => {
+                sink.flush()?;
+                match rx.recv() {
+                    Ok(event) => event,
+                    Err(_) => break,
+                }
+            }
+        };
         match event {
             ConnEvent::Request(Ok(Request::Ping)) => sink.send(&Frame::Pong {
                 journal_hits: shared.journal_hits.load(Ordering::SeqCst),
@@ -1138,7 +1181,7 @@ fn connection_events(
             ConnEvent::Request(Ok(Request::Shutdown)) => {
                 sink.send(&Frame::Bye)?;
                 // Don't begin_stop here: the caller does, after the
-                // writer has flushed the `bye` (see `ConnExit::Stop`).
+                // `bye` is written (see `ConnExit::Stop`).
                 return Err(ConnExit::Stop);
             }
             ConnEvent::Request(Ok(Request::Drain)) => {
@@ -1208,8 +1251,7 @@ fn connection_events(
                 let job = Arc::new(Job {
                     id,
                     plan,
-                    deadline: deadline_ms
-                        .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
+                    deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
                     cancel: AtomicBool::new(false),
                     core: Mutex::new(JobCore {
                         next_cell: 0,
@@ -1283,8 +1325,8 @@ fn connection_events(
                     continue; // stray event after the job's terminal frame
                 };
                 match event {
-                    JobEvent::Cell { index, cell, last } => {
-                        state.pending.insert(index, cell);
+                    JobEvent::Cells { cells, last } => {
+                        state.pending.extend(cells);
                         state.emit_ready(id, sink)?;
                         if last {
                             debug_assert!(state.pending.is_empty());

@@ -6,7 +6,7 @@ use std::time::Duration;
 use sg_adversary::FaultSelection;
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
-use sg_serve::{serve, Bind, Client, ServeOptions};
+use sg_serve::{serve, Bind, Client, ErrorCode, Frame, Request, ServeOptions};
 
 fn quick_plan() -> SweepPlan {
     SweepPlan::new(
@@ -270,4 +270,232 @@ fn widened_families_and_trace_plans_travel_the_wire_bit_exactly() {
     assert_eq!(streamed.report, batch);
     assert_eq!(streamed.fingerprint, batch.fingerprint());
     handle.shutdown();
+}
+
+/// `sizes × KING × four families`, 64 seeds a cell: the benchmark's
+/// `king-expedite` shape — cells of a few microseconds, many to a turn.
+fn king_grid(sizes: &[usize]) -> SweepPlan {
+    let honest = FaultSelection::without_source;
+    let configs = [
+        AlgorithmSpec::OptimalKing,
+        AlgorithmSpec::PhaseKing,
+        AlgorithmSpec::PhaseQueen,
+    ]
+    .iter()
+    .flat_map(|&spec| {
+        sizes
+            .iter()
+            .map(move |&n| SweepConfig::traced(spec, n, spec.max_resilience(n)))
+    })
+    .collect();
+    SweepPlan::new(
+        configs,
+        vec![
+            AdversaryFamily::random_liar(honest()),
+            AdversaryFamily::crash(honest(), 2),
+            AdversaryFamily::silent(honest()),
+            AdversaryFamily::chain_revealer(honest(), 2, 2),
+        ],
+        64,
+    )
+}
+
+/// Reads one job's frames up to its terminal one, holding the cell
+/// frames to grid order from index `next`; returns how many it read and
+/// the terminal frame.
+fn drain(client: &mut Client, mut next: usize) -> (usize, Frame) {
+    let from = next;
+    loop {
+        match client.next_frame().expect("frame") {
+            Frame::Cell { index, .. } => {
+                assert_eq!(index, next, "cell frames leave in grid order");
+                next += 1;
+            }
+            terminal => return (next - from, terminal),
+        }
+    }
+}
+
+/// A worker reports per turn, not per cell; none of what a client sees
+/// may depend on where the turns fall. Three jobs of different shapes —
+/// many tiny cells, a few mixed ones, one cell far longer than a turn —
+/// held active together on 1, 2 and 4 workers: each streams in grid
+/// order and reassembles to the in-process report.
+#[test]
+fn turns_ship_every_shape_in_grid_order_at_any_worker_count() {
+    let honest = FaultSelection::without_source;
+    let plans = [
+        king_grid(&[7, 16, 31]),
+        SweepPlan::new(
+            sg_analysis::TREE_PAPER_CELLS
+                .iter()
+                .map(|&(spec, n)| SweepConfig::traced(spec, n, spec.max_resilience(n)))
+                .collect(),
+            vec![
+                AdversaryFamily::random_liar(honest()),
+                AdversaryFamily::chain_revealer(honest(), 2, 2),
+            ],
+            4,
+        )
+        .with_base_seed(5),
+        SweepPlan::new(
+            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+            vec![AdversaryFamily::random_liar(honest())],
+            4096,
+        ),
+    ];
+    assert_eq!(
+        plans.each_ref().map(SweepPlan::cell_count),
+        [36, 14, 1],
+        "the three shapes"
+    );
+    let solo = plans.each_ref().map(|plan| plan.run_with_jobs(1));
+
+    for workers in [1, 2, 4] {
+        let (handle, addr) = start(workers);
+        let mut clients = [connect(&addr), connect(&addr), connect(&addr)];
+        // All three accepted before any is collected.
+        let jobs: Vec<_> = clients
+            .iter_mut()
+            .zip(&plans)
+            .map(|(client, plan)| client.submit(plan).expect("submit"))
+            .collect();
+        for (i, client) in clients.iter_mut().enumerate() {
+            let mut order = Vec::new();
+            let streamed = client
+                .collect(jobs[i], |index, _| order.push(index))
+                .expect("collect");
+            assert_eq!(
+                order,
+                (0..plans[i].cell_count()).collect::<Vec<_>>(),
+                "{workers} workers, job {i}"
+            );
+            assert_eq!(streamed.report, solo[i], "{workers} workers, job {i}");
+            assert_eq!(streamed.fingerprint, solo[i].fingerprint());
+        }
+        handle.shutdown();
+    }
+}
+
+/// Batching is for small cells only: a cell longer than a turn ships the
+/// moment it finishes, not when its job does. Shown by order, not by
+/// clock — the client cancels only after it has *read* the first cell
+/// frame, and the job must still have had cells left to cancel.
+#[test]
+fn a_cell_longer_than_a_turn_is_streamed_before_its_job_ends() {
+    // Sixteen fixed-length tree cells of tens of milliseconds each.
+    let plan = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3); 4],
+        vec![
+            AdversaryFamily::random_liar(FaultSelection::without_source()),
+            AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2),
+            AdversaryFamily::crash(FaultSelection::without_source(), 2),
+            AdversaryFamily::no_faults(),
+        ],
+        320,
+    )
+    .fixed_length();
+    for workers in [1, 2, 4] {
+        let (handle, addr) = start(workers);
+        let mut client = connect(&addr);
+        let job = client.submit(&plan).expect("submit");
+        let first = client.next_frame().expect("first cell");
+        assert!(matches!(first, Frame::Cell { index: 0, .. }), "{first:?}");
+        client.cancel(job.job).expect("cancel");
+        let (more, terminal) = drain(&mut client, 1);
+        assert_eq!(
+            terminal,
+            Frame::Cancelled {
+                job: job.job,
+                cells_streamed: 1 + more
+            },
+            "{workers} workers"
+        );
+        assert!(
+            1 + more < plan.cell_count(),
+            "{workers} workers: the whole job was held back"
+        );
+        handle.shutdown();
+    }
+}
+
+/// A cancel or a deadline that lands while a worker is mid-turn — cells
+/// finished but not yet reported — still ends the job in exactly one
+/// terminal frame, after every cell frame, counting exactly the cell
+/// frames the client was sent. (The worker-panic case is
+/// `tests/serve_executor.rs`'s, which has the corpus tape it needs.)
+#[test]
+fn aborts_landing_mid_turn_end_in_one_terminal_frame_that_counts_what_arrived() {
+    for workers in [1, 2, 4] {
+        let (handle, addr) = start(workers);
+        let mut client = connect(&addr);
+        // 180 and 720 cells of microseconds each: dozens to a turn, so an
+        // abort a round trip behind the submit finds a turn in progress.
+        for sizes in [[7; 15].as_slice(), [7; 60].as_slice()] {
+            let plan = king_grid(sizes);
+            let fingerprint = plan.run_with_jobs(1).fingerprint_hex();
+            // The other legal ending: the job outran the abort, whole.
+            let ran_out = |received: usize, terminal: &Frame| match terminal {
+                Frame::Summary {
+                    cells,
+                    report_fingerprint,
+                    ..
+                } => {
+                    assert_eq!((*cells, received), (plan.cell_count(), plan.cell_count()));
+                    assert_eq!(report_fingerprint, &fingerprint);
+                    true
+                }
+                _ => false,
+            };
+
+            let job = client.submit(&plan).expect("submit");
+            client.cancel(job.job).expect("cancel");
+            let (received, terminal) = drain(&mut client, 0);
+            let outran = ran_out(received, &terminal);
+            if !outran {
+                assert_eq!(
+                    terminal,
+                    Frame::Cancelled {
+                        job: job.job,
+                        cells_streamed: received
+                    },
+                    "{workers} workers"
+                );
+            }
+            // Nothing follows the terminal frame — except, when the job
+            // outran the cancel and was already forgotten, the cancel's
+            // own `unknown-job` answer.
+            client.send(&Request::Ping).expect("ping");
+            let mut next = client.next_frame().expect("frame");
+            if outran
+                && matches!(&next, Frame::Error { code, .. } if *code == ErrorCode::UnknownJob)
+            {
+                next = client.next_frame().expect("frame");
+            }
+            assert!(
+                matches!(next, Frame::Pong { .. }),
+                "{workers} workers: {next:?} after the terminal frame"
+            );
+
+            let job = client
+                .submit_with_deadline(&plan, Some(1))
+                .expect("submit with deadline");
+            let (received, terminal) = drain(&mut client, 0);
+            if !ran_out(received, &terminal) {
+                let Frame::Error {
+                    code,
+                    detail,
+                    job: id,
+                } = terminal
+                else {
+                    panic!("{workers} workers: {terminal:?}");
+                };
+                assert_eq!((code, id), (ErrorCode::DeadlineExceeded, Some(job.job)));
+                let counted = format!("after {received} of {} cells", plan.cell_count());
+                assert!(detail.contains(&counted), "{detail} vs {counted}");
+            }
+            client.ping().expect("nothing follows the terminal frame");
+        }
+        handle.shutdown();
+    }
 }

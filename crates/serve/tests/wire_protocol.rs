@@ -543,23 +543,21 @@ fn clamp_recv_buffer(stream: &TcpStream) {
 #[cfg(unix)]
 #[test]
 fn slow_loris_reader_is_shed_without_stalling_the_daemon() {
-    // A tiny write queue and a client that submits a many-celled grid
-    // and never reads a byte: once the socket and the queue fill, the
-    // daemon must shed that connection — not block its writer forever,
-    // not kill other jobs.
+    // A client that submits a many-celled grid and never reads a byte:
+    // once the socket fills and stays full, the daemon must shed that
+    // connection — not block on it forever, not kill other jobs.
     let (handle, addr) = start_with(ServeOptions {
         workers: 1,
-        write_queue: 1,
         // The product knob under test: a bounded kernel send buffer, so
-        // a stalled reader jams the writer after tens of KB instead of
+        // a stalled reader jams the write after tens of KB instead of
         // the multi-megabyte auto-tuned loopback default.
         send_buffer: 16 * 1024,
         ..ServeOptions::default()
     });
     // Cell frames carry per-run samples, so 500 seeds make each frame
     // ~12 KB — a handful of cells overwhelm the capped send buffer plus
-    // the clamped receive buffer below, so the daemon's writer genuinely
-    // blocks and the queue genuinely jams.
+    // the clamped receive buffer below, so the daemon's write genuinely
+    // blocks until its send timeout sheds the connection.
     let mut specs = Vec::new();
     for _ in 0..8 {
         specs.push(SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2));
@@ -627,6 +625,132 @@ fn slow_loris_reader_is_shed_without_stalling_the_daemon() {
         !saw_summary,
         "the stalled connection received the whole stream — nothing was shed"
     );
+    handle.shutdown();
+}
+
+/// This process's resident set, from `/proc/self/status`, in kB.
+#[cfg(target_os = "linux")]
+fn vm_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmRSS:"))
+        .expect("VmRSS line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// What bounds the memory a stalled reader can pin, now that no write
+/// queue does: the kernel send buffer (`send_buffer`, 16 kB here) plus
+/// what the workers finish for that connection within one grace period —
+/// parked in its event queue while its event thread sits in the blocked
+/// write — which is at most the connection's admitted jobs, and those
+/// admission caps (`max_queued_runs`: here the stalled 200 000-run grid
+/// and its neighbour, ~40 bytes of samples per run in memory and half
+/// that again as frame text — about 12 MB if every run finished). A
+/// write that is accepted in part gets one more grace period for the
+/// rest, so the shed comes within two of them; it cancels the jobs and
+/// frees all of it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_stalled_reader_costs_bounded_memory_and_its_budget_comes_back() {
+    const SHED_GRACE_MS: u64 = 500; // server.rs's constant, private there
+    const RSS_BOUND_KB: u64 = 32 * 1024;
+
+    // 400 fixed-length cells of 500 runs: ~12 kB a frame, 5 MB in all.
+    let stalled_plan = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2); 100],
+        vec![
+            AdversaryFamily::no_faults(),
+            AdversaryFamily::random_liar(FaultSelection::without_source()),
+            AdversaryFamily::crash(FaultSelection::without_source().limit(1), 2),
+            AdversaryFamily::silent(FaultSelection::without_source().limit(1)),
+        ],
+        500,
+    )
+    .fixed_length();
+    // The neighbour: 24 cells, each longer than a worker's turn in any
+    // build, so by the time the one worker — a turn here, a turn there —
+    // has finished it, the stalled grid has had at least 24 turns of
+    // ≥ 12 kB each, several times what the capped send buffer and the
+    // clamped receive buffer hold between them.
+    let neighbour_plan = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::PhaseKing, 16, 3); 6],
+        vec![
+            AdversaryFamily::random_liar(FaultSelection::without_source()),
+            AdversaryFamily::no_faults(),
+            AdversaryFamily::crash(FaultSelection::without_source().limit(1), 2),
+            AdversaryFamily::silent(FaultSelection::without_source().limit(1)),
+        ],
+        500,
+    );
+    let (handle, addr) = start_with(ServeOptions {
+        workers: 1,
+        send_buffer: 16 * 1024,
+        max_jobs: 2,
+        max_queued_runs: stalled_plan.total_runs() + neighbour_plan.total_runs(),
+        ..ServeOptions::default()
+    });
+    let submit_line = |plan: &SweepPlan| {
+        serde::ToJson::to_json(&Request::Submit {
+            plan: plan.clone(),
+            deadline_ms: None,
+        })
+        .to_string()
+    };
+
+    let rss_before = vm_rss_kb();
+    let mut loris = Raw::connect(&addr);
+    clamp_recv_buffer(&loris.writer);
+    loris.send_line(&submit_line(&stalled_plan));
+    // Never read. The neighbour's concurrent job is bit-exact regardless.
+    let mut neighbour = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+    let streamed = neighbour
+        .submit_and_collect(&neighbour_plan)
+        .expect("neighbour job");
+    assert_eq!(streamed.report, neighbour_plan.run());
+    let jammed = std::time::Instant::now();
+
+    // The daemon's write to the loris is blocked by now (see the
+    // neighbour's sizing), so the shed is at most one grace period away.
+    // Probe for it by writing — reading would un-jam the socket.
+    let limit = Duration::from_millis(SHED_GRACE_MS + 1_000);
+    loop {
+        std::thread::sleep(Duration::from_millis(25));
+        let alive = writeln!(loris.writer, "{{\"op\":\"ping\"}}")
+            .and_then(|()| loris.writer.flush())
+            .is_ok();
+        if !alive {
+            break;
+        }
+        assert!(
+            jammed.elapsed() < limit,
+            "stalled connection still alive {limit:?} after its socket jammed"
+        );
+    }
+    let grew_kb = vm_rss_kb().saturating_sub(rss_before);
+    assert!(
+        grew_kb < RSS_BOUND_KB,
+        "the stalled reader cost {grew_kb} kB of resident memory (bound {RSS_BOUND_KB} kB)"
+    );
+
+    // The shed cancelled the stalled job and released its budget: a fresh
+    // connection is admitted `max_jobs` submits that together need every
+    // run of `max_queued_runs` — possible only from zero and zero. (The
+    // worker leaves the cancelled job at its next chunk boundary, hence
+    // the bounded retry.)
+    let mut fresh = Client::connect(&addr, Duration::from_secs(5)).expect("fresh connection");
+    let policy = RetryPolicy {
+        attempts: 10,
+        ..RetryPolicy::deterministic(11)
+    };
+    let big = fresh
+        .submit_with_retry(&stalled_plan, None, &policy)
+        .expect("the stalled job's runs are back in the budget");
+    let small = fresh
+        .submit(&neighbour_plan)
+        .expect("and so is its job slot");
+    // Walking away cancels both.
+    drop((fresh, big, small));
     handle.shutdown();
 }
 

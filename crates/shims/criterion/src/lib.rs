@@ -1,8 +1,8 @@
 //! Offline shim for `criterion`.
 //!
 //! Implements the API subset the `sg-bench` benches use — benchmark
-//! groups, `bench_function` / `bench_with_input`, `BenchmarkId`,
-//! `black_box`, and the `criterion_group!` / `criterion_main!` macros —
+//! groups, `bench_function` / `bench_with_input`, `iter` / `iter_custom`,
+//! `BenchmarkId`, `black_box`, and the `criterion_group!` / `criterion_main!` macros —
 //! with a deliberately simple measurement loop: a short warm-up, then a
 //! timed run long enough to report a stable mean (no statistics, no
 //! HTML reports). Results print as `group/id  time: <mean> (<iters>
@@ -107,6 +107,26 @@ impl Bencher {
         }
         let elapsed = start.elapsed();
         self.mean = elapsed / target as u32;
+        self.iters = target;
+    }
+
+    /// Times a routine that keeps its own clock, mirroring criterion's
+    /// `iter_custom`: handed an iteration count, it returns how long the
+    /// measured part of those iterations took — for benchmarks whose
+    /// iterations include work that must stay untimed. The run is sized
+    /// to the budget by wall time, untimed work included.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        const CALIBRATION_ITERS: u64 = 5;
+        let calib_start = Instant::now();
+        routine(CALIBRATION_ITERS);
+        let per_iter = calib_start.elapsed() / CALIBRATION_ITERS as u32;
+        let target = self
+            .budget
+            .as_nanos()
+            .checked_div(per_iter.as_nanos().max(1))
+            .unwrap_or(1)
+            .clamp(1, 1_000_000) as u64;
+        self.mean = routine(target) / target as u32;
         self.iters = target;
     }
 }

@@ -12,7 +12,7 @@
 //! sg record --alg optimal-king --n 7 --adversary equivocate [--seed 3] [--out scenario.json]
 //! sg replay tests/corpus/*.json [--quiet]
 //! sg serve [--port 7411 | --addr 127.0.0.1:7411 | --socket /path] [--workers N]
-//!          [--max-jobs N] [--max-queued-runs N] [--conn-jobs N] [--write-queue N]
+//!          [--max-jobs N] [--max-queued-runs N] [--conn-jobs N]
 //!          [--send-buffer <bytes>] [--journal <dir>]
 //! sg submit [--addr …] --alg optimal-king --n 16 [--t 5] [--seeds 100]
 //!           [--deadline-ms <ms>] [--retry-attempts <k>]
@@ -62,7 +62,7 @@
 //!
 //! The daemon runs under admission control (`--max-jobs`,
 //! `--max-queued-runs`, per-connection `--conn-jobs`, slow-reader
-//! `--write-queue`) and drains on SIGTERM; `submit` maps the resulting
+//! `--send-buffer`) and drains on SIGTERM; `submit` maps the resulting
 //! `rejected`/`draining`/`deadline-exceeded` answers to distinct exit
 //! codes (3/4/5) with one structured stderr line each; `hammer` is the
 //! load harness (`sg_serve::load`) as a subcommand — N connections,
@@ -106,7 +106,7 @@ fn usage() -> ! {
          sg replay <scenario.json>.. [--quiet]\n  \
          sg serve [--port <p> | --addr <host:port> | --socket <path>]\n           \
          [--workers <N>] [--max-jobs <N>]\n           \
-         [--max-queued-runs <N>] [--conn-jobs <N>] [--write-queue <N>]\n           \
+         [--max-queued-runs <N>] [--conn-jobs <N>]\n           \
          [--send-buffer <bytes>] [--journal <dir>]\n  \
          sg submit [--addr <host:port> | --socket <path>] [--timeout <secs>]\n           \
          <sweep grid flags> [--deadline-ms <ms>] [--retry-attempts <k>]\n           \
@@ -147,7 +147,7 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
         "sweep" => (GRID.to_string(), "source-faulty no-early-stop"),
         "record" => (format!("{spec} adversary value out"), "source-faulty"),
         "serve" => (
-            format!("{ENDPOINT} {ADMISSION} conn-jobs write-queue send-buffer journal"),
+            format!("{ENDPOINT} {ADMISSION} conn-jobs send-buffer journal"),
             "",
         ),
         "submit" => (
@@ -1027,7 +1027,6 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         max_queued_runs: parse_usize(flags, "max-queued-runs")
             .map_or(defaults.max_queued_runs, |n| n as u64),
         max_jobs_per_conn: parse_usize(flags, "conn-jobs").unwrap_or(defaults.max_jobs_per_conn),
-        write_queue: parse_usize(flags, "write-queue").unwrap_or(defaults.write_queue),
         send_buffer: parse_usize(flags, "send-buffer").unwrap_or(defaults.send_buffer),
         journal: flags.get("journal").map(std::path::PathBuf::from),
     };

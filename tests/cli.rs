@@ -284,7 +284,6 @@ fn usage_documents_every_public_flag() {
         "--max-jobs",
         "--max-queued-runs",
         "--conn-jobs",
-        "--write-queue",
         "--send-buffer",
         "--timeout",
         "--deadline-ms",
@@ -336,6 +335,14 @@ fn unrecognised_flags_exit_2_with_usage() {
     assert!(!ok);
     assert!(
         stderr.contains("unknown flag '--no-early-stop' for `sg serve`"),
+        "{stderr}"
+    );
+    // The write queue is gone (the connection's event thread writes the
+    // socket itself, under a send timeout), and its knob with it.
+    let (code, _, stderr) = sg_code(&["serve", "--write-queue", "4"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag '--write-queue' for `sg serve`"),
         "{stderr}"
     );
     // A valued flag at the end of the line is missing its value.

@@ -97,3 +97,37 @@ fn a_worker_panic_fails_one_job_and_the_next_is_bit_exact() {
     client.ping().expect("daemon alive after the cancel");
     handle.shutdown();
 }
+
+/// A worker reports per turn; a panic must not take the turn's finished
+/// cells down with it. Cell 0 of this grid is sound (and microseconds
+/// long), cell 1 replays the violation tape: the one worker finishes the
+/// first, panics in the second, and the client still receives cell 0 —
+/// bit-exact — before the job's single `job-failed` frame.
+#[test]
+fn a_panic_mid_turn_ships_the_turns_cells_before_the_one_error_frame() {
+    let mut plan = violation_plan();
+    plan.adversaries.insert(0, AdversaryFamily::no_faults());
+    let mut sound = plan.clone();
+    sound.adversaries.truncate(1);
+    let sound = sound.run_with_jobs(1);
+
+    let options = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    let handle = serve(&Bind::Tcp("127.0.0.1:0".to_string()), options).expect("bind daemon");
+    let addr = handle.tcp_addr().expect("tcp addr").to_string();
+    let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+
+    let job = client.submit(&plan).expect("submit");
+    let mut received = Vec::new();
+    match client.collect(job, |index, cell| received.push((index, cell.clone()))) {
+        Err(ServeError::Server { code, detail }) => {
+            assert_eq!(code, ErrorCode::JobFailed, "detail: {detail}");
+        }
+        other => panic!("expected job-failed, got {other:?}"),
+    }
+    assert_eq!(received, vec![(0, sound.cells[0].clone())]);
+    client.ping().expect("nothing follows the terminal frame");
+    handle.shutdown();
+}
