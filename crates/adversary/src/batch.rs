@@ -25,7 +25,7 @@
 //! masks without consulting the scalar lanes at all), and all seven
 //! classify payloads into lane masks in one [`BatchAdversary::lies`]
 //! call per round — skipping per-lane view assembly and payload
-//! interning entirely.
+//! construction entirely.
 //!
 //! # The first-draw kernel
 //!

@@ -521,7 +521,7 @@ mod tests {
 
     fn view_fixture<'a>(
         faulty: &'a ProcessSet,
-        shadow: &'a [Option<std::sync::Arc<Payload>>],
+        shadow: &'a [Option<Payload>],
     ) -> AdversaryView<'a> {
         AdversaryView {
             round: 2,
@@ -538,9 +538,9 @@ mod tests {
         }
     }
 
-    fn shadow_with(sender: usize, vals: Vec<Value>) -> Vec<Option<std::sync::Arc<Payload>>> {
-        let mut v: Vec<Option<std::sync::Arc<Payload>>> = vec![None; 4];
-        v[sender] = Some(std::sync::Arc::new(Payload::Values(vals)));
+    fn shadow_with(sender: usize, vals: Vec<Value>) -> Vec<Option<Payload>> {
+        let mut v: Vec<Option<Payload>> = vec![None; 4];
+        v[sender] = Some(Payload::Values(vals));
         v
     }
 

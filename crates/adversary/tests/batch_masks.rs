@@ -11,8 +11,6 @@
 //! `value_at(0)`, exactly as `sg_sim::run_batch_with` does without the
 //! vector path.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sg_adversary::{
@@ -152,9 +150,9 @@ fn bridge(
     net_zero: &mut [u64],
 ) {
     let wire = [
-        Payload::single(Value(1)).into_shared(),
-        Payload::single(Value(0)).into_shared(),
-        Payload::single(Value(u16::MAX)).into_shared(),
+        Payload::single(Value(1)),
+        Payload::single(Value(0)),
+        Payload::single(Value(u16::MAX)),
     ];
     for (lane, adversary) in lanes.iter_mut().enumerate() {
         let bit = 1u64 << lane;
@@ -162,8 +160,8 @@ fn bridge(
             continue;
         }
         let faulty = &fault_sets[lane];
-        let mut honest: Vec<Option<Arc<Payload>>> = vec![None; N];
-        let mut shadow: Vec<Option<Arc<Payload>>> = vec![None; N];
+        let mut honest: Vec<Option<Payload>> = vec![None; N];
+        let mut shadow: Vec<Option<Payload>> = vec![None; N];
         for j in 0..N {
             let payload = if broadcast.present[j] & bit == 0 {
                 None

@@ -16,7 +16,7 @@
 //! round and the schedule length is exactly the head-room an
 //! early-stopping variant (à la DRS) would harvest.
 
-use sg_sim::{Outcome, ProcessId, TraceEvent, Value};
+use sg_sim::{Outcome, TraceEvent};
 
 /// Per-execution lock-in report; build with [`lock_in`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -49,55 +49,45 @@ impl StabilityReport {
     }
 }
 
-/// The preferred-value snapshots a processor emitted, in round order:
-/// `Preferred` events and the post-shift values of `Shift` events.
-fn preferred_snapshots<'a>(
-    outcome: &'a Outcome,
-    who: ProcessId,
-) -> impl Iterator<Item = (usize, Value)> + 'a {
-    outcome.trace.by(who).filter_map(|e| match &e.event {
-        TraceEvent::Preferred { value } => Some((e.round, *value)),
-        TraceEvent::Shift { preferred, .. } => Some((e.round, *preferred)),
-        _ => None,
-    })
-}
-
-/// Computes the lock-in report for a traced execution.
+/// Computes the lock-in report for a traced execution, in one walk of
+/// the trace.
 ///
-/// A processor with no snapshots (tracing disabled, or a faulty slot)
-/// reports `None`. Snapshots only appear in rounds where the preferred
-/// value *can* change (round 1, conversions, Algorithm C rounds, king
-/// rounds), so the computed lock-in is exact for every protocol in this
-/// crate family.
+/// A processor's snapshots are its `Preferred` events and the post-shift
+/// values of its `Shift` events, in round order. A processor with no
+/// snapshots (tracing disabled, or a faulty slot) reports `None`.
+/// Snapshots only appear in rounds where the preferred value *can* change
+/// (round 1, conversions, Algorithm C rounds, king rounds), so the
+/// computed lock-in is exact for every protocol in this crate family.
 pub fn lock_in(outcome: &Outcome) -> StabilityReport {
-    let n = outcome.config.n;
-    let mut per_processor = vec![None; n];
-    for i in 0..n {
-        let Some(decision) = outcome.decisions[i] else {
+    // A preferred value persists until the *next* snapshot (tree roots
+    // only change at conversions), so the lock-in round is the round of
+    // the first snapshot after the last divergent one: a divergent
+    // snapshot clears the candidate, the first agreeing snapshot after it
+    // becomes the new candidate. `Some(None)`: snapshots seen, no
+    // candidate yet.
+    let mut candidates: Vec<Option<Option<usize>>> = vec![None; outcome.config.n];
+    for e in outcome.trace.entries() {
+        let value = match &e.event {
+            TraceEvent::Preferred { value } => *value,
+            TraceEvent::Shift { preferred, .. } => *preferred,
+            _ => continue,
+        };
+        let Some(decision) = outcome.decisions[e.who.index()] else {
             continue;
         };
-        // A preferred value persists until the *next* snapshot (tree
-        // roots only change at conversions), so the lock-in round is the
-        // round of the first snapshot after the last divergent one —
-        // computed in one allocation-free pass: a divergent snapshot
-        // clears the candidate, the first agreeing snapshot after it
-        // becomes the new candidate.
-        let mut any = false;
-        let mut candidate: Option<usize> = None;
-        for (round, value) in preferred_snapshots(outcome, ProcessId(i)) {
-            any = true;
-            if value != decision {
-                candidate = None;
-            } else if candidate.is_none() {
-                candidate = Some(round);
-            }
-        }
-        if any {
-            // No agreeing snapshot after the last divergence: the value
-            // only settles when the schedule ends.
-            per_processor[i] = Some(candidate.unwrap_or(outcome.rounds_used));
+        let candidate = candidates[e.who.index()].get_or_insert(None);
+        if value != decision {
+            *candidate = None;
+        } else if candidate.is_none() {
+            *candidate = Some(e.round);
         }
     }
+    // No agreeing snapshot after the last divergence: the value only
+    // settles when the schedule ends.
+    let per_processor = candidates
+        .into_iter()
+        .map(|seen| seen.map(|candidate| candidate.unwrap_or(outcome.rounds_used)))
+        .collect();
     StabilityReport {
         per_processor,
         rounds_total: outcome.rounds_used,
@@ -109,7 +99,7 @@ mod tests {
     use super::*;
     use sg_adversary::{ChainRevealer, FaultSelection};
     use sg_core::{execute, AlgorithmSpec};
-    use sg_sim::{NoFaults, RunConfig};
+    use sg_sim::{NoFaults, RunConfig, Value};
 
     #[test]
     fn fault_free_run_locks_in_at_round_one() {

@@ -282,9 +282,8 @@ impl KingCore {
 
     /// The payload to broadcast for `step` of `phase` (`None` = silent).
     ///
-    /// Built with [`Payload::single`], so binary values and the `⊥`
-    /// sentinel allocate nothing on their way to the interned shared
-    /// payloads.
+    /// Built with [`Payload::single`], so binary values allocate nothing
+    /// (the `⊥` sentinel is a one-element vector).
     pub fn outgoing(&mut self, phase: usize, step: PhaseStep) -> Option<Payload> {
         match step {
             PhaseStep::Exchange => Some(Payload::single(self.current)),

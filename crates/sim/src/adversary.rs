@@ -41,12 +41,12 @@ pub struct AdversaryView<'a> {
     /// The set of faulty processors.
     pub faulty: &'a ProcessSet,
     /// Honest broadcasts this round, indexed by sender; `None` for faulty
-    /// senders and for silent honest senders. Payloads are shared, not
-    /// cloned per recipient.
-    pub honest_broadcast: &'a [Option<Arc<Payload>>],
+    /// senders and for silent honest senders. A borrow of the round's own
+    /// broadcast table: nothing is copied to show it.
+    pub honest_broadcast: &'a [Option<Payload>],
     /// What each faulty sender would broadcast if honest, indexed by
     /// sender; `None` for honest senders and for silent shadows.
-    pub shadow_broadcast: &'a [Option<Arc<Payload>>],
+    pub shadow_broadcast: &'a [Option<Payload>],
     /// Signature registry handle (authenticated baselines only).
     pub sigs: Option<Arc<Mutex<SigRegistry>>>,
 }
@@ -55,7 +55,7 @@ impl AdversaryView<'_> {
     /// The payload `sender` would broadcast this round if it were honest,
     /// if any.
     pub fn shadow_of(&self, sender: ProcessId) -> Option<&Payload> {
-        self.shadow_broadcast[sender.index()].as_deref()
+        self.shadow_broadcast[sender.index()].as_ref()
     }
 
     /// The number of values an honest broadcast from `sender` would carry
@@ -66,7 +66,7 @@ impl AdversaryView<'_> {
 
     /// The honest broadcast of `sender` this round, if any.
     pub fn honest_of(&self, sender: ProcessId) -> Option<&Payload> {
-        self.honest_broadcast[sender.index()].as_deref()
+        self.honest_broadcast[sender.index()].as_ref()
     }
 
     /// Signs `value` as the (faulty) processor `signer`.

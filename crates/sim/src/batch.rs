@@ -25,7 +25,7 @@
 //! every lane's fault set in one `corrupt_lanes` call, and — when its
 //! [`BatchAdversary::vectorized`] flag opts in — classifies all faulty
 //! payloads of a round directly into lane masks through
-//! [`BatchAdversary::lies`], skipping per-lane payload interning and
+//! [`BatchAdversary::lies`], skipping per-lane payload construction and
 //! view assembly entirely. Strategies that cannot vectorize (traced,
 //! recording, tape, closure adversaries) ride the [`ScalarBridge`]: the
 //! driver materializes per-lane [`AdversaryView`]s and calls each lane's
@@ -75,8 +75,6 @@
 //! still counts itself. A liar row holds bits only in the lanes in which
 //! its sender is faulty — where its honest word is clear — so no lane
 //! counts a sender twice.
-
-use std::sync::Arc;
 
 use crate::adversary::{Adversary, AdversaryView};
 use crate::engine::RunConfig;
@@ -741,9 +739,11 @@ pub struct BatchArena {
     faulty: Vec<u64>,
     liars: Vec<usize>,
     fault_sets: Vec<ProcessSet>,
-    // Adversary-view scratch, refilled per lane per round.
-    view_honest: Vec<Option<Arc<Payload>>>,
-    view_shadow: Vec<Option<Arc<Payload>>>,
+    // Adversary-view scratch, refilled per lane per round, and the `⊥`
+    // wire payload the bridge shows (built once: it is not bit-packed).
+    view_honest: Vec<Option<Payload>>,
+    view_shadow: Vec<Option<Payload>>,
+    bot: Option<Payload>,
     // Preferred-value snapshots and final decisions for the lock-in walk.
     snapshots: Snapshots,
     decisions: Vec<u64>,
@@ -803,17 +803,6 @@ impl BatchArena {
         self.results.clear();
         self.results.resize(lanes, BatchRunResult::default());
     }
-}
-
-/// The three interned wire payloads a binary-domain kernel broadcast can
-/// classify into, shared with the scalar engine's interning table so
-/// adversaries see pointer-equal payloads either way.
-fn wire_payloads() -> (Arc<Payload>, Arc<Payload>, Arc<Payload>) {
-    (
-        Payload::single(Value(1)).into_shared(),
-        Payload::single(Value(0)).into_shared(),
-        Payload::single(Value(u16::MAX)).into_shared(),
-    )
 }
 
 /// [`run_batch_with`] over one scalar [`Adversary`] per lane — the
@@ -882,8 +871,6 @@ pub fn run_batch_with(
     );
     kernel.reset(lanes);
     let early = config.early_stopping;
-    // Only the bridge builds payload objects (interning ⊥ costs a `Vec`).
-    let wire = (!adversary.vectorized()).then(wire_payloads);
     let lane_mask = |lane: usize| 1u64 << lane;
     let all_lanes: u64 = if lanes == MAX_BATCH_RUNS {
         !0
@@ -965,12 +952,16 @@ pub fn run_batch_with(
                 adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
             } else {
                 // The rushing adversary bridge: per active lane,
-                // materialize the view (interned payloads, honest and
-                // shadow tables split by that lane's fault set) and
-                // collect every faulty sender's payloads in the scalar
-                // call order — faulty senders ascending, recipients
-                // ascending, self skipped.
-                let (p_one, p_zero, p_bot) = wire.as_ref().expect("built for the bridge");
+                // materialize the view (honest and shadow tables split by
+                // that lane's fault set; a slot already showing the right
+                // payload is left alone, so a warm bridge allocates
+                // nothing) and collect every faulty sender's payloads in
+                // the scalar call order — faulty senders ascending,
+                // recipients ascending, self skipped.
+                let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
+                let bot = arena
+                    .bot
+                    .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
                 let mut w = narrow;
                 while w != 0 {
                     let lane = w.trailing_zeros() as usize;
@@ -983,19 +974,21 @@ pub fn run_batch_with(
                         let payload = if arena.present[j] & bit == 0 {
                             None
                         } else if arena.one[j] & bit != 0 {
-                            Some(p_one.clone())
+                            Some(&wire[0])
                         } else if arena.zero[j] & bit != 0 {
-                            Some(p_zero.clone())
+                            Some(&wire[1])
                         } else {
-                            Some(p_bot.clone())
+                            Some(&*bot)
                         };
-                        if arena.faulty[j] & bit != 0 {
-                            arena.view_honest[j] = None;
-                            arena.view_shadow[j] = payload;
+                        let (shown, hidden) = if arena.faulty[j] & bit != 0 {
+                            (&mut arena.view_shadow[j], &mut arena.view_honest[j])
                         } else {
-                            arena.view_honest[j] = payload;
-                            arena.view_shadow[j] = None;
+                            (&mut arena.view_honest[j], &mut arena.view_shadow[j])
+                        };
+                        if shown.as_ref() != payload {
+                            *shown = payload.cloned();
                         }
+                        *hidden = None;
                     }
                     let view = AdversaryView {
                         round,

@@ -44,10 +44,10 @@
 //! [instance pool](PoolKey) via [`Protocol::reset`] — the factory is only
 //! consulted on a pool miss. Set-up and per-round bookkeeping are
 //! `O(t·n)`: a run touches the rows of its faulty senders and nothing
-//! else of the `n × n` payload matrix.
-//! Combined with [`Payload::into_shared`]'s interning of missing,
-//! single-bit and `⊥`-sentinel payloads, a steady-state binary-domain
-//! king round allocates nothing on the engine side.
+//! else of the `n × n` payload matrix. Payloads are owned values that
+//! move — from [`Protocol::outgoing`] and [`Adversary::payload`] into
+//! the [`Inbox`] — and are never reference-counted, so the engine side of
+//! a round allocates nothing and does no atomic operation.
 //!
 //! # Bit-packed binary fast path
 //!
@@ -55,9 +55,9 @@
 //! [`PackedBallots`] view to each delivered inbox: one bit per sender for
 //! single-value broadcasts, letting receivers tally majorities and
 //! thresholds with `count_ones()` word operations instead of touching
-//! `n` reference-counted payloads. The view is derived from the inbox
-//! contents after every slot is filled, so the packed and unpacked read
-//! paths are bit-identical by construction. The input selects the path
+//! `n` payloads. The view is derived from the inbox contents after every
+//! slot is filled, so the packed and unpacked read paths are
+//! bit-identical by construction. The input selects the path
 //! (`n > 64` or a wider domain reads payloads); [`crate::reference`],
 //! which never attaches a view, holds it to that.
 
@@ -71,7 +71,9 @@ use crate::id::{ProcessId, ProcessSet};
 use crate::metrics::{Metrics, RoundStats};
 use crate::payload::Payload;
 use crate::pool::MruPool;
-use crate::protocol::{GearAction, Inbox, PackedBallots, ProcCtx, Protocol, RoundStatus};
+use crate::protocol::{
+    GearAction, Inbox, PackedBallots, ProcCtx, Protocol, RoundStatus, CUT, SENT,
+};
 use crate::sig::SigRegistry;
 use crate::trace::Trace;
 use crate::value::{Value, ValueDomain};
@@ -344,41 +346,43 @@ pub struct RunFrame<'a> {
 /// round and `sg-core`'s gear kernel once per wide lane per round;
 /// [`crate::reference`] is the only other implementation.
 ///
+/// Payloads move, they are not shared: every broadcast moves into the
+/// [`Inbox`]'s table and every lie into its faulty rows, and each
+/// recipient costs one index write (plus its cut row under edge faults).
 /// Every cost is per *fault*, never per *pair*: only the rows of the
-/// run's faulty senders are written or read (each rewritten whole every
-/// round), and [`RoundNet::begin`] touches `O(n)` slots plus whatever the
-/// previous run's faulty rows still hold.
-#[derive(Default)]
+/// round's faulty senders are written or read, each rewritten whole every
+/// round, and [`RoundNet::begin`] touches `O(n)` slots.
 pub struct RoundNet {
-    honest: Vec<Option<Arc<Payload>>>,
-    shadow: Vec<Option<Arc<Payload>>>,
-    /// `rows[sender][recipient]`, filled for faulty senders only.
-    rows: Vec<Vec<Arc<Payload>>>,
-    inbox: Option<Inbox>,
+    /// The broadcasts of faulty senders' honest shadows.
+    shadow: Vec<Option<Payload>>,
+    /// The round's broadcast table and faulty rows (see [`Inbox`]).
+    inbox: Inbox,
     /// The round's faulty processors, for the per-recipient fix-ups.
     faulty_idx: Vec<usize>,
+}
+
+impl Default for RoundNet {
+    fn default() -> Self {
+        RoundNet {
+            shadow: Vec::new(),
+            inbox: Inbox::empty(0),
+            faulty_idx: Vec::new(),
+        }
+    }
 }
 
 impl RoundNet {
     /// Sizes the tables for `n` processors and drops every payload
     /// retained from earlier rounds, so none outlives its run.
     pub fn begin(&mut self, n: usize) {
-        self.honest.clear();
-        self.honest.resize(n, None);
-        self.shadow.clear();
-        self.shadow.resize(n, None);
-        self.rows.resize_with(n, Vec::new);
-        for row in &mut self.rows {
-            row.clear();
+        let inbox = &mut self.inbox;
+        for table in [&mut self.shadow, &mut inbox.sent] {
+            table.clear();
+            table.resize(n, None);
         }
-        match &mut self.inbox {
-            Some(inbox) if inbox.n() == n => {
-                for j in 0..n {
-                    inbox.set_shared(ProcessId(j), Payload::shared_missing());
-                }
-            }
-            slot => *slot = Some(Inbox::empty(n)),
-        }
+        inbox.lies.clear();
+        inbox.route.clear();
+        inbox.route.resize(n, SENT);
     }
 
     /// Executes round `round` for the `n` slots `protocols[i]` /
@@ -398,33 +402,28 @@ impl RoundNet {
         let (config, faulty, edge_faults) = (run.config, run.faulty, run.edge_faults);
         let n = config.n;
         let RoundNet {
-            honest,
             shadow,
-            rows,
             inbox,
             faulty_idx,
         } = self;
-        let inbox = inbox.as_mut().expect("begin installed an inbox");
         assert_eq!(inbox.n(), n, "begin sized the tables for another n");
         faulty_idx.clear();
         faulty_idx.extend(faulty.iter().map(ProcessId::index));
         // Binary-domain runs that fit one mask word get packed ballots.
         let pack = n <= 64 && config.domain.size() == 2;
 
-        // 1. Honest broadcasts and shadow broadcasts (shared, not cloned
-        // per recipient: EIG payloads are large). Both tables are fully
-        // overwritten every round, so reuse leaks nothing.
+        // 1. Honest broadcasts and shadow broadcasts, moved into their
+        // tables (stored once, not cloned per recipient: EIG payloads are
+        // large). Both tables are fully overwritten every round, so reuse
+        // leaks nothing.
         for i in 0..n {
             ctxs[i].round = round;
-            let out = protocols[i]
-                .as_mut()
-                .outgoing(&mut ctxs[i])
-                .map(Payload::into_shared);
+            let out = protocols[i].as_mut().outgoing(&mut ctxs[i]);
             if faulty.contains(ProcessId(i)) {
                 shadow[i] = out;
-                honest[i] = None;
+                inbox.sent[i] = None;
             } else {
-                honest[i] = out;
+                inbox.sent[i] = out;
                 shadow[i] = None;
             }
         }
@@ -435,7 +434,7 @@ impl RoundNet {
             round,
             ..RoundStats::default()
         };
-        for payload in honest.iter().flatten() {
+        for payload in inbox.sent.iter().flatten() {
             let values = payload.num_values() as u64;
             let bits = payload.bits(bits_per_value);
             let fanout = (n - 1) as u64;
@@ -456,24 +455,25 @@ impl RoundNet {
             source_value: config.source_value,
             domain: config.domain,
             faulty,
-            honest_broadcast: &honest[..],
-            shadow_broadcast: &shadow[..],
+            honest_broadcast: &inbox.sent,
+            shadow_broadcast: shadow,
             sigs: run.sigs.clone(),
         };
-        // Faulty payload matrix, `rows[sender][recipient]`: each faulty
-        // row is rewritten whole every round (the self slot with the
-        // interned missing payload) — senders ascending, recipients
-        // ascending, the `sg-trace/1` call order. No other row is read.
-        for &f in faulty_idx.iter() {
-            let row = &mut rows[f];
-            row.clear();
-            row.extend((0..n).map(|r| {
+        // The faulty rows, `lies[k * n + recipient]` for the `k`-th faulty
+        // sender: each rewritten whole every round (the self slot
+        // missing) — senders ascending, recipients ascending, the
+        // `sg-trace/1` call order. Routing is reset here, not in `begin`:
+        // the gear kernel runs one round per lane, each with its own
+        // fault set, between two `begin`s.
+        inbox.lies.clear();
+        inbox.route.fill(SENT);
+        for (k, &f) in faulty_idx.iter().enumerate() {
+            inbox.route[f] = k as u32;
+            inbox.lies.extend((0..n).map(|r| {
                 if r == f {
-                    Payload::shared_missing()
+                    Payload::Missing
                 } else {
-                    adversary
-                        .payload(ProcessId(f), ProcessId(r), &view)
-                        .into_shared()
+                    adversary.payload(ProcessId(f), ProcessId(r), &view)
                 }
             }));
         }
@@ -484,50 +484,28 @@ impl RoundNet {
         let ballot = |p: &Payload| p.value_at(0).filter(|v| v.raw() <= 1);
         let mut base = PackedBallots::default();
         if pack && !edge_faults {
-            for (j, payload) in honest.iter().enumerate() {
-                if let Some(v) = payload.as_deref().and_then(ballot) {
+            for (j, payload) in inbox.sent.iter().enumerate() {
+                if let Some(v) = payload.as_ref().and_then(ballot) {
                     base.record(ProcessId(j), v);
                 }
             }
         }
 
-        // 4. Deliver complete inboxes to every processor (incl. shadows),
-        // reusing one inbox. Honest slots are identical for every
-        // recipient, so the inbox is filled completely only for the
-        // first recipient; each later recipient updates just the slots
-        // that differ — the previous recipient's self slot, its own self
-        // slot, and the per-recipient faulty rows (a row's self slot is
-        // the missing payload). Per-edge faults make honest slots
-        // recipient-dependent: then every inbox is filled completely and
-        // its ballot masks are read off its actual contents.
+        // 4. Deliver the one inbox to every processor (incl. shadows):
+        // the recipient is an index, and `Inbox::from` resolves its self
+        // slot and its entries of the faulty rows. Per-edge faults make
+        // honest slots recipient-dependent: then the recipient's cut row
+        // is written into the routing — recipients ascending, senders
+        // ascending — and its ballot masks are read off what it reads.
         for i in 0..n {
-            let me = ProcessId(i);
-            if i == 0 || edge_faults {
-                for j in 0..n {
-                    let q = ProcessId(j);
-                    let payload = if i == j {
-                        Payload::shared_missing()
-                    } else if faulty.contains(q) {
-                        rows[j][i].clone()
-                    } else if edge_faults && adversary.edge_cut(q, me, &view) {
-                        Payload::shared_missing()
-                    } else {
-                        honest[j].clone().unwrap_or_else(Payload::shared_missing)
-                    };
-                    inbox.set_shared(q, payload);
-                }
-            } else {
-                let prev = ProcessId(i - 1);
-                if !faulty.contains(prev) {
-                    let sent = honest[i - 1].clone();
-                    inbox.set_shared(prev, sent.unwrap_or_else(Payload::shared_missing));
-                }
-                inbox.set_shared(me, Payload::shared_missing());
-                for &j in faulty_idx.iter() {
-                    inbox.set_shared(ProcessId(j), rows[j][i].clone());
+            inbox.me = i;
+            if edge_faults {
+                for j in (0..n).filter(|&j| j != i && !faulty.contains(ProcessId(j))) {
+                    let cut = adversary.edge_cut(ProcessId(j), ProcessId(i), &view);
+                    inbox.route[j] = if cut { CUT } else { SENT };
                 }
             }
-            if pack {
+            inbox.ballots = pack.then(|| {
                 let mut ballots = base;
                 if edge_faults {
                     for j in (0..n).map(ProcessId) {
@@ -536,25 +514,26 @@ impl RoundNet {
                         }
                     }
                 } else {
-                    for &j in faulty_idx.iter() {
-                        if let Some(v) = ballot(&rows[j][i]) {
+                    for (k, &j) in faulty_idx.iter().enumerate() {
+                        if let Some(v) = ballot(&inbox.lies[k * n + i]) {
                             ballots.record(ProcessId(j), v);
                         }
                     }
                 }
-                ballots.clear(me);
-                inbox.set_ballots(Some(ballots));
-            }
+                ballots.clear(ProcessId(i));
+                ballots
+            });
             protocols[i].as_mut().deliver(inbox, &mut ctxs[i]);
         }
         stats
     }
 }
 
-/// How many keyed instance sets an arena retains. Sweeps interleave at
-/// most a handful of `(spec, n, t)` cells per worker; a tiny MRU cache
-/// keeps them all warm without hoarding memory.
-const INSTANCE_CACHE_CAP: usize = 4;
+/// How many keyed instance sets an arena retains: enough for the widest
+/// rotation a worker cycles through — `tree-paper`'s five scalar specs
+/// plus a deferred lane's `dynamic-king` — so no key is evicted before it
+/// comes back, without hoarding memory.
+const INSTANCE_CACHE_CAP: usize = 8;
 
 /// Reusable execution buffers: broadcast tables, the faulty payload
 /// matrix, the delivery inbox, per-processor contexts, and the keyed

@@ -6,8 +6,6 @@
 //! any vector (of any length), a signed-relay bundle for the authenticated
 //! baseline, or nothing at all.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::sig::SignedRelay;
 use crate::value::Value;
 
@@ -82,10 +80,8 @@ pub enum Payload {
     /// identical to the equivalent [`Payload::Values`] under every
     /// accessor, but stores one bit per tree slot and — below
     /// [`SmallWords`]' inline capacity — allocates nothing to build.
-    ///
-    /// [`Payload::into_shared`] interns single-bit payloads to the same
-    /// shared `Arc`s as their `Values` twins, so bit-packed and
-    /// vector-built broadcasts are indistinguishable on the wire.
+    /// Receivers cannot tell the two apart: every accessor and `==` are
+    /// representation-independent.
     Bits {
         /// The packed bits, one per slot.
         words: SmallWords,
@@ -100,11 +96,6 @@ pub enum Payload {
     Missing,
 }
 
-/// The out-of-domain sentinel `u16::MAX`, used on the wire by the king
-/// protocols to encode a `⊥` proposal. Interned alongside the binary
-/// single values so a `⊥` broadcast shares storage too.
-const BOT_SENTINEL: u16 = u16::MAX;
-
 impl Payload {
     /// Convenience constructor for a value-vector payload.
     pub fn values<I: IntoIterator<Item = Value>>(vals: I) -> Self {
@@ -114,10 +105,8 @@ impl Payload {
     /// A single-value payload without the one-element `Vec` for binary
     /// values, which pack into an inline [`Payload::Bits`]; anything
     /// else (the `⊥` sentinel, wide-domain values) falls back to a
-    /// one-element [`Payload::Values`], whose transient `Vec` lives only
-    /// until [`Payload::into_shared`] interns it. Net effect: binary
-    /// broadcasts allocate nothing; `⊥` broadcasts cost one short-lived
-    /// allocation but still share the interned `Arc` on the wire.
+    /// one-element [`Payload::Values`]. Net effect: binary broadcasts
+    /// allocate nothing; `⊥` broadcasts cost one allocation.
     pub fn single(v: Value) -> Self {
         if v.raw() <= 1 {
             let mut words = SmallWords::Inline([0; INLINE_WORDS]);
@@ -215,39 +204,6 @@ impl Payload {
     pub fn is_missing(&self) -> bool {
         matches!(self, Payload::Missing)
     }
-
-    /// The shared [`Payload::Missing`] singleton.
-    ///
-    /// Fanning a missing payload out to `n−1` recipients clones this
-    /// `Arc` instead of allocating — part of the engine's zero-allocation
-    /// round loop.
-    pub fn shared_missing() -> Arc<Payload> {
-        interned()[0].clone()
-    }
-
-    /// Wraps `self` in an `Arc`, with a small-value fast path.
-    ///
-    /// The binary-domain protocols (Phase King, the king phases of the
-    /// shifted families, Algorithm C's proposal rounds) broadcast mostly
-    /// single-value payloads over `{0, 1}` plus the `⊥` sentinel; those
-    /// and [`Payload::Missing`] are interned, so sharing them allocates
-    /// nothing — single-bit [`Payload::Bits`] payloads land on the *same*
-    /// interned `Values` `Arc`s, keeping the wire representation
-    /// identical however the sender built the payload. Everything else
-    /// takes one `Arc` allocation, exactly as before.
-    pub fn into_shared(self) -> Arc<Payload> {
-        match &self {
-            Payload::Missing => interned()[0].clone(),
-            Payload::Values(v) if v.len() == 1 && v[0].raw() <= 1 => {
-                interned()[1 + v[0].raw() as usize].clone()
-            }
-            Payload::Values(v) if v.len() == 1 && v[0].raw() == BOT_SENTINEL => {
-                interned()[3].clone()
-            }
-            Payload::Bits { words, len: 1 } => interned()[1 + usize::from(words.get(0))].clone(),
-            _ => Arc::new(self),
-        }
-    }
 }
 
 /// Payload equality is *semantic*: a [`Payload::Bits`] equals the
@@ -272,22 +228,12 @@ impl PartialEq for Payload {
 
 impl Eq for Payload {}
 
-/// Interned payloads: `[Missing, Values([0]), Values([1]), Values([⊥])]`.
-fn interned() -> &'static [Arc<Payload>; 4] {
-    static INTERNED: OnceLock<[Arc<Payload>; 4]> = OnceLock::new();
-    INTERNED.get_or_init(|| {
-        [
-            Arc::new(Payload::Missing),
-            Arc::new(Payload::Values(vec![Value(0)])),
-            Arc::new(Payload::Values(vec![Value(1)])),
-            Arc::new(Payload::Values(vec![Value(BOT_SENTINEL)])),
-        ]
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The out-of-domain value the king protocols send for a `⊥` proposal.
+    const BOT_SENTINEL: u16 = u16::MAX;
 
     #[test]
     fn defaults_are_all_zero() {
@@ -308,24 +254,6 @@ mod tests {
         let p = Payload::values([Value(1)]);
         assert_eq!(p.value_at(0), Some(Value(1)));
         assert_eq!(p.value_at(1), None);
-    }
-
-    #[test]
-    fn interned_payloads_share_storage_and_compare_equal() {
-        let a = Payload::values([Value(1)]).into_shared();
-        let b = Payload::values([Value(1)]).into_shared();
-        assert!(Arc::ptr_eq(&a, &b), "binary single values are interned");
-        assert!(Arc::ptr_eq(
-            &Payload::shared_missing(),
-            &Payload::Missing.into_shared()
-        ));
-        // Everything else allocates fresh but compares structurally.
-        let c = Payload::values([Value(2)]).into_shared();
-        let d = Payload::values([Value(2)]).into_shared();
-        assert!(!Arc::ptr_eq(&c, &d));
-        assert_eq!(*c, *d);
-        let long = Payload::values([Value(1), Value(1)]).into_shared();
-        assert_eq!(long.num_values(), 2);
     }
 
     #[test]
@@ -356,17 +284,16 @@ mod tests {
     }
 
     #[test]
-    fn single_bit_payloads_intern_to_the_values_twins() {
-        for raw in [0u16, 1] {
-            let from_bits = Payload::single(Value(raw)).into_shared();
-            let from_vec = Payload::values([Value(raw)]).into_shared();
-            assert!(Arc::ptr_eq(&from_bits, &from_vec), "raw={raw}");
-            assert!(matches!(&*from_bits, Payload::Values(_)));
+    fn single_payloads_equal_their_values_twins() {
+        // The ⊥ sentinel `u16::MAX` too, which is not bit-packed.
+        for raw in [0u16, 1, BOT_SENTINEL] {
+            let single = Payload::single(Value(raw));
+            assert_eq!(single, Payload::values([Value(raw)]), "raw={raw}");
         }
-        // The ⊥ sentinel is interned too, sharing one Arc.
-        let bot_a = Payload::single(Value(BOT_SENTINEL)).into_shared();
-        let bot_b = Payload::values([Value(BOT_SENTINEL)]).into_shared();
-        assert!(Arc::ptr_eq(&bot_a, &bot_b));
+        assert!(matches!(
+            Payload::single(Value(1)),
+            Payload::Bits { len: 1, .. }
+        ));
     }
 
     #[test]

@@ -126,54 +126,90 @@ impl PackedBallots {
     }
 }
 
+/// [`Inbox::route`]: the slot reads the round's broadcast table.
+pub(crate) const SENT: u32 = u32::MAX;
+/// [`Inbox::route`]: the edge is cut this round; the slot reads missing.
+pub(crate) const CUT: u32 = u32::MAX - 1;
+/// [`Inbox::me`] of an inbox that belongs to no receiver.
+const NOBODY: usize = usize::MAX;
+
 /// One round's worth of received messages, indexed by sender.
 ///
-/// Payloads are reference-counted so that an honest broadcast — one
-/// payload fanned out to `n−1` recipients — is stored once, not cloned per
-/// recipient; EIG messages grow as `O(n^b)` values and per-recipient
-/// copies would dominate memory.
+/// The inbox owns the round: the broadcast table (moved in from every
+/// [`Protocol::outgoing`]) and the faulty senders' rows (moved in from
+/// every [`crate::Adversary::payload`]). An honest broadcast is stored
+/// once however many recipients read it — EIG messages grow as `O(n^b)`
+/// values — and nothing is reference-counted: the engine hands the same
+/// inbox to every recipient and changes only who is reading.
 ///
-/// The slot for the receiver itself is [`Payload::Missing`]; processors in
-/// this model never message themselves (their own contribution is already
-/// in their local state).
+/// [`Inbox::from`] resolves a slot by position: the receiver's own slot
+/// is [`Payload::Missing`] (processors in this model never message
+/// themselves; their own contribution is already in their local state), a
+/// faulty sender's slot is its row's entry for the receiver, a cut edge
+/// is missing, and every other slot is the sender's broadcast.
 #[derive(Clone, Debug)]
 pub struct Inbox {
-    payloads: Vec<Arc<Payload>>,
-    ballots: Option<PackedBallots>,
+    /// The round's broadcasts, by sender.
+    pub(crate) sent: Vec<Option<Payload>>,
+    /// Faulty senders' rows: `lies[k * n + r]` is what the `k`-th row's
+    /// sender told recipient `r`.
+    pub(crate) lies: Vec<Payload>,
+    /// Per sender: [`SENT`], [`CUT`], or its row index in `lies`.
+    pub(crate) route: Vec<u32>,
+    /// The receiver, or [`NOBODY`].
+    pub(crate) me: usize,
+    /// Attached by the engine after every slot is routed: the masks
+    /// describe exactly what [`Inbox::from`]`(j).value_at(0)` reads for
+    /// every sender `j`.
+    pub(crate) ballots: Option<PackedBallots>,
 }
 
 impl Inbox {
-    /// An inbox of `n` missing payloads (all sharing the interned
-    /// missing singleton — no per-slot allocation).
+    /// An inbox of `n` missing payloads, read by nobody in particular.
     pub fn empty(n: usize) -> Self {
         Inbox {
-            payloads: vec![Payload::shared_missing(); n],
+            sent: vec![None; n],
+            lies: Vec::new(),
+            route: vec![SENT; n],
+            me: NOBODY,
             ballots: None,
         }
     }
 
     /// System size.
     pub fn n(&self) -> usize {
-        self.payloads.len()
+        self.sent.len()
     }
 
     /// The payload received from `sender`.
+    #[inline]
     pub fn from(&self, sender: ProcessId) -> &Payload {
-        &self.payloads[sender.index()]
+        static MISSING: Payload = Payload::Missing;
+        let q = sender.index();
+        match self.route[q] {
+            _ if q == self.me => &MISSING,
+            SENT => self.sent[q].as_ref().unwrap_or(&MISSING),
+            CUT => &MISSING,
+            row => &self.lies[row as usize * self.sent.len() + self.me],
+        }
     }
 
     /// Replaces the payload from `sender` (used by tests and by fault
     /// masking before interpretation). Drops any packed-ballot view,
     /// which would otherwise go stale.
+    ///
+    /// Setting the reader's own slot (on a clone of a delivered inbox)
+    /// first resolves every slot into the broadcast table, so the inbox
+    /// then reads the same for everyone and that slot holds `payload`.
     pub fn set(&mut self, sender: ProcessId, payload: Payload) {
-        self.payloads[sender.index()] = Arc::new(payload);
-        self.ballots = None;
-    }
-
-    /// Replaces the payload from `sender` with a shared payload (see
-    /// [`Inbox::set`] for the ballot-invalidating contract).
-    pub fn set_shared(&mut self, sender: ProcessId, payload: Arc<Payload>) {
-        self.payloads[sender.index()] = payload;
+        if sender.index() == self.me {
+            self.sent = (0..self.n()).map(|q| Some(self.from(ProcessId(q)).clone())).collect();
+            self.lies.clear();
+            self.route.fill(SENT);
+            self.me = NOBODY;
+        }
+        self.sent[sender.index()] = Some(payload);
+        self.route[sender.index()] = SENT;
         self.ballots = None;
     }
 
@@ -183,13 +219,6 @@ impl Inbox {
     #[inline]
     pub fn ballots(&self) -> Option<PackedBallots> {
         self.ballots
-    }
-
-    /// Attaches the packed-ballot view. The engine calls this *after*
-    /// filling every payload slot; the masks must describe exactly what
-    /// [`Inbox::from`]`(j).value_at(0)` reads for every sender `j`.
-    pub fn set_ballots(&mut self, ballots: Option<PackedBallots>) {
-        self.ballots = ballots;
     }
 }
 
@@ -435,6 +464,27 @@ mod tests {
         assert!(inbox.from(ProcessId(0)).is_missing());
         assert_eq!(inbox.from(ProcessId(1)).num_values(), 1);
         assert_eq!(inbox.n(), 3);
+    }
+
+    #[test]
+    fn set_overrides_the_readers_own_slot_of_a_delivered_inbox() {
+        // As delivered to processor 1: sender 0 broadcast, sender 2 is a
+        // faulty row (told 1 `Value(7)`), sender 3's edge is cut.
+        let mut delivered = Inbox::empty(4);
+        delivered.sent[0] = Some(Payload::values([Value(1)]));
+        delivered.lies = (0..4).map(|r| Payload::values([Value(r as u16 + 6)])).collect();
+        delivered.route[2] = 0;
+        delivered.route[3] = CUT;
+        delivered.me = 1;
+        assert!(delivered.from(ProcessId(1)).is_missing());
+
+        let mut inbox = delivered.clone();
+        inbox.set(ProcessId(1), Payload::values([Value(5)]));
+        let read = |q| inbox.from(ProcessId(q)).value_at(0);
+        assert_eq!(read(0), Some(Value(1)));
+        assert_eq!(read(1), Some(Value(5)));
+        assert_eq!(read(2), Some(Value(7)));
+        assert!(inbox.from(ProcessId(3)).is_missing());
     }
 
     #[test]

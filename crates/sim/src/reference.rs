@@ -83,7 +83,7 @@ where
         let mut honest = vec![None; n];
         let mut shadow = vec![None; n];
         for i in 0..n {
-            let sent = protocols[i].outgoing(&mut ctxs[i]).map(Arc::new);
+            let sent = protocols[i].outgoing(&mut ctxs[i]);
             if correct.contains(&i) {
                 honest[i] = sent;
             } else {
@@ -122,28 +122,29 @@ where
             shadow_broadcast: &shadow,
             sigs: sigs.clone(),
         };
-        let mut lies: Vec<Vec<Arc<Payload>>> = vec![Vec::new(); n];
+        let mut lies: Vec<Vec<Payload>> = vec![Vec::new(); n];
         for f in faulty.iter() {
             for r in 0..n {
-                lies[f.index()].push(Arc::new(if r == f.index() {
+                lies[f.index()].push(if r == f.index() {
                     Payload::Missing
                 } else {
                     adversary.payload(f, ProcessId(r), &view)
-                }));
+                });
             }
         }
 
-        // 4. One fresh, complete inbox per recipient (shadows included).
+        // 4. One fresh, complete inbox per recipient (shadows included),
+        // every slot its own copy.
         for i in 0..n {
             let mut inbox = Inbox::empty(n);
             for j in (0..n).filter(|&j| j != i) {
                 let q = ProcessId(j);
                 if faulty.contains(q) {
-                    inbox.set_shared(q, lies[j][i].clone());
+                    inbox.set(q, lies[j][i].clone());
                 } else if edge_faults && adversary.edge_cut(q, ProcessId(i), &view) {
                     // The link dropped it; the sender was still charged.
                 } else if let Some(payload) = &honest[j] {
-                    inbox.set_shared(q, payload.clone());
+                    inbox.set(q, payload.clone());
                 }
             }
             protocols[i].deliver(&inbox, &mut ctxs[i]);

@@ -23,8 +23,8 @@ use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
 };
 use shifting_gears::sim::{
-    reference, run_into, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena, RunConfig,
-    Value, ValueDomain,
+    reference, run_into, run_pooled, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena,
+    RunConfig, Value, ValueDomain,
 };
 
 /// One `run_into` execution in `arena`, returned in a fresh buffer.
@@ -418,4 +418,38 @@ fn one_arena_survives_changing_fault_sets_and_sizes() {
             }
         }
     }
+}
+
+/// The pool holds a sweep worker's whole rotation: `tree-paper` cycles
+/// through five scalar specs, plus `dynamic-king` when a batch lane is
+/// deferred. Six keys in turn must all stay warm — a pool smaller than
+/// the rotation evicts every key before it comes back, and each run
+/// rebuilds all `n` instances.
+#[test]
+fn a_six_key_rotation_stays_warm() {
+    let specs = [
+        AlgorithmSpec::Exponential,
+        AlgorithmSpec::AlgorithmA { b: 3 },
+        AlgorithmSpec::AlgorithmB { b: 3 },
+        AlgorithmSpec::AlgorithmC,
+        AlgorithmSpec::Hybrid { b: 3 },
+        AlgorithmSpec::DynamicKing { b: 3 },
+    ];
+    let n = 10;
+    let calls = AtomicUsize::new(0);
+    let rotation = || {
+        for spec in specs {
+            let config = RunConfig::new(n, spec.max_resilience(n));
+            let factory = spec.factory(&config);
+            let key = spec.pool_key(&config);
+            run_pooled(&config, &mut shifting_gears::sim::NoFaults, key, |me| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                factory(me)
+            })
+            .assert_correct();
+        }
+        calls.swap(0, Ordering::SeqCst)
+    };
+    assert_eq!(rotation(), specs.len() * n, "the cold rotation builds");
+    assert_eq!(rotation(), 0, "the warm rotation must reset, not rebuild");
 }
