@@ -428,6 +428,17 @@ impl AdversaryFamily {
     pub(crate) fn wire(&self) -> Option<&FamilyWire> {
         self.wire.as_ref()
     }
+
+    /// The key the executor pools this family's strategy instances under,
+    /// or `None` for a closure family: only a named constructor's factory
+    /// is known to take nothing but the RNG seed from `seed`, which is
+    /// what [`sg_sim::Adversary::reseed`] assumes. A closure may pick the
+    /// fault set by seed too, so its strategies are built per run.
+    fn pool_key(&self) -> Option<FactoryKey> {
+        self.wire
+            .is_some()
+            .then(|| FactoryKey(Arc::clone(&self.make)))
+    }
 }
 
 impl std::fmt::Debug for AdversaryFamily {
@@ -442,7 +453,8 @@ impl std::fmt::Debug for AdversaryFamily {
 /// holds a clone of the factory `Arc`, so the pointer used for the lookup
 /// cannot be recycled by a different family while an entry is alive (no
 /// ABA hazard) — pointer equality therefore proves "built by exactly this
-/// factory", which is the precondition [`sg_sim::Adversary::reseed`]
+/// factory", which together with a named constructor's seed contract
+/// ([`AdversaryFamily::pool_key`]) is what [`sg_sim::Adversary::reseed`]
 /// needs.
 struct FactoryKey(Factory);
 
@@ -473,11 +485,11 @@ pub struct SweepScratch {
     outcome: Outcome,
     /// Lock-step engine buffers.
     batch: sg_sim::BatchArena,
-    /// One strategy instance per family, for scalar runs. Grids rarely
-    /// cross more than a handful of families per worker.
+    /// One strategy instance per named family, for scalar runs. Grids
+    /// rarely cross more than a handful of families per worker.
     adversaries: MruPool<FactoryKey, Box<dyn Adversary>, 8>,
-    /// One lane group (up to 64 instances) per family, for lock-step
-    /// chunks — hence the tighter cap.
+    /// One lane group (up to 64 instances) per named family, for
+    /// lock-step chunks — hence the tighter cap.
     lane_groups: MruPool<FactoryKey, Vec<Box<dyn Adversary>>, 4>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
     /// for. The mixed-width gear kernels carry their per-lane protocol
@@ -819,13 +831,16 @@ impl SweepPlan {
             return false;
         };
 
-        // One strategy instance per lane, reseeded in place (rebuilt
-        // where the strategy declines).
+        // One strategy instance per lane, reseeded in place when the
+        // family pools (rebuilt where the strategy declines).
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
-        let family_key = FactoryKey(Arc::clone(&family.make));
-        let mut lanes = scratch.lane_groups.take(&family_key).unwrap_or_default();
+        let family_key = family.pool_key();
+        let mut lanes = family_key
+            .as_ref()
+            .and_then(|key| scratch.lane_groups.take(key))
+            .unwrap_or_default();
         lanes.truncate(seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
             if lane == lanes.len() {
@@ -843,7 +858,9 @@ impl SweepPlan {
             None => sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes),
         };
         scratch.kernels.put(kernel_key, kernel);
-        scratch.lane_groups.put(family_key, lanes);
+        if let Some(key) = family_key {
+            scratch.lane_groups.put(key, lanes);
+        }
         if !ran {
             return false;
         }
@@ -874,17 +891,17 @@ impl SweepPlan {
 
     /// The scalar fallback: run `si` of cell `(ci, ai)` through
     /// [`sg_core::execute_into`] on the scratch's arena and outcome
-    /// buffer, with the family's strategy instance recycled through
+    /// buffer, with a named family's strategy instance recycled through
     /// [`sg_sim::Adversary::reseed`] (rebuilt by the factory where the
-    /// strategy declines — the default).
+    /// strategy declines — the default — and for closure families).
     fn run_scalar(&self, scratch: &mut SweepScratch, ci: usize, ai: usize, si: u64) -> Sample {
         let config = &self.configs[ci];
         let family = &self.adversaries[ai];
         let seed = self.seed_for(ci, ai, si);
-        let family_key = FactoryKey(Arc::clone(&family.make));
-        let mut adversary = scratch
-            .adversaries
-            .take(&family_key)
+        let family_key = family.pool_key();
+        let mut adversary = family_key
+            .as_ref()
+            .and_then(|key| scratch.adversaries.take(key))
             .and_then(|mut warm| warm.reseed(seed).then_some(warm))
             .unwrap_or_else(|| family.instantiate(seed));
         let out = &mut scratch.outcome;
@@ -902,7 +919,9 @@ impl SweepPlan {
             config.spec.name(),
             family.name,
         );
-        scratch.adversaries.put(family_key, adversary);
+        if let Some(key) = family_key {
+            scratch.adversaries.put(key, adversary);
+        }
         sample_of(out)
     }
 }

@@ -125,10 +125,13 @@ pub trait Adversary {
     /// keep working unchanged) is a pool miss and the family factory
     /// builds a replacement.
     ///
-    /// Implementations may assume the instance was built by the same
-    /// factory (same family, same configuration) — the pool guarantees
-    /// it — and must restore *exactly* the freshly-constructed state so
-    /// pooled and fresh sweeps stay bit-identical.
+    /// Implementations may assume the instance was built with the same
+    /// configuration and that `seed` is only its RNG seed: the sweep
+    /// engine pools the strategies of its named families, whose factories
+    /// promise exactly that, and builds a closure family's fresh per run,
+    /// since such a factory may read its configuration off the seed too.
+    /// They must restore *exactly* the freshly-constructed state so pooled
+    /// and fresh sweeps stay bit-identical.
     fn reseed(&mut self, _seed: u64) -> bool {
         false
     }

@@ -220,12 +220,6 @@ impl Adversary for SourceInSomeLanes {
         Self::NAME.to_string()
     }
 
-    fn reseed(&mut self, seed: u64) -> bool {
-        // The seed picks the selection, so a recycled instance is rebuilt.
-        *self = Self::new(seed);
-        true
-    }
-
     fn corrupt(&mut self, n: usize, t: usize, source: ProcessId) -> ProcessSet {
         self.0.corrupt(n, t, source)
     }

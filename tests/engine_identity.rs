@@ -290,7 +290,9 @@ fn phase_queen_n64_full_schedules() {
 /// closure can say this, so the lanes are bridged — and a slot is faulty
 /// in some lanes of a chunk and correct in others, the one situation in
 /// which a lock-step recipient must add its own vote for just the lanes
-/// where it is a shadow, and a liar's row holds only some lanes.
+/// where it is a shadow, and a liar's row holds only some lanes. On the
+/// scalar engine (the exponential row) every seed needs its own strategy:
+/// one recycled from the seed before would keep that seed's window.
 fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
     AdversaryFamily::new(format!("rotating-{story}"), move |seed| {
         let start = (seed % n as u64) as usize;
@@ -311,6 +313,7 @@ fn fault_sets_that_differ_lane_by_lane() {
         (AlgorithmSpec::PhaseKing, 16, 65),
         (AlgorithmSpec::PhaseQueen, 16, 65),
         (AlgorithmSpec::KingShift { b: 3 }, 13, 24),
+        (AlgorithmSpec::Exponential, 7, 24),
     ];
     for (spec, n, seeds) in cells {
         for story in ["random-liar", "equivocate", "omission"] {
