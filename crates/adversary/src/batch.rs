@@ -45,13 +45,6 @@
 //! this only makes the dependence explicit, and the shim's
 //! `stream_is_pinned` plus `util`'s `first_draw_matches_the_generator`
 //! hold both ends.
-//!
-//! The wrapped scalar lanes stay reachable through
-//! [`BatchAdversary::lane`]: mixed-width kernels (king-shift,
-//! dynamic-king) collect real payload objects for their tree-prefix
-//! rounds from the same pooled adversaries, with identical per-lane
-//! seeds, so prefix (scalar calls) and tail (vector masks) compose
-//! bit-exactly.
 
 use sg_sim::batch::{BatchAdversary, LaneView};
 use sg_sim::{Adversary, ProcessId, ProcessSet};
@@ -133,8 +126,8 @@ impl VectorFamily<'_> {
 
 /// A batch-aware adversary for one of the [`VectorFamily`] strategies,
 /// wrapping the per-lane scalar adversaries of the same family (same
-/// parameters, same per-lane seeds) for the scalar-bridge duties that
-/// remain: mixed-width kernels' prefix rounds.
+/// parameters, same per-lane seeds), which [`BatchAdversary::lane`]
+/// answers with.
 pub struct BatchFamily<'a> {
     family: VectorFamily<'a>,
     selection: &'a FaultSelection,

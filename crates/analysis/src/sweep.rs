@@ -492,8 +492,7 @@ pub struct SweepScratch {
     /// lock-step chunks — hence the tighter cap.
     lane_groups: MruPool<FactoryKey, Vec<Box<dyn Adversary>>, 4>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
-    /// for. The mixed-width gear kernels carry their per-lane protocol
-    /// instances along, which is where recycling pays.
+    /// for.
     kernels: MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, 4>,
 }
 
@@ -774,11 +773,12 @@ impl SweepPlan {
     /// `si0 .. si0 + len` (`len ≤ 64`) of cell `(ci, ai)` to `out`, in
     /// seed order.
     ///
-    /// When the cell has a lock-step kernel (the king, phase and
-    /// gear-shifting families on eligible configurations) the whole
-    /// chunk executes in one [`sg_sim::run_batch`] call; everything else
-    /// — other specs, edge-faulting adversaries, a 1-seed tail — runs
-    /// seed by seed on the scalar engine. Both emit identical samples.
+    /// When the cell has a lock-step kernel (the king family on eligible
+    /// configurations) the whole chunk executes in one
+    /// [`sg_sim::run_batch`] call; everything else — other specs, the
+    /// gear shifts among them, edge-faulting adversaries, a 1-seed tail —
+    /// runs seed by seed on the scalar engine. Both emit identical
+    /// samples.
     fn run_chunk(
         &self,
         scratch: &mut SweepScratch,
@@ -804,11 +804,7 @@ impl SweepPlan {
     /// Fault injection takes the vector path ([`BatchFamily`], one
     /// `lies` call per round) when the family's wire shape has one;
     /// otherwise every lane bridges to its scalar adversary in the
-    /// scalar engine's exact call order. Lanes a mixed-width kernel
-    /// declines mid-run (a `dynamic-king` gear vote that diverges from
-    /// its scalar poll) come back marked `deferred` and re-run on the
-    /// scalar engine, spliced into the chunk's samples at their seed
-    /// position.
+    /// scalar engine's exact call order.
     fn run_chunk_lockstep(
         &self,
         scratch: &mut SweepScratch,
@@ -865,12 +861,7 @@ impl SweepPlan {
             return false;
         }
 
-        for (lane, seed) in seeds.iter().enumerate() {
-            let result = scratch.batch.results()[lane];
-            if result.deferred {
-                out.push(self.run_scalar(scratch, ci, ai, si0 + lane as u64));
-                continue;
-            }
+        for (result, seed) in scratch.batch.results().iter().zip(seeds) {
             assert!(
                 result.agreement,
                 "{} violated agreement under {} at seed {seed}",
@@ -879,7 +870,8 @@ impl SweepPlan {
             );
             out.push(Sample {
                 lock_in: result.lock_in as u64,
-                discoveries: result.discoveries,
+                // The king family discovers no faults.
+                discoveries: 0,
                 total_bits: result.total_bits,
                 max_local_ops: result.max_local_ops,
                 rounds: result.rounds_used as u64,

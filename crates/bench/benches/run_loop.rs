@@ -35,11 +35,11 @@
 //!   keeps the per-round cost of append / discover / convert visible
 //!   end to end (the benchmark's `tree-paper` workload, which runs early,
 //!   ends every run at round 2 and no longer exercises it);
-//!   `early-stop/*` beside it is what that workload pays per run on the
-//!   scalar engine, and `gear-kernel/*` the same two-round prefix as one
-//!   4-lane `run_batch` of the mixed-width kernel (the shape the
-//!   workload's `king-shift` / `dynamic-king` cells take), so scalar vs
-//!   kernel on one prefix is a division away (÷ 4 for a run);
+//!   `early-stop/*` beside it is what that workload pays per run;
+//! * `ablation_masking/*` — the Exponential Algorithm with fault
+//!   discovery and masking against the plain PSL-style baseline without
+//!   them, on the full schedule: the wall-clock price of the machinery
+//!   that makes shifting possible, which no benchmark probe times;
 //! * `journal/*` and `codec/*` — the benchmark's `journal-incremental`
 //!   job taken apart: opening a 288-entry store, answering 36 cells
 //!   from it, one append; and one 64-sample cell through the tree codec
@@ -71,7 +71,8 @@ use sg_adversary::{
     VectorFamily,
 };
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
-use sg_core::{batch_kernel, gear_batch_kernel, AlgorithmSpec};
+use sg_bench::stress_run;
+use sg_core::{batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
@@ -222,8 +223,7 @@ fn bench_early_stopping(c: &mut Criterion) {
 /// The tree machine end to end, per spec: on the full schedule — where
 /// gathering, discovery and block conversions are the whole cost — and
 /// with early stopping on, where the echo rule ends the run at round 2
-/// (`sg_core::GearedProtocol`) and set-up is; the two gear families also
-/// as a 4-lane lock-step batch of that same early-stopped prefix.
+/// (`sg_core::GearedProtocol`) and set-up is.
 fn bench_tree_paper(c: &mut Criterion) {
     let mut group = c.benchmark_group("run_loop_tree_paper");
     group.sample_size(10);
@@ -256,26 +256,21 @@ fn bench_tree_paper(c: &mut Criterion) {
         );
         bench(format!("early-stop/{}", spec.name()), spec, config);
     }
-    let mut batch_arena = BatchArena::new();
-    for (spec, n) in TREE_PAPER_CELLS {
-        let config = RunConfig::new(n, spec.max_resilience(n)).with_source_value(Value(1));
-        let Some(mut kernel) = gear_batch_kernel(&spec, &config) else {
-            continue;
-        };
-        let mut lanes: Vec<Box<dyn Adversary>> = (0..4)
-            .map(|lane| {
-                let sparing = FaultSelection::without_source();
-                Box::new(ChainRevealer::new(sparing, 2, 2, SEED + lane)) as Box<dyn Adversary>
-            })
-            .collect();
-        group.bench_function(format!("gear-kernel/{}", spec.name()), |b| {
-            b.iter(|| {
-                for (lane, adversary) in lanes.iter_mut().enumerate() {
-                    assert!(adversary.reseed(SEED + lane as u64));
-                }
-                run_batch(&mut batch_arena, &config, &mut kernel, &mut lanes)
+    group.finish();
+}
+
+/// Fault discovery and masking priced end to end: the modified
+/// Exponential Algorithm against the plain one at identical parameters,
+/// under the stress adversary on the full schedule.
+fn bench_masking(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_masking");
+    group.sample_size(10);
+    for (n, t) in [(7, 2), (10, 3)] {
+        for spec in [AlgorithmSpec::PlainExponential, AlgorithmSpec::Exponential] {
+            group.bench_function(format!("{}/n{n}_t{t}", spec.name()), |b| {
+                b.iter(|| stress_run(spec, n, t, 29));
             });
-        });
+        }
     }
     group.finish();
 }
@@ -706,6 +701,7 @@ criterion_group!(
     bench_engine_vs_reference,
     bench_early_stopping,
     bench_tree_paper,
+    bench_masking,
     bench_batch_runs,
     bench_batch_adversaries,
     bench_eigtree,

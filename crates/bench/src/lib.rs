@@ -5,11 +5,11 @@
 //! * `cargo run --release -p sg-bench --bin repro [-- --exp <id>]` —
 //!   regenerates every table and figure of the paper as
 //!   paper-predicted-vs-measured tables (the source of EXPERIMENTS.md);
-//! * `cargo bench -p sg-bench` — Criterion wall-clock benchmarks, one
-//!   group per theorem (exponential, algorithm-a, algorithm-b,
-//!   algorithm-c, hybrid, baselines).
+//! * `cargo bench -p sg-bench --bench run_loop` — per-layer Criterion
+//!   timings of the run loop, the tree machine and the serving path
+//!   (end-to-end numbers come from `benchmark/run.sh`).
 //!
-//! This crate re-exports small helpers shared by both.
+//! This crate holds the helpers the benches share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,7 +22,7 @@ use sg_sim::{Outcome, RunConfig, Value};
 /// its full schedule ([`RunConfig::fixed_length`]: the adversary spares
 /// the source, so with early stopping every tree family would end at
 /// round 2 and there would be no gather, discovery or conversion left to
-/// time) — the workload every wall-clock benchmark times.
+/// time) — the workload of the `ablation_masking` bench.
 ///
 /// # Panics
 ///

@@ -166,11 +166,6 @@ impl GearBox {
         &self.geared
     }
 
-    /// The king-tail core, if the box has one (inspection hook).
-    pub fn core(&self) -> Option<&KingCore> {
-        self.king.as_ref()
-    }
-
     /// The effective prefix length: static until a dynamic shift
     /// truncates it to the shift round.
     pub fn prefix_rounds(&self) -> usize {
@@ -180,12 +175,6 @@ impl GearBox {
     /// Whether a dynamic shift has committed this run.
     pub fn shifted(&self) -> bool {
         self.shifted
-    }
-
-    /// Whether the king tail has been seeded from the prefix (statically
-    /// at the planned boundary, or by a committed dynamic shift).
-    pub fn seeded(&self) -> bool {
-        self.seeded
     }
 
     /// The dynamic shift checkpoints (empty for static dispatch).
@@ -385,14 +374,6 @@ impl Protocol for GearBox {
         self.vote_shift = false;
         self.ledger_baseline = 0;
         true
-    }
-}
-
-/// A gear box is its own `dyn Protocol`: what lets the engine's round
-/// ([`sg_sim::RoundNet::round`]) run over a slice of them.
-impl AsMut<dyn Protocol> for GearBox {
-    fn as_mut(&mut self) -> &mut (dyn Protocol + 'static) {
-        self
     }
 }
 

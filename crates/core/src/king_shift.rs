@@ -182,7 +182,9 @@ mod tests {
             inbox.set(ProcessId(i), Payload::values([Value(1)]));
         }
         p.deliver(&inbox, &mut ctx);
-        assert!(p.seeded());
-        assert_eq!(p.core().unwrap().current(), Value(1));
+        // Round 3 opens the tail: the seeded core exchanges the converted
+        // root (an unseeded one would send the default 0).
+        ctx.round = 3;
+        assert_eq!(p.outgoing(&mut ctx), Some(Payload::values([Value(1)])));
     }
 }

@@ -50,7 +50,6 @@
 
 pub mod compose;
 pub mod dolev_strong;
-pub mod gear_batch;
 pub mod gearbox;
 mod geared;
 pub mod interactive;
@@ -67,7 +66,6 @@ pub mod schedule;
 mod spec;
 
 pub use compose::{ComposeError, Segment, ShiftComposition, ShiftPlanBuilder};
-pub use gear_batch::{gear_batch_kernel, GearBatchKernel};
 pub use gearbox::{
     dynamic_king_blocks, dynamic_king_rounds, Checkpoint, DynamicKing, GearBox, GearPlan,
 };

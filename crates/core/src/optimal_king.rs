@@ -256,11 +256,6 @@ impl KingCore {
         self.masked.insert(who);
     }
 
-    /// The set of masked processors.
-    pub fn masked(&self) -> &ProcessSet {
-        &self.masked
-    }
-
     /// The king of 0-based `phase`: the `phase`-th processor id, skipping
     /// the source (whose round-1 influence is not doubled).
     ///

@@ -11,13 +11,10 @@
 //!
 //! The kernel serves `optimal-king` (three-round row) and `phase-king` /
 //! `phase-queen` (two-round row; one protocol on a binary domain, see
-//! [`crate::optimal_king`]) as a [`BatchKernel`] of its own, and the king
-//! tails of `king-shift` / `dynamic-king` through
-//! [`GearBatchKernel`](crate::GearBatchKernel), whose cohorts call its
-//! per-step `outgoing_step` / `deliver_step`
-//! over a lane mask with the fault masks carried out of the tree prefix.
-//! [`batch_kernel`] picks by spec, every other family runs on the scalar
-//! engine, and `sg_sim::reference` holds all of them to one answer.
+//! [`crate::optimal_king`]). [`batch_kernel`] picks it by spec; every
+//! other family — the gear shifts `king-shift` and `dynamic-king`
+//! included — runs on the scalar engine, and `sg_sim::reference` holds
+//! all of them to one answer.
 
 use sg_sim::batch::{BatchKernel, BatchNet, LaneCounts};
 use sg_sim::RunConfig;
@@ -25,18 +22,6 @@ use sg_sim::RunConfig;
 use crate::optimal_king::{KingRow, PhaseStep};
 use crate::params::phase_leader;
 use crate::spec::AlgorithmSpec;
-
-/// Whether `spec` under `config` has the shape lane words express — the
-/// precondition every lock-step kernel shares: a valid unauthenticated
-/// binary-domain configuration with a binary source value and at most
-/// 64 processors.
-pub(crate) fn batch_eligible(spec: &AlgorithmSpec, config: &RunConfig) -> bool {
-    !config.authenticated
-        && config.domain.size() == 2
-        && config.source_value.raw() <= 1
-        && config.n <= sg_sim::MAX_BATCH_RUNS
-        && spec.validate(config.n, config.t).is_ok()
-}
 
 /// Commits `value` into `state[slot]` for lanes in `active` only,
 /// freezing retired runs.
@@ -67,46 +52,6 @@ fn propose_rule(c1: &LaneCounts, c0: &LaneCounts, n: usize, t: usize) -> (u64, u
     (adopt & top_one, lock)
 }
 
-/// Recipient `i`'s per-lane count of first-value-`1` (`one`) or
-/// first-value-`0` deliveries, `own` standing in the self slot and the
-/// senders in `masked_row` (recipient `i`'s carried fault masks, one lane
-/// word per sender) read as `⊥`. A recipient that masks nobody — every
-/// recipient of a pure king run, whose row is empty — takes the network's
-/// sparse tally, which is why this wrapper must vanish into its caller;
-/// a masking one sums its senders densely.
-#[inline(always)]
-fn tally(net: &BatchNet<'_>, one: bool, i: usize, own: u64, masked_row: &[u64]) -> LaneCounts {
-    if masked_row.iter().any(|&m| m != 0) {
-        masked_tally(net, one, i, own, masked_row)
-    } else if one {
-        net.tally_one(i, own)
-    } else {
-        net.tally_zero(i, own)
-    }
-}
-
-/// The dense tally of a masking recipient: see [`tally`].
-#[inline(never)]
-fn masked_tally(
-    net: &BatchNet<'_>,
-    one: bool,
-    i: usize,
-    own: u64,
-    masked_row: &[u64],
-) -> LaneCounts {
-    let mut count = LaneCounts::default();
-    for (j, &m) in masked_row.iter().enumerate() {
-        count.add(if j == i {
-            own
-        } else if one {
-            net.one(j, i) & !m
-        } else {
-            net.zero(j, i) & !m
-        });
-    }
-    count
-}
-
 /// Bit-sliced lane state for one batch of king-family runs.
 ///
 /// Per slot `i`, bit `r` of `current[i]` is run `r`'s preferred value,
@@ -122,15 +67,15 @@ pub struct PhaseKernel {
     /// Lane mask of the source's input being `Value(1)` (uniform: every
     /// lane of a batch shares one configuration).
     input_one: u64,
-    pub(crate) current: Vec<u64>,
+    current: Vec<u64>,
     prop_some: Vec<u64>,
     prop_one: Vec<u64>,
     locked: Vec<u64>,
-    pub(crate) ready: Vec<u64>,
+    ready: Vec<u64>,
 }
 
 impl PhaseKernel {
-    pub(crate) fn new(config: &RunConfig, row: KingRow) -> Self {
+    fn new(config: &RunConfig, row: KingRow) -> Self {
         PhaseKernel {
             n: config.n,
             t: config.t,
@@ -153,131 +98,6 @@ impl PhaseKernel {
     fn locate(&self, round: usize) -> Option<(usize, PhaseStep)> {
         (round > 1).then(|| self.row.locate(round - 2))
     }
-
-    /// The per-slot local-op charge of one `step`, as the scalar core
-    /// charges it: `n` for a tally, 1 for the king round.
-    pub(crate) fn step_charge(&self, step: PhaseStep) -> u64 {
-        match step {
-            PhaseStep::Exchange | PhaseStep::Propose => self.n as u64,
-            PhaseStep::King => 1,
-        }
-    }
-
-    /// Classifies every slot's broadcast for `step` of `phase` into the
-    /// lanes of `lanes`, leaving every other lane as it was.
-    pub(crate) fn outgoing_step(
-        &self,
-        phase: usize,
-        step: PhaseStep,
-        lanes: u64,
-        present: &mut [u64],
-        one: &mut [u64],
-        zero: &mut [u64],
-    ) {
-        let n = self.n;
-        let (present, one, zero) = (&mut present[..n], &mut one[..n], &mut zero[..n]);
-        match step {
-            PhaseStep::Exchange => {
-                let current = &self.current[..n];
-                for j in 0..n {
-                    present[j] |= lanes;
-                    one[j] |= current[j] & lanes;
-                    zero[j] |= !current[j] & lanes;
-                }
-            }
-            PhaseStep::Propose => {
-                let (some, value) = (&self.prop_some[..n], &self.prop_one[..n]);
-                for j in 0..n {
-                    present[j] |= lanes;
-                    one[j] |= some[j] & value[j] & lanes;
-                    zero[j] |= some[j] & !value[j] & lanes;
-                }
-            }
-            PhaseStep::King => {
-                let k = phase_leader(n, self.source, phase);
-                present[k] |= lanes;
-                one[k] |= self.current[k] & lanes;
-                zero[k] |= !self.current[k] & lanes;
-            }
-        }
-    }
-
-    /// Applies `step` of `phase` to the lanes of `lanes`, which `net` must
-    /// deliver to ([`BatchNet::for_lanes`] when they are not all of its
-    /// lanes). `masked` is the carried fault-mask table of a gear tail —
-    /// `masked[i * n + j]`: lanes in which recipient `i` reads sender `j`
-    /// as `⊥`/default — and empty for a pure king run.
-    pub(crate) fn deliver_step(
-        &mut self,
-        phase: usize,
-        step: PhaseStep,
-        net: &BatchNet<'_>,
-        lanes: u64,
-        masked: &[u64],
-    ) {
-        let (n, t) = (self.n, self.t);
-        let masked_row = |i: usize| masked.get(i * n..(i + 1) * n).unwrap_or(&[]);
-        match step {
-            PhaseStep::Exchange => {
-                // Ones over all n slots, own current in the self slot. A
-                // strong value is proposed by the three-round row; the
-                // two-round row adopts the plurality and locks it when it
-                // is strong.
-                let strong_at = self.row.strong_at(n, t);
-                for i in 0..n {
-                    let ones = tally(net, true, i, self.current[i], masked_row(i));
-                    let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
-                    match self.row {
-                        KingRow::ThreeRound => {
-                            lane_commit(&mut self.prop_some, i, strong, lanes);
-                            lane_commit(&mut self.prop_one, i, strong_one, lanes);
-                        }
-                        KingRow::TwoRound => {
-                            // The plurality (ones > n − ones), strong or
-                            // not: an unlocked king still broadcasts it.
-                            let top_one = ones.ge(n / 2 + 1);
-                            lane_commit(&mut self.locked, i, strong, lanes);
-                            lane_commit(&mut self.current, i, top_one, lanes);
-                        }
-                    }
-                }
-            }
-            PhaseStep::Propose => {
-                for i in 0..n {
-                    let own_one = self.prop_some[i] & self.prop_one[i];
-                    let own_zero = self.prop_some[i] & !self.prop_one[i];
-                    let c1 = tally(net, true, i, own_one, masked_row(i));
-                    let c0 = tally(net, false, i, own_zero, masked_row(i));
-                    let (current, lock) = propose_rule(&c1, &c0, n, t);
-                    lane_commit(&mut self.current, i, current, lanes);
-                    lane_commit(&mut self.locked, i, lock, lanes);
-                    lane_commit(&mut self.ready, i, lock, lanes);
-                }
-            }
-            PhaseStep::King => {
-                // Unlocked processors adopt the king's value (the king its
-                // own; a masked king reads as the default 0); the phase's
-                // proposal and lock are then cleared. In-place is safe:
-                // the king's own current never changes. The two-round row
-                // publishes the lock it took at the exchange tally here.
-                let k = phase_leader(n, self.source, phase);
-                for i in 0..n {
-                    let read = if i == k {
-                        self.current[k]
-                    } else {
-                        net.one(k, i) & !masked_row(i).get(k).unwrap_or(&0)
-                    };
-                    let v = (self.locked[i] & self.current[i]) | (!self.locked[i] & read);
-                    lane_commit(&mut self.current, i, v, lanes);
-                    if self.row == KingRow::TwoRound {
-                        lane_commit(&mut self.ready, i, self.locked[i], lanes);
-                    }
-                    lane_commit(&mut self.prop_some, i, 0, lanes);
-                    lane_commit(&mut self.locked, i, 0, lanes);
-                }
-            }
-        }
-    }
 }
 
 impl BatchKernel for PhaseKernel {
@@ -299,8 +119,12 @@ impl BatchKernel for PhaseKernel {
     }
 
     fn charge(&self, round: usize) -> u64 {
-        self.locate(round)
-            .map_or(1, |(_, step)| self.step_charge(step))
+        // As the scalar core charges: `n` for a tally, 1 for the source
+        // and king rounds.
+        match self.locate(round) {
+            Some((_, PhaseStep::Exchange | PhaseStep::Propose)) => self.n as u64,
+            _ => 1,
+        }
     }
 
     fn snapshot_round(&self, round: usize) -> bool {
@@ -310,6 +134,8 @@ impl BatchKernel for PhaseKernel {
     }
 
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
+        let n = self.n;
+        let (present, one, zero) = (&mut present[..n], &mut one[..n], &mut zero[..n]);
         match self.locate(round) {
             None => {
                 // Only the source speaks in round 1, with its input.
@@ -317,26 +143,106 @@ impl BatchKernel for PhaseKernel {
                 one[self.source] = self.input_one;
                 zero[self.source] = !self.input_one;
             }
-            Some((phase, step)) => self.outgoing_step(phase, step, !0, present, one, zero),
+            Some((_, PhaseStep::Exchange)) => {
+                let current = &self.current[..n];
+                for j in 0..n {
+                    present[j] = !0;
+                    one[j] = current[j];
+                    zero[j] = !current[j];
+                }
+            }
+            Some((_, PhaseStep::Propose)) => {
+                let (some, value) = (&self.prop_some[..n], &self.prop_one[..n]);
+                for j in 0..n {
+                    present[j] = !0;
+                    one[j] = some[j] & value[j];
+                    zero[j] = some[j] & !value[j];
+                }
+            }
+            Some((phase, PhaseStep::King)) => {
+                let k = phase_leader(n, self.source, phase);
+                present[k] = !0;
+                one[k] = self.current[k];
+                zero[k] = !self.current[k];
+            }
         }
     }
 
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
-        match self.locate(round) {
-            None => {
-                // Everyone adopts the (sanitized) source value; unreadable
-                // deliveries land on the default, i.e. the `one` lane mask
-                // is exactly the adopted value.
-                for i in 0..self.n {
-                    let v = if i == self.source {
-                        self.input_one
-                    } else {
-                        net.one(self.source, i)
-                    };
-                    lane_commit(&mut self.current, i, v, active);
+        let (n, t) = (self.n, self.t);
+        let Some((phase, step)) = self.locate(round) else {
+            // Everyone adopts the (sanitized) source value; unreadable
+            // deliveries land on the default, i.e. the `one` lane mask is
+            // exactly the adopted value.
+            for i in 0..n {
+                let v = if i == self.source {
+                    self.input_one
+                } else {
+                    net.one(self.source, i)
+                };
+                lane_commit(&mut self.current, i, v, active);
+            }
+            return;
+        };
+        match step {
+            PhaseStep::Exchange => {
+                // Ones over all n slots, own current in the self slot. A
+                // strong value is proposed by the three-round row; the
+                // two-round row adopts the plurality and locks it when it
+                // is strong.
+                let strong_at = self.row.strong_at(n, t);
+                for i in 0..n {
+                    let ones = net.tally_one(i, self.current[i]);
+                    let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
+                    match self.row {
+                        KingRow::ThreeRound => {
+                            lane_commit(&mut self.prop_some, i, strong, active);
+                            lane_commit(&mut self.prop_one, i, strong_one, active);
+                        }
+                        KingRow::TwoRound => {
+                            // The plurality (ones > n − ones), strong or
+                            // not: an unlocked king still broadcasts it.
+                            let top_one = ones.ge(n / 2 + 1);
+                            lane_commit(&mut self.locked, i, strong, active);
+                            lane_commit(&mut self.current, i, top_one, active);
+                        }
+                    }
                 }
             }
-            Some((phase, step)) => self.deliver_step(phase, step, net, active, &[]),
+            PhaseStep::Propose => {
+                for i in 0..n {
+                    let own_one = self.prop_some[i] & self.prop_one[i];
+                    let own_zero = self.prop_some[i] & !self.prop_one[i];
+                    let c1 = net.tally_one(i, own_one);
+                    let c0 = net.tally_zero(i, own_zero);
+                    let (current, lock) = propose_rule(&c1, &c0, n, t);
+                    lane_commit(&mut self.current, i, current, active);
+                    lane_commit(&mut self.locked, i, lock, active);
+                    lane_commit(&mut self.ready, i, lock, active);
+                }
+            }
+            PhaseStep::King => {
+                // Unlocked processors adopt the king's value (the king its
+                // own); the phase's proposal and lock are then cleared.
+                // In-place is safe: the king's own current never changes.
+                // The two-round row publishes the lock it took at the
+                // exchange tally here.
+                let k = phase_leader(n, self.source, phase);
+                for i in 0..n {
+                    let read = if i == k {
+                        self.current[k]
+                    } else {
+                        net.one(k, i)
+                    };
+                    let v = (self.locked[i] & self.current[i]) | (!self.locked[i] & read);
+                    lane_commit(&mut self.current, i, v, active);
+                    if self.row == KingRow::TwoRound {
+                        lane_commit(&mut self.ready, i, self.locked[i], active);
+                    }
+                    lane_commit(&mut self.prop_some, i, 0, active);
+                    lane_commit(&mut self.locked, i, 0, active);
+                }
+            }
         }
     }
 
@@ -357,25 +263,22 @@ impl BatchKernel for PhaseKernel {
     }
 }
 
-/// The batch kernel for `spec` under `config`, if its family has one: the
-/// king kernel for `optimal-king`, `phase-king` and `phase-queen`
-/// ([`PhaseKernel`]), the mixed-width gear kernel for `king-shift` and
-/// `dynamic-king` ([`crate::gear_batch_kernel`]: tree prefix wide, king
-/// tail narrow) — each on a valid binary-domain, unauthenticated
-/// configuration with a binary source value and at most 64 processors.
-/// Everything else signals the caller to take the scalar path.
+/// The batch kernel for `spec` under `config`, if it has one: the king
+/// kernel ([`PhaseKernel`]) for `optimal-king`, `phase-king` and
+/// `phase-queen` on a valid binary-domain, unauthenticated configuration
+/// with a binary source value and at most 64 processors. Everything else
+/// signals the caller to take the scalar path.
 pub fn batch_kernel(
     spec: &AlgorithmSpec,
     config: &RunConfig,
 ) -> Option<Box<dyn BatchKernel + Send>> {
-    if !batch_eligible(spec, config) {
-        return None;
-    }
-    match spec.king_row() {
-        Some(row) => Some(Box::new(PhaseKernel::new(config, row))),
-        None => crate::gear_batch_kernel(spec, config)
-            .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>),
-    }
+    let row = spec.king_row()?;
+    let eligible = !config.authenticated
+        && config.domain.size() == 2
+        && config.source_value.raw() <= 1
+        && config.n <= sg_sim::MAX_BATCH_RUNS
+        && spec.validate(config.n, config.t).is_ok();
+    eligible.then(|| Box::new(PhaseKernel::new(config, row)) as Box<dyn BatchKernel + Send>)
 }
 
 #[cfg(test)]
@@ -388,13 +291,19 @@ mod tests {
     }
 
     #[test]
-    fn five_families_get_kernels() {
+    fn only_the_king_row_gets_kernels() {
         assert!(batch_kernel(&AlgorithmSpec::OptimalKing, &config(16, 5)).is_some());
         assert!(batch_kernel(&AlgorithmSpec::PhaseKing, &config(16, 3)).is_some());
         assert!(batch_kernel(&AlgorithmSpec::PhaseQueen, &config(16, 3)).is_some());
-        assert!(batch_kernel(&AlgorithmSpec::KingShift { b: 3 }, &config(16, 5)).is_some());
-        assert!(batch_kernel(&AlgorithmSpec::DynamicKing { b: 3 }, &config(16, 5)).is_some());
-        assert!(batch_kernel(&AlgorithmSpec::Hybrid { b: 3 }, &config(16, 5)).is_none());
+        // The gear shifts run their tree prefix, like the tree machine
+        // itself, on the scalar engine.
+        for spec in [
+            AlgorithmSpec::KingShift { b: 3 },
+            AlgorithmSpec::DynamicKing { b: 3 },
+            AlgorithmSpec::Hybrid { b: 3 },
+        ] {
+            assert!(batch_kernel(&spec, &config(16, 5)).is_none(), "{spec:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::cell::Cell;
 
 use sg_adversary::{ChainRevealer, FaultSelection, RandomLiar};
 use sg_analysis::TREE_PAPER_CELLS;
-use sg_core::{execute_into, gear_batch_kernel, AlgorithmSpec};
-use sg_sim::{run_batch, Adversary, BatchArena, NoFaults, Outcome, RunArena, RunConfig};
+use sg_core::execute_into;
+use sg_sim::{Adversary, NoFaults, Outcome, RunArena, RunConfig};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -55,8 +55,6 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// instances, tree levels, the gather scratch, results — is warm.
 const PER_RUN: u64 = 1;
 
-const LANES: usize = 4;
-
 #[test]
 fn warm_early_stopped_tree_runs_allocate_a_constant() {
     let mut arena = RunArena::new();
@@ -96,41 +94,5 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
                 out.adversary,
             );
         }
-    }
-
-    // The gear kernel's wide prefix is the same round: a warm 4-lane
-    // batch allocates one fault set per lane (the scalar bridge's `⊥`
-    // wire payload is arena-held).
-    let mut batch = BatchArena::new();
-    for spec in [
-        AlgorithmSpec::KingShift { b: 3 },
-        AlgorithmSpec::DynamicKing { b: 3 },
-    ] {
-        let config = RunConfig::new(13, spec.max_resilience(13));
-        let mut kernel = gear_batch_kernel(&spec, &config).expect("a gear family");
-        let mut lanes: Vec<Box<dyn Adversary>> = (0..LANES)
-            .map(|_| Box::new(liar()) as Box<dyn Adversary>)
-            .collect();
-        let mut run = |base: u64| {
-            for (lane, adversary) in lanes.iter_mut().enumerate() {
-                adversary.reseed(base + lane as u64);
-            }
-            allocations_of(|| assert!(run_batch(&mut batch, &config, &mut kernel, &mut lanes))).0
-        };
-        run(10);
-        let warm = run(20);
-        assert!(
-            batch
-                .results()
-                .iter()
-                .all(|r| r.early_stopped && r.rounds_used == 2 && !r.deferred),
-            "{}",
-            spec.name()
-        );
-        assert!(
-            warm <= PER_RUN * LANES as u64,
-            "{}: {warm} allocations in a warm {LANES}-lane batch",
-            spec.name()
-        );
     }
 }

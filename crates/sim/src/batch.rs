@@ -16,8 +16,8 @@
 //!   driver that feeds each round's faulty-slot payloads from a
 //!   [`BatchAdversary`];
 //! * the *protocol semantics* live behind the [`BatchKernel`] trait,
-//!   implemented in `sg-core` for the king and phase families (everything
-//!   else runs on the scalar engine: the input selects the path).
+//!   implemented in `sg-core` for the king family (everything else runs
+//!   on the scalar engine: the input selects the path).
 //!
 //! # The adversary side
 //!
@@ -32,17 +32,6 @@
 //! scalar [`Adversary`] in exactly the order the scalar engine would, so
 //! the `sg-trace/1` call-order contract is untouched. The vector path is
 //! *absent, never wrong*: both paths are bit-identical by construction.
-//!
-//! # Mixed-width kernels
-//!
-//! Gear-shifting families (`king-shift`, `dynamic-king`) run a tree
-//! prefix whose payloads do not fit one bit per lane. Their kernels
-//! implement [`BatchKernel::wide_round`]: lanes still in the prefix are
-//! executed internally (per-lane scalar instances, reported back through
-//! the `handled` mask), while lanes whose king tail has been seeded stay
-//! on the narrow bitwise path. Lanes whose dynamic gear votes diverge
-//! from the batch retire through the `deferred` mask and are re-run by
-//! the caller on the scalar engine — again absent, never wrong.
 //!
 //! Per-run outputs are bit-identical to the scalar path by construction:
 //! the adversary sees semantically equal views in the same call order,
@@ -90,8 +79,8 @@ pub const MAX_BATCH_RUNS: usize = 64;
 const COUNT_PLANES: usize = 7;
 
 /// Bit planes for the per-lane count of honest sends: 13 planes count up
-/// to 8191, above the 64 slots × 67 rounds of the longest narrow
-/// schedule ([`run_batch_with`] asserts the width).
+/// to 8191, above the 64 slots × 67 rounds of the longest king schedule
+/// ([`run_batch_with`] asserts the width).
 const SEND_PLANES: usize = 13;
 
 /// A per-lane counter in bit-plane form: plane `p` holds bit `p` of each
@@ -197,7 +186,6 @@ impl<const P: usize> BitPlanes<P> {
 /// Self slots (`i == j`) always read clear, mirroring the scalar
 /// engine's `clear(me)`; kernels substitute their own local state, which
 /// is the `own` argument of the tallies.
-#[derive(Clone, Copy)]
 pub struct BatchNet<'a> {
     /// System size.
     n: usize,
@@ -257,17 +245,6 @@ impl<'a> BatchNet<'a> {
             common_one,
             common_zero,
             active,
-        }
-    }
-
-    /// The same network, asked about `lanes` only: what a kernel takes
-    /// when the slots it tallies broadcast something else in the round's
-    /// other lanes (a gear kernel's cohorts at different phase steps), so
-    /// that the self-slot identity is asserted where it is meant.
-    pub fn for_lanes(&self, lanes: u64) -> BatchNet<'a> {
-        BatchNet {
-            active: self.active & lanes,
-            ..*self
         }
     }
 
@@ -370,7 +347,7 @@ pub struct LaneView<'a> {
     /// Each lane's fault set, in lane order.
     pub fault_sets: &'a [ProcessSet],
     /// Lanes the adversary must fill this round; all other lanes are
-    /// retired or handled elsewhere and must be left untouched.
+    /// retired and must be left untouched.
     pub active: u64,
 }
 
@@ -387,11 +364,6 @@ pub struct LaneView<'a> {
 /// * vectorized families (`sg-adversary`'s `BatchFamily`) — opt in via
 ///   [`BatchAdversary::vectorized`] and classify a whole round of faulty
 ///   payloads into lane masks in one [`BatchAdversary::lies`] call.
-///
-/// Either way, [`BatchAdversary::lane`] exposes the underlying scalar
-/// adversary of a lane so mixed-width kernels (see
-/// [`BatchKernel::wide_round`]) can collect real payload objects for
-/// prefix rounds whose messages do not fit one bit.
 pub trait BatchAdversary {
     /// Number of lanes (runs) this adversary drives, `1..=`[`MAX_BATCH_RUNS`].
     fn lanes(&self) -> usize;
@@ -440,8 +412,7 @@ pub trait BatchAdversary {
     }
 
     /// The scalar adversary driving `lane` — the bridge for per-lane
-    /// payload collection (non-vectorized rounds and kernel-internal
-    /// wide rounds).
+    /// payload collection in non-vectorized rounds.
     fn lane(&mut self, lane: usize) -> &mut dyn Adversary;
 }
 
@@ -487,31 +458,14 @@ impl BatchAdversary for ScalarBridge<'_> {
     }
 }
 
-/// What a mixed-width kernel reports for one [`BatchKernel::wide_round`]:
-/// which lanes it executed internally and which lanes must leave the
-/// batch for the scalar engine.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct WideRound {
-    /// Lanes the kernel fully executed this round (outgoing, adversary,
-    /// delivery, and accounting); the driver's narrow bitwise path skips
-    /// them.
-    pub handled: u64,
-    /// Lanes that must retire to the scalar engine (for gear kernels:
-    /// lanes whose correct processors' shift votes diverged, so the
-    /// batch cannot keep a common schedule). The driver removes them
-    /// from the active mask and marks their results
-    /// [`BatchRunResult::deferred`].
-    pub deferred: u64,
-}
-
 /// Protocol semantics for lock-step batch execution: the per-round hooks
 /// a family implements so [`run_batch_with`] can drive up to 64 of its
 /// runs with full-width bitwise ops. All lane-mask state updates must
 /// freeze lanes outside `active` (`new = (active & computed) | (!active
 /// & old)`) so early-stopped runs keep their retirement-time state.
 pub trait BatchKernel {
-    /// Rounds in the worst-case schedule (a hard ceiling; mixed-width
-    /// kernels may retire lanes earlier through [`BatchKernel::finished`]).
+    /// Rounds in the schedule; a lane that does not stop early runs all
+    /// of them.
     fn total_rounds(&self) -> usize;
 
     /// Resets all lane state for a fresh batch of `lanes` runs.
@@ -519,65 +473,19 @@ pub trait BatchKernel {
 
     /// Local-computation charge per processor for `round` — must equal
     /// the scalar protocol's per-slot `ctx.charge` total, which the king
-    /// family keeps uniform across slots. Kernels with non-uniform or
-    /// internally accounted charges return 0 here and report through
-    /// [`BatchKernel::lane_ops`] instead.
+    /// family keeps uniform across slots.
     fn charge(&self, round: usize) -> u64;
 
     /// Whether `round` emits a preferred-value snapshot (the events the
     /// stability analysis replays to compute lock-in rounds).
     fn snapshot_round(&self, round: usize) -> bool;
 
-    /// Per-lane refinement of [`BatchKernel::snapshot_round`]: the lanes
-    /// for which `round` emits a preference event. The default covers
-    /// uniform-schedule kernels (all lanes or none); mixed-width kernels
-    /// override it because prefix and tail lanes snapshot on different
-    /// rounds.
-    fn snapshot_lanes(&self, round: usize) -> u64 {
-        if self.snapshot_round(round) {
-            !0
-        } else {
-            0
-        }
-    }
-
-    /// Executes the non-bitwise part of `round` for kernels with
-    /// mixed-width schedules (see [`WideRound`]); the default handles
-    /// nothing, which keeps uniform kernels entirely on the narrow path.
-    ///
-    /// Implementations receive the batch's fault-lane tables and the
-    /// [`BatchAdversary`] so they can collect per-lane payloads through
-    /// [`BatchAdversary::lane`] in the scalar call order.
-    fn wide_round(
-        &mut self,
-        round: usize,
-        config: &RunConfig,
-        adversary: &mut dyn BatchAdversary,
-        fault_sets: &[ProcessSet],
-        faulty: &[u64],
-        active: u64,
-    ) -> WideRound {
-        let _ = (round, config, adversary, fault_sets, faulty, active);
-        WideRound::default()
-    }
-
-    /// Lanes whose (possibly dynamically shortened) schedule is complete
-    /// after `round` — the batch counterpart of a unanimous
-    /// [`GearAction::Finished`](crate::GearAction) vote. The driver
-    /// retires them with `rounds_used = round`. Default: none (uniform
-    /// kernels end at [`BatchKernel::total_rounds`]).
-    fn finished(&self, round: usize) -> u64 {
-        let _ = round;
-        0
-    }
-
-    /// Classifies every slot's broadcast for `round` into lane masks:
-    /// `present[j]` — lanes in which slot `j` sends at all; `one`/`zero`
-    /// — lanes in which the sent value is `1`/`0` (present lanes in
-    /// neither send `⊥`). Slots are classified independently of fault
-    /// status: the engine routes a faulty slot's broadcast to the shadow
-    /// table, exactly like the scalar path. Lanes handled by
-    /// [`BatchKernel::wide_round`] must be left clear.
+    /// Classifies every slot's broadcast for `round` into lane masks,
+    /// which arrive cleared: `present[j]` — lanes in which slot `j` sends
+    /// at all; `one`/`zero` — lanes in which the sent value is `1`/`0`
+    /// (present lanes in neither send `⊥`). Slots are classified
+    /// independently of fault status: the engine routes a faulty slot's
+    /// broadcast to the shadow table, exactly like the scalar path.
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]);
 
     /// Applies one delivered round to all lane state, updating only
@@ -592,36 +500,12 @@ pub trait BatchKernel {
 
     /// Lanes in which `slot` would decide `1` if the run ended now.
     fn decision_one(&self, slot: usize) -> u64;
-
-    /// Honest wire bits accounted internally by the kernel for `lane`
-    /// (mixed-width kernels: the prefix's multi-value payloads), added to
-    /// the driver's narrow-path accounting at finalize. Default 0.
-    fn lane_bits(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
-
-    /// Local-computation ops accounted internally by the kernel for
-    /// `lane` (the maximum over processor slots, like the scalar
-    /// engine's `max_local_ops`), added at finalize. Default 0.
-    fn lane_ops(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
-
-    /// Fault discoveries recorded for `lane` (the count of `Discovered`
-    /// trace events a scalar run would emit across correct processors).
-    /// Default 0: the king and phase families discover nothing.
-    fn lane_discoveries(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
 }
 
 /// The recorded preferred-value snapshots of a batch, flat: snapshot `s`
 /// is its round, which lanes actually emitted a preference event in it
-/// (retired lanes and lanes on a different sub-schedule must not see
-/// it), and each slot's preferred-value lane mask at that point.
+/// (retired lanes must not see it), and each slot's preferred-value lane
+/// mask at that point.
 #[derive(Default)]
 struct Snapshots {
     round: Vec<usize>,
@@ -710,13 +594,6 @@ pub struct BatchRunResult {
     pub total_bits: u64,
     /// Maximum local computation charged to any one processor.
     pub max_local_ops: u64,
-    /// Fault discoveries across correct processors (0 when tracing is
-    /// off, and always 0 for the discovery-free king/phase families).
-    pub discoveries: u64,
-    /// This lane left the batch mid-run (diverging gear votes — see
-    /// [`WideRound::deferred`]); every other field is meaningless and the
-    /// caller must re-run the lane's seed on the scalar engine.
-    pub deferred: bool,
 }
 
 /// Reusable scratch for [`run_batch_with`] — the batch-path sibling of
@@ -822,9 +699,7 @@ pub fn run_batch(
 }
 
 /// Executes up to [`MAX_BATCH_RUNS`] runs of one configuration in
-/// lock-step. Results land in [`BatchArena::results`], in lane order;
-/// lanes flagged [`BatchRunResult::deferred`] left the batch mid-run and
-/// must be re-run on the scalar engine.
+/// lock-step. Results land in [`BatchArena::results`], in lane order.
 ///
 /// Returns `false` — leaving every lane's scalar adversary unconsumed
 /// and the arena results empty — if any lane's adversary reports edge
@@ -872,69 +747,100 @@ pub fn run_batch_with(
     kernel.reset(lanes);
     let early = config.early_stopping;
     let lane_mask = |lane: usize| 1u64 << lane;
-    let all_lanes: u64 = if lanes == MAX_BATCH_RUNS {
+    let mut active: u64 = if lanes == MAX_BATCH_RUNS {
         !0
     } else {
         (1u64 << lanes) - 1
     };
-    let mut active = all_lanes;
-    let mut deferred: u64 = 0;
     let src = config.source.index();
 
     let mut round = 0usize;
     while active != 0 && round < total_rounds {
         round += 1;
-
-        // Mixed-width kernels run their wide (non-bitwise) lanes first;
-        // uniform kernels handle nothing and defer nothing.
-        let wide = kernel.wide_round(
-            round,
-            config,
-            adversary,
-            &arena.fault_sets,
-            &arena.faulty,
-            active,
-        );
-        let newly_deferred = wide.deferred & active;
-        deferred |= newly_deferred;
-        active &= !newly_deferred;
-        if active == 0 {
-            break;
+        for buf in [&mut arena.present, &mut arena.one, &mut arena.zero] {
+            buf.iter_mut().for_each(|w| *w = 0);
         }
-        let narrow = active & !wide.handled;
+        kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
 
-        if narrow != 0 {
-            for buf in [&mut arena.present, &mut arena.one, &mut arena.zero] {
-                buf.iter_mut().for_each(|w| *w = 0);
-            }
-            kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
+        // Accounting: honest sends (every payload is one value of one
+        // bit, fanned out to n − 1 recipients at finalize) and the
+        // uniform per-slot local-op charge.
+        let charge = kernel.charge(round);
+        for j in 0..n {
+            arena
+                .sends
+                .add(arena.present[j] & !arena.faulty[j] & active);
+        }
+        let mut w = active;
+        while w != 0 {
+            let lane = w.trailing_zeros() as usize;
+            w &= w - 1;
+            arena.ops[lane] += charge;
+        }
 
-            // Accounting: honest sends (every narrow-path payload is one
-            // value of one bit, fanned out to n − 1 recipients at
-            // finalize) and the uniform per-slot local-op charge.
-            let charge = kernel.charge(round);
-            for j in 0..n {
-                arena
-                    .sends
-                    .add(arena.present[j] & !arena.faulty[j] & narrow);
-            }
-            if charge != 0 {
-                let mut w = narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    arena.ops[lane] += charge;
+        for &f in &arena.liars {
+            arena.rows_one[f * n..(f + 1) * n].fill(0);
+            arena.rows_zero[f * n..(f + 1) * n].fill(0);
+        }
+        if adversary.vectorized() {
+            // The vector path: one call classifies every faulty slot's
+            // payloads for all active lanes at once.
+            let view = LaneView {
+                round,
+                total_rounds,
+                n,
+                t: config.t,
+                source: config.source,
+                source_value: config.source_value,
+                domain: config.domain,
+                present: &arena.present,
+                one: &arena.one,
+                zero: &arena.zero,
+                faulty: &arena.faulty,
+                fault_sets: &arena.fault_sets,
+                active,
+            };
+            adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
+        } else {
+            // The rushing adversary bridge: per active lane, materialize
+            // the view (honest and shadow tables split by that lane's
+            // fault set; a slot already showing the right payload is left
+            // alone, so a warm bridge allocates nothing) and collect every
+            // faulty sender's payloads in the scalar call order — faulty
+            // senders ascending, recipients ascending, self skipped.
+            let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
+            let bot = arena
+                .bot
+                .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
+            let mut w = active;
+            while w != 0 {
+                let lane = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if arena.fault_sets[lane].is_empty() {
+                    continue;
                 }
-            }
-
-            for &f in &arena.liars {
-                arena.rows_one[f * n..(f + 1) * n].fill(0);
-                arena.rows_zero[f * n..(f + 1) * n].fill(0);
-            }
-            if adversary.vectorized() {
-                // The vector path: one call classifies every faulty
-                // slot's payloads for all narrow lanes at once.
-                let view = LaneView {
+                let bit = lane_mask(lane);
+                for j in 0..n {
+                    let payload = if arena.present[j] & bit == 0 {
+                        None
+                    } else if arena.one[j] & bit != 0 {
+                        Some(&wire[0])
+                    } else if arena.zero[j] & bit != 0 {
+                        Some(&wire[1])
+                    } else {
+                        Some(&*bot)
+                    };
+                    let (shown, hidden) = if arena.faulty[j] & bit != 0 {
+                        (&mut arena.view_shadow[j], &mut arena.view_honest[j])
+                    } else {
+                        (&mut arena.view_honest[j], &mut arena.view_shadow[j])
+                    };
+                    if shown.as_ref() != payload {
+                        *shown = payload.cloned();
+                    }
+                    *hidden = None;
+                }
+                let view = AdversaryView {
                     round,
                     total_rounds,
                     n,
@@ -942,110 +848,50 @@ pub fn run_batch_with(
                     source: config.source,
                     source_value: config.source_value,
                     domain: config.domain,
-                    present: &arena.present,
-                    one: &arena.one,
-                    zero: &arena.zero,
-                    faulty: &arena.faulty,
-                    fault_sets: &arena.fault_sets,
-                    active: narrow,
+                    faulty: &arena.fault_sets[lane],
+                    honest_broadcast: &arena.view_honest,
+                    shadow_broadcast: &arena.view_shadow,
+                    sigs: None,
                 };
-                adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
-            } else {
-                // The rushing adversary bridge: per active lane,
-                // materialize the view (honest and shadow tables split by
-                // that lane's fault set; a slot already showing the right
-                // payload is left alone, so a warm bridge allocates
-                // nothing) and collect every faulty sender's payloads in
-                // the scalar call order — faulty senders ascending,
-                // recipients ascending, self skipped.
-                let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
-                let bot = arena
-                    .bot
-                    .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
-                let mut w = narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    if arena.fault_sets[lane].is_empty() {
-                        continue;
-                    }
-                    let bit = lane_mask(lane);
-                    for j in 0..n {
-                        let payload = if arena.present[j] & bit == 0 {
-                            None
-                        } else if arena.one[j] & bit != 0 {
-                            Some(&wire[0])
-                        } else if arena.zero[j] & bit != 0 {
-                            Some(&wire[1])
-                        } else {
-                            Some(&*bot)
-                        };
-                        let (shown, hidden) = if arena.faulty[j] & bit != 0 {
-                            (&mut arena.view_shadow[j], &mut arena.view_honest[j])
-                        } else {
-                            (&mut arena.view_honest[j], &mut arena.view_shadow[j])
-                        };
-                        if shown.as_ref() != payload {
-                            *shown = payload.cloned();
+                let scalar = adversary.lane(lane);
+                for f in arena.fault_sets[lane].iter() {
+                    for r in 0..n {
+                        if r == f.index() {
+                            continue;
                         }
-                        *hidden = None;
-                    }
-                    let view = AdversaryView {
-                        round,
-                        total_rounds,
-                        n,
-                        t: config.t,
-                        source: config.source,
-                        source_value: config.source_value,
-                        domain: config.domain,
-                        faulty: &arena.fault_sets[lane],
-                        honest_broadcast: &arena.view_honest,
-                        shadow_broadcast: &arena.view_shadow,
-                        sigs: None,
-                    };
-                    let scalar = adversary.lane(lane);
-                    for f in arena.fault_sets[lane].iter() {
-                        for r in 0..n {
-                            if r == f.index() {
-                                continue;
-                            }
-                            let payload = scalar.payload(f, ProcessId(r), &view);
-                            match payload.value_at(0) {
-                                Some(Value(1)) => arena.rows_one[f.index() * n + r] |= bit,
-                                Some(Value(0)) => arena.rows_zero[f.index() * n + r] |= bit,
-                                _ => {}
-                            }
+                        let payload = scalar.payload(f, ProcessId(r), &view);
+                        match payload.value_at(0) {
+                            Some(Value(1)) => arena.rows_one[f.index() * n + r] |= bit,
+                            Some(Value(0)) => arena.rows_zero[f.index() * n + r] |= bit,
+                            _ => {}
                         }
                     }
                 }
             }
-
-            // Where a slot is correct its classified outgoing reaches
-            // every recipient unchanged: one word per slot, beside the
-            // adversary's per-recipient liar rows.
-            for j in 0..n {
-                let sent = arena.present[j] & !arena.faulty[j];
-                arena.honest_one[j] = arena.one[j] & sent;
-                arena.honest_zero[j] = arena.zero[j] & sent;
-            }
-            let net = BatchNet::new(
-                &arena.honest_one,
-                &arena.honest_zero,
-                &arena.faulty,
-                &arena.liars,
-                &arena.rows_one,
-                &arena.rows_zero,
-                narrow,
-            );
-            kernel.deliver(round, &net, narrow);
         }
 
-        if config.trace {
-            let snap_lanes = kernel.snapshot_lanes(round) & active;
-            if snap_lanes != 0 {
-                let current = (0..n).map(|i| kernel.current_one(i));
-                arena.snapshots.push(round, snap_lanes, current);
-            }
+        // Where a slot is correct its classified outgoing reaches every
+        // recipient unchanged: one word per slot, beside the adversary's
+        // per-recipient liar rows.
+        for j in 0..n {
+            let sent = arena.present[j] & !arena.faulty[j];
+            arena.honest_one[j] = arena.one[j] & sent;
+            arena.honest_zero[j] = arena.zero[j] & sent;
+        }
+        let net = BatchNet::new(
+            &arena.honest_one,
+            &arena.honest_zero,
+            &arena.faulty,
+            &arena.liars,
+            &arena.rows_one,
+            &arena.rows_zero,
+            active,
+        );
+        kernel.deliver(round, &net, active);
+
+        if config.trace && kernel.snapshot_round(round) {
+            let current = (0..n).map(|i| kernel.current_one(i));
+            arena.snapshots.push(round, active, current);
         }
 
         // Early stop: retire lanes in which every correct processor is
@@ -1068,21 +914,6 @@ pub fn run_batch_with(
             }
             active &= !stop;
         }
-
-        // Dynamic-schedule retirement: lanes whose (shortened) gear
-        // schedule completed this round — the scalar engine's unanimous
-        // `Finished` break, per lane.
-        let fin = kernel.finished(round) & active;
-        if fin != 0 {
-            let mut w = fin;
-            while w != 0 {
-                let lane = w.trailing_zeros() as usize;
-                w &= w - 1;
-                arena.rounds_used[lane] = round;
-                arena.early_stopped[lane] = round < total_rounds;
-            }
-            active &= !fin;
-        }
     }
     {
         let mut w = active;
@@ -1095,8 +926,7 @@ pub fn run_batch_with(
 
     // Finalize at word width, then read out per lane: agreement is "no
     // two correct slots decide differently", and the lock-in walk sees
-    // one word per snapshot. Deferred lanes are only marked; their seeds
-    // re-run on the scalar engine.
+    // one word per snapshot.
     arena
         .decisions
         .extend((0..n).map(|i| kernel.decision_one(i)));
@@ -1108,27 +938,14 @@ pub fn run_batch_with(
     arena.snapshots.mark_bad(&arena.decisions, &arena.faulty);
     for lane in 0..lanes {
         let bit = lane_mask(lane);
-        if deferred & bit != 0 {
-            arena.results[lane] = BatchRunResult {
-                deferred: true,
-                ..BatchRunResult::default()
-            };
-            continue;
-        }
         arena.results[lane] = BatchRunResult {
             agreement: decides_one & decides_zero & bit == 0,
             rounds_used: arena.rounds_used[lane],
             early_stopped: arena.early_stopped[lane],
             // No snapshots without tracing, so 0 then.
             lock_in: arena.snapshots.lock_in(bit, arena.rounds_used[lane]),
-            total_bits: arena.sends.lane(lane) as u64 * (n as u64 - 1) + kernel.lane_bits(lane),
-            max_local_ops: arena.ops[lane] + kernel.lane_ops(lane),
-            discoveries: if config.trace {
-                kernel.lane_discoveries(lane)
-            } else {
-                0
-            },
-            deferred: false,
+            total_bits: arena.sends.lane(lane) as u64 * (n as u64 - 1),
+            max_local_ops: arena.ops[lane],
         };
     }
     true
@@ -1282,7 +1099,7 @@ mod tests {
         let mut rng = Mix(29);
         let mut sends = BitPlanes::<SEND_PLANES>::default();
         let mut per_lane = [0u64; MAX_BATCH_RUNS];
-        // 64 slots × 67 rounds, the longest narrow schedule; lane 0 sends
+        // 64 slots × 67 rounds, the longest king schedule; lane 0 sends
         // every time and so reaches the counter's full width.
         for k in 0..64 * 67 {
             let mask = match k % 3 {
@@ -1354,8 +1171,8 @@ mod tests {
             let mut live = !(1u64 << 6);
             for s in 0..rng.below(12) {
                 round += 1 + rng.below(3);
-                // Lanes retire for good; the rest emit on their own
-                // sub-schedules (`snapshot_lanes`).
+                // Lanes retire for good; a snapshot may name any subset
+                // of the live ones (the walk assumes nothing more).
                 live &= !rng.sparse(4);
                 let lanes = live & (rng.next() | rng.next());
                 // Preferences drift towards the decisions.

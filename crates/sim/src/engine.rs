@@ -36,7 +36,7 @@
 //! # Allocation discipline
 //!
 //! Large sweeps execute millions of rounds, so the round loop is
-//! allocation-lean: all per-round buffers (the [`RoundNet`] — broadcast
+//! allocation-lean: all per-round buffers (the round's broadcast
 //! tables, the faulty senders' payload rows, the delivery inbox — and the
 //! per-processor contexts) live in a [`RunArena`] that is recycled across
 //! rounds *and* across runs through a thread-local pool, and protocol
@@ -327,24 +327,23 @@ impl Outcome {
 
 /// What stays fixed over the rounds of one execution — the part of an
 /// [`AdversaryView`] that is not the round's traffic.
-pub struct RunFrame<'a> {
+struct RunFrame<'a> {
     /// The run's configuration.
-    pub config: &'a RunConfig,
+    config: &'a RunConfig,
     /// The protocol's schedule ceiling (`Protocol::total_rounds`).
-    pub total_rounds: usize,
+    total_rounds: usize,
     /// The corrupted set the adversary chose for this run.
-    pub faulty: &'a ProcessSet,
+    faulty: &'a ProcessSet,
     /// Signature registry handle (authenticated baselines only).
-    pub sigs: Option<Arc<Mutex<SigRegistry>>>,
+    sigs: Option<Arc<Mutex<SigRegistry>>>,
     /// [`Adversary::has_edge_faults`], latched once per run.
-    pub edge_faults: bool,
+    edge_faults: bool,
 }
 
 /// One lock-step round of `n` [`Protocol`] instances against one
 /// [`Adversary`] — steps 1–4 of the [module docs](self) — with the
 /// buffers it needs. [`run_into`] calls [`RoundNet::round`] once per
-/// round and `sg-core`'s gear kernel once per wide lane per round;
-/// [`crate::reference`] is the only other implementation.
+/// round; [`crate::reference`] is the only other implementation.
 ///
 /// Payloads move, they are not shared: every broadcast moves into the
 /// [`Inbox`]'s table and every lie into its faulty rows, and each
@@ -352,7 +351,7 @@ pub struct RunFrame<'a> {
 /// Every cost is per *fault*, never per *pair*: only the rows of the
 /// round's faulty senders are written or read, each rewritten whole every
 /// round, and [`RoundNet::begin`] touches `O(n)` slots.
-pub struct RoundNet {
+struct RoundNet {
     /// The broadcasts of faulty senders' honest shadows.
     shadow: Vec<Option<Payload>>,
     /// The round's broadcast table and faulty rows (see [`Inbox`]).
@@ -374,7 +373,7 @@ impl Default for RoundNet {
 impl RoundNet {
     /// Sizes the tables for `n` processors and drops every payload
     /// retained from earlier rounds, so none outlives its run.
-    pub fn begin(&mut self, n: usize) {
+    fn begin(&mut self, n: usize) {
         let inbox = &mut self.inbox;
         for table in [&mut self.shadow, &mut inbox.sent] {
             table.clear();
@@ -391,12 +390,12 @@ impl RoundNet {
     /// # Panics
     ///
     /// Panics if [`RoundNet::begin`] was not called for this `n`.
-    pub fn round<P: AsMut<dyn Protocol>>(
+    fn round(
         &mut self,
         run: &RunFrame<'_>,
         round: usize,
         adversary: &mut dyn Adversary,
-        protocols: &mut [P],
+        protocols: &mut [Box<dyn Protocol>],
         ctxs: &mut [ProcCtx],
     ) -> RoundStats {
         let (config, faulty, edge_faults) = (run.config, run.faulty, run.edge_faults);
@@ -418,7 +417,7 @@ impl RoundNet {
         // leaks nothing.
         for i in 0..n {
             ctxs[i].round = round;
-            let out = protocols[i].as_mut().outgoing(&mut ctxs[i]);
+            let out = protocols[i].outgoing(&mut ctxs[i]);
             if faulty.contains(ProcessId(i)) {
                 shadow[i] = out;
                 inbox.sent[i] = None;
@@ -462,9 +461,7 @@ impl RoundNet {
         // The faulty rows, `lies[k * n + recipient]` for the `k`-th faulty
         // sender: each rewritten whole every round (the self slot
         // missing) — senders ascending, recipients ascending, the
-        // `sg-trace/1` call order. Routing is reset here, not in `begin`:
-        // the gear kernel runs one round per lane, each with its own
-        // fault set, between two `begin`s.
+        // `sg-trace/1` call order.
         inbox.lies.clear();
         inbox.route.fill(SENT);
         for (k, &f) in faulty_idx.iter().enumerate() {
@@ -523,16 +520,16 @@ impl RoundNet {
                 ballots.clear(ProcessId(i));
                 ballots
             });
-            protocols[i].as_mut().deliver(inbox, &mut ctxs[i]);
+            protocols[i].deliver(inbox, &mut ctxs[i]);
         }
         stats
     }
 }
 
 /// How many keyed instance sets an arena retains: enough for the widest
-/// rotation a worker cycles through — `tree-paper`'s five scalar specs
-/// plus a deferred lane's `dynamic-king` — so no key is evicted before it
-/// comes back, without hoarding memory.
+/// rotation a worker cycles through — `tree-paper`'s seven specs, every
+/// one of them scalar — so no key is evicted before it comes back,
+/// without hoarding memory.
 const INSTANCE_CACHE_CAP: usize = 8;
 
 /// Reusable execution buffers: broadcast tables, the faulty payload

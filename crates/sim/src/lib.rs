@@ -71,11 +71,9 @@ mod value;
 pub use adversary::{Adversary, AdversaryView, NoFaults};
 pub use batch::{
     run_batch, run_batch_with, BatchAdversary, BatchArena, BatchKernel, BatchNet, BatchRunResult,
-    LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
+    LaneCounts, LaneView, ScalarBridge, MAX_BATCH_RUNS,
 };
-pub use engine::{
-    run, run_into, run_pooled, Outcome, PoolKey, RoundNet, RunArena, RunConfig, RunFrame,
-};
+pub use engine::{run, run_into, run_pooled, Outcome, PoolKey, RunArena, RunConfig};
 pub use id::{ProcessId, ProcessSet};
 pub use metrics::{Metrics, RoundStats};
 pub use payload::{Payload, SmallWords};

@@ -1,20 +1,20 @@
-//! The lock-step executor's routes, each shown to be *taken* and shown
-//! to be unobservable.
+//! The chunk executor's routes, each shown to be *taken* and shown to be
+//! unobservable.
 //!
 //! `tests/engine_identity.rs` holds every execution path to
 //! `sg_sim::reference` over the whole grid; a grid cannot tell whether a
-//! particular route through `sg_sim::run_batch` was exercised. Each case
-//! here names one — the active mask splitting as lanes retire at
+//! particular route was exercised. Each case here names one. Through
+//! `sg_sim::run_batch`: the active mask splitting as lanes retire at
 //! different rounds, the post-loop finalization of a fixed-length batch,
-//! the phase kernels' keep-your-value rules, the mixed-width gear kernels
-//! across a chunk boundary and worker counts, `dynamic-king` lanes
-//! deferred to the scalar engine mid-batch, one gear batch whose lanes
-//! stop at the prefix's first echo, seed their tails and defer side by
-//! side, a grid mixing kernel, tree, vector, bridged and edge-faulting
-//! cells — first asserts the cell
-//! really takes it (the round histogram spreads, the schedule fills), and
-//! then holds `SweepPlan::run`, the cursor walk and the bridged plan to
-//! the reference report (`tests/oracle/mod.rs`).
+//! the phase kernels' keep-your-value rules, a grid mixing kernel, tree,
+//! vector, bridged and edge-faulting cells. Through the scalar engine,
+//! which runs the gear shifts seed by seed: a chunk boundary and worker
+//! counts, `dynamic-king` runs whose shift votes diverge, runs that stop
+//! at the prefix's first echo beside runs that reach their king tails,
+//! and adjacent seeds with different fault sets. Each case first asserts
+//! that the cell really takes its route (the round histogram spreads, the
+//! schedule fills), and then holds `SweepPlan::run`, the cursor walk and
+//! the bridged plan to the reference report (`tests/oracle/mod.rs`).
 
 mod oracle;
 
@@ -22,9 +22,8 @@ use oracle::assert_engines_agree;
 use shifting_gears::adversary::FaultSelection;
 use shifting_gears::adversary::RandomLiar;
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
-use shifting_gears::core::{gear_batch_kernel, AlgorithmSpec};
-use shifting_gears::sim::batch::{run_batch, BatchArena};
-use shifting_gears::sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig};
+use shifting_gears::core::AlgorithmSpec;
+use shifting_gears::sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet};
 
 /// Fails unless the cell's runs ended at two or more different rounds —
 /// otherwise a divergence case silently degrades to the uniform one.
@@ -97,10 +96,10 @@ fn phase_family_kernels_match_scalar() {
 }
 
 /// The gear hybrids (`king-shift` statically planned, `dynamic-king`
-/// vote-driven) execute on the mixed-width kernel: the tree prefix runs
-/// scalar instances inside the wide round, the king tail runs in bit
-/// lanes, and the whole composite must match the reference bit for bit —
-/// across a 65-seed chunk boundary and at both worker counts.
+/// vote-driven) have no lock-step kernel: every chunk runs seed by seed
+/// on the scalar engine, through a worker's pooled instances and
+/// strategies, and must match the reference bit for bit — across a
+/// 65-seed chunk boundary and at both worker counts.
 #[test]
 fn gear_kernels_match_scalar_across_chunks_and_jobs() {
     for spec in [
@@ -123,19 +122,15 @@ fn gear_kernels_match_scalar_across_chunks_and_jobs() {
     }
 }
 
-/// Lane divergence inside one `dynamic-king` batch: at `(10, 3)` under
+/// Divergence inside one `dynamic-king` chunk: at `(10, 3)` under
 /// seed-dependent random lies led by the source (a correct source would
-/// end every lane at the first echo, round 2), different lanes
-/// accumulate different
-/// fault evidence, so at a checkpoint some lanes' correct processors
-/// vote to shift unanimously (the kernel commits the gear shift in
-/// lock-step) while others split or decline — deferred lanes retire to
-/// the scalar executor mid-batch and their scalar samples are spliced
-/// back at their seed positions. Whatever mix occurs, the result must
-/// be bit-identical to the reference; the round histogram must actually
-/// spread, or the cell silently degrades to the uniform case the grid
-/// already covers.
-fn assert_dynamic_king_batch_splits(family: AdversaryFamily) {
+/// end every run at the first echo, round 2), different seeds accumulate
+/// different fault evidence, so at a checkpoint some runs' correct
+/// processors vote to shift unanimously while others split or decline.
+/// Whatever mix occurs, the result must be bit-identical to the
+/// reference; the round histogram must actually spread, or the cell
+/// silently degrades to the uniform case the grid already covers.
+fn assert_dynamic_king_cell_splits(family: AdversaryFamily) {
     let plan = SweepPlan::new(
         vec![SweepConfig::traced(
             AlgorithmSpec::DynamicKing { b: 3 },
@@ -150,59 +145,26 @@ fn assert_dynamic_king_batch_splits(family: AdversaryFamily) {
 
 #[test]
 fn dynamic_king_lane_divergence_splits_the_batch() {
-    assert_dynamic_king_batch_splits(AdversaryFamily::random_liar(
+    assert_dynamic_king_cell_splits(AdversaryFamily::random_liar(
         FaultSelection::with_source().limit(2),
     ));
 }
 
 /// The same split under staged reveals: the lies start per rank, so the
-/// vector path's turn rule decides which lanes see evidence when.
+/// reveal schedule decides which seeds see evidence when.
 #[test]
 fn dynamic_king_chain_revealer_splits_the_batch() {
-    assert_dynamic_king_batch_splits(AdversaryFamily::chain_revealer(
+    assert_dynamic_king_cell_splits(AdversaryFamily::chain_revealer(
         FaultSelection::with_source().limit(2),
         1,
         2,
     ));
 }
 
-/// How the lanes of one gear batch left it: `(stopped at the prefix's
-/// first echo, ran a seeded king tail, deferred to the scalar engine)`.
-/// Drives the kernel directly with the strategies the plan's only cell
-/// would instantiate, since a report cannot tell a deferred lane from a
-/// batched one — that is the point of it.
-fn lane_fates(plan: &SweepPlan, prefix_rounds: usize) -> (usize, usize, usize) {
-    let cell = &plan.configs[0];
-    let mut config = RunConfig::new(cell.n, cell.t)
-        .with_source_value(cell.source_value)
-        .with_trace();
-    config.early_stopping = plan.early_stopping;
-    let mut kernel = gear_batch_kernel(&cell.spec, &config).expect("a gear spec");
-    let mut adversaries: Vec<Box<dyn Adversary>> = (0..plan.seeds_per_cell)
-        .map(|si| plan.adversaries[0].instantiate(plan.seed_for(0, 0, si)))
-        .collect();
-    let mut arena = BatchArena::new();
-    assert!(run_batch(
-        &mut arena,
-        &config,
-        &mut kernel,
-        &mut adversaries
-    ));
-    let results = arena.results();
-    let count = |f: &dyn Fn(&shifting_gears::sim::batch::BatchRunResult) -> bool| {
-        results.iter().filter(|r| f(r)).count()
-    };
-    (
-        count(&|r| !r.deferred && r.early_stopped && r.rounds_used == 2),
-        count(&|r| !r.deferred && r.rounds_used > prefix_rounds),
-        count(&|r| r.deferred),
-    )
-}
-
 /// Two random liars, led by the source in two seeds out of three.
-struct SourceInSomeLanes(RandomLiar);
+struct SourceInSomeSeeds(RandomLiar);
 
-impl SourceInSomeLanes {
+impl SourceInSomeSeeds {
     const NAME: &'static str = "random-liar(source in 2 of 3 seeds)";
 
     fn new(seed: u64) -> Self {
@@ -211,11 +173,11 @@ impl SourceInSomeLanes {
         } else {
             FaultSelection::with_source()
         };
-        SourceInSomeLanes(RandomLiar::new(sel.limit(2), seed))
+        SourceInSomeSeeds(RandomLiar::new(sel.limit(2), seed))
     }
 }
 
-impl Adversary for SourceInSomeLanes {
+impl Adversary for SourceInSomeSeeds {
     fn name(&self) -> String {
         Self::NAME.to_string()
     }
@@ -234,52 +196,61 @@ impl Adversary for SourceInSomeLanes {
     }
 }
 
-/// One 64-lane gear batch, three fates. A closure family (no wire shape,
-/// so the bridge drives every lane) corrupts the source in some seeds
-/// only: lanes with a correct source stop in the wide prefix at the
-/// first echo — retired by the kernel itself, with the scalar engine's
-/// sample — while lanes under a lying source run on, seed their king
-/// tails at different rounds and, for `dynamic-king`, split their shift
-/// votes and defer. With early stopping off nothing stops in the prefix.
-/// Both modes, against `sg_sim::reference`.
+/// One 64-seed gear chunk, several fates. A closure family (no wire
+/// shape, so its strategies are built per run) corrupts the source in
+/// some seeds only: runs with a correct source stop in the prefix at the
+/// first echo, while runs under a lying source go on into their king
+/// tails — `dynamic-king`'s at different rounds, as their shift votes
+/// split. With early stopping off nothing stops in the prefix. Both
+/// modes, against `sg_sim::reference`.
 #[test]
-fn one_gear_batch_holds_retiring_seeding_and_deferring_lanes() {
-    let source_in_some_lanes = AdversaryFamily::new(SourceInSomeLanes::NAME.to_string(), |seed| {
-        Box::new(SourceInSomeLanes::new(seed))
+fn a_source_lying_in_some_seeds_spreads_the_gear_cells() {
+    let source_in_some_seeds = AdversaryFamily::new(SourceInSomeSeeds::NAME.to_string(), |seed| {
+        Box::new(SourceInSomeSeeds::new(seed))
     });
-    let b = 3;
-    for (spec, dynamic) in [
-        (AlgorithmSpec::KingShift { b }, false),
-        (AlgorithmSpec::DynamicKing { b }, true),
+    let prefix_rounds = 1 + 3;
+    for spec in [
+        AlgorithmSpec::KingShift { b: 3 },
+        AlgorithmSpec::DynamicKing { b: 3 },
     ] {
         let early = SweepPlan::new(
             vec![SweepConfig::traced(spec, 10, 3)],
-            vec![source_in_some_lanes.clone()],
+            vec![source_in_some_seeds.clone()],
             64,
         );
-        let (stopped, tailed, deferred) = lane_fates(&early, 1 + b);
-        assert!(stopped > 0, "{spec:?}: no lane stopped at the first echo");
-        assert!(tailed > 0, "{spec:?}: no lane reached its king tail");
-        assert_eq!(deferred > 0, dynamic, "{spec:?}: {deferred} deferred lanes");
-        assert_rounds_spread(&assert_engines_agree(&early));
+        let report = assert_engines_agree(&early);
+        let samples = &report.cells[0].samples;
+        assert!(
+            samples.iter().any(|s| s.early_stopped && s.rounds == 2),
+            "{spec:?}: no run stopped at the first echo"
+        );
+        assert!(
+            samples.iter().any(|s| s.rounds > prefix_rounds),
+            "{spec:?}: no run reached its king tail"
+        );
+        assert_rounds_spread(&report);
 
-        let fixed = early.fixed_length();
-        let (stopped, tailed, deferred) = lane_fates(&fixed, 1 + b);
-        assert_eq!(stopped, 0, "{spec:?}: a fixed-length lane stopped early");
-        assert_eq!(tailed + deferred, 64, "{spec:?}");
-        assert_engines_agree(&fixed);
+        let fixed = assert_engines_agree(&early.fixed_length());
+        assert!(
+            fixed.cells[0]
+                .samples
+                .iter()
+                .all(|s| s.rounds > prefix_rounds),
+            "{spec:?}: a fixed-length run stopped in its prefix"
+        );
     }
 }
 
-/// Adjacent wide lanes with different fault sets. The gear kernel runs
-/// every lane's prefix round through one shared set of round tables
-/// (`sg_sim::RoundNet`), which rewrites only the rows of the lane's own
-/// faulty senders: lane `k` leaves rows behind that lane `k + 1` must not
-/// read. So the seed picks the set — three low ids, three high ids, the
-/// source and two high ids, nobody — and neighbouring lanes never share
-/// one; random lies differ per (seed, sender, recipient), so a row read
-/// from the wrong lane cannot pass for the right one. Fixed-length too,
-/// where every lane stays wide for the whole prefix.
+/// Adjacent seeds with different fault sets. A worker runs the seeds of a
+/// gear cell one after another through one arena, whose round tables
+/// rewrite only the rows of the run's own faulty senders: seed `k` leaves
+/// rows behind that seed `k + 1` must not read. So the seed picks the set
+/// — three low ids, three high ids, the source and two high ids, nobody —
+/// and neighbouring seeds never share one; random lies differ per (seed,
+/// sender, recipient), so a row read from the wrong run cannot pass for
+/// the right one. The family is a closure, so a strategy recycled from
+/// the seed before would keep that seed's set. Fixed-length too, where
+/// every run plays its whole prefix.
 #[test]
 fn adjacent_wide_lanes_keep_their_own_fault_rows() {
     let n = 13;
@@ -292,7 +263,7 @@ fn adjacent_wide_lanes_keep_their_own_fault_rows() {
         }
     };
     assert!((0..16).all(|seed| fault_set(seed) != fault_set(seed + 1)));
-    let per_lane_faults =
+    let per_seed_faults =
         AdversaryFamily::new("random-liar(set by seed)".to_string(), move |seed| {
             let members = fault_set(seed).into_iter().map(ProcessId);
             Box::new(RandomLiar::new(FaultSelection::explicit(members), seed))
@@ -302,7 +273,7 @@ fn adjacent_wide_lanes_keep_their_own_fault_rows() {
         AlgorithmSpec::DynamicKing { b: 3 },
     ] {
         let config = SweepConfig::traced(spec, n, spec.max_resilience(n));
-        let early = SweepPlan::new(vec![config], vec![per_lane_faults.clone()], 16);
+        let early = SweepPlan::new(vec![config], vec![per_seed_faults.clone()], 16);
         assert_rounds_spread(&assert_engines_agree(&early));
         assert_engines_agree(&early.fixed_length());
     }

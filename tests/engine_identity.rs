@@ -76,8 +76,8 @@ proptest! {
     /// boundary onto the scalar loop; the tree machines get fewer (their
     /// identity is scheduling and pooling only, and they are costly per
     /// run). Between them the cells take every route through the chunk
-    /// executor: the kernels, deferred `dynamic-king` lanes, scalar-only
-    /// tree specs, the vector and bridged fault paths, and the
+    /// executor: the king kernel, the gear shifts and tree specs on the
+    /// scalar engine, the vector and bridged fault paths, and the
     /// `partition` edge-fault bailout.
     #[test]
     fn production_cursor_and_reference_agree_on_the_grid(
@@ -116,13 +116,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The corner of the grid where a sample depends on *what the liars
-    /// say*, sampled densely: the kernel-backed specs under every
-    /// vector-eligible family at `f ∈ {0, 1, t}` and with the source among
-    /// the faulty. Under a correct source a king run locks on the first
-    /// propose step whatever the lies are, so a wrong lane mask or a
-    /// mis-drawn lie is invisible there; a source that lies from round 1
-    /// splits the correct processors, and every later tally — word-wide
-    /// in the kernel, per payload in the reference — has to agree.
+    /// say*, sampled densely: the king-family specs (the three with a
+    /// kernel, and the two gear shifts, whose king tails run on the scalar
+    /// engine) under every vector-eligible family at `f ∈ {0, 1, t}` and
+    /// with the source among the faulty. Under a correct source a king run
+    /// locks on the first propose step whatever the lies are, so a wrong
+    /// lane mask or a mis-drawn lie is invisible there; a source that lies
+    /// from round 1 splits the correct processors, and every later tally —
+    /// word-wide in the kernel, packed or per payload in the scalar engine
+    /// and the reference — has to agree.
     #[test]
     fn lies_that_matter_reach_every_kernel(
         spec_idx in 0usize..5,
@@ -190,8 +192,8 @@ fn optimal_king_n31_under_a_lying_source() {
     }
 }
 
-/// CI's `lie_smoke`, gear half: the same lies through the mixed-width
-/// kernel's scalar prefix and bit-lane tail.
+/// CI's `lie_smoke`, gear half: the same lies through a gear shift's tree
+/// prefix and king tail on the scalar engine.
 #[test]
 fn dynamic_king_n16_under_a_lying_source() {
     let lies = staged_lies_from_a_faulty_source();

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use shifting_gears::adversary::{ChainRevealer, Equivocate, FaultSelection, RandomLiar, TwoFaced};
+use shifting_gears::analysis::TREE_PAPER_CELLS;
 use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
 };
@@ -421,24 +422,15 @@ fn one_arena_survives_changing_fault_sets_and_sizes() {
 }
 
 /// The pool holds a sweep worker's whole rotation: `tree-paper` cycles
-/// through five scalar specs, plus `dynamic-king` when a batch lane is
-/// deferred. Six keys in turn must all stay warm — a pool smaller than
-/// the rotation evicts every key before it comes back, and each run
-/// rebuilds all `n` instances.
+/// through its seven cells, every one of them on the scalar engine. Seven
+/// keys in turn must all stay warm — a pool smaller than the rotation
+/// evicts every key before it comes back, and each run rebuilds all `n`
+/// instances.
 #[test]
-fn a_six_key_rotation_stays_warm() {
-    let specs = [
-        AlgorithmSpec::Exponential,
-        AlgorithmSpec::AlgorithmA { b: 3 },
-        AlgorithmSpec::AlgorithmB { b: 3 },
-        AlgorithmSpec::AlgorithmC,
-        AlgorithmSpec::Hybrid { b: 3 },
-        AlgorithmSpec::DynamicKing { b: 3 },
-    ];
-    let n = 10;
+fn a_seven_key_rotation_stays_warm() {
     let calls = AtomicUsize::new(0);
     let rotation = || {
-        for spec in specs {
+        for (spec, n) in TREE_PAPER_CELLS {
             let config = RunConfig::new(n, spec.max_resilience(n));
             let factory = spec.factory(&config);
             let key = spec.pool_key(&config);
@@ -450,6 +442,7 @@ fn a_six_key_rotation_stays_warm() {
         }
         calls.swap(0, Ordering::SeqCst)
     };
-    assert_eq!(rotation(), specs.len() * n, "the cold rotation builds");
+    let instances: usize = TREE_PAPER_CELLS.iter().map(|&(_, n)| n).sum();
+    assert_eq!(rotation(), instances, "the cold rotation builds");
     assert_eq!(rotation(), 0, "the warm rotation must reset, not rebuild");
 }

@@ -55,8 +55,8 @@ fn a_worker_panic_fails_one_job_and_the_next_is_bit_exact() {
     client.ping().expect("daemon alive after the panic");
 
     // 2. The same worker, the same scratch: a grid taking every route
-    // through the chunk executor — lock-step kernel, deferred
-    // `dynamic-king` lanes, scalar-only tree spec — over two full chunks
+    // through the chunk executor — lock-step kernel, scalar gear shift,
+    // scalar tree spec — over two full chunks
     // and a 2-seed tail per cell must equal the in-process report.
     let selection = FaultSelection::without_source().limit(2);
     let grid = SweepPlan::new(
