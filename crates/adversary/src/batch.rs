@@ -22,10 +22,10 @@
 //! All seven choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call covers every lane
 //! ([`BatchAdversary::corrupt_lanes`] materializes it into the lane
-//! masks without consulting the scalar lanes at all), and all seven
-//! classify payloads into lane masks in one [`BatchAdversary::lies`]
-//! call per round — skipping per-lane view assembly and payload
-//! construction entirely.
+//! masks), and all seven classify payloads into lane masks in one
+//! [`BatchAdversary::lies`] call per round. No scalar strategy is built
+//! for the lanes: the rules need only the family's parameters and the
+//! lanes' seeds.
 //!
 //! # The first-draw kernel
 //!
@@ -34,23 +34,29 @@
 //! recipient), of which only the first output is ever read. The shim's
 //! generator is xoshiro256** seeded by four SplitMix64 words, and its
 //! first output is a function of `s[1]` alone — so the draw is the
-//! output scrambler over the *second* SplitMix64 word of `seed ^ edge`,
-//! then the range reduction: [`edge_draw`], three multiplies and no
-//! state. The vector path evaluates it for every lane of an edge in one
-//! branch-free loop (each lane has its own seed, the edge key is hoisted)
-//! that assembles the `one`/`zero` lane words and masks them once. The
-//! scalar strategies call the same function for one-value payloads, so
-//! the scalar engine, the bridge and this path read one definition. The
-//! committed fingerprints have always depended on the shim's stream;
-//! this only makes the dependence explicit, and the shim's
+//! output scrambler over the *second* SplitMix64 word of `seed ^ edge`
+//! ([`first_draw`], three multiplies and no state), then the range
+//! reduction ([`edge_draw`]). The scalar strategies call `edge_draw` for
+//! one-value payloads, so both engines read one mixer.
+//!
+//! The vector path evaluates the mixer for every lane of an edge in one
+//! branch-free loop (each lane has its own seed, the edge key is
+//! hoisted). On a binary domain the reduction `(first · 2) >> 64` is
+//! `first >> 63`: the loop shifts each lane's sign bit into the `one`
+//! word, highest lane first, and `zero` is its complement — no widening
+//! multiply, no compare. Wider domains reduce with `edge_draw` and
+//! classify `1` and `0`.
+//!
+//! The committed fingerprints have always depended on the shim's
+//! stream; this only makes the dependence explicit, and the shim's
 //! `stream_is_pinned` plus `util`'s `first_draw_matches_the_generator`
-//! hold both ends.
+//! and `sign_bit_is_the_binary_draw` hold both ends.
 
 use sg_sim::batch::{BatchAdversary, LaneView};
-use sg_sim::{Adversary, ProcessId, ProcessSet};
+use sg_sim::{ProcessId, ProcessSet};
 
 use crate::selection::FaultSelection;
-use crate::util::{edge_draw, edge_mix};
+use crate::util::{edge_draw, edge_mix, first_draw};
 
 /// Which vector-capable family a [`BatchFamily`] plays, with the same
 /// parameters as the scalar constructor it mirrors (borrowed: a family
@@ -67,14 +73,15 @@ pub enum VectorFamily<'a> {
     /// [`crate::RandomLiar`]: per-edge uniform in-domain lies, one seed
     /// per lane (lane order).
     RandomLiar {
-        /// Per-lane RNG seeds, matching the wrapped scalar lanes.
+        /// Per-lane RNG seeds, the ones the scalar strategy of each lane
+        /// would be built with.
         seeds: &'a [u64],
     },
     /// [`crate::ChainRevealer`]: the rank-`k` member is honest until
     /// round `reveal_start + k·stride`, then lies like
     /// [`VectorFamily::RandomLiar`].
     ChainRevealer {
-        /// Per-lane RNG seeds, matching the wrapped scalar lanes.
+        /// Per-lane RNG seeds, as for [`VectorFamily::RandomLiar`].
         seeds: &'a [u64],
         /// Round (1-based) the rank-0 member reveals itself.
         reveal_start: usize,
@@ -124,28 +131,23 @@ impl VectorFamily<'_> {
     }
 }
 
-/// A batch-aware adversary for one of the [`VectorFamily`] strategies,
-/// wrapping the per-lane scalar adversaries of the same family (same
-/// parameters, same per-lane seeds), which [`BatchAdversary::lane`]
-/// answers with.
+/// A batch-aware adversary for one of the [`VectorFamily`] strategies
+/// over `lanes` runs. It owns no strategy: every lane's lies follow
+/// from the family's parameters and, for the seeded families, that
+/// lane's seed — exactly what the lane's scalar strategy would send.
 pub struct BatchFamily<'a> {
     family: VectorFamily<'a>,
     selection: &'a FaultSelection,
-    lanes: &'a mut [Box<dyn Adversary>],
+    lanes: usize,
 }
 
 impl<'a> BatchFamily<'a> {
-    /// Wraps `lanes` (one scalar adversary per run, already seeded) with
-    /// the vector rules of `family` over `selection`.
+    /// The vector rules of `family` over `selection` for `lanes` runs.
     ///
     /// # Panics
     ///
     /// Panics if a seeded family does not carry one seed per lane.
-    pub fn new(
-        family: VectorFamily<'a>,
-        selection: &'a FaultSelection,
-        lanes: &'a mut [Box<dyn Adversary>],
-    ) -> Self {
+    pub fn new(family: VectorFamily<'a>, selection: &'a FaultSelection, lanes: usize) -> Self {
         let family = match family {
             VectorFamily::Omission { period, phase } => VectorFamily::Omission {
                 period: period.max(1),
@@ -165,7 +167,7 @@ impl<'a> BatchFamily<'a> {
         if let VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } =
             family
         {
-            assert_eq!(seeds.len(), lanes.len(), "one seed per lane");
+            assert_eq!(seeds.len(), lanes, "one seed per lane");
         }
         BatchFamily {
             family,
@@ -225,10 +227,11 @@ impl<'a> BatchFamily<'a> {
         }
     }
 
-    /// Sends every lane's own [`edge_draw`] from `f` to every recipient,
-    /// for the lanes in `mask`. All lanes of an edge are drawn — the
-    /// loop has no branch to mispredict and the draw is a handful of
-    /// multiplies — and the assembled words are masked once.
+    /// Sends every lane's own draw from `f` to every recipient, for the
+    /// lanes in `mask` (see the module docs, "The first-draw kernel").
+    /// All lanes of an edge are drawn — the loop has no branch to
+    /// mispredict and the draw is a handful of multiplies — and the
+    /// assembled words are masked once.
     fn random(
         view: &LaneView<'_>,
         f: usize,
@@ -245,10 +248,19 @@ impl<'a> BatchFamily<'a> {
             }
             let edge = edge_mix(view.round, ProcessId(f), ProcessId(r));
             let (mut one, mut zero) = (0u64, 0u64);
-            for (lane, &seed) in seeds.iter().enumerate() {
-                let v = edge_draw(seed, edge, size);
-                one |= u64::from(v == 1) << lane;
-                zero |= u64::from(v == 0) << lane;
+            if size == 2 {
+                // Highest lane first: lane `k`'s sign bit ends at bit `k`,
+                // where `(first >> 63) << k` puts it, for one shift less.
+                for &seed in seeds.iter().rev() {
+                    one = (one << 1) | (first_draw(seed, edge) >> 63);
+                }
+                zero = !one;
+            } else {
+                for (lane, &seed) in seeds.iter().enumerate() {
+                    let v = edge_draw(seed, edge, size);
+                    one |= u64::from(v == 1) << lane;
+                    zero |= u64::from(v == 0) << lane;
+                }
             }
             net_one[f * n + r] |= one & mask;
             net_zero[f * n + r] |= zero & mask;
@@ -258,7 +270,7 @@ impl<'a> BatchFamily<'a> {
 
 impl BatchAdversary for BatchFamily<'_> {
     fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.lanes
     }
 
     fn corrupt_lanes(
@@ -269,12 +281,11 @@ impl BatchAdversary for BatchFamily<'_> {
         faulty: &mut [u64],
         fault_sets: &mut Vec<ProcessSet>,
     ) -> bool {
-        // One seed-free selection covers every lane; the scalar lanes
-        // are not consulted (their `corrupt` would return the same set),
-        // which is the whole point of the vector path.
+        // One seed-free selection covers every lane: each lane's scalar
+        // `corrupt` would return this same set.
         let set = self.selection.select(n, t, source);
         assert_eq!(set.universe(), n, "selection over the wrong universe");
-        let lanes = self.lanes.len();
+        let lanes = self.lanes;
         let all: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
         for p in set.iter() {
             faulty[p.index()] |= all;
@@ -285,10 +296,6 @@ impl BatchAdversary for BatchFamily<'_> {
             kept.clone_from(&set);
         }
         fault_sets.resize(lanes, set);
-        true
-    }
-
-    fn vectorized(&self) -> bool {
         true
     }
 
@@ -336,9 +343,5 @@ impl BatchAdversary for BatchFamily<'_> {
                 }
             }
         }
-    }
-
-    fn lane(&mut self, lane: usize) -> &mut dyn Adversary {
-        self.lanes[lane].as_mut()
     }
 }

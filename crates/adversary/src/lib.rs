@@ -83,4 +83,4 @@ pub use tape::{
     calls_per_run, enumerate_tapes, EmptyTapeError, Move, TapeAdversary, TapeEnumerator, ALL_MOVES,
     SINGLE_VALUE_MOVES,
 };
-pub use util::{edge_draw, edge_mix};
+pub use util::{edge_draw, edge_mix, first_draw};

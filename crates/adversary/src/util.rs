@@ -19,27 +19,36 @@ fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId) ->
     StdRng::seed_from_u64(seed ^ edge_mix(round, sender, recipient))
 }
 
-/// The one-value lie of stream `seed ^ edge` ([`edge_mix`]) in a domain
-/// of `size` values: the value `StdRng::seed_from_u64(seed ^ edge)
-/// .gen_range(0..size)` returns, computed without building the generator.
+/// The first output of `StdRng::seed_from_u64(seed ^ edge)`, computed
+/// without building the generator — the one definition of the mixer
+/// every random one-value lie reads.
 ///
 /// `seed_from_u64` fills xoshiro256**'s state with four consecutive
 /// SplitMix64 words and the generator's first output reads only `s[1]`,
 /// so the first draw is the output scrambler over the *second*
-/// SplitMix64 word (state advanced by 2γ), reduced to the range by the
-/// same multiply-shift `gen_range` uses. Three multiplies and a widening
-/// one, no state, no call through a trait object — the form the 64-lane
-/// batch path evaluates per (lane, edge). Every single-value random lie
-/// (scalar strategies, bridge, vector path) is this function, and
-/// `first_draw_matches_the_generator` pins it to the generator.
+/// SplitMix64 word (state advanced by 2γ). Three multiplies, no state,
+/// no call through a trait object.
 #[inline]
-pub fn edge_draw(seed: u64, edge: u64, size: u16) -> u16 {
+pub fn first_draw(seed: u64, edge: u64) -> u64 {
     let mut z = (seed ^ edge).wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(2));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    let first = z.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-    ((u128::from(first) * u128::from(size)) >> 64) as u16
+    z.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// The one-value lie of stream `seed ^ edge` ([`edge_mix`]) in a domain
+/// of `size` values: the value `StdRng::seed_from_u64(seed ^ edge)
+/// .gen_range(0..size)` returns — [`first_draw`] reduced to the range by
+/// the same multiply-shift `gen_range` uses. Every single-value random
+/// lie of the scalar strategies and of the vector path at `|V| > 2` is
+/// this function; at `|V| = 2` the reduction `(first · 2) >> 64` is
+/// `first >> 63`, the sign bit the vector path reads directly
+/// (`sign_bit_is_the_binary_draw`). `first_draw_matches_the_generator`
+/// pins it to the generator.
+#[inline]
+pub fn edge_draw(seed: u64, edge: u64, size: u16) -> u16 {
+    ((u128::from(first_draw(seed, edge)) * u128::from(size)) >> 64) as u16
 }
 
 /// `len ≥ 1` uniformly random in-domain values from `sender` to
@@ -143,6 +152,31 @@ mod tests {
                 edge_draw(seed, edge, size),
                 expected,
                 "seed {seed:#x} round {round} {sender:?}->{recipient:?} size {size}"
+            );
+        }
+    }
+
+    #[test]
+    fn sign_bit_is_the_binary_draw() {
+        /// SplitMix64, independent of the generator under test.
+        fn mix(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut state = 0x5EED;
+        let mut pairs: Vec<(u64, u64)> = (0..100_000)
+            .map(|_| (mix(&mut state), mix(&mut state)))
+            .collect();
+        // The stream key's extremes: `seed ^ edge` all zeros, all ones.
+        pairs.extend([(0, 0), (!0, !0), (0, !0), (!0, 0), (0x1234, 0x1234)]);
+        for (seed, edge) in pairs {
+            assert_eq!(
+                first_draw(seed, edge) >> 63,
+                u64::from(edge_draw(seed, edge, 2)),
+                "seed {seed:#x} edge {edge:#x}"
             );
         }
     }

@@ -7,9 +7,13 @@
 //! lies themselves: for every vector family, over hand-built lane views,
 //! [`BatchFamily::lies`] must equal — word for word in `net_one` /
 //! `net_zero` — the masks obtained by asking each lane's scalar
-//! [`Adversary::payload`] in the scalar bridge's order and classifying
-//! `value_at(0)`, exactly as `sg_sim::run_batch_with` does without the
-//! vector path.
+//! [`Adversary::payload`] in the scalar engine's order and classifying
+//! `value_at(0)`, exactly as `sg_sim::run_batch`'s per-lane path does.
+//!
+//! Both domain sizes matter: at `|V| = 2` the random families run the
+//! sign-bit branch (each lane's `first_draw >> 63`, `zero` the
+//! complement), at `|V| = 3` the `edge_draw` range reduction, while the
+//! scalar strategies always reduce with `edge_draw`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,7 +137,7 @@ impl Broadcast {
     }
 }
 
-/// The scalar bridge of `sg_sim::run_batch_with`, restated: per active
+/// The per-lane path of `sg_sim::run_batch`, restated: per active
 /// lane, split the broadcast into honest and shadow tables by the lane's
 /// fault set, then call `payload` for faulty senders ascending ×
 /// recipients ascending (self skipped) and classify the first value.
@@ -231,16 +235,12 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
                     // Non-consecutive seeds: no lane's stream is a
                     // neighbour's plus one.
                     let seeds: Vec<u64> = (0..lane_count).map(|_| rng.gen()).collect();
-                    let mut lanes: Vec<Box<dyn Adversary>> = seeds
-                        .iter()
-                        .map(|&seed| (case.scalar)(selection, seed))
-                        .collect();
                     let mut oracle: Vec<Box<dyn Adversary>> = seeds
                         .iter()
                         .map(|&seed| (case.scalar)(selection, seed))
                         .collect();
                     let vector = (case.vector)(&seeds);
-                    let mut batch = BatchFamily::new(vector, selection, &mut lanes);
+                    let mut batch = BatchFamily::new(vector, selection, lane_count);
 
                     let mut faulty = vec![0u64; N];
                     // Stale sets from a previous batch must be overwritten.
@@ -314,14 +314,10 @@ fn random_lies_populate_both_masks() {
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
     let selection = FaultSelection::without_source();
-    let mut lanes: Vec<Box<dyn Adversary>> = seeds
-        .iter()
-        .map(|&seed| Box::new(RandomLiar::new(selection.clone(), seed)) as Box<dyn Adversary>)
-        .collect();
     let mut batch = BatchFamily::new(
         VectorFamily::RandomLiar { seeds: &seeds },
         &selection,
-        &mut lanes,
+        seeds.len(),
     );
     let mut faulty = vec![0u64; N];
     let mut fault_sets = Vec::new();

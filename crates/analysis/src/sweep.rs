@@ -475,6 +475,10 @@ impl PartialEq for FactoryKey {
 /// wrong, only absent: `tests/engine_identity.rs` holds pooled execution
 /// to the fresh-everything `sg_sim::reference`. A default scratch is
 /// cold: every buffer grows on first use.
+///
+/// Strategies are pooled for scalar runs only. A lock-step chunk under a
+/// family with a vector shape builds no strategy at all, and one under
+/// any other family builds one per lane for that chunk.
 #[derive(Default)]
 pub struct SweepScratch {
     /// Scalar-engine buffers and the keyed protocol-instance pool.
@@ -488,9 +492,6 @@ pub struct SweepScratch {
     /// One strategy instance per named family, for scalar runs. Grids
     /// rarely cross more than a handful of families per worker.
     adversaries: MruPool<FactoryKey, Box<dyn Adversary>, 8>,
-    /// One lane group (up to 64 instances) per named family, for
-    /// lock-step chunks — hence the tighter cap.
-    lane_groups: MruPool<FactoryKey, Vec<Box<dyn Adversary>>, 4>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
     /// for.
     kernels: MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, 4>,
@@ -518,9 +519,9 @@ thread_local! {
 /// the seven named families whose fault selection is lane-uniform and
 /// whose per-edge behaviour is a pure function of `(round, edge, seed)`
 /// — `seeds` being the chunk's, in lane order. `None` routes the chunk
-/// through the per-lane scalar bridge — the vector path is absent, never
-/// wrong. Families with per-edge faults (`partition`) or call-order
-/// contracts (`tape`, traces) stay scalar by construction.
+/// through [`sg_sim::run_batch`]'s per-lane path — the vector path is
+/// absent, never wrong. Families with per-edge faults (`partition`) or
+/// call-order contracts (`tape`, traces) stay scalar by construction.
 fn vector_family<'a>(
     family: &'a AdversaryFamily,
     seeds: &'a [u64],
@@ -802,9 +803,10 @@ impl SweepPlan {
     /// the chunk from scratch.
     ///
     /// Fault injection takes the vector path ([`BatchFamily`], one
-    /// `lies` call per round) when the family's wire shape has one;
-    /// otherwise every lane bridges to its scalar adversary in the
-    /// scalar engine's exact call order.
+    /// `lies` call per round, no strategy built) when the family's wire
+    /// shape has one; otherwise the chunk builds one strategy per lane
+    /// and [`sg_sim::run_batch`] asks each in the scalar engine's exact
+    /// call order.
     fn run_chunk_lockstep(
         &self,
         scratch: &mut SweepScratch,
@@ -827,36 +829,21 @@ impl SweepPlan {
             return false;
         };
 
-        // One strategy instance per lane, reseeded in place when the
-        // family pools (rebuilt where the strategy declines).
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
-        let family_key = family.pool_key();
-        let mut lanes = family_key
-            .as_ref()
-            .and_then(|key| scratch.lane_groups.take(key))
-            .unwrap_or_default();
-        lanes.truncate(seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
-            if lane == lanes.len() {
-                lanes.push(family.instantiate(seed));
-            } else if !lanes[lane].reseed(seed) {
-                lanes[lane] = family.instantiate(seed);
-            }
-        }
-
         let ran = match vector_family(family, seeds) {
             Some((vector, selection)) => {
-                let mut batch = BatchFamily::new(vector, selection, &mut lanes);
+                let mut batch = BatchFamily::new(vector, selection, seeds.len());
                 sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch)
             }
-            None => sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes),
+            None => {
+                let mut lanes: Vec<Box<dyn Adversary>> =
+                    seeds.iter().map(|&seed| family.instantiate(seed)).collect();
+                sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes)
+            }
         };
         scratch.kernels.put(kernel_key, kernel);
-        if let Some(key) = family_key {
-            scratch.lane_groups.put(key, lanes);
-        }
         if !ran {
             return false;
         }
@@ -1226,8 +1213,23 @@ mod tests {
         for cell in 0..plan.cell_count() {
             let mut cursor = plan.cell_cursor(cell);
             assert_eq!(cursor.advance(&mut scratch), 64);
+            if cell == 0 {
+                // The king chunk under random-liar ran at word width and
+                // built no strategy; only its scalar tail pools one.
+                assert!(
+                    scratch.adversaries.is_empty(),
+                    "a vector chunk pooled a strategy"
+                );
+            }
             assert_eq!(cursor.remaining(), 1);
             assert_eq!(cursor.advance(&mut scratch), 1);
+            if cell == 0 {
+                assert_eq!(
+                    scratch.adversaries.len(),
+                    1,
+                    "the scalar tail pools its strategy"
+                );
+            }
             assert!(cursor.is_done());
             assert_eq!(cursor.advance(&mut scratch), 0);
             assert_eq!(cursor.finish(), batch.cells[cell]);

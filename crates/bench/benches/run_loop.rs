@@ -19,13 +19,15 @@
 //!   full schedule by the benchmark's matched equivocation, so the
 //!   per-round cost of the lock-step driver and kernel tallies is too;
 //! * `batch-adversary/*` — the same 64-lane batch driven by a
-//!   vectorized `BatchFamily` vs the per-lane `ScalarBridge`, so the
-//!   fault-materialization layer (one mask computation per batch vs 64
-//!   per-edge adversary walks per round) is measured on its own; its
-//!   `draw/*` pair isolates one faulty sender's random row (64 lanes ×
-//!   30 recipients) drawn by building a generator per (lane, edge) and
-//!   calling it through `dyn RngCore` vs by `edge_draw`, the first-draw
-//!   kernel both paths now share;
+//!   vectorized `BatchFamily` through `run_batch_with` vs one scalar
+//!   strategy per lane through `run_batch`, so the fault-materialization
+//!   layer (one mask computation per batch vs 64 per-edge adversary
+//!   walks per round) is measured on its own; its `draw/*` triple
+//!   isolates one faulty sender's random row (64 lanes × 30 recipients)
+//!   drawn by building a generator per (lane, edge) and calling it
+//!   through `dyn RngCore`, by `edge_draw` (the scalar strategies'
+//!   first-draw kernel), and by the sign bit of `first_draw` assembled
+//!   into lane words (the vector path's binary kernel);
 //! * `eigtree/*` — the tree machine's primitives on the shapes the
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
@@ -67,7 +69,7 @@ use rand::{RngCore, SampleUniform, SeedableRng};
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{
-    edge_draw, edge_mix, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar,
+    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, Crash, FaultSelection, RandomLiar,
     VectorFamily,
 };
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
@@ -79,7 +81,7 @@ use sg_eigtree::{
 use sg_journal::{CellKey, EngineEpoch, Journal};
 use sg_sim::{
     run_batch, run_batch_with, run_into, Adversary, BatchArena, Outcome, ProcessId, RunArena,
-    RunConfig, ScalarBridge, Value, MAX_BATCH_RUNS,
+    RunConfig, Value, MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -339,16 +341,13 @@ fn bench_batch_runs(c: &mut Criterion) {
             .with_source_value(Value(1))
             .with_trace();
         let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-        let mut lanes: Vec<Box<dyn Adversary>> = (0..MAX_BATCH_RUNS)
-            .map(|_| Box::new(Equivocate::new(selection.clone(), 43, 1)) as Box<dyn Adversary>)
-            .collect();
         let family = VectorFamily::Equivocate {
             split: 43,
             start: 1,
         };
         group.bench_function(format!("batch/full-schedule-n64/{}", spec.name()), |b| {
             b.iter(|| {
-                let mut batch = BatchFamily::new(family, &selection, &mut lanes);
+                let mut batch = BatchFamily::new(family, &selection, MAX_BATCH_RUNS);
                 assert!(run_batch_with(
                     &mut batch_arena,
                     &config,
@@ -364,16 +363,19 @@ fn bench_batch_runs(c: &mut Criterion) {
 }
 
 /// The batch-adversary layer in isolation: the identical 64-lane batch
-/// driven through `run_batch_with`, once with the per-lane
-/// `ScalarBridge` (every round walks every lane's faulty edges through
-/// the scalar `Adversary` trait) and once with the vectorized
-/// `BatchFamily` (one selection and one mask computation cover all 64
-/// lanes). `crash` is deterministic, so the vector path is pure mask
-/// algebra and the ratio is the full materialization cost;
-/// `random-liar` and `chain-revealer` draw per (lane, edge) on both
-/// paths, through the same `edge_draw`, so their ratio is what the
-/// bridge spends around the draws (view tables, virtual calls, payload
-/// objects). `tests/engine_identity.rs` pins the paths bit-identical.
+/// driven once through `run_batch` with one scalar strategy per lane
+/// (every round walks every lane's faulty edges through the scalar
+/// `Adversary` trait) and once through `run_batch_with` with the
+/// vectorized `BatchFamily` (one selection and one mask computation
+/// cover all 64 lanes, and no strategy is built). `crash` is
+/// deterministic, so the vector path is pure mask algebra and the ratio
+/// is the full materialization cost; `random-liar` and `chain-revealer`
+/// draw per (lane, edge) on both paths from the same `first_draw` mixer
+/// — reduced by `edge_draw` per payload on the per-lane path, read as a
+/// sign bit straight into lane words on the vector one — so their ratio
+/// is what the per-lane path spends around the mixer (strategies, view
+/// tables, virtual calls, payload objects, the range reduction).
+/// `tests/engine_identity.rs` pins the paths bit-identical.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
@@ -416,20 +418,18 @@ fn bench_batch_adversaries(c: &mut Criterion) {
             b.iter(|| {
                 let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
                 let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
-                let mut bridge = ScalarBridge(&mut lanes);
-                assert!(run_batch_with(
+                assert!(run_batch(
                     &mut batch_arena,
                     &config,
                     kernel.as_mut(),
-                    &mut bridge
+                    &mut lanes
                 ));
             });
         });
         group.bench_function(format!("batch-adversary/{name}-vector"), |b| {
             b.iter(|| {
                 let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-                let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
-                let mut batch = BatchFamily::new(vector, &selection, &mut lanes);
+                let mut batch = BatchFamily::new(vector, &selection, seeds.len());
                 assert!(run_batch_with(
                     &mut batch_arena,
                     &config,
@@ -468,6 +468,20 @@ fn bench_batch_adversaries(c: &mut Criterion) {
                 for &seed in black_box(&seeds) {
                     ones += u32::from(edge_draw(seed, edge, 2));
                 }
+            }
+            ones
+        });
+    });
+    group.bench_function("batch-adversary/draw/sign-bit-kernel", |b| {
+        b.iter(|| {
+            let mut ones = 0u32;
+            for r in recipients() {
+                let edge = edge_mix(3, sender, r);
+                let mut one = 0u64;
+                for &seed in black_box(&seeds).iter().rev() {
+                    one = (one << 1) | (first_draw(seed, edge) >> 63);
+                }
+                ones += one.count_ones();
             }
             ones
         });

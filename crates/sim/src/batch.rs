@@ -21,17 +21,18 @@
 //!
 //! # The adversary side
 //!
-//! Fault injection is batch-aware too. A [`BatchAdversary`] materializes
-//! every lane's fault set in one `corrupt_lanes` call, and — when its
-//! [`BatchAdversary::vectorized`] flag opts in — classifies all faulty
-//! payloads of a round directly into lane masks through
-//! [`BatchAdversary::lies`], skipping per-lane payload construction and
-//! view assembly entirely. Strategies that cannot vectorize (traced,
-//! recording, tape, closure adversaries) ride the [`ScalarBridge`]: the
-//! driver materializes per-lane [`AdversaryView`]s and calls each lane's
-//! scalar [`Adversary`] in exactly the order the scalar engine would, so
-//! the `sg-trace/1` call-order contract is untouched. The vector path is
-//! *absent, never wrong*: both paths are bit-identical by construction.
+//! Fault injection is batch-aware too, with two entry points. The vector
+//! one, [`run_batch_with`], takes a [`BatchAdversary`]: it materializes
+//! every lane's fault set in one `corrupt_lanes` call and classifies all
+//! faulty payloads of a round directly into lane masks in one
+//! [`BatchAdversary::lies`] call — no per-lane payload, view or scalar
+//! strategy exists. [`run_batch`] takes one scalar [`Adversary`] per
+//! lane, for strategies that cannot vectorize (traced, recording, tape,
+//! closure adversaries): its private per-lane path materializes each
+//! lane's [`AdversaryView`] and calls that lane's strategy in exactly the
+//! order the scalar engine would, so the `sg-trace/1` call-order contract
+//! is untouched. The vector path is *absent, never wrong*: both paths
+//! are bit-identical by construction.
 //!
 //! Per-run outputs are bit-identical to the scalar path by construction:
 //! the adversary sees semantically equal views in the same call order,
@@ -312,7 +313,7 @@ impl<'a> BatchNet<'a> {
     }
 }
 
-/// The lane-mask view a vectorized adversary sees in one round — the
+/// The lane-mask view a [`BatchAdversary`] sees in one round — the
 /// batch counterpart of [`AdversaryView`]. Broadcast classification is
 /// per slot: `present[j]` holds the lanes in which slot `j` sent at all
 /// this round, `one[j]`/`zero[j]` the lanes in which the sent value
@@ -353,17 +354,14 @@ pub struct LaneView<'a> {
 
 /// Batch-aware fault injection: the adversary side of [`run_batch_with`].
 ///
-/// One value of this trait drives *all* lanes of a batch. Two shapes
-/// exist:
-///
-/// * [`ScalarBridge`] — wraps one scalar [`Adversary`] per lane and
-///   replays the scalar engine's exact call order (`corrupt` once per
-///   lane up front; per round, faulty senders ascending × recipients
-///   ascending). This is the universal fallback and the path traced /
-///   recording / tape adversaries must take.
-/// * vectorized families (`sg-adversary`'s `BatchFamily`) — opt in via
-///   [`BatchAdversary::vectorized`] and classify a whole round of faulty
-///   payloads into lane masks in one [`BatchAdversary::lies`] call.
+/// One value of this trait drives *all* lanes of a batch and classifies
+/// a whole round of faulty payloads into lane masks in one
+/// [`BatchAdversary::lies`] call — `sg-adversary`'s `BatchFamily` for the
+/// named families. Strategies without such a form take [`run_batch`],
+/// whose private implementation of this trait asks one scalar
+/// [`Adversary`] per lane in the scalar engine's exact call order
+/// (`corrupt` once per lane up front; per round, faulty senders
+/// ascending × recipients ascending).
 pub trait BatchAdversary {
     /// Number of lanes (runs) this adversary drives, `1..=`[`MAX_BATCH_RUNS`].
     fn lanes(&self) -> usize;
@@ -378,8 +376,6 @@ pub trait BatchAdversary {
     /// Returns `false` — **without consuming any lane** — when a lane
     /// reports per-edge faults, which the word-per-slot layout cannot
     /// express; callers then re-run every lane on the scalar engine.
-    /// (The scalar adversaries stay reusable: poolable lanes are
-    /// reseeded for their scalar runs instead of being rebuilt.)
     fn corrupt_lanes(
         &mut self,
         n: usize,
@@ -389,40 +385,37 @@ pub trait BatchAdversary {
         fault_sets: &mut Vec<ProcessSet>,
     ) -> bool;
 
-    /// Whether this adversary fills rounds through [`BatchAdversary::lies`]
-    /// (`true`) or per-lane scalar `payload` calls (`false`, the default).
-    fn vectorized(&self) -> bool {
-        false
-    }
-
-    /// Vector fault injection: classify every faulty slot's payload to
-    /// every recipient directly into the delivered-network lane masks
-    /// (`net_one[f * n + r]` / `net_zero[…]`), for lanes in
-    /// `view.active` only — and, within row `f`, only lanes of
-    /// `view.faulty[f]`: in every other lane slot `f` is correct and its
-    /// broadcast is delivered as sent. The rows of faulty slots arrive
-    /// cleared; all others are stale and ignored. Lanes set in neither
-    /// mask deliver `⊥` or nothing — the same three-way classification
-    /// as [`BatchNet`].
-    ///
-    /// Only consulted when [`BatchAdversary::vectorized`] is `true`; the
-    /// default is a no-op.
-    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
-        let _ = (view, net_one, net_zero);
-    }
-
-    /// The scalar adversary driving `lane` — the bridge for per-lane
-    /// payload collection in non-vectorized rounds.
-    fn lane(&mut self, lane: usize) -> &mut dyn Adversary;
+    /// Classifies every faulty slot's payload to every recipient
+    /// directly into the delivered-network lane masks (`net_one[f * n +
+    /// r]` / `net_zero[…]`), for lanes in `view.active` only — and,
+    /// within row `f`, only lanes of `view.faulty[f]`: in every other
+    /// lane slot `f` is correct and its broadcast is delivered as sent.
+    /// The rows of faulty slots arrive cleared; all others are stale and
+    /// ignored. Lanes set in neither mask deliver `⊥` or nothing — the
+    /// same three-way classification as [`BatchNet`].
+    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]);
 }
 
-/// The per-lane scalar bridge: one boxed [`Adversary`] per lane, called
-/// in the scalar engine's exact order. See [`BatchAdversary`].
-pub struct ScalarBridge<'a>(pub &'a mut [Box<dyn Adversary>]);
+/// The adversary-view tables [`PerLane`] refills per lane per round,
+/// kept in the [`BatchArena`] between batches, and the `⊥` wire payload
+/// it shows (built once: it is not bit-packed).
+#[derive(Default)]
+struct ViewTables {
+    honest: Vec<Option<Payload>>,
+    shadow: Vec<Option<Payload>>,
+    bot: Option<Payload>,
+}
 
-impl BatchAdversary for ScalarBridge<'_> {
+/// The per-lane path of [`run_batch`]: one boxed [`Adversary`] per lane,
+/// called in the scalar engine's exact order (see [`BatchAdversary`]).
+struct PerLane<'a> {
+    lanes: &'a mut [Box<dyn Adversary>],
+    tables: ViewTables,
+}
+
+impl BatchAdversary for PerLane<'_> {
     fn lanes(&self) -> usize {
-        self.0.len()
+        self.lanes.len()
     }
 
     fn corrupt_lanes(
@@ -436,10 +429,10 @@ impl BatchAdversary for ScalarBridge<'_> {
         // Edge faults are declared up front (every in-tree adversary's
         // `has_edge_faults` is independent of `corrupt`), so a bailout
         // leaves all lanes unconsumed and reusable for the scalar re-run.
-        if self.0.iter().any(|a| a.has_edge_faults()) {
+        if self.lanes.iter().any(|a| a.has_edge_faults()) {
             return false;
         }
-        for (lane, adversary) in self.0.iter_mut().enumerate() {
+        for (lane, adversary) in self.lanes.iter_mut().enumerate() {
             let set = adversary.corrupt(n, t, source);
             assert_eq!(set.universe(), n, "adversary corrupted the wrong universe");
             for p in set.iter() {
@@ -450,11 +443,81 @@ impl BatchAdversary for ScalarBridge<'_> {
                 None => fault_sets.push(set),
             }
         }
+        for table in [&mut self.tables.honest, &mut self.tables.shadow] {
+            table.clear();
+            table.resize(n, None);
+        }
         true
     }
 
-    fn lane(&mut self, lane: usize) -> &mut dyn Adversary {
-        self.0[lane].as_mut()
+    /// Per active lane, materializes the view (honest and shadow tables
+    /// split by that lane's fault set; a slot already showing the right
+    /// payload is left alone, so a warm path allocates nothing) and
+    /// collects every faulty sender's payloads in the scalar call order
+    /// — faulty senders ascending, recipients ascending, self skipped.
+    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
+        let n = view.n;
+        let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
+        let tables = &mut self.tables;
+        let bot = tables
+            .bot
+            .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
+        let mut w = view.active;
+        while w != 0 {
+            let lane = w.trailing_zeros() as usize;
+            w &= w - 1;
+            let faulty = &view.fault_sets[lane];
+            if faulty.is_empty() {
+                continue;
+            }
+            let bit = 1u64 << lane;
+            for j in 0..n {
+                let payload = if view.present[j] & bit == 0 {
+                    None
+                } else if view.one[j] & bit != 0 {
+                    Some(&wire[0])
+                } else if view.zero[j] & bit != 0 {
+                    Some(&wire[1])
+                } else {
+                    Some(&*bot)
+                };
+                let (shown, hidden) = if view.faulty[j] & bit != 0 {
+                    (&mut tables.shadow[j], &mut tables.honest[j])
+                } else {
+                    (&mut tables.honest[j], &mut tables.shadow[j])
+                };
+                if shown.as_ref() != payload {
+                    *shown = payload.cloned();
+                }
+                *hidden = None;
+            }
+            let scalar_view = AdversaryView {
+                round: view.round,
+                total_rounds: view.total_rounds,
+                n,
+                t: view.t,
+                source: view.source,
+                source_value: view.source_value,
+                domain: view.domain,
+                faulty,
+                honest_broadcast: &tables.honest,
+                shadow_broadcast: &tables.shadow,
+                sigs: None,
+            };
+            let scalar = self.lanes[lane].as_mut();
+            for f in faulty.iter() {
+                for r in 0..n {
+                    if r == f.index() {
+                        continue;
+                    }
+                    match scalar.payload(f, ProcessId(r), &scalar_view).value_at(0) {
+                        Some(Value(1)) => net_one[f.index() * n + r] |= bit,
+                        Some(Value(0)) => net_zero[f.index() * n + r] |= bit,
+                        _ => {}
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -616,11 +679,8 @@ pub struct BatchArena {
     faulty: Vec<u64>,
     liars: Vec<usize>,
     fault_sets: Vec<ProcessSet>,
-    // Adversary-view scratch, refilled per lane per round, and the `⊥`
-    // wire payload the bridge shows (built once: it is not bit-packed).
-    view_honest: Vec<Option<Payload>>,
-    view_shadow: Vec<Option<Payload>>,
-    bot: Option<Payload>,
+    // The per-lane path's view tables, lent to it by `run_batch`.
+    tables: ViewTables,
     // Preferred-value snapshots and final decisions for the lock-in walk.
     snapshots: Snapshots,
     decisions: Vec<u64>,
@@ -664,10 +724,6 @@ impl BatchArena {
         self.liars.clear();
         // Kept, not cleared: `corrupt_lanes` overwrites them in place.
         self.fault_sets.truncate(lanes);
-        self.view_honest.clear();
-        self.view_honest.resize(n, None);
-        self.view_shadow.clear();
-        self.view_shadow.resize(n, None);
         self.snapshots.clear();
         self.decisions.clear();
         self.sends = BitPlanes::default();
@@ -683,7 +739,14 @@ impl BatchArena {
 }
 
 /// [`run_batch_with`] over one scalar [`Adversary`] per lane — the
-/// universal entry point (and the only one the scalar bridge needs).
+/// universal entry point, for strategies without a vector form. Every
+/// lane's strategy is asked for every faulty edge in the scalar engine's
+/// call order.
+///
+/// Returns `false` — leaving every lane's adversary unconsumed — if any
+/// lane's adversary reports edge faults, which the word-per-slot layout
+/// cannot express; callers then take the scalar path with the same
+/// adversaries.
 ///
 /// # Panics
 ///
@@ -695,16 +758,21 @@ pub fn run_batch(
     kernel: &mut dyn BatchKernel,
     adversaries: &mut [Box<dyn Adversary>],
 ) -> bool {
-    run_batch_with(arena, config, kernel, &mut ScalarBridge(adversaries))
+    let mut per_lane = PerLane {
+        lanes: adversaries,
+        tables: std::mem::take(&mut arena.tables),
+    };
+    let ran = run_batch_with(arena, config, kernel, &mut per_lane);
+    arena.tables = per_lane.tables;
+    ran
 }
 
 /// Executes up to [`MAX_BATCH_RUNS`] runs of one configuration in
-/// lock-step. Results land in [`BatchArena::results`], in lane order.
+/// lock-step, their faults injected at word width by `adversary`.
+/// Results land in [`BatchArena::results`], in lane order.
 ///
-/// Returns `false` — leaving every lane's scalar adversary unconsumed
-/// and the arena results empty — if any lane's adversary reports edge
-/// faults, which the word-per-slot layout cannot express; callers then
-/// take the scalar path with the same (reseeded) adversaries.
+/// Returns `false`, having run no round, if `corrupt_lanes` declines
+/// the batch (edge faults).
 ///
 /// # Panics
 ///
@@ -782,93 +850,24 @@ pub fn run_batch_with(
             arena.rows_one[f * n..(f + 1) * n].fill(0);
             arena.rows_zero[f * n..(f + 1) * n].fill(0);
         }
-        if adversary.vectorized() {
-            // The vector path: one call classifies every faulty slot's
-            // payloads for all active lanes at once.
-            let view = LaneView {
-                round,
-                total_rounds,
-                n,
-                t: config.t,
-                source: config.source,
-                source_value: config.source_value,
-                domain: config.domain,
-                present: &arena.present,
-                one: &arena.one,
-                zero: &arena.zero,
-                faulty: &arena.faulty,
-                fault_sets: &arena.fault_sets,
-                active,
-            };
-            adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
-        } else {
-            // The rushing adversary bridge: per active lane, materialize
-            // the view (honest and shadow tables split by that lane's
-            // fault set; a slot already showing the right payload is left
-            // alone, so a warm bridge allocates nothing) and collect every
-            // faulty sender's payloads in the scalar call order — faulty
-            // senders ascending, recipients ascending, self skipped.
-            let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
-            let bot = arena
-                .bot
-                .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
-            let mut w = active;
-            while w != 0 {
-                let lane = w.trailing_zeros() as usize;
-                w &= w - 1;
-                if arena.fault_sets[lane].is_empty() {
-                    continue;
-                }
-                let bit = lane_mask(lane);
-                for j in 0..n {
-                    let payload = if arena.present[j] & bit == 0 {
-                        None
-                    } else if arena.one[j] & bit != 0 {
-                        Some(&wire[0])
-                    } else if arena.zero[j] & bit != 0 {
-                        Some(&wire[1])
-                    } else {
-                        Some(&*bot)
-                    };
-                    let (shown, hidden) = if arena.faulty[j] & bit != 0 {
-                        (&mut arena.view_shadow[j], &mut arena.view_honest[j])
-                    } else {
-                        (&mut arena.view_honest[j], &mut arena.view_shadow[j])
-                    };
-                    if shown.as_ref() != payload {
-                        *shown = payload.cloned();
-                    }
-                    *hidden = None;
-                }
-                let view = AdversaryView {
-                    round,
-                    total_rounds,
-                    n,
-                    t: config.t,
-                    source: config.source,
-                    source_value: config.source_value,
-                    domain: config.domain,
-                    faulty: &arena.fault_sets[lane],
-                    honest_broadcast: &arena.view_honest,
-                    shadow_broadcast: &arena.view_shadow,
-                    sigs: None,
-                };
-                let scalar = adversary.lane(lane);
-                for f in arena.fault_sets[lane].iter() {
-                    for r in 0..n {
-                        if r == f.index() {
-                            continue;
-                        }
-                        let payload = scalar.payload(f, ProcessId(r), &view);
-                        match payload.value_at(0) {
-                            Some(Value(1)) => arena.rows_one[f.index() * n + r] |= bit,
-                            Some(Value(0)) => arena.rows_zero[f.index() * n + r] |= bit,
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
+        // One call classifies every faulty slot's payloads for all
+        // active lanes at once.
+        let view = LaneView {
+            round,
+            total_rounds,
+            n,
+            t: config.t,
+            source: config.source,
+            source_value: config.source_value,
+            domain: config.domain,
+            present: &arena.present,
+            one: &arena.one,
+            zero: &arena.zero,
+            faulty: &arena.faulty,
+            fault_sets: &arena.fault_sets,
+            active,
+        };
+        adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
 
         // Where a slot is correct its classified outgoing reaches every
         // recipient unchanged: one word per slot, beside the adversary's
@@ -1232,7 +1231,10 @@ mod tests {
 
         let mut lanes: Vec<Box<dyn Adversary>> =
             vec![Box::new(NoFaults), Box::new(Edgy { corrupted: 0 })];
-        let mut bridge = ScalarBridge(&mut lanes);
+        let mut bridge = PerLane {
+            lanes: &mut lanes,
+            tables: ViewTables::default(),
+        };
         let mut faulty = vec![0u64; 4];
         let mut sets = Vec::new();
         assert!(!bridge.corrupt_lanes(4, 1, ProcessId(0), &mut faulty, &mut sets));

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneView};
-use sg_sim::{run_batch_with, Adversary, BatchArena, NoFaults, ProcessId, ProcessSet, RunConfig};
+use sg_sim::{run_batch_with, BatchArena, ProcessId, ProcessSet, RunConfig};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -111,7 +111,6 @@ impl BatchKernel for Flood {
 struct TwoFaced {
     lanes: usize,
     set: ProcessSet,
-    scalar: NoFaults,
 }
 
 impl BatchAdversary for TwoFaced {
@@ -140,10 +139,6 @@ impl BatchAdversary for TwoFaced {
         true
     }
 
-    fn vectorized(&self) -> bool {
-        true
-    }
-
     fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
         for f in view.fault_sets[0].iter().map(ProcessId::index) {
             for r in (0..view.n).filter(|&r| r != f) {
@@ -154,10 +149,6 @@ impl BatchAdversary for TwoFaced {
                 }
             }
         }
-    }
-
-    fn lane(&mut self, _lane: usize) -> &mut dyn Adversary {
-        &mut self.scalar
     }
 }
 
@@ -171,7 +162,6 @@ fn a_warm_traced_batch_allocates_nothing() {
     let mut adversary = TwoFaced {
         lanes: 64,
         set: ProcessSet::from_members(N, [ProcessId(1), ProcessId(2)]),
-        scalar: NoFaults,
     };
     let mut batch = |arena: &mut BatchArena| {
         allocations_of(|| assert!(run_batch_with(arena, &config, &mut kernel, &mut adversary))).0
