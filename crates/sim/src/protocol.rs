@@ -203,7 +203,9 @@ impl Inbox {
     /// then reads the same for everyone and that slot holds `payload`.
     pub fn set(&mut self, sender: ProcessId, payload: Payload) {
         if sender.index() == self.me {
-            self.sent = (0..self.n()).map(|q| Some(self.from(ProcessId(q)).clone())).collect();
+            self.sent = (0..self.n())
+                .map(|q| Some(self.from(ProcessId(q)).clone()))
+                .collect();
             self.lies.clear();
             self.route.fill(SENT);
             self.me = NOBODY;
@@ -472,7 +474,9 @@ mod tests {
         // faulty row (told 1 `Value(7)`), sender 3's edge is cut.
         let mut delivered = Inbox::empty(4);
         delivered.sent[0] = Some(Payload::values([Value(1)]));
-        delivered.lies = (0..4).map(|r| Payload::values([Value(r as u16 + 6)])).collect();
+        delivered.lies = (0..4)
+            .map(|r| Payload::values([Value(r as u16 + 6)]))
+            .collect();
         delivered.route[2] = 0;
         delivered.route[3] = CUT;
         delivered.me = 1;

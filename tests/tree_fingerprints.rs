@@ -24,6 +24,20 @@
 //! **Early table.** The same 14 cells with early stopping on. The source
 //! is correct in every one, so every run ends at the first echo: round 2,
 //! and the ops are those of two rounds.
+//!
+//! **Lying-source table.** Neither table above can see an echo round
+//! change. Under a correct source no lie can move an echo-round sample:
+//! the echoes' quorum holds, and at most `t` liars cannot trigger
+//! discovery of the source. A faulty source does not help chain-revealer
+//! either, which stays honest in round 1 — `algorithm-a`, `king-shift`
+//! and `dynamic-king` all print `412a9e3b2967a325` under
+//! `--source-faulty` in early mode. So the third table runs the seven
+//! cells under random lies *with the source among the liars*, in both
+//! modes: the source is discovered at the first echo, early mode runs
+//! past round 2, and a later block's echo round reads a non-empty
+//! `L_p`. It was captured on the commit before the tree machine read its
+//! echo rounds off the engine's packed ballots, and holds that reading
+//! to the per-slot one it replaced.
 
 use shifting_gears::adversary::FaultSelection;
 use shifting_gears::analysis::{
@@ -83,27 +97,74 @@ const EARLY: [[Pin; 2]; 7] = [
 /// Fingerprint and Σ `max_local_ops` of the whole early-mode report.
 const EARLY_REPORT: Pin = (0x2a32_c4df_2345_45d5, 1784);
 
-fn plan() -> SweepPlan {
-    let honest_source = FaultSelection::without_source;
+/// Lying-source cell pins, [`TREE_PAPER_CELLS`] order, random lies with
+/// the source among the liars: early mode, then fixed-length.
+const LYING: [[Pin; 2]; 7] = [
+    [(0x3019_6b8d_f8d4_8fce, 8356), (0x3019_6b8d_f8d4_8fce, 8356)],
+    [
+        (0xf143_5da7_e5ca_37ac, 28060),
+        (0x240a_30f5_3c38_a310, 74812),
+    ],
+    [
+        (0x673a_a833_891e_e762, 44548),
+        (0x1bd0_dd43_05df_55a2, 47492),
+    ],
+    [
+        (0x1c6a_0dfa_bcf9_e2e9, 43656),
+        (0x1c6a_0dfa_bcf9_e2e9, 43656),
+    ],
+    [
+        (0xba8e_5b81_a174_f56d, 59224),
+        (0x8b5b_e0f6_fe8b_5e05, 102056),
+    ],
+    [
+        (0xc9f5_97d0_cc79_bbc8, 28068),
+        (0xa340_9c32_bb4e_64bf, 28504),
+    ],
+    [
+        (0x8db3_5a4f_c5fc_d92d, 29388),
+        (0x03c0_1bcc_3bcb_7485, 29824),
+    ],
+];
+
+/// Fingerprint and Σ `max_local_ops` of the whole lying-source report:
+/// early mode, then fixed-length.
+const LYING_REPORT: [Pin; 2] = [
+    (0x0d74_6258_a8e1_a0a5, 241300),
+    (0x03cb_0924_4d74_97ca, 334700),
+];
+
+fn plan_under(families: Vec<AdversaryFamily>) -> SweepPlan {
     SweepPlan::new(
         TREE_PAPER_CELLS
             .iter()
             .map(|&(spec, n)| SweepConfig::traced(spec, n, spec.max_resilience(n)))
             .collect(),
-        vec![
-            AdversaryFamily::random_liar(honest_source()),
-            AdversaryFamily::chain_revealer(honest_source(), 2, 2),
-        ],
+        families,
         4,
     )
     .with_base_seed(1987)
 }
 
+fn plan() -> SweepPlan {
+    let honest_source = FaultSelection::without_source;
+    plan_under(vec![
+        AdversaryFamily::random_liar(honest_source()),
+        AdversaryFamily::chain_revealer(honest_source(), 2, 2),
+    ])
+}
+
+fn lying_plan() -> SweepPlan {
+    plan_under(vec![AdversaryFamily::random_liar(
+        FaultSelection::with_source(),
+    )])
+}
+
 /// Holds `report` to a pin table. Every drifted cell is reported at
 /// once, in the form the table takes; cells arrive config-major,
 /// adversary-minor.
-fn assert_pinned(mode: &str, report: &SweepReport, cells: &[[Pin; 2]; 7], whole: Pin) {
-    assert_eq!(report.cells.len(), 14);
+fn assert_pinned(mode: &str, report: &SweepReport, cells: &[Pin], whole: Pin) {
+    assert_eq!(report.cells.len(), cells.len());
     let mut total_ops = 0u64;
     let mut drift = Vec::new();
     for (i, cell) in report.cells.iter().enumerate() {
@@ -111,7 +172,7 @@ fn assert_pinned(mode: &str, report: &SweepReport, cells: &[[Pin; 2]; 7], whole:
         fp.mix_cell(cell);
         let ops: u64 = cell.samples.iter().map(|s| s.max_local_ops).sum();
         total_ops += ops;
-        if (fp.value(), ops) != cells[i / 2][i % 2] {
+        if (fp.value(), ops) != cells[i] {
             drift.push(format!(
                 "{} n={} {}: ({:#018x}, {ops})",
                 cell.spec_name,
@@ -144,7 +205,7 @@ fn tree_family_fingerprints_are_pinned() {
         .iter()
         .filter(|c| !c.spec_name.starts_with("dynamic-king"))
         .all(|c| c.samples.iter().all(|s| !s.early_stopped)));
-    assert_pinned("fixed-length", &fixed, &FIXED, FIXED_REPORT);
+    assert_pinned("fixed-length", &fixed, FIXED.as_flattened(), FIXED_REPORT);
 }
 
 /// A correct source ends every tree-family run at the first echo.
@@ -162,7 +223,34 @@ fn early_stopped_tree_family_fingerprints_are_pinned() {
             cell.adversary
         );
     }
-    assert_pinned("early stopping", &early, &EARLY, EARLY_REPORT);
+    assert_pinned("early stopping", &early, EARLY.as_flattened(), EARLY_REPORT);
+}
+
+/// A lying source is discovered at the first echo: the echo rounds' reads,
+/// discovery and quorum all leave a mark here.
+#[test]
+fn lying_source_tree_family_fingerprints_are_pinned() {
+    let early = lying_plan().run_with_jobs(1);
+    let fixed = lying_plan().fixed_length().run_with_jobs(1);
+    assert!(
+        early
+            .cells
+            .iter()
+            .all(|c| c.samples.iter().any(|s| s.rounds > 2)),
+        "a lying source no longer keeps some run past the first echo"
+    );
+    assert_pinned(
+        "lying source, early stopping",
+        &early,
+        &LYING.map(|cell| cell[0]),
+        LYING_REPORT[0],
+    );
+    assert_pinned(
+        "lying source, fixed-length",
+        &fixed,
+        &LYING.map(|cell| cell[1]),
+        LYING_REPORT[1],
+    );
 }
 
 /// The shared label table must not make a second thread's trees differ
