@@ -77,6 +77,13 @@ fn echo_quorum(echoes: &[Value], root: Value, t: usize) -> bool {
     echoes.iter().filter(|&&v| v == root).count() + t >= echoes.len()
 }
 
+/// The value a binary echo word (see [`GearedProtocol::echo_word`]) holds
+/// for `sender`.
+#[inline]
+fn echo_at(word: u64, sender: ProcessId) -> Value {
+    Value((word >> sender.index() & 1) as u16)
+}
+
 /// One processor's instance of a plan-driven agreement protocol.
 ///
 /// Construct through [`crate::AlgorithmSpec::build`] (or the factory on
@@ -94,6 +101,16 @@ fn echo_quorum(echoes: &[Value], root: Value, t: usize) -> bool {
 /// stored level-1 echoes (`n − t` of the `n` intermediates) equal its own
 /// root. The source is always ready, and `decide` is unchanged: it
 /// returns the root it always returned.
+///
+/// An echo round holds one slot per sender, so when the engine attaches
+/// its [`sg_sim::PackedBallots`] (binary domain, `n ≤ 64`) the round is
+/// read as one word — the `ones` mask with `L_p` cleared and the
+/// receiver's own root in its own bit — and builds no claims table: the
+/// level is stored from the word, and the Fault Discovery Rule and this
+/// threshold then run on the stored level as on every other. Without
+/// ballots (`n > 64`, wider domains, the reference engine) the level is
+/// stored slot by slot; `tests/engine_identity.rs` holds the two readings
+/// to each other.
 ///
 /// This is sound under the hook contract — a status only has to be final
 /// *given that every other correct processor is ready in the same round*
@@ -279,6 +296,23 @@ impl GearedProtocol {
         claims
     }
 
+    /// An echo round read off the engine's packed ballots, with the §3
+    /// rules of [`GearedProtocol::claims`] applied to the `ones` mask: a
+    /// sender in `L_p` reads as the default, and the receiver's own slot
+    /// holds its `own` root — ahead of `L_p`, since a shadow may list
+    /// itself. Read it with [`echo_at`]. `None` — read the payload slots —
+    /// without ballots (`n > 64`, wider domains, an inbox built with
+    /// `Inbox::set`) or for a non-binary `own`.
+    fn echo_word(&self, inbox: &Inbox, own: Value) -> Option<u64> {
+        let ballots = inbox.ballots()?;
+        if own.raw() > 1 {
+            return None;
+        }
+        let bit = |p: ProcessId| 1u64 << p.index();
+        let listed = self.faults.iter().fold(0, |w, p| w | bit(p));
+        Some(ballots.ones & !listed & !bit(self.me) | u64::from(own.raw()) << self.me.index())
+    }
+
     /// Records newly discovered processors: updates `L`, emits trace
     /// events, returns them as a set (`None`, and no allocation, if none).
     fn admit_discoveries(
@@ -349,18 +383,29 @@ impl Protocol for GearedProtocol {
             }
 
             RoundAction::Gather { convert: conv } => {
-                // 1. Store the new level, masking known faults as we go.
+                // 1. Store the new level, masking known faults as we go: a
+                // block's echo round straight off the ballot word when
+                // there is one, every other level through the claims.
                 let deepest = self.tree.deepest_level();
-                let mut own = std::mem::take(&mut self.own);
-                own.clear();
-                own.extend_from_slice(self.tree.level(deepest));
-                let claims = self.claims(inbox, &own);
-                let ops = self
-                    .tree
-                    .append_level(|parent, sender| claims[sender.index()].at(parent, domain));
-                ctx.charge(ops);
-                self.claims = recycle(claims);
-                self.own = own;
+                let echo = if deepest == 0 {
+                    self.echo_word(inbox, self.tree.root())
+                } else {
+                    None
+                };
+                if let Some(word) = echo {
+                    ctx.charge(self.tree.append_level(|_, sender| echo_at(word, sender)));
+                } else {
+                    let mut own = std::mem::take(&mut self.own);
+                    own.clear();
+                    own.extend_from_slice(self.tree.level(deepest));
+                    let claims = self.claims(inbox, &own);
+                    let ops = self
+                        .tree
+                        .append_level(|parent, sender| claims[sender.index()].at(parent, domain));
+                    ctx.charge(ops);
+                    self.claims = recycle(claims);
+                    self.own = own;
+                }
 
                 self.note_peak();
 
@@ -405,13 +450,18 @@ impl Protocol for GearedProtocol {
             }
 
             RoundAction::RepFirstGather => {
-                let own_root = [self.rep.root()];
-                let claims = self.claims(inbox, &own_root);
-                let ops = self
-                    .rep
-                    .store_intermediates(|q| claims[q.index()].at(0, domain));
-                ctx.charge(ops);
-                self.claims = recycle(claims);
+                let root = self.rep.root();
+                if let Some(word) = self.echo_word(inbox, root) {
+                    ctx.charge(self.rep.store_intermediates(|q| echo_at(word, q)));
+                } else {
+                    let own_root = [root];
+                    let claims = self.claims(inbox, &own_root);
+                    let ops = self
+                        .rep
+                        .store_intermediates(|q| claims[q.index()].at(0, domain));
+                    ctx.charge(ops);
+                    self.claims = recycle(claims);
+                }
                 if self.modified {
                     let report = self.rep.discover_root(t, &self.faults);
                     ctx.charge(report.ops);

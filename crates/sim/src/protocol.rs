@@ -86,12 +86,16 @@ pub enum GearAction {
 /// sentinel) — exactly the cases receivers treat as `⊥`/default.
 ///
 /// The engine attaches this to the [`Inbox`] for binary-domain rounds at
-/// `n ≤ 64`; receivers tally majorities and thresholds with
-/// `count_ones()` word operations instead of touching `n` payloads. The
+/// `n ≤ 64`, and receivers read it with word operations instead of
+/// touching `n` payloads. It has two readers: the king family tallies
+/// every round's majorities and thresholds with `count_ones()`, and the
+/// tree machine (`sg_core::GearedProtocol`) stores its echo rounds — the
+/// rounds in which every sender contributes one slot — from `ones`. The
 /// masks are a *view* of the inbox contents, never an extra source of
 /// truth: every protocol falls back to the payload slots when they are
-/// absent, and the two paths are bit-identical (pinned by
-/// `tests/instance_pool.rs`).
+/// absent, and the two paths are bit-identical (pinned against
+/// `sg_sim::reference`, which attaches no ballots, by
+/// `tests/engine_identity.rs`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PackedBallots {
     /// Senders whose payload reads `Value(1)` at position 0.
@@ -216,8 +220,9 @@ impl Inbox {
     }
 
     /// The bit-packed single-value view of this round, when the engine
-    /// attached one (binary domain, `n ≤ 64`). `None` means receivers
-    /// must read the payload slots.
+    /// attached one (binary domain, `n ≤ 64`): what every slot reads at
+    /// position 0, which is all a king tally or a tree echo round reads.
+    /// `None` means receivers must read the payload slots.
     #[inline]
     pub fn ballots(&self) -> Option<PackedBallots> {
         self.ballots

@@ -159,6 +159,55 @@ proptest! {
     }
 }
 
+/// The tree machine's corner of the same kind, every cell of it: the six
+/// pure tree specs with the source among `f ∈ {1, t}` liars, in both
+/// modes. A correct source makes every echo round read alike whatever the
+/// liars say, so only a lying one exercises the level the scalar engine's
+/// tree machine stores off the packed ballots at a block's echo round,
+/// and the Fault Discovery Rule and echo rule that read it, against the
+/// reference, which attaches no ballots and reads every payload slot. `partition` cuts edges, so its ballots are rebuilt per
+/// recipient.
+#[test]
+fn lies_that_matter_reach_the_echo_round() {
+    for spec in (0..6).map(spec) {
+        let t = match spec {
+            AlgorithmSpec::Hybrid { .. } => 3,
+            _ => 2,
+        };
+        for f in [1, t] {
+            let sel = FaultSelection::with_source().limit(f);
+            // random-liar, partition, omission, equivocate, and a dense
+            // chain-revealer.
+            let families = [1, 5, 6, 7]
+                .map(|i| family(i, sel.clone()))
+                .into_iter()
+                .chain([AdversaryFamily::chain_revealer(sel, 1, 1)]);
+            for family in families {
+                for fixed in [false, true] {
+                    let config = SweepConfig::traced(spec, 10, t);
+                    let mut plan = SweepPlan::new(vec![config], vec![family.clone()], 8);
+                    plan.early_stopping = !fixed;
+                    assert_engines_agree(&plan);
+                }
+            }
+        }
+    }
+}
+
+/// The echo round's fallback, named: past `n = 64` the engine attaches no
+/// ballots, so the tree machine reads its echoes slot by slot on every
+/// route. Algorithm C at `t = 2` is a three-round schedule.
+#[test]
+fn algorithm_c_n65_under_a_lying_source() {
+    for fixed in [false, true] {
+        let liars = AdversaryFamily::random_liar(FaultSelection::with_source());
+        let config = SweepConfig::traced(AlgorithmSpec::AlgorithmC, 65, 2);
+        let mut plan = SweepPlan::new(vec![config], vec![liars], 4);
+        plan.early_stopping = !fixed;
+        assert_engines_agree(&plan);
+    }
+}
+
 /// One named cell at its spec's maximum resilience: every route agrees
 /// with the reference.
 fn check_cell(spec: AlgorithmSpec, n: usize, family: AdversaryFamily, seeds: u64, fixed: bool) {
