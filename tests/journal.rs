@@ -4,6 +4,15 @@
 //! `sg-serve/1` daemon), and any damage to the store must degrade to
 //! recomputation — "absent, never wrong" — with a structured warning,
 //! never a panic or a wrong cell.
+//!
+//! Warm-against-cold tests compare inside one build only, so a
+//! drift in how keys, epochs or cell texts are derived would pass them
+//! and silently turn every store on disk into misses ("absent, never
+//! wrong" hides it). The `pinned_*` tests hold those derivations to
+//! literals captured from the byte-serial FNV fold and the five-pass
+//! `summarize`, before either was rewritten at word speed: any rewrite
+//! must reproduce them exactly, or a store written by an older build
+//! stops answering.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,10 +20,11 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use shifting_gears::adversary::FaultSelection;
 use shifting_gears::analysis::{
-    epoch_for, AdversaryFamily, SweepConfig, SweepPlan, SweepReport, ENGINE_VERSION_TAG,
+    epoch_for, AdversaryFamily, Fingerprint, SweepConfig, SweepPlan, SweepReport,
+    ENGINE_VERSION_TAG,
 };
 use shifting_gears::core::AlgorithmSpec;
-use shifting_gears::journal::Journal;
+use shifting_gears::journal::{CellKey, EngineEpoch, Journal};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sg-journal-it-{}-{tag}", std::process::id()));
@@ -436,4 +446,81 @@ fn a_damaged_newest_duplicate_is_recomputed_not_served() {
     assert_eq!(compacted.report, cold);
     drop(journal);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The benchmark's `king-expedite` grid at `base_seed`: the three king
+/// specs at n = 7, 16, 31 (maximal t) × four honest-source families ×
+/// 64 seeds — 36 cells.
+fn king_expedite(base_seed: u64) -> SweepPlan {
+    let honest = FaultSelection::without_source;
+    let configs = [
+        AlgorithmSpec::OptimalKing,
+        AlgorithmSpec::PhaseKing,
+        AlgorithmSpec::PhaseQueen,
+    ]
+    .into_iter()
+    .flat_map(|spec| {
+        [7, 16, 31]
+            .map(|n| SweepConfig::traced(spec, n, spec.max_resilience(n)))
+            .into_iter()
+    })
+    .collect();
+    SweepPlan::new(
+        configs,
+        vec![
+            AdversaryFamily::random_liar(honest()),
+            AdversaryFamily::crash(honest(), 2),
+            AdversaryFamily::silent(honest()),
+            AdversaryFamily::chain_revealer(honest(), 2, 2),
+        ],
+        64,
+    )
+    .with_base_seed(base_seed)
+}
+
+#[test]
+fn pinned_epochs() {
+    assert_eq!(
+        epoch_for(ENGINE_VERSION_TAG, true),
+        EngineEpoch(0xffa7_8f62_8bfc_c422)
+    );
+    assert_eq!(
+        epoch_for(ENGINE_VERSION_TAG, false),
+        EngineEpoch(0x1ea2_566b_96ec_0e43)
+    );
+}
+
+#[test]
+fn pinned_canary_cell_key() {
+    // `optimal-king n=16 t=5 random-liar`, 1000 seeds, base 0.
+    let canary = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+        vec![AdversaryFamily::random_liar(
+            FaultSelection::without_source(),
+        )],
+        1000,
+    );
+    assert_eq!(canary.cell_key(0), Some(CellKey(0xa285_41d7_27e8_d30c)));
+}
+
+#[test]
+fn pinned_king_expedite_keys_fingerprint_and_text() {
+    let plan = king_expedite(0);
+    let mut keys = Fingerprint::new();
+    for cell in 0..plan.cell_count() {
+        keys.mix_u64(plan.cell_key(cell).expect("named family").0);
+    }
+    assert_eq!(keys.hex(), "b0e2e8a45045dcc6", "the 36 cell keys");
+
+    let report = plan.run_with_jobs(1);
+    assert_eq!(report.fingerprint_hex(), "796341a96ae03525");
+    // Every summary's f64 bits and the text codec's spelling of them.
+    let mut text = Fingerprint::new();
+    let mut line = String::new();
+    for cell in &report.cells {
+        line.clear();
+        cell.write_text(&mut line);
+        text.mix_bytes(line.as_bytes());
+    }
+    assert_eq!(text.hex(), "fca3ec887798e137", "the cells' write_text");
 }
