@@ -8,7 +8,8 @@
 //! * [`SweepPlan::cell_key`] fingerprints the coordinate's canonical
 //!   wire form (the same [`crate::wire`] encodings `sg-serve/1` and the
 //!   scenario format speak, so the address is stable across processes
-//!   and machines);
+//!   and machines); [`SweepPlan::cell_keys`] derives a whole plan's
+//!   keys the same way, encoding each row and column once;
 //! * [`SweepPlan::epoch`] fingerprints the engine the plan asks for:
 //!   [`ENGINE_VERSION_TAG`] and the plan's early-stopping flag, the one
 //!   option that changes results. Ask for the other mode — or land an
@@ -92,47 +93,77 @@ impl SweepPlan {
     /// Panics if `cell >= cell_count()`.
     pub fn cell_key(&self, cell: usize) -> Option<CellKey> {
         let (ci, ai) = self.cell_coords(cell);
-        let family = self.adversaries[ai].to_json();
-        if matches!(family, serde::json::Value::Null) {
-            return None;
+        let family = self.family_text(ai)?;
+        Some(self.key_after(self.config_prefix(ci), &family, ci, ai))
+    }
+
+    /// Every cell's [`SweepPlan::cell_key`], in flat cell order.
+    ///
+    /// The same derivation, with each config encoded once per row (its
+    /// FNV state kept after the text) and each family once per column:
+    /// a cell then costs only the `0xFF` separator, its family's text,
+    /// its first seed and the samples-per-cell count. Building and
+    /// printing the two JSON trees is nearly all of a lone key's cost,
+    /// and they are the same for a whole row or column.
+    pub fn cell_keys(&self) -> Vec<Option<CellKey>> {
+        let families: Vec<Option<String>> = (0..self.adversaries.len())
+            .map(|ai| self.family_text(ai))
+            .collect();
+        let mut keys = Vec::with_capacity(self.cell_count());
+        for ci in 0..self.configs.len() {
+            let row = self.config_prefix(ci);
+            keys.extend(families.iter().enumerate().map(|(ai, family)| {
+                let family = family.as_deref()?;
+                Some(self.key_after(row, family, ci, ai))
+            }));
         }
+        keys
+    }
+
+    /// The fingerprint of row `ci`'s canonical config text: where every
+    /// key of the row starts.
+    fn config_prefix(&self, ci: usize) -> Fingerprint {
         let mut fp = Fingerprint::new();
         fp.mix_bytes(self.configs[ci].to_json().to_string().as_bytes());
+        fp
+    }
+
+    /// Column `ai`'s canonical family text, or `None` for a closure
+    /// family (it has no wire form).
+    fn family_text(&self, ai: usize) -> Option<String> {
+        match self.adversaries[ai].to_json() {
+            serde::json::Value::Null => None,
+            family => Some(family.to_string()),
+        }
+    }
+
+    /// Finishes cell `(ci, ai)`'s key from its row's prefix and its
+    /// column's family text.
+    fn key_after(&self, mut fp: Fingerprint, family: &str, ci: usize, ai: usize) -> CellKey {
         // A non-JSON byte between the two encodings, so no config text
         // can alias into a family text.
         fp.mix_bytes(&[0xFF]);
-        fp.mix_bytes(family.to_string().as_bytes());
+        fp.mix_bytes(family.as_bytes());
         fp.mix_u64(self.seed_for(ci, ai, 0));
         fp.mix_u64(self.seeds_per_cell);
-        Some(CellKey(fp.value()))
+        CellKey(fp.value())
     }
 
-    /// Looks flat cell `cell` up in `journal` under `epoch` and
-    /// validates the payload — here, at use: the journal hands back the
-    /// stored text having checked only its line's header. `Ok(Some)` is a usable hit, `Ok(None)` a
-    /// plain miss (including keyless closure families), and `Err` a
-    /// *demoted* miss — a stored entry that decoded badly or described a
-    /// different cell, with the structured warning explaining why. The
-    /// caller recomputes on `Ok(None)` and `Err` alike; the error never
-    /// aborts anything.
+    /// Looks flat cell `cell` up in `journal` under `epoch` by its
+    /// already-derived `key` ([`SweepPlan::cell_keys`]) and validates the
+    /// payload — here, at use: the journal hands back the stored text
+    /// having checked only its line's header. `Ok(Some)` is a usable
+    /// hit, `Ok(None)` a plain miss, and `Err` a *demoted* miss — a
+    /// stored entry that decoded badly or described a different cell,
+    /// with the structured warning explaining why. The caller recomputes
+    /// on `Ok(None)` and `Err` alike; the error never aborts anything.
+    /// A keyless (closure-family) cell has nothing to look up: it is
+    /// always computed.
     ///
     /// # Panics
     ///
     /// Panics if `cell >= cell_count()`.
     pub fn cached_cell(
-        &self,
-        journal: &Journal,
-        epoch: EngineEpoch,
-        cell: usize,
-    ) -> Result<Option<CellReport>, String> {
-        match self.cell_key(cell) {
-            Some(key) => self.cached_at(journal, epoch, cell, key),
-            None => Ok(None),
-        }
-    }
-
-    /// [`SweepPlan::cached_cell`] for a cell whose key is already known.
-    fn cached_at(
         &self,
         journal: &Journal,
         epoch: EngineEpoch,
@@ -169,13 +200,13 @@ impl SweepPlan {
         );
         let epoch = self.epoch();
         let count = self.cell_count();
-        let keys: Vec<Option<CellKey>> = (0..count).map(|c| self.cell_key(c)).collect();
+        let keys = self.cell_keys();
         let mut slots: Vec<Option<CellReport>> = Vec::new();
         slots.resize_with(count, || None);
         let mut warnings = Vec::new();
         for (cell, key) in keys.iter().enumerate() {
             let Some(key) = *key else { continue };
-            match self.cached_at(journal, epoch, cell, key) {
+            match self.cached_cell(journal, epoch, cell, key) {
                 Ok(hit) => slots[cell] = hit,
                 Err(warning) => warnings.push(warning),
             }
@@ -265,6 +296,30 @@ mod tests {
             3,
         );
         assert_eq!(plan.cell_key(0), None);
+    }
+
+    #[test]
+    fn row_and_column_keys_are_the_per_cell_keys() {
+        let plan = SweepPlan::new(
+            vec![
+                SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
+                SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+                SweepConfig::traced(AlgorithmSpec::PhaseQueen, 16, 3),
+            ],
+            vec![
+                AdversaryFamily::random_liar(FaultSelection::without_source()),
+                AdversaryFamily::new("bespoke", |_seed| Box::new(sg_sim::NoFaults)),
+                AdversaryFamily::crash(FaultSelection::with_source().limit(1), 2),
+                AdversaryFamily::no_faults(),
+            ],
+            5,
+        )
+        .with_base_seed(0xDEAD_BEEF);
+        let keys = plan.cell_keys();
+        let one_by_one: Vec<_> = (0..plan.cell_count()).map(|c| plan.cell_key(c)).collect();
+        assert_eq!(keys, one_by_one);
+        assert_eq!(keys.iter().filter(|k| k.is_none()).count(), 3);
+        assert_eq!(keys.iter().flatten().count(), 9);
     }
 
     #[test]

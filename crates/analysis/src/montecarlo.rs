@@ -39,28 +39,11 @@ impl Summary {
     /// Panics if `values` is empty — an empty experiment is a bug, not a
     /// statistic.
     pub fn of<I: IntoIterator<Item = u64>>(values: I) -> Summary {
-        let mut samples = 0usize;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
+        let mut moments = Moments::EMPTY;
         for v in values {
-            samples += 1;
-            min = min.min(v);
-            max = max.max(v);
-            let x = v as f64;
-            let delta = x - mean;
-            mean += delta / samples as f64;
-            m2 += delta * (x - mean);
+            moments.push(v);
         }
-        assert!(samples > 0, "cannot summarize an empty sample");
-        Summary {
-            samples,
-            min,
-            max,
-            mean,
-            stddev: (m2 / samples as f64).sqrt(),
-        }
+        moments.finish()
     }
 
     /// Renders as `min/mean±stddev/max`.
@@ -69,6 +52,50 @@ impl Summary {
             "{}/{:.1}±{:.1}/{}",
             self.min, self.mean, self.stddev, self.max
         )
+    }
+}
+
+/// Welford's online moments of one column, the one place the
+/// recurrence is written: [`Summary::of`] steps one, [`summarize`] five
+/// side by side.
+#[derive(Clone, Copy)]
+struct Moments {
+    samples: usize,
+    min: u64,
+    max: u64,
+    mean: f64,
+    m2: f64,
+}
+
+impl Moments {
+    const EMPTY: Moments = Moments {
+        samples: 0,
+        min: u64::MAX,
+        max: 0,
+        mean: 0.0,
+        m2: 0.0,
+    };
+
+    #[inline]
+    fn push(&mut self, v: u64) {
+        self.samples += 1;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        let x = v as f64;
+        let delta = x - self.mean;
+        self.mean += delta / self.samples as f64;
+        self.m2 += delta * (x - self.mean);
+    }
+
+    fn finish(self) -> Summary {
+        assert!(self.samples > 0, "cannot summarize an empty sample");
+        Summary {
+            samples: self.samples,
+            min: self.min,
+            max: self.max,
+            mean: self.mean,
+            stddev: (self.m2 / self.samples as f64).sqrt(),
+        }
     }
 }
 
@@ -132,15 +159,33 @@ pub fn random_liar_sweep(spec: AlgorithmSpec, n: usize, t: usize, seeds: u64) ->
     report.cells.swap_remove(0).samples
 }
 
-/// Summaries (lock-in, discoveries, bits, ops, rounds) of a sample set.
+/// Summaries (lock-in, discoveries, bits, ops, rounds) of a sample set,
+/// in one pass over `samples`.
+///
+/// The five Welford recurrences step side by side, each column in its
+/// own operation order (`delta`, `mean += delta / k`,
+/// `m2 += delta·(x − mean)`), so every `f64` is bit-identical to five
+/// [`Summary::of`] calls while the five dependency chains overlap
+/// instead of running back to back.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty, like [`Summary::of`].
 pub fn summarize(samples: &[Sample]) -> [Summary; 5] {
-    [
-        Summary::of(samples.iter().map(|s| s.lock_in)),
-        Summary::of(samples.iter().map(|s| s.discoveries)),
-        Summary::of(samples.iter().map(|s| s.total_bits)),
-        Summary::of(samples.iter().map(|s| s.max_local_ops)),
-        Summary::of(samples.iter().map(|s| s.rounds)),
-    ]
+    let mut columns = [Moments::EMPTY; 5];
+    for s in samples {
+        let values = [
+            s.lock_in,
+            s.discoveries,
+            s.total_bits,
+            s.max_local_ops,
+            s.rounds,
+        ];
+        for (column, v) in columns.iter_mut().zip(values) {
+            column.push(v);
+        }
+    }
+    columns.map(Moments::finish)
 }
 
 /// Fraction of `samples` whose run terminated before its schedule ended
@@ -165,6 +210,50 @@ mod tests {
         assert!((s.mean - 5.0).abs() < 1e-9);
         assert!((s.stddev - 2.0).abs() < 1e-9);
         assert_eq!(s.render(), "2/5.0±2.0/9");
+    }
+
+    #[test]
+    fn one_pass_summaries_are_five_summaries_bit_for_bit() {
+        let sample = |v: [u64; 5]| Sample {
+            lock_in: v[0],
+            discoveries: v[1],
+            total_bits: v[2],
+            max_local_ops: v[3],
+            rounds: v[4],
+            early_stopped: true,
+        };
+        let big = 1u64 << 53;
+        let sets: Vec<Vec<Sample>> = vec![
+            vec![sample([3, 0, 411, 25, 3])],
+            vec![sample([7, 7, 7, 7, 7]); 64],
+            (0..64)
+                .map(|k| sample([big + k, big * 3 + k * k, u64::MAX - k, big - 1, k << 40]))
+                .collect(),
+            (0..200u64)
+                .map(|k| {
+                    let mixed = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (k % 64);
+                    sample([k % 5, mixed, 1 << (k % 64), k * k * k, mixed ^ k])
+                })
+                .collect(),
+        ];
+        for samples in &sets {
+            let columns: [fn(&Sample) -> u64; 5] = [
+                |s| s.lock_in,
+                |s| s.discoveries,
+                |s| s.total_bits,
+                |s| s.max_local_ops,
+                |s| s.rounds,
+            ];
+            for (got, column) in summarize(samples).iter().zip(columns) {
+                let want = Summary::of(samples.iter().map(column));
+                assert_eq!(
+                    (got.samples, got.min, got.max),
+                    (want.samples, want.min, want.max)
+                );
+                assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+                assert_eq!(got.stddev.to_bits(), want.stddev.to_bits());
+            }
+        }
     }
 
     #[test]

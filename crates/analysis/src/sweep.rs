@@ -25,8 +25,9 @@
 //! single-cell plan, run `si` sees seed `si` exactly — preserving the
 //! seed semantics of the original sequential `random_liar_sweep`.
 //! Results are collected in `(ci, ai, si)` order whatever the worker
-//! interleaving, and all statistics are reduced sequentially from that
-//! ordered vector, so serial and parallel sweeps produce the same bytes.
+//! interleaving, and each cell's statistics are reduced sequentially
+//! from its seed-ordered vector, so serial and parallel sweeps produce
+//! the same bytes.
 //!
 //! # One executor
 //!
@@ -682,40 +683,42 @@ impl SweepPlan {
         }
         let shared = Arc::new(self.clone());
         // A unit is one chunk: up to 64 consecutive seeds of one cell.
-        // Results are flattened back into `(ci, ai, si)` order, so the
-        // report bytes depend on neither the worker interleaving nor how
-        // `run_chunk` executed each unit (pinned by
+        // Chunks come back in unit order and each cell's are appended to
+        // its first, so the report bytes depend on neither the worker
+        // interleaving nor how `run_chunk` executed each unit (pinned by
         // `tests/engine_identity.rs`).
         let chunk = sg_sim::MAX_BATCH_RUNS as u64;
+        let seeds = self.seeds_per_cell;
         let units: Vec<(usize, usize, u64, u64)> = cells
             .iter()
             .flat_map(|&cell| {
                 let (ci, ai) = self.cell_coords(cell);
-                let seeds = self.seeds_per_cell;
                 (0..seeds)
                     .step_by(chunk as usize)
                     .map(move |si0| (ci, ai, si0, chunk.min(seeds - si0)))
             })
             .collect();
-        let samples: Vec<Sample> = sweep_map_with_jobs(units, jobs, move |(ci, ai, si0, len)| {
-            let mut samples = Vec::with_capacity(len as usize);
+        let chunks = sweep_map_with_jobs(units, jobs, move |(ci, ai, si0, len)| {
+            // A cell's first chunk holds the whole cell in the end.
+            let mut samples = Vec::with_capacity(if si0 == 0 { seeds } else { len } as usize);
             SCRATCH.with(|scratch| {
                 shared.run_chunk(&mut scratch.borrow_mut(), ci, ai, si0, len, &mut samples);
             });
             samples
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        });
 
-        let mut reports = Vec::with_capacity(cells.len());
-        let mut chunks = samples.chunks_exact(self.seeds_per_cell as usize);
-        for &cell in cells {
-            let (ci, ai) = self.cell_coords(cell);
-            let cell_samples = chunks.next().expect("one chunk per cell").to_vec();
-            reports.push(self.cell_report(ci, ai, cell_samples));
-        }
-        reports
+        let mut chunks = chunks.into_iter();
+        cells
+            .iter()
+            .map(|&cell| {
+                let (ci, ai) = self.cell_coords(cell);
+                let mut samples = chunks.next().expect("a cell's first chunk");
+                while (samples.len() as u64) < seeds {
+                    samples.extend(chunks.next().expect("the cell's next chunk"));
+                }
+                self.cell_report(ci, ai, samples)
+            })
+            .collect()
     }
 
     /// Number of `(config, adversary)` cells in the grid.
@@ -1041,25 +1044,25 @@ pub struct Fingerprint(u64);
 impl Fingerprint {
     /// The FNV-1a offset basis — an empty fingerprint.
     pub fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
+        Fingerprint(sg_sim::fnv::OFFSET)
     }
 
-    /// Folds one little-endian `u64` into the hash.
+    /// Folds one `u64` into the hash as its eight little-endian bytes.
+    ///
+    /// The fold is exact FNV-1a, byte for byte, but costs only the
+    /// word's significant bytes: the zero bytes above its highest set
+    /// byte leave the XOR unchanged, so they collapse into one multiply
+    /// by a power of the prime ([`sg_sim::fnv::mix_word`]). Samples are
+    /// small numbers, so most of a sample's 32 bytes are such zeros.
     pub fn mix_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = sg_sim::fnv::mix_word(self.0, v);
     }
 
     /// Folds raw bytes into the hash — used by the journal's
     /// content-address derivations, which fingerprint canonical wire
     /// encodings rather than samples.
     pub fn mix_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = sg_sim::fnv::mix_bytes(self.0, bytes);
     }
 
     /// Folds one sample — deliberately the four original quantities

@@ -591,8 +591,16 @@ fn bench_journal(c: &mut Criterion) {
     let epoch = grids[3].epoch();
     group.bench_function("warm-36-hits", |b| {
         b.iter(|| {
-            (0..grids[3].cell_count())
-                .filter(|&cell| matches!(grids[3].cached_cell(&journal, epoch, cell), Ok(Some(_))))
+            let keys = grids[3].cell_keys();
+            keys.iter()
+                .enumerate()
+                .filter(|&(cell, key)| {
+                    let key = key.expect("named family");
+                    matches!(
+                        grids[3].cached_cell(&journal, epoch, cell, key),
+                        Ok(Some(_))
+                    )
+                })
                 .count()
         });
     });

@@ -1225,18 +1225,18 @@ fn connection_events(
                 let mut journal_keys = Vec::new();
                 let mut hits: Vec<Option<Box<CellReport>>> = Vec::new();
                 if let Some(journal) = &shared.journal {
+                    journal_keys = plan.cell_keys();
                     let journal = journal.lock().expect("journal");
                     let epoch = plan.epoch();
-                    for cell in 0..cells {
-                        journal_keys.push(plan.cell_key(cell));
-                        hits.push(match plan.cached_cell(&journal, epoch, cell) {
-                            Ok(hit) => hit.map(Box::new),
-                            Err(warning) => {
+                    let lookup = |(cell, key): (usize, &Option<_>)| {
+                        plan.cached_cell(&journal, epoch, cell, (*key)?)
+                            .unwrap_or_else(|warning| {
                                 eprintln!("sg-serve: {warning}");
                                 None
-                            }
-                        });
-                    }
+                            })
+                            .map(Box::new)
+                    };
+                    hits = journal_keys.iter().enumerate().map(lookup).collect();
                 }
                 let cached: Vec<bool> = hits.iter().map(Option::is_some).collect();
                 let cached_count = hits.iter().flatten().count();

@@ -98,17 +98,15 @@ impl PoolKey {
         self.0
     }
 
-    /// FNV-1a over the given words — allocation-free, so computing a key
+    /// FNV-1a over the given words' little-endian bytes
+    /// ([`crate::fnv::mix_word`]) — allocation-free, so computing a key
     /// per run costs nothing.
     pub fn of(words: &[u64]) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        PoolKey(h)
+        PoolKey(
+            words
+                .iter()
+                .fold(crate::fnv::OFFSET, |h, &w| crate::fnv::mix_word(h, w)),
+        )
     }
 }
 

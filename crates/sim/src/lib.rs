@@ -58,6 +58,7 @@
 mod adversary;
 pub mod batch;
 pub mod engine;
+pub mod fnv;
 mod id;
 mod metrics;
 mod payload;

@@ -1110,11 +1110,12 @@ fn cmd_submit(flags: &HashMap<String, String>, toggles: &[String]) {
     // journal-backed daemon fed the same directory) starts warm.
     let mut journal = flags.get("journal").map(|path| open_journal(path));
     let epoch = plan.epoch();
+    let keys = plan.cell_keys();
     let mut text = String::new();
     let streamed = match client.collect(handle, |index, cell| {
         print!("{}", cell.render_line());
         if let Some(journal) = journal.as_mut() {
-            if let Some(key) = plan.cell_key(index) {
+            if let Some(key) = keys[index] {
                 text.clear();
                 cell.write_text(&mut text);
                 if let Err(e) = journal.append_text(key, epoch, &text) {
