@@ -172,10 +172,10 @@ fn plan(spec: AlgorithmSpec, n: usize, split: usize) -> SweepPlan {
     .with_base_seed(1987)
 }
 
-/// A one-spec report's three cells as pins, in adversary order.
-fn pins(report: &SweepReport) -> [Pin; 3] {
-    assert_eq!(report.cells.len(), 3);
-    let mut row = [(0, 0); 3];
+/// A one-spec report's cells as pins, in adversary order.
+fn pins<const A: usize>(report: &SweepReport) -> [Pin; A] {
+    assert_eq!(report.cells.len(), A);
+    let mut row = [(0, 0); A];
     for (pin, cell) in row.iter_mut().zip(&report.cells) {
         let mut fp = Fingerprint::new();
         fp.mix_cell(cell);
@@ -245,4 +245,103 @@ fn pinned_cells_cover_expedited_and_full_schedules() {
             assert!(rounds(1).all(|r| r == 3));
         }
     }
+}
+
+/// One system size's shared-story pins: spec-major ([`SHARED_SPECS`]
+/// order), then the two adversaries of [`shared_plan`].
+type SharedTable = [[Pin; 2]; 2];
+
+const SHARED_SPECS: [AlgorithmSpec; 2] = [AlgorithmSpec::OptimalKing, AlgorithmSpec::PhaseKing];
+
+const SHARED_SIZES: [usize; 2] = [16, 31];
+
+/// The other lies the lane engine tells as one story shared by several
+/// liars, beside the matched equivocation above: `adaptive` with the
+/// source in the fault set (its ranks turn at rounds 1 and 3, the rest
+/// never, so members holding one lie join at different rounds) and a
+/// non-matched `equivocate` sparing the source that turns at round 2,
+/// after a round in which every member relays its shadow.
+/// `tests/engine_identity.rs` holds both to the reference engine; these
+/// literals hold both engines to a fixed answer. 65 seeds a cell, as
+/// above: one 64-lane batch and a scalar tail.
+///
+/// In fixed mode neither lie moves a sample — the adaptive source flips
+/// its input to every recipient alike, and the equivocators spare a
+/// source whose value stays strong — so all four fixed cells print the
+/// fixed-length pins of the random liar sparing the source.
+/// `crates/adversary/tests/batch_masks.rs` compares the lies themselves.
+///
+/// Captured on the commit before liars that tell the same lie were
+/// given one shared row.
+const SHARED_EARLY: [SharedTable; 2] = [
+    [
+        [(0x2f2f_f027_1cff_9ea8, 2145), (0x2ce3_ca09_1987_9f43, 2145)],
+        [(0x6a97_3c0b_50aa_fc75, 1170), (0x5d14_b553_ddb3_a424, 1170)],
+    ],
+    [
+        [(0x1a6a_7b1f_3683_f36b, 4095), (0x169c_f99e_e9e4_cc4a, 4095)],
+        [(0x1760_260a_e575_d46b, 2145), (0x8c25_c591_5b3a_5115, 2145)],
+    ],
+];
+
+/// Fixed-length shared-story pins, same layout.
+const SHARED_FIXED: [SharedTable; 2] = [
+    [
+        [
+            (0x7356_42e5_fe32_ed88, 12935),
+            (0x7356_42e5_fe32_ed88, 12935),
+        ],
+        [(0x4774_8752_568f_4bf6, 4485), (0x4774_8752_568f_4bf6, 4485)],
+    ],
+    [
+        [
+            (0xe81e_40f2_54b9_7b5e, 45110),
+            (0xe81e_40f2_54b9_7b5e, 45110),
+        ],
+        [
+            (0xe32b_cb62_18b1_a8f0, 16705),
+            (0xe32b_cb62_18b1_a8f0, 16705),
+        ],
+    ],
+];
+
+fn shared_plan(spec: AlgorithmSpec, n: usize) -> SweepPlan {
+    SweepPlan::new(
+        vec![SweepConfig::traced(spec, n, spec.max_resilience(n))],
+        vec![
+            AdversaryFamily::adaptive(FaultSelection::with_source(), vec![1, 3]),
+            AdversaryFamily::equivocate(FaultSelection::without_source(), 3, 2),
+        ],
+        65,
+    )
+    .with_base_seed(1987)
+}
+
+/// [`assert_pinned`] for the shared-story table.
+fn assert_shared_pinned(
+    mode: &str,
+    run: impl Fn(SweepPlan) -> SweepReport,
+    want: &[SharedTable; 2],
+) {
+    let got: Vec<SharedTable> = SHARED_SIZES
+        .iter()
+        .map(|&n| SHARED_SPECS.map(|spec| pins(&run(shared_plan(spec, n)))))
+        .collect();
+    assert!(
+        got == want,
+        "shared-story king cells drifted ({mode}):\n{}",
+        got.iter()
+            .map(|table| format!("{table:#018x?},"))
+            .collect::<String>()
+    );
+}
+
+#[test]
+fn shared_story_king_fingerprints_are_pinned() {
+    assert_shared_pinned("early stopping", |p| p.run_with_jobs(1), &SHARED_EARLY);
+    assert_shared_pinned(
+        "fixed-length",
+        |p| p.fixed_length().run_with_jobs(1),
+        &SHARED_FIXED,
+    );
 }
