@@ -5,19 +5,30 @@
 //! constructor parameters and the current round's broadcast view —
 //! never on per-call mutable state. Every rule has the same two halves:
 //! a member relays its honest *shadow* until its turn comes, then tells
-//! its family's story, one recipient row at a time.
+//! its family's story. Both go into [`LiarRows`], one row of lane words
+//! per recipient, and members that tell the same story in the same
+//! lanes share one row: `equivocate`'s split and `adaptive`'s flipped
+//! value depend on the recipient alone, so they are written once per
+//! distinct lane mask however many liars tell them, and the engine
+//! tallies each as multiplicity × word. A shadow, an omission's drops
+//! and a random draw differ per sender: each is its sender's own
+//! one-member story.
 //!
-//! | family | turn | story from then on |
-//! |---|---|---|
-//! | `silent` | at once | nothing |
-//! | `crash(r)` | round `r` | nothing |
-//! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops |
-//! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split |
-//! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value |
-//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) |
-//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) |
+//! | family | turn | story from then on | rows from then on |
+//! |---|---|---|---|
+//! | `silent` | at once | nothing | none |
+//! | `crash(r)` | round `r` | nothing | none |
+//! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops | one per member |
+//! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split | one per lane mask, shared |
+//! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value | one per lane mask, shared |
+//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) | one per member |
+//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) | one per member |
 //!
-//! (`rank` is the member's position in the fault set, ascending id.)
+//! (`rank` is the member's position in the fault set, ascending id.
+//! Before its turn a member relays its shadow, a row of its own; a
+//! member that sends nothing in a round opens no row. `adaptive`'s ranks
+//! turn at different rounds, and a turned member joins the row of the
+//! others that lie in its lanes.)
 //!
 //! All seven choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call covers every lane
@@ -52,7 +63,7 @@
 //! `stream_is_pinned` plus `util`'s `first_draw_matches_the_generator`
 //! and `sign_bit_is_the_binary_draw` hold both ends.
 
-use sg_sim::batch::{BatchAdversary, LaneView};
+use sg_sim::batch::{BatchAdversary, LaneView, LiarRows};
 use sg_sim::{ProcessId, ProcessSet};
 
 use crate::selection::FaultSelection;
@@ -179,70 +190,62 @@ impl<'a> BatchFamily<'a> {
     /// Copies a faulty sender's honest-shadow classification to every
     /// recipient, for the lanes in `mask` — the vector form of
     /// `shadow_or_missing` (lanes outside `present` stay missing, `⊥`
-    /// shadows land in neither mask) — skipping the recipients `dropped`
-    /// names.
+    /// shadows land in neither row) — skipping the recipients `dropped`
+    /// names. A shadow is `f`'s own: a one-member story, opened only if
+    /// it delivers something.
     fn shadow(
         view: &LaneView<'_>,
         f: usize,
         mask: u64,
         dropped: impl Fn(usize) -> bool,
-        net_one: &mut [u64],
-        net_zero: &mut [u64],
+        rows: &mut LiarRows,
     ) {
-        let n = view.n;
         let one = view.one[f] & view.present[f] & mask;
         let zero = view.zero[f] & view.present[f] & mask;
         if one == 0 && zero == 0 {
             return;
         }
-        for r in 0..n {
+        let (row_one, row_zero) = rows.slot(f);
+        for r in 0..view.n {
             if r == f || dropped(r) {
                 continue;
             }
-            net_one[f * n + r] |= one;
-            net_zero[f * n + r] |= zero;
+            row_one[r] |= one;
+            row_zero[r] |= zero;
         }
     }
 
-    /// Sends `story(r)` from `f` to every recipient `r` in the lanes of
-    /// `mask`, classified like the scalar `Payload::value_at(0)` match.
+    /// Tells `story(r)` to every recipient `r` from all of `members` at
+    /// once, in the lanes of `mask`, classified like the scalar
+    /// `Payload::value_at(0)` match: one shared row. The story depends on
+    /// the recipient alone, so a member's own position holds what the
+    /// other members tell it.
     fn constant(
         view: &LaneView<'_>,
-        f: usize,
+        members: u64,
         mask: u64,
         story: impl Fn(usize) -> u16,
-        net_one: &mut [u64],
-        net_zero: &mut [u64],
+        rows: &mut LiarRows,
     ) {
-        let n = view.n;
-        for r in 0..n {
-            if r == f {
-                continue;
-            }
+        let (row_one, row_zero) = rows.story(members);
+        for r in 0..view.n {
             match story(r) {
-                1 => net_one[f * n + r] |= mask,
-                0 => net_zero[f * n + r] |= mask,
+                1 => row_one[r] = mask,
+                0 => row_zero[r] = mask,
                 _ => {}
             }
         }
     }
 
     /// Sends every lane's own draw from `f` to every recipient, for the
-    /// lanes in `mask` (see the module docs, "The first-draw kernel").
-    /// All lanes of an edge are drawn — the loop has no branch to
-    /// mispredict and the draw is a handful of multiplies — and the
-    /// assembled words are masked once.
-    fn random(
-        view: &LaneView<'_>,
-        f: usize,
-        mask: u64,
-        seeds: &[u64],
-        net_one: &mut [u64],
-        net_zero: &mut [u64],
-    ) {
-        let n = view.n;
+    /// lanes in `mask` (see the module docs, "The first-draw kernel"),
+    /// as `f`'s own one-member story. All lanes of an edge are drawn —
+    /// the loop has no branch to mispredict and the draw is a handful of
+    /// multiplies — and the assembled words are masked once.
+    fn random(view: &LaneView<'_>, f: usize, mask: u64, seeds: &[u64], rows: &mut LiarRows) {
         let size = view.domain.size();
-        for r in 0..n {
+        let (row_one, row_zero) = rows.slot(f);
+        for r in 0..view.n {
             if r == f {
                 continue;
             }
@@ -262,8 +265,8 @@ impl<'a> BatchFamily<'a> {
                     zero |= u64::from(v == 0) << lane;
                 }
             }
-            net_one[f * n + r] |= one & mask;
-            net_zero[f * n + r] |= zero & mask;
+            row_one[r] |= one & mask;
+            row_zero[r] |= zero & mask;
         }
     }
 }
@@ -299,27 +302,32 @@ impl BatchAdversary for BatchFamily<'_> {
         true
     }
 
-    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
+    fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
         // Lane-uniform by construction (`corrupt_lanes`).
         let set = &view.fault_sets[0];
-        for (rank, f) in set.iter().enumerate() {
-            let f = f.index();
-            if self.family.turn(rank).is_none_or(|turn| view.round < turn) {
-                Self::shadow(view, f, view.active, |_| false, net_one, net_zero);
-                continue;
-            }
-            // A story replaces the shadow at its length (single values
-            // on the narrow path), so it exists in the lanes in which
-            // the shadow does — except that a turned adaptive source
-            // lies unconditionally in round 1.
+        // A story replaces the shadow at its length (single values on
+        // the narrow path), so it exists in the lanes in which the
+        // shadow does — except that a turned adaptive source lies
+        // unconditionally in round 1.
+        let lanes = |f: usize| {
             let unconditional = matches!(self.family, VectorFamily::Adaptive { .. })
                 && view.round == 1
                 && f == view.source.index();
-            let mask = if unconditional {
+            if unconditional {
                 view.active
             } else {
                 view.present[f] & view.active
-            };
+            }
+        };
+        // The turned members of a constant story, told together below.
+        let mut turned = 0u64;
+        for (rank, f) in set.iter().enumerate() {
+            let f = f.index();
+            if self.family.turn(rank).is_none_or(|turn| view.round < turn) {
+                Self::shadow(view, f, view.active, |_| false, rows);
+                continue;
+            }
+            let mask = lanes(f);
             if mask == 0 {
                 continue;
             }
@@ -327,20 +335,39 @@ impl BatchAdversary for BatchFamily<'_> {
                 VectorFamily::Silent | VectorFamily::Crash { .. } => {}
                 VectorFamily::Omission { period, phase } => {
                     let dropped = |r: usize| (view.round + f + r + phase).is_multiple_of(period);
-                    Self::shadow(view, f, mask, dropped, net_one, net_zero);
+                    Self::shadow(view, f, mask, dropped, rows);
                 }
+                VectorFamily::Equivocate { .. } | VectorFamily::Adaptive { .. } => {
+                    turned |= 1 << f;
+                }
+                VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } => {
+                    Self::random(view, f, mask, seeds, rows);
+                }
+            }
+        }
+        // One shared story per distinct lane mask of the turned members.
+        while turned != 0 {
+            let mask = lanes(turned.trailing_zeros() as usize);
+            let mut members = 0u64;
+            let mut w = turned;
+            while w != 0 {
+                let f = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if lanes(f) == mask {
+                    members |= 1 << f;
+                }
+            }
+            turned &= !members;
+            match self.family {
                 VectorFamily::Equivocate { split, .. } => {
-                    Self::constant(view, f, mask, |r| u16::from(r >= split), net_one, net_zero);
+                    Self::constant(view, members, mask, |r| u16::from(r >= split), rows);
                 }
                 VectorFamily::Adaptive { .. } => {
                     let flipped =
                         (u32::from(view.source_value.raw()) + 1) % u32::from(view.domain.size());
-                    let lie = flipped as u16;
-                    Self::constant(view, f, mask, |_| lie, net_one, net_zero);
+                    Self::constant(view, members, mask, |_| flipped as u16, rows);
                 }
-                VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } => {
-                    Self::random(view, f, mask, seeds, net_one, net_zero);
-                }
+                _ => unreachable!("only constant stories are told together"),
             }
         }
     }

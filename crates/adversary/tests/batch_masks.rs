@@ -5,10 +5,13 @@
 //! *what* the liars say (`random-liar` and `chain-revealer` sweeps of
 //! `optimal-king` print one fingerprint). So this test compares the
 //! lies themselves: for every vector family, over hand-built lane views,
-//! [`BatchFamily::lies`] must equal — word for word in `net_one` /
-//! `net_zero` — the masks obtained by asking each lane's scalar
-//! [`Adversary::payload`] in the scalar engine's order and classifying
-//! `value_at(0)`, exactly as `sg_sim::run_batch`'s per-lane path does.
+//! the story rows [`BatchFamily::lies`] writes, expanded to one row per
+//! sender, must equal — word for word — the masks obtained by asking
+//! each lane's scalar [`Adversary::payload`] in the scalar engine's
+//! order and classifying `value_at(0)`, exactly as `sg_sim::run_batch`'s
+//! per-lane path does. For the families whose story depends on the
+//! recipient alone (`equivocate`, `adaptive`) the same test holds the
+//! sharing: one story per distinct lane mask of the turned members.
 //!
 //! Both domain sizes matter: at `|V| = 2` the random families run the
 //! sign-bit branch (each lane's `first_draw >> 63`, `zero` the
@@ -21,19 +24,21 @@ use sg_adversary::{
     Adaptive, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, Omission, RandomLiar,
     Silent, VectorFamily,
 };
-use sg_sim::batch::{BatchAdversary, LaneView};
+use sg_sim::batch::{BatchAdversary, LaneView, LiarRows};
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value, ValueDomain};
 
 const N: usize = 10;
 const T: usize = 3;
 const ROUNDS: usize = 6;
 
-/// One family under test: its vector form over the lane seeds, and the
-/// scalar strategy of one lane.
+/// One family under test: its vector form over the lane seeds, the
+/// scalar strategy of one lane, and — for a family whose members share
+/// their story — the round the rank-`k` member turns (`None`: never).
 struct Case {
     name: &'static str,
     vector: for<'a> fn(&'a [u64]) -> VectorFamily<'a>,
     scalar: fn(&FaultSelection, u64) -> Box<dyn Adversary>,
+    shared_turn: Option<fn(usize) -> Option<usize>>,
 }
 
 /// The adaptive schedule: shorter than the fault set at `T = 3`, so the
@@ -46,11 +51,13 @@ fn cases() -> Vec<Case> {
             name: "silent",
             vector: |_| VectorFamily::Silent,
             scalar: |sel, _| Box::new(Silent::new(sel.clone())),
+            shared_turn: None,
         },
         Case {
             name: "crash",
             vector: |_| VectorFamily::Crash { crash_round: 3 },
             scalar: |sel, _| Box::new(Crash::new(sel.clone(), 3)),
+            shared_turn: None,
         },
         Case {
             name: "omission",
@@ -59,11 +66,13 @@ fn cases() -> Vec<Case> {
                 phase: 1,
             },
             scalar: |sel, _| Box::new(Omission::new(sel.clone(), 3, 1)),
+            shared_turn: None,
         },
         Case {
             name: "equivocate",
             vector: |_| VectorFamily::Equivocate { split: 4, start: 2 },
             scalar: |sel, _| Box::new(Equivocate::new(sel.clone(), 4, 2)),
+            shared_turn: Some(|_| Some(2)),
         },
         Case {
             name: "adaptive",
@@ -71,11 +80,13 @@ fn cases() -> Vec<Case> {
                 schedule: &SCHEDULE,
             },
             scalar: |sel, _| Box::new(Adaptive::new(sel.clone(), SCHEDULE.to_vec())),
+            shared_turn: Some(|rank| SCHEDULE.get(rank).copied()),
         },
         Case {
             name: "random-liar",
             vector: |seeds| VectorFamily::RandomLiar { seeds },
             scalar: |sel, seed| Box::new(RandomLiar::new(sel.clone(), seed)),
+            shared_turn: None,
         },
         Case {
             name: "chain-revealer",
@@ -85,6 +96,7 @@ fn cases() -> Vec<Case> {
                 stride: 2,
             },
             scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 2, 2, seed)),
+            shared_turn: None,
         },
         Case {
             // Stride 0 is clamped to 1 by both constructors.
@@ -95,6 +107,7 @@ fn cases() -> Vec<Case> {
                 stride: 0,
             },
             scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 1, 0, seed)),
+            shared_turn: None,
         },
     ]
 }
@@ -210,6 +223,52 @@ fn bridge(
     }
 }
 
+/// The story rows expanded to the dense sender-major network the bridge
+/// writes: each liar's deliveries are its story's row, self skipped.
+fn expand(rows: &LiarRows) -> (Vec<u64>, Vec<u64>) {
+    let mut one = vec![0u64; N * N];
+    let mut zero = vec![0u64; N * N];
+    for f in 0..N {
+        let Some(s) = rows.story_of(f) else { continue };
+        let (story_one, story_zero) = rows.rows(s);
+        for r in (0..N).filter(|&r| r != f) {
+            one[f * N + r] = story_one[r];
+            zero[f * N + r] = story_zero[r];
+        }
+    }
+    (one, zero)
+}
+
+/// The shared stories a round must tell: the turned members grouped by
+/// the lanes they lie in (`present & active`; every active lane for an
+/// adaptive source turned in round 1), one `(mask, members)` per
+/// distinct non-empty mask.
+fn shared_groups(
+    turn: fn(usize) -> Option<usize>,
+    adaptive: bool,
+    view: &LaneView<'_>,
+) -> Vec<(u64, u64)> {
+    let mut groups: Vec<(u64, u64)> = Vec::new();
+    for (rank, f) in view.fault_sets[0].iter().enumerate() {
+        if turn(rank).is_none_or(|turn| view.round < turn) {
+            continue;
+        }
+        let mask = if adaptive && view.round == 1 && f == view.source {
+            view.active
+        } else {
+            view.present[f.index()] & view.active
+        };
+        if mask == 0 {
+            continue;
+        }
+        match groups.iter_mut().find(|(m, _)| *m == mask) {
+            Some((_, members)) => *members |= 1 << f.index(),
+            None => groups.push((mask, 1 << f.index())),
+        }
+    }
+    groups
+}
+
 #[test]
 fn vector_lies_equal_the_scalar_bridge_word_for_word() {
     let selections = [
@@ -222,6 +281,9 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
     let source = ProcessId(0);
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     let mut compared = 0usize;
+    let mut rows = LiarRows::new(N);
+    // Shared stories of more than one member seen, per sharing family.
+    let mut multi = [0usize; 2];
     for case in cases() {
         for selection in &selections {
             for domain_size in [2u16, 3] {
@@ -272,9 +334,9 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
                             fault_sets: &fault_sets,
                             active,
                         };
-                        let mut got_one = vec![0u64; N * N];
-                        let mut got_zero = vec![0u64; N * N];
-                        batch.lies(&view, &mut got_one, &mut got_zero);
+                        rows.clear();
+                        batch.lies(&view, &mut rows);
+                        let (got_one, got_zero) = expand(&rows);
 
                         let mut want_one = vec![0u64; N * N];
                         let mut want_zero = vec![0u64; N * N];
@@ -296,12 +358,103 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
                         assert_eq!(got_one, want_one, "net_one: {context}");
                         assert_eq!(got_zero, want_zero, "net_zero: {context}");
                         compared += 1;
+
+                        // Sharing: the turned members' stories are exactly
+                        // one per distinct lane mask.
+                        let Some(turn) = case.shared_turn else {
+                            continue;
+                        };
+                        let adaptive = case.name == "adaptive";
+                        let groups = shared_groups(turn, adaptive, &view);
+                        let turned = groups.iter().fold(0u64, |t, &(_, m)| t | m);
+                        let told: Vec<u64> = (0..rows.len())
+                            .map(|s| rows.members(s))
+                            .filter(|&m| m & turned != 0)
+                            .collect();
+                        assert_eq!(told.len(), groups.len(), "stories: {context}");
+                        for (mask, members) in groups {
+                            assert!(told.contains(&members), "{members:#b} share: {context}");
+                            if members.count_ones() > 1 {
+                                multi[usize::from(adaptive)] += 1;
+                            }
+                            let _ = mask;
+                        }
                     }
                 }
             }
         }
     }
     assert_eq!(compared, 8 * 5 * 2 * 3 * ROUNDS);
+    // Random presence splits most groups; both sharing families still
+    // told some multi-member stories (18 and 5 at this seed).
+    assert!(multi.iter().all(|&m| m >= 3), "{multi:?}");
+}
+
+/// Under a fully present, fully active view every turned member lies in
+/// every lane, so a sharing family tells its story once: one row for
+/// all of `equivocate`'s members, one for `adaptive`'s turned ranks
+/// while the rank it never turns relays its own shadow.
+#[test]
+fn a_story_told_in_the_same_lanes_is_written_once() {
+    let selection = FaultSelection::with_source();
+    let full = vec![!0u64; N];
+    let none = vec![0u64; N];
+    let mut rows = LiarRows::new(N);
+    for (vector, round, want) in [
+        // Shadow rounds: one row per member.
+        (
+            VectorFamily::Equivocate { split: 4, start: 2 },
+            1,
+            vec![0b001, 0b010, 0b100],
+        ),
+        (
+            VectorFamily::Equivocate { split: 4, start: 2 },
+            2,
+            vec![0b111],
+        ),
+        // Slot 0 (the source) turns at round 1, slot 1 at round 3, and
+        // slot 2 relays its shadow throughout.
+        (
+            VectorFamily::Adaptive {
+                schedule: &SCHEDULE,
+            },
+            1,
+            vec![0b010, 0b100, 0b001],
+        ),
+        (
+            VectorFamily::Adaptive {
+                schedule: &SCHEDULE,
+            },
+            3,
+            vec![0b100, 0b011],
+        ),
+    ] {
+        let mut batch = BatchFamily::new(vector, &selection, 64);
+        let mut faulty = vec![0u64; N];
+        let mut fault_sets = Vec::new();
+        assert!(batch.corrupt_lanes(N, T, ProcessId(0), &mut faulty, &mut fault_sets));
+        let members: Vec<usize> = fault_sets[0].iter().map(ProcessId::index).collect();
+        assert_eq!(members, [0, 1, 2]);
+        let view = LaneView {
+            round,
+            total_rounds: ROUNDS,
+            n: N,
+            t: T,
+            source: ProcessId(0),
+            source_value: Value(1),
+            domain: ValueDomain::binary(),
+            present: &full,
+            one: &full,
+            zero: &none,
+            faulty: &faulty,
+            fault_sets: &fault_sets,
+            active: !0,
+        };
+        rows.clear();
+        batch.lies(&view, &mut rows);
+        let told: Vec<u64> = (0..rows.len()).map(|s| rows.members(s)).collect();
+        assert_eq!(told, want, "{vector:?} round {round}");
+    }
 }
 
 /// The test above is only as strong as its inputs: a draw that never
@@ -339,9 +492,9 @@ fn random_lies_populate_both_masks() {
         fault_sets: &fault_sets,
         active: !0,
     };
-    let mut one = vec![0u64; N * N];
-    let mut zero = vec![0u64; N * N];
-    batch.lies(&view, &mut one, &mut zero);
+    let mut rows = LiarRows::new(N);
+    batch.lies(&view, &mut rows);
+    let (one, zero) = expand(&rows);
     for f in fault_sets[0].iter() {
         for r in (0..N).filter(|&r| r != f.index()) {
             let (o, z) = (one[f.index() * N + r], zero[f.index() * N + r]);

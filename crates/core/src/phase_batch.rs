@@ -246,12 +246,12 @@ impl BatchKernel for PhaseKernel {
         }
     }
 
-    fn ready(&self, slot: usize) -> u64 {
-        self.ready[slot]
+    fn ready(&self) -> &[u64] {
+        &self.ready
     }
 
-    fn current_one(&self, slot: usize) -> u64 {
-        self.current[slot]
+    fn current(&self) -> &[u64] {
+        &self.current
     }
 
     fn decision_one(&self, slot: usize) -> u64 {

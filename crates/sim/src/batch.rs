@@ -43,28 +43,33 @@
 //! # The delivered network
 //!
 //! A correct processor *broadcasts*: every recipient hears the same
-//! value. So of the `n × n` deliveries of a round only the rows of faulty
+//! value. So of the `n × n` deliveries of a round only those of faulty
 //! senders can differ per recipient, and [`BatchNet`] stores exactly
 //! that: one **honest word** per slot (`one[j] & present[j] &
 //! !faulty[j]` — what slot `j` sends to everyone, in the lanes in which
-//! it is correct) plus per-recipient **liar rows** for the slots that are
-//! faulty in some lane of the batch. Nothing dense is ever built; a liar
-//! row is cleared and rewritten by the adversary each round, and the
-//! rows of every other slot are never touched.
+//! it is correct) plus the round's **story rows** ([`LiarRows`]). A
+//! story is one per-recipient row of lane words, told alike by every
+//! slot of its member mask: the `equivocate` liars that lie in the same
+//! lanes share one story, a relayed shadow or a random liar is a
+//! one-member story, and a silent liar tells none. Nothing dense is ever
+//! built, and a lie is written once per story, not once per liar.
 //!
 //! The tallies follow the same split. `Σ_j honest[j]` does not depend on
 //! the recipient, so it is summed once per round (the *common* tally)
 //! and [`BatchNet::tally_one`] / [`BatchNet::tally_zero`] give recipient
-//! `i` its full count as common + `own & faulty[i]` + the liar rows'
-//! column `i` — `t + 1` counter adds instead of `n`. This is sound
-//! because the common tally already holds `i`'s own vote wherever `i` is
-//! correct: a kernel's `own` word is what it classified for slot `i` in
-//! [`BatchKernel::outgoing`], so `own & !faulty[i] == honest[i]` (the
-//! self-slot identity, debug-asserted on every tally), and `own &
-//! faulty[i]` supplies the lanes in which `i` is a faulty shadow that
-//! still counts itself. A liar row holds bits only in the lanes in which
-//! its sender is faulty — where its honest word is clear — so no lane
-//! counts a sender twice.
+//! `i` its full count as common + `own & faulty[i]` + `Σ_s (|s| − [i ∈
+//! s]) × row_s[i]` over the stories `s` — one [`LaneCounts::add_times`]
+//! per story (a ripple add per set bit of the multiplicity), not one add
+//! per liar. This is sound because the common tally already holds `i`'s
+//! own vote wherever `i` is correct: a kernel's `own` word is what it
+//! classified for slot `i` in [`BatchKernel::outgoing`], so `own &
+//! !faulty[i] == honest[i]` (the self-slot identity, debug-asserted on
+//! every tally), and `own & faulty[i]` supplies the lanes in which `i`
+//! is a faulty shadow that still counts itself. A story row holds bits
+//! only in lanes in which its members are faulty — where their honest
+//! words are clear — so no lane counts a sender twice, and a member
+//! never counts its own story, so a one-member story's word at its
+//! sender's own position is never read.
 
 use crate::adversary::{Adversary, AdversaryView};
 use crate::engine::RunConfig;
@@ -118,8 +123,40 @@ impl<const P: usize> Default for BitPlanes<P> {
 impl<const P: usize> BitPlanes<P> {
     /// Adds 1 to every lane set in `mask`.
     pub fn add(&mut self, mask: u64) {
+        self.add_at(0, mask);
+    }
+
+    /// Adds `k` to every lane set in `mask`: one ripple add per set bit
+    /// of `k`, so a story told by 21 liars costs 3 adds, not 21.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sg_sim::batch::LaneCounts;
+    ///
+    /// let mut c = LaneCounts::default();
+    /// c.add(0b110); // lanes 1,2 += 1
+    /// c.add_times(21, 0b011); // lanes 0,1 += 21
+    /// assert_eq!((c.lane(0), c.lane(1), c.lane(2)), (21, 22, 1));
+    /// c.add_times(0, !0); // adds nothing
+    /// assert_eq!(c.ge(22), 0b010);
+    /// ```
+    pub fn add_times(&mut self, k: usize, mask: u64) {
+        debug_assert!(k < 1 << P, "lane counter overflow");
+        let mut k = k;
+        while k != 0 {
+            let plane = k.trailing_zeros() as usize;
+            k &= k - 1;
+            self.add_at(plane, mask);
+        }
+    }
+
+    /// Adds `2^from` to every lane set in `mask`: a ripple-carry
+    /// increment that starts at plane `from`.
+    #[inline]
+    fn add_at(&mut self, from: usize, mask: u64) {
         let mut carry = mask;
-        for plane in self.planes.iter_mut() {
+        for plane in self.planes[from..].iter_mut() {
             if carry == 0 {
                 break;
             }
@@ -175,6 +212,179 @@ impl<const P: usize> BitPlanes<P> {
     }
 }
 
+/// The stories the liars of one round tell — the sink of
+/// [`BatchAdversary::lies`]. A story is one row of `n` lane words per
+/// value (`one[r]` / `zero[r]`: the lanes in which each member tells
+/// recipient `r` first value `1` / `0`), shared by the slots of its
+/// member mask; storage is story-major and a slot tells at most one
+/// story a round. [`LiarRows::story`] opens a shared story,
+/// [`LiarRows::slot`] a slot's own one-member story; a liar that opens
+/// neither tells nothing (its faulty lanes deliver nothing).
+///
+/// A row word at a member's own position is what the *other* members
+/// tell that member: a one-member story's is never read. Rows must hold
+/// bits only in lanes in which every member is faulty — see the module
+/// docs, "The delivered network".
+///
+/// # Examples
+///
+/// ```
+/// use sg_sim::batch::LiarRows;
+///
+/// let mut rows = LiarRows::new(4);
+/// // Slots 1 and 3 tell recipients 0 and 1 a `0`, the rest a `1`, in
+/// // lanes 0b11.
+/// let (one, zero) = rows.story(0b1010);
+/// zero[..2].fill(0b11);
+/// one[2..].fill(0b11);
+/// // Slot 2 relays its own row.
+/// rows.slot(2).0[0] = 0b01;
+/// assert_eq!(rows.len(), 2);
+/// assert_eq!((rows.story_of(3), rows.story_of(2), rows.story_of(0)), (Some(0), Some(1), None));
+/// assert_eq!(rows.rows(0).1, &[0b11, 0b11, 0, 0]);
+/// ```
+pub struct LiarRows {
+    /// System size: the length of every row.
+    n: usize,
+    /// Per story: the slots that tell it.
+    members: Vec<u64>,
+    /// Per story: its member count.
+    weight: Vec<usize>,
+    /// Story-major rows with stride `n`: `one[s * n + r]` holds the lanes
+    /// in which story `s` tells recipient `r` first value `1`.
+    one: Vec<u64>,
+    /// Likewise for first value `0`.
+    zero: Vec<u64>,
+    /// The slots that tell some story this round.
+    told: u64,
+    /// `story_of[f]`: the story slot `f` tells, where `told` has `f`;
+    /// stale elsewhere.
+    story_of: [u8; MAX_BATCH_RUNS],
+}
+
+impl LiarRows {
+    /// An empty sink for rows of `n` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_BATCH_RUNS`]: a member mask is a `u64`.
+    pub fn new(n: usize) -> Self {
+        let mut rows = LiarRows {
+            n: 0,
+            members: Vec::new(),
+            weight: Vec::new(),
+            one: Vec::new(),
+            zero: Vec::new(),
+            told: 0,
+            story_of: [0; MAX_BATCH_RUNS],
+        };
+        rows.reset(n);
+        rows
+    }
+
+    /// Forgets every story and sets the row length to `n`; buffers keep
+    /// their capacity.
+    fn reset(&mut self, n: usize) {
+        assert!(n <= MAX_BATCH_RUNS, "a member mask holds at most 64 slots");
+        self.n = n;
+        self.clear();
+    }
+
+    /// Forgets every story, keeping the row length and the buffers'
+    /// capacity.
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.weight.clear();
+        self.one.clear();
+        self.zero.clear();
+        self.told = 0;
+    }
+
+    /// Opens a story told by every slot of `members` and returns its
+    /// cleared `(one, zero)` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty, names a slot outside `0..n`, or
+    /// names a slot that already tells a story this round.
+    pub fn story(&mut self, members: u64) -> (&mut [u64], &mut [u64]) {
+        let n = self.n;
+        assert!(
+            members != 0 && (n == MAX_BATCH_RUNS || members >> n == 0),
+            "a story's members are some of the n slots"
+        );
+        assert_eq!(members & self.told, 0, "a slot tells one story a round");
+        let s = self.members.len();
+        self.members.push(members);
+        self.weight.push(members.count_ones() as usize);
+        self.told |= members;
+        let mut w = members;
+        while w != 0 {
+            self.story_of[w.trailing_zeros() as usize] = s as u8;
+            w &= w - 1;
+        }
+        self.one.resize((s + 1) * n, 0);
+        self.zero.resize((s + 1) * n, 0);
+        (&mut self.one[s * n..], &mut self.zero[s * n..])
+    }
+
+    /// Slot `f`'s own one-member story: opened cleared on first use,
+    /// the same rows on every later call this round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` already tells a story shared with other slots.
+    pub fn slot(&mut self, f: usize) -> (&mut [u64], &mut [u64]) {
+        match self.story_of(f) {
+            None => self.story(1u64 << f),
+            Some(s) => {
+                assert_eq!(self.members[s], 1u64 << f, "slot {f} tells a shared story");
+                let n = self.n;
+                (
+                    &mut self.one[s * n..(s + 1) * n],
+                    &mut self.zero[s * n..(s + 1) * n],
+                )
+            }
+        }
+    }
+
+    /// Number of stories told this round.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether no slot tells a story this round.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The member mask of story `s`.
+    pub fn members(&self, s: usize) -> u64 {
+        self.members[s]
+    }
+
+    /// The `(one, zero)` rows of story `s`.
+    pub fn rows(&self, s: usize) -> (&[u64], &[u64]) {
+        let n = self.n;
+        (
+            &self.one[s * n..(s + 1) * n],
+            &self.zero[s * n..(s + 1) * n],
+        )
+    }
+
+    /// The story slot `f` tells this round, if any.
+    #[inline]
+    pub fn story_of(&self, f: usize) -> Option<usize> {
+        ((self.told >> f) & 1 == 1).then(|| usize::from(self.story_of[f]))
+    }
+}
+
+impl Default for LiarRows {
+    fn default() -> Self {
+        LiarRows::new(0)
+    }
+}
+
 /// The delivered network of one round, classified for binary tallies
 /// (see the module docs, "The delivered network"). [`BatchNet::one`]`(j,
 /// i)` is the lane mask of runs in which the *first value* of the payload
@@ -197,16 +407,8 @@ pub struct BatchNet<'a> {
     honest_zero: &'a [u64],
     /// `faulty[j]`: lanes in which slot `j` is faulty.
     faulty: &'a [u64],
-    /// The slots with `faulty[j] != 0`, ascending — the only senders whose
-    /// deliveries can differ per recipient.
-    liars: &'a [usize],
-    /// Per-recipient deliveries of the liars, sender-major with stride
-    /// `n`: `rows_one[f * n + i]` holds the lanes (all within `faulty[f]`)
-    /// in which `f` tells `i` first value `1`. Rows of slots outside
-    /// `liars` are stale and never read.
-    rows_one: &'a [u64],
-    /// Likewise for first value `0`.
-    rows_zero: &'a [u64],
+    /// The liars' deliveries, one row per story.
+    stories: &'a LiarRows,
     /// `Σ_j honest_one[j]`: what every recipient counts before the liars.
     common_one: LaneCounts,
     /// `Σ_j honest_zero[j]`.
@@ -224,11 +426,10 @@ impl<'a> BatchNet<'a> {
         honest_one: &'a [u64],
         honest_zero: &'a [u64],
         faulty: &'a [u64],
-        liars: &'a [usize],
-        rows_one: &'a [u64],
-        rows_zero: &'a [u64],
+        stories: &'a LiarRows,
         active: u64,
     ) -> Self {
+        debug_assert_eq!(stories.n, honest_one.len(), "story rows of n words");
         let mut common_one = LaneCounts::default();
         let mut common_zero = LaneCounts::default();
         for (&one, &zero) in honest_one.iter().zip(honest_zero) {
@@ -240,9 +441,7 @@ impl<'a> BatchNet<'a> {
             honest_one,
             honest_zero,
             faulty,
-            liars,
-            rows_one,
-            rows_zero,
+            stories,
             common_one,
             common_zero,
             active,
@@ -252,40 +451,46 @@ impl<'a> BatchNet<'a> {
     /// Lane mask of runs delivering first value `1` from `j` to `i`.
     #[inline]
     pub fn one(&self, j: usize, i: usize) -> u64 {
-        self.delivered(self.honest_one, self.rows_one, j, i)
+        self.delivered(self.honest_one, &self.stories.one, j, i)
     }
 
     /// Lane mask of runs delivering first value `0` from `j` to `i`.
     #[inline]
     pub fn zero(&self, j: usize, i: usize) -> u64 {
-        self.delivered(self.honest_zero, self.rows_zero, j, i)
+        self.delivered(self.honest_zero, &self.stories.zero, j, i)
     }
 
     #[inline]
     fn delivered(&self, honest: &[u64], rows: &[u64], j: usize, i: usize) -> u64 {
         if i == j {
-            0
-        } else if self.faulty[j] == 0 {
-            honest[j]
-        } else {
-            honest[j] | rows[j * self.n + i]
+            return 0;
+        }
+        match self.stories.story_of(j) {
+            None => honest[j],
+            Some(s) => honest[j] | rows[s * self.n + i],
         }
     }
 
     /// Per-lane count of first-value-`1` deliveries to recipient `i`,
     /// with `own` — slot `i`'s own broadcast word this round — standing
-    /// in the self slot: `Σ_{j ≠ i} one(j, i) + own`, in `|liars| + 1`
-    /// counter adds.
+    /// in the self slot: `Σ_{j ≠ i} one(j, i) + own`, in one counter add
+    /// plus one [`LaneCounts::add_times`] per story.
     #[inline]
     pub fn tally_one(&self, i: usize, own: u64) -> LaneCounts {
-        self.tally(&self.common_one, self.honest_one, self.rows_one, i, own)
+        self.tally(&self.common_one, self.honest_one, &self.stories.one, i, own)
     }
 
     /// Per-lane count of first-value-`0` deliveries to recipient `i`; see
     /// [`BatchNet::tally_one`].
     #[inline]
     pub fn tally_zero(&self, i: usize, own: u64) -> LaneCounts {
-        self.tally(&self.common_zero, self.honest_zero, self.rows_zero, i, own)
+        self.tally(
+            &self.common_zero,
+            self.honest_zero,
+            &self.stories.zero,
+            i,
+            own,
+        )
     }
 
     #[inline]
@@ -304,10 +509,16 @@ impl<'a> BatchNet<'a> {
         );
         let mut count = *common;
         count.add(own & self.faulty[i]);
-        for &f in self.liars {
-            if f != i {
-                count.add(rows[f * self.n + i]);
-            }
+        let stories = self.stories;
+        for ((&members, &weight), row) in stories
+            .members
+            .iter()
+            .zip(&stories.weight)
+            .zip(rows.chunks_exact(self.n))
+        {
+            // A member does not count its own story.
+            let k = weight - ((members >> i) & 1) as usize;
+            count.add_times(k, row[i]);
         }
         count
     }
@@ -386,14 +597,17 @@ pub trait BatchAdversary {
     ) -> bool;
 
     /// Classifies every faulty slot's payload to every recipient
-    /// directly into the delivered-network lane masks (`net_one[f * n +
-    /// r]` / `net_zero[…]`), for lanes in `view.active` only — and,
-    /// within row `f`, only lanes of `view.faulty[f]`: in every other
-    /// lane slot `f` is correct and its broadcast is delivered as sent.
-    /// The rows of faulty slots arrive cleared; all others are stale and
-    /// ignored. Lanes set in neither mask deliver `⊥` or nothing — the
-    /// same three-way classification as [`BatchNet`].
-    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]);
+    /// directly into story rows ([`LiarRows`], which arrives empty): a
+    /// faulty slot `f` whose payload to each recipient `r` is the same
+    /// as that of the other members of a story writes it once, into that
+    /// story's `one[r]` / `zero[r]`; a slot with a story of its own
+    /// writes into [`LiarRows::slot`]; a slot that delivers nothing
+    /// opens no story. Rows may hold bits only in lanes of `view.active`
+    /// in which every member is faulty: in every other lane a slot is
+    /// correct and its broadcast is delivered as sent. Lanes set in
+    /// neither row deliver `⊥` or nothing — the same three-way
+    /// classification as [`BatchNet`].
+    fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows);
 }
 
 /// The adversary-view tables [`PerLane`] refills per lane per round,
@@ -454,8 +668,9 @@ impl BatchAdversary for PerLane<'_> {
     /// split by that lane's fault set; a slot already showing the right
     /// payload is left alone, so a warm path allocates nothing) and
     /// collects every faulty sender's payloads in the scalar call order
-    /// — faulty senders ascending, recipients ascending, self skipped.
-    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
+    /// — faulty senders ascending, recipients ascending, self skipped —
+    /// into the sender's own one-member story.
+    fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
         let n = view.n;
         let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
         let tables = &mut self.tables;
@@ -506,13 +721,14 @@ impl BatchAdversary for PerLane<'_> {
             };
             let scalar = self.lanes[lane].as_mut();
             for f in faulty.iter() {
+                let (one, zero) = rows.slot(f.index());
                 for r in 0..n {
                     if r == f.index() {
                         continue;
                     }
                     match scalar.payload(f, ProcessId(r), &scalar_view).value_at(0) {
-                        Some(Value(1)) => net_one[f.index() * n + r] |= bit,
-                        Some(Value(0)) => net_zero[f.index() * n + r] |= bit,
+                        Some(Value(1)) => one[r] |= bit,
+                        Some(Value(0)) => zero[r] |= bit,
                         _ => {}
                     }
                 }
@@ -555,11 +771,13 @@ pub trait BatchKernel {
     /// lanes in `active`.
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64);
 
-    /// Lanes in which `slot` currently reports ready-to-decide.
-    fn ready(&self, slot: usize) -> u64;
+    /// Per slot, the lanes in which it currently reports
+    /// ready-to-decide (at least `n` words).
+    fn ready(&self) -> &[u64];
 
-    /// Lanes in which `slot`'s current preferred value is `1`.
-    fn current_one(&self, slot: usize) -> u64;
+    /// Per slot, the lanes in which its current preferred value is `1`
+    /// (at least `n` words).
+    fn current(&self) -> &[u64];
 
     /// Lanes in which `slot` would decide `1` if the run ended now.
     fn decision_one(&self, slot: usize) -> u64;
@@ -669,23 +887,21 @@ pub struct BatchArena {
     one: Vec<u64>,
     zero: Vec<u64>,
     // The delivered network (see `BatchNet`): honest words per slot, and
-    // sender-major `n × n` storage of which only liar rows are used.
+    // the liars' story rows.
     honest_one: Vec<u64>,
     honest_zero: Vec<u64>,
-    rows_one: Vec<u64>,
-    rows_zero: Vec<u64>,
-    // Faulty lane mask per slot, the slots faulty in some lane, and
-    // per-lane fault sets.
+    stories: LiarRows,
+    // Faulty lane mask per slot, and per-lane fault sets.
     faulty: Vec<u64>,
-    liars: Vec<usize>,
     fault_sets: Vec<ProcessSet>,
     // The per-lane path's view tables, lent to it by `run_batch`.
     tables: ViewTables,
     // Preferred-value snapshots and final decisions for the lock-in walk.
     snapshots: Snapshots,
     decisions: Vec<u64>,
-    // Per-lane accounting: honest sends as one wide counter, the rest
-    // per lane.
+    // Per-lane accounting: honest sends as one wide counter, the
+    // per-slot charge as the running total each lane read at retirement,
+    // the rest per lane.
     sends: BitPlanes<SEND_PLANES>,
     ops: Vec<u64>,
     rounds_used: Vec<usize>,
@@ -717,11 +933,7 @@ impl BatchArena {
             buf.clear();
             buf.resize(n, 0);
         }
-        // Sized, not cleared: liar rows are cleared round by round and
-        // no other row is read.
-        self.rows_one.resize(n * n, 0);
-        self.rows_zero.resize(n * n, 0);
-        self.liars.clear();
+        self.stories.reset(n);
         // Kept, not cleared: `corrupt_lanes` overwrites them in place.
         self.fault_sets.truncate(lanes);
         self.snapshots.clear();
@@ -790,6 +1002,10 @@ pub fn run_batch_with(
         (1..=MAX_BATCH_RUNS).contains(&lanes),
         "1..=64 lanes per batch"
     );
+    assert!(
+        n <= MAX_BATCH_RUNS,
+        "at most 64 slots: a story's member mask is a word"
+    );
     arena.reset(n, lanes);
 
     // Materialize every lane's fault set up front, exactly once per run
@@ -805,7 +1021,6 @@ pub fn run_batch_with(
         return false;
     }
     debug_assert_eq!(arena.fault_sets.len(), lanes, "one fault set per lane");
-    arena.liars.extend((0..n).filter(|&j| arena.faulty[j] != 0));
 
     let total_rounds = kernel.total_rounds();
     assert!(
@@ -821,6 +1036,9 @@ pub fn run_batch_with(
         (1u64 << lanes) - 1
     };
     let src = config.source.index();
+    // Every active lane is charged alike each round, so one running
+    // total serves them all; a lane keeps the total it retires with.
+    let mut ops = 0u64;
 
     let mut round = 0usize;
     while active != 0 && round < total_rounds {
@@ -833,25 +1051,16 @@ pub fn run_batch_with(
         // Accounting: honest sends (every payload is one value of one
         // bit, fanned out to n − 1 recipients at finalize) and the
         // uniform per-slot local-op charge.
-        let charge = kernel.charge(round);
+        ops += kernel.charge(round);
         for j in 0..n {
             arena
                 .sends
                 .add(arena.present[j] & !arena.faulty[j] & active);
         }
-        let mut w = active;
-        while w != 0 {
-            let lane = w.trailing_zeros() as usize;
-            w &= w - 1;
-            arena.ops[lane] += charge;
-        }
 
-        for &f in &arena.liars {
-            arena.rows_one[f * n..(f + 1) * n].fill(0);
-            arena.rows_zero[f * n..(f + 1) * n].fill(0);
-        }
-        // One call classifies every faulty slot's payloads for all
-        // active lanes at once.
+        // One call tells every faulty slot's stories for all active
+        // lanes at once.
+        arena.stories.clear();
         let view = LaneView {
             round,
             total_rounds,
@@ -867,11 +1076,11 @@ pub fn run_batch_with(
             fault_sets: &arena.fault_sets,
             active,
         };
-        adversary.lies(&view, &mut arena.rows_one, &mut arena.rows_zero);
+        adversary.lies(&view, &mut arena.stories);
 
         // Where a slot is correct its classified outgoing reaches every
         // recipient unchanged: one word per slot, beside the adversary's
-        // per-recipient liar rows.
+        // per-recipient story rows.
         for j in 0..n {
             let sent = arena.present[j] & !arena.faulty[j];
             arena.honest_one[j] = arena.one[j] & sent;
@@ -881,15 +1090,13 @@ pub fn run_batch_with(
             &arena.honest_one,
             &arena.honest_zero,
             &arena.faulty,
-            &arena.liars,
-            &arena.rows_one,
-            &arena.rows_zero,
+            &arena.stories,
             active,
         );
         kernel.deliver(round, &net, active);
 
         if config.trace && kernel.snapshot_round(round) {
-            let current = (0..n).map(|i| kernel.current_one(i));
+            let current = kernel.current()[..n].iter().copied();
             arena.snapshots.push(round, active, current);
         }
 
@@ -898,11 +1105,11 @@ pub fn run_batch_with(
         // ready; faulty slots are exempt per lane.
         if early && round < total_rounds {
             let mut stop = active;
-            for i in 0..n {
-                if i == src {
-                    continue;
+            for (i, (&ready, &faulty)) in kernel.ready()[..n].iter().zip(&arena.faulty).enumerate()
+            {
+                if i != src {
+                    stop &= ready | faulty;
                 }
-                stop &= kernel.ready(i) | arena.faulty[i];
             }
             let mut w = stop;
             while w != 0 {
@@ -910,6 +1117,7 @@ pub fn run_batch_with(
                 w &= w - 1;
                 arena.rounds_used[lane] = round;
                 arena.early_stopped[lane] = true;
+                arena.ops[lane] = ops;
             }
             active &= !stop;
         }
@@ -920,6 +1128,7 @@ pub fn run_batch_with(
             let lane = w.trailing_zeros() as usize;
             w &= w - 1;
             arena.rounds_used[lane] = total_rounds;
+            arena.ops[lane] = ops;
         }
     }
 
@@ -1009,8 +1218,37 @@ mod tests {
     }
 
     #[test]
+    fn add_times_equals_repeated_adds() {
+        let mut rng = Mix(11);
+        for k in 0..=64 {
+            for _ in 0..8 {
+                let mask = match rng.below(3) {
+                    0 => !0,
+                    1 => rng.next(),
+                    _ => rng.sparse(3),
+                };
+                // Random prior counts, low enough that k more fit.
+                let mut prior = LaneCounts::default();
+                for _ in 0..rng.below(128 - k) {
+                    prior.add(rng.next());
+                }
+                let mut repeated = prior;
+                for _ in 0..k {
+                    repeated.add(mask);
+                }
+                let mut times = prior;
+                times.add_times(k, mask);
+                for lane in 0..MAX_BATCH_RUNS {
+                    assert_eq!(times.lane(lane), repeated.lane(lane), "k={k} lane={lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tallies_equal_the_dense_per_sender_sum() {
         let mut rng = Mix(17);
+        let (mut shared, mut own, mut mute) = (0, 0, 0);
         for _ in 0..200 {
             let n = 2 + rng.below(63);
             // Up to n/3 liars: some faulty in every lane (the vector
@@ -1023,7 +1261,6 @@ mod tests {
                     _ => rng.sparse(3),
                 };
             }
-            let liars: Vec<usize> = (0..n).filter(|&j| faulty[j] != 0).collect();
             // Every slot's own classification, fault-blind as a kernel's
             // `outgoing` is: absent lanes, and present lanes reading ⊥.
             let present: Vec<u64> = (0..n).map(|_| rng.next() | rng.next()).collect();
@@ -1031,42 +1268,61 @@ mod tests {
             let zero: Vec<u64> = (0..n).map(|j| rng.next() & present[j] & !one[j]).collect();
             let honest_one: Vec<u64> = (0..n).map(|j| one[j] & !faulty[j]).collect();
             let honest_zero: Vec<u64> = (0..n).map(|j| zero[j] & !faulty[j]).collect();
-            // The dense network as the driver used to merge it.
+            // The dense network as the driver used to merge it, per
+            // sender: the honest word, plus whatever the sender's story
+            // tells below.
             let mut dense_one = vec![0u64; n * n];
             let mut dense_zero = vec![0u64; n * n];
             for j in 0..n {
                 for i in (0..n).filter(|&i| i != j) {
-                    let lie_one = rng.next() & faulty[j];
-                    let lie_zero = rng.next() & faulty[j] & !lie_one;
-                    dense_one[j * n + i] = honest_one[j] | lie_one;
-                    dense_zero[j * n + i] = honest_zero[j] | lie_zero;
+                    dense_one[j * n + i] = honest_one[j];
+                    dense_zero[j * n + i] = honest_zero[j];
                 }
             }
-            // The sparse rows: the lies alone, with garbage wherever the
-            // contract says nobody looks (self slots, non-liar rows).
-            let mut rows_one = vec![0u64; n * n];
-            let mut rows_zero = vec![0u64; n * n];
-            for j in 0..n {
+            // The liars in random order, cut into groups of 1 to 4: a
+            // group shares one story (lying in the lanes all its members
+            // are faulty in), tells a one-member story, or tells nothing.
+            let mut liars: Vec<usize> = (0..n).filter(|&j| faulty[j] != 0).collect();
+            for k in (1..liars.len()).rev() {
+                liars.swap(k, rng.below(k + 1));
+            }
+            let mut stories = LiarRows::new(n);
+            let mut rest = &liars[..];
+            while !rest.is_empty() {
+                let size = 1 + rng.below(rest.len().min(4));
+                let (group, tail) = rest.split_at(size);
+                rest = tail;
+                if rng.below(5) == 0 {
+                    mute += size;
+                    continue;
+                }
+                let members = group.iter().fold(0u64, |m, &f| m | 1 << f);
+                let lanes = group.iter().fold(!0u64, |l, &f| l & faulty[f]);
+                let (row_one, row_zero) = if size == 1 {
+                    own += 1;
+                    stories.slot(group[0])
+                } else {
+                    shared += 1;
+                    stories.story(members)
+                };
                 for i in 0..n {
-                    let at = j * n + i;
-                    if i == j || faulty[j] == 0 {
-                        rows_one[at] = rng.next();
-                        rows_zero[at] = rng.next();
-                    } else {
-                        rows_one[at] = dense_one[at] & faulty[j];
-                        rows_zero[at] = dense_zero[at] & faulty[j];
+                    if size == 1 && i == group[0] {
+                        // A one-member story's own position: garbage,
+                        // which nobody may read.
+                        row_one[i] = rng.next();
+                        row_zero[i] = rng.next();
+                        continue;
+                    }
+                    // What every member other than `i` tells `i`.
+                    row_one[i] = rng.next() & lanes;
+                    row_zero[i] = rng.next() & lanes & !row_one[i];
+                    for &f in group.iter().filter(|&&f| f != i) {
+                        dense_one[f * n + i] |= row_one[i];
+                        dense_zero[f * n + i] |= row_zero[i];
                     }
                 }
             }
-            let net = BatchNet::new(
-                &honest_one,
-                &honest_zero,
-                &faulty,
-                &liars,
-                &rows_one,
-                &rows_zero,
-                !0,
-            );
+            let net = BatchNet::new(&honest_one, &honest_zero, &faulty, &stories, !0);
             for i in 0..n {
                 let got_one = net.tally_one(i, one[i]);
                 let got_zero = net.tally_zero(i, zero[i]);
@@ -1091,6 +1347,46 @@ mod tests {
                 }
             }
         }
+        // Every kind of liar was exercised.
+        assert!(
+            shared > 100 && own > 100 && mute > 50,
+            "{shared} {own} {mute}"
+        );
+    }
+
+    #[test]
+    fn a_slot_tells_one_story_a_round() {
+        let mut rows = LiarRows::new(8);
+        rows.story(0b0110).0[3] = 1;
+        rows.slot(5).1[0] = 2;
+        // `slot` finds the story it opened, `story_of` either one.
+        assert_eq!(rows.slot(5).1[0], 2);
+        assert_eq!(
+            (rows.len(), rows.story_of(2), rows.story_of(5)),
+            (2, Some(0), Some(1))
+        );
+        assert_eq!(rows.story_of(0), None);
+        rows.clear();
+        assert!(rows.is_empty());
+        assert_eq!(rows.story_of(2), None);
+        // A story reopened after a clear starts cleared.
+        assert_eq!(rows.story(0b0110).0, &[0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tells a shared story")]
+    fn a_shared_story_is_no_slot_of_its_own() {
+        let mut rows = LiarRows::new(8);
+        rows.story(0b0110);
+        rows.slot(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a slot tells one story a round")]
+    fn stories_do_not_overlap() {
+        let mut rows = LiarRows::new(8);
+        rows.story(0b0110);
+        rows.story(0b1000_0100);
     }
 
     #[test]

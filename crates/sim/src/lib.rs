@@ -72,7 +72,7 @@ mod value;
 pub use adversary::{Adversary, AdversaryView, NoFaults};
 pub use batch::{
     run_batch, run_batch_with, BatchAdversary, BatchArena, BatchKernel, BatchNet, BatchRunResult,
-    LaneCounts, LaneView, MAX_BATCH_RUNS,
+    LaneCounts, LaneView, LiarRows, MAX_BATCH_RUNS,
 };
 pub use engine::{run, run_into, run_pooled, Outcome, PoolKey, RunArena, RunConfig};
 pub use id::{ProcessId, ProcessSet};

@@ -1,5 +1,5 @@
 //! A traced lock-step batch on a warm [`BatchArena`] allocates nothing:
-//! snapshots, decisions, liar rows and the per-lane accounting all live
+//! snapshots, decisions, story rows and the per-lane accounting all live
 //! in arena buffers that keep their capacity from one batch to the next.
 //!
 //! The kernel and the adversary are toys local to this file, so whatever
@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneView};
+use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneView, LiarRows};
 use sg_sim::{run_batch_with, BatchArena, ProcessId, ProcessSet, RunConfig};
 
 thread_local! {
@@ -93,12 +93,12 @@ impl BatchKernel for Flood {
         }
     }
 
-    fn ready(&self, _slot: usize) -> u64 {
-        0
+    fn ready(&self) -> &[u64] {
+        &[0; N]
     }
 
-    fn current_one(&self, slot: usize) -> u64 {
-        self.current[slot]
+    fn current(&self) -> &[u64] {
+        &self.current
     }
 
     fn decision_one(&self, slot: usize) -> u64 {
@@ -107,7 +107,7 @@ impl BatchKernel for Flood {
 }
 
 /// Slots 1 and 2 are faulty in every lane and tell even recipients `1`,
-/// odd recipients `0`, alternating by round.
+/// odd recipients `0`, alternating by round: one story, told by both.
 struct TwoFaced {
     lanes: usize,
     set: ProcessSet,
@@ -139,14 +139,14 @@ impl BatchAdversary for TwoFaced {
         true
     }
 
-    fn lies(&mut self, view: &LaneView<'_>, net_one: &mut [u64], net_zero: &mut [u64]) {
-        for f in view.fault_sets[0].iter().map(ProcessId::index) {
-            for r in (0..view.n).filter(|&r| r != f) {
-                if (r + view.round).is_multiple_of(2) {
-                    net_one[f * view.n + r] |= view.active;
-                } else {
-                    net_zero[f * view.n + r] |= view.active;
-                }
+    fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
+        let members = self.set.iter().fold(0u64, |m, p| m | 1 << p.index());
+        let (one, zero) = rows.story(members);
+        for r in 0..view.n {
+            if (r + view.round).is_multiple_of(2) {
+                one[r] = view.active;
+            } else {
+                zero[r] = view.active;
             }
         }
     }
