@@ -143,6 +143,11 @@ impl<const P: usize> BitPlanes<P> {
     /// ```
     pub fn add_times(&mut self, k: usize, mask: u64) {
         debug_assert!(k < 1 << P, "lane counter overflow");
+        if k == 1 {
+            // A one-member story: the plain add, with its first plane
+            // known.
+            return self.add(mask);
+        }
         let mut k = k;
         while k != 0 {
             let plane = k.trailing_zeros() as usize;
@@ -325,7 +330,7 @@ impl LiarRows {
         }
         self.one.resize((s + 1) * n, 0);
         self.zero.resize((s + 1) * n, 0);
-        (&mut self.one[s * n..], &mut self.zero[s * n..])
+        self.rows_mut(s)
     }
 
     /// Slot `f`'s own one-member story: opened cleared on first use,
@@ -339,13 +344,14 @@ impl LiarRows {
             None => self.story(1u64 << f),
             Some(s) => {
                 assert_eq!(self.members[s], 1u64 << f, "slot {f} tells a shared story");
-                let n = self.n;
-                (
-                    &mut self.one[s * n..(s + 1) * n],
-                    &mut self.zero[s * n..(s + 1) * n],
-                )
+                self.rows_mut(s)
             }
         }
+    }
+
+    fn rows_mut(&mut self, s: usize) -> (&mut [u64], &mut [u64]) {
+        let at = s * self.n..(s + 1) * self.n;
+        (&mut self.one[at.clone()], &mut self.zero[at])
     }
 
     /// Number of stories told this round.
@@ -365,11 +371,8 @@ impl LiarRows {
 
     /// The `(one, zero)` rows of story `s`.
     pub fn rows(&self, s: usize) -> (&[u64], &[u64]) {
-        let n = self.n;
-        (
-            &self.one[s * n..(s + 1) * n],
-            &self.zero[s * n..(s + 1) * n],
-        )
+        let at = s * self.n..(s + 1) * self.n;
+        (&self.one[at.clone()], &self.zero[at])
     }
 
     /// The story slot `f` tells this round, if any.
