@@ -338,8 +338,10 @@ impl LiarRows {
     ///
     /// # Panics
     ///
-    /// Panics if `f` already tells a story shared with other slots.
+    /// Panics if `f` is outside `0..n` or already tells a story shared
+    /// with other slots.
     pub fn slot(&mut self, f: usize) -> (&mut [u64], &mut [u64]) {
+        assert!(f < self.n, "slot {f} of {}", self.n);
         match self.story_of(f) {
             None => self.story(1u64 << f),
             Some(s) => {
@@ -378,7 +380,8 @@ impl LiarRows {
     /// The story slot `f` tells this round, if any.
     #[inline]
     pub fn story_of(&self, f: usize) -> Option<usize> {
-        ((self.told >> f) & 1 == 1).then(|| usize::from(self.story_of[f]))
+        let told = f < MAX_BATCH_RUNS && (self.told >> f) & 1 == 1;
+        told.then(|| usize::from(self.story_of[f]))
     }
 }
 
@@ -1368,7 +1371,7 @@ mod tests {
             (rows.len(), rows.story_of(2), rows.story_of(5)),
             (2, Some(0), Some(1))
         );
-        assert_eq!(rows.story_of(0), None);
+        assert_eq!((rows.story_of(0), rows.story_of(100)), (None, None));
         rows.clear();
         assert!(rows.is_empty());
         assert_eq!(rows.story_of(2), None);
@@ -1382,6 +1385,12 @@ mod tests {
         let mut rows = LiarRows::new(8);
         rows.story(0b0110);
         rows.slot(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 8 of 8")]
+    fn a_slot_outside_the_system_is_refused() {
+        LiarRows::new(8).slot(8);
     }
 
     #[test]
