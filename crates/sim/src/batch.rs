@@ -1274,7 +1274,7 @@ mod tests {
             let zero: Vec<u64> = (0..n).map(|j| rng.next() & present[j] & !one[j]).collect();
             let honest_one: Vec<u64> = (0..n).map(|j| one[j] & !faulty[j]).collect();
             let honest_zero: Vec<u64> = (0..n).map(|j| zero[j] & !faulty[j]).collect();
-            // The dense network as the driver used to merge it, per
+            // The dense network as `run_batch_with` used to merge it, per
             // sender: the honest word, plus whatever the sender's story
             // tells below.
             let mut dense_one = vec![0u64; n * n];
