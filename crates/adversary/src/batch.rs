@@ -31,12 +31,12 @@
 //! others that lie in its lanes.)
 //!
 //! All seven choose their fault set through a seed-free
-//! [`FaultSelection`], so one `select` call covers every lane
-//! ([`BatchAdversary::corrupt_lanes`] materializes it into the lane
-//! masks), and all seven classify payloads into lane masks in one
-//! [`BatchAdversary::lies`] call per round. No scalar strategy is built
-//! for the lanes: the rules need only the family's parameters and the
-//! lanes' seeds.
+//! [`FaultSelection`], so one `select` call is every lane's
+//! ([`BatchAdversary::corrupt`], once per batch), and all seven classify
+//! payloads into lane masks in one [`BatchAdversary::lies`] call per
+//! round. No scalar strategy is built for the lanes: the rules need only
+//! the family's parameters and the lanes' seeds. No faults at all is
+//! `silent` over a selection that corrupts nobody.
 //!
 //! # The first-draw kernel
 //!
@@ -276,35 +276,14 @@ impl BatchAdversary for BatchFamily<'_> {
         self.lanes
     }
 
-    fn corrupt_lanes(
-        &mut self,
-        n: usize,
-        t: usize,
-        source: ProcessId,
-        faulty: &mut [u64],
-        fault_sets: &mut Vec<ProcessSet>,
-    ) -> bool {
-        // One seed-free selection covers every lane: each lane's scalar
-        // `corrupt` would return this same set.
-        let set = self.selection.select(n, t, source);
-        assert_eq!(set.universe(), n, "selection over the wrong universe");
-        let lanes = self.lanes;
-        let all: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-        for p in set.iter() {
-            faulty[p.index()] |= all;
-        }
-        // Sets the caller kept from its last batch are overwritten in
-        // place: no allocation per lane in the steady state.
-        for kept in fault_sets.iter_mut() {
-            kept.clone_from(&set);
-        }
-        fault_sets.resize(lanes, set);
-        true
+    fn corrupt(&mut self, n: usize, t: usize, source: ProcessId, set: &mut ProcessSet) {
+        // One seed-free selection: each lane's scalar `corrupt` would
+        // return this same set.
+        set.clone_from(&self.selection.select(n, t, source));
     }
 
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
-        // Lane-uniform by construction (`corrupt_lanes`).
-        let set = &view.fault_sets[0];
+        let set = view.faulty;
         // A story replaces the shadow at its length (single values on
         // the narrow path), so it exists in the lanes in which the
         // shadow does — except that a turned adaptive source lies

@@ -43,7 +43,7 @@ impl FaultSelection {
     }
 
     /// Corrupts the lowest non-source ids, `t` in total.
-    pub fn without_source() -> Self {
+    pub const fn without_source() -> Self {
         FaultSelection {
             include_source: false,
             count: None,
@@ -62,7 +62,7 @@ impl FaultSelection {
 
     /// Caps the number of corrupted processors at `count` (default: the
     /// protocol's fault bound `t`).
-    pub fn limit(mut self, count: usize) -> Self {
+    pub const fn limit(mut self, count: usize) -> Self {
         self.count = Some(count);
         self
     }

@@ -8,8 +8,8 @@
 //! the story rows [`BatchFamily::lies`] writes, expanded to one row per
 //! sender, must equal — word for word — the masks obtained by asking
 //! each lane's scalar [`Adversary::payload`] in the scalar engine's
-//! order and classifying `value_at(0)`, exactly as `sg_sim::run_batch`'s
-//! per-lane path does. For the families whose story depends on the
+//! order over the batch's one fault set and classifying `value_at(0)`.
+//! For the families whose story depends on the
 //! recipient alone (`equivocate`, `adaptive`) the same test holds the
 //! sharing: one story per distinct lane mask of the turned members.
 //!
@@ -150,14 +150,14 @@ impl Broadcast {
     }
 }
 
-/// The per-lane path of `sg_sim::run_batch`, restated: per active
-/// lane, split the broadcast into honest and shadow tables by the lane's
-/// fault set, then call `payload` for faulty senders ascending ×
+/// The scalar strategies, one per lane, as the scalar engine asks them:
+/// per active lane, split the broadcast into honest and shadow tables by
+/// the fault set, then call `payload` for faulty senders ascending ×
 /// recipients ascending (self skipped) and classify the first value.
 #[allow(clippy::too_many_arguments)]
-fn bridge(
+fn per_lane_oracle(
     lanes: &mut [Box<dyn Adversary>],
-    fault_sets: &[ProcessSet],
+    faulty: &ProcessSet,
     round: usize,
     source: ProcessId,
     domain: ValueDomain,
@@ -176,7 +176,6 @@ fn bridge(
         if active & bit == 0 {
             continue;
         }
-        let faulty = &fault_sets[lane];
         let mut honest: Vec<Option<Payload>> = vec![None; N];
         let mut shadow: Vec<Option<Payload>> = vec![None; N];
         for j in 0..N {
@@ -223,7 +222,7 @@ fn bridge(
     }
 }
 
-/// The story rows expanded to the dense sender-major network the bridge
+/// The story rows expanded to the dense sender-major network the oracle
 /// writes: each liar's deliveries are its story's row, self skipped.
 fn expand(rows: &LiarRows) -> (Vec<u64>, Vec<u64>) {
     let mut one = vec![0u64; N * N];
@@ -249,7 +248,7 @@ fn shared_groups(
     view: &LaneView<'_>,
 ) -> Vec<(u64, u64)> {
     let mut groups: Vec<(u64, u64)> = Vec::new();
-    for (rank, f) in view.fault_sets[0].iter().enumerate() {
+    for (rank, f) in view.faulty.iter().enumerate() {
         if turn(rank).is_none_or(|turn| view.round < turn) {
             continue;
         }
@@ -270,7 +269,7 @@ fn shared_groups(
 }
 
 #[test]
-fn vector_lies_equal_the_scalar_bridge_word_for_word() {
+fn vector_lies_equal_the_scalar_strategies_word_for_word() {
     let selections = [
         FaultSelection::without_source(),
         FaultSelection::with_source(),
@@ -304,13 +303,12 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
                     let vector = (case.vector)(&seeds);
                     let mut batch = BatchFamily::new(vector, selection, lane_count);
 
-                    let mut faulty = vec![0u64; N];
-                    // Stale sets from a previous batch must be overwritten.
-                    let mut fault_sets = vec![ProcessSet::new(N); lane_count / 2];
-                    assert!(batch.corrupt_lanes(N, T, source, &mut faulty, &mut fault_sets));
-                    assert_eq!(fault_sets.len(), lane_count);
-                    for (lane, scalar) in oracle.iter_mut().enumerate() {
-                        assert_eq!(fault_sets[lane], scalar.corrupt(N, T, source));
+                    // A stale set from a previous batch must be
+                    // overwritten.
+                    let mut faulty = ProcessSet::from_members(N, [ProcessId(5)]);
+                    batch.corrupt(N, T, source, &mut faulty);
+                    for scalar in oracle.iter_mut() {
+                        assert_eq!(faulty, scalar.corrupt(N, T, source));
                     }
 
                     for round in 1..=ROUNDS {
@@ -331,7 +329,6 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
                             one: &broadcast.one,
                             zero: &broadcast.zero,
                             faulty: &faulty,
-                            fault_sets: &fault_sets,
                             active,
                         };
                         rows.clear();
@@ -340,9 +337,9 @@ fn vector_lies_equal_the_scalar_bridge_word_for_word() {
 
                         let mut want_one = vec![0u64; N * N];
                         let mut want_zero = vec![0u64; N * N];
-                        bridge(
+                        per_lane_oracle(
                             &mut oracle,
-                            &fault_sets,
+                            &faulty,
                             round,
                             source,
                             domain,
@@ -430,10 +427,9 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
         ),
     ] {
         let mut batch = BatchFamily::new(vector, &selection, 64);
-        let mut faulty = vec![0u64; N];
-        let mut fault_sets = Vec::new();
-        assert!(batch.corrupt_lanes(N, T, ProcessId(0), &mut faulty, &mut fault_sets));
-        let members: Vec<usize> = fault_sets[0].iter().map(ProcessId::index).collect();
+        let mut faulty = ProcessSet::default();
+        batch.corrupt(N, T, ProcessId(0), &mut faulty);
+        let members: Vec<usize> = faulty.iter().map(ProcessId::index).collect();
         assert_eq!(members, [0, 1, 2]);
         let view = LaneView {
             round,
@@ -447,7 +443,6 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
             one: &full,
             zero: &none,
             faulty: &faulty,
-            fault_sets: &fault_sets,
             active: !0,
         };
         rows.clear();
@@ -472,9 +467,8 @@ fn random_lies_populate_both_masks() {
         &selection,
         seeds.len(),
     );
-    let mut faulty = vec![0u64; N];
-    let mut fault_sets = Vec::new();
-    assert!(batch.corrupt_lanes(N, T, ProcessId(0), &mut faulty, &mut fault_sets));
+    let mut faulty = ProcessSet::default();
+    batch.corrupt(N, T, ProcessId(0), &mut faulty);
     let full = vec![!0u64; N];
     let none = vec![0u64; N];
     let view = LaneView {
@@ -489,13 +483,12 @@ fn random_lies_populate_both_masks() {
         one: &full,
         zero: &none,
         faulty: &faulty,
-        fault_sets: &fault_sets,
         active: !0,
     };
     let mut rows = LiarRows::new(N);
     batch.lies(&view, &mut rows);
     let (one, zero) = expand(&rows);
-    for f in fault_sets[0].iter() {
+    for f in faulty.iter() {
         for r in (0..N).filter(|&r| r != f.index()) {
             let (o, z) = (one[f.index() * N + r], zero[f.index() * N + r]);
             assert_eq!(o ^ z, !0, "binary draws are 0 or 1 in every lane");

@@ -477,9 +477,9 @@ impl PartialEq for FactoryKey {
 /// to the fresh-everything `sg_sim::reference`. A default scratch is
 /// cold: every buffer grows on first use.
 ///
-/// Strategies are pooled for scalar runs only. A lock-step chunk under a
-/// family with a vector shape builds no strategy at all, and one under
-/// any other family builds one per lane for that chunk.
+/// Strategies are pooled for scalar runs only: a lock-step chunk builds
+/// no strategy at all, for only a family with a vector shape runs
+/// lock-step.
 #[derive(Default)]
 pub struct SweepScratch {
     /// Scalar-engine buffers and the keyed protocol-instance pool.
@@ -517,17 +517,20 @@ thread_local! {
 
 /// The vector (single-[`sg_sim::BatchAdversary::lies`]-call) form of a
 /// family's wire shape, where the batch adversary layer covers it:
-/// the seven named families whose fault selection is lane-uniform and
-/// whose per-edge behaviour is a pure function of `(round, edge, seed)`
-/// — `seeds` being the chunk's, in lane order. `None` routes the chunk
-/// through [`sg_sim::run_batch`]'s per-lane path — the vector path is
-/// absent, never wrong. Families with per-edge faults (`partition`) or
-/// call-order contracts (`tape`, traces) stay scalar by construction.
+/// no faults, and the seven named families whose fault selection is
+/// lane-uniform and whose per-edge behaviour is a pure function of
+/// `(round, edge, seed)` — `seeds` being the chunk's, in lane order.
+/// `None` sends the chunk to the scalar engine: closure families (whose
+/// fault set may differ by seed), per-edge faults (`partition`) and
+/// call-order contracts (`tape`, traces).
 fn vector_family<'a>(
     family: &'a AdversaryFamily,
     seeds: &'a [u64],
 ) -> Option<(VectorFamily<'a>, &'a FaultSelection)> {
+    /// No faults is silence over a selection that corrupts nobody.
+    static NOBODY: FaultSelection = FaultSelection::without_source().limit(0);
     Some(match family.wire()? {
+        FamilyWire::NoFaults => (VectorFamily::Silent, &NOBODY),
         FamilyWire::RandomLiar(selection) => (VectorFamily::RandomLiar { seeds }, selection),
         FamilyWire::ChainRevealer {
             selection,
@@ -778,11 +781,11 @@ impl SweepPlan {
     /// seed order.
     ///
     /// When the cell has a lock-step kernel (the king family on eligible
-    /// configurations) the whole chunk executes in one
-    /// [`sg_sim::run_batch`] call; everything else — other specs, the
-    /// gear shifts among them, edge-faulting adversaries, a 1-seed tail —
-    /// runs seed by seed on the scalar engine. Both emit identical
-    /// samples.
+    /// configurations) and its family a vector shape, the whole chunk
+    /// executes in one [`sg_sim::run_batch_with`] call; everything else —
+    /// other specs, the gear shifts among them, families without a vector
+    /// shape, a 1-seed tail — runs seed by seed on the scalar engine.
+    /// Both emit identical samples.
     fn run_chunk(
         &self,
         scratch: &mut SweepScratch,
@@ -799,17 +802,11 @@ impl SweepPlan {
     }
 
     /// The lock-step fast path: all `len` seeds of the chunk execute
-    /// simultaneously, one bit lane per run. Returns `false`, with `out`
-    /// untouched, when the cell is not batch-eligible (no kernel for the
-    /// spec, or the adversary family corrupts edges), in which case no
-    /// lane has gone past its `corrupt` call and the scalar path re-runs
-    /// the chunk from scratch.
-    ///
-    /// Fault injection takes the vector path ([`BatchFamily`], one
-    /// `lies` call per round, no strategy built) when the family's wire
-    /// shape has one; otherwise the chunk builds one strategy per lane
-    /// and [`sg_sim::run_batch`] asks each in the scalar engine's exact
-    /// call order.
+    /// simultaneously, one bit lane per run, their faults injected by a
+    /// [`BatchFamily`] (one fault set, one `lies` call per round, no
+    /// strategy built). Returns `false`, with `out` untouched and nothing
+    /// run, when the cell is not batch-eligible (no kernel for the spec,
+    /// or no vector shape for the family).
     fn run_chunk_lockstep(
         &self,
         scratch: &mut SweepScratch,
@@ -835,21 +832,13 @@ impl SweepPlan {
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
-        let ran = match vector_family(family, seeds) {
-            Some((vector, selection)) => {
-                let mut batch = BatchFamily::new(vector, selection, seeds.len());
-                sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch)
-            }
-            None => {
-                let mut lanes: Vec<Box<dyn Adversary>> =
-                    seeds.iter().map(|&seed| family.instantiate(seed)).collect();
-                sg_sim::run_batch(&mut scratch.batch, &run_config, kernel.as_mut(), &mut lanes)
-            }
-        };
-        scratch.kernels.put(kernel_key, kernel);
-        if !ran {
+        let Some((vector, selection)) = vector_family(family, seeds) else {
+            scratch.kernels.put(kernel_key, kernel);
             return false;
-        }
+        };
+        let mut batch = BatchFamily::new(vector, selection, seeds.len());
+        sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch);
+        scratch.kernels.put(kernel_key, kernel);
 
         for (result, seed) in scratch.batch.results().iter().zip(seeds) {
             assert!(

@@ -105,4 +105,16 @@ fn a_warm_king_expedite_job_allocates_at_its_floor() {
     one.run_with_jobs(1);
     let (warm_one, _) = allocations_of(|| one.run_with_jobs(1));
     assert_eq!(warm_one, 15, "allocations of a warm one-cell job");
+
+    // The fault-free baseline runs lock-step like any named family, so
+    // its warm cell sits at the same floor. A chunk that built one
+    // strategy per lane and per-lane view tables read 79 here.
+    let none = SweepPlan::new(
+        vec![plan.configs[0]],
+        vec![AdversaryFamily::no_faults()],
+        64,
+    );
+    none.run_with_jobs(1);
+    let (warm_none, _) = allocations_of(|| none.run_with_jobs(1));
+    assert_eq!(warm_none, 15, "allocations of a warm fault-free cell");
 }

@@ -13,16 +13,16 @@
 //!   default) vs `RunConfig::fixed_length`, so the expedite win of the
 //!   early-stopping run loop is measured on its own;
 //! * `batch/*` — 64 seeds of the cell run one by one through the scalar
-//!   loop vs lock-step through `run_batch` (one bit lane per run), so
-//!   the cross-run data-parallel layer is measured on its own; and
+//!   loop vs lock-step through `run_batch_with` under a vector
+//!   `BatchFamily` (one bit lane per run), so the cross-run
+//!   data-parallel layer is measured on its own; and
 //!   `batch/full-schedule-n64/*`, a 64-lane × 64-slot batch held to its
 //!   full schedule by the benchmark's matched equivocation, so the
 //!   per-round cost of the lock-step driver and kernel tallies is too;
-//! * `batch-adversary/*` — the same 64-lane batch driven by a
-//!   vectorized `BatchFamily` through `run_batch_with` vs one scalar
-//!   strategy per lane through `run_batch`, so the fault-materialization
-//!   layer (one mask computation per batch vs 64 per-edge adversary
-//!   walks per round) is measured on its own; its `draw/*` triple
+//! * `batch-adversary/*` — the same 64-lane batch under three vector
+//!   families (`crash`, `random-liar`, `chain-revealer`), so the
+//!   fault-materialization layer is measured family by family; its
+//!   `draw/*` triple
 //!   isolates one faulty sender's random row (64 lanes × 30 recipients)
 //!   drawn by building a generator per (lane, edge) and calling it
 //!   through `dyn RngCore`, by `edge_draw` (the scalar strategies'
@@ -69,7 +69,7 @@ use rand::{RngCore, SampleUniform, SeedableRng};
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{
-    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, Crash, FaultSelection, RandomLiar,
+    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, FaultSelection, RandomLiar,
     VectorFamily,
 };
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
@@ -80,8 +80,8 @@ use sg_eigtree::{
 };
 use sg_journal::{CellKey, EngineEpoch, Journal};
 use sg_sim::{
-    run_batch, run_batch_with, run_into, Adversary, BatchArena, Outcome, ProcessId, RunArena,
-    RunConfig, Value, MAX_BATCH_RUNS,
+    run_batch_with, run_into, BatchArena, Outcome, ProcessId, RunArena, RunConfig, Value,
+    MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -278,11 +278,11 @@ fn bench_masking(c: &mut Criterion) {
 }
 
 /// The lock-step batch layer in isolation: the same 64 seeds of the
-/// benchmark cell executed scalar (one pooled `run_into` per seed) vs
-/// lock-step (one `run_batch` call, one bit lane per run). Both
-/// variants perform the identical per-run adversary calls — that
-/// irreducible scalar work is what keeps the ratio below 64× — and
-/// `tests/engine_identity.rs` pins their samples bit-identical.
+/// benchmark cell executed scalar (one pooled `run_into` per seed, a
+/// `RandomLiar` strategy each) vs lock-step (one `run_batch_with` call,
+/// one bit lane per run, every lane's lies drawn at word width by one
+/// `BatchFamily`). `tests/engine_identity.rs` pins their samples
+/// bit-identical.
 fn bench_batch_runs(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let key = spec.pool_key(&config);
@@ -309,21 +309,14 @@ fn bench_batch_runs(c: &mut Criterion) {
     });
 
     let mut batch_arena = BatchArena::new();
+    let selection = FaultSelection::without_source();
+    let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
     group.bench_function("batch/lock-step-64", |b| {
         b.iter(|| {
             let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-            let mut adversaries: Vec<Box<dyn Adversary>> = (0..MAX_BATCH_RUNS as u64)
-                .map(|seed| {
-                    Box::new(RandomLiar::new(FaultSelection::without_source(), seed))
-                        as Box<dyn Adversary>
-                })
-                .collect();
-            assert!(run_batch(
-                &mut batch_arena,
-                &config,
-                kernel.as_mut(),
-                &mut adversaries
-            ));
+            let family = VectorFamily::RandomLiar { seeds: &seeds };
+            let mut batch = BatchFamily::new(family, &selection, seeds.len());
+            run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
         });
     });
     group.finish();
@@ -348,12 +341,7 @@ fn bench_batch_runs(c: &mut Criterion) {
         group.bench_function(format!("batch/full-schedule-n64/{}", spec.name()), |b| {
             b.iter(|| {
                 let mut batch = BatchFamily::new(family, &selection, MAX_BATCH_RUNS);
-                assert!(run_batch_with(
-                    &mut batch_arena,
-                    &config,
-                    kernel.as_mut(),
-                    &mut batch
-                ));
+                run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
             });
         });
         let full = kernel.total_rounds() - 1;
@@ -363,19 +351,14 @@ fn bench_batch_runs(c: &mut Criterion) {
 }
 
 /// The batch-adversary layer in isolation: the identical 64-lane batch
-/// driven once through `run_batch` with one scalar strategy per lane
-/// (every round walks every lane's faulty edges through the scalar
-/// `Adversary` trait) and once through `run_batch_with` with the
-/// vectorized `BatchFamily` (one selection and one mask computation
-/// cover all 64 lanes, and no strategy is built). `crash` is
-/// deterministic, so the vector path is pure mask algebra and the ratio
-/// is the full materialization cost; `random-liar` and `chain-revealer`
-/// draw per (lane, edge) on both paths from the same `first_draw` mixer
-/// — reduced by `edge_draw` per payload on the per-lane path, read as a
-/// sign bit straight into lane words on the vector one — so their ratio
-/// is what the per-lane path spends around the mixer (strategies, view
-/// tables, virtual calls, payload objects, the range reduction).
-/// `tests/engine_identity.rs` pins the paths bit-identical.
+/// through `run_batch_with` under three vectorized `BatchFamily`s (one
+/// selection and one mask computation cover all 64 lanes, and no
+/// strategy is built). `crash` is deterministic, so its lies are pure
+/// mask algebra; `random-liar` and `chain-revealer` draw per (lane,
+/// edge) from the `first_draw` mixer the scalar strategies read too, as
+/// a sign bit straight into lane words. The `draw/*` triple below takes
+/// that draw apart. `tests/engine_identity.rs` pins every family to the
+/// scalar reference.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
@@ -383,25 +366,9 @@ fn bench_batch_adversaries(c: &mut Criterion) {
 
     let selection = FaultSelection::without_source();
     let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
-    let crash_lanes = |_: &u64| Box::new(Crash::new(selection.clone(), 2)) as Box<dyn Adversary>;
-    let liar_lanes =
-        |seed: &u64| Box::new(RandomLiar::new(selection.clone(), *seed)) as Box<dyn Adversary>;
-    let chain_lanes = |seed: &u64| {
-        Box::new(ChainRevealer::new(selection.clone(), 2, 2, *seed)) as Box<dyn Adversary>
-    };
-
-    type LaneMaker<'a> = &'a dyn Fn(&u64) -> Box<dyn Adversary>;
-    let cases: [(&str, VectorFamily, LaneMaker); 3] = [
-        (
-            "crash",
-            VectorFamily::Crash { crash_round: 2 },
-            &crash_lanes,
-        ),
-        (
-            "random-liar",
-            VectorFamily::RandomLiar { seeds: &seeds },
-            &liar_lanes,
-        ),
+    let cases = [
+        ("crash", VectorFamily::Crash { crash_round: 2 }),
+        ("random-liar", VectorFamily::RandomLiar { seeds: &seeds }),
         (
             "chain-revealer",
             VectorFamily::ChainRevealer {
@@ -409,33 +376,15 @@ fn bench_batch_adversaries(c: &mut Criterion) {
                 reveal_start: 2,
                 stride: 2,
             },
-            &chain_lanes,
         ),
     ];
     let mut batch_arena = BatchArena::new();
-    for (name, vector, make_lane) in cases {
-        group.bench_function(format!("batch-adversary/{name}-bridge"), |b| {
-            b.iter(|| {
-                let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-                let mut lanes: Vec<Box<dyn Adversary>> = seeds.iter().map(make_lane).collect();
-                assert!(run_batch(
-                    &mut batch_arena,
-                    &config,
-                    kernel.as_mut(),
-                    &mut lanes
-                ));
-            });
-        });
+    for (name, vector) in cases {
         group.bench_function(format!("batch-adversary/{name}-vector"), |b| {
             b.iter(|| {
                 let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
                 let mut batch = BatchFamily::new(vector, &selection, seeds.len());
-                assert!(run_batch_with(
-                    &mut batch_arena,
-                    &config,
-                    kernel.as_mut(),
-                    &mut batch
-                ));
+                run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
             });
         });
     }

@@ -6,8 +6,8 @@
 //! execute **lock-step** in a structure-of-arrays layout, where a binary
 //! broadcast becomes one `u64` per processor-slot spanning up to
 //! [`MAX_BATCH_RUNS`] runs, majority tallies become full-width bitwise
-//! ops across runs, and per-run divergence (early stop, differing fault
-//! sets) is carried by an active-run mask.
+//! ops across runs, and per-run divergence (runs that stop early at
+//! different rounds) is carried by an active-run mask.
 //!
 //! The division of labour mirrors the scalar engine:
 //!
@@ -21,21 +21,17 @@
 //!
 //! # The adversary side
 //!
-//! Fault injection is batch-aware too, with two entry points. The vector
-//! one, [`run_batch_with`], takes a [`BatchAdversary`]: it materializes
-//! every lane's fault set in one `corrupt_lanes` call and classifies all
-//! faulty payloads of a round directly into lane masks in one
-//! [`BatchAdversary::lies`] call — no per-lane payload, view or scalar
-//! strategy exists. [`run_batch`] takes one scalar [`Adversary`] per
-//! lane, for strategies that cannot vectorize (traced, recording, tape,
-//! closure adversaries): its private per-lane path materializes each
-//! lane's [`AdversaryView`] and calls that lane's strategy in exactly the
-//! order the scalar engine would, so the `sg-trace/1` call-order contract
-//! is untouched. The vector path is *absent, never wrong*: both paths
-//! are bit-identical by construction.
+//! Fault injection is batch-aware too, with one entry point:
+//! [`run_batch_with`] takes a [`BatchAdversary`], which chooses **one
+//! fault set for the whole batch** in one [`BatchAdversary::corrupt`]
+//! call and classifies all faulty payloads of a round directly into lane
+//! masks in one [`BatchAdversary::lies`] call — no per-lane payload, view
+//! or scalar strategy exists. A fault set that differs from lane to lane
+//! (a closure, `tape` or trace-replay family) has no such form, so its
+//! runs take the scalar engine instead: the input selects the path.
 //!
 //! Per-run outputs are bit-identical to the scalar path by construction:
-//! the adversary sees semantically equal views in the same call order,
+//! the adversary's lies are the scalar strategy's payloads classified,
 //! tallies reproduce [`crate::PackedBallots`] classification exactly (first
 //! value, `{0, 1}` only), and retired runs are frozen by the active mask
 //! rather than removed, so late rounds cannot disturb them.
@@ -71,10 +67,8 @@
 //! never counts its own story, so a one-member story's word at its
 //! sender's own position is never read.
 
-use crate::adversary::{Adversary, AdversaryView};
 use crate::engine::RunConfig;
 use crate::id::{ProcessId, ProcessSet};
-use crate::payload::Payload;
 use crate::value::{Value, ValueDomain};
 
 /// Maximum runs per lock-step batch: one bit lane per run in a `u64`.
@@ -531,13 +525,13 @@ impl<'a> BatchNet<'a> {
 }
 
 /// The lane-mask view a [`BatchAdversary`] sees in one round — the
-/// batch counterpart of [`AdversaryView`]. Broadcast classification is
-/// per slot: `present[j]` holds the lanes in which slot `j` sent at all
-/// this round, `one[j]`/`zero[j]` the lanes in which the sent value
-/// reads `1`/`0` (present lanes in neither sent `⊥`). Faulty slots are
-/// classified too — their masks describe what the honest *shadow* of
-/// that processor would have sent, exactly the
-/// [`AdversaryView::shadow_of`] table of the scalar path.
+/// batch counterpart of the scalar [`AdversaryView`](crate::AdversaryView).
+/// Broadcast classification is per slot: `present[j]` holds the lanes in
+/// which slot `j` sent at all this round, `one[j]`/`zero[j]` the lanes in
+/// which the sent value reads `1`/`0` (present lanes in neither sent
+/// `⊥`). Faulty slots are classified too — their masks describe what the
+/// honest *shadow* of that processor would have sent, exactly the
+/// `shadow_of` table of the scalar view.
 pub struct LaneView<'a> {
     /// Current 1-based round.
     pub round: usize,
@@ -559,11 +553,8 @@ pub struct LaneView<'a> {
     pub one: &'a [u64],
     /// Per-slot lane masks: lanes in which the broadcast value reads `0`.
     pub zero: &'a [u64],
-    /// Per-slot lane masks of fault status (`faulty[j]` = lanes in which
-    /// slot `j` is faulty).
-    pub faulty: &'a [u64],
-    /// Each lane's fault set, in lane order.
-    pub fault_sets: &'a [ProcessSet],
+    /// The batch's fault set, the same in every lane.
+    pub faulty: &'a ProcessSet,
     /// Lanes the adversary must fill this round; all other lanes are
     /// retired and must be left untouched.
     pub active: u64,
@@ -571,36 +562,21 @@ pub struct LaneView<'a> {
 
 /// Batch-aware fault injection: the adversary side of [`run_batch_with`].
 ///
-/// One value of this trait drives *all* lanes of a batch and classifies
-/// a whole round of faulty payloads into lane masks in one
-/// [`BatchAdversary::lies`] call — `sg-adversary`'s `BatchFamily` for the
-/// named families. Strategies without such a form take [`run_batch`],
-/// whose private implementation of this trait asks one scalar
-/// [`Adversary`] per lane in the scalar engine's exact call order
-/// (`corrupt` once per lane up front; per round, faulty senders
-/// ascending × recipients ascending).
+/// One value of this trait drives *all* lanes of a batch over one fault
+/// set and classifies a whole round of faulty payloads into lane masks
+/// in one [`BatchAdversary::lies`] call — `sg-adversary`'s `BatchFamily`
+/// for the named families. A strategy whose fault set varies by seed has
+/// no such form and runs on the scalar engine.
 pub trait BatchAdversary {
     /// Number of lanes (runs) this adversary drives, `1..=`[`MAX_BATCH_RUNS`].
     fn lanes(&self) -> usize;
 
-    /// Materializes every lane's fault set: sets bit `lane` of
-    /// `faulty[p]` for each corrupted processor `p` and leaves exactly
-    /// one [`ProcessSet`] per lane (lane order) in `fault_sets`. The
-    /// vector arrives holding at most that many stale sets from the
-    /// caller's previous batch, for implementors to overwrite in place
-    /// ([`Clone::clone_from`]) instead of allocating one per lane.
-    ///
-    /// Returns `false` — **without consuming any lane** — when a lane
-    /// reports per-edge faults, which the word-per-slot layout cannot
-    /// express; callers then re-run every lane on the scalar engine.
-    fn corrupt_lanes(
-        &mut self,
-        n: usize,
-        t: usize,
-        source: ProcessId,
-        faulty: &mut [u64],
-        fault_sets: &mut Vec<ProcessSet>,
-    ) -> bool;
+    /// Chooses the batch's fault set — every lane's, for they share it —
+    /// by overwriting `set` in place: it arrives holding the caller's
+    /// previous batch's set ([`Clone::clone_from`] reuses its buffer).
+    /// Called once per batch, before the first round; the driver checks
+    /// the set's universe and marks its members faulty in every lane.
+    fn corrupt(&mut self, n: usize, t: usize, source: ProcessId, set: &mut ProcessSet);
 
     /// Classifies every faulty slot's payload to every recipient
     /// directly into story rows ([`LiarRows`], which arrives empty): a
@@ -609,138 +585,10 @@ pub trait BatchAdversary {
     /// story's `one[r]` / `zero[r]`; a slot with a story of its own
     /// writes into [`LiarRows::slot`]; a slot that delivers nothing
     /// opens no story. Rows may hold bits only in lanes of `view.active`
-    /// in which every member is faulty: in every other lane a slot is
-    /// correct and its broadcast is delivered as sent. Lanes set in
-    /// neither row deliver `⊥` or nothing — the same three-way
-    /// classification as [`BatchNet`].
+    /// and only for members of `view.faulty`: a correct slot's broadcast
+    /// is delivered as sent. Lanes set in neither row deliver `⊥` or
+    /// nothing — the same three-way classification as [`BatchNet`].
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows);
-}
-
-/// The adversary-view tables [`PerLane`] refills per lane per round,
-/// kept in the [`BatchArena`] between batches, and the `⊥` wire payload
-/// it shows (built once: it is not bit-packed).
-#[derive(Default)]
-struct ViewTables {
-    honest: Vec<Option<Payload>>,
-    shadow: Vec<Option<Payload>>,
-    bot: Option<Payload>,
-}
-
-/// The per-lane path of [`run_batch`]: one boxed [`Adversary`] per lane,
-/// called in the scalar engine's exact order (see [`BatchAdversary`]).
-struct PerLane<'a> {
-    lanes: &'a mut [Box<dyn Adversary>],
-    tables: ViewTables,
-}
-
-impl BatchAdversary for PerLane<'_> {
-    fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn corrupt_lanes(
-        &mut self,
-        n: usize,
-        t: usize,
-        source: ProcessId,
-        faulty: &mut [u64],
-        fault_sets: &mut Vec<ProcessSet>,
-    ) -> bool {
-        // Edge faults are declared up front (every in-tree adversary's
-        // `has_edge_faults` is independent of `corrupt`), so a bailout
-        // leaves all lanes unconsumed and reusable for the scalar re-run.
-        if self.lanes.iter().any(|a| a.has_edge_faults()) {
-            return false;
-        }
-        for (lane, adversary) in self.lanes.iter_mut().enumerate() {
-            let set = adversary.corrupt(n, t, source);
-            assert_eq!(set.universe(), n, "adversary corrupted the wrong universe");
-            for p in set.iter() {
-                faulty[p.index()] |= 1u64 << lane;
-            }
-            match fault_sets.get_mut(lane) {
-                Some(kept) => *kept = set,
-                None => fault_sets.push(set),
-            }
-        }
-        for table in [&mut self.tables.honest, &mut self.tables.shadow] {
-            table.clear();
-            table.resize(n, None);
-        }
-        true
-    }
-
-    /// Per active lane, materializes the view (honest and shadow tables
-    /// split by that lane's fault set; a slot already showing the right
-    /// payload is left alone, so a warm path allocates nothing) and
-    /// collects every faulty sender's payloads in the scalar call order
-    /// — faulty senders ascending, recipients ascending, self skipped —
-    /// into the sender's own one-member story.
-    fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
-        let n = view.n;
-        let wire = [Payload::single(Value(1)), Payload::single(Value(0))];
-        let tables = &mut self.tables;
-        let bot = tables
-            .bot
-            .get_or_insert_with(|| Payload::single(Value(u16::MAX)));
-        let mut w = view.active;
-        while w != 0 {
-            let lane = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let faulty = &view.fault_sets[lane];
-            if faulty.is_empty() {
-                continue;
-            }
-            let bit = 1u64 << lane;
-            for j in 0..n {
-                let payload = if view.present[j] & bit == 0 {
-                    None
-                } else if view.one[j] & bit != 0 {
-                    Some(&wire[0])
-                } else if view.zero[j] & bit != 0 {
-                    Some(&wire[1])
-                } else {
-                    Some(&*bot)
-                };
-                let (shown, hidden) = if view.faulty[j] & bit != 0 {
-                    (&mut tables.shadow[j], &mut tables.honest[j])
-                } else {
-                    (&mut tables.honest[j], &mut tables.shadow[j])
-                };
-                if shown.as_ref() != payload {
-                    *shown = payload.cloned();
-                }
-                *hidden = None;
-            }
-            let scalar_view = AdversaryView {
-                round: view.round,
-                total_rounds: view.total_rounds,
-                n,
-                t: view.t,
-                source: view.source,
-                source_value: view.source_value,
-                domain: view.domain,
-                faulty,
-                honest_broadcast: &tables.honest,
-                shadow_broadcast: &tables.shadow,
-                sigs: None,
-            };
-            let scalar = self.lanes[lane].as_mut();
-            for f in faulty.iter() {
-                let (one, zero) = rows.slot(f.index());
-                for r in 0..n {
-                    if r == f.index() {
-                        continue;
-                    }
-                    match scalar.payload(f, ProcessId(r), &scalar_view).value_at(0) {
-                        Some(Value(1)) => one[r] |= bit,
-                        Some(Value(0)) => zero[r] |= bit,
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Protocol semantics for lock-step batch execution: the per-round hooks
@@ -897,11 +745,9 @@ pub struct BatchArena {
     honest_one: Vec<u64>,
     honest_zero: Vec<u64>,
     stories: LiarRows,
-    // Faulty lane mask per slot, and per-lane fault sets.
+    // Faulty lane mask per slot, and the batch's fault set.
     faulty: Vec<u64>,
-    fault_sets: Vec<ProcessSet>,
-    // The per-lane path's view tables, lent to it by `run_batch`.
-    tables: ViewTables,
+    fault_set: ProcessSet,
     // Preferred-value snapshots and final decisions for the lock-in walk.
     snapshots: Snapshots,
     decisions: Vec<u64>,
@@ -940,8 +786,6 @@ impl BatchArena {
             buf.resize(n, 0);
         }
         self.stories.reset(n);
-        // Kept, not cleared: `corrupt_lanes` overwrites them in place.
-        self.fault_sets.truncate(lanes);
         self.snapshots.clear();
         self.decisions.clear();
         self.sends = BitPlanes::default();
@@ -956,41 +800,9 @@ impl BatchArena {
     }
 }
 
-/// [`run_batch_with`] over one scalar [`Adversary`] per lane — the
-/// universal entry point, for strategies without a vector form. Every
-/// lane's strategy is asked for every faulty edge in the scalar engine's
-/// call order.
-///
-/// Returns `false` — leaving every lane's adversary unconsumed — if any
-/// lane's adversary reports edge faults, which the word-per-slot layout
-/// cannot express; callers then take the scalar path with the same
-/// adversaries.
-///
-/// # Panics
-///
-/// Panics if `adversaries` is empty or longer than [`MAX_BATCH_RUNS`],
-/// or if a lane's `corrupt` returns a set over the wrong universe.
-pub fn run_batch(
-    arena: &mut BatchArena,
-    config: &RunConfig,
-    kernel: &mut dyn BatchKernel,
-    adversaries: &mut [Box<dyn Adversary>],
-) -> bool {
-    let mut per_lane = PerLane {
-        lanes: adversaries,
-        tables: std::mem::take(&mut arena.tables),
-    };
-    let ran = run_batch_with(arena, config, kernel, &mut per_lane);
-    arena.tables = per_lane.tables;
-    ran
-}
-
 /// Executes up to [`MAX_BATCH_RUNS`] runs of one configuration in
 /// lock-step, their faults injected at word width by `adversary`.
 /// Results land in [`BatchArena::results`], in lane order.
-///
-/// Returns `false`, having run no round, if `corrupt_lanes` declines
-/// the batch (edge faults).
 ///
 /// # Panics
 ///
@@ -1001,7 +813,7 @@ pub fn run_batch_with(
     config: &RunConfig,
     kernel: &mut dyn BatchKernel,
     adversary: &mut dyn BatchAdversary,
-) -> bool {
+) {
     let n = config.n;
     let lanes = adversary.lanes();
     assert!(
@@ -1013,20 +825,25 @@ pub fn run_batch_with(
         "at most 64 slots: a story's member mask is a word"
     );
     arena.reset(n, lanes);
+    let lane_mask = |lane: usize| 1u64 << lane;
+    let mut active: u64 = if lanes == MAX_BATCH_RUNS {
+        !0
+    } else {
+        (1u64 << lanes) - 1
+    };
 
-    // Materialize every lane's fault set up front, exactly once per run
-    // — the same once-per-run contract the scalar engine honours. An
-    // edge-fault bailout happens before any lane is consumed.
-    if !adversary.corrupt_lanes(
+    // Choose the fault set up front, exactly once per batch — the
+    // once-per-run contract the scalar engine honours — and mark its
+    // members faulty in every lane.
+    adversary.corrupt(n, config.t, config.source, &mut arena.fault_set);
+    assert_eq!(
+        arena.fault_set.universe(),
         n,
-        config.t,
-        config.source,
-        &mut arena.faulty,
-        &mut arena.fault_sets,
-    ) {
-        return false;
+        "adversary corrupted the wrong universe"
+    );
+    for p in arena.fault_set.iter() {
+        arena.faulty[p.index()] = active;
     }
-    debug_assert_eq!(arena.fault_sets.len(), lanes, "one fault set per lane");
 
     let total_rounds = kernel.total_rounds();
     assert!(
@@ -1035,12 +852,6 @@ pub fn run_batch_with(
     );
     kernel.reset(lanes);
     let early = config.early_stopping;
-    let lane_mask = |lane: usize| 1u64 << lane;
-    let mut active: u64 = if lanes == MAX_BATCH_RUNS {
-        !0
-    } else {
-        (1u64 << lanes) - 1
-    };
     let src = config.source.index();
     // Every active lane is charged alike each round, so one running
     // total serves them all; a lane keeps the total it retires with.
@@ -1078,8 +889,7 @@ pub fn run_batch_with(
             present: &arena.present,
             one: &arena.one,
             zero: &arena.zero,
-            faulty: &arena.faulty,
-            fault_sets: &arena.fault_sets,
+            faulty: &arena.fault_set,
             active,
         };
         adversary.lies(&view, &mut arena.stories);
@@ -1162,7 +972,6 @@ pub fn run_batch_with(
             max_local_ops: arena.ops[lane],
         };
     }
-    true
 }
 
 #[cfg(test)]
@@ -1257,8 +1066,9 @@ mod tests {
         let (mut shared, mut own, mut mute) = (0, 0, 0);
         for _ in 0..200 {
             let n = 2 + rng.below(63);
-            // Up to n/3 liars: some faulty in every lane (the vector
-            // path), some in a few lanes only (per-lane fault sets).
+            // Up to n/3 liars: some faulty in every lane (what one fault
+            // set per batch writes), some in a few lanes only (the net
+            // does not assume lane-uniform words).
             let mut faulty = vec![0u64; n];
             for _ in 0..rng.below(n / 3 + 1) {
                 faulty[rng.below(n)] = match rng.below(3) {
@@ -1506,49 +1316,5 @@ mod tests {
         }
         // The cases are not all one kind.
         assert!(settled > 1000 && unsettled > 1000 && silent > 400);
-    }
-
-    #[test]
-    fn scalar_bridge_bails_out_before_consuming_any_lane() {
-        use crate::adversary::NoFaults;
-
-        /// A corrupt-counting adversary that reports edge faults.
-        struct Edgy {
-            corrupted: usize,
-        }
-        impl Adversary for Edgy {
-            fn name(&self) -> String {
-                "edgy".into()
-            }
-            fn corrupt(&mut self, n: usize, _t: usize, _source: ProcessId) -> ProcessSet {
-                self.corrupted += 1;
-                ProcessSet::new(n)
-            }
-            fn payload(
-                &mut self,
-                _sender: ProcessId,
-                _recipient: ProcessId,
-                _view: &AdversaryView<'_>,
-            ) -> Payload {
-                Payload::Missing
-            }
-            fn has_edge_faults(&self) -> bool {
-                true
-            }
-        }
-
-        let mut lanes: Vec<Box<dyn Adversary>> =
-            vec![Box::new(NoFaults), Box::new(Edgy { corrupted: 0 })];
-        let mut bridge = PerLane {
-            lanes: &mut lanes,
-            tables: ViewTables::default(),
-        };
-        let mut faulty = vec![0u64; 4];
-        let mut sets = Vec::new();
-        assert!(!bridge.corrupt_lanes(4, 1, ProcessId(0), &mut faulty, &mut sets));
-        // The bailout consumed nothing: no fault sets pushed, no corrupt
-        // calls issued — every lane is reusable for the scalar re-run.
-        assert!(sets.is_empty());
-        assert!(faulty.iter().all(|&w| w == 0));
     }
 }

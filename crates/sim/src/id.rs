@@ -95,6 +95,13 @@ impl Clone for ProcessSet {
     }
 }
 
+/// The empty set over no processors.
+impl Default for ProcessSet {
+    fn default() -> Self {
+        ProcessSet::new(0)
+    }
+}
+
 impl ProcessSet {
     /// Creates an empty set over a system of `n` processors.
     pub fn new(n: usize) -> Self {

@@ -118,25 +118,9 @@ impl BatchAdversary for TwoFaced {
         self.lanes
     }
 
-    fn corrupt_lanes(
-        &mut self,
-        _n: usize,
-        _t: usize,
-        _source: ProcessId,
-        faulty: &mut [u64],
-        fault_sets: &mut Vec<ProcessSet>,
-    ) -> bool {
-        for p in self.set.iter() {
-            faulty[p.index()] = !0 >> (64 - self.lanes);
-        }
+    fn corrupt(&mut self, _n: usize, _t: usize, _source: ProcessId, set: &mut ProcessSet) {
         // Overwrite what the arena kept; allocate only on a cold start.
-        for kept in fault_sets.iter_mut() {
-            kept.clone_from(&self.set);
-        }
-        while fault_sets.len() < self.lanes {
-            fault_sets.push(self.set.clone());
-        }
-        true
+        set.clone_from(&self.set);
     }
 
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
@@ -164,7 +148,7 @@ fn a_warm_traced_batch_allocates_nothing() {
         set: ProcessSet::from_members(N, [ProcessId(1), ProcessId(2)]),
     };
     let mut batch = |arena: &mut BatchArena| {
-        allocations_of(|| assert!(run_batch_with(arena, &config, &mut kernel, &mut adversary))).0
+        allocations_of(|| run_batch_with(arena, &config, &mut kernel, &mut adversary)).0
     };
 
     // The cold batch sizes every buffer: it must allocate, or the counter

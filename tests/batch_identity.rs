@@ -4,17 +4,18 @@
 //! `tests/engine_identity.rs` holds every execution path to
 //! `sg_sim::reference` over the whole grid; a grid cannot tell whether a
 //! particular route was exercised. Each case here names one. Through
-//! `sg_sim::run_batch`: the active mask splitting as lanes retire at
+//! `sg_sim::run_batch_with`: the active mask splitting as lanes retire at
 //! different rounds, the post-loop finalization of a fixed-length batch,
-//! the phase kernels' keep-your-value rules, a grid mixing kernel, tree,
-//! vector, bridged and edge-faulting cells. Through the scalar engine,
-//! which runs the gear shifts seed by seed: a chunk boundary and worker
-//! counts, `dynamic-king` runs whose shift votes diverge, runs that stop
-//! at the prefix's first echo beside runs that reach their king tails,
-//! and adjacent seeds with different fault sets. Each case first asserts
-//! that the cell really takes its route (the round histogram spreads, the
-//! schedule fills), and then holds `SweepPlan::run`, the cursor walk and
-//! the bridged plan to the reference report (`tests/oracle/mod.rs`).
+//! the phase kernels' keep-your-value rules, a grid mixing kernel and
+//! tree cells under families with and without a vector shape. Through
+//! the scalar engine, which runs the gear shifts seed by seed: a chunk
+//! boundary and worker counts, `dynamic-king` runs whose shift votes
+//! diverge, runs that stop at the prefix's first echo beside runs that
+//! reach their king tails, and adjacent seeds with different fault sets.
+//! Each case first asserts that the cell really takes its route (the
+//! round histogram spreads, the schedule fills), and then holds
+//! `SweepPlan::run`, the cursor walk and the closure-built plan to the
+//! reference report (`tests/oracle/mod.rs`).
 
 mod oracle;
 
@@ -197,7 +198,7 @@ impl Adversary for SourceInSomeSeeds {
 }
 
 /// One 64-seed gear chunk, several fates. A closure family (no wire
-/// shape, so its strategies are built per run) corrupts the source in
+/// shape, so each run builds its own strategy) corrupts the source in
 /// some seeds only: runs with a correct source stop in the prefix at the
 /// first echo, while runs under a lying source go on into their king
 /// tails — `dynamic-king`'s at different rounds, as their shift votes
@@ -280,10 +281,11 @@ fn adjacent_wide_lanes_keep_their_own_fault_rows() {
 }
 
 /// Worker count and batching compose: a mixed grid (kernel cell +
-/// tree cell; a vector-path family, and an edge-faulting one that bails
-/// the kernel out to the scalar engine; the oracle adds the bridged leg)
-/// produces the reference report at `--jobs {1, 8}` and on the cursor
-/// path, whose 70 seeds per cell cross the 64-run chunk boundary.
+/// tree cell; two vector-path families, and an edge-faulting one with no
+/// vector shape, whose kernel cell runs on the scalar engine; the oracle
+/// adds the closure-built leg) produces the reference report at
+/// `--jobs {1, 8}` and on the cursor path, whose 70 seeds per cell cross
+/// the 64-run chunk boundary.
 #[test]
 fn jobs_and_batching_commute_on_a_mixed_grid() {
     let plan = SweepPlan::new(

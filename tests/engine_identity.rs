@@ -1,17 +1,18 @@
 //! Every fast path, held to one oracle.
 //!
 //! The engine selects its paths from its *input*: it always pools, packs
-//! ballots when `n ≤ 64 && |V| = 2`, runs a chunk lock-step when the spec
-//! has a kernel and the chunk more than one seed, injects faults at word
-//! width when the family has a vector shape — and falls back (per-payload
-//! tallies, the scalar loop, the per-lane bridge, factory rebuilds) when
-//! it does not. No flag selects any of it, so nothing can be cross-checked
-//! by flipping one. Instead every execution route is compared, on full
+//! ballots when `n ≤ 64 && |V| = 2`, and runs a chunk lock-step, its
+//! faults injected at word width, when the spec has a kernel, the family
+//! a vector shape and the chunk more than one seed — and falls back
+//! (per-payload tallies, the scalar loop, factory rebuilds) when it does
+//! not. No flag selects any of it, so nothing can be cross-checked by
+//! flipping one. Instead every execution route is compared, on full
 //! `SweepReport` equality, with a report built seed by seed on
 //! `sg_sim::reference` (see `tests/oracle/mod.rs`): `SweepPlan::run`, the
 //! daemon's cursor walk, and the same plan behind closure families (which
-//! forces the bridge) must all say exactly what the naive engine says,
-//! early-stopping and fixed-length alike.
+//! run on the scalar engine, a strategy rebuilt per seed) must all say
+//! exactly what the naive engine says, early-stopping and fixed-length
+//! alike.
 //!
 //! The property test covers the grid; the named cases below are the cells
 //! CI's perf-smoke, `lie_smoke`, dynamic-gear, tree-family and
@@ -77,8 +78,9 @@ proptest! {
     /// identity is scheduling and pooling only, and they are costly per
     /// run). Between them the cells take every route through the chunk
     /// executor: the king kernel, the gear shifts and tree specs on the
-    /// scalar engine, the vector and bridged fault paths, and the
-    /// `partition` edge-fault bailout.
+    /// scalar engine, the vector fault path, and the scalar engine for
+    /// families without a vector shape (`partition`, and every family on
+    /// the oracle's closure-built leg).
     #[test]
     fn production_cursor_and_reference_agree_on_the_grid(
         spec_idx in 0usize..11,
@@ -338,12 +340,11 @@ fn phase_queen_n64_full_schedules() {
 /// every `n` seeds — telling random lies, the
 /// two-audience story, or — so that what a faulty *shadow* computed is
 /// heard by someone — relaying its shadow minus every third edge. Only a
-/// closure can say this, so the lanes are bridged — and a slot is faulty
-/// in some lanes of a chunk and correct in others, the one situation in
-/// which a lock-step recipient must add its own vote for just the lanes
-/// where it is a shadow, and a liar's row holds only some lanes. On the
-/// scalar engine (the exponential row) every seed needs its own strategy:
-/// one recycled from the seed before would keep that seed's window.
+/// closure can say this, and a fault set that changes from seed to seed
+/// has no lock-step form (a batch has one fault set): every cell here,
+/// the king rows included, runs seed by seed on the scalar engine, where
+/// every seed needs its own strategy — one recycled from the seed before
+/// would keep that seed's window.
 fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
     AdversaryFamily::new(format!("rotating-{story}"), move |seed| {
         let start = (seed % n as u64) as usize;

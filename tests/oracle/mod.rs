@@ -81,22 +81,23 @@ pub fn via_reference(plan: &SweepPlan) -> SweepReport {
 }
 
 /// `plan` with every family re-wrapped as a closure family of the same
-/// name: no wire shape, so the lock-step executor cannot vectorize its
-/// fault injection and bridges every lane to its scalar strategy — the
-/// bridge selected by input, as any user-built family selects it.
-pub fn bridged(plan: &SweepPlan) -> SweepPlan {
-    let mut bridged = plan.clone();
-    for family in &mut bridged.adversaries {
+/// name: no wire shape, so no chunk runs lock-step and every run takes
+/// the scalar engine with a strategy the factory rebuilds for its seed —
+/// the per-run factory rebuild, selected by input as any user-built
+/// family selects it.
+pub fn closure_built(plan: &SweepPlan) -> SweepPlan {
+    let mut closure_built = plan.clone();
+    for family in &mut closure_built.adversaries {
         let named = family.clone();
         *family = AdversaryFamily::new(named.name().to_string(), move |seed| {
             named.instantiate(seed)
         });
     }
-    bridged
+    closure_built
 }
 
 /// Asserts that `SweepPlan::run_with_jobs`, the cursor-driven daemon
-/// walk, the bridged plan and the reference engine all produce one
+/// walk, the closure-built plan and the reference engine all produce one
 /// report for `plan`, and returns it.
 pub fn assert_engines_agree(plan: &SweepPlan) -> SweepReport {
     let oracle = via_reference(plan);
@@ -104,9 +105,9 @@ pub fn assert_engines_agree(plan: &SweepPlan) -> SweepReport {
     assert_eq!(production, oracle, "SweepPlan::run != reference");
     assert_eq!(via_cursors(plan), oracle, "cursor walk != reference");
     assert_eq!(
-        bridged(plan).run_with_jobs(1),
+        closure_built(plan).run_with_jobs(1),
         oracle,
-        "bridged plan != reference"
+        "closure-built plan != reference"
     );
     oracle
 }
