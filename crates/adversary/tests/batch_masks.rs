@@ -9,9 +9,9 @@
 //! sender, must equal — word for word — the masks obtained by asking
 //! each lane's scalar [`Adversary::payload`] in the scalar engine's
 //! order over the batch's one fault set and classifying `value_at(0)`.
-//! For the families whose story depends on the
-//! recipient alone (`equivocate`, `adaptive`) the same test holds the
-//! sharing: one story per distinct lane mask of the turned members.
+//! For the families whose story depends on the recipient alone
+//! (`equivocate`, `adaptive`) the same test holds the sharing: one story
+//! per distinct lane mask of the turned members.
 //!
 //! Both domain sizes matter: at `|V| = 2` the random families run the
 //! sign-bit branch (each lane's `first_draw >> 63`, `zero` the

@@ -22,12 +22,11 @@
 //! * `batch-adversary/*` — the same 64-lane batch under three vector
 //!   families (`crash`, `random-liar`, `chain-revealer`), so the
 //!   fault-materialization layer is measured family by family; its
-//!   `draw/*` triple
-//!   isolates one faulty sender's random row (64 lanes × 30 recipients)
-//!   drawn by building a generator per (lane, edge) and calling it
-//!   through `dyn RngCore`, by `edge_draw` (the scalar strategies'
-//!   first-draw kernel), and by the sign bit of `first_draw` assembled
-//!   into lane words (the vector path's binary kernel);
+//!   `draw/*` triple isolates one faulty sender's random row (64 lanes
+//!   × 30 recipients) drawn by building a generator per (lane, edge)
+//!   and calling it through `dyn RngCore`, by `edge_draw` (the scalar
+//!   strategies' first-draw kernel), and by the sign bit of `first_draw`
+//!   assembled into lane words (the vector path's binary kernel);
 //! * `eigtree/*` — the tree machine's primitives on the shapes the
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
