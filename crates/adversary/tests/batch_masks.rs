@@ -319,9 +319,7 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
                         };
                         let view = LaneView {
                             round,
-                            total_rounds: ROUNDS,
                             n: N,
-                            t: T,
                             source,
                             source_value: Value(1),
                             domain,
@@ -433,9 +431,7 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
         assert_eq!(members, [0, 1, 2]);
         let view = LaneView {
             round,
-            total_rounds: ROUNDS,
             n: N,
-            t: T,
             source: ProcessId(0),
             source_value: Value(1),
             domain: ValueDomain::binary(),
@@ -473,9 +469,7 @@ fn random_lies_populate_both_masks() {
     let none = vec![0u64; N];
     let view = LaneView {
         round: 2,
-        total_rounds: ROUNDS,
         n: N,
-        t: T,
         source: ProcessId(0),
         source_value: Value(1),
         domain: ValueDomain::binary(),

@@ -535,12 +535,8 @@ impl<'a> BatchNet<'a> {
 pub struct LaneView<'a> {
     /// Current 1-based round.
     pub round: usize,
-    /// The run's full static schedule length.
-    pub total_rounds: usize,
     /// System size.
     pub n: usize,
-    /// Fault bound.
-    pub t: usize,
     /// The distinguished source processor.
     pub source: ProcessId,
     /// The source's input value.
@@ -880,9 +876,7 @@ pub fn run_batch_with(
         arena.stories.clear();
         let view = LaneView {
             round,
-            total_rounds,
             n,
-            t: config.t,
             source: config.source,
             source_value: config.source_value,
             domain: config.domain,

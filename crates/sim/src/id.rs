@@ -87,8 +87,9 @@ impl Clone for ProcessSet {
         }
     }
 
-    /// Reuses `self`'s buffer (the batch engine overwrites one kept set
-    /// per lane per chunk; the derived `clone_from` would reallocate).
+    /// Reuses `self`'s buffer (the batch engine overwrites its kept
+    /// fault set once per chunk; the derived `clone_from` would
+    /// reallocate).
     fn clone_from(&mut self, source: &Self) {
         self.bits.clone_from(&source.bits);
         self.count = source.count;
