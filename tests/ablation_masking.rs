@@ -9,8 +9,7 @@
 
 mod common;
 
-use shifting_gears::core::plan::algorithm_b_plan;
-use shifting_gears::core::{GearedProtocol, Params};
+use shifting_gears::core::{AlgorithmSpec, GearedProtocol, Params};
 use shifting_gears::sim::{
     Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, Value, ValueDomain,
 };
@@ -25,7 +24,9 @@ fn run_b_variant(n: usize, t: usize, b: usize, masked: bool, seed: u64) -> Vec<V
         source: ProcessId(0),
         domain: ValueDomain::binary(),
     };
-    let plan = algorithm_b_plan(t, b);
+    let plan = AlgorithmSpec::AlgorithmB { b }
+        .plan(n, t)
+        .expect("Algorithm B is plan-driven");
     let faulty = ProcessSet::from_members(n, (0..t).map(ProcessId));
     let mut protos: Vec<GearedProtocol> = (0..n)
         .map(|i| {

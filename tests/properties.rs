@@ -7,7 +7,6 @@ mod common;
 
 use common::TestNet;
 use proptest::prelude::*;
-use shifting_gears::core::plan::{algorithm_a_plan, algorithm_b_plan};
 use shifting_gears::core::schedule::{
     algorithm_a_rounds_bound, algorithm_a_rounds_exact, algorithm_b_rounds_bound,
     algorithm_b_rounds_exact,
@@ -129,10 +128,11 @@ proptest! {
     #[test]
     fn schedule_algebra(t in 3usize..40, b in 2usize..12) {
         prop_assume!(b < t);
-        prop_assert_eq!(algorithm_b_plan(t, b).len(), algorithm_b_rounds_exact(t, b));
+        let plan_len = |spec: AlgorithmSpec| spec.plan(4 * t + 1, t).expect("tree spec").len();
+        prop_assert_eq!(plan_len(AlgorithmSpec::AlgorithmB { b }), algorithm_b_rounds_exact(t, b));
         prop_assert!(algorithm_b_rounds_exact(t, b) <= algorithm_b_rounds_bound(t, b));
         if b >= 3 {
-            prop_assert_eq!(algorithm_a_plan(t, b).len(), algorithm_a_rounds_exact(t, b));
+            prop_assert_eq!(plan_len(AlgorithmSpec::AlgorithmA { b }), algorithm_a_rounds_exact(t, b));
             prop_assert!(algorithm_a_rounds_exact(t, b) <= algorithm_a_rounds_bound(t, b));
         }
     }
