@@ -18,8 +18,8 @@
 //! Two deliberate gaps:
 //!
 //! * [`AdversaryFamily`] values built from arbitrary closures
-//!   ([`AdversaryFamily::new`]) have no wire form — only the named
-//!   constructors (`no-faults`, `random-liar`, `chain-revealer`) travel.
+//!   ([`AdversaryFamily::new`]) have no wire form — every named
+//!   constructor travels, closures do not.
 //!   Encoding such a family returns [`Json::Null`]; plans containing one
 //!   are rejected at submit time, not silently altered.
 //! * [`crate::SweepReport`] has no single-document decode: the service streams
@@ -58,27 +58,12 @@ fn field_str<'v>(v: &'v Json, key: &str) -> Result<&'v str, JsonError> {
         .ok_or_else(|| bad(format!("'{key}' must be a string")))
 }
 
-/// Encodes an [`AlgorithmSpec`] as `{"alg":"<cli-name>"}` plus a `"b"`
+/// Encodes an [`AlgorithmSpec`] as `{"alg":"<family>"}` plus a `"b"`
 /// field for the block-parameterised families — the same names `sg run
-/// --alg` accepts.
+/// --alg` accepts ([`AlgorithmSpec::family`]).
 pub fn spec_to_json(spec: AlgorithmSpec) -> Json {
-    let (alg, b) = match spec {
-        AlgorithmSpec::PlainExponential => ("plain-exponential", None),
-        AlgorithmSpec::Exponential => ("exponential", None),
-        AlgorithmSpec::ExponentialPrime => ("exponential-prime", None),
-        AlgorithmSpec::AlgorithmA { b } => ("algorithm-a", Some(b)),
-        AlgorithmSpec::AlgorithmB { b } => ("algorithm-b", Some(b)),
-        AlgorithmSpec::AlgorithmC => ("algorithm-c", None),
-        AlgorithmSpec::Hybrid { b } => ("hybrid", Some(b)),
-        AlgorithmSpec::PhaseKing => ("phase-king", None),
-        AlgorithmSpec::OptimalKing => ("optimal-king", None),
-        AlgorithmSpec::KingShift { b } => ("king-shift", Some(b)),
-        AlgorithmSpec::DynamicKing { b } => ("dynamic-king", Some(b)),
-        AlgorithmSpec::PhaseQueen => ("phase-queen", None),
-        AlgorithmSpec::DolevStrong => ("dolev-strong", None),
-    };
-    let mut fields = vec![("alg".to_string(), Json::from(alg))];
-    if let Some(b) = b {
+    let mut fields = vec![("alg".to_string(), Json::from(spec.family()))];
+    if let Some(b) = spec.block() {
         fields.push(("b".to_string(), Json::from(b)));
     }
     Json::Obj(fields)
@@ -92,23 +77,12 @@ pub fn spec_to_json(spec: AlgorithmSpec) -> Json {
 /// on the block-parameterised families.
 pub fn spec_from_json(v: &Json) -> Result<AlgorithmSpec, JsonError> {
     let alg = field_str(v, "alg")?;
-    let b = || field_usize(v, "b");
-    Ok(match alg {
-        "plain-exponential" => AlgorithmSpec::PlainExponential,
-        "exponential" => AlgorithmSpec::Exponential,
-        "exponential-prime" => AlgorithmSpec::ExponentialPrime,
-        "algorithm-a" => AlgorithmSpec::AlgorithmA { b: b()? },
-        "algorithm-b" => AlgorithmSpec::AlgorithmB { b: b()? },
-        "algorithm-c" => AlgorithmSpec::AlgorithmC,
-        "hybrid" => AlgorithmSpec::Hybrid { b: b()? },
-        "phase-king" => AlgorithmSpec::PhaseKing,
-        "optimal-king" => AlgorithmSpec::OptimalKing,
-        "king-shift" => AlgorithmSpec::KingShift { b: b()? },
-        "dynamic-king" => AlgorithmSpec::DynamicKing { b: b()? },
-        "phase-queen" => AlgorithmSpec::PhaseQueen,
-        "dolev-strong" => AlgorithmSpec::DolevStrong,
-        other => return Err(bad(format!("unknown algorithm '{other}'"))),
-    })
+    let b = match AlgorithmSpec::parse(alg, 0).map(|spec| spec.block()) {
+        None => return Err(bad(format!("unknown algorithm '{alg}'"))),
+        Some(Some(_)) => field_usize(v, "b")?,
+        Some(None) => 0,
+    };
+    Ok(AlgorithmSpec::parse(alg, b).expect("a known family"))
 }
 
 impl ToJson for SweepConfig {

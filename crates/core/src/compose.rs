@@ -58,17 +58,18 @@
 
 use std::fmt;
 
-use sg_eigtree::Conversion;
 use sg_sim::{PoolKey, ProcessId, Protocol, RunConfig, Value};
 
-use crate::gearbox::{Checkpoint, GearBox, GearPlan};
+use crate::gearbox::{Checkpoint, GearBox};
 use crate::geared::GearedProtocol;
 use crate::optimal_king::KingCore;
 use crate::params::{t_a, t_b, t_c, Params};
-use crate::plan::{ConvertSpec, RoundAction};
+use crate::plan::{compile, RoundAction};
 use crate::spec::SpecError;
 
-/// One segment of a shift composition.
+/// One segment of a round plan — of a shift composition, and of every
+/// tree and gear spec ([`crate::AlgorithmSpec::segments`]); the one walk
+/// [`crate::plan::compile`] turns a segment list into rounds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Segment {
     /// `blocks` Algorithm A blocks of `b` gather rounds each
@@ -299,7 +300,7 @@ impl ShiftComposition {
     ///
     /// `input` must be `Some` exactly when `me` is the source.
     pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> GearBox {
-        let geared = GearedProtocol::new(params, me, input, self.name(), true, self.plan.clone());
+        let geared = GearedProtocol::new(params, me, input, true, self.plan.clone());
         // The king core exists when the static plan ends in a king tail
         // or the composition is dynamic (the tail is the escape target).
         let king = (self.king_tail || self.dynamic).then(|| KingCore::new(params, me));
@@ -307,13 +308,8 @@ impl ShiftComposition {
             input,
             geared,
             king,
-            GearPlan {
-                static_tail: self.king_tail,
-                phases: self.t + 1,
-                tail_label: "composition -> phase-king",
-                checkpoints: self.checkpoints.clone(),
-                t: self.t,
-            },
+            self.king_tail,
+            self.checkpoints.clone(),
         )
     }
 
@@ -446,81 +442,6 @@ impl ShiftPlanBuilder {
         self
     }
 
-    /// Compiles the composition *without* safety validation, for ablation
-    /// experiments probing the boundary of the §4.4 conditions.
-    ///
-    /// The result runs on the engine like any validated composition but
-    /// carries **no agreement guarantee**: the proofs backing
-    /// [`ShiftPlanBuilder::build`] simply do not apply. Note the validator
-    /// is *sufficient*, not necessary — a rejected composition may still
-    /// happen to agree under particular adversaries (the strategy library
-    /// does not currently refute `B-at-t_A`, for instance), which is
-    /// exactly why §6 calls the general characterization an open question.
-    /// Segment parameters must still be structurally well-formed (positive
-    /// block counts, `2 ≤ b`, terminal ordering); only the
-    /// detection-ledger safety conditions are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segments are structurally malformed (the conditions
-    /// reported as [`ComposeError::BadSegment`] / [`ComposeError::Empty`]
-    /// / [`ComposeError::TrailingSegments`]).
-    pub fn build_unchecked(self) -> ShiftComposition {
-        let (n, t) = (self.n, self.t);
-        assert!(!self.segments.is_empty(), "composition has no segments");
-        let mut plan = vec![RoundAction::Initial];
-        let mut boundaries: Vec<Checkpoint> = Vec::new();
-        let mut king_tail = false;
-        let mut terminal = false;
-        for seg in &self.segments {
-            assert!(!terminal, "terminal segment must be last");
-            match *seg {
-                Segment::A { b, blocks } => {
-                    assert!(b >= 3 && blocks > 0, "malformed A segment");
-                    for _ in 0..blocks {
-                        push_block(&mut plan, b, a_convert(t));
-                        boundaries.push(Checkpoint {
-                            round: plan.len(),
-                            capacity: b - 2,
-                        });
-                    }
-                }
-                Segment::B { b, blocks } => {
-                    assert!(b >= 2 && blocks > 0, "malformed B segment");
-                    for _ in 0..blocks {
-                        push_block(&mut plan, b, b_convert());
-                        boundaries.push(Checkpoint {
-                            round: plan.len(),
-                            capacity: b - 1,
-                        });
-                    }
-                }
-                Segment::C { rounds } => {
-                    assert!(rounds > 0, "malformed C segment");
-                    plan.push(RoundAction::RepFirstGather);
-                    for _ in 0..rounds - 1 {
-                        plan.push(RoundAction::RepGather);
-                    }
-                    terminal = true;
-                }
-                Segment::King => {
-                    king_tail = true;
-                    terminal = true;
-                }
-            }
-        }
-        let checkpoints = compile_checkpoints(self.dynamic, boundaries, plan.len());
-        ShiftComposition {
-            n,
-            t,
-            segments: self.segments,
-            plan,
-            king_tail,
-            dynamic: self.dynamic,
-            checkpoints,
-        }
-    }
-
     /// Validates the composition and compiles it.
     ///
     /// # Errors
@@ -549,9 +470,6 @@ impl ShiftPlanBuilder {
         let mut any_block = false; // whether the source's +1 was counted
         let mut conclusive = false;
         let mut terminal: Option<usize> = None;
-        let mut plan = vec![RoundAction::Initial];
-        let mut boundaries: Vec<Checkpoint> = Vec::new();
-        let mut king_tail = false;
 
         for (index, seg) in self.segments.iter().enumerate() {
             if let Some(terminal_index) = terminal {
@@ -598,11 +516,6 @@ impl ShiftPlanBuilder {
                             any_block = true;
                         }
                         d = (d + (b - 2)).min(t);
-                        push_block(&mut plan, b, a_convert(t));
-                        boundaries.push(Checkpoint {
-                            round: plan.len(),
-                            capacity: b - 2,
-                        });
                     }
                     // Terminal-A sufficiency: the last block spans the
                     // remaining undetected faults plus the paper's final
@@ -656,11 +569,6 @@ impl ShiftPlanBuilder {
                             any_block = true;
                         }
                         d = (d + (b - 1)).min(t);
-                        push_block(&mut plan, b, b_convert());
-                        boundaries.push(Checkpoint {
-                            round: plan.len(),
-                            capacity: b - 1,
-                        });
                     }
                     conclusive = b >= (t - d_before_last + 1).min(t);
                 }
@@ -696,10 +604,6 @@ impl ShiftPlanBuilder {
                             ),
                         });
                     }
-                    plan.push(RoundAction::RepFirstGather);
-                    for _ in 0..rounds - 1 {
-                        plan.push(RoundAction::RepGather);
-                    }
                     // One round per remaining undetected fault plus the
                     // source-rediscovery round (§4.4).
                     conclusive = rounds > (t - d);
@@ -707,7 +611,6 @@ impl ShiftPlanBuilder {
                     terminal = Some(index);
                 }
                 Segment::King => {
-                    king_tail = true;
                     conclusive = true;
                     terminal = Some(index);
                 }
@@ -723,7 +626,7 @@ impl ShiftPlanBuilder {
             });
         }
 
-        let checkpoints = compile_checkpoints(self.dynamic, boundaries, plan.len());
+        let (plan, king_tail, checkpoints) = compile(t, &self.segments, self.dynamic);
         Ok(ShiftComposition {
             n,
             t,
@@ -734,46 +637,6 @@ impl ShiftPlanBuilder {
             checkpoints,
         })
     }
-}
-
-/// Keeps only the *interior* block boundaries as dynamic checkpoints —
-/// the final prefix round is the static boundary itself, never a vote —
-/// and drops them all for static compositions.
-fn compile_checkpoints(
-    dynamic: bool,
-    boundaries: Vec<Checkpoint>,
-    prefix_len: usize,
-) -> Vec<Checkpoint> {
-    if !dynamic {
-        return Vec::new();
-    }
-    boundaries
-        .into_iter()
-        .filter(|c| c.round < prefix_len)
-        .collect()
-}
-
-fn a_convert(t: usize) -> ConvertSpec {
-    ConvertSpec {
-        conversion: Conversion::ResolvePrime { t },
-        discovery: true,
-    }
-}
-
-fn b_convert() -> ConvertSpec {
-    ConvertSpec {
-        conversion: Conversion::Resolve,
-        discovery: false,
-    }
-}
-
-fn push_block(plan: &mut Vec<RoundAction>, b: usize, convert: ConvertSpec) {
-    for _ in 0..b - 1 {
-        plan.push(RoundAction::Gather { convert: None });
-    }
-    plan.push(RoundAction::Gather {
-        convert: Some(convert),
-    });
 }
 
 #[cfg(test)]
@@ -942,32 +805,6 @@ mod tests {
                 .build(),
             Err(ComposeError::BadSegment { index: 0, .. })
         ));
-    }
-
-    #[test]
-    fn build_unchecked_compiles_rejected_shapes() {
-        // The same shape `build` rejects compiles unchecked and runs —
-        // without any guarantee (the validator is sufficient, not
-        // necessary; see the method docs).
-        let shape = || ShiftPlanBuilder::new(16, 5).b_blocks(3, 3).c_tail(4);
-        assert!(matches!(
-            shape().build(),
-            Err(ComposeError::UnsafeShift { .. })
-        ));
-        let unchecked = shape().build_unchecked();
-        assert_eq!(unchecked.rounds(), 1 + 3 * 3 + 4);
-        let config = sg_sim::RunConfig::new(16, 5);
-        let outcome = unchecked.execute(&config, &mut sg_sim::NoFaults);
-        assert!(outcome.agreement(), "fault-free runs still agree");
-    }
-
-    #[test]
-    #[should_panic(expected = "terminal segment must be last")]
-    fn build_unchecked_still_rejects_structural_nonsense() {
-        let _ = ShiftPlanBuilder::new(16, 5)
-            .king_tail()
-            .a_blocks(3, 1)
-            .build_unchecked();
     }
 
     #[test]

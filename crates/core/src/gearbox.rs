@@ -5,8 +5,9 @@
 //! dispatch: drive the tree machine through a prefix plan, seed a
 //! [`KingCore`] at the boundary, then hand the remaining rounds to its
 //! three-round phases. [`GearBox`] is that dispatch and the one
-//! [`Protocol`] behind [`crate::KingShift`], [`DynamicKing`] and every
-//! [`crate::ShiftComposition`] — those only assemble its plan — and it is
+//! [`Protocol`] behind `king-shift`, `dynamic-king` and every
+//! [`crate::ShiftComposition`] — all three are segment lists that
+//! [`crate::plan::compile`] turns into its plan — and it is
 //! where the paper's headline becomes *runtime* behaviour: the box can
 //! pick its next segment **while the execution runs**, from accumulated
 //! fault evidence, instead of replaying a worst-case plan.
@@ -48,12 +49,9 @@ use sg_sim::{
     Value,
 };
 
-use sg_eigtree::Conversion;
-
 use crate::geared::GearedProtocol;
 use crate::optimal_king::{KingCore, PhaseStep};
 use crate::params::Params;
-use crate::plan::{ConvertSpec, RoundAction};
 
 /// One dynamic shift checkpoint: a prefix block boundary at which a
 /// [`GearBox`] may vote to shift into its king tail.
@@ -68,30 +66,16 @@ pub struct Checkpoint {
     pub capacity: usize,
 }
 
-/// The schedule half of a [`GearBox`]: how the king tail is entered
-/// (statically planned and/or through dynamic checkpoints), how long it
-/// runs, and the fault budget the evidence rule is calibrated against.
-#[derive(Clone, Debug)]
-pub struct GearPlan {
-    /// Whether the static plan itself ends in the king tail (vs the tail
-    /// existing only as the dynamic escape target).
-    pub static_tail: bool,
-    /// King-tail length, in three-round phases.
-    pub phases: usize,
-    /// Trace label for the prefix → tail seeding event.
-    pub tail_label: &'static str,
-    /// Dynamic shift checkpoints, ascending, all strictly inside the
-    /// prefix (empty = static dispatch).
-    pub checkpoints: Vec<Checkpoint>,
-    /// The fault bound `t` the evidence rule's full-ledger vote uses.
-    pub t: usize,
-}
+/// The trace label of the prefix → king-tail seeding event
+/// ([`TraceEvent::Shift`]), the same for every gear box.
+pub const KING_TAIL: &str = "phase-king tail";
 
 /// The unified tree-prefix → king-tail round dispatcher, built by
-/// [`crate::KingShift::build`], [`DynamicKing::build`] and
+/// [`crate::AlgorithmSpec::build`] (`king-shift`, `dynamic-king`) and
 /// [`crate::ShiftComposition::build`]. See the module docs for the
 /// dynamic-shifting rules; with no checkpoints the box replays its static
-/// plan exactly.
+/// plan exactly. The king tail runs `t + 1` three-round phases, and the
+/// evidence rule's full ledger is `t`, the prefix's fault bound.
 pub struct GearBox {
     input: Option<Value>,
     geared: GearedProtocol,
@@ -105,8 +89,6 @@ pub struct GearBox {
     /// existing only as the dynamic escape target).
     static_tail: bool,
     phases: usize,
-    /// Trace label for the prefix → tail seeding event.
-    tail_label: &'static str,
     seeded: bool,
     shifted: bool,
     checkpoints: Vec<Checkpoint>,
@@ -118,11 +100,12 @@ pub struct GearBox {
 }
 
 impl GearBox {
-    /// Assembles a gear box.
+    /// Assembles a gear box from a compiled plan
+    /// ([`crate::plan::compile`]).
     ///
     /// `geared` interprets the prefix plan; `king` is the tail core
-    /// (mandatory when the [`GearPlan`] has a static tail or any
-    /// checkpoint); `input` must be `Some` exactly for the source.
+    /// (mandatory when `static_tail` is set or there is any checkpoint);
+    /// `input` must be `Some` exactly for the source.
     ///
     /// # Panics
     ///
@@ -132,32 +115,33 @@ impl GearBox {
         input: Option<Value>,
         geared: GearedProtocol,
         king: Option<KingCore>,
-        plan: GearPlan,
+        static_tail: bool,
+        checkpoints: Vec<Checkpoint>,
     ) -> Self {
         let static_prefix = geared.plan().len();
         assert!(
-            king.is_some() || (!plan.static_tail && plan.checkpoints.is_empty()),
+            king.is_some() || (!static_tail && checkpoints.is_empty()),
             "a king tail or dynamic checkpoints require a king core"
         );
         assert!(
-            plan.checkpoints.iter().all(|c| c.round < static_prefix),
+            checkpoints.iter().all(|c| c.round < static_prefix),
             "checkpoints must fall strictly inside the prefix"
         );
+        let t = geared.t();
         GearBox {
             input,
             geared,
             king,
             prefix_rounds: static_prefix,
             static_prefix,
-            static_tail: plan.static_tail,
-            phases: plan.phases,
-            tail_label: plan.tail_label,
+            static_tail,
+            phases: t + 1,
             seeded: false,
             shifted: false,
-            checkpoints: plan.checkpoints,
+            checkpoints,
             ledger_baseline: 0,
             vote_shift: false,
-            t: plan.t,
+            t,
         }
     }
 
@@ -237,7 +221,7 @@ impl GearBox {
         }
         self.seeded = true;
         ctx.emit(TraceEvent::Shift {
-            conversion: self.tail_label.to_string(),
+            conversion: KING_TAIL.to_string(),
             preferred,
         });
     }
@@ -397,16 +381,7 @@ pub fn worst_case_schedule(
         .fold(static_total, usize::max)
 }
 
-/// The worst-case round count of [`DynamicKing`] at `(t, b)`: round 1,
-/// the full prefix of [`dynamic_king_blocks`]`(t, b)` Algorithm A blocks
-/// of `min(b, t)` gather rounds each, then `t + 1` three-round king
-/// phases. A dynamic shift can only shorten this.
-pub fn dynamic_king_rounds(t: usize, b: usize) -> usize {
-    let b_eff = b.min(t).max(1);
-    1 + dynamic_king_blocks(t, b) * b_eff + 3 * (t + 1)
-}
-
-/// How many Algorithm A blocks [`DynamicKing`]'s worst-case prefix runs
+/// How many Algorithm A blocks `dynamic-king`'s worst-case prefix runs
 /// at `(t, b)`: enough for the §4.4 detection ledger (`1` for the faulty
 /// source plus `b − 2` per block) to reach `t`, so the never-shift path
 /// enters its tail with every fault guaranteed detected.
@@ -419,99 +394,12 @@ pub fn dynamic_king_blocks(t: usize, b: usize) -> usize {
     }
 }
 
-/// The dynamic gear-shifted king hybrid —
-/// [`crate::AlgorithmSpec::DynamicKing`].
-///
-/// The worst-case plan is [`crate::KingShift`] generalized to
-/// [`dynamic_king_blocks`] Algorithm A blocks: gather, discover, mask and
-/// convert block by block, then finish with an optimally resilient Phase
-/// King tail of `t + 1` phases. The dynamic part is *when the tail
-/// starts*: at every block boundary the [`GearBox`] evidence rule may
-/// shift into the tail immediately, so an execution facing few active
-/// faults skips the remaining worst-case blocks — the paper's
-/// "changing algorithms on the fly to expedite" as a runtime decision
-/// rather than a precompiled plan. Resilience `⌊(n−1)/3⌋`, like
-/// Algorithm A and the static king shift.
-///
-/// ```
-/// use sg_core::{execute, AlgorithmSpec};
-/// use sg_sim::{NoFaults, RunConfig, Value};
-///
-/// let config = RunConfig::new(16, 5).with_source_value(Value(1));
-/// let outcome = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config, &mut NoFaults)?;
-/// assert_eq!(outcome.decision(), Some(Value(1)));
-/// assert_eq!(outcome.scheduled_rounds, 31); // 1 + 4·b + 3·(t+1) worst case
-/// // With a correct source the first echo already agrees and the run
-/// // stops at round 2 (the tree machine's echo rule). The gear shift
-/// // itself is schedule, not early stopping: fixed-length and
-/// // fault-free, the first block under-delivers detections, the shift
-/// // commits at its boundary, and the full tail follows.
-/// assert_eq!(outcome.rounds_used, 2);
-/// let full = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config.fixed_length(), &mut NoFaults)?;
-/// assert_eq!(full.rounds_used, 22); // 1 + b + 3·(t+1)
-/// # Ok::<(), sg_core::SpecError>(())
-/// ```
-pub struct DynamicKing;
-
-impl DynamicKing {
-    /// Builds processor `me`'s gear box with block parameter `b` (clamped
-    /// to `t` like every block algorithm).
-    ///
-    /// `input` must be `Some` exactly when `me` is the source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input/source relationship is violated or `b < 3`.
-    pub fn build(params: Params, me: ProcessId, input: Option<Value>, b: usize) -> GearBox {
-        assert!(b >= 3, "Algorithm A blocks require b >= 3, got {b}");
-        let t = params.t;
-        let b_eff = b.min(t).max(1);
-        let blocks = dynamic_king_blocks(t, b);
-        let capacity = b_eff.saturating_sub(2);
-        let mut plan = vec![RoundAction::Initial];
-        let mut checkpoints = Vec::with_capacity(blocks.saturating_sub(1));
-        for block in 0..blocks {
-            for i in 0..b_eff {
-                plan.push(RoundAction::Gather {
-                    convert: (i == b_eff - 1).then_some(ConvertSpec {
-                        conversion: Conversion::ResolvePrime { t },
-                        discovery: true,
-                    }),
-                });
-            }
-            if block + 1 < blocks {
-                checkpoints.push(Checkpoint {
-                    round: plan.len(),
-                    capacity,
-                });
-            }
-        }
-        let geared = GearedProtocol::new(
-            params,
-            me,
-            input,
-            format!("dynamic-king-prefix(b={b})"),
-            true,
-            plan,
-        );
-        GearBox::new(
-            input,
-            geared,
-            Some(KingCore::new(params, me)),
-            GearPlan {
-                static_tail: true,
-                phases: t + 1,
-                tail_label: "dynamic resolve' -> phase-king",
-                checkpoints,
-                t,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{ConvertSpec, RoundAction};
+    use crate::AlgorithmSpec;
+    use sg_eigtree::Conversion;
     use sg_sim::ValueDomain;
 
     fn params(n: usize, t: usize) -> Params {
@@ -530,16 +418,19 @@ mod tests {
         assert_eq!(dynamic_king_blocks(5, 3), 4);
         assert_eq!(dynamic_king_blocks(5, 4), 2);
         assert_eq!(dynamic_king_blocks(5, 5), 2);
-        // Degenerate small t: one block, KingShift's shape.
+        // Degenerate small t: one block, king-shift's shape.
         assert_eq!(dynamic_king_blocks(1, 3), 1);
         assert_eq!(dynamic_king_blocks(2, 3), 1);
-        assert_eq!(dynamic_king_rounds(5, 3), 1 + 4 * 3 + 18);
-        assert_eq!(dynamic_king_rounds(1, 3), 1 + 1 + 6);
+        let rounds = |n, t| AlgorithmSpec::DynamicKing { b: 3 }.rounds(n, t);
+        assert_eq!(rounds(16, 5), 1 + 4 * 3 + 18);
+        assert_eq!(rounds(4, 1), 1 + 1 + 6);
     }
 
     #[test]
     fn checkpoints_sit_at_interior_block_boundaries() {
-        let p = DynamicKing::build(params(16, 5), ProcessId(1), None, 3);
+        let p = AlgorithmSpec::DynamicKing { b: 3 }
+            .gear_box(params(16, 5), ProcessId(1), None)
+            .expect("a king-tail spec");
         let rounds: Vec<usize> = p.checkpoints().iter().map(|c| c.round).collect();
         assert_eq!(rounds, vec![4, 7, 10]);
         assert!(p.checkpoints().iter().all(|c| c.capacity == 1));
@@ -553,7 +444,6 @@ mod tests {
             params(10, 3),
             ProcessId(1),
             None,
-            "test".to_string(),
             true,
             vec![
                 RoundAction::Initial,
@@ -567,18 +457,8 @@ mod tests {
                 },
             ],
         );
-        let gear = GearBox::new(
-            None,
-            g,
-            Some(KingCore::new(params(10, 3), ProcessId(1))),
-            GearPlan {
-                static_tail: true,
-                phases: 4,
-                tail_label: "resolve' -> phase-king",
-                checkpoints: Vec::new(),
-                t: 3,
-            },
-        );
+        let king = KingCore::new(params(10, 3), ProcessId(1));
+        let gear = GearBox::new(None, g, Some(king), true, Vec::new());
         let mut ctx = ProcCtx::new(ProcessId(1));
         ctx.round = 2;
         assert_eq!(gear.next_action(&ctx), GearAction::Round);
@@ -594,21 +474,9 @@ mod tests {
             params(10, 3),
             ProcessId(1),
             None,
-            "test".to_string(),
             true,
             vec![RoundAction::Initial],
         );
-        let _ = GearBox::new(
-            None,
-            g,
-            None,
-            GearPlan {
-                static_tail: true,
-                phases: 4,
-                tail_label: "x",
-                checkpoints: Vec::new(),
-                t: 3,
-            },
-        );
+        let _ = GearBox::new(None, g, None, true, Vec::new());
     }
 }

@@ -138,7 +138,6 @@ pub struct GearedProtocol {
     me: ProcessId,
     /// The source's initial value; `Some` iff `me == source`.
     input: Option<Value>,
-    name: String,
     /// Whether fault discovery + masking are active (the paper's
     /// "modified" Exponential Algorithm; off only for the plain PSL-style
     /// baseline).
@@ -173,7 +172,6 @@ impl GearedProtocol {
         params: Params,
         me: ProcessId,
         input: Option<Value>,
-        name: String,
         modified: bool,
         plan: Vec<RoundAction>,
     ) -> Self {
@@ -193,7 +191,6 @@ impl GearedProtocol {
             params,
             me,
             input,
-            name,
             modified,
             plan,
             peak_nodes: 0,
@@ -209,9 +206,9 @@ impl GearedProtocol {
         self.peak_nodes = self.peak_nodes.max(live);
     }
 
-    /// The protocol's display name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// The fault bound `t` this instance was built for.
+    pub(crate) fn t(&self) -> usize {
+        self.params.t
     }
 
     /// This processor's current list `L_p` of discovered faults.
@@ -550,8 +547,7 @@ impl Protocol for GearedProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::exponential_plan;
-    use sg_eigtree::Conversion;
+    use crate::AlgorithmSpec;
     use sg_sim::ValueDomain;
 
     fn params(n: usize, t: usize) -> Params {
@@ -570,9 +566,8 @@ mod tests {
             p,
             ProcessId(me),
             input,
-            "test".to_string(),
             true,
-            exponential_plan(t, Conversion::Resolve),
+            AlgorithmSpec::Exponential.plan(n, t).expect("tree spec"),
         )
     }
 
@@ -619,9 +614,8 @@ mod tests {
             p,
             ProcessId(1),
             Some(Value(1)),
-            "bad".to_string(),
             true,
-            exponential_plan(1, Conversion::Resolve),
+            AlgorithmSpec::Exponential.plan(4, 1).expect("tree spec"),
         );
     }
 }

@@ -66,12 +66,9 @@ pub mod schedule;
 mod spec;
 
 pub use compose::{ComposeError, Segment, ShiftComposition, ShiftPlanBuilder};
-pub use gearbox::{
-    dynamic_king_blocks, dynamic_king_rounds, Checkpoint, DynamicKing, GearBox, GearPlan,
-};
+pub use gearbox::{dynamic_king_blocks, Checkpoint, GearBox};
 pub use geared::GearedProtocol;
 pub use interactive::{interactive_consistency, run_consensus};
-pub use king_shift::KingShift;
 pub use multiplex::{plurality, Multiplex};
 pub use multivalued::{multivalued_broadcast, run_multivalued};
 pub use optimal_king::{KingCore, KingRow, PhaseStep};

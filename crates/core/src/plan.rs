@@ -1,15 +1,20 @@
 //! Executable round plans.
 //!
 //! Every algorithm in the paper — the Exponential Algorithm, Algorithms A
-//! and B, Algorithm C, and the hybrid — compiles to a linear *plan*: one
+//! and B, Algorithm C, and the hybrid — is a list of [`Segment`]s (A
+//! blocks, B blocks, a C tail, and for the gear shifts a King tail), and
+//! [`compile`] turns any such list into a linear *plan*: one
 //! [`RoundAction`] per communication round. The plan is the executable
 //! counterpart of the paper's Figures 2 and 3; printing it reproduces the
 //! pseudocode structure, and the [`crate::GearedProtocol`] machine
 //! interprets it.
 
+use std::iter;
+
 use sg_eigtree::Conversion;
 
-use crate::schedule::{algorithm_a_blocks, algorithm_b_blocks, BlockPlan, HybridSchedule};
+use crate::compose::Segment;
+use crate::gearbox::Checkpoint;
 
 /// An end-of-round conversion (`shift_{k→1}` on the principal structure).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,113 +54,68 @@ impl RoundAction {
     }
 }
 
-/// Appends a block-structured gather phase to `plan`: each block is
-/// `len−1` plain gather rounds followed by one gather round ending in the
-/// given conversion.
-fn push_blocks(plan: &mut Vec<RoundAction>, blocks: &BlockPlan, convert: ConvertSpec) {
-    for &len in &blocks.blocks {
-        for _ in 0..len.saturating_sub(1) {
-            plan.push(RoundAction::Gather { convert: None });
+/// Compiles a segment list into the tree machine's plan: round 1, then
+/// each A or B block as `b − 1` plain gather rounds and one gather round
+/// that converts (`resolve'` with discovery for A, `resolve` for B), and
+/// a C segment as Algorithm C's first rep gather plus `rounds − 1` more.
+/// A King segment adds no tree rounds; it sets the returned `king_tail`
+/// flag, and the [`crate::GearBox`] runs the tail after the plan.
+///
+/// When `dynamic` is set, every *interior* block boundary becomes a
+/// [`Checkpoint`] carrying the block's detection capacity (`b − 2` for A,
+/// `b − 1` for B); the plan's last round is the static boundary itself,
+/// never a vote. Every tree and gear spec ([`crate::AlgorithmSpec::segments`])
+/// and every shift composition is built by this one walk. It does no
+/// validation: [`crate::AlgorithmSpec::validate`] and
+/// [`crate::ShiftPlanBuilder::build`] decide which segment lists are safe.
+pub fn compile(
+    t: usize,
+    segments: &[Segment],
+    dynamic: bool,
+) -> (Vec<RoundAction>, bool, Vec<Checkpoint>) {
+    let mut plan = vec![RoundAction::Initial];
+    let mut king_tail = false;
+    let mut checkpoints = Vec::new();
+    for segment in segments {
+        let (b, blocks, conversion, capacity) = match *segment {
+            Segment::A { b, blocks } => (
+                b,
+                blocks,
+                Conversion::ResolvePrime { t },
+                b.saturating_sub(2),
+            ),
+            Segment::B { b, blocks } => (b, blocks, Conversion::Resolve, b.saturating_sub(1)),
+            Segment::C { rounds } => {
+                plan.push(RoundAction::RepFirstGather);
+                plan.extend(iter::repeat_n(
+                    RoundAction::RepGather,
+                    rounds.saturating_sub(1),
+                ));
+                continue;
+            }
+            Segment::King => {
+                king_tail = true;
+                continue;
+            }
+        };
+        let convert = ConvertSpec {
+            conversion,
+            discovery: matches!(conversion, Conversion::ResolvePrime { .. }),
+        };
+        for _ in 0..blocks {
+            let plain = RoundAction::Gather { convert: None };
+            plan.extend(iter::repeat_n(plain, b.saturating_sub(1)));
+            plan.push(RoundAction::Gather {
+                convert: Some(convert),
+            });
+            checkpoints.push(Checkpoint {
+                round: plan.len(),
+                capacity,
+            });
         }
-        plan.push(RoundAction::Gather {
-            convert: Some(convert),
-        });
     }
-}
-
-/// The Exponential Algorithm's plan (§3): round 1 plus `t` gather rounds,
-/// converting once at the very end.
-pub fn exponential_plan(t: usize, conversion: Conversion) -> Vec<RoundAction> {
-    let mut plan = vec![RoundAction::Initial];
-    for round in 0..t {
-        plan.push(RoundAction::Gather {
-            convert: (round == t - 1).then_some(ConvertSpec {
-                conversion,
-                discovery: matches!(conversion, Conversion::ResolvePrime { .. }),
-            }),
-        });
-    }
-    plan
-}
-
-/// Algorithm B's plan (Fig. 2). For `b ≥ t` this is the Exponential
-/// Algorithm's plan with `resolve`, exactly as the paper specifies.
-pub fn algorithm_b_plan(t: usize, b: usize) -> Vec<RoundAction> {
-    if b >= t {
-        return exponential_plan(t, Conversion::Resolve);
-    }
-    let mut plan = vec![RoundAction::Initial];
-    push_blocks(
-        &mut plan,
-        &algorithm_b_blocks(t, b),
-        ConvertSpec {
-            conversion: Conversion::Resolve,
-            discovery: false,
-        },
-    );
-    plan
-}
-
-/// Algorithm A's plan (§4.2). For `b ≥ t` this is the Exponential
-/// Algorithm's plan with `resolve'`.
-pub fn algorithm_a_plan(t: usize, b: usize) -> Vec<RoundAction> {
-    if b >= t {
-        return exponential_plan(t, Conversion::ResolvePrime { t });
-    }
-    let mut plan = vec![RoundAction::Initial];
-    push_blocks(
-        &mut plan,
-        &algorithm_a_blocks(t, b),
-        ConvertSpec {
-            conversion: Conversion::ResolvePrime { t },
-            discovery: true,
-        },
-    );
-    plan
-}
-
-/// Algorithm C's plan (§4.3): round 1, the first rep-gather round, then
-/// `t−1` shift-cycles, for `t+1` rounds total.
-pub fn algorithm_c_plan(t: usize) -> Vec<RoundAction> {
-    let mut plan = vec![RoundAction::Initial, RoundAction::RepFirstGather];
-    for _ in 0..t.saturating_sub(1) {
-        plan.push(RoundAction::RepGather);
-    }
-    plan
-}
-
-/// The hybrid's plan (Fig. 3): `k_AB` rounds of Algorithm A, `k_BC` rounds
-/// of Algorithm B (from its round 2), then `t − t_AC + 1` rounds of
-/// Algorithm C (from its round 2).
-pub fn hybrid_plan(schedule: &HybridSchedule) -> Vec<RoundAction> {
-    let t = schedule.t;
-    let mut plan = vec![RoundAction::Initial];
-    push_blocks(
-        &mut plan,
-        &BlockPlan {
-            blocks: schedule.a_blocks.clone(),
-        },
-        ConvertSpec {
-            conversion: Conversion::ResolvePrime { t },
-            discovery: true,
-        },
-    );
-    push_blocks(
-        &mut plan,
-        &BlockPlan {
-            blocks: schedule.b_blocks.clone(),
-        },
-        ConvertSpec {
-            conversion: Conversion::Resolve,
-            discovery: false,
-        },
-    );
-    plan.push(RoundAction::RepFirstGather);
-    for _ in 0..schedule.c_rounds.saturating_sub(1) {
-        plan.push(RoundAction::RepGather);
-    }
-    debug_assert_eq!(plan.len(), schedule.total_rounds());
-    plan
+    checkpoints.retain(|c| dynamic && c.round < plan.len());
+    (plan, king_tail, checkpoints)
 }
 
 /// Renders a plan as indented pseudocode in the style of the paper's
@@ -197,11 +157,16 @@ pub fn render_plan(name: &str, plan: &[RoundAction]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{algorithm_a_rounds_exact, algorithm_b_rounds_exact};
+    use crate::schedule::{algorithm_a_rounds_exact, algorithm_b_rounds_exact, HybridSchedule};
+    use crate::AlgorithmSpec;
+
+    fn plan(spec: AlgorithmSpec, n: usize, t: usize) -> Vec<RoundAction> {
+        spec.plan(n, t).expect("tree spec")
+    }
 
     #[test]
     fn exponential_plan_has_one_final_conversion() {
-        let plan = exponential_plan(3, Conversion::Resolve);
+        let plan = plan(AlgorithmSpec::Exponential, 10, 3);
         assert_eq!(plan.len(), 4);
         assert!(matches!(plan[0], RoundAction::Initial));
         assert!(matches!(plan[1], RoundAction::Gather { convert: None }));
@@ -221,26 +186,26 @@ mod tests {
         for t in 3..15 {
             for b in 2..t {
                 assert_eq!(
-                    algorithm_b_plan(t, b).len(),
+                    plan(AlgorithmSpec::AlgorithmB { b }, 4 * t + 1, t).len(),
                     algorithm_b_rounds_exact(t, b),
                     "B t={t} b={b}"
                 );
                 if b >= 3 {
                     assert_eq!(
-                        algorithm_a_plan(t, b).len(),
+                        plan(AlgorithmSpec::AlgorithmA { b }, 3 * t + 1, t).len(),
                         algorithm_a_rounds_exact(t, b),
                         "A t={t} b={b}"
                     );
                 }
             }
-            assert_eq!(algorithm_c_plan(t).len(), t + 1);
+            assert_eq!(plan(AlgorithmSpec::AlgorithmC, 2 * t * t, t).len(), t + 1);
         }
     }
 
     #[test]
     fn b_plan_converts_at_block_ends_only() {
         // t = 5, b = 3: blocks [3, 3]; conversions at rounds 4 and 7.
-        let plan = algorithm_b_plan(5, 3);
+        let plan = plan(AlgorithmSpec::AlgorithmB { b: 3 }, 21, 5);
         let convert_rounds: Vec<usize> = plan
             .iter()
             .enumerate()
@@ -252,7 +217,7 @@ mod tests {
 
     #[test]
     fn a_plan_uses_resolve_prime_with_discovery() {
-        let plan = algorithm_a_plan(7, 4);
+        let plan = plan(AlgorithmSpec::AlgorithmA { b: 4 }, 22, 7);
         for action in &plan {
             if let RoundAction::Gather {
                 convert: Some(spec),
@@ -267,7 +232,7 @@ mod tests {
     #[test]
     fn hybrid_plan_has_three_phases_in_order() {
         let schedule = HybridSchedule::compute(16, 3);
-        let plan = hybrid_plan(&schedule);
+        let plan = plan(AlgorithmSpec::Hybrid { b: 3 }, 16, schedule.t);
         assert_eq!(plan.len(), schedule.total_rounds());
         // After the first rep action, no more no-rep gathers appear.
         let first_rep = plan.iter().position(RoundAction::is_rep).unwrap();
@@ -296,8 +261,24 @@ mod tests {
     }
 
     #[test]
+    fn only_dynamic_interior_boundaries_are_checkpoints() {
+        let segments = [
+            Segment::A { b: 4, blocks: 2 },
+            Segment::B { b: 3, blocks: 1 },
+            Segment::King,
+        ];
+        let (plan, king_tail, checkpoints) = compile(5, &segments, false);
+        assert_eq!((plan.len(), king_tail), (1 + 4 + 4 + 3, true));
+        assert!(checkpoints.is_empty());
+        let (_, _, checkpoints) = compile(5, &segments, true);
+        let at = |round, capacity| Checkpoint { round, capacity };
+        // The B block's boundary is the plan's last round: no vote there.
+        assert_eq!(checkpoints, vec![at(5, 2), at(9, 2)]);
+    }
+
+    #[test]
     fn render_plan_mentions_shifts() {
-        let plan = algorithm_b_plan(5, 3);
+        let plan = plan(AlgorithmSpec::AlgorithmB { b: 3 }, 21, 5);
         let text = render_plan("Algorithm B(3), t=5", &plan);
         assert!(text.contains("tree(s) := resolve(s)"));
         assert!(text.contains("round  1"));

@@ -12,19 +12,15 @@ use std::fmt;
 
 use sg_sim::{PoolKey, ProcessId, Protocol, RunConfig, Value};
 
+use crate::compose::Segment;
 use crate::dolev_strong::DolevStrong;
-use crate::gearbox::{dynamic_king_rounds, DynamicKing};
+use crate::gearbox::{dynamic_king_blocks, worst_case_schedule, Checkpoint, GearBox};
 use crate::geared::GearedProtocol;
-use crate::king_shift::{king_shift_rounds, KingShift};
-use crate::optimal_king::KingRow;
+use crate::optimal_king::{KingCore, KingRow};
 use crate::params::{t_a, t_b, t_c, Params};
 use crate::phase_king::PhaseKing;
-use crate::plan::{
-    algorithm_a_plan, algorithm_b_plan, algorithm_c_plan, exponential_plan, hybrid_plan,
-    RoundAction,
-};
-use crate::schedule::HybridSchedule;
-use sg_eigtree::Conversion;
+use crate::plan::{compile, RoundAction};
+use crate::schedule::{algorithm_a_blocks, algorithm_b_blocks, HybridSchedule};
 
 /// Which agreement algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,19 +65,58 @@ pub enum AlgorithmSpec {
     /// `⌊(n−1)/3⌋` — the optimal-resilience member of the §5 king family.
     OptimalKing,
     /// The A→King hybrid (§5/§6 shifting-into-foreign-algorithms
-    /// demonstration): one Algorithm A block, shift via `resolve'`, then
-    /// optimally resilient Phase King on the converted preferred values.
-    /// Resilience `⌊(n−1)/3⌋`.
+    /// demonstration, argued in [`crate::king_shift`]): one Algorithm A
+    /// block, shift via `resolve'`, then optimally resilient Phase King on
+    /// the converted preferred values. Resilience `⌊(n−1)/3⌋`.
+    ///
+    /// ```
+    /// use sg_core::{execute, AlgorithmSpec};
+    /// use sg_sim::{NoFaults, RunConfig, Value};
+    ///
+    /// let config = RunConfig::new(10, 3).with_source_value(Value(1));
+    /// let outcome = execute(AlgorithmSpec::KingShift { b: 3 }, &config, &mut NoFaults)?;
+    /// assert_eq!(outcome.decision(), Some(Value(1)));
+    /// assert_eq!(outcome.scheduled_rounds, 16); // 1 + b + 3·(t+1)
+    /// // With a correct source the A block's first echo already agrees and
+    /// // the run stops there, before the tail is seeded (the tree machine's
+    /// // echo rule); on the full schedule the tail runs all its phases.
+    /// assert_eq!(outcome.rounds_used, 2);
+    /// let full = execute(AlgorithmSpec::KingShift { b: 3 }, &config.fixed_length(), &mut NoFaults)?;
+    /// assert_eq!((full.rounds_used, full.decision()), (16, Some(Value(1))));
+    /// # Ok::<(), sg_core::SpecError>(())
+    /// ```
     KingShift {
         /// Gather rounds in the A block (clamped to `t`); `3 ≤ b`.
         b: usize,
     },
-    /// The *dynamic* gear-shifted king hybrid: a worst-case prefix of
-    /// Algorithm A blocks whose interior boundaries are runtime shift
-    /// checkpoints — the execution enters its Phase King tail as soon as
-    /// observed fault evidence bounds the active adversary, instead of
-    /// completing the precompiled plan (`sg_core::gearbox`). Resilience
-    /// `⌊(n−1)/3⌋`; `rounds()` reports the never-shift worst case.
+    /// The *dynamic* gear-shifted king hybrid: `king-shift` generalized
+    /// to a worst-case prefix of [`dynamic_king_blocks`] Algorithm A
+    /// blocks whose interior boundaries are runtime shift checkpoints —
+    /// the execution enters its Phase King tail as soon as observed fault
+    /// evidence bounds the active adversary, instead of completing the
+    /// precompiled plan (the [`crate::gearbox`] evidence rule): the
+    /// paper's "changing algorithms on the fly to expedite" as a runtime
+    /// decision. Resilience `⌊(n−1)/3⌋`; `rounds()` reports the
+    /// never-shift worst case.
+    ///
+    /// ```
+    /// use sg_core::{execute, AlgorithmSpec};
+    /// use sg_sim::{NoFaults, RunConfig, Value};
+    ///
+    /// let config = RunConfig::new(16, 5).with_source_value(Value(1));
+    /// let outcome = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config, &mut NoFaults)?;
+    /// assert_eq!(outcome.decision(), Some(Value(1)));
+    /// assert_eq!(outcome.scheduled_rounds, 31); // 1 + 4·b + 3·(t+1) worst case
+    /// // With a correct source the first echo already agrees and the run
+    /// // stops at round 2 (the tree machine's echo rule). The gear shift
+    /// // itself is schedule, not early stopping: fixed-length and
+    /// // fault-free, the first block under-delivers detections, the shift
+    /// // commits at its boundary, and the full tail follows.
+    /// assert_eq!(outcome.rounds_used, 2);
+    /// let full = execute(AlgorithmSpec::DynamicKing { b: 3 }, &config.fixed_length(), &mut NoFaults)?;
+    /// assert_eq!(full.rounds_used, 22); // 1 + b + 3·(t+1)
+    /// # Ok::<(), sg_core::SpecError>(())
+    /// ```
     DynamicKing {
         /// Gather rounds per A block (clamped to `t`); `3 ≤ b`.
         b: usize,
@@ -163,22 +198,72 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl AlgorithmSpec {
+    /// Every algorithm family, in `sg list` order, at block parameter `b`
+    /// for the families that take one.
+    pub fn families(b: usize) -> [AlgorithmSpec; 13] {
+        [
+            AlgorithmSpec::PlainExponential,
+            AlgorithmSpec::Exponential,
+            AlgorithmSpec::ExponentialPrime,
+            AlgorithmSpec::AlgorithmA { b },
+            AlgorithmSpec::AlgorithmB { b },
+            AlgorithmSpec::AlgorithmC,
+            AlgorithmSpec::Hybrid { b },
+            AlgorithmSpec::PhaseKing,
+            AlgorithmSpec::OptimalKing,
+            AlgorithmSpec::KingShift { b },
+            AlgorithmSpec::DynamicKing { b },
+            AlgorithmSpec::PhaseQueen,
+            AlgorithmSpec::DolevStrong,
+        ]
+    }
+
+    /// The family's name: what `sg --alg` accepts, the wire's `"alg"`
+    /// field, and the stem of [`AlgorithmSpec::name`]. The one place the
+    /// names are spelled.
+    pub fn family(&self) -> &'static str {
+        match self {
+            AlgorithmSpec::PlainExponential => "plain-exponential",
+            AlgorithmSpec::Exponential => "exponential",
+            AlgorithmSpec::ExponentialPrime => "exponential-prime",
+            AlgorithmSpec::AlgorithmA { .. } => "algorithm-a",
+            AlgorithmSpec::AlgorithmB { .. } => "algorithm-b",
+            AlgorithmSpec::AlgorithmC => "algorithm-c",
+            AlgorithmSpec::Hybrid { .. } => "hybrid",
+            AlgorithmSpec::PhaseKing => "phase-king",
+            AlgorithmSpec::OptimalKing => "optimal-king",
+            AlgorithmSpec::KingShift { .. } => "king-shift",
+            AlgorithmSpec::DynamicKing { .. } => "dynamic-king",
+            AlgorithmSpec::PhaseQueen => "phase-queen",
+            AlgorithmSpec::DolevStrong => "dolev-strong",
+        }
+    }
+
+    /// The block parameter `b` of the families that take one.
+    pub fn block(&self) -> Option<usize> {
+        match *self {
+            AlgorithmSpec::AlgorithmA { b }
+            | AlgorithmSpec::AlgorithmB { b }
+            | AlgorithmSpec::Hybrid { b }
+            | AlgorithmSpec::KingShift { b }
+            | AlgorithmSpec::DynamicKing { b } => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The spec whose [`AlgorithmSpec::family`] is `family`, at block
+    /// parameter `b` if the family takes one.
+    pub fn parse(family: &str, b: usize) -> Option<AlgorithmSpec> {
+        Self::families(b)
+            .into_iter()
+            .find(|spec| spec.family() == family)
+    }
+
     /// Human-readable name including parameters.
     pub fn name(&self) -> String {
-        match self {
-            AlgorithmSpec::PlainExponential => "plain-exponential".to_string(),
-            AlgorithmSpec::Exponential => "exponential".to_string(),
-            AlgorithmSpec::ExponentialPrime => "exponential-prime".to_string(),
-            AlgorithmSpec::AlgorithmA { b } => format!("algorithm-a(b={b})"),
-            AlgorithmSpec::AlgorithmB { b } => format!("algorithm-b(b={b})"),
-            AlgorithmSpec::AlgorithmC => "algorithm-c".to_string(),
-            AlgorithmSpec::Hybrid { b } => format!("hybrid(b={b})"),
-            AlgorithmSpec::PhaseKing => "phase-king".to_string(),
-            AlgorithmSpec::OptimalKing => "optimal-king".to_string(),
-            AlgorithmSpec::KingShift { b } => format!("king-shift(b={b})"),
-            AlgorithmSpec::DynamicKing { b } => format!("dynamic-king(b={b})"),
-            AlgorithmSpec::PhaseQueen => "phase-queen".to_string(),
-            AlgorithmSpec::DolevStrong => "dolev-strong".to_string(),
+        match self.block() {
+            Some(b) => format!("{}(b={b})", self.family()),
+            None => self.family().to_string(),
         }
     }
 
@@ -267,48 +352,76 @@ impl AlgorithmSpec {
     }
 
     /// The exact number of communication rounds the algorithm runs with
-    /// fault bound `t` (and `n` where relevant).
+    /// fault bound `t` (and `n` where relevant): a segment spec's compiled
+    /// schedule (its never-shift worst case), otherwise the king
+    /// family's or Dolev–Strong's closed form.
     pub fn rounds(&self, n: usize, t: usize) -> usize {
+        if let Some((plan, king_tail, checkpoints)) = self.compile(n, t) {
+            return worst_case_schedule(plan.len(), king_tail, t + 1, &checkpoints);
+        }
         match *self {
-            AlgorithmSpec::PlainExponential
-            | AlgorithmSpec::Exponential
-            | AlgorithmSpec::ExponentialPrime
-            | AlgorithmSpec::AlgorithmC => t + 1,
-            AlgorithmSpec::AlgorithmA { b } => {
-                crate::schedule::algorithm_a_rounds_exact(t, b.min(t))
-            }
-            AlgorithmSpec::AlgorithmB { b } => {
-                crate::schedule::algorithm_b_rounds_exact(t, b.min(t))
-            }
-            AlgorithmSpec::Hybrid { b } => HybridSchedule::compute(n, b).total_rounds(),
             AlgorithmSpec::PhaseKing | AlgorithmSpec::PhaseQueen => 1 + 2 * (t + 1),
             AlgorithmSpec::OptimalKing => 1 + 3 * (t + 1),
-            AlgorithmSpec::KingShift { b } => king_shift_rounds(t, b),
-            AlgorithmSpec::DynamicKing { b } => dynamic_king_rounds(t, b),
-            AlgorithmSpec::DolevStrong => t + 1,
+            _ => t + 1, // Dolev–Strong
         }
     }
 
-    /// The round plan for plan-driven algorithms (`None` for the
-    /// non-tree baselines Phase King and Dolev–Strong).
-    pub fn plan(&self, n: usize, t: usize) -> Option<Vec<RoundAction>> {
-        match *self {
-            AlgorithmSpec::PlainExponential | AlgorithmSpec::Exponential => {
-                Some(exponential_plan(t, Conversion::Resolve))
+    /// The spec as a list of [`Segment`]s — the one table that says what
+    /// each tree and gear spec is. `None` for the king family and
+    /// Dolev–Strong, which run no tree plan.
+    ///
+    /// Algorithms A and B run their paper block structures as runs of
+    /// equal blocks, or one block of `t` rounds (the Exponential
+    /// Algorithm with their conversion) when `b ≥ t`; the hybrid runs its
+    /// [`HybridSchedule`]'s A blocks, then its B blocks, then its C tail.
+    pub fn segments(&self, n: usize, t: usize) -> Option<Vec<Segment>> {
+        let a = |b, blocks| Segment::A { b, blocks };
+        let b_seg = |b, blocks| Segment::B { b, blocks };
+        Some(match *self {
+            AlgorithmSpec::PlainExponential | AlgorithmSpec::Exponential => vec![b_seg(t, 1)],
+            AlgorithmSpec::ExponentialPrime => vec![a(t, 1)],
+            AlgorithmSpec::AlgorithmA { b } if b >= t => vec![a(t, 1)],
+            AlgorithmSpec::AlgorithmA { b } => runs(&algorithm_a_blocks(t, b).blocks, a).collect(),
+            AlgorithmSpec::AlgorithmB { b } if b >= t => vec![b_seg(t, 1)],
+            AlgorithmSpec::AlgorithmB { b } => {
+                runs(&algorithm_b_blocks(t, b).blocks, b_seg).collect()
             }
-            AlgorithmSpec::ExponentialPrime => {
-                Some(exponential_plan(t, Conversion::ResolvePrime { t }))
+            AlgorithmSpec::AlgorithmC => vec![Segment::C { rounds: t }],
+            AlgorithmSpec::Hybrid { b } => {
+                let schedule = HybridSchedule::compute(n, b);
+                runs(&schedule.a_blocks, a)
+                    .chain(runs(&schedule.b_blocks, b_seg))
+                    .chain([Segment::C {
+                        rounds: schedule.c_rounds,
+                    }])
+                    .collect()
             }
-            AlgorithmSpec::AlgorithmA { b } => Some(algorithm_a_plan(t, b)),
-            AlgorithmSpec::AlgorithmB { b } => Some(algorithm_b_plan(t, b)),
-            AlgorithmSpec::AlgorithmC => Some(algorithm_c_plan(t)),
-            AlgorithmSpec::Hybrid { b } => Some(hybrid_plan(&HybridSchedule::compute(n, b))),
+            AlgorithmSpec::KingShift { b } => vec![a(b.min(t), 1), Segment::King],
+            AlgorithmSpec::DynamicKing { b } => {
+                vec![a(b.min(t), dynamic_king_blocks(t, b)), Segment::King]
+            }
             AlgorithmSpec::PhaseKing
             | AlgorithmSpec::PhaseQueen
             | AlgorithmSpec::OptimalKing
-            | AlgorithmSpec::KingShift { .. }
-            | AlgorithmSpec::DynamicKing { .. }
-            | AlgorithmSpec::DolevStrong => None,
+            | AlgorithmSpec::DolevStrong => return None,
+        })
+    }
+
+    /// [`AlgorithmSpec::segments`] compiled: the tree plan, whether a king
+    /// tail follows it, and `dynamic-king`'s checkpoints.
+    fn compile(&self, n: usize, t: usize) -> Option<(Vec<RoundAction>, bool, Vec<Checkpoint>)> {
+        let segments = self.segments(n, t)?;
+        let dynamic = matches!(self, AlgorithmSpec::DynamicKing { .. });
+        Some(compile(t, &segments, dynamic))
+    }
+
+    /// The round plan of the tree algorithms. `None` for the king family,
+    /// Dolev–Strong and the two gear shifts into a king tail, whose
+    /// schedules are not one tree plan.
+    pub fn plan(&self, n: usize, t: usize) -> Option<Vec<RoundAction>> {
+        match self.compile(n, t)? {
+            (plan, false, _) => Some(plan),
+            (_, true, _) => None,
         }
     }
 
@@ -336,24 +449,32 @@ impl AlgorithmSpec {
             );
             return Box::new(PhaseKing::new(params, me, input, row));
         }
-        match self {
-            AlgorithmSpec::KingShift { b } => Box::new(KingShift::build(params, me, input, *b)),
-            AlgorithmSpec::DynamicKing { b } => Box::new(DynamicKing::build(params, me, input, *b)),
-            AlgorithmSpec::DolevStrong => Box::new(DolevStrong::new(params, me, input)),
-            _ => {
-                let plan = self
-                    .plan(params.n, params.t)
-                    .expect("tree algorithms have plans");
+        match self.compile(params.n, params.t) {
+            None => Box::new(DolevStrong::new(params, me, input)),
+            Some((plan, false, _)) => {
                 let modified = !matches!(self, AlgorithmSpec::PlainExponential);
-                Box::new(GearedProtocol::new(
-                    params,
-                    me,
-                    input,
-                    self.name(),
-                    modified,
-                    plan,
-                ))
+                Box::new(GearedProtocol::new(params, me, input, modified, plan))
             }
+            Some((plan, true, checkpoints)) => {
+                Box::new(king_tail_box(params, me, input, plan, checkpoints))
+            }
+        }
+    }
+
+    /// Processor `me`'s [`GearBox`] for the two specs that end in a king
+    /// tail (`king-shift`, `dynamic-king`) — the protocol
+    /// [`AlgorithmSpec::build`] boxes, with its inspection hooks. `None`
+    /// for every other spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters fail [`AlgorithmSpec::validate`].
+    pub fn gear_box(&self, params: Params, me: ProcessId, input: Option<Value>) -> Option<GearBox> {
+        self.validate(params.n, params.t)
+            .unwrap_or_else(|e| panic!("invalid algorithm parameters: {e}"));
+        match self.compile(params.n, params.t)? {
+            (plan, true, checkpoints) => Some(king_tail_box(params, me, input, plan, checkpoints)),
+            (_, false, _) => None,
         }
     }
 
@@ -399,6 +520,36 @@ impl AlgorithmSpec {
             u64::from(config.source_value.raw()),
         ])
     }
+}
+
+/// Consecutive equal block lengths as one segment each: `[3, 3, 2]`
+/// becomes `seg(3, 2), seg(2, 1)`.
+fn runs<'a>(
+    blocks: &'a [usize],
+    seg: impl Fn(usize, usize) -> Segment + 'a,
+) -> impl Iterator<Item = Segment> + 'a {
+    blocks
+        .chunk_by(|x, y| x == y)
+        .map(move |run| seg(run[0], run.len()))
+}
+
+/// A king-tail spec's gear box: the compiled prefix on the tree machine,
+/// then `t + 1` phases of optimally resilient Phase King.
+fn king_tail_box(
+    params: Params,
+    me: ProcessId,
+    input: Option<Value>,
+    plan: Vec<RoundAction>,
+    checkpoints: Vec<Checkpoint>,
+) -> GearBox {
+    let geared = GearedProtocol::new(params, me, input, true, plan);
+    GearBox::new(
+        input,
+        geared,
+        Some(KingCore::new(params, me)),
+        true,
+        checkpoints,
+    )
 }
 
 #[cfg(test)]
@@ -491,5 +642,14 @@ mod tests {
             "algorithm-a(b=4)"
         );
         assert_eq!(AlgorithmSpec::Hybrid { b: 3 }.name(), "hybrid(b=3)");
+    }
+
+    #[test]
+    fn family_names_parse_back() {
+        for spec in AlgorithmSpec::families(4) {
+            assert_eq!(AlgorithmSpec::parse(spec.family(), 4), Some(spec));
+            assert!(spec.name().starts_with(spec.family()), "{}", spec.name());
+        }
+        assert_eq!(AlgorithmSpec::parse("a", 3), None);
     }
 }

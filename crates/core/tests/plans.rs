@@ -46,15 +46,7 @@ fn gear_box(spec: AlgorithmSpec, n: usize, t: usize) -> Option<GearBox> {
         source: ProcessId(0),
         domain: ValueDomain::binary(),
     };
-    match spec {
-        AlgorithmSpec::KingShift { b } => {
-            Some(sg_core::KingShift::build(params, ProcessId(1), None, b))
-        }
-        AlgorithmSpec::DynamicKing { b } => {
-            Some(sg_core::DynamicKing::build(params, ProcessId(1), None, b))
-        }
-        _ => None,
-    }
+    spec.gear_box(params, ProcessId(1), None)
 }
 
 #[test]

@@ -217,25 +217,16 @@ fn parse_usize(flags: &HashMap<String, String>, key: &str) -> Option<usize> {
 }
 
 fn algorithm(name: &str, b: usize) -> AlgorithmSpec {
-    match name {
-        "plain-exponential" => AlgorithmSpec::PlainExponential,
-        "exponential" => AlgorithmSpec::Exponential,
-        "exponential-prime" => AlgorithmSpec::ExponentialPrime,
-        "algorithm-a" | "a" => AlgorithmSpec::AlgorithmA { b },
-        "algorithm-b" | "b" => AlgorithmSpec::AlgorithmB { b },
-        "algorithm-c" | "c" => AlgorithmSpec::AlgorithmC,
-        "hybrid" => AlgorithmSpec::Hybrid { b },
-        "phase-king" => AlgorithmSpec::PhaseKing,
-        "optimal-king" => AlgorithmSpec::OptimalKing,
-        "king-shift" => AlgorithmSpec::KingShift { b },
-        "dynamic-king" => AlgorithmSpec::DynamicKing { b },
-        "phase-queen" => AlgorithmSpec::PhaseQueen,
-        "dolev-strong" => AlgorithmSpec::DolevStrong,
-        other => {
-            eprintln!("unknown algorithm '{other}' (try `sg list`)");
-            exit(2);
-        }
-    }
+    let family = match name {
+        "a" => "algorithm-a",
+        "b" => "algorithm-b",
+        "c" => "algorithm-c",
+        other => other,
+    };
+    AlgorithmSpec::parse(family, b).unwrap_or_else(|| {
+        eprintln!("unknown algorithm '{name}' (try `sg list`)");
+        exit(2);
+    })
 }
 
 fn adversary(name: &str, source_faulty: bool, seed: u64) -> Box<dyn Adversary> {
@@ -269,22 +260,13 @@ fn adversary(name: &str, source_faulty: bool, seed: u64) -> Box<dyn Adversary> {
 
 fn cmd_list() {
     println!("algorithms:");
-    for a in [
-        "plain-exponential",
-        "exponential",
-        "exponential-prime",
-        "algorithm-a (needs --b)",
-        "algorithm-b (needs --b)",
-        "algorithm-c",
-        "hybrid (needs --b)",
-        "phase-king",
-        "optimal-king",
-        "king-shift (needs --b)",
-        "dynamic-king (needs --b)",
-        "phase-queen",
-        "dolev-strong",
-    ] {
-        println!("  {a}");
+    for spec in AlgorithmSpec::families(0) {
+        let needs_b = if spec.block().is_some() {
+            " (needs --b)"
+        } else {
+            ""
+        };
+        println!("  {}{needs_b}", spec.family());
     }
     println!("adversaries:");
     for a in [

@@ -32,7 +32,7 @@ fn run_b_variant(n: usize, t: usize, b: usize, masked: bool, seed: u64) -> Vec<V
         .map(|i| {
             let me = ProcessId(i);
             let input = (i == 0).then_some(Value(1));
-            GearedProtocol::new(params, me, input, "b-variant".into(), masked, plan.clone())
+            GearedProtocol::new(params, me, input, masked, plan.clone())
         })
         .collect();
     let mut ctxs: Vec<ProcCtx> = (0..n).map(|i| ProcCtx::new(ProcessId(i))).collect();

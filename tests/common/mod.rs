@@ -109,7 +109,7 @@ impl TestNet {
             .map(|i| {
                 let me = ProcessId(i);
                 let input = (me == params.source).then_some(source_value);
-                GearedProtocol::new(params, me, input, spec.name(), modified, plan.clone())
+                GearedProtocol::new(params, me, input, modified, plan.clone())
             })
             .collect();
         let ctxs = (0..n).map(|i| ProcCtx::new(ProcessId(i))).collect();
