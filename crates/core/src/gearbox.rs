@@ -68,7 +68,7 @@ pub struct Checkpoint {
 
 /// The trace label of the prefix → king-tail seeding event
 /// ([`TraceEvent::Shift`]), the same for every gear box.
-pub const KING_TAIL: &str = "phase-king tail";
+const KING_TAIL: &str = "phase-king tail";
 
 /// The unified tree-prefix → king-tail round dispatcher, built by
 /// [`crate::AlgorithmSpec::build`] (`king-shift`, `dynamic-king`) and
@@ -88,7 +88,6 @@ pub struct GearBox {
     /// Whether the static plan itself ends in the king tail (vs the tail
     /// existing only as the dynamic escape target).
     static_tail: bool,
-    phases: usize,
     seeded: bool,
     shifted: bool,
     checkpoints: Vec<Checkpoint>,
@@ -135,7 +134,6 @@ impl GearBox {
             prefix_rounds: static_prefix,
             static_prefix,
             static_tail,
-            phases: t + 1,
             seeded: false,
             shifted: false,
             checkpoints,
@@ -176,7 +174,7 @@ impl GearBox {
     fn end_round(&self) -> usize {
         self.prefix_rounds
             + if self.tail_active() {
-                3 * self.phases
+                3 * (self.t + 1)
             } else {
                 0
             }
@@ -189,7 +187,7 @@ impl GearBox {
         worst_case_schedule(
             self.static_prefix,
             self.static_tail,
-            self.phases,
+            self.t + 1,
             &self.checkpoints,
         )
     }
