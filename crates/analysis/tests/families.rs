@@ -1,0 +1,205 @@
+//! Committed digests of every named adversary family: what each one is
+//! called, how it reads on the wire, the journal key it gives a cell, and
+//! every sample it produces on both engines.
+//!
+//! * [`NAMES_AND_KEYS`] folds, for every family shape of [`shapes`], the
+//!   family's `name()`, its `to_json()` text and the `cell_key(0)` of a
+//!   one-cell `optimal-king (16, 5)` plan. The shapes cover all eleven
+//!   kinds, with and without the source, under `limit` and `explicit`
+//!   selections, two parameter sets per kind, two tapes and a committed
+//!   corpus trace.
+//! * [`REPORTS`] folds the report fingerprint and every sample's round
+//!   count and early-stop flag of [`runs`]' families crossed with a
+//!   lock-step king spec and a scalar tree spec, in both engine modes.
+//!   65 seeds a cell: the king cell runs one 64-lane lock-step chunk and
+//!   a one-seed scalar tail, so one pin holds both representations. The
+//!   replay cell runs at its trace's own `(n, t)`.
+//!
+//! Both digests were captured on the commit before the named families
+//! were collapsed into one `sg_adversary::Family` value.
+
+use std::path::PathBuf;
+
+use serde::json::Value as Json;
+use serde::{FromJson, ToJson};
+use sg_adversary::{FaultSelection, Move};
+use sg_analysis::{AdversaryFamily, Scenario, SweepConfig, SweepPlan, SweepReport};
+use sg_core::AlgorithmSpec;
+use sg_sim::{fnv, ProcessId};
+
+/// The digest of [`names_and_keys`].
+const NAMES_AND_KEYS: u64 = 0xecbe_b4d1_b608_b134;
+
+/// The digest of [`reports`].
+const REPORTS: u64 = 0x8f6b_11fc_8de7_c590;
+
+/// The committed trace both digests replay: `optimal-king` at `(7, 2)`,
+/// an equivocating source.
+fn corpus_scenario() -> Scenario {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/corpus/equivocate_optimal_king_n7.json");
+    let text = std::fs::read_to_string(&path).expect("readable corpus file");
+    Scenario::from_json(&Json::parse(&text).expect("corpus JSON")).expect("a scenario")
+}
+
+fn replay() -> AdversaryFamily {
+    AdversaryFamily::replay(corpus_scenario().trace).expect("a valid trace")
+}
+
+fn tapes() -> [AdversaryFamily; 2] {
+    [
+        AdversaryFamily::tape(
+            vec![ProcessId(1)],
+            vec![Move::AllOne, Move::Silent, Move::FlipFirst],
+        )
+        .expect("a non-empty tape"),
+        AdversaryFamily::tape(
+            vec![ProcessId(0), ProcessId(5)],
+            vec![Move::Garbage, Move::AllZero, Move::Honest, Move::AllOne],
+        )
+        .expect("a non-empty tape"),
+    ]
+}
+
+/// Every selection-parameterised family, two parameter sets per kind.
+fn over(sel: &FaultSelection) -> Vec<AdversaryFamily> {
+    vec![
+        AdversaryFamily::random_liar(sel.clone()),
+        AdversaryFamily::chain_revealer(sel.clone(), 2, 2),
+        AdversaryFamily::chain_revealer(sel.clone(), 1, 0),
+        AdversaryFamily::crash(sel.clone(), 2),
+        AdversaryFamily::crash(sel.clone(), 4),
+        AdversaryFamily::silent(sel.clone()),
+        AdversaryFamily::partition(sel.clone(), 1, 2, 3),
+        AdversaryFamily::partition(sel.clone(), 5, 1, 1),
+        AdversaryFamily::omission(sel.clone(), 2, 0),
+        AdversaryFamily::omission(sel.clone(), 0, 1),
+        AdversaryFamily::equivocate(sel.clone(), 3, 1),
+        AdversaryFamily::equivocate(sel.clone(), 8, 2),
+        AdversaryFamily::adaptive(sel.clone(), vec![1, 3]),
+        AdversaryFamily::adaptive(sel.clone(), vec![2]),
+    ]
+}
+
+/// Every family shape [`NAMES_AND_KEYS`] holds.
+fn shapes() -> Vec<AdversaryFamily> {
+    let selections = [
+        FaultSelection::with_source(),
+        FaultSelection::without_source(),
+        FaultSelection::with_source().limit(2),
+        FaultSelection::without_source().limit(3),
+        FaultSelection::explicit([ProcessId(1), ProcessId(4), ProcessId(7)]),
+    ];
+    let mut shapes = vec![AdversaryFamily::no_faults()];
+    for sel in &selections {
+        shapes.extend(over(sel));
+    }
+    shapes.extend(tapes());
+    shapes.push(replay());
+    shapes
+}
+
+fn names_and_keys() -> u64 {
+    let config = SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5);
+    let mut h = fnv::OFFSET;
+    for family in shapes() {
+        h = fnv::mix_bytes(h, family.name().as_bytes());
+        h = fnv::mix_bytes(h, &[0xFF]);
+        let text = family.to_json().to_string();
+        h = fnv::mix_bytes(h, text.as_bytes());
+        // Every named family decodes back to its own text.
+        let back = AdversaryFamily::from_json(&Json::parse(&text).expect("JSON"))
+            .expect("a named family decodes");
+        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.name(), family.name());
+        let plan = SweepPlan::new(vec![config], vec![family], 65);
+        let key = plan.cell_key(0).expect("a named family has a key");
+        h = fnv::mix_word(h, key.0);
+    }
+    h
+}
+
+/// The families [`REPORTS`] runs: every kind, shapes whose faults stay
+/// within both configs' fault bound (a partition's cut edges all touch
+/// its one corrupted processor, the source).
+fn runs() -> Vec<AdversaryFamily> {
+    let explicit = || FaultSelection::explicit([ProcessId(1), ProcessId(4), ProcessId(7)]);
+    let mut runs = vec![
+        AdversaryFamily::no_faults(),
+        AdversaryFamily::random_liar(FaultSelection::with_source()),
+        AdversaryFamily::random_liar(explicit()),
+        AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2),
+        AdversaryFamily::chain_revealer(FaultSelection::with_source().limit(2), 1, 0),
+        AdversaryFamily::crash(FaultSelection::with_source(), 2),
+        AdversaryFamily::crash(FaultSelection::without_source().limit(1), 4),
+        AdversaryFamily::silent(FaultSelection::without_source()),
+        AdversaryFamily::silent(explicit()),
+        AdversaryFamily::partition(FaultSelection::with_source().limit(1), 1, 2, 3),
+        AdversaryFamily::partition(FaultSelection::explicit([ProcessId(0)]), 1, 1, 2),
+        AdversaryFamily::omission(FaultSelection::without_source(), 2, 0),
+        AdversaryFamily::omission(FaultSelection::with_source().limit(2), 0, 1),
+        AdversaryFamily::equivocate(FaultSelection::with_source(), 3, 1),
+        AdversaryFamily::equivocate(explicit(), 8, 2),
+        AdversaryFamily::adaptive(FaultSelection::with_source(), vec![1, 3]),
+        AdversaryFamily::adaptive(FaultSelection::without_source().limit(2), vec![2]),
+    ];
+    runs.extend(tapes());
+    runs
+}
+
+fn fold(mut h: u64, report: &SweepReport) -> u64 {
+    h = fnv::mix_word(h, report.fingerprint());
+    for cell in &report.cells {
+        h = fnv::mix_bytes(h, cell.adversary.as_bytes());
+        for s in &cell.samples {
+            h = fnv::mix_word(h, s.rounds);
+            h = fnv::mix_word(h, u64::from(s.early_stopped));
+        }
+    }
+    h
+}
+
+fn reports() -> u64 {
+    let grid = SweepPlan::new(
+        vec![
+            SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5),
+            SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+        ],
+        runs(),
+        65,
+    );
+    let scenario = corpus_scenario();
+    let (n, t) = (scenario.trace.n, scenario.trace.t);
+    let replayed = SweepPlan::new(
+        vec![
+            SweepConfig::traced(AlgorithmSpec::OptimalKing, n, t),
+            SweepConfig::traced(AlgorithmSpec::Exponential, n, t),
+        ],
+        vec![replay()],
+        65,
+    );
+    let mut h = fnv::OFFSET;
+    for plan in [grid, replayed] {
+        h = fold(h, &plan.run_with_jobs(2));
+        h = fold(h, &plan.fixed_length().run_with_jobs(2));
+    }
+    h
+}
+
+#[test]
+fn every_named_family_keeps_its_name_text_and_key() {
+    assert_eq!(
+        names_and_keys(),
+        NAMES_AND_KEYS,
+        "a family's name, wire text or journal key moved"
+    );
+}
+
+#[test]
+fn every_named_family_keeps_its_samples_on_both_engines() {
+    assert_eq!(
+        reports(),
+        REPORTS,
+        "a family's samples moved on the lock-step or the scalar engine"
+    );
+}
