@@ -1,9 +1,13 @@
 //! Vectorized fault injection for the lock-step batch engine.
 //!
 //! [`BatchFamily`] implements [`sg_sim::BatchAdversary`] for the seven
-//! binary-domain named families whose payload rules depend only on
-//! constructor parameters and the current round's broadcast view —
-//! never on per-call mutable state. Every rule has the same two halves:
+//! binary-domain [`Family`] variants whose payload rules depend only on
+//! the variant's parameters and the current round's broadcast view —
+//! never on per-call mutable state. [`BatchFamily::new`] reads them off
+//! the variant (clamping `block` and `period` to ≥ 1, as the scalar
+//! constructors do) and declines the other three: `partition` cuts
+//! honest edges, and `tape` and `replay` answer by call order, so they
+//! run on the scalar engine. Every rule has the same two halves:
 //! a member relays its honest *shadow* until its turn comes, then tells
 //! its family's story. Both go into [`LiarRows`], one row of lane words
 //! per recipient, and members that tell the same story in the same
@@ -66,124 +70,56 @@
 use sg_sim::batch::{BatchAdversary, LaneView, LiarRows};
 use sg_sim::{ProcessId, ProcessSet};
 
+use crate::family::Family;
 use crate::selection::FaultSelection;
 use crate::util::{edge_draw, edge_mix, first_draw};
 
-/// Which vector-capable family a [`BatchFamily`] plays, with the same
-/// parameters as the scalar constructor it mirrors (borrowed: a family
-/// is rebuilt per 64-run chunk and owns nothing).
-#[derive(Clone, Copy, Debug)]
-pub enum VectorFamily<'a> {
-    /// [`crate::Silent`]: never sends.
-    Silent,
-    /// [`crate::Crash`]: honest shadow until `crash_round`, then silent.
-    Crash {
-        /// First round (1-based) of permanent silence.
-        crash_round: usize,
-    },
-    /// [`crate::RandomLiar`]: per-edge uniform in-domain lies, one seed
-    /// per lane (lane order).
-    RandomLiar {
-        /// Per-lane RNG seeds, the ones the scalar strategy of each lane
-        /// would be built with.
-        seeds: &'a [u64],
-    },
-    /// [`crate::ChainRevealer`]: the rank-`k` member is honest until
-    /// round `reveal_start + k·stride`, then lies like
-    /// [`VectorFamily::RandomLiar`].
-    ChainRevealer {
-        /// Per-lane RNG seeds, as for [`VectorFamily::RandomLiar`].
-        seeds: &'a [u64],
-        /// Round (1-based) the rank-0 member reveals itself.
-        reveal_start: usize,
-        /// Rounds between reveals (clamped to ≥ 1, like the scalar
-        /// constructor).
-        stride: usize,
-    },
-    /// [`crate::Omission`]: periodic per-(round, edge) drops.
-    Omission {
-        /// Drop period (clamped to ≥ 1, like the scalar constructor).
-        period: usize,
-        /// Drop phase offset.
-        phase: usize,
-    },
-    /// [`crate::Equivocate`]: zeros below the split, ones above, from
-    /// round `start` on.
-    Equivocate {
-        /// Recipients with ids `< split` hear the all-zeros story.
-        split: usize,
-        /// First equivocating round (1-based).
-        start: usize,
-    },
-    /// [`crate::Adaptive`]: the rank-`k` member turns at `schedule[k]`.
-    Adaptive {
-        /// Activation rounds by fault-set rank (ascending id order).
-        schedule: &'a [usize],
-    },
-}
-
-impl VectorFamily<'_> {
-    /// The round from which the rank-`rank` member tells its story
-    /// instead of relaying its shadow; `None` if it never turns.
-    fn turn(&self, rank: usize) -> Option<usize> {
-        match *self {
-            VectorFamily::Silent
-            | VectorFamily::Omission { .. }
-            | VectorFamily::RandomLiar { .. } => Some(0),
-            VectorFamily::Crash { crash_round } => Some(crash_round),
-            VectorFamily::Equivocate { start, .. } => Some(start),
-            VectorFamily::Adaptive { schedule } => schedule.get(rank).copied(),
-            VectorFamily::ChainRevealer {
-                reveal_start,
-                stride,
-                ..
-            } => Some(reveal_start + rank * stride),
-        }
-    }
-}
-
-/// A batch-aware adversary for one of the [`VectorFamily`] strategies
-/// over `lanes` runs. It owns no strategy: every lane's lies follow
-/// from the family's parameters and, for the seeded families, that
-/// lane's seed — exactly what the lane's scalar strategy would send.
+/// The lock-step form of a [`Family`] over one batch of lanes. It owns
+/// no strategy: every lane's lies follow from the family's parameters
+/// and, for the seeded families, that lane's seed — exactly what the
+/// lane's scalar strategy would send.
 pub struct BatchFamily<'a> {
-    family: VectorFamily<'a>,
+    family: &'a Family,
     selection: &'a FaultSelection,
-    lanes: usize,
+    /// One per lane, in lane order: the seeds the lanes' scalar
+    /// strategies would be built with.
+    seeds: &'a [u64],
 }
 
 impl<'a> BatchFamily<'a> {
-    /// The vector rules of `family` over `selection` for `lanes` runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seeded family does not carry one seed per lane.
-    pub fn new(family: VectorFamily<'a>, selection: &'a FaultSelection, lanes: usize) -> Self {
-        let family = match family {
-            VectorFamily::Omission { period, phase } => VectorFamily::Omission {
-                period: period.max(1),
-                phase,
-            },
-            VectorFamily::ChainRevealer {
-                seeds,
-                reveal_start,
-                stride,
-            } => VectorFamily::ChainRevealer {
-                seeds,
-                reveal_start,
-                stride: stride.max(1),
-            },
-            other => other,
+    /// The vector rules of `family` over one lane per seed, or `None`
+    /// for a family without a vector shape: `partition` cuts honest
+    /// edges, and `tape` and `replay` answer by call order.
+    pub fn new(family: &'a Family, seeds: &'a [u64]) -> Option<Self> {
+        /// No faults is silence over a selection that corrupts nobody.
+        static NOBODY: FaultSelection = FaultSelection::without_source().limit(0);
+        let selection = match family {
+            Family::NoFaults => &NOBODY,
+            Family::RandomLiar(selection)
+            | Family::Silent(selection)
+            | Family::ChainRevealer { selection, .. }
+            | Family::Crash { selection, .. }
+            | Family::Omission { selection, .. }
+            | Family::Equivocate { selection, .. }
+            | Family::Adaptive { selection, .. } => selection,
+            Family::Partition { .. } | Family::Tape(_) | Family::Replay(_) => return None,
         };
-        if let VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } =
-            family
-        {
-            assert_eq!(seeds.len(), lanes, "one seed per lane");
-        }
-        BatchFamily {
+        Some(BatchFamily {
             family,
             selection,
-            lanes,
+            seeds,
+        })
+    }
+
+    /// The round from which the rank-`rank` member tells its story
+    /// instead of relaying its shadow; `None` if it never turns.
+    fn turn(&self, rank: usize) -> Option<usize> {
+        match self.family {
+            Family::Crash { round, .. } => Some(*round),
+            Family::Equivocate { start, .. } => Some(*start),
+            Family::Adaptive { schedule, .. } => schedule.get(rank).copied(),
+            Family::ChainRevealer { start, block, .. } => Some(start + rank * (*block).max(1)),
+            _ => Some(0),
         }
     }
 
@@ -273,7 +209,7 @@ impl<'a> BatchFamily<'a> {
 
 impl BatchAdversary for BatchFamily<'_> {
     fn lanes(&self) -> usize {
-        self.lanes
+        self.seeds.len()
     }
 
     fn corrupt(&mut self, n: usize, t: usize, source: ProcessId, set: &mut ProcessSet) {
@@ -289,7 +225,7 @@ impl BatchAdversary for BatchFamily<'_> {
         // shadow does — except that a turned adaptive source lies
         // unconditionally in round 1.
         let lanes = |f: usize| {
-            let unconditional = matches!(self.family, VectorFamily::Adaptive { .. })
+            let unconditional = matches!(self.family, Family::Adaptive { .. })
                 && view.round == 1
                 && f == view.source.index();
             if unconditional {
@@ -302,7 +238,7 @@ impl BatchAdversary for BatchFamily<'_> {
         let mut turned = 0u64;
         for (rank, f) in set.iter().enumerate() {
             let f = f.index();
-            if self.family.turn(rank).is_none_or(|turn| view.round < turn) {
+            if self.turn(rank).is_none_or(|turn| view.round < turn) {
                 Self::shadow(view, f, view.active, |_| false, rows);
                 continue;
             }
@@ -311,17 +247,17 @@ impl BatchAdversary for BatchFamily<'_> {
                 continue;
             }
             match self.family {
-                VectorFamily::Silent | VectorFamily::Crash { .. } => {}
-                VectorFamily::Omission { period, phase } => {
+                Family::Omission { period, phase, .. } => {
+                    let (period, phase) = ((*period).max(1), *phase);
                     let dropped = |r: usize| (view.round + f + r + phase).is_multiple_of(period);
                     Self::shadow(view, f, mask, dropped, rows);
                 }
-                VectorFamily::Equivocate { .. } | VectorFamily::Adaptive { .. } => {
-                    turned |= 1 << f;
+                Family::Equivocate { .. } | Family::Adaptive { .. } => turned |= 1 << f,
+                Family::RandomLiar(_) | Family::ChainRevealer { .. } => {
+                    Self::random(view, f, mask, self.seeds, rows);
                 }
-                VectorFamily::RandomLiar { seeds } | VectorFamily::ChainRevealer { seeds, .. } => {
-                    Self::random(view, f, mask, seeds, rows);
-                }
+                // No faults, silence and a crash tell nothing.
+                _ => {}
             }
         }
         // One shared story per distinct lane mask of the turned members.
@@ -338,10 +274,10 @@ impl BatchAdversary for BatchFamily<'_> {
             }
             turned &= !members;
             match self.family {
-                VectorFamily::Equivocate { split, .. } => {
-                    Self::constant(view, members, mask, |r| u16::from(r >= split), rows);
+                Family::Equivocate { split, .. } => {
+                    Self::constant(view, members, mask, |r| u16::from(r >= *split), rows);
                 }
-                VectorFamily::Adaptive { .. } => {
+                Family::Adaptive { .. } => {
                     let flipped =
                         (u32::from(view.source_value.raw()) + 1) % u32::from(view.domain.size());
                     Self::constant(view, members, mask, |_| flipped as u16, rows);

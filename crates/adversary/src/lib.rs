@@ -37,7 +37,10 @@
 //!   scripted waves.
 //!
 //! [`standard_suite`] bundles them into the gauntlet used by the
-//! integration tests and the benchmark harness.
+//! integration tests and the benchmark harness. Eleven of them are the
+//! named, wire-portable families a sweep grid can carry: one [`Family`]
+//! value each builds the run's strategy, its lock-step form
+//! ([`BatchFamily`]) and its wire text — see the [`family`] module.
 //!
 //! Every run under any of these strategies can be captured as a
 //! serializable [`AdversaryTrace`] (wrap the strategy in
@@ -60,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 mod batch;
+pub mod family;
 pub mod scenario;
 mod selection;
 mod strategies;
@@ -67,7 +71,8 @@ mod suite;
 mod tape;
 mod util;
 
-pub use batch::{BatchFamily, VectorFamily};
+pub use batch::BatchFamily;
+pub use family::Family;
 pub use scenario::{
     AdversaryTrace, RecordingAdversary, ReplayAdversary, TraceCut, TraceError, TracePayload,
     TraceStep, TRACE_SCHEMA,

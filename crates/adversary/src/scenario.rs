@@ -521,6 +521,7 @@ impl Adversary for RecordingAdversary {
 /// the first divergence latches a [`TraceError::Desync`] (the replayer
 /// answers the rest of the run with missing payloads) and
 /// [`ReplayAdversary::verify`] reports it after the run.
+#[derive(Clone, Debug)]
 pub struct ReplayAdversary {
     trace: Arc<AdversaryTrace>,
     cursor: usize,

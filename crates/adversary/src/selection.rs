@@ -75,6 +75,15 @@ impl FaultSelection {
         }
     }
 
+    /// Whether every processor the selection names outright is one of
+    /// `0..n`: an explicit member list's are, or [`FaultSelection::select`]
+    /// would panic; the rank-picking selections name none.
+    pub(crate) fn fits(&self, n: usize) -> bool {
+        self.explicit
+            .as_ref()
+            .is_none_or(|list| list.iter().all(|p| p.index() < n))
+    }
+
     /// Materializes the corrupted set for a system of `n` processors with
     /// fault bound `t`.
     pub fn select(&self, n: usize, t: usize, source: ProcessId) -> ProcessSet {

@@ -7,8 +7,9 @@
 //! lies themselves: for every vector family, over hand-built lane views,
 //! the story rows [`BatchFamily::lies`] writes, expanded to one row per
 //! sender, must equal — word for word — the masks obtained by asking
-//! each lane's scalar [`Adversary::payload`] in the scalar engine's
-//! order over the batch's one fault set and classifying `value_at(0)`.
+//! each lane's scalar strategy ([`Family::strategy`] of the same value)
+//! for its [`Adversary::payload`] in the scalar engine's order over the
+//! batch's one fault set and classifying `value_at(0)`.
 //! For the families whose story depends on the recipient alone
 //! (`equivocate`, `adaptive`) the same test holds the sharing: one story
 //! per distinct lane mask of the turned members.
@@ -20,10 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sg_adversary::{
-    Adaptive, BatchFamily, ChainRevealer, Crash, Equivocate, FaultSelection, Omission, RandomLiar,
-    Silent, VectorFamily,
-};
+use sg_adversary::{AdversaryTrace, BatchFamily, Family, FaultSelection, Move};
 use sg_sim::batch::{BatchAdversary, LaneView, LiarRows};
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value, ValueDomain};
 
@@ -31,13 +29,13 @@ const N: usize = 10;
 const T: usize = 3;
 const ROUNDS: usize = 6;
 
-/// One family under test: its vector form over the lane seeds, the
-/// scalar strategy of one lane, and — for a family whose members share
-/// their story — the round the rank-`k` member turns (`None`: never).
+/// One family under test over a selection — its lock-step form and,
+/// through [`Family::strategy`], each lane's scalar strategy — and, for a
+/// family whose members share their story, the round the rank-`k`
+/// member turns (`None`: never).
 struct Case {
     name: &'static str,
-    vector: for<'a> fn(&'a [u64]) -> VectorFamily<'a>,
-    scalar: fn(&FaultSelection, u64) -> Box<dyn Adversary>,
+    family: fn(FaultSelection) -> Family,
     shared_turn: Option<fn(usize) -> Option<usize>>,
 }
 
@@ -48,65 +46,83 @@ static SCHEDULE: [usize; 2] = [1, 3];
 fn cases() -> Vec<Case> {
     vec![
         Case {
+            // Silence over a selection that corrupts nobody, whatever
+            // the selection says.
+            name: "no-faults",
+            family: |_| Family::NoFaults,
+            shared_turn: None,
+        },
+        Case {
             name: "silent",
-            vector: |_| VectorFamily::Silent,
-            scalar: |sel, _| Box::new(Silent::new(sel.clone())),
+            family: Family::Silent,
             shared_turn: None,
         },
         Case {
             name: "crash",
-            vector: |_| VectorFamily::Crash { crash_round: 3 },
-            scalar: |sel, _| Box::new(Crash::new(sel.clone(), 3)),
+            family: |selection| Family::Crash {
+                selection,
+                round: 3,
+            },
             shared_turn: None,
         },
         Case {
             name: "omission",
-            vector: |_| VectorFamily::Omission {
+            family: |selection| Family::Omission {
+                selection,
                 period: 3,
                 phase: 1,
             },
-            scalar: |sel, _| Box::new(Omission::new(sel.clone(), 3, 1)),
+            shared_turn: None,
+        },
+        Case {
+            // Period 0 is clamped to 1 by both forms: every slot drops.
+            name: "omission(period 0)",
+            family: |selection| Family::Omission {
+                selection,
+                period: 0,
+                phase: 2,
+            },
             shared_turn: None,
         },
         Case {
             name: "equivocate",
-            vector: |_| VectorFamily::Equivocate { split: 4, start: 2 },
-            scalar: |sel, _| Box::new(Equivocate::new(sel.clone(), 4, 2)),
+            family: |selection| Family::Equivocate {
+                selection,
+                split: 4,
+                start: 2,
+            },
             shared_turn: Some(|_| Some(2)),
         },
         Case {
             name: "adaptive",
-            vector: |_| VectorFamily::Adaptive {
-                schedule: &SCHEDULE,
+            family: |selection| Family::Adaptive {
+                selection,
+                schedule: SCHEDULE.to_vec(),
             },
-            scalar: |sel, _| Box::new(Adaptive::new(sel.clone(), SCHEDULE.to_vec())),
             shared_turn: Some(|rank| SCHEDULE.get(rank).copied()),
         },
         Case {
             name: "random-liar",
-            vector: |seeds| VectorFamily::RandomLiar { seeds },
-            scalar: |sel, seed| Box::new(RandomLiar::new(sel.clone(), seed)),
+            family: Family::RandomLiar,
             shared_turn: None,
         },
         Case {
             name: "chain-revealer",
-            vector: |seeds| VectorFamily::ChainRevealer {
-                seeds,
-                reveal_start: 2,
-                stride: 2,
+            family: |selection| Family::ChainRevealer {
+                selection,
+                start: 2,
+                block: 2,
             },
-            scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 2, 2, seed)),
             shared_turn: None,
         },
         Case {
-            // Stride 0 is clamped to 1 by both constructors.
-            name: "chain-revealer(stride 0)",
-            vector: |seeds| VectorFamily::ChainRevealer {
-                seeds,
-                reveal_start: 1,
-                stride: 0,
+            // Block 0 is clamped to 1 by both forms.
+            name: "chain-revealer(block 0)",
+            family: |selection| Family::ChainRevealer {
+                selection,
+                start: 1,
+                block: 0,
             },
-            scalar: |sel, seed| Box::new(ChainRevealer::new(sel.clone(), 1, 0, seed)),
             shared_turn: None,
         },
     ]
@@ -296,12 +312,10 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
                     // Non-consecutive seeds: no lane's stream is a
                     // neighbour's plus one.
                     let seeds: Vec<u64> = (0..lane_count).map(|_| rng.gen()).collect();
-                    let mut oracle: Vec<Box<dyn Adversary>> = seeds
-                        .iter()
-                        .map(|&seed| (case.scalar)(selection, seed))
-                        .collect();
-                    let vector = (case.vector)(&seeds);
-                    let mut batch = BatchFamily::new(vector, selection, lane_count);
+                    let family = (case.family)(selection.clone());
+                    let mut oracle: Vec<Box<dyn Adversary>> =
+                        seeds.iter().map(|&seed| family.strategy(seed)).collect();
+                    let mut batch = BatchFamily::new(&family, &seeds).expect("a vector shape");
 
                     // A stale set from a previous batch must be
                     // overwritten.
@@ -379,7 +393,7 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
             }
         }
     }
-    assert_eq!(compared, 8 * 5 * 2 * 3 * ROUNDS);
+    assert_eq!(compared, 10 * 5 * 2 * 3 * ROUNDS);
     // Random presence splits most groups; both sharing families still
     // told some multi-member stories (18 and 5 at this seed).
     assert!(multi.iter().all(|&m| m >= 3), "{multi:?}");
@@ -391,40 +405,30 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
 /// while the rank it never turns relays its own shadow.
 #[test]
 fn a_story_told_in_the_same_lanes_is_written_once() {
-    let selection = FaultSelection::with_source();
+    let selection = FaultSelection::with_source;
+    let equivocate = Family::Equivocate {
+        selection: selection(),
+        split: 4,
+        start: 2,
+    };
+    let adaptive = Family::Adaptive {
+        selection: selection(),
+        schedule: SCHEDULE.to_vec(),
+    };
+    let seeds = [0u64; 64];
     let full = vec![!0u64; N];
     let none = vec![0u64; N];
     let mut rows = LiarRows::new(N);
-    for (vector, round, want) in [
+    for (family, round, want) in [
         // Shadow rounds: one row per member.
-        (
-            VectorFamily::Equivocate { split: 4, start: 2 },
-            1,
-            vec![0b001, 0b010, 0b100],
-        ),
-        (
-            VectorFamily::Equivocate { split: 4, start: 2 },
-            2,
-            vec![0b111],
-        ),
+        (&equivocate, 1, vec![0b001, 0b010, 0b100]),
+        (&equivocate, 2, vec![0b111]),
         // Slot 0 (the source) turns at round 1, slot 1 at round 3, and
         // slot 2 relays its shadow throughout.
-        (
-            VectorFamily::Adaptive {
-                schedule: &SCHEDULE,
-            },
-            1,
-            vec![0b010, 0b100, 0b001],
-        ),
-        (
-            VectorFamily::Adaptive {
-                schedule: &SCHEDULE,
-            },
-            3,
-            vec![0b100, 0b011],
-        ),
+        (&adaptive, 1, vec![0b010, 0b100, 0b001]),
+        (&adaptive, 3, vec![0b100, 0b011]),
     ] {
-        let mut batch = BatchFamily::new(vector, &selection, 64);
+        let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
         let mut faulty = ProcessSet::default();
         batch.corrupt(N, T, ProcessId(0), &mut faulty);
         let members: Vec<usize> = faulty.iter().map(ProcessId::index).collect();
@@ -444,7 +448,7 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
         rows.clear();
         batch.lies(&view, &mut rows);
         let told: Vec<u64> = (0..rows.len()).map(|s| rows.members(s)).collect();
-        assert_eq!(told, want, "{vector:?} round {round}");
+        assert_eq!(told, want, "{family:?} round {round}");
     }
 }
 
@@ -457,12 +461,8 @@ fn random_lies_populate_both_masks() {
     let seeds: Vec<u64> = (0..64u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let selection = FaultSelection::without_source();
-    let mut batch = BatchFamily::new(
-        VectorFamily::RandomLiar { seeds: &seeds },
-        &selection,
-        seeds.len(),
-    );
+    let family = Family::RandomLiar(FaultSelection::without_source());
+    let mut batch = BatchFamily::new(&family, &seeds).expect("a vector shape");
     let mut faulty = ProcessSet::default();
     batch.corrupt(N, T, ProcessId(0), &mut faulty);
     let full = vec![!0u64; N];
@@ -493,4 +493,35 @@ fn random_lies_populate_both_masks() {
             );
         }
     }
+}
+
+/// `partition` cuts honest edges, and `tape` and `replay` answer by call
+/// order: none has a vector shape, so their chunks run scalar.
+#[test]
+fn families_without_a_vector_shape_are_declined() {
+    let seeds = [0u64; 4];
+    let partition = Family::Partition {
+        selection: FaultSelection::with_source().limit(1),
+        split: 1,
+        from: 2,
+        to: 3,
+    };
+    let tape = Family::tape(vec![ProcessId(1)], vec![Move::AllOne]).expect("a tape");
+    let trace = AdversaryTrace {
+        family: "silent".to_string(),
+        n: N,
+        t: T,
+        faulty: vec![ProcessId(0)],
+        steps: Vec::new(),
+        cuts: Vec::new(),
+    };
+    let replay = Family::replay(trace).expect("a valid trace");
+    for family in [&partition, &tape, &replay] {
+        assert!(
+            BatchFamily::new(family, &seeds).is_none(),
+            "{}",
+            family.name()
+        );
+    }
+    assert!(BatchFamily::new(&Family::NoFaults, &seeds).is_some());
 }

@@ -8,7 +8,7 @@
 //! tabulates *paper-predicted vs. measured*. `cargo run -p sg-bench --bin
 //! repro` prints them all; EXPERIMENTS.md archives the output.
 
-use sg_adversary::{ChainRevealer, FaultSelection};
+use sg_adversary::{ChainRevealer, Family, FaultSelection};
 use sg_core::schedule::{
     algorithm_a_rounds_bound, algorithm_a_rounds_exact, algorithm_b_rounds_bound,
     algorithm_b_rounds_exact,
@@ -892,7 +892,8 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
         let config = RunConfig::new(n, t)
             .with_source_value(Value(1))
             .with_trace();
-        let adversary = || scenario_family(family, source_faulty, f);
+        let family = &scenario_families(source_faulty, f)[family];
+        let adversary = || family.strategy(SCENARIO_SEED);
         let run = |spec: AlgorithmSpec| {
             let outcome = sg_core::execute(spec, &config, adversary().as_mut()).expect("valid");
             outcome.assert_correct();
@@ -913,7 +914,9 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
     for ((source_faulty, family, f), (ds, stat, dynamic, dyn_king)) in results {
         table.push_row(vec![
             source_label(source_faulty).to_string(),
-            SCENARIO_FAMILIES[family].to_string(),
+            scenario_families(source_faulty, f)[family]
+                .name()
+                .to_string(),
             f.to_string(),
             (f + 2).min(t + 1).to_string(),
             ds.to_string(),
@@ -925,9 +928,6 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
     table
 }
 
-/// The scenario families of the rounds-vs-f tables, in column order.
-const SCENARIO_FAMILIES: [&str; 3] = ["crash", "silent", "chain-revealer"];
-
 fn source_label(source_faulty: bool) -> &'static str {
     if source_faulty {
         "faulty"
@@ -936,28 +936,34 @@ fn source_label(source_faulty: bool) -> &'static str {
     }
 }
 
-/// One [`SCENARIO_FAMILIES`] strategy corrupting exactly `f` processors,
-/// the source first among them when `source_faulty`.
-fn scenario_family(family: usize, source_faulty: bool, f: usize) -> Box<dyn sg_sim::Adversary> {
-    let sel = if source_faulty {
+/// The scenario families of the rounds-vs-f tables, in column order,
+/// each corrupting exactly `f` processors, the source first among them
+/// when `source_faulty`.
+fn scenario_families(source_faulty: bool, f: usize) -> [Family; 3] {
+    let selection = if source_faulty {
         FaultSelection::with_source()
     } else {
         FaultSelection::without_source()
     }
     .limit(f);
-    match family {
-        0 => Box::new(sg_adversary::Crash::new(sel, 2)),
-        1 => Box::new(sg_adversary::Silent::new(sel)),
+    [
+        Family::Crash {
+            selection: selection.clone(),
+            round: 2,
+        },
+        Family::Silent(selection.clone()),
         // The detection-forcing contrast: staged reveals (from round 1
         // when the source is theirs to lie with).
-        _ => Box::new(ChainRevealer::new(
-            sel,
-            if source_faulty { 1 } else { 2 },
-            2,
-            7,
-        )),
-    }
+        Family::ChainRevealer {
+            selection,
+            start: if source_faulty { 1 } else { 2 },
+            block: 2,
+        },
+    ]
 }
+
+/// The seed of every scenario strategy (only chain-revealer reads it).
+const SCENARIO_SEED: u64 = 7;
 
 /// The benchmark's `tree-paper` cells — the paper's own algorithms and
 /// its gear shifts, `(spec, n)` at `b = 3`, each run at
@@ -996,17 +1002,10 @@ pub fn experiment_rounds_vs_f_trees(_scale: Scale) -> Table {
          tail's first lock one round later; and the single-block specs \
          (Exponential, C) have no second block start and run their schedule."
             .to_string(),
-        vec![
-            "algorithm",
-            "n",
-            "t",
-            "schedule",
-            "source",
-            "f",
-            "crash",
-            "silent",
-            "chain-revealer",
-        ],
+        ["algorithm", "n", "t", "schedule", "source", "f"]
+            .into_iter()
+            .chain(scenario_families(false, 0).iter().map(Family::name))
+            .collect(),
     );
     let mut cells: Vec<(AlgorithmSpec, usize, bool, usize)> = Vec::new();
     for (spec, n) in TREE_PAPER_CELLS {
@@ -1020,8 +1019,8 @@ pub fn experiment_rounds_vs_f_trees(_scale: Scale) -> Table {
     }
     let results = measure_cells(cells, move |&(spec, n, source_faulty, f)| {
         let config = RunConfig::new(n, spec.max_resilience(n)).with_source_value(Value(1));
-        [0, 1, 2].map(|family| {
-            let mut adversary = scenario_family(family, source_faulty, f);
+        scenario_families(source_faulty, f).map(|family| {
+            let mut adversary = family.strategy(SCENARIO_SEED);
             let outcome = sg_core::execute(spec, &config, adversary.as_mut()).expect("valid");
             outcome.assert_correct();
             outcome.rounds_used

@@ -49,12 +49,10 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 use sg_adversary::{
-    Adaptive, AdversaryTrace, BatchFamily, ChainRevealer, Crash, EmptyTapeError, Equivocate,
-    FaultSelection, Move, Omission, Partition, RandomLiar, ReplayAdversary, Silent, TapeAdversary,
-    TraceError, VectorFamily,
+    AdversaryTrace, BatchFamily, EmptyTapeError, Family, FaultSelection, Move, TraceError,
 };
 use sg_core::AlgorithmSpec;
-use sg_sim::{Adversary, MruPool, NoFaults, Outcome, ProcessId, RunArena, RunConfig, Value};
+use sg_sim::{Adversary, MruPool, Outcome, ProcessId, RunArena, RunConfig, Value};
 
 use crate::montecarlo::{early_stop_rate, sample_of, Sample, Summary};
 
@@ -156,75 +154,35 @@ impl SweepConfig {
     }
 }
 
-/// The wire-expressible construction of a built-in family, kept so
-/// grids can travel over the `sg-serve/1` protocol (see [`crate::wire`]).
-/// Families built from arbitrary closures have no wire form.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) enum FamilyWire {
-    /// [`AdversaryFamily::no_faults`].
-    NoFaults,
-    /// [`AdversaryFamily::random_liar`] over the selection.
-    RandomLiar(FaultSelection),
-    /// [`AdversaryFamily::chain_revealer`] with its start/block shape.
-    ChainRevealer {
-        selection: FaultSelection,
-        start: usize,
-        block: usize,
-    },
-    /// [`AdversaryFamily::crash`] with its crash round.
-    Crash {
-        selection: FaultSelection,
-        round: usize,
-    },
-    /// [`AdversaryFamily::silent`] over the selection.
-    Silent(FaultSelection),
-    /// [`AdversaryFamily::partition`] with its split/window shape.
-    Partition {
-        selection: FaultSelection,
-        split: usize,
-        from: usize,
-        to: usize,
-    },
-    /// [`AdversaryFamily::omission`] with its period/phase pattern.
-    Omission {
-        selection: FaultSelection,
-        period: usize,
-        phase: usize,
-    },
-    /// [`AdversaryFamily::equivocate`] with its split/start schedule.
-    Equivocate {
-        selection: FaultSelection,
-        split: usize,
-        start: usize,
-    },
-    /// [`AdversaryFamily::adaptive`] with its activation schedule.
-    Adaptive {
-        selection: FaultSelection,
-        schedule: Vec<usize>,
-    },
-    /// [`AdversaryFamily::tape`] with its corrupted set and move tape.
-    Tape {
-        members: Vec<ProcessId>,
-        tape: Vec<Move>,
-    },
-    /// [`AdversaryFamily::replay`] over a recorded trace (shared, so
-    /// cloning the wire form never copies the step list).
-    Trace(Arc<AdversaryTrace>),
-}
-
-/// A family's shared factory closure.
-type Factory = Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>;
-
 /// A named, seed-keyed adversary factory: `seed ↦ strategy instance`.
 ///
-/// Cloning is cheap (the factory is shared), which is what lets the
-/// executor move families into worker closures.
+/// A family built by a named constructor is a shared [`Family`] value,
+/// which travels the wire (see [`crate::wire`]), runs lock-step where it
+/// has a vector shape and pools its scalar strategies. One built by
+/// [`AdversaryFamily::new`] is an arbitrary closure and does none of
+/// that. Cloning is cheap either way (the value or the closure is
+/// shared), which is what lets the executor move families into worker
+/// closures.
 #[derive(Clone)]
 pub struct AdversaryFamily {
     name: String,
-    make: Factory,
-    /// Wire form for serialization; `None` for closure-built families.
-    wire: Option<FamilyWire>,
+    build: Build,
+}
+
+/// What an [`AdversaryFamily`] builds its strategies from.
+#[derive(Clone)]
+enum Build {
+    Named(Arc<Family>),
+    Closure(Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>),
+}
+
+impl From<Family> for AdversaryFamily {
+    fn from(family: Family) -> Self {
+        AdversaryFamily {
+            name: family.name().to_string(),
+            build: Build::Named(Arc::new(family)),
+        }
+    }
 }
 
 impl AdversaryFamily {
@@ -237,40 +195,28 @@ impl AdversaryFamily {
     ) -> Self {
         AdversaryFamily {
             name: name.into(),
-            make: Arc::new(make),
-            wire: None,
+            build: Build::Closure(Arc::new(make)),
         }
     }
 
     /// The fault-free baseline (ignores the seed).
     pub fn no_faults() -> Self {
-        let mut family = AdversaryFamily::new("no-faults", |_| Box::new(NoFaults));
-        family.wire = Some(FamilyWire::NoFaults);
-        family
+        Family::NoFaults.into()
     }
 
     /// Seeded uniform random lies over `selection`.
     pub fn random_liar(selection: FaultSelection) -> Self {
-        let wire = FamilyWire::RandomLiar(selection.clone());
-        let mut family = AdversaryFamily::new("random-liar", move |seed| {
-            Box::new(RandomLiar::new(selection.clone(), seed))
-        });
-        family.wire = Some(wire);
-        family
+        Family::RandomLiar(selection).into()
     }
 
     /// The chain-revealing stress adversary over `selection`.
     pub fn chain_revealer(selection: FaultSelection, start: usize, block: usize) -> Self {
-        let wire = FamilyWire::ChainRevealer {
-            selection: selection.clone(),
+        Family::ChainRevealer {
+            selection,
             start,
             block,
-        };
-        let mut family = AdversaryFamily::new("chain-revealer", move |seed| {
-            Box::new(ChainRevealer::new(selection.clone(), start, block, seed))
-        });
-        family.wire = Some(wire);
-        family
+        }
+        .into()
     }
 
     /// The crash-early/go-silent scenario family: selected processors are
@@ -280,15 +226,7 @@ impl AdversaryFamily {
     /// this is the workload for plotting rounds saved against `f` — the
     /// regime where the paper's expedite argument pays.
     pub fn crash(selection: FaultSelection, round: usize) -> Self {
-        let wire = FamilyWire::Crash {
-            selection: selection.clone(),
-            round,
-        };
-        let mut family = AdversaryFamily::new("crash", move |_| {
-            Box::new(Crash::new(selection.clone(), round))
-        });
-        family.wire = Some(wire);
-        family
+        Family::Crash { selection, round }.into()
     }
 
     /// The omission scenario family: selected processors never send
@@ -296,11 +234,7 @@ impl AdversaryFamily {
     /// [`FaultSelection::limit`] this is the go-silent end of the
     /// actual-fault-budget vocabulary.
     pub fn silent(selection: FaultSelection) -> Self {
-        let wire = FamilyWire::Silent(selection.clone());
-        let mut family =
-            AdversaryFamily::new("silent", move |_| Box::new(Silent::new(selection.clone())));
-        family.wire = Some(wire);
-        family
+        Family::Silent(selection).into()
     }
 
     /// The round-ranged network-partition family: during rounds
@@ -309,64 +243,48 @@ impl AdversaryFamily {
     /// incident to the corrupted set (e.g. `selection.limit(1)` with
     /// `split = 1`) when the protocol's guarantees should still hold.
     pub fn partition(selection: FaultSelection, split: usize, from: usize, to: usize) -> Self {
-        let wire = FamilyWire::Partition {
-            selection: selection.clone(),
+        Family::Partition {
+            selection,
             split,
             from,
             to,
-        };
-        let mut family = AdversaryFamily::new("partition", move |_| {
-            Box::new(Partition::new(selection.clone(), split, from, to))
-        });
-        family.wire = Some(wire);
-        family
+        }
+        .into()
     }
 
     /// The per-edge omission family: corrupted senders drop every
     /// `period`-th (round, sender, recipient) slot, offset by `phase`,
     /// and relay their honest shadow otherwise (ignores the seed).
     pub fn omission(selection: FaultSelection, period: usize, phase: usize) -> Self {
-        let wire = FamilyWire::Omission {
-            selection: selection.clone(),
+        Family::Omission {
+            selection,
             period,
             phase,
-        };
-        let mut family = AdversaryFamily::new("omission", move |_| {
-            Box::new(Omission::new(selection.clone(), period, phase))
-        });
-        family.wire = Some(wire);
-        family
+        }
+        .into()
     }
 
     /// The equivocation-schedule family: from round `start` on,
     /// corrupted senders tell recipients below `split` all-zeros and the
     /// rest all-ones (ignores the seed).
     pub fn equivocate(selection: FaultSelection, split: usize, start: usize) -> Self {
-        let wire = FamilyWire::Equivocate {
-            selection: selection.clone(),
+        Family::Equivocate {
+            selection,
             split,
             start,
-        };
-        let mut family = AdversaryFamily::new("equivocate", move |_| {
-            Box::new(Equivocate::new(selection.clone(), split, start))
-        });
-        family.wire = Some(wire);
-        family
+        }
+        .into()
     }
 
     /// The adaptive mid-run corruption family: the rank-`k` member of
     /// the corrupted set starts lying at round `schedule[k]`, playing
     /// its honest shadow before then (ignores the seed).
     pub fn adaptive(selection: FaultSelection, schedule: Vec<usize>) -> Self {
-        let wire = FamilyWire::Adaptive {
-            selection: selection.clone(),
-            schedule: schedule.clone(),
-        };
-        let mut family = AdversaryFamily::new("adaptive", move |_| {
-            Box::new(Adaptive::new(selection.clone(), schedule.clone()))
-        });
-        family.wire = Some(wire);
-        family
+        Family::Adaptive {
+            selection,
+            schedule,
+        }
+        .into()
     }
 
     /// An enumerated behaviour tape as a wire-portable family: corrupts
@@ -378,21 +296,7 @@ impl AdversaryFamily {
     ///
     /// Returns [`EmptyTapeError`] if `tape` is empty.
     pub fn tape(members: Vec<ProcessId>, tape: Vec<Move>) -> Result<Self, EmptyTapeError> {
-        // Validate the shape once here so the factory's rebuild is
-        // infallible.
-        let _ = TapeAdversary::new(members.iter().copied(), tape.clone())?;
-        let wire = FamilyWire::Tape {
-            members: members.clone(),
-            tape: tape.clone(),
-        };
-        let mut family = AdversaryFamily::new("tape", move |_| {
-            Box::new(
-                TapeAdversary::new(members.iter().copied(), tape.clone())
-                    .expect("tape validated non-empty"),
-            )
-        });
-        family.wire = Some(wire);
-        Ok(family)
+        Family::tape(members, tape).map(Self::from)
     }
 
     /// A recorded scenario as a wire-portable family: every run replays
@@ -405,14 +309,7 @@ impl AdversaryFamily {
     /// Returns [`TraceError::Malformed`] if the trace fails
     /// [`AdversaryTrace::validate`].
     pub fn replay(trace: AdversaryTrace) -> Result<Self, TraceError> {
-        trace.validate()?;
-        let trace = Arc::new(trace);
-        let wire = FamilyWire::Trace(trace.clone());
-        let mut family = AdversaryFamily::new("replay", move |_| {
-            Box::new(ReplayAdversary::new(trace.clone()).expect("trace validated"))
-        });
-        family.wire = Some(wire);
-        Ok(family)
+        Family::replay(trace).map(Self::from)
     }
 
     /// The family's strategy name.
@@ -420,25 +317,32 @@ impl AdversaryFamily {
         &self.name
     }
 
-    /// Builds the strategy instance for one seed.
-    pub fn instantiate(&self, seed: u64) -> Box<dyn Adversary> {
-        (self.make)(seed)
+    /// The named family this was built as, or `None` for a closure.
+    pub fn family(&self) -> Option<&Family> {
+        match &self.build {
+            Build::Named(family) => Some(family),
+            Build::Closure(_) => None,
+        }
     }
 
-    /// The wire form, if this family was built by a named constructor.
-    pub(crate) fn wire(&self) -> Option<&FamilyWire> {
-        self.wire.as_ref()
+    /// Builds the strategy instance for one seed.
+    pub fn instantiate(&self, seed: u64) -> Box<dyn Adversary> {
+        match &self.build {
+            Build::Named(family) => family.strategy(seed),
+            Build::Closure(make) => make(seed),
+        }
     }
 
     /// The key the executor pools this family's strategy instances under,
-    /// or `None` for a closure family: only a named constructor's factory
-    /// is known to take nothing but the RNG seed from `seed`, which is
-    /// what [`sg_sim::Adversary::reseed`] assumes. A closure may pick the
+    /// or `None` for a closure family: only a named family's strategy
+    /// takes nothing but the RNG seed from `seed`, which is what
+    /// [`sg_sim::Adversary::reseed`] assumes. A closure may pick the
     /// fault set by seed too, so its strategies are built per run.
-    fn pool_key(&self) -> Option<FactoryKey> {
-        self.wire
-            .is_some()
-            .then(|| FactoryKey(Arc::clone(&self.make)))
+    fn pool_key(&self) -> Option<FamilyKey> {
+        match &self.build {
+            Build::Named(family) => Some(FamilyKey(Arc::clone(family))),
+            Build::Closure(_) => None,
+        }
     }
 }
 
@@ -450,16 +354,16 @@ impl std::fmt::Debug for AdversaryFamily {
     }
 }
 
-/// Pool key of a family's strategy instances: factory identity. The key
-/// holds a clone of the factory `Arc`, so the pointer used for the lookup
-/// cannot be recycled by a different family while an entry is alive (no
-/// ABA hazard) — pointer equality therefore proves "built by exactly this
-/// factory", which together with a named constructor's seed contract
-/// ([`AdversaryFamily::pool_key`]) is what [`sg_sim::Adversary::reseed`]
-/// needs.
-struct FactoryKey(Factory);
+/// Pool key of a named family's strategy instances: the identity of its
+/// shared [`Family`]. The key holds a clone of the `Arc`, so the pointer
+/// used for the lookup cannot be recycled by a different family while an
+/// entry is alive (no ABA hazard) — pointer equality therefore proves
+/// "built from exactly this value", which with the family's seed
+/// contract ([`AdversaryFamily::pool_key`]) is what
+/// [`sg_sim::Adversary::reseed`] needs.
+struct FamilyKey(Arc<Family>);
 
-impl PartialEq for FactoryKey {
+impl PartialEq for FamilyKey {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
@@ -492,7 +396,7 @@ pub struct SweepScratch {
     batch: sg_sim::BatchArena,
     /// One strategy instance per named family, for scalar runs. Grids
     /// rarely cross more than a handful of families per worker.
-    adversaries: MruPool<FactoryKey, Box<dyn Adversary>, 8>,
+    adversaries: MruPool<FamilyKey, Box<dyn Adversary>, 8>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
     /// for.
     kernels: MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, 4>,
@@ -513,72 +417,6 @@ impl SweepScratch {
 thread_local! {
     /// The scratch of a [`SweepPlan::run`] pool thread.
     static SCRATCH: RefCell<SweepScratch> = RefCell::default();
-}
-
-/// The vector (single-[`sg_sim::BatchAdversary::lies`]-call) form of a
-/// family's wire shape, where the batch adversary layer covers it:
-/// no faults, and the seven named families whose fault selection is
-/// lane-uniform and whose per-edge behaviour is a pure function of
-/// `(round, edge, seed)` — `seeds` being the chunk's, in lane order.
-/// `None` sends the chunk to the scalar engine: closure families (whose
-/// fault set may differ by seed), per-edge faults (`partition`) and
-/// call-order contracts (`tape`, traces).
-fn vector_family<'a>(
-    family: &'a AdversaryFamily,
-    seeds: &'a [u64],
-) -> Option<(VectorFamily<'a>, &'a FaultSelection)> {
-    /// No faults is silence over a selection that corrupts nobody.
-    static NOBODY: FaultSelection = FaultSelection::without_source().limit(0);
-    Some(match family.wire()? {
-        FamilyWire::NoFaults => (VectorFamily::Silent, &NOBODY),
-        FamilyWire::RandomLiar(selection) => (VectorFamily::RandomLiar { seeds }, selection),
-        FamilyWire::ChainRevealer {
-            selection,
-            start,
-            block,
-        } => (
-            VectorFamily::ChainRevealer {
-                seeds,
-                reveal_start: *start,
-                stride: *block,
-            },
-            selection,
-        ),
-        FamilyWire::Crash { selection, round } => (
-            VectorFamily::Crash {
-                crash_round: *round,
-            },
-            selection,
-        ),
-        FamilyWire::Silent(selection) => (VectorFamily::Silent, selection),
-        FamilyWire::Omission {
-            selection,
-            period,
-            phase,
-        } => (
-            VectorFamily::Omission {
-                period: *period,
-                phase: *phase,
-            },
-            selection,
-        ),
-        FamilyWire::Equivocate {
-            selection,
-            split,
-            start,
-        } => (
-            VectorFamily::Equivocate {
-                split: *split,
-                start: *start,
-            },
-            selection,
-        ),
-        FamilyWire::Adaptive {
-            selection,
-            schedule,
-        } => (VectorFamily::Adaptive { schedule }, selection),
-        _ => return None,
-    })
 }
 
 /// A sweep grid: `configs × adversaries × seeds_per_cell` executions.
@@ -832,11 +670,10 @@ impl SweepPlan {
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
-        let Some((vector, selection)) = vector_family(family, seeds) else {
+        let Some(mut batch) = family.family().and_then(|f| BatchFamily::new(f, seeds)) else {
             scratch.kernels.put(kernel_key, kernel);
             return false;
         };
-        let mut batch = BatchFamily::new(vector, selection, seeds.len());
         sg_sim::run_batch_with(&mut scratch.batch, &run_config, kernel.as_mut(), &mut batch);
         scratch.kernels.put(kernel_key, kernel);
 
@@ -863,8 +700,8 @@ impl SweepPlan {
     /// The scalar fallback: run `si` of cell `(ci, ai)` through
     /// [`sg_core::execute_into`] on the scratch's arena and outcome
     /// buffer, with a named family's strategy instance recycled through
-    /// [`sg_sim::Adversary::reseed`] (rebuilt by the factory where the
-    /// strategy declines — the default — and for closure families).
+    /// [`sg_sim::Adversary::reseed`] (rebuilt where the strategy
+    /// declines — the default — and per run for closure families).
     fn run_scalar(&self, scratch: &mut SweepScratch, ci: usize, ai: usize, si: u64) -> Sample {
         let config = &self.configs[ci];
         let family = &self.adversaries[ai];

@@ -15,6 +15,10 @@
 //! integers, never through `f64`) and summary statistics (floats written
 //! with shortest-round-trip precision).
 //!
+//! An [`AdversaryFamily`] built by a named constructor encodes as its
+//! [`Family`], whose codec lives beside the family in
+//! `sg_adversary::family`.
+//!
 //! Two deliberate gaps:
 //!
 //! * [`AdversaryFamily`] values built from arbitrary closures
@@ -28,12 +32,11 @@
 
 use serde::json::{JsonError, Value as Json};
 use serde::{FromJson, ToJson};
-use sg_adversary::{AdversaryTrace, FaultSelection, Move};
+use sg_adversary::Family;
 use sg_core::AlgorithmSpec;
-use sg_sim::{ProcessId, Value};
+use sg_sim::Value;
 
 use crate::montecarlo::{Sample, Summary};
-use crate::sweep::FamilyWire;
 use crate::{AdversaryFamily, CellReport, SweepConfig, SweepPlan};
 
 fn bad(detail: impl Into<String>) -> JsonError {
@@ -118,183 +121,16 @@ impl FromJson for SweepConfig {
 }
 
 impl ToJson for AdversaryFamily {
-    /// `{"family":"random-liar","selection":{…}}`-style tagged objects;
-    /// closure-built families encode as `null` (see the module docs).
+    /// A named family's wire text ([`Family`]'s codec); a closure-built
+    /// family encodes as `null` (see the module docs).
     fn to_json(&self) -> Json {
-        let Some(wire) = self.wire() else {
-            return Json::Null;
-        };
-        match wire {
-            FamilyWire::NoFaults => {
-                Json::Obj(vec![("family".to_string(), Json::from("no-faults"))])
-            }
-            FamilyWire::RandomLiar(selection) => Json::Obj(vec![
-                ("family".to_string(), Json::from("random-liar")),
-                ("selection".to_string(), selection.to_json()),
-            ]),
-            FamilyWire::ChainRevealer {
-                selection,
-                start,
-                block,
-            } => Json::Obj(vec![
-                ("family".to_string(), Json::from("chain-revealer")),
-                ("selection".to_string(), selection.to_json()),
-                ("start".to_string(), Json::from(*start)),
-                ("block".to_string(), Json::from(*block)),
-            ]),
-            FamilyWire::Crash { selection, round } => Json::Obj(vec![
-                ("family".to_string(), Json::from("crash")),
-                ("selection".to_string(), selection.to_json()),
-                ("round".to_string(), Json::from(*round)),
-            ]),
-            FamilyWire::Silent(selection) => Json::Obj(vec![
-                ("family".to_string(), Json::from("silent")),
-                ("selection".to_string(), selection.to_json()),
-            ]),
-            FamilyWire::Partition {
-                selection,
-                split,
-                from,
-                to,
-            } => Json::Obj(vec![
-                ("family".to_string(), Json::from("partition")),
-                ("selection".to_string(), selection.to_json()),
-                ("split".to_string(), Json::from(*split)),
-                ("from".to_string(), Json::from(*from)),
-                ("to".to_string(), Json::from(*to)),
-            ]),
-            FamilyWire::Omission {
-                selection,
-                period,
-                phase,
-            } => Json::Obj(vec![
-                ("family".to_string(), Json::from("omission")),
-                ("selection".to_string(), selection.to_json()),
-                ("period".to_string(), Json::from(*period)),
-                ("phase".to_string(), Json::from(*phase)),
-            ]),
-            FamilyWire::Equivocate {
-                selection,
-                split,
-                start,
-            } => Json::Obj(vec![
-                ("family".to_string(), Json::from("equivocate")),
-                ("selection".to_string(), selection.to_json()),
-                ("split".to_string(), Json::from(*split)),
-                ("start".to_string(), Json::from(*start)),
-            ]),
-            FamilyWire::Adaptive {
-                selection,
-                schedule,
-            } => Json::Obj(vec![
-                ("family".to_string(), Json::from("adaptive")),
-                ("selection".to_string(), selection.to_json()),
-                (
-                    "schedule".to_string(),
-                    Json::Arr(schedule.iter().map(|&r| Json::from(r)).collect()),
-                ),
-            ]),
-            FamilyWire::Tape { members, tape } => Json::Obj(vec![
-                ("family".to_string(), Json::from("tape")),
-                (
-                    "members".to_string(),
-                    Json::Arr(members.iter().map(|p| Json::from(p.index())).collect()),
-                ),
-                (
-                    "tape".to_string(),
-                    Json::Arr(tape.iter().map(|m| Json::from(m.as_str())).collect()),
-                ),
-            ]),
-            FamilyWire::Trace(trace) => Json::Obj(vec![
-                ("family".to_string(), Json::from("replay")),
-                ("trace".to_string(), trace.to_json()),
-            ]),
-        }
+        self.family().map_or(Json::Null, ToJson::to_json)
     }
 }
 
 impl FromJson for AdversaryFamily {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match field_str(v, "family")? {
-            "no-faults" => Ok(AdversaryFamily::no_faults()),
-            "random-liar" => Ok(AdversaryFamily::random_liar(FaultSelection::from_json(
-                v.need("selection")?,
-            )?)),
-            "chain-revealer" => Ok(AdversaryFamily::chain_revealer(
-                FaultSelection::from_json(v.need("selection")?)?,
-                field_usize(v, "start")?,
-                field_usize(v, "block")?,
-            )),
-            "crash" => Ok(AdversaryFamily::crash(
-                FaultSelection::from_json(v.need("selection")?)?,
-                field_usize(v, "round")?,
-            )),
-            "silent" => Ok(AdversaryFamily::silent(FaultSelection::from_json(
-                v.need("selection")?,
-            )?)),
-            "partition" => Ok(AdversaryFamily::partition(
-                FaultSelection::from_json(v.need("selection")?)?,
-                field_usize(v, "split")?,
-                field_usize(v, "from")?,
-                field_usize(v, "to")?,
-            )),
-            "omission" => Ok(AdversaryFamily::omission(
-                FaultSelection::from_json(v.need("selection")?)?,
-                field_usize(v, "period")?,
-                field_usize(v, "phase")?,
-            )),
-            "equivocate" => Ok(AdversaryFamily::equivocate(
-                FaultSelection::from_json(v.need("selection")?)?,
-                field_usize(v, "split")?,
-                field_usize(v, "start")?,
-            )),
-            "adaptive" => {
-                let schedule = v
-                    .need("schedule")?
-                    .as_arr()
-                    .ok_or_else(|| bad("'schedule' must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_usize()
-                            .ok_or_else(|| bad("schedule rounds must be integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(AdversaryFamily::adaptive(
-                    FaultSelection::from_json(v.need("selection")?)?,
-                    schedule,
-                ))
-            }
-            "tape" => {
-                let members = v
-                    .need("members")?
-                    .as_arr()
-                    .ok_or_else(|| bad("'members' must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_usize()
-                            .map(ProcessId)
-                            .ok_or_else(|| bad("tape members must be integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let tape = v
-                    .need("tape")?
-                    .as_arr()
-                    .ok_or_else(|| bad("'tape' must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_str()
-                            .and_then(Move::from_name)
-                            .ok_or_else(|| bad("tape entries must be move names"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                AdversaryFamily::tape(members, tape).map_err(|e| bad(e.to_string()))
-            }
-            "replay" => {
-                let trace = AdversaryTrace::from_json(v.need("trace")?)?;
-                AdversaryFamily::replay(trace).map_err(|e| bad(e.to_string()))
-            }
-            other => Err(bad(format!("unknown adversary family '{other}'"))),
-        }
+        Family::from_json(v).map(AdversaryFamily::from)
     }
 }
 
@@ -796,7 +632,7 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_adversary::FaultSelection;
+    use sg_adversary::{FaultSelection, Move};
 
     fn plan() -> SweepPlan {
         SweepPlan::new(

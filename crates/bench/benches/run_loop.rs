@@ -68,8 +68,7 @@ use rand::{RngCore, SampleUniform, SeedableRng};
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{
-    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, FaultSelection, RandomLiar,
-    VectorFamily,
+    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, Family, FaultSelection, RandomLiar,
 };
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use sg_bench::stress_run;
@@ -308,13 +307,12 @@ fn bench_batch_runs(c: &mut Criterion) {
     });
 
     let mut batch_arena = BatchArena::new();
-    let selection = FaultSelection::without_source();
+    let family = Family::RandomLiar(FaultSelection::without_source());
     let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
     group.bench_function("batch/lock-step-64", |b| {
         b.iter(|| {
             let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-            let family = VectorFamily::RandomLiar { seeds: &seeds };
-            let mut batch = BatchFamily::new(family, &selection, seeds.len());
+            let mut batch = BatchFamily::new(&family, &seeds).expect("a vector shape");
             run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
         });
     });
@@ -327,19 +325,19 @@ fn bench_batch_runs(c: &mut Criterion) {
     // the per-run-round cost of `king-fullround`'s largest cells.
     let mut group = c.benchmark_group("run_loop_n64_matched_equivocation");
     group.sample_size(20);
-    let selection = FaultSelection::with_source();
+    let family = Family::Equivocate {
+        selection: FaultSelection::with_source(),
+        split: 43,
+        start: 1,
+    };
     for spec in [AlgorithmSpec::OptimalKing, AlgorithmSpec::PhaseKing] {
         let config = RunConfig::new(64, spec.max_resilience(64))
             .with_source_value(Value(1))
             .with_trace();
         let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-        let family = VectorFamily::Equivocate {
-            split: 43,
-            start: 1,
-        };
         group.bench_function(format!("batch/full-schedule-n64/{}", spec.name()), |b| {
             b.iter(|| {
-                let mut batch = BatchFamily::new(family, &selection, MAX_BATCH_RUNS);
+                let mut batch = BatchFamily::new(&family, &seeds).expect("a vector shape");
                 run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
             });
         });
@@ -363,26 +361,26 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
     group.sample_size(20);
 
-    let selection = FaultSelection::without_source();
+    let selection = FaultSelection::without_source;
     let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
-    let cases = [
-        ("crash", VectorFamily::Crash { crash_round: 2 }),
-        ("random-liar", VectorFamily::RandomLiar { seeds: &seeds }),
-        (
-            "chain-revealer",
-            VectorFamily::ChainRevealer {
-                seeds: &seeds,
-                reveal_start: 2,
-                stride: 2,
-            },
-        ),
+    let families = [
+        Family::Crash {
+            selection: selection(),
+            round: 2,
+        },
+        Family::RandomLiar(selection()),
+        Family::ChainRevealer {
+            selection: selection(),
+            start: 2,
+            block: 2,
+        },
     ];
     let mut batch_arena = BatchArena::new();
-    for (name, vector) in cases {
-        group.bench_function(format!("batch-adversary/{name}-vector"), |b| {
+    for family in &families {
+        group.bench_function(format!("batch-adversary/{}-vector", family.name()), |b| {
             b.iter(|| {
                 let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
-                let mut batch = BatchFamily::new(vector, &selection, seeds.len());
+                let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
                 run_batch_with(&mut batch_arena, &config, kernel.as_mut(), &mut batch);
             });
         });

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use serde::json::Value as Json;
 use serde::FromJson;
-use sg_analysis::{CellReport, Fingerprint, SweepPlan, SweepScratch};
+use sg_analysis::{AdversaryFamily, CellReport, Fingerprint, SweepPlan, SweepScratch};
 use sg_journal::{CellKey, Journal};
 
 use crate::wire::{ErrorCode, Frame, RejectCode, Request};
@@ -964,19 +964,34 @@ impl StreamState {
 }
 
 /// Validates a submitted plan before it reaches the worker pool, so
-/// rejections are structured errors instead of worker panics.
-fn validate_plan(plan: &SweepPlan) -> Result<(), String> {
+/// rejections are structured errors instead of worker panics: a grid
+/// that cannot run is `rejected`, and a family that names a processor
+/// outside some config's system is a `bad-request`.
+fn validate_plan(plan: &SweepPlan) -> Result<(), (ErrorCode, String)> {
     if plan.configs.is_empty() || plan.adversaries.is_empty() || plan.seeds_per_cell == 0 {
-        return Err(
+        return Err((
+            ErrorCode::Rejected,
             "empty sweep grid (configs, adversaries, and seeds_per_cell must all be non-empty)"
                 .to_string(),
-        );
+        ));
     }
     for config in &plan.configs {
         config
             .spec
             .validate(config.n, config.t)
-            .map_err(|e| format!("{}: {e}", config.spec.name()))?;
+            .map_err(|e| (ErrorCode::Rejected, format!("{}: {e}", config.spec.name())))?;
+    }
+    for family in plan.adversaries.iter().filter_map(AdversaryFamily::family) {
+        if let Some(config) = plan.configs.iter().find(|config| !family.fits(config.n)) {
+            return Err((
+                ErrorCode::BadRequest,
+                format!(
+                    "{} names a processor outside n = {}",
+                    family.name(),
+                    config.n
+                ),
+            ));
+        }
     }
     Ok(())
 }
@@ -1194,9 +1209,9 @@ fn connection_events(
                 shared.begin_drain();
             }
             ConnEvent::Request(Ok(Request::Submit { plan, deadline_ms })) => {
-                if let Err(detail) = validate_plan(&plan) {
+                if let Err((code, detail)) = validate_plan(&plan) {
                     sink.send(&Frame::Error {
-                        code: ErrorCode::Rejected,
+                        code,
                         detail,
                         job: None,
                     })?;

@@ -90,7 +90,9 @@ pub const PROTOCOL: &str = "sg-serve/1";
 pub enum ErrorCode {
     /// The request line was not valid JSON (includes truncated frames).
     BadJson,
-    /// Valid JSON, but not a well-formed request.
+    /// Valid JSON, but not a well-formed request — a submitted plan
+    /// whose adversary family names a processor outside a config's
+    /// system included.
     BadRequest,
     /// The request named a protocol other than [`PROTOCOL`].
     UnsupportedProto,

@@ -7,13 +7,14 @@ use std::time::Duration;
 
 use serde::json::Value as Json;
 use serde::FromJson;
-use sg_adversary::FaultSelection;
+use sg_adversary::{FaultSelection, Move};
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
 use sg_serve::{
     serve, Bind, ChaosProxy, ChaosSpec, Client, ErrorCode, Frame, RejectCode, Request, RetryPolicy,
     ServeError, ServeOptions,
 };
+use sg_sim::ProcessId;
 
 fn start() -> (sg_serve::ServerHandle, String) {
     start_with(ServeOptions {
@@ -127,6 +128,54 @@ fn rejected_plans_and_unknown_jobs_are_structured_errors() {
         }
         other => panic!("expected unknown-job, got {other:?}"),
     }
+    handle.shutdown();
+}
+
+#[test]
+fn families_naming_a_processor_outside_the_system_are_bad_requests() {
+    let (handle, addr) = start();
+    let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+    let king = |n| SweepConfig::traced(AlgorithmSpec::OptimalKing, n, (n - 1) / 3);
+    let outside = [
+        (
+            vec![king(16)],
+            AdversaryFamily::random_liar(FaultSelection::explicit([ProcessId(99)])),
+            "n = 16",
+        ),
+        (
+            vec![king(16)],
+            AdversaryFamily::tape(vec![ProcessId(16)], vec![Move::AllOne]).expect("a tape"),
+            "n = 16",
+        ),
+        // Inside the first config's system, outside the second's.
+        (
+            vec![king(16), king(7)],
+            AdversaryFamily::equivocate(FaultSelection::explicit([ProcessId(9)]), 3, 1),
+            "n = 7",
+        ),
+    ];
+    for (configs, family, names) in outside {
+        let name = family.name().to_string();
+        match client.submit(&SweepPlan::new(configs, vec![family], 2)) {
+            Err(ServeError::Server { code, detail }) => {
+                assert_eq!(code, ErrorCode::BadRequest, "{name}: {detail}");
+                assert!(detail.contains(names), "{name}: {detail}");
+            }
+            other => panic!("{name}: expected bad-request, got {other:?}"),
+        }
+    }
+    // The last processor of the system is inside it.
+    let edge = SweepPlan::new(
+        vec![king(16)],
+        vec![AdversaryFamily::random_liar(FaultSelection::explicit([
+            ProcessId(15),
+        ]))],
+        2,
+    );
+    let streamed = client
+        .submit_and_collect(&edge)
+        .expect("a fitting plan runs");
+    assert_eq!(streamed.report, edge.run_with_jobs(1));
     handle.shutdown();
 }
 

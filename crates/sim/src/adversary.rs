@@ -122,13 +122,14 @@ pub trait Adversary {
     /// engine's adversary pool calls this to recycle strategy instances
     /// across runs of one family instead of boxing a fresh strategy per
     /// run; a `false` return (the default, so external implementations
-    /// keep working unchanged) is a pool miss and the family factory
-    /// builds a replacement.
+    /// keep working unchanged) is a pool miss and the family builds a
+    /// replacement.
     ///
     /// Implementations may assume the instance was built with the same
     /// configuration and that `seed` is only its RNG seed: the sweep
-    /// engine pools the strategies of its named families, whose factories
-    /// promise exactly that, and builds a closure family's fresh per run,
+    /// engine pools only the strategies of named families
+    /// (`sg_adversary::Family`, whose strategies read nothing but their
+    /// RNG seed from it), and builds a closure family's fresh per run,
     /// since such a factory may read its configuration off the seed too.
     /// They must restore *exactly* the freshly-constructed state so pooled
     /// and fresh sweeps stay bit-identical.
