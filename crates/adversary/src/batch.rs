@@ -18,21 +18,28 @@
 //! and a random draw differ per sender: each is its sender's own
 //! one-member story.
 //!
-//! | family | turn | story from then on | rows from then on |
-//! |---|---|---|---|
-//! | `silent` | at once | nothing | none |
-//! | `crash(r)` | round `r` | nothing | none |
-//! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops | one per member |
-//! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split | one per lane mask, shared |
-//! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value | one per lane mask, shared |
-//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) | one per member |
-//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) | one per member |
+//! | family | turn | story from then on | rows from then on | spent from |
+//! |---|---|---|---|---|
+//! | `silent` | at once | nothing | none | round 1 |
+//! | `crash(r)` | round `r` | nothing | none | round `r − 1` |
+//! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops | one per member | never |
+//! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split | one per lane mask, shared | round `s − 1` |
+//! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value | one per lane mask, shared | round `schedule[rank] − 1`, or never |
+//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) | one per member | round 1 |
+//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) | one per member | round `s + rank·b − 1` |
 //!
 //! (`rank` is the member's position in the fault set, ascending id.
 //! Before its turn a member relays its shadow, a row of its own; a
 //! member that sends nothing in a round opens no row. `adaptive`'s ranks
 //! turn at different rounds, and a turned member joins the row of the
 //! others that lie in its lanes.)
+//!
+//! A member is *spent* ([`LiarRows::spend`]) from the round before its
+//! turn, and from round 1 if that is earlier: from then on no round
+//! relays its shadow, so its state is never read again. The kernel stops
+//! updating it, and no story tells it anything — a spent recipient's
+//! row words stay empty, and a random liar draws nothing for it. An
+//! omission member is never spent: its story is its shadow.
 //!
 //! All seven choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call is every lane's
@@ -123,12 +130,25 @@ impl<'a> BatchFamily<'a> {
         }
     }
 
+    /// The members spent in `round`: those whose turn is at or before
+    /// `round + 1`, so that no later round relays their shadow — every
+    /// member but an omission's, whose story *is* its shadow.
+    fn spent(&self, round: usize, set: &ProcessSet) -> u64 {
+        if matches!(self.family, Family::Omission { .. }) {
+            return 0;
+        }
+        set.iter()
+            .enumerate()
+            .filter(|&(rank, _)| self.turn(rank).is_some_and(|turn| turn <= round + 1))
+            .fold(0, |spent, (_, f)| spent | 1 << f.index())
+    }
+
     /// Copies a faulty sender's honest-shadow classification to every
     /// recipient, for the lanes in `mask` — the vector form of
     /// `shadow_or_missing` (lanes outside `present` stay missing, `⊥`
     /// shadows land in neither row) — skipping the recipients `dropped`
-    /// names. A shadow is `f`'s own: a one-member story, opened only if
-    /// it delivers something.
+    /// names and the spent ones. A shadow is `f`'s own: a one-member
+    /// story, opened only if it delivers something.
     fn shadow(
         view: &LaneView<'_>,
         f: usize,
@@ -141,9 +161,10 @@ impl<'a> BatchFamily<'a> {
         if one == 0 && zero == 0 {
             return;
         }
+        let spent = rows.spent();
         let (row_one, row_zero) = rows.slot(f);
         for r in 0..view.n {
-            if r == f || dropped(r) {
+            if r == f || (spent >> r) & 1 == 1 || dropped(r) {
                 continue;
             }
             row_one[r] |= one;
@@ -155,7 +176,8 @@ impl<'a> BatchFamily<'a> {
     /// once, in the lanes of `mask`, classified like the scalar
     /// `Payload::value_at(0)` match: one shared row. The story depends on
     /// the recipient alone, so a member's own position holds what the
-    /// other members tell it.
+    /// other members tell it — unless it is spent, as every spent
+    /// position stays empty.
     fn constant(
         view: &LaneView<'_>,
         members: u64,
@@ -163,8 +185,9 @@ impl<'a> BatchFamily<'a> {
         story: impl Fn(usize) -> u16,
         rows: &mut LiarRows,
     ) {
+        let spent = rows.spent();
         let (row_one, row_zero) = rows.story(members);
-        for r in 0..view.n {
+        for r in (0..view.n).filter(|&r| (spent >> r) & 1 == 0) {
             match story(r) {
                 1 => row_one[r] = mask,
                 0 => row_zero[r] = mask,
@@ -177,12 +200,14 @@ impl<'a> BatchFamily<'a> {
     /// lanes in `mask` (see the module docs, "The first-draw kernel"),
     /// as `f`'s own one-member story. All lanes of an edge are drawn —
     /// the loop has no branch to mispredict and the draw is a handful of
-    /// multiplies — and the assembled words are masked once.
+    /// multiplies — and the assembled words are masked once. A spent
+    /// recipient is drawn nothing.
     fn random(view: &LaneView<'_>, f: usize, mask: u64, seeds: &[u64], rows: &mut LiarRows) {
         let size = view.domain.size();
+        let spent = rows.spent();
         let (row_one, row_zero) = rows.slot(f);
         for r in 0..view.n {
-            if r == f {
+            if r == f || (spent >> r) & 1 == 1 {
                 continue;
             }
             let edge = edge_mix(view.round, ProcessId(f), ProcessId(r));
@@ -220,6 +245,8 @@ impl BatchAdversary for BatchFamily<'_> {
 
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
         let set = view.faulty;
+        // First the spent members: no row below tells them anything.
+        rows.spend(self.spent(view.round, set));
         // A story replaces the shadow at its length (single values on
         // the narrow path), so it exists in the lanes in which the
         // shadow does — except that a turned adaptive source lies

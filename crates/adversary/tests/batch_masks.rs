@@ -14,6 +14,13 @@
 //! (`equivocate`, `adaptive`) the same test holds the sharing: one story
 //! per distinct lane mask of the turned members.
 //!
+//! Word for word holds for every recipient that is not *spent*. A
+//! member is spent once no later round relays its shadow — from the
+//! round before its turn, and never for `omission`, whose story is its
+//! shadow — and a spent recipient is told nothing, since nobody reads
+//! what it hears. The test derives the spent set from each case's turn
+//! schedule and requires every spent position to be empty.
+//!
 //! Both domain sizes matter: at `|V| = 2` the random families run the
 //! sign-bit branch (each lane's `first_draw >> 63`, `zero` the
 //! complement), at `|V| = 3` the `edge_draw` range reduction, while the
@@ -30,13 +37,15 @@ const T: usize = 3;
 const ROUNDS: usize = 6;
 
 /// One family under test over a selection — its lock-step form and,
-/// through [`Family::strategy`], each lane's scalar strategy — and, for a
-/// family whose members share their story, the round the rank-`k`
-/// member turns (`None`: never).
+/// through [`Family::strategy`], each lane's scalar strategy — with the
+/// round from which the rank-`k` member relays its shadow no more (its
+/// turn; `None`: never, as an omission's story is its shadow), and
+/// whether its turned members share their story.
 struct Case {
     name: &'static str,
     family: fn(FaultSelection) -> Family,
-    shared_turn: Option<fn(usize) -> Option<usize>>,
+    turn: fn(usize) -> Option<usize>,
+    shared: bool,
 }
 
 /// The adaptive schedule: shorter than the fault set at `T = 3`, so the
@@ -50,12 +59,14 @@ fn cases() -> Vec<Case> {
             // the selection says.
             name: "no-faults",
             family: |_| Family::NoFaults,
-            shared_turn: None,
+            turn: |_| Some(0),
+            shared: false,
         },
         Case {
             name: "silent",
             family: Family::Silent,
-            shared_turn: None,
+            turn: |_| Some(0),
+            shared: false,
         },
         Case {
             name: "crash",
@@ -63,7 +74,8 @@ fn cases() -> Vec<Case> {
                 selection,
                 round: 3,
             },
-            shared_turn: None,
+            turn: |_| Some(3),
+            shared: false,
         },
         Case {
             name: "omission",
@@ -72,7 +84,8 @@ fn cases() -> Vec<Case> {
                 period: 3,
                 phase: 1,
             },
-            shared_turn: None,
+            turn: |_| None,
+            shared: false,
         },
         Case {
             // Period 0 is clamped to 1 by both forms: every slot drops.
@@ -82,7 +95,8 @@ fn cases() -> Vec<Case> {
                 period: 0,
                 phase: 2,
             },
-            shared_turn: None,
+            turn: |_| None,
+            shared: false,
         },
         Case {
             name: "equivocate",
@@ -91,7 +105,8 @@ fn cases() -> Vec<Case> {
                 split: 4,
                 start: 2,
             },
-            shared_turn: Some(|_| Some(2)),
+            turn: |_| Some(2),
+            shared: true,
         },
         Case {
             name: "adaptive",
@@ -99,12 +114,14 @@ fn cases() -> Vec<Case> {
                 selection,
                 schedule: SCHEDULE.to_vec(),
             },
-            shared_turn: Some(|rank| SCHEDULE.get(rank).copied()),
+            turn: |rank| SCHEDULE.get(rank).copied(),
+            shared: true,
         },
         Case {
             name: "random-liar",
             family: Family::RandomLiar,
-            shared_turn: None,
+            turn: |_| Some(0),
+            shared: false,
         },
         Case {
             name: "chain-revealer",
@@ -113,7 +130,8 @@ fn cases() -> Vec<Case> {
                 start: 2,
                 block: 2,
             },
-            shared_turn: None,
+            turn: |rank| Some(2 + 2 * rank),
+            shared: false,
         },
         Case {
             // Block 0 is clamped to 1 by both forms.
@@ -123,9 +141,21 @@ fn cases() -> Vec<Case> {
                 start: 1,
                 block: 0,
             },
-            shared_turn: None,
+            turn: |rank| Some(1 + rank),
+            shared: false,
         },
     ]
+}
+
+/// The members spent in `round`, derived from the turn schedule alone:
+/// those that turn at or before `round + 1`, so that no later round
+/// relays their shadow.
+fn spent_by_schedule(turn: fn(usize) -> Option<usize>, faulty: &ProcessSet, round: usize) -> u64 {
+    faulty
+        .iter()
+        .enumerate()
+        .filter(|&(rank, _)| turn(rank).is_some_and(|turn| turn <= round + 1))
+        .fold(0, |spent, (_, f)| spent | 1 << f.index())
 }
 
 /// One round's broadcast classification: per slot, the lanes that send,
@@ -299,6 +329,8 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
     let mut rows = LiarRows::new(N);
     // Shared stories of more than one member seen, per sharing family.
     let mut multi = [0usize; 2];
+    // Rounds with a spent member beside a member that still relays.
+    let mut contested = 0usize;
     for case in cases() {
         for selection in &selections {
             for domain_size in [2u16, 3] {
@@ -346,6 +378,7 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
                         rows.clear();
                         batch.lies(&view, &mut rows);
                         let (got_one, got_zero) = expand(&rows);
+                        let spent = spent_by_schedule(case.turn, &faulty, round);
 
                         let mut want_one = vec![0u64; N * N];
                         let mut want_zero = vec![0u64; N * N];
@@ -364,17 +397,35 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
                             "{} over {selection:?}, |V|={domain_size}, {lane_count} lanes, round {round}",
                             case.name
                         );
-                        assert_eq!(got_one, want_one, "net_one: {context}");
-                        assert_eq!(got_zero, want_zero, "net_zero: {context}");
+                        assert_eq!(rows.spent(), spent, "spent: {context}");
+                        let members = faulty.iter().fold(0u64, |m, f| m | 1 << f.index());
+                        if spent != 0 && spent != members {
+                            contested += 1;
+                        }
+                        // Every non-spent recipient is told the oracle's
+                        // words; every spent one nothing.
+                        for f in 0..N {
+                            for r in (0..N).filter(|&r| r != f) {
+                                let (got, want) = (
+                                    (got_one[f * N + r], got_zero[f * N + r]),
+                                    (want_one[f * N + r], want_zero[f * N + r]),
+                                );
+                                if (spent >> r) & 1 == 1 {
+                                    assert_eq!(got, (0, 0), "{f}->{r}, spent: {context}");
+                                } else {
+                                    assert_eq!(got, want, "{f}->{r}: {context}");
+                                }
+                            }
+                        }
                         compared += 1;
 
                         // Sharing: the turned members' stories are exactly
                         // one per distinct lane mask.
-                        let Some(turn) = case.shared_turn else {
+                        if !case.shared {
                             continue;
-                        };
+                        }
                         let adaptive = case.name == "adaptive";
-                        let groups = shared_groups(turn, adaptive, &view);
+                        let groups = shared_groups(case.turn, adaptive, &view);
                         let turned = groups.iter().fold(0u64, |t, &(_, m)| t | m);
                         let told: Vec<u64> = (0..rows.len())
                             .map(|s| rows.members(s))
@@ -397,6 +448,9 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
     // Random presence splits most groups; both sharing families still
     // told some multi-member stories (18 and 5 at this seed).
     assert!(multi.iter().all(|&m| m >= 3), "{multi:?}");
+    // The staggered turns spend some members while others still relay
+    // (216 rounds at this seed).
+    assert!(contested >= 100, "{contested}");
 }
 
 /// Under a fully present, fully active view every turned member lies in
@@ -455,7 +509,9 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
 /// The test above is only as strong as its inputs: a draw that never
 /// produced a `1` (or a view with no live faulty lane) would pass
 /// anything. Random lies over a fully present, fully active view must
-/// put a healthy share of lanes in each mask.
+/// put a healthy share of lanes in each mask of every recipient that is
+/// not spent — every correct one, as a random liar turns at once — and
+/// nothing in a spent one's.
 #[test]
 fn random_lies_populate_both_masks() {
     let seeds: Vec<u64> = (0..64u64)
@@ -482,9 +538,20 @@ fn random_lies_populate_both_masks() {
     let mut rows = LiarRows::new(N);
     batch.lies(&view, &mut rows);
     let (one, zero) = expand(&rows);
+    let spent = spent_by_schedule(|_| Some(0), &faulty, view.round);
+    assert_eq!(spent.count_ones(), 3);
+    assert_eq!(rows.spent(), spent);
     for f in faulty.iter() {
         for r in (0..N).filter(|&r| r != f.index()) {
             let (o, z) = (one[f.index() * N + r], zero[f.index() * N + r]);
+            if (spent >> r) & 1 == 1 {
+                assert_eq!(
+                    (o, z),
+                    (0, 0),
+                    "edge {f:?}->{r}: a spent recipient is drawn nothing"
+                );
+                continue;
+            }
             assert_eq!(o ^ z, !0, "binary draws are 0 or 1 in every lane");
             assert!(
                 (16..=48).contains(&o.count_ones()),

@@ -9,6 +9,13 @@
 //! only supplies the protocol semantics, mirroring how the scalar
 //! [`KingCore`](crate::KingCore) sits behind the engine's round loop.
 //!
+//! A king rule reads only the counts a processor hears, so the kernel
+//! computes only what a correct processor reads: it skips the round's
+//! spent slots ([`BatchNet::spent`]) in every step, and in the exchange
+//! and propose steps a recipient that [`BatchNet::hears_alike`] the live
+//! recipient before it takes that recipient's rule outputs instead of
+//! tallying again (see `sg_sim::batch`, "The delivered network").
+//!
 //! The kernel serves `optimal-king` (three-round row) and `phase-king` /
 //! `phase-queen` (two-round row; one protocol on a binary domain, see
 //! [`crate::optimal_king`]). [`batch_kernel`] picks it by spec; every
@@ -134,6 +141,8 @@ impl BatchKernel for PhaseKernel {
     }
 
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
+        // Who speaks depends on the round alone, never on what a slot
+        // heard: a spent slot's state is stale.
         let n = self.n;
         let (present, one, zero) = (&mut present[..n], &mut one[..n], &mut zero[..n]);
         match self.locate(round) {
@@ -170,11 +179,14 @@ impl BatchKernel for PhaseKernel {
 
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
         let (n, t) = (self.n, self.t);
+        // A spent slot's state is never read again: every step skips it.
+        let spent = net.spent();
+        let live = move |i: &usize| (spent >> i) & 1 == 0;
         let Some((phase, step)) = self.locate(round) else {
             // Everyone adopts the (sanitized) source value; unreadable
             // deliveries land on the default, i.e. the `one` lane mask is
             // exactly the adopted value.
-            for i in 0..n {
+            for i in (0..n).filter(live) {
                 let v = if i == self.source {
                     self.input_one
                 } else {
@@ -184,6 +196,10 @@ impl BatchKernel for PhaseKernel {
             }
             return;
         };
+        // The tallying steps run their rule once per hearing: a recipient
+        // that hears alike the live recipient before it has its tallies,
+        // so it takes that recipient's outputs (`heard`).
+        let mut heard: Option<(usize, (u64, u64))> = None;
         match step {
             PhaseStep::Exchange => {
                 // Ones over all n slots, own current in the self slot. A
@@ -191,31 +207,47 @@ impl BatchKernel for PhaseKernel {
                 // two-round row adopts the plurality and locks it when it
                 // is strong.
                 let strong_at = self.row.strong_at(n, t);
-                for i in 0..n {
-                    let ones = net.tally_one(i, self.current[i]);
-                    let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
+                for i in (0..n).filter(live) {
+                    let (strong, value) = match heard {
+                        Some((prev, out)) if net.hears_alike(prev, i) => out,
+                        _ => {
+                            let ones = net.tally_one(i, self.current[i]);
+                            let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
+                            match self.row {
+                                KingRow::ThreeRound => (strong, strong_one),
+                                // The plurality (ones > n − ones), strong
+                                // or not: an unlocked king still
+                                // broadcasts it.
+                                KingRow::TwoRound => (strong, ones.ge(n / 2 + 1)),
+                            }
+                        }
+                    };
+                    heard = Some((i, (strong, value)));
                     match self.row {
                         KingRow::ThreeRound => {
                             lane_commit(&mut self.prop_some, i, strong, active);
-                            lane_commit(&mut self.prop_one, i, strong_one, active);
+                            lane_commit(&mut self.prop_one, i, value, active);
                         }
                         KingRow::TwoRound => {
-                            // The plurality (ones > n − ones), strong or
-                            // not: an unlocked king still broadcasts it.
-                            let top_one = ones.ge(n / 2 + 1);
                             lane_commit(&mut self.locked, i, strong, active);
-                            lane_commit(&mut self.current, i, top_one, active);
+                            lane_commit(&mut self.current, i, value, active);
                         }
                     }
                 }
             }
             PhaseStep::Propose => {
-                for i in 0..n {
-                    let own_one = self.prop_some[i] & self.prop_one[i];
-                    let own_zero = self.prop_some[i] & !self.prop_one[i];
-                    let c1 = net.tally_one(i, own_one);
-                    let c0 = net.tally_zero(i, own_zero);
-                    let (current, lock) = propose_rule(&c1, &c0, n, t);
+                for i in (0..n).filter(live) {
+                    let (current, lock) = match heard {
+                        Some((prev, out)) if net.hears_alike(prev, i) => out,
+                        _ => {
+                            let own_one = self.prop_some[i] & self.prop_one[i];
+                            let own_zero = self.prop_some[i] & !self.prop_one[i];
+                            let c1 = net.tally_one(i, own_one);
+                            let c0 = net.tally_zero(i, own_zero);
+                            propose_rule(&c1, &c0, n, t)
+                        }
+                    };
+                    heard = Some((i, (current, lock)));
                     lane_commit(&mut self.current, i, current, active);
                     lane_commit(&mut self.locked, i, lock, active);
                     lane_commit(&mut self.ready, i, lock, active);
@@ -228,7 +260,7 @@ impl BatchKernel for PhaseKernel {
                 // The two-round row publishes the lock it took at the
                 // exchange tally here.
                 let k = phase_leader(n, self.source, phase);
-                for i in 0..n {
+                for i in (0..n).filter(live) {
                     let read = if i == k {
                         self.current[k]
                     } else {

@@ -54,6 +54,9 @@
 //! intact duplicate of the same (key, epoch) until the cell is
 //! recomputed and re-appended, or [`Journal::compact`] drops it. That
 //! is more absent than a loader that parsed every body, never wrong.
+//! This corner, how [`Journal::stat`] counts it, and a header-shaped
+//! line with fields after `"cell"` (read as an undecodable body) are
+//! pinned by the `corner_*` tests.
 //!
 //! # Concurrency
 //!
@@ -937,6 +940,92 @@ mod tests {
         let j = Journal::open(&dir).unwrap();
         assert_eq!(j.len(), 3);
         assert_eq!(j.get(CellKey(1), EngineEpoch(8)), Some("{\"v\":18}"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two lines of one address, the newer one's body damaged on disk
+    /// with its header intact; returns the journal reopened over them.
+    fn shadowed_pair(tag: &str) -> (PathBuf, Journal) {
+        let dir = tmpdir(tag);
+        {
+            let mut j = Journal::open(&dir).unwrap();
+            j.append(CellKey(1), EngineEpoch(7), &cell(10)).unwrap();
+            j.append(CellKey(1), EngineEpoch(7), &cell(11)).unwrap();
+        }
+        let seg = only_segment(&dir);
+        let text = fs::read_to_string(&seg).unwrap();
+        fs::write(&seg, text.replacen("{\"v\":11}", "{\"v\":11]", 1)).unwrap();
+        let j = Journal::open(&dir).unwrap();
+        (dir, j)
+    }
+
+    /// Corner: a newest line whose header is intact and whose body is
+    /// damaged shadows an older intact line of the same address. Open
+    /// indexes the newest header, so the lookup gets the damaged text
+    /// (a miss to the caller), never the older cell. `compact` drops the
+    /// damaged line, and the older one goes with its segment: the
+    /// address is absent until the cell is recomputed.
+    #[test]
+    fn corner_a_damaged_newest_line_shadows_an_older_intact_duplicate_until_compact() {
+        let (dir, mut j) = shadowed_pair("corner-shadow");
+        assert!(j.warnings().is_empty(), "{:?}", j.warnings());
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.get(CellKey(1), EngineEpoch(7)), Some("{\"v\":11]"));
+        let report = j.compact().unwrap();
+        assert_eq!((report.entries_kept, report.lines_dropped), (0, 2));
+        assert_eq!(j.get(CellKey(1), EngineEpoch(7)), None);
+        drop(j);
+        let j = Journal::open(&dir).unwrap();
+        assert!(j.is_empty() && j.warnings().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Corner: how `stat` counts that pair. The older intact line is
+    /// `superseded` and the damaged newest line `corrupt` (its header
+    /// indexed, its body does not parse), so the address counts in
+    /// neither `entries` nor `epochs`.
+    #[test]
+    fn corner_stat_counts_the_shadowing_pair_as_superseded_and_corrupt() {
+        let (dir, j) = shadowed_pair("corner-stat");
+        let stats = j.stat().unwrap();
+        assert_eq!(
+            (
+                stats.superseded,
+                stats.corrupt_lines,
+                stats.entries,
+                stats.epochs
+            ),
+            (1, 1, 0, 0)
+        );
+        drop(j);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Corner: a line in the writer's exact header shape with fields after
+    /// `"cell"` is valid JSON that a strict reader would accept, but open
+    /// takes everything between `"cell":` and the last `}` as the cell
+    /// text, so the lookup reads an undecodable body: a miss, counted
+    /// corrupt by `stat` and dropped by `compact`.
+    #[test]
+    fn corner_extra_fields_after_the_cell_read_as_undecodable() {
+        let dir = tmpdir("corner-extra");
+        fs::create_dir_all(&dir).unwrap();
+        let line = format!(
+            "{HEAD_KEY}0000000000000002{HEAD_EPOCH}0000000000000007{HEAD_CELL}{{\"v\":2}},\"note\":\"x\"}}"
+        );
+        let (key, epoch, strict) = parse_fact(&line).expect("valid JSON in the journal's schema");
+        assert_eq!((key, epoch, strict), (CellKey(2), EngineEpoch(7), cell(2)));
+        fs::write(dir.join(segment_name(0)), format!("{line}\n")).unwrap();
+        let mut j = Journal::open(&dir).unwrap();
+        assert!(j.warnings().is_empty(), "{:?}", j.warnings());
+        let text = j
+            .get(CellKey(2), EngineEpoch(7))
+            .expect("the header indexed");
+        assert_eq!(text, "{\"v\":2},\"note\":\"x\"");
+        assert!(Json::parse(text).is_err());
+        assert_eq!(j.stat().unwrap().corrupt_lines, 1);
+        assert_eq!(j.compact().unwrap().entries_kept, 0);
+        drop(j);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -66,6 +66,21 @@
 //! words are clear — so no lane counts a sender twice, and a member
 //! never counts its own story, so a one-member story's word at its
 //! sender's own position is never read.
+//!
+//! Two facts let a kernel compute only what a correct processor reads.
+//! A faulty slot's state feeds nothing but its own shadow, so once the
+//! adversary relays that shadow no more its state is dead: the
+//! adversary names such slots **spent** ([`LiarRows::spend`]), leaves
+//! their row positions empty, and a kernel skips them
+//! ([`BatchNet::spent`]). And a correct recipient's tally is the common
+//! tally plus its story words, since its own vote is already in the
+//! common one: two correct recipients that get the same word from every
+//! story have equal tallies ([`BatchNet::hears_alike`]), and a kernel
+//! whose rules read only tallies computes them once per hearing, not
+//! once per recipient. Stories make such classes common: a shared
+//! `equivocate` or `adaptive` story splits the correct recipients into
+//! a few runs of alike slots, and a round without stories makes them
+//! all one.
 
 use crate::engine::RunConfig;
 use crate::id::{ProcessId, ProcessSet};
@@ -223,7 +238,8 @@ impl<const P: usize> BitPlanes<P> {
 /// A row word at a member's own position is what the *other* members
 /// tell that member: a one-member story's is never read. Rows must hold
 /// bits only in lanes in which every member is faulty — see the module
-/// docs, "The delivered network".
+/// docs, "The delivered network". [`LiarRows::spend`] names the round's
+/// *spent* slots, whose row positions are never read either.
 ///
 /// # Examples
 ///
@@ -241,6 +257,9 @@ impl<const P: usize> BitPlanes<P> {
 /// assert_eq!(rows.len(), 2);
 /// assert_eq!((rows.story_of(3), rows.story_of(2), rows.story_of(0)), (Some(0), Some(1), None));
 /// assert_eq!(rows.rows(0).1, &[0b11, 0b11, 0, 0]);
+/// // Slot 1's shadow is never relayed again.
+/// rows.spend(0b0010);
+/// assert_eq!(rows.spent(), 0b0010);
 /// ```
 pub struct LiarRows {
     /// System size: the length of every row.
@@ -259,6 +278,8 @@ pub struct LiarRows {
     /// `story_of[f]`: the story slot `f` tells, where `told` has `f`;
     /// stale elsewhere.
     story_of: [u8; MAX_BATCH_RUNS],
+    /// The slots spent this round (see [`LiarRows::spend`]).
+    spent: u64,
 }
 
 impl LiarRows {
@@ -276,6 +297,7 @@ impl LiarRows {
             zero: Vec::new(),
             told: 0,
             story_of: [0; MAX_BATCH_RUNS],
+            spent: 0,
         };
         rows.reset(n);
         rows
@@ -289,14 +311,38 @@ impl LiarRows {
         self.clear();
     }
 
-    /// Forgets every story, keeping the row length and the buffers'
-    /// capacity.
+    /// Forgets every story and every spent slot, keeping the row length
+    /// and the buffers' capacity.
     pub fn clear(&mut self) {
         self.members.clear();
         self.weight.clear();
         self.one.clear();
         self.zero.clear();
         self.told = 0;
+        self.spent = 0;
+    }
+
+    /// Marks the slots of `slots` spent for this round: faulty in every
+    /// lane, and relaying their honest shadow in no later round. Such a
+    /// slot's state feeds only that shadow, so nothing reads it again: a
+    /// kernel need not update it, and a story need not tell it anything
+    /// (its row positions stay empty and are never read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` names a slot outside `0..n`.
+    pub fn spend(&mut self, slots: u64) {
+        assert!(
+            self.n == MAX_BATCH_RUNS || slots >> self.n == 0,
+            "spent slots are some of the n slots"
+        );
+        self.spent |= slots;
+    }
+
+    /// The slots spent this round, as a slot mask.
+    #[inline]
+    pub fn spent(&self) -> u64 {
+        self.spent
     }
 
     /// Opens a story told by every slot of `members` and returns its
@@ -430,6 +476,12 @@ impl<'a> BatchNet<'a> {
         active: u64,
     ) -> Self {
         debug_assert_eq!(stories.n, honest_one.len(), "story rows of n words");
+        debug_assert!(
+            (0..stories.n)
+                .filter(|&f| (stories.spent >> f) & 1 == 1)
+                .all(|f| faulty[f] & active == active),
+            "a spent slot is faulty in every active lane"
+        );
         let mut common_one = LaneCounts::default();
         let mut common_zero = LaneCounts::default();
         for (&one, &zero) in honest_one.iter().zip(honest_zero) {
@@ -446,6 +498,31 @@ impl<'a> BatchNet<'a> {
             common_zero,
             active,
         }
+    }
+
+    /// The slots spent this round ([`LiarRows::spend`]): faulty, and
+    /// never read again, so a kernel may leave their state as it is.
+    #[inline]
+    pub fn spent(&self) -> u64 {
+        self.stories.spent
+    }
+
+    /// Whether recipients `a` and `b` hear alike: both are correct in
+    /// every active lane, and every story tells them the same `one` and
+    /// the same `zero` word. Then their tallies are equal in every active
+    /// lane — a correct recipient's own vote is its honest word, already
+    /// in the common tally — so a rule that reads only tallies gives
+    /// both the same outputs.
+    pub fn hears_alike(&self, a: usize, b: usize) -> bool {
+        if (self.faulty[a] | self.faulty[b]) & self.active != 0 {
+            return false;
+        }
+        let stories = self.stories;
+        stories
+            .one
+            .chunks_exact(self.n)
+            .zip(stories.zero.chunks_exact(self.n))
+            .all(|(one, zero)| one[a] == one[b] && zero[a] == zero[b])
     }
 
     /// Lane mask of runs delivering first value `1` from `j` to `i`.
@@ -584,6 +661,12 @@ pub trait BatchAdversary {
     /// and only for members of `view.faulty`: a correct slot's broadcast
     /// is delivered as sent. Lanes set in neither row deliver `⊥` or
     /// nothing — the same three-way classification as [`BatchNet`].
+    ///
+    /// A faulty slot whose shadow no later round relays may be named
+    /// *spent* through [`LiarRows::spend`]: its state is then never read
+    /// again, so the kernel stops updating it and no row word at its
+    /// position is read. Spending a slot that a later round still
+    /// relays corrupts that relay.
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows);
 }
 
@@ -615,10 +698,14 @@ pub trait BatchKernel {
     /// (present lanes in neither send `⊥`). Slots are classified
     /// independently of fault status: the engine routes a faulty slot's
     /// broadcast to the shadow table, exactly like the scalar path.
+    /// `present` may not depend on what a slot heard: a liar tells its
+    /// story in the lanes its shadow is present in, and a spent slot's
+    /// state is stale.
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]);
 
     /// Applies one delivered round to all lane state, updating only
-    /// lanes in `active`.
+    /// lanes in `active`. A slot in [`BatchNet::spent`] may be skipped:
+    /// nothing reads its state again.
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64);
 
     /// Per slot, the lanes in which it currently reports
@@ -1162,6 +1249,103 @@ mod tests {
             shared > 100 && own > 100 && mute > 50,
             "{shared} {own} {mute}"
         );
+    }
+
+    /// Recipients whose tallies `hears_alike` may share, over lane-varying
+    /// words: slots 9 and 10 tell one story, slot 11 its own; slot 8 is
+    /// faulty in one active lane only, slot 7 in a retired lane only.
+    /// Recipients 0, 1, 7 and 8 are told the same words by both stories,
+    /// 2 and 3 the same `one` words as they but another `zero` word.
+    #[test]
+    fn recipients_hear_alike_when_correct_and_told_the_same_words() {
+        let mut rng = Mix(31);
+        let n = 12;
+        for _ in 0..50 {
+            // Lane 0 retired, lane 1 active, the rest at random.
+            let active = (rng.next() | 0b10) & !0b01;
+            let mut faulty = vec![0u64; n];
+            faulty[9..].fill(!0);
+            faulty[8] = 0b10;
+            faulty[7] = 0b01;
+            let honest_one: Vec<u64> = (0..n).map(|j| rng.next() & !faulty[j]).collect();
+            let honest_zero: Vec<u64> = (0..n)
+                .map(|j| rng.next() & !honest_one[j] & !faulty[j])
+                .collect();
+            // Words that vary from lane to lane; `other_zero` differs
+            // from `zero` in some active lane.
+            let (one, zero) = (rng.next() & !0b10, rng.next());
+            let other_zero = zero ^ (rng.next() & active | 0b10);
+            let mut stories = LiarRows::new(n);
+            let (row_one, row_zero) = stories.story(0b0110_0000_0000);
+            for r in 0..n {
+                (row_one[r], row_zero[r]) = match r {
+                    0 | 1 | 7 | 8 => (one, zero & !one),
+                    2 | 3 => (one, other_zero & !one),
+                    _ => (rng.next(), rng.next()),
+                };
+            }
+            let told = rng.next();
+            let (row_one, row_zero) = stories.slot(11);
+            row_one.fill(told);
+            row_zero.fill(!told);
+            let net = BatchNet::new(&honest_one, &honest_zero, &faulty, &stories, active);
+
+            // Equal rows from every story: alike, and the tallies agree in
+            // every active lane.
+            for (a, b) in [(0, 1), (1, 0), (2, 3), (0, 0)] {
+                assert!(net.hears_alike(a, b), "{a} ~ {b}");
+                let (one_a, one_b) = (
+                    net.tally_one(a, honest_one[a]),
+                    net.tally_one(b, honest_one[b]),
+                );
+                let (zero_a, zero_b) = (
+                    net.tally_zero(a, honest_zero[a]),
+                    net.tally_zero(b, honest_zero[b]),
+                );
+                for lane in (0..MAX_BATCH_RUNS).filter(|&l| active >> l & 1 == 1) {
+                    assert_eq!(one_a.lane(lane), one_b.lane(lane), "{a} ~ {b} lane {lane}");
+                    assert_eq!(
+                        zero_a.lane(lane),
+                        zero_b.lane(lane),
+                        "{a} ~ {b} lane {lane}"
+                    );
+                }
+            }
+            // Equal `one` rows, a differing `zero` row: not alike.
+            assert!(!net.hears_alike(1, 2) && !net.hears_alike(3, 0));
+            // Faulty in one active lane, told the same words: never alike,
+            // whichever side it is on; nor is a story's member.
+            for faulty_slot in [8, 9] {
+                assert!(!net.hears_alike(0, faulty_slot) && !net.hears_alike(faulty_slot, 0));
+            }
+            assert!(!net.hears_alike(8, 8));
+            // Faulty in a retired lane only: correct wherever it counts.
+            assert!(net.hears_alike(0, 7) && net.hears_alike(7, 1));
+        }
+    }
+
+    #[test]
+    fn spent_slots_are_reported_until_the_rows_are_cleared() {
+        let mut rows = LiarRows::new(12);
+        rows.slot(11).0[3] = 1;
+        rows.spend(0b0010_0000_0000);
+        rows.spend(0b1000_0000_0000);
+        assert_eq!(rows.spent(), 0b1010_0000_0000);
+        let faulty = [0, 0, 0, 0, 0, 0, 0, 0, 0, !0, 0, !0];
+        let honest = [0; 12];
+        let net = BatchNet::new(&honest, &honest, &faulty, &rows, !0);
+        assert_eq!(net.spent(), 0b1010_0000_0000);
+        rows.clear();
+        assert_eq!(rows.spent(), 0);
+        // A fresh round spends afresh.
+        rows.spend(0b0010_0000_0000);
+        assert_eq!(rows.spent(), 0b0010_0000_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "spent slots are some of the n slots")]
+    fn a_spent_slot_outside_the_system_is_refused() {
+        LiarRows::new(8).spend(1 << 8);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! `sg_sim::run_batch_with`: the active mask splitting as lanes retire at
 //! different rounds, the post-loop finalization of a fixed-length batch,
 //! the phase kernels' keep-your-value rules, a grid mixing kernel and
-//! tree cells under families with and without a vector shape. Through
+//! tree cells under families with and without a vector shape, a spent
+//! shadow beside members that still relay theirs, and recipients that
+//! share one tally under a shared story. Through
 //! the scalar engine, which runs the gear shifts seed by seed: a chunk
 //! boundary and worker counts, `dynamic-king` runs whose shift votes
 //! diverge, runs that stop at the prefix's first echo beside runs that
@@ -20,11 +22,14 @@
 mod oracle;
 
 use oracle::assert_engines_agree;
-use shifting_gears::adversary::FaultSelection;
 use shifting_gears::adversary::RandomLiar;
+use shifting_gears::adversary::{BatchFamily, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
-use shifting_gears::core::AlgorithmSpec;
-use shifting_gears::sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet};
+use shifting_gears::core::{batch_kernel, AlgorithmSpec};
+use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet};
+use shifting_gears::sim::{
+    Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, MAX_BATCH_RUNS,
+};
 
 /// Fails unless the cell's runs ended at two or more different rounds —
 /// otherwise a divergence case silently degrades to the uniform one.
@@ -160,6 +165,150 @@ fn dynamic_king_chain_revealer_splits_the_batch() {
         1,
         2,
     ));
+}
+
+/// What the king kernel is handed, round by round: a kernel that watches
+/// each round's network and then delegates to the real one.
+struct Watch {
+    kernel: Box<dyn BatchKernel + Send>,
+    n: usize,
+    /// The batch's fault set, as a slot mask.
+    members: u64,
+    /// Rounds in which some member is spent while another still relays
+    /// its shadow.
+    contested: usize,
+    /// Live recipients that hear alike the live recipient before them.
+    alike: usize,
+    /// The most hearing classes (runs of alike recipients) among the
+    /// correct recipients of any one round.
+    classes: usize,
+}
+
+impl Watch {
+    /// The king kernel for `spec` at `(n, t)` under `family` over one
+    /// full batch, fixed-length, watched.
+    fn run(spec: AlgorithmSpec, n: usize, t: usize, family: &AdversaryFamily) -> Watch {
+        let mut config = RunConfig::new(n, t);
+        config.early_stopping = false;
+        let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
+        let family = family.family().expect("a named family");
+        let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
+        let members = FaultSelection::with_source()
+            .select(n, t, config.source)
+            .iter()
+            .fold(0, |m, f| m | 1 << f.index());
+        let mut watch = Watch {
+            kernel: batch_kernel(&spec, &config).expect("a king kernel"),
+            n,
+            members,
+            contested: 0,
+            alike: 0,
+            classes: 0,
+        };
+        run_batch_with(&mut BatchArena::new(), &config, &mut watch, &mut batch);
+        watch
+    }
+}
+
+impl BatchKernel for Watch {
+    fn total_rounds(&self) -> usize {
+        self.kernel.total_rounds()
+    }
+
+    fn reset(&mut self, lanes: usize) {
+        self.kernel.reset(lanes);
+    }
+
+    fn charge(&self, round: usize) -> u64 {
+        self.kernel.charge(round)
+    }
+
+    fn snapshot_round(&self, round: usize) -> bool {
+        self.kernel.snapshot_round(round)
+    }
+
+    fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
+        self.kernel.outgoing(round, present, one, zero);
+    }
+
+    fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
+        let spent = net.spent();
+        if spent != 0 && spent != self.members {
+            self.contested += 1;
+        }
+        let live: Vec<usize> = (0..self.n).filter(|&i| (spent >> i) & 1 == 0).collect();
+        self.alike += live
+            .windows(2)
+            .filter(|w| net.hears_alike(w[0], w[1]))
+            .count();
+        let correct: Vec<usize> = live
+            .into_iter()
+            .filter(|&i| (self.members >> i) & 1 == 0)
+            .collect();
+        let split = correct
+            .windows(2)
+            .filter(|w| !net.hears_alike(w[0], w[1]))
+            .count();
+        self.classes = self.classes.max(1 + split);
+        self.kernel.deliver(round, net, active);
+    }
+
+    fn ready(&self) -> &[u64] {
+        self.kernel.ready()
+    }
+
+    fn current(&self) -> &[u64] {
+        self.kernel.current()
+    }
+
+    fn decision_one(&self, slot: usize) -> u64 {
+        self.kernel.decision_one(slot)
+    }
+}
+
+/// A spent shadow beside members that still relay theirs: `chain-revealer`
+/// led by the source at `(31, 10)` turns rank `k` at round `2 + 2k`, so a
+/// member is spent from the round before its turn while the later ranks
+/// still relay the shadows the kernel keeps computing for them. A member
+/// spent a round early would relay a stale shadow.
+#[test]
+fn a_spent_shadow_beside_relaying_members_matches_scalar() {
+    let family = AdversaryFamily::chain_revealer(FaultSelection::with_source(), 2, 2);
+    let watch = Watch::run(AlgorithmSpec::OptimalKing, 31, 10, &family);
+    // Rank 0 is spent from round 1, rank 9 from round 19: rounds 1 to 18
+    // of the 34 are contested.
+    assert_eq!(watch.contested, 18);
+    let plan = SweepPlan::new(
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 31, 10)],
+        vec![family],
+        64,
+    )
+    .fixed_length();
+    assert_engines_agree(&plan);
+}
+
+/// Recipients that share one tally: `equivocate` led by the source with
+/// the split matched to `n = 31` tells its members' one shared story, so
+/// the correct recipients below the split hear alike, and so do those
+/// above it — two hearings, each tallied once. Both king rows.
+#[test]
+fn recipient_classes_under_a_shared_story_match_scalar() {
+    let family = AdversaryFamily::equivocate(FaultSelection::with_source(), 21, 1);
+    for (spec, t) in [
+        (AlgorithmSpec::OptimalKing, 10),
+        (AlgorithmSpec::PhaseKing, 7),
+    ] {
+        let watch = Watch::run(spec, 31, t, &family);
+        assert_eq!(watch.classes, 2, "{spec:?}: hearing classes");
+        assert!(watch.alike >= 300, "{spec:?}: {} alike", watch.alike);
+        let plan = SweepPlan::new(
+            vec![SweepConfig::traced(spec, 31, t)],
+            vec![family.clone()],
+            64,
+        )
+        .fixed_length();
+        assert_engines_agree(&plan);
+    }
 }
 
 /// Two random liars, led by the source in two seeds out of three.
