@@ -361,13 +361,24 @@ impl FromJson for CellReport {
 // times the printing and reading. The two functions below are the same
 // codec without the tree, for the one shape the writer emits; they are
 // selected by the input, never by a setting, and every input they do not
-// recognise takes the tree codec unchanged.
+// recognise takes the tree codec unchanged. Both run in one pass: a
+// sample row is formatted on the stack and appended at once, and an
+// integer's value and its canonical spelling are read by the same loop.
+
+/// The shortest sample row the writer can print after the first,
+/// `,[0,0,0,0,0,true]`; the first, one byte shorter, is followed by at
+/// least the `]` that closes the rows. So `rows * ROW_MIN` never
+/// exceeds the text after `"samples":[`.
+const ROW_MIN: usize = 17;
 
 impl CellReport {
     /// Appends the cell's canonical wire text to `out`: byte for byte
     /// what `self.to_json().to_string()` returns.
     pub fn write_text(&self, out: &mut String) {
         use serde::json::{write_f64, write_str};
+        // Room for the fixed fields and a typical row; a longer cell
+        // grows the string once more.
+        out.reserve(512 + self.spec_name.len() + self.adversary.len() + 32 * self.samples.len());
         // Writing to a `String` cannot fail.
         out.push_str("{\"spec_name\":");
         let _ = write_str(out, &self.spec_name);
@@ -382,8 +393,10 @@ impl CellReport {
         out.push_str(",\"early_stop_rate\":");
         let _ = write_f64(out, self.early_stop_rate);
         out.push_str(",\"samples\":[");
+        let mut row = Ascii::new();
         for (i, s) in self.samples.iter().enumerate() {
-            out.push_str(if i == 0 { "[" } else { ",[" });
+            row.clear();
+            row.put(if i == 0 { b"[" } else { b",[" });
             for count in [
                 s.lock_in,
                 s.discoveries,
@@ -391,10 +404,11 @@ impl CellReport {
                 s.max_local_ops,
                 s.rounds,
             ] {
-                push_u64(out, count);
-                out.push(',');
+                row.uint(count);
+                row.put(b",");
             }
-            out.push_str(if s.early_stopped { "true]" } else { "false]" });
+            row.put(if s.early_stopped { b"true]" } else { b"false]" });
+            out.push_str(row.as_str());
         }
         out.push_str("],\"summaries\":[");
         for (i, s) in self.summaries.iter().enumerate() {
@@ -438,7 +452,7 @@ impl CellReport {
         scan.lit(",\"early_stop_rate\":")?;
         let early_stop_rate = scan.float()?;
         scan.lit(",\"samples\":[")?;
-        let mut samples = Vec::new();
+        let mut samples = Vec::with_capacity((text.len() - scan.at) / ROW_MIN);
         if !scan.eat(b']') {
             loop {
                 scan.byte(b'[')?;
@@ -448,12 +462,15 @@ impl CellReport {
                     scan.byte(b',')?;
                 }
                 let [lock_in, discoveries, total_bits, max_local_ops, rounds] = counts;
-                let early_stopped = if scan.eat(b't') {
-                    scan.lit("rue]")?;
+                let rest = &text.as_bytes()[scan.at..];
+                let early_stopped = if rest.starts_with(b"true]") {
+                    scan.at += 5;
                     true
-                } else {
-                    scan.lit("false]")?;
+                } else if rest.starts_with(b"false]") {
+                    scan.at += 6;
                     false
+                } else {
+                    return None;
                 };
                 samples.push(Sample {
                     lock_in,
@@ -524,18 +541,72 @@ impl CellReport {
 }
 
 /// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+fn push_u64(out: &mut String, v: u64) {
+    let mut digits = Ascii::new();
+    digits.uint(v);
+    out.push_str(digits.as_str());
+}
+
+/// `"00"`, `"01"`, …, `"99"`: the decimal writer emits two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// A stack buffer of ASCII that one sample row is formatted into before
+/// it is appended to the output with one `push_str`. The longest row,
+/// `,[` + five 20-digit counts with their commas + `false]`, is 113
+/// bytes.
+struct Ascii {
+    bytes: [u8; 128],
+    len: usize,
+}
+
+impl Ascii {
+    fn new() -> Ascii {
+        Ascii {
+            bytes: [0; 128],
+            len: 0,
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn put(&mut self, ascii: &[u8]) {
+        self.bytes[self.len..self.len + ascii.len()].copy_from_slice(ascii);
+        self.len += ascii.len();
+    }
+
+    /// Appends `v` in decimal, written from its last digit back.
+    fn uint(&mut self, mut v: u64) {
+        let end = self.len + v.checked_ilog10().map_or(1, |log| log as usize + 1);
+        let mut at = end;
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            self.bytes[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            self.bytes[at - 2..at].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            self.bytes[at - 1] = b'0' + v as u8;
+        }
+        self.len = end;
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("the buffer holds ASCII only")
+    }
 }
 
 /// The value of `digits` if it is an integer as the wire writers print
@@ -591,10 +662,32 @@ impl<'a> Scanner<'a> {
         (run.len() == 1 || (run.len() > 1 && !run.starts_with('0'))).then_some(run)
     }
 
+    /// An integer in its canonical spelling, read in one pass: the loop
+    /// that finds the digit run also accumulates its value. Nineteen
+    /// digits cannot overflow a `u64`; only a longer run is read again
+    /// with checked arithmetic.
     fn uint(&mut self) -> Option<u64> {
-        self.whole()?.bytes().try_fold(0u64, |value, digit| {
-            value.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
-        })
+        let digits = &self.text.as_bytes()[self.at..];
+        let mut value = 0u64;
+        let mut len = 0;
+        while let Some(&byte) = digits.get(len) {
+            let digit = byte.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+            len += 1;
+        }
+        if len == 0 || (len > 1 && digits[0] == b'0') {
+            return None;
+        }
+        if len > 19 {
+            value = digits[..len].iter().try_fold(0u64, |value, &digit| {
+                value.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
+            })?;
+        }
+        self.at += len;
+        Some(value)
     }
 
     /// `digits.digits`, the only shape the float writer prints for a
@@ -1048,6 +1141,49 @@ mod tests {
         assert_eq!(canonical_u64("18446744073709551615"), Some(u64::MAX));
         for not_canonical in ["", "00", "+1", "-1", "1 ", "1.0", "18446744073709551616"] {
             assert_eq!(canonical_u64(not_canonical), None, "{not_canonical:?}");
+        }
+    }
+
+    #[test]
+    fn integers_at_every_digit_count_boundary_match_the_tree_codec() {
+        // 0, 9, 10, 99, 100, …, 10^19 - 1, 10^19, u64::MAX: every digit
+        // count the writer sizes, and both sides of the reader's 19-digit
+        // overflow shortcut.
+        let mut values = vec![0u64];
+        for power in 1..=19 {
+            values.extend([10u64.pow(power) - 1, 10u64.pow(power)]);
+        }
+        values.push(u64::MAX);
+        let at = |i: usize| values[i % values.len()];
+        let template = king_cell();
+        for shift in 0..values.len() {
+            let mut cell = template.clone();
+            cell.first_seed = at(shift);
+            for (i, sample) in cell.samples.iter_mut().take(values.len()).enumerate() {
+                sample.lock_in = at(shift + i);
+                sample.discoveries = at(shift + i + 1);
+                sample.total_bits = at(shift + i + 2);
+                sample.max_local_ops = at(shift + i + 3);
+                sample.rounds = at(shift + i + 4);
+            }
+            for (j, summary) in cell.summaries.iter_mut().enumerate() {
+                summary.min = at(shift + 2 * j);
+                summary.max = at(shift + 2 * j + 1);
+            }
+            let text = text_encode(&cell);
+            assert_eq!(text, tree_encode(&cell), "shift {shift}");
+            assert_eq!(CellReport::from_text(&text).as_ref(), Some(&cell));
+            assert_eq!(tree_decode(&text).as_ref(), Ok(&cell));
+        }
+        assert_eq!(
+            canonical_u64("10000000000000000000"),
+            Some(10_000_000_000_000_000_000)
+        );
+        for not_canonical in ["18446744073709551616", "01", "99999999999999999999"] {
+            assert_eq!(canonical_u64(not_canonical), None, "{not_canonical:?}");
+        }
+        for &value in &values {
+            assert_eq!(canonical_u64(&value.to_string()), Some(value));
         }
     }
 

@@ -21,11 +21,11 @@
 //!
 //! # What open reads, what lookup reads
 //!
-//! [`Journal::open`] reads each segment once into a buffer it keeps and
-//! checks, per line, only the header the writer emits — the exact bytes
-//! above up to `"cell":`, sixteen lowercase hex digits in each address
-//! field, and the closing `}` — mapping (key, epoch) to the byte range
-//! of the cell text. Nothing is parsed, cloned or freed for a cell that
+//! [`Journal::open`] reads each segment once into a buffer it keeps,
+//! finds its line ends 64 bytes at a time, and checks, per line, only
+//! the header the writer emits — the exact bytes above up to `"cell":`,
+//! sixteen lowercase hex digits in each address field, and the closing
+//! `}` — mapping (key, epoch) to the byte range of the cell text. Nothing is parsed, cloned or freed for a cell that
 //! is never looked up. A line in any other shape (reordered fields,
 //! whitespace, a foreign schema, a hand edit) goes through the full JSON
 //! parse, so it is accepted or warned about exactly as a strict reader
@@ -469,10 +469,10 @@ impl Journal {
             Err(damaged) => self.blank_invalid_lines(&name, damaged.as_bytes()),
         };
         let buffer = self.texts.len();
-        let mut line_start = 0;
-        for (lineno, line) in text.split('\n').enumerate() {
-            let offset = line_start;
-            line_start += line.len() + 1;
+        self.index.reserve(text.len() / INDEX_LINE);
+        for (lineno, range) in line_ranges(&text).enumerate() {
+            let offset = range.start;
+            let line = &text[range];
             let fact = match scan_canonical(line) {
                 Some((key, epoch, cell)) => Ok((
                     key,
@@ -648,6 +648,47 @@ fn scan_canonical(line: &str) -> Option<(CellKey, EngineEpoch, Range<usize>)> {
     let key = hex16(&bytes[KEY..KEY + HEX])?;
     let epoch = hex16(&bytes[EPOCH..EPOCH + HEX])?;
     Some((CellKey(key), EngineEpoch(epoch), CELL..bytes.len() - 1))
+}
+
+/// Bytes of segment per index slot reserved before a segment is read: a
+/// cell line runs to about two kilobytes, and reserving for the
+/// shortest line the header allows would hold twenty times the slots.
+const INDEX_LINE: usize = 1024;
+
+/// Bytes the newline scan tests at a time.
+const CHUNK: usize = 64;
+
+/// The byte ranges of `text`'s lines, exactly as `str::split('\n')`
+/// yields them: a last line without `\n` and the empty line after a
+/// final `\n` included.
+fn line_ranges(text: &str) -> impl Iterator<Item = Range<usize>> + '_ {
+    let bytes = text.as_bytes();
+    let mut start = Some(0);
+    std::iter::from_fn(move || {
+        let from = start?;
+        let end = next_newline(bytes, from);
+        start = end.map(|end| end + 1);
+        Some(from..end.unwrap_or(bytes.len()))
+    })
+}
+
+/// The first `\n` at or after `from`. Whole chunks are passed over with
+/// an OR of byte compares — no early exit inside a chunk, so the
+/// compiler turns each chunk into a few vector compares — and only the
+/// chunk that holds the newline, or the short tail, is searched byte
+/// by byte.
+fn next_newline(bytes: &[u8], from: usize) -> Option<usize> {
+    let rest = &bytes[from..];
+    let (chunks, _) = rest.as_chunks::<CHUNK>();
+    let clear = chunks
+        .iter()
+        .take_while(|chunk| !chunk.iter().fold(false, |seen, &b| seen | (b == b'\n')))
+        .count();
+    let at = clear * CHUNK;
+    rest[at..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| from + at + i)
 }
 
 /// Sixteen lowercase hex digits, as the address fields are displayed.
@@ -828,6 +869,68 @@ mod tests {
         assert_eq!(j.get(CellKey(1), EngineEpoch(7)), Some("{\"v\":1}"));
         assert_eq!(j.get(CellKey(2), EngineEpoch(7)), Some("{\"v\":2}"));
         assert_eq!(j.get(CellKey(10), EngineEpoch(7)), Some("{\"v\":3}"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The chunked newline scan against `str::split('\n')`: line ends at
+    /// every offset from 0 to 130, on both sides of the first two chunk
+    /// boundaries, then a canonical line whose end moves across the
+    /// second; a last line without `\n`; the empty segment and `"\n\n"`.
+    #[test]
+    fn the_newline_scan_indexes_the_lines_str_split_gives() {
+        let dir = tmpdir("newline-scan");
+        fs::create_dir_all(&dir).unwrap();
+        let mut segments = vec![String::new(), "\n".to_string(), "\n\n".to_string()];
+        for end in 0..=130u64 {
+            let filler = "x".repeat(end as usize);
+            let fact = fact_line(CellKey(end), EngineEpoch(7), &cell(end));
+            segments.push(format!("{filler}\n{fact}\n{filler}"));
+            segments.push(format!("{fact}\n{filler}\n\n{fact}\n"));
+        }
+        for segment in &segments {
+            let split: Vec<Range<usize>> = segment
+                .split('\n')
+                .scan(0, |start, line| {
+                    let range = *start..*start + line.len();
+                    *start = range.end + 1;
+                    Some(range)
+                })
+                .collect();
+            assert_eq!(
+                line_ranges(segment).collect::<Vec<_>>(),
+                split,
+                "{segment:?}"
+            );
+
+            // What open must make of the segment, read line by line off
+            // `str::split`.
+            let name = segment_name(0);
+            let (mut index, mut warnings) = (HashMap::new(), Vec::new());
+            for (lineno, line) in segment.split('\n').enumerate() {
+                match scan_canonical(line) {
+                    Some((key, epoch, cell)) => {
+                        index.insert((key, epoch), line[cell].to_string());
+                    }
+                    None if line.trim().is_empty() => {}
+                    None => match parse_fact(line) {
+                        Ok((key, epoch, cell)) => {
+                            index.insert((key, epoch), cell.to_string());
+                        }
+                        Err(reason) => warnings.push(format!(
+                            "journal: {name}:{}: {reason} — treating as a miss",
+                            lineno + 1
+                        )),
+                    },
+                }
+            }
+            fs::write(dir.join(&name), segment).unwrap();
+            let j = Journal::open(&dir).unwrap();
+            assert_eq!(j.warnings(), warnings, "{segment:?}");
+            assert_eq!(j.len(), index.len(), "{segment:?}");
+            for (&(key, epoch), text) in &index {
+                assert_eq!(j.get(key, epoch), Some(text.as_str()), "{segment:?}");
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -813,6 +813,9 @@ fn worker_turn(shared: &Shared, job: &Arc<Job>, scratch: &mut SweepScratch) {
     let started = Instant::now();
     let mut finished = Vec::new();
     let mut failure = None;
+    // The journal write-through's line text, reused by every cell of the
+    // turn.
+    let mut text = String::new();
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut cursor = job.plan.cell_cursor(index);
@@ -835,7 +838,7 @@ fn worker_turn(shared: &Shared, job: &Arc<Job>, scratch: &mut SweepScratch) {
                 // wrong").
                 if let Some(journal) = &shared.journal {
                     if let Some(&Some(key)) = job.journal_keys.get(index) {
-                        let mut text = String::new();
+                        text.clear();
                         cell.write_text(&mut text);
                         let mut journal = journal.lock().expect("journal");
                         if let Err(e) = journal.append_text(key, job.plan.epoch(), &text) {
