@@ -45,9 +45,11 @@
 //! [`FaultSelection`], so one `select` call is every lane's
 //! ([`BatchAdversary::corrupt`], once per batch), and all seven classify
 //! payloads into lane masks in one [`BatchAdversary::lies`] call per
-//! round. No scalar strategy is built for the lanes: the rules need only
-//! the family's parameters and the lanes' seeds. No faults at all is
-//! `silent` over a selection that corrupts nobody.
+//! round. `corrupt` keeps the set as a member word, and each round walks
+//! its set bits: ascending id is rank order. No scalar strategy is built
+//! for the lanes: the rules need only the family's parameters and the
+//! lanes' seeds. No faults at all is `silent` over a selection that
+//! corrupts nobody.
 //!
 //! # The first-draw kernel
 //!
@@ -75,7 +77,7 @@
 //! and `sign_bit_is_the_binary_draw` hold both ends.
 
 use sg_sim::batch::{BatchAdversary, LaneView, LiarRows};
-use sg_sim::{ProcessId, ProcessSet};
+use sg_sim::{ProcessId, ProcessSet, MAX_BATCH_RUNS};
 
 use crate::family::Family;
 use crate::selection::FaultSelection;
@@ -91,6 +93,9 @@ pub struct BatchFamily<'a> {
     /// One per lane, in lane order: the seeds the lanes' scalar
     /// strategies would be built with.
     seeds: &'a [u64],
+    /// The fault set [`BatchAdversary::corrupt`] chose, as a slot mask:
+    /// its set bits in ascending order are the members in rank order.
+    members: u64,
 }
 
 impl<'a> BatchFamily<'a> {
@@ -115,6 +120,7 @@ impl<'a> BatchFamily<'a> {
             family,
             selection,
             seeds,
+            members: 0,
         })
     }
 
@@ -130,17 +136,30 @@ impl<'a> BatchFamily<'a> {
         }
     }
 
+    /// The members in rank order: `(rank, slot)` for each set bit of
+    /// `members`, ascending.
+    fn ranked(&self) -> impl Iterator<Item = (usize, usize)> {
+        let mut w = self.members;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let f = w.trailing_zeros() as usize;
+                w &= w - 1;
+                f
+            })
+        })
+        .enumerate()
+    }
+
     /// The members spent in `round`: those whose turn is at or before
     /// `round + 1`, so that no later round relays their shadow — every
     /// member but an omission's, whose story *is* its shadow.
-    fn spent(&self, round: usize, set: &ProcessSet) -> u64 {
+    fn spent(&self, round: usize) -> u64 {
         if matches!(self.family, Family::Omission { .. }) {
             return 0;
         }
-        set.iter()
-            .enumerate()
+        self.ranked()
             .filter(|&(rank, _)| self.turn(rank).is_some_and(|turn| turn <= round + 1))
-            .fold(0, |spent, (_, f)| spent | 1 << f.index())
+            .fold(0, |spent, (_, f)| spent | 1 << f)
     }
 
     /// Copies a faulty sender's honest-shadow classification to every
@@ -238,15 +257,22 @@ impl BatchAdversary for BatchFamily<'_> {
     }
 
     fn corrupt(&mut self, n: usize, t: usize, source: ProcessId, set: &mut ProcessSet) {
+        assert!(n <= MAX_BATCH_RUNS, "a member mask holds at most 64 slots");
         // One seed-free selection: each lane's scalar `corrupt` would
-        // return this same set.
+        // return this same set. It is fixed for the batch, so the rounds
+        // read it as one word.
         set.clone_from(&self.selection.select(n, t, source));
+        self.members = set.iter().fold(0, |m, f| m | 1 << f.index());
     }
 
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows) {
-        let set = view.faulty;
+        debug_assert_eq!(
+            self.members,
+            view.faulty.iter().fold(0, |m, f| m | 1 << f.index()),
+            "lies over the set `corrupt` chose"
+        );
         // First the spent members: no row below tells them anything.
-        rows.spend(self.spent(view.round, set));
+        rows.spend(self.spent(view.round));
         // A story replaces the shadow at its length (single values on
         // the narrow path), so it exists in the lanes in which the
         // shadow does — except that a turned adaptive source lies
@@ -263,8 +289,7 @@ impl BatchAdversary for BatchFamily<'_> {
         };
         // The turned members of a constant story, told together below.
         let mut turned = 0u64;
-        for (rank, f) in set.iter().enumerate() {
-            let f = f.index();
+        for (rank, f) in self.ranked() {
             if self.turn(rank).is_none_or(|turn| view.round < turn) {
                 Self::shadow(view, f, view.active, |_| false, rows);
                 continue;

@@ -81,6 +81,19 @@
 //! `equivocate` or `adaptive` story splits the correct recipients into
 //! a few runs of alike slots, and a round without stories makes them
 //! all one.
+//!
+//! # What a lane pays for
+//!
+//! A batch has one fault set, and a kernel's speech is lane-uniform: a
+//! slot speaks in every lane or in none ([`BatchKernel::outgoing`],
+//! asserted every round). So the driver's bookkeeping is the same in
+//! every lane and is done once, a word or a slot pass at a time. The
+//! honest sends are one running total, like the op charge, and a lane
+//! keeps the totals it retires with. The common tallies are one
+//! carry-save sum ([`LaneCounts::sum`]). One walk over the snapshots
+//! settles every lane's lock-in round. Only what differs per lane —
+//! kernel state, story rows, the tallies that read them — is held per
+//! lane, as bits of a word.
 
 use crate::engine::RunConfig;
 use crate::id::{ProcessId, ProcessSet};
@@ -93,21 +106,10 @@ pub const MAX_BATCH_RUNS: usize = 64;
 /// any sender count at `n ≤ 64`.
 const COUNT_PLANES: usize = 7;
 
-/// Bit planes for the per-lane count of honest sends: 13 planes count up
-/// to 8191, above the 64 slots × 67 rounds of the longest king schedule
-/// ([`run_batch_with`] asserts the width).
-const SEND_PLANES: usize = 13;
-
-/// A per-lane counter in bit-plane form: plane `p` holds bit `p` of each
-/// lane's count. Adding a lane mask is a ripple-carry increment of every
-/// set lane at once; comparisons walk the planes MSB-first. Kernels use
-/// the 7-plane [`LaneCounts`].
-#[derive(Clone, Copy, Debug)]
-pub struct BitPlanes<const P: usize> {
-    planes: [u64; P],
-}
-
-/// The tally counter: one count per lane, up to 127.
+/// The tally counter: one count per lane, up to 127, in bit-plane form —
+/// plane `p` holds bit `p` of each lane's count. Adding a lane mask is a
+/// ripple-carry increment of every set lane at once; comparisons walk the
+/// planes MSB-first.
 ///
 /// # Examples
 ///
@@ -121,16 +123,64 @@ pub struct BitPlanes<const P: usize> {
 /// assert_eq!(c.ge(1), 0b1011);
 /// assert_eq!(c.ge(0), !0);
 /// ```
-pub type LaneCounts = BitPlanes<COUNT_PLANES>;
-
-impl<const P: usize> Default for BitPlanes<P> {
-    fn default() -> Self {
-        BitPlanes { planes: [0; P] }
-    }
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LaneCounts {
+    planes: [u64; COUNT_PLANES],
 }
 
-impl<const P: usize> BitPlanes<P> {
+/// One carry-save step: the `(carry, sum)` planes of `a + b + c`.
+#[inline]
+fn carry_save(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+// The tally methods are `#[inline]`: kernels in other crates call them
+// per recipient, and a method of a non-generic type is not inlined
+// across crates otherwise.
+impl LaneCounts {
+    /// The per-lane count of `words` that hold each lane: a Harley–Seal
+    /// carry-save tree, eight words a step into running ones, twos and
+    /// fours planes with only the eights rippled in, and the remainder
+    /// added plainly — about two operations a word, where a ripple add
+    /// per word is a branchy walk up the planes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sg_sim::batch::LaneCounts;
+    ///
+    /// let c = LaneCounts::sum(&[0b011, 0b110, 0b010, 0b010]);
+    /// assert_eq!((c.lane(0), c.lane(1), c.lane(2)), (1, 4, 1));
+    /// assert_eq!(LaneCounts::sum(&[!0; 64]).ge(64), !0);
+    /// ```
+    pub fn sum(words: &[u64]) -> Self {
+        debug_assert!(words.len() < 1 << COUNT_PLANES, "lane counter overflow");
+        let mut count = LaneCounts::default();
+        let (mut ones, mut twos, mut fours) = (0u64, 0u64, 0u64);
+        let mut steps = words.chunks_exact(8);
+        for w in &mut steps {
+            let (twos_a, o) = carry_save(ones, w[0], w[1]);
+            let (twos_b, o) = carry_save(o, w[2], w[3]);
+            let (fours_a, t) = carry_save(twos, twos_a, twos_b);
+            let (twos_a, o) = carry_save(o, w[4], w[5]);
+            let (twos_b, o) = carry_save(o, w[6], w[7]);
+            let (fours_b, t) = carry_save(t, twos_a, twos_b);
+            let (eights, f) = carry_save(fours, fours_a, fours_b);
+            (ones, twos, fours) = (o, t, f);
+            count.add_at(3, eights);
+        }
+        // Only the eights have touched the counter: the low planes are
+        // the running ones, twos and fours as they stand.
+        count.planes[..3].copy_from_slice(&[ones, twos, fours]);
+        for &w in steps.remainder() {
+            count.add(w);
+        }
+        count
+    }
+
     /// Adds 1 to every lane set in `mask`.
+    #[inline]
     pub fn add(&mut self, mask: u64) {
         self.add_at(0, mask);
     }
@@ -150,8 +200,9 @@ impl<const P: usize> BitPlanes<P> {
     /// c.add_times(0, !0); // adds nothing
     /// assert_eq!(c.ge(22), 0b010);
     /// ```
+    #[inline]
     pub fn add_times(&mut self, k: usize, mask: u64) {
-        debug_assert!(k < 1 << P, "lane counter overflow");
+        debug_assert!(k < 1 << COUNT_PLANES, "lane counter overflow");
         if k == 1 {
             // A one-member story: the plain add, with its first plane
             // known.
@@ -182,11 +233,12 @@ impl<const P: usize> BitPlanes<P> {
     }
 
     /// Lanes whose count is `>= c`.
+    #[inline]
     pub fn ge(&self, c: usize) -> u64 {
-        debug_assert!(c < (1 << P));
+        debug_assert!(c < (1 << COUNT_PLANES));
         let mut gt = 0u64;
         let mut eq = !0u64;
-        for p in (0..P).rev() {
+        for p in (0..COUNT_PLANES).rev() {
             if (c >> p) & 1 == 1 {
                 eq &= self.planes[p];
             } else {
@@ -197,10 +249,11 @@ impl<const P: usize> BitPlanes<P> {
     }
 
     /// Lanes where `self > other`.
+    #[inline]
     pub fn gt(&self, other: &Self) -> u64 {
         let mut gt = 0u64;
         let mut eq = !0u64;
-        for p in (0..P).rev() {
+        for p in (0..COUNT_PLANES).rev() {
             gt |= eq & self.planes[p] & !other.planes[p];
             eq &= !(self.planes[p] ^ other.planes[p]);
         }
@@ -210,6 +263,7 @@ impl<const P: usize> BitPlanes<P> {
     /// Adopts `new`'s counts in lanes set in `active`, freezing the rest
     /// — the [`BatchKernel`] state-commit rule lifted to counters, for
     /// kernels that carry a tally across rounds.
+    #[inline]
     pub fn commit(&mut self, new: &Self, active: u64) {
         for (old, new) in self.planes.iter_mut().zip(new.planes.iter()) {
             *old = (new & active) | (*old & !active);
@@ -467,7 +521,7 @@ pub struct BatchNet<'a> {
 impl<'a> BatchNet<'a> {
     /// Assembles the round's network (one honest word per slot, so `n`
     /// of them) and sums the common tallies — the one pass over all `n`
-    /// senders a round pays.
+    /// senders a round pays, by carry-save ([`LaneCounts::sum`]).
     fn new(
         honest_one: &'a [u64],
         honest_zero: &'a [u64],
@@ -482,20 +536,14 @@ impl<'a> BatchNet<'a> {
                 .all(|f| faulty[f] & active == active),
             "a spent slot is faulty in every active lane"
         );
-        let mut common_one = LaneCounts::default();
-        let mut common_zero = LaneCounts::default();
-        for (&one, &zero) in honest_one.iter().zip(honest_zero) {
-            common_one.add(one);
-            common_zero.add(zero);
-        }
         BatchNet {
             n: honest_one.len(),
             honest_one,
             honest_zero,
             faulty,
             stories,
-            common_one,
-            common_zero,
+            common_one: LaneCounts::sum(honest_one),
+            common_zero: LaneCounts::sum(honest_zero),
             active,
         }
     }
@@ -698,9 +746,13 @@ pub trait BatchKernel {
     /// (present lanes in neither send `⊥`). Slots are classified
     /// independently of fault status: the engine routes a faulty slot's
     /// broadcast to the shadow table, exactly like the scalar path.
-    /// `present` may not depend on what a slot heard: a liar tells its
-    /// story in the lanes its shadow is present in, and a spent slot's
-    /// state is stale.
+    ///
+    /// Speech is **lane-uniform**: each `present[j]` is `0` or `!0` — who
+    /// speaks depends on the round alone, never on the lane or on what a
+    /// slot heard (a liar tells its story in the lanes its shadow is
+    /// present in, and a spent slot's state is stale). The driver counts
+    /// a round's honest sends once for every lane on that promise, and
+    /// asserts it every round.
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]);
 
     /// Applies one delivered round to all lane state, updating only
@@ -723,18 +775,41 @@ pub trait BatchKernel {
 /// The recorded preferred-value snapshots of a batch, flat: snapshot `s`
 /// is its round, which lanes actually emitted a preference event in it
 /// (retired lanes must not see it), and each slot's preferred-value lane
-/// mask at that point.
-#[derive(Default)]
+/// mask at that point. [`Snapshots::settle`] walks them once for every
+/// lane; [`Snapshots::lock_in`] then reads a lane's round.
 struct Snapshots {
     round: Vec<usize>,
     lanes: Vec<u64>,
     /// `current[s * n + i]`: slot `i`'s preferred-value mask at snapshot `s`.
     current: Vec<u64>,
     /// `bad[s]`: lanes in which some correct slot's preference at `s`
-    /// differs from its decision; filled by [`Snapshots::mark_bad`].
+    /// differs from its decision; filled by [`Snapshots::settle`], as
+    /// are the words below.
     bad: Vec<u64>,
-    /// Lanes with at least one correct slot; likewise.
+    /// Lanes with at least one correct slot.
     some_correct: u64,
+    /// Lanes that emitted at least one snapshot.
+    any: u64,
+    /// Lanes whose snapshots end in an agreeing suffix.
+    agreeing: u64,
+    /// `since[lane]`: the round that lane's agreeing suffix starts at;
+    /// read only where `agreeing` holds the lane.
+    since: [usize; MAX_BATCH_RUNS],
+}
+
+impl Default for Snapshots {
+    fn default() -> Self {
+        Snapshots {
+            round: Vec::new(),
+            lanes: Vec::new(),
+            current: Vec::new(),
+            bad: Vec::new(),
+            some_correct: 0,
+            any: 0,
+            agreeing: 0,
+            since: [0; MAX_BATCH_RUNS],
+        }
+    }
 }
 
 impl Snapshots {
@@ -752,44 +827,45 @@ impl Snapshots {
     }
 
     /// Reduces every snapshot to one word against the final `decisions`
-    /// (stride `n = decisions.len()`), over correct slots only.
-    fn mark_bad(&mut self, decisions: &[u64], faulty: &[u64]) {
+    /// (stride `n = decisions.len()`), over correct slots only, and walks
+    /// the words once for every lane at once: a lane's agreeing suffix
+    /// closes at a snapshot that is bad in it and opens at the next one
+    /// that is not, which writes that snapshot's round into `since`.
+    fn settle(&mut self, decisions: &[u64], faulty: &[u64]) {
         let n = decisions.len();
-        self.bad.clear();
-        self.bad.extend(self.current.chunks_exact(n).map(|current| {
-            (0..n).fold(0, |bad, i| bad | ((current[i] ^ decisions[i]) & !faulty[i]))
-        }));
         self.some_correct = faulty.iter().fold(0, |some, f| some | !f);
+        (self.any, self.agreeing) = (0, 0);
+        self.bad.clear();
+        for (s, current) in self.current.chunks_exact(n).enumerate() {
+            let bad = (0..n).fold(0, |bad, i| bad | ((current[i] ^ decisions[i]) & !faulty[i]));
+            self.bad.push(bad);
+            let lanes = self.lanes[s];
+            self.any |= lanes;
+            self.agreeing &= !(bad & lanes);
+            let mut opened = lanes & !bad & !self.agreeing;
+            self.agreeing |= opened;
+            while opened != 0 {
+                self.since[opened.trailing_zeros() as usize] = self.round[s];
+                opened &= opened - 1;
+            }
+        }
     }
 
-    /// The lock-in round of the lane `bit`: the first round of the
-    /// longest suffix of its snapshots in which *every* correct slot
-    /// already prefers its decision (`rounds_used` if the last one does
-    /// not) — which is the maximum, over correct slots, of each slot's
-    /// own agreeing-suffix start, the stability analysis' per-processor
-    /// scan. 0 for a lane that emitted no snapshot or has no correct slot
-    /// to lock in.
-    fn lock_in(&self, bit: u64, rounds_used: usize) -> usize {
-        if self.some_correct & bit == 0 {
-            return 0;
-        }
-        let mut any = false;
-        let mut candidate: Option<usize> = None;
-        for s in 0..self.round.len() {
-            if self.lanes[s] & bit == 0 {
-                continue;
-            }
-            any = true;
-            if self.bad[s] & bit != 0 {
-                candidate = None;
-            } else if candidate.is_none() {
-                candidate = Some(self.round[s]);
-            }
-        }
-        if any {
-            candidate.unwrap_or(rounds_used)
-        } else {
+    /// The lock-in round of `lane`, after [`Snapshots::settle`]: the
+    /// first round of the longest suffix of its snapshots in which
+    /// *every* correct slot already prefers its decision (`rounds_used`
+    /// if the last one does not) — which is the maximum, over correct
+    /// slots, of each slot's own agreeing-suffix start, the stability
+    /// analysis' per-processor scan. 0 for a lane that emitted no
+    /// snapshot or has no correct slot to lock in.
+    fn lock_in(&self, lane: usize, rounds_used: usize) -> usize {
+        let bit = 1u64 << lane;
+        if self.some_correct & self.any & bit == 0 {
             0
+        } else if self.agreeing & bit != 0 {
+            self.since[lane]
+        } else {
+            rounds_used
         }
     }
 }
@@ -831,13 +907,15 @@ pub struct BatchArena {
     // Faulty lane mask per slot, and the batch's fault set.
     faulty: Vec<u64>,
     fault_set: ProcessSet,
-    // Preferred-value snapshots and final decisions for the lock-in walk.
+    // Preferred-value snapshots, walked once for every lane's lock-in
+    // round, and the final decisions they are walked against.
     snapshots: Snapshots,
     decisions: Vec<u64>,
-    // Per-lane accounting: honest sends as one wide counter, the
-    // per-slot charge as the running total each lane read at retirement,
-    // the rest per lane.
-    sends: BitPlanes<SEND_PLANES>,
+    // Per-lane accounting. Honest sends and the per-slot charge are the
+    // same in every active lane each round (speech is lane-uniform), so
+    // each is one running total, and a lane keeps the totals it retires
+    // with; the rest is per lane.
+    sends: Vec<u64>,
     ops: Vec<u64>,
     rounds_used: Vec<usize>,
     early_stopped: Vec<bool>,
@@ -871,9 +949,10 @@ impl BatchArena {
         self.stories.reset(n);
         self.snapshots.clear();
         self.decisions.clear();
-        self.sends = BitPlanes::default();
-        self.ops.clear();
-        self.ops.resize(lanes, 0);
+        for buf in [&mut self.sends, &mut self.ops] {
+            buf.clear();
+            buf.resize(lanes, 0);
+        }
         self.rounds_used.clear();
         self.rounds_used.resize(lanes, 0);
         self.early_stopped.clear();
@@ -890,7 +969,8 @@ impl BatchArena {
 /// # Panics
 ///
 /// Panics if the adversary drives zero or more than [`MAX_BATCH_RUNS`]
-/// lanes, or corrupts the wrong universe.
+/// lanes, or corrupts the wrong universe, or if the kernel's speech is
+/// not lane-uniform (see [`BatchKernel::outgoing`]).
 pub fn run_batch_with(
     arena: &mut BatchArena,
     config: &RunConfig,
@@ -908,7 +988,6 @@ pub fn run_batch_with(
         "at most 64 slots: a story's member mask is a word"
     );
     arena.reset(n, lanes);
-    let lane_mask = |lane: usize| 1u64 << lane;
     let mut active: u64 = if lanes == MAX_BATCH_RUNS {
         !0
     } else {
@@ -924,21 +1003,20 @@ pub fn run_batch_with(
         n,
         "adversary corrupted the wrong universe"
     );
+    let mut members = 0u64;
     for p in arena.fault_set.iter() {
         arena.faulty[p.index()] = active;
+        members |= 1 << p.index();
     }
 
     let total_rounds = kernel.total_rounds();
-    assert!(
-        n * total_rounds < 1 << SEND_PLANES,
-        "the send counter holds n × total_rounds"
-    );
     kernel.reset(lanes);
     let early = config.early_stopping;
     let src = config.source.index();
-    // Every active lane is charged alike each round, so one running
-    // total serves them all; a lane keeps the total it retires with.
-    let mut ops = 0u64;
+    // Every active lane is charged alike and hears the same correct
+    // slots speak each round, so one running total of each serves them
+    // all; a lane keeps the totals it retires with.
+    let (mut ops, mut sends) = (0u64, 0u64);
 
     let mut round = 0usize;
     while active != 0 && round < total_rounds {
@@ -948,15 +1026,28 @@ pub fn run_batch_with(
         }
         kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
 
-        // Accounting: honest sends (every payload is one value of one
-        // bit, fanned out to n − 1 recipients at finalize) and the
-        // uniform per-slot local-op charge.
-        ops += kernel.charge(round);
+        // One slot pass. Speech is lane-uniform: a word other than 0 or
+        // !0 differs from its own rotation. A correct slot's classified
+        // outgoing reaches every recipient unchanged — one honest word
+        // per slot, beside the adversary's per-recipient story rows —
+        // and a member's reaches nobody. Every payload is one value of
+        // one bit, fanned out to n − 1 recipients at finalize.
+        let mut mixed = 0u64;
+        let (present, one, zero) = (&arena.present[..n], &arena.one[..n], &arena.zero[..n]);
+        let (honest_one, honest_zero) = (&mut arena.honest_one[..n], &mut arena.honest_zero[..n]);
         for j in 0..n {
-            arena
-                .sends
-                .add(arena.present[j] & !arena.faulty[j] & active);
+            mixed |= present[j] ^ present[j].rotate_left(1);
+            let sent = if (members >> j) & 1 == 0 {
+                present[j]
+            } else {
+                0
+            };
+            sends += sent & 1;
+            honest_one[j] = one[j] & sent;
+            honest_zero[j] = zero[j] & sent;
         }
+        assert_eq!(mixed, 0, "a slot speaks in every lane or in none");
+        ops += kernel.charge(round);
 
         // One call tells every faulty slot's stories for all active
         // lanes at once.
@@ -975,14 +1066,6 @@ pub fn run_batch_with(
         };
         adversary.lies(&view, &mut arena.stories);
 
-        // Where a slot is correct its classified outgoing reaches every
-        // recipient unchanged: one word per slot, beside the adversary's
-        // per-recipient story rows.
-        for j in 0..n {
-            let sent = arena.present[j] & !arena.faulty[j];
-            arena.honest_one[j] = arena.one[j] & sent;
-            arena.honest_zero[j] = arena.zero[j] & sent;
-        }
         let net = BatchNet::new(
             &arena.honest_one,
             &arena.honest_zero,
@@ -1015,6 +1098,7 @@ pub fn run_batch_with(
                 arena.rounds_used[lane] = round;
                 arena.early_stopped[lane] = true;
                 arena.ops[lane] = ops;
+                arena.sends[lane] = sends;
             }
             active &= !stop;
         }
@@ -1026,12 +1110,13 @@ pub fn run_batch_with(
             w &= w - 1;
             arena.rounds_used[lane] = total_rounds;
             arena.ops[lane] = ops;
+            arena.sends[lane] = sends;
         }
     }
 
     // Finalize at word width, then read out per lane: agreement is "no
-    // two correct slots decide differently", and the lock-in walk sees
-    // one word per snapshot.
+    // two correct slots decide differently", and one walk of the
+    // snapshots settles every lane's lock-in round.
     arena
         .decisions
         .extend((0..n).map(|i| kernel.decision_one(i)));
@@ -1040,16 +1125,15 @@ pub fn run_batch_with(
         decides_one |= arena.decisions[i] & !arena.faulty[i];
         decides_zero |= !arena.decisions[i] & !arena.faulty[i];
     }
-    arena.snapshots.mark_bad(&arena.decisions, &arena.faulty);
+    arena.snapshots.settle(&arena.decisions, &arena.faulty);
     for lane in 0..lanes {
-        let bit = lane_mask(lane);
         arena.results[lane] = BatchRunResult {
-            agreement: decides_one & decides_zero & bit == 0,
+            agreement: (decides_one & decides_zero) >> lane & 1 == 0,
             rounds_used: arena.rounds_used[lane],
             early_stopped: arena.early_stopped[lane],
             // No snapshots without tracing, so 0 then.
-            lock_in: arena.snapshots.lock_in(bit, arena.rounds_used[lane]),
-            total_bits: arena.sends.lane(lane) as u64 * (n as u64 - 1),
+            lock_in: arena.snapshots.lock_in(lane, arena.rounds_used[lane]),
+            total_bits: arena.sends[lane] * (n as u64 - 1),
             max_local_ops: arena.ops[lane],
         };
     }
@@ -1390,28 +1474,116 @@ mod tests {
     }
 
     #[test]
-    fn send_counter_equals_the_per_lane_loop() {
+    fn lane_counts_sum_equals_repeated_adds() {
         let mut rng = Mix(29);
-        let mut sends = BitPlanes::<SEND_PLANES>::default();
-        let mut per_lane = [0u64; MAX_BATCH_RUNS];
-        // 64 slots × 67 rounds, the longest king schedule; lane 0 sends
-        // every time and so reaches the counter's full width.
-        for k in 0..64 * 67 {
-            let mask = match k % 3 {
-                0 => !0,
-                1 => rng.next(),
-                _ => rng.sparse(2),
-            } | 1;
-            sends.add(mask);
-            let mut w = mask;
-            while w != 0 {
-                per_lane[w.trailing_zeros() as usize] += 1;
-                w &= w - 1;
+        for len in 0..=64 {
+            for kind in 0..4 {
+                let words: Vec<u64> = (0..len)
+                    .map(|_| match kind {
+                        0 => !0,
+                        1 => 0,
+                        2 => rng.next(),
+                        _ => rng.sparse(3),
+                    })
+                    .collect();
+                let mut repeated = LaneCounts::default();
+                words.iter().for_each(|&w| repeated.add(w));
+                let sum = LaneCounts::sum(&words);
+                assert_eq!(sum.planes, repeated.planes, "len={len} kind={kind}");
+                for lane in 0..MAX_BATCH_RUNS {
+                    assert_eq!(sum.lane(lane), repeated.lane(lane), "len={len} lane={lane}");
+                }
             }
         }
-        assert_eq!(per_lane[0], 64 * 67);
-        for lane in 0..MAX_BATCH_RUNS {
-            assert_eq!(sends.lane(lane) as u64, per_lane[lane], "lane {lane}");
+        // 64 all-ones words read 64 in every lane: the top plane alone.
+        let full = LaneCounts::sum(&[!0; 64]);
+        assert_eq!(full.planes, [0, 0, 0, 0, 0, 0, !0]);
+        assert_eq!((full.lane(17), full.ge(64), full.ge(65)), (64, !0, 0));
+    }
+
+    /// Slot 0 speaks in lane 0 alone from round 2 on; nobody is faulty.
+    struct Patchy;
+
+    impl BatchKernel for Patchy {
+        fn total_rounds(&self) -> usize {
+            3
+        }
+
+        fn reset(&mut self, _lanes: usize) {}
+
+        fn charge(&self, _round: usize) -> u64 {
+            1
+        }
+
+        fn snapshot_round(&self, _round: usize) -> bool {
+            false
+        }
+
+        fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], _: &mut [u64]) {
+            present.fill(!0);
+            present[0] = if round == 1 { !0 } else { 0b1 };
+            one.copy_from_slice(present);
+        }
+
+        fn deliver(&mut self, _round: usize, _net: &BatchNet<'_>, _active: u64) {}
+
+        fn ready(&self) -> &[u64] {
+            &[0; 4]
+        }
+
+        fn current(&self) -> &[u64] {
+            &[0; 4]
+        }
+
+        fn decision_one(&self, _slot: usize) -> u64 {
+            0
+        }
+    }
+
+    struct Nobody;
+
+    impl BatchAdversary for Nobody {
+        fn lanes(&self) -> usize {
+            MAX_BATCH_RUNS
+        }
+
+        fn corrupt(&mut self, n: usize, _t: usize, _source: ProcessId, set: &mut ProcessSet) {
+            *set = ProcessSet::new(n);
+        }
+
+        fn lies(&mut self, _view: &LaneView<'_>, _rows: &mut LiarRows) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "a slot speaks in every lane or in none")]
+    fn speech_that_differs_by_lane_is_refused() {
+        let config = RunConfig::new(4, 1).fixed_length();
+        run_batch_with(&mut BatchArena::new(), &config, &mut Patchy, &mut Nobody);
+    }
+
+    /// [`Snapshots::lock_in`] walked for one lane alone, over the words
+    /// [`Snapshots::settle`] wrote: the oracle of the all-lanes walk.
+    fn lock_in_lane_by_lane(snaps: &Snapshots, bit: u64, rounds_used: usize) -> usize {
+        if snaps.some_correct & bit == 0 {
+            return 0;
+        }
+        let mut any = false;
+        let mut candidate: Option<usize> = None;
+        for s in 0..snaps.round.len() {
+            if snaps.lanes[s] & bit == 0 {
+                continue;
+            }
+            any = true;
+            if snaps.bad[s] & bit != 0 {
+                candidate = None;
+            } else if candidate.is_none() {
+                candidate = Some(snaps.round[s]);
+            }
+        }
+        if any {
+            candidate.unwrap_or(rounds_used)
+        } else {
+            0
         }
     }
 
@@ -1454,7 +1626,7 @@ mod tests {
     fn word_width_lock_in_walk_equals_the_per_slot_walk() {
         let mut rng = Mix(43);
         let mut snaps = Snapshots::default();
-        let (mut settled, mut unsettled, mut silent) = (0, 0, 0);
+        let (mut settled, mut unsettled, mut silent, mut reopened) = (0, 0, 0, 0);
         for _ in 0..200 {
             let n = 1 + rng.below(24);
             let decisions: Vec<u64> = (0..n).map(|_| rng.next()).collect();
@@ -1475,13 +1647,17 @@ mod tests {
                 let current: Vec<u64> = decisions.iter().map(|d| d ^ rng.sparse(noise)).collect();
                 snaps.push(round, lanes, current.into_iter());
             }
-            snaps.mark_bad(&decisions, &faulty);
+            snaps.settle(&decisions, &faulty);
             for lane in 0..MAX_BATCH_RUNS {
                 let bit = 1u64 << lane;
                 let rounds_used = round + rng.below(2);
-                let got = snaps.lock_in(bit, rounds_used);
+                // The all-lanes walk, the one-lane walk over the same
+                // words, and the stability analysis' per-slot walk.
+                let got = snaps.lock_in(lane, rounds_used);
+                let lane_by_lane = lock_in_lane_by_lane(&snaps, bit, rounds_used);
                 let want = lock_in_per_slot(&snaps, &decisions, &faulty, bit, rounds_used);
                 assert_eq!(got, want, "n={n} lane={lane}");
+                assert_eq!(lane_by_lane, want, "n={n} lane={lane}");
                 match got {
                     0 => silent += 1,
                     r if r == rounds_used => unsettled += 1,
@@ -1490,9 +1666,21 @@ mod tests {
                 if lane == 5 || lane == 6 {
                     assert_eq!(got, 0);
                 }
+                // A suffix that opened, closed and opened again: `since`
+                // must be rewritten at the reopening, and a stale round
+                // from an earlier batch on the same arena never read.
+                let walk: Vec<bool> = (0..snaps.round.len())
+                    .filter(|&s| snaps.lanes[s] & bit != 0)
+                    .map(|s| snaps.bad[s] & bit != 0)
+                    .collect();
+                let closed = walk.windows(2).any(|w| !w[0] && w[1]);
+                if got != 0 && got != rounds_used && closed {
+                    reopened += 1;
+                }
             }
         }
         // The cases are not all one kind.
         assert!(settled > 1000 && unsettled > 1000 && silent > 400);
+        assert!(reopened > 400, "{reopened}");
     }
 }

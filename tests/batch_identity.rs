@@ -5,7 +5,8 @@
 //! `sg_sim::reference` over the whole grid; a grid cannot tell whether a
 //! particular route was exercised. Each case here names one. Through
 //! `sg_sim::run_batch_with`: the active mask splitting as lanes retire at
-//! different rounds, the post-loop finalization of a fixed-length batch,
+//! different rounds, each lane keeping the send total it retired with,
+//! the post-loop finalization of a fixed-length batch,
 //! the phase kernels' keep-your-value rules, a grid mixing kernel and
 //! tree cells under families with and without a vector shape, a spent
 //! shadow beside members that still relay theirs, and recipients that
@@ -25,7 +26,7 @@ use oracle::assert_engines_agree;
 use shifting_gears::adversary::RandomLiar;
 use shifting_gears::adversary::{BatchFamily, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
-use shifting_gears::core::{batch_kernel, AlgorithmSpec};
+use shifting_gears::core::{batch_kernel, execute, AlgorithmSpec};
 use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet};
 use shifting_gears::sim::{
     Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, MAX_BATCH_RUNS,
@@ -165,6 +166,36 @@ fn dynamic_king_chain_revealer_splits_the_batch() {
         1,
         2,
     ));
+}
+
+/// Honest sends are one running total that a lane keeps when it
+/// retires: in a `random-liar` king batch whose lanes stop at different
+/// rounds, every lane's `total_bits` is its scalar run's. A lane that
+/// kept a later total, or an earlier one, counts another run's rounds.
+#[test]
+fn each_lane_keeps_the_sends_it_retired_with() {
+    let spec = AlgorithmSpec::OptimalKing;
+    let config = RunConfig::new(10, 3);
+    let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
+    let family = AdversaryFamily::random_liar(FaultSelection::with_source());
+    let mut batch =
+        BatchFamily::new(family.family().expect("a named family"), &seeds).expect("a vector shape");
+    let mut kernel = batch_kernel(&spec, &config).expect("a king kernel");
+    let mut arena = BatchArena::new();
+    run_batch_with(&mut arena, &config, kernel.as_mut(), &mut batch);
+    let mut rounds = std::collections::BTreeSet::new();
+    for (result, &seed) in arena.results().iter().zip(&seeds) {
+        let scalar = execute(spec, &config, family.instantiate(seed).as_mut()).expect("valid");
+        assert_eq!(result.rounds_used, scalar.rounds_used, "seed {seed}");
+        assert_eq!(
+            result.total_bits,
+            scalar.metrics.total_bits(),
+            "seed {seed}"
+        );
+        rounds.insert(result.rounds_used);
+    }
+    // The lanes retired at three or more different rounds.
+    assert!(rounds.len() >= 3, "rounds {rounds:?}");
 }
 
 /// What the king kernel is handed, round by round: a kernel that watches
