@@ -14,24 +14,34 @@
 //!   65 seeds a cell: the king cell runs one 64-lane lock-step chunk and
 //!   a one-seed scalar tail, so one pin holds both representations. The
 //!   replay cell runs at its trace's own `(n, t)`.
+//! * [`SUITES`] folds every run of every [`standard_suite`] and
+//!   [`quick_suite`] entry across six specs, both source values, in early
+//!   and fixed mode: the run's name from its first `(` on, its fault set,
+//!   decisions, rounds and bits, and its recorded trace where the run can
+//!   be recorded. Every run takes its entry from a freshly built suite, so
+//!   no strategy carries state from one run into the next.
 //!
-//! Both digests were captured on the commit before the named families
-//! were collapsed into one `sg_adversary::Family` value.
+//! The first two digests were captured on the commit before the named
+//! families were collapsed into one `sg_adversary::Family` value, the
+//! third on the commit before the suites were built from `Family` values.
 
 use std::path::PathBuf;
 
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use sg_adversary::{FaultSelection, Move};
+use sg_adversary::{quick_suite, standard_suite, FaultSelection, Move, RecordingAdversary};
 use sg_analysis::{AdversaryFamily, Scenario, SweepConfig, SweepPlan, SweepReport};
-use sg_core::AlgorithmSpec;
-use sg_sim::{fnv, ProcessId};
+use sg_core::{execute, AlgorithmSpec};
+use sg_sim::{fnv, Adversary, ProcessId, RunConfig, Value};
 
 /// The digest of [`names_and_keys`].
 const NAMES_AND_KEYS: u64 = 0xecbe_b4d1_b608_b134;
 
 /// The digest of [`reports`].
 const REPORTS: u64 = 0x8f6b_11fc_8de7_c590;
+
+/// The digest of [`suites`].
+const SUITES: u64 = 0xe5ee_1400_5379_c476;
 
 /// The committed trace both digests replay: `optimal-king` at `(7, 2)`,
 /// an equivocating source.
@@ -184,6 +194,70 @@ fn reports() -> u64 {
         h = fold(h, &plan.fixed_length().run_with_jobs(2));
     }
     h
+}
+
+/// Every run of both suites' entries: [`SUITES`].
+///
+/// A name is folded from its first `(` on — the parameters and the
+/// selection it reports. Which strategy an entry is follows from its
+/// place in its suite, and the text before the `(` is a display tag. The
+/// recorded trace is folded without its `family` field, which repeats
+/// the name.
+fn suites() -> u64 {
+    type Suite = fn(u64) -> Vec<Box<dyn Adversary>>;
+    const SEED: u64 = 7;
+    let specs = [
+        (AlgorithmSpec::OptimalKing, 7, 2),
+        (AlgorithmSpec::PhaseKing, 9, 2),
+        (AlgorithmSpec::Exponential, 7, 2),
+        (AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+        (AlgorithmSpec::AlgorithmC, 9, 2),
+        (AlgorithmSpec::DolevStrong, 7, 3),
+    ];
+    let mut h = fnv::OFFSET;
+    for suite in [standard_suite as Suite, quick_suite] {
+        for entry in 0..suite(SEED).len() {
+            for (spec, n, t) in specs {
+                for early in [true, false] {
+                    for value in [Value(0), Value(1)] {
+                        let mut config = RunConfig::new(n, t).with_source_value(value);
+                        if !early {
+                            config = config.fixed_length();
+                        }
+                        let fresh = suite(SEED).swap_remove(entry);
+                        let mut recorder = RecordingAdversary::new(fresh);
+                        let outcome = execute(spec, &config, &mut recorder).expect("a valid cell");
+                        let name = &outcome.adversary;
+                        h = fnv::mix_bytes(h, name[name.find('(').unwrap_or(0)..].as_bytes());
+                        h = fnv::mix_bytes(h, &[0xFF]);
+                        h = fnv::mix_word(h, outcome.faulty.len() as u64);
+                        for p in outcome.faulty.iter() {
+                            h = fnv::mix_word(h, p.index() as u64);
+                        }
+                        for d in &outcome.decisions {
+                            h = fnv::mix_word(h, d.map_or(u64::MAX, |v| u64::from(v.raw())));
+                        }
+                        h = fnv::mix_word(h, outcome.rounds_used as u64);
+                        h = fnv::mix_word(h, outcome.metrics.total_bits());
+                        if let Ok(mut trace) = recorder.finish() {
+                            trace.family.clear();
+                            h = fnv::mix_bytes(h, trace.to_json().to_string().as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn every_suite_entry_keeps_its_runs() {
+    assert_eq!(
+        suites(),
+        SUITES,
+        "a suite entry's name, fault set, decisions, rounds, bits or trace moved"
+    );
 }
 
 #[test]
