@@ -5,9 +5,12 @@
 //! the variant's parameters and the current round's broadcast view —
 //! never on per-call mutable state. [`BatchFamily::new`] reads them off
 //! the variant (clamping `block` and `period` to ≥ 1, as the scalar
-//! constructors do) and declines the other three: `partition` cuts
-//! honest edges, and `tape` and `replay` answer by call order, so they
-//! run on the scalar engine. Every rule has the same two halves:
+//! strategy does) and declines the other twelve, which run on the scalar
+//! engine: `partition` cuts honest edges, `tape`, `replay` and
+//! `stale-shadow` answer by call order, and `two-faced`,
+//! `equivocating-source`, `stealth`, `double-talk`, `staggered-split`,
+//! `collusion` and `frontier-breaker` have no vector form until a
+//! workload asks for one. Every rule has the same two halves:
 //! a member relays its honest *shadow* until its turn comes, then tells
 //! its family's story. Both go into [`LiarRows`], one row of lane words
 //! per recipient, and members that tell the same story in the same
@@ -101,7 +104,9 @@ pub struct BatchFamily<'a> {
 impl<'a> BatchFamily<'a> {
     /// The vector rules of `family` over one lane per seed, or `None`
     /// for a family without a vector shape: `partition` cuts honest
-    /// edges, and `tape` and `replay` answer by call order.
+    /// edges, `tape`, `replay` and `stale-shadow` answer by call order,
+    /// and the other seven have no vector form until a workload asks for
+    /// one.
     pub fn new(family: &'a Family, seeds: &'a [u64]) -> Option<Self> {
         /// No faults is silence over a selection that corrupts nobody.
         static NOBODY: FaultSelection = FaultSelection::without_source().limit(0);
@@ -114,7 +119,7 @@ impl<'a> BatchFamily<'a> {
             | Family::Omission { selection, .. }
             | Family::Equivocate { selection, .. }
             | Family::Adaptive { selection, .. } => selection,
-            Family::Partition { .. } | Family::Tape(_) | Family::Replay(_) => return None,
+            _ => return None,
         };
         Some(BatchFamily {
             family,

@@ -1,28 +1,34 @@
 //! The named adversary families: one value per family.
 //!
 //! The paper's fault model lets a faulty processor do anything (§2); a
-//! sweep grid samples that space through eleven named families. A
-//! [`Family`] is one of them with its parameters, and it is the one
-//! place those parameters are declared: [`Family::strategy`] builds the
-//! scalar strategy of one run, [`crate::BatchFamily::new`] reads the
-//! lock-step form straight off the variant, and the [`ToJson`] /
-//! [`FromJson`] impls below are the family's `sg-serve/1` wire text (the
-//! `adversaries` entries of a plan, and what a journal key hashes).
+//! sweep grid, the gauntlet suites and the `sg` CLI sample that space
+//! through nineteen named families. A [`Family`] is one of them with its
+//! parameters, and it is the one place those parameters are declared:
+//! [`Family::strategy`] builds the scalar strategy of one run — one
+//! strategy type for every family that corrupts through a
+//! [`FaultSelection`], whose payload rule is a match on the variant —
+//! [`crate::BatchFamily::new`] reads the lock-step form straight off the
+//! variant, and the [`ToJson`] / [`FromJson`] impls below are the
+//! family's `sg-serve/1` wire text (the `adversaries` entries of a plan,
+//! and what a journal key hashes).
 
 use serde::json::{JsonError, Value as Json};
 use serde::{FromJson, ToJson};
 use sg_sim::{Adversary, NoFaults, ProcessId};
 
+use crate::strategies::FamilyStrategy;
 use crate::{
-    Adaptive, AdversaryTrace, ChainRevealer, Crash, EmptyTapeError, Equivocate, FaultSelection,
-    Move, Omission, Partition, RandomLiar, ReplayAdversary, Silent, TapeAdversary, TraceError,
+    AdversaryTrace, EmptyTapeError, FaultSelection, Move, ReplayAdversary, TapeAdversary,
+    TraceError,
 };
 
 /// A named, wire-portable adversary family.
 ///
 /// Every variant's strategy takes nothing but its RNG seed from the
 /// seed it is built for, which is what lets a sweep pool one strategy
-/// per family and recycle it through [`Adversary::reseed`]. The tape and
+/// per family and recycle it through [`Adversary::reseed`] (the one piece
+/// of per-run state, `stale-shadow`'s stash of last round's shadows,
+/// starts empty at every `reseed` and `corrupt`). The tape and
 /// replay variants hold their validated strategy, so an empty tape or a
 /// trace that fails [`AdversaryTrace::validate`] is unrepresentable:
 /// build them with [`Family::tape`] and [`Family::replay`].
@@ -30,10 +36,12 @@ use crate::{
 pub enum Family {
     /// [`NoFaults`]: corrupts nobody.
     NoFaults,
-    /// [`RandomLiar`]: seeded uniform random lies over the selection.
+    /// Seeded uniform random lies over the selection.
     RandomLiar(FaultSelection),
-    /// [`ChainRevealer`]: the rank-`k` member reveals itself at round
-    /// `start + k·block` (`block` clamped to ≥ 1).
+    /// The round-count stressor: the rank-`k` member is honest until
+    /// round `start + k·block` (`block` clamped to ≥ 1), then lies
+    /// randomly forever, so each block discovers only the fault it
+    /// reveals.
     ChainRevealer {
         /// Who is corrupted.
         selection: FaultSelection,
@@ -42,17 +50,18 @@ pub enum Family {
         /// Rounds between reveals.
         block: usize,
     },
-    /// [`Crash`]: honest until `round`, then permanently silent.
+    /// Honest until `round`, then permanently silent.
     Crash {
         /// Who is corrupted.
         selection: FaultSelection,
         /// First round (1-based) of silence.
         round: usize,
     },
-    /// [`Silent`]: never sends.
+    /// Never sends.
     Silent(FaultSelection),
-    /// [`Partition`]: during rounds `from..=to` every edge crossing the
-    /// id boundary `split` is cut, honest edges included.
+    /// During rounds `from..=to` every edge crossing the id boundary
+    /// `split` is cut, honest edges included (through
+    /// [`Adversary::edge_cut`]); members relay their shadow otherwise.
     Partition {
         /// Who is corrupted.
         selection: FaultSelection,
@@ -63,9 +72,9 @@ pub enum Family {
         /// Last cut round.
         to: usize,
     },
-    /// [`Omission`]: drops every `period`-th (round, sender, recipient)
-    /// slot, offset by `phase` (`period` clamped to ≥ 1), and relays the
-    /// honest shadow otherwise.
+    /// Drops every `period`-th (round, sender, recipient) slot, offset by
+    /// `phase` (`period` clamped to ≥ 1), and relays the honest shadow
+    /// otherwise.
     Omission {
         /// Who is corrupted.
         selection: FaultSelection,
@@ -74,8 +83,8 @@ pub enum Family {
         /// Drop phase offset.
         phase: usize,
     },
-    /// [`Equivocate`]: from round `start` on, zeros to recipients below
-    /// `split` and ones to the rest.
+    /// From round `start` on, zeros to recipients below `split` and ones
+    /// to the rest.
     Equivocate {
         /// Who is corrupted.
         selection: FaultSelection,
@@ -84,15 +93,62 @@ pub enum Family {
         /// First equivocating round (1-based).
         start: usize,
     },
-    /// [`Adaptive`]: the rank-`k` member turns at round `schedule[k]`
-    /// and plays its honest shadow before then; ranks past the schedule
-    /// never turn.
+    /// The rank-`k` member turns at round `schedule[k]` and plays its
+    /// honest shadow before then; ranks past the schedule never turn. A
+    /// turned member tells everyone the flipped source value, as
+    /// `collusion` does from round 1.
     Adaptive {
         /// Who is corrupted.
         selection: FaultSelection,
         /// Activation rounds by fault-set rank (ascending id order).
         schedule: Vec<usize>,
     },
+    /// The honest story to even recipients and the flipped one to odd
+    /// recipients: consistent equivocation by parity, against which the
+    /// Correctness Lemma's majority argument must hold.
+    TwoFaced(FaultSelection),
+    /// A faulty source tells recipient `r` the value `r mod |V|` in round
+    /// 1 and repeats that story at the honest length afterwards; the
+    /// other members relay their shadow. With the source correct, every
+    /// member relays its shadow.
+    EquivocatingSource(FaultSelection),
+    /// The shadow with exactly one value flipped, at a position that
+    /// rotates with the round and recipient: faults the Fault Discovery
+    /// Rule may never catch, which the Hidden Fault Lemma says must still
+    /// be out-voted.
+    Stealth(FaultSelection),
+    /// Every member tells recipients below `n/2` all ones and the rest
+    /// all zeros, from round 1 at the honest length (a faulty source
+    /// sends one value). `equivocate` with its stories swapped and its
+    /// split at `n/2`.
+    DoubleTalk(FaultSelection),
+    /// The source splits the world in round 1 (ones below `n/2`, zeros
+    /// above) and relays its shadow afterwards; the rank-`k` non-source
+    /// member stays honest until round `start + k·block`, then tells the
+    /// `double-talk` story. Undiscovered conspirators inject dissent
+    /// after earlier liars were masked, stretching lock-in across blocks.
+    StaggeredSplit {
+        /// Who is corrupted (the source should be one of them).
+        selection: FaultSelection,
+        /// Round (1-based) the rank-0 non-source member turns.
+        start: usize,
+        /// Rounds between turns.
+        block: usize,
+    },
+    /// Every member tells everyone, everywhere, the flipped source value:
+    /// one coherent alternative reality, against which the majority
+    /// arguments, not the discovery rules, carry the proof.
+    Collusion(FaultSelection),
+    /// Every member sends the shadow of the round before (missing in its
+    /// first round), usually the wrong length: the malformed-message
+    /// paths, without randomness.
+    StaleShadow(FaultSelection),
+    /// The Frontier Lemma's worst case: the members form a chain (the
+    /// source first if corrupted, then ascending id), and each lies by
+    /// recipient parity about the one tree node above its own position on
+    /// that root-to-leaf path, honest everywhere else. A faulty source
+    /// tells recipient `r` the value `r mod |V|` in round 1.
+    FrontierBreaker(FaultSelection),
     /// A [`TapeAdversary`]: exactly its members, playing its tape.
     Tape(TapeAdversary),
     /// A [`ReplayAdversary`]: every run replays one recorded trace.
@@ -133,6 +189,14 @@ impl Family {
             Family::Omission { .. } => "omission",
             Family::Equivocate { .. } => "equivocate",
             Family::Adaptive { .. } => "adaptive",
+            Family::TwoFaced(_) => "two-faced",
+            Family::EquivocatingSource(_) => "equivocating-source",
+            Family::Stealth(_) => "stealth",
+            Family::DoubleTalk(_) => "double-talk",
+            Family::StaggeredSplit { .. } => "staggered-split",
+            Family::Collusion(_) => "collusion",
+            Family::StaleShadow(_) => "stale-shadow",
+            Family::FrontierBreaker(_) => "frontier-breaker",
             Family::Tape(_) => "tape",
             Family::Replay(_) => "replay",
         }
@@ -143,45 +207,26 @@ impl Family {
     pub fn strategy(&self, seed: u64) -> Box<dyn Adversary> {
         match self {
             Family::NoFaults => Box::new(NoFaults),
-            Family::RandomLiar(selection) => Box::new(RandomLiar::new(selection.clone(), seed)),
-            Family::ChainRevealer {
-                selection,
-                start,
-                block,
-            } => Box::new(ChainRevealer::new(selection.clone(), *start, *block, seed)),
-            Family::Crash { selection, round } => Box::new(Crash::new(selection.clone(), *round)),
-            Family::Silent(selection) => Box::new(Silent::new(selection.clone())),
-            Family::Partition {
-                selection,
-                split,
-                from,
-                to,
-            } => Box::new(Partition::new(selection.clone(), *split, *from, *to)),
-            Family::Omission {
-                selection,
-                period,
-                phase,
-            } => Box::new(Omission::new(selection.clone(), *period, *phase)),
-            Family::Equivocate {
-                selection,
-                split,
-                start,
-            } => Box::new(Equivocate::new(selection.clone(), *split, *start)),
-            Family::Adaptive {
-                selection,
-                schedule,
-            } => Box::new(Adaptive::new(selection.clone(), schedule.clone())),
             Family::Tape(tape) => Box::new(tape.clone()),
             Family::Replay(replay) => Box::new(replay.clone()),
+            _ => Box::new(FamilyStrategy::new(self.clone(), seed)),
         }
     }
 
     /// The selection of a family that corrupts through one; `None` for
     /// no faults, a tape and a replay.
-    fn selection(&self) -> Option<&FaultSelection> {
+    pub(crate) fn selection(&self) -> Option<&FaultSelection> {
         match self {
             Family::RandomLiar(selection)
             | Family::Silent(selection)
+            | Family::TwoFaced(selection)
+            | Family::EquivocatingSource(selection)
+            | Family::Stealth(selection)
+            | Family::DoubleTalk(selection)
+            | Family::Collusion(selection)
+            | Family::StaleShadow(selection)
+            | Family::FrontierBreaker(selection)
+            | Family::StaggeredSplit { selection, .. }
             | Family::ChainRevealer { selection, .. }
             | Family::Crash { selection, .. }
             | Family::Partition { selection, .. }
@@ -239,8 +284,18 @@ impl ToJson for Family {
         }
         let mut push = |key: &str, value: Json| fields.push((key.to_string(), value));
         match self {
-            Family::NoFaults | Family::RandomLiar(_) | Family::Silent(_) => {}
-            Family::ChainRevealer { start, block, .. } => {
+            Family::NoFaults
+            | Family::RandomLiar(_)
+            | Family::Silent(_)
+            | Family::TwoFaced(_)
+            | Family::EquivocatingSource(_)
+            | Family::Stealth(_)
+            | Family::DoubleTalk(_)
+            | Family::Collusion(_)
+            | Family::StaleShadow(_)
+            | Family::FrontierBreaker(_) => {}
+            Family::ChainRevealer { start, block, .. }
+            | Family::StaggeredSplit { start, block, .. } => {
                 push("start", Json::from(*start));
                 push("block", Json::from(*block));
             }
@@ -324,6 +379,18 @@ impl FromJson for Family {
                     schedule,
                 }
             }
+            "two-faced" => Family::TwoFaced(selection()?),
+            "equivocating-source" => Family::EquivocatingSource(selection()?),
+            "stealth" => Family::Stealth(selection()?),
+            "double-talk" => Family::DoubleTalk(selection()?),
+            "staggered-split" => Family::StaggeredSplit {
+                selection: selection()?,
+                start: field_usize(v, "start")?,
+                block: field_usize(v, "block")?,
+            },
+            "collusion" => Family::Collusion(selection()?),
+            "stale-shadow" => Family::StaleShadow(selection()?),
+            "frontier-breaker" => Family::FrontierBreaker(selection()?),
             "tape" => {
                 let members = field_list(v, "members", "tape members must be integers", |e| {
                     e.as_usize().map(ProcessId)

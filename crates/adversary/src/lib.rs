@@ -7,40 +7,46 @@
 //! pair, an arbitrary payload — optionally starting from the *shadow* of
 //! what the corrupted processor would have sent honestly.
 //!
-//! Strategies:
+//! Every strategy is a [`Family`] value — nineteen named families, each
+//! one variant with its parameters — and [`Family::strategy`] builds the
+//! run's strategy: one type for the sixteen that corrupt through a
+//! [`FaultSelection`], whose payload rule is a match on the variant,
+//! plus [`TapeAdversary`], [`ReplayAdversary`] and [`sg_sim::NoFaults`].
 //!
-//! * [`Silent`] / [`Crash`] — omission and crash failures;
-//! * [`RandomLiar`] — uniform random in-domain lies;
-//! * [`TwoFaced`] — consistent equivocation by recipient parity;
-//! * [`EquivocatingSource`] — a source telling everyone different values;
-//! * [`Stealth`] — sub-discovery-threshold corruption (one flipped value
+//! * `silent` / `crash` — omission and crash failures;
+//! * `random-liar` — uniform random in-domain lies;
+//! * `two-faced` — consistent equivocation by recipient parity;
+//! * `equivocating-source` — a source telling everyone different values;
+//! * `stealth` — sub-discovery-threshold corruption (one flipped value
 //!   per message), stressing the Hidden Fault Lemma;
-//! * [`ChainRevealer`] — reveals one fault per block, forcing worst-case
+//! * `chain-revealer` — reveals one fault per block, forcing worst-case
 //!   round counts in the shifted families;
-//! * [`DoubleTalk`] — coordinated split-brain value stories;
-//! * [`StaggeredSplit`] — an equivocating source plus conspirators that
+//! * `double-talk` — coordinated split-brain value stories;
+//! * `staggered-split` — an equivocating source plus conspirators that
 //!   activate one by one, stretching lock-in across blocks;
-//! * [`Collusion`] — all faults corroborate one coherent alternative
+//! * `collusion` — all faults corroborate one coherent alternative
 //!   reality;
-//! * [`Replay`] — resends the previous round's (wrong-length) payload;
-//! * [`FrontierBreaker`] — a chain of lies concentrated on one
+//! * `stale-shadow` — resends the previous round's (wrong-length) shadow;
+//! * `frontier-breaker` — a chain of lies concentrated on one
 //!   root-to-leaf path, the Frontier Lemma's worst case;
-//! * [`TapeAdversary`] — plays an explicit per-call behaviour tape;
-//!   together with [`enumerate_tapes`] it model-checks small instances
-//!   against *every* behaviour over a move alphabet;
-//! * [`Partition`] — round-ranged network partition cutting every edge
+//! * `partition` — round-ranged network partition cutting every edge
 //!   (honest ones included) across a group boundary;
-//! * [`Omission`] — periodic per-edge message drops, a timing-fault
+//! * `omission` — periodic per-edge message drops, a timing-fault
 //!   texture;
-//! * [`Equivocate`] — a sustained value-split schedule by recipient set;
-//! * [`Adaptive`] — mid-run corruption: the fault set turns Byzantine in
-//!   scripted waves.
+//! * `equivocate` — a sustained value-split schedule by recipient set;
+//! * `adaptive` — mid-run corruption: the fault set turns Byzantine in
+//!   scripted waves;
+//! * `tape` ([`TapeAdversary`]) — plays an explicit per-call behaviour
+//!   tape; together with [`enumerate_tapes`] it model-checks small
+//!   instances against *every* behaviour over a move alphabet;
+//! * `replay` ([`ReplayAdversary`]) — re-executes a recorded trace.
 //!
 //! [`standard_suite`] bundles them into the gauntlet used by the
-//! integration tests and the benchmark harness. Eleven of them are the
-//! named, wire-portable families a sweep grid can carry: one [`Family`]
-//! value each builds the run's strategy, its lock-step form
-//! ([`BatchFamily`]) and its wire text — see the [`family`] module.
+//! integration tests and the benchmark harness, read off one table of
+//! `Family` values. Every family travels the wire and the journal: one
+//! value builds the run's strategy, its lock-step form ([`BatchFamily`],
+//! for the seven with a vector shape) and its wire text — see the
+//! [`family`] module.
 //!
 //! Every run under any of these strategies can be captured as a
 //! serializable [`AdversaryTrace`] (wrap the strategy in
@@ -50,10 +56,10 @@
 //! # Examples
 //!
 //! ```
-//! use sg_adversary::{FaultSelection, TwoFaced};
-//! use sg_sim::{Adversary, ProcessId};
+//! use sg_adversary::{Family, FaultSelection};
+//! use sg_sim::ProcessId;
 //!
-//! let mut adversary = TwoFaced::new(FaultSelection::without_source());
+//! let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
 //! let faulty = adversary.corrupt(7, 2, ProcessId(0));
 //! assert_eq!(faulty.len(), 2);
 //! assert!(!faulty.contains(ProcessId(0)));
@@ -78,11 +84,6 @@ pub use scenario::{
     TraceStep, TRACE_SCHEMA,
 };
 pub use selection::FaultSelection;
-pub use strategies::{
-    Adaptive, ChainRevealer, Collusion, Crash, DoubleTalk, Equivocate, EquivocatingSource,
-    FrontierBreaker, Omission, Partition, RandomLiar, Replay, Silent, StaggeredSplit, Stealth,
-    TwoFaced,
-};
 pub use suite::{quick_suite, standard_suite};
 pub use tape::{
     calls_per_run, enumerate_tapes, EmptyTapeError, Move, TapeAdversary, TapeEnumerator, ALL_MOVES,

@@ -8,7 +8,7 @@
 //! tabulates *paper-predicted vs. measured*. `cargo run -p sg-bench --bin
 //! repro` prints them all; EXPERIMENTS.md archives the output.
 
-use sg_adversary::{ChainRevealer, Family, FaultSelection};
+use sg_adversary::{Family, FaultSelection};
 use sg_core::schedule::{
     algorithm_a_rounds_bound, algorithm_a_rounds_exact, algorithm_b_rounds_bound,
     algorithm_b_rounds_exact,
@@ -20,6 +20,7 @@ use crate::bounds::{
     blocked_max_message_values, c_max_message_values, exponential_max_message_values,
 };
 use crate::coan::{coan_local_ops, coan_max_message_values, coan_rounds};
+use crate::sweep::AdversaryFamily;
 use crate::table::{fmt_count, Table};
 
 /// How big a sweep to run: `Quick` for CI-style tests, `Full` for the
@@ -63,8 +64,9 @@ pub fn measure(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Measured {
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
-    let outcome = sg_core::execute(spec, &config, &mut adversary)
+    let mut adversary =
+        AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2).instantiate(seed);
+    let outcome = sg_core::execute(spec, &config, adversary.as_mut())
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
     outcome.assert_correct();
     Measured {
@@ -441,8 +443,9 @@ pub fn experiment_detect(scale: Scale) -> Table {
         .with_source_value(Value(1))
         .with_trace()
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, b, 31);
-    let outcome = sg_core::execute(AlgorithmSpec::AlgorithmA { b }, &config, &mut adversary)
+    let mut adversary =
+        AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, b).instantiate(31);
+    let outcome = sg_core::execute(AlgorithmSpec::AlgorithmA { b }, &config, adversary.as_mut())
         .expect("valid spec");
     outcome.assert_correct();
 
@@ -522,16 +525,13 @@ pub fn experiment_stability(scale: Scale) -> Table {
             .with_source_value(Value(1))
             .with_trace()
             .fixed_length();
-        let mut equivocator;
-        let mut fault_free = sg_sim::NoFaults;
-        let adversary: &mut dyn sg_sim::Adversary = if f == 0 {
-            &mut fault_free
+        let family = if f == 0 {
+            Family::NoFaults
         } else {
-            equivocator =
-                sg_adversary::EquivocatingSource::new(FaultSelection::with_source().limit(f));
-            &mut equivocator
+            Family::EquivocatingSource(FaultSelection::with_source().limit(f))
         };
-        let outcome = sg_core::execute(spec(f), &config, adversary).expect("valid");
+        let outcome =
+            sg_core::execute(spec(f), &config, family.strategy(0).as_mut()).expect("valid");
         outcome.assert_correct();
         // Last round in which any correct processor's traced preferred
         // value differed from its decision.
@@ -615,16 +615,17 @@ pub fn experiment_early_stopping(scale: Scale) -> Table {
             .with_source_value(Value(1))
             .with_trace();
         let run = |config: &RunConfig| {
-            let mut none = sg_sim::NoFaults;
-            let mut split;
-            let adversary: &mut dyn sg_sim::Adversary = if f == 0 {
-                &mut none
+            let family = if f == 0 {
+                Family::NoFaults
             } else {
-                split =
-                    sg_adversary::StaggeredSplit::new(FaultSelection::with_source().limit(f), 2, b);
-                &mut split
+                Family::StaggeredSplit {
+                    selection: FaultSelection::with_source().limit(f),
+                    start: 2,
+                    block: b,
+                }
             };
-            let outcome = sg_core::execute(spec, config, adversary).expect("valid");
+            let outcome =
+                sg_core::execute(spec, config, family.strategy(0).as_mut()).expect("valid");
             outcome.assert_correct();
             outcome
         };
@@ -770,8 +771,10 @@ pub fn experiment_compositions(scale: Scale) -> Table {
         match builder.build() {
             Ok(composition) => {
                 let config = RunConfig::new(n, t).with_source_value(Value(1));
-                let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 17);
-                let outcome = composition.execute(&config, &mut adversary);
+                let mut adversary =
+                    AdversaryFamily::chain_revealer(FaultSelection::without_source(), 2, 2)
+                        .instantiate(17);
+                let outcome = composition.execute(&config, adversary.as_mut());
                 let agreement = outcome.agreement() && outcome.validity().unwrap_or(true);
                 assert!(agreement, "accepted composition {label} must agree");
                 table.push_row(vec![

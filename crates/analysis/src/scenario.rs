@@ -261,7 +261,7 @@ impl FromJson for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_adversary::{Equivocate, FaultSelection, Move, TapeAdversary};
+    use sg_adversary::{Family, FaultSelection, Move, TapeAdversary};
     use sg_core::AlgorithmSpec;
     use sg_sim::ProcessId;
 
@@ -271,7 +271,12 @@ mod tests {
 
     #[test]
     fn record_then_replay_reproduces_the_verdict() {
-        let adversary = Box::new(Equivocate::new(FaultSelection::with_source(), 3, 1));
+        let adversary = Family::Equivocate {
+            selection: FaultSelection::with_source(),
+            split: 3,
+            start: 1,
+        }
+        .strategy(0);
         let (scenario, outcome) = record(&cell(), adversary).unwrap();
         assert_eq!(scenario.verdict, Verdict::of(&outcome));
         assert_eq!(replay(&scenario).unwrap(), scenario.verdict);
@@ -295,7 +300,12 @@ mod tests {
 
     #[test]
     fn truncated_trace_is_a_structured_error() {
-        let adversary = Box::new(Equivocate::new(FaultSelection::without_source(), 3, 1));
+        let adversary = Family::Equivocate {
+            selection: FaultSelection::without_source(),
+            split: 3,
+            start: 1,
+        }
+        .strategy(0);
         let (mut scenario, _) = record(&cell(), adversary).unwrap();
         scenario
             .trace
@@ -309,7 +319,12 @@ mod tests {
 
     #[test]
     fn wrong_schema_rejected() {
-        let adversary = Box::new(Equivocate::new(FaultSelection::without_source(), 3, 1));
+        let adversary = Family::Equivocate {
+            selection: FaultSelection::without_source(),
+            split: 3,
+            start: 1,
+        }
+        .strategy(0);
         let (scenario, _) = record(&cell(), adversary).unwrap();
         let mut json = scenario.to_json();
         if let Json::Obj(fields) = &mut json {

@@ -97,7 +97,7 @@ pub fn lock_in(outcome: &Outcome) -> StabilityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_adversary::{ChainRevealer, FaultSelection};
+    use sg_adversary::{Family, FaultSelection};
     use sg_core::{execute, AlgorithmSpec};
     use sg_sim::{NoFaults, RunConfig, Value};
 
@@ -127,8 +127,13 @@ mod tests {
     #[test]
     fn faulty_processors_have_no_lock_in() {
         let config = RunConfig::new(10, 3).with_trace();
-        let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 5);
-        let outcome = execute(AlgorithmSpec::Exponential, &config, &mut adversary).unwrap();
+        let mut adversary = Family::ChainRevealer {
+            selection: FaultSelection::without_source(),
+            start: 2,
+            block: 2,
+        }
+        .strategy(5);
+        let outcome = execute(AlgorithmSpec::Exponential, &config, adversary.as_mut()).unwrap();
         let report = lock_in(&outcome);
         for f in outcome.faulty.iter() {
             assert_eq!(report.per_processor[f.index()], None);
@@ -148,8 +153,13 @@ mod tests {
                 _ => (16, 5),
             };
             let config = RunConfig::new(n, t).with_trace();
-            let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 9);
-            let outcome = execute(spec, &config, &mut adversary).unwrap();
+            let mut adversary = Family::ChainRevealer {
+                selection: FaultSelection::without_source(),
+                start: 2,
+                block: 2,
+            }
+            .strategy(9);
+            let outcome = execute(spec, &config, adversary.as_mut()).unwrap();
             let report = lock_in(&outcome);
             let lock = report.system_lock_in().unwrap();
             assert!(lock <= outcome.rounds_used, "{}: {lock}", spec.name());

@@ -20,6 +20,10 @@
 //!   decisions, rounds and bits, and its recorded trace where the run can
 //!   be recorded. Every run takes its entry from a freshly built suite, so
 //!   no strategy carries state from one run into the next.
+//! * [`SUITE_FAMILIES`] folds, for every shape of the eight families the
+//!   suites used to hold outside [`sg_adversary::Family`], what
+//!   [`NAMES_AND_KEYS`] folds plus the display name of the strategy the
+//!   shape builds.
 //!
 //! The first two digests were captured on the commit before the named
 //! families were collapsed into one `sg_adversary::Family` value, the
@@ -29,7 +33,7 @@ use std::path::PathBuf;
 
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use sg_adversary::{quick_suite, standard_suite, FaultSelection, Move, RecordingAdversary};
+use sg_adversary::{quick_suite, standard_suite, Family, FaultSelection, Move, RecordingAdversary};
 use sg_analysis::{AdversaryFamily, Scenario, SweepConfig, SweepPlan, SweepReport};
 use sg_core::{execute, AlgorithmSpec};
 use sg_sim::{fnv, Adversary, ProcessId, RunConfig, Value};
@@ -42,6 +46,9 @@ const REPORTS: u64 = 0x8f6b_11fc_8de7_c590;
 
 /// The digest of [`suites`].
 const SUITES: u64 = 0xe5ee_1400_5379_c476;
+
+/// The digest of [`suite_families`].
+const SUITE_FAMILIES: u64 = 0x65d3_5cb9_5534_3b1c;
 
 /// The committed trace both digests replay: `optimal-king` at `(7, 2)`,
 /// an equivocating source.
@@ -123,6 +130,63 @@ fn names_and_keys() -> u64 {
         assert_eq!(back.to_json().to_string(), text);
         assert_eq!(back.name(), family.name());
         let plan = SweepPlan::new(vec![config], vec![family], 65);
+        let key = plan.cell_key(0).expect("a named family has a key");
+        h = fnv::mix_word(h, key.0);
+    }
+    h
+}
+
+/// The shapes [`SUITE_FAMILIES`] holds: the eight families with and
+/// without the source, under `limit`, and two `staggered-split`
+/// parameter sets.
+fn suite_family_shapes() -> Vec<Family> {
+    let selections = [
+        FaultSelection::with_source(),
+        FaultSelection::without_source(),
+        FaultSelection::with_source().limit(2),
+        FaultSelection::without_source().limit(3),
+    ];
+    let mut shapes = Vec::new();
+    for sel in selections {
+        shapes.extend([
+            Family::TwoFaced(sel.clone()),
+            Family::EquivocatingSource(sel.clone()),
+            Family::Stealth(sel.clone()),
+            Family::DoubleTalk(sel.clone()),
+            Family::StaggeredSplit {
+                selection: sel.clone(),
+                start: 2,
+                block: 2,
+            },
+            Family::StaggeredSplit {
+                selection: sel.clone(),
+                start: 3,
+                block: 0,
+            },
+            Family::Collusion(sel.clone()),
+            Family::StaleShadow(sel.clone()),
+            Family::FrontierBreaker(sel),
+        ]);
+    }
+    shapes
+}
+
+fn suite_families() -> u64 {
+    let config = SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5);
+    let mut h = fnv::OFFSET;
+    for family in suite_family_shapes() {
+        h = fnv::mix_bytes(h, family.name().as_bytes());
+        h = fnv::mix_bytes(h, &[0xFF]);
+        h = fnv::mix_bytes(h, family.strategy(0).name().as_bytes());
+        h = fnv::mix_bytes(h, &[0xFF]);
+        let text = family.to_json().to_string();
+        h = fnv::mix_bytes(h, text.as_bytes());
+        // Every named family decodes back to its own text.
+        let back = AdversaryFamily::from_json(&Json::parse(&text).expect("JSON"))
+            .expect("a named family decodes");
+        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.name(), family.name());
+        let plan = SweepPlan::new(vec![config], vec![family.into()], 65);
         let key = plan.cell_key(0).expect("a named family has a key");
         h = fnv::mix_word(h, key.0);
     }
@@ -249,6 +313,15 @@ fn suites() -> u64 {
         }
     }
     h
+}
+
+#[test]
+fn every_suite_family_keeps_its_names_text_and_key() {
+    assert_eq!(
+        suite_families(),
+        SUITE_FAMILIES,
+        "a suite family's name, display name, wire text or journal key moved"
+    );
 }
 
 #[test]

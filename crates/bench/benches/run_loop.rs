@@ -67,9 +67,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SampleUniform, SeedableRng};
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use sg_adversary::{
-    edge_draw, edge_mix, first_draw, BatchFamily, ChainRevealer, Family, FaultSelection, RandomLiar,
-};
+use sg_adversary::{edge_draw, edge_mix, first_draw, BatchFamily, Family, FaultSelection};
 use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use sg_bench::stress_run;
 use sg_core::{batch_kernel, AlgorithmSpec};
@@ -105,11 +103,11 @@ fn bench_instance_pool(c: &mut Criterion) {
     let mut arena = RunArena::new();
     group.bench_function("instances/fresh", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
+            let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(SEED);
             run_into(
                 &mut arena,
                 &config,
-                &mut adversary,
+                adversary.as_mut(),
                 None,
                 &factory,
                 &mut out,
@@ -120,11 +118,11 @@ fn bench_instance_pool(c: &mut Criterion) {
     let mut arena = RunArena::new();
     group.bench_function("instances/pooled", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
+            let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(SEED);
             run_into(
                 &mut arena,
                 &config,
-                &mut adversary,
+                adversary.as_mut(),
                 Some(key),
                 &factory,
                 &mut out,
@@ -152,11 +150,11 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
     let mut out = Outcome::buffer();
     group.bench_function("engine/production", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
+            let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(SEED);
             run_into(
                 &mut arena,
                 &config,
-                &mut adversary,
+                adversary.as_mut(),
                 Some(key),
                 &factory,
                 &mut out,
@@ -166,8 +164,12 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 
     group.bench_function("engine/reference", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source(), SEED);
-            black_box(sg_sim::reference::run(&config, &mut adversary, &factory))
+            let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(SEED);
+            black_box(sg_sim::reference::run(
+                &config,
+                adversary.as_mut(),
+                &factory,
+            ))
         });
     });
     group.finish();
@@ -191,11 +193,12 @@ fn bench_early_stopping(c: &mut Criterion) {
     let fixed = config.fixed_length();
     group.bench_function("rounds/fixed-length-f0", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source().limit(0), SEED);
+            let mut adversary =
+                Family::RandomLiar(FaultSelection::without_source().limit(0)).strategy(SEED);
             run_into(
                 &mut arena,
                 &fixed,
-                &mut adversary,
+                adversary.as_mut(),
                 Some(key),
                 &factory,
                 &mut out,
@@ -206,11 +209,12 @@ fn bench_early_stopping(c: &mut Criterion) {
     let mut arena = RunArena::new();
     group.bench_function("rounds/early-stop-f0", |b| {
         b.iter(|| {
-            let mut adversary = RandomLiar::new(FaultSelection::without_source().limit(0), SEED);
+            let mut adversary =
+                Family::RandomLiar(FaultSelection::without_source().limit(0)).strategy(SEED);
             run_into(
                 &mut arena,
                 &config,
-                &mut adversary,
+                adversary.as_mut(),
                 Some(key),
                 &factory,
                 &mut out,
@@ -234,12 +238,16 @@ fn bench_tree_paper(c: &mut Criterion) {
         let factory = spec.factory(&config);
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mut adversary =
-                    ChainRevealer::new(FaultSelection::without_source(), 2, 2, SEED);
+                let mut adversary = Family::ChainRevealer {
+                    selection: FaultSelection::without_source(),
+                    start: 2,
+                    block: 2,
+                }
+                .strategy(SEED);
                 run_into(
                     &mut arena,
                     &config,
-                    &mut adversary,
+                    adversary.as_mut(),
                     Some(key),
                     &factory,
                     &mut out,
@@ -277,7 +285,7 @@ fn bench_masking(c: &mut Criterion) {
 
 /// The lock-step batch layer in isolation: the same 64 seeds of the
 /// benchmark cell executed scalar (one pooled `run_into` per seed, a
-/// `RandomLiar` strategy each) vs lock-step (one `run_batch_with` call,
+/// `random-liar` strategy each) vs lock-step (one `run_batch_with` call,
 /// one bit lane per run, every lane's lies drawn at word width by one
 /// `BatchFamily`). `tests/engine_identity.rs` pins their samples
 /// bit-identical.
@@ -293,11 +301,12 @@ fn bench_batch_runs(c: &mut Criterion) {
     group.bench_function("batch/scalar-64", |b| {
         b.iter(|| {
             for seed in 0..MAX_BATCH_RUNS as u64 {
-                let mut adversary = RandomLiar::new(FaultSelection::without_source(), seed);
+                let mut adversary =
+                    Family::RandomLiar(FaultSelection::without_source()).strategy(seed);
                 run_into(
                     &mut arena,
                     &config,
-                    &mut adversary,
+                    adversary.as_mut(),
                     Some(key),
                     &factory,
                     &mut out,

@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use sg_adversary::{ChainRevealer, FaultSelection};
+use sg_adversary::{Family, FaultSelection};
 use sg_core::AlgorithmSpec;
 use sg_sim::{Outcome, RunConfig, Value};
 
@@ -32,8 +32,13 @@ pub fn stress_run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
-    let outcome = sg_core::execute(spec, &config, &mut adversary)
+    let mut adversary = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: 2,
+    }
+    .strategy(seed);
+    let outcome = sg_core::execute(spec, &config, adversary.as_mut())
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
     outcome.assert_correct();
     outcome

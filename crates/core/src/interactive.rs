@@ -211,8 +211,14 @@ mod tests {
             Value(0),
         ];
         let mut adversary =
-            sg_adversary::RandomLiar::new(sg_adversary::FaultSelection::without_source(), 77);
-        let outcome = run_consensus(AlgorithmSpec::Exponential, &config, inputs, &mut adversary);
+            sg_adversary::Family::RandomLiar(sg_adversary::FaultSelection::without_source())
+                .strategy(77);
+        let outcome = run_consensus(
+            AlgorithmSpec::Exponential,
+            &config,
+            inputs,
+            adversary.as_mut(),
+        );
         assert!(outcome.agreement(), "consensus decisions diverged");
     }
 }

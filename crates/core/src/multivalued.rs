@@ -107,7 +107,7 @@ pub fn run_multivalued(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_adversary::{FaultSelection, RandomLiar, TwoFaced};
+    use sg_adversary::{Family, FaultSelection};
     use sg_sim::NoFaults;
 
     #[test]
@@ -132,8 +132,8 @@ mod tests {
     #[test]
     fn multivalued_broadcast_under_faults() {
         for mut adversary in [
-            Box::new(RandomLiar::new(FaultSelection::with_source(), 5)) as Box<dyn Adversary>,
-            Box::new(TwoFaced::new(FaultSelection::without_source())),
+            Family::RandomLiar(FaultSelection::with_source()).strategy(5),
+            Family::TwoFaced(FaultSelection::without_source()).strategy(0),
         ] {
             let config = RunConfig::new(7, 2)
                 .with_domain(ValueDomain::new(6))
@@ -148,8 +148,8 @@ mod tests {
         let config = RunConfig::new(10, 3)
             .with_domain(ValueDomain::new(4))
             .with_source_value(Value(2));
-        let mut adversary = TwoFaced::new(FaultSelection::without_source());
-        let outcome = run_multivalued(AlgorithmSpec::Hybrid { b: 3 }, &config, &mut adversary);
+        let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
+        let outcome = run_multivalued(AlgorithmSpec::Hybrid { b: 3 }, &config, adversary.as_mut());
         outcome.assert_correct();
         assert_eq!(outcome.decision(), Some(Value(2)));
     }
@@ -162,8 +162,8 @@ mod tests {
         let config = RunConfig::new(7, 2)
             .with_domain(ValueDomain::new(3)) // 2 bits, raw 3 is invalid
             .with_source_value(Value(1));
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), 9);
-        let outcome = run_multivalued(AlgorithmSpec::Exponential, &config, &mut adversary);
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(9);
+        let outcome = run_multivalued(AlgorithmSpec::Exponential, &config, adversary.as_mut());
         assert!(outcome.agreement());
     }
 }

@@ -223,6 +223,51 @@ pub fn hybrid_rounds_exact(n: usize, b: usize) -> usize {
     HybridSchedule::compute(n, b).total_rounds()
 }
 
+/// A recommended configuration from [`choose_b`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BChoice {
+    /// The chosen block parameter.
+    pub b: usize,
+    /// Exact rounds of the hybrid at this `b`.
+    pub rounds: usize,
+    /// Largest message in values (`(n−1)⋯(n−b+1)`).
+    pub max_message_values: u128,
+}
+
+/// Picks the smallest-round hybrid block parameter whose largest message
+/// stays within `max_message_values` — the practical form of the paper's
+/// rounds-versus-message-length trade-off: callers state their bandwidth
+/// budget, the schedule arithmetic answers with the fastest admissible
+/// gear train.
+///
+/// Returns `None` if `n` is too small for the hybrid (`t_A(n) < 3`) or
+/// even `b = 3` exceeds the budget.
+pub fn choose_b(n: usize, max_message_values: u128) -> Option<BChoice> {
+    let t = t_a(n);
+    if t < 3 {
+        return None;
+    }
+    let mut best: Option<BChoice> = None;
+    for b in 3..=t {
+        let mut msg: u128 = 1;
+        for j in 1..b {
+            msg = msg.saturating_mul((n - j) as u128);
+        }
+        if msg > max_message_values {
+            break; // message size is monotone in b
+        }
+        let rounds = HybridSchedule::compute(n, b).total_rounds();
+        if best.is_none_or(|c| rounds < c.rounds) {
+            best = Some(BChoice {
+                b,
+                rounds,
+                max_message_values: msg,
+            });
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,56 +383,6 @@ mod tests {
     fn a_rejects_b_two() {
         let _ = algorithm_a_blocks(5, 2);
     }
-}
-
-/// A recommended configuration from [`choose_b`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BChoice {
-    /// The chosen block parameter.
-    pub b: usize,
-    /// Exact rounds of the hybrid at this `b`.
-    pub rounds: usize,
-    /// Largest message in values (`(n−1)⋯(n−b+1)`).
-    pub max_message_values: u128,
-}
-
-/// Picks the smallest-round hybrid block parameter whose largest message
-/// stays within `max_message_values` — the practical form of the paper's
-/// rounds-versus-message-length trade-off: callers state their bandwidth
-/// budget, the schedule arithmetic answers with the fastest admissible
-/// gear train.
-///
-/// Returns `None` if `n` is too small for the hybrid (`t_A(n) < 3`) or
-/// even `b = 3` exceeds the budget.
-pub fn choose_b(n: usize, max_message_values: u128) -> Option<BChoice> {
-    let t = t_a(n);
-    if t < 3 {
-        return None;
-    }
-    let mut best: Option<BChoice> = None;
-    for b in 3..=t {
-        let mut msg: u128 = 1;
-        for j in 1..b {
-            msg = msg.saturating_mul((n - j) as u128);
-        }
-        if msg > max_message_values {
-            break; // message size is monotone in b
-        }
-        let rounds = HybridSchedule::compute(n, b).total_rounds();
-        if best.is_none_or(|c| rounds < c.rounds) {
-            best = Some(BChoice {
-                b,
-                rounds,
-                max_message_values: msg,
-            });
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod choose_b_tests {
-    use super::*;
 
     #[test]
     fn tight_budget_forces_small_b() {

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sg_adversary::{ChainRevealer, FaultSelection, RandomLiar};
+use sg_adversary::{Family, FaultSelection};
 use sg_analysis::TREE_PAPER_CELLS;
 use sg_core::execute_into;
 use sg_sim::{Adversary, NoFaults, Outcome, RunArena, RunConfig};
@@ -59,7 +59,7 @@ const PER_RUN: u64 = 1;
 fn warm_early_stopped_tree_runs_allocate_a_constant() {
     let mut arena = RunArena::new();
     let mut out = Outcome::buffer();
-    let liar = || RandomLiar::new(FaultSelection::without_source(), 7);
+    let liar = || Family::RandomLiar(FaultSelection::without_source()).strategy(7);
     for (spec, n) in TREE_PAPER_CELLS {
         let config = RunConfig::new(n, spec.max_resilience(n));
         // The chain revealer relays its shadows until round 2: each is
@@ -67,13 +67,13 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
         // long as no payload on the wire is a heap-held vector.
         let adversaries: [Box<dyn Adversary>; 3] = [
             Box::new(NoFaults),
-            Box::new(liar()),
-            Box::new(ChainRevealer::new(
-                FaultSelection::without_source(),
-                2,
-                2,
-                7,
-            )),
+            liar(),
+            Family::ChainRevealer {
+                selection: FaultSelection::without_source(),
+                start: 2,
+                block: 2,
+            }
+            .strategy(7),
         ];
         for mut adversary in adversaries {
             let mut run = |seed: u64| {

@@ -244,11 +244,12 @@ fn widened_families_and_trace_plans_travel_the_wire_bit_exactly() {
     let sel = FaultSelection::without_source();
     let (scenario, _) = sg_analysis::scenario::record(
         &SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-        Box::new(sg_adversary::Equivocate::new(
-            FaultSelection::with_source(),
-            3,
-            1,
-        )),
+        sg_adversary::Family::Equivocate {
+            selection: FaultSelection::with_source(),
+            split: 3,
+            start: 1,
+        }
+        .strategy(0),
     )
     .expect("recordable strategy");
     let plan = SweepPlan::new(

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use serde::json::Value as Json;
 use serde::FromJson;
-use sg_adversary::{FaultSelection, Move};
+use sg_adversary::{Family, FaultSelection, Move};
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
 use sg_serve::{
@@ -176,6 +176,32 @@ fn families_naming_a_processor_outside_the_system_are_bad_requests() {
         .submit_and_collect(&edge)
         .expect("a fitting plan runs");
     assert_eq!(streamed.report, edge.run_with_jobs(1));
+    handle.shutdown();
+}
+
+/// An equivocating source whose selection leaves the source correct is a
+/// run like any other: its members relay their shadows, and the plan is
+/// answered with a summary, not a worker panic.
+#[test]
+fn an_equivocating_source_without_the_source_is_answered_with_a_summary() {
+    let (handle, addr) = start();
+    let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
+    let plan = SweepPlan::new(
+        vec![
+            SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
+            SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+        ],
+        vec![
+            Family::EquivocatingSource(FaultSelection::with_source().limit(0)).into(),
+            Family::EquivocatingSource(FaultSelection::explicit([ProcessId(2), ProcessId(5)]))
+                .into(),
+        ],
+        3,
+    );
+    let streamed = client
+        .submit_and_collect(&plan)
+        .expect("a summary, not a worker panic");
+    assert_eq!(streamed.report, plan.run_with_jobs(1));
     handle.shutdown();
 }
 

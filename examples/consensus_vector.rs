@@ -7,7 +7,7 @@
 //! cargo run --example consensus_vector
 //! ```
 
-use shifting_gears::adversary::{FaultSelection, TwoFaced};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{run_consensus, AlgorithmSpec};
 use shifting_gears::sim::{RunConfig, TraceEvent, Value};
 
@@ -21,13 +21,13 @@ fn main() {
         inputs.iter().map(|v| v.raw()).collect::<Vec<_>>()
     );
 
-    let mut adversary = TwoFaced::new(FaultSelection::without_source());
+    let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
     let config = RunConfig::new(n, t).with_trace();
     let outcome = run_consensus(
         AlgorithmSpec::Exponential,
         &config,
         inputs.clone(),
-        &mut adversary,
+        adversary.as_mut(),
     );
 
     println!("faulty    : {}", outcome.faulty);

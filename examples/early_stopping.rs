@@ -15,7 +15,7 @@
 //! cargo run --example early_stopping
 //! ```
 
-use shifting_gears::adversary::{DoubleTalk, FaultSelection};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::lock_in;
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{Adversary, NoFaults, RunConfig, Value};
@@ -37,8 +37,8 @@ fn sweep(spec: AlgorithmSpec, n: usize, t: usize) {
         let adversary: &mut dyn Adversary = if f == 0 {
             &mut none
         } else {
-            split = DoubleTalk::new(FaultSelection::with_source().limit(f));
-            &mut split
+            split = Family::DoubleTalk(FaultSelection::with_source().limit(f)).strategy(0);
+            split.as_mut()
         };
         let outcome = execute(spec, &config, adversary).expect("valid parameters");
         assert!(outcome.agreement());
@@ -77,8 +77,8 @@ fn harvested(spec: AlgorithmSpec, n: usize, t: usize) {
         let adversary: &mut dyn Adversary = if f == 0 {
             &mut none
         } else {
-            split = DoubleTalk::new(FaultSelection::with_source().limit(f));
-            &mut split
+            split = Family::DoubleTalk(FaultSelection::with_source().limit(f)).strategy(0);
+            split.as_mut()
         };
         let outcome = execute(spec, &config, adversary).expect("valid parameters");
         assert!(outcome.agreement());

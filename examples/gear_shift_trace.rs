@@ -7,7 +7,7 @@
 //! cargo run --example gear_shift_trace
 //! ```
 
-use shifting_gears::adversary::{ChainRevealer, FaultSelection};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::chart::message_profile;
 use shifting_gears::core::{execute, AlgorithmSpec, HybridSchedule, RoundAction};
 use shifting_gears::sim::{ProcessId, RunConfig, TraceEvent, Value};
@@ -27,14 +27,19 @@ fn main() {
     );
 
     // One fault starts equivocating every b rounds.
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, b, 0xFEED);
+    let mut adversary = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: b,
+    }
+    .strategy(0xFEED);
     // The whole schedule: the source is correct, so with early stopping
     // the run would end at round 2, at the first echo, before any shift.
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
         .with_trace()
         .fixed_length();
-    let outcome = execute(spec, &config, &mut adversary).expect("valid parameters");
+    let outcome = execute(spec, &config, adversary.as_mut()).expect("valid parameters");
 
     let witness = (0..n)
         .map(ProcessId)

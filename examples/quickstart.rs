@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use shifting_gears::adversary::{FaultSelection, TwoFaced};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec, HybridSchedule};
 use shifting_gears::sim::{RunConfig, Value};
 
@@ -18,10 +18,10 @@ fn main() {
     // The adversary corrupts 5 processors (not the source) and plays
     // maximal consistent equivocation: one story to even-id recipients,
     // the flipped story to odd-id recipients.
-    let mut adversary = TwoFaced::new(FaultSelection::without_source());
+    let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
 
     let config = RunConfig::new(n, t).with_source_value(Value(1));
-    let outcome = execute(spec, &config, &mut adversary).expect("valid parameters");
+    let outcome = execute(spec, &config, adversary.as_mut()).expect("valid parameters");
 
     let schedule = HybridSchedule::compute(n, 3);
     println!("algorithm        : {}", spec.name());

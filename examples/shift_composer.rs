@@ -10,7 +10,7 @@
 //! cargo run --example shift_composer
 //! ```
 
-use shifting_gears::adversary::{DoubleTalk, FaultSelection};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::compose::ShiftPlanBuilder;
 use shifting_gears::core::t_a;
 use shifting_gears::sim::{RunConfig, Value};
@@ -51,8 +51,9 @@ fn main() {
         match builder.build() {
             Ok(composition) => {
                 let config = RunConfig::new(n, t).with_source_value(Value(1));
-                let mut adversary = DoubleTalk::new(FaultSelection::without_source());
-                let outcome = composition.execute(&config, &mut adversary);
+                let mut adversary =
+                    Family::DoubleTalk(FaultSelection::without_source()).strategy(0);
+                let outcome = composition.execute(&config, adversary.as_mut());
                 println!(
                     "  SAFE      {} rounds; under {}: agreement={}, decision={:?}",
                     composition.rounds(),

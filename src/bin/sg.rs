@@ -38,13 +38,13 @@
 //! runs the long-lived sweep daemon (wire protocol `sg-serve/1`, see
 //! `sg_serve::wire`); `submit` sends the same grid `sweep` runs locally
 //! and must produce a bit-identical fingerprint — CI's serve-e2e job
-//! holds the two paths to that contract. The sweep grids take `--f <k>`
-//! to cap the *actual* fault count below `t` (the rounds-vs-f
-//! workloads) and speak the full wire vocabulary of adversary families —
-//! including the link/schedule families (`partition`, `omission`,
-//! `equivocate`, `adaptive`) and
-//! `trace` (replaying a recorded `sg-trace/1`/`sg-scenario/1` file via
-//! `--trace-file`). `record` captures one run as an `sg-scenario/1`
+//! holds the two paths to that contract. `--adversary` names one of the
+//! wire-portable adversary families from one table that `run`,
+//! `compose`, `record`, `sweep`, `submit` and `list` all read; the sweep
+//! grids also take `--f <k>` to cap the *actual* fault count below `t`
+//! (the rounds-vs-f workloads), the families' tuning flags (`--split`,
+//! `--period`, …), and `trace` (replaying a recorded
+//! `sg-trace/1`/`sg-scenario/1` file via `--trace-file`). `record` captures one run as an `sg-scenario/1`
 //! JSON artifact; `replay` re-executes such artifacts and fails on any
 //! verdict drift — CI's scenario-corpus job runs it over
 //! `tests/corpus/`.
@@ -73,17 +73,13 @@ use std::process::exit;
 
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
-use shifting_gears::adversary::{
-    standard_suite, Adaptive, AdversaryTrace, ChainRevealer, Crash, DoubleTalk, Equivocate,
-    EquivocatingSource, FaultSelection, Omission, Partition, RandomLiar, Silent, StaggeredSplit,
-    Stealth, TwoFaced,
-};
+use shifting_gears::adversary::{standard_suite, AdversaryTrace, Family, FaultSelection};
 use shifting_gears::analysis::{lock_in, scenario, Scenario, ENGINE_VERSION_TAG};
 use shifting_gears::core::schedule::{algorithm_a_rounds_exact, algorithm_b_rounds_exact};
 use shifting_gears::core::{
     execute, render_plan, t_a, t_b, t_c, AlgorithmSpec, HybridSchedule, ShiftPlanBuilder,
 };
-use shifting_gears::sim::{Adversary, NoFaults, RunConfig, TraceEvent, Value};
+use shifting_gears::sim::{Adversary, RunConfig, TraceEvent, Value};
 
 fn usage() -> ! {
     eprintln!(
@@ -95,8 +91,7 @@ fn usage() -> ! {
          sg gauntlet --alg <name> --n <n> [--t <t>] [--b <b>]\n  \
          sg stability --alg <name> --n <n> [--t <t>] [--b <b>] [--seed <s>]\n  \
          sg sweep --alg <name> --n <n> [--t <t>] [--b <b>] [--seeds <k>]\n           \
-         [--adversary random-liar|chain-revealer|crash|silent|partition|\n            \
-         omission|equivocate|adaptive|trace|none]\n           \
+         [--adversary <name>]\n           \
          [--f <k>] [--source-faulty] [--base-seed <s>]\n           \
          [--split <k>] [--from <r>] [--to <r>] [--period <k>] [--phase <k>]\n           \
          [--start <r>] [--schedule <r,r,..>] [--trace-file <path>]\n           \
@@ -119,7 +114,7 @@ fn usage() -> ! {
          [--workers <N>] [--max-jobs <N>] [--deadline-ms <ms>]\n           \
          [--chaos gentle|hostile] [--seed <s>]\n  \
          sg bounds --n <n>\n  \
-         sg list\n\
+         sg list                 (algorithm and --adversary names)\n\
          global: --jobs <N> sizes the sweep worker pool; --no-early-stop (run,\n        \
          compose, gauntlet, stability, sweep, submit) runs full fixed-length\n        \
          schedules; unrecognised flags exit 2"
@@ -229,33 +224,155 @@ fn algorithm(name: &str, b: usize) -> AlgorithmSpec {
     })
 }
 
-fn adversary(name: &str, source_faulty: bool, seed: u64) -> Box<dyn Adversary> {
-    let sel = if source_faulty {
-        FaultSelection::with_source()
-    } else {
-        FaultSelection::without_source()
-    };
-    match name {
-        "none" => Box::new(NoFaults),
-        "silent" => Box::new(Silent::new(sel)),
-        "crash" => Box::new(Crash::new(sel, 2)),
-        "random-liar" => Box::new(RandomLiar::new(sel, seed)),
-        "two-faced" => Box::new(TwoFaced::new(sel)),
-        "equivocating-source" => Box::new(EquivocatingSource::new(FaultSelection::with_source())),
-        "stealth" => Box::new(Stealth::new(sel)),
-        "chain-revealer" => Box::new(ChainRevealer::new(sel, 2, 2, seed)),
-        "double-talk" => Box::new(DoubleTalk::new(sel)),
-        // The wire-portable link/schedule families at their suite shapes;
-        // `sweep` exposes the tuning knobs (--split, --period, ...).
-        "partition" => Box::new(Partition::new(sel.limit(1), 1, 2, 3)),
-        "omission" => Box::new(Omission::new(sel, 2, 0)),
-        "equivocate" => Box::new(Equivocate::new(sel, 3, 1)),
-        "adaptive" => Box::new(Adaptive::new(sel, vec![2, 4])),
-        other => {
-            eprintln!("unknown adversary '{other}' (try `sg list`)");
+/// What an `--adversary` name is built from: `--source-faulty` and
+/// `--f`, the cell's `(n, t)`, and the tuning flags (`--split`,
+/// `--period`, …) — `run`, `compose` and `record` accept none of those,
+/// so they build every family at its defaults.
+struct Grid<'a> {
+    flags: &'a HashMap<String, String>,
+    source_faulty: bool,
+    n: usize,
+    t: usize,
+}
+
+impl<'a> Grid<'a> {
+    fn new(flags: &'a HashMap<String, String>, toggles: &[String], n: usize, t: usize) -> Self {
+        Grid {
+            flags,
+            source_faulty: toggles.iter().any(|t| t == "source-faulty"),
+            n,
+            t,
+        }
+    }
+
+    /// The selection `--source-faulty` and `--f` ask for, with the source
+    /// in it regardless when `source` is set.
+    fn selection(&self, source: bool) -> FaultSelection {
+        let sel = if source || self.source_faulty {
+            FaultSelection::with_source()
+        } else {
+            FaultSelection::without_source()
+        };
+        // The actual-fault-budget knob: corrupt only f <= t processors,
+        // the regime where early stopping pays (rounds-vs-f sweeps).
+        match parse_usize(self.flags, "f") {
+            Some(f) => sel.limit(f),
+            None => sel,
+        }
+    }
+
+    fn sel(&self) -> FaultSelection {
+        self.selection(false)
+    }
+
+    fn get(&self, key: &str, default: usize) -> usize {
+        parse_usize(self.flags, key).unwrap_or(default)
+    }
+}
+
+/// How an `--adversary` name builds its family.
+type Build = fn(&Grid) -> Family;
+
+/// Every `--adversary` name, in `sg list` order, and the family it builds.
+/// `run`, `compose`, `record`, `sweep` and `submit` all read this table;
+/// `trace` replays a file and is for `sweep` and `submit` only.
+const ADVERSARIES: &[(&str, Build)] = &[
+    ("none", |_| Family::NoFaults),
+    ("silent", |g| Family::Silent(g.sel())),
+    ("crash", |g| Family::Crash {
+        selection: g.sel(),
+        round: 2,
+    }),
+    ("random-liar", |g| Family::RandomLiar(g.sel())),
+    ("two-faced", |g| Family::TwoFaced(g.sel())),
+    // Its lie is the source's, so the source is corrupted whatever
+    // `--source-faulty` says.
+    ("equivocating-source", |g| {
+        Family::EquivocatingSource(g.selection(true))
+    }),
+    ("stealth", |g| Family::Stealth(g.sel())),
+    ("chain-revealer", |g| Family::ChainRevealer {
+        selection: g.sel(),
+        start: 2,
+        block: 2,
+    }),
+    ("double-talk", |g| Family::DoubleTalk(g.sel())),
+    ("partition", |g| Family::Partition {
+        selection: g.sel().limit(g.get("f", 1)),
+        split: g.get("split", 1),
+        from: g.get("from", 2),
+        to: g.get("to", 3),
+    }),
+    ("omission", |g| Family::Omission {
+        selection: g.sel(),
+        period: g.get("period", 2),
+        phase: g.get("phase", 0),
+    }),
+    ("equivocate", |g| Family::Equivocate {
+        selection: g.sel(),
+        split: g.get("split", (g.n / 2).max(1)),
+        start: g.get("start", 1),
+    }),
+    ("adaptive", |g| Family::Adaptive {
+        selection: g.sel(),
+        schedule: parse_schedule(g.flags),
+    }),
+    ("staggered-split", |g| Family::StaggeredSplit {
+        selection: g.sel(),
+        start: 2,
+        block: 2,
+    }),
+    ("collusion", |g| Family::Collusion(g.sel())),
+    ("stale-shadow", |g| Family::StaleShadow(g.sel())),
+    ("frontier-breaker", |g| Family::FrontierBreaker(g.sel())),
+    ("trace", trace_family),
+];
+
+/// The family `--adversary <name>` builds over `grid`.
+fn family(name: &str, grid: &Grid) -> Family {
+    match ADVERSARIES.iter().find(|(known, _)| *known == name) {
+        Some((_, build)) => build(grid),
+        None => {
+            eprintln!("unknown adversary '{name}' (try `sg list`)");
             exit(2);
         }
     }
+}
+
+/// The strategy of one `run`, `compose` or `record` execution: the
+/// `--adversary` family (default `default`) seeded `seed`.
+fn adversary(grid: &Grid, default: &str, seed: u64) -> Box<dyn Adversary> {
+    let name = grid.flags.get("adversary").map_or(default, String::as_str);
+    if name == "trace" {
+        eprintln!("--adversary trace replays a file under `sg sweep` and `sg submit` only");
+        exit(2);
+    }
+    family(name, grid).strategy(seed)
+}
+
+/// `--adversary trace`: the `--trace-file` recording, at the grid's
+/// exact `(n, t)`.
+fn trace_family(grid: &Grid) -> Family {
+    let path = grid
+        .flags
+        .get("trace-file")
+        .map(String::as_str)
+        .unwrap_or_else(|| {
+            eprintln!("--adversary trace needs --trace-file <path>");
+            exit(2);
+        });
+    let trace = load_trace(path);
+    if trace.n != grid.n || trace.t != grid.t {
+        eprintln!(
+            "trace in '{path}' was recorded at (n={}, t={}), grid is (n={}, t={})",
+            trace.n, trace.t, grid.n, grid.t
+        );
+        exit(2);
+    }
+    Family::replay(trace).unwrap_or_else(|e| {
+        eprintln!("trace in '{path}' does not validate: {e}");
+        exit(2);
+    })
 }
 
 fn cmd_list() {
@@ -269,22 +386,13 @@ fn cmd_list() {
         println!("  {}{needs_b}", spec.family());
     }
     println!("adversaries:");
-    for a in [
-        "none",
-        "silent",
-        "crash",
-        "random-liar",
-        "two-faced",
-        "equivocating-source",
-        "stealth",
-        "chain-revealer",
-        "double-talk",
-        "partition",
-        "omission",
-        "equivocate",
-        "adaptive",
-    ] {
-        println!("  {a}");
+    for (name, _) in ADVERSARIES {
+        let note = if *name == "trace" {
+            " (sweep and submit, needs --trace-file)"
+        } else {
+            ""
+        };
+        println!("  {name}{note}");
     }
 }
 
@@ -347,13 +455,7 @@ fn cmd_run(flags: &HashMap<String, String>, toggles: &[String]) {
     let t = parse_usize(flags, "t").unwrap_or_else(|| spec.max_resilience(n));
     let seed = parse_usize(flags, "seed").unwrap_or(7) as u64;
     let value = parse_usize(flags, "value").unwrap_or(1) as u16;
-    let source_faulty = toggles.iter().any(|t| t == "source-faulty");
     let trace = toggles.iter().any(|t| t == "trace");
-    let adv_name = flags
-        .get("adversary")
-        .map(String::as_str)
-        .unwrap_or("chain-revealer");
-
     let mut config = run_mode(
         RunConfig::new(n, t).with_source_value(Value(value)),
         toggles,
@@ -361,7 +463,8 @@ fn cmd_run(flags: &HashMap<String, String>, toggles: &[String]) {
     if trace {
         config = config.with_trace();
     }
-    let mut adv = adversary(adv_name, source_faulty, seed);
+    let grid = Grid::new(flags, toggles, n, t);
+    let mut adv = adversary(&grid, "chain-revealer", seed);
     let outcome = match execute(spec, &config, adv.as_mut()) {
         Ok(o) => o,
         Err(e) => {
@@ -493,12 +596,9 @@ fn cmd_compose(flags: &HashMap<String, String>, toggles: &[String]) {
     println!("verdict     : safe (all §4.4 entry and terminal conditions hold)");
     if toggles.iter().any(|t| t == "run") {
         let seed = parse_usize(flags, "seed").unwrap_or(7) as u64;
-        let adv_name = flags
-            .get("adversary")
-            .map(String::as_str)
-            .unwrap_or("chain-revealer");
         let config = run_mode(RunConfig::new(n, t).with_source_value(Value(1)), toggles);
-        let mut adv = adversary(adv_name, false, seed);
+        let grid = Grid::new(flags, toggles, n, t);
+        let mut adv = adversary(&grid, "chain-revealer", seed);
         let outcome = composition.execute(&config, adv.as_mut());
         println!(
             "adversary   : {} corrupting {}",
@@ -579,15 +679,16 @@ fn cmd_stability(flags: &HashMap<String, String>, toggles: &[String]) {
             .with_source_value(Value(1))
             .with_trace();
         let _ = seed;
-        let mut none = NoFaults;
-        let mut split;
-        let adv: &mut dyn Adversary = if f == 0 {
-            &mut none
+        let family = if f == 0 {
+            Family::NoFaults
         } else {
-            split = StaggeredSplit::new(FaultSelection::with_source().limit(f), 2, b);
-            &mut split
+            Family::StaggeredSplit {
+                selection: FaultSelection::with_source().limit(f),
+                start: 2,
+                block: b,
+            }
         };
-        let outcome = match execute(spec, &config, adv) {
+        let outcome = match execute(spec, &config, family.strategy(0).as_mut()) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("cannot run: {e}");
@@ -627,73 +728,9 @@ fn sweep_plan_from_flags(
         eprintln!("--seeds must be at least 1");
         exit(2);
     }
-    let source_faulty = toggles.iter().any(|t| t == "source-faulty");
-    let mut sel = if source_faulty {
-        FaultSelection::with_source()
-    } else {
-        FaultSelection::without_source()
-    };
-    // The actual-fault-budget knob: corrupt only f <= t processors, the
-    // regime where early stopping pays (rounds-vs-f sweeps).
-    if let Some(f) = parse_usize(flags, "f") {
-        sel = sel.limit(f);
-    }
-    let adv_name = flags
-        .get("adversary")
-        .map(String::as_str)
-        .unwrap_or("random-liar");
-    let family = match adv_name {
-        "none" => AdversaryFamily::no_faults(),
-        "random-liar" => AdversaryFamily::random_liar(sel),
-        "chain-revealer" => AdversaryFamily::chain_revealer(sel, 2, 2),
-        "crash" => AdversaryFamily::crash(sel, 2),
-        "silent" => AdversaryFamily::silent(sel),
-        "partition" => AdversaryFamily::partition(
-            sel.limit(parse_usize(flags, "f").unwrap_or(1)),
-            parse_usize(flags, "split").unwrap_or(1),
-            parse_usize(flags, "from").unwrap_or(2),
-            parse_usize(flags, "to").unwrap_or(3),
-        ),
-        "omission" => AdversaryFamily::omission(
-            sel,
-            parse_usize(flags, "period").unwrap_or(2),
-            parse_usize(flags, "phase").unwrap_or(0),
-        ),
-        "equivocate" => AdversaryFamily::equivocate(
-            sel,
-            parse_usize(flags, "split").unwrap_or((n / 2).max(1)),
-            parse_usize(flags, "start").unwrap_or(1),
-        ),
-        "adaptive" => AdversaryFamily::adaptive(sel, parse_schedule(flags)),
-        "trace" => {
-            let path = flags
-                .get("trace-file")
-                .map(String::as_str)
-                .unwrap_or_else(|| {
-                    eprintln!("--adversary trace needs --trace-file <path>");
-                    exit(2);
-                });
-            let trace = load_trace(path);
-            if trace.n != n || trace.t != t {
-                eprintln!(
-                    "trace in '{path}' was recorded at (n={}, t={}), grid is (n={n}, t={t})",
-                    trace.n, trace.t
-                );
-                exit(2);
-            }
-            AdversaryFamily::replay(trace).unwrap_or_else(|e| {
-                eprintln!("trace in '{path}' does not validate: {e}");
-                exit(2);
-            })
-        }
-        other => {
-            eprintln!(
-                "sweep supports adversaries none|random-liar|chain-revealer|crash|silent|\
-                 partition|omission|equivocate|adaptive|trace, got '{other}'"
-            );
-            exit(2);
-        }
-    };
+    let grid = Grid::new(flags, toggles, n, t);
+    let name = flags.get("adversary").map_or("random-liar", String::as_str);
+    let family = AdversaryFamily::from(family(name, &grid));
     let base_seed = parse_usize(flags, "base-seed").unwrap_or(0) as u64;
     let mut plan = SweepPlan::new(vec![SweepConfig::traced(spec, n, t)], vec![family], seeds)
         .with_base_seed(base_seed);
@@ -830,12 +867,8 @@ fn cmd_record(flags: &HashMap<String, String>, toggles: &[String]) {
     let spec = algorithm(alg, b);
     let t = parse_usize(flags, "t").unwrap_or_else(|| spec.max_resilience(n));
     let seed = parse_usize(flags, "seed").unwrap_or(0) as u64;
-    let source_faulty = toggles.iter().any(|t| t == "source-faulty");
-    let name = flags
-        .get("adversary")
-        .map(String::as_str)
-        .unwrap_or("random-liar");
-    let adversary = adversary(name, source_faulty, seed);
+    let grid = Grid::new(flags, toggles, n, t);
+    let adversary = adversary(&grid, "random-liar", seed);
     let mut config = SweepConfig::traced(spec, n, t);
     if let Some(v) = parse_usize(flags, "value") {
         let Ok(v) = u16::try_from(v) else {

@@ -2,7 +2,7 @@
 //! source-correct/faulty × both source values must reach Byzantine
 //! agreement with validity, within its round schedule.
 
-use shifting_gears::adversary::{quick_suite, standard_suite};
+use shifting_gears::adversary::{quick_suite, standard_suite, RecordingAdversary};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{RunConfig, Value};
 
@@ -44,6 +44,44 @@ fn gauntlet(spec: AlgorithmSpec, n: usize, t: usize, quick: bool) {
                 spec.name(),
                 outcome.adversary
             );
+        }
+    }
+}
+
+/// A gauntlet runs one strategy instance for both source values, so a
+/// strategy must carry nothing from one run into the next: every suite
+/// entry's second run records the trace, decisions and rounds that a
+/// fresh instance's does.
+#[test]
+fn a_reused_strategy_runs_like_a_fresh_one() {
+    for (spec, n, t) in [
+        (AlgorithmSpec::Exponential, 7, 2),
+        (AlgorithmSpec::PhaseKing, 9, 2),
+        (AlgorithmSpec::OptimalKing, 7, 2),
+        (AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+        (AlgorithmSpec::AlgorithmC, 9, 2),
+    ] {
+        for early in [true, false] {
+            let config = |value| {
+                let config = RunConfig::new(n, t).with_source_value(value);
+                if early {
+                    config
+                } else {
+                    config.fixed_length()
+                }
+            };
+            let fresh = standard_suite(0xC0FFEE);
+            for (reused, fresh) in standard_suite(0xC0FFEE).into_iter().zip(fresh) {
+                let mut reused = RecordingAdversary::new(reused);
+                execute(spec, &config(Value(0)), &mut reused).expect("a valid cell");
+                let again = execute(spec, &config(Value(1)), &mut reused).expect("a valid cell");
+                let mut fresh = RecordingAdversary::new(fresh);
+                let once = execute(spec, &config(Value(1)), &mut fresh).expect("a valid cell");
+                let what = format!("{} under {} (early: {early})", spec.name(), once.adversary);
+                assert_eq!(again.decisions, once.decisions, "{what}");
+                assert_eq!(again.rounds_used, once.rounds_used, "{what}");
+                assert_eq!(reused.finish(), fresh.finish(), "{what}");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Baseline-specific adversarial tests: authenticated Dolev–Strong (with
 //! signature-forgery attempts) and Phase King.
 
-use shifting_gears::adversary::{standard_suite, EquivocatingSource, FaultSelection, RandomLiar};
+use shifting_gears::adversary::{standard_suite, Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{
     Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, Value,
@@ -12,8 +12,8 @@ fn dolev_strong_tolerates_majority_faults() {
     // Authentication buys resilience far beyond n/3: n = 6, t = 4.
     for source_value in [Value(0), Value(1)] {
         let config = RunConfig::new(6, 4).with_source_value(source_value);
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), 3);
-        let outcome = execute(AlgorithmSpec::DolevStrong, &config, &mut adversary).unwrap();
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(3);
+        let outcome = execute(AlgorithmSpec::DolevStrong, &config, adversary.as_mut()).unwrap();
         outcome.assert_correct();
     }
 }
@@ -21,8 +21,9 @@ fn dolev_strong_tolerates_majority_faults() {
 #[test]
 fn dolev_strong_source_equivocation_yields_agreement() {
     let config = RunConfig::new(5, 2).with_source_value(Value(1));
-    let mut adversary = EquivocatingSource::new(FaultSelection::with_source().limit(1));
-    let outcome = execute(AlgorithmSpec::DolevStrong, &config, &mut adversary).unwrap();
+    let mut adversary =
+        Family::EquivocatingSource(FaultSelection::with_source().limit(1)).strategy(0);
+    let outcome = execute(AlgorithmSpec::DolevStrong, &config, adversary.as_mut()).unwrap();
     // Source faulty: validity vacuous, agreement mandatory.
     assert!(outcome.agreement());
 }
@@ -110,8 +111,8 @@ fn phase_queen_full_gauntlet_at_various_sizes() {
 #[test]
 fn phase_king_messages_are_constant_size() {
     let config = RunConfig::new(21, 5).with_source_value(Value(1));
-    let mut adversary = RandomLiar::new(FaultSelection::without_source(), 8);
-    let outcome = execute(AlgorithmSpec::PhaseKing, &config, &mut adversary).unwrap();
+    let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(8);
+    let outcome = execute(AlgorithmSpec::PhaseKing, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
     assert_eq!(outcome.metrics.max_message_values(), 1);
 }

@@ -23,8 +23,7 @@
 mod oracle;
 
 use oracle::assert_engines_agree;
-use shifting_gears::adversary::RandomLiar;
-use shifting_gears::adversary::{BatchFamily, FaultSelection};
+use shifting_gears::adversary::{BatchFamily, Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
 use shifting_gears::core::{batch_kernel, execute, AlgorithmSpec};
 use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet};
@@ -343,7 +342,7 @@ fn recipient_classes_under_a_shared_story_match_scalar() {
 }
 
 /// Two random liars, led by the source in two seeds out of three.
-struct SourceInSomeSeeds(RandomLiar);
+struct SourceInSomeSeeds(Box<dyn Adversary>);
 
 impl SourceInSomeSeeds {
     const NAME: &'static str = "random-liar(source in 2 of 3 seeds)";
@@ -354,7 +353,7 @@ impl SourceInSomeSeeds {
         } else {
             FaultSelection::with_source()
         };
-        SourceInSomeSeeds(RandomLiar::new(sel.limit(2), seed))
+        SourceInSomeSeeds(Family::RandomLiar(sel.limit(2)).strategy(seed))
     }
 }
 
@@ -447,7 +446,7 @@ fn adjacent_wide_lanes_keep_their_own_fault_rows() {
     let per_seed_faults =
         AdversaryFamily::new("random-liar(set by seed)".to_string(), move |seed| {
             let members = fault_set(seed).into_iter().map(ProcessId);
-            Box::new(RandomLiar::new(FaultSelection::explicit(members), seed))
+            Family::RandomLiar(FaultSelection::explicit(members)).strategy(seed)
         });
     for spec in [
         AlgorithmSpec::KingShift { b: 3 },

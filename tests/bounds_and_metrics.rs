@@ -4,7 +4,7 @@
 //! fixed-length: with a correct source the echo rule (`sg_core::GearedProtocol`)
 //! would end every one of them at round 2.
 
-use shifting_gears::adversary::{ChainRevealer, FaultSelection, RandomLiar};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::bounds::{
     blocked_max_message_values, c_max_message_values, exponential_max_message_values,
 };
@@ -16,8 +16,13 @@ fn run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
     let config = RunConfig::new(n, t)
         .with_source_value(Value(1))
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, seed);
-    let outcome = execute(spec, &config, &mut adversary).expect("valid parameters");
+    let mut adversary = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: 2,
+    }
+    .strategy(seed);
+    let outcome = execute(spec, &config, adversary.as_mut()).expect("valid parameters");
     outcome.assert_correct();
     outcome
 }
@@ -104,8 +109,8 @@ fn executions_are_deterministic() {
     let config = RunConfig::new(13, 4).with_source_value(Value(1));
     let outcomes: Vec<Outcome> = (0..2)
         .map(|_| {
-            let mut adversary = RandomLiar::new(FaultSelection::with_source(), 99);
-            execute(AlgorithmSpec::Hybrid { b: 3 }, &config, &mut adversary).expect("valid")
+            let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(99);
+            execute(AlgorithmSpec::Hybrid { b: 3 }, &config, adversary.as_mut()).expect("valid")
         })
         .collect();
     assert_eq!(outcomes[0].decisions, outcomes[1].decisions);
@@ -117,10 +122,15 @@ fn honest_traffic_is_adversary_independent() {
     // The schedule fixes what honest processors send; two very different
     // adversaries must produce identical honest traffic shapes.
     let config = RunConfig::new(13, 4).with_source_value(Value(1));
-    let mut liar = RandomLiar::new(FaultSelection::without_source(), 1);
-    let mut chain = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 2);
-    let a = execute(AlgorithmSpec::AlgorithmA { b: 3 }, &config, &mut liar).expect("valid");
-    let b = execute(AlgorithmSpec::AlgorithmA { b: 3 }, &config, &mut chain).expect("valid");
+    let mut liar = Family::RandomLiar(FaultSelection::without_source()).strategy(1);
+    let mut chain = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: 2,
+    }
+    .strategy(2);
+    let a = execute(AlgorithmSpec::AlgorithmA { b: 3 }, &config, liar.as_mut()).expect("valid");
+    let b = execute(AlgorithmSpec::AlgorithmA { b: 3 }, &config, chain.as_mut()).expect("valid");
     assert_eq!(
         a.metrics.max_message_values(),
         b.metrics.max_message_values()
@@ -135,17 +145,15 @@ fn over_threshold_runs_do_not_panic() {
     let config = RunConfig::new(7, 2)
         .with_source_value(Value(1))
         .fixed_length();
-    let mut adversary = RandomLiar::new(
-        shifting_gears::adversary::FaultSelection::explicit([
-            shifting_gears::sim::ProcessId(1),
-            shifting_gears::sim::ProcessId(2),
-            shifting_gears::sim::ProcessId(3),
-        ]),
-        4,
-    );
+    let mut adversary = Family::RandomLiar(shifting_gears::adversary::FaultSelection::explicit([
+        shifting_gears::sim::ProcessId(1),
+        shifting_gears::sim::ProcessId(2),
+        shifting_gears::sim::ProcessId(3),
+    ]))
+    .strategy(4);
     let outcome = shifting_gears::sim::run(
         &config,
-        &mut adversary,
+        adversary.as_mut(),
         AlgorithmSpec::Exponential.factory(&config),
     );
     assert_eq!(outcome.rounds_used, 3);

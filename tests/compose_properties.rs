@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use shifting_gears::adversary::{FaultSelection, RandomLiar};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::compose::{
     b_entry_requirement, c_entry_requirement, ComposeError, ShiftPlanBuilder,
 };
@@ -105,8 +105,8 @@ proptest! {
         let Ok(c) = build(&r) else { return Ok(()) };
         let t = t_a(r.n);
         let config = RunConfig::new(r.n, t).with_source_value(Value(1));
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), seed);
-        let outcome = c.execute(&config, &mut adversary);
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(seed);
+        let outcome = c.execute(&config, adversary.as_mut());
         prop_assert!(outcome.agreement(), "{} disagreed", c.name());
         if let Some(valid) = outcome.validity() {
             prop_assert!(valid);

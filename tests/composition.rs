@@ -2,7 +2,7 @@
 //! consistency / consensus and multivalued broadcast, over the paper's
 //! algorithms, against the adversary suite.
 
-use shifting_gears::adversary::{quick_suite, FaultSelection, RandomLiar, TwoFaced};
+use shifting_gears::adversary::{quick_suite, Family, FaultSelection};
 use shifting_gears::core::{run_consensus, run_multivalued, AlgorithmSpec};
 use shifting_gears::sim::{RunConfig, Value, ValueDomain};
 
@@ -34,9 +34,14 @@ fn consensus_unanimous_inputs_survive_faults() {
     let n = 7;
     let t = 2;
     let inputs = vec![Value(1); n];
-    let mut adversary = TwoFaced::new(FaultSelection::without_source());
+    let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
     let config = RunConfig::new(n, t);
-    let outcome = run_consensus(AlgorithmSpec::Exponential, &config, inputs, &mut adversary);
+    let outcome = run_consensus(
+        AlgorithmSpec::Exponential,
+        &config,
+        inputs,
+        adversary.as_mut(),
+    );
     assert!(outcome.agreement());
     assert_eq!(outcome.decision(), Some(Value(1)));
 }
@@ -51,13 +56,13 @@ fn consensus_over_hybrid_base() {
     let inputs: Vec<Value> = (0..n)
         .map(|i| Value(u16::from(!(1..=3).contains(&i))))
         .collect();
-    let mut adversary = RandomLiar::new(FaultSelection::without_source(), 0x11);
+    let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(0x11);
     let config = RunConfig::new(n, t);
     let outcome = run_consensus(
         AlgorithmSpec::Hybrid { b: 3 },
         &config,
         inputs,
-        &mut adversary,
+        adversary.as_mut(),
     );
     assert!(outcome.agreement());
     assert_eq!(outcome.decision(), Some(Value(1)));
@@ -79,8 +84,12 @@ fn multivalued_over_algorithm_b() {
     let config = RunConfig::new(13, 3)
         .with_domain(ValueDomain::new(16))
         .with_source_value(Value(11));
-    let mut adversary = TwoFaced::new(FaultSelection::without_source());
-    let outcome = run_multivalued(AlgorithmSpec::AlgorithmB { b: 2 }, &config, &mut adversary);
+    let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
+    let outcome = run_multivalued(
+        AlgorithmSpec::AlgorithmB { b: 2 },
+        &config,
+        adversary.as_mut(),
+    );
     outcome.assert_correct();
     assert_eq!(outcome.decision(), Some(Value(11)));
 }
@@ -89,19 +98,19 @@ fn multivalued_over_algorithm_b() {
 fn multivalued_message_cost_scales_with_bit_width() {
     // Message length multiplies by ⌈log2 |V|⌉ (plus 2 framing values per
     // instance) relative to the binary run.
-    let mut binary_adv = RandomLiar::new(FaultSelection::without_source(), 1);
+    let mut binary_adv = Family::RandomLiar(FaultSelection::without_source()).strategy(1);
     let binary = shifting_gears::core::execute(
         AlgorithmSpec::Exponential,
         &RunConfig::new(7, 2).with_source_value(Value(1)),
-        &mut binary_adv,
+        binary_adv.as_mut(),
     )
     .unwrap();
 
-    let mut adv = RandomLiar::new(FaultSelection::without_source(), 1);
+    let mut adv = Family::RandomLiar(FaultSelection::without_source()).strategy(1);
     let config = RunConfig::new(7, 2)
         .with_domain(ValueDomain::new(16)) // 4 bits
         .with_source_value(Value(9));
-    let multi = run_multivalued(AlgorithmSpec::Exponential, &config, &mut adv);
+    let multi = run_multivalued(AlgorithmSpec::Exponential, &config, adv.as_mut());
     multi.assert_correct();
 
     let bits = 4;

@@ -17,9 +17,7 @@
 mod oracle;
 
 use proptest::prelude::*;
-use shifting_gears::adversary::{
-    ChainRevealer, Crash, FaultSelection, RandomLiar, Silent, TwoFaced,
-};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{Adversary, NoFaults, Outcome, RunConfig, Value};
@@ -33,17 +31,21 @@ fn adversary(idx: usize, seed: u64, f: Option<usize>) -> Box<dyn Adversary> {
     };
     match idx {
         0 => Box::new(NoFaults),
-        1 => Box::new(RandomLiar::new(cap(FaultSelection::with_source()), seed)),
-        2 => Box::new(TwoFaced::new(cap(FaultSelection::without_source()))),
-        3 => Box::new(ChainRevealer::new(
-            cap(FaultSelection::without_source()),
-            2,
-            2,
-            seed,
-        )),
+        1 => Family::RandomLiar(cap(FaultSelection::with_source())).strategy(seed),
+        2 => Family::TwoFaced(cap(FaultSelection::without_source())).strategy(0),
+        3 => Family::ChainRevealer {
+            selection: cap(FaultSelection::without_source()),
+            start: 2,
+            block: 2,
+        }
+        .strategy(seed),
         // The new crash-early / go-silent scenario families.
-        4 => Box::new(Crash::new(cap(FaultSelection::without_source()), 2)),
-        _ => Box::new(Silent::new(cap(FaultSelection::without_source()))),
+        4 => Family::Crash {
+            selection: cap(FaultSelection::without_source()),
+            round: 2,
+        }
+        .strategy(0),
+        _ => Family::Silent(cap(FaultSelection::without_source())).strategy(0),
     }
 }
 
@@ -258,6 +260,19 @@ fn adversary_reseed_pooling_is_bit_identical() {
             AdversaryFamily::crash(FaultSelection::without_source(), 3),
             AdversaryFamily::silent(FaultSelection::without_source().limit(1)),
             AdversaryFamily::no_faults(),
+            Family::TwoFaced(FaultSelection::without_source()).into(),
+            Family::EquivocatingSource(FaultSelection::with_source()).into(),
+            Family::Stealth(FaultSelection::with_source().limit(1)).into(),
+            Family::DoubleTalk(FaultSelection::without_source()).into(),
+            Family::StaggeredSplit {
+                selection: FaultSelection::with_source(),
+                start: 2,
+                block: 2,
+            }
+            .into(),
+            Family::Collusion(FaultSelection::without_source().limit(1)).into(),
+            Family::StaleShadow(FaultSelection::with_source()).into(),
+            Family::FrontierBreaker(FaultSelection::with_source()).into(),
         ],
         4,
     );

@@ -71,12 +71,13 @@ fn trace_events_only_from_correct_processors() {
     let config = RunConfig::new(7, 2)
         .with_source_value(Value(1))
         .with_trace();
-    let mut adversary = shifting_gears::adversary::TwoFaced::new(
+    let mut adversary = shifting_gears::adversary::Family::TwoFaced(
         shifting_gears::adversary::FaultSelection::without_source(),
-    );
+    )
+    .strategy(0);
     let outcome = run(
         &config,
-        &mut adversary,
+        adversary.as_mut(),
         AlgorithmSpec::Exponential.factory(&config),
     );
     assert!(!outcome.trace.entries().is_empty());
@@ -113,12 +114,13 @@ fn trace_empty_when_disabled() {
 #[test]
 fn validity_is_vacuous_with_faulty_source() {
     let config = RunConfig::new(7, 2).with_source_value(Value(1));
-    let mut adversary = shifting_gears::adversary::Silent::new(
+    let mut adversary = shifting_gears::adversary::Family::Silent(
         shifting_gears::adversary::FaultSelection::with_source(),
-    );
+    )
+    .strategy(0);
     let outcome = run(
         &config,
-        &mut adversary,
+        adversary.as_mut(),
         AlgorithmSpec::Exponential.factory(&config),
     );
     assert!(outcome.faulty.contains(ProcessId(0)));

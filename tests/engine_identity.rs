@@ -23,7 +23,7 @@ mod oracle;
 
 use oracle::assert_engines_agree;
 use proptest::prelude::*;
-use shifting_gears::adversary::{Equivocate, FaultSelection, Omission, RandomLiar};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::sim::ProcessId;
@@ -351,9 +351,19 @@ fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
         let size = (seed / n as u64 % (t as u64 + 1)) as usize;
         let window = FaultSelection::explicit((0..size).map(|k| ProcessId((start + k) % n)));
         match story {
-            "random-liar" => Box::new(RandomLiar::new(window, seed)),
-            "equivocate" => Box::new(Equivocate::new(window, 2 * n / 3, 1)),
-            _ => Box::new(Omission::new(window, 3, 0)),
+            "random-liar" => Family::RandomLiar(window).strategy(seed),
+            "equivocate" => Family::Equivocate {
+                selection: window,
+                split: 2 * n / 3,
+                start: 1,
+            }
+            .strategy(0),
+            _ => Family::Omission {
+                selection: window,
+                period: 3,
+                phase: 0,
+            }
+            .strategy(0),
         }
     })
 }

@@ -29,9 +29,7 @@
 //! the prefix).
 
 use proptest::prelude::*;
-use shifting_gears::adversary::{
-    ChainRevealer, Crash, Equivocate, FaultSelection, RandomLiar, Silent,
-};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::TREE_PAPER_CELLS;
 use shifting_gears::core::{
     dynamic_king_blocks, execute, AlgorithmSpec, ShiftComposition, ShiftPlanBuilder,
@@ -53,10 +51,19 @@ fn static_equivalent(n: usize, t: usize, b: usize) -> ShiftComposition {
 fn scenario(idx: usize, seed: u64, f: usize) -> Box<dyn Adversary> {
     let sel = FaultSelection::without_source().limit(f);
     match idx {
-        0 => Box::new(Crash::new(sel, 2)),
-        1 => Box::new(Silent::new(sel)),
-        2 => Box::new(RandomLiar::new(sel, seed)),
-        _ => Box::new(ChainRevealer::new(sel, 2, 2, seed)),
+        0 => Family::Crash {
+            selection: sel,
+            round: 2,
+        }
+        .strategy(0),
+        1 => Family::Silent(sel).strategy(0),
+        2 => Family::RandomLiar(sel).strategy(seed),
+        _ => Family::ChainRevealer {
+            selection: sel,
+            start: 2,
+            block: 2,
+        }
+        .strategy(seed),
     }
 }
 
@@ -66,8 +73,13 @@ fn scenario(idx: usize, seed: u64, f: usize) -> Box<dyn Adversary> {
 fn lying_source(idx: usize, seed: u64, n: usize, f: usize) -> Box<dyn Adversary> {
     let sel = FaultSelection::with_source().limit(f);
     match idx {
-        0 => Box::new(Equivocate::new(sel, n / 2, 1)),
-        _ => Box::new(RandomLiar::new(sel, seed)),
+        0 => Family::Equivocate {
+            selection: sel,
+            split: n / 2,
+            start: 1,
+        }
+        .strategy(0),
+        _ => Family::RandomLiar(sel).strategy(seed),
     }
 }
 
@@ -303,11 +315,18 @@ fn gear_shifts_survive_early_stopping_off() {
 fn detection_forcing_adversaries_delay_the_shift() {
     let (n, t, b) = (16, 5, 3);
     let config = RunConfig::new(n, t).with_source_value(Value(1));
-    let revealer = || ChainRevealer::new(FaultSelection::with_source(), 1, 2, 7);
+    let revealer = || {
+        Family::ChainRevealer {
+            selection: FaultSelection::with_source(),
+            start: 1,
+            block: 2,
+        }
+        .strategy(7)
+    };
     let dynamic = execute(
         AlgorithmSpec::DynamicKing { b },
         &config.fixed_length(),
-        &mut revealer(),
+        revealer().as_mut(),
     )
     .unwrap();
     dynamic.assert_correct();
@@ -318,7 +337,12 @@ fn detection_forcing_adversaries_delay_the_shift() {
          (used {} rounds)",
         dynamic.rounds_used
     );
-    let expedited = execute(AlgorithmSpec::DynamicKing { b }, &config, &mut revealer()).unwrap();
+    let expedited = execute(
+        AlgorithmSpec::DynamicKing { b },
+        &config,
+        revealer().as_mut(),
+    )
+    .unwrap();
     expedited.assert_correct();
     assert_eq!(expedited.rounds_used, 1 + b + 1);
     assert_eq!(expedited.decisions, dynamic.decisions);

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use shifting_gears::adversary::{ChainRevealer, Equivocate, FaultSelection, RandomLiar, TwoFaced};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::TREE_PAPER_CELLS;
 use shifting_gears::core::{
     interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
@@ -105,14 +105,14 @@ fn check_pool_identity(
 fn adversary(idx: usize, seed: u64) -> Box<dyn Adversary> {
     match idx {
         0 => Box::new(shifting_gears::sim::NoFaults),
-        1 => Box::new(RandomLiar::new(FaultSelection::with_source(), seed)),
-        2 => Box::new(TwoFaced::new(FaultSelection::without_source())),
-        _ => Box::new(ChainRevealer::new(
-            FaultSelection::without_source(),
-            2,
-            2,
-            seed,
-        )),
+        1 => Family::RandomLiar(FaultSelection::with_source()).strategy(seed),
+        2 => Family::TwoFaced(FaultSelection::without_source()).strategy(0),
+        _ => Family::ChainRevealer {
+            selection: FaultSelection::without_source(),
+            start: 2,
+            block: 2,
+        }
+        .strategy(seed),
     }
 }
 
@@ -316,14 +316,14 @@ fn disabling_the_pool_rebuilds_instances_without_changing_outcomes() {
     let spec = AlgorithmSpec::OptimalKing;
     let key = spec.pool_key(&config);
     let factory = spec.factory(&config);
-    let liar = || RandomLiar::new(FaultSelection::with_source(), 11);
+    let liar = || Family::RandomLiar(FaultSelection::with_source()).strategy(11);
     let mut arena = RunArena::new();
 
-    let pooled_a = run_in(&mut arena, &config, &mut liar(), Some(key), &factory);
-    let pooled_b = run_in(&mut arena, &config, &mut liar(), Some(key), &factory);
+    let pooled_a = run_in(&mut arena, &config, liar().as_mut(), Some(key), &factory);
+    let pooled_b = run_in(&mut arena, &config, liar().as_mut(), Some(key), &factory);
 
     let calls = AtomicUsize::new(0);
-    let unpooled = run_in(&mut arena, &config, &mut liar(), None, |me| {
+    let unpooled = run_in(&mut arena, &config, liar().as_mut(), None, |me| {
         calls.fetch_add(1, Ordering::SeqCst);
         factory(me)
     });
@@ -347,7 +347,14 @@ fn disabling_the_pool_rebuilds_instances_without_changing_outcomes() {
 #[test]
 fn an_echo_verdict_does_not_survive_reset() {
     let config = RunConfig::new(7, 2).with_source_value(Value(1));
-    let split_source = || Equivocate::new(FaultSelection::with_source().limit(1), 4, 1);
+    let split_source = || {
+        Family::Equivocate {
+            selection: FaultSelection::with_source().limit(1),
+            split: 4,
+            start: 1,
+        }
+        .strategy(0)
+    };
     for spec in [
         AlgorithmSpec::Exponential,
         AlgorithmSpec::AlgorithmA { b: 3 },
@@ -366,13 +373,19 @@ fn an_echo_verdict_does_not_survive_reset() {
         assert_eq!(warmup.rounds_used, 2, "{}: warm-up stops", spec.name());
 
         let calls = AtomicUsize::new(0);
-        let warm = run_in(&mut arena, &config, &mut split_source(), Some(key), |me| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            factory(me)
-        });
+        let warm = run_in(
+            &mut arena,
+            &config,
+            split_source().as_mut(),
+            Some(key),
+            |me| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                factory(me)
+            },
+        );
         assert_eq!(calls.load(Ordering::SeqCst), 0, "{}: reset", spec.name());
         assert!(warm.rounds_used > 2, "{}: stopped on a split", spec.name());
-        let fresh = reference::run(&config, &mut split_source(), &factory);
+        let fresh = reference::run(&config, split_source().as_mut(), &factory);
         assert_same_outcome(&spec.name(), &fresh, &warm);
     }
 }
@@ -409,11 +422,18 @@ fn one_arena_survives_changing_fault_sets_and_sizes() {
                     .with_source_value(Value(1))
                     .with_trace();
                 config.early_stopping = !fixed;
-                let liar = || RandomLiar::new(selection.clone(), 40 + step as u64);
+                let liar = || Family::RandomLiar(selection.clone()).strategy(40 + step as u64);
                 let factory = spec.factory(&config);
                 let key = Some(spec.pool_key(&config));
-                run_into(&mut arena, &config, &mut liar(), key, &factory, &mut out);
-                let fresh = reference::run(&config, &mut liar(), &factory);
+                run_into(
+                    &mut arena,
+                    &config,
+                    liar().as_mut(),
+                    key,
+                    &factory,
+                    &mut out,
+                );
+                let fresh = reference::run(&config, liar().as_mut(), &factory);
                 let label = format!("{} fixed={fixed} step {step}", spec.name());
                 assert_same_outcome(&label, &fresh, &out);
             }

@@ -5,9 +5,7 @@
 //! face the same gauntlet the paper's own algorithms face, at the same
 //! parameters.
 
-use shifting_gears::adversary::{
-    quick_suite, standard_suite, EquivocatingSource, FaultSelection, RandomLiar, TwoFaced,
-};
+use shifting_gears::adversary::{quick_suite, standard_suite, Family, FaultSelection};
 use shifting_gears::core::{execute, t_a, AlgorithmSpec, SpecError};
 use shifting_gears::sim::{RunConfig, Value};
 
@@ -110,8 +108,8 @@ fn king_resilience_matches_algorithm_a() {
 #[test]
 fn optimal_king_messages_are_constant_size() {
     let config = RunConfig::new(13, 4);
-    let mut adversary = TwoFaced::new(FaultSelection::without_source());
-    let outcome = execute(AlgorithmSpec::OptimalKing, &config, &mut adversary).unwrap();
+    let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
+    let outcome = execute(AlgorithmSpec::OptimalKing, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
     let max = outcome
         .metrics
@@ -131,8 +129,8 @@ fn king_shift_big_messages_confined_to_prefix() {
     let t = 4;
     let b = 3;
     let config = RunConfig::new(n, t);
-    let mut adversary = RandomLiar::new(FaultSelection::without_source(), 7);
-    let outcome = execute(AlgorithmSpec::KingShift { b }, &config, &mut adversary).unwrap();
+    let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(7);
+    let outcome = execute(AlgorithmSpec::KingShift { b }, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
     let prefix = 1 + b.min(t);
     for stats in &outcome.metrics.per_round {
@@ -157,9 +155,13 @@ fn king_shift_preserves_persistence_across_shift() {
         let t = t_a(n);
         for seed in 0..5u64 {
             let config = RunConfig::new(n, t).with_source_value(Value(1));
-            let mut adversary = RandomLiar::new(FaultSelection::without_source(), seed);
-            let outcome =
-                execute(AlgorithmSpec::KingShift { b: 3 }, &config, &mut adversary).unwrap();
+            let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(seed);
+            let outcome = execute(
+                AlgorithmSpec::KingShift { b: 3 },
+                &config,
+                adversary.as_mut(),
+            )
+            .unwrap();
             outcome.assert_correct();
             assert_eq!(outcome.decision(), Some(Value(1)), "n={n} seed={seed}");
         }
@@ -175,8 +177,8 @@ fn equivocating_source_cannot_split_kings() {
         AlgorithmSpec::KingShift { b: 3 },
     ] {
         let config = RunConfig::new(10, 3);
-        let mut adversary = EquivocatingSource::new(FaultSelection::with_source());
-        let outcome = execute(spec, &config, &mut adversary).unwrap();
+        let mut adversary = Family::EquivocatingSource(FaultSelection::with_source()).strategy(0);
+        let outcome = execute(spec, &config, adversary.as_mut()).unwrap();
         assert!(
             outcome.faulty.contains(config.source),
             "the adversary must corrupt the source"

@@ -3,7 +3,7 @@
 //! trees, conversion functions and discovery rules are all value-generic
 //! — including adversaries that inject out-of-domain values.
 
-use shifting_gears::adversary::{FaultSelection, RandomLiar, TwoFaced};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{
     Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, Value, ValueDomain,
@@ -18,11 +18,11 @@ fn config(n: usize, t: usize, domain_size: u16, v: u16) -> RunConfig {
 #[test]
 fn exponential_agrees_over_four_valued_domain() {
     for v in [0u16, 1, 2, 3] {
-        let mut adversary = TwoFaced::new(FaultSelection::without_source());
+        let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
         let outcome = execute(
             AlgorithmSpec::Exponential,
             &config(7, 2, 4, v),
-            &mut adversary,
+            adversary.as_mut(),
         )
         .unwrap();
         outcome.assert_correct();
@@ -36,15 +36,15 @@ fn shifted_families_agree_over_five_valued_domain() {
         AlgorithmSpec::AlgorithmA { b: 3 },
         AlgorithmSpec::Hybrid { b: 3 },
     ] {
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), 6);
-        let outcome = execute(spec, &config(13, 4, 5, 4), &mut adversary).unwrap();
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(6);
+        let outcome = execute(spec, &config(13, 4, 5, 4), adversary.as_mut()).unwrap();
         outcome.assert_correct();
     }
-    let mut adversary = RandomLiar::new(FaultSelection::with_source(), 6);
+    let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(6);
     let outcome = execute(
         AlgorithmSpec::AlgorithmB { b: 2 },
         &config(13, 3, 5, 4),
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     outcome.assert_correct();
@@ -52,11 +52,11 @@ fn shifted_families_agree_over_five_valued_domain() {
 
 #[test]
 fn algorithm_c_agrees_over_three_valued_domain() {
-    let mut adversary = TwoFaced::new(FaultSelection::with_source());
+    let mut adversary = Family::TwoFaced(FaultSelection::with_source()).strategy(0);
     let outcome = execute(
         AlgorithmSpec::AlgorithmC,
         &config(18, 3, 3, 2),
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     outcome.assert_correct();
@@ -108,11 +108,11 @@ fn out_of_domain_values_sanitize_to_default() {
 fn bits_accounting_scales_with_domain_width() {
     // Same algorithm, same traffic in values; bits scale by ⌈log2 |V|⌉.
     let run = |size: u16| {
-        let mut adversary = TwoFaced::new(FaultSelection::without_source());
+        let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
         execute(
             AlgorithmSpec::Exponential,
             &config(7, 2, size, 1),
-            &mut adversary,
+            adversary.as_mut(),
         )
         .unwrap()
     };
@@ -127,11 +127,11 @@ fn bits_accounting_scales_with_domain_width() {
 
 #[test]
 fn phase_king_handles_multivalued_domain() {
-    let mut adversary = RandomLiar::new(FaultSelection::without_source(), 12);
+    let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(12);
     let outcome = execute(
         AlgorithmSpec::PhaseKing,
         &config(9, 2, 4, 3),
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     outcome.assert_correct();
@@ -140,11 +140,11 @@ fn phase_king_handles_multivalued_domain() {
 
 #[test]
 fn dolev_strong_handles_multivalued_domain() {
-    let mut adversary = RandomLiar::new(FaultSelection::without_source(), 15);
+    let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(15);
     let outcome = execute(
         AlgorithmSpec::DolevStrong,
         &config(6, 3, 10, 7),
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     outcome.assert_correct();
@@ -154,11 +154,11 @@ fn dolev_strong_handles_multivalued_domain() {
 #[test]
 fn optimal_king_agrees_over_four_valued_domain() {
     for v in [0u16, 1, 2, 3] {
-        let mut adversary = TwoFaced::new(FaultSelection::without_source());
+        let mut adversary = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
         let outcome = execute(
             AlgorithmSpec::OptimalKing,
             &config(10, 3, 4, v),
-            &mut adversary,
+            adversary.as_mut(),
         )
         .unwrap();
         outcome.assert_correct();
@@ -168,11 +168,11 @@ fn optimal_king_agrees_over_four_valued_domain() {
 
 #[test]
 fn optimal_king_agrees_with_faulty_source_over_wide_domain() {
-    let mut adversary = RandomLiar::new(FaultSelection::with_source(), 15);
+    let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(15);
     let outcome = execute(
         AlgorithmSpec::OptimalKing,
         &config(13, 4, 7, 6),
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     outcome.assert_correct();
@@ -181,11 +181,11 @@ fn optimal_king_agrees_with_faulty_source_over_wide_domain() {
 #[test]
 fn king_shift_agrees_over_three_valued_domain() {
     for v in [0u16, 1, 2] {
-        let mut adversary = RandomLiar::new(FaultSelection::without_source(), 21);
+        let mut adversary = Family::RandomLiar(FaultSelection::without_source()).strategy(21);
         let outcome = execute(
             AlgorithmSpec::KingShift { b: 3 },
             &config(10, 3, 3, v),
-            &mut adversary,
+            adversary.as_mut(),
         )
         .unwrap();
         outcome.assert_correct();

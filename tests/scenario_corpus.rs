@@ -22,8 +22,7 @@ use std::path::PathBuf;
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use shifting_gears::adversary::{
-    enumerate_tapes, Adaptive, Equivocate, FaultSelection, Omission, Partition, TapeAdversary,
-    SINGLE_VALUE_MOVES,
+    enumerate_tapes, Family, FaultSelection, TapeAdversary, SINGLE_VALUE_MOVES,
 };
 use shifting_gears::analysis::scenario::{record, replay};
 use shifting_gears::analysis::{Scenario, SweepConfig};
@@ -92,27 +91,42 @@ fn survival_exhibits() -> Vec<(&'static str, SweepConfig, Box<dyn Adversary>)> {
         (
             "equivocate_optimal_king_n7",
             SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            Box::new(Equivocate::new(FaultSelection::with_source(), 3, 1)),
+            Family::Equivocate {
+                selection: FaultSelection::with_source(),
+                split: 3,
+                start: 1,
+            }
+            .strategy(0),
         ),
         (
             "partition_optimal_king_n7",
             SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2),
-            Box::new(Partition::new(
-                FaultSelection::without_source().limit(1),
-                1,
-                2,
-                3,
-            )),
+            Family::Partition {
+                selection: FaultSelection::without_source().limit(1),
+                split: 1,
+                from: 2,
+                to: 3,
+            }
+            .strategy(0),
         ),
         (
             "omission_phase_king_n5",
             SweepConfig::traced(AlgorithmSpec::PhaseKing, 5, 1),
-            Box::new(Omission::new(FaultSelection::without_source(), 2, 0)),
+            Family::Omission {
+                selection: FaultSelection::without_source(),
+                period: 2,
+                phase: 0,
+            }
+            .strategy(0),
         ),
         (
             "adaptive_exponential_n7",
             SweepConfig::traced(AlgorithmSpec::Exponential, 7, 2),
-            Box::new(Adaptive::new(FaultSelection::without_source(), vec![1, 3])),
+            Family::Adaptive {
+                selection: FaultSelection::without_source(),
+                schedule: vec![1, 3],
+            }
+            .strategy(0),
         ),
         (
             "tape_exponential_n4",

@@ -6,7 +6,7 @@
 //! schedule does, and all of them keep the source correct — the case the
 //! echo rule (`sg_core::GearedProtocol`) ends at round 2, before any shift.
 
-use shifting_gears::adversary::{ChainRevealer, DoubleTalk, FaultSelection};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec, HybridSchedule, RoundAction};
 use shifting_gears::sim::{ProcessId, RunConfig, TraceEvent, Value};
 
@@ -36,8 +36,8 @@ fn algorithm_b_shifts_exactly_at_block_ends() {
         .with_source_value(Value(1))
         .with_trace()
         .fixed_length();
-    let mut adversary = DoubleTalk::new(FaultSelection::without_source());
-    let outcome = execute(AlgorithmSpec::AlgorithmB { b }, &config, &mut adversary).unwrap();
+    let mut adversary = Family::DoubleTalk(FaultSelection::without_source()).strategy(0);
+    let outcome = execute(AlgorithmSpec::AlgorithmB { b }, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
 
     let witness = first_correct(&outcome);
@@ -58,8 +58,13 @@ fn hybrid_conversion_sequence_follows_figure_3() {
         .with_source_value(Value(1))
         .with_trace()
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 3, 5);
-    let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, &mut adversary).unwrap();
+    let mut adversary = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: 3,
+    }
+    .strategy(5);
+    let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
 
     let witness = first_correct(&outcome);
@@ -114,8 +119,13 @@ fn preferred_value_survives_every_shift_when_source_correct() {
         .with_source_value(Value(1))
         .with_trace()
         .fixed_length();
-    let mut adversary = ChainRevealer::new(FaultSelection::without_source(), 2, 2, 13);
-    let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, &mut adversary).unwrap();
+    let mut adversary = Family::ChainRevealer {
+        selection: FaultSelection::without_source(),
+        start: 2,
+        block: 2,
+    }
+    .strategy(13);
+    let outcome = execute(AlgorithmSpec::Hybrid { b }, &config, adversary.as_mut()).unwrap();
     outcome.assert_correct();
 
     for p in (0..n).map(ProcessId) {

@@ -15,7 +15,7 @@
 
 mod oracle;
 
-use shifting_gears::adversary::{FaultSelection, RandomLiar};
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{run_into, NoFaults, Outcome, RunArena, RunConfig, Value};
@@ -109,11 +109,11 @@ fn arena_reuse_does_not_leak_traces_between_runs() {
     let traced_config = RunConfig::new(10, 3)
         .with_source_value(Value(1))
         .with_trace();
-    let mut adversary = RandomLiar::new(FaultSelection::with_source(), 7);
+    let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(7);
     let traced = execute(
         AlgorithmSpec::Hybrid { b: 3 },
         &traced_config,
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     assert!(
@@ -122,11 +122,11 @@ fn arena_reuse_does_not_leak_traces_between_runs() {
     );
 
     let untraced_config = RunConfig::new(10, 3).with_source_value(Value(1));
-    let mut adversary = RandomLiar::new(FaultSelection::with_source(), 7);
+    let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(7);
     let untraced = execute(
         AlgorithmSpec::Hybrid { b: 3 },
         &untraced_config,
-        &mut adversary,
+        adversary.as_mut(),
     )
     .unwrap();
     assert!(
@@ -159,13 +159,20 @@ fn one_arena_reused_across_heterogeneous_runs_matches_fresh_runs() {
             config = config.with_trace();
         }
         // Reference run through the pooled path.
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), 42);
-        let fresh = execute(spec, &config, &mut adversary).unwrap();
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(42);
+        let fresh = execute(spec, &config, adversary.as_mut()).unwrap();
         // Same run through the shared, explicitly reused arena and
         // result buffer.
-        let mut adversary = RandomLiar::new(FaultSelection::with_source(), 42);
+        let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(42);
         let mk = spec.factory(&config);
-        run_into(&mut arena, &config, &mut adversary, None, mk, &mut reused);
+        run_into(
+            &mut arena,
+            &config,
+            adversary.as_mut(),
+            None,
+            mk,
+            &mut reused,
+        );
         assert_eq!(fresh.decisions, reused.decisions);
         assert_eq!(fresh.faulty, reused.faulty);
         assert_eq!(fresh.metrics, reused.metrics);
