@@ -5,7 +5,7 @@
 //! the variant's parameters and the current round's broadcast view —
 //! never on per-call mutable state. [`BatchFamily::new`] reads them off
 //! the variant (clamping `block` and `period` to ≥ 1, as the scalar
-//! strategy does) and declines the other twelve, which run on the scalar
+//! strategy does) and declines the other eleven, which run on the scalar
 //! engine: `partition` cuts honest edges, `tape`, `replay` and
 //! `stale-shadow` answer by call order, and `two-faced`,
 //! `equivocating-source`, `stealth`, `double-talk`, `staggered-split`,
@@ -28,8 +28,8 @@
 //! | `omission(p,ph)` | at once | the shadow, minus the periodic edge drops | one per member | never |
 //! | `equivocate(split,s)` | round `s` | `0` below / `1` above the split | one per lane mask, shared | round `s − 1` |
 //! | `adaptive(schedule)` | `schedule[rank]`, or never | the flipped source value | one per lane mask, shared | round `schedule[rank] − 1`, or never |
-//! | `random-liar` | at once | the first-draw kernel, per (lane, edge) | one per member | round 1 |
-//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge) | one per member | round `s + rank·b − 1` |
+//! | `random-liar` | at once | the first-draw kernel, per (lane, edge), drawn only for recipients the kernel reads | one per member | round 1 |
+//! | `chain-revealer(s,b)` | round `s + rank·b` | the first-draw kernel, per (lane, edge), drawn only for recipients the kernel reads | one per member | round `s + rank·b − 1` |
 //!
 //! (`rank` is the member's position in the fault set, ascending id.
 //! Before its turn a member relays its shadow, a row of its own; a
@@ -43,6 +43,12 @@
 //! updating it, and no story tells it anything — a spent recipient's
 //! row words stay empty, and a random liar draws nothing for it. An
 //! omission member is never spent: its story is its shadow.
+//!
+//! A random liar also draws nothing for a correct recipient whose rules
+//! the liars cannot swing this round: it asks the view for the round's
+//! readers ([`LaneView::readers`], which the kernel answers at most once
+//! a round) and skips the rest as it skips the spent. Shadows and shared
+//! stories are word copies, cheaper than the question, and never ask.
 //!
 //! All seven choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call is every lane's
@@ -225,15 +231,20 @@ impl<'a> BatchFamily<'a> {
     /// as `f`'s own one-member story. All lanes of an edge are drawn —
     /// the loop has no branch to mispredict and the draw is a handful of
     /// multiplies — and the assembled words are masked once. A spent
-    /// recipient is drawn nothing.
+    /// recipient is drawn nothing, and neither is one outside the
+    /// round's readers ([`LaneView::readers`]): nothing reads its words.
+    /// A liar with no recipient left to draw for opens no story.
     fn random(view: &LaneView<'_>, f: usize, mask: u64, seeds: &[u64], rows: &mut LiarRows) {
         let size = view.domain.size();
-        let spent = rows.spent();
+        let slots = !0 >> (MAX_BATCH_RUNS - view.n);
+        let mut drawn = (view.readers)() & !rows.spent() & !(1 << f) & slots;
+        if drawn == 0 {
+            return;
+        }
         let (row_one, row_zero) = rows.slot(f);
-        for r in 0..view.n {
-            if r == f || (spent >> r) & 1 == 1 {
-                continue;
-            }
+        while drawn != 0 {
+            let r = drawn.trailing_zeros() as usize;
+            drawn &= drawn - 1;
             let edge = edge_mix(view.round, ProcessId(f), ProcessId(r));
             let (mut one, mut zero) = (0u64, 0u64);
             if size == 2 {

@@ -374,6 +374,7 @@ fn vector_lies_equal_the_scalar_strategies_word_for_word() {
                             zero: &broadcast.zero,
                             faulty: &faulty,
                             active,
+                            readers: &|| !0,
                         };
                         rows.clear();
                         batch.lies(&view, &mut rows);
@@ -498,6 +499,7 @@ fn a_story_told_in_the_same_lanes_is_written_once() {
             zero: &none,
             faulty: &faulty,
             active: !0,
+            readers: &|| !0,
         };
         rows.clear();
         batch.lies(&view, &mut rows);
@@ -534,6 +536,7 @@ fn random_lies_populate_both_masks() {
         zero: &none,
         faulty: &faulty,
         active: !0,
+        readers: &|| !0,
     };
     let mut rows = LiarRows::new(N);
     batch.lies(&view, &mut rows);

@@ -19,9 +19,10 @@
 //!   `batch/full-schedule-n64/*`, a 64-lane × 64-slot batch held to its
 //!   full schedule by the benchmark's matched equivocation, so the
 //!   per-round cost of the lock-step driver and kernel tallies is too;
-//! * `batch-adversary/*` — the same 64-lane batch under three vector
-//!   families (`crash`, `random-liar`, `chain-revealer`), so the
-//!   fault-materialization layer is measured family by family; its
+//! * `batch-adversary/*` — the same 64-lane batch under four vector
+//!   families (`crash`, `random-liar`, `random-liar+src` led by the
+//!   source, `chain-revealer`), so the fault-materialization layer is
+//!   measured family by family; its
 //!   `draw/*` triple isolates one faulty sender's random row (64 lanes
 //!   × 30 recipients) drawn by building a generator per (lane, edge)
 //!   and calling it through `dyn RngCore`, by `edge_draw` (the scalar
@@ -357,14 +358,17 @@ fn bench_batch_runs(c: &mut Criterion) {
 }
 
 /// The batch-adversary layer in isolation: the identical 64-lane batch
-/// through `run_batch_with` under three vectorized `BatchFamily`s (one
+/// through `run_batch_with` under vectorized `BatchFamily`s (one
 /// selection and one mask computation cover all 64 lanes, and no
 /// strategy is built). `crash` is deterministic, so its lies are pure
 /// mask algebra; `random-liar` and `chain-revealer` draw per (lane,
 /// edge) from the `first_draw` mixer the scalar strategies read too, as
-/// a sign bit straight into lane words. The `draw/*` triple below takes
-/// that draw apart. `tests/engine_identity.rs` pins every family to the
-/// scalar reference.
+/// a sign bit straight into lane words — but only for recipients whose
+/// rules the liars can still swing. Under a correct source there are
+/// none, so those two time the skipped draw; `random-liar+src`, led by
+/// the source, splits the correct slots and times the draw itself. The
+/// `draw/*` triple below takes that draw apart.
+/// `tests/engine_identity.rs` pins every family to the scalar reference.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");
@@ -373,20 +377,30 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     let selection = FaultSelection::without_source;
     let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
     let families = [
-        Family::Crash {
-            selection: selection(),
-            round: 2,
-        },
-        Family::RandomLiar(selection()),
-        Family::ChainRevealer {
-            selection: selection(),
-            start: 2,
-            block: 2,
-        },
+        (
+            "crash",
+            Family::Crash {
+                selection: selection(),
+                round: 2,
+            },
+        ),
+        ("random-liar", Family::RandomLiar(selection())),
+        (
+            "random-liar+src",
+            Family::RandomLiar(FaultSelection::with_source()),
+        ),
+        (
+            "chain-revealer",
+            Family::ChainRevealer {
+                selection: selection(),
+                start: 2,
+                block: 2,
+            },
+        ),
     ];
     let mut batch_arena = BatchArena::new();
-    for family in &families {
-        group.bench_function(format!("batch-adversary/{}-vector", family.name()), |b| {
+    for (name, family) in &families {
+        group.bench_function(format!("batch-adversary/{name}-vector"), |b| {
             b.iter(|| {
                 let mut kernel = batch_kernel(&spec, &config).expect("eligible cell");
                 let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");

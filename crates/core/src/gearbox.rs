@@ -218,7 +218,7 @@ impl GearBox {
             king.mask(p);
         }
         self.seeded = true;
-        ctx.emit(TraceEvent::Shift {
+        ctx.emit_with(|| TraceEvent::Shift {
             conversion: KING_TAIL.to_string(),
             preferred,
         });

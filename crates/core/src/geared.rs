@@ -439,7 +439,7 @@ impl Protocol for GearedProtocol {
                     // Algorithm C starts from the converted preferred
                     // value (the hybrid's B→C boundary).
                     self.rep.set_root(preferred);
-                    ctx.emit(TraceEvent::Shift {
+                    ctx.emit_with(|| TraceEvent::Shift {
                         conversion: spec.conversion.name().to_string(),
                         preferred,
                     });
@@ -493,7 +493,7 @@ impl Protocol for GearedProtocol {
                 }
                 ctx.charge(self.rep.reorder());
                 ctx.charge(self.rep.convert_to_intermediates());
-                ctx.emit(TraceEvent::Shift {
+                ctx.emit_with(|| TraceEvent::Shift {
                     conversion: "resolve".to_string(),
                     preferred: self.rep.preferred(),
                 });

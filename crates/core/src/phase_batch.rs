@@ -48,6 +48,19 @@ fn exchange_rule(ones: &LaneCounts, n: usize, strong_at: usize) -> (u64, u64) {
     (strong_zero | strong_one, strong_one)
 }
 
+/// What the exchange step commits, per lane, from a processor's count
+/// of ones: `(strong, value)`. The three-round row proposes the strong
+/// value; the two-round row adopts the plurality (ones > n − ones),
+/// strong or not — an unlocked king still broadcasts it — and locks it
+/// when it is strong.
+fn exchange_outputs(row: KingRow, ones: &LaneCounts, n: usize, strong_at: usize) -> (u64, u64) {
+    let (strong, strong_one) = exchange_rule(ones, n, strong_at);
+    match row {
+        KingRow::ThreeRound => (strong, strong_one),
+        KingRow::TwoRound => (strong, ones.ge(n / 2 + 1)),
+    }
+}
+
 /// The propose rule, per lane, from a processor's counts of `Some(1)` and
 /// `Some(0)` proposals: plurality over non-`⊥` proposals with the smaller
 /// value winning ties, lock at `n − t`, adopt above `t`, default 0
@@ -57,6 +70,54 @@ fn propose_rule(c1: &LaneCounts, c0: &LaneCounts, n: usize, t: usize) -> (u64, u
     let lock = (top_one & c1.ge(n - t)) | (!top_one & c0.ge(n - t));
     let adopt = (top_one & c1.ge(t + 1)) | (!top_one & c0.ge(t + 1));
     (adopt & top_one, lock)
+}
+
+/// Lanes in which `count ≥ at` reads alike for every count in `[lo, lo +
+/// liars]`: it holds at the bottom, or fails at the top.
+fn fixed_at(lo: &LaneCounts, at: usize, liars: usize) -> u64 {
+    lo.ge(at) | !lo.ge(at.saturating_sub(liars))
+}
+
+/// The lanes in which a correct recipient's exchange or propose outputs
+/// are decided before the liars speak: the same for every count of the
+/// box that `liars` liars can reach from the common tallies `one` and
+/// `zero` — ones in `[one, one + liars]`, zeros in `[zero, zero +
+/// liars]`, the two rising by at most `liars` together (see
+/// `sg_sim::batch`, "The delivered network"). An exchange reads ones
+/// only, against [`exchange_rule`]'s thresholds and, on the two-round
+/// row, the plurality; a proposal's outputs are [`propose_rule`]'s
+/// `c1 > c0` and, for the winning value, its lock at `n − t` and adopt
+/// at `t + 1`. The king step reads no tally: no lane is decided by one.
+fn decided(
+    row: KingRow,
+    n: usize,
+    t: usize,
+    step: PhaseStep,
+    one: &LaneCounts,
+    zero: &LaneCounts,
+    liars: usize,
+) -> u64 {
+    match step {
+        PhaseStep::Exchange => {
+            let strong_at = row.strong_at(n, t);
+            let fixed = fixed_at(one, strong_at, liars) & fixed_at(one, n - strong_at + 1, liars);
+            match row {
+                KingRow::ThreeRound => fixed,
+                KingRow::TwoRound => fixed & fixed_at(one, n / 2 + 1, liars),
+            }
+        }
+        PhaseStep::Propose => {
+            // `c1 > c0` holds across the box if it holds with every liar
+            // telling a zero, and fails across it if it fails with every
+            // liar telling a one.
+            let (mut one_top, mut zero_top) = (*one, *zero);
+            one_top.add_times(liars, !0);
+            zero_top.add_times(liars, !0);
+            let thresholds = |c: &LaneCounts| fixed_at(c, n - t, liars) & fixed_at(c, t + 1, liars);
+            (one.gt(&zero_top) & thresholds(one)) | (!one_top.gt(zero) & thresholds(zero))
+        }
+        PhaseStep::King => 0,
+    }
 }
 
 /// Bit-sliced lane state for one batch of king-family runs.
@@ -202,24 +263,14 @@ impl BatchKernel for PhaseKernel {
         let mut heard: Option<(usize, (u64, u64))> = None;
         match step {
             PhaseStep::Exchange => {
-                // Ones over all n slots, own current in the self slot. A
-                // strong value is proposed by the three-round row; the
-                // two-round row adopts the plurality and locks it when it
-                // is strong.
+                // Ones over all n slots, own current in the self slot.
                 let strong_at = self.row.strong_at(n, t);
                 for i in (0..n).filter(live) {
                     let (strong, value) = match heard {
                         Some((prev, out)) if net.hears_alike(prev, i) => out,
                         _ => {
                             let ones = net.tally_one(i, self.current[i]);
-                            let (strong, strong_one) = exchange_rule(&ones, n, strong_at);
-                            match self.row {
-                                KingRow::ThreeRound => (strong, strong_one),
-                                // The plurality (ones > n − ones), strong
-                                // or not: an unlocked king still
-                                // broadcasts it.
-                                KingRow::TwoRound => (strong, ones.ge(n / 2 + 1)),
-                            }
+                            exchange_outputs(self.row, &ones, n, strong_at)
                         }
                     };
                     heard = Some((i, (strong, value)));
@@ -278,6 +329,41 @@ impl BatchKernel for PhaseKernel {
         }
     }
 
+    fn readers(
+        &self,
+        round: usize,
+        common_one: &LaneCounts,
+        common_zero: &LaneCounts,
+        members: u64,
+        active: u64,
+    ) -> u64 {
+        match self.locate(round) {
+            None => !0,
+            // A recipient locked in every active lane keeps its value and
+            // reads no king word.
+            Some((_, PhaseStep::King)) => (0..self.n)
+                .filter(|&i| self.locked[i] & active != active)
+                .fold(members, |read, i| read | 1 << i),
+            Some((_, step)) => {
+                let liars = members.count_ones() as usize;
+                let decided = decided(
+                    self.row,
+                    self.n,
+                    self.t,
+                    step,
+                    common_one,
+                    common_zero,
+                    liars,
+                );
+                if decided & active == active {
+                    members
+                } else {
+                    !0
+                }
+            }
+        }
+    }
+
     fn ready(&self) -> &[u64] {
         &self.ready
     }
@@ -320,6 +406,101 @@ mod tests {
 
     fn config(n: usize, t: usize) -> RunConfig {
         RunConfig::new(n, t)
+    }
+
+    /// Per-lane counts: `values[lane]` in each lane.
+    fn counts(values: impl Iterator<Item = usize>) -> LaneCounts {
+        let mut c = LaneCounts::default();
+        for (lane, v) in values.enumerate() {
+            c.add_times(v, 1 << lane);
+        }
+        c
+    }
+
+    /// Every output the kernel commits at an exchange or propose step
+    /// from the counts `one` and `zero`.
+    fn outputs(
+        row: KingRow,
+        n: usize,
+        t: usize,
+        step: PhaseStep,
+        one: &LaneCounts,
+        zero: &LaneCounts,
+    ) -> (u64, u64) {
+        match step {
+            PhaseStep::Exchange => exchange_outputs(row, one, n, row.strong_at(n, t)),
+            PhaseStep::Propose => propose_rule(one, zero, n, t),
+            PhaseStep::King => unreachable!("the king step reads no tally"),
+        }
+    }
+
+    /// The read rule's soundness, exhaustively: on both rows, at every
+    /// `n ≤ 64` the row admits and at `t_max(n)` and `t_max(n) − 1`, for
+    /// every fault-set size `L` and every pair of common tallies with
+    /// `lo1 + lo0 + L ≤ n` (64 pairs to a word), a lane [`decided`] calls
+    /// decided gives the outputs of `(lo1, lo0)` at every `(lo1 + x, lo0 +
+    /// y)` with `x + y ≤ L`. And it is decided wherever a correct source
+    /// leaves the `n − L` correct slots agreeing, which is what spares a
+    /// correct-source cell's liars every draw.
+    #[test]
+    fn decided_lanes_answer_alike_over_the_whole_box() {
+        let mut decided_lanes = 0usize;
+        for (spec, row) in [
+            (AlgorithmSpec::OptimalKing, KingRow::ThreeRound),
+            (AlgorithmSpec::PhaseKing, KingRow::TwoRound),
+        ] {
+            for n in 1..=64 {
+                let t_max = spec.max_resilience(n);
+                let ts = [t_max, t_max.saturating_sub(1)];
+                for t in ts.into_iter().filter(|&t| spec.validate(n, t).is_ok()) {
+                    for &step in row.steps().iter().filter(|&&s| s != PhaseStep::King) {
+                        for liars in 0..=n {
+                            let pairs: Vec<(usize, usize)> = (0..=n - liars)
+                                .flat_map(|lo1| (0..=n - liars - lo1).map(move |lo0| (lo1, lo0)))
+                                .collect();
+                            for chunk in pairs.chunks(64) {
+                                let one = counts(chunk.iter().map(|p| p.0));
+                                let zero = counts(chunk.iter().map(|p| p.1));
+                                let lanes = !0 >> (64 - chunk.len());
+                                let decided = decided(row, n, t, step, &one, &zero, liars) & lanes;
+                                // Agreeing correct slots, all on one value.
+                                let agreeing = chunk.iter().enumerate().fold(0, |w, (lane, p)| {
+                                    let all = p.0 + p.1 == n - liars && (p.0 == 0 || p.1 == 0);
+                                    w | u64::from(all) << lane
+                                });
+                                if liars <= t {
+                                    assert_eq!(
+                                        agreeing & !decided,
+                                        0,
+                                        "{row:?} n={n} t={t} {step:?} L={liars}: agreement undecided"
+                                    );
+                                }
+                                if decided == 0 {
+                                    continue;
+                                }
+                                decided_lanes += decided.count_ones() as usize;
+                                let base = outputs(row, n, t, step, &one, &zero);
+                                for x in 0..=liars {
+                                    for y in 0..=liars - x {
+                                        let (mut c1, mut c0) = (one, zero);
+                                        c1.add_times(x, !0);
+                                        c0.add_times(y, !0);
+                                        let got = outputs(row, n, t, step, &c1, &c0);
+                                        let moved = (got.0 ^ base.0) | (got.1 ^ base.1);
+                                        assert_eq!(
+                                            moved & decided,
+                                            0,
+                                            "{row:?} n={n} t={t} {step:?} L={liars} +({x}, {y})"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(decided_lanes > 100_000, "{decided_lanes} decided lanes");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Per-run set-up is `O(t·n)`, never `O(n²)`, and a warm tree gather
 //! allocates nothing: an early-stopped run of every `tree-paper` spec on
 //! a warm arena allocates the same small constant at `exponential n = 10`
-//! and at `algorithm-c n = 32`.
+//! and at `algorithm-c n = 32`. A warm fixed-length gear run, whose
+//! processors shift, builds no trace label untraced.
 //!
 //! This file holds a single test on purpose — the counter is per thread,
 //! but one test per binary also keeps the harness quiet while it runs.
@@ -11,8 +12,8 @@ use std::cell::Cell;
 
 use sg_adversary::{Family, FaultSelection};
 use sg_analysis::TREE_PAPER_CELLS;
-use sg_core::execute_into;
-use sg_sim::{Adversary, NoFaults, Outcome, RunArena, RunConfig};
+use sg_core::{execute_into, AlgorithmSpec};
+use sg_sim::{Adversary, NoFaults, Outcome, RunArena, RunConfig, TraceEvent};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -94,5 +95,39 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
                 out.adversary,
             );
         }
+    }
+
+    // A warm fixed-length gear run: every processor emits a trace event at
+    // each shift, whose conversion label an untraced run must not build.
+    // Built anyway, each label is one allocation per processor per shift
+    // (13 × 2 and 16 × 5 more than pinned here).
+    for (spec, n, shifts, pinned) in [
+        (AlgorithmSpec::KingShift { b: 3 }, 13, 2, 79),
+        (AlgorithmSpec::Hybrid { b: 3 }, 16, 5, 305),
+    ] {
+        let config = RunConfig::new(n, spec.max_resilience(n)).fixed_length();
+        let mut run = |config: &RunConfig, out: &mut Outcome| {
+            allocations_of(|| {
+                execute_into(&mut arena, spec, config, &mut NoFaults, out)
+                    .expect("a valid gear cell");
+            })
+            .0
+        };
+        run(&config.with_trace(), &mut out);
+        let labels = out
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Shift { .. }))
+            .count();
+        assert_eq!(labels, n * shifts, "{}: shift events", spec.name());
+        run(&config, &mut out);
+        let warm = run(&config, &mut out);
+        assert_eq!(
+            warm,
+            pinned,
+            "{} n={n}: allocations in a warm fixed-length run",
+            spec.name()
+        );
     }
 }

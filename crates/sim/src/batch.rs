@@ -67,12 +67,12 @@
 //! never counts its own story, so a one-member story's word at its
 //! sender's own position is never read.
 //!
-//! Two facts let a kernel compute only what a correct processor reads.
+//! Three facts let a kernel compute only what a correct processor reads.
 //! A faulty slot's state feeds nothing but its own shadow, so once the
 //! adversary relays that shadow no more its state is dead: the
 //! adversary names such slots **spent** ([`LiarRows::spend`]), leaves
 //! their row positions empty, and a kernel skips them
-//! ([`BatchNet::spent`]). And a correct recipient's tally is the common
+//! ([`BatchNet::spent`]). A correct recipient's tally is the common
 //! tally plus its story words, since its own vote is already in the
 //! common one: two correct recipients that get the same word from every
 //! story have equal tallies ([`BatchNet::hears_alike`]), and a kernel
@@ -80,7 +80,19 @@
 //! once per recipient. Stories make such classes common: a shared
 //! `equivocate` or `adaptive` story splits the correct recipients into
 //! a few runs of alike slots, and a round without stories makes them
-//! all one.
+//! all one. And the story words can move a correct recipient's tally
+//! only so far: each of the `L` fault-set members tells it at most one
+//! first value a round, so its count of ones lies in `[common_one,
+//! common_one + L]`, its count of zeros in `[common_zero, common_zero +
+//! L]`, and the two rise by at most `L` together. Where every rule a
+//! kernel applies answers alike over that whole box in every active
+//! lane, no lie can change what the recipient does: the kernel leaves
+//! it out of the round's **readers** ([`BatchKernel::readers`]), and an
+//! adversary that draws its lies draws none for it
+//! ([`LaneView::readers`]). A lie is a pure function of its lane's seed
+//! and its edge, so a lie never drawn is one that nothing reads, and
+//! every run stays bit-identical. The question is asked lazily, at most
+//! once a round, since answering it costs the kernel a pass.
 //!
 //! # What a lane pays for
 //!
@@ -94,6 +106,8 @@
 //! settles every lane's lock-in round. Only what differs per lane —
 //! kernel state, story rows, the tallies that read them — is held per
 //! lane, as bits of a word.
+
+use std::cell::OnceCell;
 
 use crate::engine::RunConfig;
 use crate::id::{ProcessId, ProcessSet};
@@ -519,12 +533,14 @@ pub struct BatchNet<'a> {
 }
 
 impl<'a> BatchNet<'a> {
-    /// Assembles the round's network (one honest word per slot, so `n`
-    /// of them) and sums the common tallies — the one pass over all `n`
-    /// senders a round pays, by carry-save ([`LaneCounts::sum`]).
+    /// Assembles the round's network: one honest word per slot, so `n`
+    /// of them, and their common tallies, which the driver sums once
+    /// before the liars speak ([`LaneCounts::sum`]: the one pass over
+    /// all `n` senders a round pays).
     fn new(
         honest_one: &'a [u64],
         honest_zero: &'a [u64],
+        common: (LaneCounts, LaneCounts),
         faulty: &'a [u64],
         stories: &'a LiarRows,
         active: u64,
@@ -542,8 +558,8 @@ impl<'a> BatchNet<'a> {
             honest_zero,
             faulty,
             stories,
-            common_one: LaneCounts::sum(honest_one),
-            common_zero: LaneCounts::sum(honest_zero),
+            common_one: common.0,
+            common_zero: common.1,
             active,
         }
     }
@@ -679,6 +695,13 @@ pub struct LaneView<'a> {
     /// Lanes the adversary must fill this round; all other lanes are
     /// retired and must be left untouched.
     pub active: u64,
+    /// The round's readers, as a slot mask: the recipients whose tallies
+    /// a story word can still move ([`BatchKernel::readers`]; every
+    /// fault-set member is one). A row position outside it is never
+    /// read and may stay empty. The call is lazy — the driver asks the
+    /// kernel at most once a round, and only if some story calls it — so
+    /// a story whose words cost nothing to write need not call it.
+    pub readers: &'a dyn Fn() -> u64,
 }
 
 /// Batch-aware fault injection: the adversary side of [`run_batch_with`].
@@ -715,6 +738,10 @@ pub trait BatchAdversary {
     /// again, so the kernel stops updating it and no row word at its
     /// position is read. Spending a slot that a later round still
     /// relays corrupts that relay.
+    ///
+    /// Row positions of recipients outside [`LaneView::readers`] are not
+    /// read this round either, and may stay empty: a lie that costs work
+    /// to produce need not be produced for them.
     fn lies(&mut self, view: &LaneView<'_>, rows: &mut LiarRows);
 }
 
@@ -759,6 +786,29 @@ pub trait BatchKernel {
     /// lanes in `active`. A slot in [`BatchNet::spent`] may be skipped:
     /// nothing reads its state again.
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64);
+
+    /// The round's readers, as a slot mask: the recipients whose
+    /// [`BatchKernel::deliver`] this round may read a story word in some
+    /// lane of `active`, asked before the liars speak. `common_one` and
+    /// `common_zero` are the round's common tallies (what every correct
+    /// recipient counts before the story words, see [`BatchNet`]) and
+    /// `members` is the fault set; story rows may leave every other
+    /// position empty ([`LaneView::readers`]).
+    ///
+    /// Every member must be named: a faulty recipient's shadow reads
+    /// what it is told, and later rounds relay that shadow. A correct
+    /// recipient may be left out where its rules answer alike whatever
+    /// the `members.count_ones()` liars tell it — over the box of counts
+    /// of the module docs, "The delivered network" — or where it reads
+    /// no story word at all. Naming every slot is always sound.
+    fn readers(
+        &self,
+        round: usize,
+        common_one: &LaneCounts,
+        common_zero: &LaneCounts,
+        members: u64,
+        active: u64,
+    ) -> u64;
 
     /// Per slot, the lanes in which it currently reports
     /// ready-to-decide (at least `n` words).
@@ -1049,9 +1099,25 @@ pub fn run_batch_with(
         assert_eq!(mixed, 0, "a slot speaks in every lane or in none");
         ops += kernel.charge(round);
 
+        // The common tallies, summed once: the read question and every
+        // recipient's tally start from them.
+        let common = (
+            LaneCounts::sum(&arena.honest_one[..n]),
+            LaneCounts::sum(&arena.honest_zero[..n]),
+        );
+
         // One call tells every faulty slot's stories for all active
-        // lanes at once.
+        // lanes at once; the kernel's read question is put to it lazily,
+        // so a round in which no story asks pays nothing for it.
         arena.stories.clear();
+        let answer = OnceCell::new();
+        let readers = || {
+            *answer.get_or_init(|| {
+                let read = kernel.readers(round, &common.0, &common.1, members, active);
+                debug_assert_eq!(read & members, members, "every member is a reader");
+                read
+            })
+        };
         let view = LaneView {
             round,
             n,
@@ -1063,12 +1129,14 @@ pub fn run_batch_with(
             zero: &arena.zero,
             faulty: &arena.fault_set,
             active,
+            readers: &readers,
         };
         adversary.lies(&view, &mut arena.stories);
 
         let net = BatchNet::new(
             &arena.honest_one,
             &arena.honest_zero,
+            common,
             &arena.faulty,
             &arena.stories,
             active,
@@ -1173,6 +1241,12 @@ mod tests {
         let c = LaneCounts::default();
         assert_eq!(c.ge(0), !0);
         assert_eq!(c.ge(1), 0);
+    }
+
+    /// The common tallies of `honest_one` and `honest_zero`, as the
+    /// driver sums them.
+    fn sums(honest_one: &[u64], honest_zero: &[u64]) -> (LaneCounts, LaneCounts) {
+        (LaneCounts::sum(honest_one), LaneCounts::sum(honest_zero))
     }
 
     /// SplitMix64: the tests' only source of randomness.
@@ -1303,7 +1377,14 @@ mod tests {
                     }
                 }
             }
-            let net = BatchNet::new(&honest_one, &honest_zero, &faulty, &stories, !0);
+            let net = BatchNet::new(
+                &honest_one,
+                &honest_zero,
+                sums(&honest_one, &honest_zero),
+                &faulty,
+                &stories,
+                !0,
+            );
             for i in 0..n {
                 let got_one = net.tally_one(i, one[i]);
                 let got_zero = net.tally_zero(i, zero[i]);
@@ -1372,7 +1453,14 @@ mod tests {
             let (row_one, row_zero) = stories.slot(11);
             row_one.fill(told);
             row_zero.fill(!told);
-            let net = BatchNet::new(&honest_one, &honest_zero, &faulty, &stories, active);
+            let net = BatchNet::new(
+                &honest_one,
+                &honest_zero,
+                sums(&honest_one, &honest_zero),
+                &faulty,
+                &stories,
+                active,
+            );
 
             // Equal rows from every story: alike, and the tallies agree in
             // every active lane.
@@ -1417,7 +1505,7 @@ mod tests {
         assert_eq!(rows.spent(), 0b1010_0000_0000);
         let faulty = [0, 0, 0, 0, 0, 0, 0, 0, 0, !0, 0, !0];
         let honest = [0; 12];
-        let net = BatchNet::new(&honest, &honest, &faulty, &rows, !0);
+        let net = BatchNet::new(&honest, &honest, sums(&honest, &honest), &faulty, &rows, !0);
         assert_eq!(net.spent(), 0b1010_0000_0000);
         rows.clear();
         assert_eq!(rows.spent(), 0);
@@ -1526,6 +1614,10 @@ mod tests {
         }
 
         fn deliver(&mut self, _round: usize, _net: &BatchNet<'_>, _active: u64) {}
+
+        fn readers(&self, _: usize, _: &LaneCounts, _: &LaneCounts, _: u64, _: u64) -> u64 {
+            !0
+        }
 
         fn ready(&self) -> &[u64] {
             &[0; 4]

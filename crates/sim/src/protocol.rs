@@ -308,6 +308,15 @@ impl ProcCtx {
         }
     }
 
+    /// Emits the event `event` builds, calling it only when tracing is
+    /// enabled: an event that owns a heap value (a shift's conversion
+    /// name) allocates nothing in an untraced run.
+    pub fn emit_with(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.trace_enabled {
+            self.emit(event());
+        }
+    }
+
     /// Number of trace entries currently buffered.
     pub(crate) fn trace_len(&self) -> usize {
         self.trace.len()

@@ -2,8 +2,8 @@
 //!
 //! Protocols emit structured events (phase starts, shifts, fault
 //! discoveries, decisions) through their [`crate::ProcCtx`]. Tracing is
-//! opt-in per run; when disabled, `emit` is a no-op so the hot path stays
-//! allocation-free.
+//! opt-in per run; when disabled, `emit` is a no-op and `emit_with` does
+//! not build its event, so the hot path stays allocation-free.
 
 use crate::id::ProcessId;
 use crate::value::Value;

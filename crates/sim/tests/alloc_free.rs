@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneView, LiarRows};
+use sg_sim::batch::{BatchAdversary, BatchKernel, BatchNet, LaneCounts, LaneView, LiarRows};
 use sg_sim::{run_batch_with, BatchArena, ProcessId, ProcessSet, RunConfig};
 
 thread_local! {
@@ -91,6 +91,10 @@ impl BatchKernel for Flood {
             let majority = net.tally_one(i, self.current[i]).ge(N / 2 + 1);
             self.current[i] = (majority & active) | (self.current[i] & !active);
         }
+    }
+
+    fn readers(&self, _: usize, _: &LaneCounts, _: &LaneCounts, _: u64, _: u64) -> u64 {
+        !0
     }
 
     fn ready(&self) -> &[u64] {

@@ -9,8 +9,10 @@
 //! the post-loop finalization of a fixed-length batch,
 //! the phase kernels' keep-your-value rules, a grid mixing kernel and
 //! tree cells under families with and without a vector shape, a spent
-//! shadow beside members that still relay theirs, and recipients that
-//! share one tally under a shared story. Through
+//! shadow beside members that still relay theirs, recipients that
+//! share one tally under a shared story, and the read rule — liars that
+//! draw for the fault set alone under a correct source, and for some
+//! correct recipients but not all in margin cells. Through
 //! the scalar engine, which runs the gear shifts seed by seed: a chunk
 //! boundary and worker counts, `dynamic-king` runs whose shift votes
 //! diverge, runs that stop at the prefix's first echo beside runs that
@@ -22,11 +24,13 @@
 
 mod oracle;
 
+use std::cell::RefCell;
+
 use oracle::assert_engines_agree;
 use shifting_gears::adversary::{BatchFamily, Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
 use shifting_gears::core::{batch_kernel, execute, AlgorithmSpec};
-use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet};
+use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet, LaneCounts};
 use shifting_gears::sim::{
     Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, MAX_BATCH_RUNS,
 };
@@ -198,7 +202,8 @@ fn each_lane_keeps_the_sends_it_retired_with() {
 }
 
 /// What the king kernel is handed, round by round: a kernel that watches
-/// each round's network and then delegates to the real one.
+/// each round's network and read question, and then delegates to the
+/// real one.
 struct Watch {
     kernel: Box<dyn BatchKernel + Send>,
     n: usize,
@@ -212,31 +217,43 @@ struct Watch {
     /// The most hearing classes (runs of alike recipients) among the
     /// correct recipients of any one round.
     classes: usize,
+    /// Every read mask the driver asked for, with its round.
+    asked: RefCell<Vec<(usize, u64)>>,
 }
 
 impl Watch {
-    /// The king kernel for `spec` at `(n, t)` under `family` over one
-    /// full batch, fixed-length, watched.
-    fn run(spec: AlgorithmSpec, n: usize, t: usize, family: &AdversaryFamily) -> Watch {
-        let mut config = RunConfig::new(n, t);
-        config.early_stopping = false;
+    /// The king kernel for `spec` under `config` and `family` over one
+    /// full batch, watched.
+    fn run(spec: AlgorithmSpec, config: &RunConfig, family: &AdversaryFamily) -> Watch {
         let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
-        let family = family.family().expect("a named family");
-        let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
-        let members = FaultSelection::with_source()
-            .select(n, t, config.source)
+        let members = family
+            .instantiate(0)
+            .corrupt(config.n, config.t, config.source)
             .iter()
             .fold(0, |m, f| m | 1 << f.index());
+        let family = family.family().expect("a named family");
+        let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
         let mut watch = Watch {
-            kernel: batch_kernel(&spec, &config).expect("a king kernel"),
-            n,
+            kernel: batch_kernel(&spec, config).expect("a king kernel"),
+            n: config.n,
             members,
             contested: 0,
             alike: 0,
             classes: 0,
+            asked: RefCell::new(Vec::new()),
         };
-        run_batch_with(&mut BatchArena::new(), &config, &mut watch, &mut batch);
+        run_batch_with(&mut BatchArena::new(), config, &mut watch, &mut batch);
         watch
+    }
+
+    /// The read masks asked after round 1.
+    fn asked_after_the_source_round(&self) -> Vec<u64> {
+        let asked = self.asked.borrow();
+        asked
+            .iter()
+            .filter(|&&(round, _)| round > 1)
+            .map(|&(_, mask)| mask)
+            .collect()
     }
 }
 
@@ -259,6 +276,21 @@ impl BatchKernel for Watch {
 
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]) {
         self.kernel.outgoing(round, present, one, zero);
+    }
+
+    fn readers(
+        &self,
+        round: usize,
+        common_one: &LaneCounts,
+        common_zero: &LaneCounts,
+        members: u64,
+        active: u64,
+    ) -> u64 {
+        let read = self
+            .kernel
+            .readers(round, common_one, common_zero, members, active);
+        self.asked.borrow_mut().push((round, read));
+        read
     }
 
     fn deliver(&mut self, round: usize, net: &BatchNet<'_>, active: u64) {
@@ -304,7 +336,8 @@ impl BatchKernel for Watch {
 #[test]
 fn a_spent_shadow_beside_relaying_members_matches_scalar() {
     let family = AdversaryFamily::chain_revealer(FaultSelection::with_source(), 2, 2);
-    let watch = Watch::run(AlgorithmSpec::OptimalKing, 31, 10, &family);
+    let config = RunConfig::new(31, 10).fixed_length();
+    let watch = Watch::run(AlgorithmSpec::OptimalKing, &config, &family);
     // Rank 0 is spent from round 1, rank 9 from round 19: rounds 1 to 18
     // of the 34 are contested.
     assert_eq!(watch.contested, 18);
@@ -328,7 +361,7 @@ fn recipient_classes_under_a_shared_story_match_scalar() {
         (AlgorithmSpec::OptimalKing, 10),
         (AlgorithmSpec::PhaseKing, 7),
     ] {
-        let watch = Watch::run(spec, 31, t, &family);
+        let watch = Watch::run(spec, &RunConfig::new(31, t).fixed_length(), &family);
         assert_eq!(watch.classes, 2, "{spec:?}: hearing classes");
         assert!(watch.alike >= 300, "{spec:?}: {} alike", watch.alike);
         let plan = SweepPlan::new(
@@ -339,6 +372,101 @@ fn recipient_classes_under_a_shared_story_match_scalar() {
         .fixed_length();
         assert_engines_agree(&plan);
     }
+}
+
+/// The king specs every lock-step cell below runs.
+const KING_SPECS: [AlgorithmSpec; 3] = [
+    AlgorithmSpec::OptimalKing,
+    AlgorithmSpec::PhaseKing,
+    AlgorithmSpec::PhaseQueen,
+];
+
+/// A correct source settles every threshold: its value reaches the
+/// `n − f ≥ n − t` correct slots, and no `f ≤ t` liars can swing a count
+/// that starts there. So in every `king-expedite` cell under random lies
+/// and staged reveals, each read mask asked after the source round names
+/// the fault set alone, and the liars draw for nobody else.
+#[test]
+fn a_correct_source_leaves_the_liars_no_correct_reader() {
+    let honest_source = FaultSelection::without_source;
+    let families = [
+        AdversaryFamily::random_liar(honest_source()),
+        AdversaryFamily::chain_revealer(honest_source(), 2, 2),
+    ];
+    let mut configs = Vec::new();
+    for spec in KING_SPECS {
+        for n in [7, 16, 31] {
+            let t = spec.max_resilience(n);
+            configs.push(SweepConfig::traced(spec, n, t));
+            for family in &families {
+                let watch = Watch::run(spec, &RunConfig::new(n, t), family);
+                let asked = watch.asked_after_the_source_round();
+                assert!(
+                    !asked.is_empty(),
+                    "{spec:?} n={n} {}: no mask asked",
+                    family.name()
+                );
+                assert!(
+                    asked.iter().all(|&mask| mask == watch.members),
+                    "{spec:?} n={n} {}: {asked:x?} beside members {:x}",
+                    family.name(),
+                    watch.members
+                );
+            }
+        }
+    }
+    assert_engines_agree(&SweepPlan::new(configs, families.to_vec(), 64));
+}
+
+/// Margin cells: random liars led by the source at `f = t`, so the
+/// correct slots start split, and whether the liars can still swing a
+/// rule differs from lane to lane and from recipient to recipient. The
+/// cells of each spec ask some read mask that is neither the fault set
+/// nor every slot — the king step's locked recipients read nothing — and
+/// every cell matches the scalar engine sample for sample, early and
+/// fixed-length.
+fn assert_margin_cells_match_scalar(spec: AlgorithmSpec) {
+    let family = AdversaryFamily::random_liar(FaultSelection::with_source());
+    let mut partial = 0;
+    for n in [7, 16, 31, 64] {
+        let t = spec.max_resilience(n);
+        let early = SweepPlan::new(
+            vec![SweepConfig::traced(spec, n, t)],
+            vec![family.clone()],
+            64,
+        );
+        for plan in [early.clone(), early.fixed_length()] {
+            let mut config = RunConfig::new(n, t);
+            config.early_stopping = plan.early_stopping;
+            let watch = Watch::run(spec, &config, &family);
+            assert_eq!(watch.members.count_ones() as usize, t, "f = t");
+            partial += watch
+                .asked_after_the_source_round()
+                .into_iter()
+                .filter(|&mask| mask != watch.members && mask != !0)
+                .count();
+            assert_engines_agree(&plan);
+        }
+    }
+    assert!(
+        partial > 0,
+        "{spec:?}: every mask was the fault set or every slot"
+    );
+}
+
+#[test]
+fn optimal_king_margin_cells_match_scalar() {
+    assert_margin_cells_match_scalar(AlgorithmSpec::OptimalKing);
+}
+
+#[test]
+fn phase_king_margin_cells_match_scalar() {
+    assert_margin_cells_match_scalar(AlgorithmSpec::PhaseKing);
+}
+
+#[test]
+fn phase_queen_margin_cells_match_scalar() {
+    assert_margin_cells_match_scalar(AlgorithmSpec::PhaseQueen);
 }
 
 /// Two random liars, led by the source in two seeds out of three.
