@@ -170,11 +170,25 @@ impl SweepPlan {
         cell: usize,
         key: CellKey,
     ) -> Result<Option<CellReport>, String> {
+        let spec_name = self.configs[self.cell_coords(cell).0].spec.name();
+        self.cached_cell_named(journal, epoch, cell, key, &spec_name)
+    }
+
+    /// [`SweepPlan::cached_cell`] with the cell's spec name derived by
+    /// the caller, once per row: `AlgorithmSpec::name` allocates.
+    fn cached_cell_named(
+        &self,
+        journal: &Journal,
+        epoch: EngineEpoch,
+        cell: usize,
+        key: CellKey,
+        spec_name: &str,
+    ) -> Result<Option<CellReport>, String> {
         let Some(text) = journal.get(key, epoch) else {
             return Ok(None);
         };
         match CellReport::decode_text(text) {
-            Ok(cached) if self.cell_shape_matches(cell, &cached) => Ok(Some(cached)),
+            Ok(cached) if self.cell_shape_matches(cell, spec_name, &cached) => Ok(Some(cached)),
             Ok(_) => Err(format!(
                 "journal: entry {key} decodes to a different cell shape — recomputing"
             )),
@@ -204,11 +218,18 @@ impl SweepPlan {
         let mut slots: Vec<Option<CellReport>> = Vec::new();
         slots.resize_with(count, || None);
         let mut warnings = Vec::new();
-        for (cell, key) in keys.iter().enumerate() {
-            let Some(key) = *key else { continue };
-            match self.cached_cell(journal, epoch, cell, key) {
-                Ok(hit) => slots[cell] = hit,
-                Err(warning) => warnings.push(warning),
+        let columns = self.adversaries.len();
+        for (ci, row) in keys.chunks(columns).enumerate() {
+            // Each row's spec name once, as `cell_keys` encodes each
+            // row's config once.
+            let spec_name = self.configs[ci].spec.name();
+            for (ai, key) in row.iter().enumerate() {
+                let Some(key) = *key else { continue };
+                let cell = ci * columns + ai;
+                match self.cached_cell_named(journal, epoch, cell, key, &spec_name) {
+                    Ok(hit) => slots[cell] = hit,
+                    Err(warning) => warnings.push(warning),
+                }
             }
         }
         let misses: Vec<usize> = (0..count).filter(|&c| slots[c].is_none()).collect();
@@ -243,10 +264,11 @@ impl SweepPlan {
     /// plan's expectation for `cell`. The address already covers all of
     /// this; the check exists so that even a key collision (or a
     /// hand-edited store) degrades to a recompute, never a wrong cell.
-    fn cell_shape_matches(&self, cell: usize, cached: &CellReport) -> bool {
+    /// `spec_name` is the row's `config.spec.name()`.
+    fn cell_shape_matches(&self, cell: usize, spec_name: &str, cached: &CellReport) -> bool {
         let (ci, ai) = self.cell_coords(cell);
         let config = &self.configs[ci];
-        cached.spec_name == config.spec.name()
+        cached.spec_name == spec_name
             && cached.n == config.n
             && cached.t == config.t
             && cached.adversary == self.adversaries[ai].name()

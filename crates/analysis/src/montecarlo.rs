@@ -58,6 +58,17 @@ impl Summary {
 /// Welford's online moments of one column, the one place the
 /// recurrence is written: [`Summary::of`] steps one, [`summarize`] five
 /// side by side.
+///
+/// A value equal to the running mean skips the two float updates. Its
+/// `delta` is `+0.0` (`x − x` rounds to `+0.0`), so the textbook step
+/// would add `+0.0 / k = +0.0` to `mean` and `+0.0 · (x − mean) = +0.0`
+/// to `m2`. Adding a zero changes no bit of a value that is not `-0.0`,
+/// and neither accumulator can be `-0.0`: both start at `+0.0`, and a
+/// sum is `-0.0` only when both addends are. So the skip is exact, and
+/// a column of equal values (every run of an early-stopped cell with a
+/// correct source) pays for its division once. `samples`, `min` and
+/// `max` still update: distinct `u64`s above 2^53 can round to one
+/// `f64`, and then `delta` is `0.0` while `min` or `max` moves.
 #[derive(Clone, Copy)]
 struct Moments {
     samples: usize,
@@ -83,8 +94,10 @@ impl Moments {
         self.max = self.max.max(v);
         let x = v as f64;
         let delta = x - self.mean;
-        self.mean += delta / self.samples as f64;
-        self.m2 += delta * (x - self.mean);
+        if delta != 0.0 {
+            self.mean += delta / self.samples as f64;
+            self.m2 += delta * (x - self.mean);
+        }
     }
 
     fn finish(self) -> Summary {
@@ -166,7 +179,10 @@ pub fn random_liar_sweep(spec: AlgorithmSpec, n: usize, t: usize, seeds: u64) ->
 /// own operation order (`delta`, `mean += delta / k`,
 /// `m2 += delta·(x − mean)`), so every `f64` is bit-identical to five
 /// [`Summary::of`] calls while the five dependency chains overlap
-/// instead of running back to back.
+/// instead of running back to back. A value equal to its column's
+/// running mean skips the float updates, which would add `+0.0` and
+/// change no bit (the argument is on `Moments`): a cell whose samples
+/// repeat one row pays for one division per column, not one per row.
 ///
 /// # Panics
 ///
@@ -254,6 +270,109 @@ mod tests {
                 assert_eq!(got.stddev.to_bits(), want.stddev.to_bits());
             }
         }
+    }
+
+    /// The recurrence without the zero-delta skip, step for step as the
+    /// textbook writes it: `(samples, min, max, mean, stddev)`.
+    fn textbook_welford(values: &[u64]) -> (usize, u64, u64, f64, f64) {
+        let (mut min, mut max, mut mean, mut m2) = (u64::MAX, 0, 0.0f64, 0.0f64);
+        for (k, &v) in values.iter().enumerate() {
+            min = min.min(v);
+            max = max.max(v);
+            let x = v as f64;
+            let delta = x - mean;
+            mean += delta / (k + 1) as f64;
+            m2 += delta * (x - mean);
+        }
+        let stddev = (m2 / values.len() as f64).sqrt();
+        (values.len(), min, max, mean, stddev)
+    }
+
+    #[test]
+    fn skipping_zero_deltas_is_the_textbook_recurrence_bit_for_bit() {
+        let sample = |v: [u64; 5]| Sample {
+            lock_in: v[0],
+            discoveries: v[1],
+            total_bits: v[2],
+            max_local_ops: v[3],
+            rounds: v[4],
+            early_stopped: true,
+        };
+        let big = 1u64 << 53;
+        let sets: Vec<Vec<Sample>> = vec![
+            // Constant columns, one of them zero: every row after the
+            // first has a zero delta.
+            vec![sample([3, 0, 2_709_504, 1_203, 3]); 64],
+            vec![sample([0; 5]); 17],
+            // Runs that start mid-stream, after the mean has moved off
+            // the values: the first repeat's delta is not zero, a later
+            // one may be.
+            (0..96u64)
+                .map(|k| {
+                    let run = if k < 5 { k * 7 } else { 40 + (k / 30) };
+                    sample([run, k.min(9), 1_000 + run * run, 5, 3 + (k >= 50) as u64])
+                })
+                .collect(),
+            // At and above 2^53, distinct integers share one f64: 2^53
+            // and 2^53 + 1 both read 2^53, so their deltas are zero while
+            // min and max move.
+            (0..64u64)
+                .map(|k| {
+                    let odd = k % 2;
+                    sample([
+                        big + odd,
+                        big - 1 + k % 3,
+                        u64::MAX - odd,
+                        (big << 1) + k % 2,
+                        big,
+                    ])
+                })
+                .collect(),
+            (0..200u64)
+                .map(|k| {
+                    let mixed = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (k % 64);
+                    sample([k % 5, mixed, 1 << (k % 64), k * k * k, mixed ^ k])
+                })
+                .collect(),
+        ];
+        let columns: [fn(&Sample) -> u64; 5] = [
+            |s| s.lock_in,
+            |s| s.discoveries,
+            |s| s.total_bits,
+            |s| s.max_local_ops,
+            |s| s.rounds,
+        ];
+        for (set, samples) in sets.iter().enumerate() {
+            let mut skipped = 0;
+            for (got, column) in summarize(samples).iter().zip(columns) {
+                let values: Vec<u64> = samples.iter().map(column).collect();
+                let one = Summary::of(values.iter().copied());
+                let (count, min, max, mean, stddev) = textbook_welford(&values);
+                for got in [got, &one] {
+                    assert_eq!((got.samples, got.min, got.max), (count, min, max));
+                    assert_eq!(got.mean.to_bits(), mean.to_bits(), "{values:?}");
+                    assert_eq!(got.stddev.to_bits(), stddev.to_bits(), "{values:?}");
+                }
+                // Count the rows that took the skip, so the sets above
+                // are known to exercise it.
+                let mut mean = 0.0f64;
+                for (k, &v) in values.iter().enumerate() {
+                    let delta = v as f64 - mean;
+                    if delta == 0.0 {
+                        skipped += 1;
+                    }
+                    mean += delta / (k + 1) as f64;
+                }
+            }
+            // Every set but the mixed one takes the skip.
+            assert!(set == 4 || skipped > 5, "set {set}: {skipped} zero deltas");
+        }
+        // The 2^53 set: the column whose values read as one f64 still
+        // reports its two integers.
+        let [lock, ..] = summarize(&sets[3]);
+        assert_eq!((lock.min, lock.max), (big, big + 1));
+        assert_eq!(lock.mean.to_bits(), (big as f64).to_bits());
+        assert_eq!(lock.stddev.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

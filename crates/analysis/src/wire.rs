@@ -364,6 +364,10 @@ impl FromJson for CellReport {
 // recognise takes the tree codec unchanged. Both run in one pass: a
 // sample row is formatted on the stack and appended at once, and an
 // integer's value and its canonical spelling are read by the same loop.
+// A row equal to the one before it — most rows of an early-stopped cell
+// with a correct source — is neither formatted nor scanned again: the
+// writer appends the bytes it formatted, the reader copies the sample it
+// read from the same bytes.
 
 /// The shortest sample row the writer can print after the first,
 /// `,[0,0,0,0,0,true]`; the first, one byte shorter, is followed by at
@@ -393,10 +397,13 @@ impl CellReport {
         out.push_str(",\"early_stop_rate\":");
         let _ = write_f64(out, self.early_stop_rate);
         out.push_str(",\"samples\":[");
+        // A run of equal samples is formatted once, as `,[..]`, and its
+        // bytes appended once per sample; the first row drops the comma.
         let mut row = Ascii::new();
-        for (i, s) in self.samples.iter().enumerate() {
+        for (i, equal) in self.samples.chunk_by(|a, b| a == b).enumerate() {
+            let s = &equal[0];
             row.clear();
-            row.put(if i == 0 { b"[" } else { b",[" });
+            row.put(b",[");
             for count in [
                 s.lock_in,
                 s.discoveries,
@@ -408,7 +415,11 @@ impl CellReport {
                 row.put(b",");
             }
             row.put(if s.early_stopped { b"true]" } else { b"false]" });
-            out.push_str(row.as_str());
+            let text = row.as_str();
+            out.push_str(if i == 0 { &text[1..] } else { text });
+            for _ in 1..equal.len() {
+                out.push_str(text);
+            }
         }
         out.push_str("],\"summaries\":[");
         for (i, s) in self.summaries.iter().enumerate() {
@@ -453,33 +464,26 @@ impl CellReport {
         let early_stop_rate = scan.float()?;
         scan.lit(",\"samples\":[")?;
         let mut samples = Vec::with_capacity((text.len() - scan.at) / ROW_MIN);
+        // The bytes of the last row scanned, `[` through `]`. Reading a
+        // row looks at nothing past its `]`, so a row spelled with the
+        // same bytes is the same `Sample`: it is copied, not scanned.
+        let mut last_row: &[u8] = &[];
         if !scan.eat(b']') {
             loop {
-                scan.byte(b'[')?;
-                let mut counts = [0u64; 5];
-                for count in &mut counts {
-                    *count = scan.uint()?;
-                    scan.byte(b',')?;
-                }
-                let [lock_in, discoveries, total_bits, max_local_ops, rounds] = counts;
                 let rest = &text.as_bytes()[scan.at..];
-                let early_stopped = if rest.starts_with(b"true]") {
-                    scan.at += 5;
-                    true
-                } else if rest.starts_with(b"false]") {
-                    scan.at += 6;
-                    false
-                } else {
-                    return None;
+                let sample = match samples.last() {
+                    Some(&last) if rest.starts_with(last_row) => {
+                        scan.at += last_row.len();
+                        last
+                    }
+                    _ => {
+                        let start = scan.at;
+                        let sample = scan.row()?;
+                        last_row = &text.as_bytes()[start..scan.at];
+                        sample
+                    }
                 };
-                samples.push(Sample {
-                    lock_in,
-                    discoveries,
-                    total_bits,
-                    max_local_ops,
-                    rounds,
-                    early_stopped,
-                });
+                samples.push(sample);
                 if scan.eat(b']') {
                     break;
                 }
@@ -688,6 +692,31 @@ impl<'a> Scanner<'a> {
         }
         self.at += len;
         Some(value)
+    }
+
+    /// One sample row, `[` through `]`: five integers and a boolean.
+    fn row(&mut self) -> Option<Sample> {
+        self.byte(b'[')?;
+        let mut counts = [0u64; 5];
+        for count in &mut counts {
+            *count = self.uint()?;
+            self.byte(b',')?;
+        }
+        let [lock_in, discoveries, total_bits, max_local_ops, rounds] = counts;
+        let early_stopped = if self.lit("true]").is_some() {
+            true
+        } else {
+            self.lit("false]")?;
+            false
+        };
+        Some(Sample {
+            lock_in,
+            discoveries,
+            total_bits,
+            max_local_ops,
+            rounds,
+            early_stopped,
+        })
     }
 
     /// `digits.digits`, the only shape the float writer prints for a
@@ -983,11 +1012,82 @@ mod tests {
         .swap_remove(0)
     }
 
+    /// A `king-expedite` cell: crashes with a correct source, so every
+    /// run is the same execution and the 64 rows are one row repeated.
+    fn run_heavy_cell() -> CellReport {
+        let cell = SweepPlan::new(
+            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+            vec![AdversaryFamily::crash(FaultSelection::without_source(), 2)],
+            64,
+        )
+        .run_with_jobs(1)
+        .cells
+        .swap_remove(0);
+        assert!(cell.samples.iter().all(|s| *s == cell.samples[0]));
+        cell
+    }
+
+    /// Runs of equal rows broken by near repeats: one count's last digit
+    /// changed, the flag flipped, and counts that grow a digit so the
+    /// row shares the previous one's bytes up to that count.
+    fn near_repeat_cell() -> CellReport {
+        let base = Sample {
+            lock_in: 3,
+            discoveries: 0,
+            total_bits: 2709,
+            max_local_ops: 112,
+            rounds: 3,
+            early_stopped: true,
+        };
+        let rows = [
+            base,
+            base,
+            base,
+            Sample {
+                max_local_ops: 113,
+                ..base
+            },
+            base,
+            Sample {
+                early_stopped: false,
+                ..base
+            },
+            Sample {
+                early_stopped: false,
+                ..base
+            },
+            base,
+            Sample { rounds: 30, ..base },
+            Sample { rounds: 30, ..base },
+            Sample { rounds: 3, ..base },
+            Sample {
+                total_bits: 27090,
+                ..base
+            },
+            Sample {
+                lock_in: 33,
+                ..base
+            },
+            base,
+        ];
+        let samples: Vec<Sample> = rows.iter().cycle().take(64).copied().collect();
+        CellReport {
+            spec_name: "optimal-king".to_string(),
+            n: 16,
+            t: 5,
+            adversary: "crash(f=2)".to_string(),
+            first_seed: 7,
+            early_stop_rate: crate::montecarlo::early_stop_rate(&samples),
+            summaries: crate::montecarlo::summarize(&samples),
+            samples,
+        }
+    }
+
     #[test]
     fn the_text_writer_emits_the_tree_writers_bytes() {
         let mut cells = real_cells();
         assert_eq!(cells.len(), 33);
-        cells.push(king_cell());
+        cells.extend([king_cell(), run_heavy_cell(), near_repeat_cell()]);
         for cell in &cells {
             let text = text_encode(cell);
             assert_eq!(text, tree_encode(cell));
@@ -1048,25 +1148,29 @@ mod tests {
 
     #[test]
     fn a_text_decode_is_the_tree_decode_under_every_byte_flip() {
-        let cell = king_cell();
-        let text = tree_encode(&cell);
-        let (mut mutants, mut accepted) = (0, 0);
-        for at in 0..text.len() {
-            for mask in [0x01u8, 0x02, 0x10] {
-                let mut bytes = text.clone().into_bytes();
-                bytes[at] ^= mask;
-                let mutant = String::from_utf8(bytes).expect("ASCII stays ASCII");
-                mutants += 1;
-                if let Some(read) = CellReport::from_text(&mutant) {
-                    accepted += 1;
-                    assert_eq!(tree_decode(&mutant), Ok(read), "byte {at} ^ {mask:#x}");
+        // A varied cell, one row repeated 64 times, and runs broken by
+        // near repeats: a flip inside a repeated row must be read, not
+        // copied from the row before it.
+        for cell in [king_cell(), run_heavy_cell(), near_repeat_cell()] {
+            let text = tree_encode(&cell);
+            let (mut mutants, mut accepted) = (0, 0);
+            for at in 0..text.len() {
+                for mask in [0x01u8, 0x02, 0x10] {
+                    let mut bytes = text.clone().into_bytes();
+                    bytes[at] ^= mask;
+                    let mutant = String::from_utf8(bytes).expect("ASCII stays ASCII");
+                    mutants += 1;
+                    if let Some(read) = CellReport::from_text(&mutant) {
+                        accepted += 1;
+                        assert_eq!(tree_decode(&mutant), Ok(read), "byte {at} ^ {mask:#x}");
+                    }
                 }
             }
+            assert_eq!(mutants, 3 * text.len());
+            // Most flipped digits are still digits: the implication above
+            // was not vacuous.
+            assert!(accepted > mutants / 10, "{accepted} of {mutants}");
         }
-        assert_eq!(mutants, 3 * text.len());
-        // Most flipped digits are still digits: the implication above
-        // was not vacuous.
-        assert!(accepted > mutants / 10, "{accepted} of {mutants}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The allocation floor of the cell text codec, on a 64-sample king
-//! cell — the shape a journal line and an `sg-serve/1` cell frame carry
-//! by the hundred.
+//! The allocation floor of the cell text codec, on two 64-sample king
+//! cells — the shape a journal line and an `sg-serve/1` cell frame carry
+//! by the hundred: one with nearly every row distinct, and one whose
+//! rows are a single row repeated, as every `king-expedite` cell's are.
 //!
 //! `CellReport::write_text` formats every sample row on the stack, so a
 //! warm write into a string that already holds a cell allocates nothing.
@@ -55,29 +56,39 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn the_cell_text_codec_allocates_only_what_the_cell_owns() {
-    let cell = SweepPlan::new(
-        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
-        vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
-        64,
-    )
-    .run_with_jobs(1)
-    .cells
-    .swap_remove(0);
-    assert_eq!(cell.samples.len(), 64);
+    let cell = |family: AdversaryFamily| {
+        SweepPlan::new(
+            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+            vec![family],
+            64,
+        )
+        .run_with_jobs(1)
+        .cells
+        .swap_remove(0)
+    };
+    let varied = cell(AdversaryFamily::random_liar(FaultSelection::with_source()));
+    // Crashes with a correct source: one row repeated 64 times, which
+    // the writer appends from its first formatting and the reader copies.
+    let run_heavy = cell(AdversaryFamily::crash(FaultSelection::without_source(), 2));
+    assert!(run_heavy.samples.iter().all(|s| *s == run_heavy.samples[0]));
 
-    // The first write sizes the string; the warm one reuses it.
-    let mut text = String::new();
-    cell.write_text(&mut text);
-    let (writes, ()) = allocations_of(|| {
-        text.clear();
+    for cell in [varied, run_heavy] {
+        assert_eq!(cell.samples.len(), 64);
+
+        // The first write sizes the string; the warm one reuses it.
+        let mut text = String::new();
         cell.write_text(&mut text);
-    });
-    assert_eq!(writes, 0, "allocations of a warm write_text");
+        let (writes, ()) = allocations_of(|| {
+            text.clear();
+            cell.write_text(&mut text);
+        });
+        assert_eq!(writes, 0, "allocations of a warm write_text");
 
-    let (reads, read) = allocations_of(|| CellReport::from_text(&text));
-    assert_eq!(read.as_ref(), Some(&cell));
-    assert_eq!(
-        reads, 3,
-        "allocations of from_text: two names and the samples"
-    );
+        let (reads, read) = allocations_of(|| CellReport::from_text(&text));
+        assert_eq!(read.as_ref(), Some(&cell));
+        assert_eq!(
+            reads, 3,
+            "allocations of from_text: two names and the samples"
+        );
+    }
 }

@@ -48,6 +48,13 @@
 //!   (`to_json().to_string()`, `Json::parse` + `from_json`) vs the text
 //!   codec (`write_text`, `from_text`) that journal lines and cell
 //!   frames use when the input is canonical;
+//! * `cell_text/*` — `write_text`, `from_text` and `summarize`, each on
+//!   a run-heavy cell (one row repeated 64 times, as every cell of every
+//!   benchmark workload is), a varied one and one whose rows nearly all
+//!   differ, so the equal-row fast paths of the codec and the sample
+//!   reduction are measured layer by layer, on both sides of the
+//!   property they key on, which the benchmark's tree-codec `analysis.*`
+//!   probes are not;
 //! * `serve/*` — the benchmark's `serve-stream` workload taken apart
 //!   the same way: a 1-worker daemon on a unix socket, `ping-rtt` on it
 //!   idle, then — with a second closed-loop client keeping it busy —
@@ -69,7 +76,9 @@ use rand::{RngCore, SampleUniform, SeedableRng};
 use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{edge_draw, edge_mix, first_draw, BatchFamily, Family, FaultSelection};
-use sg_analysis::{AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
+use sg_analysis::{
+    summarize, AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS,
+};
 use sg_bench::stress_run;
 use sg_core::{batch_kernel, AlgorithmSpec};
 use sg_eigtree::{
@@ -623,6 +632,59 @@ fn bench_cell_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The text codec and the sample reduction, layer by layer, on three
+/// 64-sample cells, by how many rows equal the row before them (the
+/// property the equal-row fast paths key on): `run-heavy`, a
+/// `king-expedite` crash cell at `optimal-king` n = 16 (63 of 63, as in
+/// every benchmark workload's cells); `varied`, random liars led by the
+/// source at the same size (43 of 63); and `distinct`, the same liars at
+/// `exponential` n = 10 (2 of 63).
+fn bench_cell_text(c: &mut Criterion) {
+    let cell = |spec: AlgorithmSpec, n: usize, family: AdversaryFamily| {
+        SweepPlan::new(
+            vec![SweepConfig::traced(spec, n, spec.max_resilience(n))],
+            vec![family],
+            64,
+        )
+        .with_base_seed(SEED)
+        .run_with_jobs(1)
+        .cells
+        .swap_remove(0)
+    };
+    let liars = || AdversaryFamily::random_liar(FaultSelection::with_source());
+    let cells = [
+        (
+            "run-heavy",
+            cell(
+                AlgorithmSpec::OptimalKing,
+                16,
+                AdversaryFamily::crash(FaultSelection::without_source(), 2),
+            ),
+        ),
+        ("varied", cell(AlgorithmSpec::OptimalKing, 16, liars())),
+        ("distinct", cell(AlgorithmSpec::Exponential, 10, liars())),
+    ];
+    let mut group = c.benchmark_group("cell_text");
+    for (name, cell) in &cells {
+        let mut text = String::new();
+        group.bench_function(format!("write_text/{name}"), |b| {
+            b.iter(|| {
+                text.clear();
+                cell.write_text(&mut text);
+                text.len()
+            });
+        });
+        group.bench_function(format!("from_text/{name}"), |b| {
+            b.iter(|| CellReport::from_text(black_box(&text)));
+        });
+        assert_eq!(CellReport::from_text(&text).as_ref(), Some(cell));
+        group.bench_function(format!("summarize/{name}"), |b| {
+            b.iter(|| summarize(black_box(&cell.samples)));
+        });
+    }
+    group.finish();
+}
+
 /// The `serve-stream` set-up: one worker, a unix socket, two clients.
 #[cfg(unix)]
 fn bench_serve(c: &mut Criterion) {
@@ -698,6 +760,7 @@ criterion_group!(
     bench_eigtree,
     bench_journal,
     bench_cell_codec,
+    bench_cell_text,
     bench_serve
 );
 criterion_main!(benches);
