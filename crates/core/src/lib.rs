@@ -52,10 +52,7 @@ pub mod compose;
 pub mod dolev_strong;
 pub mod gearbox;
 mod geared;
-pub mod interactive;
 pub mod king_shift;
-pub mod multiplex;
-pub mod multivalued;
 pub mod optimal_king;
 mod params;
 pub mod phase_batch;
@@ -68,9 +65,6 @@ mod spec;
 pub use compose::{ComposeError, Segment, ShiftComposition, ShiftPlanBuilder};
 pub use gearbox::{dynamic_king_blocks, Checkpoint, GearBox};
 pub use geared::GearedProtocol;
-pub use interactive::{interactive_consistency, run_consensus};
-pub use multiplex::{plurality, Multiplex};
-pub use multivalued::{multivalued_broadcast, run_multivalued};
 pub use optimal_king::{KingCore, KingRow, PhaseStep};
 pub use params::{isqrt, t_a, t_b, t_c, Params};
 pub use phase_batch::batch_kernel;

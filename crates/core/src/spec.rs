@@ -437,15 +437,14 @@ impl AlgorithmSpec {
     /// # Panics
     ///
     /// Panics if the parameters fail [`AlgorithmSpec::validate`], or if
-    /// [`AlgorithmSpec::PhaseQueen`] is given a non-binary domain (lift
-    /// with [`crate::multivalued`] instead).
+    /// [`AlgorithmSpec::PhaseQueen`] is given a non-binary domain.
     pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> Box<dyn Protocol> {
         self.validate(params.n, params.t)
             .unwrap_or_else(|e| panic!("invalid algorithm parameters: {e}"));
         if let Some(row) = self.king_row() {
             assert!(
                 *self != AlgorithmSpec::PhaseQueen || params.domain.size() == 2,
-                "Phase Queen is binary; lift with the multivalued reduction"
+                "Phase Queen is binary"
             );
             return Box::new(PhaseKing::new(params, me, input, row));
         }

@@ -7,11 +7,13 @@
 //! decisions, fault sets, metrics, traces, round counts — matches the
 //! reference engine's fresh-everything execution exactly, for every
 //! protocol family and under every adversary. The property test below
-//! drives all nine resettable families (Phase King, Phase Queen, Optimal
-//! King, King-Shift, the plan-driven tree machine, Dolev–Strong,
-//! interactive consistency, multivalued broadcast, and shift
-//! compositions) through a cold pooled run and a warm (reset) pooled run,
-//! and additionally asserts the warm run never touched the factory. The
+//! drives eight resettable families (Phase King, Phase Queen, Optimal
+//! King, King-Shift, Dynamic King, the plan-driven tree machine,
+//! Dolev–Strong, and a shift composition with a king tail) through a
+//! cold pooled run and a warm (reset) pooled run, and additionally
+//! asserts the warm run never touched the factory. A second leg runs
+//! Phase King, Optimal King, King-Shift, the tree machine (Exponential
+//! and the Hybrid) and Dolev–Strong over a non-binary domain. The
 //! reference reads every payload where the engine reads packed ballots,
 //! so the same comparison pins the bit-packed view too.
 
@@ -20,9 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::TREE_PAPER_CELLS;
-use shifting_gears::core::{
-    interactive_consistency, multivalued_broadcast, AlgorithmSpec, Params, ShiftPlanBuilder,
-};
+use shifting_gears::core::{AlgorithmSpec, Params, ShiftPlanBuilder};
 use shifting_gears::sim::{
     reference, run_into, run_pooled, Adversary, Outcome, PoolKey, ProcessId, Protocol, RunArena,
     RunConfig, Value, ValueDomain,
@@ -116,10 +116,18 @@ fn adversary(idx: usize, seed: u64) -> Box<dyn Adversary> {
     }
 }
 
-/// Drives one spec-shaped case through [`check_pool_identity`].
-fn check_spec(spec: AlgorithmSpec, n: usize, t: usize, adv_idx: usize, seed: u64) {
+/// Drives one spec-shaped case, over `domain` with the source holding
+/// `value`, through [`check_pool_identity`].
+fn check_spec(
+    spec: AlgorithmSpec,
+    (n, t): (usize, usize),
+    (domain, value): (ValueDomain, Value),
+    adv_idx: usize,
+    seed: u64,
+) {
     let mut config = RunConfig::new(n, t)
-        .with_source_value(Value(1))
+        .with_domain(domain)
+        .with_source_value(value)
         .with_trace();
     if spec.needs_authentication() {
         config = config.with_authentication();
@@ -138,60 +146,32 @@ fn check_spec(spec: AlgorithmSpec, n: usize, t: usize, adv_idx: usize, seed: u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// All nine resettable protocol families, a sample of adversaries and
-    /// seeds: pooled-reset outcomes are bit-identical to fresh-instance
-    /// outcomes and the warm run never consults the factory.
+    /// Eight resettable protocol families, six specs of them again over
+    /// non-binary domains, a sample of adversaries and seeds: pooled-reset
+    /// outcomes are bit-identical to fresh-instance outcomes and the warm
+    /// run never consults the factory.
     #[test]
     fn pooled_reset_runs_match_fresh_runs(seed in 0u64..1_000, adv_idx in 0usize..4) {
-        // The six spec-built families.
-        check_spec(AlgorithmSpec::PhaseKing, 9, 2, adv_idx, seed);
-        check_spec(AlgorithmSpec::PhaseQueen, 9, 2, adv_idx, seed);
-        check_spec(AlgorithmSpec::OptimalKing, 7, 2, adv_idx, seed);
-        check_spec(AlgorithmSpec::KingShift { b: 3 }, 10, 3, adv_idx, seed);
-        check_spec(AlgorithmSpec::DynamicKing { b: 3 }, 10, 3, adv_idx, seed);
-        check_spec(AlgorithmSpec::Exponential, 7, 2, adv_idx, seed);
-        check_spec(AlgorithmSpec::DolevStrong, 5, 3, adv_idx, seed);
+        // The seven spec-built families, binary.
+        let binary = (ValueDomain::binary(), Value(1));
+        check_spec(AlgorithmSpec::PhaseKing, (9, 2), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::PhaseQueen, (9, 2), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::OptimalKing, (7, 2), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::KingShift { b: 3 }, (10, 3), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::DynamicKing { b: 3 }, (10, 3), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::Exponential, (7, 2), binary, adv_idx, seed);
+        check_spec(AlgorithmSpec::DolevStrong, (5, 3), binary, adv_idx, seed);
 
-        // Interactive consistency: n parallel broadcasts over a Multiplex.
-        let ic_config = RunConfig::new(4, 1).with_source_value(Value(1)).with_trace();
-        let ic_params = Params::from_config(&ic_config);
-        let inputs = [Value(1), Value(0), Value(1), Value(0)];
-        check_pool_identity(
-            "interactive-consistency",
-            &ic_config,
-            PoolKey::of(&[0xA11CE, seed ^ 1]),
-            &|| adversary(adv_idx, seed),
-            &|me| {
-                Box::new(interactive_consistency(
-                    AlgorithmSpec::Exponential,
-                    ic_params,
-                    me,
-                    &inputs,
-                ))
-            },
-        );
-
-        // Multivalued broadcast: bit-parallel binary instances.
-        let mv_config = RunConfig::new(7, 2)
-            .with_domain(ValueDomain::new(5))
-            .with_source_value(Value(3))
-            .with_trace();
-        let mv_params = Params::from_config(&mv_config);
-        check_pool_identity(
-            "multivalued",
-            &mv_config,
-            PoolKey::of(&[0xB175, seed ^ 2]),
-            &|| adversary(adv_idx, seed),
-            &|me| {
-                let input = (me == mv_config.source).then_some(mv_config.source_value);
-                Box::new(multivalued_broadcast(
-                    AlgorithmSpec::Exponential,
-                    mv_params,
-                    me,
-                    input,
-                ))
-            },
-        );
+        // The same machines over a non-binary domain (Phase Queen is
+        // binary only).
+        let five = (ValueDomain::new(5), Value(3));
+        check_spec(AlgorithmSpec::PhaseKing, (9, 2), five, adv_idx, seed);
+        check_spec(AlgorithmSpec::OptimalKing, (7, 1), five, adv_idx, seed);
+        check_spec(AlgorithmSpec::Exponential, (9, 2), five, adv_idx, seed);
+        check_spec(AlgorithmSpec::Hybrid { b: 3 }, (10, 3), five, adv_idx, seed);
+        check_spec(AlgorithmSpec::KingShift { b: 3 }, (10, 3), five, adv_idx, seed);
+        let ten = (ValueDomain::new(10), Value(7));
+        check_spec(AlgorithmSpec::DolevStrong, (5, 3), ten, adv_idx, seed);
 
         // A shift composition with a king tail.
         let composition = ShiftPlanBuilder::new(10, 3)
