@@ -14,49 +14,16 @@
 //! tests it leans on are on [`GearedProtocol`]; the lock-in
 //! *measurement* for tree runs lives in `sg_analysis::stability`.
 
-use sg_eigtree::{convert, discover_during_conversion, discover_ig, FaultList, IgTree, RepTree};
+use sg_eigtree::{
+    convert, discover_during_conversion, discover_ig, Claim, FaultList, IgTree, Planes, RepTree,
+};
 use sg_sim::{
     Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RoundStatus, RunConfig, SmallWords,
-    TraceEvent, Value, ValueDomain,
+    TraceEvent, Value,
 };
 
 use crate::params::Params;
 use crate::plan::RoundAction;
-
-/// What one sender contributes to a gather round, resolved once per round
-/// so the per-slot read is a single match: the §3 rules for "what did `q`
-/// say about slot `i`" with the sender-level questions (is it me, is it in
-/// `L_p`, what did it send) already answered.
-enum Claim<'a> {
-    /// The receiver itself relays its own stored level truthfully.
-    Own(&'a [Value]),
-    /// A masked fault, an absent message, or one that is not a value
-    /// vector: every slot reads as the default.
-    Defaults,
-    /// A bit-packed binary vector of `len` slots.
-    Bits { words: &'a [u64], len: usize },
-    /// A plain value vector, not yet checked against the domain.
-    Values(&'a [Value]),
-}
-
-impl Claim<'_> {
-    /// The sanitized value claimed for slot `idx`; slots the message does
-    /// not cover read as the default.
-    #[inline]
-    fn at(&self, idx: usize, domain: ValueDomain) -> Value {
-        match *self {
-            Claim::Own(level) => level[idx],
-            Claim::Defaults => Value::DEFAULT,
-            Claim::Bits { words, len } if idx < len => {
-                Value((words[idx / 64] >> (idx % 64) & 1) as u16)
-            }
-            Claim::Bits { .. } => Value::DEFAULT,
-            Claim::Values(vals) => vals
-                .get(idx)
-                .map_or(Value::DEFAULT, |&v| domain.sanitize(v)),
-        }
-    }
-}
 
 /// Empties a claims table and hands its allocation on under another
 /// lifetime, so an instance can keep between rounds the table a gather
@@ -72,16 +39,10 @@ fn recycle<'a>(mut claims: Vec<Claim<'_>>) -> Vec<Claim<'a>> {
 }
 
 /// The echo rule's threshold (see [`GearedProtocol`]): all but at most `t`
-/// of a block's first-gather `echoes` equal the `root` they echo.
-fn echo_quorum(echoes: &[Value], root: Value, t: usize) -> bool {
-    echoes.iter().filter(|&&v| v == root).count() + t >= echoes.len()
-}
-
-/// The value a binary echo word (see [`GearedProtocol::echo_word`]) holds
-/// for `sender`.
-#[inline]
-fn echo_at(word: u64, sender: ProcessId) -> Value {
-    Value((word >> sender.index() & 1) as u16)
+/// of a block's first-gather `echoes` equal the `root` they echo — one
+/// popcount of the level's planes.
+fn echo_quorum(echoes: &Planes, root: Value, t: usize) -> bool {
+    echoes.count(root) + t >= echoes.len()
 }
 
 /// One processor's instance of a plan-driven agreement protocol.
@@ -106,11 +67,12 @@ fn echo_at(word: u64, sender: ProcessId) -> Value {
 /// its [`sg_sim::PackedBallots`] (binary domain, `n ≤ 64`) the round is
 /// read as one word — the `ones` mask with `L_p` cleared and the
 /// receiver's own root in its own bit — and builds no claims table: the
-/// level is stored from the word, and the Fault Discovery Rule and this
+/// level is stored from the word ([`IgTree::append_echo`],
+/// [`RepTree::store_echo`]), and the Fault Discovery Rule and this
 /// threshold then run on the stored level as on every other. Without
 /// ballots (`n > 64`, wider domains, the reference engine) the level is
-/// stored slot by slot; `tests/engine_identity.rs` holds the two readings
-/// to each other.
+/// stored from the senders' claims; `tests/engine_identity.rs` holds the
+/// two readings to each other.
 ///
 /// This is sound under the hook contract — a status only has to be final
 /// *given that every other correct processor is ready in the same round*
@@ -154,8 +116,7 @@ pub struct GearedProtocol {
     /// the type docs); cleared only by `reset`.
     echo_quorum: bool,
     /// Gather-round scratch, so a warm instance gathers without allocating:
-    /// the level relayed to itself and the (empty between rounds) claims.
-    own: Vec<Value>,
+    /// the (empty between rounds) claims table.
     claims: Vec<Claim<'static>>,
 }
 
@@ -195,7 +156,6 @@ impl GearedProtocol {
             plan,
             peak_nodes: 0,
             echo_quorum: false,
-            own: Vec::new(),
             claims: Vec::new(),
         }
     }
@@ -253,27 +213,40 @@ impl GearedProtocol {
         self.plan[round - 1]
     }
 
-    /// A tree level as a broadcast payload: bit-packed one-bit-per-slot
-    /// for binary domains (the common case — allocation-free up to 256
-    /// slots, 16× denser beyond), a plain value vector otherwise.
-    fn level_payload(&self, level: &[Value]) -> Payload {
+    /// A tree level as a broadcast payload: on the binary domain its one
+    /// plane's words as they are (inline up to 256 slots, one exact-size
+    /// buffer beyond), a plain value vector otherwise.
+    fn level_payload(&self, level: &Planes) -> Payload {
         if self.params.domain.size() == 2 {
-            Payload::packed(level.iter().copied())
+            assert_eq!(level.planes(), 1, "a binary level holds one plane");
+            let plane = level.plane(0);
+            let words = if plane.len() <= 4 {
+                let mut words = [0; 4];
+                words[..plane.len()].copy_from_slice(plane);
+                SmallWords::Inline(words)
+            } else {
+                SmallWords::Heap(plane.to_vec())
+            };
+            Payload::Bits {
+                words,
+                len: level.len() as u32,
+            }
         } else {
             Payload::Values(level.to_vec())
         }
     }
 
     /// Every sender's [`Claim`] for this round, indexed by processor, in
-    /// the kept table (handed back through [`recycle`]); `own` is what this
-    /// processor would have sent itself.
-    fn claims<'a>(&mut self, inbox: &'a Inbox, own: &'a [Value]) -> Vec<Claim<'a>> {
+    /// the kept table (handed back through [`recycle`]): the receiver's
+    /// own, the defaults of a processor in `L_p`, or what the message
+    /// carries.
+    fn claims<'a>(&mut self, inbox: &'a Inbox) -> Vec<Claim<'a>> {
         // Empty, and `Claim` is covariant: the kept `'static` table
         // shortens to this round's lifetime as is.
         let mut claims: Vec<Claim<'a>> = std::mem::take(&mut self.claims);
         claims.extend((0..self.params.n).map(ProcessId).map(|q| {
             if q == self.me {
-                Claim::Own(own)
+                Claim::Own
             } else if self.faults.contains(q) {
                 Claim::Defaults
             } else {
@@ -297,7 +270,7 @@ impl GearedProtocol {
     /// rules of [`GearedProtocol::claims`] applied to the `ones` mask: a
     /// sender in `L_p` reads as the default, and the receiver's own slot
     /// holds its `own` root — ahead of `L_p`, since a shadow may list
-    /// itself. Read it with [`echo_at`]. `None` — read the payload slots —
+    /// itself. `None` — read the payload slots —
     /// without ballots (`n > 64`, wider domains, an inbox built with
     /// `Inbox::set`) or for a non-binary `own`.
     fn echo_word(&self, inbox: &Inbox, own: Value) -> Option<u64> {
@@ -305,9 +278,9 @@ impl GearedProtocol {
         if own.raw() > 1 {
             return None;
         }
-        let bit = |p: ProcessId| 1u64 << p.index();
-        let listed = self.faults.iter().fold(0, |w, p| w | bit(p));
-        Some(ballots.ones & !listed & !bit(self.me) | u64::from(own.raw()) << self.me.index())
+        let bit = 1u64 << self.me.index();
+        let listed = self.faults.words()[0];
+        Some(ballots.ones & !listed & !bit | u64::from(own.raw()) << self.me.index())
     }
 
     /// Records newly discovered processors: updates `L`, emits trace
@@ -382,26 +355,18 @@ impl Protocol for GearedProtocol {
             RoundAction::Gather { convert: conv } => {
                 // 1. Store the new level, masking known faults as we go: a
                 // block's echo round straight off the ballot word when
-                // there is one, every other level through the claims.
-                let deepest = self.tree.deepest_level();
-                let echo = if deepest == 0 {
+                // there is one, every other level from the claims.
+                let echo = if self.tree.deepest_level() == 0 {
                     self.echo_word(inbox, self.tree.root())
                 } else {
                     None
                 };
                 if let Some(word) = echo {
-                    ctx.charge(self.tree.append_level(|_, sender| echo_at(word, sender)));
+                    ctx.charge(self.tree.append_echo(word));
                 } else {
-                    let mut own = std::mem::take(&mut self.own);
-                    own.clear();
-                    own.extend_from_slice(self.tree.level(deepest));
-                    let claims = self.claims(inbox, &own);
-                    let ops = self
-                        .tree
-                        .append_level(|parent, sender| claims[sender.index()].at(parent, domain));
-                    ctx.charge(ops);
+                    let claims = self.claims(inbox);
+                    ctx.charge(self.tree.append_claims(&claims, domain));
                     self.claims = recycle(claims);
-                    self.own = own;
                 }
 
                 self.note_peak();
@@ -447,16 +412,11 @@ impl Protocol for GearedProtocol {
             }
 
             RoundAction::RepFirstGather => {
-                let root = self.rep.root();
-                if let Some(word) = self.echo_word(inbox, root) {
-                    ctx.charge(self.rep.store_intermediates(|q| echo_at(word, q)));
+                if let Some(word) = self.echo_word(inbox, self.rep.root()) {
+                    ctx.charge(self.rep.store_echo(word));
                 } else {
-                    let own_root = [root];
-                    let claims = self.claims(inbox, &own_root);
-                    let ops = self
-                        .rep
-                        .store_intermediates(|q| claims[q.index()].at(0, domain));
-                    ctx.charge(ops);
+                    let claims = self.claims(inbox);
+                    ctx.charge(self.rep.store_root_claims(&claims, domain));
                     self.claims = recycle(claims);
                 }
                 if self.modified {
@@ -467,22 +427,15 @@ impl Protocol for GearedProtocol {
                     }
                 }
                 self.echo_quorum = echo_quorum(self.rep.intermediates(), self.rep.root(), t);
-                ctx.emit(TraceEvent::Preferred {
+                ctx.emit_with(|| TraceEvent::Preferred {
                     value: self.rep.preferred(),
                 });
             }
 
             RoundAction::RepGather => {
-                let mut own = std::mem::take(&mut self.own);
-                own.clear();
-                own.extend_from_slice(self.rep.intermediates());
-                let claims = self.claims(inbox, &own);
-                let ops = self
-                    .rep
-                    .store_leaves(|w, r| claims[r.index()].at(w, domain));
-                ctx.charge(ops);
+                let claims = self.claims(inbox);
+                ctx.charge(self.rep.store_leaf_claims(&claims, domain));
                 self.claims = recycle(claims);
-                self.own = own;
                 self.note_peak();
                 if self.modified {
                     let report = self.rep.discover_intermediates(t, &self.faults);

@@ -102,8 +102,8 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
     // Built anyway, each label is one allocation per processor per shift
     // (13 × 2 and 16 × 5 more than pinned here).
     for (spec, n, shifts, pinned) in [
-        (AlgorithmSpec::KingShift { b: 3 }, 13, 2, 79),
-        (AlgorithmSpec::Hybrid { b: 3 }, 16, 5, 305),
+        (AlgorithmSpec::KingShift { b: 3 }, 13, 2, 66),
+        (AlgorithmSpec::Hybrid { b: 3 }, 16, 5, 273),
     ] {
         let config = RunConfig::new(n, spec.max_resilience(n)).fixed_length();
         let mut run = |config: &RunConfig, out: &mut Outcome| {

@@ -17,11 +17,24 @@
 //! specifies that masking of previously-known faults happens first, then
 //! discovery runs on the resulting tree, then the newly discovered
 //! processors' current-round messages are masked.
+//!
+//! On [`Planes`] levels a node's children are one contiguous slot range,
+//! so the rule is word arithmetic: the majority and its support `c` come
+//! from popcounts over the range (see [`crate::convert`]), and the
+//! `w − c` dissenting children bound the dissent outside `L_p` from
+//! above — when `w − c ≤ t − |L_p|` the node passes on that popcount
+//! alone, which is the common case. Otherwise the dissent mask (the
+//! range's slots not holding the majority) is walked bit by bit and each
+//! dissenter's sender checked against `L_p`: the same count as the slot
+//! rule, read off the set bits only.
+
+use std::ops::Range;
 
 use sg_sim::ProcessId;
 
 use crate::fault_list::FaultList;
-use crate::resolve::{majority_with_count, Converted};
+use crate::planes::{ones_at, Planes};
+use crate::resolve::Converted;
 use crate::tree::IgTree;
 
 /// The outcome of running a discovery rule over a tree.
@@ -36,42 +49,40 @@ pub struct DiscoveryReport {
 
 /// Evaluates the two discovery conditions for one internal node.
 ///
-/// `children` are the node's child values (stored or converted),
-/// `labels[j]` the processor labelling child `j`, `budget` the tolerated
-/// dissent `t − |L_p|`. Returns `true` if the node's processor must be
-/// discovered.
-fn node_violates<T: Eq + Copy>(
-    children: &[T],
-    labels: &[u8],
+/// `children` is the node's child range of `level` (stored or converted
+/// values), `sender(j)` the processor labelling slot `j`, `budget` the
+/// tolerated dissent `t − |L_p|`. Returns `true` if the node's processor
+/// must be discovered.
+#[inline]
+pub(crate) fn node_violates(
+    level: &Planes,
+    children: Range<usize>,
+    sender: impl Fn(usize) -> ProcessId,
     budget: usize,
     snapshot: &FaultList,
 ) -> bool {
-    let Some((m, support)) = majority_with_count(children) else {
+    let Some((m, support)) = level.majority(children.clone()) else {
         return true;
     };
-    // The dissenters outside `L_p` are among the `len − support` children
-    // that differ from `m`; only when those alone could exceed the budget
-    // does it matter who they are.
     if children.len() - support <= budget {
         return false;
     }
-    let dissent = children
-        .iter()
-        .zip(labels)
-        .filter(|(v, &q)| **v != m && !snapshot.contains(ProcessId(q as usize)))
+    let dissent = level
+        .others_in(children, m)
+        .filter(|&j| !snapshot.contains(sender(j)))
         .count();
     dissent > budget
 }
 
 /// One level's worth of the rule: node `i` of the parent level blames
 /// `blamed[i]` over its children `children[i·w..(i+1)·w]`, whose senders
-/// are `child_labels[i·w..(i+1)·w]`. A flat pass over three parallel
-/// slices; `report` carries discoveries across calls so a processor is
-/// reported once (the list holds at most `n` names and is usually empty,
-/// so nothing is allocated until somebody is blamed).
-fn discover_level<T: Eq + Copy>(
+/// are `child_labels[i·w..(i+1)·w]`. `report` carries discoveries across
+/// calls so a processor is reported once (the list holds at most `n`
+/// names and is usually empty, so nothing is allocated until somebody is
+/// blamed).
+fn discover_level(
     blamed: &[u8],
-    children: &[T],
+    children: &Planes,
     child_labels: &[u8],
     t: usize,
     snapshot: &FaultList,
@@ -81,15 +92,28 @@ fn discover_level<T: Eq + Copy>(
     report.ops += children.len() as u64;
     let width = children.len() / blamed.len();
     let budget = t.saturating_sub(snapshot.len());
-    let nodes = children
-        .chunks_exact(width)
-        .zip(child_labels.chunks_exact(width));
-    for (&r, (children, labels)) in blamed.iter().zip(nodes) {
+    let sender = |j: usize| ProcessId(child_labels[j] as usize);
+    // On binary data a node whose minority fits the budget passes on one
+    // popcount of its window: the majority's support is the larger count.
+    let binary = children.binary().filter(|_| width <= 64);
+    for (i, &r) in blamed.iter().enumerate() {
+        if let Some(plane) = binary {
+            let ones = ones_at(plane, i * width, width);
+            if width - ones.max(width - ones) <= budget.min((width - 1) / 2) {
+                continue;
+            }
+        }
         let r = ProcessId(r as usize);
         if snapshot.contains(r) || report.discovered.contains(&r) {
             continue;
         }
-        if node_violates(children, labels, budget, snapshot) {
+        if node_violates(
+            children,
+            i * width..(i + 1) * width,
+            sender,
+            budget,
+            snapshot,
+        ) {
             report.discovered.push(r);
         }
     }

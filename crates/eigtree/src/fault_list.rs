@@ -6,9 +6,13 @@
 //! proves this invariant for the Fault Discovery Rule; our integration
 //! tests check it on every execution).
 
-use sg_sim::{ProcessId, ProcessSet};
+use sg_sim::ProcessId;
 
 /// A processor's knowledge of who is faulty, with discovery rounds.
+///
+/// Membership is a bit mask (bit `q % 64` of word `q / 64`), so the
+/// discovery rules can mask a row of children with it and an emptied
+/// list costs its members, not `n`.
 ///
 /// # Examples
 ///
@@ -22,10 +26,12 @@ use sg_sim::{ProcessId, ProcessSet};
 /// assert!(l.contains(ProcessId(3)));
 /// assert_eq!(l.len(), 1);
 /// assert_eq!(l.discovered_in(ProcessId(3)), Some(2));
+/// assert_eq!(l.words(), &[0b1000]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultList {
-    set: ProcessSet,
+    words: Vec<u64>,
+    len: usize,
     rounds: Vec<Option<usize>>,
 }
 
@@ -33,7 +39,8 @@ impl FaultList {
     /// An empty list over a system of `n` processors.
     pub fn new(n: usize) -> Self {
         FaultList {
-            set: ProcessSet::new(n),
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
             rounds: vec![None; n],
         }
     }
@@ -41,44 +48,48 @@ impl FaultList {
     /// Empties the list in place for a system of `n` processors, reusing
     /// the storage when the size is unchanged (pooled instances).
     pub fn reset(&mut self, n: usize) {
-        if self.set.universe() == n {
-            self.set.clear();
-            self.rounds.fill(None);
+        if self.rounds.len() == n {
+            for (w, word) in self.words.iter_mut().enumerate() {
+                while *word != 0 {
+                    self.rounds[w * 64 + word.trailing_zeros() as usize] = None;
+                    *word &= *word - 1;
+                }
+            }
         } else {
-            self.set = ProcessSet::new(n);
-            self.rounds.clear();
-            self.rounds.resize(n, None);
+            *self = FaultList::new(n);
         }
+        self.len = 0;
     }
 
     /// Whether `p` has been discovered.
     #[inline]
     pub fn contains(&self, p: ProcessId) -> bool {
-        self.set.contains(p)
+        self.words[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 
     /// Number of discovered processors, `|L_p|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.len
     }
 
     /// Whether nothing has been discovered yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len == 0
     }
 
     /// Records that `p` was discovered in `round`. Returns `true` if `p`
     /// was newly added. A processor already in the list stays with its
     /// original discovery round (re-detections are no-ops).
     pub fn insert(&mut self, p: ProcessId, round: usize) -> bool {
-        if self.set.insert(p) {
-            self.rounds[p.index()] = Some(round);
-            true
-        } else {
-            false
+        if self.contains(p) {
+            return false;
         }
+        self.words[p.index() / 64] |= 1 << (p.index() % 64);
+        self.rounds[p.index()] = Some(round);
+        self.len += 1;
+        true
     }
 
     /// The round in which `p` was first discovered, if it ever was.
@@ -86,14 +97,24 @@ impl FaultList {
         self.rounds[p.index()]
     }
 
-    /// The underlying set.
-    pub fn as_set(&self) -> &ProcessSet {
-        &self.set
+    /// The membership mask: bit `q % 64` of word `q / 64` is set iff
+    /// processor `q` is listed.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Iterates over discovered processors in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.set.iter()
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    ProcessId(w * 64 + bit)
+                })
+            })
+        })
     }
 }
 

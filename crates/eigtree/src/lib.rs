@@ -4,9 +4,10 @@
 //! & Strong, Inf. & Comp. 97, 1992):
 //!
 //! * [`Shape`] / [`LabelTable`] / [`IgTree`] — the Information Gathering
-//!   Tree *without repetitions* of §3 (Fig. 1), stored as flat per-level
-//!   value vectors in a canonical order shared by every correct processor,
-//!   with the order itself held once per process as a table of labels;
+//!   Tree *without repetitions* of §3 (Fig. 1), stored level by level as
+//!   bit planes ([`Planes`]) in a canonical order shared by every correct
+//!   processor, with the order itself held once per process as a table of
+//!   labels;
 //! * [`RepTree`] — the three-level tree *with repetitions* of Algorithm C
 //!   (§4.3), including leaf reordering;
 //! * [`convert`] with [`Conversion::Resolve`] (recursive majority voting,
@@ -38,8 +39,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod differential;
 mod discovery;
 mod fault_list;
+mod planes;
 mod render;
 mod rep_tree;
 mod resolve;
@@ -48,8 +52,9 @@ mod tree;
 
 pub use discovery::{discover_during_conversion, discover_ig, DiscoveryReport};
 pub use fault_list::FaultList;
+pub use planes::Planes;
 pub use render::{render_tree, tree_to_dot};
 pub use rep_tree::RepTree;
-pub use resolve::{convert, convert_node, strict_majority, Conversion, Converted, Res};
+pub use resolve::{convert, strict_majority, Conversion, Converted, Res};
 pub use shape::{LabelTable, Shape};
-pub use tree::IgTree;
+pub use tree::{Claim, IgTree};

@@ -13,12 +13,28 @@
 //! `tree(spq) ↔ tree(sqp)` — a transpose — so that the subtree under `sq`
 //! holds exactly the vector received from `q`; conversion then sets
 //! `tree(sq) = resolve(sq)`, a majority over that vector.
+//!
+//! Both levels are [`Planes`]. The leaf matrix keeps each row word
+//! aligned (`⌈n/64⌉` words a row, per plane), so a node `sw`'s children
+//! are row `w`, labelled `0..n` by position:
+//!
+//! * the discovery rule and the row majority are popcounts over a row
+//!   (the dissent outside `L_p` read off the dissent mask's set bits, as
+//!   in [`crate::discover_ig`]);
+//! * masking a processor clears its column: one bit per row word;
+//! * the reorder is a bit-matrix transpose — at `n ≤ 64` the 64 × 64
+//!   block swap, six rounds of shifted XORs over the rows;
+//! * a round of binary claims is stored as the matrix whose row `r` is
+//!   `r`'s vector (one word copy per sender), transposed once into the
+//!   paper's layout, where row `w` holds what every `r` claims for `sw`.
 
-use sg_sim::{ProcessId, ProcessSet, Value};
+use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
-use crate::discovery::DiscoveryReport;
+use crate::discovery::{node_violates, DiscoveryReport};
 use crate::fault_list::FaultList;
-use crate::resolve::strict_majority;
+use crate::planes::{transpose64, Planes};
+use crate::resolve::Res;
+use crate::tree::Claim;
 
 /// One processor's three-level tree-with-repetitions.
 ///
@@ -40,12 +56,12 @@ pub struct RepTree {
     source: ProcessId,
     root: Value,
     /// `tree(sq)` indexed by `q`; empty until round 2 stores it.
-    intermediates: Vec<Value>,
-    /// The `n×n` leaf matrix, row-major: entry `w·n + r` is the value `r`
-    /// claims for intermediate vertex `sw` (before reordering). Empty when
-    /// no leaf level is stored; the buffer itself is kept across rounds
-    /// and runs.
-    leaves: Vec<Value>,
+    intermediates: Planes,
+    /// The `n×n` leaf matrix, row-major with each row padded to whole
+    /// words: slot `w·row + r` is the value `r` claims for intermediate
+    /// vertex `sw` (before reordering). Empty when no leaf level is
+    /// stored; the buffer itself is kept across rounds and runs.
+    leaves: Planes,
 }
 
 impl RepTree {
@@ -61,14 +77,19 @@ impl RepTree {
             n,
             source,
             root: Value::DEFAULT,
-            intermediates: Vec::new(),
-            leaves: Vec::new(),
+            intermediates: Planes::default(),
+            leaves: Planes::default(),
         }
     }
 
     /// System size.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Slots per leaf row: `n` rounded up to whole words.
+    fn row(&self) -> usize {
+        self.n.div_ceil(64) * 64
     }
 
     /// Restores the tree to its just-constructed state for `n` processors
@@ -90,8 +111,8 @@ impl RepTree {
     /// entry point when the hybrid shifts into Algorithm C's round 1.
     pub fn set_root(&mut self, v: Value) {
         self.root = v;
-        self.intermediates.clear();
-        self.leaves.clear();
+        self.intermediates.reset(0, 1, false);
+        self.leaves.reset(0, 1, false);
     }
 
     /// The root value.
@@ -109,7 +130,7 @@ impl RepTree {
     /// # Panics
     ///
     /// Panics before round 2 has stored them.
-    pub fn intermediates(&self) -> &[Value] {
+    pub fn intermediates(&self) -> &Planes {
         assert!(self.has_intermediates(), "intermediates stored");
         &self.intermediates
     }
@@ -120,10 +141,36 @@ impl RepTree {
     where
         F: FnMut(ProcessId) -> Value,
     {
-        self.intermediates.clear();
+        self.intermediates.reset(self.n, 1, false);
+        for q in 0..self.n {
+            self.intermediates
+                .fill(q, Res::Val(value_for(ProcessId(q))));
+        }
+        self.leaves.reset(0, 1, false);
+        self.n as u64
+    }
+
+    /// Round 2 from every sender's [`Claim`] on the root: `tree(sq)` is
+    /// `claims[q]` at slot 0, and the receiver's own claim is its root.
+    /// Returns the local-work charge.
+    pub fn store_root_claims(&mut self, claims: &[Claim<'_>], domain: ValueDomain) -> u64 {
+        let root = self.root;
+        self.store_intermediates(|q| claims[q.index()].sent(0, domain).unwrap_or(root))
+    }
+
+    /// Round 2 from a binary ballot word: bit `q` is `tree(sq)` (already
+    /// masked, with the receiver's own root in its own bit). Returns the
+    /// local-work charge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    pub fn store_echo(&mut self, word: u64) -> u64 {
+        assert!(self.n <= 64, "an echo word covers at most 64 processors");
+        self.intermediates.reset(self.n, 1, false);
         self.intermediates
-            .extend((0..self.n).map(|q| value_for(ProcessId(q))));
-        self.leaves.clear();
+            .copy_plane0(&[word & (u64::MAX >> (64 - self.n))]);
+        self.leaves.reset(0, 1, false);
         self.n as u64
     }
 
@@ -141,11 +188,62 @@ impl RepTree {
         F: FnMut(usize, ProcessId) -> Value,
     {
         assert!(self.has_intermediates(), "round 2 must precede leaves");
-        let n = self.n;
-        self.leaves.clear();
+        let (n, row) = (self.n, self.row());
+        self.leaves.reset(n * row, 1, false);
         for w in 0..n {
-            self.leaves
-                .extend((0..n).map(|r| value_for(w, ProcessId(r))));
+            for r in 0..n {
+                let v = value_for(w, ProcessId(r));
+                self.leaves.fill(w * row + r, Res::Val(v));
+            }
+        }
+        (n * n) as u64
+    }
+
+    /// Rounds ≥ 3 from every sender's [`Claim`] on the intermediate
+    /// level: leaf `(w, r)` is `claims[r]` at slot `w`, the receiver's own
+    /// claim being its `tree(sw)`. On binary data row `r` is first filled
+    /// with `r`'s vector, word by word, and the matrix transposed into
+    /// place; otherwise each leaf is read and stored across the planes.
+    ///
+    /// Returns the local-work charge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if intermediates have not been stored yet.
+    pub fn store_leaf_claims(&mut self, claims: &[Claim<'_>], domain: ValueDomain) -> u64 {
+        assert!(self.has_intermediates(), "round 2 must precede leaves");
+        let (n, row) = (self.n, self.row());
+        let own = &self.intermediates;
+        let binary = own.planes() == 1 && !claims.iter().any(|c| matches!(c, Claim::Values(_)));
+        self.leaves.reset(n * row, 1, false);
+        if binary {
+            let words_per_row = row / 64;
+            let leaves = self.leaves.plane_mut(0);
+            for (r, claim) in claims[..n].iter().enumerate() {
+                let (words, len) = match *claim {
+                    Claim::Own => (own.plane(0), n),
+                    Claim::Bits { words, len } => (words, len.min(n)),
+                    Claim::Defaults | Claim::Values(_) => continue,
+                };
+                let dst = &mut leaves[r * words_per_row..(r + 1) * words_per_row];
+                for (i, d) in dst.iter_mut().enumerate() {
+                    let kept = len.saturating_sub(i * 64).min(64);
+                    let mask = if kept == 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << kept) - 1
+                    };
+                    *d = words.get(i).map_or(0, |&w| w & mask);
+                }
+            }
+            self.transpose();
+        } else {
+            for r in 0..n {
+                for w in 0..n {
+                    let v = claims[r].at(w, own, domain);
+                    self.leaves.fill(w * row + r, Res::Val(v));
+                }
+            }
         }
         (n * n) as u64
     }
@@ -162,20 +260,25 @@ impl RepTree {
     /// # Panics
     ///
     /// Panics if no leaves are stored.
-    pub fn leaf_row(&self, w: usize) -> &[Value] {
+    pub fn leaf_row(&self, w: usize) -> Vec<Value> {
         assert!(self.has_leaves(), "leaves stored");
-        &self.leaves[w * self.n..(w + 1) * self.n]
+        let start = w * self.row();
+        (start..start + self.n)
+            .map(|i| self.leaves.get(i))
+            .collect()
     }
 
     /// The Fault Discovery Rule applied to the root's fresh children — the
     /// intermediate level just stored in round 2. Can discover the source.
     pub fn discover_root(&self, t: usize, snapshot: &FaultList) -> DiscoveryReport {
-        let vals = self.intermediates();
+        let budget = t.saturating_sub(snapshot.len());
         let mut report = DiscoveryReport {
             ops: self.n as u64,
             ..DiscoveryReport::default()
         };
-        if !snapshot.contains(self.source) && node_violates_rep(vals, t, snapshot) {
+        if !snapshot.contains(self.source)
+            && node_violates(self.intermediates(), 0..self.n, ProcessId, budget, snapshot)
+        {
             report.discovered.push(self.source);
         }
         report
@@ -189,14 +292,18 @@ impl RepTree {
     /// Panics if no leaves are stored.
     pub fn discover_intermediates(&self, t: usize, snapshot: &FaultList) -> DiscoveryReport {
         assert!(self.has_leaves(), "leaves stored");
+        let (n, row) = (self.n, self.row());
+        let budget = t.saturating_sub(snapshot.len());
         let mut report = DiscoveryReport::default();
-        for (w, row) in self.leaves.chunks_exact(self.n).enumerate() {
-            report.ops += self.n as u64;
+        for w in 0..n {
+            report.ops += n as u64;
             let wid = ProcessId(w);
             if snapshot.contains(wid) {
                 continue;
             }
-            if node_violates_rep(row, t, snapshot) {
+            let start = w * row;
+            let sender = |j: usize| ProcessId(j - start);
+            if node_violates(&self.leaves, start..start + n, sender, budget, snapshot) {
                 report.discovered.push(wid);
             }
         }
@@ -209,23 +316,48 @@ impl RepTree {
         if !self.has_intermediates() {
             return 0;
         }
-        for q in newly.iter() {
-            self.intermediates[q.index()] = Value::DEFAULT;
-        }
+        self.intermediates.clear_slots(|w| column_bits(newly, w));
         newly.len() as u64
     }
 
     /// Masks the current round's messages of newly discovered processors:
-    /// every leaf received from them becomes the default value.
+    /// every leaf received from them — their column — becomes the default
+    /// value.
     pub fn mask_leaves(&mut self, newly: &ProcessSet) -> u64 {
-        let mut ops = 0u64;
-        for row in self.leaves.chunks_exact_mut(self.n) {
-            for r in newly.iter() {
-                row[r.index()] = Value::DEFAULT;
-                ops += 1;
+        if !self.has_leaves() {
+            return 0;
+        }
+        let words_per_row = self.row() / 64;
+        self.leaves
+            .clear_slots(|w| column_bits(newly, w % words_per_row));
+        (self.n * newly.len()) as u64
+    }
+
+    /// Transposes the leaf matrix in every plane.
+    fn transpose(&mut self) {
+        let n = self.n;
+        let words_per_row = self.row() / 64;
+        for b in 0..self.leaves.planes() {
+            let plane = self.leaves.plane_mut(b);
+            if n <= 64 {
+                let mut rows = [0u64; 64];
+                rows[..n].copy_from_slice(&plane[..n]);
+                transpose64(&mut rows);
+                plane.copy_from_slice(&rows[..n]);
+            } else {
+                let at = |p: usize, q: usize| (p * words_per_row + q / 64, q % 64);
+                for p in 0..n {
+                    for q in p + 1..n {
+                        let ((pw, pb), (qw, qb)) = (at(p, q), at(q, p));
+                        let (x, y) = (plane[pw] >> pb & 1, plane[qw] >> qb & 1);
+                        if x != y {
+                            plane[pw] ^= 1 << pb;
+                            plane[qw] ^= 1 << qb;
+                        }
+                    }
+                }
             }
         }
-        ops
     }
 
     /// Reorders the leaves by swapping `tree(spq) ↔ tree(sqp)` — after
@@ -236,13 +368,8 @@ impl RepTree {
     /// Panics if no leaves are stored.
     pub fn reorder(&mut self) -> u64 {
         assert!(self.has_leaves(), "leaves stored");
-        let n = self.n;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                self.leaves.swap(p * n + q, q * n + p);
-            }
-        }
-        (n * n / 2) as u64
+        self.transpose();
+        (self.n * self.n / 2) as u64
     }
 
     /// `shift_{3→2}`: sets `tree(sq) = resolve(sq)` for every `q` (a strict
@@ -253,15 +380,15 @@ impl RepTree {
     /// Panics if no leaves are stored.
     pub fn convert_to_intermediates(&mut self) -> u64 {
         assert!(self.has_leaves(), "leaves stored");
-        self.intermediates.clear();
-        self.intermediates.extend(
-            self.leaves
-                .chunks_exact(self.n)
-                .map(|row| strict_majority(row).unwrap_or(Value::DEFAULT)),
-        );
-        let ops = self.leaves.len() as u64;
-        self.leaves.clear();
-        ops
+        let (n, row) = (self.n, self.row());
+        self.intermediates.reset(n, 1, false);
+        for q in 0..n {
+            if let Some((r, _)) = self.leaves.majority(q * row..q * row + n) {
+                self.intermediates.fill(q, r);
+            }
+        }
+        self.leaves.reset(0, 1, false);
+        (n * n) as u64
     }
 
     /// The preferred value: `resolve(s)` over the intermediate vertices (a
@@ -269,7 +396,10 @@ impl RepTree {
     /// round 2.
     pub fn preferred(&self) -> Value {
         if self.has_intermediates() {
-            strict_majority(&self.intermediates).unwrap_or(Value::DEFAULT)
+            match self.intermediates.majority(0..self.n) {
+                Some((r, _)) => r.value_or_default(),
+                None => Value::DEFAULT,
+            }
         } else {
             self.root
         }
@@ -277,25 +407,21 @@ impl RepTree {
 
     /// Live node count for space accounting.
     pub fn node_count(&self) -> u64 {
-        (1 + self.intermediates.len() + self.leaves.len()) as u64
+        let leaves = if self.has_leaves() {
+            self.n * self.n
+        } else {
+            0
+        };
+        (1 + self.intermediates.len() + leaves) as u64
     }
 }
 
-/// Discovery conditions for a with-repetitions node whose children are
-/// labelled `0..n` in order.
-fn node_violates_rep(children: &[Value], t: usize, snapshot: &FaultList) -> bool {
-    match strict_majority(children) {
-        None => true,
-        Some(m) => {
-            let budget = t.saturating_sub(snapshot.len());
-            let dissent = children
-                .iter()
-                .enumerate()
-                .filter(|(q, v)| **v != m && !snapshot.contains(ProcessId(*q)))
-                .count();
-            dissent > budget
-        }
-    }
+/// Word `w` of the bit mask of `set`'s members (bit `q % 64` of word
+/// `q / 64`).
+fn column_bits(set: &ProcessSet, w: usize) -> u64 {
+    set.iter()
+        .filter(|p| p.index() / 64 == w)
+        .fold(0, |mask, p| mask | 1 << (p.index() % 64))
 }
 
 #[cfg(test)]
@@ -344,8 +470,8 @@ mod tests {
         t.store_leaves(|w, r| Value(rows[w][r.index()]));
         t.convert_to_intermediates();
         assert_eq!(
-            t.intermediates(),
-            &[Value(1), Value::DEFAULT, Value(0), Value(0)]
+            t.intermediates().to_vec(),
+            [Value(1), Value::DEFAULT, Value(0), Value(0)]
         );
         assert!(!t.has_leaves());
     }
@@ -407,8 +533,8 @@ mod tests {
         let mut t2 = tree();
         t2.store_intermediates(|_| Value(1));
         t2.mask_intermediates(&newly);
-        assert_eq!(t2.intermediates()[2], Value::DEFAULT);
-        assert_eq!(t2.intermediates()[1], Value(1));
+        assert_eq!(t2.intermediates().get(2), Value::DEFAULT);
+        assert_eq!(t2.intermediates().get(1), Value(1));
     }
 
     #[test]

@@ -9,9 +9,29 @@
 //! and to the special value `⊥ ∉ V` otherwise. `⊥` exists only during
 //! conversion; a processor whose final `resolve'(s)` is `⊥` adopts the
 //! default value.
+//!
+//! Both run bottom-up over [`Planes`] levels, where a node's children are
+//! the contiguous slot range `[i·w, (i+1)·w)` of the level below:
+//!
+//! * `resolve`'s strict majority on binary data is one popcount `c` of
+//!   the range's value bits — 1 wins iff `2c > w`, 0 iff `2(w − c) > w`
+//!   — which is exactly "more than half the children hold it". On wider
+//!   data each bit of the candidate is its plane's majority (a value held
+//!   by more than half the children decides every one of its bits so),
+//!   and a count of the candidate confirms or rejects it.
+//! * `resolve'`'s rule on binary data is two popcounts, of the 1s and of
+//!   the 0s that are not `⊥` (the converted level's `⊥` plane masks
+//!   them): a value is the unique supported one iff its count exceeds `t`
+//!   and the other's does not, which is the slot rule on a two-value
+//!   domain. Wider data walks the range's slots, counting each distinct
+//!   value once.
+//!
+//! A converted level carries a `⊥` plane only under `resolve'`, whose
+//! internal nodes can be `⊥`; `resolve` never produces it.
 
 use sg_sim::Value;
 
+use crate::planes::Planes;
 use crate::tree::IgTree;
 
 /// The result of applying a conversion function to one node: a value of
@@ -83,18 +103,19 @@ impl Conversion {
 /// the converted values of each internal node's children.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Converted {
-    levels: Vec<Vec<Res>>,
+    levels: Vec<Planes>,
     ops: u64,
 }
 
 impl Converted {
     /// The converted value of the root — the node `s`.
     pub fn root(&self) -> Res {
-        self.levels[0][0]
+        self.levels[0].res(0)
     }
 
-    /// Converted values of level `k` in canonical order.
-    pub fn level(&self, k: usize) -> &[Res] {
+    /// Converted values of level `k` in canonical order (read them with
+    /// [`Planes::res`] / [`Planes::results`]).
+    pub fn level(&self, k: usize) -> &Planes {
         &self.levels[k]
     }
 
@@ -123,31 +144,8 @@ impl Converted {
 /// assert_eq!(strict_majority::<u8>(&[]), None);
 /// ```
 pub fn strict_majority<T: Eq + Copy>(items: &[T]) -> Option<T> {
-    majority_with_count(items).map(|(c, _)| c)
-}
-
-/// [`strict_majority`] together with the winner's occurrence count, which
-/// the discovery rules need to bound the dissent without a second look.
-pub(crate) fn majority_with_count<T: Eq + Copy>(items: &[T]) -> Option<(T, usize)> {
-    let occurrences = |c: T| items.iter().filter(|&&x| x == c).count();
-    // With mostly-correct senders the first child usually *is* the
-    // majority, and a node rarely holds more than two distinct values:
-    // two branch-free counts settle nearly every node.
-    let first = *items.first()?;
-    let lead = occurrences(first);
-    if 2 * lead > items.len() {
-        return Some((first, lead));
-    }
-    let second = *items.iter().find(|&&x| x != first)?;
-    let runner = occurrences(second);
-    if 2 * runner > items.len() {
-        return Some((second, runner));
-    }
-    if lead + runner == items.len() {
-        return None;
-    }
-    // Three or more distinct values: Boyer–Moore, then verify.
-    let mut candidate = first;
+    // Boyer–Moore, then verify.
+    let mut candidate = *items.first()?;
     let mut count = 0usize;
     for &x in items {
         if count == 0 {
@@ -159,15 +157,16 @@ pub(crate) fn majority_with_count<T: Eq + Copy>(items: &[T]) -> Option<(T, usize
             count -= 1;
         }
     }
-    let support = occurrences(candidate);
-    (2 * support > items.len()).then_some((candidate, support))
+    let support = items.iter().filter(|&&x| x == candidate).count();
+    (2 * support > items.len()).then_some(candidate)
 }
 
 /// Applies a conversion function to every node of `tree`, bottom-up.
 ///
 /// The deepest stored level acts as the leaves (they resolve to their
 /// stored values); every shallower node is converted from its children's
-/// converted values per the chosen rule.
+/// converted values per the chosen rule. Each converted level is one
+/// buffer, allocated at its exact size.
 ///
 /// # Panics
 ///
@@ -175,58 +174,31 @@ pub(crate) fn majority_with_count<T: Eq + Copy>(items: &[T]) -> Option<(T, usize
 pub fn convert(tree: &IgTree, conversion: Conversion) -> Converted {
     let deepest = tree.deepest_level();
     let shape = *tree.shape();
+    let bottom = matches!(conversion, Conversion::ResolvePrime { .. });
     // Built deepest-first, then reversed into level order.
-    let mut built: Vec<Vec<Res>> = Vec::with_capacity(deepest + 1);
-    built.push(tree.level(deepest).iter().map(|&v| Res::Val(v)).collect());
+    let mut built: Vec<Planes> = Vec::with_capacity(deepest + 1);
+    built.push(tree.level(deepest).clone());
     let mut ops = 0u64;
     for k in (0..deepest).rev() {
-        let child_level = built.last().expect("previous level built");
-        ops += child_level.len() as u64;
-        let level = child_level
-            .chunks_exact(shape.children_per_node(k))
-            .map(|children| convert_node(children, conversion))
-            .collect();
+        let children = built.last().expect("previous level built");
+        ops += children.len() as u64;
+        let width = shape.children_per_node(k);
+        let mut level = Planes::zeroed(children.len() / width, children.planes(), bottom);
+        level.fill_with(|i| {
+            let range = i * width..(i + 1) * width;
+            match conversion {
+                Conversion::Resolve => Res::Val(
+                    children
+                        .majority(range)
+                        .map_or(Value::DEFAULT, |(r, _)| r.value_or_default()),
+                ),
+                Conversion::ResolvePrime { t } => children.unique_supported(range, t),
+            }
+        });
         built.push(level);
     }
     built.reverse();
     Converted { levels: built, ops }
-}
-
-/// Converts a single internal node from its children's converted values.
-pub fn convert_node(children: &[Res], conversion: Conversion) -> Res {
-    match conversion {
-        Conversion::Resolve => match strict_majority(children) {
-            Some(r) => Res::Val(r.value_or_default()),
-            None => Res::Val(Value::DEFAULT),
-        },
-        Conversion::ResolvePrime { t } => unique_supported(children, t),
-    }
-}
-
-/// `resolve'`'s node rule: the unique `v ∈ V` with at least `t+1`
-/// occurrences among `children`, else `⊥`.
-fn unique_supported(children: &[Res], t: usize) -> Res {
-    // Each distinct value is counted once, at its first occurrence. |V| is
-    // a small constant, so the rescans stay linear in practice — and need
-    // no scratch storage.
-    let mut winner: Option<Value> = None;
-    for (j, &r) in children.iter().enumerate() {
-        let Res::Val(v) = r else { continue };
-        if children[..j].contains(&r) {
-            continue;
-        }
-        let count = 1 + children[j + 1..].iter().filter(|&&c| c == r).count();
-        if j == 0 && count > t && children.len() - count <= t {
-            return r; // too few other children for a rival
-        }
-        if count > t {
-            if winner.is_some() {
-                return Res::Bottom; // not unique
-            }
-            winner = Some(v);
-        }
-    }
-    winner.map_or(Res::Bottom, Res::Val)
 }
 
 #[cfg(test)]
@@ -289,8 +261,8 @@ mod tests {
         });
         let c = convert(&t, Conversion::Resolve);
         assert_eq!(
-            c.level(1),
-            &[Res::Val(Value(0)), Res::Val(Value(1)), Res::Val(Value(1))]
+            c.level(1).results().collect::<Vec<_>>(),
+            [Res::Val(Value(0)), Res::Val(Value(1)), Res::Val(Value(1))]
         );
         // Root majority over [0, 1, 1] = 1.
         assert_eq!(c.root(), Res::Val(Value(1)));
@@ -301,8 +273,8 @@ mod tests {
         let t = tree_with_level1(4, &[1, 0, 1]);
         let c = convert(&t, Conversion::Resolve);
         assert_eq!(
-            c.level(1),
-            &[Res::Val(Value(1)), Res::Val(Value(0)), Res::Val(Value(1))]
+            c.level(1).results().collect::<Vec<_>>(),
+            [Res::Val(Value(1)), Res::Val(Value(0)), Res::Val(Value(1))]
         );
     }
 

@@ -1,16 +1,139 @@
 //! The Information Gathering Tree without repetitions (paper §3, Fig. 1).
 //!
 //! `tree_p(s·q⋯r)` holds "the value that r says q says … the source said".
-//! Levels are stored as flat value vectors in the canonical order defined
-//! by [`crate::Shape`], so appending a level from a round's messages is a
-//! single linear pass over the shared [`LabelTable`] and a round-`h`
-//! broadcast is just a copy of the deepest level.
+//! Levels are stored bit-sliced ([`Planes`]) in the canonical order
+//! defined by [`crate::Shape`]: one `u64` plane per value bit, so a
+//! binary level is one bit per node. Appending a level from a round's
+//! messages is a single linear pass over the shared [`LabelTable`], a
+//! round-`h` broadcast is the deepest level's plane words as they are,
+//! and the children of every node are a contiguous slot range — which
+//! is what lets `resolve`, `resolve'` and the discovery thresholds count
+//! them with popcounts (see [`crate::convert`] and [`crate::discover_ig`]).
+//!
+//! The echo round (level 1 under the root) is one slot per non-source
+//! sender, so [`IgTree::append_echo`] stores it from the round's ballot
+//! word by squeezing out the source's bit.
 
 use std::sync::Arc;
 
-use sg_sim::{ProcessId, ProcessSet, Value};
+use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
+use crate::planes::{squeeze, transpose64, BitWriter, Planes};
+use crate::resolve::Res;
 use crate::shape::{LabelTable, Shape};
+
+/// What one sender claims, in a gather round, for every slot of the level
+/// its messages extend: slot `i` of the claim is the value the sender
+/// says node `i` of the receiver's deepest level holds. Resolved once per
+/// sender and round, so the per-slot read is one match.
+#[derive(Clone, Copy, Debug)]
+pub enum Claim<'a> {
+    /// The receiver itself: it relays its own stored level truthfully.
+    Own,
+    /// A masked fault, an absent message, or one that is not a value
+    /// vector: every slot reads as the default.
+    Defaults,
+    /// A bit-packed binary vector of `len` slots (bits past `len` clear).
+    Bits {
+        /// One bit per slot.
+        words: &'a [u64],
+        /// Number of slots carried.
+        len: usize,
+    },
+    /// A plain value vector, sanitized against the domain on read.
+    Values(&'a [Value]),
+}
+
+impl Claim<'_> {
+    /// The sanitized value claimed for slot `idx`, where `own` is the
+    /// receiver's level; slots the message does not cover read as the
+    /// default.
+    #[inline]
+    pub fn at(&self, idx: usize, own: &Planes, domain: ValueDomain) -> Value {
+        self.sent(idx, domain).unwrap_or_else(|| own.get(idx))
+    }
+
+    /// What a message claims for slot `idx`, sanitized; `None` for the
+    /// receiver's own claim.
+    #[inline]
+    pub(crate) fn sent(&self, idx: usize, domain: ValueDomain) -> Option<Value> {
+        Some(match *self {
+            Claim::Own => return None,
+            Claim::Defaults => Value::DEFAULT,
+            Claim::Bits { words, len } => Value(u16::from(idx < len && bit(words, idx))),
+            Claim::Values(vals) => vals
+                .get(idx)
+                .map_or(Value::DEFAULT, |&v| domain.sanitize(v)),
+        })
+    }
+
+    /// The claim's bit for slot `idx` on binary data (`own` holds one
+    /// plane and the claim is not a value vector).
+    #[inline]
+    fn bit_at(&self, idx: usize, own: &Planes) -> bool {
+        match *self {
+            Claim::Own => bit(own.plane(0), idx),
+            Claim::Defaults | Claim::Values(_) => false,
+            Claim::Bits { words, len } => idx < len && bit(words, idx),
+        }
+    }
+}
+
+#[inline]
+fn bit(words: &[u64], idx: usize) -> bool {
+    words[idx / 64] >> (idx % 64) & 1 == 1
+}
+
+/// The low `len` bits, all of them from 64 on.
+fn low_bits(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1 << len) - 1
+    }
+}
+
+/// Calls `visit` with the label mask (`path`, plus one bit per label) of
+/// every node `depth` levels below the node whose mask is `path`, in
+/// canonical order: children by ascending id, depth first.
+fn for_each_path(n: usize, path: u64, depth: usize, visit: &mut impl FnMut(u64)) {
+    if depth == 0 {
+        visit(path);
+        return;
+    }
+    for q in (0..n).filter(|&q| path >> q & 1 == 0) {
+        for_each_path(n, path | 1 << q, depth - 1, visit);
+    }
+}
+
+/// The parent index of each slot of a level in order, `width` slots a
+/// parent, counted rather than divided out.
+struct Parents {
+    width: usize,
+    parent: usize,
+    left: usize,
+}
+
+impl Parents {
+    fn new(width: usize) -> Self {
+        Parents {
+            width,
+            parent: 0,
+            left: width,
+        }
+    }
+
+    /// The parent of the next slot.
+    #[inline]
+    fn next(&mut self) -> usize {
+        if self.left == 0 {
+            self.parent += 1;
+            self.left = self.width;
+        }
+        self.left -= 1;
+        self.parent
+    }
+}
 
 /// One processor's information-gathering tree.
 ///
@@ -28,7 +151,7 @@ use crate::shape::{LabelTable, Shape};
 /// tree.append_level(|_parent, _sender| Value(1));
 /// assert_eq!(tree.root(), Value(1));
 /// assert_eq!(tree.deepest_level(), 1);
-/// assert_eq!(tree.level(1), &[Value(1), Value(1), Value(1)]);
+/// assert_eq!(tree.level(1).to_vec(), [Value(1), Value(1), Value(1)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct IgTree {
@@ -36,16 +159,17 @@ pub struct IgTree {
     /// The process-wide label table of `shape`.
     labels: Arc<LabelTable>,
     /// Level buffers: the first `depth` are the stored levels, the rest
-    /// are kept (at most [`RECYCLE_CAP`] values each) for the levels
+    /// are kept (at most [`RECYCLE_WORDS`] words each) for the levels
     /// stored next.
-    levels: Vec<Vec<Value>>,
+    levels: Vec<Planes>,
     depth: usize,
 }
 
-/// The largest level buffer (in values) a tree keeps for reuse: 512
-/// bytes, room for the root and the `n − 1` echoes — all an early-stopped
-/// run stores — at any `n ≤ 257`. Deeper levels are dropped as before.
-const RECYCLE_CAP: usize = 256;
+/// The largest level buffer (in words) a tree keeps for reuse: 512 bytes,
+/// as when levels were `Value` vectors of at most 256 slots — room now
+/// for 4 096 binary slots, every level of a three-round block at
+/// `n ≤ 17`. Deeper levels are dropped as before.
+const RECYCLE_WORDS: usize = 64;
 
 /// Trees are equal when they have the same shape and store the same
 /// values; the label table is a function of the shape.
@@ -71,7 +195,7 @@ impl IgTree {
     }
 
     /// The stored levels, root first.
-    fn stored(&self) -> &[Vec<Value>] {
+    fn stored(&self) -> &[Planes] {
         &self.levels[..self.depth]
     }
 
@@ -89,13 +213,14 @@ impl IgTree {
     /// Restores the tree to its just-constructed (empty) state for `n`
     /// processors and `source`.
     ///
-    /// Level buffers of at most `RECYCLE_CAP` values are kept for the next
-    /// run: a run the echo rule ends at round 2 stores only the root and
-    /// `n − 1` echoes, and allocating those two was a measurable share of
-    /// it. Larger levels are dropped — on a full schedule allocating them
-    /// at exact capacity measured no slower than recycling, and a pooled
-    /// instance must not pin its deepest level between runs. The handle on
-    /// the shared label table is kept while the shape is unchanged.
+    /// Level buffers of at most `RECYCLE_WORDS` words are kept for the
+    /// next run: a run the echo rule ends at round 2 stores only the root
+    /// and `n − 1` echoes, and allocating those two was a measurable share
+    /// of it. Larger levels are dropped — on a full schedule allocating
+    /// them at exact capacity measured no slower than recycling, and a
+    /// pooled instance must not pin its deepest level between runs. The
+    /// handle on the shared label table is kept while the shape is
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -112,32 +237,36 @@ impl IgTree {
     /// Empties the tree, keeping its small level buffers where they are
     /// (the next root reuses the old root's) and dropping the rest.
     fn clear_levels(&mut self) {
-        self.levels.retain(|level| level.capacity() <= RECYCLE_CAP);
+        self.levels
+            .retain(|level| level.capacity_words() <= RECYCLE_WORDS);
         self.depth = 0;
     }
 
-    /// Stores a new deepest level of `len` default values (over the two
-    /// fields, so a caller can hold the label table beside it).
+    /// Stores a new deepest level of `len` default values and returns it
+    /// beside the level above it (over the two fields, so a caller can
+    /// hold the label table too).
     fn push_level<'a>(
-        levels: &'a mut Vec<Vec<Value>>,
+        levels: &'a mut Vec<Planes>,
         depth: &mut usize,
         len: usize,
-    ) -> &'a mut [Value] {
+    ) -> (Option<&'a Planes>, &'a mut Planes) {
         if *depth == levels.len() {
-            levels.push(Vec::new());
+            levels.push(Planes::default());
         }
-        let level = &mut levels[*depth];
+        let (stored, rest) = levels.split_at_mut(*depth);
         *depth += 1;
-        level.clear();
-        level.resize(len, Value::DEFAULT);
-        level
+        let fresh = &mut rest[0];
+        fresh.reset(len, 1, false);
+        (stored.last(), fresh)
     }
 
     /// Stores the root value (`tree(s)`, the preferred value); resets the
     /// tree to a single level.
     pub fn set_root(&mut self, v: Value) {
         self.clear_levels();
-        Self::push_level(&mut self.levels, &mut self.depth, 1)[0] = v;
+        Self::push_level(&mut self.levels, &mut self.depth, 1)
+            .1
+            .set(0, v);
     }
 
     /// The root value (`tree(s)`).
@@ -146,7 +275,7 @@ impl IgTree {
     ///
     /// Panics if no root has been stored yet.
     pub fn root(&self) -> Value {
-        self.stored()[0][0]
+        self.stored()[0].get(0)
     }
 
     /// The deepest stored level number (0 = only the root).
@@ -165,13 +294,21 @@ impl IgTree {
     }
 
     /// The values of level `k` in canonical order.
-    pub fn level(&self, k: usize) -> &[Value] {
+    pub fn level(&self, k: usize) -> &Planes {
         &self.stored()[k]
     }
 
     /// Total stored nodes across all levels.
     pub fn node_count(&self) -> u64 {
         self.stored().iter().map(|l| l.len() as u64).sum()
+    }
+
+    /// The deepest level's children per node, checking there is a next
+    /// level.
+    fn next_width(&self) -> usize {
+        let k = self.deepest_level();
+        assert!(k + 1 < self.shape.n(), "level {k} is the tree's last");
+        self.shape.children_per_node(k)
     }
 
     /// Appends the next level from a round's messages.
@@ -192,19 +329,99 @@ impl IgTree {
     where
         F: FnMut(usize, ProcessId) -> Value,
     {
-        let k = self.deepest_level();
-        assert!(k + 1 < self.shape.n(), "level {k} is the tree's last");
-        let width = self.shape.children_per_node(k);
-        let senders = self.labels.level(k + 1);
-        let blocks = Self::push_level(&mut self.levels, &mut self.depth, senders.len())
-            .chunks_exact_mut(width)
-            .zip(senders.chunks_exact(width));
-        for (parent_idx, (slots, block)) in blocks.enumerate() {
-            for (slot, &sender) in slots.iter_mut().zip(block) {
-                *slot = value_for(parent_idx, ProcessId(sender as usize));
-            }
+        let width = self.next_width();
+        let senders = self.labels.level(self.depth);
+        let (_, fresh) = Self::push_level(&mut self.levels, &mut self.depth, senders.len());
+        let mut parent = Parents::new(width);
+        fresh.fill_with(|slot| {
+            Res::Val(value_for(parent.next(), ProcessId(senders[slot] as usize)))
+        });
+        senders.len() as u64
+    }
+
+    /// Appends the next level from every sender's [`Claim`], indexed by
+    /// processor: slot `(parent i, sender q)` holds `claims[q]` at `i`.
+    /// The claims must already reflect the Fault Masking Rule. On binary
+    /// data (a one-plane deepest level and no value-vector claim) each
+    /// slot is one bit read and one bit written; otherwise each slot's
+    /// value is read and stored across the planes.
+    ///
+    /// Returns the number of values stored (the local-work charge).
+    ///
+    /// # Panics
+    ///
+    /// As [`IgTree::append_level`]; also if `claims` has fewer than `n`
+    /// entries.
+    pub fn append_claims(&mut self, claims: &[Claim<'_>], domain: ValueDomain) -> u64 {
+        let width = self.next_width();
+        let senders = self.labels.level(self.depth);
+        let (own, fresh) = Self::push_level(&mut self.levels, &mut self.depth, senders.len());
+        let own = own.expect("a root precedes every gathered level");
+        let binary = own.planes() == 1 && !claims.iter().any(|c| matches!(c, Claim::Values(_)));
+        let n = self.shape.n();
+        let mut parent = Parents::new(width);
+        if binary && n <= 64 {
+            // Column by column: 64 parents at a time, the senders' claim
+            // words are transposed so that word `i` holds every sender's
+            // bit for parent `i`; parent `i`'s children are the senders
+            // off its path, so its block is that word with the path's
+            // labels squeezed out.
+            let word = |q: usize, j: usize| match claims[q] {
+                Claim::Own => own.plane(0)[j],
+                Claim::Bits { words, len } if j * 64 < len => {
+                    words.get(j).map_or(0, |&w| w & low_bits(len - j * 64))
+                }
+                _ => 0,
+            };
+            let mut columns = [0u64; 64];
+            let mut out = BitWriter::new(fresh);
+            let mut i = 0;
+            let source = self.shape.source().index();
+            for_each_path(n, 1 << source, self.depth - 2, &mut |path| {
+                if i % 64 == 0 {
+                    for (q, column) in columns.iter_mut().enumerate() {
+                        *column = if q < n { word(q, i / 64) } else { 0 };
+                    }
+                    transpose64(&mut columns);
+                }
+                out.push(squeeze(columns[i % 64], path), width);
+                i += 1;
+            });
+        } else if binary {
+            fresh.fill_with(|slot| {
+                let claim = &claims[senders[slot] as usize];
+                Res::Val(Value(u16::from(claim.bit_at(parent.next(), own))))
+            });
+        } else {
+            fresh.fill_with(|slot| {
+                let claim = &claims[senders[slot] as usize];
+                Res::Val(claim.at(parent.next(), own, domain))
+            });
         }
         senders.len() as u64
+    }
+
+    /// Appends the echo level (level 1) from a binary ballot word: bit `q`
+    /// is what processor `q` echoed (already masked, with the receiver's
+    /// own root in its own bit). The source's bit is squeezed out, since
+    /// level 1 has one slot per non-source processor in ascending order.
+    ///
+    /// Returns the number of values stored (the local-work charge).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless only the root is stored and `n ≤ 64`.
+    pub fn append_echo(&mut self, word: u64) -> u64 {
+        assert_eq!(self.deepest_level(), 0, "echoes extend the root");
+        let n = self.shape.n();
+        assert!(n <= 64, "an echo word covers at most 64 processors");
+        let s = self.shape.source().index();
+        let below = word & ((1u64 << s) - 1);
+        let above = word.checked_shr(s as u32 + 1).unwrap_or(0) << s;
+        let len = n - 1;
+        let (_, fresh) = Self::push_level(&mut self.levels, &mut self.depth, len);
+        fresh.copy_plane0(&[(below | above) & (u64::MAX >> (64 - len))]);
+        len as u64
     }
 
     /// Zeroes every entry of level `k` whose node's *last* label is in
@@ -218,12 +435,14 @@ impl IgTree {
             return 0;
         }
         assert!(k < self.depth, "level {k} is not stored");
+        let labels = self.labels.level(k);
         let level = &mut self.levels[k];
-        for (value, &label) in level.iter_mut().zip(self.labels.level(k)) {
-            if senders.contains(ProcessId(label as usize)) {
-                *value = Value::DEFAULT;
-            }
-        }
+        level.clear_slots(|w| {
+            let chunk = &labels[w * 64..labels.len().min((w + 1) * 64)];
+            chunk.iter().enumerate().fold(0, |mask, (j, &label)| {
+                mask | u64::from(senders.contains(ProcessId(label as usize))) << j
+            })
+        });
         level.len() as u64
     }
 
@@ -231,7 +450,7 @@ impl IgTree {
     /// the stored levels and structurally valid.
     pub fn value_at(&self, path: &[ProcessId]) -> Option<Value> {
         let level = self.stored().get(path.len())?;
-        Some(level[self.shape.index_of(path)?])
+        Some(level.get(self.shape.index_of(path)?))
     }
 
     /// Collapses the tree to a single root holding `v` — the data-shrink

@@ -281,7 +281,7 @@ proptest! {
             let expected = if masked.is_empty() { 0 } else { shape.level_size(k) as u64 };
             prop_assert_eq!(charged, expected);
             for level in 0..=k {
-                prop_assert_eq!(tree.level(level), &naive.levels[level][..]);
+                prop_assert_eq!(&tree.level(level).to_vec(), &naive.levels[level]);
             }
         }
 
@@ -294,7 +294,7 @@ proptest! {
             let (levels, ops) = naive.convert(conversion);
             prop_assert_eq!(converted.depth(), levels.len());
             for (k, level) in levels.iter().enumerate() {
-                prop_assert_eq!(converted.level(k), &level[..]);
+                prop_assert_eq!(&converted.level(k).results().collect::<Vec<_>>(), level);
             }
             prop_assert_eq!(converted.ops(), ops);
 

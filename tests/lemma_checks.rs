@@ -19,10 +19,10 @@ fn converted_trees(net: &TestNet, conversion: Conversion) -> Vec<(ProcessId, Con
 /// A node (level, index) is *common* if every correct processor computed
 /// the same converted value for it.
 fn is_common(converted: &[(ProcessId, Converted)], level: usize, index: usize) -> bool {
-    let first = converted[0].1.level(level)[index];
+    let first = converted[0].1.level(level).res(index);
     converted
         .iter()
-        .all(|(_, c)| c.level(level)[index] == first)
+        .all(|(_, c)| c.level(level).res(index) == first)
 }
 
 /// Correctness Lemma (§3): for any node `α = βq` with `q` correct, `α` is
@@ -65,7 +65,7 @@ fn correctness_lemma_on_exponential_tree() {
                 .value_at(parent)
                 .expect("parent stored");
             assert_eq!(
-                converted[0].1.level(level)[idx],
+                converted[0].1.level(level).res(idx),
                 Res::Val(q_value),
                 "converted value at {path:?} differs from tree_q(parent)"
             );
@@ -264,7 +264,7 @@ fn hidden_fault_lemma_on_stealthy_faults() {
                 }
                 let child_vals: Vec<Value> = shape
                     .children_range(level, idx)
-                    .map(|ci| tree.level(level + 1)[ci])
+                    .map(|ci| tree.level(level + 1).get(ci))
                     .collect();
                 let majority = shifting_gears::eigtree::strict_majority(&child_vals)
                     .expect("Hidden Fault Lemma: majority must exist");
@@ -341,7 +341,7 @@ fn remark_2_correct_nodes_never_resolve_to_bottom() {
             }
             for (p, c) in &converted {
                 assert_ne!(
-                    c.level(level)[idx],
+                    c.level(level).res(idx),
                     Res::Bottom,
                     "{p} resolved correct node {path:?} to ⊥"
                 );
@@ -396,7 +396,7 @@ fn corollary_2_divergent_nodes_imply_mutual_discovery() {
             let r = *path.last().expect("non-root");
             for (pi, (p, cp)) in converted.iter().enumerate() {
                 for (q, cq) in converted.iter().skip(pi + 1) {
-                    let (vp, vq) = (cp.level(level)[idx], cq.level(level)[idx]);
+                    let (vp, vq) = (cp.level(level).res(idx), cq.level(level).res(idx));
                     if let (Res::Val(a), Res::Val(b)) = (vp, vq) {
                         if a != b {
                             exercised += 1;

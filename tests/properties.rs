@@ -196,7 +196,7 @@ proptest! {
         }
         let r = convert(&tree, Conversion::Resolve);
         for level in 0..r.depth() {
-            for res in r.level(level) {
+            for res in r.level(level).results() {
                 prop_assert!(matches!(res, Res::Val(_)));
             }
         }
