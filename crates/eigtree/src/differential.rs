@@ -13,7 +13,7 @@ use sg_sim::{ProcessId, ProcessSet, Value};
 
 use crate::discovery::{discover_during_conversion, discover_ig, node_violates};
 use crate::fault_list::FaultList;
-use crate::planes::Planes;
+use crate::level::Planes;
 use crate::rep_tree::RepTree;
 use crate::resolve::{convert, Conversion, Res};
 use crate::tree::{Claim, IgTree};
@@ -253,7 +253,7 @@ fn tree_passes_match_the_value_vector_code() {
     for n in sizes() {
         let depth = match n {
             ..=8 => 3,
-            ..=24 => 2,
+            9..=24 => 2,
             _ => 1,
         };
         for size in DOMAINS {

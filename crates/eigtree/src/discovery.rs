@@ -33,7 +33,7 @@ use std::ops::Range;
 use sg_sim::ProcessId;
 
 use crate::fault_list::FaultList;
-use crate::planes::{ones_at, Planes};
+use crate::level::Planes;
 use crate::resolve::Converted;
 use crate::tree::IgTree;
 
@@ -93,13 +93,15 @@ fn discover_level(
     let width = children.len() / blamed.len();
     let budget = t.saturating_sub(snapshot.len());
     let sender = |j: usize| ProcessId(child_labels[j] as usize);
-    // On binary data a node whose minority fits the budget passes on one
-    // popcount of its window: the majority's support is the larger count.
+    // On binary data a node whose minority fits the budget passes on the
+    // popcounts of its window: the majority's support is the largest
+    // count of 0s, 1s and ⊥s.
     let binary = children.binary().filter(|_| width <= 64);
+    let tolerated = budget.min((width - 1) / 2);
     for (i, &r) in blamed.iter().enumerate() {
-        if let Some(plane) = binary {
-            let ones = ones_at(plane, i * width, width);
-            if width - ones.max(width - ones) <= budget.min((width - 1) / 2) {
+        if let Some(binary) = binary {
+            let support = binary.tally(i * width, width).into_iter().max();
+            if width - support.unwrap_or(0) <= tolerated {
                 continue;
             }
         }

@@ -64,13 +64,6 @@ pub(crate) fn window(words: &[u64], lo: usize, width: usize) -> u64 {
     bits & low(width)
 }
 
-/// How many of the `width ≤ 64` slots from `lo` have their bit set in
-/// `words`.
-#[inline]
-pub(crate) fn ones_at(words: &[u64], lo: usize, width: usize) -> usize {
-    window(words, lo, width).count_ones() as usize
-}
-
 /// Transposes the 64 × 64 bit matrix `rows` in place (bit `c` of row `r`
 /// ↔ bit `r` of row `c`): swap the off-diagonal 32 × 32 blocks, then the
 /// 16 × 16 blocks inside each, down to single bits.
@@ -141,6 +134,23 @@ fn windows(range: Range<usize>) -> impl Iterator<Item = (usize, usize)> {
         .map(move |start| (start, (range.end - start).min(64)))
 }
 
+/// A one-plane level read as words: its value plane and its `⊥` plane.
+#[derive(Clone, Copy)]
+pub(crate) struct Binary<'a> {
+    ones: &'a [u64],
+    bottom: Option<&'a [u64]>,
+}
+
+impl Binary<'_> {
+    /// How many of the `width ≤ 64` slots from `lo` hold 0, 1 and `⊥`.
+    #[inline]
+    pub(crate) fn tally(&self, lo: usize, width: usize) -> [usize; 3] {
+        let bottoms = self.bottom.map_or(0, |b| window(b, lo, width)).count_ones() as usize;
+        let ones = window(self.ones, lo, width).count_ones() as usize;
+        [width - ones - bottoms, ones, bottoms]
+    }
+}
+
 /// One level of values (or of converted results), bit-sliced.
 ///
 /// Bits past `len` are always zero, so a plane's words can go on the wire
@@ -166,8 +176,8 @@ pub struct Planes {
     len: usize,
     /// Words per plane, `⌈len/64⌉`.
     stride: usize,
-    /// Value planes (at least one).
-    planes: usize,
+    /// Value planes, one per value bit (at least one).
+    bits: usize,
     /// Whether a `⊥` plane follows the value planes.
     bottom: bool,
     words: Vec<u64>,
@@ -186,23 +196,25 @@ impl Eq for Planes {}
 impl Planes {
     /// A level of `len` default values with room for `planes` value
     /// planes (and a `⊥` plane if `bottom`), allocated at exact capacity.
-    pub(crate) fn zeroed(len: usize, planes: usize, bottom: bool) -> Self {
-        let mut level = Planes::default();
-        level.words = Vec::with_capacity((planes + usize::from(bottom)) * len.div_ceil(64));
-        level.reset(len, planes, bottom);
+    pub(crate) fn zeroed(len: usize, bits: usize, bottom: bool) -> Self {
+        let mut level = Planes {
+            words: Vec::with_capacity((bits + usize::from(bottom)) * len.div_ceil(64)),
+            ..Planes::default()
+        };
+        level.reset(len, bits, bottom);
         level
     }
 
     /// Refills the level in place with `len` default values, reusing the
     /// buffer.
-    pub(crate) fn reset(&mut self, len: usize, planes: usize, bottom: bool) {
+    pub(crate) fn reset(&mut self, len: usize, bits: usize, bottom: bool) {
         self.len = len;
         self.stride = len.div_ceil(64);
-        self.planes = planes.max(1);
+        self.bits = bits.max(1);
         self.bottom = bottom;
         self.words.clear();
         self.words
-            .resize((self.planes + usize::from(bottom)) * self.stride, 0);
+            .resize((self.bits + usize::from(bottom)) * self.stride, 0);
     }
 
     /// The buffer's capacity in words (for recycling decisions).
@@ -220,9 +232,9 @@ impl Planes {
         self.len == 0
     }
 
-    /// Number of value planes: 1 for binary data.
+    /// Number of value planes, one for binary data.
     pub fn planes(&self) -> usize {
-        self.planes
+        self.bits
     }
 
     /// Value plane `b`, one bit per slot.
@@ -234,23 +246,27 @@ impl Planes {
         &mut self.words[b * self.stride..(b + 1) * self.stride]
     }
 
-    /// The one plane of binary data (one value plane, no `⊥` plane).
+    /// The binary view of a one-plane level (with its `⊥` plane, if
+    /// any); `None` for wider data.
     #[inline]
-    pub(crate) fn binary(&self) -> Option<&[u64]> {
-        (self.planes == 1 && !self.bottom).then(|| &self.words[..])
+    pub(crate) fn binary(&self) -> Option<Binary<'_>> {
+        (self.bits == 1).then(|| Binary {
+            ones: self.plane(0),
+            bottom: self.bottom_plane(),
+        })
     }
 
     /// The `⊥` plane, if the level has one.
     #[inline]
     fn bottom_plane(&self) -> Option<&[u64]> {
-        self.bottom.then(|| self.plane(self.planes))
+        self.bottom.then(|| self.plane(self.bits))
     }
 
     /// The value at slot `i` (`⊥` reads as the default).
     pub fn get(&self, i: usize) -> Value {
         debug_assert!(i < self.len);
         let (w, bit) = (i / 64, i % 64);
-        let raw = (0..self.planes).fold(0u16, |v, b| {
+        let raw = (0..self.bits).fold(0u16, |v, b| {
             v | ((self.words[b * self.stride + w] >> bit & 1) as u16) << b
         });
         Value(raw)
@@ -286,11 +302,11 @@ impl Planes {
 
     /// Adds value planes until there are `planes`, keeping every slot's
     /// value (the `⊥` plane, if any, stays last).
-    fn grow(&mut self, planes: usize) {
-        let extra = (planes - self.planes) * self.stride;
-        let at = self.planes * self.stride;
+    fn grow(&mut self, bits: usize) {
+        let extra = (bits - self.bits) * self.stride;
+        let at = self.bits * self.stride;
         self.words.splice(at..at, std::iter::repeat_n(0, extra));
-        self.planes = planes;
+        self.bits = bits;
     }
 
     /// Stores `v` at slot `i`, adding planes if `v` needs them.
@@ -304,14 +320,14 @@ impl Planes {
         let raw = match r {
             Res::Val(v) => {
                 let need = planes_for(v);
-                if need > self.planes {
+                if need > self.bits {
                     self.grow(need);
                 }
                 v.raw()
             }
             Res::Bottom => 0,
         };
-        for b in 0..self.planes {
+        for b in 0..self.bits {
             let word = &mut self.words[b * self.stride + w];
             if raw >> b & 1 == 1 {
                 *word |= bit;
@@ -320,7 +336,7 @@ impl Planes {
             }
         }
         if self.bottom {
-            let word = &mut self.words[self.planes * self.stride + w];
+            let word = &mut self.words[self.bits * self.stride + w];
             if r == Res::Bottom {
                 *word |= bit;
             } else {
@@ -355,7 +371,7 @@ impl Planes {
             self.words[w] |= ones;
             if bottoms != 0 {
                 assert!(self.bottom, "⊥ stored in a level without a ⊥ plane");
-                self.words[self.planes * self.stride + w] |= bottoms;
+                self.words[self.bits * self.stride + w] |= bottoms;
             }
         }
     }
@@ -368,7 +384,7 @@ impl Planes {
             Res::Val(Value(0)) => {}
             Res::Val(Value(1)) => self.set_one(i),
             Res::Bottom if self.bottom => {
-                self.words[self.planes * self.stride + i / 64] |= 1 << (i % 64);
+                self.words[self.bits * self.stride + i / 64] |= 1 << (i % 64);
             }
             _ => self.put(i, r),
         }
@@ -384,7 +400,7 @@ impl Planes {
     pub(crate) fn clear_slots(&mut self, slots: impl Fn(usize) -> u64) {
         for w in 0..self.stride {
             let keep = !slots(w);
-            for b in 0..self.planes {
+            for b in 0..self.bits {
                 self.words[b * self.stride + w] &= keep;
             }
         }
@@ -412,9 +428,9 @@ impl Planes {
     fn eq_window(&self, lo: usize, width: usize, r: Res) -> u64 {
         match r {
             Res::Bottom => self.bottom_window(lo, width),
-            Res::Val(v) if planes_for(v) > self.planes => 0,
+            Res::Val(v) if planes_for(v) > self.bits => 0,
             Res::Val(v) => {
-                (0..self.planes).fold(low(width) & !self.bottom_window(lo, width), |mask, b| {
+                (0..self.bits).fold(low(width) & !self.bottom_window(lo, width), |mask, b| {
                     let bits = self.plane_window(b, lo, width);
                     mask & if v.raw() >> b & 1 == 1 { bits } else { !bits }
                 })
@@ -475,7 +491,7 @@ impl Planes {
         if width == 0 {
             return None;
         }
-        if self.planes == 1 && !self.bottom {
+        if self.bits == 1 && !self.bottom {
             let ones = self.ones_in(0, range);
             return if 2 * ones > width {
                 Some((Res::Val(Value(1)), ones))
@@ -485,10 +501,10 @@ impl Planes {
                 None
             };
         }
-        let candidate = if self.bottom && 2 * self.ones_in(self.planes, range.clone()) > width {
+        let candidate = if self.bottom && 2 * self.ones_in(self.bits, range.clone()) > width {
             Res::Bottom
         } else {
-            Res::Val(Value((0..self.planes).fold(0u16, |v, b| {
+            Res::Val(Value((0..self.bits).fold(0u16, |v, b| {
                 v | u16::from(2 * self.ones_in(b, range.clone()) > width) << b
             })))
         };
@@ -500,7 +516,7 @@ impl Planes {
     /// least `t + 1` slots, else `⊥`.
     #[inline]
     pub(crate) fn unique_supported(&self, range: Range<usize>, t: usize) -> Res {
-        if self.planes == 1 {
+        if self.bits == 1 {
             let (mut ones, mut zeros) = (0, 0);
             for (lo, width) in windows(range) {
                 let bits = self.plane_window(0, lo, width);

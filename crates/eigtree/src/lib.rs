@@ -39,11 +39,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-#[cfg(test)]
-mod differential;
 mod discovery;
 mod fault_list;
-mod planes;
+mod level;
 mod render;
 mod rep_tree;
 mod resolve;
@@ -52,9 +50,12 @@ mod tree;
 
 pub use discovery::{discover_during_conversion, discover_ig, DiscoveryReport};
 pub use fault_list::FaultList;
-pub use planes::Planes;
+pub use level::Planes;
 pub use render::{render_tree, tree_to_dot};
 pub use rep_tree::RepTree;
 pub use resolve::{convert, strict_majority, Conversion, Converted, Res};
 pub use shape::{LabelTable, Shape};
 pub use tree::{Claim, IgTree};
+
+#[cfg(test)]
+mod differential;

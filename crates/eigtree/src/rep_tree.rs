@@ -32,7 +32,7 @@ use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
 use crate::discovery::{node_violates, DiscoveryReport};
 use crate::fault_list::FaultList;
-use crate::planes::{transpose64, Planes};
+use crate::level::{transpose64, Planes};
 use crate::resolve::Res;
 use crate::tree::Claim;
 

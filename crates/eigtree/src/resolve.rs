@@ -31,7 +31,7 @@
 
 use sg_sim::Value;
 
-use crate::planes::Planes;
+use crate::level::Planes;
 use crate::tree::IgTree;
 
 /// The result of applying a conversion function to one node: a value of
@@ -184,15 +184,28 @@ pub fn convert(tree: &IgTree, conversion: Conversion) -> Converted {
         ops += children.len() as u64;
         let width = shape.children_per_node(k);
         let mut level = Planes::zeroed(children.len() / width, children.planes(), bottom);
-        level.fill_with(|i| {
-            let range = i * width..(i + 1) * width;
-            match conversion {
-                Conversion::Resolve => Res::Val(
-                    children
-                        .majority(range)
-                        .map_or(Value::DEFAULT, |(r, _)| r.value_or_default()),
-                ),
-                Conversion::ResolvePrime { t } => children.unique_supported(range, t),
+        // On binary data a node's counts of 0s, 1s and ⊥s are popcounts
+        // of its window; wider data takes the planes' range rules.
+        let binary = children.binary().filter(|_| width <= 64);
+        level.fill_with(|i| match (binary, conversion) {
+            (Some(binary), Conversion::Resolve) => {
+                let [_, ones, _] = binary.tally(i * width, width);
+                Res::Val(Value(u16::from(2 * ones > width)))
+            }
+            (Some(binary), Conversion::ResolvePrime { t }) => {
+                match binary.tally(i * width, width) {
+                    [zeros, ones, _] if ones > t && zeros <= t => Res::Val(Value(1)),
+                    [zeros, ones, _] if zeros > t && ones <= t => Res::Val(Value(0)),
+                    _ => Res::Bottom,
+                }
+            }
+            (None, Conversion::Resolve) => Res::Val(
+                children
+                    .majority(i * width..(i + 1) * width)
+                    .map_or(Value::DEFAULT, |(r, _)| r.value_or_default()),
+            ),
+            (None, Conversion::ResolvePrime { t }) => {
+                children.unique_supported(i * width..(i + 1) * width, t)
             }
         });
         built.push(level);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
-use crate::planes::{squeeze, transpose64, BitWriter, Planes};
+use crate::level::{squeeze, transpose64, BitWriter, Planes};
 use crate::resolve::Res;
 use crate::shape::{LabelTable, Shape};
 

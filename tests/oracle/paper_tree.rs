@@ -600,7 +600,7 @@ pub fn paired_factory(
     let plan = spec.plan(config.n, config.t)?;
     let modified = !matches!(spec, AlgorithmSpec::PlainExponential);
     let params = Params::from_config(config);
-    let config = config.clone();
+    let config = *config;
     Some(move |me: ProcessId| -> Box<dyn Protocol> {
         let input = (me == config.source).then_some(config.source_value);
         Box::new(Paired {
