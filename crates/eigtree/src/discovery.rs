@@ -19,14 +19,17 @@
 //! processors' current-round messages are masked.
 //!
 //! On [`Planes`] levels a node's children are one contiguous slot range,
-//! so the rule is word arithmetic: the majority and its support `c` come
-//! from popcounts over the range (see [`crate::convert`]), and the
-//! `w − c` dissenting children bound the dissent outside `L_p` from
-//! above — when `w − c ≤ t − |L_p|` the node passes on that popcount
-//! alone, which is the common case. Otherwise the dissent mask (the
-//! range's slots not holding the majority) is walked bit by bit and each
-//! dissenter's sender checked against `L_p`: the same count as the slot
-//! rule, read off the set bits only.
+//! so the rule is word arithmetic. On one-plane data the node's counts
+//! of 0s, 1s and `⊥`s are popcounts of its child window; the largest is
+//! the majority's support `c` when `2c > w`. The node passes outright
+//! when its minority `w − c` is at most `min(t − |L_p|, ⌊(w−1)/2⌋)`:
+//! a majority exists (`w − c < w/2`) and even if every dissenter were
+//! outside `L_p` the dissent would fit the budget — exactly the slot
+//! rule's verdict, and the common case. Otherwise (and on wider data,
+//! whose majority is taken plane by plane, see [`crate::convert`]) the
+//! dissent mask — the range's slots not holding the majority — is
+//! walked bit by bit and each dissenter's sender checked against `L_p`:
+//! the same count as the slot rule, read off the set bits only.
 
 use std::ops::Range;
 

@@ -145,7 +145,10 @@ impl Binary<'_> {
     /// How many of the `width ≤ 64` slots from `lo` hold 0, 1 and `⊥`.
     #[inline]
     pub(crate) fn tally(&self, lo: usize, width: usize) -> [usize; 3] {
-        let bottoms = self.bottom.map_or(0, |b| window(b, lo, width)).count_ones() as usize;
+        let bottoms = match self.bottom {
+            Some(bottom) => window(bottom, lo, width).count_ones() as usize,
+            None => 0,
+        };
         let ones = window(self.ones, lo, width).count_ones() as usize;
         [width - ones - bottoms, ones, bottoms]
     }

@@ -3,22 +3,25 @@
 //! `tree_p(s·q⋯r)` holds "the value that r says q says … the source said".
 //! Levels are stored bit-sliced ([`Planes`]) in the canonical order
 //! defined by [`crate::Shape`]: one `u64` plane per value bit, so a
-//! binary level is one bit per node. Appending a level from a round's
-//! messages is a single linear pass over the shared [`LabelTable`], a
-//! round-`h` broadcast is the deepest level's plane words as they are,
-//! and the children of every node are a contiguous slot range — which
-//! is what lets `resolve`, `resolve'` and the discovery thresholds count
-//! them with popcounts (see [`crate::convert`] and [`crate::discover_ig`]).
+//! binary level is one bit per node. The children of every node are a
+//! contiguous slot range, which is what lets `resolve`, `resolve'` and
+//! the discovery thresholds count them with popcounts (see
+//! [`crate::convert`] and [`crate::discover_ig`]); a round-`h` broadcast
+//! is the deepest level's plane words as they are.
 //!
-//! The echo round (level 1 under the root) is one slot per non-source
-//! sender, so [`IgTree::append_echo`] stores it from the round's ballot
-//! word by squeezing out the source's bit.
+//! Gathering is per parent: node `i`'s children are the senders off its
+//! label path, ascending, so the block of level `k + 1` under it is the
+//! column of every sender's bit for `i` with the path's labels squeezed
+//! out — the slot rule "`tree(αq)` is what `q` says about `α`", one word
+//! per block ([`IgTree::append_claims`]). The echo round (level 1 under
+//! the root) is that with the source as the whole path, read straight
+//! off the round's ballot word ([`IgTree::append_echo`]).
 
 use std::sync::Arc;
 
 use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
-use crate::level::{squeeze, transpose64, BitWriter, Planes};
+use crate::level::{squeeze, BitWriter, Planes};
 use crate::resolve::Res;
 use crate::shape::{LabelTable, Shape};
 
@@ -65,17 +68,6 @@ impl Claim<'_> {
                 .get(idx)
                 .map_or(Value::DEFAULT, |&v| domain.sanitize(v)),
         })
-    }
-
-    /// The claim's bit for slot `idx` on binary data (`own` holds one
-    /// plane and the claim is not a value vector).
-    #[inline]
-    fn bit_at(&self, idx: usize, own: &Planes) -> bool {
-        match *self {
-            Claim::Own => bit(own.plane(0), idx),
-            Claim::Defaults | Claim::Values(_) => false,
-            Claim::Bits { words, len } => idx < len && bit(words, idx),
-        }
     }
 }
 
@@ -342,9 +334,9 @@ impl IgTree {
     /// Appends the next level from every sender's [`Claim`], indexed by
     /// processor: slot `(parent i, sender q)` holds `claims[q]` at `i`.
     /// The claims must already reflect the Fault Masking Rule. On binary
-    /// data (a one-plane deepest level and no value-vector claim) each
-    /// slot is one bit read and one bit written; otherwise each slot's
-    /// value is read and stored across the planes.
+    /// data at `n ≤ 64` (a one-plane deepest level and no value-vector
+    /// claim) each parent's block of children is written as one word;
+    /// otherwise each slot's value is read and stored across the planes.
     ///
     /// Returns the number of values stored (the local-work charge).
     ///
@@ -359,13 +351,13 @@ impl IgTree {
         let own = own.expect("a root precedes every gathered level");
         let binary = own.planes() == 1 && !claims.iter().any(|c| matches!(c, Claim::Values(_)));
         let n = self.shape.n();
-        let mut parent = Parents::new(width);
         if binary && n <= 64 {
-            // Column by column: 64 parents at a time, the senders' claim
-            // words are transposed so that word `i` holds every sender's
-            // bit for parent `i`; parent `i`'s children are the senders
-            // off its path, so its block is that word with the path's
-            // labels squeezed out.
+            // Parent by parent, in canonical order: the column of every
+            // sender's bit for the parent, read off the senders' claim
+            // words 64 parents at a time. The parent's children are the
+            // senders off its path, in ascending order, so its block of
+            // the new level is that column with the path's labels
+            // squeezed out.
             let word = |q: usize, j: usize| match claims[q] {
                 Claim::Own => own.plane(0)[j],
                 Claim::Bits { words, len } if j * 64 < len => {
@@ -373,26 +365,26 @@ impl IgTree {
                 }
                 _ => 0,
             };
-            let mut columns = [0u64; 64];
+            let mut rows = [0u64; 64];
             let mut out = BitWriter::new(fresh);
             let mut i = 0;
             let source = self.shape.source().index();
             for_each_path(n, 1 << source, self.depth - 2, &mut |path| {
                 if i % 64 == 0 {
-                    for (q, column) in columns.iter_mut().enumerate() {
-                        *column = if q < n { word(q, i / 64) } else { 0 };
+                    for (q, row) in rows[..n].iter_mut().enumerate() {
+                        *row = word(q, i / 64);
                     }
-                    transpose64(&mut columns);
                 }
-                out.push(squeeze(columns[i % 64], path), width);
+                let b = i % 64;
+                let column = rows[..n]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |column, (q, row)| column | (row >> b & 1) << q);
+                out.push(squeeze(column, path), width);
                 i += 1;
             });
-        } else if binary {
-            fresh.fill_with(|slot| {
-                let claim = &claims[senders[slot] as usize];
-                Res::Val(Value(u16::from(claim.bit_at(parent.next(), own))))
-            });
         } else {
+            let mut parent = Parents::new(width);
             fresh.fill_with(|slot| {
                 let claim = &claims[senders[slot] as usize];
                 Res::Val(claim.at(parent.next(), own, domain))
