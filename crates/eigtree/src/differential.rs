@@ -335,8 +335,9 @@ fn tree_passes_match_the_value_vector_code() {
 }
 
 /// Gathering from claims (bit words, value vectors, the receiver's own
-/// level) stores what the slot-by-slot closure stores; the echo word
-/// stores what its bits say.
+/// level) stores what the slot-by-slot closure stores, from the echo
+/// level and, at `n ≤ 12`, from a level of more than 64 parents; the
+/// echo word stores what its bits say.
 #[test]
 fn claim_gathers_match_the_slot_closure() {
     let mut rng = Rng(3);
@@ -351,7 +352,10 @@ fn claim_gathers_match_the_slot_closure() {
         } else {
             by_claims.append_level(|_, q| Value((word >> (q.index() % 64) & 1) as u16));
         }
-        let parents = by_claims.level(1).clone();
+        if n <= 12 {
+            by_claims.append_level(|_, _| Value(rng.below(2) as u16));
+        }
+        let parents = by_claims.level(by_claims.deepest_level()).clone();
         let bits: Vec<Vec<u64>> = (0..n)
             .map(|_| {
                 (0..parents.len().div_ceil(64))
@@ -394,6 +398,7 @@ fn claim_gathers_match_the_slot_closure() {
                     .map(|q| Value((word >> q & 1) as u16))
                     .collect();
                 assert_eq!(by_claims.level(1).to_vec(), level, "n={n}");
+                assert_eq!(gathered.level(1), by_claims.level(1), "n={n}");
             }
         }
     }

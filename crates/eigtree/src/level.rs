@@ -83,6 +83,64 @@ pub(crate) fn transpose64(rows: &mut [u64; 64]) {
     }
 }
 
+/// Set bits per byte value.
+static BYTE_ONES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u32).count_ones() as u8;
+        b += 1;
+    }
+    table
+};
+
+/// The set bits of a window `width` wide: two table reads when it is at
+/// most 16 wide (every child window of a tree at `n ≤ 17`). Builds for
+/// baseline x86-64 have no popcount instruction, and `count_ones` there
+/// is a dozen dependent operations.
+#[inline]
+fn ones16(bits: u64, width: usize) -> usize {
+    if width <= 16 {
+        usize::from(BYTE_ONES[(bits & 0xFF) as usize] + BYTE_ONES[(bits >> 8 & 0xFF) as usize])
+    } else {
+        bits.count_ones() as usize
+    }
+}
+
+/// Transposes the 8 × 8 bit matrix in `x` (bit `8r + c` ↔ bit `8c + r`)
+/// in three rounds of swaps: 1 × 1 blocks inside 2 × 2 ones, then 2 × 2
+/// inside 4 × 4, then the two off-diagonal 4 × 4 blocks.
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// The first `count ≤ 64` columns of at most 64 `rows` (the rest
+/// clear): bit `q` of column `b` is bit `b` of row `q`. Built from 8 × 8
+/// blocks, so the work is proportional to the rows and columns there
+/// are, not to 64 × 64.
+pub(crate) fn columns(rows: &[u64], count: usize) -> [u64; 64] {
+    let mut cols = [0u64; 64];
+    for (g, group) in rows.chunks(8).enumerate() {
+        for c in 0..count.min(64).div_ceil(8) {
+            let block = group
+                .iter()
+                .enumerate()
+                .fold(0, |x, (k, row)| x | (row >> (8 * c) & 0xFF) << (8 * k));
+            let block = transpose8(block);
+            for (j, col) in cols[8 * c..8 * c + 8].iter_mut().enumerate() {
+                *col |= (block >> (8 * j) & 0xFF) << (8 * g);
+            }
+        }
+    }
+    cols
+}
+
 /// `bits` with the bits set in `gone` squeezed out, the rest shifted
 /// down in order: bit `j` of the result is the `j`-th bit of `bits` at a
 /// position outside `gone`.
@@ -146,10 +204,10 @@ impl Binary<'_> {
     #[inline]
     pub(crate) fn tally(&self, lo: usize, width: usize) -> [usize; 3] {
         let bottoms = match self.bottom {
-            Some(bottom) => window(bottom, lo, width).count_ones() as usize,
+            Some(bottom) => ones16(window(bottom, lo, width), width),
             None => 0,
         };
-        let ones = window(self.ones, lo, width).count_ones() as usize;
+        let ones = ones16(window(self.ones, lo, width), width);
         [width - ones - bottoms, ones, bottoms]
     }
 }
@@ -561,6 +619,20 @@ mod tests {
             l.set(i, Value(v));
         }
         l
+    }
+
+    #[test]
+    fn columns_transpose_the_rows() {
+        let rows: Vec<u64> = (0..13u64)
+            .map(|q| (q + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let cols = columns(&rows, 64);
+        for (b, col) in cols.iter().enumerate() {
+            for (q, row) in rows.iter().enumerate() {
+                assert_eq!(col >> q & 1, row >> b & 1, "column {b}, row {q}");
+            }
+            assert_eq!(col >> 13, 0);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
-use crate::level::{squeeze, BitWriter, Planes};
+use crate::level::{columns, squeeze, BitWriter, Planes};
 use crate::resolve::Res;
 use crate::shape::{LabelTable, Shape};
 
@@ -366,6 +366,7 @@ impl IgTree {
                 _ => 0,
             };
             let mut rows = [0u64; 64];
+            let mut cols = [0u64; 64];
             let mut out = BitWriter::new(fresh);
             let mut i = 0;
             let source = self.shape.source().index();
@@ -374,13 +375,9 @@ impl IgTree {
                     for (q, row) in rows[..n].iter_mut().enumerate() {
                         *row = word(q, i / 64);
                     }
+                    cols = columns(&rows[..n], own.len() - i);
                 }
-                let b = i % 64;
-                let column = rows[..n]
-                    .iter()
-                    .enumerate()
-                    .fold(0, |column, (q, row)| column | (row >> b & 1) << q);
-                out.push(squeeze(column, path), width);
+                out.push(squeeze(cols[i % 64], path), width);
                 i += 1;
             });
         } else {
