@@ -424,12 +424,17 @@ impl IgTree {
             return 0;
         }
         assert!(k < self.depth, "level {k} is not stored");
+        // Labels are bytes, so the senders fit a 256-bit mask.
+        let mut masked = [0u64; 4];
+        for p in senders.iter() {
+            masked[p.index() / 64] |= 1 << (p.index() % 64);
+        }
         let labels = self.labels.level(k);
         let level = &mut self.levels[k];
         level.clear_slots(|w| {
             let chunk = &labels[w * 64..labels.len().min((w + 1) * 64)];
-            chunk.iter().enumerate().fold(0, |mask, (j, &label)| {
-                mask | u64::from(senders.contains(ProcessId(label as usize))) << j
+            chunk.iter().enumerate().fold(0, |slots, (j, &label)| {
+                slots | (masked[usize::from(label / 64)] >> (label % 64) & 1) << j
             })
         });
         level.len() as u64
