@@ -46,6 +46,15 @@ fn planes_for(v: Value) -> usize {
     (u16::BITS - v.raw().leading_zeros()).max(1) as usize
 }
 
+/// The low `len` bits, all of them from 64 on.
+pub(crate) fn low_bits(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1 << len) - 1
+    }
+}
+
 /// The mask of the low `width` bits, `1 ≤ width ≤ 64`.
 #[inline]
 fn low(width: usize) -> u64 {
@@ -62,25 +71,6 @@ pub(crate) fn window(words: &[u64], lo: usize, width: usize) -> u64 {
         bits |= words[w + 1] << (64 - b);
     }
     bits & low(width)
-}
-
-/// Transposes the 64 × 64 bit matrix `rows` in place (bit `c` of row `r`
-/// ↔ bit `r` of row `c`): swap the off-diagonal 32 × 32 blocks, then the
-/// 16 × 16 blocks inside each, down to single bits.
-pub(crate) fn transpose64(rows: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((rows[k] >> j) ^ rows[k + j]) & mask;
-            rows[k] ^= t << j;
-            rows[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
 }
 
 /// Set bits per byte value.
@@ -408,13 +398,6 @@ impl Planes {
         }
     }
 
-    /// Sets bit `i` of value plane 0 — storing `Value(1)` into a default
-    /// slot.
-    #[inline]
-    pub(crate) fn set_one(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
     /// Fills a freshly reset level slot by slot, in order: `result(i)` is
     /// slot `i`'s result. 0s and 1s (and `⊥`s) are gathered into a word and
     /// written once per 64 slots; wider values go through the planes.
@@ -434,20 +417,6 @@ impl Planes {
                 assert!(self.bottom, "⊥ stored in a level without a ⊥ plane");
                 self.words[self.bits * self.stride + w] |= bottoms;
             }
-        }
-    }
-
-    /// Stores `r` into slot `i`, which holds the default (a freshly reset
-    /// level): a 0 writes nothing, a 1 or a `⊥` one bit.
-    #[inline]
-    pub(crate) fn fill(&mut self, i: usize, r: Res) {
-        match r {
-            Res::Val(Value(0)) => {}
-            Res::Val(Value(1)) => self.set_one(i),
-            Res::Bottom if self.bottom => {
-                self.words[self.bits * self.stride + i / 64] |= 1 << (i % 64);
-            }
-            _ => self.put(i, r),
         }
     }
 
@@ -552,16 +521,6 @@ impl Planes {
         if width == 0 {
             return None;
         }
-        if self.bits == 1 && !self.bottom {
-            let ones = self.ones_in(0, range);
-            return if 2 * ones > width {
-                Some((Res::Val(Value(1)), ones))
-            } else if 2 * (width - ones) > width {
-                Some((Res::Val(Value(0)), width - ones))
-            } else {
-                None
-            };
-        }
         let candidate = if self.bottom && 2 * self.ones_in(self.bits, range.clone()) > width {
             Res::Bottom
         } else {
@@ -577,21 +536,7 @@ impl Planes {
     /// least `t + 1` slots, else `⊥`.
     #[inline]
     pub(crate) fn unique_supported(&self, range: Range<usize>, t: usize) -> Res {
-        if self.bits == 1 {
-            let (mut ones, mut zeros) = (0, 0);
-            for (lo, width) in windows(range) {
-                let bits = self.plane_window(0, lo, width);
-                let valued = low(width) & !self.bottom_window(lo, width);
-                ones += (bits & valued).count_ones();
-                zeros += (!bits & valued).count_ones();
-            }
-            return match (ones as usize > t, zeros as usize > t) {
-                (true, false) => Res::Val(Value(1)),
-                (false, true) => Res::Val(Value(0)),
-                _ => Res::Bottom,
-            };
-        }
-        // Wide data: each distinct value counted once, at its first slot.
+        // Each distinct value is counted once, at its first slot.
         let mut winner = Res::Bottom;
         for j in range.clone() {
             let r = self.res(j);

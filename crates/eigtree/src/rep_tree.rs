@@ -22,8 +22,8 @@
 //!   (the dissent outside `L_p` read off the dissent mask's set bits, as
 //!   in [`crate::discover_ig`]);
 //! * masking a processor clears its column: one bit per row word;
-//! * the reorder is a bit-matrix transpose — at `n ≤ 64` the 64 × 64
-//!   block swap, six rounds of shifted XORs over the rows;
+//! * the reorder is a bit-matrix transpose — at `n ≤ 64` built from
+//!   8 × 8 blocks, each three rounds of shifted XORs;
 //! * a round of binary claims is stored as the matrix whose row `r` is
 //!   `r`'s vector (one word copy per sender), transposed once into the
 //!   paper's layout, where row `w` holds what every `r` claims for `sw`.
@@ -32,7 +32,7 @@ use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
 use crate::discovery::{node_violates, DiscoveryReport};
 use crate::fault_list::FaultList;
-use crate::level::{transpose64, Planes};
+use crate::level::{columns, low_bits, Planes};
 use crate::resolve::Res;
 use crate::tree::Claim;
 
@@ -142,10 +142,8 @@ impl RepTree {
         F: FnMut(ProcessId) -> Value,
     {
         self.intermediates.reset(self.n, 1, false);
-        for q in 0..self.n {
-            self.intermediates
-                .fill(q, Res::Val(value_for(ProcessId(q))));
-        }
+        self.intermediates
+            .fill_with(|q| Res::Val(value_for(ProcessId(q))));
         self.leaves.reset(0, 1, false);
         self.n as u64
     }
@@ -190,12 +188,11 @@ impl RepTree {
         assert!(self.has_intermediates(), "round 2 must precede leaves");
         let (n, row) = (self.n, self.row());
         self.leaves.reset(n * row, 1, false);
-        for w in 0..n {
-            for r in 0..n {
-                let v = value_for(w, ProcessId(r));
-                self.leaves.fill(w * row + r, Res::Val(v));
-            }
-        }
+        self.leaves
+            .fill_with(|slot| match (slot / row, slot % row) {
+                (w, r) if r < n => Res::Val(value_for(w, ProcessId(r))),
+                _ => Res::Val(Value::DEFAULT),
+            });
         (n * n) as u64
     }
 
@@ -227,23 +224,17 @@ impl RepTree {
                 };
                 let dst = &mut leaves[r * words_per_row..(r + 1) * words_per_row];
                 for (i, d) in dst.iter_mut().enumerate() {
-                    let kept = len.saturating_sub(i * 64).min(64);
-                    let mask = if kept == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << kept) - 1
-                    };
-                    *d = words.get(i).map_or(0, |&w| w & mask);
+                    let kept = low_bits(len.saturating_sub(i * 64));
+                    *d = words.get(i).map_or(0, |&w| w & kept);
                 }
             }
             self.transpose();
         } else {
-            for r in 0..n {
-                for w in 0..n {
-                    let v = claims[r].at(w, own, domain);
-                    self.leaves.fill(w * row + r, Res::Val(v));
-                }
-            }
+            self.leaves
+                .fill_with(|slot| match (slot / row, slot % row) {
+                    (w, r) if r < n => Res::Val(claims[r].at(w, own, domain)),
+                    _ => Res::Val(Value::DEFAULT),
+                });
         }
         (n * n) as u64
     }
@@ -340,10 +331,8 @@ impl RepTree {
         for b in 0..self.leaves.planes() {
             let plane = self.leaves.plane_mut(b);
             if n <= 64 {
-                let mut rows = [0u64; 64];
-                rows[..n].copy_from_slice(&plane[..n]);
-                transpose64(&mut rows);
-                plane.copy_from_slice(&rows[..n]);
+                let cols = columns(plane, n);
+                plane.copy_from_slice(&cols[..n]);
             } else {
                 let at = |p: usize, q: usize| (p * words_per_row + q / 64, q % 64);
                 for p in 0..n {
@@ -382,11 +371,12 @@ impl RepTree {
         assert!(self.has_leaves(), "leaves stored");
         let (n, row) = (self.n, self.row());
         self.intermediates.reset(n, 1, false);
-        for q in 0..n {
-            if let Some((r, _)) = self.leaves.majority(q * row..q * row + n) {
-                self.intermediates.fill(q, r);
-            }
-        }
+        let leaves = &self.leaves;
+        self.intermediates.fill_with(|q| {
+            leaves
+                .majority(q * row..q * row + n)
+                .map_or(Res::Val(Value::DEFAULT), |(r, _)| r)
+        });
         self.leaves.reset(0, 1, false);
         (n * n) as u64
     }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use sg_sim::{ProcessId, ProcessSet, Value, ValueDomain};
 
-use crate::level::{columns, squeeze, BitWriter, Planes};
+use crate::level::{columns, low_bits, squeeze, BitWriter, Planes};
 use crate::resolve::Res;
 use crate::shape::{LabelTable, Shape};
 
@@ -74,15 +74,6 @@ impl Claim<'_> {
 #[inline]
 fn bit(words: &[u64], idx: usize) -> bool {
     words[idx / 64] >> (idx % 64) & 1 == 1
-}
-
-/// The low `len` bits, all of them from 64 on.
-fn low_bits(len: usize) -> u64 {
-    if len >= 64 {
-        u64::MAX
-    } else {
-        (1 << len) - 1
-    }
 }
 
 /// Calls `visit` with the label mask (`path`, plus one bit per label) of
@@ -158,9 +149,9 @@ pub struct IgTree {
 }
 
 /// The largest level buffer (in words) a tree keeps for reuse: 512 bytes,
-/// as when levels were `Value` vectors of at most 256 slots — room now
-/// for 4 096 binary slots, every level of a three-round block at
-/// `n ≤ 17`. Deeper levels are dropped as before.
+/// room for 4 096 binary slots — every level of a three-round block at
+/// `n ≤ 17`. Deeper levels are dropped, so a pooled instance never pins
+/// one.
 const RECYCLE_WORDS: usize = 64;
 
 /// Trees are equal when they have the same shape and store the same
