@@ -131,8 +131,13 @@ fn runs() -> Vec<Run> {
             FaultSelection::with_source(),
         ] {
             for family in families(&selection, n) {
+                // Only the seeded families read the seed.
+                let seeds = match family {
+                    Family::RandomLiar(_) | Family::ChainRevealer { .. } => 2,
+                    _ => 1,
+                };
                 for early in [true, false] {
-                    for seed in 0..2u64 {
+                    for seed in 0..seeds {
                         let mut config = RunConfig::new(n, t).with_source_value(Value(1));
                         config.early_stopping = early;
                         let label = format!(
@@ -164,7 +169,7 @@ fn tree_machine_matches_the_paper_literal_oracle() {
             panic!("{}: {diff}", run.label);
         }
     }
-    assert!(runs.len() > 1000, "{} runs", runs.len());
+    assert!(runs.len() > 700, "{} runs", runs.len());
 }
 
 #[test]
