@@ -361,7 +361,13 @@ impl Planes {
     }
 
     /// Stores `v` at slot `i`, adding planes if `v` needs them.
+    #[inline]
     pub(crate) fn set(&mut self, i: usize, v: Value) {
+        if self.bits == 1 && !self.bottom && v.raw() <= 1 {
+            let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+            *word = *word & !bit | u64::from(v.raw()) << (i % 64);
+            return;
+        }
         self.put(i, Res::Val(v));
     }
 
@@ -520,6 +526,16 @@ impl Planes {
         let width = range.len();
         if width == 0 {
             return None;
+        }
+        if let Some(binary) = self.binary().filter(|_| width <= 64) {
+            let [zeros, ones, bottoms] = binary.tally(range.start, width);
+            return [
+                (Res::Val(Value(0)), zeros),
+                (Res::Val(Value(1)), ones),
+                (Res::Bottom, bottoms),
+            ]
+            .into_iter()
+            .find(|&(_, count)| 2 * count > width);
         }
         let candidate = if self.bottom && 2 * self.ones_in(self.bits, range.clone()) > width {
             Res::Bottom

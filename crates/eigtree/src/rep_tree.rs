@@ -188,11 +188,14 @@ impl RepTree {
         assert!(self.has_intermediates(), "round 2 must precede leaves");
         let (n, row) = (self.n, self.row());
         self.leaves.reset(n * row, 1, false);
-        self.leaves
-            .fill_with(|slot| match (slot / row, slot % row) {
-                (w, r) if r < n => Res::Val(value_for(w, ProcessId(r))),
-                _ => Res::Val(Value::DEFAULT),
-            });
+        for w in 0..n {
+            for r in 0..n {
+                let v = value_for(w, ProcessId(r));
+                if v != Value::DEFAULT {
+                    self.leaves.set(w * row + r, v);
+                }
+            }
+        }
         (n * n) as u64
     }
 
@@ -230,11 +233,14 @@ impl RepTree {
             }
             self.transpose();
         } else {
-            self.leaves
-                .fill_with(|slot| match (slot / row, slot % row) {
-                    (w, r) if r < n => Res::Val(claims[r].at(w, own, domain)),
-                    _ => Res::Val(Value::DEFAULT),
-                });
+            for w in 0..n {
+                for (r, claim) in claims[..n].iter().enumerate() {
+                    let v = claim.at(w, own, domain);
+                    if v != Value::DEFAULT {
+                        self.leaves.set(w * row + r, v);
+                    }
+                }
+            }
         }
         (n * n) as u64
     }
