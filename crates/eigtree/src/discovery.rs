@@ -96,7 +96,17 @@ fn discover_level(
     let width = children.len() / blamed.len();
     let budget = t.saturating_sub(snapshot.len());
     let sender = |j: usize| ProcessId(child_labels[j] as usize);
+    // On one-plane data a node whose minority fits the budget passes on
+    // the popcounts of its window, read before anything else about it.
+    let binary = children.binary().filter(|_| width <= 64);
+    let tolerated = budget.min((width - 1) / 2);
     for (i, &r) in blamed.iter().enumerate() {
+        if let Some(binary) = binary {
+            let support = binary.tally(i * width, width).into_iter().max();
+            if width - support.unwrap_or(0) <= tolerated {
+                continue;
+            }
+        }
         let r = ProcessId(r as usize);
         if snapshot.contains(r) || report.discovered.contains(&r) {
             continue;
