@@ -20,8 +20,10 @@
 //!   of its bits that way — and the candidate is then verified by a
 //!   count, so [`Planes::majority`] equals the slot-by-slot strict
 //!   majority whatever the data;
-//! * `resolve'`'s unique `t + 1` rule is two counts on one plane when the
-//!   data is binary, and a slot walk over the same planes otherwise.
+//! * on one-plane data (every binary run) a node's counts of 0s, 1s and
+//!   `⊥`s are popcounts of its child window ([`Binary`]'s tally), which
+//!   settle the majority and `resolve'`'s unique `t + 1` rule at once;
+//!   wider data walks the range's slots for `resolve'`.
 
 use std::ops::Range;
 
@@ -47,6 +49,7 @@ fn planes_for(v: Value) -> usize {
 }
 
 /// The low `len` bits, all of them from 64 on.
+#[inline]
 pub(crate) fn low_bits(len: usize) -> u64 {
     if len >= 64 {
         u64::MAX
@@ -55,22 +58,16 @@ pub(crate) fn low_bits(len: usize) -> u64 {
     }
 }
 
-/// The mask of the low `width` bits, `1 ≤ width ≤ 64`.
-#[inline]
-fn low(width: usize) -> u64 {
-    u64::MAX >> (64 - width)
-}
-
 /// The `width ≤ 64` bits of `words` starting at bit `lo`, as one word
 /// (bit 0 is slot `lo`): a node's children, whatever word they start in.
 #[inline]
-pub(crate) fn window(words: &[u64], lo: usize, width: usize) -> u64 {
+fn window(words: &[u64], lo: usize, width: usize) -> u64 {
     let (w, b) = (lo / 64, lo % 64);
     let mut bits = words[w] >> b;
     if b + width > 64 {
         bits |= words[w + 1] << (64 - b);
     }
-    bits & low(width)
+    bits & low_bits(width)
 }
 
 /// Set bits per byte value.
@@ -245,8 +242,8 @@ impl PartialEq for Planes {
 impl Eq for Planes {}
 
 impl Planes {
-    /// A level of `len` default values with room for `planes` value
-    /// planes (and a `⊥` plane if `bottom`), allocated at exact capacity.
+    /// A level of `len` default values with room for `bits` value planes
+    /// (and a `⊥` plane if `bottom`), allocated at exact capacity.
     pub(crate) fn zeroed(len: usize, bits: usize, bottom: bool) -> Self {
         let mut level = Planes {
             words: Vec::with_capacity((bits + usize::from(bottom)) * len.div_ceil(64)),
@@ -351,7 +348,7 @@ impl Planes {
         self.values().collect()
     }
 
-    /// Adds value planes until there are `planes`, keeping every slot's
+    /// Adds value planes until there are `bits`, keeping every slot's
     /// value (the `⊥` plane, if any, stays last).
     fn grow(&mut self, bits: usize) {
         let extra = (bits - self.bits) * self.stride;
@@ -465,12 +462,13 @@ impl Planes {
         match r {
             Res::Bottom => self.bottom_window(lo, width),
             Res::Val(v) if planes_for(v) > self.bits => 0,
-            Res::Val(v) => {
-                (0..self.bits).fold(low(width) & !self.bottom_window(lo, width), |mask, b| {
+            Res::Val(v) => (0..self.bits).fold(
+                low_bits(width) & !self.bottom_window(lo, width),
+                |mask, b| {
                     let bits = self.plane_window(b, lo, width);
                     mask & if v.raw() >> b & 1 == 1 { bits } else { !bits }
-                })
-            }
+                },
+            ),
         }
     }
 
@@ -496,7 +494,7 @@ impl Planes {
         r: Res,
     ) -> impl Iterator<Item = usize> + '_ {
         windows(range).flat_map(move |(lo, width)| {
-            let mut others = !self.eq_window(lo, width, r) & low(width);
+            let mut others = !self.eq_window(lo, width, r) & low_bits(width);
             std::iter::from_fn(move || {
                 (others != 0).then(|| {
                     let bit = others.trailing_zeros() as usize;
@@ -509,11 +507,7 @@ impl Planes {
 
     /// How many slots in `range` have their bit set in value plane `b`
     /// (`b == planes` reads the `⊥` plane).
-    #[inline]
     fn ones_in(&self, b: usize, range: Range<usize>) -> usize {
-        if (1..=64).contains(&range.len()) {
-            return self.plane_window(b, range.start, range.len()).count_ones() as usize;
-        }
         windows(range)
             .map(|(lo, width)| self.plane_window(b, lo, width).count_ones() as usize)
             .sum()
