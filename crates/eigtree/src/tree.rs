@@ -395,12 +395,10 @@ impl IgTree {
         assert_eq!(self.deepest_level(), 0, "echoes extend the root");
         let n = self.shape.n();
         assert!(n <= 64, "an echo word covers at most 64 processors");
-        let s = self.shape.source().index();
-        let below = word & ((1u64 << s) - 1);
-        let above = word.checked_shr(s as u32 + 1).unwrap_or(0) << s;
+        let source = 1 << self.shape.source().index();
         let len = n - 1;
         let (_, fresh) = Self::push_level(&mut self.levels, &mut self.depth, len);
-        fresh.copy_plane0(&[(below | above) & (u64::MAX >> (64 - len))]);
+        fresh.copy_plane0(&[squeeze(word, source) & low_bits(len)]);
         len as u64
     }
 
