@@ -27,9 +27,10 @@
 //! fingerprint.
 //!
 //! Cache discipline is the instance pool's "absent, never wrong": an
-//! undecodable payload, a shape mismatch, a closure-built family with no
-//! wire form — each demotes the cell to a miss with a structured
-//! warning. The journal can only ever save work, not change answers.
+//! undecodable payload or a shape mismatch demotes the cell to a miss
+//! with a structured warning. Every cell has a key, for every adversary
+//! family has a wire form. The journal can only ever save work, not
+//! change answers.
 
 use serde::ToJson;
 use sg_journal::{CellKey, EngineEpoch, Journal};
@@ -77,9 +78,7 @@ impl SweepPlan {
         epoch_for(ENGINE_VERSION_TAG, self.early_stopping)
     }
 
-    /// The content address of flat cell `cell`, or `None` when the
-    /// cell's adversary family was built from closures and has no wire
-    /// form — such cells are simply always computed.
+    /// The content address of flat cell `cell`.
     ///
     /// The key fingerprints the canonical JSON wire encodings of the
     /// cell's [`SweepConfig`](crate::SweepConfig) (spec, `n`, `t`,
@@ -91,10 +90,9 @@ impl SweepPlan {
     /// # Panics
     ///
     /// Panics if `cell >= cell_count()`.
-    pub fn cell_key(&self, cell: usize) -> Option<CellKey> {
+    pub fn cell_key(&self, cell: usize) -> CellKey {
         let (ci, ai) = self.cell_coords(cell);
-        let family = self.family_text(ai)?;
-        Some(self.key_after(self.config_prefix(ci), &family, ci, ai))
+        self.key_after(self.config_prefix(ci), &self.family_text(ai), ci, ai)
     }
 
     /// Every cell's [`SweepPlan::cell_key`], in flat cell order.
@@ -105,17 +103,19 @@ impl SweepPlan {
     /// its first seed and the samples-per-cell count. Building and
     /// printing the two JSON trees is nearly all of a lone key's cost,
     /// and they are the same for a whole row or column.
-    pub fn cell_keys(&self) -> Vec<Option<CellKey>> {
-        let families: Vec<Option<String>> = (0..self.adversaries.len())
+    pub fn cell_keys(&self) -> Vec<CellKey> {
+        let families: Vec<String> = (0..self.adversaries.len())
             .map(|ai| self.family_text(ai))
             .collect();
         let mut keys = Vec::with_capacity(self.cell_count());
         for ci in 0..self.configs.len() {
             let row = self.config_prefix(ci);
-            keys.extend(families.iter().enumerate().map(|(ai, family)| {
-                let family = family.as_deref()?;
-                Some(self.key_after(row, family, ci, ai))
-            }));
+            keys.extend(
+                families
+                    .iter()
+                    .enumerate()
+                    .map(|(ai, family)| self.key_after(row, family, ci, ai)),
+            );
         }
         keys
     }
@@ -128,13 +128,9 @@ impl SweepPlan {
         fp
     }
 
-    /// Column `ai`'s canonical family text, or `None` for a closure
-    /// family (it has no wire form).
-    fn family_text(&self, ai: usize) -> Option<String> {
-        match self.adversaries[ai].to_json() {
-            serde::json::Value::Null => None,
-            family => Some(family.to_string()),
-        }
+    /// Column `ai`'s canonical family text.
+    fn family_text(&self, ai: usize) -> String {
+        self.adversaries[ai].to_json().to_string()
     }
 
     /// Finishes cell `(ci, ai)`'s key from its row's prefix and its
@@ -157,8 +153,6 @@ impl SweepPlan {
     /// stored entry that decoded badly or described a different cell,
     /// with the structured warning explaining why. The caller recomputes
     /// on `Ok(None)` and `Err` alike; the error never aborts anything.
-    /// A keyless (closure-family) cell has nothing to look up: it is
-    /// always computed.
     ///
     /// # Panics
     ///
@@ -223,8 +217,7 @@ impl SweepPlan {
             // Each row's spec name once, as `cell_keys` encodes each
             // row's config once.
             let spec_name = self.configs[ci].spec.name();
-            for (ai, key) in row.iter().enumerate() {
-                let Some(key) = *key else { continue };
+            for (ai, &key) in row.iter().enumerate() {
                 let cell = ci * columns + ai;
                 match self.cached_cell_named(journal, epoch, cell, key, &spec_name) {
                     Ok(hit) => slots[cell] = hit,
@@ -236,12 +229,11 @@ impl SweepPlan {
         let computed = self.run_cells_with_jobs(&misses, jobs);
         let mut text = String::new();
         for (&cell, report) in misses.iter().zip(computed) {
-            if let Some(key) = keys[cell] {
-                text.clear();
-                report.write_text(&mut text);
-                if let Err(e) = journal.append_text(key, epoch, &text) {
-                    warnings.push(format!("journal: append of entry {key} failed ({e})"));
-                }
+            let key = keys[cell];
+            text.clear();
+            report.write_text(&mut text);
+            if let Err(e) = journal.append_text(key, epoch, &text) {
+                warnings.push(format!("journal: append of entry {key} failed ({e})"));
             }
             slots[cell] = Some(report);
         }
@@ -309,18 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_families_have_no_key() {
-        let plan = SweepPlan::new(
-            vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2)],
-            vec![AdversaryFamily::new("bespoke", |_seed| {
-                Box::new(sg_sim::NoFaults)
-            })],
-            3,
-        );
-        assert_eq!(plan.cell_key(0), None);
-    }
-
-    #[test]
     fn row_and_column_keys_are_the_per_cell_keys() {
         let plan = SweepPlan::new(
             vec![
@@ -330,7 +310,6 @@ mod tests {
             ],
             vec![
                 AdversaryFamily::random_liar(FaultSelection::without_source()),
-                AdversaryFamily::new("bespoke", |_seed| Box::new(sg_sim::NoFaults)),
                 AdversaryFamily::crash(FaultSelection::with_source().limit(1), 2),
                 AdversaryFamily::no_faults(),
             ],
@@ -340,8 +319,7 @@ mod tests {
         let keys = plan.cell_keys();
         let one_by_one: Vec<_> = (0..plan.cell_count()).map(|c| plan.cell_key(c)).collect();
         assert_eq!(keys, one_by_one);
-        assert_eq!(keys.iter().filter(|k| k.is_none()).count(), 3);
-        assert_eq!(keys.iter().flatten().count(), 9);
+        assert_eq!(keys.len(), 9);
     }
 
     #[test]

@@ -48,11 +48,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rayon::prelude::*;
-use sg_adversary::{
-    AdversaryTrace, BatchFamily, EmptyTapeError, Family, FaultSelection, Move, TraceError,
-};
+use sg_adversary::{BatchFamily, Family, FaultSelection};
 use sg_core::AlgorithmSpec;
-use sg_sim::{Adversary, MruPool, Outcome, ProcessId, RunArena, RunConfig, Value};
+use sg_sim::{Adversary, MruPool, Outcome, RunArena, RunConfig, Value};
 
 use crate::montecarlo::{early_stop_rate, sample_of, Sample, Summary};
 
@@ -154,51 +152,30 @@ impl SweepConfig {
     }
 }
 
-/// A named, seed-keyed adversary factory: `seed ↦ strategy instance`.
+/// A seed-keyed adversary family in a sweep grid: one shared [`Family`]
+/// value, `seed ↦ strategy instance`.
 ///
-/// A family built by a named constructor is a shared [`Family`] value,
-/// which travels the wire (see [`crate::wire`]), runs lock-step where it
-/// has a vector shape and pools its scalar strategies. One built by
-/// [`AdversaryFamily::new`] is an arbitrary closure and does none of
-/// that. Cloning is cheap either way (the value or the closure is
-/// shared), which is what lets the executor move families into worker
-/// closures.
+/// It travels the wire (see [`crate::wire`]), runs lock-step where it has
+/// a vector shape and pools its scalar strategies. Cloning is cheap (the
+/// value is shared), which is what lets the executor move families into
+/// worker closures.
+///
+/// Build one as `Family::X { .. }.into()`. The six named constructors
+/// below ([`no_faults`](Self::no_faults), [`random_liar`](Self::random_liar),
+/// [`chain_revealer`](Self::chain_revealer), [`crash`](Self::crash),
+/// [`silent`](Self::silent), [`equivocate`](Self::equivocate)) say the
+/// same thing; they remain only while `benchmark/` calls them (ROADMAP
+/// item 10(c)).
 #[derive(Clone)]
-pub struct AdversaryFamily {
-    name: String,
-    build: Build,
-}
-
-/// What an [`AdversaryFamily`] builds its strategies from.
-#[derive(Clone)]
-enum Build {
-    Named(Arc<Family>),
-    Closure(Arc<dyn Fn(u64) -> Box<dyn Adversary> + Send + Sync>),
-}
+pub struct AdversaryFamily(Arc<Family>);
 
 impl From<Family> for AdversaryFamily {
     fn from(family: Family) -> Self {
-        AdversaryFamily {
-            name: family.name().to_string(),
-            build: Build::Named(Arc::new(family)),
-        }
+        AdversaryFamily(Arc::new(family))
     }
 }
 
 impl AdversaryFamily {
-    /// A family from an arbitrary factory. Such a family cannot travel
-    /// over the wire (`sg-serve` submissions use the named constructors,
-    /// which can) — see [`crate::wire`].
-    pub fn new(
-        name: impl Into<String>,
-        make: impl Fn(u64) -> Box<dyn Adversary> + Send + Sync + 'static,
-    ) -> Self {
-        AdversaryFamily {
-            name: name.into(),
-            build: Build::Closure(Arc::new(make)),
-        }
-    }
-
     /// The fault-free baseline (ignores the seed).
     pub fn no_faults() -> Self {
         Family::NoFaults.into()
@@ -237,33 +214,6 @@ impl AdversaryFamily {
         Family::Silent(selection).into()
     }
 
-    /// The round-ranged network-partition family: during rounds
-    /// `from..=to` every edge crossing the id boundary `split` is cut,
-    /// honest edges included (ignores the seed). Keep every cut edge
-    /// incident to the corrupted set (e.g. `selection.limit(1)` with
-    /// `split = 1`) when the protocol's guarantees should still hold.
-    pub fn partition(selection: FaultSelection, split: usize, from: usize, to: usize) -> Self {
-        Family::Partition {
-            selection,
-            split,
-            from,
-            to,
-        }
-        .into()
-    }
-
-    /// The per-edge omission family: corrupted senders drop every
-    /// `period`-th (round, sender, recipient) slot, offset by `phase`,
-    /// and relay their honest shadow otherwise (ignores the seed).
-    pub fn omission(selection: FaultSelection, period: usize, phase: usize) -> Self {
-        Family::Omission {
-            selection,
-            period,
-            phase,
-        }
-        .into()
-    }
-
     /// The equivocation-schedule family: from round `start` on,
     /// corrupted senders tell recipients below `split` all-zeros and the
     /// rest all-ones (ignores the seed).
@@ -276,86 +226,39 @@ impl AdversaryFamily {
         .into()
     }
 
-    /// The adaptive mid-run corruption family: the rank-`k` member of
-    /// the corrupted set starts lying at round `schedule[k]`, playing
-    /// its honest shadow before then (ignores the seed).
-    pub fn adaptive(selection: FaultSelection, schedule: Vec<usize>) -> Self {
-        Family::Adaptive {
-            selection,
-            schedule,
-        }
-        .into()
-    }
-
-    /// An enumerated behaviour tape as a wire-portable family: corrupts
-    /// exactly `members` and plays `tape` (ignores the seed) — the
-    /// vehicle that lets `tests/exhaustive_*` counterexamples travel the
-    /// serve wire and the committed corpus.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyTapeError`] if `tape` is empty.
-    pub fn tape(members: Vec<ProcessId>, tape: Vec<Move>) -> Result<Self, EmptyTapeError> {
-        Family::tape(members, tape).map(Self::from)
-    }
-
-    /// A recorded scenario as a wire-portable family: every run replays
-    /// `trace` bit-exactly (ignores the seed). This is how exact
-    /// scenarios travel to a daemon and get cross-checked against the
-    /// batch path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Malformed`] if the trace fails
-    /// [`AdversaryTrace::validate`].
-    pub fn replay(trace: AdversaryTrace) -> Result<Self, TraceError> {
-        Family::replay(trace).map(Self::from)
-    }
-
     /// The family's strategy name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.0.name()
     }
 
-    /// The named family this was built as, or `None` for a closure.
-    pub fn family(&self) -> Option<&Family> {
-        match &self.build {
-            Build::Named(family) => Some(family),
-            Build::Closure(_) => None,
-        }
+    /// The family value the strategies are built from.
+    pub fn family(&self) -> &Family {
+        &self.0
     }
 
     /// Builds the strategy instance for one seed.
     pub fn instantiate(&self, seed: u64) -> Box<dyn Adversary> {
-        match &self.build {
-            Build::Named(family) => family.strategy(seed),
-            Build::Closure(make) => make(seed),
-        }
+        self.0.strategy(seed)
     }
 
-    /// The key the executor pools this family's strategy instances under,
-    /// or `None` for a closure family: only a named family's strategy
-    /// takes nothing but the RNG seed from `seed`, which is what
-    /// [`sg_sim::Adversary::reseed`] assumes. A closure may pick the
-    /// fault set by seed too, so its strategies are built per run.
-    fn pool_key(&self) -> Option<FamilyKey> {
-        match &self.build {
-            Build::Named(family) => Some(FamilyKey(Arc::clone(family))),
-            Build::Closure(_) => None,
-        }
+    /// The key the executor pools this family's strategy instances under:
+    /// a family's strategy takes nothing but the RNG seed from `seed`,
+    /// which is what [`sg_sim::Adversary::reseed`] assumes.
+    fn pool_key(&self) -> FamilyKey {
+        FamilyKey(Arc::clone(&self.0))
     }
 }
 
 impl std::fmt::Debug for AdversaryFamily {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdversaryFamily")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .finish_non_exhaustive()
     }
 }
 
-/// Pool key of a named family's strategy instances: the identity of its
-/// shared [`Family`]. The key holds a clone of the `Arc`, so the pointer
+/// Pool key of a family's strategy instances: the identity of its shared
+/// [`Family`]. The key holds a clone of the `Arc`, so the pointer
 /// used for the lookup cannot be recycled by a different family while an
 /// entry is alive (no ABA hazard) — pointer equality therefore proves
 /// "built from exactly this value", which with the family's seed
@@ -394,7 +297,7 @@ pub struct SweepScratch {
     outcome: Outcome,
     /// Lock-step engine buffers.
     batch: sg_sim::BatchArena,
-    /// One strategy instance per named family, for scalar runs. Grids
+    /// One strategy instance per family, for scalar runs. Grids
     /// rarely cross more than a handful of families per worker.
     adversaries: MruPool<FamilyKey, Box<dyn Adversary>, 8>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
@@ -606,7 +509,7 @@ impl SweepPlan {
             spec_name: config.spec.name(),
             n: config.n,
             t: config.t,
-            adversary: self.adversaries[ai].name.clone(),
+            adversary: self.adversaries[ai].name().to_string(),
             first_seed: self.seed_for(ci, ai, 0),
             early_stop_rate: early_stop_rate(&samples),
             samples,
@@ -670,7 +573,7 @@ impl SweepPlan {
         let seeds: [u64; sg_sim::MAX_BATCH_RUNS] =
             std::array::from_fn(|k| self.seed_for(ci, ai, si0 + k as u64));
         let seeds = &seeds[..len as usize];
-        let Some(mut batch) = family.family().and_then(|f| BatchFamily::new(f, seeds)) else {
+        let Some(mut batch) = BatchFamily::new(family.family(), seeds) else {
             scratch.kernels.put(kernel_key, kernel);
             return false;
         };
@@ -682,7 +585,7 @@ impl SweepPlan {
                 result.agreement,
                 "{} violated agreement under {} at seed {seed}",
                 config.spec.name(),
-                family.name,
+                family.name(),
             );
             out.push(Sample {
                 lock_in: result.lock_in as u64,
@@ -699,17 +602,17 @@ impl SweepPlan {
 
     /// The scalar fallback: run `si` of cell `(ci, ai)` through
     /// [`sg_core::execute_into`] on the scratch's arena and outcome
-    /// buffer, with a named family's strategy instance recycled through
+    /// buffer, with the family's strategy instance recycled through
     /// [`sg_sim::Adversary::reseed`] (rebuilt where the strategy
-    /// declines — the default — and per run for closure families).
+    /// declines — the default).
     fn run_scalar(&self, scratch: &mut SweepScratch, ci: usize, ai: usize, si: u64) -> Sample {
         let config = &self.configs[ci];
         let family = &self.adversaries[ai];
         let seed = self.seed_for(ci, ai, si);
         let family_key = family.pool_key();
-        let mut adversary = family_key
-            .as_ref()
-            .and_then(|key| scratch.adversaries.take(key))
+        let mut adversary = scratch
+            .adversaries
+            .take(&family_key)
             .and_then(|mut warm| warm.reseed(seed).then_some(warm))
             .unwrap_or_else(|| family.instantiate(seed));
         let out = &mut scratch.outcome;
@@ -725,11 +628,9 @@ impl SweepPlan {
             out.agreement(),
             "{} violated agreement under {} at seed {seed}",
             config.spec.name(),
-            family.name,
+            family.name(),
         );
-        if let Some(key) = family_key {
-            scratch.adversaries.put(key, adversary);
-        }
+        scratch.adversaries.put(family_key, adversary);
         sample_of(out)
     }
 }

@@ -15,20 +15,13 @@
 //! integers, never through `f64`) and summary statistics (floats written
 //! with shortest-round-trip precision).
 //!
-//! An [`AdversaryFamily`] built by a named constructor encodes as its
-//! [`Family`], whose codec lives beside the family in
-//! `sg_adversary::family`.
+//! An [`AdversaryFamily`] encodes as its [`Family`], whose codec lives
+//! beside the family in `sg_adversary::family`; every family travels.
 //!
-//! Two deliberate gaps:
-//!
-//! * [`AdversaryFamily`] values built from arbitrary closures
-//!   ([`AdversaryFamily::new`]) have no wire form — every named
-//!   constructor travels, closures do not.
-//!   Encoding such a family returns [`Json::Null`]; plans containing one
-//!   are rejected at submit time, not silently altered.
-//! * [`crate::SweepReport`] has no single-document decode: the service streams
-//!   cells one frame at a time precisely so a report never has to exist
-//!   in one buffer; consumers reassemble it from [`CellReport`] frames.
+//! One deliberate gap: [`crate::SweepReport`] has no single-document
+//! decode. The service streams cells one frame at a time precisely so a
+//! report never has to exist in one buffer; consumers reassemble it from
+//! [`CellReport`] frames.
 
 use serde::json::{JsonError, Value as Json};
 use serde::{FromJson, ToJson};
@@ -121,10 +114,9 @@ impl FromJson for SweepConfig {
 }
 
 impl ToJson for AdversaryFamily {
-    /// A named family's wire text ([`Family`]'s codec); a closure-built
-    /// family encodes as `null` (see the module docs).
+    /// The family's wire text ([`Family`]'s codec).
     fn to_json(&self) -> Json {
-        self.family().map_or(Json::Null, ToJson::to_json)
+        self.family().to_json()
     }
 }
 
@@ -865,14 +857,30 @@ mod tests {
         let plan = SweepPlan::new(
             vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2)],
             vec![
-                AdversaryFamily::partition(FaultSelection::with_source().limit(1), 1, 2, 3),
-                AdversaryFamily::omission(FaultSelection::without_source(), 2, 1),
+                Family::Partition {
+                    selection: FaultSelection::with_source().limit(1),
+                    split: 1,
+                    from: 2,
+                    to: 3,
+                }
+                .into(),
+                Family::Omission {
+                    selection: FaultSelection::without_source(),
+                    period: 2,
+                    phase: 1,
+                }
+                .into(),
                 AdversaryFamily::equivocate(FaultSelection::with_source(), 3, 2),
-                AdversaryFamily::adaptive(FaultSelection::without_source(), vec![2, 4]),
-                AdversaryFamily::tape(
+                Family::Adaptive {
+                    selection: FaultSelection::without_source(),
+                    schedule: vec![2, 4],
+                }
+                .into(),
+                Family::tape(
                     vec![sg_sim::ProcessId(1)],
                     vec![Move::AllOne, Move::Silent, Move::FlipFirst],
                 )
+                .map(AdversaryFamily::from)
                 .unwrap(),
             ],
             2,
@@ -898,7 +906,7 @@ mod tests {
             .with_trace();
         let _ = sg_core::execute(config.spec, &run_config, &mut recorder).unwrap();
         let trace = recorder.finish().unwrap();
-        let replay_family = AdversaryFamily::replay(trace).unwrap();
+        let replay_family = Family::replay(trace).map(AdversaryFamily::from).unwrap();
         let plan = SweepPlan::new(vec![config], vec![replay_family], 1);
         let text = plan.to_json().to_string();
         let decoded = SweepPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -925,13 +933,6 @@ mod tests {
         assert_eq!(short.rounds, 0);
         assert!(!short.early_stopped);
         assert!(Sample::from_json(&Json::parse("[1,2,3,4,5]").unwrap()).is_err());
-    }
-
-    #[test]
-    fn closure_families_have_no_wire_form() {
-        let custom = AdversaryFamily::new("custom", |_| Box::new(sg_sim::NoFaults));
-        assert_eq!(custom.to_json(), Json::Null);
-        assert!(AdversaryFamily::from_json(&Json::Null).is_err());
     }
 
     #[test]
@@ -1313,5 +1314,8 @@ mod tests {
                 "accepted {bad}"
             );
         }
+        // No family encodes as `null`, and outside input that says
+        // `null` names none.
+        assert!(AdversaryFamily::from_json(&Json::Null).is_err());
     }
 }

@@ -60,20 +60,24 @@ fn corpus_scenario() -> Scenario {
 }
 
 fn replay() -> AdversaryFamily {
-    AdversaryFamily::replay(corpus_scenario().trace).expect("a valid trace")
+    Family::replay(corpus_scenario().trace)
+        .map(AdversaryFamily::from)
+        .expect("a valid trace")
 }
 
 fn tapes() -> [AdversaryFamily; 2] {
     [
-        AdversaryFamily::tape(
+        Family::tape(
             vec![ProcessId(1)],
             vec![Move::AllOne, Move::Silent, Move::FlipFirst],
         )
+        .map(AdversaryFamily::from)
         .expect("a non-empty tape"),
-        AdversaryFamily::tape(
+        Family::tape(
             vec![ProcessId(0), ProcessId(5)],
             vec![Move::Garbage, Move::AllZero, Move::Honest, Move::AllOne],
         )
+        .map(AdversaryFamily::from)
         .expect("a non-empty tape"),
     ]
 }
@@ -87,14 +91,44 @@ fn over(sel: &FaultSelection) -> Vec<AdversaryFamily> {
         AdversaryFamily::crash(sel.clone(), 2),
         AdversaryFamily::crash(sel.clone(), 4),
         AdversaryFamily::silent(sel.clone()),
-        AdversaryFamily::partition(sel.clone(), 1, 2, 3),
-        AdversaryFamily::partition(sel.clone(), 5, 1, 1),
-        AdversaryFamily::omission(sel.clone(), 2, 0),
-        AdversaryFamily::omission(sel.clone(), 0, 1),
+        Family::Partition {
+            selection: sel.clone(),
+            split: 1,
+            from: 2,
+            to: 3,
+        }
+        .into(),
+        Family::Partition {
+            selection: sel.clone(),
+            split: 5,
+            from: 1,
+            to: 1,
+        }
+        .into(),
+        Family::Omission {
+            selection: sel.clone(),
+            period: 2,
+            phase: 0,
+        }
+        .into(),
+        Family::Omission {
+            selection: sel.clone(),
+            period: 0,
+            phase: 1,
+        }
+        .into(),
         AdversaryFamily::equivocate(sel.clone(), 3, 1),
         AdversaryFamily::equivocate(sel.clone(), 8, 2),
-        AdversaryFamily::adaptive(sel.clone(), vec![1, 3]),
-        AdversaryFamily::adaptive(sel.clone(), vec![2]),
+        Family::Adaptive {
+            selection: sel.clone(),
+            schedule: vec![1, 3],
+        }
+        .into(),
+        Family::Adaptive {
+            selection: sel.clone(),
+            schedule: vec![2],
+        }
+        .into(),
     ]
 }
 
@@ -130,7 +164,7 @@ fn names_and_keys() -> u64 {
         assert_eq!(back.to_json().to_string(), text);
         assert_eq!(back.name(), family.name());
         let plan = SweepPlan::new(vec![config], vec![family], 65);
-        let key = plan.cell_key(0).expect("a named family has a key");
+        let key = plan.cell_key(0);
         h = fnv::mix_word(h, key.0);
     }
     h
@@ -187,7 +221,7 @@ fn suite_families() -> u64 {
         assert_eq!(back.to_json().to_string(), text);
         assert_eq!(back.name(), family.name());
         let plan = SweepPlan::new(vec![config], vec![family.into()], 65);
-        let key = plan.cell_key(0).expect("a named family has a key");
+        let key = plan.cell_key(0);
         h = fnv::mix_word(h, key.0);
     }
     h
@@ -208,14 +242,44 @@ fn runs() -> Vec<AdversaryFamily> {
         AdversaryFamily::crash(FaultSelection::without_source().limit(1), 4),
         AdversaryFamily::silent(FaultSelection::without_source()),
         AdversaryFamily::silent(explicit()),
-        AdversaryFamily::partition(FaultSelection::with_source().limit(1), 1, 2, 3),
-        AdversaryFamily::partition(FaultSelection::explicit([ProcessId(0)]), 1, 1, 2),
-        AdversaryFamily::omission(FaultSelection::without_source(), 2, 0),
-        AdversaryFamily::omission(FaultSelection::with_source().limit(2), 0, 1),
+        Family::Partition {
+            selection: FaultSelection::with_source().limit(1),
+            split: 1,
+            from: 2,
+            to: 3,
+        }
+        .into(),
+        Family::Partition {
+            selection: FaultSelection::explicit([ProcessId(0)]),
+            split: 1,
+            from: 1,
+            to: 2,
+        }
+        .into(),
+        Family::Omission {
+            selection: FaultSelection::without_source(),
+            period: 2,
+            phase: 0,
+        }
+        .into(),
+        Family::Omission {
+            selection: FaultSelection::with_source().limit(2),
+            period: 0,
+            phase: 1,
+        }
+        .into(),
         AdversaryFamily::equivocate(FaultSelection::with_source(), 3, 1),
         AdversaryFamily::equivocate(explicit(), 8, 2),
-        AdversaryFamily::adaptive(FaultSelection::with_source(), vec![1, 3]),
-        AdversaryFamily::adaptive(FaultSelection::without_source().limit(2), vec![2]),
+        Family::Adaptive {
+            selection: FaultSelection::with_source(),
+            schedule: vec![1, 3],
+        }
+        .into(),
+        Family::Adaptive {
+            selection: FaultSelection::without_source().limit(2),
+            schedule: vec![2],
+        }
+        .into(),
     ];
     runs.extend(tapes());
     runs

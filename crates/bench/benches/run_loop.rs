@@ -572,8 +572,7 @@ fn bench_journal(c: &mut Criterion) {
             let keys = grids[3].cell_keys();
             keys.iter()
                 .enumerate()
-                .filter(|&(cell, key)| {
-                    let key = key.expect("named family");
+                .filter(|&(cell, &key)| {
                     matches!(
                         grids[3].cached_cell(&journal, epoch, cell, key),
                         Ok(Some(_))

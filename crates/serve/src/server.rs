@@ -217,9 +217,8 @@ struct Job {
     core: Mutex<JobCore>,
     events: Sender<ConnEvent>,
     /// Per-cell journal addresses for write-through appends; empty when
-    /// the daemon runs without a journal (`None` marks closure-family
-    /// cells, which have no wire form to address).
-    journal_keys: Vec<Option<CellKey>>,
+    /// the daemon runs without a journal.
+    journal_keys: Vec<CellKey>,
     /// Per-cell journal-hit mask; empty without a journal. Hit cells
     /// were streamed by the connection thread at accept time and are
     /// never claimed by workers.
@@ -837,7 +836,7 @@ fn worker_turn(shared: &Shared, job: &Arc<Job>, scratch: &mut SweepScratch) {
                 // costs the next submit a recompute ("absent, never
                 // wrong").
                 if let Some(journal) = &shared.journal {
-                    if let Some(&Some(key)) = job.journal_keys.get(index) {
+                    if let Some(&key) = job.journal_keys.get(index) {
                         text.clear();
                         cell.write_text(&mut text);
                         let mut journal = journal.lock().expect("journal");
@@ -984,7 +983,7 @@ fn validate_plan(plan: &SweepPlan) -> Result<(), (ErrorCode, String)> {
             .validate(config.n, config.t)
             .map_err(|e| (ErrorCode::Rejected, format!("{}: {e}", config.spec.name())))?;
     }
-    for family in plan.adversaries.iter().filter_map(AdversaryFamily::family) {
+    for family in plan.adversaries.iter().map(AdversaryFamily::family) {
         if let Some(config) = plan.configs.iter().find(|config| !family.fits(config.n)) {
             return Err((
                 ErrorCode::BadRequest,
@@ -1246,8 +1245,8 @@ fn connection_events(
                     journal_keys = plan.cell_keys();
                     let journal = journal.lock().expect("journal");
                     let epoch = plan.epoch();
-                    let lookup = |(cell, key): (usize, &Option<_>)| {
-                        plan.cached_cell(&journal, epoch, cell, (*key)?)
+                    let lookup = |(cell, &key): (usize, &CellKey)| {
+                        plan.cached_cell(&journal, epoch, cell, key)
                             .unwrap_or_else(|warning| {
                                 eprintln!("sg-serve: {warning}");
                                 None

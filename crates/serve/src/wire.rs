@@ -606,8 +606,8 @@ mod tests {
         ] {
             let line = req.to_json().to_string();
             let back = Request::from_json(&Json::parse(&line).unwrap()).unwrap();
-            // Requests carry closures (via AdversaryFamily), so compare
-            // by re-encoding.
+            // A plan's families have no `PartialEq` (a tape or replay
+            // family holds its strategy), so compare by re-encoding.
             assert_eq!(back.to_json().to_string(), line);
         }
     }

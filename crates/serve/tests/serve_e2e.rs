@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use sg_adversary::FaultSelection;
+use sg_adversary::{Family, FaultSelection};
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
 use sg_serve::{serve, Bind, Client, ErrorCode, Frame, Request, ServeOptions};
@@ -146,7 +146,7 @@ fn one_daemon_serves_a_fixed_and_an_early_job_at_once() {
         let mut journal = sg_journal::Journal::open(dir.join(format!("client-{i}"))).unwrap();
         let streamed = clients[i]
             .collect(jobs[i], |cell, report| {
-                let key = plan.cell_key(cell).expect("named family");
+                let key = plan.cell_key(cell);
                 journal
                     .append(key, plan.epoch(), &serde::ToJson::to_json(report))
                     .unwrap();
@@ -255,11 +255,28 @@ fn widened_families_and_trace_plans_travel_the_wire_bit_exactly() {
     let plan = SweepPlan::new(
         vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2)],
         vec![
-            AdversaryFamily::partition(sel.clone().limit(1), 1, 2, 3),
-            AdversaryFamily::omission(sel.clone(), 2, 0),
+            Family::Partition {
+                selection: sel.clone().limit(1),
+                split: 1,
+                from: 2,
+                to: 3,
+            }
+            .into(),
+            Family::Omission {
+                selection: sel.clone(),
+                period: 2,
+                phase: 0,
+            }
+            .into(),
             AdversaryFamily::equivocate(sel.clone(), 3, 1),
-            AdversaryFamily::adaptive(sel, vec![2, 4]),
-            AdversaryFamily::replay(scenario.trace).expect("recorded trace validates"),
+            Family::Adaptive {
+                selection: sel,
+                schedule: vec![2, 4],
+            }
+            .into(),
+            Family::replay(scenario.trace)
+                .map(AdversaryFamily::from)
+                .expect("recorded trace validates"),
         ],
         8,
     );

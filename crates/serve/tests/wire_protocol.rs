@@ -144,7 +144,9 @@ fn families_naming_a_processor_outside_the_system_are_bad_requests() {
         ),
         (
             vec![king(16)],
-            AdversaryFamily::tape(vec![ProcessId(16)], vec![Move::AllOne]).expect("a tape"),
+            Family::tape(vec![ProcessId(16)], vec![Move::AllOne])
+                .map(AdversaryFamily::from)
+                .expect("a tape"),
             "n = 16",
         ),
         // Inside the first config's system, outside the second's.

@@ -127,10 +127,8 @@ pub trait Adversary {
     ///
     /// Implementations may assume the instance was built with the same
     /// configuration and that `seed` is only its RNG seed: the sweep
-    /// engine pools only the strategies of named families
-    /// (`sg_adversary::Family`, whose strategies read nothing but their
-    /// RNG seed from it), and builds a closure family's fresh per run,
-    /// since such a factory may read its configuration off the seed too.
+    /// engine pools only the strategies of `sg_adversary::Family` values,
+    /// which read nothing but their RNG seed from it.
     /// They must restore *exactly* the freshly-constructed state so pooled
     /// and fresh sweeps stay bit-identical.
     fn reseed(&mut self, _seed: u64) -> bool {

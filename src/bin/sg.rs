@@ -1130,12 +1130,10 @@ fn cmd_submit(flags: &HashMap<String, String>, toggles: &[String]) {
     let streamed = match client.collect(handle, |index, cell| {
         print!("{}", cell.render_line());
         if let Some(journal) = journal.as_mut() {
-            if let Some(key) = keys[index] {
-                text.clear();
-                cell.write_text(&mut text);
-                if let Err(e) = journal.append_text(key, epoch, &text) {
-                    eprintln!("journal append failed: {e}");
-                }
+            text.clear();
+            cell.write_text(&mut text);
+            if let Err(e) = journal.append_text(keys[index], epoch, &text) {
+                eprintln!("journal append failed: {e}");
             }
         }
     }) {

@@ -19,16 +19,19 @@
 //! reach their king tails, and adjacent seeds with different fault sets.
 //! Each case first asserts that the cell really takes its route (the
 //! round histogram spreads, the schedule fills), and then holds
-//! `SweepPlan::run`, the cursor walk and the closure-built plan to the
-//! reference report (`tests/oracle/mod.rs`).
+//! `SweepPlan::run`, the cursor walk and the scalar engine to the
+//! reference report (`tests/oracle/mod.rs`). The two cases whose fault
+//! set changes with the seed, which no `Family` expresses, run their
+//! seeds in order through the scalar engine on one arena and meet the
+//! reference seed by seed.
 
 mod oracle;
 
 use std::cell::RefCell;
 
-use oracle::assert_engines_agree;
+use oracle::{assert_engines_agree, assert_seeds_match_reference};
 use shifting_gears::adversary::{BatchFamily, Family, FaultSelection};
-use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan, SweepReport};
+use shifting_gears::analysis::{AdversaryFamily, Sample, SweepConfig, SweepPlan};
 use shifting_gears::core::{batch_kernel, execute, AlgorithmSpec};
 use shifting_gears::sim::batch::{run_batch_with, BatchArena, BatchKernel, BatchNet, LaneCounts};
 use shifting_gears::sim::{
@@ -37,9 +40,8 @@ use shifting_gears::sim::{
 
 /// Fails unless the cell's runs ended at two or more different rounds —
 /// otherwise a divergence case silently degrades to the uniform one.
-fn assert_rounds_spread(report: &SweepReport) {
-    let distinct: std::collections::BTreeSet<u64> =
-        report.cells[0].samples.iter().map(|s| s.rounds).collect();
+fn assert_rounds_spread(samples: &[Sample]) {
+    let distinct: std::collections::BTreeSet<u64> = samples.iter().map(|s| s.rounds).collect();
     assert!(
         distinct.len() >= 2,
         "cell retired uniformly (rounds {distinct:?}); pick a livelier cell"
@@ -58,7 +60,7 @@ fn early_stop_divergence_splits_the_active_mask() {
         vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
         65,
     );
-    assert_rounds_spread(&assert_engines_agree(&plan));
+    assert_rounds_spread(&assert_engines_agree(&plan).cells[0].samples);
 }
 
 /// In a fixed-length plan no lane ever retires mid-loop: every run
@@ -101,7 +103,7 @@ fn phase_family_kernels_match_scalar() {
         );
         // The cell must exercise early-stop divergence (lanes retiring
         // at different rounds), not just the uniform case.
-        assert_rounds_spread(&assert_engines_agree(&plan));
+        assert_rounds_spread(&assert_engines_agree(&plan).cells[0].samples);
     }
 }
 
@@ -150,7 +152,7 @@ fn assert_dynamic_king_cell_splits(family: AdversaryFamily) {
         vec![family],
         64,
     );
-    assert_rounds_spread(&assert_engines_agree(&plan));
+    assert_rounds_spread(&assert_engines_agree(&plan).cells[0].samples);
 }
 
 #[test]
@@ -181,8 +183,7 @@ fn each_lane_keeps_the_sends_it_retired_with() {
     let config = RunConfig::new(10, 3);
     let seeds: Vec<u64> = (0..MAX_BATCH_RUNS as u64).collect();
     let family = AdversaryFamily::random_liar(FaultSelection::with_source());
-    let mut batch =
-        BatchFamily::new(family.family().expect("a named family"), &seeds).expect("a vector shape");
+    let mut batch = BatchFamily::new(family.family(), &seeds).expect("a vector shape");
     let mut kernel = batch_kernel(&spec, &config).expect("a king kernel");
     let mut arena = BatchArena::new();
     run_batch_with(&mut arena, &config, kernel.as_mut(), &mut batch);
@@ -231,7 +232,7 @@ impl Watch {
             .corrupt(config.n, config.t, config.source)
             .iter()
             .fold(0, |m, f| m | 1 << f.index());
-        let family = family.family().expect("a named family");
+        let family = family.family();
         let mut batch = BatchFamily::new(family, &seeds).expect("a vector shape");
         let mut watch = Watch {
             kernel: batch_kernel(&spec, config).expect("a king kernel"),
@@ -504,30 +505,24 @@ impl Adversary for SourceInSomeSeeds {
     }
 }
 
-/// One 64-seed gear chunk, several fates. A closure family (no wire
-/// shape, so each run builds its own strategy) corrupts the source in
-/// some seeds only: runs with a correct source stop in the prefix at the
-/// first echo, while runs under a lying source go on into their king
-/// tails — `dynamic-king`'s at different rounds, as their shift votes
-/// split. With early stopping off nothing stops in the prefix. Both
-/// modes, against `sg_sim::reference`.
+/// One 64-seed gear cell, several fates. The adversary corrupts the
+/// source in some seeds only — a fault set no `Family` can express, so
+/// the seeds run in order through the scalar engine on one arena, each
+/// under its own strategy: runs with a correct source stop in the prefix
+/// at the first echo, while runs under a lying source go on into their
+/// king tails — `dynamic-king`'s at different rounds, as their shift
+/// votes split. With early stopping off nothing stops in the prefix.
+/// Both modes, against `sg_sim::reference`.
 #[test]
 fn a_source_lying_in_some_seeds_spreads_the_gear_cells() {
-    let source_in_some_seeds = AdversaryFamily::new(SourceInSomeSeeds::NAME.to_string(), |seed| {
-        Box::new(SourceInSomeSeeds::new(seed))
-    });
+    let source_in_some_seeds = |seed| Box::new(SourceInSomeSeeds::new(seed)) as Box<dyn Adversary>;
     let prefix_rounds = 1 + 3;
     for spec in [
         AlgorithmSpec::KingShift { b: 3 },
         AlgorithmSpec::DynamicKing { b: 3 },
     ] {
-        let early = SweepPlan::new(
-            vec![SweepConfig::traced(spec, 10, 3)],
-            vec![source_in_some_seeds.clone()],
-            64,
-        );
-        let report = assert_engines_agree(&early);
-        let samples = &report.cells[0].samples;
+        let cell = SweepConfig::traced(spec, 10, 3);
+        let samples = assert_seeds_match_reference(&cell, true, 64, source_in_some_seeds);
         assert!(
             samples.iter().any(|s| s.early_stopped && s.rounds == 2),
             "{spec:?}: no run stopped at the first echo"
@@ -536,14 +531,11 @@ fn a_source_lying_in_some_seeds_spreads_the_gear_cells() {
             samples.iter().any(|s| s.rounds > prefix_rounds),
             "{spec:?}: no run reached its king tail"
         );
-        assert_rounds_spread(&report);
+        assert_rounds_spread(&samples);
 
-        let fixed = assert_engines_agree(&early.fixed_length());
+        let fixed = assert_seeds_match_reference(&cell, false, 64, source_in_some_seeds);
         assert!(
-            fixed.cells[0]
-                .samples
-                .iter()
-                .all(|s| s.rounds > prefix_rounds),
+            fixed.iter().all(|s| s.rounds > prefix_rounds),
             "{spec:?}: a fixed-length run stopped in its prefix"
         );
     }
@@ -556,9 +548,9 @@ fn a_source_lying_in_some_seeds_spreads_the_gear_cells() {
 /// — three low ids, three high ids, the source and two high ids, nobody —
 /// and neighbouring seeds never share one; random lies differ per (seed,
 /// sender, recipient), so a row read from the wrong run cannot pass for
-/// the right one. The family is a closure, so a strategy recycled from
-/// the seed before would keep that seed's set. Fixed-length too, where
-/// every run plays its whole prefix.
+/// the right one. Every seed builds its own strategy, for one recycled
+/// from the seed before would keep that seed's set. Fixed-length too,
+/// where every run plays its whole prefix.
 #[test]
 fn adjacent_wide_lanes_keep_their_own_fault_rows() {
     let n = 13;
@@ -571,26 +563,29 @@ fn adjacent_wide_lanes_keep_their_own_fault_rows() {
         }
     };
     assert!((0..16).all(|seed| fault_set(seed) != fault_set(seed + 1)));
-    let per_seed_faults =
-        AdversaryFamily::new("random-liar(set by seed)".to_string(), move |seed| {
-            let members = fault_set(seed).into_iter().map(ProcessId);
-            Family::RandomLiar(FaultSelection::explicit(members)).strategy(seed)
-        });
+    let per_seed_faults = |seed| {
+        let members = fault_set(seed).into_iter().map(ProcessId);
+        Family::RandomLiar(FaultSelection::explicit(members)).strategy(seed)
+    };
     for spec in [
         AlgorithmSpec::KingShift { b: 3 },
         AlgorithmSpec::DynamicKing { b: 3 },
     ] {
-        let config = SweepConfig::traced(spec, n, spec.max_resilience(n));
-        let early = SweepPlan::new(vec![config], vec![per_seed_faults.clone()], 16);
-        assert_rounds_spread(&assert_engines_agree(&early));
-        assert_engines_agree(&early.fixed_length());
+        let cell = SweepConfig::traced(spec, n, spec.max_resilience(n));
+        assert_rounds_spread(&assert_seeds_match_reference(
+            &cell,
+            true,
+            16,
+            per_seed_faults,
+        ));
+        assert_seeds_match_reference(&cell, false, 16, per_seed_faults);
     }
 }
 
 /// Worker count and batching compose: a mixed grid (kernel cell +
 /// tree cell; two vector-path families, and an edge-faulting one with no
 /// vector shape, whose kernel cell runs on the scalar engine; the oracle
-/// adds the closure-built leg) produces the reference report at
+/// adds the scalar leg) produces the reference report at
 /// `--jobs {1, 8}` and on the cursor path, whose 70 seeds per cell cross
 /// the 64-run chunk boundary.
 #[test]
@@ -603,7 +598,13 @@ fn jobs_and_batching_commute_on_a_mixed_grid() {
         vec![
             AdversaryFamily::random_liar(FaultSelection::with_source()),
             AdversaryFamily::crash(FaultSelection::without_source().limit(3), 2),
-            AdversaryFamily::partition(FaultSelection::with_source().limit(1), 1, 2, 3),
+            Family::Partition {
+                selection: FaultSelection::with_source().limit(1),
+                split: 1,
+                from: 2,
+                to: 3,
+            }
+            .into(),
         ],
         70,
     );

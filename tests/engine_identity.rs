@@ -9,10 +9,10 @@
 //! flipping one. Instead every execution route is compared, on full
 //! `SweepReport` equality, with a report built seed by seed on
 //! `sg_sim::reference` (see `tests/oracle/mod.rs`): `SweepPlan::run`, the
-//! daemon's cursor walk, and the same plan behind closure families (which
-//! run on the scalar engine, a strategy rebuilt per seed) must all say
-//! exactly what the naive engine says, early-stopping and fixed-length
-//! alike.
+//! daemon's cursor walk, and every cell run seed by seed on the scalar
+//! engine (king cells included, strategies recycled by `reseed`) must all
+//! say exactly what the naive engine says, early-stopping and
+//! fixed-length alike.
 //!
 //! The property test covers the grid; the named cases below are the cells
 //! CI's perf-smoke, `lie_smoke`, dynamic-gear, tree-family and
@@ -21,12 +21,12 @@
 
 mod oracle;
 
-use oracle::assert_engines_agree;
+use oracle::{assert_engines_agree, assert_seeds_match_reference};
 use proptest::prelude::*;
 use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use shifting_gears::core::AlgorithmSpec;
-use shifting_gears::sim::ProcessId;
+use shifting_gears::sim::{Adversary, ProcessId};
 
 /// The eleven protocol families of the sweep surface. Every resilience
 /// bound accepts `(n, t) = (10, 2)` except the hybrid's, which pins
@@ -59,10 +59,25 @@ fn family(idx: usize, sel: FaultSelection) -> AdversaryFamily {
         2 => AdversaryFamily::chain_revealer(sel, 2, 2),
         3 => AdversaryFamily::crash(sel, 2),
         4 => AdversaryFamily::silent(sel),
-        5 => AdversaryFamily::partition(sel, 1, 2, 3),
-        6 => AdversaryFamily::omission(sel, 2, 0),
+        5 => Family::Partition {
+            selection: sel,
+            split: 1,
+            from: 2,
+            to: 3,
+        }
+        .into(),
+        6 => Family::Omission {
+            selection: sel,
+            period: 2,
+            phase: 0,
+        }
+        .into(),
         7 => AdversaryFamily::equivocate(sel, 3, 1),
-        _ => AdversaryFamily::adaptive(sel, vec![2, 4]),
+        _ => Family::Adaptive {
+            selection: sel,
+            schedule: vec![2, 4],
+        }
+        .into(),
     }
 }
 
@@ -80,7 +95,7 @@ proptest! {
     /// executor: the king kernel, the gear shifts and tree specs on the
     /// scalar engine, the vector fault path, and the scalar engine for
     /// families without a vector shape (`partition`, and every family on
-    /// the oracle's closure-built leg).
+    /// the oracle's scalar leg).
     #[test]
     fn production_cursor_and_reference_agree_on_the_grid(
         spec_idx in 0usize..11,
@@ -334,19 +349,19 @@ fn phase_queen_n64_full_schedules() {
     check_n64(AlgorithmSpec::PhaseQueen);
 }
 
-/// A family whose **fault set depends on the seed**: a window of
+/// An adversary whose **fault set depends on the seed**: a window of
 /// consecutive ids that starts at `seed mod n` (wrapping, so some windows
 /// take in the source) and grows by one, up to `t` and back to none,
 /// every `n` seeds — telling random lies, the
 /// two-audience story, or — so that what a faulty *shadow* computed is
-/// heard by someone — relaying its shadow minus every third edge. Only a
-/// closure can say this, and a fault set that changes from seed to seed
+/// heard by someone — relaying its shadow minus every third edge. No
+/// `Family` says this, and a fault set that changes from seed to seed
 /// has no lock-step form (a batch has one fault set): every cell here,
-/// the king rows included, runs seed by seed on the scalar engine, where
-/// every seed needs its own strategy — one recycled from the seed before
-/// would keep that seed's window.
-fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
-    AdversaryFamily::new(format!("rotating-{story}"), move |seed| {
+/// the king rows included, runs seed by seed on the scalar engine's one
+/// arena, where every seed needs its own strategy — one recycled from the
+/// seed before would keep that seed's window.
+fn rotating_faults(n: usize, t: usize, story: &'static str) -> impl Fn(u64) -> Box<dyn Adversary> {
+    move |seed| {
         let start = (seed % n as u64) as usize;
         let size = (seed / n as u64 % (t as u64 + 1)) as usize;
         let window = FaultSelection::explicit((0..size).map(|k| ProcessId((start + k) % n)));
@@ -365,7 +380,7 @@ fn rotating_faults(n: usize, t: usize, story: &'static str) -> AdversaryFamily {
             }
             .strategy(0),
         }
-    })
+    }
 }
 
 #[test]
@@ -378,10 +393,12 @@ fn fault_sets_that_differ_lane_by_lane() {
         (AlgorithmSpec::Exponential, 7, 24),
     ];
     for (spec, n, seeds) in cells {
+        let t = spec.max_resilience(n);
+        let cell = SweepConfig::traced(spec, n, t);
         for story in ["random-liar", "equivocate", "omission"] {
-            for fixed in [false, true] {
-                let family = rotating_faults(n, spec.max_resilience(n), story);
-                check_cell(spec, n, family, seeds, fixed);
+            for early_stopping in [true, false] {
+                let rotating = rotating_faults(n, t, story);
+                assert_seeds_match_reference(&cell, early_stopping, seeds, rotating);
             }
         }
     }

@@ -25,7 +25,7 @@
 //! licence under which `AlgorithmSpec::PhaseQueen` builds `phase-king`'s
 //! rule row instead of a protocol of its own.
 
-use shifting_gears::adversary::FaultSelection;
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, Fingerprint, SweepConfig, SweepPlan, SweepReport};
 use shifting_gears::core::AlgorithmSpec;
 
@@ -309,7 +309,11 @@ fn shared_plan(spec: AlgorithmSpec, n: usize) -> SweepPlan {
     SweepPlan::new(
         vec![SweepConfig::traced(spec, n, spec.max_resilience(n))],
         vec![
-            AdversaryFamily::adaptive(FaultSelection::with_source(), vec![1, 3]),
+            Family::Adaptive {
+                selection: FaultSelection::with_source(),
+                schedule: vec![1, 3],
+            }
+            .into(),
             AdversaryFamily::equivocate(FaultSelection::without_source(), 3, 2),
         ],
         65,

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use serde::json::Value as Json;
 use serde::FromJson;
-use shifting_gears::adversary::FaultSelection;
+use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::{AdversaryFamily, Scenario, SweepConfig, SweepPlan};
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::serve::{serve, Bind, Client, ErrorCode, ServeError, ServeOptions};
@@ -29,7 +29,9 @@ fn violation_plan() -> SweepPlan {
         !scenario.verdict.agreement,
         "corpus file must be a violation"
     );
-    let family = AdversaryFamily::replay(scenario.trace).expect("valid trace");
+    let family = Family::replay(scenario.trace)
+        .map(AdversaryFamily::from)
+        .expect("valid trace");
     SweepPlan::new(vec![scenario.config], vec![family], 3)
 }
 
