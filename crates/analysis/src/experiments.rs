@@ -823,9 +823,8 @@ pub fn plan_figures() -> String {
 /// and chain-revealer scenario families at every actual fault count
 /// `f ≤ t`, with the source correct and with the source among the
 /// faulty, comparing the static gear plan (`compose[A(b)×k→King]`)
-/// against its dynamic counterparts — the same composition with runtime
-/// checkpoints ([`sg_core::ShiftPlanBuilder::dynamic`]) and the
-/// `dynamic-king` spec — with Dolev–Strong's `min(f+2, t+1)`
+/// against the `dynamic-king` spec, which runs the same segments with
+/// runtime checkpoints — with Dolev–Strong's `min(f+2, t+1)`
 /// early-stopping staircase alongside. The scenario adversaries are
 /// deterministic (crashes ignore their seed), so each cell is one
 /// execution.
@@ -841,12 +840,6 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
         .king_tail()
         .build()
         .expect("A-blocks + king tail validate");
-    let dynamic_comp = sg_core::ShiftPlanBuilder::new(n, t)
-        .a_blocks(b, blocks)
-        .king_tail()
-        .dynamic()
-        .build()
-        .expect("dynamic A-blocks + king tail validate");
     let mut table = Table::new(
         "EXP-RF — rounds used vs. actual fault count (static vs dynamic gear plans)",
         format!(
@@ -858,19 +851,18 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
              the f ('faulty'). 'dolev-strong' is the authenticated baseline \
              whose quiescence rule pins the min(f+2, t+1) lemma; \
              'compose[A(b)x{blocks}->King]' is the static gear plan; \
-             'dynamic' is the same composition with runtime checkpoints, and \
-             'dynamic-king' the spec-level dynamic hybrid, which shift into \
-             the king tail as soon as a block under-delivers fault \
-             detections. What decides the rounds is not f but whether the \
+             'dynamic-king' runs the same segments with runtime checkpoints \
+             and shifts into the king tail as soon as a block \
+             under-delivers fault detections. What decides the rounds is not f but whether the \
              source lies: a correct source ends every plan at round 2 — the \
              tree prefix's echo rule, before any gear is touched — at every \
              f; a source that merely crashes or stays silent leaves every \
              correct processor with one root and stops there too; only a \
              source that tells different processors different things \
              (chain-revealer) buys the adversary a block: the static plan \
-             then stops at the next block's first echo, and the dynamic \
-             ones there too or — when they shifted at the boundary instead \
-             — at their tail's first lock, one round later."
+             then stops at the next block's first echo, and dynamic-king \
+             there too or — when it shifted at the boundary instead — at \
+             its tail's first lock, one round later."
         ),
         vec![
             "source",
@@ -879,7 +871,6 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             "min(f+2,t+1)",
             "dolev-strong",
             "static compose",
-            "dynamic compose",
             "dynamic-king",
         ],
     );
@@ -910,11 +901,10 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
         (
             run(AlgorithmSpec::DolevStrong),
             compose(&static_comp),
-            compose(&dynamic_comp),
             run(AlgorithmSpec::DynamicKing { b }),
         )
     });
-    for ((source_faulty, family, f), (ds, stat, dynamic, dyn_king)) in results {
+    for ((source_faulty, family, f), (ds, stat, dyn_king)) in results {
         table.push_row(vec![
             source_label(source_faulty).to_string(),
             scenario_families(source_faulty, f)[family]
@@ -924,7 +914,6 @@ pub fn experiment_rounds_vs_f(scale: Scale) -> Table {
             (f + 2).min(t + 1).to_string(),
             ds.to_string(),
             stat.to_string(),
-            dynamic.to_string(),
             dyn_king.to_string(),
         ]);
     }

@@ -60,9 +60,7 @@ use std::fmt;
 
 use sg_sim::{PoolKey, ProcessId, Protocol, RunConfig, Value};
 
-use crate::gearbox::{Checkpoint, GearBox};
-use crate::geared::GearedProtocol;
-use crate::optimal_king::KingCore;
+use crate::gearbox::{scheduled_rounds, GearBox};
 use crate::params::{t_a, t_b, t_c, Params};
 use crate::plan::{compile, RoundAction};
 use crate::spec::SpecError;
@@ -221,12 +219,6 @@ pub struct ShiftComposition {
     segments: Vec<Segment>,
     plan: Vec<RoundAction>,
     king_tail: bool,
-    /// Whether the composition shifts dynamically: interior A/B block
-    /// boundaries become runtime [`Checkpoint`]s into a king-tail escape
-    /// (see [`ShiftPlanBuilder::dynamic`]).
-    dynamic: bool,
-    /// The compiled checkpoints (empty for static compositions).
-    checkpoints: Vec<Checkpoint>,
 }
 
 impl ShiftComposition {
@@ -250,30 +242,10 @@ impl ShiftComposition {
         &self.plan
     }
 
-    /// Whether the composition shifts dynamically at runtime.
-    pub fn is_dynamic(&self) -> bool {
-        self.dynamic
-    }
-
-    /// The compiled dynamic checkpoints (empty for static compositions).
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
-    }
-
-    /// Worst-case communication rounds: the full static plan (plus the
-    /// planned king tail), or — for a dynamic composition — the longest
-    /// schedule any shift sequence can produce (the latest checkpoint
-    /// plus its full escape tail, when that exceeds the static plan).
-    /// Shares [`crate::gearbox::worst_case_schedule`] with the built
-    /// protocol's `total_rounds`, so the reported budget and the
-    /// engine's schedule ceiling cannot drift apart.
+    /// Communication rounds: the tree plan plus the king tail's, when
+    /// there is one — the built protocol's `total_rounds`.
     pub fn rounds(&self) -> usize {
-        crate::gearbox::worst_case_schedule(
-            self.plan.len(),
-            self.king_tail,
-            self.t + 1,
-            &self.checkpoints,
-        )
+        scheduled_rounds(self.plan.len(), self.king_tail, self.t)
     }
 
     /// A display name for reports.
@@ -287,39 +259,26 @@ impl ShiftComposition {
                 Segment::King => "King".to_string(),
             });
         }
-        let kind = if self.dynamic { "dynamic" } else { "compose" };
-        format!("{kind}[{}]", parts.join("->"))
+        format!("compose[{}]", parts.join("->"))
     }
 
     /// Builds the protocol instance for processor `me`: a [`GearBox`]
     /// driving the tree machine through the A/B/C segments plus an
     /// optional king tail, with the fault list carried across the final
-    /// shift as masks (the paper's auxiliary-structure rule). A dynamic
-    /// composition's box also votes to shift into the escape tail at its
-    /// interior block boundaries (see [`crate::gearbox`]).
+    /// shift as masks (the paper's auxiliary-structure rule).
     ///
     /// `input` must be `Some` exactly when `me` is the source.
     pub fn build(&self, params: Params, me: ProcessId, input: Option<Value>) -> GearBox {
-        let geared = GearedProtocol::new(params, me, input, true, self.plan.clone());
-        // The king core exists when the static plan ends in a king tail
-        // or the composition is dynamic (the tail is the escape target).
-        let king = (self.king_tail || self.dynamic).then(|| KingCore::new(params, me));
-        GearBox::new(
-            input,
-            geared,
-            king,
-            self.king_tail,
-            self.checkpoints.clone(),
-        )
+        let compiled = (self.plan.clone(), self.king_tail, Vec::new());
+        GearBox::new(params, me, input, compiled)
     }
 
     /// The instance-pool key for this composition under `config`: the
     /// segment sequence (which fixes the compiled plan and king tail)
     /// plus every configuration field instances are seeded from.
     pub fn pool_key(&self, config: &RunConfig) -> PoolKey {
-        let mut words: Vec<u64> = Vec::with_capacity(3 * self.segments.len() + 7);
+        let mut words: Vec<u64> = Vec::with_capacity(3 * self.segments.len() + 6);
         words.push(0xC035_035E); // composition namespace
-        words.push(u64::from(self.dynamic));
         for seg in &self.segments {
             let (tag, a, b): (u64, usize, usize) = match *seg {
                 Segment::A { b, blocks } => (1, b, blocks),
@@ -389,7 +348,6 @@ pub struct ShiftPlanBuilder {
     n: usize,
     t: usize,
     segments: Vec<Segment>,
-    dynamic: bool,
 }
 
 impl ShiftPlanBuilder {
@@ -399,23 +357,7 @@ impl ShiftPlanBuilder {
             n,
             t,
             segments: Vec::new(),
-            dynamic: false,
         }
-    }
-
-    /// Marks the composition *dynamic*: every interior A/B block
-    /// boundary becomes a runtime [`Checkpoint`] at which the running
-    /// composition may shift into a Phase King escape tail as soon as
-    /// observed fault evidence bounds the active adversary (the
-    /// [`crate::gearbox`] evidence rule), instead of completing the
-    /// worst-case plan. The escape is sound regardless of the evidence —
-    /// king entry is unconditional at `t ≤ t_A(n)` (the module's safety
-    /// ledger) — so the static validation below still governs the
-    /// never-shift path, and the dynamic path only trades the remaining
-    /// plan for a tail whose guarantees stand on their own.
-    pub fn dynamic(mut self) -> Self {
-        self.dynamic = true;
-        self
     }
 
     /// Appends `blocks` Algorithm A blocks of `b` gather rounds.
@@ -626,15 +568,13 @@ impl ShiftPlanBuilder {
             });
         }
 
-        let (plan, king_tail, checkpoints) = compile(t, &self.segments, self.dynamic);
+        let (plan, king_tail, _) = compile(t, &self.segments, false);
         Ok(ShiftComposition {
             n,
             t,
             segments: self.segments,
             plan,
             king_tail,
-            dynamic: self.dynamic,
-            checkpoints,
         })
     }
 }

@@ -1,5 +1,5 @@
-//! The gear box: one scheduler for every tree-prefix → king-tail
-//! composition, static or dynamic.
+//! The gear box: one scheduler for every tree prefix and the king tail
+//! that may follow it.
 //!
 //! Every composition of a tree prefix with a king tail is one round
 //! dispatch: drive the tree machine through a prefix plan, seed a
@@ -7,20 +7,21 @@
 //! three-round phases. [`GearBox`] is that dispatch and the one
 //! [`Protocol`] behind `king-shift`, `dynamic-king` and every
 //! [`crate::ShiftComposition`] — all three are segment lists that
-//! [`crate::plan::compile`] turns into its plan — and it is
-//! where the paper's headline becomes *runtime* behaviour: the box can
-//! pick its next segment **while the execution runs**, from accumulated
-//! fault evidence, instead of replaying a worst-case plan.
+//! [`crate::plan::compile`] turns into its plan, and
+//! [`GearBox::new`] is the one constructor from that compiled form.
+//! A composition without a King segment has no tail: the box then
+//! simply runs the prefix.
 //!
 //! # Dynamic gear shifting
 //!
-//! A dynamic gear box carries a list of [`Checkpoint`]s — the prefix's
-//! A/B block boundaries — and, at each one, weighs the block that just
-//! closed against its worst-case detection guarantee (§4.4's ledger:
-//! `b − 2` new global detections per Algorithm A block, `b − 1` per B
-//! block). A block that *under-delivers* detections is evidence the
-//! adversary has fewer active faults than the remaining worst-case plan
-//! was sized for, so the box votes to shift straight into its king tail
+//! One spec shifts at runtime, `dynamic-king`: its compiled plan carries
+//! a list of [`Checkpoint`]s — the interior boundaries of its A-block
+//! prefix — and at each one the box weighs the block that just closed
+//! against its worst-case detection guarantee (§4.4's ledger: `b − 2`
+//! new global detections per Algorithm A block). A block that
+//! *under-delivers* detections is evidence the adversary has fewer
+//! active faults than the remaining worst-case plan was sized for, so
+//! the box votes to shift straight into its king tail
 //! ([`sg_sim::GearAction::ShiftGear`]); a full ledger (`|L_p| ≥ t`)
 //! votes likewise — every fault is already masked. The engine commits
 //! the shift only when **every correct processor** votes it in the same
@@ -35,14 +36,10 @@
 //! Persistence Lemma through the prefix exactly as in the static
 //! A→King hybrid. The evidence rule therefore only affects *speed*,
 //! never safety: a non-committed vote simply continues the static plan,
-//! and a committed shift lands in a protocol whose guarantees do not
-//! depend on why the shift happened. Failed king phases
-//! ([`KingCore::failed_phases`]) are surfaced as the matching
-//! tail-side evidence stream for future policies.
-//!
-//! The escape hatch is the policy itself: a box with no checkpoints is
-//! exactly the old static dispatch, bit for bit — the static
-//! compositions' committed fingerprints survive unchanged.
+//! and a committed shift lands in the planned tail early. Every
+//! checkpoint sits inside a prefix that the planned tail follows, so a
+//! shift only ever truncates the prefix, and the worst case is the
+//! static schedule. A box with no checkpoints is the static dispatch.
 
 use sg_sim::{
     GearAction, Inbox, Payload, ProcCtx, ProcessId, Protocol, RoundStatus, RunConfig, TraceEvent,
@@ -52,6 +49,7 @@ use sg_sim::{
 use crate::geared::GearedProtocol;
 use crate::optimal_king::{KingCore, PhaseStep};
 use crate::params::Params;
+use crate::plan::RoundAction;
 
 /// One dynamic shift checkpoint: a prefix block boundary at which a
 /// [`GearBox`] may vote to shift into its king tail.
@@ -79,17 +77,13 @@ const KING_TAIL: &str = "phase-king tail";
 pub struct GearBox {
     input: Option<Value>,
     geared: GearedProtocol,
+    /// The planned king tail's core; `None` when the plan ends in the
+    /// tree.
     king: Option<KingCore>,
-    /// Effective prefix length: the static plan length until a dynamic
-    /// shift truncates it.
+    /// Effective prefix length: the plan length until a dynamic shift
+    /// truncates it.
     prefix_rounds: usize,
-    /// The static plan's prefix length (restored on reset).
-    static_prefix: usize,
-    /// Whether the static plan itself ends in the king tail (vs the tail
-    /// existing only as the dynamic escape target).
-    static_tail: bool,
     seeded: bool,
-    shifted: bool,
     checkpoints: Vec<Checkpoint>,
     /// `|L_p|` at the previous checkpoint — the evidence baseline.
     ledger_baseline: usize,
@@ -99,47 +93,40 @@ pub struct GearBox {
 }
 
 impl GearBox {
-    /// Assembles a gear box from a compiled plan
-    /// ([`crate::plan::compile`]).
-    ///
-    /// `geared` interprets the prefix plan; `king` is the tail core
-    /// (mandatory when `static_tail` is set or there is any checkpoint);
+    /// Processor `me`'s gear box for a compiled plan — the
+    /// `(plan, king_tail, checkpoints)` that [`crate::plan::compile`]
+    /// returns: the plan on the modified tree machine, then `t + 1`
+    /// phases of optimally resilient Phase King when `king_tail` is set.
     /// `input` must be `Some` exactly for the source.
     ///
     /// # Panics
     ///
-    /// Panics if a tail is required but `king` is `None`, or a
-    /// checkpoint falls outside the prefix.
+    /// Panics if there are checkpoints but no king tail to shift into,
+    /// or a checkpoint falls outside the prefix.
     pub fn new(
+        params: Params,
+        me: ProcessId,
         input: Option<Value>,
-        geared: GearedProtocol,
-        king: Option<KingCore>,
-        static_tail: bool,
-        checkpoints: Vec<Checkpoint>,
+        (plan, king_tail, checkpoints): (Vec<RoundAction>, bool, Vec<Checkpoint>),
     ) -> Self {
-        let static_prefix = geared.plan().len();
         assert!(
-            king.is_some() || (!static_tail && checkpoints.is_empty()),
-            "a king tail or dynamic checkpoints require a king core"
+            king_tail || checkpoints.is_empty(),
+            "checkpoints need a planned king tail"
         );
         assert!(
-            checkpoints.iter().all(|c| c.round < static_prefix),
+            checkpoints.iter().all(|c| c.round < plan.len()),
             "checkpoints must fall strictly inside the prefix"
         );
-        let t = geared.t();
         GearBox {
             input,
-            geared,
-            king,
-            prefix_rounds: static_prefix,
-            static_prefix,
-            static_tail,
+            prefix_rounds: plan.len(),
+            geared: GearedProtocol::new(params, me, input, true, plan),
+            king: king_tail.then(|| KingCore::new(params, me)),
             seeded: false,
-            shifted: false,
             checkpoints,
             ledger_baseline: 0,
             vote_shift: false,
-            t,
+            t: params.t,
         }
     }
 
@@ -154,42 +141,15 @@ impl GearBox {
         self.prefix_rounds
     }
 
-    /// Whether a dynamic shift has committed this run.
-    pub fn shifted(&self) -> bool {
-        self.shifted
-    }
-
     /// The dynamic shift checkpoints (empty for static dispatch).
     pub fn checkpoints(&self) -> &[Checkpoint] {
         &self.checkpoints
     }
 
-    /// Whether the king tail runs this execution: statically planned, or
-    /// entered through a committed dynamic shift.
-    fn tail_active(&self) -> bool {
-        self.static_tail || self.shifted
-    }
-
-    /// The round after which this box's current schedule is exhausted.
-    fn end_round(&self) -> usize {
-        self.prefix_rounds
-            + if self.tail_active() {
-                3 * (self.t + 1)
-            } else {
-                0
-            }
-    }
-
-    /// The worst-case schedule length: the longest schedule any gear
-    /// sequence can produce (shifts only ever truncate the prefix, so
-    /// with a static tail this is simply the full static plan).
+    /// The worst-case schedule length: the static plan, prefix and
+    /// tail. Shifts only ever truncate the prefix.
     pub fn worst_case_rounds(&self) -> usize {
-        worst_case_schedule(
-            self.static_prefix,
-            self.static_tail,
-            self.t + 1,
-            &self.checkpoints,
-        )
+        scheduled_rounds(self.geared.plan().len(), self.king.is_some(), self.t)
     }
 
     /// The king core and its (phase, step) for the post-prefix engine
@@ -247,19 +207,17 @@ impl Protocol for GearBox {
         if ctx.round <= self.prefix_rounds {
             self.geared.deliver(inbox, ctx);
             if ctx.round == self.prefix_rounds {
-                if self.static_tail && !self.seeded {
+                if self.king.is_some() && !self.seeded {
                     self.seed_tail(ctx);
                 }
-            } else if !self.shifted {
-                if let Some(cp) = self.checkpoints.iter().find(|c| c.round == ctx.round) {
-                    // The evidence rule: a block that under-delivered
-                    // against its worst-case detection guarantee, or a
-                    // full ledger, votes to shift into the tail now.
-                    let ledger = self.geared.fault_list().len();
-                    let newly = ledger.saturating_sub(self.ledger_baseline);
-                    self.vote_shift = newly < cp.capacity || ledger >= self.t;
-                    self.ledger_baseline = ledger;
-                }
+            } else if let Some(cp) = self.checkpoints.iter().find(|c| c.round == ctx.round) {
+                // The evidence rule: a block that under-delivered against
+                // its worst-case detection guarantee, or a full ledger,
+                // votes to shift into the tail now.
+                let ledger = self.geared.fault_list().len();
+                let newly = ledger.saturating_sub(self.ledger_baseline);
+                self.vote_shift = newly < cp.capacity || ledger >= self.t;
+                self.ledger_baseline = ledger;
             }
         } else {
             let (king, phase, step) = self.tail(ctx.round);
@@ -314,7 +272,7 @@ impl Protocol for GearBox {
     /// `Finished` past the current schedule's end, `ShiftGear` when the
     /// checkpoint just delivered voted to shift, `Round` otherwise.
     fn next_action(&self, ctx: &ProcCtx) -> GearAction {
-        if ctx.round >= self.end_round() {
+        if ctx.round >= scheduled_rounds(self.prefix_rounds, self.king.is_some(), self.t) {
             GearAction::Finished
         } else if self.vote_shift {
             GearAction::ShiftGear
@@ -328,11 +286,10 @@ impl Protocol for GearBox {
     /// instance — including honest shadows whose own vote may have
     /// differed — so the post-shift schedule is common.
     fn shift_gear(&mut self, ctx: &mut ProcCtx) {
-        if self.seeded || self.shifted {
+        if self.seeded {
             return;
         }
         self.prefix_rounds = ctx.round;
-        self.shifted = true;
         self.vote_shift = false;
         self.seed_tail(ctx);
     }
@@ -350,33 +307,22 @@ impl Protocol for GearBox {
         if let Some(king) = self.king.as_mut() {
             king.reset(params, id);
         }
-        self.prefix_rounds = self.static_prefix;
+        self.prefix_rounds = self.geared.plan().len();
         self.seeded = false;
-        self.shifted = false;
         self.vote_shift = false;
         self.ledger_baseline = 0;
         true
     }
 }
 
-/// The worst-case schedule length of a gear plan: the static prefix
-/// (plus the statically planned king tail, when there is one), or — when
-/// a checkpoint's escape tail would outrun that — the latest checkpoint
-/// plus its full `3 · phases`-round tail. The one formula behind both
-/// [`GearBox::worst_case_rounds`] (the engine's schedule ceiling) and
-/// [`crate::ShiftComposition::rounds`] (the reported round budget), so
-/// the two can never drift apart.
-pub fn worst_case_schedule(
-    static_prefix: usize,
-    static_tail: bool,
-    phases: usize,
-    checkpoints: &[Checkpoint],
-) -> usize {
-    let static_total = static_prefix + if static_tail { 3 * phases } else { 0 };
-    checkpoints
-        .iter()
-        .map(|c| c.round + 3 * phases)
-        .fold(static_total, usize::max)
+/// The rounds a compiled plan schedules: its tree prefix, plus `t + 1`
+/// three-round king phases when a King segment follows it. The one
+/// formula behind [`GearBox::worst_case_rounds`] (the engine's schedule
+/// ceiling), [`crate::AlgorithmSpec::rounds`] and
+/// [`crate::ShiftComposition::rounds`] (the reported round budgets), so
+/// they cannot drift apart.
+pub(crate) fn scheduled_rounds(prefix: usize, king_tail: bool, t: usize) -> usize {
+    prefix + if king_tail { 3 * (t + 1) } else { 0 }
 }
 
 /// How many Algorithm A blocks `dynamic-king`'s worst-case prefix runs
@@ -395,7 +341,7 @@ pub fn dynamic_king_blocks(t: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvertSpec, RoundAction};
+    use crate::plan::ConvertSpec;
     use crate::AlgorithmSpec;
     use sg_eigtree::Conversion;
     use sg_sim::ValueDomain;
@@ -438,25 +384,18 @@ mod tests {
 
     #[test]
     fn static_box_has_no_votes() {
-        let g = GearedProtocol::new(
-            params(10, 3),
-            ProcessId(1),
-            None,
-            true,
-            vec![
-                RoundAction::Initial,
-                RoundAction::Gather { convert: None },
-                RoundAction::Gather { convert: None },
-                RoundAction::Gather {
-                    convert: Some(ConvertSpec {
-                        conversion: Conversion::ResolvePrime { t: 3 },
-                        discovery: true,
-                    }),
-                },
-            ],
-        );
-        let king = KingCore::new(params(10, 3), ProcessId(1));
-        let gear = GearBox::new(None, g, Some(king), true, Vec::new());
+        let plan = vec![
+            RoundAction::Initial,
+            RoundAction::Gather { convert: None },
+            RoundAction::Gather { convert: None },
+            RoundAction::Gather {
+                convert: Some(ConvertSpec {
+                    conversion: Conversion::ResolvePrime { t: 3 },
+                    discovery: true,
+                }),
+            },
+        ];
+        let gear = GearBox::new(params(10, 3), ProcessId(1), None, (plan, true, Vec::new()));
         let mut ctx = ProcCtx::new(ProcessId(1));
         ctx.round = 2;
         assert_eq!(gear.next_action(&ctx), GearAction::Round);
@@ -465,16 +404,21 @@ mod tests {
         assert_eq!(gear.worst_case_rounds(), 4 + 12);
     }
 
+    /// A runtime shift lands in the planned tail: a plan without one has
+    /// nothing to shift into.
     #[test]
-    #[should_panic(expected = "require a king core")]
-    fn tail_without_core_rejected() {
-        let g = GearedProtocol::new(
+    #[should_panic(expected = "need a planned king tail")]
+    fn checkpoints_without_a_tail_rejected() {
+        let plan = vec![RoundAction::Initial, RoundAction::Gather { convert: None }];
+        let checkpoint = Checkpoint {
+            round: 1,
+            capacity: 1,
+        };
+        let _ = GearBox::new(
             params(10, 3),
             ProcessId(1),
             None,
-            true,
-            vec![RoundAction::Initial],
+            (plan, false, vec![checkpoint]),
         );
-        let _ = GearBox::new(None, g, None, true, Vec::new());
     }
 }

@@ -166,11 +166,6 @@ impl GearedProtocol {
         self.peak_nodes = self.peak_nodes.max(live);
     }
 
-    /// The fault bound `t` this instance was built for.
-    pub(crate) fn t(&self) -> usize {
-        self.params.t
-    }
-
     /// This processor's current list `L_p` of discovered faults.
     pub fn fault_list(&self) -> &FaultList {
         &self.faults

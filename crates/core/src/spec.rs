@@ -14,9 +14,9 @@ use sg_sim::{PoolKey, ProcessId, Protocol, RunConfig, Value};
 
 use crate::compose::Segment;
 use crate::dolev_strong::DolevStrong;
-use crate::gearbox::{dynamic_king_blocks, worst_case_schedule, Checkpoint, GearBox};
+use crate::gearbox::{dynamic_king_blocks, scheduled_rounds, Checkpoint, GearBox};
 use crate::geared::GearedProtocol;
-use crate::optimal_king::{KingCore, KingRow};
+use crate::optimal_king::KingRow;
 use crate::params::{t_a, t_b, t_c, Params};
 use crate::phase_king::PhaseKing;
 use crate::plan::{compile, RoundAction};
@@ -356,8 +356,8 @@ impl AlgorithmSpec {
     /// schedule (its never-shift worst case), otherwise the king
     /// family's or Dolev–Strong's closed form.
     pub fn rounds(&self, n: usize, t: usize) -> usize {
-        if let Some((plan, king_tail, checkpoints)) = self.compile(n, t) {
-            return worst_case_schedule(plan.len(), king_tail, t + 1, &checkpoints);
+        if let Some((plan, king_tail, _)) = self.compile(n, t) {
+            return scheduled_rounds(plan.len(), king_tail, t);
         }
         match *self {
             AlgorithmSpec::PhaseKing | AlgorithmSpec::PhaseQueen => 1 + 2 * (t + 1),
@@ -454,9 +454,7 @@ impl AlgorithmSpec {
                 let modified = !matches!(self, AlgorithmSpec::PlainExponential);
                 Box::new(GearedProtocol::new(params, me, input, modified, plan))
             }
-            Some((plan, true, checkpoints)) => {
-                Box::new(king_tail_box(params, me, input, plan, checkpoints))
-            }
+            Some(compiled) => Box::new(GearBox::new(params, me, input, compiled)),
         }
     }
 
@@ -472,7 +470,7 @@ impl AlgorithmSpec {
         self.validate(params.n, params.t)
             .unwrap_or_else(|e| panic!("invalid algorithm parameters: {e}"));
         match self.compile(params.n, params.t)? {
-            (plan, true, checkpoints) => Some(king_tail_box(params, me, input, plan, checkpoints)),
+            compiled @ (_, true, _) => Some(GearBox::new(params, me, input, compiled)),
             (_, false, _) => None,
         }
     }
@@ -530,25 +528,6 @@ fn runs<'a>(
     blocks
         .chunk_by(|x, y| x == y)
         .map(move |run| seg(run[0], run.len()))
-}
-
-/// A king-tail spec's gear box: the compiled prefix on the tree machine,
-/// then `t + 1` phases of optimally resilient Phase King.
-fn king_tail_box(
-    params: Params,
-    me: ProcessId,
-    input: Option<Value>,
-    plan: Vec<RoundAction>,
-    checkpoints: Vec<Checkpoint>,
-) -> GearBox {
-    let geared = GearedProtocol::new(params, me, input, true, plan);
-    GearBox::new(
-        input,
-        geared,
-        Some(KingCore::new(params, me)),
-        true,
-        checkpoints,
-    )
 }
 
 #[cfg(test)]

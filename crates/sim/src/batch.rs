@@ -26,9 +26,10 @@
 //! fault set for the whole batch** in one [`BatchAdversary::corrupt`]
 //! call and classifies all faulty payloads of a round directly into lane
 //! masks in one [`BatchAdversary::lies`] call — no per-lane payload, view
-//! or scalar strategy exists. A fault set that differs from lane to lane
-//! (a closure, `tape` or trace-replay family) has no such form, so its
-//! runs take the scalar engine instead: the input selects the path.
+//! or scalar strategy exists. A family whose lies follow call order
+//! rather than a rule over lanes (a `tape` or trace-replay family) has
+//! no such vector shape, so its runs take the scalar engine instead: the
+//! input selects the path.
 //!
 //! Per-run outputs are bit-identical to the scalar path by construction:
 //! the adversary's lies are the scalar strategy's payloads classified,

@@ -5,8 +5,8 @@
 //!        [--value 1] [--seed 7] [--source-faulty] [--trace]
 //! sg plan --alg algorithm-b --b 3 --t 5 [--n 21]
 //! sg compose --n 16 --spec a:3x2,b:3x1,c:4 [--t 5] [--run] [--adversary <name>]
-//! sg gauntlet --alg optimal-king --n 10 [--t 3] [--b 3]
-//! sg stability --alg hybrid --n 16 [--b 3] [--seed 7]
+//! sg gauntlet --alg optimal-king --n 10 [--t 3] [--b 3] [--seed 7]
+//! sg stability --alg hybrid --n 16 [--b 3]
 //! sg sweep --alg phase-king --n 16 [--t 5] [--seeds 100] [--adversary random-liar]
 //!          [--expect-fingerprint <hex>] [--journal <dir>]
 //! sg record --alg optimal-king --n 7 --adversary equivocate [--seed 3] [--out scenario.json]
@@ -88,8 +88,8 @@ fn usage() -> ! {
          [--value <v>] [--seed <s>] [--source-faulty] [--trace]\n  \
          sg plan --alg <name> --t <t> [--b <b>] [--n <n>]\n  \
          sg compose --n <n> --spec a:3x2,b:3x1,c:4 [--t <t>] [--run] [--adversary <name>]\n  \
-         sg gauntlet --alg <name> --n <n> [--t <t>] [--b <b>]\n  \
-         sg stability --alg <name> --n <n> [--t <t>] [--b <b>] [--seed <s>]\n  \
+         sg gauntlet --alg <name> --n <n> [--t <t>] [--b <b>] [--seed <s>]\n  \
+         sg stability --alg <name> --n <n> [--t <t>] [--b <b>]\n  \
          sg sweep --alg <name> --n <n> [--t <t>] [--b <b>] [--seeds <k>]\n           \
          [--adversary <name>]\n           \
          [--f <k>] [--source-faulty] [--base-seed <s>]\n           \
@@ -138,7 +138,8 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
         ),
         "plan" => (spec.to_string(), ""),
         "compose" => ("n t spec seed adversary".to_string(), "run no-early-stop"),
-        "gauntlet" | "stability" => (spec.to_string(), "no-early-stop"),
+        "gauntlet" => (spec.to_string(), "no-early-stop"),
+        "stability" => ("alg n t b".to_string(), "no-early-stop"),
         "sweep" => (GRID.to_string(), "source-faulty no-early-stop"),
         "record" => (format!("{spec} adversary value out"), "source-faulty"),
         "serve" => (
@@ -668,7 +669,6 @@ fn cmd_stability(flags: &HashMap<String, String>, toggles: &[String]) {
     let b = parse_usize(flags, "b").unwrap_or(3);
     let spec = algorithm(alg, b);
     let t = parse_usize(flags, "t").unwrap_or_else(|| spec.max_resilience(n));
-    let seed = parse_usize(flags, "seed").unwrap_or(7) as u64;
     println!(
         "decision lock-in for {} at n={n}, t={t} (staggered split-brain adversary):",
         spec.name()
@@ -678,7 +678,6 @@ fn cmd_stability(flags: &HashMap<String, String>, toggles: &[String]) {
         let config = run_mode(RunConfig::new(n, t), toggles)
             .with_source_value(Value(1))
             .with_trace();
-        let _ = seed;
         let family = if f == 0 {
             Family::NoFaults
         } else {

@@ -158,6 +158,29 @@ fn stability_prints_lock_in_sweep() {
     assert!(rows >= 3, "{stdout}");
 }
 
+/// The lock-in sweep plays one deterministic staggered split whatever
+/// the seed, so `stability` takes no `--seed`: passing one is an unknown
+/// flag, not a silently ignored one.
+#[test]
+fn stability_rejects_a_seed() {
+    let args = [
+        "stability",
+        "--alg",
+        "algorithm-c",
+        "--n",
+        "18",
+        "--seed",
+        "7",
+    ];
+    let (code, stdout, stderr) = sg_code(&args);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag '--seed' for `sg stability`"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
 #[test]
 fn run_dynamic_king_from_cli() {
     let (ok, stdout, _) = sg(&[
