@@ -67,14 +67,6 @@ impl FaultSelection {
         self
     }
 
-    /// Whether this selection corrupts the source.
-    pub fn corrupts_source(&self, source: ProcessId) -> bool {
-        match &self.explicit {
-            Some(list) => list.contains(&source),
-            None => self.include_source,
-        }
-    }
-
     /// Whether every processor the selection names outright is one of
     /// `0..n`: an explicit member list's are, or [`FaultSelection::select`]
     /// would panic; the rank-picking selections name none.

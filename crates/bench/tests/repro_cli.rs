@@ -2,6 +2,9 @@
 
 use std::process::Command;
 
+/// The committed `repro --exp rounds-vs-f` table.
+const ROUNDS_VS_F: &str = include_str!("../../../BENCH_rounds_vs_f.md");
+
 fn repro(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args);
@@ -42,8 +45,28 @@ fn rounds_vs_f_regenerates_the_committed_table() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        written.expect("repro wrote the table"),
-        include_str!("../../../BENCH_rounds_vs_f.md"),
-    );
+    assert_eq!(written.expect("repro wrote the table"), ROUNDS_VS_F);
+}
+
+/// The expedite acceptance criterion, on the table above: under a correct
+/// source every one of the seven tree specs ends at round 2 at every f,
+/// under all three families (EXP-RF-TREE's 28 'correct' rows).
+#[test]
+fn a_correct_source_stops_every_tree_spec_at_round_2() {
+    // The rows whose sixth `|` field (awk's $6, the source column of
+    // EXP-RF-TREE) says "correct".
+    let rows: Vec<Vec<&str>> = ROUNDS_VS_F
+        .lines()
+        .map(|line| line.split('|').collect::<Vec<_>>())
+        .filter(|fields| fields.get(5).is_some_and(|f| f.contains("correct")))
+        .collect();
+    assert_eq!(rows.len(), 28, "table parse failed:\n{ROUNDS_VS_F}");
+    for fields in rows {
+        let rounds = fields.get(7..10).unwrap_or_default();
+        assert!(
+            rounds.len() == 3 && rounds.iter().all(|r| r.trim() == "2"),
+            "a correct source no longer stops this at round 2: {}",
+            fields.join("|")
+        );
+    }
 }

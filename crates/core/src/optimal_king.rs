@@ -161,11 +161,6 @@ pub struct KingCore {
     /// auxiliary fault list carried across a shift (empty unless the
     /// embedding protocol seeds it).
     masked: ProcessSet,
-    /// Completed phases that did not lock — the tail-side fault-evidence
-    /// stream (a failed phase means the adversary kept correct processors
-    /// from a super-majority, or the phase king was faulty), surfaced for
-    /// gear-shifting policies via [`KingCore::failed_phases`].
-    failed_phases: usize,
 }
 
 impl KingCore {
@@ -186,7 +181,6 @@ impl KingCore {
             locked: false,
             ready: false,
             masked: ProcessSet::new(params.n),
-            failed_phases: 0,
         }
     }
 
@@ -200,7 +194,6 @@ impl KingCore {
         self.proposal = None;
         self.locked = false;
         self.ready = false;
-        self.failed_phases = 0;
         if self.masked.universe() == params.n {
             self.masked.clear();
         } else {
@@ -235,16 +228,6 @@ impl KingCore {
     /// conjunction makes it sound (see the `ready` field).
     pub fn is_ready(&self) -> bool {
         self.ready
-    }
-
-    /// Completed phases that failed to lock at this processor — the king
-    /// tail's accumulated fault evidence, the counterpart of the tree
-    /// prefix's detection ledger for gear-shifting policies
-    /// (`sg_core::gearbox`). Fault-free phases lock immediately, so a
-    /// nonzero count certifies adversary interference (a blocked
-    /// super-majority or a faulty king).
-    pub fn failed_phases(&self) -> usize {
-        self.failed_phases
     }
 
     /// Masks `who`: all further messages from it are read as `⊥`/default.
@@ -400,9 +383,6 @@ impl KingCore {
                     if king != self.me {
                         self.current = self.read(inbox, king).unwrap_or(Value::DEFAULT);
                     }
-                }
-                if !self.ready {
-                    self.failed_phases += 1;
                 }
                 // Phase over: reset per-phase state.
                 self.proposal = None;

@@ -54,14 +54,6 @@ impl Res {
             Res::Bottom => Value::DEFAULT,
         }
     }
-
-    /// The carried value, if not `⊥`.
-    pub fn as_value(self) -> Option<Value> {
-        match self {
-            Res::Val(v) => Some(v),
-            Res::Bottom => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Res {

@@ -271,11 +271,6 @@ impl IgTree {
         self.depth - 1
     }
 
-    /// Whether any level has been stored.
-    pub fn is_initialized(&self) -> bool {
-        self.depth > 0
-    }
-
     /// The values of level `k` in canonical order.
     pub fn level(&self, k: usize) -> &Planes {
         &self.stored()[k]

@@ -136,7 +136,7 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
             format!("{spec} adversary value"),
             "source-faulty trace no-early-stop",
         ),
-        "plan" => (spec.to_string(), ""),
+        "plan" => ("alg n t b".to_string(), ""),
         "compose" => ("n t spec seed adversary".to_string(), "run no-early-stop"),
         "gauntlet" => (spec.to_string(), "no-early-stop"),
         "stability" => ("alg n t b".to_string(), "no-early-stop"),

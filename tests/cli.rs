@@ -181,6 +181,30 @@ fn stability_rejects_a_seed() {
     assert!(stdout.is_empty(), "{stdout}");
 }
 
+/// `cmd_plan` compiles a spec's schedule, which no seed enters, so `plan`
+/// takes no `--seed`: passing one is an unknown flag.
+#[test]
+fn plan_rejects_a_seed() {
+    let args = [
+        "plan",
+        "--alg",
+        "algorithm-b",
+        "--b",
+        "3",
+        "--t",
+        "5",
+        "--seed",
+        "7",
+    ];
+    let (code, stdout, stderr) = sg_code(&args);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag '--seed' for `sg plan`"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
 #[test]
 fn run_dynamic_king_from_cli() {
     let (ok, stdout, _) = sg(&[
@@ -258,6 +282,32 @@ fn record_then_replay_round_trips_through_the_cli() {
     assert!(stderr.contains("verdict drift"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every committed `sg-scenario/1` artifact, survivals and recorded
+/// agreement violations alike, replays to its recorded verdict through
+/// the CLI: `sg replay` exits non-zero on a parse failure, a replay
+/// desync or verdict drift. `tests/scenario_corpus.rs` is the library
+/// path over the same files.
+#[test]
+fn the_committed_corpus_replays_from_the_cli() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut paths: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/corpus")
+        .map(|entry| entry.expect("corpus entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .map(|path| path.to_str().expect("utf-8 path").to_string())
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no scenarios in {}", dir.display());
+    let mut args = vec!["replay"];
+    args.extend(paths.iter().map(String::as_str));
+    let (ok, stdout, stderr) = sg(&args);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains(&format!("{} scenario(s) replayed, 0 failed", paths.len())),
+        "{stdout}"
+    );
 }
 
 /// Running `sg` with no subcommand prints the usage text and exits
@@ -480,6 +530,89 @@ fn one_daemon_serves_both_modes_from_the_cli() {
     let status = daemon.0.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "daemon exit: {status}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `sg sweep` on `cell` at `--jobs 1` and `--jobs 2`, each held to
+/// `fingerprint` by `--expect-fingerprint`, and returns both outputs.
+fn sweep_pinned(cell: &[&str], fingerprint: &str) -> Vec<String> {
+    ["1", "2"]
+        .into_iter()
+        .map(|jobs| {
+            let mut args = vec!["sweep"];
+            args.extend(cell);
+            args.extend(["--jobs", jobs, "--expect-fingerprint", fingerprint]);
+            let (ok, stdout, stderr) = sg(&args);
+            assert!(ok, "{args:?}: {stdout}{stderr}");
+            assert!(
+                stdout.contains(&format!("report fingerprint: {fingerprint}")),
+                "{args:?}: {stdout}"
+            );
+            stdout
+        })
+        .collect()
+}
+
+/// An early-stopped tree cell (hybrid b=3 n=16 t=5, 16 seeds of random
+/// liars sparing the source): every run ends at round 2, at the first
+/// echo (`sg_core::GearedProtocol`'s echo rule).
+#[test]
+fn the_early_stopped_tree_cell_is_pinned() {
+    let cell = ["--alg", "hybrid", "--b", "3", "--n", "16", "--seeds", "16"];
+    for stdout in sweep_pinned(&cell, "4ce856001797a525") {
+        let every_run_at_round_2 = stdout.lines().any(|line| {
+            line.split_once("rounds 2/2.0±0.0/2 ")
+                .is_some_and(|(_, rest)| rest.contains("early-stop 100%"))
+        });
+        assert!(every_run_at_round_2, "{stdout}");
+    }
+}
+
+/// The same hybrid cell with the source among the random liars: 53-55
+/// discoveries a run, and early mode ends at round 5, so a later block's
+/// echo round runs with a non-empty fault list. The echo rounds' reads,
+/// discovery and quorum all reach its fingerprint, in both modes.
+#[test]
+fn the_lying_source_tree_cell_is_pinned_in_both_modes() {
+    let cell = [
+        "--alg",
+        "hybrid",
+        "--b",
+        "3",
+        "--n",
+        "16",
+        "--seeds",
+        "16",
+        "--source-faulty",
+    ];
+    sweep_pinned(&cell, "9e14525963f8907e");
+    sweep_pinned(
+        &[&cell[..], &["--no-early-stop"]].concat(),
+        "9773cd8e9fe8c55b",
+    );
+}
+
+/// The contested-shadow cell (optimal-king n=31 t=10, 256 seeds of
+/// chain-revealer with the source faulty): members relay their shadows
+/// until their turns, so a member whose shadow nobody reads again sits
+/// beside members that still relay. Pinned in both modes.
+#[test]
+fn the_contested_shadow_cell_is_pinned_in_both_modes() {
+    let cell = [
+        "--alg",
+        "optimal-king",
+        "--n",
+        "31",
+        "--adversary",
+        "chain-revealer",
+        "--source-faulty",
+        "--seeds",
+        "256",
+    ];
+    sweep_pinned(&cell, "3b2c9114ecaeaf25");
+    sweep_pinned(
+        &[&cell[..], &["--no-early-stop"]].concat(),
+        "d975f8efecc96325",
+    );
 }
 
 #[test]

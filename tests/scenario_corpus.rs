@@ -3,8 +3,9 @@
 //!
 //! `tests/corpus/*.json` are `sg-scenario/1` artifacts — each one a full
 //! adversary trace plus the verdict the run produced when recorded. The
-//! regression test here (and CI's `scenario-corpus` job, which drives the
-//! same files through `sg replay`) re-executes every trace and asserts
+//! regression test here (and `tests/cli.rs::
+//! the_committed_corpus_replays_from_the_cli`, which drives the same files
+//! through `sg replay`) re-executes every trace and asserts
 //! the verdict reproduces bit-exactly, so any engine change that silently
 //! alters what a recorded fault pattern does to a protocol fails loudly.
 //!
