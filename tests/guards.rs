@@ -89,12 +89,6 @@ impl Tree {
         Tree(files)
     }
 
-    /// The tree with `line` planted at the top of the file at `path`,
-    /// where a guard that reads up to the first test module sees it too.
-    fn plant(&self, path: &'static str, line: &str) -> Tree {
-        self.with(path, |text| format!("{line}\n{text}"))
-    }
-
     /// The files at or below any of `roots`.
     fn under(&self, roots: &[&str]) -> Vec<(&str, &str)> {
         self.0
@@ -195,10 +189,12 @@ fn check(guard: impl Fn(&Tree) -> Vec<String>, failure: &str, plants: &[&'static
     }
 }
 
-/// The repository with the plant `path: line`.
+/// The repository with the plant `path: line`: the line goes at the top
+/// of the file, where a guard that reads up to the first test module
+/// sees it too.
 fn planted(plant: &'static str) -> Tree {
     let (path, line) = plant.split_once(": ").expect("a plant is `path: line`");
-    repo().plant(path, line)
+    repo().with(path, |text| format!("{line}\n{text}"))
 }
 
 /// Asserts that `guard` finds something in `planted`.
@@ -369,8 +365,9 @@ fn one_king() {
         ],
     );
     // `grep -c "impl BatchKernel for" crates/core/src/*.rs`, summed.
-    let kernels = |tree: &Tree| {
-        tree.under(&["crates/core/src"])
+    let one_kernel = |tree: &Tree| {
+        let found: Vec<String> = tree
+            .under(&["crates/core/src"])
             .into_iter()
             .filter(|(path, _)| {
                 path.strip_prefix("crates/core/src/")
@@ -379,10 +376,7 @@ fn one_king() {
             .flat_map(|(path, text)| numbered(path, text))
             .filter(|(_, line)| line.contains("impl BatchKernel for"))
             .map(|(at, line)| format!("{at}: {line}"))
-            .collect::<Vec<_>>()
-    };
-    let one_kernel = |tree: &Tree| {
-        let found = kernels(tree);
+            .collect();
         unless(found.len() == 1, &found)
     };
     check(
@@ -1237,7 +1231,7 @@ fn broadcast_only() {
             "tests/multivalued.rs: multivalued_broadcast(&spec)",
         ],
     );
-    let history = planted("docs/measurements/PR-42.md: pub mod multiplex;");
+    let history = planted("docs/measurements/history.md: pub mod multiplex;");
     assert!(
         history.grep(PATHS, layer).is_empty(),
         "docs/measurements/ was scanned"
