@@ -24,7 +24,7 @@ pub mod wire;
 
 pub use experiments::{all_experiments, measure, plan_figures, Measured, Scale, TREE_PAPER_CELLS};
 pub use journal::{epoch_for, JournalSweep, ENGINE_VERSION_TAG};
-pub use montecarlo::{early_stop_rate, random_liar_sweep, sample_of, summarize, Sample, Summary};
+pub use montecarlo::{early_stop_rate, sample_of, summarize, Sample, Summary};
 pub use scenario::{Scenario, ScenarioError, Verdict, SCENARIO_SCHEMA};
 pub use stability::{lock_in, StabilityReport};
 pub use sweep::{

@@ -7,12 +7,9 @@
 //! distributions quantify how far typical executions sit from the
 //! worst-case bounds the paper proves.
 
-use sg_adversary::FaultSelection;
-use sg_core::AlgorithmSpec;
 use sg_sim::{Outcome, TraceEvent};
 
 use crate::stability::lock_in;
-use crate::sweep::{AdversaryFamily, SweepConfig, SweepPlan};
 
 /// Summary statistics of a sample of non-negative integers.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -149,29 +146,6 @@ pub fn sample_of(outcome: &Outcome) -> Sample {
     }
 }
 
-/// Distribution of [`Sample`]s for `spec` over `seeds` random-liar
-/// executions (faulty set includes the source, so validity is stressed
-/// where it is vacuous and agreement everywhere).
-///
-/// Runs on the parallel sweep engine ([`crate::sweep`]); the single-cell
-/// plan's seed stream starts at 0, so run `i` sees adversary seed `i` —
-/// the exact seeds the original sequential loop used — and the returned
-/// samples are in seed order regardless of worker count.
-///
-/// # Panics
-///
-/// Panics if any execution violates agreement, or `seeds` is 0.
-pub fn random_liar_sweep(spec: AlgorithmSpec, n: usize, t: usize, seeds: u64) -> Vec<Sample> {
-    assert!(seeds > 0, "need at least one seed");
-    let plan = SweepPlan::new(
-        vec![SweepConfig::traced(spec, n, t)],
-        vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
-        seeds,
-    );
-    let mut report = plan.run();
-    report.cells.swap_remove(0).samples
-}
-
 /// Summaries (lock-in, discoveries, bits, ops, rounds) of a sample set,
 /// in one pass over `samples`.
 ///
@@ -216,6 +190,21 @@ pub fn early_stop_rate(samples: &[Sample]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{AdversaryFamily, SweepConfig, SweepPlan};
+    use sg_adversary::FaultSelection;
+    use sg_core::AlgorithmSpec;
+
+    /// `seeds` random-liar runs of `spec` at `(n, t)`, the source among
+    /// the liars, in seed order: one cell at base seed 0, so run `i`
+    /// sees adversary seed `i`.
+    fn random_liar_samples(spec: AlgorithmSpec, n: usize, t: usize, seeds: u64) -> Vec<Sample> {
+        let plan = SweepPlan::new(
+            vec![SweepConfig::traced(spec, n, t)],
+            vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
+            seeds,
+        );
+        plan.run().cells.swap_remove(0).samples
+    }
 
     #[test]
     fn summary_statistics_are_exact() {
@@ -383,15 +372,15 @@ mod tests {
 
     #[test]
     fn random_liar_sweep_is_deterministic_per_seed() {
-        let a = random_liar_sweep(AlgorithmSpec::Exponential, 7, 2, 4);
-        let b = random_liar_sweep(AlgorithmSpec::Exponential, 7, 2, 4);
+        let a = random_liar_samples(AlgorithmSpec::Exponential, 7, 2, 4);
+        let b = random_liar_samples(AlgorithmSpec::Exponential, 7, 2, 4);
         assert_eq!(a, b);
         assert_eq!(a.len(), 4);
     }
 
     #[test]
     fn hybrid_lock_in_distribution_sits_inside_schedule() {
-        let samples = random_liar_sweep(AlgorithmSpec::Hybrid { b: 3 }, 13, 4, 6);
+        let samples = random_liar_samples(AlgorithmSpec::Hybrid { b: 3 }, 13, 4, 6);
         let [lock, disc, bits, ops, rounds] = summarize(&samples);
         let schedule = AlgorithmSpec::Hybrid { b: 3 }.rounds(13, 4) as u64;
         assert!(lock.max <= schedule);
@@ -409,7 +398,7 @@ mod tests {
     #[test]
     fn early_stop_rate_counts_expedited_runs() {
         assert!((early_stop_rate(&[]) - 0.0).abs() < f64::EPSILON);
-        let samples = random_liar_sweep(AlgorithmSpec::OptimalKing, 7, 2, 4);
+        let samples = random_liar_samples(AlgorithmSpec::OptimalKing, 7, 2, 4);
         // Source-faulty random liars still let correct processors lock
         // quickly at n = 7, t = 2; at minimum the rate is well-defined.
         let rate = early_stop_rate(&samples);

@@ -6,8 +6,9 @@
 //! run produced. [`record`] captures one while the wrapped strategy
 //! plays; [`replay`] re-executes the trace and returns the fresh
 //! verdict, so callers (the `sg replay` subcommand, the corpus
-//! regression test, CI's `scenario-corpus` job) can assert that a
-//! recorded violation or survival still reproduces bit-exactly.
+//! regression tests `tests/scenario_corpus.rs` and
+//! `tests/cli.rs::the_committed_corpus_replays_from_the_cli`) can assert
+//! that a recorded violation or survival still reproduces bit-exactly.
 //!
 //! Replay drives [`sg_core::execute`] directly — *not* the sweep
 //! executor, which asserts agreement and would turn a recorded

@@ -36,11 +36,6 @@ impl StabilityReport {
         self.per_processor.iter().flatten().copied().max()
     }
 
-    /// The earliest lock-in round among correct processors.
-    pub fn first_lock_in(&self) -> Option<usize> {
-        self.per_processor.iter().flatten().copied().min()
-    }
-
     /// Rounds of head-room an early-stopping rule could harvest:
     /// schedule length minus the system lock-in.
     pub fn headroom(&self) -> Option<usize> {
@@ -111,7 +106,6 @@ mod tests {
         // Every correct processor's first and only preferred value is the
         // source's, set in round 1.
         assert_eq!(report.system_lock_in(), Some(1));
-        assert_eq!(report.first_lock_in(), Some(1));
         assert_eq!(report.headroom(), Some(outcome.rounds_used - 1));
     }
 

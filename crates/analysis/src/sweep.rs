@@ -22,8 +22,8 @@
 //!
 //! where `ci`/`ai` are the config/adversary indices and `si` the run
 //! index within the cell. With the default `base_seed = 0` and a
-//! single-cell plan, run `si` sees seed `si` exactly — preserving the
-//! seed semantics of the original sequential `random_liar_sweep`.
+//! single-cell plan, run `si` sees seed `si` exactly, as a sequential
+//! loop over seeds `0..k` would.
 //! Results are collected in `(ci, ai, si)` order whatever the worker
 //! interleaving, and each cell's statistics are reduced sequentially
 //! from its seed-ordered vector, so serial and parallel sweeps produce

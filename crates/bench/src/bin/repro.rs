@@ -8,18 +8,11 @@
 //! repro --jobs 8           # size the sweep engine's worker pool
 //! repro --exp t3           # one experiment: p1|t1|t2|t3|t4|tradeoff|dominance|
 //!                          #   detect|stability|early-stopping|king|compose|
-//!                          #   rounds-vs-f|plans|serve-load
+//!                          #   rounds-vs-f|plans
 //! repro --exp rounds-vs-f  # the static-vs-dynamic gear table and the tree
 //!                          # family's rows across the actual-fault
 //!                          # budget, source correct and faulty; writes
 //!                          # the committed BENCH_rounds_vs_f.md artifact
-//! repro --exp serve-load [--chaos]
-//!                          # the serving-path load benchmark: concurrent
-//!                          # connections (half through a fault-injecting
-//!                          # proxy with --chaos) hammering one daemon;
-//!                          # writes BENCH_serve.json (sg-serve-load/1)
-//!                          # and exits non-zero on any fingerprint
-//!                          # mismatch
 //! ```
 //!
 //! Throughput, latency and the paper's three costs are measured by
@@ -38,68 +31,8 @@ use sg_analysis::experiments::{
 };
 use sg_analysis::Table;
 
-/// The serving-path load benchmark behind `--exp serve-load` and
-/// `BENCH_serve.json`: concurrent connections driving the mixed-plan
-/// hammer ([`sg_serve::run_load`]) against one in-process daemon,
-/// optionally with every other connection routed through the
-/// fault-injecting chaos proxy (`--chaos`). Every job that completes
-/// must reproduce its plan's batch-path fingerprint; any mismatch is a
-/// non-zero exit, which is the CI gate.
-fn experiment_serve_load(scale: Scale, jobs: usize, chaos: bool) {
-    let seeds_per_cell: u64 = match scale {
-        Scale::Quick => 24,
-        Scale::Full => 96,
-    };
-    let report = sg_serve::run_load(&sg_serve::LoadOptions {
-        connections: 6,
-        jobs_per_connection: 4,
-        seeds_per_cell,
-        workers: if jobs == 0 { 2 } else { jobs },
-        chaos: if chaos {
-            Some(sg_serve::ChaosSpec::gentle(11))
-        } else {
-            None
-        },
-        ..sg_serve::LoadOptions::default()
-    });
-
-    println!(
-        "BENCH-SERVE — {} of {} jobs completed across {} connection(s){}: \
-         {:.0} runs/sec, frame latency p50 {:.3} ms / p99 {:.3} ms \
-         (rejected {}, deadline {}, faulted {})",
-        report.jobs_completed,
-        report.jobs_submitted,
-        report.connections,
-        if chaos { " with chaos proxy" } else { "" },
-        report.runs_per_sec,
-        report.frame_latency_p50_ms,
-        report.frame_latency_p99_ms,
-        report.jobs_rejected,
-        report.jobs_deadline,
-        report.jobs_faulted,
-    );
-    let json = report.to_json_string();
-    print!("{json}");
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("wrote BENCH_serve.json"),
-        Err(e) => eprintln!("cannot write BENCH_serve.json: {e}"),
-    }
-    if report.fingerprint_mismatches > 0 {
-        eprintln!(
-            "FINGERPRINT MISMATCH: {} completed job(s) diverged from the batch path",
-            report.fingerprint_mismatches
-        );
-        std::process::exit(1);
-    }
-    if report.jobs_completed == 0 {
-        eprintln!("no job completed — the load harness proved nothing");
-        std::process::exit(1);
-    }
-}
-
 /// The argument summary printed with every usage error.
-const USAGE: &str =
-    "usage: repro [--quick] [--markdown | --csv] [--jobs <N>] [--exp <id>] [--chaos]";
+const USAGE: &str = "usage: repro [--quick] [--markdown | --csv] [--jobs <N>] [--exp <id>]";
 
 fn usage_error(detail: &str) -> ! {
     eprintln!("{detail}\n{USAGE}");
@@ -107,7 +40,7 @@ fn usage_error(detail: &str) -> ! {
 }
 
 fn main() {
-    let (mut quick, mut markdown, mut csv, mut chaos) = (false, false, false, false);
+    let (mut quick, mut markdown, mut csv) = (false, false, false);
     let mut jobs = 0usize;
     let mut which: Option<String> = None;
     let mut args = env::args().skip(1);
@@ -120,7 +53,6 @@ fn main() {
             "--quick" => quick = true,
             "--markdown" => markdown = true,
             "--csv" => csv = true,
-            "--chaos" => chaos = true,
             "--jobs" => {
                 let v = value();
                 jobs = v.parse().unwrap_or_else(|_| {
@@ -172,7 +104,6 @@ fn main() {
             }
             tables.into_iter().for_each(print);
         }
-        "serve-load" => experiment_serve_load(scale, jobs, chaos),
         "plans" => {
             if markdown {
                 println!("### EXP-F2/F3 — executable round plans (Figures 2 and 3)\n");
@@ -183,7 +114,7 @@ fn main() {
         }
         other => usage_error(&format!(
             "unknown experiment '{other}'\nknown: p1 t1 t2 t3 t4 tradeoff dominance detect \
-             stability early-stopping king compose rounds-vs-f plans serve-load"
+             stability early-stopping king compose rounds-vs-f plans"
         )),
     };
 

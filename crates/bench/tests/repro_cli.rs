@@ -11,8 +11,9 @@ fn repro(args: &[&str]) -> Command {
     cmd
 }
 
-/// The legacy one-cell benchmark path is gone: its experiment id and its
-/// three flags are usage errors, not silently accepted no-ops.
+/// The legacy one-cell benchmark path and the serving-path load harness
+/// are gone: their experiment ids and their flags are usage errors, not
+/// silently accepted no-ops.
 #[test]
 fn the_deleted_sweep_path_exits_2_with_the_usage_line() {
     for args in [
@@ -20,6 +21,8 @@ fn the_deleted_sweep_path_exits_2_with_the_usage_line() {
         &["--no-early-stop"],
         &["--via-server"],
         &["--expect-fingerprint", "0"],
+        &["--exp", "serve-load"],
+        &["--chaos"],
     ] {
         let out = repro(args).output().expect("spawn repro");
         let stderr = String::from_utf8_lossy(&out.stderr);

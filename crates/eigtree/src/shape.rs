@@ -97,11 +97,6 @@ impl Shape {
         size
     }
 
-    /// Total nodes in a tree with levels `0..=deepest`.
-    pub fn tree_size(&self, deepest: usize) -> usize {
-        (0..=deepest).map(|k| self.level_size(k)).sum()
-    }
-
     /// Parent index (at level `k−1`) of node `i` at level `k ≥ 1`.
     #[inline]
     pub fn parent(&self, k: usize, i: usize) -> usize {
@@ -293,7 +288,6 @@ mod tests {
         assert_eq!(s.level_size(1), 4);
         assert_eq!(s.level_size(2), 12);
         assert_eq!(s.level_size(3), 24);
-        assert_eq!(s.tree_size(2), 17);
     }
 
     #[test]

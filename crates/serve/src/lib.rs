@@ -7,7 +7,8 @@
 //! back as cells complete, ending each job with a summary frame whose
 //! `report_fingerprint` is **bit-identical** to what `SweepPlan::run`
 //! produces for the same grid (the determinism contract CI's
-//! `serve-e2e` job enforces).
+//! `serve-e2e` job enforces, and `tests/serve_e2e.rs` holds under
+//! concurrent load through the fault-injecting [`chaos`] proxy).
 //!
 //! What makes this a service rather than a loop around the batch path:
 //!
@@ -30,8 +31,7 @@
 //!   overdue jobs at the same chunk boundary, slow readers are shed
 //!   by a send timeout behind a capped send buffer, and `drain` (or
 //!   SIGTERM) finishes accepted work before saying `bye` — see
-//!   [`server`]'s "Overload behavior" notes and [`load`] for the
-//!   harness that proves it.
+//!   [`server`]'s "Overload behavior" notes.
 //!
 //! Quickstart (see `examples/sweep_service.rs` for the library-level
 //! version):
@@ -49,12 +49,10 @@
 
 pub mod chaos;
 pub mod client;
-pub mod load;
 pub mod server;
 pub mod wire;
 
 pub use chaos::{ChaosProxy, ChaosSpec};
 pub use client::{Client, JobHandle, RetryPolicy, ServeError, StreamedReport};
-pub use load::{run_load, LoadOptions, LoadReport};
 pub use server::{serve, Bind, Drainer, ServeOptions, ServerHandle};
 pub use wire::{ErrorCode, Frame, RejectCode, Request, PROTOCOL};

@@ -2,7 +2,7 @@
 //!
 //! See `docs/WIRE.md` at the repository root for the consolidated
 //! catalogue of every schema the repo speaks (`sg-serve/1`,
-//! `sg-trace/1`, `sg-scenario/1`, `sg-serve-load/1`, `sg-journal/1`)
+//! `sg-trace/1`, `sg-scenario/1`, `sg-journal/1`)
 //! and their compatibility notes.
 //!
 //! One connection carries a sequence of client→server [`Request`] lines

@@ -6,7 +6,10 @@ use std::time::Duration;
 use sg_adversary::{Family, FaultSelection};
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
-use sg_serve::{serve, Bind, Client, ErrorCode, Frame, Request, ServeOptions};
+use sg_serve::{
+    serve, Bind, ChaosProxy, ChaosSpec, Client, ErrorCode, Frame, Request, RetryPolicy, ServeError,
+    ServeOptions,
+};
 
 fn quick_plan() -> SweepPlan {
     SweepPlan::new(
@@ -190,31 +193,189 @@ fn one_connection_can_run_jobs_back_to_back() {
     handle.shutdown();
 }
 
+/// The four-plan mix the chaos test submits: genuinely different shapes
+/// and sizes, so concurrent jobs stress interleaving rather than marching
+/// in lockstep. The random liars include the source: with a correct
+/// source every run of every cell stops early on the same row, and a
+/// fingerprint that no seed moves cannot tell one job's results from
+/// another's.
+fn plan_mix(seeds_per_cell: u64, base_seed: u64) -> Vec<SweepPlan> {
+    let families = || {
+        vec![
+            AdversaryFamily::no_faults(),
+            AdversaryFamily::random_liar(FaultSelection::with_source()),
+            AdversaryFamily::crash(FaultSelection::without_source().limit(1), 2),
+        ]
+    };
+    [
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 7, 2)],
+        vec![SweepConfig::traced(AlgorithmSpec::PhaseKing, 9, 2)],
+        vec![
+            SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
+            SweepConfig::traced(AlgorithmSpec::PhaseQueen, 9, 2),
+        ],
+        vec![SweepConfig::traced(AlgorithmSpec::OptimalKing, 16, 5)],
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, configs)| {
+        SweepPlan::new(configs, families(), seeds_per_cell)
+            .with_base_seed(base_seed.wrapping_add(i as u64))
+    })
+    .collect()
+}
+
+#[test]
+fn the_plan_mix_is_deterministic_and_varied() {
+    let a = plan_mix(8, 42);
+    let b = plan_mix(8, 42);
+    let c = plan_mix(8, 43);
+    assert_eq!(a.len(), b.len());
+    for ((x, y), z) in a.iter().zip(&b).zip(&c) {
+        let fingerprint = x.run_with_jobs(1).fingerprint();
+        assert_eq!(
+            fingerprint,
+            y.run_with_jobs(1).fingerprint(),
+            "same mix, same fingerprints"
+        );
+        assert_ne!(
+            fingerprint,
+            z.run_with_jobs(1).fingerprint(),
+            "another base seed, another fingerprint"
+        );
+    }
+    let sizes: Vec<usize> = a.iter().map(|p| p.configs[0].n).collect();
+    assert!(sizes.contains(&7) && sizes.contains(&16), "mixed sizes");
+}
+
+/// How one connection's jobs ended; each submitted job lands in exactly
+/// one of the four outcome columns.
+#[derive(Debug, Default)]
+struct Tally {
+    submitted: u64,
+    completed: u64,
+    rejected: u64,
+    deadline: u64,
+    faulted: u64,
+    /// Completed jobs whose fingerprint is not the batch path's.
+    mismatches: u64,
+}
+
+/// Seeds the chaos test's plans and every connection's retry jitter.
+const CHAOS_BASE_SEED: u64 = 42;
+
+/// One connection's life: submit four plans from the mix in rotation,
+/// stream each to its end, and reconnect (bounded by the retry policy)
+/// after a transport fault killed the socket.
+fn drive_connection(addr: &str, conn: usize, plans: &[SweepPlan], batch: &[u64]) -> Tally {
+    let policy = RetryPolicy {
+        attempts: 8,
+        ..RetryPolicy::deterministic(CHAOS_BASE_SEED ^ (conn as u64).wrapping_mul(0x9E37))
+    };
+    let mut tally = Tally::default();
+    let mut client: Option<Client> = None;
+    for j in 0..4 {
+        let which = (conn + j) % plans.len();
+        tally.submitted += 1;
+        if client.is_none() {
+            match Client::connect_with_retry(addr, &policy) {
+                Ok(c) => client = Some(c),
+                Err(_) => {
+                    tally.faulted += 1;
+                    continue;
+                }
+            }
+        }
+        let c = client.as_mut().expect("connected client");
+        let handle = match c.submit_with_retry(&plans[which], None, &policy) {
+            Ok(handle) => handle,
+            Err(ServeError::Rejected { .. }) => {
+                tally.rejected += 1;
+                continue;
+            }
+            Err(ServeError::Server { .. }) => {
+                tally.faulted += 1;
+                continue;
+            }
+            Err(_) => {
+                tally.faulted += 1;
+                client = None;
+                continue;
+            }
+        };
+        match c.collect(handle, |_, _| {}) {
+            Ok(streamed) => {
+                tally.completed += 1;
+                if streamed.fingerprint != batch[which] {
+                    tally.mismatches += 1;
+                }
+            }
+            Err(ServeError::Server {
+                code: ErrorCode::DeadlineExceeded,
+                ..
+            }) => tally.deadline += 1,
+            Err(ServeError::Server { .. } | ServeError::Cancelled { .. }) => tally.faulted += 1,
+            Err(_) => {
+                tally.faulted += 1;
+                client = None;
+            }
+        }
+    }
+    tally
+}
+
 #[test]
 fn load_harness_under_gentle_chaos_keeps_fingerprints_exact() {
-    // The hammer end to end at smoke scale: several connections, half of
-    // them through a fault-injecting proxy, against one daemon. Whatever
-    // the chaos does to individual connections, every job that *does*
-    // complete must carry the batch-path fingerprint — the same
-    // determinism contract the rest of this file pins, now under load.
-    let report = sg_serve::run_load(&sg_serve::LoadOptions {
-        connections: 4,
-        jobs_per_connection: 2,
-        seeds_per_cell: 12,
-        workers: 2,
-        chaos: Some(sg_serve::ChaosSpec::gentle(7)),
-        ..sg_serve::LoadOptions::default()
+    // Six connections of four jobs each against one two-worker daemon
+    // that holds at most six jobs; every odd connection goes through a
+    // fault-injecting proxy. Whatever the chaos does to a connection,
+    // every job that *does* complete must carry the batch-path
+    // fingerprint — the determinism contract the rest of this file pins,
+    // now under cross-load — and every job ends exactly one way.
+    let plans = plan_mix(24, CHAOS_BASE_SEED);
+    let batch: Vec<u64> = plans
+        .iter()
+        .map(|plan| plan.run_with_jobs(1).fingerprint())
+        .collect();
+    let handle = serve(
+        &Bind::Tcp("127.0.0.1:0".to_string()),
+        ServeOptions {
+            workers: 2,
+            max_jobs: 6,
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind daemon");
+    let direct = handle.tcp_addr().expect("tcp addr");
+    let proxy = ChaosProxy::spawn(direct, ChaosSpec::gentle(11)).expect("bind chaos proxy");
+
+    let tallies: Vec<Tally> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..6)
+            .map(|conn| {
+                let addr = if conn % 2 == 1 { proxy.addr() } else { direct }.to_string();
+                let (plans, batch) = (&plans, &batch);
+                scope.spawn(move || drive_connection(&addr, conn, plans, batch))
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|thread| thread.join().expect("connection thread"))
+            .collect()
     });
-    assert_eq!(report.fingerprint_mismatches, 0, "{report:?}");
-    assert!(report.jobs_completed > 0, "{report:?}");
-    assert_eq!(
-        report.jobs_submitted,
-        report.jobs_completed + report.jobs_rejected + report.jobs_deadline + report.jobs_faulted,
-        "{report:?}"
-    );
-    // The artifact parses as the committed schema.
-    let json = report.to_json_string();
-    assert!(json.contains("\"schema\": \"sg-serve-load/1\""), "{json}");
+    drop(proxy);
+    handle.shutdown();
+
+    for tally in &tallies {
+        assert_eq!(
+            tally.submitted,
+            tally.completed + tally.rejected + tally.deadline + tally.faulted,
+            "{tallies:?}"
+        );
+    }
+    let sum = |column: fn(&Tally) -> u64| tallies.iter().map(column).sum::<u64>();
+    assert_eq!(sum(|t| t.submitted), 24, "{tallies:?}");
+    assert_eq!(sum(|t| t.mismatches), 0, "{tallies:?}");
+    assert!(sum(|t| t.completed) > 0, "{tallies:?}");
 }
 
 #[cfg(unix)]

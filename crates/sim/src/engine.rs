@@ -88,16 +88,6 @@ use crate::value::{Value, ValueDomain};
 pub struct PoolKey(u64);
 
 impl PoolKey {
-    /// A key from a pre-mixed hash.
-    pub const fn from_raw(raw: u64) -> Self {
-        PoolKey(raw)
-    }
-
-    /// The mixed hash, for composing keys of composite protocols.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// FNV-1a over the given words' little-endian bytes
     /// ([`crate::fnv::mix_word`]) — allocation-free, so computing a key
     /// per run costs nothing.

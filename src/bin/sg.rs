@@ -19,7 +19,6 @@
 //!           [--expect-fingerprint <hex>] [--journal <dir>] [--shutdown]
 //! sg journal stat|compact <dir>
 //! sg ping [--addr …] [--timeout-ms <ms>] [--attempts <k>]
-//! sg hammer [--connections N] [--jobs-per-conn K] [--seeds S] [--chaos gentle|hostile]
 //! sg bounds --n 31
 //! sg list
 //! ```
@@ -46,8 +45,8 @@
 //! `--period`, …), and `trace` (replaying a recorded
 //! `sg-trace/1`/`sg-scenario/1` file via `--trace-file`). `record` captures one run as an `sg-scenario/1`
 //! JSON artifact; `replay` re-executes such artifacts and fails on any
-//! verdict drift — CI's scenario-corpus job runs it over
-//! `tests/corpus/`.
+//! verdict drift — `tests/cli.rs::the_committed_corpus_replays_from_the_cli`
+//! runs it over `tests/corpus/`.
 //!
 //! `--journal <dir>` plugs the content-addressed result journal
 //! (`sg-journal/1`, see `sg_journal`) into all three execution paths:
@@ -64,9 +63,7 @@
 //! `--max-queued-runs`, per-connection `--conn-jobs`, slow-reader
 //! `--send-buffer`) and drains on SIGTERM; `submit` maps the resulting
 //! `rejected`/`draining`/`deadline-exceeded` answers to distinct exit
-//! codes (3/4/5) with one structured stderr line each; `hammer` is the
-//! load harness (`sg_serve::load`) as a subcommand — N connections,
-//! mixed grids, optional `--chaos`, `sg-serve-load/1` JSON on stdout.
+//! codes (3/4/5) with one structured stderr line each.
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -110,9 +107,6 @@ fn usage() -> ! {
          sg journal stat|compact <dir>\n  \
          sg ping [--addr <host:port> | --socket <path>]\n           \
          [--timeout-ms <ms>] [--attempts <k>]\n  \
-         sg hammer [--connections <N>] [--jobs-per-conn <K>] [--seeds <S>]\n           \
-         [--workers <N>] [--max-jobs <N>] [--deadline-ms <ms>]\n           \
-         [--chaos gentle|hostile] [--seed <s>]\n  \
          sg bounds --n <n>\n  \
          sg list                 (algorithm and --adversary names)\n\
          global: --jobs <N> sizes the sweep worker pool; --no-early-stop (run,\n        \
@@ -129,7 +123,6 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
     const GRID: &str = "alg n t b seeds adversary f base-seed split from to period phase start \
                         schedule trace-file expect-fingerprint journal";
     const ENDPOINT: &str = "addr socket port";
-    const ADMISSION: &str = "workers max-jobs max-queued-runs";
     let spec = "alg n t b seed";
     Some(match cmd {
         "run" => (
@@ -143,7 +136,7 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
         "sweep" => (GRID.to_string(), "source-faulty no-early-stop"),
         "record" => (format!("{spec} adversary value out"), "source-faulty"),
         "serve" => (
-            format!("{ENDPOINT} {ADMISSION} conn-jobs send-buffer journal"),
+            format!("{ENDPOINT} workers max-jobs max-queued-runs conn-jobs send-buffer journal"),
             "",
         ),
         "submit" => (
@@ -151,12 +144,6 @@ fn accepted_flags(cmd: &str) -> Option<(String, &'static str)> {
             "source-faulty no-early-stop shutdown",
         ),
         "ping" => (format!("{ENDPOINT} timeout timeout-ms attempts"), ""),
-        "hammer" => (
-            format!(
-                "{ADMISSION} connections jobs-per-conn seeds deadline-ms retry-attempts chaos seed"
-            ),
-            "",
-        ),
         "bounds" => ("n".to_string(), ""),
         "list" => (String::new(), ""),
         _ => return None,
@@ -1262,45 +1249,6 @@ fn cmd_ping(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_hammer(flags: &HashMap<String, String>) {
-    use shifting_gears::serve::{run_load, ChaosSpec, LoadOptions};
-
-    let defaults = LoadOptions::default();
-    let seed = parse_usize(flags, "seed").map_or(defaults.base_seed, |s| s as u64);
-    let chaos = flags.get("chaos").map(|mode| match mode.as_str() {
-        "gentle" => ChaosSpec::gentle(seed),
-        "hostile" => ChaosSpec::hostile(seed),
-        other => {
-            eprintln!("--chaos expects gentle|hostile, got '{other}'");
-            exit(2);
-        }
-    });
-    let options = LoadOptions {
-        connections: parse_usize(flags, "connections").unwrap_or(defaults.connections),
-        jobs_per_connection: parse_usize(flags, "jobs-per-conn")
-            .unwrap_or(defaults.jobs_per_connection),
-        seeds_per_cell: parse_usize(flags, "seeds").map_or(defaults.seeds_per_cell, |s| s as u64),
-        workers: parse_usize(flags, "workers").unwrap_or(defaults.workers),
-        max_jobs: parse_usize(flags, "max-jobs").unwrap_or(defaults.max_jobs),
-        max_queued_runs: parse_usize(flags, "max-queued-runs")
-            .map_or(defaults.max_queued_runs, |n| n as u64),
-        deadline_ms: parse_usize(flags, "deadline-ms").map(|ms| ms as u64),
-        retry_attempts: parse_usize(flags, "retry-attempts")
-            .map_or(defaults.retry_attempts, |n| n as u32),
-        chaos,
-        base_seed: seed,
-    };
-    let report = run_load(&options);
-    print!("{}", report.to_json_string());
-    if report.fingerprint_mismatches > 0 {
-        eprintln!(
-            "{} completed job(s) diverged from the batch fingerprint",
-            report.fingerprint_mismatches
-        );
-        exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -1329,7 +1277,6 @@ fn main() {
         "serve" => cmd_serve(&flags),
         "submit" => cmd_submit(&flags, &toggles),
         "ping" => cmd_ping(&flags),
-        "hammer" => cmd_hammer(&flags),
         "bounds" => cmd_bounds(parse_usize(&flags, "n").unwrap_or_else(|| usage())),
         "list" => cmd_list(),
         _ => unreachable!("parse_flags rejects unknown subcommands"),

@@ -349,7 +349,7 @@ fn usage_documents_every_public_flag() {
         // record / replay
         "--out",
         "--quiet",
-        // serve / submit / ping / hammer
+        // serve / submit / ping
         "--port",
         "--addr",
         "--socket",
@@ -364,9 +364,6 @@ fn usage_documents_every_public_flag() {
         "--shutdown",
         "--timeout-ms",
         "--attempts",
-        "--connections",
-        "--jobs-per-conn",
-        "--chaos",
         // global: the worker pool, and the one engine option
         "--jobs",
         "--no-early-stop",
@@ -422,6 +419,11 @@ fn unrecognised_flags_exit_2_with_usage() {
     let (ok, _, stderr) = sg(&["bounds", "--n"]);
     assert!(!ok);
     assert!(stderr.contains("--n expects a value"), "{stderr}");
+    // The load harness is gone, and its subcommand with it.
+    let (code, stdout, stderr) = sg_code(&["hammer"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
 }
 
 /// The daemon-side subcommands, one known-good invocation each, against
@@ -429,8 +431,8 @@ fn unrecognised_flags_exit_2_with_usage() {
 /// `--no-early-stop` travels in the plan, so the canary cell returns its
 /// fixed-length fingerprint from the same process that returns the
 /// early-stopping one — each writing through to a client journal that
-/// `sweep --journal` then hits only in its own mode; `journal stat`,
-/// `hammer`, and `submit --shutdown`.
+/// `sweep --journal` then hits only in its own mode; `journal stat`, and
+/// `submit --shutdown`.
 #[test]
 fn one_daemon_serves_both_modes_from_the_cli() {
     let dir = std::env::temp_dir().join(format!("sg-cli-serve-{}", std::process::id()));
@@ -512,18 +514,6 @@ fn one_daemon_serves_both_modes_from_the_cli() {
     }
     let (ok, stdout, _) = sg(&["journal", "stat", &early_journal]);
     assert!(ok && stdout.contains("engine epochs : 2"), "{stdout}");
-
-    let (ok, stdout, stderr) = sg(&[
-        "hammer",
-        "--connections",
-        "1",
-        "--jobs-per-conn",
-        "1",
-        "--seeds",
-        "4",
-    ]);
-    assert!(ok, "{stdout}{stderr}");
-    assert!(stdout.contains("\"fingerprint_mismatches\": 0"), "{stdout}");
 
     let (ok, stdout, stderr) = sg(&["submit", "--socket", &socket, "--shutdown"]);
     assert!(ok, "{stdout}{stderr}");

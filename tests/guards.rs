@@ -492,7 +492,7 @@ fn one_fnv() {
         let groups = ["0x", "0000_|0000|", "0|", "100", "_|", "0000", "_|", "01b3"];
         seq(&line.to_ascii_lowercase(), &groups, anything)
     };
-    // `grep -rli … crates src | grep -v "^crates/shims/"`: one file.
+    // `grep -rli … crates src | grep -v "^crates/shims/"`: fnv.rs alone.
     let one_file = |tree: &Tree| {
         let mut files: Vec<&str> = Vec::new();
         for (path, text) in tree.under(&["crates", "src"]) {
@@ -500,7 +500,7 @@ fn one_fnv() {
                 files.push(path);
             }
         }
-        unless(files.len() == 1, &files)
+        unless(files == ["crates/sim/src/fnv.rs"], &files)
     };
     check(
         one_file,
@@ -513,11 +513,21 @@ fn one_fnv() {
             "crates/bench/Cargo.toml: # prime 0x0000100_000001b3",
         ],
     );
-    // The fold has to be somewhere.
+    // The fold has to be somewhere, and that place is fnv.rs.
+    let unprimed = |text: &str| text.replace("01B3", "01B5");
     fires(
         one_file,
-        &repo().with("crates/sim/src/fnv.rs", |text| text.replace("01B3", "01B5")),
+        &repo().with("crates/sim/src/fnv.rs", unprimed),
         "the prime edited out of crates/sim/src/fnv.rs",
+    );
+    fires(
+        one_file,
+        &repo()
+            .with("crates/sim/src/fnv.rs", unprimed)
+            .with("crates/sim/src/engine.rs", |text| {
+                format!("const PRIME: u64 = 0x0000_0100_0000_01B3;\n{text}")
+            }),
+        "the fold moved from crates/sim/src/fnv.rs to crates/sim/src/engine.rs",
     );
     // The shims are left out.
     let shim = planted("crates/shims/rand/src/lib.rs: 0x100000001b3");
@@ -1166,7 +1176,12 @@ fn one_adversary_vocabulary() {
 
 #[test]
 fn the_legacy_bench_path_stays_deleted() {
-    // A stale `repro --exp sweep` exits 2: crates/bench/tests/repro_cli.rs.
+    // Two second benchmark paths beside benchmark/ are gone: the one-cell
+    // sweep bench, and the serving-path load harness with its committed
+    // p99 artifact. A stale `repro --exp sweep`, `--exp serve-load` or
+    // `--chaos` exits 2 (crates/bench/tests/repro_cli.rs), and so does
+    // `sg hammer` (tests/cli.rs). docs/measurements/ logs the harness's
+    // runs as history and is left out of its half of the scan.
     const PATHS: &[&str] = &[
         "crates",
         "src",
@@ -1183,19 +1198,54 @@ fn the_legacy_bench_path_stays_deleted() {
             "guard target {path} is gone; drop it from the guard's list"
         );
     }
+    let load_harness = |line: &str| {
+        any_of(
+            line,
+            "BENCH_serve|sg-serve-load|run_load|LoadOptions|cmd_hammer|sg hammer",
+        )
+    };
+    let legacy = |tree: &Tree| {
+        let mut found = tree.grep(PATHS, |line| {
+            any_of(line, "BENCH_sweep|sg-bench-sweep|count-allocs")
+        });
+        found.extend(
+            tree.grep(PATHS, load_harness)
+                .into_iter()
+                .filter(|at| !at.starts_with("docs/measurements/")),
+        );
+        found
+    };
     check(
-        |tree| {
-            tree.grep(PATHS, |line| {
-                any_of(line, "BENCH_sweep|sg-bench-sweep|count-allocs")
-            })
-        },
-        "the legacy one-cell benchmark path is back",
+        legacy,
+        "a deleted benchmark path (the one-cell sweep bench or the serving-path load harness) is back",
         &[
             "crates/bench/Cargo.toml: count-allocs = []",
             "crates/bench/benches/run_loop.rs:     // The BENCH_sweep.json cell: optimal-king n=16 t=5 under random liars.",
             "docs/WIRE.md: schema `sg-bench-sweep/6`",
             ".claude/skills/verify/SKILL.md: cat BENCH_sweep.json",
             "tools/readme_smoke.sh: cargo run --features count-allocs",
+            "crates/bench/src/bin/repro.rs:     match std::fs::write(\"BENCH_serve.json\", &json) {",
+            "docs/WIRE.md: ## `sg-serve-load/1` — the serving-path load artifact",
+            "src/bin/sg.rs:     let report = run_load(&options);",
+            "crates/serve/tests/serve_e2e.rs:         ..sg_serve::LoadOptions::default()",
+            "src/bin/sg.rs:         \"hammer\" => cmd_hammer(&flags),",
+            ".claude/skills/verify/SKILL.md: ./target/release/sg hammer --chaos gentle",
+        ],
+    );
+    let history = planted("docs/measurements/PR-24.md: cat BENCH_serve.json");
+    assert!(
+        legacy(&history).is_empty(),
+        "docs/measurements/ was scanned"
+    );
+    misses(
+        load_harness,
+        &[
+            "run_loop",
+            "BENCH_rounds_vs_f.md",
+            "sg-serve/1",
+            "ServeOptions",
+            "cmd_serve",
+            "sg serve",
         ],
     );
 }
