@@ -28,6 +28,10 @@
 //!   and calling it through `dyn RngCore`, by `edge_draw` (the scalar
 //!   strategies' first-draw kernel), and by the sign bit of `first_draw`
 //!   assembled into lane words (the vector path's binary kernel);
+//! * `lie_row/*` — one faulty sender's row of random lies at
+//!   `algorithm-a(b=3) (13, 4)`'s level sizes (1, 12, 132, 1 320 slots),
+//!   so the scalar engine's lie generation is timed without a run around
+//!   it;
 //! * `eigtree/*` — the tree machine's primitives on the shapes the
 //!   benchmark's `eigtree.*` per-layer probes use (n=13, four gathered
 //!   levels, 13 345 nodes; Algorithm C's gather cycle at n=32), so that
@@ -86,8 +90,8 @@ use sg_eigtree::{
 };
 use sg_journal::{CellKey, EngineEpoch, Journal};
 use sg_sim::{
-    run_batch_with, run_into, BatchArena, Outcome, ProcessId, RunArena, RunConfig, Value,
-    MAX_BATCH_RUNS,
+    run_batch_with, run_into, AdversaryView, BatchArena, Outcome, Payload, ProcessId, ProcessSet,
+    RunArena, RunConfig, Value, ValueDomain, MAX_BATCH_RUNS,
 };
 
 const SEED: u64 = 7;
@@ -467,6 +471,54 @@ fn bench_batch_adversaries(c: &mut Criterion) {
     group.finish();
 }
 
+/// One faulty row of random lies, the adversary's whole share of a
+/// round for one sender: `algorithm-a(b=3) (13, 4)`'s faulty `P1`
+/// telling each of its 12 recipients a lie as long as the level it would
+/// relay — 1, 12, 132 and 1 320 slots, the cell's level sizes. `per-edge`
+/// asks `Adversary::payload` once per recipient and keeps the payloads in
+/// a reused row, as the engine's rows did before they were written in
+/// place.
+fn bench_lie_row(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lie_row");
+    group.sample_size(20);
+    let (n, sender) = (13, ProcessId(1));
+    let faulty = ProcessSet::from_members(n, (0..4).map(ProcessId));
+    let mut adversary = Family::RandomLiar(FaultSelection::with_source()).strategy(SEED);
+    adversary.corrupt(n, 4, ProcessId(0));
+    for len in [1, 12, 132, 1_320] {
+        let mut shadow = vec![None; n];
+        shadow[sender.index()] = Some(Payload::packed((0..len).map(|i| Value(i as u16 % 2))));
+        let view = AdversaryView {
+            round: 4,
+            total_rounds: 8,
+            n,
+            t: 4,
+            source: ProcessId(0),
+            source_value: Value(1),
+            domain: ValueDomain::binary(),
+            faulty: &faulty,
+            honest_broadcast: &[],
+            shadow_broadcast: &shadow,
+            sigs: None,
+        };
+        let mut row: Vec<Payload> = Vec::with_capacity(n);
+        group.bench_function(format!("per-edge/{len}"), |b| {
+            b.iter(|| {
+                row.clear();
+                row.extend((0..n).map(|r| {
+                    if r == sender.index() {
+                        Payload::Missing
+                    } else {
+                        adversary.payload(sender, ProcessId(r), &view)
+                    }
+                }));
+                black_box(&row);
+            });
+        });
+    }
+    group.finish();
+}
+
 /// A seeded minority of wrong values (one slot in eight), so conversion
 /// and discovery see dissent without any node losing its majority — the
 /// input of the benchmark's `eigtree.*` probes.
@@ -756,6 +808,7 @@ criterion_group!(
     bench_masking,
     bench_batch_runs,
     bench_batch_adversaries,
+    bench_lie_row,
     bench_eigtree,
     bench_journal,
     bench_cell_codec,
