@@ -1,19 +1,26 @@
 //! The one scalar strategy of every selection-based [`Family`].
 //!
 //! [`FamilyStrategy`] holds the family value, the run's seed and the
-//! family's shared name, and its [`Adversary::payload`] matches on the
-//! variant: each arm is that family's rule. Rules that want to look
-//! honest start from the sender's *shadow* payload (what the corrupted
-//! processor would have sent if honest) and corrupt it; rules that want
-//! chaos build payloads from scratch.
+//! family's shared name. Each family's rule is written once, as an
+//! in-place write of one slot ([`FamilyStrategy::write`], a match on the
+//! variant) given the facts of the sender's row that do not depend on the
+//! recipient ([`Row`]: its shadow, the honest length, whether its turn
+//! has come). [`Adversary::row`] reads those facts once and writes every
+//! recipient's slot of the engine's row in place, reusing the slots'
+//! buffers; [`Adversary::payload`] drives the same write into a fresh
+//! payload for one edge. Rules that want to look honest start from the
+//! sender's *shadow* payload (what the corrupted processor would have
+//! sent if honest) and corrupt it; rules that want chaos build payloads
+//! from scratch.
 
 use std::collections::HashMap;
+use std::iter::once;
 use std::sync::Arc;
 
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value};
 
 use crate::family::Family;
-use crate::util::{flip, map_shadow, random_payload, repeated, shadow_or_missing};
+use crate::util::{flip, random_lie, Spare};
 
 /// The scalar strategy of a [`Family`] that corrupts through a
 /// [`crate::FaultSelection`]: every variant but no faults, a tape and a
@@ -29,6 +36,25 @@ pub(crate) struct FamilyStrategy {
     /// `stale-shadow`'s per-run state: each member's shadow of the round
     /// before.
     stash: HashMap<ProcessId, Payload>,
+    /// Heap buffers the written slots gave up (never data, so kept across
+    /// runs).
+    spare: Spare,
+}
+
+/// What one member's rule reads once per row, for all its recipients.
+struct Row<'v> {
+    sender: ProcessId,
+    /// What the sender would broadcast if honest, if anything.
+    shadow: Option<&'v Payload>,
+    /// The number of values that broadcast carries (0 if silent).
+    len: usize,
+    /// Whether the member's story has started: its rank's turn has come
+    /// (`chain-revealer`, `staggered-split`, `adaptive`), the story's
+    /// first round has (`equivocate`), or the crash round has (`crash`).
+    turned: bool,
+    /// `frontier-breaker`: the slot, in the level being broadcast, of the
+    /// node the member lies about.
+    target: Option<usize>,
 }
 
 impl FamilyStrategy {
@@ -63,6 +89,218 @@ impl FamilyStrategy {
             seed,
             name,
             stash: HashMap::new(),
+            spare: Spare::default(),
+        }
+    }
+
+    /// The facts of `sender`'s row in the viewed round.
+    fn row_facts<'v>(&self, sender: ProcessId, view: &'v AdversaryView<'_>) -> Row<'v> {
+        let shadow = view.shadow_of(sender);
+        let mut row = Row {
+            sender,
+            shadow,
+            len: shadow.map_or(0, Payload::num_values),
+            turned: false,
+            target: None,
+        };
+        let rank = || view.faulty.iter().position(|p| p == sender);
+        match &self.family {
+            Family::Crash { round, .. } => row.turned = view.round >= *round,
+            Family::ChainRevealer { start, block, .. } => {
+                row.turned = view.round >= start + rank().unwrap_or(0) * (*block).max(1);
+            }
+            Family::StaggeredSplit { start, block, .. } => {
+                let rank = view
+                    .faulty
+                    .iter()
+                    .filter(|p| *p != view.source)
+                    .position(|p| p == sender)
+                    .unwrap_or(0);
+                row.turned = view.round >= start + rank * block;
+            }
+            Family::Equivocate { start, .. } => row.turned = view.round >= *start,
+            Family::Adaptive { schedule, .. } => {
+                let rank = rank().expect("sender is faulty");
+                row.turned = schedule.get(rank).is_some_and(|&turn| view.round >= turn);
+            }
+            Family::FrontierBreaker(_) => frontier_target(&mut row, view),
+            _ => {}
+        }
+        row
+    }
+
+    /// Writes what the member of `row` tells `recipient` into `slot`:
+    /// each arm is the rule its variant's docs describe.
+    fn write(
+        &mut self,
+        row: &Row<'_>,
+        recipient: ProcessId,
+        view: &AdversaryView<'_>,
+        slot: &mut Payload,
+    ) {
+        let FamilyStrategy {
+            family,
+            seed,
+            stash,
+            spare,
+            ..
+        } = self;
+        let (sender, r, len) = (row.sender, recipient.index(), row.len);
+        let first_round_source = sender == view.source && view.round == 1;
+        match family {
+            Family::Crash { .. } => {
+                if row.turned {
+                    spare.silence(slot);
+                } else {
+                    spare.relay(slot, row.shadow);
+                }
+            }
+            Family::Silent(_) => spare.silence(slot),
+            Family::RandomLiar(_) => {
+                if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    random_lie(spare, slot, *seed, (sender, recipient), view, len);
+                }
+            }
+            Family::TwoFaced(_) => {
+                if r.is_multiple_of(2) {
+                    spare.relay(slot, row.shadow);
+                } else {
+                    spare.map(slot, row.shadow, |_, v| flip(view, v));
+                }
+            }
+            Family::EquivocatingSource(_) => {
+                let claimed = Value(r as u16 % view.domain.size());
+                if sender != view.source {
+                    spare.relay(slot, row.shadow);
+                } else if view.round == 1 {
+                    spare.values(slot, once(claimed));
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, claimed, len);
+                }
+            }
+            Family::Stealth(_) => {
+                if len == 0 {
+                    spare.relay(slot, row.shadow);
+                } else {
+                    let target = (view.round + r) % len;
+                    spare.map(slot, row.shadow, |i, v| {
+                        if i == target {
+                            flip(view, v)
+                        } else {
+                            v
+                        }
+                    });
+                }
+            }
+            Family::ChainRevealer { .. } => {
+                if !row.turned {
+                    spare.relay(slot, row.shadow);
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    random_lie(spare, slot, *seed, (sender, recipient), view, len);
+                }
+            }
+            Family::DoubleTalk(_) => {
+                let story = Value(u16::from(r < view.n / 2));
+                let len = if first_round_source { 1 } else { len };
+                if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, story, len);
+                }
+            }
+            Family::StaggeredSplit { .. } => {
+                let story = Value(u16::from(r < view.n / 2));
+                if first_round_source {
+                    spare.values(slot, once(story));
+                } else if sender == view.source || !row.turned {
+                    spare.relay(slot, row.shadow);
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, story, len);
+                }
+            }
+            Family::Collusion(_) => {
+                let lie = flip(view, view.source_value);
+                if first_round_source {
+                    spare.values(slot, once(lie));
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, lie, len);
+                }
+            }
+            Family::StaleShadow(_) => {
+                spare.relay(slot, stash.get(&sender));
+                // Refreshed once per round, on the sender's first recipient.
+                if r == (0..view.n).find(|&q| q != sender.index()).unwrap_or(0) {
+                    let kept = stash.entry(sender).or_default();
+                    spare.relay(kept, row.shadow);
+                }
+            }
+            Family::FrontierBreaker(_) => {
+                if first_round_source {
+                    spare.values(slot, once(Value(r as u16 % view.domain.size())));
+                } else if let Some(target) = row.target {
+                    let lies = r % 2 == 1;
+                    spare.map(slot, row.shadow, |i, v| {
+                        if lies && i == target {
+                            flip(view, v)
+                        } else {
+                            v
+                        }
+                    });
+                } else {
+                    spare.relay(slot, row.shadow);
+                }
+            }
+            Family::Partition {
+                split, from, to, ..
+            } => {
+                if cut(*split, *from, *to, sender, recipient, view.round) {
+                    spare.silence(slot);
+                } else {
+                    spare.relay(slot, row.shadow);
+                }
+            }
+            Family::Omission { period, phase, .. } => {
+                let at = view.round + sender.index() + r + *phase;
+                if at.is_multiple_of((*period).max(1)) {
+                    spare.silence(slot);
+                } else {
+                    spare.relay(slot, row.shadow);
+                }
+            }
+            Family::Equivocate { split, .. } => {
+                if !row.turned {
+                    spare.relay(slot, row.shadow);
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, Value(u16::from(r >= *split)), len);
+                }
+            }
+            Family::Adaptive { .. } => {
+                let lie = flip(view, view.source_value);
+                if !row.turned {
+                    spare.relay(slot, row.shadow);
+                } else if first_round_source {
+                    spare.values(slot, once(lie));
+                } else if len == 0 {
+                    spare.silence(slot);
+                } else {
+                    spare.repeated(slot, lie, len);
+                }
+            }
+            Family::NoFaults | Family::Tape(_) | Family::Replay(_) => {
+                unreachable!("Family::strategy builds these as their own types")
+            }
         }
     }
 }
@@ -96,171 +334,17 @@ impl Adversary for FamilyStrategy {
         recipient: ProcessId,
         view: &AdversaryView<'_>,
     ) -> Payload {
-        // Each arm is the rule its variant's docs describe.
-        match &self.family {
-            Family::Crash { round, .. } => {
-                if view.round >= *round {
-                    Payload::Missing
-                } else {
-                    shadow_or_missing(view, sender)
-                }
-            }
-            Family::Silent(_) => Payload::Missing,
-            Family::RandomLiar(_) => {
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                random_payload(self.seed, sender, recipient, view, len)
-            }
-            Family::TwoFaced(_) => {
-                if recipient.index().is_multiple_of(2) {
-                    shadow_or_missing(view, sender)
-                } else {
-                    map_shadow(view, sender, |_, v| flip(view, v))
-                }
-            }
-            Family::EquivocatingSource(_) => {
-                if sender != view.source {
-                    return shadow_or_missing(view, sender);
-                }
-                let claimed = Value(recipient.index() as u16 % view.domain.size());
-                if view.round == 1 {
-                    return Payload::values([claimed]);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(claimed, len)
-            }
-            Family::Stealth(_) => {
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return shadow_or_missing(view, sender);
-                }
-                let target = (view.round + recipient.index()) % len;
-                map_shadow(
-                    view,
-                    sender,
-                    |i, v| if i == target { flip(view, v) } else { v },
-                )
-            }
-            Family::ChainRevealer { start, block, .. } => {
-                let rank = view.faulty.iter().position(|p| p == sender).unwrap_or(0);
-                if view.round < start + rank * (*block).max(1) {
-                    return shadow_or_missing(view, sender);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                random_payload(self.seed, sender, recipient, view, len)
-            }
-            Family::DoubleTalk(_) => {
-                let story = Value(u16::from(recipient.index() < view.n / 2));
-                let len = if sender == view.source && view.round == 1 {
-                    1
-                } else {
-                    view.expected_len(sender)
-                };
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(story, len)
-            }
-            Family::StaggeredSplit { start, block, .. } => {
-                let story = Value(u16::from(recipient.index() < view.n / 2));
-                if sender == view.source {
-                    return if view.round == 1 {
-                        Payload::values([story])
-                    } else {
-                        shadow_or_missing(view, sender)
-                    };
-                }
-                let rank = view
-                    .faulty
-                    .iter()
-                    .filter(|p| *p != view.source)
-                    .position(|p| p == sender)
-                    .unwrap_or(0);
-                if view.round < start + rank * block {
-                    return shadow_or_missing(view, sender);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(story, len)
-            }
-            Family::Collusion(_) => {
-                let lie = flip(view, view.source_value);
-                if sender == view.source && view.round == 1 {
-                    return Payload::values([lie]);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(lie, len)
-            }
-            Family::StaleShadow(_) => {
-                let out = self.stash.get(&sender).cloned().unwrap_or(Payload::Missing);
-                // Refreshed once per round, on the sender's first recipient.
-                if recipient.index() == (0..view.n).find(|&r| r != sender.index()).unwrap_or(0) {
-                    self.stash.insert(sender, shadow_or_missing(view, sender));
-                }
-                out
-            }
-            Family::FrontierBreaker(_) => frontier_lie(sender, recipient, view),
-            Family::Partition {
-                split, from, to, ..
-            } => {
-                if cut(*split, *from, *to, sender, recipient, view.round) {
-                    Payload::Missing
-                } else {
-                    shadow_or_missing(view, sender)
-                }
-            }
-            Family::Omission { period, phase, .. } => {
-                let slot = view.round + sender.index() + recipient.index() + phase;
-                if slot.is_multiple_of((*period).max(1)) {
-                    Payload::Missing
-                } else {
-                    shadow_or_missing(view, sender)
-                }
-            }
-            Family::Equivocate { split, start, .. } => {
-                if view.round < *start {
-                    return shadow_or_missing(view, sender);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(Value(u16::from(recipient.index() >= *split)), len)
-            }
-            Family::Adaptive { schedule, .. } => {
-                let rank = view
-                    .faulty
-                    .iter()
-                    .position(|p| p == sender)
-                    .expect("sender is faulty");
-                if schedule.get(rank).is_none_or(|&turn| view.round < turn) {
-                    return shadow_or_missing(view, sender);
-                }
-                let lie = flip(view, view.source_value);
-                if view.round == 1 && sender == view.source {
-                    return Payload::values([lie]);
-                }
-                let len = view.expected_len(sender);
-                if len == 0 {
-                    return Payload::Missing;
-                }
-                repeated(lie, len)
-            }
-            Family::NoFaults | Family::Tape(_) | Family::Replay(_) => {
-                unreachable!("Family::strategy builds these as their own types")
+        let row = self.row_facts(sender, view);
+        let mut out = Payload::Missing;
+        self.write(&row, recipient, view, &mut out);
+        out
+    }
+
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, slots: &mut [Payload]) {
+        let row = self.row_facts(sender, view);
+        for (r, slot) in slots.iter_mut().enumerate() {
+            if r != sender.index() {
+                self.write(&row, ProcessId(r), view, slot);
             }
         }
     }
@@ -290,23 +374,30 @@ fn cut(split: usize, from: usize, to: usize, a: ProcessId, b: ProcessId, round: 
     (from..=to).contains(&round) && (a.index() < split) != (b.index() < split)
 }
 
-/// `frontier-breaker`'s payload: the members form a chain `f₁, …, f_k`
-/// (the source first if corrupted, then ascending id), and `f_j` lies by
+/// `frontier-breaker`'s row: the members form a chain `f₁, …, f_k` (the
+/// source first if corrupted, then ascending id), and `f_j` lies by
 /// recipient parity exactly about the tree node `s·f₁⋯f_{j−1}` above its
-/// own position on the attacked path, honest everywhere else. A faulty
-/// source equivocates in round 1 — the root of the path.
-fn frontier_lie(sender: ProcessId, recipient: ProcessId, view: &AdversaryView<'_>) -> Payload {
-    if sender == view.source && view.round == 1 {
-        return Payload::values([Value((recipient.index() as u16) % view.domain.size())]);
-    }
+/// own position on the attacked path, honest everywhere else. Sets the
+/// row's `target` to that node's slot when the level being broadcast
+/// holds it; a member whose shadow is not a value vector sends nothing.
+/// (A faulty source's round-1 equivocation, the root of the path, is
+/// [`FamilyStrategy::write`]'s.)
+fn frontier_target(row: &mut Row<'_>, view: &AdversaryView<'_>) {
     let mut chain: Vec<ProcessId> = Vec::new();
     if view.faulty.contains(view.source) {
         chain.push(view.source);
     }
     chain.extend(view.faulty.iter().filter(|f| *f != view.source));
-    let Some(rank) = chain.iter().position(|f| *f == sender) else {
-        return shadow_or_missing(view, sender);
+    let Some(rank) = chain.iter().position(|f| *f == row.sender) else {
+        return;
     };
+    let Some(shadow) = row.shadow else {
+        return;
+    };
+    if !matches!(shadow, Payload::Values(_) | Payload::Bits { .. }) {
+        row.shadow = None;
+        return;
+    }
     // The node this fault lies about: the chain prefix above it (without
     // the leading source, which labels the root).
     let target: Vec<ProcessId> = chain[..rank]
@@ -314,33 +405,16 @@ fn frontier_lie(sender: ProcessId, recipient: ProcessId, view: &AdversaryView<'_
         .copied()
         .filter(|p| *p != view.source)
         .collect();
-    let Some(shadow) = view.shadow_of(sender) else {
-        return Payload::Missing;
-    };
-    if !matches!(shadow, Payload::Values(_) | Payload::Bits { .. }) {
-        return Payload::Missing;
-    }
-    let len = shadow.num_values();
-    // Locate the target node's index in the level being broadcast.
+    // Locate the target node's index in the level being broadcast; any
+    // other level is relayed honestly.
     let shape = sg_eigtree::Shape::new(view.n, view.source);
     let mut level = 0usize;
-    while shape.level_size(level) < len {
+    while shape.level_size(level) < row.len {
         level += 1;
     }
-    if shape.level_size(level) != len || target.len() != level {
-        // Not the level containing the target: behave honestly.
-        return shadow.clone();
+    if shape.level_size(level) == row.len && target.len() == level {
+        row.target = shape.index_of(&target);
     }
-    let Some(idx) = shape.index_of(&target) else {
-        return shadow.clone();
-    };
-    let mut out: Vec<Value> = (0..len)
-        .map(|i| shadow.value_at(i).expect("index in range"))
-        .collect();
-    if recipient.index() % 2 == 1 {
-        out[idx] = flip(view, out[idx]);
-    }
-    Payload::Values(out)
 }
 
 #[cfg(test)]
@@ -542,6 +616,145 @@ mod tests {
             adv.payload(ProcessId(1), ProcessId(3), &view),
             Payload::values([Value(0), Value(0)])
         );
+    }
+
+    /// Every selection-based family, with parameters that make each rule
+    /// change its story within six rounds.
+    fn every_rule() -> Vec<Family> {
+        let sel = FaultSelection::with_source;
+        vec![
+            Family::RandomLiar(sel()),
+            Family::ChainRevealer {
+                selection: sel(),
+                start: 2,
+                block: 1,
+            },
+            Family::Crash {
+                selection: sel(),
+                round: 5,
+            },
+            Family::Silent(sel()),
+            Family::Partition {
+                selection: sel(),
+                split: 5,
+                from: 2,
+                to: 3,
+            },
+            Family::Omission {
+                selection: sel(),
+                period: 3,
+                phase: 1,
+            },
+            Family::Equivocate {
+                selection: sel(),
+                split: 6,
+                start: 2,
+            },
+            Family::Adaptive {
+                selection: sel(),
+                schedule: vec![1, 3],
+            },
+            Family::TwoFaced(sel()),
+            Family::EquivocatingSource(sel()),
+            Family::Stealth(sel()),
+            Family::DoubleTalk(sel()),
+            Family::StaggeredSplit {
+                selection: sel(),
+                start: 2,
+                block: 1,
+            },
+            Family::Collusion(sel()),
+            Family::StaleShadow(sel()),
+            Family::FrontierBreaker(sel()),
+        ]
+    }
+
+    /// Asserts that `payload` carries no bit at or past its length.
+    fn assert_no_stray_bits(payload: &Payload) {
+        if let Payload::Bits { words, len } = payload {
+            for (i, &w) in words.words().iter().enumerate() {
+                let kept = (*len as usize).saturating_sub(64 * i);
+                let stray = if kept >= 64 { 0 } else { w >> kept };
+                assert_eq!(stray, 0, "bits set past slot {len} in word {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_written_in_place_equal_the_per_edge_payloads() {
+        // `algorithm-a(b=3) (13, 4)`'s level sizes, round by round, then
+        // a silent round and a short one: slots go from inline to heap
+        // words and back, and through silence.
+        const LENS: [usize; 6] = [1, 12, 132, 1_320, 0, 12];
+        let (n, t) = (13, 4);
+        let fillers = [
+            Payload::Values(vec![Value(2); 5]),
+            Payload::packed((0..3).map(|_| Value(1))),
+            Payload::packed((0..300).map(|_| Value(1))),
+            Payload::Signed(Vec::new()),
+            Payload::Missing,
+        ];
+        for family in every_rule() {
+            for domain in [sg_sim::ValueDomain::binary(), sg_sim::ValueDomain::new(3)] {
+                let mut rows = family.strategy(7);
+                let mut edges = family.strategy(7);
+                let faulty = rows.corrupt(n, t, ProcessId(0));
+                assert_eq!(edges.corrupt(n, t, ProcessId(0)), faulty);
+                let mut slots: Vec<Vec<Payload>> = vec![vec![Payload::Missing; n]; n];
+                for (at, &len) in LENS.iter().enumerate() {
+                    let round = at + 1;
+                    let shadow: Vec<Option<Payload>> = (0..n)
+                        .map(|p| {
+                            // In round 1 only the source speaks.
+                            let len = if round == 1 && p != 0 { 0 } else { len };
+                            let vals =
+                                (0..len).map(|i| Value(((i + p) % 3) as u16 % domain.size()));
+                            (len > 0).then(|| match domain.size() {
+                                2 => Payload::packed(vals),
+                                _ => Payload::Values(vals.collect()),
+                            })
+                        })
+                        .collect();
+                    let view = AdversaryView {
+                        round,
+                        total_rounds: LENS.len(),
+                        n,
+                        t,
+                        source: ProcessId(0),
+                        source_value: Value(1),
+                        domain,
+                        faulty: &faulty,
+                        honest_broadcast: &[],
+                        shadow_broadcast: &shadow,
+                        sigs: None,
+                    };
+                    for sender in faulty.iter() {
+                        let row = &mut slots[sender.index()];
+                        // Half the slots hold last round's lie, the other
+                        // half each representation in turn.
+                        for (r, slot) in row.iter_mut().enumerate() {
+                            if (r + round) % 2 == 0 {
+                                *slot = fillers[(r + round) % fillers.len()].clone();
+                            }
+                        }
+                        rows.row(sender, &view, row);
+                        for (r, slot) in row.iter().enumerate() {
+                            if r == sender.index() {
+                                continue;
+                            }
+                            let want = edges.payload(sender, ProcessId(r), &view);
+                            let at = format!("{} round {round} {sender:?}->{r}", family.name());
+                            assert_eq!(*slot, want, "{at}");
+                            assert_eq!(slot.num_values(), want.num_values(), "{at}");
+                            for i in 0..want.num_values() + 2 {
+                                assert_eq!(slot.value_at(i), want.value_at(i), "{at} slot {i}");
+                            }
+                            assert_no_stray_bits(slot);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn staggered_split(start: usize, block: usize) -> Box<dyn Adversary> {

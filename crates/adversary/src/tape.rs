@@ -103,10 +103,11 @@ impl Move {
 /// An adversary that plays a fixed tape of [`Move`]s against an explicit
 /// corrupted set.
 ///
-/// The engine calls [`Adversary::payload`] once per (sender, recipient)
-/// pair per round in deterministic order, so consuming the tape
-/// sequentially assigns each call its own cell; tapes shorter than the
-/// call count repeat from the start.
+/// The engine asks for each faulty row through the default
+/// [`Adversary::row`], which calls [`Adversary::payload`] once per
+/// (sender, recipient) pair per round in deterministic order, so
+/// consuming the tape sequentially assigns each call its own cell; tapes
+/// shorter than the call count repeat from the start.
 ///
 /// # Examples
 ///

@@ -1,8 +1,8 @@
 //! Shared helpers for adversary strategies.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sg_sim::{AdversaryView, Payload, ProcessId, Value};
+use rand::{Rng, RngCore, SeedableRng};
+use sg_sim::{AdversaryView, Payload, ProcessId, SmallWords, Value};
 
 /// The stream key of one (round, sender, recipient) decision, XORed
 /// into a strategy's seed: every edge of every round draws from its own
@@ -51,31 +51,56 @@ pub fn edge_draw(seed: u64, edge: u64, size: u16) -> u16 {
     ((u128::from(first_draw(seed, edge)) * u128::from(size)) >> 64) as u16
 }
 
-/// `len ≥ 1` uniformly random in-domain values from `sender` to
-/// `recipient`, keyed by `seed` and the edge alone. The one-value
-/// broadcasts of the king-family protocols are a [`Payload::single`] of
-/// [`edge_draw`]; longer (tree-level) lies take one generator draw per
-/// slot in slot order whatever the representation — bit-packed in binary
-/// domains (a 1320-slot lie is 168 bytes instead of 2.6 kB, once per
-/// faulty sender per recipient per round), a value vector otherwise.
-pub fn random_payload(
+/// Writes the lie of `len ≥ 1` uniformly random in-domain values from
+/// `sender` to `recipient` into `slot`, keyed by `seed` and the edge
+/// alone. A one-value lie is [`edge_draw`], as a [`Payload::single`]
+/// (the one-value broadcasts of the king-family protocols). A longer
+/// (tree-level) lie takes one generator draw per slot, in slot order. In
+/// a binary domain each draw is the sign bit of one `next_u64` — what
+/// `gen_range(0..2)` returns — written 64 to a word straight into the
+/// slot's words (inline up to 256 slots, an exact-size heap buffer
+/// beyond, as [`Payload::packed`] stores them); other domains build a
+/// value vector of `gen_range` draws.
+pub(crate) fn random_lie(
+    spare: &mut Spare,
+    slot: &mut Payload,
     seed: u64,
-    sender: ProcessId,
-    recipient: ProcessId,
+    (sender, recipient): (ProcessId, ProcessId),
     view: &AdversaryView<'_>,
     len: usize,
-) -> Payload {
+) {
     let size = view.domain.size();
-    if len == 1 {
-        let edge = edge_mix(view.round, sender, recipient);
-        return Payload::single(Value(edge_draw(seed, edge, size)));
-    }
-    let mut rng = call_rng(seed, view.round, sender, recipient);
-    let draws = (0..len).map(|_| Value(rng.gen_range(0..size)));
+    let edge = edge_mix(view.round, sender, recipient);
     if size == 2 {
-        Payload::packed(draws)
+        let words = spare.bits(slot, len);
+        if len == 1 {
+            words[0] = first_draw(seed, edge) >> 63;
+        } else {
+            sign_words(&mut StdRng::seed_from_u64(seed ^ edge), len, words);
+        }
+    } else if len == 1 {
+        spare.single(slot, Value(edge_draw(seed, edge, size)));
     } else {
-        Payload::Values(draws.collect())
+        let mut rng = call_rng(seed, view.round, sender, recipient);
+        spare.values(slot, (0..len).map(|_| Value(rng.gen_range(0..size))));
+    }
+}
+
+/// Fills `words` with the sign bits of `len` consecutive draws of `rng`:
+/// draw `i` at bit `i % 64` of word `i / 64`, every bit at or past `len`
+/// clear.
+fn sign_words(rng: &mut StdRng, len: usize, words: &mut [u64]) {
+    const SIGN: u64 = 1 << 63;
+    for (w, word) in words.iter_mut().enumerate() {
+        let draws = (len - 64 * w).min(64);
+        // Each draw enters at the top and moves down one bit per later
+        // draw, so after `draws` of them draw `i` sits at bit
+        // `64 − draws + i`.
+        let mut acc = 0u64;
+        for _ in 0..draws {
+            acc = (acc >> 1) | (rng.next_u64() & SIGN);
+        }
+        *word = acc >> (64 - draws);
     }
 }
 
@@ -85,32 +110,153 @@ pub fn shadow_or_missing(view: &AdversaryView<'_>, sender: ProcessId) -> Payload
     view.shadow_of(sender).cloned().unwrap_or(Payload::Missing)
 }
 
-/// `len` copies of `v` as a payload: a zero-allocation [`Payload::single`]
-/// for the one-value broadcasts of the king-family protocols, the usual
-/// value vector otherwise.
-pub fn repeated(v: Value, len: usize) -> Payload {
-    if len == 1 {
-        Payload::single(v)
-    } else {
-        Payload::Values(vec![v; len])
-    }
-}
-
-/// Applies `f` to every value of the sender's shadow payload; missing
-/// shadows stay missing. Representation-agnostic: bit-packed and
-/// vector shadows corrupt identically.
-pub fn map_shadow<F>(view: &AdversaryView<'_>, sender: ProcessId, mut f: F) -> Payload
+/// [`Spare::map`] of the sender's shadow into a fresh payload.
+pub fn map_shadow<F>(view: &AdversaryView<'_>, sender: ProcessId, f: F) -> Payload
 where
     F: FnMut(usize, Value) -> Value,
 {
-    match view.shadow_of(sender) {
-        Some(p @ (Payload::Values(_) | Payload::Bits { .. })) => Payload::Values(
-            (0..p.num_values())
-                .map(|i| f(i, p.value_at(i).expect("index in range")))
-                .collect(),
-        ),
-        Some(other) => other.clone(),
-        None => Payload::Missing,
+    let mut out = Payload::Missing;
+    Spare::default().map(&mut out, view.shadow_of(sender), f);
+    out
+}
+
+/// The heap word buffers that lie slots gave up, and the in-place writes
+/// that keep them: a slot's buffer is reused when the next lie has its
+/// representation, and otherwise set aside here for the next slot that
+/// needs a heap buffer. Rows rewritten every round then allocate nothing
+/// once warm, even when a slot is silent or short for a round. Buffers
+/// only — nothing here is ever read as data.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Spare(Vec<Vec<u64>>);
+
+impl Spare {
+    /// Overwrites `slot` with `payload`, keeping the heap words it held.
+    fn put(&mut self, slot: &mut Payload, payload: Payload) {
+        let old = std::mem::replace(slot, payload);
+        if let Payload::Bits {
+            words: SmallWords::Heap(words),
+            ..
+        } = old
+        {
+            self.0.push(words);
+        }
+    }
+
+    /// Silence: `slot` becomes missing. A missing slot is left untouched.
+    pub(crate) fn silence(&mut self, slot: &mut Payload) {
+        if !slot.is_missing() {
+            self.put(slot, Payload::Missing);
+        }
+    }
+
+    /// Makes `slot` a `len`-slot bit vector stored as [`Payload::packed`]
+    /// stores one — inline up to 256 slots, an exact-size heap buffer
+    /// beyond — and returns its words for the caller to overwrite whole,
+    /// leaving every bit at or past `len` clear.
+    pub(crate) fn bits<'s>(&mut self, slot: &'s mut Payload, len: usize) -> &'s mut [u64] {
+        let count = len.div_ceil(64);
+        let inline = count <= SmallWords::INLINE;
+        let fits = match slot {
+            Payload::Bits { words, .. } => matches!(words, SmallWords::Inline(_)) == inline,
+            _ => false,
+        };
+        if !fits {
+            let words = if inline {
+                SmallWords::Inline([0; SmallWords::INLINE])
+            } else {
+                SmallWords::Heap(self.0.pop().unwrap_or_default())
+            };
+            self.put(slot, Payload::Bits { words, len: 0 });
+        }
+        let Payload::Bits { words, len: slots } = slot else {
+            unreachable!("the slot was just made a bit vector");
+        };
+        *slots = len as u32;
+        match words {
+            SmallWords::Inline(w) => {
+                w[count..].fill(0);
+                &mut w[..count]
+            }
+            SmallWords::Heap(w) => {
+                w.resize(count, 0);
+                w
+            }
+        }
+    }
+
+    /// Makes `slot` the value vector `values`, reusing the vector it
+    /// holds.
+    pub(crate) fn values(&mut self, slot: &mut Payload, values: impl Iterator<Item = Value>) {
+        if let Payload::Values(v) = slot {
+            v.clear();
+            v.extend(values);
+        } else {
+            self.put(slot, Payload::Values(values.collect()));
+        }
+    }
+
+    /// Writes [`Payload::single`]`(v)` into `slot`.
+    pub(crate) fn single(&mut self, slot: &mut Payload, v: Value) {
+        if v.raw() <= 1 {
+            self.bits(slot, 1)[0] = u64::from(v.raw());
+        } else {
+            self.values(slot, std::iter::once(v));
+        }
+    }
+
+    /// Writes `len` copies of `v` into `slot`: a single value (a bit,
+    /// for the one-value broadcasts of the king-family protocols) when
+    /// `len` is 1, a value vector otherwise.
+    pub(crate) fn repeated(&mut self, slot: &mut Payload, v: Value, len: usize) {
+        if len == 1 {
+            self.single(slot, v);
+        } else {
+            self.values(slot, std::iter::repeat_n(v, len));
+        }
+    }
+
+    /// Copies `shadow` into `slot` — missing when there is none — reusing
+    /// the slot's buffer: a shadow relay.
+    pub(crate) fn relay(&mut self, slot: &mut Payload, shadow: Option<&Payload>) {
+        match shadow {
+            None | Some(Payload::Missing) => self.silence(slot),
+            Some(Payload::Bits { words, len }) => {
+                let len = *len as usize;
+                let from = words.words();
+                let to = self.bits(slot, len);
+                for (i, word) in to.iter_mut().enumerate() {
+                    *word = from.get(i).map_or(0, |&w| w & low_bits(len - 64 * i));
+                }
+            }
+            Some(Payload::Values(v)) => self.values(slot, v.iter().copied()),
+            Some(signed) => self.put(slot, signed.clone()),
+        }
+    }
+
+    /// Writes `f` applied to every value of `shadow` into `slot`, as a
+    /// value vector; any other shadow is relayed as it is.
+    /// Representation-agnostic: bit-packed and vector shadows corrupt
+    /// identically.
+    pub(crate) fn map<F>(&mut self, slot: &mut Payload, shadow: Option<&Payload>, mut f: F)
+    where
+        F: FnMut(usize, Value) -> Value,
+    {
+        match shadow {
+            Some(p @ (Payload::Values(_) | Payload::Bits { .. })) => self.values(
+                slot,
+                (0..p.num_values()).map(|i| f(i, p.value_at(i).expect("index in range"))),
+            ),
+            other => self.relay(slot, other),
+        }
+    }
+}
+
+/// The low `bits` bits of a word (all of them from 64 on).
+fn low_bits(bits: usize) -> u64 {
+    if bits >= 64 {
+        !0
+    } else {
+        (1 << bits) - 1
     }
 }
 
@@ -135,6 +281,58 @@ mod tests {
         let (x, y, z): (u64, u64, u64) = (a.gen(), b.gen(), c.gen());
         assert_eq!(x, y);
         assert_ne!(x, z);
+    }
+
+    #[test]
+    fn word_written_lies_are_the_generators_draws() {
+        // The oracle is the build the word writer replaced: one
+        // `gen_range(0..2)` per slot, packed by `Payload::packed`.
+        let faulty = sg_sim::ProcessSet::new(2);
+        let view = AdversaryView {
+            round: 3,
+            total_rounds: 4,
+            n: 2,
+            t: 0,
+            source: ProcessId(0),
+            source_value: Value(1),
+            domain: sg_sim::ValueDomain::binary(),
+            faulty: &faulty,
+            honest_broadcast: &[],
+            shadow_broadcast: &[],
+            sigs: None,
+        };
+        let fillers = [
+            Payload::Values(vec![Value(1); 7]),
+            Payload::packed((0..5).map(|_| Value(1))),
+            Payload::packed((0..700).map(|_| Value(1))),
+            Payload::Signed(Vec::new()),
+            Payload::Missing,
+        ];
+        let (sender, recipient) = (ProcessId(1), ProcessId(0));
+        let mut spare = Spare::default();
+        for seed in [0, 7, u64::MAX] {
+            for len in 2..=1_400 {
+                let mut rng = call_rng(seed, view.round, sender, recipient);
+                let want = Payload::packed((0..len).map(|_| Value(rng.gen_range(0..2))));
+                let mut slot = fillers[len % fillers.len()].clone();
+                random_lie(&mut spare, &mut slot, seed, (sender, recipient), &view, len);
+                let (
+                    Payload::Bits { words, len: got },
+                    Payload::Bits {
+                        words: want_words,
+                        len: want_len,
+                    },
+                ) = (&slot, &want)
+                else {
+                    panic!("len {len}: a binary lie is bit-packed");
+                };
+                assert_eq!(
+                    (got, words),
+                    (want_len, want_words),
+                    "seed {seed} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

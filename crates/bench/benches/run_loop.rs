@@ -477,7 +477,8 @@ fn bench_batch_adversaries(c: &mut Criterion) {
 /// relay — 1, 12, 132 and 1 320 slots, the cell's level sizes. `per-edge`
 /// asks `Adversary::payload` once per recipient and keeps the payloads in
 /// a reused row, as the engine's rows did before they were written in
-/// place.
+/// place; `row` is the engine's one `Adversary::row` call, writing the
+/// same lies into the row's slots in place.
 fn bench_lie_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("lie_row");
     group.sample_size(20);
@@ -512,6 +513,12 @@ fn bench_lie_row(c: &mut Criterion) {
                         adversary.payload(sender, ProcessId(r), &view)
                     }
                 }));
+                black_box(&row);
+            });
+        });
+        group.bench_function(format!("row/{len}"), |b| {
+            b.iter(|| {
+                adversary.row(sender, &view, &mut row);
                 black_box(&row);
             });
         });

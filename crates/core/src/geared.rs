@@ -15,7 +15,8 @@
 //! *measurement* for tree runs lives in `sg_analysis::stability`.
 
 use sg_eigtree::{
-    convert, discover_during_conversion, discover_ig, Claim, FaultList, IgTree, Planes, RepTree,
+    convert, discover_during_conversion_into, discover_ig_into, Claim, DiscoveryReport, FaultList,
+    IgTree, Planes, RepTree,
 };
 use sg_sim::{
     Inbox, Payload, ProcCtx, ProcessId, ProcessSet, Protocol, RoundStatus, RunConfig, SmallWords,
@@ -118,6 +119,11 @@ pub struct GearedProtocol {
     /// Gather-round scratch, so a warm instance gathers without allocating:
     /// the (empty between rounds) claims table.
     claims: Vec<Claim<'static>>,
+    /// Discovery scratch, so a warm instance records what it discovers
+    /// without allocating: the last discovery rule's report, and the
+    /// processors it newly admitted to `L_p`.
+    report: DiscoveryReport,
+    newly: ProcessSet,
 }
 
 impl GearedProtocol {
@@ -157,6 +163,8 @@ impl GearedProtocol {
             peak_nodes: 0,
             echo_quorum: false,
             claims: Vec::new(),
+            report: DiscoveryReport::default(),
+            newly: ProcessSet::new(params.n),
         }
     }
 
@@ -278,27 +286,22 @@ impl GearedProtocol {
         Some(ballots.ones & !listed & !bit | u64::from(own.raw()) << self.me.index())
     }
 
-    /// Records newly discovered processors: updates `L`, emits trace
-    /// events, returns them as a set (`None`, and no allocation, if none).
-    fn admit_discoveries(
-        &mut self,
-        discovered: &[ProcessId],
-        during_conversion: bool,
-        ctx: &mut ProcCtx,
-    ) -> Option<ProcessSet> {
-        let mut newly: Option<ProcessSet> = None;
-        for &r in discovered {
+    /// Records the processors the last report discovered: charges its
+    /// work, updates `L`, emits trace events, and collects the newly
+    /// listed ones in `newly`; returns whether there are any.
+    fn admit_discoveries(&mut self, during_conversion: bool, ctx: &mut ProcCtx) -> bool {
+        ctx.charge(self.report.ops);
+        self.newly.clear();
+        for &r in &self.report.discovered {
             if self.faults.insert(r, ctx.round) {
-                newly
-                    .get_or_insert_with(|| ProcessSet::new(self.params.n))
-                    .insert(r);
+                self.newly.insert(r);
                 ctx.emit(TraceEvent::Discovered {
                     suspect: r,
                     during_conversion,
                 });
             }
         }
-        newly
+        !self.newly.is_empty()
     }
 }
 
@@ -369,11 +372,10 @@ impl Protocol for GearedProtocol {
                 // 2. Fault Discovery Rule on the fresh level, then mask
                 // the newly discovered processors' current messages.
                 if self.modified {
-                    let report = discover_ig(&self.tree, t, &self.faults);
-                    ctx.charge(report.ops);
-                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
+                    discover_ig_into(&self.tree, t, &self.faults, &mut self.report);
+                    if self.admit_discoveries(false, ctx) {
                         let k = self.tree.deepest_level();
-                        ctx.charge(self.tree.mask_level(k, &newly));
+                        ctx.charge(self.tree.mask_level(k, &self.newly));
                     }
                 }
 
@@ -388,10 +390,15 @@ impl Protocol for GearedProtocol {
                     let converted = convert(&self.tree, spec.conversion);
                     ctx.charge(converted.ops());
                     if spec.discovery && self.modified {
-                        let report =
-                            discover_during_conversion(&self.tree, &converted, t, &self.faults);
-                        ctx.charge(report.ops);
-                        self.admit_discoveries(&report.discovered, true, ctx);
+                        let report = &mut self.report;
+                        discover_during_conversion_into(
+                            &self.tree,
+                            &converted,
+                            t,
+                            &self.faults,
+                            report,
+                        );
+                        self.admit_discoveries(true, ctx);
                     }
                     let preferred = converted.root().value_or_default();
                     self.tree.shrink_to_root(preferred);
@@ -415,10 +422,10 @@ impl Protocol for GearedProtocol {
                     self.claims = recycle(claims);
                 }
                 if self.modified {
-                    let report = self.rep.discover_root(t, &self.faults);
-                    ctx.charge(report.ops);
-                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
-                        ctx.charge(self.rep.mask_intermediates(&newly));
+                    self.rep
+                        .discover_root_into(t, &self.faults, &mut self.report);
+                    if self.admit_discoveries(false, ctx) {
+                        ctx.charge(self.rep.mask_intermediates(&self.newly));
                     }
                 }
                 self.echo_quorum = echo_quorum(self.rep.intermediates(), self.rep.root(), t);
@@ -433,10 +440,10 @@ impl Protocol for GearedProtocol {
                 self.claims = recycle(claims);
                 self.note_peak();
                 if self.modified {
-                    let report = self.rep.discover_intermediates(t, &self.faults);
-                    ctx.charge(report.ops);
-                    if let Some(newly) = self.admit_discoveries(&report.discovered, false, ctx) {
-                        ctx.charge(self.rep.mask_leaves(&newly));
+                    self.rep
+                        .discover_intermediates_into(t, &self.faults, &mut self.report);
+                    if self.admit_discoveries(false, ctx) {
+                        ctx.charge(self.rep.mask_leaves(&self.newly));
                     }
                 }
                 ctx.charge(self.rep.reorder());
@@ -486,6 +493,7 @@ impl Protocol for GearedProtocol {
         self.tree.reset(params.n, params.source);
         self.rep.reset(params.n, params.source);
         self.faults.reset(params.n);
+        self.newly.clear();
         self.peak_nodes = 0;
         self.echo_quorum = false;
         true

@@ -1,8 +1,9 @@
 //! Per-run set-up is `O(t·n)`, never `O(n²)`, and a warm tree gather
 //! allocates nothing: an early-stopped run of every `tree-paper` spec on
 //! a warm arena allocates the same small constant at `exponential n = 10`
-//! and at `algorithm-c n = 32`. A warm fixed-length gear run, whose
-//! processors shift, builds no trace label untraced.
+//! and at `algorithm-c n = 32`. A warm fixed-length tree run allocates as
+//! much under random liars as under silent ones. A warm fixed-length gear
+//! run, whose processors shift, builds no trace label untraced.
 //!
 //! This file holds a single test on purpose — the counter is per thread,
 //! but one test per binary also keeps the harness quiet while it runs.
@@ -95,6 +96,50 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
                 out.adversary,
             );
         }
+    }
+
+    // A warm fixed-length run whose faulty source and members tell random
+    // lies allocates what the same run under silent members does: the
+    // lies are written into the rows' slots in place (a heap buffer a
+    // slot gives up for a silent or shorter round is kept for the next
+    // long lie), and fault discovery records its finds in kept buffers.
+    // `algorithm-a(b=3) (13, 4)` broadcasts levels of up to 132 slots (its
+    // 1 320-slot level is gathered, never sent), so its lies are inline;
+    // `exponential (13, 4)` sends that level in round 5, so its lies take
+    // heap words. A lie built fresh per edge is one more allocation per
+    // faulty edge per round past 256 slots (38 more here); a discovery
+    // report or admitted set built fresh, one per discovering processor per
+    // rule (74 more). Two runs warm the buffers: a report's grows to the
+    // most finds one rule makes.
+    for (spec, n) in [
+        (AlgorithmSpec::AlgorithmA { b: 3 }, 13),
+        (AlgorithmSpec::Exponential, 13),
+    ] {
+        let config = RunConfig::new(n, spec.max_resilience(n)).fixed_length();
+        let warm = [
+            Family::Silent(FaultSelection::with_source()),
+            Family::RandomLiar(FaultSelection::with_source()),
+        ]
+        .map(|family| {
+            let mut adversary = family.strategy(7);
+            let mut run = |seed: u64| {
+                adversary.reseed(seed);
+                allocations_of(|| {
+                    execute_into(&mut arena, spec, &config, adversary.as_mut(), &mut out)
+                        .expect("a valid tree cell");
+                })
+                .0
+            };
+            run(1);
+            run(2);
+            run(3)
+        });
+        assert_eq!(
+            warm[1],
+            warm[0],
+            "{} n={n}: allocations in a warm fixed-length run under random liars / silent members",
+            spec.name()
+        );
     }
 
     // A warm fixed-length gear run: every processor emits a trace event at

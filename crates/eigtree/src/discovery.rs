@@ -50,6 +50,14 @@ pub struct DiscoveryReport {
     pub ops: u64,
 }
 
+impl DiscoveryReport {
+    /// Empties the report, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.discovered.clear();
+        self.ops = 0;
+    }
+}
+
 /// Evaluates the two discovery conditions for one internal node.
 ///
 /// `children` is the node's child range of `level` (stored or converted
@@ -135,19 +143,35 @@ fn discover_level(
 /// Panics if the tree has fewer than two levels (there are no parents to
 /// examine before round 2).
 pub fn discover_ig(tree: &IgTree, t: usize, snapshot: &FaultList) -> DiscoveryReport {
+    let mut report = DiscoveryReport::default();
+    discover_ig_into(tree, t, snapshot, &mut report);
+    report
+}
+
+/// [`discover_ig`] into a kept report, which it overwrites: a warm
+/// caller records its finds without allocating.
+///
+/// # Panics
+///
+/// As [`discover_ig`].
+pub fn discover_ig_into(
+    tree: &IgTree,
+    t: usize,
+    snapshot: &FaultList,
+    report: &mut DiscoveryReport,
+) {
     let deepest = tree.deepest_level();
     assert!(deepest >= 1, "discovery needs a stored child level");
-    let mut report = DiscoveryReport::default();
+    report.clear();
     discover_level(
         tree.labels(deepest - 1),
         tree.level(deepest),
         tree.labels(deepest),
         t,
         snapshot,
-        &mut report,
+        report,
     );
     report.discovered.sort_unstable();
-    report
 }
 
 /// Algorithm A's Fault Discovery Rule During Conversion, applied to every
@@ -164,12 +188,30 @@ pub fn discover_during_conversion(
     t: usize,
     snapshot: &FaultList,
 ) -> DiscoveryReport {
+    let mut report = DiscoveryReport::default();
+    discover_during_conversion_into(tree, converted, t, snapshot, &mut report);
+    report
+}
+
+/// [`discover_during_conversion`] into a kept report, which it
+/// overwrites.
+///
+/// # Panics
+///
+/// As [`discover_during_conversion`].
+pub fn discover_during_conversion_into(
+    tree: &IgTree,
+    converted: &Converted,
+    t: usize,
+    snapshot: &FaultList,
+    report: &mut DiscoveryReport,
+) {
     assert_eq!(
         converted.depth(),
         tree.deepest_level() + 1,
         "converted tree must match the gathered tree"
     );
-    let mut report = DiscoveryReport::default();
+    report.clear();
     for k in 0..tree.deepest_level() {
         discover_level(
             tree.labels(k),
@@ -177,11 +219,10 @@ pub fn discover_during_conversion(
             tree.labels(k + 1),
             t,
             snapshot,
-            &mut report,
+            report,
         );
     }
     report.discovered.sort_unstable();
-    report
 }
 
 #[cfg(test)]

@@ -48,7 +48,10 @@ mod resolve;
 mod shape;
 mod tree;
 
-pub use discovery::{discover_during_conversion, discover_ig, DiscoveryReport};
+pub use discovery::{
+    discover_during_conversion, discover_during_conversion_into, discover_ig, discover_ig_into,
+    DiscoveryReport,
+};
 pub use fault_list::FaultList;
 pub use level::Planes;
 pub use render::{render_tree, tree_to_dot};

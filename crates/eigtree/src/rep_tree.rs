@@ -268,17 +268,21 @@ impl RepTree {
     /// The Fault Discovery Rule applied to the root's fresh children — the
     /// intermediate level just stored in round 2. Can discover the source.
     pub fn discover_root(&self, t: usize, snapshot: &FaultList) -> DiscoveryReport {
+        let mut report = DiscoveryReport::default();
+        self.discover_root_into(t, snapshot, &mut report);
+        report
+    }
+
+    /// [`RepTree::discover_root`] into a kept report, which it overwrites.
+    pub fn discover_root_into(&self, t: usize, snapshot: &FaultList, report: &mut DiscoveryReport) {
         let budget = t.saturating_sub(snapshot.len());
-        let mut report = DiscoveryReport {
-            ops: self.n as u64,
-            ..DiscoveryReport::default()
-        };
+        report.clear();
+        report.ops = self.n as u64;
         if !snapshot.contains(self.source)
             && node_violates(self.intermediates(), 0..self.n, ProcessId, budget, snapshot)
         {
             report.discovered.push(self.source);
         }
-        report
     }
 
     /// The Fault Discovery Rule applied to the fresh leaf level: node `sw`
@@ -288,10 +292,27 @@ impl RepTree {
     ///
     /// Panics if no leaves are stored.
     pub fn discover_intermediates(&self, t: usize, snapshot: &FaultList) -> DiscoveryReport {
+        let mut report = DiscoveryReport::default();
+        self.discover_intermediates_into(t, snapshot, &mut report);
+        report
+    }
+
+    /// [`RepTree::discover_intermediates`] into a kept report, which it
+    /// overwrites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no leaves are stored.
+    pub fn discover_intermediates_into(
+        &self,
+        t: usize,
+        snapshot: &FaultList,
+        report: &mut DiscoveryReport,
+    ) {
         assert!(self.has_leaves(), "leaves stored");
         let (n, row) = (self.n, self.row());
         let budget = t.saturating_sub(snapshot.len());
-        let mut report = DiscoveryReport::default();
+        report.clear();
         for w in 0..n {
             report.ops += n as u64;
             let wid = ProcessId(w);
@@ -304,7 +325,6 @@ impl RepTree {
                 report.discovered.push(wid);
             }
         }
-        report
     }
 
     /// Masks the round-2 messages of newly discovered processors: their

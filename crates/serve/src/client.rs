@@ -90,8 +90,8 @@ impl std::fmt::Display for ServeError {
 /// Delay before retry `k` (0-based) is `base_ms · 2^k`, capped at
 /// `max_ms`, then jittered to 50–150% by a [`rand::rngs::StdRng`]
 /// seeded from `seed` — no wall clock anywhere, so a given policy
-/// replays the same schedule every time (the property the load
-/// harness's committed benchmark relies on).
+/// replays the same schedule every time, and a test that seeds its
+/// connections' policies replays the same retries.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total tries (first attempt included). 0 behaves as 1.

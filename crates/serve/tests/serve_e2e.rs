@@ -11,6 +11,11 @@ use sg_serve::{
     ServeOptions,
 };
 
+/// A small two-spec plan. The random liars include the source: with a
+/// correct source every run of a cell stops early on the same row, and a
+/// report that no seed moves cannot tell a daemon that serves another
+/// seed's results. `hybrid (10, 3)` runs on the scalar engine, so its
+/// lies are rows the strategy writes in place.
 fn quick_plan() -> SweepPlan {
     SweepPlan::new(
         vec![
@@ -18,11 +23,22 @@ fn quick_plan() -> SweepPlan {
             SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3),
         ],
         vec![
-            AdversaryFamily::random_liar(FaultSelection::without_source()),
+            AdversaryFamily::random_liar(FaultSelection::with_source()),
             AdversaryFamily::no_faults(),
         ],
         10,
     )
+}
+
+#[test]
+fn quick_plan_fingerprint_moves_with_the_base_seed() {
+    let fingerprint = |base| {
+        quick_plan()
+            .with_base_seed(base)
+            .run_with_jobs(1)
+            .fingerprint()
+    };
+    assert_ne!(fingerprint(0), fingerprint(1));
 }
 
 fn start(workers: usize) -> (sg_serve::ServerHandle, String) {

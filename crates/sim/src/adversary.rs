@@ -103,7 +103,8 @@ impl AdversaryView<'_> {
 }
 
 /// A Byzantine adversary: picks the fault set, then per round and per
-/// (faulty sender, recipient) pair picks an arbitrary payload.
+/// (faulty sender, recipient) pair picks an arbitrary payload — one
+/// faulty sender's row at a time ([`Adversary::row`]).
 pub trait Adversary {
     /// Short human-readable strategy name for reports.
     fn name(&self) -> String;
@@ -144,14 +145,35 @@ pub trait Adversary {
     fn corrupt(&mut self, n: usize, t: usize, source: ProcessId) -> ProcessSet;
 
     /// The payload faulty `sender` sends to `recipient` in the viewed
-    /// round. Called once per (sender, recipient) pair per round, in
-    /// deterministic order (senders ascending, recipients ascending).
+    /// round. [`crate::reference`] calls it once per (sender, recipient)
+    /// pair per round, in deterministic order (senders ascending,
+    /// recipients ascending); the engine asks through
+    /// [`Adversary::row`], whose default calls it in the same order.
     fn payload(
         &mut self,
         sender: ProcessId,
         recipient: ProcessId,
         view: &AdversaryView<'_>,
     ) -> Payload;
+
+    /// Overwrites faulty `sender`'s row for the viewed round in place:
+    /// `row[r]` becomes what `sender` sends recipient `r`, for every `r`
+    /// but `sender`, whose own slot is never read. The engine calls this
+    /// once per faulty sender per round, senders ascending.
+    ///
+    /// The default asks [`Adversary::payload`] for each recipient in
+    /// ascending order, so a strategy that implements only `payload`
+    /// keeps its call order. An override must leave every slot equal
+    /// (`==`) to what those calls would return. `row` holds whatever it
+    /// last held — an earlier round's or an earlier run's lies — so an
+    /// override may reuse its buffers but must not read it as data.
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        for (r, slot) in row.iter_mut().enumerate() {
+            if r != sender.index() {
+                *slot = self.payload(sender, ProcessId(r), view);
+            }
+        }
+    }
 
     /// Whether this adversary also attacks *honest* edges (message loss
     /// between correct processors — network partitions, per-edge

@@ -9,7 +9,8 @@
 //! 1. collects every honest processor's broadcast;
 //! 2. runs *shadow* copies of faulty processors to learn what they would
 //!    have sent honestly, and shows both to the adversary;
-//! 3. asks the adversary for a payload per (faulty sender, recipient);
+//! 3. asks the adversary for each faulty sender's row — its payload per
+//!    recipient — with one [`Adversary::row`] call per faulty sender;
 //! 4. delivers complete inboxes to every processor (real and shadow);
 //! 5. accounts honest traffic, local work and peak space;
 //! 6. consults every correct processor's [`Protocol::round_status`] and
@@ -44,10 +45,13 @@
 //! [instance pool](PoolKey) via [`Protocol::reset`] — the factory is only
 //! consulted on a pool miss. Set-up and per-round bookkeeping are
 //! `O(t·n)`: a run touches the rows of its faulty senders and nothing
-//! else of the `n × n` payload matrix. Payloads are owned values that
-//! move — from [`Protocol::outgoing`] and [`Adversary::payload`] into
-//! the [`Inbox`] — and are never reference-counted, so the engine side of
-//! a round allocates nothing and does no atomic operation.
+//! else of the `n × n` payload matrix. Broadcasts are owned values that
+//! move from [`Protocol::outgoing`] into the [`Inbox`], and lies are
+//! written in place: the faulty rows persist across rounds and runs, and
+//! each [`Adversary::row`] call overwrites its sender's row, so a
+//! strategy can reuse every slot's buffer. Nothing is reference-counted,
+//! so the engine side of a round allocates nothing and does no atomic
+//! operation.
 //!
 //! # Bit-packed binary fast path
 //!
@@ -333,12 +337,13 @@ struct RunFrame<'a> {
 /// buffers it needs. [`run_into`] calls [`RoundNet::round`] once per
 /// round; [`crate::reference`] is the only other implementation.
 ///
-/// Payloads move, they are not shared: every broadcast moves into the
-/// [`Inbox`]'s table and every lie into its faulty rows, and each
-/// recipient costs one index write (plus its cut row under edge faults).
-/// Every cost is per *fault*, never per *pair*: only the rows of the
-/// round's faulty senders are written or read, each rewritten whole every
-/// round, and [`RoundNet::begin`] touches `O(n)` slots.
+/// Payloads are not shared: every broadcast moves into the [`Inbox`]'s
+/// table, every faulty row is overwritten in place by one
+/// [`Adversary::row`] call, and each recipient costs one index write
+/// (plus its cut row under edge faults). Every cost is per *fault*, never
+/// per *pair*: only the rows of the round's faulty senders are written or
+/// read, each rewritten whole every round, and [`RoundNet::begin`]
+/// touches `O(n)` slots.
 struct RoundNet {
     /// The broadcasts of faulty senders' honest shadows.
     shadow: Vec<Option<Payload>>,
@@ -359,15 +364,16 @@ impl Default for RoundNet {
 }
 
 impl RoundNet {
-    /// Sizes the tables for `n` processors and drops every payload
-    /// retained from earlier rounds, so none outlives its run.
+    /// Sizes the tables for `n` processors and drops every broadcast
+    /// retained from earlier rounds, so none outlives its run. The faulty
+    /// rows are kept: every round overwrites the slots it reads, and
+    /// their buffers are what the adversary writes the next lies into.
     fn begin(&mut self, n: usize) {
         let inbox = &mut self.inbox;
         for table in [&mut self.shadow, &mut inbox.sent] {
             table.clear();
             table.resize(n, None);
         }
-        inbox.lies.clear();
         inbox.route.clear();
         inbox.route.resize(n, SENT);
     }
@@ -447,20 +453,16 @@ impl RoundNet {
             sigs: run.sigs.clone(),
         };
         // The faulty rows, `lies[k * n + recipient]` for the `k`-th faulty
-        // sender: each rewritten whole every round (the self slot
-        // missing) — senders ascending, recipients ascending, the
-        // `sg-trace/1` call order.
-        inbox.lies.clear();
+        // sender: each overwritten in place by one call (the self slot,
+        // which `Inbox::from` never reads, left as it is) — senders
+        // ascending, and recipients ascending within a row, the
+        // `sg-trace/1` call order. Resized only when the fault count or
+        // `n` changes.
+        inbox.lies.resize(faulty_idx.len() * n, Payload::Missing);
         inbox.route.fill(SENT);
         for (k, &f) in faulty_idx.iter().enumerate() {
             inbox.route[f] = k as u32;
-            inbox.lies.extend((0..n).map(|r| {
-                if r == f {
-                    Payload::Missing
-                } else {
-                    adversary.payload(ProcessId(f), ProcessId(r), &view)
-                }
-            }));
+            adversary.row(ProcessId(f), &view, &mut inbox.lies[k * n..(k + 1) * n]);
         }
 
         // Base ballot masks over the honest table, shared by every

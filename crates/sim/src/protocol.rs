@@ -140,8 +140,8 @@ const NOBODY: usize = usize::MAX;
 /// One round's worth of received messages, indexed by sender.
 ///
 /// The inbox owns the round: the broadcast table (moved in from every
-/// [`Protocol::outgoing`]) and the faulty senders' rows (moved in from
-/// every [`crate::Adversary::payload`]). An honest broadcast is stored
+/// [`Protocol::outgoing`]) and the faulty senders' rows (each overwritten
+/// in place by one [`crate::Adversary::row`] call). An honest broadcast is stored
 /// once however many recipients read it — EIG messages grow as `O(n^b)`
 /// values — and nothing is reference-counted: the engine hands the same
 /// inbox to every recipient and changes only who is reading.
@@ -156,7 +156,7 @@ pub struct Inbox {
     /// The round's broadcasts, by sender.
     pub(crate) sent: Vec<Option<Payload>>,
     /// Faulty senders' rows: `lies[k * n + r]` is what the `k`-th row's
-    /// sender told recipient `r`.
+    /// sender told recipient `r`. The sender's own slot is never read.
     pub(crate) lies: Vec<Payload>,
     /// Per sender: [`SENT`], [`CUT`], or its row index in `lies`.
     pub(crate) route: Vec<u32>,

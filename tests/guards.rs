@@ -480,6 +480,65 @@ fn payloads_move_they_are_not_shared() {
 }
 
 #[test]
+fn lies_are_asked_for_by_the_row() {
+    // The engine asks each faulty sender's row with one Adversary::row
+    // call, which a strategy writes in place over the row's last lies; the
+    // per-edge asking that built and dropped one payload per faulty edge
+    // was replaced, not kept beside. It stays in sg_sim::reference, the
+    // oracle the rows are held to, which must keep asking edge by edge.
+    const ENGINE: &str = "crates/sim/src/engine.rs";
+    const REFERENCE: &str = "crates/sim/src/reference.rs";
+    targets(&[ENGINE, REFERENCE], Path::is_file);
+    let per_edge = |line: &str| line.contains("adversary.payload(");
+    let by_row = |line: &str| line.contains("adversary.row(");
+    let guard = |tree: &Tree| {
+        let mut found: Vec<String> = tree
+            .outside_tests(&[ENGINE, REFERENCE], per_edge)
+            .into_iter()
+            .filter(|path| *path != REFERENCE)
+            .map(|path| format!("{path}: asks adversary.payload( per edge"))
+            .collect();
+        if tree.outside_tests(&[REFERENCE], per_edge).is_empty() {
+            found.push(format!("{REFERENCE}: no longer asks edge by edge"));
+        }
+        if tree.outside_tests(&[ENGINE], by_row).is_empty() {
+            found.push(format!("{ENGINE}: no longer asks by row"));
+        }
+        found
+    };
+    check(
+        guard,
+        "the engine's lies are asked for edge by edge again, or the oracle's no longer are",
+        &[
+            "crates/sim/src/engine.rs:                     adversary.payload(ProcessId(f), ProcessId(r), &view)",
+            "crates/sim/src/engine.rs: inbox.lies.extend((0..n).map(|r| adversary.payload(ProcessId(f), ProcessId(r), &view)));",
+        ],
+    );
+    fires(
+        guard,
+        &repo().with(REFERENCE, |text| {
+            text.replace("adversary.payload(", "adversary.row(")
+        }),
+        "the reference engine asking by row",
+    );
+    fires(
+        guard,
+        &repo().with(ENGINE, |text| {
+            text.replace("adversary.row(", "adversary.rows(")
+        }),
+        "the engine no longer asking by row",
+    );
+    misses(
+        per_edge,
+        &[
+            "adversary.row(ProcessId(f), &view, &mut inbox.lies[k * n..(k + 1) * n]);",
+            "/// [`Adversary::payload`] per edge",
+            "let payload = self.inner.payload(sender, recipient, view);",
+        ],
+    );
+}
+
+#[test]
 fn one_fnv() {
     // Sweep fingerprints, journal cell keys and epochs, and instance-pool
     // keys are all FNV-1a, and every value they ever produced is pinned
