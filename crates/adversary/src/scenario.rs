@@ -1,11 +1,13 @@
 //! Recordable, replayable adversary scenarios.
 //!
 //! The engine drives any [`Adversary`] through a deterministic call
-//! sequence — one [`Adversary::corrupt`] before round 1, then one
-//! [`Adversary::payload`] per (faulty sender, recipient ≠ sender) pair
-//! per round in ascending order, plus (for strategies with
-//! [`Adversary::has_edge_faults`]) one [`Adversary::edge_cut`] per
-//! honest edge per round. A run's faulty behaviour is therefore fully
+//! sequence — one [`Adversary::corrupt`] before round 1, then per round
+//! one [`Adversary::row`] per faulty sender in ascending order, which
+//! answers one payload per (faulty sender, recipient ≠ sender) pair in
+//! ascending order (the default asks [`Adversary::payload`] for each, as
+//! recording and replay do; an override writes the same answers in
+//! place), plus (for strategies with [`Adversary::has_edge_faults`]) one
+//! [`Adversary::edge_cut`] per honest edge per round. A run's faulty behaviour is therefore fully
 //! determined by the answers to those calls, and that answer sequence is
 //! a finite, serializable artifact: an [`AdversaryTrace`].
 //!

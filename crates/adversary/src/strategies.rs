@@ -2,7 +2,7 @@
 //!
 //! [`FamilyStrategy`] holds the family value, the run's seed and the
 //! family's shared name. Each family's rule is written once, as an
-//! in-place write of one slot ([`FamilyStrategy::write`], a match on the
+//! in-place write of one slot ([`Pen::write`], a match on the
 //! variant) given the facts of the sender's row that do not depend on the
 //! recipient ([`Row`]: its shadow, the honest length, whether its turn
 //! has come). [`Adversary::row`] reads those facts once and writes every
@@ -129,8 +129,38 @@ impl FamilyStrategy {
         row
     }
 
+    /// The strategy split for writing slots.
+    fn pen(&mut self) -> Pen<'_> {
+        let FamilyStrategy {
+            family,
+            seed,
+            stash,
+            spare,
+            ..
+        } = self;
+        Pen {
+            family,
+            seed: *seed,
+            stash,
+            spare,
+        }
+    }
+}
+
+/// A [`FamilyStrategy`] split for writing: the rule and its seed by
+/// shared reference, so a row's loop reads them once, and the buffers
+/// by unique one.
+struct Pen<'s> {
+    family: &'s Family,
+    seed: u64,
+    stash: &'s mut HashMap<ProcessId, Payload>,
+    spare: &'s mut Spare,
+}
+
+impl Pen<'_> {
     /// Writes what the member of `row` tells `recipient` into `slot`:
     /// each arm is the rule its variant's docs describe.
+    #[inline(always)]
     fn write(
         &mut self,
         row: &Row<'_>,
@@ -138,12 +168,11 @@ impl FamilyStrategy {
         view: &AdversaryView<'_>,
         slot: &mut Payload,
     ) {
-        let FamilyStrategy {
+        let Pen {
             family,
             seed,
             stash,
             spare,
-            ..
         } = self;
         let (sender, r, len) = (row.sender, recipient.index(), row.len);
         let first_round_source = sender == view.source && view.round == 1;
@@ -336,15 +365,16 @@ impl Adversary for FamilyStrategy {
     ) -> Payload {
         let row = self.row_facts(sender, view);
         let mut out = Payload::Missing;
-        self.write(&row, recipient, view, &mut out);
+        self.pen().write(&row, recipient, view, &mut out);
         out
     }
 
     fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, slots: &mut [Payload]) {
         let row = self.row_facts(sender, view);
+        let mut pen = self.pen();
         for (r, slot) in slots.iter_mut().enumerate() {
             if r != sender.index() {
-                self.write(&row, ProcessId(r), view, slot);
+                pen.write(&row, ProcessId(r), view, slot);
             }
         }
     }
@@ -381,7 +411,7 @@ fn cut(split: usize, from: usize, to: usize, a: ProcessId, b: ProcessId, round: 
 /// row's `target` to that node's slot when the level being broadcast
 /// holds it; a member whose shadow is not a value vector sends nothing.
 /// (A faulty source's round-1 equivocation, the root of the path, is
-/// [`FamilyStrategy::write`]'s.)
+/// [`Pen::write`]'s.)
 fn frontier_target(row: &mut Row<'_>, view: &AdversaryView<'_>) {
     let mut chain: Vec<ProcessId> = Vec::new();
     if view.faulty.contains(view.source) {

@@ -14,11 +14,6 @@ pub fn edge_mix(round: usize, sender: ProcessId, recipient: ProcessId) -> u64 {
         ^ (recipient.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
 }
 
-/// The RNG of one edge decision, for lies longer than one value.
-fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId) -> StdRng {
-    StdRng::seed_from_u64(seed ^ edge_mix(round, sender, recipient))
-}
-
 /// The first output of `StdRng::seed_from_u64(seed ^ edge)`, computed
 /// without building the generator — the one definition of the mixer
 /// every random one-value lie reads.
@@ -61,6 +56,7 @@ pub fn edge_draw(seed: u64, edge: u64, size: u16) -> u16 {
 /// slot's words (inline up to 256 slots, an exact-size heap buffer
 /// beyond, as [`Payload::packed`] stores them); other domains build a
 /// value vector of `gen_range` draws.
+#[inline]
 pub(crate) fn random_lie(
     spare: &mut Spare,
     slot: &mut Payload,
@@ -69,19 +65,23 @@ pub(crate) fn random_lie(
     view: &AdversaryView<'_>,
     len: usize,
 ) {
-    let size = view.domain.size();
     let edge = edge_mix(view.round, sender, recipient);
-    if size == 2 {
-        let words = spare.bits(slot, len);
-        if len == 1 {
-            words[0] = first_draw(seed, edge) >> 63;
-        } else {
-            sign_words(&mut StdRng::seed_from_u64(seed ^ edge), len, words);
-        }
-    } else if len == 1 {
-        spare.single(slot, Value(edge_draw(seed, edge, size)));
+    if len == 1 && view.domain.size() == 2 {
+        spare.bits(slot, 1)[0] = first_draw(seed, edge) >> 63;
     } else {
-        let mut rng = call_rng(seed, view.round, sender, recipient);
+        drawn_lie(spare, slot, seed ^ edge, view.domain.size(), len);
+    }
+}
+
+/// [`random_lie`] past a one-bit lie, from the stream `key`.
+#[inline(never)]
+fn drawn_lie(spare: &mut Spare, slot: &mut Payload, key: u64, size: u16, len: usize) {
+    if size == 2 {
+        sign_words(&mut StdRng::seed_from_u64(key), len, spare.bits(slot, len));
+    } else if len == 1 {
+        spare.single(slot, Value(edge_draw(key, 0, size)));
+    } else {
+        let mut rng = StdRng::seed_from_u64(key);
         spare.values(slot, (0..len).map(|_| Value(rng.gen_range(0..size))));
     }
 }
@@ -131,18 +131,20 @@ pub(crate) struct Spare(Vec<Vec<u64>>);
 
 impl Spare {
     /// Overwrites `slot` with `payload`, keeping the heap words it held.
+    #[inline]
     fn put(&mut self, slot: &mut Payload, payload: Payload) {
-        let old = std::mem::replace(slot, payload);
-        if let Payload::Bits {
-            words: SmallWords::Heap(words),
-            ..
-        } = old
-        {
-            self.0.push(words);
+        match std::mem::replace(slot, payload) {
+            Payload::Bits {
+                words: SmallWords::Heap(words),
+                ..
+            } => self.0.push(words),
+            Payload::Missing | Payload::Bits { .. } => {}
+            held => drop(held),
         }
     }
 
     /// Silence: `slot` becomes missing. A missing slot is left untouched.
+    #[inline]
     pub(crate) fn silence(&mut self, slot: &mut Payload) {
         if !slot.is_missing() {
             self.put(slot, Payload::Missing);
@@ -153,39 +155,70 @@ impl Spare {
     /// stores one — inline up to 256 slots, an exact-size heap buffer
     /// beyond — and returns its words for the caller to overwrite whole,
     /// leaving every bit at or past `len` clear.
+    #[inline]
     pub(crate) fn bits<'s>(&mut self, slot: &'s mut Payload, len: usize) -> &'s mut [u64] {
         let count = len.div_ceil(64);
-        let inline = count <= SmallWords::INLINE;
-        let fits = match slot {
-            Payload::Bits { words, .. } => matches!(words, SmallWords::Inline(_)) == inline,
-            _ => false,
-        };
-        if !fits {
-            let words = if inline {
-                SmallWords::Inline([0; SmallWords::INLINE])
-            } else {
-                SmallWords::Heap(self.0.pop().unwrap_or_default())
-            };
-            self.put(slot, Payload::Bits { words, len: 0 });
+        if count > SmallWords::INLINE {
+            return self.heap_bits(slot, len, count);
         }
-        let Payload::Bits { words, len: slots } = slot else {
-            unreachable!("the slot was just made a bit vector");
-        };
-        *slots = len as u32;
-        match words {
-            SmallWords::Inline(w) => {
-                w[count..].fill(0);
+        if !matches!(
+            slot,
+            Payload::Bits {
+                words: SmallWords::Inline(_),
+                ..
+            }
+        ) {
+            self.put(
+                slot,
+                Payload::Bits {
+                    words: SmallWords::Inline([0; SmallWords::INLINE]),
+                    len: 0,
+                },
+            );
+        }
+        match slot {
+            Payload::Bits {
+                words: SmallWords::Inline(w),
+                len: slots,
+            } => {
+                *slots = len as u32;
+                *w = [0; SmallWords::INLINE];
                 &mut w[..count]
             }
-            SmallWords::Heap(w) => {
+            _ => unreachable!("the slot was just made an inline bit vector"),
+        }
+    }
+
+    /// [`Spare::bits`] past the inline words: the slot's own heap buffer,
+    /// else a spare one, else a new one, resized to `count` words.
+    #[inline(never)]
+    fn heap_bits<'s>(&mut self, slot: &'s mut Payload, len: usize, count: usize) -> &'s mut [u64] {
+        if !matches!(
+            slot,
+            Payload::Bits {
+                words: SmallWords::Heap(_),
+                ..
+            }
+        ) {
+            let words = SmallWords::Heap(self.0.pop().unwrap_or_default());
+            self.put(slot, Payload::Bits { words, len: 0 });
+        }
+        match slot {
+            Payload::Bits {
+                words: SmallWords::Heap(w),
+                len: slots,
+            } => {
+                *slots = len as u32;
                 w.resize(count, 0);
                 w
             }
+            _ => unreachable!("the slot was just made a heap bit vector"),
         }
     }
 
     /// Makes `slot` the value vector `values`, reusing the vector it
     /// holds.
+    #[inline]
     pub(crate) fn values(&mut self, slot: &mut Payload, values: impl Iterator<Item = Value>) {
         if let Payload::Values(v) = slot {
             v.clear();
@@ -196,6 +229,7 @@ impl Spare {
     }
 
     /// Writes [`Payload::single`]`(v)` into `slot`.
+    #[inline]
     pub(crate) fn single(&mut self, slot: &mut Payload, v: Value) {
         if v.raw() <= 1 {
             self.bits(slot, 1)[0] = u64::from(v.raw());
@@ -207,6 +241,7 @@ impl Spare {
     /// Writes `len` copies of `v` into `slot`: a single value (a bit,
     /// for the one-value broadcasts of the king-family protocols) when
     /// `len` is 1, a value vector otherwise.
+    #[inline]
     pub(crate) fn repeated(&mut self, slot: &mut Payload, v: Value, len: usize) {
         if len == 1 {
             self.single(slot, v);
@@ -217,16 +252,13 @@ impl Spare {
 
     /// Copies `shadow` into `slot` — missing when there is none — reusing
     /// the slot's buffer: a shadow relay.
+    #[inline]
     pub(crate) fn relay(&mut self, slot: &mut Payload, shadow: Option<&Payload>) {
         match shadow {
             None | Some(Payload::Missing) => self.silence(slot),
             Some(Payload::Bits { words, len }) => {
-                let len = *len as usize;
-                let from = words.words();
-                let to = self.bits(slot, len);
-                for (i, word) in to.iter_mut().enumerate() {
-                    *word = from.get(i).map_or(0, |&w| w & low_bits(len - 64 * i));
-                }
+                let to = self.bits(slot, *len as usize);
+                to.copy_from_slice(&words.words()[..to.len()]);
             }
             Some(Payload::Values(v)) => self.values(slot, v.iter().copied()),
             Some(signed) => self.put(slot, signed.clone()),
@@ -251,15 +283,6 @@ impl Spare {
     }
 }
 
-/// The low `bits` bits of a word (all of them from 64 on).
-fn low_bits(bits: usize) -> u64 {
-    if bits >= 64 {
-        !0
-    } else {
-        (1 << bits) - 1
-    }
-}
-
 /// Flips a value within the domain: `v ↦ (v+1) mod |V|`.
 ///
 /// Out-of-domain inputs (protocols may legitimately broadcast sentinel
@@ -272,6 +295,12 @@ pub fn flip(view: &AdversaryView<'_>, v: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The RNG of one edge decision: a lie longer than one value draws
+    /// from it slot by slot.
+    fn call_rng(seed: u64, round: usize, sender: ProcessId, recipient: ProcessId) -> StdRng {
+        StdRng::seed_from_u64(seed ^ edge_mix(round, sender, recipient))
+    }
 
     #[test]
     fn call_rng_is_deterministic_and_distinct() {
