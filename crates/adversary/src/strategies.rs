@@ -2,7 +2,7 @@
 //!
 //! [`FamilyStrategy`] holds the family value, the run's seed and the
 //! family's shared name. Each family's rule is written once, as an
-//! in-place write of one slot ([`Pen::write`], a match on the
+//! in-place write of one slot ([`FamilyStrategy::write`], a match on the
 //! variant) given the facts of the sender's row that do not depend on the
 //! recipient ([`Row`]: its shadow, the honest length, whether its turn
 //! has come). [`Adversary::row`] reads those facts once and writes every
@@ -128,36 +128,9 @@ impl FamilyStrategy {
         }
         row
     }
-
-    /// The strategy split for writing slots.
-    fn pen(&mut self) -> Pen<'_> {
-        let FamilyStrategy {
-            family,
-            seed,
-            stash,
-            spare,
-            ..
-        } = self;
-        Pen {
-            family,
-            seed: *seed,
-            stash,
-            spare,
-        }
-    }
 }
 
-/// A [`FamilyStrategy`] split for writing: the rule and its seed by
-/// shared reference, so a row's loop reads them once, and the buffers
-/// by unique one.
-struct Pen<'s> {
-    family: &'s Family,
-    seed: u64,
-    stash: &'s mut HashMap<ProcessId, Payload>,
-    spare: &'s mut Spare,
-}
-
-impl Pen<'_> {
+impl FamilyStrategy {
     /// Writes what the member of `row` tells `recipient` into `slot`:
     /// each arm is the rule its variant's docs describe.
     #[inline(always)]
@@ -168,11 +141,12 @@ impl Pen<'_> {
         view: &AdversaryView<'_>,
         slot: &mut Payload,
     ) {
-        let Pen {
+        let FamilyStrategy {
             family,
             seed,
             stash,
             spare,
+            ..
         } = self;
         let (sender, r, len) = (row.sender, recipient.index(), row.len);
         let first_round_source = sender == view.source && view.round == 1;
@@ -365,16 +339,15 @@ impl Adversary for FamilyStrategy {
     ) -> Payload {
         let row = self.row_facts(sender, view);
         let mut out = Payload::Missing;
-        self.pen().write(&row, recipient, view, &mut out);
+        self.write(&row, recipient, view, &mut out);
         out
     }
 
     fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, slots: &mut [Payload]) {
         let row = self.row_facts(sender, view);
-        let mut pen = self.pen();
         for (r, slot) in slots.iter_mut().enumerate() {
             if r != sender.index() {
-                pen.write(&row, ProcessId(r), view, slot);
+                self.write(&row, ProcessId(r), view, slot);
             }
         }
     }
@@ -411,7 +384,7 @@ fn cut(split: usize, from: usize, to: usize, a: ProcessId, b: ProcessId, round: 
 /// row's `target` to that node's slot when the level being broadcast
 /// holds it; a member whose shadow is not a value vector sends nothing.
 /// (A faulty source's round-1 equivocation, the root of the path, is
-/// [`Pen::write`]'s.)
+/// [`FamilyStrategy::write`]'s.)
 fn frontier_target(row: &mut Row<'_>, view: &AdversaryView<'_>) {
     let mut chain: Vec<ProcessId> = Vec::new();
     if view.faulty.contains(view.source) {

@@ -20,29 +20,12 @@ const INLINE_WORDS: usize = 4;
 /// Building a payload of at most [`SmallWords`]' inline capacity performs
 /// **no heap allocation** — the property the engine's zero-allocation
 /// round loop relies on for binary-domain broadcasts.
-#[derive(PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
 pub enum SmallWords {
     /// Up to 256 bits stored inline.
     Inline([u64; INLINE_WORDS]),
     /// Longer bit vectors, one `u64` per 64 slots.
     Heap(Vec<u64>),
-}
-
-/// `clone_from` reuses a heap buffer.
-impl Clone for SmallWords {
-    fn clone(&self) -> Self {
-        match self {
-            SmallWords::Inline(w) => SmallWords::Inline(*w),
-            SmallWords::Heap(w) => SmallWords::Heap(w.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (SmallWords::Heap(a), SmallWords::Heap(b)) => a.clone_from(b),
-            (this, source) => *this = source.clone(),
-        }
-    }
 }
 
 impl SmallWords {
@@ -91,7 +74,7 @@ impl SmallWords {
 /// assert_eq!(p.value_at(5), None);
 /// assert_eq!(Payload::Missing.value_at(0), None);
 /// ```
-#[derive(Debug, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize, Default)]
 pub enum Payload {
     /// A vector of values in canonical tree order.
     Values(Vec<Value>),
@@ -114,34 +97,6 @@ pub enum Payload {
     /// No message (or one so garbled the receiver discards it wholesale).
     #[default]
     Missing,
-}
-
-/// `clone_from` reuses the target's buffer when both sides store the
-/// same representation, so a slot rewritten every round with a copy
-/// allocates nothing once warm.
-impl Clone for Payload {
-    fn clone(&self) -> Self {
-        match self {
-            Payload::Values(v) => Payload::Values(v.clone()),
-            Payload::Bits { words, len } => Payload::Bits {
-                words: words.clone(),
-                len: *len,
-            },
-            Payload::Signed(relays) => Payload::Signed(relays.clone()),
-            Payload::Missing => Payload::Missing,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Payload::Values(a), Payload::Values(b)) => a.clone_from(b),
-            (Payload::Bits { words: a, len: la }, Payload::Bits { words: b, len: lb }) => {
-                a.clone_from(b);
-                *la = *lb;
-            }
-            (this, source) => *this = source.clone(),
-        }
-    }
 }
 
 impl Payload {
