@@ -128,9 +128,7 @@ impl FamilyStrategy {
         }
         row
     }
-}
 
-impl FamilyStrategy {
     /// Writes what the member of `row` tells `recipient` into `slot`:
     /// each arm is the rule its variant's docs describe.
     #[inline(always)]
