@@ -2,24 +2,24 @@
 //!
 //! The engine drives any [`Adversary`] through a deterministic call
 //! sequence — one [`Adversary::corrupt`] before round 1, then per round
-//! one [`Adversary::row`] per faulty sender in ascending order, which
-//! answers one payload per (faulty sender, recipient ≠ sender) pair in
-//! ascending order (the default asks [`Adversary::payload`] for each, as
-//! recording and replay do; an override writes the same answers in
-//! place), plus (for strategies with [`Adversary::has_edge_faults`]) one
-//! [`Adversary::edge_cut`] per honest edge per round. A run's faulty behaviour is therefore fully
-//! determined by the answers to those calls, and that answer sequence is
-//! a finite, serializable artifact: an [`AdversaryTrace`].
+//! one [`Adversary::row`] per faulty sender in ascending order, whose
+//! slots hold one payload per recipient ≠ sender, read in ascending
+//! order, plus (for strategies with [`Adversary::has_edge_faults`]) one
+//! [`Adversary::edge_cut`] per honest edge per round. A run's faulty
+//! behaviour is therefore fully determined by those slots and cuts, and
+//! that sequence is a finite, serializable artifact: an
+//! [`AdversaryTrace`].
 //!
 //! * [`RecordingAdversary`] wraps any strategy and captures the trace
 //!   while the wrapped strategy plays — the recorded run is bit-identical
-//!   to an unrecorded one (the wrapper forwards every call unchanged).
+//!   to an unrecorded one (the wrapper forwards every call unchanged and
+//!   records each row's slots as the strategy wrote them).
 //! * [`ReplayAdversary`] executes a trace against the engine, answering
-//!   each call from the recorded steps. Because the engine's call order
-//!   is deterministic and every honest processor is a deterministic
-//!   function of delivered payloads, a replayed run reproduces the
-//!   recorded run bit-exactly — same decisions, same metrics, same
-//!   fingerprint contribution.
+//!   each row's slots, in order, from the recorded steps. Because the
+//!   engine's call order is deterministic and every honest processor is
+//!   a deterministic function of delivered payloads, a replayed run
+//!   reproduces the recorded run bit-exactly — same decisions, same
+//!   metrics, same fingerprint contribution.
 //! * The JSON codec (schema `sg-trace/1`) makes traces wire-portable:
 //!   they travel the `sg-serve/1` protocol as a named family and live in
 //!   the committed counterexample corpus under `tests/corpus/`.
@@ -28,7 +28,7 @@
 //! engine's calls and the recorded steps (truncation, edits, a different
 //! `(n, t)`) latches a structured [`TraceError`], visible through
 //! [`ReplayAdversary::verify`] after the run, and the replayer answers
-//! the remaining calls with missing payloads.
+//! the remaining slots with missing payloads.
 
 use std::fmt;
 use std::sync::Arc;
@@ -466,31 +466,31 @@ impl Adversary for RecordingAdversary {
         set
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        let payload = self.inner.payload(sender, recipient, view);
-        match TracePayload::of(&payload) {
-            Some(recorded) => self.steps.push(TraceStep {
-                round: view.round,
-                sender,
-                recipient,
-                payload: recorded,
-            }),
-            None => {
-                if self.lossy.is_none() {
-                    self.lossy = Some(TraceError::Unrecordable {
-                        round: view.round,
-                        sender,
-                        recipient,
-                    });
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        self.inner.row(sender, view, row);
+        for (r, slot) in row.iter().enumerate() {
+            let recipient = ProcessId(r);
+            if recipient == sender {
+                continue;
+            }
+            match TracePayload::of(slot) {
+                Some(recorded) => self.steps.push(TraceStep {
+                    round: view.round,
+                    sender,
+                    recipient,
+                    payload: recorded,
+                }),
+                None => {
+                    if self.lossy.is_none() {
+                        self.lossy = Some(TraceError::Unrecordable {
+                            round: view.round,
+                            sender,
+                            recipient,
+                        });
+                    }
                 }
             }
         }
-        payload
     }
 
     fn has_edge_faults(&self) -> bool {
@@ -516,7 +516,7 @@ impl Adversary for RecordingAdversary {
 }
 
 /// Executes an [`AdversaryTrace`] against the engine, answering every
-/// adversary call from the recorded steps.
+/// slot of every faulty row from the recorded steps.
 ///
 /// The engine's call sequence is deterministic, so a faithful trace
 /// replays its recorded run bit-exactly. A damaged trace never panics:
@@ -590,6 +590,45 @@ impl ReplayAdversary {
             self.error = Some(TraceError::Desync(detail));
         }
     }
+
+    /// The recorded answer for the slot `sender → recipient` of the
+    /// viewed round: the next step, or a missing payload once a
+    /// divergence has latched.
+    fn answer(
+        &mut self,
+        sender: ProcessId,
+        recipient: ProcessId,
+        view: &AdversaryView<'_>,
+    ) -> Payload {
+        if self.error.is_some() {
+            return Payload::Missing;
+        }
+        let Some(step) = self.trace.steps.get(self.cursor) else {
+            self.desync(format!(
+                "trace exhausted at round {}, call {} -> {}",
+                view.round,
+                sender.index(),
+                recipient.index()
+            ));
+            return Payload::Missing;
+        };
+        if step.round != view.round || step.sender != sender || step.recipient != recipient {
+            self.desync(format!(
+                "recorded step {} is (round {}, {} -> {}) but the engine asked for \
+                 (round {}, {} -> {})",
+                self.cursor,
+                step.round,
+                step.sender.index(),
+                step.recipient.index(),
+                view.round,
+                sender.index(),
+                recipient.index()
+            ));
+            return Payload::Missing;
+        }
+        self.cursor += 1;
+        step.payload.to_payload()
+    }
 }
 
 impl Adversary for ReplayAdversary {
@@ -628,40 +667,12 @@ impl Adversary for ReplayAdversary {
         ProcessSet::from_members(n, self.trace.faulty.iter().copied())
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        if self.error.is_some() {
-            return Payload::Missing;
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        for (r, slot) in row.iter_mut().enumerate() {
+            if r != sender.index() {
+                *slot = self.answer(sender, ProcessId(r), view);
+            }
         }
-        let Some(step) = self.trace.steps.get(self.cursor) else {
-            self.desync(format!(
-                "trace exhausted at round {}, call {} -> {}",
-                view.round,
-                sender.index(),
-                recipient.index()
-            ));
-            return Payload::Missing;
-        };
-        if step.round != view.round || step.sender != sender || step.recipient != recipient {
-            self.desync(format!(
-                "recorded step {} is (round {}, {} -> {}) but the engine asked for \
-                 (round {}, {} -> {})",
-                self.cursor,
-                step.round,
-                step.sender.index(),
-                step.recipient.index(),
-                view.round,
-                sender.index(),
-                recipient.index()
-            ));
-            return Payload::Missing;
-        }
-        self.cursor += 1;
-        step.payload.to_payload()
     }
 
     fn has_edge_faults(&self) -> bool {

@@ -6,12 +6,10 @@
 //! variant) given the facts of the sender's row that do not depend on the
 //! recipient ([`Row`]: its shadow, the honest length, whether its turn
 //! has come). [`Adversary::row`] reads those facts once and writes every
-//! recipient's slot of the engine's row in place, reusing the slots'
-//! buffers; [`Adversary::payload`] drives the same write into a fresh
-//! payload for one edge. Rules that want to look honest start from the
-//! sender's *shadow* payload (what the corrupted processor would have
-//! sent if honest) and corrupt it; rules that want chaos build payloads
-//! from scratch.
+//! recipient's slot of the row in place, reusing the slots' buffers.
+//! Rules that want to look honest start from the sender's *shadow*
+//! payload (what the corrupted processor would have sent if honest) and
+//! corrupt it; rules that want chaos build payloads from scratch.
 
 use std::collections::HashMap;
 use std::iter::once;
@@ -329,18 +327,6 @@ impl Adversary for FamilyStrategy {
             .select(n, t, source)
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        let row = self.row_facts(sender, view);
-        let mut out = Payload::Missing;
-        self.write(&row, recipient, view, &mut out);
-        out
-    }
-
     fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, slots: &mut [Payload]) {
         let row = self.row_facts(sender, view);
         for (r, slot) in slots.iter_mut().enumerate() {
@@ -448,6 +434,18 @@ mod tests {
         v
     }
 
+    /// `sender`'s row for the viewed round, written into a fresh row of
+    /// missing payloads, as `sg_sim::reference` asks it.
+    fn fresh_row(
+        adv: &mut dyn Adversary,
+        sender: ProcessId,
+        view: &AdversaryView<'_>,
+    ) -> Vec<Payload> {
+        let mut row = vec![Payload::Missing; view.n];
+        adv.row(sender, view, &mut row);
+        row
+    }
+
     #[test]
     fn crash_follows_shadow_then_stops() {
         let faulty = ProcessSet::from_members(4, [ProcessId(1)]);
@@ -460,13 +458,13 @@ mod tests {
         .strategy(0);
         let view = view_fixture(&faulty, &shadow);
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(2), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[2],
             Payload::values([Value(1), Value(0)])
         );
         let mut view_late = view_fixture(&faulty, &shadow);
         view_late.round = 3;
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(2), &view_late),
+            fresh_row(adv.as_mut(), ProcessId(1), &view_late)[2],
             Payload::Missing
         );
     }
@@ -478,11 +476,11 @@ mod tests {
         let mut adv = Family::TwoFaced(FaultSelection::without_source()).strategy(0);
         let view = view_fixture(&faulty, &shadow);
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(2), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[2],
             Payload::values([Value(1), Value(0)])
         );
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(3), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[3],
             Payload::values([Value(0), Value(1)])
         );
     }
@@ -493,7 +491,7 @@ mod tests {
         let shadow = shadow_with(1, vec![Value(1), Value(1), Value(1)]);
         let mut adv = Family::Stealth(FaultSelection::without_source()).strategy(0);
         let view = view_fixture(&faulty, &shadow);
-        let got = adv.payload(ProcessId(1), ProcessId(2), &view);
+        let got = fresh_row(adv.as_mut(), ProcessId(1), &view).swap_remove(2);
         if let Payload::Values(vals) = got {
             let flipped = vals.iter().filter(|v| **v == Value(0)).count();
             assert_eq!(flipped, 1);
@@ -510,8 +508,8 @@ mod tests {
         let (mut a, mut b) = (family.strategy(42), family.strategy(42));
         let view = view_fixture(&faulty, &shadow);
         assert_eq!(
-            a.payload(ProcessId(1), ProcessId(3), &view),
-            b.payload(ProcessId(1), ProcessId(3), &view)
+            fresh_row(a.as_mut(), ProcessId(1), &view)[3],
+            fresh_row(b.as_mut(), ProcessId(1), &view)[3]
         );
     }
 
@@ -528,7 +526,7 @@ mod tests {
         let view = view_fixture(&faulty, &shadow);
         // Round 2 < reveal at 5: honest shadow.
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(3), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[3],
             Payload::values([Value(1)])
         );
     }
@@ -541,11 +539,11 @@ mod tests {
         let view = view_fixture(&faulty, &shadow);
         // source_value = 1 -> the lie is 0, everywhere, to everyone.
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(0), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
             Payload::values([Value(0), Value(0)])
         );
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(3), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[3],
             Payload::values([Value(0), Value(0)])
         );
     }
@@ -558,12 +556,12 @@ mod tests {
         let view = view_fixture(&faulty, &shadow);
         // First round seen: nothing stashed yet.
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(0), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
             Payload::Missing
         );
         // Next call (new round in a real run): the stash now replays.
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(0), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
             Payload::values([Value(1), Value(0)])
         );
     }
@@ -580,10 +578,10 @@ mod tests {
             |adv: &mut dyn Adversary| drop(adv.corrupt(4, 1, ProcessId(0))),
             |adv: &mut dyn Adversary| assert!(adv.reseed(9)),
         ] {
-            adv.payload(ProcessId(1), ProcessId(0), &view);
+            fresh_row(adv.as_mut(), ProcessId(1), &view);
             start(adv.as_mut());
             assert_eq!(
-                adv.payload(ProcessId(1), ProcessId(0), &view),
+                fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
                 Payload::Missing
             );
         }
@@ -598,7 +596,7 @@ mod tests {
         let shadow = shadow_with(1, vec![Value(1), Value(0)]);
         let view = view_fixture(&faulty, &shadow);
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(2), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[2],
             Payload::values([Value(1), Value(0)])
         );
     }
@@ -610,11 +608,11 @@ mod tests {
         let mut adv = Family::DoubleTalk(FaultSelection::without_source()).strategy(0);
         let view = view_fixture(&faulty, &shadow);
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(0), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
             Payload::values([Value(1), Value(1)])
         );
         assert_eq!(
-            adv.payload(ProcessId(1), ProcessId(3), &view),
+            fresh_row(adv.as_mut(), ProcessId(1), &view)[3],
             Payload::values([Value(0), Value(0)])
         );
     }
@@ -682,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_written_in_place_equal_the_per_edge_payloads() {
+    fn rows_written_in_place_equal_fresh_rows() {
         // `algorithm-a(b=3) (13, 4)`'s level sizes, round by round, then
         // a silent round and a short one: slots go from inline to heap
         // words and back, and through silence.
@@ -698,9 +696,9 @@ mod tests {
         for family in every_rule() {
             for domain in [sg_sim::ValueDomain::binary(), sg_sim::ValueDomain::new(3)] {
                 let mut rows = family.strategy(7);
-                let mut edges = family.strategy(7);
+                let mut oracle = family.strategy(7);
                 let faulty = rows.corrupt(n, t, ProcessId(0));
-                assert_eq!(edges.corrupt(n, t, ProcessId(0)), faulty);
+                assert_eq!(oracle.corrupt(n, t, ProcessId(0)), faulty);
                 let mut slots: Vec<Vec<Payload>> = vec![vec![Payload::Missing; n]; n];
                 for (at, &len) in LENS.iter().enumerate() {
                     let round = at + 1;
@@ -739,13 +737,14 @@ mod tests {
                             }
                         }
                         rows.row(sender, &view, row);
+                        let fresh = fresh_row(oracle.as_mut(), sender, &view);
                         for (r, slot) in row.iter().enumerate() {
                             if r == sender.index() {
                                 continue;
                             }
-                            let want = edges.payload(sender, ProcessId(r), &view);
+                            let want = &fresh[r];
                             let at = format!("{} round {round} {sender:?}->{r}", family.name());
-                            assert_eq!(*slot, want, "{at}");
+                            assert_eq!(slot, want, "{at}");
                             assert_eq!(slot.num_values(), want.num_values(), "{at}");
                             for i in 0..want.num_values() + 2 {
                                 assert_eq!(slot.value_at(i), want.value_at(i), "{at} slot {i}");
@@ -775,18 +774,18 @@ mod tests {
         let view = view_fixture(&faulty, &shadow); // round 2
                                                    // P2 is conspirator rank 0, activates at round 4: honest in round 2.
         assert_eq!(
-            adv.payload(ProcessId(2), ProcessId(1), &view),
+            fresh_row(adv.as_mut(), ProcessId(2), &view)[1],
             Payload::values([Value(1)])
         );
         let mut late = view_fixture(&faulty, &shadow);
         late.round = 4;
         // After activation: lower-half recipients hear 1, upper half 0.
         assert_eq!(
-            adv.payload(ProcessId(2), ProcessId(1), &late),
+            fresh_row(adv.as_mut(), ProcessId(2), &late)[1],
             Payload::values([Value(1)])
         );
         assert_eq!(
-            adv.payload(ProcessId(2), ProcessId(3), &late),
+            fresh_row(adv.as_mut(), ProcessId(2), &late)[3],
             Payload::values([Value(0)])
         );
     }
@@ -799,11 +798,11 @@ mod tests {
         let mut view = view_fixture(&faulty, &shadow);
         view.round = 1;
         assert_eq!(
-            adv.payload(ProcessId(0), ProcessId(1), &view),
+            fresh_row(adv.as_mut(), ProcessId(0), &view)[1],
             Payload::values([Value(1)])
         );
         assert_eq!(
-            adv.payload(ProcessId(0), ProcessId(3), &view),
+            fresh_row(adv.as_mut(), ProcessId(0), &view)[3],
             Payload::values([Value(0)])
         );
     }

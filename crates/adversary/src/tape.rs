@@ -2,10 +2,10 @@
 //!
 //! The paper's fault model allows *arbitrary* faulty behaviour, so no
 //! finite strategy library can be complete. For small instances, though,
-//! the space of *relevant* behaviours is finite and enumerable: the engine
-//! asks the adversary for one payload per (faulty sender, recipient) pair
-//! per round, in a deterministic order, so an execution is fully
-//! determined by the corrupted set plus a finite *tape* of per-call
+//! the space of *relevant* behaviours is finite and enumerable: each
+//! round the adversary writes one payload per (faulty sender, recipient)
+//! slot of its rows, in a deterministic order, so an execution is fully
+//! determined by the corrupted set plus a finite *tape* of per-slot
 //! [`Move`]s. Enumerating all tapes over a move alphabet model-checks an
 //! algorithm against every adversary expressible in that alphabet —
 //! including every combination of equivocation, silence, garbage and
@@ -27,7 +27,7 @@
 
 use sg_sim::{Adversary, AdversaryView, Payload, ProcessId, ProcessSet, Value};
 
-use crate::util::{flip, map_shadow, shadow_or_missing};
+use crate::util::{flip, Spare};
 
 /// One tape cell: how a faulty sender treats one (recipient, round) slot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -80,22 +80,28 @@ impl Move {
         ALL_MOVES.into_iter().find(|m| m.as_str() == name)
     }
 
-    /// Materializes this move for `sender` under `view`.
-    pub fn apply(self, sender: ProcessId, view: &AdversaryView<'_>) -> Payload {
+    /// Writes this move for `sender` under `view` into `slot`.
+    fn write(
+        self,
+        spare: &mut Spare,
+        slot: &mut Payload,
+        sender: ProcessId,
+        view: &AdversaryView<'_>,
+    ) {
+        let shadow = view.shadow_of(sender);
         let shadow_len = view.expected_len(sender);
         match self {
-            Move::Honest => shadow_or_missing(view, sender),
-            Move::Silent => Payload::Missing,
-            Move::AllZero => Payload::defaults(shadow_len.max(1)),
-            Move::AllOne => Payload::Values(vec![Value(1); shadow_len.max(1)]),
+            Move::Honest => spare.relay(slot, shadow),
+            Move::Silent => spare.silence(slot),
+            Move::AllZero => spare.repeated(slot, Value(0), shadow_len.max(1)),
+            Move::AllOne => spare.repeated(slot, Value(1), shadow_len.max(1)),
+            Move::FlipFirst if shadow_len == 0 => spare.single(slot, Value(1)),
             Move::FlipFirst => {
-                if shadow_len == 0 {
-                    Payload::values([Value(1)])
-                } else {
-                    map_shadow(view, sender, |i, v| if i == 0 { flip(view, v) } else { v })
-                }
+                spare.map(slot, shadow, |i, v| if i == 0 { flip(view, v) } else { v })
             }
-            Move::Garbage => Payload::Values(vec![Value(u16::MAX); shadow_len + 3]),
+            Move::Garbage => {
+                spare.values(slot, std::iter::repeat_n(Value(u16::MAX), shadow_len + 3))
+            }
         }
     }
 }
@@ -103,11 +109,11 @@ impl Move {
 /// An adversary that plays a fixed tape of [`Move`]s against an explicit
 /// corrupted set.
 ///
-/// The engine asks for each faulty row through the default
-/// [`Adversary::row`], which calls [`Adversary::payload`] once per
-/// (sender, recipient) pair per round in deterministic order, so
-/// consuming the tape sequentially assigns each call its own cell; tapes
-/// shorter than the call count repeat from the start.
+/// The engine asks for each faulty row with one [`Adversary::row`] call
+/// per faulty sender per round, senders ascending, and the row's slots
+/// are written recipients ascending (self skipped), so consuming the tape
+/// sequentially assigns each (sender, recipient) slot its own cell; tapes
+/// shorter than the slot count repeat from the start.
 ///
 /// # Examples
 ///
@@ -124,6 +130,7 @@ pub struct TapeAdversary {
     members: Vec<ProcessId>,
     tape: Vec<Move>,
     next: usize,
+    spare: Spare,
 }
 
 /// Error returned by [`TapeAdversary::new`] for an empty tape — there is
@@ -156,6 +163,7 @@ impl TapeAdversary {
             members: members.into_iter().collect(),
             tape,
             next: 0,
+            spare: Spare::default(),
         })
     }
 
@@ -187,15 +195,14 @@ impl Adversary for TapeAdversary {
         ProcessSet::from_members(n, self.members.iter().copied())
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        _recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        let mv = self.tape[self.next % self.tape.len()];
-        self.next += 1;
-        mv.apply(sender, view)
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        for (r, slot) in row.iter_mut().enumerate() {
+            if r != sender.index() {
+                let mv = self.tape[self.next % self.tape.len()];
+                self.next += 1;
+                mv.write(&mut self.spare, slot, sender, view);
+            }
+        }
     }
 }
 
@@ -251,9 +258,9 @@ impl Iterator for TapeEnumerator<'_> {
     }
 }
 
-/// The number of adversary calls the engine makes in one run: one per
-/// (faulty sender, recipient ≠ sender) pair per round — the natural tape
-/// length for an exhaustive check.
+/// The number of tape cells one run reads: one per (faulty sender,
+/// recipient ≠ sender) slot per round — the natural tape length for an
+/// exhaustive check.
 pub fn calls_per_run(n: usize, num_faulty: usize, rounds: usize) -> usize {
     num_faulty * (n - 1) * rounds
 }

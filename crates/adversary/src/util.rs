@@ -104,22 +104,6 @@ fn sign_words(rng: &mut StdRng, len: usize, words: &mut [u64]) {
     }
 }
 
-/// The sender's honest shadow payload, or [`Payload::Missing`] if it
-/// would be silent this round.
-pub fn shadow_or_missing(view: &AdversaryView<'_>, sender: ProcessId) -> Payload {
-    view.shadow_of(sender).cloned().unwrap_or(Payload::Missing)
-}
-
-/// [`Spare::map`] of the sender's shadow into a fresh payload.
-pub fn map_shadow<F>(view: &AdversaryView<'_>, sender: ProcessId, f: F) -> Payload
-where
-    F: FnMut(usize, Value) -> Value,
-{
-    let mut out = Payload::Missing;
-    Spare::default().map(&mut out, view.shadow_of(sender), f);
-    out
-}
-
 /// The heap word buffers that lie slots gave up, and the in-place writes
 /// that keep them: a slot's buffer is reused when the next lie has its
 /// representation, and otherwise set aside here for the next slot that

@@ -8,8 +8,8 @@
 //! the story rows [`BatchFamily::lies`] writes, expanded to one row per
 //! sender, must equal — word for word — the masks obtained by asking
 //! each lane's scalar strategy ([`Family::strategy`] of the same value)
-//! for its [`Adversary::payload`] in the scalar engine's order over the
-//! batch's one fault set and classifying `value_at(0)`.
+//! for its rows ([`Adversary::row`]) in the scalar engine's order over
+//! the batch's one fault set and classifying `value_at(0)`.
 //! For the families whose story depends on the recipient alone
 //! (`equivocate`, `adaptive`) the same test holds the sharing: one story
 //! per distinct lane mask of the turned members.
@@ -198,8 +198,8 @@ impl Broadcast {
 
 /// The scalar strategies, one per lane, as the scalar engine asks them:
 /// per active lane, split the broadcast into honest and shadow tables by
-/// the fault set, then call `payload` for faulty senders ascending ×
-/// recipients ascending (self skipped) and classify the first value.
+/// the fault set, then ask each faulty sender's row, senders ascending,
+/// and classify each recipient's first value (self skipped).
 #[allow(clippy::too_many_arguments)]
 fn per_lane_oracle(
     lanes: &mut [Box<dyn Adversary>],
@@ -253,12 +253,14 @@ fn per_lane_oracle(
             shadow_broadcast: &shadow,
             sigs: None,
         };
+        let mut row = vec![Payload::Missing; N];
         for f in faulty.iter() {
+            adversary.row(f, &view, &mut row);
             for r in 0..N {
                 if r == f.index() {
                     continue;
                 }
-                match adversary.payload(f, ProcessId(r), &view).value_at(0) {
+                match row[r].value_at(0) {
                     Some(Value(1)) => net_one[f.index() * N + r] |= bit,
                     Some(Value(0)) => net_zero[f.index() * N + r] |= bit,
                     _ => {}

@@ -474,11 +474,11 @@ fn bench_batch_adversaries(c: &mut Criterion) {
 /// One faulty row of random lies, the adversary's whole share of a
 /// round for one sender: `algorithm-a(b=3) (13, 4)`'s faulty `P1`
 /// telling each of its 12 recipients a lie as long as the level it would
-/// relay — 1, 12, 132 and 1 320 slots, the cell's level sizes. `per-edge`
-/// asks `Adversary::payload` once per recipient and keeps the payloads in
-/// a reused row, as the engine's rows did before they were written in
-/// place; `row` is the engine's one `Adversary::row` call, writing the
-/// same lies into the row's slots in place.
+/// relay — 1, 12, 132 and 1 320 slots, the cell's level sizes. `fresh`
+/// writes the row into a new row of missing payloads, as
+/// `sg_sim::reference` asks it every round; `row` is the engine's
+/// `Adversary::row` call, writing the same lies into the slots of the
+/// row it keeps across rounds, in place.
 fn bench_lie_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("lie_row");
     group.sample_size(20);
@@ -502,20 +502,14 @@ fn bench_lie_row(c: &mut Criterion) {
             shadow_broadcast: &shadow,
             sigs: None,
         };
-        let mut row: Vec<Payload> = Vec::with_capacity(n);
-        group.bench_function(format!("per-edge/{len}"), |b| {
+        group.bench_function(format!("fresh/{len}"), |b| {
             b.iter(|| {
-                row.clear();
-                row.extend((0..n).map(|r| {
-                    if r == sender.index() {
-                        Payload::Missing
-                    } else {
-                        adversary.payload(sender, ProcessId(r), &view)
-                    }
-                }));
-                black_box(&row);
+                let mut row = vec![Payload::Missing; n];
+                adversary.row(sender, &view, &mut row);
+                black_box(row)
             });
         });
+        let mut row = vec![Payload::Missing; n];
         group.bench_function(format!("row/{len}"), |b| {
             b.iter(|| {
                 adversary.row(sender, &view, &mut row);

@@ -3,9 +3,10 @@
 //! The paper's fault model (§2) places *no restriction* on faulty
 //! behaviour. We model the strongest standard adversary consistent with
 //! that: a **full-information rushing** adversary that, each round, sees
-//! every honest processor's broadcast *before* choosing, per faulty sender
-//! and per recipient, an arbitrary payload. Concrete strategies live in
-//! the `sg-adversary` crate; the trait lives here so the engine can drive
+//! every honest processor's broadcast *before* choosing each faulty
+//! sender's row: an arbitrary payload per recipient, written in one
+//! [`Adversary::row`] call. Concrete strategies live in the
+//! `sg-adversary` crate; the trait lives here so the engine can drive
 //! them.
 
 use std::sync::Arc;
@@ -102,9 +103,9 @@ impl AdversaryView<'_> {
     }
 }
 
-/// A Byzantine adversary: picks the fault set, then per round and per
-/// (faulty sender, recipient) pair picks an arbitrary payload — one
-/// faulty sender's row at a time ([`Adversary::row`]).
+/// A Byzantine adversary: picks the fault set, then per round writes
+/// each faulty sender's row — an arbitrary payload per recipient
+/// ([`Adversary::row`]).
 pub trait Adversary {
     /// Short human-readable strategy name for reports.
     fn name(&self) -> String;
@@ -144,36 +145,16 @@ pub trait Adversary {
     /// can also probe over-threshold behaviour.
     fn corrupt(&mut self, n: usize, t: usize, source: ProcessId) -> ProcessSet;
 
-    /// The payload faulty `sender` sends to `recipient` in the viewed
-    /// round. [`crate::reference`] calls it once per (sender, recipient)
-    /// pair per round, in deterministic order (senders ascending,
-    /// recipients ascending); the engine asks through
-    /// [`Adversary::row`], whose default calls it in the same order.
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload;
-
     /// Overwrites faulty `sender`'s row for the viewed round in place:
     /// `row[r]` becomes what `sender` sends recipient `r`, for every `r`
-    /// but `sender`, whose own slot is never read. The engine calls this
-    /// once per faulty sender per round, senders ascending.
-    ///
-    /// The default asks [`Adversary::payload`] for each recipient in
-    /// ascending order, so a strategy that implements only `payload`
-    /// keeps its call order. An override must leave every slot equal
-    /// (`==`) to what those calls would return. `row` holds whatever it
-    /// last held — an earlier round's or an earlier run's lies — so an
-    /// override may reuse its buffers but must not read it as data.
-    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
-        for (r, slot) in row.iter_mut().enumerate() {
-            if r != sender.index() {
-                *slot = self.payload(sender, ProcessId(r), view);
-            }
-        }
-    }
+    /// but `sender`, whose own slot is never read. The adversary's one lie
+    /// method: the engine and [`crate::reference`] call it once per
+    /// faulty sender per round, senders ascending. The engine's `row`
+    /// holds whatever it last held — an earlier round's or an earlier
+    /// run's lies — so an implementation may reuse its buffers but must
+    /// not read it as data; the reference passes a fresh row of missing
+    /// payloads.
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]);
 
     /// Whether this adversary also attacks *honest* edges (message loss
     /// between correct processors — network partitions, per-edge
@@ -240,13 +221,8 @@ impl Adversary for NoFaults {
         ProcessSet::new(n)
     }
 
-    fn payload(
-        &mut self,
-        _sender: ProcessId,
-        _recipient: ProcessId,
-        _view: &AdversaryView<'_>,
-    ) -> Payload {
-        Payload::Missing
+    fn row(&mut self, _sender: ProcessId, _view: &AdversaryView<'_>, row: &mut [Payload]) {
+        row.fill(Payload::Missing);
     }
 }
 

@@ -48,8 +48,9 @@
 //! else of the `n × n` payload matrix. Broadcasts are owned values that
 //! move from [`Protocol::outgoing`] into the [`Inbox`], and lies are
 //! written in place: the faulty rows persist across rounds and runs, and
-//! each [`Adversary::row`] call overwrites its sender's row, so a
-//! strategy can reuse every slot's buffer. Nothing is reference-counted,
+//! each [`Adversary::row`] call — the adversary's one lie method —
+//! overwrites its sender's row, so a strategy can reuse every slot's
+//! buffer ([`crate::reference`] makes the same call into a fresh row). Nothing is reference-counted,
 //! so the engine side of a round allocates nothing and does no atomic
 //! operation.
 //!

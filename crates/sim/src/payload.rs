@@ -160,12 +160,6 @@ impl Payload {
         }
     }
 
-    /// A payload of `len` default values — what a masked faulty processor
-    /// is deemed to have sent under the Fault Masking Rule.
-    pub fn defaults(len: usize) -> Self {
-        Payload::Values(vec![Value::DEFAULT; len])
-    }
-
     /// Number of values carried (0 for [`Payload::Missing`] and signed bundles).
     pub fn num_values(&self) -> usize {
         match self {
@@ -239,14 +233,8 @@ mod tests {
     const BOT_SENTINEL: u16 = u16::MAX;
 
     #[test]
-    fn defaults_are_all_zero() {
-        let p = Payload::defaults(3);
-        assert_eq!(p, Payload::values([Value(0), Value(0), Value(0)]));
-    }
-
-    #[test]
     fn bits_scale_with_length_and_width() {
-        let p = Payload::defaults(10);
+        let p = Payload::Values(vec![Value::DEFAULT; 10]);
         assert_eq!(p.bits(1), 10);
         assert_eq!(p.bits(3), 30);
         assert_eq!(Payload::Missing.bits(8), 0);

@@ -8,8 +8,8 @@
 //!
 //! The semantics are the seven steps of the [`crate::engine`] module
 //! docs: collect broadcasts (faulty slots run honest *shadows*), account
-//! honest traffic, ask the adversary for every (faulty sender, recipient)
-//! payload — senders ascending, recipients ascending, self skipped —
+//! honest traffic, ask the adversary for each faulty sender's row —
+//! senders ascending, each written into a fresh row of missing payloads —
 //! deliver, sample peak space, stop early once every correct processor is
 //! [`RoundStatus::ReadyToDecide`] (unless the configuration is
 //! [`RunConfig::fixed_length`]), then tally the correct processors'
@@ -107,8 +107,8 @@ where
         }
         metrics.per_round.push(stats);
 
-        // 3. The rushing adversary, seeing all of it, picks every faulty
-        // payload: `lies[sender][recipient]`.
+        // 3. The rushing adversary, seeing all of it, writes every faulty
+        // row: `lies[sender][recipient]`.
         let view = AdversaryView {
             round,
             total_rounds,
@@ -124,13 +124,9 @@ where
         };
         let mut lies: Vec<Vec<Payload>> = vec![Vec::new(); n];
         for f in faulty.iter() {
-            for r in 0..n {
-                lies[f.index()].push(if r == f.index() {
-                    Payload::Missing
-                } else {
-                    adversary.payload(f, ProcessId(r), &view)
-                });
-            }
+            let row = &mut lies[f.index()];
+            *row = vec![Payload::Missing; n];
+            adversary.row(f, &view, row);
         }
 
         // 4. One fresh, complete inbox per recipient (shadows included),

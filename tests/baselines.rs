@@ -1,6 +1,8 @@
 //! Baseline-specific adversarial tests: authenticated Dolev–Strong (with
 //! signature-forgery attempts) and Phase King.
 
+mod rows;
+
 use shifting_gears::adversary::{standard_suite, Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{
@@ -43,25 +45,22 @@ impl Adversary for Forger {
         ProcessSet::from_members(n, (0..n).map(ProcessId).filter(|p| *p != source).take(2))
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        _recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        // Try to fabricate support for value 0 without the source's
-        // signature: sign it ourselves and relay.
-        let forged = view.sign_as(sender, Value(0));
-        let mut relays = vec![forged];
-        if let Some(other) = view.faulty.iter().find(|f| *f != sender) {
-            // A two-signature chain entirely of faulty signers (missing
-            // the source) — must be rejected by the accept rule.
-            let base = view.sign_as(other, Value(0));
-            if let Some(ext) = view.extend_as(sender, &base) {
-                relays.push(ext);
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        rows::each_recipient(sender, row, |_| {
+            // Try to fabricate support for value 0 without the source's
+            // signature: sign it ourselves and relay.
+            let forged = view.sign_as(sender, Value(0));
+            let mut relays = vec![forged];
+            if let Some(other) = view.faulty.iter().find(|f| *f != sender) {
+                // A two-signature chain entirely of faulty signers (missing
+                // the source) — must be rejected by the accept rule.
+                let base = view.sign_as(other, Value(0));
+                if let Some(ext) = view.extend_as(sender, &base) {
+                    relays.push(ext);
+                }
             }
-        }
-        Payload::Signed(relays)
+            Payload::Signed(relays)
+        });
     }
 }
 

@@ -495,13 +495,8 @@ impl Adversary for SourceInSomeSeeds {
         self.0.corrupt(n, t, source)
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        self.0.payload(sender, recipient, view)
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        self.0.row(sender, view, row);
     }
 }
 

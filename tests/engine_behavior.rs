@@ -1,6 +1,8 @@
 //! Engine-level behaviour: rushing visibility, shadow instances, trace
 //! plumbing, and outcome semantics.
 
+mod rows;
+
 use shifting_gears::core::AlgorithmSpec;
 use shifting_gears::sim::{
     run, Adversary, AdversaryView, Payload, ProcessId, ProcessSet, RunConfig, TraceEvent, Value,
@@ -22,24 +24,21 @@ impl Adversary for ViewInspector {
         ProcessSet::from_members(n, [ProcessId(1)])
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
-        if view.round == 1 && recipient == ProcessId(2) {
-            // Rushing: the source's round-1 broadcast is visible before
-            // we choose our payload.
-            let honest = view.honest_of(view.source).expect("source broadcast");
-            assert_eq!(honest.value_at(0), Some(view.source_value));
-            self.saw_source_broadcast = true;
-        }
-        if recipient == ProcessId(2) {
-            self.shadow_lens
-                .push((view.round, view.expected_len(sender)));
-        }
-        view.shadow_of(sender).cloned().unwrap_or(Payload::Missing)
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
+        rows::each_recipient(sender, row, |recipient| {
+            if view.round == 1 && recipient == ProcessId(2) {
+                // Rushing: the source's round-1 broadcast is visible before
+                // we choose our payload.
+                let honest = view.honest_of(view.source).expect("source broadcast");
+                assert_eq!(honest.value_at(0), Some(view.source_value));
+                self.saw_source_broadcast = true;
+            }
+            if recipient == ProcessId(2) {
+                self.shadow_lens
+                    .push((view.round, view.expected_len(sender)));
+            }
+            view.shadow_of(sender).cloned().unwrap_or(Payload::Missing)
+        });
     }
 }
 

@@ -481,59 +481,69 @@ fn payloads_move_they_are_not_shared() {
 
 #[test]
 fn lies_are_asked_for_by_the_row() {
-    // The engine asks each faulty sender's row with one Adversary::row
-    // call, which a strategy writes in place over the row's last lies; the
-    // per-edge asking that built and dropped one payload per faulty edge
-    // was replaced, not kept beside. It stays in sg_sim::reference, the
-    // oracle the rows are held to, which must keep asking edge by edge.
+    // The adversary has one lie method, Adversary::row: each faulty
+    // sender's row, which the engine asks in place over the row's last lies
+    // and sg_sim::reference asks into a fresh row. The per-edge
+    // Adversary::payload beside it — with a default row that looped over
+    // it, and a rule that an override equal those calls — was deleted, not
+    // kept as a second way to lie.
+    const TRAIT: &str = "crates/sim/src/adversary.rs";
     const ENGINE: &str = "crates/sim/src/engine.rs";
     const REFERENCE: &str = "crates/sim/src/reference.rs";
-    targets(&[ENGINE, REFERENCE], Path::is_file);
-    let per_edge = |line: &str| line.contains("adversary.payload(");
+    const SOURCES: [&str; 3] = ["crates", "src", "examples"];
+    targets(&[TRAIT, ENGINE, REFERENCE], Path::is_file);
+    targets(&SOURCES, Path::is_dir);
+    let method = |line: &str| line.contains("fn payload(");
+    let per_edge = |line: &str| line.contains(".payload(");
     let by_row = |line: &str| line.contains("adversary.row(");
     let guard = |tree: &Tree| {
-        let mut found: Vec<String> = tree
-            .outside_tests(&[ENGINE, REFERENCE], per_edge)
-            .into_iter()
-            .filter(|path| *path != REFERENCE)
-            .map(|path| format!("{path}: asks adversary.payload( per edge"))
-            .collect();
-        if tree.outside_tests(&[REFERENCE], per_edge).is_empty() {
-            found.push(format!("{REFERENCE}: no longer asks edge by edge"));
-        }
-        if tree.outside_tests(&[ENGINE], by_row).is_empty() {
-            found.push(format!("{ENGINE}: no longer asks by row"));
+        let mut found = tree.grep(&[TRAIT], method);
+        found.extend(
+            tree.outside_tests(&SOURCES, per_edge)
+                .into_iter()
+                .map(|path| format!("{path}: asks a lie per edge with .payload(")),
+        );
+        for path in [ENGINE, REFERENCE] {
+            if tree.outside_tests(&[path], by_row).is_empty() {
+                found.push(format!("{path}: no longer asks by row"));
+            }
         }
         found
     };
     check(
         guard,
-        "the engine's lies are asked for edge by edge again, or the oracle's no longer are",
+        "a second lie method is back, or the engine or the oracle no longer asks by row",
         &[
             "crates/sim/src/engine.rs:                     adversary.payload(ProcessId(f), ProcessId(r), &view)",
             "crates/sim/src/engine.rs: inbox.lies.extend((0..n).map(|r| adversary.payload(ProcessId(f), ProcessId(r), &view)));",
+            "crates/sim/src/adversary.rs:     fn payload(&mut self, sender: ProcessId, recipient: ProcessId, view: &AdversaryView<'_>) -> Payload;",
+            "crates/sim/src/reference.rs:                 adversary.payload(f, ProcessId(r), &view)",
         ],
     );
-    fires(
-        guard,
-        &repo().with(REFERENCE, |text| {
-            text.replace("adversary.payload(", "adversary.row(")
-        }),
-        "the reference engine asking by row",
-    );
-    fires(
-        guard,
-        &repo().with(ENGINE, |text| {
-            text.replace("adversary.row(", "adversary.rows(")
-        }),
-        "the engine no longer asking by row",
-    );
+    for path in [ENGINE, REFERENCE] {
+        fires(
+            guard,
+            &repo().with(path, |text| {
+                text.replace("adversary.row(", "adversary.rows(")
+            }),
+            &format!("{path} no longer asking by row"),
+        );
+    }
     misses(
         per_edge,
         &[
             "adversary.row(ProcessId(f), &view, &mut inbox.lies[k * n..(k + 1) * n]);",
             "/// [`Adversary::payload`] per edge",
-            "let payload = self.inner.payload(sender, recipient, view);",
+            "step.payload.to_payload()",
+            "Some(self.level_payload(self.tree.level(deepest)))",
+        ],
+    );
+    misses(
+        method,
+        &[
+            "fn level_payload(&self, level: &Planes) -> Payload {",
+            "fn to_payload(&self) -> Payload {",
+            "pub payload: TracePayload,",
         ],
     );
 }

@@ -1,14 +1,14 @@
 //! Every named adversary family, its lies written in place, held to the
 //! oracle.
 //!
-//! The scalar engine asks each faulty sender's row with one
-//! `Adversary::row` call, and `FamilyStrategy` writes the row's slots in
-//! place over whatever they held in the round or run before;
-//! `sg_sim::reference` asks edge by edge with `Adversary::payload` into
-//! fresh payloads. Each case below runs all nineteen `Family` variants —
-//! the sixteen selection families (`stale-shadow`'s stash among them),
-//! the tape and the replay, which keep the per-edge default row, and no
-//! faults — over one cell, and `assert_engines_agree` compares the full
+//! Both engines ask each faulty sender's row with one `Adversary::row`
+//! call. The scalar engine keeps its rows across rounds and runs, so a
+//! strategy writes the slots in place over whatever they held in the
+//! round or run before; `sg_sim::reference` passes a fresh row of
+//! missing payloads every round. Each case below runs all nineteen
+//! `Family` variants — the sixteen selection families (`stale-shadow`'s
+//! stash among them), the tape and the replay, which write their slots
+//! one move or recorded step at a time, and no faults — over one cell, and `assert_engines_agree` compares the full
 //! reports: `SweepPlan::run`, the daemon's cursor walk and the scalar
 //! engine seed by seed (one arena, strategies recycled by `reseed`)
 //! against the reference. The cells are a tree spec and a king spec at

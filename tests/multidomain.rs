@@ -3,6 +3,8 @@
 //! trees, conversion functions and discovery rules are all value-generic
 //! — including adversaries that inject out-of-domain values.
 
+mod rows;
+
 use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec};
 use shifting_gears::sim::{
@@ -75,19 +77,16 @@ impl Adversary for OutOfDomain {
         ProcessSet::from_members(n, (1..=t).map(ProcessId))
     }
 
-    fn payload(
-        &mut self,
-        sender: ProcessId,
-        _recipient: ProcessId,
-        view: &AdversaryView<'_>,
-    ) -> Payload {
+    fn row(&mut self, sender: ProcessId, view: &AdversaryView<'_>, row: &mut [Payload]) {
         let len = view.expected_len(sender);
-        if len == 0 {
-            Payload::Missing
-        } else {
-            // 999 is outside every domain used in these tests.
-            Payload::Values(vec![Value(999); len])
-        }
+        rows::each_recipient(sender, row, |_| {
+            if len == 0 {
+                Payload::Missing
+            } else {
+                // 999 is outside every domain used in these tests.
+                Payload::Values(vec![Value(999); len])
+            }
+        });
     }
 }
 

@@ -6,6 +6,8 @@
 //! schedule does, and all of them keep the source correct — the case the
 //! echo rule (`sg_core::GearedProtocol`) ends at round 2, before any shift.
 
+mod rows;
+
 use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::core::{execute, AlgorithmSpec, HybridSchedule, RoundAction};
 use shifting_gears::sim::{ProcessId, RunConfig, TraceEvent, Value};
@@ -173,24 +175,28 @@ fn masked_faults_stop_influencing_preferred_values() {
             ) -> shifting_gears::sim::ProcessSet {
                 shifting_gears::sim::ProcessSet::from_members(n, [ProcessId(1)])
             }
-            fn payload(
+            fn row(
                 &mut self,
-                _sender: ProcessId,
-                recipient: ProcessId,
+                sender: ProcessId,
                 view: &shifting_gears::sim::AdversaryView<'_>,
-            ) -> shifting_gears::sim::Payload {
-                let len = view.expected_len(_sender).max(1);
-                if view.round == 2 {
-                    // Blatant equivocation: get globally detected.
-                    shifting_gears::sim::Payload::values([Value((recipient.index() % 2) as u16)])
-                } else if view.round > 2 {
-                    // Post-detection noise that must be masked away.
-                    shifting_gears::sim::Payload::Values(vec![Value(self.late_value); len])
-                } else {
-                    view.shadow_of(_sender)
-                        .cloned()
-                        .unwrap_or(shifting_gears::sim::Payload::Missing)
-                }
+                row: &mut [shifting_gears::sim::Payload],
+            ) {
+                let len = view.expected_len(sender).max(1);
+                rows::each_recipient(sender, row, |recipient| {
+                    if view.round == 2 {
+                        // Blatant equivocation: get globally detected.
+                        shifting_gears::sim::Payload::values([Value(
+                            (recipient.index() % 2) as u16,
+                        )])
+                    } else if view.round > 2 {
+                        // Post-detection noise that must be masked away.
+                        shifting_gears::sim::Payload::Values(vec![Value(self.late_value); len])
+                    } else {
+                        view.shadow_of(sender)
+                            .cloned()
+                            .unwrap_or(shifting_gears::sim::Payload::Missing)
+                    }
+                });
             }
         }
         let mut adversary = LateNoise { late_value };
