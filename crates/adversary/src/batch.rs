@@ -6,8 +6,8 @@
 //! never on per-call mutable state. [`BatchFamily::new`] reads them off
 //! the variant (clamping `block` and `period` to ≥ 1, as the scalar
 //! strategy does) and declines the other eleven, which run on the scalar
-//! engine: `partition` cuts honest edges, `tape`, `replay` and
-//! `stale-shadow` answer by call order, and `two-faced`,
+//! engine: `partition` cuts honest edges, `tape` and `replay` answer by
+//! call order, `stale-shadow` replays its stash, and `two-faced`,
 //! `equivocating-source`, `stealth`, `double-talk`, `staggered-split`,
 //! `collusion` and `frontier-breaker` have no vector form until a
 //! workload asks for one. Every rule has the same two halves:
@@ -110,9 +110,9 @@ pub struct BatchFamily<'a> {
 impl<'a> BatchFamily<'a> {
     /// The vector rules of `family` over one lane per seed, or `None`
     /// for a family without a vector shape: `partition` cuts honest
-    /// edges, `tape`, `replay` and `stale-shadow` answer by call order,
-    /// and the other seven have no vector form until a workload asks for
-    /// one.
+    /// edges, `tape` and `replay` answer by call order, `stale-shadow`
+    /// replays its stash, and the other seven have no vector form until
+    /// a workload asks for one.
     pub fn new(family: &'a Family, seeds: &'a [u64]) -> Option<Self> {
         /// No faults is silence over a selection that corrupts nobody.
         static NOBODY: FaultSelection = FaultSelection::without_source().limit(0);

@@ -235,14 +235,7 @@ impl FamilyStrategy {
                     spare.repeated(slot, lie, len);
                 }
             }
-            Family::StaleShadow(_) => {
-                spare.relay(slot, stash.get(&sender));
-                // Refreshed once per round, on the sender's first recipient.
-                if r == (0..view.n).find(|&q| q != sender.index()).unwrap_or(0) {
-                    let kept = stash.entry(sender).or_default();
-                    spare.relay(kept, row.shadow);
-                }
-            }
+            Family::StaleShadow(_) => spare.relay(slot, stash.get(&sender)),
             Family::FrontierBreaker(_) => {
                 if first_round_source {
                     spare.values(slot, once(Value(r as u16 % view.domain.size())));
@@ -333,6 +326,12 @@ impl Adversary for FamilyStrategy {
             if r != sender.index() {
                 self.write(&row, ProcessId(r), view, slot);
             }
+        }
+        // `stale-shadow` stashes this round's shadow once its whole row
+        // has heard the last one.
+        if let Family::StaleShadow(_) = self.family {
+            let kept = self.stash.entry(sender).or_default();
+            self.spare.relay(kept, row.shadow);
         }
     }
 
@@ -564,6 +563,33 @@ mod tests {
             fresh_row(adv.as_mut(), ProcessId(1), &view)[0],
             Payload::values([Value(1), Value(0)])
         );
+    }
+
+    #[test]
+    fn stale_shadow_tells_every_recipient_last_rounds_shadow() {
+        // Sender 1 of five, over three rounds: each round every one of its
+        // four recipients hears the shadow of the round before, and
+        // nothing in round 1.
+        let n = 5;
+        let faulty = ProcessSet::from_members(n, [ProcessId(1)]);
+        let shadows = [
+            vec![Value(1), Value(0)],
+            vec![Value(0), Value(1), Value(1)],
+            vec![Value(1)],
+        ];
+        let mut adv = Family::StaleShadow(FaultSelection::without_source()).strategy(0);
+        let mut heard = Payload::Missing;
+        for (at, vals) in shadows.iter().enumerate() {
+            let mut shadow: Vec<Option<Payload>> = vec![None; n];
+            shadow[1] = Some(Payload::Values(vals.clone()));
+            let mut view = view_fixture(&faulty, &shadow);
+            (view.round, view.n) = (at + 1, n);
+            let row = fresh_row(adv.as_mut(), ProcessId(1), &view);
+            for r in [0, 2, 3, 4] {
+                assert_eq!(row[r], heard, "round {} recipient {r}", at + 1);
+            }
+            heard = Payload::Values(vals.clone());
+        }
     }
 
     #[test]
