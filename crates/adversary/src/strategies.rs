@@ -166,7 +166,7 @@ impl FamilyStrategy {
                 if r.is_multiple_of(2) {
                     spare.relay(slot, row.shadow);
                 } else {
-                    spare.map(slot, row.shadow, |_, v| flip(view, v));
+                    spare.map(slot, view.domain, row.shadow, |_, v| flip(view, v));
                 }
             }
             Family::EquivocatingSource(_) => {
@@ -178,7 +178,7 @@ impl FamilyStrategy {
                 } else if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, claimed, len);
+                    spare.repeated(slot, view.domain, claimed, len);
                 }
             }
             Family::Stealth(_) => {
@@ -186,7 +186,7 @@ impl FamilyStrategy {
                     spare.relay(slot, row.shadow);
                 } else {
                     let target = (view.round + r) % len;
-                    spare.map(slot, row.shadow, |i, v| {
+                    spare.map(slot, view.domain, row.shadow, |i, v| {
                         if i == target {
                             flip(view, v)
                         } else {
@@ -210,7 +210,7 @@ impl FamilyStrategy {
                 if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, story, len);
+                    spare.repeated(slot, view.domain, story, len);
                 }
             }
             Family::StaggeredSplit { .. } => {
@@ -222,7 +222,7 @@ impl FamilyStrategy {
                 } else if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, story, len);
+                    spare.repeated(slot, view.domain, story, len);
                 }
             }
             Family::Collusion(_) => {
@@ -232,7 +232,7 @@ impl FamilyStrategy {
                 } else if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, lie, len);
+                    spare.repeated(slot, view.domain, lie, len);
                 }
             }
             Family::StaleShadow(_) => spare.relay(slot, stash.get(&sender)),
@@ -241,7 +241,7 @@ impl FamilyStrategy {
                     spare.values(slot, once(Value(r as u16 % view.domain.size())));
                 } else if let Some(target) = row.target {
                     let lies = r % 2 == 1;
-                    spare.map(slot, row.shadow, |i, v| {
+                    spare.map(slot, view.domain, row.shadow, |i, v| {
                         if lies && i == target {
                             flip(view, v)
                         } else {
@@ -275,7 +275,7 @@ impl FamilyStrategy {
                 } else if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, Value(u16::from(r >= *split)), len);
+                    spare.repeated(slot, view.domain, Value(u16::from(r >= *split)), len);
                 }
             }
             Family::Adaptive { .. } => {
@@ -287,7 +287,7 @@ impl FamilyStrategy {
                 } else if len == 0 {
                     spare.silence(slot);
                 } else {
-                    spare.repeated(slot, lie, len);
+                    spare.repeated(slot, view.domain, lie, len);
                 }
             }
             Family::NoFaults | Family::Tape(_) | Family::Replay(_) => {
@@ -491,12 +491,12 @@ mod tests {
         let mut adv = Family::Stealth(FaultSelection::without_source()).strategy(0);
         let view = view_fixture(&faulty, &shadow);
         let got = fresh_row(adv.as_mut(), ProcessId(1), &view).swap_remove(2);
-        if let Payload::Values(vals) = got {
-            let flipped = vals.iter().filter(|v| **v == Value(0)).count();
-            assert_eq!(flipped, 1);
-        } else {
-            panic!("expected values");
-        }
+        // A vector in either representation: binary lies are bit-packed.
+        assert_eq!(got.num_values(), 3, "expected values");
+        let flipped = (0..3)
+            .filter(|&i| got.value_at(i) == Some(Value(0)))
+            .count();
+        assert_eq!(flipped, 1);
     }
 
     #[test]

@@ -93,12 +93,16 @@ impl Move {
         match self {
             Move::Honest => spare.relay(slot, shadow),
             Move::Silent => spare.silence(slot),
-            Move::AllZero => spare.repeated(slot, Value(0), shadow_len.max(1)),
-            Move::AllOne => spare.repeated(slot, Value(1), shadow_len.max(1)),
+            Move::AllZero => spare.repeated(slot, view.domain, Value(0), shadow_len.max(1)),
+            Move::AllOne => spare.repeated(slot, view.domain, Value(1), shadow_len.max(1)),
             Move::FlipFirst if shadow_len == 0 => spare.single(slot, Value(1)),
-            Move::FlipFirst => {
-                spare.map(slot, shadow, |i, v| if i == 0 { flip(view, v) } else { v })
-            }
+            Move::FlipFirst => spare.map(slot, view.domain, shadow, |i, v| {
+                if i == 0 {
+                    flip(view, v)
+                } else {
+                    v
+                }
+            }),
             Move::Garbage => {
                 spare.values(slot, std::iter::repeat_n(Value(u16::MAX), shadow_len + 3))
             }

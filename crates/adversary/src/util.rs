@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use sg_sim::{AdversaryView, Payload, ProcessId, SmallWords, Value};
+use sg_sim::{AdversaryView, Payload, ProcessId, SmallWords, Value, ValueDomain};
 
 /// The stream key of one (round, sender, recipient) decision, XORed
 /// into a strategy's seed: every edge of every round draws from its own
@@ -224,14 +224,45 @@ impl Spare {
 
     /// Writes `len` copies of `v` into `slot`: a single value (a bit,
     /// for the one-value broadcasts of the king-family protocols) when
-    /// `len` is 1, a value vector otherwise.
+    /// `len` is 1, a [`Spare::vector`] otherwise.
     #[inline]
-    pub(crate) fn repeated(&mut self, slot: &mut Payload, v: Value, len: usize) {
+    pub(crate) fn repeated(
+        &mut self,
+        slot: &mut Payload,
+        domain: ValueDomain,
+        v: Value,
+        len: usize,
+    ) {
         if len == 1 {
             self.single(slot, v);
         } else {
-            self.values(slot, std::iter::repeat_n(v, len));
+            self.vector(slot, domain, len, |_| v);
         }
+    }
+
+    /// Writes the `len` values `value(0), value(1), …` into `slot`: as
+    /// bits when the domain is binary and every value is 0 or 1, as a
+    /// value vector otherwise (a `⊥` sentinel, garbage, a wider domain).
+    fn vector(
+        &mut self,
+        slot: &mut Payload,
+        domain: ValueDomain,
+        len: usize,
+        mut value: impl FnMut(usize) -> Value,
+    ) {
+        if domain.size() == 2 {
+            let words = self.bits(slot, len);
+            words.fill(0);
+            let binary = (0..len).all(|i| {
+                let v = value(i).raw();
+                words[i / 64] |= u64::from(v & 1) << (i % 64);
+                v <= 1
+            });
+            if binary {
+                return;
+            }
+        }
+        self.values(slot, (0..len).map(value));
     }
 
     /// Copies `shadow` into `slot` — missing when there is none — reusing
@@ -250,18 +281,24 @@ impl Spare {
     }
 
     /// Writes `f` applied to every value of `shadow` into `slot`, as a
-    /// value vector; any other shadow is relayed as it is.
+    /// [`Spare::vector`]; any other shadow is relayed as it is.
     /// Representation-agnostic: bit-packed and vector shadows corrupt
     /// identically.
-    pub(crate) fn map<F>(&mut self, slot: &mut Payload, shadow: Option<&Payload>, mut f: F)
-    where
+    pub(crate) fn map<F>(
+        &mut self,
+        slot: &mut Payload,
+        domain: ValueDomain,
+        shadow: Option<&Payload>,
+        mut f: F,
+    ) where
         F: FnMut(usize, Value) -> Value,
     {
         match shadow {
-            Some(p @ (Payload::Values(_) | Payload::Bits { .. })) => self.values(
-                slot,
-                (0..p.num_values()).map(|i| f(i, p.value_at(i).expect("index in range"))),
-            ),
+            Some(p @ (Payload::Values(_) | Payload::Bits { .. })) => {
+                self.vector(slot, domain, p.num_values(), |i| {
+                    f(i, p.value_at(i).expect("index in range"))
+                });
+            }
             other => self.relay(slot, other),
         }
     }

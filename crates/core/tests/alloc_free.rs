@@ -2,8 +2,9 @@
 //! allocates nothing: an early-stopped run of every `tree-paper` spec on
 //! a warm arena allocates the same small constant at `exponential n = 10`
 //! and at `algorithm-c n = 32`. A warm fixed-length tree run allocates as
-//! much under random liars as under silent ones. A warm fixed-length gear
-//! run, whose processors shift, builds no trace label untraced.
+//! much under random liars and two-faced members as under silent ones. A
+//! warm fixed-length gear run, whose processors shift, builds no trace
+//! label untraced.
 //!
 //! This file holds a single test on purpose — the counter is per thread,
 //! but one test per binary also keeps the harness quiet while it runs.
@@ -110,7 +111,10 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
     // faulty edge per round past 256 slots (38 more here); a discovery
     // report or admitted set built fresh, one per discovering processor per
     // rule (74 more). Two runs warm the buffers: a report's grows to the
-    // most finds one rule makes.
+    // most finds one rule makes. Two-faced members flip their shadows for
+    // odd recipients: a binary lie written as a value vector rather than
+    // as bits sends its receivers off the one-plane word path (54 and 70
+    // more).
     for (spec, n) in [
         (AlgorithmSpec::AlgorithmA { b: 3 }, 13),
         (AlgorithmSpec::Exponential, 13),
@@ -119,6 +123,7 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
         let warm = [
             Family::Silent(FaultSelection::with_source()),
             Family::RandomLiar(FaultSelection::with_source()),
+            Family::TwoFaced(FaultSelection::with_source()),
         ]
         .map(|family| {
             let mut adversary = family.strategy(7);
@@ -138,6 +143,12 @@ fn warm_early_stopped_tree_runs_allocate_a_constant() {
             warm[1],
             warm[0],
             "{} n={n}: allocations in a warm fixed-length run under random liars / silent members",
+            spec.name()
+        );
+        assert_eq!(
+            warm[2],
+            warm[1],
+            "{} n={n}: allocations in a warm fixed-length run under two-faced members / random liars",
             spec.name()
         );
     }
