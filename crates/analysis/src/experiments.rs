@@ -6,7 +6,8 @@
 //! sweep on the simulator under a stress adversary, measures the exact
 //! quantities the theorems bound (rounds, message bits, local steps), and
 //! tabulates *paper-predicted vs. measured*. `cargo run -p sg-bench --bin
-//! repro` prints them all; EXPERIMENTS.md archives the output.
+//! repro` prints them all (`--markdown` as markdown tables); the
+//! `rounds-vs-f` tables are committed as `BENCH_rounds_vs_f.md`.
 
 use sg_adversary::{Family, FaultSelection};
 use sg_core::schedule::{
@@ -24,12 +25,12 @@ use crate::sweep::AdversaryFamily;
 use crate::table::{fmt_count, Table};
 
 /// How big a sweep to run: `Quick` for CI-style tests, `Full` for the
-/// repro binary and EXPERIMENTS.md.
+/// repro binary's tables and `BENCH_rounds_vs_f.md`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Small parameters, seconds.
     Quick,
-    /// The full sweeps reported in EXPERIMENTS.md.
+    /// The full sweeps `repro` reports (`--markdown` for markdown).
     Full,
 }
 

@@ -5,7 +5,8 @@
 //! Theorem), an analytical model of Coan's families for the §1/§4
 //! trade-off comparison, and the experiment harness that regenerates
 //! every table and figure as *paper-predicted vs. measured* tables (see
-//! EXPERIMENTS.md and `cargo run -p sg-bench --bin repro`).
+//! `cargo run -p sg-bench --bin repro -- --markdown` and the committed
+//! `BENCH_rounds_vs_f.md`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

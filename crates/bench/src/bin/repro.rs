@@ -3,7 +3,7 @@
 //! ```text
 //! repro                    # all experiments, full scale, text tables
 //! repro --quick            # all experiments, small parameters
-//! repro --markdown         # emit GitHub-flavoured markdown (EXPERIMENTS.md)
+//! repro --markdown         # emit GitHub-flavoured markdown tables
 //! repro --csv              # emit CSV (one block per experiment)
 //! repro --jobs 8           # size the sweep engine's worker pool
 //! repro --exp t3           # one experiment: p1|t1|t2|t3|t4|tradeoff|dominance|

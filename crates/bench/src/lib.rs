@@ -4,7 +4,8 @@
 //!
 //! * `cargo run --release -p sg-bench --bin repro [-- --exp <id>]` —
 //!   regenerates every table and figure of the paper as
-//!   paper-predicted-vs-measured tables (the source of EXPERIMENTS.md);
+//!   paper-predicted-vs-measured tables (`--markdown` for markdown; the
+//!   committed `BENCH_rounds_vs_f.md` is `--exp rounds-vs-f`'s);
 //! * `cargo bench -p sg-bench --bench run_loop` — per-layer Criterion
 //!   timings of the run loop, the tree machine and the serving path
 //!   (end-to-end numbers come from `benchmark/run.sh`).
