@@ -481,13 +481,11 @@ impl Adversary for RecordingAdversary {
                     payload: recorded,
                 }),
                 None => {
-                    if self.lossy.is_none() {
-                        self.lossy = Some(TraceError::Unrecordable {
-                            round: view.round,
-                            sender,
-                            recipient,
-                        });
-                    }
+                    self.lossy.get_or_insert(TraceError::Unrecordable {
+                        round: view.round,
+                        sender,
+                        recipient,
+                    });
                 }
             }
         }
