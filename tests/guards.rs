@@ -493,7 +493,10 @@ fn lies_are_asked_for_by_the_row() {
     const SOURCES: [&str; 3] = ["crates", "src", "examples"];
     targets(&[TRAIT, ENGINE, REFERENCE], Path::is_file);
     targets(&SOURCES, Path::is_dir);
-    let method = |line: &str| line.contains("fn payload(");
+    // Spelled in two pieces, so that a grep of the repository for the
+    // deleted method's declaration finds nothing, this file included.
+    const METHOD: &str = concat!("fn ", "payload(");
+    let method = |line: &str| line.contains(METHOD);
     let per_edge = |line: &str| line.contains(".payload(");
     let by_row = |line: &str| line.contains("adversary.row(");
     let guard = |tree: &Tree| {
@@ -516,7 +519,10 @@ fn lies_are_asked_for_by_the_row() {
         &[
             "crates/sim/src/engine.rs:                     adversary.payload(ProcessId(f), ProcessId(r), &view)",
             "crates/sim/src/engine.rs: inbox.lies.extend((0..n).map(|r| adversary.payload(ProcessId(f), ProcessId(r), &view)));",
-            "crates/sim/src/adversary.rs:     fn payload(&mut self, sender: ProcessId, recipient: ProcessId, view: &AdversaryView<'_>) -> Payload;",
+            concat!(
+                "crates/sim/src/adversary.rs:     fn ",
+                "payload(&mut self, sender: ProcessId, recipient: ProcessId, view: &AdversaryView<'_>) -> Payload;",
+            ),
             "crates/sim/src/reference.rs:                 adversary.payload(f, ProcessId(r), &view)",
         ],
     );
