@@ -37,10 +37,12 @@ impl Summary {
     /// statistic.
     pub fn of<I: IntoIterator<Item = u64>>(values: I) -> Summary {
         let mut moments = Moments::EMPTY;
+        let mut samples = 0;
         for v in values {
-            moments.push(v);
+            samples += 1;
+            moments.push(v, samples);
         }
-        moments.finish()
+        moments.finish(samples)
     }
 
     /// Renders as `min/mean±stddev/max`.
@@ -54,7 +56,8 @@ impl Summary {
 
 /// Welford's online moments of one column, the one place the
 /// recurrence is written: [`Summary::of`] steps one, [`summarize`] five
-/// side by side.
+/// side by side. The sample count is the caller's, so `summarize`'s
+/// five columns keep one between them.
 ///
 /// A value equal to the running mean skips the two float updates. Its
 /// `delta` is `+0.0` (`x − x` rounds to `+0.0`), so the textbook step
@@ -63,12 +66,17 @@ impl Summary {
 /// and neither accumulator can be `-0.0`: both start at `+0.0`, and a
 /// sum is `-0.0` only when both addends are. So the skip is exact, and
 /// a column of equal values (every run of an early-stopped cell with a
-/// correct source) pays for its division once. `samples`, `min` and
+/// correct source) pays for its division once. The count, `min` and
 /// `max` still update: distinct `u64`s above 2^53 can round to one
 /// `f64`, and then `delta` is `0.0` while `min` or `max` moves.
+///
+/// The same argument lets a run of one repeated value skip whole steps
+/// ([`summarize`]): once the value has been pushed and the mean equals
+/// it, every further copy has a zero delta and cannot move `min` or
+/// `max`, so all it changes is the count. The first value pushed always
+/// leaves the mean equal to it (`0 + (x − 0) / 1 = x`).
 #[derive(Clone, Copy)]
 struct Moments {
-    samples: usize,
     min: u64,
     max: u64,
     mean: f64,
@@ -77,34 +85,34 @@ struct Moments {
 
 impl Moments {
     const EMPTY: Moments = Moments {
-        samples: 0,
         min: u64::MAX,
         max: 0,
         mean: 0.0,
         m2: 0.0,
     };
 
+    /// Steps in `v`, the column's `samples`-th value. The count is the
+    /// caller's: [`summarize`]'s five columns share one.
     #[inline]
-    fn push(&mut self, v: u64) {
-        self.samples += 1;
+    fn push(&mut self, v: u64, samples: usize) {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         let x = v as f64;
         let delta = x - self.mean;
         if delta != 0.0 {
-            self.mean += delta / self.samples as f64;
+            self.mean += delta / samples as f64;
             self.m2 += delta * (x - self.mean);
         }
     }
 
-    fn finish(self) -> Summary {
-        assert!(self.samples > 0, "cannot summarize an empty sample");
+    fn finish(self, samples: usize) -> Summary {
+        assert!(samples > 0, "cannot summarize an empty sample");
         Summary {
-            samples: self.samples,
+            samples,
             min: self.min,
             max: self.max,
             mean: self.mean,
-            stddev: (self.m2 / self.samples as f64).sqrt(),
+            stddev: (self.m2 / samples as f64).sqrt(),
         }
     }
 }
@@ -146,36 +154,65 @@ pub fn sample_of(outcome: &Outcome) -> Sample {
     }
 }
 
+/// How many of `samples`' first rows equal the first one: the cell's
+/// leading run, which [`summarize`] and [`crate::Fingerprint::mix_cell`]
+/// reduce at once. A correct-source king cell is one row repeated, so
+/// its leading run is the whole cell.
+pub(crate) fn leading_run(samples: &[Sample]) -> usize {
+    samples.first().map_or(0, |first| {
+        samples.iter().take_while(|s| *s == first).count()
+    })
+}
+
 /// Summaries (lock-in, discoveries, bits, ops, rounds) of a sample set,
-/// in one pass over `samples`.
+/// in one pass over `samples`, one step for the cell's leading run.
 ///
 /// The five Welford recurrences step side by side, each column in its
 /// own operation order (`delta`, `mean += delta / k`,
 /// `m2 += delta·(x − mean)`), so every `f64` is bit-identical to five
 /// [`Summary::of`] calls while the five dependency chains overlap
-/// instead of running back to back. A value equal to its column's
-/// running mean skips the float updates, which would add `+0.0` and
-/// change no bit (the argument is on `Moments`): a cell whose samples
-/// repeat one row pays for one division per column, not one per row.
+/// instead of running back to back.
+///
+/// The cell's leading run of equal rows takes one step and then only
+/// counts: the mean of one value is that value, so after the first row
+/// every column's mean equals it, and by the zero-delta argument on
+/// `Moments` each further copy changes nothing but the count. A cell
+/// that repeats one row 64 times, as a correct-source king cell does,
+/// costs one step, not 64. Later rows step one by one: a later run's
+/// value equals its column's running mean only by coincidence, so it
+/// could not skip, and reading runs there (`chunk_by`) made the row
+/// loop of a cell with varied rows slower.
 ///
 /// # Panics
 ///
 /// Panics if `samples` is empty, like [`Summary::of`].
 pub fn summarize(samples: &[Sample]) -> [Summary; 5] {
     let mut columns = [Moments::EMPTY; 5];
-    for s in samples {
-        let values = [
-            s.lock_in,
-            s.discoveries,
-            s.total_bits,
-            s.max_local_ops,
-            s.rounds,
-        ];
-        for (column, v) in columns.iter_mut().zip(values) {
-            column.push(v);
+    let lead = leading_run(samples);
+    if let Some(first) = samples.first() {
+        for (column, v) in columns.iter_mut().zip(columns_of(first)) {
+            column.push(v, 1);
         }
     }
-    columns.map(Moments::finish)
+    let mut count = lead;
+    for s in &samples[lead..] {
+        count += 1;
+        for (column, v) in columns.iter_mut().zip(columns_of(s)) {
+            column.push(v, count);
+        }
+    }
+    columns.map(|column| column.finish(count))
+}
+
+/// A sample's five summarized quantities, in [`summarize`]'s order.
+fn columns_of(s: &Sample) -> [u64; 5] {
+    [
+        s.lock_in,
+        s.discoveries,
+        s.total_bits,
+        s.max_local_ops,
+        s.rounds,
+    ]
 }
 
 /// Fraction of `samples` whose run terminated before its schedule ended
@@ -362,6 +399,100 @@ mod tests {
         assert_eq!((lock.min, lock.max), (big, big + 1));
         assert_eq!(lock.mean.to_bits(), (big as f64).to_bits());
         assert_eq!(lock.stddev.to_bits(), 0.0f64.to_bits());
+    }
+
+    /// Cells whose rows come in runs of equal samples, leading runs
+    /// long and short: the shapes [`summarize`] and
+    /// [`crate::Fingerprint::mix_cell`] must reduce exactly.
+    fn run_shaped_cells() -> Vec<Vec<Sample>> {
+        let sample = |v: [u64; 5]| Sample {
+            lock_in: v[0],
+            discoveries: v[1],
+            total_bits: v[2],
+            max_local_ops: v[3],
+            rounds: v[4],
+            early_stopped: v[4] < 5,
+        };
+        let big = 1u64 << 53;
+        let king = sample([3, 0, 2_709_504, 1_203, 3]);
+        let run = |row: Sample, len: usize| vec![row; len];
+        vec![
+            // A one-row cell.
+            vec![king],
+            // A king cell: one row 64 times, the mean exact from the
+            // first push.
+            run(king, 64),
+            // A leading run of all-zero rows, then other rows.
+            [run(sample([0; 5]), 17), run(king, 3), vec![sample([0; 5])]].concat(),
+            // Runs that start after the mean moved off their values: 1
+            // then 3s walks the mean towards 3 without reaching it, so
+            // no run after the first could skip its rows.
+            [
+                run(sample([1, 0, 10, 7, 3]), 1),
+                run(sample([3, 0, 30, 7, 3]), 40),
+                run(sample([2, 0, 20, 7, 9]), 3),
+                run(sample([3, 0, 30, 7, 3]), 20),
+            ]
+            .concat(),
+            // Above 2^53 distinct integers share one f64: a run whose
+            // value reads as the mean still moves min and max.
+            [
+                run(sample([big, big + 1, u64::MAX, big << 1, big]), 20),
+                run(sample([big + 1, big, u64::MAX - 1, (big << 1) + 1, big]), 7),
+                run(sample([big, big + 3, u64::MAX - 2, big << 1, big + 2]), 2),
+            ]
+            .concat(),
+            // Alternating rows: runs of one, then runs of two.
+            (0..33u64)
+                .map(|k| sample([k % 2, 0, 400 + k % 2, 25, 3]))
+                .collect(),
+            (0..34u64)
+                .map(|k| sample([(k / 2) % 2, k / 2 % 2, 400, 25 + (k / 2) % 2, 3]))
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn run_length_summaries_are_the_textbook_recurrence_bit_for_bit() {
+        let columns: [fn(&Sample) -> u64; 5] = [
+            |s| s.lock_in,
+            |s| s.discoveries,
+            |s| s.total_bits,
+            |s| s.max_local_ops,
+            |s| s.rounds,
+        ];
+        for samples in run_shaped_cells() {
+            for (got, column) in summarize(&samples).iter().zip(columns) {
+                let values: Vec<u64> = samples.iter().map(column).collect();
+                let (count, min, max, mean, stddev) = textbook_welford(&values);
+                assert_eq!((got.samples, got.min, got.max), (count, min, max));
+                assert_eq!(got.mean.to_bits(), mean.to_bits(), "{values:?}");
+                assert_eq!(got.stddev.to_bits(), stddev.to_bits(), "{values:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cells_fingerprint_folds_its_runs_as_its_rows() {
+        for samples in run_shaped_cells() {
+            let mut per_row = crate::Fingerprint::new();
+            for s in &samples {
+                per_row.mix_sample(s);
+            }
+            let cell = crate::CellReport {
+                spec_name: "optimal-king".into(),
+                n: 16,
+                t: 5,
+                adversary: "crash".into(),
+                first_seed: 0,
+                early_stop_rate: early_stop_rate(&samples),
+                summaries: summarize(&samples),
+                samples,
+            };
+            let mut per_run = crate::Fingerprint::new();
+            per_run.mix_cell(&cell);
+            assert_eq!(per_run, per_row, "{:?}", cell.samples);
+        }
     }
 
     #[test]

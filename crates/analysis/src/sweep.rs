@@ -301,9 +301,20 @@ pub struct SweepScratch {
     /// rarely cross more than a handful of families per worker.
     adversaries: MruPool<FamilyKey, Box<dyn Adversary>, 8>,
     /// Lock-step kernels by the exact `(spec, config)` they were built
-    /// for.
-    kernels: MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, 4>,
+    /// for, [`KERNEL_CACHE_CAP`] of them.
+    kernels:
+        MruPool<(AlgorithmSpec, RunConfig), Box<dyn sg_sim::BatchKernel + Send>, KERNEL_CACHE_CAP>,
 }
+
+/// How many lock-step kernels a [`SweepScratch`] retains: the widest
+/// rotation a worker cycles through — every king grid the benchmark
+/// runs (`king-expedite`, `king-fullround`, the journal's delta and
+/// the daemon's `serve-stream` jobs) walks three king specs at three
+/// sizes, nine `(spec, config)` keys — so a job finds every kernel the
+/// previous one built. With four slots each job rebuilt all nine (a box
+/// and five buffers each). `sg_sim`'s instance pool is sized the same
+/// way, for `tree-paper`'s seven specs.
+const KERNEL_CACHE_CAP: usize = 9;
 
 impl SweepScratch {
     /// Drops the pooled protocol instances for `key`
@@ -800,15 +811,29 @@ impl Fingerprint {
     /// runs still perturb the hash through `total_bits`, which shrinks
     /// with every saved round.
     pub fn mix_sample(&mut self, s: &Sample) {
-        self.mix_u64(s.lock_in);
-        self.mix_u64(s.discoveries);
-        self.mix_u64(s.total_bits);
-        self.mix_u64(s.max_local_ops);
+        for v in fingerprinted(s) {
+            self.mix_u64(v);
+        }
     }
 
-    /// Folds one cell's samples in run order.
+    /// Folds one cell's samples in run order: exactly
+    /// [`Fingerprint::mix_sample`] on every sample, but a leading run
+    /// of at least 16 equal rows (`COMPILED_RUN`; a correct-source king
+    /// cell is one row repeated 64 times) compiles its row's FNV-1a
+    /// steps once ([`sg_sim::fnv::CompiledRow`]: one xor-multiply per
+    /// non-zero byte, every zero tail and zero word merged into a
+    /// multiplier) and folds them once per row. The rows after it fold
+    /// one by one.
     pub fn mix_cell(&mut self, cell: &CellReport) {
-        for s in &cell.samples {
+        let samples = &cell.samples;
+        let mut lead = crate::montecarlo::leading_run(samples);
+        if lead >= COMPILED_RUN {
+            let steps = sg_sim::fnv::CompiledRow::new(fingerprinted(&samples[0]));
+            self.0 = steps.fold(self.0, lead);
+        } else {
+            lead = 0;
+        }
+        for s in &samples[lead..] {
             self.mix_sample(s);
         }
     }
@@ -850,6 +875,16 @@ impl Fingerprint {
             ))
         }
     }
+}
+
+/// The shortest leading run [`Fingerprint::mix_cell`] compiles: a
+/// compile costs about what a dozen rows save by it (`run_loop`'s
+/// `reduce/*`), so a shorter run folds row by row.
+const COMPILED_RUN: usize = 16;
+
+/// The words [`Fingerprint`] folds for one sample, in field order.
+fn fingerprinted(s: &Sample) -> [u64; sg_sim::fnv::ROW_WORDS] {
+    [s.lock_in, s.discoveries, s.total_bits, s.max_local_ops]
 }
 
 impl Default for Fingerprint {

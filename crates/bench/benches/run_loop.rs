@@ -52,13 +52,16 @@
 //!   (`to_json().to_string()`, `Json::parse` + `from_json`) vs the text
 //!   codec (`write_text`, `from_text`) that journal lines and cell
 //!   frames use when the input is canonical;
-//! * `cell_text/*` — `write_text`, `from_text` and `summarize`, each on
-//!   a run-heavy cell (one row repeated 64 times, as every cell of every
-//!   benchmark workload is), a varied one and one whose rows nearly all
-//!   differ, so the equal-row fast paths of the codec and the sample
-//!   reduction are measured layer by layer, on both sides of the
-//!   property they key on, which the benchmark's tree-codec `analysis.*`
-//!   probes are not;
+//! * `cell_text/*` — `write_text` and `from_text`, each on a run-heavy
+//!   cell (one row repeated 64 times, as every cell of every benchmark
+//!   workload is), a varied one and one whose rows nearly all differ, so
+//!   the equal-row fast paths of the codec are measured on both sides of
+//!   the property they key on, which the benchmark's tree-codec
+//!   `analysis.*` probes are not;
+//! * `reduce/*` — a finished cell's reduction, `summarize` and the
+//!   fingerprint fold (`Fingerprint::mix_cell`), on the same three cells
+//!   and on one whose 64 rows all differ: the leading-run paths against
+//!   the row-by-row loop they fall back to;
 //! * `serve/*` — the benchmark's `serve-stream` workload taken apart
 //!   the same way: a 1-worker daemon on a unix socket, `ping-rtt` on it
 //!   idle, then — with a second closed-loop client keeping it busy —
@@ -81,7 +84,7 @@ use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{edge_draw, edge_mix, first_draw, BatchFamily, Family, FaultSelection};
 use sg_analysis::{
-    summarize, AdversaryFamily, CellReport, SweepConfig, SweepPlan, TREE_PAPER_CELLS,
+    summarize, AdversaryFamily, CellReport, Fingerprint, SweepConfig, SweepPlan, TREE_PAPER_CELLS,
 };
 use sg_bench::stress_run;
 use sg_core::{batch_kernel, AlgorithmSpec};
@@ -684,14 +687,13 @@ fn bench_cell_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The text codec and the sample reduction, layer by layer, on three
-/// 64-sample cells, by how many rows equal the row before them (the
-/// property the equal-row fast paths key on): `run-heavy`, a
+/// Three 64-sample cells, by how many rows equal the row before them
+/// (the property the equal-row fast paths key on): `run-heavy`, a
 /// `king-expedite` crash cell at `optimal-king` n = 16 (63 of 63, as in
 /// every benchmark workload's cells); `varied`, random liars led by the
 /// source at the same size (43 of 63); and `distinct`, the same liars at
 /// `exponential` n = 10 (2 of 63).
-fn bench_cell_text(c: &mut Criterion) {
+fn equal_row_cells() -> [(&'static str, CellReport); 3] {
     let cell = |spec: AlgorithmSpec, n: usize, family: AdversaryFamily| {
         SweepPlan::new(
             vec![SweepConfig::traced(spec, n, spec.max_resilience(n))],
@@ -704,7 +706,7 @@ fn bench_cell_text(c: &mut Criterion) {
         .swap_remove(0)
     };
     let liars = || AdversaryFamily::random_liar(FaultSelection::with_source());
-    let cells = [
+    [
         (
             "run-heavy",
             cell(
@@ -715,9 +717,13 @@ fn bench_cell_text(c: &mut Criterion) {
         ),
         ("varied", cell(AlgorithmSpec::OptimalKing, 16, liars())),
         ("distinct", cell(AlgorithmSpec::Exponential, 10, liars())),
-    ];
+    ]
+}
+
+/// The text codec layer by layer on [`equal_row_cells`].
+fn bench_cell_text(c: &mut Criterion) {
     let mut group = c.benchmark_group("cell_text");
-    for (name, cell) in &cells {
+    for (name, cell) in &equal_row_cells() {
         let mut text = String::new();
         group.bench_function(format!("write_text/{name}"), |b| {
             b.iter(|| {
@@ -730,8 +736,41 @@ fn bench_cell_text(c: &mut Criterion) {
             b.iter(|| CellReport::from_text(black_box(&text)));
         });
         assert_eq!(CellReport::from_text(&text).as_ref(), Some(cell));
+    }
+    group.finish();
+}
+
+/// A finished cell's reduction: `summarize` and the fingerprint fold
+/// (`Fingerprint::mix_cell`), each one step for a cell's leading run of
+/// equal rows, on [`equal_row_cells`] and on `all-distinct`, the
+/// `distinct` cell with row `k`'s bits raised by `k` so that no row
+/// equals its neighbour: there every row takes the row-by-row loop, and
+/// no fingerprint steps are compiled.
+fn bench_reduce(c: &mut Criterion) {
+    let [run_heavy, varied, (_, distinct)] = equal_row_cells();
+    let mut all_distinct = distinct.clone();
+    for (k, s) in all_distinct.samples.iter_mut().enumerate() {
+        s.total_bits += k as u64;
+    }
+    let runs = |cell: &CellReport| cell.samples.chunk_by(|a, b| a == b).count();
+    assert_eq!((runs(&run_heavy.1), runs(&all_distinct)), (1, 64));
+    let cells = [
+        run_heavy,
+        varied,
+        ("distinct", distinct),
+        ("all-distinct", all_distinct),
+    ];
+    let mut group = c.benchmark_group("reduce");
+    for (name, cell) in &cells {
         group.bench_function(format!("summarize/{name}"), |b| {
             b.iter(|| summarize(black_box(&cell.samples)));
+        });
+        group.bench_function(format!("mix_cell/{name}"), |b| {
+            b.iter(|| {
+                let mut fingerprint = Fingerprint::new();
+                fingerprint.mix_cell(black_box(cell));
+                fingerprint.value()
+            });
         });
     }
     group.finish();
@@ -814,6 +853,7 @@ criterion_group!(
     bench_journal,
     bench_cell_codec,
     bench_cell_text,
+    bench_reduce,
     bench_serve
 );
 criterion_main!(benches);

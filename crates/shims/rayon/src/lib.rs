@@ -13,9 +13,10 @@
 //! Ordering guarantee (the one the sweep engine's determinism proof
 //! rests on): `collect` returns results **in input order** regardless of
 //! which worker ran which item, and `install(1)` degrades to a plain
-//! sequential loop on the calling thread. Work items are boxed, so this
-//! shim is intended for coarse-grained tasks (one task = one simulator
-//! execution or more), which is the only way the sweep engine uses it.
+//! sequential loop on the calling thread, which allocates nothing but
+//! the result vector. Workers are spawned per call, so this shim is
+//! intended for coarse-grained tasks (one task = one simulator execution
+//! or more), which is the only way the sweep engine uses it.
 
 #![forbid(unsafe_code)]
 
@@ -107,27 +108,25 @@ impl ThreadPool {
     }
 }
 
-type Job<T> = Box<dyn FnOnce() -> T + Send>;
-
-/// Runs `jobs` on the currently installed thread count, returning results
-/// in input order.
-fn run_jobs<T: Send>(jobs: Vec<Job<T>>) -> Vec<T> {
-    let threads = current_num_threads().min(jobs.len());
+/// Runs `f` over `items` on the currently installed thread count,
+/// returning results in input order. One thread maps in place on the
+/// calling thread; more share a LIFO queue of `(index, item)` pairs and
+/// the results are re-sorted by index, so drain order never shows in
+/// the output.
+fn run<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
+    let threads = current_num_threads().min(items.len());
     if threads <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
+        return items.into_iter().map(f).collect();
     }
-    let n = jobs.len();
-    // LIFO queue of (input index, job); results re-sorted by index below,
-    // so drain order never shows in the output.
-    let queue: Mutex<Vec<(usize, Job<T>)>> =
-        Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let n = items.len();
+    let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
+    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
-                let Some((i, job)) = job else { break };
-                let out = job();
+                let item = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
+                let Some((i, item)) = item else { break };
+                let out = f(item);
                 results
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -142,13 +141,19 @@ fn run_jobs<T: Send>(jobs: Vec<Job<T>>) -> Vec<T> {
 
 /// Parallel iterator types and traits.
 pub mod iter {
-    use super::{run_jobs, Job};
+    use super::run;
     use std::ops::Range;
-    use std::sync::Arc;
 
-    /// A materialized parallel iterator: one boxed job per item.
+    /// A materialized parallel iterator: its items, not yet mapped.
     pub struct ParIter<T: Send> {
-        jobs: Vec<Job<T>>,
+        items: Vec<T>,
+    }
+
+    /// A parallel iterator's items and the one function that maps them,
+    /// shared by reference with every worker (nothing is boxed).
+    pub struct Map<T: Send, F> {
+        items: Vec<T>,
+        f: F,
     }
 
     /// Conversion into a parallel iterator.
@@ -159,15 +164,10 @@ pub mod iter {
         fn into_par_iter(self) -> ParIter<Self::Item>;
     }
 
-    impl<T: Send + 'static> IntoParallelIterator for Vec<T> {
+    impl<T: Send> IntoParallelIterator for Vec<T> {
         type Item = T;
         fn into_par_iter(self) -> ParIter<T> {
-            ParIter {
-                jobs: self
-                    .into_iter()
-                    .map(|item| Box::new(move || item) as Job<T>)
-                    .collect(),
-            }
+            ParIter { items: self }
         }
     }
 
@@ -190,47 +190,44 @@ pub mod iter {
         }
     }
 
-    impl<T: Send + 'static> ParIter<T> {
+    impl<T: Send> ParIter<T> {
         /// Maps each item through `f` (runs on the workers).
-        pub fn map<R, F>(self, f: F) -> ParIter<R>
+        pub fn map<R, F>(self, f: F) -> Map<T, F>
         where
-            R: Send + 'static,
-            F: Fn(T) -> R + Send + Sync + 'static,
+            R: Send,
+            F: Fn(T) -> R + Sync,
         {
-            let f = Arc::new(f);
-            ParIter {
-                jobs: self
-                    .jobs
-                    .into_iter()
-                    .map(|job| {
-                        let f = Arc::clone(&f);
-                        Box::new(move || f(job())) as Job<R>
-                    })
-                    .collect(),
+            Map {
+                items: self.items,
+                f,
             }
         }
 
-        /// Executes the pipeline, collecting results in input order.
+        /// Collects the items in input order.
         pub fn collect<C: FromParallelIterator<T>>(self) -> C {
-            C::from_par_iter(run_jobs(self.jobs))
+            C::from_par_iter(self.items)
         }
 
-        /// Executes the pipeline for side effects.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(T) + Send + Sync + 'static,
-        {
+        /// Runs `f` on each item for its side effects.
+        pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
             let _: Vec<()> = self.map(f).collect();
         }
 
         /// Number of items in the pipeline.
         pub fn len(&self) -> usize {
-            self.jobs.len()
+            self.items.len()
         }
 
         /// Whether the pipeline is empty.
         pub fn is_empty(&self) -> bool {
-            self.jobs.is_empty()
+            self.items.is_empty()
+        }
+    }
+
+    impl<T: Send, R: Send, F: Fn(T) -> R + Sync> Map<T, F> {
+        /// Executes the pipeline, collecting results in input order.
+        pub fn collect<C: FromParallelIterator<R>>(self) -> C {
+            C::from_par_iter(run(self.items, &self.f))
         }
     }
 }

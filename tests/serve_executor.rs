@@ -76,18 +76,22 @@ fn a_worker_panic_fails_one_job_and_the_next_is_bit_exact() {
     let streamed = client.submit_and_collect(&grid).expect("grid after panic");
     assert_eq!(streamed.report, grid.run_with_jobs(1));
 
-    // 3. Cancellation is checked between chunks: two 640-seed cells of a
-    // scalar-only tree spec (ten chunks each, tens of milliseconds even
-    // optimized) cannot both have streamed when a cancel sent right
-    // behind the submit lands.
+    // 3. Cancellation is checked between chunks: two 2 560-seed cells of
+    // a scalar-only tree spec (forty chunks each) cannot both have
+    // streamed when a cancel sent right behind the submit lands. The
+    // runs keep their full schedules and the source lies, so no run
+    // stops at the echo rule's round 2: the job takes ~0.3 s optimized
+    // (2 × 640 early-stopped seeds under a correct source took ~6 ms and
+    // could finish before the cancel landed).
     let slow = SweepPlan::new(
         vec![SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3)],
         vec![
-            AdversaryFamily::random_liar(FaultSelection::without_source()),
-            AdversaryFamily::no_faults(),
+            AdversaryFamily::random_liar(FaultSelection::with_source()),
+            AdversaryFamily::crash(FaultSelection::with_source(), 2),
         ],
-        640,
-    );
+        2_560,
+    )
+    .fixed_length();
     let job = client.submit(&slow).expect("submit slow job");
     client.cancel(job.job).expect("cancel");
     match client.collect(job, |_, _| {}) {
