@@ -311,7 +311,8 @@ pub struct SweepScratch {
 /// runs (`king-expedite`, `king-fullround`, the journal's delta and
 /// the daemon's `serve-stream` jobs) walks three king specs at three
 /// sizes, nine `(spec, config)` keys — so a job finds every kernel the
-/// previous one built. With four slots each job rebuilt all nine (a box
+/// previous one built. A smaller pool evicts each kernel before the
+/// next job comes back for it, and every job rebuilds all nine (a box
 /// and five buffers each). `sg_sim`'s instance pool is sized the same
 /// way, for `tree-paper`'s seven specs.
 const KERNEL_CACHE_CAP: usize = 9;

@@ -80,9 +80,9 @@ fn a_worker_panic_fails_one_job_and_the_next_is_bit_exact() {
     // a scalar-only tree spec (forty chunks each) cannot both have
     // streamed when a cancel sent right behind the submit lands. The
     // runs keep their full schedules and the source lies, so no run
-    // stops at the echo rule's round 2: the job takes ~0.3 s optimized
-    // (2 × 640 early-stopped seeds under a correct source took ~6 ms and
-    // could finish before the cancel landed).
+    // stops at the echo rule's round 2: the job takes ~0.3 s optimized.
+    // Early-stopped runs under a correct source cost about a tenth as
+    // much, and a job of them can finish before the cancel lands.
     let slow = SweepPlan::new(
         vec![SweepConfig::traced(AlgorithmSpec::Hybrid { b: 3 }, 10, 3)],
         vec![
