@@ -136,7 +136,11 @@ pub struct Sample {
     pub early_stopped: bool,
 }
 
-/// Extracts a [`Sample`] from a traced outcome.
+/// Extracts a [`Sample`] from a traced outcome by walking its event log:
+/// the lock-in through [`lock_in`], the discoveries by counting
+/// `Discovered` events. The sweep reads the same two numbers off the
+/// engine's folds ([`Outcome::lock_in`], [`Outcome::discoveries`]); this
+/// walk is what they are held to.
 pub fn sample_of(outcome: &Outcome) -> Sample {
     let discoveries = outcome
         .trace

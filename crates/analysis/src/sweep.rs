@@ -52,7 +52,7 @@ use sg_adversary::{BatchFamily, Family, FaultSelection};
 use sg_core::AlgorithmSpec;
 use sg_sim::{Adversary, MruPool, Outcome, RunArena, RunConfig, Value};
 
-use crate::montecarlo::{early_stop_rate, sample_of, Sample, Summary};
+use crate::montecarlo::{early_stop_rate, Sample, Summary};
 
 /// Worker-thread count used by [`SweepPlan::run`] and [`sweep_map`];
 /// 0 = hardware default.
@@ -109,7 +109,12 @@ pub struct SweepConfig {
     pub t: usize,
     /// The source's initial value.
     pub source_value: Value,
-    /// Whether runs trace (required for lock-in / discovery sampling).
+    /// Whether the cell samples lock-in and discoveries: set, each
+    /// [`Sample`] carries a run's lock-in round and discovery count; clear,
+    /// both read 0. The scalar path reads them off the engine's folds
+    /// ([`Outcome::lock_in`], [`Outcome::discoveries`]) and records no
+    /// event log either way; the lock-step path folds the lock-in from
+    /// its snapshot words only when this is set.
     pub trace: bool,
 }
 
@@ -617,8 +622,18 @@ impl SweepPlan {
     /// buffer, with the family's strategy instance recycled through
     /// [`sg_sim::Adversary::reseed`] (rebuilt where the strategy
     /// declines — the default).
+    ///
+    /// The run records no event log: its lock-in and discoveries come
+    /// from the engine's folds, reported when the cell samples them
+    /// ([`SweepConfig::trace`]) and 0 otherwise — the numbers a walk of
+    /// the traced run's log gives (`tests/engine_identity.rs` holds the
+    /// sweep to that walk on the reference engine).
     fn run_scalar(&self, scratch: &mut SweepScratch, ci: usize, ai: usize, si: u64) -> Sample {
         let config = &self.configs[ci];
+        let run_config = RunConfig {
+            trace: false,
+            ..self.run_config(ci)
+        };
         let family = &self.adversaries[ai];
         let seed = self.seed_for(ci, ai, si);
         let family_key = family.pool_key();
@@ -631,7 +646,7 @@ impl SweepPlan {
         sg_core::execute_into(
             &mut scratch.arena,
             config.spec,
-            &self.run_config(ci),
+            &run_config,
             adversary.as_mut(),
             out,
         )
@@ -643,7 +658,15 @@ impl SweepPlan {
             family.name(),
         );
         scratch.adversaries.put(family_key, adversary);
-        sample_of(out)
+        let sampled = |fold: u64| if config.trace { fold } else { 0 };
+        Sample {
+            lock_in: sampled(out.lock_in as u64),
+            discoveries: sampled(out.discoveries),
+            total_bits: out.metrics.total_bits(),
+            max_local_ops: out.metrics.max_local_ops(),
+            rounds: out.rounds_used as u64,
+            early_stopped: out.early_stopped,
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The allocation floor of a finished sweep job: a warm 36-cell
 //! `king-expedite`-shaped plan (three king specs at n = 7, 16, 31 × four
-//! honest-source families × 64 seeds) executed by `run_with_jobs(1)`.
+//! honest-source families × 64 seeds) executed by `run_with_jobs(1)`,
+//! and a warm `tree-paper`-shaped one (below).
 //!
 //! With a correct source every run ends at round 3, so much of a job is
 //! what happens around its runs. Samples cost one vector per chunk, a
@@ -21,6 +22,16 @@
 //! every job rebuilt all nine (a box and five buffers each); that alone
 //! reads 209.
 //!
+//! The same test pins a warm `tree-paper`-shaped job: the seven
+//! `TREE_PAPER_CELLS` × `random-liar` and `chain-revealer`, sparing the
+//! source, × 4 seeds, every run on the scalar engine. It reads 129: the
+//! cell floor above for 14 cells, and one allocation per run, the fault
+//! set the adversary's `corrupt` returns (56). Each cell samples lock-in
+//! and discoveries, but its runs record no event log: the engine folds
+//! both as the events are emitted. When every run recorded its log and
+//! the sample walked it, allocating a per-processor table for the
+//! lock-in, this job read 207.
+//!
 //! This file holds a single test on purpose: the counter is per thread,
 //! and one test per binary keeps the harness quiet while it runs.
 
@@ -28,7 +39,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sg_adversary::FaultSelection;
-use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
+use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan, TREE_PAPER_CELLS};
 use sg_core::AlgorithmSpec;
 
 thread_local! {
@@ -93,6 +104,22 @@ fn king_expedite(base_seed: u64) -> SweepPlan {
     .with_base_seed(base_seed)
 }
 
+fn tree_paper(base_seed: u64) -> SweepPlan {
+    let honest = FaultSelection::without_source;
+    SweepPlan::new(
+        TREE_PAPER_CELLS
+            .iter()
+            .map(|&(spec, n)| SweepConfig::traced(spec, n, spec.max_resilience(n)))
+            .collect(),
+        vec![
+            AdversaryFamily::random_liar(honest()),
+            AdversaryFamily::chain_revealer(honest(), 2, 2),
+        ],
+        4,
+    )
+    .with_base_seed(base_seed)
+}
+
 #[test]
 fn a_warm_king_expedite_job_allocates_at_its_floor() {
     // The cold job sizes every pooled buffer and kernel on this thread.
@@ -123,4 +150,11 @@ fn a_warm_king_expedite_job_allocates_at_its_floor() {
     none.run_with_jobs(1);
     let (warm_none, _) = allocations_of(|| none.run_with_jobs(1));
     assert_eq!(warm_none, 11, "allocations of a warm fault-free cell");
+
+    let (cold, _) = allocations_of(|| tree_paper(0).run_with_jobs(1));
+    let plan = tree_paper(1);
+    let (warm, report) = allocations_of(|| plan.run_with_jobs(1));
+    assert!(cold > warm, "the counter is not counting");
+    assert_eq!(report.cells.len(), 14);
+    assert_eq!(warm, 129, "allocations of a warm 14-cell tree-paper job");
 }

@@ -42,6 +42,16 @@
 //!   end to end (the benchmark's `tree-paper` workload, which runs early,
 //!   ends every run at round 2 and no longer exercises it);
 //!   `early-stop/*` beside it is what that workload pays per run;
+//! * `scalar_layers/*` — one warm scalar run, as a sweep makes it, taken
+//!   apart by contrasts on public entry points, with no probe code in the
+//!   engine: per cell, `reseed` (recycling the family's strategy alone),
+//!   `traced` and `untraced` (`reseed` plus `execute_into` with and
+//!   without the event log, early mode), and `sample_of` (the walk of the
+//!   traced run's log alone). The cells are `exponential (7, 2)` and
+//!   `algorithm-a(b=3) (13, 4)` under `no-faults` and `random-liar`, and
+//!   `optimal-king` at n = 4, 7 and 13 under `stale-shadow` (a family
+//!   with no vector shape, so the king runs scalar); a family's run
+//!   against the same cell's `no-faults` run is its fault injection;
 //! * `ablation_masking/*` — the Exponential Algorithm with fault
 //!   discovery and masking against the plain PSL-style baseline without
 //!   them, on the full schedule: the wall-clock price of the machinery
@@ -84,10 +94,11 @@ use serde::json::Value as Json;
 use serde::{FromJson, ToJson};
 use sg_adversary::{edge_draw, edge_mix, first_draw, BatchFamily, Family, FaultSelection};
 use sg_analysis::{
-    summarize, AdversaryFamily, CellReport, Fingerprint, SweepConfig, SweepPlan, TREE_PAPER_CELLS,
+    sample_of, summarize, AdversaryFamily, CellReport, Fingerprint, SweepConfig, SweepPlan,
+    TREE_PAPER_CELLS,
 };
 use sg_bench::stress_run;
-use sg_core::{batch_kernel, AlgorithmSpec};
+use sg_core::{batch_kernel, execute_into, AlgorithmSpec};
 use sg_eigtree::{
     convert, discover_during_conversion, discover_ig, Conversion, FaultList, IgTree, RepTree,
 };
@@ -280,6 +291,69 @@ fn bench_tree_paper(c: &mut Criterion) {
             config.fixed_length(),
         );
         bench(format!("early-stop/{}", spec.name()), spec, config);
+    }
+    group.finish();
+}
+
+/// One warm scalar run of each cell, and its layers: the strategy's
+/// `reseed`, the run with and without its event log, and the log's walk
+/// by `sample_of`. Every iteration of a run variant reseeds the strategy
+/// to the next seed first, as the sweep's scalar path does, so the runs
+/// differ from seed to seed as a cell's do.
+fn bench_scalar_layers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scalar_layers");
+    group.sample_size(20);
+    let honest = FaultSelection::without_source;
+    let cells = [
+        (AlgorithmSpec::Exponential, 7, Family::NoFaults),
+        (AlgorithmSpec::Exponential, 7, Family::RandomLiar(honest())),
+        (AlgorithmSpec::AlgorithmA { b: 3 }, 13, Family::NoFaults),
+        (
+            AlgorithmSpec::AlgorithmA { b: 3 },
+            13,
+            Family::RandomLiar(honest()),
+        ),
+        (AlgorithmSpec::OptimalKing, 4, Family::StaleShadow(honest())),
+        (AlgorithmSpec::OptimalKing, 7, Family::StaleShadow(honest())),
+        (
+            AlgorithmSpec::OptimalKing,
+            13,
+            Family::StaleShadow(honest()),
+        ),
+    ];
+    let mut arena = RunArena::new();
+    let mut out = Outcome::buffer();
+    for (spec, n, family) in cells {
+        let traced = RunConfig::new(n, spec.max_resilience(n))
+            .with_source_value(Value(1))
+            .with_trace();
+        let label = format!("{}-n{n}/{}", spec.name(), family.name());
+        let mut adversary = family.strategy(SEED);
+        let mut seed = SEED;
+        let mut reseed = |adversary: &mut Box<dyn sg_sim::Adversary>| {
+            seed += 1;
+            if !adversary.reseed(seed) {
+                *adversary = family.strategy(seed);
+            }
+        };
+        group.bench_function(format!("{label}/reseed"), |b| {
+            b.iter(|| reseed(&mut adversary));
+        });
+        for (mode, trace) in [("traced", true), ("untraced", false)] {
+            let config = RunConfig { trace, ..traced };
+            group.bench_function(format!("{label}/{mode}"), |b| {
+                b.iter(|| {
+                    reseed(&mut adversary);
+                    execute_into(&mut arena, spec, &config, adversary.as_mut(), &mut out)
+                        .expect("a valid cell");
+                });
+            });
+        }
+        execute_into(&mut arena, spec, &traced, adversary.as_mut(), &mut out)
+            .expect("a valid cell");
+        group.bench_function(format!("{label}/sample_of"), |b| {
+            b.iter(|| sample_of(black_box(&out)));
+        });
     }
     group.finish();
 }
@@ -845,6 +919,7 @@ criterion_group!(
     bench_engine_vs_reference,
     bench_early_stopping,
     bench_tree_paper,
+    bench_scalar_layers,
     bench_masking,
     bench_batch_runs,
     bench_batch_adversaries,

@@ -178,10 +178,7 @@ impl GearBox {
             king.mask(p);
         }
         self.seeded = true;
-        ctx.emit_with(|| TraceEvent::Shift {
-            conversion: KING_TAIL.to_string(),
-            preferred,
-        });
+        ctx.shift(KING_TAIL, preferred);
     }
 }
 

@@ -406,10 +406,7 @@ impl Protocol for GearedProtocol {
                     // Algorithm C starts from the converted preferred
                     // value (the hybrid's B→C boundary).
                     self.rep.set_root(preferred);
-                    ctx.emit_with(|| TraceEvent::Shift {
-                        conversion: spec.conversion.name().to_string(),
-                        preferred,
-                    });
+                    ctx.shift(spec.conversion.name(), preferred);
                 }
             }
 
@@ -429,7 +426,7 @@ impl Protocol for GearedProtocol {
                     }
                 }
                 self.echo_quorum = echo_quorum(self.rep.intermediates(), self.rep.root(), t);
-                ctx.emit_with(|| TraceEvent::Preferred {
+                ctx.emit(TraceEvent::Preferred {
                     value: self.rep.preferred(),
                 });
             }
@@ -448,10 +445,7 @@ impl Protocol for GearedProtocol {
                 }
                 ctx.charge(self.rep.reorder());
                 ctx.charge(self.rep.convert_to_intermediates());
-                ctx.emit_with(|| TraceEvent::Shift {
-                    conversion: "resolve".to_string(),
-                    preferred: self.rep.preferred(),
-                });
+                ctx.shift("resolve", self.rep.preferred());
             }
         }
     }

@@ -11,7 +11,8 @@
 //!    have sent honestly, and shows both to the adversary;
 //! 3. asks the adversary for each faulty sender's row — its payload per
 //!    recipient — with one [`Adversary::row`] call per faulty sender;
-//! 4. delivers complete inboxes to every processor (real and shadow);
+//! 4. delivers complete inboxes to every processor (real and shadow),
+//!    whose packed view a receiver builds only if it asks (below);
 //! 5. accounts honest traffic, local work and peak space;
 //! 6. consults every correct processor's [`Protocol::round_status`] and
 //!    terminates the run early once all of them are ready to decide —
@@ -33,6 +34,12 @@
 //!    engine never exceeds. Dynamic dispatch is part of the protocol's
 //!    schedule, not an observation optimization, so it stays active
 //!    in [`RunConfig::fixed_length`] runs.
+//!
+//! After the last round it collects the correct processors' decisions
+//! and reduces their [`ProcCtx`] folds into [`Outcome::lock_in`] and
+//! [`Outcome::discoveries`] — kept whether or not the run records its
+//! event log ([`RunConfig::trace`]), so a sweep samples a run without
+//! one.
 //!
 //! # Allocation discipline
 //!
@@ -56,15 +63,20 @@
 //!
 //! # Bit-packed binary fast path
 //!
-//! For binary-domain runs at `n ≤ 64` the engine additionally attaches a
-//! [`PackedBallots`] view to each delivered inbox: one bit per sender for
-//! single-value broadcasts, letting receivers tally majorities and
-//! thresholds with `count_ones()` word operations instead of touching
-//! `n` payloads. The view is derived from the inbox contents after every
-//! slot is filled, so the packed and unpacked read paths are
-//! bit-identical by construction. The input selects the path
+//! For binary-domain runs at `n ≤ 64` a delivered inbox has a
+//! [`PackedBallots`](crate::PackedBallots) view ([`Inbox::ballots`]):
+//! one bit per sender for single-value broadcasts, letting receivers
+//! tally majorities and thresholds with `count_ones()` word operations
+//! instead of touching `n` payloads. The view is built on demand: once
+//! per round, after the broadcast table is filled, the engine stores its
+//! base masks in the inbox, and a receiver that asks adds its own
+//! entries of the faulty rows (every slot, under cut edges). So the
+//! packed and unpacked read paths are bit-identical by construction, and
+//! a round whose receivers never ask — a tree round that reads only the
+//! source — builds no per-receiver view. The input selects the path
 //! (`n > 64` or a wider domain reads payloads); [`crate::reference`],
-//! which never attaches a view, holds it to that.
+//! whose inboxes are built by [`Inbox::set`] and so have no view, holds
+//! it to that.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -76,9 +88,7 @@ use crate::id::{ProcessId, ProcessSet};
 use crate::metrics::{Metrics, RoundStats};
 use crate::payload::Payload;
 use crate::pool::MruPool;
-use crate::protocol::{
-    GearAction, Inbox, PackedBallots, ProcCtx, Protocol, RoundStatus, CUT, SENT,
-};
+use crate::protocol::{GearAction, Inbox, ProcCtx, Protocol, RoundStatus, CUT, SENT};
 use crate::sig::SigRegistry;
 use crate::trace::Trace;
 use crate::value::{Value, ValueDomain};
@@ -118,7 +128,9 @@ pub struct RunConfig {
     pub source_value: Value,
     /// The agreement value domain.
     pub domain: ValueDomain,
-    /// Whether to collect trace events.
+    /// Whether to record the event log ([`Outcome::trace`]). The
+    /// lock-in and discovery folds ([`Outcome::lock_in`],
+    /// [`Outcome::discoveries`]) are kept either way.
     pub trace: bool,
     /// Whether to attach a signature registry (authenticated baselines).
     pub authenticated: bool,
@@ -209,6 +221,16 @@ pub struct Outcome {
     pub metrics: Metrics,
     /// Trace events (empty unless tracing was enabled).
     pub trace: Trace,
+    /// The system-wide decision lock-in round: over the correct
+    /// processors that reported a preferred value, the latest round from
+    /// which that value always equalled the processor's decision (0 when
+    /// none reported one). Read off each [`ProcCtx`]'s snapshot fold, so
+    /// it is there whether or not the run traced; on a traced run it
+    /// equals what `sg_analysis::lock_in` walks out of [`Outcome::trace`].
+    pub lock_in: usize,
+    /// The correct processors' fault discoveries: the `Discovered`
+    /// events a traced run records, counted whether or not it traced.
+    pub discoveries: u64,
     /// The adversary's strategy name (shared, so pooled sweeps do not
     /// allocate a name per run).
     pub adversary: Arc<str>,
@@ -236,6 +258,8 @@ impl Outcome {
             early_stopped: false,
             metrics: Metrics::new(0),
             trace: Trace::new(),
+            lock_in: 0,
+            discoveries: 0,
             adversary: Arc::from(""),
         }
     }
@@ -350,8 +374,6 @@ struct RoundNet {
     shadow: Vec<Option<Payload>>,
     /// The round's broadcast table and faulty rows (see [`Inbox`]).
     inbox: Inbox,
-    /// The round's faulty processors, for the per-recipient fix-ups.
-    faulty_idx: Vec<usize>,
 }
 
 impl Default for RoundNet {
@@ -359,7 +381,6 @@ impl Default for RoundNet {
         RoundNet {
             shadow: Vec::new(),
             inbox: Inbox::empty(0),
-            faulty_idx: Vec::new(),
         }
     }
 }
@@ -395,16 +416,10 @@ impl RoundNet {
     ) -> RoundStats {
         let (config, faulty, edge_faults) = (run.config, run.faulty, run.edge_faults);
         let n = config.n;
-        let RoundNet {
-            shadow,
-            inbox,
-            faulty_idx,
-        } = self;
+        let RoundNet { shadow, inbox } = self;
         assert_eq!(inbox.n(), n, "begin sized the tables for another n");
-        faulty_idx.clear();
-        faulty_idx.extend(faulty.iter().map(ProcessId::index));
-        // Binary-domain runs that fit one mask word get packed ballots.
-        let pack = n <= 64 && config.domain.size() == 2;
+        inbox.liars.clear();
+        inbox.liars.extend(faulty.iter().map(ProcessId::index));
 
         // 1. Honest broadcasts and shadow broadcasts, moved into their
         // tables (stored once, not cloned per recipient: EIG payloads are
@@ -439,6 +454,11 @@ impl RoundNet {
             stats.max_message_bits = stats.max_message_bits.max(bits);
         }
 
+        // The packed view's base masks over the broadcast table, once per
+        // round: binary-domain runs that fit one mask word have one, and
+        // a receiver that asks adds its own entries of the faulty rows.
+        inbox.pack_ballots(n <= 64 && config.domain.size() == 2, edge_faults);
+
         // 3. Adversary chooses faulty payloads, seeing all honest traffic.
         let view = AdversaryView {
             round,
@@ -459,24 +479,11 @@ impl RoundNet {
         // ascending, and recipients ascending within a row, the
         // `sg-trace/1` call order. Resized only when the fault count or
         // `n` changes.
-        inbox.lies.resize(faulty_idx.len() * n, Payload::Missing);
+        inbox.lies.resize(inbox.liars.len() * n, Payload::Missing);
         inbox.route.fill(SENT);
-        for (k, &f) in faulty_idx.iter().enumerate() {
+        for (k, &f) in inbox.liars.iter().enumerate() {
             inbox.route[f] = k as u32;
             adversary.row(ProcessId(f), &view, &mut inbox.lies[k * n..(k + 1) * n]);
-        }
-
-        // Base ballot masks over the honest table, shared by every
-        // recipient; faulty senders differ per recipient and are fixed
-        // up below.
-        let ballot = |p: &Payload| p.value_at(0).filter(|v| v.raw() <= 1);
-        let mut base = PackedBallots::default();
-        if pack && !edge_faults {
-            for (j, payload) in inbox.sent.iter().enumerate() {
-                if let Some(v) = payload.as_ref().and_then(ballot) {
-                    base.record(ProcessId(j), v);
-                }
-            }
         }
 
         // 4. Deliver the one inbox to every processor (incl. shadows):
@@ -484,7 +491,7 @@ impl RoundNet {
         // slot and its entries of the faulty rows. Per-edge faults make
         // honest slots recipient-dependent: then the recipient's cut row
         // is written into the routing — recipients ascending, senders
-        // ascending — and its ballot masks are read off what it reads.
+        // ascending.
         for i in 0..n {
             inbox.me = i;
             if edge_faults {
@@ -493,24 +500,6 @@ impl RoundNet {
                     inbox.route[j] = if cut { CUT } else { SENT };
                 }
             }
-            inbox.ballots = pack.then(|| {
-                let mut ballots = base;
-                if edge_faults {
-                    for j in (0..n).map(ProcessId) {
-                        if let Some(v) = ballot(inbox.from(j)) {
-                            ballots.record(j, v);
-                        }
-                    }
-                } else {
-                    for (k, &j) in faulty_idx.iter().enumerate() {
-                        if let Some(v) = ballot(&inbox.lies[k * n + i]) {
-                            ballots.record(ProcessId(j), v);
-                        }
-                    }
-                }
-                ballots.clear(ProcessId(i));
-                ballots
-            });
             protocols[i].deliver(inbox, &mut ctxs[i]);
         }
         stats
@@ -812,13 +801,26 @@ pub fn run_into<F>(
         }
     }
 
-    // Collect per-processor accounting (trace sized in one reservation,
-    // reusing the buffer's capacity).
+    // Collect per-processor accounting (a traced run's log sized in one
+    // reservation, reusing the buffer's capacity; an untraced run has
+    // none to drain) and reduce the correct processors' lock-in and
+    // discovery folds.
     out.trace.clear();
-    out.trace.reserve(ctxs.iter().map(ProcCtx::trace_len).sum());
+    if config.trace {
+        out.trace.reserve(ctxs.iter().map(ProcCtx::trace_len).sum());
+    }
+    out.lock_in = 0;
+    out.discoveries = 0;
     for (i, ctx) in ctxs.iter_mut().enumerate() {
         metrics.local_ops[i] = ctx.ops();
-        ctx.drain_trace_into(&mut out.trace);
+        if config.trace {
+            ctx.drain_trace_into(&mut out.trace);
+        }
+        if let Some(decision) = out.decisions[i] {
+            let lock_in = ctx.lock_in(decision, rounds_used).unwrap_or(0);
+            out.lock_in = out.lock_in.max(lock_in);
+            out.discoveries += ctx.discoveries();
+        }
     }
 
     // Return the instances to the pool for the next run of this spec.
@@ -851,6 +853,8 @@ mod tests {
         assert_eq!(outcome.faulty, oracle.faulty);
         assert_eq!(outcome.metrics, oracle.metrics);
         assert_eq!(outcome.trace, oracle.trace);
+        assert_eq!(outcome.lock_in, oracle.lock_in);
+        assert_eq!(outcome.discoveries, oracle.discoveries);
         assert_eq!(outcome.rounds_used, oracle.rounds_used);
         assert_eq!(outcome.scheduled_rounds, oracle.scheduled_rounds);
         assert_eq!(outcome.early_stopped, oracle.early_stopped);

@@ -171,10 +171,13 @@ impl ProcessSet {
 
     /// Empties the set in place, keeping its universe and storage —
     /// the allocation-free counterpart of rebuilding with
-    /// [`ProcessSet::new`], used by pooled protocol instances.
+    /// [`ProcessSet::new`], used by pooled protocol instances. An empty
+    /// set, the common case at a run's reset, is left as it is.
     pub fn clear(&mut self) {
-        self.bits.fill(false);
-        self.count = 0;
+        if self.count > 0 {
+            self.bits.fill(false);
+            self.count = 0;
+        }
     }
 
     /// Removes `p`; returns `true` if it was present.
@@ -254,6 +257,11 @@ mod tests {
         assert!(s.remove(ProcessId(3)));
         assert!(!s.remove(ProcessId(3)));
         assert!(s.is_empty());
+        s.extend([ProcessId(1), ProcessId(6)]);
+        s.clear();
+        assert_eq!(s, ProcessSet::new(8));
+        s.clear();
+        assert_eq!(s, ProcessSet::new(8));
     }
 
     #[test]

@@ -85,17 +85,18 @@ pub enum GearAction {
 /// neither mask sent nothing readable (missing, out-of-domain, or a `⊥`
 /// sentinel) — exactly the cases receivers treat as `⊥`/default.
 ///
-/// The engine attaches this to the [`Inbox`] for binary-domain rounds at
-/// `n ≤ 64`, and receivers read it with word operations instead of
-/// touching `n` payloads. It has two readers: the king family tallies
-/// every round's majorities and thresholds with `count_ones()`, and the
-/// tree machine (`sg_core::GearedProtocol`) stores its echo rounds — the
-/// rounds in which every sender contributes one slot — from `ones`. The
-/// masks are a *view* of the inbox contents, never an extra source of
-/// truth: every protocol falls back to the payload slots when they are
-/// absent, and the two paths are bit-identical (pinned against
-/// `sg_sim::reference`, which attaches no ballots, by
-/// `tests/engine_identity.rs`).
+/// [`Inbox::ballots`] derives it for binary-domain rounds at `n ≤ 64`,
+/// when a receiver asks, and receivers read it with word operations
+/// instead of touching `n` payloads. It has two readers: the king family
+/// tallies every round's majorities and thresholds with `count_ones()`,
+/// and the tree machine (`sg_core::GearedProtocol`) stores its echo
+/// rounds — the rounds in which every sender contributes one slot — from
+/// `ones`. The masks are a *view* of the inbox contents, never an extra
+/// source of truth: every protocol falls back to the payload slots when
+/// they are absent, and the two paths are bit-identical (pinned against
+/// `sg_sim::reference`, whose inboxes have no view, by
+/// `tests/engine_identity.rs`; the view against the slots by
+/// `tests/packed_ballots.rs`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PackedBallots {
     /// Senders whose payload reads `Value(1)` at position 0.
@@ -130,6 +131,12 @@ impl PackedBallots {
     }
 }
 
+/// What a payload counts as in a [`PackedBallots`] view: its value at
+/// position 0, if binary.
+fn ballot(payload: &Payload) -> Option<Value> {
+    payload.value_at(0).filter(|v| v.raw() <= 1)
+}
+
 /// [`Inbox::route`]: the slot reads the round's broadcast table.
 pub(crate) const SENT: u32 = u32::MAX;
 /// [`Inbox::route`]: the edge is cut this round; the slot reads missing.
@@ -151,6 +158,10 @@ const NOBODY: usize = usize::MAX;
 /// themselves; their own contribution is already in their local state), a
 /// faulty sender's slot is its row's entry for the receiver, a cut edge
 /// is missing, and every other slot is the sender's broadcast.
+///
+/// For the packed view ([`Inbox::ballots`]) the engine also stores the
+/// round's base masks over the broadcast table, once per round; what
+/// differs per receiver is added only when a receiver asks.
 #[derive(Clone, Debug)]
 pub struct Inbox {
     /// The round's broadcasts, by sender.
@@ -158,14 +169,21 @@ pub struct Inbox {
     /// Faulty senders' rows: `lies[k * n + r]` is what the `k`-th row's
     /// sender told recipient `r`. The sender's own slot is never read.
     pub(crate) lies: Vec<Payload>,
+    /// The faulty senders, ascending: `liars[k]` sent row `k` of `lies`.
+    pub(crate) liars: Vec<usize>,
     /// Per sender: [`SENT`], [`CUT`], or its row index in `lies`.
     pub(crate) route: Vec<u32>,
     /// The receiver, or [`NOBODY`].
     pub(crate) me: usize,
-    /// Attached by the engine after every slot is routed: the masks
-    /// describe exactly what [`Inbox::from`]`(j).value_at(0)` reads for
-    /// every sender `j`.
-    pub(crate) ballots: Option<PackedBallots>,
+    /// Whether the round has a packed view: set by the engine for
+    /// binary-domain rounds at `n ≤ 64`, cleared by [`Inbox::set`].
+    pub(crate) pack: bool,
+    /// Whether honest slots differ per receiver (cut edges): then the
+    /// view is read off every slot, and `base` is empty.
+    pub(crate) edge_faults: bool,
+    /// The masks of the broadcast table's senders: what every receiver
+    /// reads from an honest sender whose edge is not cut.
+    pub(crate) base: PackedBallots,
 }
 
 impl Inbox {
@@ -174,9 +192,12 @@ impl Inbox {
         Inbox {
             sent: vec![None; n],
             lies: Vec::new(),
+            liars: Vec::new(),
             route: vec![SENT; n],
             me: NOBODY,
-            ballots: None,
+            pack: false,
+            edge_faults: false,
+            base: PackedBallots::default(),
         }
     }
 
@@ -216,21 +237,74 @@ impl Inbox {
         }
         self.sent[sender.index()] = Some(payload);
         self.route[sender.index()] = SENT;
-        self.ballots = None;
+        self.pack = false;
     }
 
-    /// The bit-packed single-value view of this round, when the engine
-    /// attached one (binary domain, `n ≤ 64`): what every slot reads at
-    /// position 0, which is all a king tally or a tree echo round reads.
-    /// `None` means receivers must read the payload slots.
-    #[inline]
+    /// The bit-packed single-value view of this round for its receiver,
+    /// in a binary-domain round at `n ≤ 64` as the engine delivered it:
+    /// what every slot reads at position 0, which is all a king tally or
+    /// a tree echo round reads. `None` means receivers must read the
+    /// payload slots; so does an inbox after [`Inbox::set`].
+    ///
+    /// The view is built when asked: the engine's base masks over the
+    /// broadcast table plus this receiver's entries of the faulty rows —
+    /// or, under cut edges, every slot as [`Inbox::from`] reads it — with
+    /// the receiver's own bit cleared. The masks therefore describe
+    /// exactly what [`Inbox::from`]`(j).value_at(0)` reads for every
+    /// sender `j`, and a round whose receivers never ask costs one pass
+    /// over the broadcast table.
     pub fn ballots(&self) -> Option<PackedBallots> {
-        self.ballots
+        if !self.pack {
+            return None;
+        }
+        let n = self.n();
+        let mut ballots = self.base;
+        if self.edge_faults {
+            for j in (0..n).map(ProcessId) {
+                if let Some(v) = ballot(self.from(j)) {
+                    ballots.record(j, v);
+                }
+            }
+        } else {
+            for (k, &j) in self.liars.iter().enumerate() {
+                if let Some(v) = ballot(&self.lies[k * n + self.me]) {
+                    ballots.record(ProcessId(j), v);
+                }
+            }
+        }
+        ballots.clear(ProcessId(self.me));
+        Some(ballots)
+    }
+
+    /// Sets the masks of the round's broadcast table (see
+    /// [`Inbox::ballots`]): once per round, after the table is written.
+    /// `pack` off leaves the round without a packed view; under
+    /// `edge_faults` the masks stay empty, since every slot is read.
+    pub(crate) fn pack_ballots(&mut self, pack: bool, edge_faults: bool) {
+        self.pack = pack;
+        self.edge_faults = edge_faults;
+        self.base = PackedBallots::default();
+        if pack && !edge_faults {
+            for (j, payload) in self.sent.iter().enumerate() {
+                if let Some(v) = payload.as_ref().and_then(ballot) {
+                    self.base.record(ProcessId(j), v);
+                }
+            }
+        }
     }
 }
 
 /// Per-processor execution context: identity, round clock, local-work
 /// accounting, tracing, and (for authenticated baselines) signing.
+///
+/// Beside the event log the context keeps two plain folds of the events
+/// it is handed, kept whether or not tracing is on: the last
+/// preferred-value snapshot (a `Preferred` event or a `Shift`'s
+/// post-shift value) with the round its trailing streak of equal
+/// snapshots began, and the count of `Discovered` events. The engine
+/// reduces them into [`crate::Outcome::lock_in`] and
+/// [`crate::Outcome::discoveries`], so a run samples both without
+/// recording or walking a log.
 #[derive(Clone, Debug)]
 pub struct ProcCtx {
     /// This processor's identity.
@@ -240,6 +314,11 @@ pub struct ProcCtx {
     ops: u64,
     trace_enabled: bool,
     trace: Vec<TraceEntry>,
+    /// The last snapshot and the round of the first snapshot of the
+    /// trailing run equal to it.
+    snapshot: Option<(Value, usize)>,
+    /// `Discovered` events so far.
+    discoveries: u64,
     sigs: Option<Arc<Mutex<SigRegistry>>>,
 }
 
@@ -252,6 +331,8 @@ impl ProcCtx {
             ops: 0,
             trace_enabled: false,
             trace: Vec::new(),
+            snapshot: None,
+            discoveries: 0,
             sigs: None,
         }
     }
@@ -282,6 +363,8 @@ impl ProcCtx {
         self.ops = 0;
         self.trace_enabled = trace_enabled;
         self.trace.clear();
+        self.snapshot = None;
+        self.discoveries = 0;
         self.sigs = sigs;
     }
 
@@ -297,8 +380,39 @@ impl ProcCtx {
         self.ops
     }
 
-    /// Emits a trace event (no-op when tracing is disabled).
+    /// Emits a trace event: folds a `Preferred` or `Shift` snapshot or a
+    /// `Discovered` event (see [`ProcCtx`]) and records the event when
+    /// tracing is enabled.
+    #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::Preferred { value }
+            | TraceEvent::Shift {
+                preferred: value, ..
+            } => self.fold_snapshot(value),
+            TraceEvent::Discovered { .. } => self.discoveries += 1,
+            _ => {}
+        }
+        self.record(event);
+    }
+
+    /// Emits a gear shift by the conversion named `conversion`, after
+    /// which the preferred value is `preferred`: the `Shift` event, with
+    /// its name copied to the heap only when tracing is enabled, so an
+    /// untraced shift allocates nothing.
+    #[inline]
+    pub fn shift(&mut self, conversion: &str, preferred: Value) {
+        self.fold_snapshot(preferred);
+        if self.trace_enabled {
+            self.record(TraceEvent::Shift {
+                conversion: conversion.to_string(),
+                preferred,
+            });
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, event: TraceEvent) {
         if self.trace_enabled {
             self.trace.push(TraceEntry {
                 who: self.me,
@@ -308,13 +422,27 @@ impl ProcCtx {
         }
     }
 
-    /// Emits the event `event` builds, calling it only when tracing is
-    /// enabled: an event that owns a heap value (a shift's conversion
-    /// name) allocates nothing in an untraced run.
-    pub fn emit_with(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.trace_enabled {
-            self.emit(event());
+    #[inline]
+    fn fold_snapshot(&mut self, value: Value) {
+        if self.snapshot.map(|(last, _)| last) != Some(value) {
+            self.snapshot = Some((value, self.round));
         }
+    }
+
+    /// This processor's lock-in round, given its decision and the rounds
+    /// the run used: the round its trailing streak of snapshots began if
+    /// the last snapshot equals `decision`, else `rounds_used` (the value
+    /// settles only when the schedule ends); `None` if it emitted no
+    /// snapshot. The same round as the trace walk
+    /// `sg_analysis::lock_in` makes over this processor's events.
+    pub(crate) fn lock_in(&self, decision: Value, rounds_used: usize) -> Option<usize> {
+        self.snapshot
+            .map(|(last, from)| if last == decision { from } else { rounds_used })
+    }
+
+    /// `Discovered` events emitted in this run.
+    pub(crate) fn discoveries(&self) -> u64 {
+        self.discoveries
     }
 
     /// Number of trace entries currently buffered.

@@ -173,12 +173,18 @@ where
         }
     }
 
+    // Decisions, then each correct processor's lock-in and discovery
+    // folds: the latest lock-in, and every discovery.
     let mut decisions = vec![None; n];
     let mut trace = Trace::new();
+    let (mut lock_in, mut discoveries) = (0, 0);
     for (i, ctx) in ctxs.iter_mut().enumerate() {
         ctx.round = 0;
         if correct.contains(&i) {
-            decisions[i] = Some(protocols[i].decide(ctx));
+            let decision = protocols[i].decide(ctx);
+            decisions[i] = Some(decision);
+            lock_in = lock_in.max(ctx.lock_in(decision, round).unwrap_or(0));
+            discoveries += ctx.discoveries();
         }
         metrics.local_ops[i] = ctx.ops();
         ctx.drain_trace_into(&mut trace);
@@ -192,6 +198,8 @@ where
         early_stopped: round < total_rounds,
         metrics,
         trace,
+        lock_in,
+        discoveries,
         adversary: adversary.name_shared(),
     }
 }

@@ -1,9 +1,13 @@
 //! Execution tracing.
 //!
 //! Protocols emit structured events (phase starts, shifts, fault
-//! discoveries, decisions) through their [`crate::ProcCtx`]. Tracing is
-//! opt-in per run; when disabled, `emit` is a no-op and `emit_with` does
-//! not build its event, so the hot path stays allocation-free.
+//! discoveries, decisions) through their [`crate::ProcCtx`]. Recording
+//! them is opt-in per run; when disabled, `emit` records nothing and
+//! `shift` does not build its event's name, so the hot path stays
+//! allocation-free. What a run samples of its events — the lock-in round
+//! and the discovery count — the context folds whether or not the run
+//! records, into [`crate::Outcome::lock_in`] and
+//! [`crate::Outcome::discoveries`].
 
 use crate::id::ProcessId;
 use crate::value::Value;

@@ -1362,3 +1362,38 @@ fn broadcast_only() {
         "docs/measurements/ was scanned"
     );
 }
+
+#[test]
+fn the_sweep_samples_from_folds() {
+    // A sweep's scalar runs record no event log: the engine folds each
+    // run's lock-in and discoveries as the events are emitted
+    // (Outcome::lock_in, Outcome::discoveries), and the sweep reads the
+    // folds. Walking a recorded log per run — sample_of, or the outcome's
+    // trace read in place — stays with the tests, where it is the oracle
+    // the folds are held to.
+    const SWEEP: &str = "crates/analysis/src/sweep.rs";
+    targets(&[SWEEP], Path::is_file);
+    let walk = |line: &str| any_of(line, "sample_of(|.trace.");
+    check(
+        |tree| {
+            tree.outside_tests(&[SWEEP], walk)
+                .into_iter()
+                .map(|path| format!("{path}: samples a run by walking its log"))
+                .collect()
+        },
+        "the sweep walks a run's event log again",
+        &[
+            "crates/analysis/src/sweep.rs:         sample_of(out)",
+            "crates/analysis/src/sweep.rs:     let discoveries = out.trace.entries().len();",
+        ],
+    );
+    misses(
+        walk,
+        &[
+            "        let sampled = |fold: u64| if config.trace { fold } else { 0 };",
+            "            trace: false,",
+            "        if self.trace {",
+            "    /// ([`Outcome::lock_in`], [`Outcome::discoveries`]) and records no",
+        ],
+    );
+}

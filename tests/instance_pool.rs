@@ -4,9 +4,10 @@
 //! The engine's instance pool recycles protocol instances across runs via
 //! `Protocol::reset` instead of consulting the factory. The contract is
 //! that pooling is *unobservable* in the output: every `Outcome` field —
-//! decisions, fault sets, metrics, traces, round counts — matches the
-//! reference engine's fresh-everything execution exactly, for every
-//! protocol family and under every adversary. The property test below
+//! decisions, fault sets, metrics, traces, lock-in and discovery folds,
+//! round counts — matches the reference engine's fresh-everything
+//! execution exactly, for every protocol family and under every
+//! adversary. The property test below
 //! drives eight resettable families (Phase King, Phase Queen, Optimal
 //! King, King-Shift, Dynamic King, the plan-driven tree machine,
 //! Dolev–Strong, and a shift composition with a king tail) through a
@@ -49,6 +50,11 @@ fn assert_same_outcome(label: &str, fresh: &Outcome, pooled: &Outcome) {
     assert_eq!(fresh.faulty, pooled.faulty, "{label}: fault set");
     assert_eq!(fresh.metrics, pooled.metrics, "{label}: metrics");
     assert_eq!(fresh.trace, pooled.trace, "{label}: trace");
+    assert_eq!(fresh.lock_in, pooled.lock_in, "{label}: lock-in");
+    assert_eq!(
+        fresh.discoveries, pooled.discoveries,
+        "{label}: discoveries"
+    );
     assert_eq!(fresh.rounds_used, pooled.rounds_used, "{label}: rounds");
     assert_eq!(fresh.early_stopped, pooled.early_stopped, "{label}: early");
 }

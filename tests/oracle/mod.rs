@@ -38,7 +38,12 @@ pub fn via_cursors(plan: &SweepPlan) -> SweepReport {
 }
 
 /// The engine configuration of one run of `cell`, as the sweep builds it
-/// (`execute_into` adds authentication where the spec needs it).
+/// but for one field: the sweep's scalar path clears `RunConfig::trace`
+/// and reads the lock-in and discoveries off the engine's folds, while
+/// this keeps the cell's `trace`, so every run here records its log and
+/// is sampled by `sample_of`'s walk of it. The reports compared are two
+/// computations of those numbers, not one (`execute_into` adds
+/// authentication where the spec needs it).
 fn run_config(cell: &SweepConfig, early_stopping: bool) -> RunConfig {
     let mut config = RunConfig::new(cell.n, cell.t).with_source_value(cell.source_value);
     if cell.trace {
