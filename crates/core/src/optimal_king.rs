@@ -217,11 +217,6 @@ impl KingCore {
         self.current
     }
 
-    /// Whether the processor locked its value in the current phase.
-    pub fn is_locked(&self) -> bool {
-        self.locked
-    }
-
     /// The early-stopping signal: whether the latest phase locked.
     /// Embedding protocols forward this from
     /// [`sg_sim::Protocol::round_status`]; the engine's all-correct
@@ -495,7 +490,7 @@ mod tests {
         }
         let mut ctx = ProcCtx::new(ProcessId(1));
         core.deliver(0, PhaseStep::Propose, &inbox, &mut ctx);
-        assert!(core.is_locked());
+        assert!(core.locked);
         assert_eq!(core.current(), Value(1));
     }
 
@@ -509,7 +504,7 @@ mod tests {
         inbox.set(ProcessId(2), Payload::values([BOT_WIRE]));
         let mut ctx = ProcCtx::new(ProcessId(1));
         core.deliver(0, PhaseStep::Propose, &inbox, &mut ctx);
-        assert!(!core.is_locked());
+        assert!(!core.locked);
         assert_eq!(core.current(), Value(1));
     }
 
@@ -521,7 +516,7 @@ mod tests {
         let inbox = Inbox::empty(4);
         let mut ctx = ProcCtx::new(ProcessId(1));
         core.deliver(0, PhaseStep::Propose, &inbox, &mut ctx);
-        assert!(!core.is_locked());
+        assert!(!core.locked);
         assert_eq!(core.current(), Value::DEFAULT);
     }
 
@@ -561,7 +556,7 @@ mod tests {
         // Count for 1 is 2 (own + P0): the masked P2 does not count, so
         // the core adopts unlocked rather than locking with count 3.
         assert_eq!(core.current(), Value(1));
-        assert!(!core.is_locked());
+        assert!(!core.locked);
     }
 
     #[test]

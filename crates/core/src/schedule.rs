@@ -217,12 +217,6 @@ impl HybridSchedule {
     }
 }
 
-/// The Main Theorem's round bound for given `n`, `b` — convenience
-/// wrapper around [`HybridSchedule`].
-pub fn hybrid_rounds_exact(n: usize, b: usize) -> usize {
-    HybridSchedule::compute(n, b).total_rounds()
-}
-
 /// A recommended configuration from [`choose_b`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BChoice {
@@ -352,10 +346,10 @@ mod tests {
         for n in [16, 25, 31, 43] {
             let t = t_a(n);
             for b in 3..t {
+                let hybrid = HybridSchedule::compute(n, b).total_rounds();
                 assert!(
-                    hybrid_rounds_exact(n, b) <= algorithm_a_rounds_exact(t, b),
-                    "n={n} b={b}: hybrid {} vs A {}",
-                    hybrid_rounds_exact(n, b),
+                    hybrid <= algorithm_a_rounds_exact(t, b),
+                    "n={n} b={b}: hybrid {hybrid} vs A {}",
                     algorithm_a_rounds_exact(t, b)
                 );
             }

@@ -163,19 +163,6 @@ impl Shape {
         (0..self.n).filter(|&i| !used[i]).map(ProcessId).collect()
     }
 
-    /// The last label of the path of node `i` at level `k`; for the root
-    /// (`k = 0`) this is the source.
-    ///
-    /// This is "the processor corresponding to the node" in the paper's
-    /// terminology — the processor the Fault Discovery Rule blames.
-    pub fn node_processor(&self, k: usize, i: usize) -> ProcessId {
-        if k == 0 {
-            self.source
-        } else {
-            *self.path(k, i).last().expect("k >= 1")
-        }
-    }
-
     fn nth_unused(&self, used: &[bool], rank: usize) -> ProcessId {
         let mut seen = 0usize;
         for (i, &u) in used.iter().enumerate() {
@@ -350,18 +337,13 @@ mod tests {
             let labels = table.level(k);
             assert_eq!(labels.len(), s.level_size(k));
             for (i, &label) in labels.iter().enumerate() {
-                assert_eq!(ProcessId(label as usize), s.node_processor(k, i));
+                // The node's processor: its path's last label, or the
+                // source at the root.
+                let last = s.path(k, i).last().copied().unwrap_or(s.source());
+                assert_eq!(ProcessId(label as usize), last);
             }
         }
         assert!(Arc::ptr_eq(&table, &LabelTable::shared(s)));
-    }
-
-    #[test]
-    fn node_processor_is_last_label_or_source() {
-        let s = shape();
-        assert_eq!(s.node_processor(0, 0), ProcessId(0));
-        let i = s.index_of(&[ProcessId(2), ProcessId(4)]).unwrap();
-        assert_eq!(s.node_processor(2, i), ProcessId(4));
     }
 
     #[test]

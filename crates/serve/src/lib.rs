@@ -8,7 +8,7 @@
 //! `report_fingerprint` is **bit-identical** to what `SweepPlan::run`
 //! produces for the same grid (the determinism contract CI's
 //! `serve-e2e` job enforces, and `tests/serve_e2e.rs` holds under
-//! concurrent load through the fault-injecting [`chaos`] proxy).
+//! concurrent load through a fault-injecting proxy).
 //!
 //! What makes this a service rather than a loop around the batch path:
 //!
@@ -47,12 +47,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod server;
 pub mod wire;
 
-pub use chaos::{ChaosProxy, ChaosSpec};
 pub use client::{Client, JobHandle, RetryPolicy, ServeError, StreamedReport};
 pub use server::{serve, Bind, Drainer, ServeOptions, ServerHandle};
 pub use wire::{ErrorCode, Frame, RejectCode, Request, PROTOCOL};

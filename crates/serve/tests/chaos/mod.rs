@@ -1,12 +1,14 @@
-//! A deterministic fault-injecting TCP proxy for torturing `sg-serve`.
+//! A deterministic fault-injecting TCP proxy for torturing `sg-serve`,
+//! shared by the serve crate's test binaries (`mod chaos;`).
 //!
 //! [`ChaosProxy::spawn`] sits between clients and a daemon and relays
 //! NDJSON lines while injecting faults — dropped lines, delays, split
-//! writes, mid-line truncation, read stalls, and abrupt closes — from a
-//! **seeded schedule**: the fault applied to line `k` of connection `i`
-//! in direction `d` is a pure function of `(spec.seed, i, d, k)`, so a
-//! chaos run replays exactly (the `AdversaryTrace` discipline, applied
-//! to the transport). No wall clock is consulted anywhere.
+//! writes, read stalls, and mid-line truncation that tears the
+//! connection down — from a **seeded schedule**: the fault applied to
+//! line `k` of connection `i` in direction `d` is a pure function of
+//! `(spec.seed, i, d, k)`, so a chaos run replays exactly (the
+//! `AdversaryTrace` discipline, applied to the transport). No wall clock
+//! is consulted anywhere.
 //!
 //! The proxy is deliberately line-oriented: faults land on frame
 //! boundaries (drop/delay/split a whole frame) or deliberately break
@@ -41,63 +43,25 @@ pub struct ChaosSpec {
     pub stall_per_mille: u32,
     /// ‰ of lines cut mid-bytes with the connection then torn down.
     pub truncate_per_mille: u32,
-    /// ‰ of lines replaced by an abrupt close of both directions.
-    pub close_per_mille: u32,
     /// Delay magnitude, milliseconds.
     pub delay_ms: u64,
     /// Stall magnitude, milliseconds.
     pub stall_ms: u64,
 }
 
-impl ChaosSpec {
-    /// Mostly-working network: occasional delays and splits, rare
-    /// drops; no truncation or closes. Jobs generally complete.
-    pub fn gentle(seed: u64) -> ChaosSpec {
-        ChaosSpec {
-            seed,
-            drop_per_mille: 0,
-            delay_per_mille: 30,
-            split_per_mille: 60,
-            stall_per_mille: 10,
-            truncate_per_mille: 0,
-            close_per_mille: 0,
-            delay_ms: 5,
-            stall_ms: 25,
-        }
-    }
-
-    /// Hostile network: everything above plus truncation and abrupt
-    /// closes. Many jobs die mid-stream; the ones that complete must
-    /// still be bit-exact.
-    pub fn hostile(seed: u64) -> ChaosSpec {
-        ChaosSpec {
-            seed,
-            drop_per_mille: 5,
-            delay_per_mille: 40,
-            split_per_mille: 80,
-            stall_per_mille: 15,
-            truncate_per_mille: 8,
-            close_per_mille: 8,
-            delay_ms: 10,
-            stall_ms: 50,
-        }
-    }
-}
-
 /// What the schedule decided for one relayed line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Fault {
+pub enum Fault {
     Forward,
     Drop,
     Delay,
     Split,
     Stall,
     Truncate,
-    Close,
 }
 
 /// The per-direction deterministic fault stream.
-struct Schedule {
+pub struct Schedule {
     spec: ChaosSpec,
     rng: StdRng,
 }
@@ -105,7 +69,7 @@ struct Schedule {
 impl Schedule {
     /// The stream for direction `dir` (0 = client→server, 1 = reverse)
     /// of accepted connection `conn`.
-    fn new(spec: ChaosSpec, conn: u64, dir: u64) -> Schedule {
+    pub fn new(spec: ChaosSpec, conn: u64, dir: u64) -> Schedule {
         let seed = spec
             .seed
             .wrapping_add(conn.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -116,7 +80,8 @@ impl Schedule {
         }
     }
 
-    fn next(&mut self) -> Fault {
+    /// The fault for the stream's next line.
+    pub fn next(&mut self) -> Fault {
         let roll = self.rng.gen_range(0u32..1000);
         let s = &self.spec;
         let mut edge = s.drop_per_mille;
@@ -138,10 +103,6 @@ impl Schedule {
         edge += s.truncate_per_mille;
         if roll < edge {
             return Fault::Truncate;
-        }
-        edge += s.close_per_mille;
-        if roll < edge {
-            return Fault::Close;
         }
         Fault::Forward
     }
@@ -207,10 +168,6 @@ fn pump(src: TcpStream, dst: TcpStream, mut schedule: Schedule) {
                 let half = (bytes.len() / 2).max(1);
                 let _ = dst.write_all(&bytes[..half]);
                 let _ = dst.flush();
-                kill_pair(&src_raw, &dst);
-                return;
-            }
-            Fault::Close => {
                 kill_pair(&src_raw, &dst);
                 return;
             }
@@ -296,45 +253,6 @@ impl Drop for ChaosProxy {
         let _ = TcpStream::connect(self.addr);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn schedules_are_deterministic_and_distinct() {
-        let spec = ChaosSpec::hostile(7);
-        let faults = |conn, dir| {
-            let mut s = Schedule::new(spec, conn, dir);
-            (0..200).map(|_| s.next()).collect::<Vec<_>>()
-        };
-        assert_eq!(faults(0, 0), faults(0, 0), "same coordinates replay");
-        assert_ne!(faults(0, 0), faults(1, 0), "connections differ");
-        assert_ne!(faults(0, 0), faults(0, 1), "directions differ");
-        // The hostile mix actually exercises every fault class within a
-        // couple hundred lines.
-        let all = faults(0, 0);
-        assert!(all.contains(&Fault::Forward));
-        assert!(all.iter().any(|f| *f != Fault::Forward));
-    }
-
-    #[test]
-    fn gentle_schedule_never_kills_connections() {
-        let spec = ChaosSpec::gentle(11);
-        for conn in 0..8 {
-            for dir in 0..2 {
-                let mut s = Schedule::new(spec, conn, dir);
-                for _ in 0..10_000 {
-                    let fault = s.next();
-                    assert!(
-                        !matches!(fault, Fault::Truncate | Fault::Close | Fault::Drop),
-                        "gentle spec produced {fault:?}"
-                    );
-                }
-            }
         }
     }
 }

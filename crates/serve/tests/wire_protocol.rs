@@ -11,10 +11,14 @@ use sg_adversary::{Family, FaultSelection, Move};
 use sg_analysis::{AdversaryFamily, SweepConfig, SweepPlan};
 use sg_core::AlgorithmSpec;
 use sg_serve::{
-    serve, Bind, ChaosProxy, ChaosSpec, Client, ErrorCode, Frame, RejectCode, Request, RetryPolicy,
-    ServeError, ServeOptions,
+    serve, Bind, Client, ErrorCode, Frame, RejectCode, Request, RetryPolicy, ServeError,
+    ServeOptions,
 };
 use sg_sim::ProcessId;
+
+mod chaos;
+
+use chaos::{ChaosProxy, ChaosSpec};
 
 fn start() -> (sg_serve::ServerHandle, String) {
     start_with(ServeOptions {
@@ -562,8 +566,14 @@ fn truncated_frames_mid_job_kill_one_connection_not_the_daemon() {
     // connection down: whatever reaches the daemon is malformed JSON,
     // and whatever comes back dies on the wire.
     let spec = ChaosSpec {
+        seed: 3,
+        drop_per_mille: 5,
+        delay_per_mille: 40,
+        split_per_mille: 80,
+        stall_per_mille: 15,
         truncate_per_mille: 1_000,
-        ..ChaosSpec::hostile(3)
+        delay_ms: 10,
+        stall_ms: 50,
     };
     let proxy =
         ChaosProxy::spawn(addr.parse().expect("daemon addr"), spec).expect("spawn chaos proxy");

@@ -6,8 +6,12 @@
 //! with a deliberately simple measurement loop: a short warm-up, then a
 //! timed run long enough to report a stable mean (no statistics, no
 //! HTML reports). Results print as `group/id  time: <mean> (<iters>
-//! iters)`. Swapping in real criterion restores full statistics with no
-//! source changes to the benches.
+//! iters)`. As in criterion, the first argument that is not a flag
+//! filters by substring (`cargo bench --bench run_loop -- scalar_layers`);
+//! a bench it filters out runs its closure once, untimed and unreported,
+//! so state the closure writes for later asserts is still written.
+//! Swapping in real criterion restores full statistics with no source
+//! changes to the benches.
 
 #![forbid(unsafe_code)]
 
@@ -78,11 +82,17 @@ pub struct Bencher {
     mean: Duration,
     iters: u64,
     budget: Duration,
+    /// False for a bench the filter leaves out: its routine runs once.
+    timed: bool,
 }
 
 impl Bencher {
     /// Times `routine`, storing the mean iteration time.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        if !self.timed {
+            black_box(routine());
+            return;
+        }
         // Warm-up and calibration: run until ~10ms or 5 iterations.
         let calib_start = Instant::now();
         let mut calib_iters = 0u64;
@@ -116,6 +126,10 @@ impl Bencher {
     /// iterations include work that must stay untimed. The run is sized
     /// to the budget by wall time, untimed work included.
     pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        if !self.timed {
+            routine(1);
+            return;
+        }
         const CALIBRATION_ITERS: u64 = 5;
         let calib_start = Instant::now();
         routine(CALIBRATION_ITERS);
@@ -151,18 +165,36 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark.
+    /// Runs one benchmark: timed and reported if the filter takes its
+    /// `group/id`, else its routine once.
     pub fn bench_function<F>(&mut self, id: impl IntoBenchmarkId, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        let id = id.into_id();
+        let label = if self.name.is_empty() {
+            id
+        } else {
+            format!("{}/{id}", self.name)
+        };
+        let timed = self
+            .criterion
+            .filter
+            .as_ref()
+            .is_none_or(|filter| label.contains(filter.as_str()));
         let mut bencher = Bencher {
             mean: Duration::ZERO,
             iters: 0,
             budget: self.budget,
+            timed,
         };
         f(&mut bencher);
-        self.criterion.report(&self.name, &id.into_id(), &bencher);
+        if timed {
+            println!(
+                "{label:<56} time: {:>12?}  ({} iters)",
+                bencher.mean, bencher.iters
+            );
+        }
         self
     }
 
@@ -186,20 +218,28 @@ impl BenchmarkGroup<'_> {
 /// The benchmark harness entry point.
 pub struct Criterion {
     budget: Duration,
+    /// Only benches whose `group/id` contains it are timed.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
             budget: Duration::from_millis(300),
+            filter: None,
         }
     }
 }
 
 impl Criterion {
-    /// Accepted for CLI compatibility; the shim ignores argv filters.
+    /// Takes the bench filter from argv: the first argument that is not
+    /// a flag (`cargo bench` adds `--bench`).
     pub fn configure_from_args(self) -> Self {
-        self
+        self.with_filter(std::env::args().skip(1).find(|arg| !arg.starts_with('-')))
+    }
+
+    fn with_filter(self, filter: Option<String>) -> Self {
+        Criterion { filter, ..self }
     }
 
     /// Opens a named benchmark group.
@@ -219,18 +259,6 @@ impl Criterion {
     {
         self.benchmark_group("").bench_function(id, f);
         self
-    }
-
-    fn report(&self, group: &str, id: &str, bencher: &Bencher) {
-        let label = if group.is_empty() {
-            id.to_string()
-        } else {
-            format!("{group}/{id}")
-        };
-        println!(
-            "{label:<56} time: {:>12?}  ({} iters)",
-            bencher.mean, bencher.iters
-        );
     }
 }
 
@@ -278,5 +306,24 @@ mod tests {
         group.measurement_time(Duration::from_millis(5));
         group.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
         group.finish();
+    }
+
+    #[test]
+    fn a_filter_times_matching_ids_and_runs_the_rest_once() {
+        let mut c = Criterion::default().with_filter(Some("shim/kept".to_string()));
+        let mut group = c.benchmark_group("shim");
+        group.measurement_time(Duration::from_millis(5));
+        let (mut kept, mut skipped, mut skipped_custom) = (0u64, 0u64, 0u64);
+        group.bench_function("kept", |b| b.iter(|| kept += 1));
+        group.bench_function("skipped", |b| b.iter(|| skipped += 1));
+        group.bench_function("skipped-custom", |b| {
+            b.iter_custom(|iters| {
+                skipped_custom += iters;
+                Duration::ZERO
+            })
+        });
+        group.finish();
+        assert!(kept > 5, "a matching bench is timed: {kept} calls");
+        assert_eq!((skipped, skipped_custom), (1, 1), "others run once");
     }
 }

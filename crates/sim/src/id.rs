@@ -200,17 +200,6 @@ impl ProcessSet {
             .filter(|(_, &b)| b)
             .map(|(i, _)| ProcessId(i))
     }
-
-    /// The complement of this set within `0..n`.
-    pub fn complement(&self) -> ProcessSet {
-        let mut out = ProcessSet::new(self.universe());
-        for i in 0..self.universe() {
-            if !self.bits[i] {
-                out.insert(ProcessId(i));
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for ProcessSet {
@@ -269,16 +258,6 @@ mod tests {
         let s = ProcessSet::from_members(6, [ProcessId(5), ProcessId(1), ProcessId(3)]);
         let got: Vec<usize> = s.iter().map(|p| p.index()).collect();
         assert_eq!(got, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn complement_partitions_universe() {
-        let s = ProcessSet::from_members(5, [ProcessId(0), ProcessId(4)]);
-        let c = s.complement();
-        assert_eq!(c.len(), 3);
-        for i in 0..5 {
-            assert_ne!(s.contains(ProcessId(i)), c.contains(ProcessId(i)));
-        }
     }
 
     #[test]

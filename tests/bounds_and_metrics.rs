@@ -6,26 +6,41 @@
 
 use shifting_gears::adversary::{Family, FaultSelection};
 use shifting_gears::analysis::bounds::{
-    blocked_max_message_values, c_max_message_values, exponential_max_message_values,
+    a_local_bound, b_local_bound, blocked_max_message_values, c_max_message_values,
+    exponential_max_message_values,
 };
 use shifting_gears::core::schedule::{algorithm_a_rounds_bound, algorithm_b_rounds_bound};
 use shifting_gears::core::{execute, t_a, t_b, t_c, AlgorithmSpec, HybridSchedule};
 use shifting_gears::sim::{Outcome, RunConfig, Value};
 
-fn run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
-    let config = RunConfig::new(n, t)
-        .with_source_value(Value(1))
-        .fixed_length();
-    let mut adversary = Family::ChainRevealer {
+/// The file's adversary: members revealed two at a time from round 2,
+/// the source spared.
+fn chain_revealer() -> Family {
+    Family::ChainRevealer {
         selection: FaultSelection::without_source(),
         start: 2,
         block: 2,
     }
-    .strategy(seed);
+}
+
+fn run(spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
+    run_under(chain_revealer(), spec, n, t, seed)
+}
+
+fn run_under(family: Family, spec: AlgorithmSpec, n: usize, t: usize, seed: u64) -> Outcome {
+    let config = RunConfig::new(n, t)
+        .with_source_value(Value(1))
+        .fixed_length();
+    let mut adversary = family.strategy(seed);
     let outcome = execute(spec, &config, adversary.as_mut()).expect("valid parameters");
     outcome.assert_correct();
     outcome
 }
+
+/// The grids the message-size tests run: `(n, b)` for Algorithm A at
+/// `t_a(n)` and for Algorithm B at `t_b(n)`.
+const A_GRID: [(usize, usize); 3] = [(13, 3), (16, 3), (16, 4)];
+const B_GRID: [(usize, usize); 3] = [(13, 2), (17, 3), (21, 3)];
 
 #[test]
 fn exponential_rounds_and_message_sizes_match_proposition_1() {
@@ -42,7 +57,7 @@ fn exponential_rounds_and_message_sizes_match_proposition_1() {
 
 #[test]
 fn algorithm_a_message_sizes_bounded_by_level_b_minus_1() {
-    for (n, b) in [(13, 3), (16, 3), (16, 4)] {
+    for (n, b) in A_GRID {
         let t = t_a(n);
         let outcome = run(AlgorithmSpec::AlgorithmA { b }, n, t, 5);
         assert!(outcome.rounds_used <= algorithm_a_rounds_bound(t, b));
@@ -56,7 +71,7 @@ fn algorithm_a_message_sizes_bounded_by_level_b_minus_1() {
 
 #[test]
 fn algorithm_b_message_sizes_bounded_by_level_b_minus_1() {
-    for (n, b) in [(13, 2), (17, 3), (21, 3)] {
+    for (n, b) in B_GRID {
         let t = t_b(n);
         let outcome = run(AlgorithmSpec::AlgorithmB { b }, n, t, 7);
         assert!(outcome.rounds_used <= algorithm_b_rounds_bound(t, b));
@@ -81,6 +96,60 @@ fn algorithm_c_messages_stay_linear_in_n() {
         // Peak tree: root + intermediates + n×n leaf matrix (+1 for the
         // no-rep root kept in sync).
         assert!(outcome.metrics.peak_tree_nodes <= (2 + n + n * n) as u64);
+    }
+}
+
+/// Theorems 2 and 3 (§4.2, §4.1): a correct processor's local
+/// computation is `O(n^{b+1} (t−1)/(b−2))` in Algorithm A and
+/// `O(n^{b+1} (t−1)/(b−1))` in Algorithm B.
+/// - Under test: `sg_core`'s A and B on the scalar engine, measured by
+///   `Metrics::max_local_ops`, against `sg_analysis::bounds::{a,b}_local_bound`
+///   with constant 1.
+/// - Adversaries: the file's chain-revealer, and random liars led by
+///   the source.
+/// - Sampled: A_GRID and B_GRID, fixed length, seeds 0..4.
+///
+/// Largest measured/bound: 0.239 for A (`b = 3`, n = 13, chain-revealer)
+/// and 0.260 for B (`b = 2`, n = 13, random liars), so a bound a fifth
+/// as large fails.
+#[test]
+fn local_ops_stay_under_theorems_2_and_3() {
+    let check = |spec: AlgorithmSpec, n: usize, t: usize, bound: u128| {
+        let families = [
+            chain_revealer(),
+            Family::RandomLiar(FaultSelection::with_source()),
+        ];
+        for family in families {
+            for seed in 0..4 {
+                let ops = run_under(family.clone(), spec, n, t, seed)
+                    .metrics
+                    .max_local_ops();
+                assert!(
+                    u128::from(ops) <= bound,
+                    "{} (n={n}, t={t}) under {} seed {seed}: {ops} local ops, bound {bound}",
+                    spec.name(),
+                    family.name(),
+                );
+            }
+        }
+    };
+    for (n, b) in A_GRID {
+        let t = t_a(n);
+        check(
+            AlgorithmSpec::AlgorithmA { b },
+            n,
+            t,
+            a_local_bound(n, t, b),
+        );
+    }
+    for (n, b) in B_GRID {
+        let t = t_b(n);
+        check(
+            AlgorithmSpec::AlgorithmB { b },
+            n,
+            t,
+            b_local_bound(n, t, b),
+        );
     }
 }
 

@@ -1397,3 +1397,40 @@ fn the_sweep_samples_from_folds() {
         ],
     );
 }
+
+#[test]
+fn the_chaos_proxy_is_test_code() {
+    // The fault-injecting proxy serves the serve crate's wire tests and
+    // nothing else, so it lives beside them (crates/serve/tests/chaos/,
+    // `mod chaos;` in each test binary) and sg_serve ships no chaos module
+    // and no Chaos* item.
+    const SERVE: &str = "crates/serve/src";
+    targets(&[SERVE], Path::is_dir);
+    targets(&["crates/serve/tests/chaos/mod.rs"], Path::is_file);
+    let proxy =
+        |line: &str| any_of(line, "ChaosProxy|ChaosSpec") || seq(line, &["mod chaos"], word_end);
+    check(
+        |tree| {
+            tree.outside_tests(&[SERVE], proxy)
+                .into_iter()
+                .map(|path| format!("{path}: the chaos proxy in sg_serve"))
+                .collect()
+        },
+        "the chaos proxy is production code again",
+        &[
+            "crates/serve/src/lib.rs: pub mod chaos;",
+            "crates/serve/src/lib.rs: pub use chaos::{ChaosProxy, ChaosSpec};",
+            "crates/serve/src/chaos.rs: pub struct ChaosProxy {",
+            "crates/serve/src/server.rs:     pub fn gentle(seed: u64) -> ChaosSpec {",
+        ],
+    );
+    misses(
+        proxy,
+        &[
+            "//! concurrent load through a fault-injecting proxy).",
+            "pub mod client;",
+            "mod chaos_free_codec;",
+            "//! corrupt it; rules that want chaos build payloads from scratch.",
+        ],
+    );
+}
